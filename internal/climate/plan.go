@@ -160,7 +160,7 @@ func (tp *TrainPlan) StepStream(x *tensor.Tensor, boxes [][]Box, labeled []bool,
 			tp.notifyDec(t)
 		}
 	}
-	tp.enc.BackwardStream(tp.dfeat, tp.notifyEnc)
+	tp.enc.BackwardParams(tp.dfeat, tp.notifyEnc)
 	tp.lane.End(obs.PhaseBwd)
 	tp.gradDone = nil
 	return parts

@@ -200,7 +200,7 @@ func (r *replica) computeOn(x *tensor.Tensor, labels []int, weights []float32, g
 	loss := nn.SoftmaxCrossEntropyWeightedInto(logits, labels, weights, grad)
 	r.lane.End(obs.PhaseFwd)
 	r.lane.Begin(obs.PhaseBwd)
-	plan.BackwardStream(grad, gradDone)
+	plan.BackwardParams(grad, gradDone)
 	r.lane.End(obs.PhaseBwd)
 	return loss
 }

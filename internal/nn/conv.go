@@ -20,20 +20,28 @@ type Conv2D struct {
 	noBias       bool
 }
 
-// evalColBudget caps (in float32s) the lowered column matrix the inference
-// path builds at once. Training lowers per sample to bound memory at paper
-// scale (see Backward); inference instead lowers as many whole samples as
-// fit this budget and multiplies them in a single GEMM, which amortises the
-// small-GEMM inefficiency that dominates per-sample serving cost. 2M floats
-// (8 MiB) covers any realistic serving batch of the small models while
-// degrading gracefully to per-sample lowering at paper scale. It is a
-// variable only so tests can force the chunked path.
-var evalColBudget = 2 << 20
-
-// evalDirect gates the im2col-free inference path for the dominant 3x3
-// stride-1 shape. A variable only so tests can pin the two paths bitwise
-// against each other.
-var evalDirect = true
+// colBudget caps (in float32s) the lowered column matrix a convolution
+// builds at once. Both passes lower as many whole samples as fit it into one
+// wide matrix and multiply them in a single GEMM: a batch of small planes
+// (hep-small's conv4 is 16 columns per sample) otherwise pays the GEMM's
+// fixed costs once per sample. 256K floats (1 MiB, half of one core's L2
+// here) is where that stops paying: batch-256 inference runs as fast as
+// with a matrix eight times larger, and 15–20% slower with one half the
+// size, which doubles the fork-joins per pass. At paper scale — conv2
+// alone is 14.4M floats per sample — it degrades to per-sample lowering.
+//
+// trainColBudget is the same cap on the training datapath, and half as
+// large: an inference plan holds one such matrix for all its convolutions
+// (Plan.evalSt), a training plan one per convolution per replica, because
+// a lowering that fits is kept for backward. At 128K floats a hep-small
+// batch-16 plan's arena is 8.8 MB (7.5 MB before lowerings were batched,
+// 11.2 MB at 256K) for 5% of the step time.
+//
+// Both are variables only so tests can force the chunked path.
+var (
+	colBudget      = 1 << 18
+	trainColBudget = 1 << 17
+)
 
 // NewConv2D constructs a convolution layer with He-initialised weights.
 func NewConv2D(name string, inC, outC, k, stride, pad int, rng *tensor.RNG) *Conv2D {
@@ -81,11 +89,15 @@ func (c *Conv2D) OutShape(in []int) []int {
 	return []int{c.OutC, oh, ow}
 }
 
-// evalChunk returns how many whole samples the inference path lowers at
-// once for an oh×ow output, clamped to the batch size.
-func (c *Conv2D) evalChunk(n, oh, ow int) int {
+// chunk returns how many whole samples are lowered at once for an oh×ow
+// output on the train or eval datapath, clamped to the batch size.
+func (c *Conv2D) chunk(n, oh, ow int, train bool) int {
+	budget := colBudget
+	if train {
+		budget = trainColBudget
+	}
 	k := c.InC * c.KH * c.KW
-	chunk := evalColBudget / (k * oh * ow)
+	chunk := budget / (k * oh * ow)
 	if chunk < 1 {
 		chunk = 1
 	}
@@ -101,19 +113,13 @@ func (c *Conv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train 
 	oh, ow := out[1], out[2]
 	k := c.InC * c.KH * c.KW
 	cols := oh * ow
-	if train {
-		st.Col = scratch(a, st.Col, k*cols)
-		st.Dcol = scratch(a, st.Dcol, k*cols)
-		return
-	}
-	chunk := c.evalChunk(n, oh, ow)
+	chunk := c.chunk(n, oh, ow, train)
 	st.Col = scratch(a, st.Col, k*chunk*cols)
 	st.Eval = scratch(a, st.Eval, c.OutC*chunk*cols)
 }
 
-// Forward implements Layer. x is [N, InC, H, W]. With train=false it takes
-// the batched inference path, which produces bitwise-identical outputs
-// (same per-element accumulation order) without retaining backward state.
+// Forward implements Layer. x is [N, InC, H, W]. Train and eval mode run
+// the same arithmetic; eval mode retains no backward state.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: %s got input shape %v, want [N,%d,H,W]", c.LayerName, x.Shape, c.InC))
@@ -125,192 +131,91 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// ForwardInto implements PlannedLayer.
+// ForwardInto implements PlannedLayer. It lowers a chunk of samples into
+// one wide K×(m·cols) matrix — sample i at column offset i·cols — multiplies
+// the chunk in a single GEMM, and scatters the channel-major product back
+// to NCHW with the bias folded into that copy. Each output element is the
+// same k-ascending chain of single-rounded multiply-adds plus one bias add
+// whatever the chunk size, so the result does not depend on the budget, the
+// batch, or the mode.
+//
+// A train-mode pass keeps x, and when the whole batch fit one chunk it also
+// keeps the lowering (st.Lowered) so backward does not build it again.
 func (c *Conv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	if x.Rank() != 4 || x.Shape[1] != c.InC {
 		panic(fmt.Sprintf("nn: %s got input shape %v, want [N,%d,H,W]", c.LayerName, x.Shape, c.InC))
 	}
-	if !train {
-		c.forwardEval(st, y, x)
-		return
-	}
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh := tensor.ConvOut(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOut(w, c.KW, c.Stride, c.Pad)
 	k := c.InC * c.KH * c.KW
 	cols := oh * ow
-	st.Col = scratch(nil, st.Col, k*cols)
-	col := st.Col[:k*cols]
-	inStride := c.InC * h * w
-	outStride := c.OutC * cols
-	for s := 0; s < n; s++ {
-		img := x.Data[s*inStride : (s+1)*inStride]
-		tensor.Im2col(img, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, col)
-		ys := y.Data[s*outStride : (s+1)*outStride]
-		tensor.Gemm(false, false, c.OutC, cols, k, 1, c.Weight.W.Data, col, 0, ys)
-		if !c.noBias {
-			for f := 0; f < c.OutC; f++ {
-				b := c.Bias.W.Data[f]
-				if b == 0 {
-					continue
-				}
-				row := ys[f*cols : (f+1)*cols]
-				for i := range row {
-					row[i] += b
-				}
-			}
-		}
-	}
-	st.X = x
-}
-
-// forwardEval is the inference fast path: it lowers as many samples as the
-// column budget allows into one wide matrix and multiplies the whole chunk
-// in a single GEMM, then scatters the channel-major GEMM output back to
-// NCHW while applying the bias. Per sample this performs exactly the same
-// floating-point operations in the same order as the training path — only
-// the loop structure changes — so eval and train forward agree bitwise. No
-// backward state is kept: the state does not retain x, and Backward panics
-// until the next train-mode Forward.
-func (c *Conv2D) forwardEval(st *PlanState, y, x *tensor.Tensor) {
-	if evalDirect && c.Stride == 1 && c.KH == 3 && c.KW == 3 {
-		n := x.Shape[0]
-		// The direct path parallelises over samples; prefer the batched
-		// GEMM (which splits over output channels) when the batch is too
-		// small to feed every worker.
-		if tensor.SerialFor(n) || n >= tensor.Workers() {
-			c.forwardEvalDirect(y, x)
-			st.X = nil
-			return
-		}
-	}
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh := tensor.ConvOut(h, c.KH, c.Stride, c.Pad)
-	ow := tensor.ConvOut(w, c.KW, c.Stride, c.Pad)
-	k := c.InC * c.KH * c.KW
-	cols := oh * ow
-	chunk := c.evalChunk(n, oh, ow)
+	chunk := c.chunk(n, oh, ow, train)
 	st.Col = scratch(nil, st.Col, k*chunk*cols)
 	st.Eval = scratch(nil, st.Eval, c.OutC*chunk*cols)
-	inStride := c.InC * h * w
-	outStride := c.OutC * cols
 	for s0 := 0; s0 < n; s0 += chunk {
-		m := chunk
-		if m > n-s0 {
-			m = n - s0
-		}
+		m := min(chunk, n-s0)
 		mcols := m * cols
-		col := st.Col[:k*mcols]
-		for i := 0; i < m; i++ {
-			img := x.Data[(s0+i)*inStride : (s0+i+1)*inStride]
-			tensor.Im2colInto(img, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, col, mcols, i*cols)
-		}
+		col := c.lower(st, x, s0, m, cols)
 		ge := st.Eval[:c.OutC*mcols]
 		tensor.Gemm(false, false, c.OutC, mcols, k, 1, c.Weight.W.Data, col, 0, ge)
-		for i := 0; i < m; i++ {
-			dst := y.Data[(s0+i)*outStride : (s0+i+1)*outStride]
-			for f := 0; f < c.OutC; f++ {
-				src := ge[f*mcols+i*cols : f*mcols+(i+1)*cols]
-				d := dst[f*cols : (f+1)*cols]
-				var b float32
-				if !c.noBias {
-					b = c.Bias.W.Data[f]
-				}
-				if b == 0 {
-					copy(d, src)
-				} else {
-					for j := range src {
-						d[j] = src[j] + b
-					}
-				}
-			}
+		if serialPass(m, y.Len()) {
+			c.scatter(y, ge, s0, m, cols, 0, m)
+		} else {
+			tensor.ParallelFor(m, func(lo, hi int) { c.scatter(y, ge, s0, m, cols, lo, hi) })
 		}
 	}
-	st.X = nil
-}
-
-// forwardEvalDirect is the im2col-free inference kernel for 3x3 stride-1
-// convolutions (the shape that dominates the paper's models). Instead of
-// materialising the K×cols column matrix it walks the weight taps
-// p=(c,ky,kx) in im2col order and accumulates each tap as a shifted-row
-// axpy over the input, clipping at the borders. Per output element this
-// performs the identical single-rounded multiply-adds in the identical
-// p-ascending order as im2col+GEMM — border clipping only removes
-// additions of ±0 that cannot change a finite partial sum, and the
-// zero-tap skip mirrors the GEMM kernel's — so the two paths agree
-// bitwise. Bias is applied after accumulation, as one add, exactly like
-// the batched path's copy-out. The win is bandwidth: nothing is written
-// to or re-read from a 9x-expanded scratch matrix.
-func (c *Conv2D) forwardEvalDirect(y, x *tensor.Tensor) {
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh := tensor.ConvOut(h, c.KH, c.Stride, c.Pad)
-	ow := tensor.ConvOut(w, c.KW, c.Stride, c.Pad)
-	cols := oh * ow
-	inStride := c.InC * h * w
-	outStride := c.OutC * cols
-	if tensor.SerialFor(n) {
-		// No closure on the serial path: warmed plans must stay 0-alloc.
-		for s := 0; s < n; s++ {
-			c.directSample(x.Data[s*inStride:(s+1)*inStride],
-				y.Data[s*outStride:(s+1)*outStride], h, w, oh, ow)
-		}
-		return
+	if train {
+		st.X = x
+		st.Lowered = chunk == n
+	} else {
+		st.X = nil
+		st.Lowered = false
 	}
-	tensor.ParallelFor(n, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			c.directSample(x.Data[s*inStride:(s+1)*inStride],
-				y.Data[s*outStride:(s+1)*outStride], h, w, oh, ow)
-		}
-	})
 }
 
-func (c *Conv2D) directSample(img, out []float32, h, w, oh, ow int) {
-	cols := oh * ow
+// lower fills st.Col with the K×(m·cols) lowering of samples [s0, s0+m) of
+// x, cols columns each, and returns it.
+func (c *Conv2D) lower(st *PlanState, x *tensor.Tensor, s0, m, cols int) []float32 {
 	k := c.InC * c.KH * c.KW
-	for f := 0; f < c.OutC; f++ {
-		yf := out[f*cols : (f+1)*cols]
-		clear(yf)
-		wf := c.Weight.W.Data[f*k : (f+1)*k]
-		p := 0
-		for ch := 0; ch < c.InC; ch++ {
-			chOff := ch * h * w
-			for ky := 0; ky < c.KH; ky++ {
-				for kx := 0; kx < c.KW; kx++ {
-					av := wf[p]
-					p++
-					if av == 0 {
-						continue
-					}
-					// Output columns whose input column ix = ox-Pad+kx is
-					// in bounds; rows clip per oy below.
-					oxLo := c.Pad - kx
-					if oxLo < 0 {
-						oxLo = 0
-					}
-					oxHi := w + c.Pad - kx
-					if oxHi > ow {
-						oxHi = ow
-					}
-					if oxHi <= oxLo {
-						continue
-					}
-					ixLo := oxLo - c.Pad + kx
-					span := oxHi - oxLo
-					for oy := 0; oy < oh; oy++ {
-						iy := oy - c.Pad + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						rowOff := chOff + iy*w + ixLo
-						tensor.Axpy(av, img[rowOff:rowOff+span], yf[oy*ow+oxLo:oy*ow+oxHi])
-					}
-				}
+	col := st.Col[:k*m*cols]
+	if serialPass(m, x.Shape[0]*k*cols) {
+		c.lowerSamples(col, x, s0, m, cols, 0, m)
+	} else {
+		tensor.ParallelFor(m, func(lo, hi int) { c.lowerSamples(col, x, s0, m, cols, lo, hi) })
+	}
+	return col
+}
+
+// lowerSamples lowers samples [lo,hi) of the m-sample chunk starting at s0.
+func (c *Conv2D) lowerSamples(col []float32, x *tensor.Tensor, s0, m, cols, lo, hi int) {
+	h, w := x.Shape[2], x.Shape[3]
+	inStride := c.InC * h * w
+	for i := lo; i < hi; i++ {
+		img := x.Data[(s0+i)*inStride : (s0+i+1)*inStride]
+		tensor.Im2colInto(img, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, col, m*cols, i*cols)
+	}
+}
+
+// scatter copies samples [lo,hi) of the m-sample channel-major GEMM product
+// ge into NCHW y, adding the bias on the way.
+func (c *Conv2D) scatter(y *tensor.Tensor, ge []float32, s0, m, cols, lo, hi int) {
+	mcols := m * cols
+	outStride := c.OutC * cols
+	for i := lo; i < hi; i++ {
+		dst := y.Data[(s0+i)*outStride : (s0+i+1)*outStride]
+		for f := 0; f < c.OutC; f++ {
+			src := ge[f*mcols+i*cols : f*mcols+(i+1)*cols]
+			d := dst[f*cols : (f+1)*cols]
+			var b float32
+			if !c.noBias {
+				b = c.Bias.W.Data[f]
 			}
-		}
-		if !c.noBias {
-			if b := c.Bias.W.Data[f]; b != 0 {
-				for i := range yf {
-					yf[i] += b
+			if b == 0 {
+				copy(d, src)
+			} else {
+				for j, v := range src {
+					d[j] = v + b
 				}
 			}
 		}
@@ -318,9 +223,7 @@ func (c *Conv2D) directSample(img, out []float32, h, w, oh, ow int) {
 }
 
 // Backward implements Layer. dout is [N, OutC, OH, OW]; returns dx with the
-// input's shape. The im2col matrix is recomputed per sample (caching it for
-// the whole batch would cost N·K·OH·OW floats — hundreds of MB at paper
-// sizes), trading flops for memory exactly as Caffe does.
+// input's shape.
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	x := c.state.X
 	if x == nil {
@@ -331,7 +234,19 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// BackwardInto implements PlannedLayer.
+// BackwardInto implements PlannedLayer. Per chunk of samples (the forward's
+// chunking): the weight gradient accumulates one sample at a time, in
+// sample order, each element one sdot over that sample's columns — that
+// order is the training trajectory's fingerprint, so it is kept even
+// though the columns now sit side by side in one matrix. The data gradient
+// is one Wᵀ·dy GEMM over the whole chunk followed by a col2im per sample.
+//
+// The lowering comes from the forward pass when the batch fit the column
+// budget and is rebuilt chunk by chunk otherwise (caching it for a whole
+// paper-scale batch would cost N·K·OH·OW floats — hundreds of MB — the same
+// flops-for-memory trade Caffe makes). Once a chunk's weight gradient is
+// done its lowering is dead, so the data-gradient GEMM overwrites it
+// instead of owning a second matrix of that size.
 func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	x := st.X
 	if x == nil {
@@ -342,32 +257,53 @@ func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	ow := tensor.ConvOut(w, c.KW, c.Stride, c.Pad)
 	k := c.InC * c.KH * c.KW
 	cols := oh * ow
-	col := st.Col[:k*cols]
-	st.Dcol = scratch(nil, st.Dcol, k*cols)
-	dcol := st.Dcol[:k*cols]
-	clear(dx.Data)
+	chunk := n // a kept lowering holds the whole batch
+	if !st.Lowered {
+		chunk = c.chunk(n, oh, ow, true)
+	}
+	if dx != nil {
+		clear(dx.Data)
+	}
 	inStride := c.InC * h * w
 	outStride := c.OutC * cols
-	for s := 0; s < n; s++ {
-		dy := dout.Data[s*outStride : (s+1)*outStride]
-		// dW += dy · colᵀ
-		img := x.Data[s*inStride : (s+1)*inStride]
-		tensor.Im2col(img, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, col)
-		tensor.Gemm(false, true, c.OutC, k, cols, 1, dy, col, 1, c.Weight.Grad.Data)
-		// db += row sums of dy
-		if !c.noBias {
-			for f := 0; f < c.OutC; f++ {
-				row := dy[f*cols : (f+1)*cols]
-				var sum float32
-				for _, v := range row {
-					sum += v
+	for s0 := 0; s0 < n; s0 += chunk {
+		m := min(chunk, n-s0)
+		mcols := m * cols
+		col := st.Col[:k*mcols]
+		if !st.Lowered {
+			col = c.lower(st, x, s0, m, cols)
+		}
+		for i := 0; i < m; i++ {
+			dy := dout.Data[(s0+i)*outStride : (s0+i+1)*outStride]
+			// dW += dy · colᵀ over sample i's columns
+			tensor.GemmNTAcc(c.OutC, k, cols, dy, cols, col[i*cols:], mcols, c.Weight.Grad.Data)
+			// db += row sums of dy
+			if !c.noBias {
+				for f := 0; f < c.OutC; f++ {
+					var sum float32
+					for _, v := range dy[f*cols : (f+1)*cols] {
+						sum += v
+					}
+					c.Bias.Grad.Data[f] += sum
 				}
-				c.Bias.Grad.Data[f] += sum
 			}
 		}
-		// dx = col2im(Wᵀ · dy)
-		tensor.Gemm(true, false, k, cols, c.OutC, 1, c.Weight.W.Data, dy, 0, dcol)
-		tensor.Col2im(dcol, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[s*inStride:(s+1)*inStride])
+		if dx == nil {
+			continue
+		}
+		// dx = col2im(Wᵀ · dy), dy gathered channel-major to match col.
+		dyT := st.Eval[:c.OutC*mcols]
+		for i := 0; i < m; i++ {
+			dy := dout.Data[(s0+i)*outStride : (s0+i+1)*outStride]
+			for f := 0; f < c.OutC; f++ {
+				copy(dyT[f*mcols+i*cols:f*mcols+(i+1)*cols], dy[f*cols:(f+1)*cols])
+			}
+		}
+		st.Lowered = false
+		tensor.Gemm(true, false, k, mcols, c.OutC, 1, c.Weight.W.Data, dyT, 0, col)
+		for i := 0; i < m; i++ {
+			tensor.Col2imFrom(col, mcols, i*cols, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[(s0+i)*inStride:(s0+i+1)*inStride])
+		}
 	}
 }
 

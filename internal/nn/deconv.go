@@ -161,7 +161,9 @@ func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		dy := dout.Data[s*outStride : (s+1)*outStride]
 		tensor.Im2col(dy, d.OutC, oh, ow, d.KH, d.KW, d.Stride, d.Pad, col)
 		// dx_s = W (InC×k) · col (k×cols)
-		tensor.Gemm(false, false, d.InC, cols, k, 1, d.Weight.W.Data, col, 0, dx.Data[s*inStride:(s+1)*inStride])
+		if dx != nil {
+			tensor.Gemm(false, false, d.InC, cols, k, 1, d.Weight.W.Data, col, 0, dx.Data[s*inStride:(s+1)*inStride])
+		}
 		// dW += x_s (InC×cols) · colᵀ (cols×k)
 		xs := x.Data[s*inStride : (s+1)*inStride]
 		tensor.Gemm(false, true, d.InC, k, cols, 1, xs, col, 1, d.Weight.Grad.Data)

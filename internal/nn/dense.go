@@ -27,15 +27,9 @@ func (r *ReLU) Params() []*Param { return nil }
 func (r *ReLU) OutShape(in []int) []int { return append([]int(nil), in...) }
 
 // Reserve implements PlannedLayer.
-func (r *ReLU) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {
-	if train {
-		if need := n * shapeElems(in); cap(st.Mask) < need {
-			st.Mask = make([]bool, need)
-		}
-	}
-}
+func (r *ReLU) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
 
-// Forward implements Layer. Eval-mode passes skip the backward mask.
+// Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := tensor.New(x.Shape...)
 	r.ForwardInto(&r.state, out, x, train)
@@ -43,32 +37,21 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // ForwardInto implements PlannedLayer. Every element of y is written, so a
-// recycled destination cannot leak stale activations.
+// recycled destination cannot leak stale activations. Train and eval mode
+// run the same kernel; a train-mode pass also remembers y, whose sign is
+// what backward gates on.
 func (r *ReLU) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
-	if !train {
-		st.Mask = st.Mask[:0]
-		for i, v := range x.Data {
-			if v > 0 {
-				y.Data[i] = v
-			} else {
-				y.Data[i] = 0
-			}
-		}
+	st.Y = nil
+	if train {
+		st.Y = y
+	}
+	n := x.Len()
+	if serialPass(n, n) {
+		tensor.ReLU(y.Data[:n], x.Data)
 		return
 	}
-	if cap(st.Mask) < x.Len() {
-		st.Mask = make([]bool, x.Len())
-	}
-	st.Mask = st.Mask[:x.Len()]
-	for i, v := range x.Data {
-		if v > 0 {
-			y.Data[i] = v
-			st.Mask[i] = true
-		} else {
-			y.Data[i] = 0
-			st.Mask[i] = false
-		}
-	}
+	yd, xd := y.Data, x.Data
+	tensor.ParallelFor(n, func(lo, hi int) { tensor.ReLU(yd[lo:hi], xd[lo:hi]) })
 }
 
 // Backward implements Layer.
@@ -78,18 +61,22 @@ func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// BackwardInto implements PlannedLayer.
+// BackwardInto implements PlannedLayer: the gradient passes where the saved
+// output is positive, which is exactly where the input was.
 func (r *ReLU) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
-	if len(st.Mask) != dout.Len() {
+	if st.Y == nil || st.Y.Len() != dout.Len() {
 		panic("nn: " + r.LayerName + " Backward without matching train-mode Forward")
 	}
-	for i, g := range dout.Data {
-		if st.Mask[i] {
-			dx.Data[i] = g
-		} else {
-			dx.Data[i] = 0
-		}
+	if dx == nil {
+		return
 	}
+	n := dout.Len()
+	if serialPass(n, n) {
+		tensor.ReLUGrad(dx.Data[:n], st.Y.Data, dout.Data)
+		return
+	}
+	dxd, yd, gd := dx.Data, st.Y.Data, dout.Data
+	tensor.ParallelFor(n, func(lo, hi int) { tensor.ReLUGrad(dxd[lo:hi], yd[lo:hi], gd[lo:hi]) })
 }
 
 // FLOPs implements Layer.
@@ -200,7 +187,9 @@ func (d *Dense) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		}
 	}
 	// dx (N×In) = dout (N×Out) · W (Out×In)
-	tensor.Gemm(false, false, n, d.In, d.Out, 1, dout.Data, d.Weight.W.Data, 0, dx.Data)
+	if dx != nil {
+		tensor.Gemm(false, false, n, d.In, d.Out, 1, dout.Data, d.Weight.W.Data, 0, dx.Data)
+	}
 }
 
 // FLOPs implements Layer.

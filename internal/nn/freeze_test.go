@@ -196,7 +196,7 @@ func TestFrozenPlanSkipsGradientBuffers(t *testing.T) {
 	for i := range plan.steps {
 		s := &plan.steps[i]
 		if i < plan.cut {
-			if s.train || s.dxSlab != nil || s.st.Dcol != nil {
+			if s.train || s.dxSlab != nil || s.st.Argmax != nil || s.st.Y != nil || s.st.X != nil {
 				t.Fatalf("frozen step %d still carries training state", i)
 			}
 		} else if !s.train || s.dxSlab == nil {

@@ -91,13 +91,19 @@ type PlanState struct {
 	// panics), which is what lets inference replicas drop every gradient
 	// byte — see Network.ReleaseGradients.
 	X *tensor.Tensor
+	// Y is the output tensor saved by a train-mode ReLU forward: its sign
+	// is the backward gate, so no separate mask is stored.
+	Y *tensor.Tensor
 	// InShape is the input batch shape recorded by pooling layers.
 	InShape []int
-	// Col is im2col/lowering scratch; Dcol the data-gradient lowering
-	// scratch; Eval the batched-inference GEMM output scratch.
-	Col, Dcol, Eval []float32
-	// Mask is the ReLU activation mask; Argmax the max-pool winners.
-	Mask   []bool
+	// Col is the lowered column matrix (and, in a convolution's backward,
+	// the data-gradient matrix that overwrites it); Eval the channel-major
+	// GEMM operand on the other side of the NCHW scatter/gather.
+	Col, Eval []float32
+	// Lowered reports that Col still holds the lowering of all of X, left
+	// by a train-mode convolution forward whose batch fit the column budget.
+	Lowered bool
+	// Argmax holds the max-pool winners.
 	Argmax []int32
 }
 
@@ -120,20 +126,38 @@ type PlannedLayer interface {
 	// needs; with train=false, st keeps no reference to x.
 	ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool)
 	// BackwardInto computes dx from dout (shapes fixed by the preceding
-	// train-mode ForwardInto) and accumulates parameter gradients.
+	// train-mode ForwardInto) and accumulates parameter gradients. A nil dx
+	// means the input gradient is not wanted: parameter gradients
+	// accumulate exactly as otherwise and the work that only feeds dx is
+	// skipped (see Plan.BackwardParams).
 	BackwardInto(st *PlanState, dx, dout *tensor.Tensor)
 }
 
-// scratch grows s to n floats, preferring an arena slab. The contents are
-// unspecified; callers treat scratch as write-before-read.
+// scratch grows s to n floats, preferring an arena slab (the outgrown one
+// goes back to the arena). The contents are unspecified; callers treat
+// scratch as write-before-read.
 func scratch(a *tensor.Arena, s []float32, n int) []float32 {
 	if cap(s) >= n {
 		return s[:n]
 	}
 	if a != nil {
+		a.Reclaim(s)
 		return a.Get(n)
 	}
 	return make([]float32, n)
+}
+
+// parallelMin is the size, in floats, from which a memory-bound pass over a
+// batch (ReLU, a convolution's lowering and NCHW scatter) is split across
+// kernel workers: 4 MiB, the scale of a bulk-scoring batch. Below it —
+// every tensor of a batch-16 training step — the pass is shorter than the
+// fork-join it would pay for, and stays free of the closure allocation.
+const parallelMin = 1 << 20
+
+// serialPass reports whether one piece, splittable n ways, of a pass that
+// moves floats values over the whole batch should run inline.
+func serialPass(n, floats int) bool {
+	return floats < parallelMin || tensor.SerialFor(n)
 }
 
 // lane is the AVX-512 single-precision vector width used for the executed

@@ -33,6 +33,12 @@ type Plan struct {
 	cut      int      // first step the backward pass reaches (0 unless frozen)
 	params   []*Param // cached trainable params: Backward re-checks gradient presence
 	n        int      // batch size of the most recent Forward
+	// evalSt is the one state every eval-datapath step (all of an inference
+	// plan, the frozen prefix of a training plan) executes under: such a
+	// step keeps nothing between calls and the steps run one at a time, so
+	// they share a single lowering scratch sized for the largest of them
+	// rather than each holding its own.
+	evalSt PlanState
 }
 
 type planStep struct {
@@ -60,9 +66,9 @@ type planStep struct {
 //
 // Networks with a frozen prefix (Network.Freeze) compile the prefix steps
 // on the inference datapath even in a training plan: no input-gradient
-// slabs, no retained backward state, no mask/argmax buffers. The eval
-// forward performs the identical floating-point operations in the same
-// order as the train forward (see Conv2D.forwardEval), so the trajectory is
+// slabs, no retained backward state, no argmax buffers. The eval forward
+// performs the identical floating-point operations in the same order as
+// the train forward (see Conv2D.ForwardInto), so the trajectory is
 // bitwise-unchanged — the frozen prefix just stops paying training memory
 // and backward compute.
 func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan {
@@ -108,10 +114,18 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 			s.dxSlab = arena.Get(capacity * s.inPer)
 			s.dx = tensor.FromSlice(s.dxSlab, append([]int{capacity}, in...)...)
 		}
-		pl.Reserve(&s.st, arena, capacity, s.inShape, s.train)
+		pl.Reserve(p.state(s), arena, capacity, s.inShape, s.train)
 		in = out
 	}
 	return p
+}
+
+// state returns the execution state step s runs under.
+func (p *Plan) state(s *planStep) *PlanState {
+	if s.train {
+		return &s.st
+	}
+	return &p.evalSt
 }
 
 // Capacity returns the largest batch the plan can run.
@@ -159,7 +173,7 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	for i := range p.steps {
 		s := &p.steps[i]
 		y := view(s.y, s.ySlab, n, s.outPer)
-		s.layer.ForwardInto(&s.st, y, cur, s.train)
+		s.layer.ForwardInto(p.state(s), y, cur, s.train)
 		cur = y
 	}
 	return cur
@@ -184,6 +198,21 @@ func (p *Plan) Backward(dout *tensor.Tensor) *tensor.Tensor {
 // to plain Backward. Over a network with a frozen prefix the pass stops at
 // the first trainable layer and returns the gradient at that boundary.
 func (p *Plan) BackwardStream(dout *tensor.Tensor, gradDone func(layer int)) *tensor.Tensor {
+	return p.backward(dout, gradDone, true)
+}
+
+// BackwardParams is BackwardStream for a caller that only wants parameter
+// gradients, which is every trainer whose network input is data rather than
+// another network's output. The first layer the pass reaches is told not to
+// compute its input gradient (BackwardInto with a nil dx), so a leading
+// convolution skips its Wᵀ·dy GEMM and col2im — the widest plane of the
+// network, feeding a result nobody reads. Parameter gradients and gradDone
+// notifications are exactly those of BackwardStream.
+func (p *Plan) BackwardParams(dout *tensor.Tensor, gradDone func(layer int)) {
+	p.backward(dout, gradDone, false)
+}
+
+func (p *Plan) backward(dout *tensor.Tensor, gradDone func(layer int), inputGrad bool) *tensor.Tensor {
 	if !p.train {
 		panic("nn: Backward on an inference plan")
 	}
@@ -202,7 +231,10 @@ func (p *Plan) BackwardStream(dout *tensor.Tensor, gradDone func(layer int)) *te
 	cur := dout
 	for i := len(p.steps) - 1; i >= p.cut; i-- {
 		s := &p.steps[i]
-		dx := view(s.dx, s.dxSlab, p.n, s.inPer)
+		var dx *tensor.Tensor
+		if i > p.cut || inputGrad {
+			dx = view(s.dx, s.dxSlab, p.n, s.inPer)
+		}
 		s.layer.BackwardInto(&s.st, dx, cur)
 		cur = dx
 		if gradDone != nil && s.trainIdx >= 0 {
@@ -227,10 +259,12 @@ func (p *Plan) Release() {
 			s.dxSlab, s.dx = nil, nil
 		}
 		p.arena.Reclaim(s.st.Col)
-		p.arena.Reclaim(s.st.Dcol)
 		p.arena.Reclaim(s.st.Eval)
 		s.st = PlanState{}
 	}
+	p.arena.Reclaim(p.evalSt.Col)
+	p.arena.Reclaim(p.evalSt.Eval)
+	p.evalSt = PlanState{}
 	p.n = 0
 }
 

@@ -152,6 +152,8 @@ func TestTrainingPlanZeroSteadyStateAllocs(t *testing.T) {
 		logits := plan.Forward(x)
 		SoftmaxCrossEntropyInto(logits, labels, grad)
 		plan.Backward(grad)
+		// The trainers' entry point, on the same forward's state.
+		plan.BackwardParams(grad, nil)
 	}
 	iter() // warm
 	if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {

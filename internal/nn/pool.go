@@ -54,37 +54,58 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// ForwardInto implements PlannedLayer.
+// ForwardInto implements PlannedLayer. The winning value is the same in
+// both modes (same comparison order); eval mode drops the argmax record,
+// and Backward panics until the next train-mode pass.
 func (p *MaxPool2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh := tensor.ConvOut(h, p.K, p.Stride, 0)
 	ow := tensor.ConvOut(w, p.K, p.Stride, 0)
-	if !train {
-		p.forwardEval(st, y, x, n, c, h, w, oh, ow)
-		return
+	st.InShape = st.InShape[:0]
+	st.Argmax = st.Argmax[:0]
+	if train {
+		if cap(st.Argmax) < y.Len() {
+			st.Argmax = make([]int32, y.Len())
+		}
+		st.Argmax = st.Argmax[:y.Len()]
+		st.InShape = append(st.InShape, n, c, h, w)
 	}
-	if cap(st.Argmax) < y.Len() {
-		st.Argmax = make([]int32, y.Len())
-	}
-	st.Argmax = st.Argmax[:y.Len()]
-	st.InShape = append(st.InShape[:0], n, c, h, w)
 	planes := n * c
 	if tensor.SerialFor(planes) {
-		p.trainPlanes(0, planes, x.Data, y.Data, st.Argmax, h, w, oh, ow)
+		p.poolPlanes(0, planes, x.Data, y.Data, st.Argmax, h, w, oh, ow)
 		return
 	}
 	xd, yd, amx := x.Data, y.Data, st.Argmax
 	tensor.ParallelFor(planes, func(lo, hi int) {
-		p.trainPlanes(lo, hi, xd, yd, amx, h, w, oh, ow)
+		p.poolPlanes(lo, hi, xd, yd, amx, h, w, oh, ow)
 	})
 }
 
-// trainPlanes pools planes [lo,hi) recording argmax winners.
-func (p *MaxPool2D) trainPlanes(lo, hi int, xd, yd []float32, argmax []int32, h, w, oh, ow int) {
+// poolPlanes pools planes [lo,hi), recording argmax winners unless argmax
+// is empty. The paper's geometry — 2×2 windows at stride 2 over even-sized
+// planes — runs the row-pair vector kernels; every other geometry runs the
+// generic window scan, which defines the result both must give.
+func (p *MaxPool2D) poolPlanes(lo, hi int, xd, yd []float32, argmax []int32, h, w, oh, ow int) {
+	fast := p.K == 2 && p.Stride == 2 && h%2 == 0 && w%2 == 0
 	for pl := lo; pl < hi; pl++ {
 		src := xd[pl*h*w : (pl+1)*h*w]
 		dst := yd[pl*oh*ow : (pl+1)*oh*ow]
-		amx := argmax[pl*oh*ow : (pl+1)*oh*ow]
+		var amx []int32
+		if len(argmax) > 0 {
+			amx = argmax[pl*oh*ow : (pl+1)*oh*ow]
+		}
+		if fast {
+			for oy := 0; oy < oh; oy++ {
+				r0 := src[2*oy*w : (2*oy+1)*w]
+				r1 := src[(2*oy+1)*w : (2*oy+2)*w]
+				if amx == nil {
+					tensor.MaxPool2x2(dst[oy*ow:(oy+1)*ow], r0, r1)
+				} else {
+					tensor.MaxPool2x2Argmax(dst[oy*ow:(oy+1)*ow], amx[oy*ow:(oy+1)*ow], r0, r1, 2*oy*w, w)
+				}
+			}
+			continue
+		}
 		di := 0
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -108,56 +129,9 @@ func (p *MaxPool2D) trainPlanes(lo, hi int, xd, yd []float32, argmax []int32, h,
 					}
 				}
 				dst[di] = best
-				amx[di] = bestIdx
-				di++
-			}
-		}
-	}
-}
-
-// forwardEval is max pooling without argmax recording: the winning value is
-// identical (same comparison order), only the backward bookkeeping is
-// dropped. Backward panics until the next train-mode Forward.
-func (p *MaxPool2D) forwardEval(st *PlanState, y, x *tensor.Tensor, n, c, h, w, oh, ow int) {
-	st.InShape = st.InShape[:0]
-	st.Argmax = st.Argmax[:0]
-	planes := n * c
-	if tensor.SerialFor(planes) {
-		p.evalPlanes(0, planes, x.Data, y.Data, h, w, oh, ow)
-		return
-	}
-	xd, yd := x.Data, y.Data
-	tensor.ParallelFor(planes, func(lo, hi int) {
-		p.evalPlanes(lo, hi, xd, yd, h, w, oh, ow)
-	})
-}
-
-// evalPlanes pools planes [lo,hi) without argmax bookkeeping.
-func (p *MaxPool2D) evalPlanes(lo, hi int, xd, yd []float32, h, w, oh, ow int) {
-	for pl := lo; pl < hi; pl++ {
-		src := xd[pl*h*w : (pl+1)*h*w]
-		dst := yd[pl*oh*ow : (pl+1)*oh*ow]
-		di := 0
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := float32(math.Inf(-1))
-				for ky := 0; ky < p.K; ky++ {
-					iy := oy*p.Stride + ky
-					if iy >= h {
-						continue
-					}
-					row := src[iy*w : iy*w+w]
-					for kx := 0; kx < p.K; kx++ {
-						ix := ox*p.Stride + kx
-						if ix >= w {
-							continue
-						}
-						if v := row[ix]; v > best {
-							best = v
-						}
-					}
+				if amx != nil {
+					amx[di] = bestIdx
 				}
-				dst[di] = best
 				di++
 			}
 		}
@@ -179,6 +153,9 @@ func (p *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 func (p *MaxPool2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	if len(st.InShape) == 0 {
 		panic("nn: " + p.LayerName + " Backward before Forward")
+	}
+	if dx == nil {
+		return
 	}
 	n, c, h, w := st.InShape[0], st.InShape[1], st.InShape[2], st.InShape[3]
 	oh, ow := dout.Shape[2], dout.Shape[3]
@@ -263,6 +240,9 @@ func (p *GlobalAvgPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
 
 // BackwardInto implements PlannedLayer.
 func (p *GlobalAvgPool) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
+	if dx == nil {
+		return
+	}
 	n, c, h, w := st.InShape[0], st.InShape[1], st.InShape[2], st.InShape[3]
 	inv := 1 / float32(h*w)
 	for pl := 0; pl < n*c; pl++ {

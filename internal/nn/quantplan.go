@@ -49,7 +49,7 @@ type qplanStep struct {
 }
 
 // qcolBudget caps (in bytes) the quantized patch matrix one conv step
-// lowers at once, mirroring evalColBudget on the float path. A variable
+// lowers at once, mirroring colBudget on the float path. A variable
 // only so tests can force chunking.
 var qcolBudget = 2 << 20
 
@@ -321,7 +321,6 @@ func (p *QuantPlan) Release() {
 			s.ySlab, s.y = nil, nil
 		}
 		p.arena.Reclaim(s.st.Col)
-		p.arena.Reclaim(s.st.Dcol)
 		p.arena.Reclaim(s.st.Eval)
 		s.st = PlanState{}
 		s.q = nil

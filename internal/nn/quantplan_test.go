@@ -7,37 +7,6 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// TestConvDirectBitwiseMatchesIm2col pins the im2col-free 3x3 stride-1
-// inference kernel bitwise against the batched im2col+GEMM path, serial
-// and parallel, including the chunked-GEMM regime.
-func TestConvDirectBitwiseMatchesIm2col(t *testing.T) {
-	rng := tensor.NewRNG(41)
-	c := NewConv2D("cd", 3, 5, 3, 1, 1, rng)
-	x := randBatch(rng, 6, []int{3, 9, 7})
-	for _, workers := range []int{1, 3} {
-		prev := tensor.SetWorkers(workers)
-		evalDirect = false
-		want := c.Forward(x, false)
-		evalDirect = true
-		got := c.Forward(x, false)
-		requireBitwise(t, "direct conv", got, want)
-		tensor.SetWorkers(prev)
-	}
-
-	// Pad 0 exercises the no-border geometry; tiny budget forces the
-	// im2col path to chunk.
-	c0 := NewConv2D("cd0", 2, 3, 3, 1, 0, rng)
-	x0 := randBatch(rng, 4, []int{2, 8, 8})
-	oldBudget := evalColBudget
-	evalColBudget = 64
-	evalDirect = false
-	want := c0.Forward(x0, false)
-	evalColBudget = oldBudget
-	evalDirect = true
-	got := c0.Forward(x0, false)
-	requireBitwise(t, "direct conv pad0", got, want)
-}
-
 // TestQuantPlanMatchesFloat checks the int8 plan tracks the fp32 plan
 // within the quantisation error budget on a realistic little network,
 // with both dynamic and calibrated activation scales, and that argmax

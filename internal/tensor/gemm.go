@@ -56,7 +56,7 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 	case transA && !transB:
 		gemmTN(m, n, k, alpha, a, b, c)
 	case !transA && transB:
-		gemmNT(m, n, k, alpha, a, b, c)
+		gemmNT(m, n, k, alpha, a, k, b, k, c)
 	default:
 		gemmTT(m, n, k, alpha, a, b, c)
 	}
@@ -64,9 +64,25 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 
 // Each variant splits into a dispatcher and a row-range body. The
 // dispatcher calls the body directly when the loop would run inline
-// (SerialFor): building the ParallelFor closure would heap-allocate its
+// (gemmSerial): building the ParallelFor closure would heap-allocate its
 // captures on every GEMM, which the zero-steady-state-allocation contract
 // of compiled plans forbids.
+
+// gemmParallelMin is the multiply-add count below which a GEMM runs on the
+// calling goroutine whatever the worker count. A fork-join costs 1–1.6 µs
+// and six allocations here (the benchmark's tensor.parallelfor_us); at
+// 25–30 GFLOP/s a product this size takes about 4 µs, so splitting it two
+// ways cannot pay the fork-join back. The products under it are a
+// batch-1 serving request's convolutions, dense heads, and the per-sample
+// weight gradient of a convolution over a 4×4 plane.
+const gemmParallelMin = 1 << 16
+
+// gemmSerial reports whether an m×n×k product runs inline: nothing to
+// split, or too little work to split. The row partition never changes a C
+// element's accumulation order, so the choice cannot change a bit.
+func gemmSerial(m, n, k int) bool {
+	return SerialFor(m) || m*n*k < gemmParallelMin
+}
 
 // gemmNN: A m×k, B k×n. Row tiles of gemmMR C rows run the axpy4
 // micro-kernel over gemmNC-column blocks; within a block the k-loop
@@ -74,7 +90,7 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 // updates remain k-ascending — the same order, hence the same bits, as
 // the row-at-a-time reference that handles the remainder rows.
 func gemmNN(m, n, k int, alpha float32, a, b, c []float32) {
-	if SerialFor(m) {
+	if gemmSerial(m, n, k) {
 		gemmNNRows(0, m, n, k, alpha, a, b, c)
 		return
 	}
@@ -143,7 +159,7 @@ func gemmNNRows(lo, hi, n, k int, alpha float32, a, b, c []float32) {
 // transposed access unit-stride — a[p*m+i .. p*m+i+3] are adjacent — so no
 // A-panel packing is needed; the blocked loop otherwise matches gemmNN.
 func gemmTN(m, n, k int, alpha float32, a, b, c []float32) {
-	if SerialFor(m) {
+	if gemmSerial(m, n, k) {
 		gemmTNRows(0, m, m, n, k, alpha, a, b, c)
 		return
 	}
@@ -206,28 +222,46 @@ func gemmTNRows(lo, hi, m, n, k int, alpha float32, a, b, c []float32) {
 // reused across the whole row range before the next panel streams in. The
 // k dimension is never split — the sdot accumulator structure is part of
 // the bitwise contract (see dot.go).
-func gemmNT(m, n, k int, alpha float32, a, b, c []float32) {
-	if SerialFor(m) {
-		gemmNTRows(0, m, n, k, alpha, a, b, c)
+// Rows of A and B are lda and ldb floats apart (k for Gemm's dense
+// operands; wider for GemmNTAcc's windows).
+func gemmNT(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32) {
+	if gemmSerial(m, n, k) {
+		gemmNTRows(0, m, n, k, alpha, a, lda, b, ldb, c)
 		return
 	}
-	ParallelFor(m, func(lo, hi int) { gemmNTRows(lo, hi, n, k, alpha, a, b, c) })
+	ParallelFor(m, func(lo, hi int) { gemmNTRows(lo, hi, n, k, alpha, a, lda, b, ldb, c) })
 }
 
-func gemmNTRows(lo, hi, n, k int, alpha float32, a, b, c []float32) {
+func gemmNTRows(lo, hi, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32) {
 	for jb := 0; jb < n; jb += gemmJB {
 		jhi := jb + gemmJB
 		if jhi > n {
 			jhi = n
 		}
 		for i := lo; i < hi; i++ {
-			arow := a[i*k : i*k+k]
+			arow := a[i*lda : i*lda+k]
 			crow := c[i*n : i*n+n]
 			for j := jb; j < jhi; j++ {
-				crow[j] += alpha * sdot(arow, b[j*k:j*k+k])
+				crow[j] += alpha * sdot(arow, b[j*ldb:j*ldb+k])
 			}
 		}
 	}
+}
+
+// GemmNTAcc computes C += A·Bᵀ for an m×k A and an n×k B that are windows
+// of wider row-major matrices: row i of A is a[i*lda:i*lda+k], row j of B
+// is b[j*ldb:j*ldb+k]. C is dense m×n. It is Gemm(false, true, …, 1, …, 1,
+// c) — the same sdot per element, so the same bits — without first copying
+// the windows out; the convolution weight gradient uses it to read one
+// sample's columns out of a lowering that holds the whole batch.
+func GemmNTAcc(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32) {
+	if m == 0 || n == 0 || k == 0 {
+		return
+	}
+	if lda < k || ldb < k || len(a) < (m-1)*lda+k || len(b) < (n-1)*ldb+k || len(c) < m*n {
+		panic("tensor: GemmNTAcc operand too small")
+	}
+	gemmNT(m, n, k, 1, a, lda, b, ldb, c)
 }
 
 // gemmTT: each strided column of A is packed contiguous once per row tile
@@ -235,7 +269,7 @@ func gemmNTRows(lo, hi, n, k int, alpha float32, a, b, c []float32) {
 // after which every output element is a contiguous sdot over the same
 // gemmJB-tiled B panels as gemmNT.
 func gemmTT(m, n, k int, alpha float32, a, b, c []float32) {
-	if SerialFor(m) {
+	if gemmSerial(m, n, k) {
 		gemmTTRows(0, m, m, n, k, alpha, a, b, c)
 		return
 	}

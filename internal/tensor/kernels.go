@@ -2,8 +2,10 @@ package tensor
 
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
 // axpy, sdot, the 4-row axpy micro-kernel under the blocked GEMM, the
-// in-place scale, and the u8·s8 integer dot under the quantized serving
-// path — is a package-level function variable installed by SetKernels.
+// in-place scale, the u8·s8 integer dot under the quantized serving path,
+// and the conv unit's ReLU, 2×2 max-pool and col2im strip add
+// (kernels_conv.go) — is a package-level function variable installed by
+// SetKernels.
 // One probe (kernels_amd64.go) classifies the host at init and picks the
 // widest safe body; SetKernels("scalar"|"avx2"|"avx512"|"auto") re-routes
 // the whole table at runtime, which is what cmd/deepserve's -kernels flag
@@ -39,6 +41,11 @@ func installScalar() {
 	axpy4 = axpy4Generic
 	scal = scalGeneric
 	dotU8S8 = dotU8S8Generic
+	relu = reluGeneric
+	reluGrad = reluGradGeneric
+	maxPool2x2 = maxPool2x2Generic
+	maxPool2x2Argmax = maxPool2x2ArgmaxGeneric
+	addRows = addRowsGeneric
 	kernelISA = "scalar"
 }
 

@@ -26,6 +26,19 @@ func dotU8S8AVX2(a []int8, b []uint8) int32
 // Implemented in kernels_amd64.s.
 func dotU8S8VNNI(a []int8, b []uint8) int32
 
+// The conv-unit kernels (kernels_conv.go), implemented in
+// kernels_conv_amd64.s.
+func reluAVX2(y, x []float32)
+func reluAVX512(y, x []float32)
+func reluGradAVX2(dx, y, g []float32)
+func reluGradAVX512(dx, y, g []float32)
+func maxPool2x2AVX2(dst, r0, r1 []float32)
+func maxPool2x2AVX512(dst, r0, r1 []float32)
+func maxPool2x2ArgmaxAVX2(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
+func maxPool2x2ArgmaxAVX512(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
+func addRowsAVX2(dst, src []float32, rows, dstPitch, srcPitch, n int)
+func addRowsAVX512(dst, src []float32, rows, dstPitch, srcPitch, n int)
+
 func hasAVX512() bool {
 	if !hasAVX2() {
 		return false
@@ -63,6 +76,11 @@ func installAVX2() {
 	axpy4 = axpy4AVX2
 	scal = scalAVX2
 	dotU8S8 = dotU8S8AVX2
+	relu = reluAVX2
+	reluGrad = reluGradAVX2
+	maxPool2x2 = maxPool2x2AVX2
+	maxPool2x2Argmax = maxPool2x2ArgmaxAVX2
+	addRows = addRowsAVX2
 	kernelISA = "avx2"
 }
 
@@ -70,6 +88,11 @@ func installAVX512() {
 	installAVX2()
 	axpy = axpyAVX512
 	sdot = sdotAVX512
+	relu = reluAVX512
+	reluGrad = reluGradAVX512
+	maxPool2x2 = maxPool2x2AVX512
+	maxPool2x2Argmax = maxPool2x2ArgmaxAVX512
+	addRows = addRowsAVX512
 	if hasVNNI() {
 		dotU8S8 = dotU8S8VNNI
 	}

@@ -1,0 +1,766 @@
+//go:build amd64
+
+#include "textflag.h"
+
+// Vector bodies of the conv-unit kernels in kernels_conv.go. All of them
+// are selects, copies or one add per element, so lane structure is free;
+// what each body must get right is which operand a comparison returns on
+// NaN and on ±0. x86 MAX(a, b) is "a > b ? a : b": it returns b when either
+// operand is NaN and when both are zeros. Go's operand order is the reverse
+// of Intel's, so `VMAXPS b, a, dst` computes MAX(a, b).
+
+// Lane offsets of the argmax kernels' running index vectors. VSHUFPS works
+// within 128-bit lanes, so after the even/odd split lane l of a YMM holds
+// outputs {2l, 2l+1, 4+2l, 5+2l} (ZMM: {2l, 2l+1, 8+2l, 9+2l}); the index
+// vector starts at twice those and the final quad permute restores order
+// for values and indices alike.
+DATA poolIdx8<>+0(SB)/4, $0
+DATA poolIdx8<>+4(SB)/4, $2
+DATA poolIdx8<>+8(SB)/4, $8
+DATA poolIdx8<>+12(SB)/4, $10
+DATA poolIdx8<>+16(SB)/4, $4
+DATA poolIdx8<>+20(SB)/4, $6
+DATA poolIdx8<>+24(SB)/4, $12
+DATA poolIdx8<>+28(SB)/4, $14
+GLOBL poolIdx8<>(SB), RODATA|NOPTR, $32
+
+DATA poolIdx16<>+0(SB)/4, $0
+DATA poolIdx16<>+4(SB)/4, $2
+DATA poolIdx16<>+8(SB)/4, $16
+DATA poolIdx16<>+12(SB)/4, $18
+DATA poolIdx16<>+16(SB)/4, $4
+DATA poolIdx16<>+20(SB)/4, $6
+DATA poolIdx16<>+24(SB)/4, $20
+DATA poolIdx16<>+28(SB)/4, $22
+DATA poolIdx16<>+32(SB)/4, $8
+DATA poolIdx16<>+36(SB)/4, $10
+DATA poolIdx16<>+40(SB)/4, $24
+DATA poolIdx16<>+44(SB)/4, $26
+DATA poolIdx16<>+48(SB)/4, $12
+DATA poolIdx16<>+52(SB)/4, $14
+DATA poolIdx16<>+56(SB)/4, $28
+DATA poolIdx16<>+60(SB)/4, $30
+GLOBL poolIdx16<>(SB), RODATA|NOPTR, $64
+
+// Quad order that undoes the ZMM even/odd split: output quad j comes from
+// quad 2j (j < 4) or 2(j-4)+1.
+DATA poolQuads<>+0(SB)/8, $0
+DATA poolQuads<>+8(SB)/8, $2
+DATA poolQuads<>+16(SB)/8, $4
+DATA poolQuads<>+24(SB)/8, $6
+DATA poolQuads<>+32(SB)/8, $1
+DATA poolQuads<>+40(SB)/8, $3
+DATA poolQuads<>+48(SB)/8, $5
+DATA poolQuads<>+56(SB)/8, $7
+GLOBL poolQuads<>(SB), RODATA|NOPTR, $64
+
+// func reluAVX2(y, x []float32)
+//
+// y = MAX(x, +0): x when x > 0, else the zero register — NaN and −0 too.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-48
+	MOVQ   y_base+0(FP), DI
+	MOVQ   y_len+8(FP), CX
+	MOVQ   x_base+24(FP), SI
+	VXORPS Y0, Y0, Y0
+
+	MOVQ CX, BX
+	SHRQ $5, BX   // 32-float blocks
+	JZ   blk8
+
+loop32:
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VMOVUPS 64(SI), Y3
+	VMOVUPS 96(SI), Y4
+	VMAXPS  Y0, Y1, Y1
+	VMAXPS  Y0, Y2, Y2
+	VMAXPS  Y0, Y3, Y3
+	VMAXPS  Y0, Y4, Y4
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	VMOVUPS Y3, 64(DI)
+	VMOVUPS Y4, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	DECQ    BX
+	JNZ     loop32
+
+blk8:
+	ANDQ $31, CX
+	MOVQ CX, BX
+	SHRQ $3, BX   // 8-float blocks
+	JZ   tail
+
+loop8:
+	VMOVUPS (SI), Y1
+	VMAXPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    BX
+	JNZ     loop8
+
+tail:
+	ANDQ $7, CX
+	JZ   done
+
+loop1:
+	VMOVSS (SI), X1
+	VMAXSS X0, X1, X1
+	VMOVSS X1, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DI
+	DECQ   CX
+	JNZ    loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func reluAVX512(y, x []float32)
+//
+// 16-lane form; the tail is one masked load/store instead of a loop.
+TEXT ·reluAVX512(SB), NOSPLIT, $0-48
+	MOVQ   y_base+0(FP), DI
+	MOVQ   y_len+8(FP), CX
+	MOVQ   x_base+24(FP), SI
+	VXORPS Z0, Z0, Z0
+
+	MOVQ CX, BX
+	SHRQ $6, BX   // 64-float blocks
+	JZ   blk16
+
+loop64:
+	VMOVUPS (SI), Z1
+	VMOVUPS 64(SI), Z2
+	VMOVUPS 128(SI), Z3
+	VMOVUPS 192(SI), Z4
+	VMAXPS  Z0, Z1, Z1
+	VMAXPS  Z0, Z2, Z2
+	VMAXPS  Z0, Z3, Z3
+	VMAXPS  Z0, Z4, Z4
+	VMOVUPS Z1, (DI)
+	VMOVUPS Z2, 64(DI)
+	VMOVUPS Z3, 128(DI)
+	VMOVUPS Z4, 192(DI)
+	ADDQ    $256, SI
+	ADDQ    $256, DI
+	DECQ    BX
+	JNZ     loop64
+
+blk16:
+	ANDQ $63, CX
+	MOVQ CX, BX
+	SHRQ $4, BX   // 16-float blocks
+	JZ   tail
+
+loop16:
+	VMOVUPS (SI), Z1
+	VMAXPS  Z0, Z1, Z1
+	VMOVUPS Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DI
+	DECQ    BX
+	JNZ     loop16
+
+tail:
+	ANDQ $15, CX
+	JZ   done
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K1
+	VMOVUPS.Z (SI), K1, Z1
+	VMAXPS  Z0, Z1, Z1
+	VMOVUPS Z1, K1, (DI)
+
+done:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX2(dx, y, g []float32)
+//
+// mask = (+0 < y), ordered and quiet so NaN fails; dx = g AND mask, which
+// leaves +0 where the mask is clear.
+TEXT ·reluGradAVX2(SB), NOSPLIT, $0-72
+	MOVQ   dx_base+0(FP), DI
+	MOVQ   dx_len+8(FP), CX
+	MOVQ   y_base+24(FP), SI
+	MOVQ   g_base+48(FP), DX
+	VXORPS Y0, Y0, Y0
+
+	MOVQ CX, BX
+	SHRQ $4, BX   // 16-float blocks
+	JZ   blk8
+
+loop16:
+	VCMPPS  $0x11, (SI), Y0, Y1
+	VCMPPS  $0x11, 32(SI), Y0, Y2
+	VANDPS  (DX), Y1, Y1
+	VANDPS  32(DX), Y2, Y2
+	VMOVUPS Y1, (DI)
+	VMOVUPS Y2, 32(DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+	DECQ    BX
+	JNZ     loop16
+
+blk8:
+	ANDQ $15, CX
+	MOVQ CX, BX
+	SHRQ $3, BX   // one optional 8-float block
+	JZ   tail
+
+	VCMPPS  $0x11, (SI), Y0, Y1
+	VANDPS  (DX), Y1, Y1
+	VMOVUPS Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+
+tail:
+	ANDQ $7, CX
+	JZ   done
+
+loop1:
+	VCMPSS $0x11, (SI), X0, X1
+	VMOVSS (DX), X2
+	VANDPS X2, X1, X1
+	VMOVSS X1, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DX
+	ADDQ   $4, DI
+	DECQ   CX
+	JNZ    loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func reluGradAVX512(dx, y, g []float32)
+//
+// The comparison writes an opmask and g loads through it with zeroing.
+TEXT ·reluGradAVX512(SB), NOSPLIT, $0-72
+	MOVQ   dx_base+0(FP), DI
+	MOVQ   dx_len+8(FP), CX
+	MOVQ   y_base+24(FP), SI
+	MOVQ   g_base+48(FP), DX
+	VXORPS Z0, Z0, Z0
+
+	MOVQ CX, BX
+	SHRQ $5, BX   // 32-float blocks
+	JZ   blk16
+
+loop32:
+	VCMPPS  $0x11, (SI), Z0, K2
+	VCMPPS  $0x11, 64(SI), Z0, K3
+	VMOVUPS.Z (DX), K2, Z1
+	VMOVUPS.Z 64(DX), K3, Z2
+	VMOVUPS Z1, (DI)
+	VMOVUPS Z2, 64(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $128, DI
+	DECQ    BX
+	JNZ     loop32
+
+blk16:
+	ANDQ $31, CX
+	MOVQ CX, BX
+	SHRQ $4, BX   // one optional 16-float block
+	JZ   tail
+
+	VCMPPS  $0x11, (SI), Z0, K2
+	VMOVUPS.Z (DX), K2, Z1
+	VMOVUPS Z1, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+
+tail:
+	ANDQ $15, CX
+	JZ   done
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K1
+	VMOVUPS.Z (SI), K1, Z2
+	VCMPPS  $0x11, Z2, Z0, K2
+	VMOVUPS.Z (DX), K2, Z1
+	VMOVUPS Z1, K1, (DI)
+
+done:
+	VZEROUPPER
+	RET
+
+// func maxPool2x2AVX2(dst, r0, r1 []float32)
+//
+// Eight outputs per step: VSHUFPS splits each 16-float input run into its
+// even and odd elements, then best = MAX(v, best) folds the four taps in
+// scan order starting from −Inf — so a tie or a NaN keeps the earlier
+// best — and one quad permute undoes the split's lane order.
+TEXT ·maxPool2x2AVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ r0_base+24(FP), SI
+	MOVQ r1_base+48(FP), DX
+
+	// −Inf = 0xFF800000: all ones shifted left past the mantissa.
+	VPCMPEQD Y0, Y0, Y0
+	VPSLLD   $23, Y0, Y0
+
+	MOVQ CX, BX
+	SHRQ $3, BX   // 8-output blocks
+	JZ   tail
+
+loop8:
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VMOVUPS (DX), Y3
+	VMOVUPS 32(DX), Y4
+	VSHUFPS $0x88, Y2, Y1, Y5 // r0 evens
+	VSHUFPS $0xDD, Y2, Y1, Y6 // r0 odds
+	VSHUFPS $0x88, Y4, Y3, Y7 // r1 evens
+	VSHUFPS $0xDD, Y4, Y3, Y8 // r1 odds
+	VMAXPS  Y0, Y5, Y5
+	VMAXPS  Y5, Y6, Y5
+	VMAXPS  Y5, Y7, Y5
+	VMAXPS  Y5, Y8, Y5
+	VPERMPD $0xD8, Y5, Y5
+	VMOVUPS Y5, (DI)
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $32, DI
+	DECQ    BX
+	JNZ     loop8
+
+tail:
+	ANDQ $7, CX
+	JZ   done
+
+loop1:
+	VMOVSS (SI), X1
+	VMAXSS X0, X1, X1
+	VMOVSS 4(SI), X2
+	VMAXSS X1, X2, X1
+	VMOVSS (DX), X2
+	VMAXSS X1, X2, X1
+	VMOVSS 4(DX), X2
+	VMAXSS X1, X2, X1
+	VMOVSS X1, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DX
+	ADDQ   $4, DI
+	DECQ   CX
+	JNZ    loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func maxPool2x2AVX512(dst, r0, r1 []float32)
+//
+// Sixteen outputs per step; the tail runs the same step under load and
+// store masks (a masked-off input lane reads as zero and its output lane
+// is never stored).
+TEXT ·maxPool2x2AVX512(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ r0_base+24(FP), SI
+	MOVQ r1_base+48(FP), DX
+
+	VPTERNLOGD $0xFF, Z0, Z0, Z0
+	VPSLLD     $23, Z0, Z0
+	VMOVDQU64  poolQuads<>(SB), Z9
+
+	MOVQ CX, BX
+	SHRQ $4, BX   // 16-output blocks
+	JZ   tail
+
+loop16:
+	VMOVUPS (SI), Z1
+	VMOVUPS 64(SI), Z2
+	VMOVUPS (DX), Z3
+	VMOVUPS 64(DX), Z4
+	VSHUFPS $0x88, Z2, Z1, Z5
+	VSHUFPS $0xDD, Z2, Z1, Z6
+	VSHUFPS $0x88, Z4, Z3, Z7
+	VSHUFPS $0xDD, Z4, Z3, Z8
+	VMAXPS  Z0, Z5, Z5
+	VMAXPS  Z5, Z6, Z5
+	VMAXPS  Z5, Z7, Z5
+	VMAXPS  Z5, Z8, Z5
+	VPERMPD Z5, Z9, Z5
+	VMOVUPS Z5, (DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $64, DI
+	DECQ    BX
+	JNZ     loop16
+
+tail:
+	ANDQ $15, CX
+	JZ   done
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K1  // output lanes
+	ADDQ CX, CX
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K2  // first 16 input lanes
+	SHRQ $16, AX
+	KMOVW AX, K3  // input lanes 16..31
+
+	VMOVUPS.Z (SI), K2, Z1
+	VMOVUPS.Z 64(SI), K3, Z2
+	VMOVUPS.Z (DX), K2, Z3
+	VMOVUPS.Z 64(DX), K3, Z4
+	VSHUFPS $0x88, Z2, Z1, Z5
+	VSHUFPS $0xDD, Z2, Z1, Z6
+	VSHUFPS $0x88, Z4, Z3, Z7
+	VSHUFPS $0xDD, Z4, Z3, Z8
+	VMAXPS  Z0, Z5, Z5
+	VMAXPS  Z5, Z6, Z5
+	VMAXPS  Z5, Z7, Z5
+	VMAXPS  Z5, Z8, Z5
+	VPERMPD Z5, Z9, Z5
+	VMOVUPS Z5, K1, (DI)
+
+done:
+	VZEROUPPER
+	RET
+
+// func maxPool2x2ArgmaxAVX2(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
+//
+// maxPool2x2AVX2 with a second select per tap: the mask v > best (ordered,
+// quiet) moves the tap's value into best and its plane offset into the
+// index vector. Offsets start from 0, the value the scalar body records for
+// a window nothing wins.
+TEXT ·maxPool2x2ArgmaxAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ idx_base+24(FP), R8
+	MOVQ r0_base+48(FP), SI
+	MOVQ r1_base+72(FP), DX
+	MOVL base+96(FP), R9
+	MOVL w+100(FP), R10
+
+	VPCMPEQD Y0, Y0, Y0
+	VPSLLD   $23, Y0, Y0            // −Inf
+	VMOVD    R9, X9
+	VPBROADCASTD X9, Y9
+	VPADDD   poolIdx8<>(SB), Y9, Y9 // offsets of the r0 even taps
+	VMOVD    R10, X10
+	VPBROADCASTD X10, Y10           // w
+	VPCMPEQD Y11, Y11, Y11
+	VPSRLD   $31, Y11, Y11          // 1
+	VPSLLD   $4, Y11, Y12           // 16: input floats per step
+
+	MOVQ CX, BX
+	SHRQ $3, BX   // 8-output blocks
+	JZ   tail
+
+loop8:
+	VMOVUPS (SI), Y1
+	VMOVUPS 32(SI), Y2
+	VMOVUPS (DX), Y3
+	VMOVUPS 32(DX), Y4
+	VSHUFPS $0x88, Y2, Y1, Y5
+	VSHUFPS $0xDD, Y2, Y1, Y6
+	VSHUFPS $0x88, Y4, Y3, Y7
+	VSHUFPS $0xDD, Y4, Y3, Y8
+
+	VCMPPS    $0x1E, Y0, Y5, Y13    // r0 even > −Inf
+	VBLENDVPS Y13, Y5, Y0, Y14      // best
+	VPAND     Y13, Y9, Y15          // index, 0 where nothing won yet
+
+	VPADDD    Y11, Y9, Y1           // r0 odd offsets
+	VCMPPS    $0x1E, Y14, Y6, Y13
+	VBLENDVPS Y13, Y6, Y14, Y14
+	VBLENDVPS Y13, Y1, Y15, Y15
+
+	VPADDD    Y10, Y9, Y2           // r1 even offsets
+	VCMPPS    $0x1E, Y14, Y7, Y13
+	VBLENDVPS Y13, Y7, Y14, Y14
+	VBLENDVPS Y13, Y2, Y15, Y15
+
+	VPADDD    Y11, Y2, Y2           // r1 odd offsets
+	VCMPPS    $0x1E, Y14, Y8, Y13
+	VBLENDVPS Y13, Y8, Y14, Y14
+	VBLENDVPS Y13, Y2, Y15, Y15
+
+	VPERMPD $0xD8, Y14, Y14
+	VPERMQ  $0xD8, Y15, Y15
+	VMOVUPS Y14, (DI)
+	VMOVDQU Y15, (R8)
+	VPADDD  Y12, Y9, Y9
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	DECQ    BX
+	JNZ     loop8
+
+tail:
+	ANDQ $7, CX
+	JZ   done
+	// R9 = offset of the next r0 even tap: base + 2·(outputs done).
+	MOVQ dst_len+8(FP), AX
+	ANDQ $-8, AX
+	LEAL (R9)(AX*2), R9
+
+loop1:
+	XORL     R11, R11
+	VMOVSS   (SI), X2
+	VUCOMISS X0, X2
+	CMOVLHI  R9, R11
+	VMAXSS   X0, X2, X1
+	LEAL     1(R9), R12
+	VMOVSS   4(SI), X2
+	VUCOMISS X1, X2
+	CMOVLHI  R12, R11
+	VMAXSS   X1, X2, X1
+	LEAL     (R9)(R10*1), R12
+	VMOVSS   (DX), X2
+	VUCOMISS X1, X2
+	CMOVLHI  R12, R11
+	VMAXSS   X1, X2, X1
+	INCL     R12
+	VMOVSS   4(DX), X2
+	VUCOMISS X1, X2
+	CMOVLHI  R12, R11
+	VMAXSS   X1, X2, X1
+	VMOVSS   X1, (DI)
+	MOVL     R11, (R8)
+	ADDL     $2, R9
+	ADDQ     $8, SI
+	ADDQ     $8, DX
+	ADDQ     $4, DI
+	ADDQ     $4, R8
+	DECQ     CX
+	JNZ      loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// POOL_ARGMAX_STEP16 folds the four taps held in Z1..Z4 (r0 low/high, r1
+// low/high) into best values Z14 and plane offsets Z15, in output order.
+// Z0 is −Inf, Z9 the r0-even offsets, Z10 w, Z11 1, Z16 the quad order.
+#define POOL_ARGMAX_STEP16 \
+	VSHUFPS   $0x88, Z2, Z1, Z5   \
+	VSHUFPS   $0xDD, Z2, Z1, Z6   \
+	VSHUFPS   $0x88, Z4, Z3, Z7   \
+	VSHUFPS   $0xDD, Z4, Z3, Z8   \
+	VMOVAPS   Z0, Z14             \
+	VPXORD    Z15, Z15, Z15       \
+	VCMPPS    $0x1E, Z14, Z5, K4  \
+	VMOVAPS   Z5, K4, Z14         \
+	VMOVDQA32 Z9, K4, Z15         \
+	VPADDD    Z11, Z9, Z1         \
+	VCMPPS    $0x1E, Z14, Z6, K4  \
+	VMOVAPS   Z6, K4, Z14         \
+	VMOVDQA32 Z1, K4, Z15         \
+	VPADDD    Z10, Z9, Z2         \
+	VCMPPS    $0x1E, Z14, Z7, K4  \
+	VMOVAPS   Z7, K4, Z14         \
+	VMOVDQA32 Z2, K4, Z15         \
+	VPADDD    Z11, Z2, Z2         \
+	VCMPPS    $0x1E, Z14, Z8, K4  \
+	VMOVAPS   Z8, K4, Z14         \
+	VMOVDQA32 Z2, K4, Z15         \
+	VPERMPD   Z14, Z16, Z14       \
+	VPERMQ    Z15, Z16, Z15
+
+// func maxPool2x2ArgmaxAVX512(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
+//
+// The comparison writes an opmask and both selects are merge-masked moves.
+TEXT ·maxPool2x2ArgmaxAVX512(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ idx_base+24(FP), R8
+	MOVQ r0_base+48(FP), SI
+	MOVQ r1_base+72(FP), DX
+	MOVL base+96(FP), R9
+	MOVL w+100(FP), R10
+
+	VPTERNLOGD $0xFF, Z0, Z0, Z0
+	VPSRLD     $31, Z0, Z11          // 1
+	VPSLLD     $5, Z11, Z12          // 32: input floats per step
+	VPSLLD     $23, Z0, Z0           // −Inf
+	VPBROADCASTD R9, Z9
+	VPADDD     poolIdx16<>(SB), Z9, Z9
+	VPBROADCASTD R10, Z10            // w
+	VMOVDQU64  poolQuads<>(SB), Z16
+
+	MOVQ CX, BX
+	SHRQ $4, BX   // 16-output blocks
+	JZ   tail
+
+loop16:
+	VMOVUPS (SI), Z1
+	VMOVUPS 64(SI), Z2
+	VMOVUPS (DX), Z3
+	VMOVUPS 64(DX), Z4
+	POOL_ARGMAX_STEP16
+	VMOVUPS Z14, (DI)
+	VMOVDQU32 Z15, (R8)
+	VPADDD  Z12, Z9, Z9
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	ADDQ    $64, DI
+	ADDQ    $64, R8
+	DECQ    BX
+	JNZ     loop16
+
+tail:
+	ANDQ $15, CX
+	JZ   done
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K1  // output lanes
+	ADDQ CX, CX
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K2
+	SHRQ $16, AX
+	KMOVW AX, K3
+
+	VMOVUPS.Z (SI), K2, Z1
+	VMOVUPS.Z 64(SI), K3, Z2
+	VMOVUPS.Z (DX), K2, Z3
+	VMOVUPS.Z 64(DX), K3, Z4
+	POOL_ARGMAX_STEP16
+	VMOVUPS Z14, K1, (DI)
+	VMOVDQU32 Z15, K1, (R8)
+
+done:
+	VZEROUPPER
+	RET
+
+// func addRowsAVX2(dst, src []float32, rows, dstPitch, srcPitch, n int)
+//
+// dst + src with dst as the first source, the order of the scalar `+=`.
+TEXT ·addRowsAVX2(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ rows+48(FP), R8
+	MOVQ dstPitch+56(FP), R9
+	MOVQ srcPitch+64(FP), R10
+	MOVQ n+72(FP), R11
+	SHLQ $2, R9
+	SHLQ $2, R10
+	TESTQ R8, R8
+	JZ   done
+
+row:
+	MOVQ DI, AX
+	MOVQ SI, DX
+	MOVQ R11, CX
+	MOVQ CX, BX
+	SHRQ $3, BX   // 8-float blocks
+	JZ   blk4
+
+loop8:
+	VMOVUPS (AX), Y0
+	VADDPS  (DX), Y0, Y0
+	VMOVUPS Y0, (AX)
+	ADDQ    $32, AX
+	ADDQ    $32, DX
+	DECQ    BX
+	JNZ     loop8
+
+blk4:
+	TESTQ $4, CX
+	JZ    tail
+	VMOVUPS (AX), X0
+	VADDPS  (DX), X0, X0
+	VMOVUPS X0, (AX)
+	ADDQ    $16, AX
+	ADDQ    $16, DX
+
+tail:
+	ANDQ $3, CX
+	JZ   next
+
+loop1:
+	VMOVSS (AX), X0
+	VADDSS (DX), X0, X0
+	VMOVSS X0, (AX)
+	ADDQ   $4, AX
+	ADDQ   $4, DX
+	DECQ   CX
+	JNZ    loop1
+
+next:
+	ADDQ R9, DI
+	ADDQ R10, SI
+	DECQ R8
+	JNZ  row
+
+done:
+	VZEROUPPER
+	RET
+
+// func addRowsAVX512(dst, src []float32, rows, dstPitch, srcPitch, n int)
+//
+// Rows narrower than a ZMM (every hep-small plane below 16×16) are one
+// masked load-add-store each; the mask is the same for every row.
+TEXT ·addRowsAVX512(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ rows+48(FP), R8
+	MOVQ dstPitch+56(FP), R9
+	MOVQ srcPitch+64(FP), R10
+	MOVQ n+72(FP), R11
+	SHLQ $2, R9
+	SHLQ $2, R10
+	TESTQ R8, R8
+	JZ   done
+
+	MOVQ R11, CX
+	ANDQ $15, CX
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	KMOVW AX, K1  // tail lanes, empty when n is a multiple of 16
+	SHRQ $4, R11  // 16-float blocks per row
+
+row:
+	MOVQ DI, AX
+	MOVQ SI, DX
+	MOVQ R11, BX
+	TESTQ BX, BX
+	JZ   tail
+
+loop16:
+	VMOVUPS (AX), Z0
+	VADDPS  (DX), Z0, Z0
+	VMOVUPS Z0, (AX)
+	ADDQ    $64, AX
+	ADDQ    $64, DX
+	DECQ    BX
+	JNZ     loop16
+
+tail:
+	TESTQ CX, CX
+	JZ    next
+	VMOVUPS.Z (AX), K1, Z0
+	VMOVUPS.Z (DX), K1, Z1
+	VADDPS  Z1, Z0, Z0
+	VMOVUPS Z0, K1, (AX)
+
+next:
+	ADDQ R9, DI
+	ADDQ R10, SI
+	DECQ R8
+	JNZ  row
+
+done:
+	VZEROUPPER
+	RET

@@ -3,15 +3,17 @@ package tensor
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// maxWorkers caps kernel parallelism; defaults to GOMAXPROCS. The paper uses
+// workers caps kernel parallelism; defaults to GOMAXPROCS. The paper uses
 // 66 of 68 KNL cores per node (2 reserved for the OS); SetWorkers lets the
-// harness mimic that policy on the host.
-var (
-	workersMu sync.RWMutex
-	workers   = runtime.GOMAXPROCS(0)
-)
+// harness mimic that policy on the host. Every kernel call reads it, from
+// every replica goroutine, so it is an atomic rather than a lock whose
+// cache line the readers would pass back and forth.
+var workers atomic.Int32
+
+func init() { workers.Store(int32(runtime.GOMAXPROCS(0))) }
 
 // SetWorkers sets the number of goroutines kernel loops may use. n < 1 is
 // clamped to 1. Returns the previous value.
@@ -19,19 +21,11 @@ func SetWorkers(n int) int {
 	if n < 1 {
 		n = 1
 	}
-	workersMu.Lock()
-	prev := workers
-	workers = n
-	workersMu.Unlock()
-	return prev
+	return int(workers.Swap(int32(n)))
 }
 
 // Workers returns the current kernel parallelism.
-func Workers() int {
-	workersMu.RLock()
-	defer workersMu.RUnlock()
-	return workers
-}
+func Workers() int { return int(workers.Load()) }
 
 // SerialFor reports whether a ParallelFor over n items would run inline
 // (one worker, or nothing to split). Hot kernels consult it to call their
