@@ -16,8 +16,11 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -154,6 +157,10 @@ func main() {
 			res.Samples, res.Batches, res.Seconds, res.SamplesPerSec)
 	}
 
+	// Comparable across processes and kernel tables: CI scores one pool at
+	// int8 under -kernels=scalar, avx2 and auto and diffs this line.
+	fmt.Printf("prediction fingerprint %016x\n", fingerprint(&p))
+
 	outPaths, st, err := bulk.WritePseudoShards(*out, *outShards, ss, &p, float32(*threshold))
 	if err != nil {
 		fatalf("%v", err)
@@ -165,6 +172,18 @@ func main() {
 		return
 	}
 	fmt.Printf("wrote %d pseudo-labeled shards under %s\n", len(outPaths), *out)
+}
+
+// fingerprint is FNV-1a over every sample's label and confidence bits.
+func fingerprint(p *bulk.Predictions) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for i, label := range p.Label {
+		binary.LittleEndian.PutUint32(b[:4], uint32(label))
+		binary.LittleEndian.PutUint32(b[4:], math.Float32bits(p.Conf[i]))
+		h.Write(b[:])
+	}
+	return h.Sum64()
 }
 
 // startFleet brings up n in-process scoring backends on loopback, each a

@@ -8,24 +8,40 @@ import (
 )
 
 // QuantPlan is the int8 sibling of Plan: a compiled inference schedule in
-// which every Conv2D and Dense step runs on the integer GEMM
-// (tensor.GemmS8) instead of the float one. Weights quantise once at
+// which every Conv2D and Dense step runs on the integer micro-kernel
+// (tensor.ConvS8) instead of the float GEMM. Weights quantise once at
 // compile time to s8 with one symmetric scale per output channel
 // (quant.ScaleForChannels); activations quantise per layer to u8 with
 // zero-point 128, either with a frozen calibrated scale or dynamically
-// from the batch's max magnitude. Activations between layers stay fp32 —
-// ReLU, pooling and reshapes run their ordinary eval kernels — so only
-// the GEMM-shaped work changes representation, which is where all the
-// time goes and the only place int8 pays.
+// from the batch's max magnitude.
+//
+// Layout. A quantized step reads its input as [N][H+2p][W+2p][C4] bytes:
+// channel-last, C rounded up to four, with the convolution's zero padding
+// materialised as a border of zero-point bytes that is written once, here,
+// and never again. A 3×3 patch is then three contiguous runs of 3·C4 bytes
+// and the kernel walks the image in place; nothing is lowered. A dense
+// layer is the same step with a kernel as large as its input, and since
+// its output is one pixel per sample, the batch is its row of pixels.
 //
 // Requantisation: with activation scale sA, per-channel weight scale
-// sW[f], integer accumulator acc and weight row sum rowSum[f],
+// sW[f], integer accumulator acc and weight sum rowSum[f],
 //
 //	y = sA·sW[f]·(acc − 128·rowSum[f]) + bias[f]
 //
 // because Σ w·v ≈ Σ (wq·sW)·((q−128)·sA) = sA·sW·(Σ wq·q − 128·Σ wq).
-// Conv padding writes the zero-point byte, so its contribution is
-// exactly cancelled by the same rowSum correction.
+// Border and pad-channel bytes are the zero-point, so the same correction
+// cancels them exactly.
+//
+// Between layers. When everything between a quantized step and the next
+// one is ReLU and at most one max-pool, and the next step's activation
+// scale is frozen, the epilogue quantizes y straight onto the consumer's
+// grid and writes the consumer's padded image; the fp32 activation never
+// exists. That is exact, not approximate: the quantizer is monotone, so it
+// commutes with max (the pool runs on bytes) and ReLU is a lower clamp at
+// the byte 0 lands on. Otherwise — dynamic scales, which need the batch's
+// max first, or any other layer in between, such as the global average
+// pool in front of the HEP classifier — the step stores fp32 NCHW and the
+// ordinary eval kernels run, as they always did.
 //
 // Like Plan, a QuantPlan is single-goroutine, its Forward output is
 // plan-owned (valid until the next call), and the warm path allocates
@@ -38,37 +54,61 @@ type QuantPlan struct {
 	steps    []qplanStep
 }
 
+// qplanStep is one layer of the schedule: a quantized kernel, an fp32
+// layer, or neither — a ReLU or max-pool folded into the preceding
+// kernel's epilogue.
 type qplanStep struct {
-	layer    PlannedLayer // fp32 fallback when q == nil
+	layer    PlannedLayer
 	st       PlanState
-	q        *qkernel // int8 kernel for Conv2D/Dense steps
+	q        *qkernel
 	outShape []int
 	outPer   int
-	ySlab    []float32
+	ySlab    []float32 // nil where the output never exists as fp32
 	y        *tensor.Tensor
 }
 
-// qcolBudget caps (in bytes) the quantized patch matrix one conv step
-// lowers at once, mirroring colBudget on the float path. A variable
-// only so tests can force chunking.
-var qcolBudget = 2 << 20
+// qParallelMin is the multiply-add count below which a quantized step runs
+// on the calling goroutine whatever the worker count — gemmParallelMin's
+// reasoning at the integer kernel's rate, some ten times the float one:
+// a batch-1 request's layers stay inline, a bulk batch's split.
+const qParallelMin = 1 << 21
 
-// qkernel holds one quantized layer: exactly one of conv/dense is set.
+// qRunPix is how many samples a step whose output is one pixel per sample
+// hands the micro-kernel at once.
+const qRunPix = 64
+
+// qkernel is one quantized Conv2D or Dense at the plan's fixed input shape.
 type qkernel struct {
-	conv  *Conv2D
-	dense *Dense
+	inC, c4, h, w           int // input channels (and rounded up to 4: bytes per pixel), plane
+	kh, kw, stride          int
+	oh, ow, cols            int // output plane; cols = oh·ow
+	outC                    int
+	k4                      int // 4-byte groups in one kernel row: kw·c4/4
+	rowStride, sampleStride int // bytes per padded image row, per padded image
+	interior                int // byte offset of pixel (0,0) inside a padded image
 
-	wq       []int8    // [Out, K] row-major, K contiguous per channel
-	wscale   []float32 // per output channel
-	rowSum   []int32   // Σ_p wq[f][p], the zero-point correction
-	actScale float32   // frozen activation scale; 0 = dynamic per batch
+	wq       []int8           // tensor.PackS8 panels, taps in (ky, kx, c) order
+	wscale   []float32        // per output channel
+	blk      []tensor.S8Block // requantize constants, one per 16 output channels
+	actScale float32          // frozen activation scale; 0 = dynamic per batch
 
-	xq    []uint8 // conv: one sample's quantized image; dense: whole batch
-	colU8 []uint8 // conv only: patch-major lowered chunk
-	acc   []int32 // integer GEMM output
-	chunk int     // conv: samples lowered per GemmS8 call
+	xq  []uint8 // [capacity] padded channel-last images
+	fed bool    // the preceding kernel's epilogue writes xq
 
-	h, w, oh, ow int // conv geometry at the plan's fixed input shape
+	// Where the output goes: next == nil stores fp32 NCHW. Otherwise the
+	// epilogue clamps at outLo (128 when a ReLU lies in between) and writes
+	// next.xq, through the byte pool when a max-pool lies in between.
+	next          *qkernel
+	outInv, outLo float64 // 1/next.actScale, and the lower clamp
+	pool          *MaxPool2D
+
+	ws []qscratch // one per kernel worker
+}
+
+// qscratch is what one worker needs besides the shared buffers.
+type qscratch struct {
+	acc []int32 // one row of output pixels × 16 channels
+	pre []uint8 // one sample's pre-pool output, channel-last at next.c4
 }
 
 // CalibrateActivations runs one fp32 forward pass over x and returns the
@@ -125,24 +165,84 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 		s := &p.steps[i]
 		s.outShape = append([]int(nil), out...)
 		s.outPer = shapeElems(out)
-		s.ySlab = arena.Get(capacity * s.outPer)
-		s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, out...)...)
 		switch ll := l.(type) {
 		case *Conv2D:
-			s.q = newQConv(ll, capacity, in, calibStat(calib, i))
+			var bias []float32
+			if !ll.noBias {
+				bias = ll.Bias.W.Data
+			}
+			s.q = newQKernel(ll.Weight.W.Data, bias, ll.OutC, in, ll.KH, ll.KW, ll.Stride, ll.Pad, capacity, calibStat(calib, i))
 		case *Dense:
-			s.q = newQDense(ll, capacity, calibStat(calib, i))
+			// A dense layer is a convolution whose kernel covers its whole
+			// input; a flat input is a 1×1 image of In channels.
+			img := in
+			if len(img) != 3 {
+				img = []int{ll.In, 1, 1}
+			}
+			s.q = newQKernel(ll.Weight.W.Data, ll.Bias.W.Data, ll.Out, img, img[1], img[2], 1, 0, capacity, calibStat(calib, i))
 		default:
 			pl, ok := l.(PlannedLayer)
 			if !ok {
 				panic(fmt.Sprintf("nn: layer %s (%T) does not implement PlannedLayer; cannot compile a quantized plan", l.Name(), l))
 			}
 			s.layer = pl
-			pl.Reserve(&s.st, arena, capacity, in, false)
 		}
 		in = out
 	}
+	p.link()
+	in = net.InShape
+	for i := range p.steps {
+		s := &p.steps[i]
+		if s.layer != nil {
+			s.layer.Reserve(&s.st, arena, capacity, in, false)
+		}
+		if s.q != nil {
+			s.q.grow(tensor.Workers())
+		}
+		if s.layer != nil || (s.q != nil && s.q.next == nil) {
+			s.ySlab = arena.Get(capacity * s.outPer)
+			s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, s.outShape...)...)
+		}
+		in = s.outShape
+	}
 	return p
+}
+
+// link applies the one rule that decides where a kernel's output goes: if
+// the layers up to the next kernel are ReLUs and at most one max-pool, and
+// that kernel's activation scale is frozen, the epilogue feeds it bytes
+// and the layers in between drop out of the schedule.
+func (p *QuantPlan) link() {
+	for i := range p.steps {
+		q := p.steps[i].q
+		if q == nil {
+			continue
+		}
+		lo, pool, j := 0.0, (*MaxPool2D)(nil), i+1
+	scan:
+		for ; j < len(p.steps); j++ {
+			switch l := p.steps[j].layer.(type) {
+			case *ReLU:
+				lo = 128
+			case *MaxPool2D:
+				if pool != nil || q.cols == 1 {
+					break scan
+				}
+				pool = l
+			default:
+				break scan
+			}
+		}
+		if j == len(p.steps) || p.steps[j].q == nil || p.steps[j].q.actScale == 0 {
+			continue
+		}
+		q.next, q.outLo, q.pool = p.steps[j].q, lo, pool
+		q.outInv = 1 / float64(q.next.actScale)
+		q.next.fed = true
+		for k := i + 1; k < j; k++ {
+			p.steps[k].layer = nil
+		}
+	}
 }
 
 // calibStat returns (frozen scale, 0 meaning dynamic) for layer i.
@@ -158,116 +258,222 @@ func calibStat(calib []float32, i int) float32 {
 	return calib[i] / 127
 }
 
-func rowSums(wq []int8, k int) []int32 {
-	sums := make([]int32, len(wq)/k)
-	for f := range sums {
-		var s int32
-		for _, v := range wq[f*k : (f+1)*k] {
-			s += int32(v)
-		}
-		sums[f] = s
-	}
-	return sums
-}
+// newQKernel quantizes and packs one layer. weight is [outC][inC·kh·kw]
+// with taps in (c, ky, kx) order — a Conv2D's, or a Dense's over a
+// CHW-flattened input — and in the per-sample input shape [C, H, W].
+func newQKernel(weight, bias []float32, outC int, in []int, kh, kw, stride, pad, capacity int, actScale float32) *qkernel {
+	q := &qkernel{inC: in[0], h: in[1], w: in[2], kh: kh, kw: kw, stride: stride, outC: outC, actScale: actScale}
+	q.c4 = (q.inC + 3) &^ 3
+	q.oh = tensor.ConvOut(q.h, kh, stride, pad)
+	q.ow = tensor.ConvOut(q.w, kw, stride, pad)
+	q.cols = q.oh * q.ow
+	q.k4 = kw * q.c4 / 4
+	q.rowStride = (q.w + 2*pad) * q.c4
+	q.sampleStride = (q.h + 2*pad) * q.rowStride
+	q.interior = pad*q.rowStride + pad*q.c4
 
-func newQConv(c *Conv2D, capacity int, in []int, actScale float32) *qkernel {
-	k := c.InC * c.KH * c.KW
-	q := &qkernel{conv: c, actScale: actScale, h: in[1], w: in[2]}
-	q.oh = tensor.ConvOut(q.h, c.KH, c.Stride, c.Pad)
-	q.ow = tensor.ConvOut(q.w, c.KW, c.Stride, c.Pad)
-	cols := q.oh * q.ow
-	q.wscale = quant.ScaleForChannels(c.Weight.W.Data, k)
-	q.wq = make([]int8, c.OutC*k)
-	quant.QuantizeChannelsInto(q.wq, c.Weight.W.Data, q.wscale, k)
-	q.rowSum = rowSums(q.wq, k)
-	chunk := qcolBudget / (k * cols)
-	if chunk < 1 {
-		chunk = 1
+	k := q.inC * kh * kw
+	q.wscale = quant.ScaleForChannels(weight, k)
+	wq := make([]int8, outC*k)
+	quant.QuantizeChannelsInto(wq, weight, q.wscale, k)
+	// Reorder each channel's taps to the order the image stores them in,
+	// (ky, kx, c) with c padded to c4, then pack kernel row by kernel row:
+	// the micro-kernel takes one row segment of the patch per pass.
+	taps := kh * kw * q.c4
+	hwc := make([]int8, outC*taps)
+	q.blk = make([]tensor.S8Block, (outC+tensor.S8Lanes-1)/tensor.S8Lanes)
+	for f := 0; f < outC; f++ {
+		var sum int32
+		for c := 0; c < q.inC; c++ {
+			for t := 0; t < kh*kw; t++ {
+				v := wq[f*k+c*kh*kw+t]
+				hwc[f*taps+t*q.c4+c] = v
+				sum += int32(v)
+			}
+		}
+		b := &q.blk[f/tensor.S8Lanes]
+		b.Corr[f%tensor.S8Lanes] = 128 * sum
+		if bias != nil {
+			b.Bias[f%tensor.S8Lanes] = bias[f]
+		}
 	}
-	if chunk > capacity {
-		chunk = capacity
+	q.wq = make([]int8, tensor.S8PackedLen(outC, taps))
+	tensor.PackS8(q.wq, hwc, outC, taps)
+	if actScale != 0 {
+		q.setScale(actScale)
 	}
-	q.chunk = chunk
-	q.xq = make([]uint8, c.InC*q.h*q.w)
-	q.colU8 = make([]uint8, chunk*cols*k)
-	q.acc = make([]int32, c.OutC*chunk*cols)
+
+	q.xq = make([]uint8, capacity*q.sampleStride)
+	for i := range q.xq {
+		q.xq[i] = 128
+	}
 	return q
 }
 
-func newQDense(d *Dense, capacity int, actScale float32) *qkernel {
-	q := &qkernel{dense: d, actScale: actScale}
-	q.wscale = quant.ScaleForChannels(d.Weight.W.Data, d.In)
-	q.wq = make([]int8, d.Out*d.In)
-	quant.QuantizeChannelsInto(q.wq, d.Weight.W.Data, q.wscale, d.In)
-	q.rowSum = rowSums(q.wq, d.In)
-	q.xq = make([]uint8, capacity*d.In)
-	q.acc = make([]int32, d.Out*capacity)
-	return q
-}
-
-// scale returns the activation scale for this batch: frozen if calibrated,
-// otherwise the batch's own max-magnitude grid.
-func (q *qkernel) scale(x []float32) float32 {
-	if q.actScale != 0 {
-		return q.actScale
+// setScale folds the activation scale into the per-channel multipliers.
+func (q *qkernel) setScale(sA float32) {
+	for f, sW := range q.wscale {
+		q.blk[f/tensor.S8Lanes].Mult[f%tensor.S8Lanes] = sA * sW
 	}
-	return quant.ScaleFor(x)
 }
 
-func (q *qkernel) forwardConv(y, x *tensor.Tensor) {
-	c := q.conv
-	n := x.Shape[0]
-	k := c.InC * c.KH * c.KW
-	cols := q.oh * q.ow
-	sA := q.scale(x.Data[:n*c.InC*q.h*q.w])
-	inStride := c.InC * q.h * q.w
-	outStride := c.OutC * cols
-	for s0 := 0; s0 < n; s0 += q.chunk {
-		m := q.chunk
-		if m > n-s0 {
-			m = n - s0
+// grow makes sure there is scratch for w workers: at compile time for the
+// worker count of the moment, again at run time if it has been raised.
+func (q *qkernel) grow(w int) {
+	for len(q.ws) < w {
+		pix := q.ow
+		if q.cols == 1 {
+			pix = qRunPix
 		}
-		mcols := m * cols
-		for i := 0; i < m; i++ {
-			quant.QuantizeU8Into(q.xq, x.Data[(s0+i)*inStride:(s0+i+1)*inStride], sA)
-			tensor.Im2colU8(q.xq, c.InC, q.h, q.w, c.KH, c.KW, c.Stride, c.Pad, 128, q.colU8[i*cols*k:(i*cols+cols)*k])
-		}
-		acc := q.acc[:c.OutC*mcols]
-		tensor.GemmS8(c.OutC, mcols, k, q.wq, q.colU8[:mcols*k], acc)
-		for i := 0; i < m; i++ {
-			dst := y.Data[(s0+i)*outStride : (s0+i+1)*outStride]
-			for f := 0; f < c.OutC; f++ {
-				sc := sA * q.wscale[f]
-				corr := 128 * q.rowSum[f]
-				var b float32
-				if !c.noBias {
-					b = c.Bias.W.Data[f]
-				}
-				src := acc[f*mcols+i*cols : f*mcols+(i+1)*cols]
-				d := dst[f*cols : (f+1)*cols]
-				for j := range src {
-					d[j] = sc*float32(src[j]-corr) + b
-				}
+		q.ws = append(q.ws, qscratch{acc: make([]int32, pix*tensor.S8Lanes)})
+	}
+	if q.pool != nil {
+		for i := range q.ws {
+			if q.ws[i].pre == nil {
+				q.ws[i].pre = make([]uint8, q.cols*q.next.c4)
 			}
 		}
 	}
 }
 
-func (q *qkernel) forwardDense(y, x *tensor.Tensor) {
-	d := q.dense
-	n := x.Shape[0]
-	sA := q.scale(x.Data[:n*d.In])
-	xq := q.xq[:n*d.In]
-	quant.QuantizeU8Into(xq, x.Data[:n*d.In], sA)
-	acc := q.acc[:d.Out*n]
-	tensor.GemmS8(d.Out, n, d.In, q.wq, xq, acc)
-	for o := 0; o < d.Out; o++ {
-		sc := sA * q.wscale[o]
-		corr := 128 * q.rowSum[o]
-		b := d.Bias.W.Data[o]
-		arow := acc[o*n : (o+1)*n]
-		for s := 0; s < n; s++ {
-			y.Data[s*d.Out+o] = sc*float32(arow[s]-corr) + b
+// forward runs the step over n samples: whole samples per worker, so one
+// sample's quantize, kernel and epilogue stay in one core's cache. xt is
+// the fp32 input (unread when the preceding epilogue already wrote xq), yt
+// the fp32 output (nil when the epilogue writes the next kernel's xq).
+func (q *qkernel) forward(yt, xt *tensor.Tensor, n int) {
+	var y, x []float32
+	if yt != nil {
+		y = yt.Data
+	}
+	if !q.fed {
+		x = xt.Data
+	}
+	sA := q.actScale
+	if sA == 0 {
+		sA = quant.ScaleFor(x[:n*q.inC*q.h*q.w])
+		q.setScale(sA)
+	}
+	inv := 1 / float64(sA)
+	if tensor.SerialFor(n) || n*q.cols*q.outC*q.kh*q.kw*q.inC < qParallelMin {
+		q.samples(&q.ws[0], y, x, 0, n, inv)
+		return
+	}
+	w := min(tensor.Workers(), n)
+	q.grow(w)
+	per := (n + w - 1) / w
+	tensor.ParallelFor(w, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if s0, s1 := i*per, min((i+1)*per, n); s0 < s1 {
+				q.samples(&q.ws[i], y, x, s0, s1, inv)
+			}
+		}
+	})
+}
+
+// image returns sample s's padded image from its first interior pixel on.
+func (q *qkernel) image(s int) []uint8 {
+	return q.xq[s*q.sampleStride+q.interior:]
+}
+
+// samples runs samples [lo,hi) on one worker's scratch.
+func (q *qkernel) samples(ws *qscratch, y, x []float32, lo, hi int, inv float64) {
+	if q.cols == 1 {
+		// One output pixel per sample: the samples are the row of pixels.
+		for s := lo; x != nil && s < hi; s++ {
+			q.quantize(s, x, inv)
+		}
+		for s0 := lo; s0 < hi; s0 += qRunPix {
+			acc := ws.acc[:min(qRunPix, hi-s0)*tensor.S8Lanes]
+			if q.next != nil {
+				q.row(acc, s0*q.sampleStride, q.sampleStride, nil, q.next.image(s0), 0, q.next.sampleStride)
+			} else {
+				q.row(acc, s0*q.sampleStride, q.sampleStride, y, nil, s0*q.outC, q.outC)
+			}
+		}
+		return
+	}
+	acc := ws.acc[:q.ow*tensor.S8Lanes]
+	for s := lo; s < hi; s++ {
+		if x != nil {
+			q.quantize(s, x, inv)
+		}
+		// Output rows go to the fp32 slab, to the consumer's padded image,
+		// or — with a pool in between — to this worker's pre-pool image.
+		var yq []uint8
+		yoff, yps, yrow := s*q.outC*q.cols, 1, q.ow
+		switch {
+		case q.pool != nil:
+			yq, yoff, yps, yrow = ws.pre, 0, q.next.c4, q.ow*q.next.c4
+		case q.next != nil:
+			yq, yoff, yps, yrow = q.next.image(s), 0, q.next.c4, q.next.rowStride
+		}
+		for oy := 0; oy < q.oh; oy++ {
+			q.row(acc, s*q.sampleStride+oy*q.stride*q.rowStride, q.stride*q.c4, y, yq, yoff+oy*yrow, yps)
+		}
+		if q.pool != nil {
+			q.poolInto(q.next.image(s), ws.pre)
+		}
+	}
+}
+
+// row computes len(acc)/16 output pixels whose patches start ps bytes
+// apart from xq[xoff], one block of 16 channels at a time, and requantizes
+// each block into yq (the consumer's bytes) if there is one, else into yf
+// (fp32; channels q.cols apart), from offset yoff on, pixels yps apart.
+func (q *qkernel) row(acc []int32, xoff, ps int, yf []float32, yq []uint8, yoff, yps int) {
+	panel := q.kh * q.k4 * 64
+	for b := range q.blk {
+		tensor.ConvS8(acc, q.xq[xoff:], q.wq[b*panel:(b+1)*panel], q.kh, q.k4, q.rowStride, ps)
+		c0 := b * tensor.S8Lanes
+		if yq != nil {
+			tensor.RequantU8(yq[yoff+c0:], acc, &q.blk[b], q.outInv, q.outLo, min(tensor.S8Lanes, q.next.c4-c0), yps)
+		} else {
+			tensor.RequantF32(yf[yoff+c0*q.cols:], acc, &q.blk[b], min(tensor.S8Lanes, q.outC-c0), yps, q.cols)
+		}
+	}
+}
+
+// quantize writes sample s of the fp32 NCHW batch x into its padded
+// channel-last image: one strided pass per channel plane. Border and pad
+// channels keep their zero-point bytes.
+func (q *qkernel) quantize(s int, x []float32, inv float64) {
+	plane := q.h * q.w
+	src := x[s*q.inC*plane : (s+1)*q.inC*plane]
+	dst := q.image(s)
+	if plane == 1 {
+		tensor.QuantizeU8(dst, src, 1, q.inC, 0, 1, inv)
+		return
+	}
+	for c := 0; c < q.inC; c++ {
+		tensor.QuantizeU8(dst[c:], src[c*plane:(c+1)*plane], q.h, q.w, q.rowStride, q.c4, inv)
+	}
+}
+
+// poolInto max-pools one sample's channel-last bytes into the consumer's
+// padded image. The window scan is MaxPool2D's: windows are clipped at the
+// bottom and right edges; 2×2 windows at stride 2 over an even plane run
+// the row-pair kernel.
+func (q *qkernel) poolInto(dst, src []uint8) {
+	c, k, st := q.next.c4, q.pool.K, q.pool.Stride
+	oh, ow := q.next.h, q.next.w
+	fast := k == 2 && st == 2 && q.oh%2 == 0 && q.ow%2 == 0
+	for oy := 0; oy < oh; oy++ {
+		d := dst[oy*q.next.rowStride : oy*q.next.rowStride+ow*c]
+		if fast {
+			r := src[2*oy*q.ow*c:]
+			tensor.MaxPool2x2U8(d, r[:q.ow*c], r[q.ow*c:2*q.ow*c], c)
+			continue
+		}
+		for ox := 0; ox < ow; ox++ {
+			px := d[ox*c : (ox+1)*c]
+			clear(px)
+			for iy := oy * st; iy < min(oy*st+k, q.oh); iy++ {
+				for ix := ox * st; ix < min(ox*st+k, q.ow); ix++ {
+					for j, v := range src[(iy*q.ow+ix)*c : (iy*q.ow+ix+1)*c] {
+						px[j] = max(px[j], v)
+					}
+				}
+			}
 		}
 	}
 }
@@ -297,13 +503,16 @@ func (p *QuantPlan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	cur := x
 	for i := range p.steps {
 		s := &p.steps[i]
-		y := view(s.y, s.ySlab, n, s.outPer)
-		switch {
-		case s.q != nil && s.q.conv != nil:
-			s.q.forwardConv(y, cur)
-		case s.q != nil && s.q.dense != nil:
-			s.q.forwardDense(y, cur)
-		default:
+		if s.q == nil && s.layer == nil {
+			continue // folded into the preceding kernel's epilogue
+		}
+		var y *tensor.Tensor
+		if s.ySlab != nil {
+			y = view(s.y, s.ySlab, n, s.outPer)
+		}
+		if s.q != nil {
+			s.q.forward(y, cur, n)
+		} else {
 			s.layer.ForwardInto(&s.st, y, cur, false)
 		}
 		cur = y

@@ -64,6 +64,34 @@ func TestQuantPlanWarmNoAlloc(t *testing.T) {
 	}
 }
 
+// TestQuantPlanInfStaysInItsSample: the online batcher puts different
+// clients' requests in one batch, and a dynamic-scale plan derives one
+// activation scale from the whole batch. An infinity in one sample must
+// cost that sample its own precision and nothing else: the other sample's
+// logits are finite, and exactly what the largest finite float in the same
+// slot gives (both saturate the byte; the scale is clamped to be finite).
+func TestQuantPlanInfStaysInItsSample(t *testing.T) {
+	net := planTestNet(17)
+	x := randBatch(tensor.NewRNG(23), 2, net.InShape)
+	neighbour := func(v float32) []float32 {
+		x.Data[5] = v
+		qp := CompileQuantized(net, 2, nil, nil)
+		defer qp.Release()
+		out := qp.Forward(x)
+		return append([]float32(nil), out.Data[out.Len()/2:]...)
+	}
+	withInf := neighbour(float32(math.Inf(1)))
+	withMax := neighbour(math.MaxFloat32)
+	for i, v := range withInf {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Errorf("+Inf in sample 0 made sample 1's logit %d = %v", i, v)
+		}
+		if math.Float32bits(v) != math.Float32bits(withMax[i]) {
+			t.Errorf("sample 1 logit %d = %v with +Inf next door, %v with MaxFloat32", i, v, withMax[i])
+		}
+	}
+}
+
 // TestQuantPlanCacheBuckets mirrors the fp32 plan-cache policy.
 func TestQuantPlanCacheBuckets(t *testing.T) {
 	net := planTestNet(5)
@@ -82,19 +110,6 @@ func TestQuantPlanCacheBuckets(t *testing.T) {
 	if len(pc.plans) != 0 {
 		t.Errorf("release left %d plans", len(pc.plans))
 	}
-}
-
-// TestQuantPlanChunkedConv forces the conv patch budget down so one batch
-// spans several GemmS8 calls and pins it against the unchunked result.
-func TestQuantPlanChunkedConv(t *testing.T) {
-	net := planTestNet(21)
-	x := randBatch(tensor.NewRNG(2), 6, net.InShape)
-	want := CompileQuantized(net, 6, nil, nil).Forward(x).Clone()
-	old := qcolBudget
-	qcolBudget = 256 // a handful of patches per chunk
-	defer func() { qcolBudget = old }()
-	got := CompileQuantized(net, 6, nil, nil).Forward(x)
-	requireBitwise(t, "chunked int8 conv", got, want)
 }
 
 func TestWeightScales(t *testing.T) {

@@ -1,6 +1,6 @@
 package quant
 
-import "math"
+import "deep15pf/internal/tensor"
 
 // Per-channel (axis-0) weight quantisation for the int8 serving datapath.
 // A weight matrix [Out, In] (dense) or [OutC, InC·KH·KW] (conv, im2col
@@ -45,31 +45,18 @@ func QuantizeChannelsInto(dst []int8, src []float32, scales []float32, cols int)
 	}
 }
 
-// ScaleForU8 returns the activation scale mapping maxAbs(src) to 127 —
-// same grid as ScaleFor, leaving headroom for the zero-point-128 unsigned
-// encoding (quantized values land in [1, 255]; 0 encodes only saturation).
-func ScaleForU8(src []float32) float32 { return ScaleFor(src) }
-
 // QuantizeU8Into quantises activations into unsigned bytes with zero-point
-// 128: q = clamp(round(v/scale) + 128, 0, 255). Dequantisation is
-// v ≈ (q-128)·scale, so the zero-point byte dequantizes to exactly 0 —
-// conv padding uses it directly. Allocates nothing.
+// 128: q = clamp(round(v/scale) + 128, 0, 255), rounding half up in
+// float64. Dequantisation is v ≈ (q-128)·scale, so the zero-point byte
+// dequantizes to exactly 0 — conv padding uses it directly — and it is
+// also what NaN maps to; ±Inf saturate. The arithmetic is the dispatched
+// tensor.QuantizeU8 kernel's, the same in every ISA body. Allocates
+// nothing.
 func QuantizeU8Into(dst []uint8, src []float32, scale float32) {
 	if len(dst) != len(src) {
 		panic("quant: QuantizeU8Into length mismatch")
 	}
-	inv := float64(1) / float64(scale)
-	for i, v := range src {
-		// t is round-half-up of v/scale + 128: adding 0.5 then truncating
-		// is exact because the clamp guarantees t is non-negative.
-		t := float64(v)*inv + 128.5
-		if t < 0 {
-			t = 0
-		} else if t > 255 {
-			t = 255
-		}
-		dst[i] = uint8(int32(t))
-	}
+	tensor.QuantizeU8(dst, src, 1, len(src), 0, 1, 1/float64(scale))
 }
 
 // DequantizeU8Into expands zero-point-128 bytes back to floats.
@@ -80,17 +67,4 @@ func DequantizeU8Into(dst []float32, src []uint8, scale float32) {
 	for i, q := range src {
 		dst[i] = float32(int32(q)-128) * scale
 	}
-}
-
-// MaxAbs returns the largest magnitude in src (0 for empty) — the
-// calibration statistic per-tensor activation scales derive from.
-func MaxAbs(src []float32) float32 {
-	var m float32
-	for _, v := range src {
-		a := float32(math.Abs(float64(v)))
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }

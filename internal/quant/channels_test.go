@@ -3,6 +3,8 @@ package quant
 import (
 	"math"
 	"testing"
+
+	"deep15pf/internal/tensor"
 )
 
 // Table-driven edge cases for per-channel scales: the all-zero channel
@@ -110,6 +112,12 @@ func TestQuantizeChannelsInto(t *testing.T) {
 	}
 }
 
+// TestQuantizeU8Into is the quantizer's table, run under every kernel
+// table the host has: the table repeats so the 8- and 16-lane bodies and
+// their scalar tails all see every row. Non-finite inputs come from
+// outside the program (a request's pixels), so their bytes are pinned too:
+// NaN is the zero-point, which dequantizes to 0 as ReLU's NaN → +0 does,
+// and the infinities saturate.
 func TestQuantizeU8Into(t *testing.T) {
 	scale := float32(2.0 / 127)
 	cases := []struct {
@@ -124,20 +132,35 @@ func TestQuantizeU8Into(t *testing.T) {
 		{scale, 129},     // one step up
 		{-scale, 127},    // one step down
 		{scale / 2, 129}, // half-step rounds up (round-half-up)
+		{float32(math.NaN()), 128},
+		{float32(math.Inf(1)), 255},
+		{float32(math.Inf(-1)), 0},
+		{math.MaxFloat32, 255},
+		{-math.MaxFloat32, 0},
 	}
-	src := make([]float32, len(cases))
-	for i, tc := range cases {
-		src[i] = tc.v
+	const reps = 3
+	src := make([]float32, 0, reps*len(cases))
+	for r := 0; r < reps; r++ {
+		for _, tc := range cases {
+			src = append(src, tc.v)
+		}
 	}
 	dst := make([]uint8, len(src))
-	if allocs := testing.AllocsPerRun(10, func() {
-		QuantizeU8Into(dst, src, scale)
-	}); allocs > 0 {
-		t.Errorf("QuantizeU8Into allocates (%v/run)", allocs)
-	}
-	for i, tc := range cases {
-		if dst[i] != tc.want {
-			t.Errorf("QuantizeU8Into(%g) = %d, want %d", tc.v, dst[i], tc.want)
+	defer tensor.SetKernels("auto")
+	for _, isa := range tensor.KernelISAs() {
+		if err := tensor.SetKernels(isa); err != nil {
+			t.Fatal(err)
+		}
+		clear(dst)
+		if allocs := testing.AllocsPerRun(10, func() {
+			QuantizeU8Into(dst, src, scale)
+		}); allocs > 0 {
+			t.Errorf("%s: QuantizeU8Into allocates (%v/run)", isa, allocs)
+		}
+		for i, got := range dst {
+			if tc := cases[i%len(cases)]; got != tc.want {
+				t.Errorf("%s: QuantizeU8Into(%g) at %d = %d, want %d", isa, tc.v, i, got, tc.want)
+			}
 		}
 	}
 
@@ -145,8 +168,8 @@ func TestQuantizeU8Into(t *testing.T) {
 	back := make([]float32, len(src))
 	DequantizeU8Into(back, dst, scale)
 	for i, tc := range cases {
-		if tc.v > 2 || tc.v < -2 {
-			continue // saturated
+		if !(tc.v <= 2 && tc.v >= -2) {
+			continue // saturated, or NaN
 		}
 		if math.Abs(float64(back[i]-tc.v)) > float64(scale)/2+1e-7 {
 			t.Errorf("u8 round-trip %g -> %g exceeds half-step", tc.v, back[i])
@@ -160,5 +183,19 @@ func TestMaxAbs(t *testing.T) {
 	}
 	if got := MaxAbs([]float32{0.5, -3, 2}); got != 3 {
 		t.Errorf("MaxAbs = %g, want 3", got)
+	}
+	// An infinity counts as the largest finite float and NaN is skipped,
+	// so every scale derived from the statistic is finite.
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	if got := MaxAbs([]float32{1, nan, -2}); got != 2 {
+		t.Errorf("MaxAbs with NaN = %g, want 2", got)
+	}
+	for _, src := range [][]float32{{1, inf}, {-inf, 3}, {nan, inf}} {
+		if got := MaxAbs(src); got != math.MaxFloat32 {
+			t.Errorf("MaxAbs(%v) = %g, want MaxFloat32", src, got)
+		}
+		if got := ScaleFor(src); got != math.MaxFloat32/127 {
+			t.Errorf("ScaleFor(%v) = %g, want MaxFloat32/127", src, got)
+		}
 	}
 }

@@ -31,20 +31,30 @@ func (q Quantized) Bytes() int { return len(q.Data) + 4 }
 // 127 (1 for an all-zero block). The streamed gradient wire calls it per
 // chunk, so one outlier only coarsens its own chunk's quantisation grid.
 func ScaleFor(src []float32) float32 {
-	var maxAbs float32
+	maxAbs := MaxAbs(src)
+	if maxAbs == 0 {
+		return 1
+	}
+	return maxAbs / 127
+}
+
+// MaxAbs returns the largest magnitude in src (0 for empty) — the
+// statistic every scale derives from. NaN is skipped and an infinity
+// counts as the largest finite float, so the scale is always finite: one
+// request's Inf saturates its own bytes instead of turning the scale the
+// whole batch shares into Inf, and every other sample's logits into NaN.
+func MaxAbs(src []float32) float32 {
+	var m float32
 	for _, v := range src {
 		a := v
 		if a < 0 {
 			a = -a
 		}
-		if a > maxAbs {
-			maxAbs = a
+		if a > m {
+			m = a
 		}
 	}
-	if maxAbs == 0 {
-		return 1
-	}
-	return maxAbs / 127
+	return min(m, math.MaxFloat32)
 }
 
 // StochasticInto quantises src into dst (equal length) with the given scale

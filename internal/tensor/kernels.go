@@ -2,10 +2,10 @@ package tensor
 
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
 // axpy, sdot, the 4-row axpy micro-kernel under the blocked GEMM, the
-// in-place scale, the u8·s8 integer dot under the quantized serving path,
-// and the conv unit's ReLU, 2×2 max-pool and col2im strip add
-// (kernels_conv.go) — is a package-level function variable installed by
-// SetKernels.
+// in-place scale, the conv unit's ReLU, 2×2 max-pool and col2im strip add
+// (kernels_conv.go), and the int8 datapath's micro-kernel, epilogue,
+// quantizer and byte pool (gemm_s8.go) — is a package-level function
+// variable installed by SetKernels.
 // One probe (kernels_amd64.go) classifies the host at init and picks the
 // widest safe body; SetKernels("scalar"|"avx2"|"avx512"|"auto") re-routes
 // the whole table at runtime, which is what cmd/deepserve's -kernels flag
@@ -40,12 +40,16 @@ func installScalar() {
 	sdot = sdotGeneric
 	axpy4 = axpy4Generic
 	scal = scalGeneric
-	dotU8S8 = dotU8S8Generic
 	relu = reluGeneric
 	reluGrad = reluGradGeneric
 	maxPool2x2 = maxPool2x2Generic
 	maxPool2x2Argmax = maxPool2x2ArgmaxGeneric
 	addRows = addRowsGeneric
+	convS8 = convS8Generic
+	requantF32 = requantF32Generic
+	requantU8 = requantU8Generic
+	quantizeU8 = quantizeU8Generic
+	maxPool2x2U8 = maxPool2x2U8Generic
 	kernelISA = "scalar"
 }
 
@@ -81,19 +85,6 @@ func axpy4Generic(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 []float32) {
 		y2[j] += float32(a2 * xv)
 		y3[j] += float32(a3 * xv)
 	}
-}
-
-// dotU8S8 is the active quantized dot kernel: Σ int32(a[i])*int32(b[i])
-// over i < len(a). Exact integer arithmetic — every ISA body returns the
-// same value for any input. len(b) must be >= len(a).
-var dotU8S8 = dotU8S8Generic
-
-func dotU8S8Generic(a []int8, b []uint8) int32 {
-	var s int32
-	for i, v := range a {
-		s += int32(v) * int32(b[i])
-	}
-	return s
 }
 
 func unknownISA(mode string) error {

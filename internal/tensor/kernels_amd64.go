@@ -5,8 +5,9 @@ package tensor
 // amd64 kernel tables. AVX-512 detection extends the AVX2 protocol
 // (axpy_amd64.go): the OS must additionally save opmask and ZMM state
 // (XCR0 bits 5,6,7) and the CPU must report AVX512F (leaf 7 EBX bit 16).
-// The int8 dot kernel upgrades once more when AVX512-VNNI (leaf 7 ECX bit
-// 11) provides the fused u8·s8 multiply-accumulate VPDPBUSD.
+// The int8 kernels take their 16-lane bodies when AVX512-VNNI (leaf 7 ECX
+// bit 11) provides the fused u8·s8 multiply-accumulate VPDPBUSD; an
+// AVX-512 host without it keeps the AVX2 bodies for that family.
 
 // Implemented in kernels_amd64.s.
 func axpyAVX512(alpha float32, x, y []float32)
@@ -20,12 +21,6 @@ func scalAVX2(alpha float32, x []float32)
 // Implemented in kernels_amd64.s.
 func axpy4AVX2(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 []float32)
 
-// Implemented in kernels_amd64.s.
-func dotU8S8AVX2(a []int8, b []uint8) int32
-
-// Implemented in kernels_amd64.s.
-func dotU8S8VNNI(a []int8, b []uint8) int32
-
 // The conv-unit kernels (kernels_conv.go), implemented in
 // kernels_conv_amd64.s.
 func reluAVX2(y, x []float32)
@@ -38,6 +33,18 @@ func maxPool2x2ArgmaxAVX2(dst []float32, idx []int32, r0, r1 []float32, base, w 
 func maxPool2x2ArgmaxAVX512(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
 func addRowsAVX2(dst, src []float32, rows, dstPitch, srcPitch, n int)
 func addRowsAVX512(dst, src []float32, rows, dstPitch, srcPitch, n int)
+
+// The int8 datapath's kernels (gemm_s8.go), implemented in
+// kernels_s8_amd64.s.
+func convS8AVX2(acc []int32, x []uint8, w []int8, rows, k4, rowStride, pixStride int)
+func convS8VNNI(acc []int32, x []uint8, w []int8, rows, k4, rowStride, pixStride int)
+func requantF32AVX2(dst []float32, acc []int32, b *S8Block, nch, pixStride, chanStride int)
+func requantF32AVX512(dst []float32, acc []int32, b *S8Block, nch, pixStride, chanStride int)
+func requantU8AVX2(dst []uint8, acc []int32, b *S8Block, inv, lo float64, nbytes, pixStride int)
+func requantU8AVX512(dst []uint8, acc []int32, b *S8Block, inv, lo float64, nbytes, pixStride int)
+func quantizeU8AVX2(dst []uint8, src []float32, rows, n, dstPitch, stride int, inv float64)
+func quantizeU8AVX512(dst []uint8, src []float32, rows, n, dstPitch, stride int, inv float64)
+func maxPool2x2U8AVX2(dst, r0, r1 []uint8, c int)
 
 func hasAVX512() bool {
 	if !hasAVX2() {
@@ -75,12 +82,16 @@ func installAVX2() {
 	sdot = sdotAVX2
 	axpy4 = axpy4AVX2
 	scal = scalAVX2
-	dotU8S8 = dotU8S8AVX2
 	relu = reluAVX2
 	reluGrad = reluGradAVX2
 	maxPool2x2 = maxPool2x2AVX2
 	maxPool2x2Argmax = maxPool2x2ArgmaxAVX2
 	addRows = addRowsAVX2
+	convS8 = convS8AVX2
+	requantF32 = requantF32AVX2
+	requantU8 = requantU8AVX2
+	quantizeU8 = quantizeU8AVX2
+	maxPool2x2U8 = maxPool2x2U8AVX2
 	kernelISA = "avx2"
 }
 
@@ -94,7 +105,10 @@ func installAVX512() {
 	maxPool2x2Argmax = maxPool2x2ArgmaxAVX512
 	addRows = addRowsAVX512
 	if hasVNNI() {
-		dotU8S8 = dotU8S8VNNI
+		convS8 = convS8VNNI
+		requantF32 = requantF32AVX512
+		requantU8 = requantU8AVX512
+		quantizeU8 = quantizeU8AVX512
 	}
 	kernelISA = "avx512"
 }

@@ -259,134 +259,3 @@ done:
 	VZEROUPPER
 	MOVSS X0, ret+48(FP)
 	RET
-
-// func dotU8S8AVX2(a []int8, b []uint8) int32
-//
-// Σ a[i]*b[i] in exact int32. Sixteen bytes per iteration: sign/zero
-// extend to 16-bit lanes, VPMADDWD pairs them into i32 (products are at
-// most 127·255 = 32385, so the 16-bit intermediate cannot saturate), and
-// accumulate. Integer arithmetic is exact, so lane structure is free.
-TEXT ·dotU8S8AVX2(SB), NOSPLIT, $0-52
-	MOVQ  a_base+0(FP), SI
-	MOVQ  b_base+24(FP), DI
-	MOVQ  a_len+8(FP), CX
-	VPXOR Y0, Y0, Y0
-
-	MOVQ CX, BX
-	SHRQ $4, BX   // 16-byte blocks
-	JZ   reduce
-
-loop16:
-	VPMOVSXBW (SI), Y2
-	VPMOVZXBW (DI), Y3
-	VPMADDWD  Y3, Y2, Y2
-	VPADDD    Y2, Y0, Y0
-	ADDQ      $16, SI
-	ADDQ      $16, DI
-	DECQ      BX
-	JNZ       loop16
-
-reduce:
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD       X1, X0, X0
-	VPSHUFD      $0xEE, X0, X1
-	VPADDD       X1, X0, X0
-	VPSHUFD      $0x55, X0, X1
-	VPADDD       X1, X0, X0
-	VMOVD        X0, AX
-
-	ANDQ $15, CX
-	JZ   done
-
-tail:
-	MOVBLSX (SI), R8
-	MOVBLZX (DI), R9
-	IMULL   R9, R8
-	ADDL    R8, AX
-	INCQ    SI
-	INCQ    DI
-	DECQ    CX
-	JNZ     tail
-
-done:
-	VZEROUPPER
-	MOVL AX, ret+48(FP)
-	RET
-
-// func dotU8S8VNNI(a []int8, b []uint8) int32
-//
-// AVX512-VNNI body: VPDPBUSD multiplies 64 u8·s8 pairs and accumulates
-// into 16 int32 lanes per instruction. Remainders fall to the 16-byte
-// AVX2 widening block, then scalar. Exact integer arithmetic throughout.
-TEXT ·dotU8S8VNNI(SB), NOSPLIT, $0-52
-	MOVQ   a_base+0(FP), SI
-	MOVQ   b_base+24(FP), DI
-	MOVQ   a_len+8(FP), CX
-	VPXORQ Z0, Z0, Z0
-
-	MOVQ CX, BX
-	SHRQ $6, BX   // 64-byte blocks
-	JZ   reduce64
-
-loop64:
-	VMOVDQU32 (DI), Z2
-	VPDPBUSD  (SI), Z2, Z0
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	DECQ      BX
-	JNZ       loop64
-
-reduce64:
-	VEXTRACTI64X4 $1, Z0, Y1
-	VPADDD        Y1, Y0, Y0
-	VEXTRACTI128  $1, Y0, X1
-	VPADDD        X1, X0, X0
-	VPSHUFD       $0xEE, X0, X1
-	VPADDD        X1, X0, X0
-	VPSHUFD       $0x55, X0, X1
-	VPADDD        X1, X0, X0
-	VMOVD         X0, AX
-
-	ANDQ  $63, CX
-	MOVQ  CX, BX
-	SHRQ  $4, BX   // 16-byte AVX2 blocks in the remainder
-	JZ    tail
-	VPXOR Y0, Y0, Y0
-
-loop16:
-	VPMOVSXBW (SI), Y2
-	VPMOVZXBW (DI), Y3
-	VPMADDWD  Y3, Y2, Y2
-	VPADDD    Y2, Y0, Y0
-	ADDQ      $16, SI
-	ADDQ      $16, DI
-	DECQ      BX
-	JNZ       loop16
-
-	VEXTRACTI128 $1, Y0, X1
-	VPADDD       X1, X0, X0
-	VPSHUFD      $0xEE, X0, X1
-	VPADDD       X1, X0, X0
-	VPSHUFD      $0x55, X0, X1
-	VPADDD       X1, X0, X0
-	VMOVD        X0, R8
-	ADDL         R8, AX
-
-tail:
-	ANDQ $15, CX
-	JZ   done
-
-loop1:
-	MOVBLSX (SI), R8
-	MOVBLZX (DI), R9
-	IMULL   R9, R8
-	ADDL    R8, AX
-	INCQ    SI
-	INCQ    DI
-	DECQ    CX
-	JNZ     loop1
-
-done:
-	VZEROUPPER
-	MOVL AX, ret+48(FP)
-	RET

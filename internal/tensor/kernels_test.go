@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -202,32 +201,6 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// TestDotU8S8AcrossISAs checks the integer dot kernel — exact, so every
-// ISA must agree with the scalar loop on every length including extremes
-// that stress the i16 widening (±127 weights against 0/255 activations).
-func TestDotU8S8AcrossISAs(t *testing.T) {
-	rng := NewRNG(17)
-	lengths := []int{0, 1, 15, 16, 17, 27, 63, 64, 65, 144, 1152, 1300}
-	for _, n := range lengths {
-		a := make([]int8, n)
-		b := make([]uint8, n)
-		for i := range a {
-			a[i] = int8(rng.Intn(256) - 128)
-			b[i] = uint8(rng.Intn(256))
-		}
-		if n > 2 {
-			a[0], b[0] = -128, 255
-			a[1], b[1] = 127, 255
-		}
-		want := dotU8S8Generic(a, b)
-		withISAs(t, func(isa string) {
-			if got := dotU8S8(a, b); got != want {
-				t.Fatalf("dotU8S8[%s] = %d, want %d at n=%d", isa, got, want, n)
-			}
-		})
-	}
-}
-
 // TestGemmS8MatchesScalar pins the int8 GEMM against a plain triple loop
 // over random shapes, serial and parallel.
 func TestGemmS8MatchesScalar(t *testing.T) {
@@ -271,46 +244,6 @@ func TestGemmS8MatchesScalar(t *testing.T) {
 	}
 }
 
-// TestIm2colU8 checks the patch-major u8 lowering against the float
-// im2col (which is row-major taps×patches: the transpose), including
-// padding taking the zero-point value.
-func TestIm2colU8(t *testing.T) {
-	rng := NewRNG(31)
-	cases := []struct{ c, h, w, kh, kw, stride, pad int }{
-		{1, 3, 3, 3, 3, 1, 1},
-		{3, 4, 4, 3, 3, 1, 1},
-		{2, 5, 7, 3, 3, 1, 0},
-		{2, 6, 6, 2, 2, 2, 0},
-		{1, 1, 1, 1, 1, 1, 0},
-		{3, 8, 5, 3, 3, 2, 1},
-	}
-	const zp = 128
-	for _, tc := range cases {
-		img8 := make([]uint8, tc.c*tc.h*tc.w)
-		imgF := make([]float32, len(img8))
-		for i := range img8 {
-			img8[i] = uint8(rng.Intn(256))
-			imgF[i] = float32(img8[i]) - zp
-		}
-		oh := ConvOut(tc.h, tc.kh, tc.stride, tc.pad)
-		ow := ConvOut(tc.w, tc.kw, tc.stride, tc.pad)
-		kTaps := tc.c * tc.kh * tc.kw
-		cols := oh * ow
-		got := make([]uint8, cols*kTaps)
-		Im2colU8(img8, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, zp, got)
-		want := make([]float32, kTaps*cols)
-		Im2col(imgF, tc.c, tc.h, tc.w, tc.kh, tc.kw, tc.stride, tc.pad, want)
-		for p := 0; p < kTaps; p++ {
-			for j := 0; j < cols; j++ {
-				g := float32(got[j*kTaps+p]) - zp
-				if g != want[p*cols+j] {
-					t.Fatalf("%+v: tap %d patch %d: got %g want %g", tc, p, j, g, want[p*cols+j])
-				}
-			}
-		}
-	}
-}
-
 // TestGemmWarmNoAlloc keeps the 0-alloc contract on the serial GEMM paths
 // a warmed plan depends on, now that blocking and pack recycling are in
 // the loop.
@@ -342,24 +275,6 @@ func TestGemmWarmNoAlloc(t *testing.T) {
 	s8c := make([]int32, m*n)
 	if allocs := testing.AllocsPerRun(20, func() { GemmS8(m, n, k, s8a, s8b, s8c) }); allocs > 0 {
 		t.Errorf("GemmS8: %v allocs per warmed serial call, want 0", allocs)
-	}
-}
-
-func BenchmarkDotU8S8(b *testing.B) {
-	for _, k := range []int{144, 1152} {
-		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
-			rng := NewRNG(7)
-			x := make([]int8, k)
-			y := make([]uint8, k)
-			for i := range x {
-				x[i] = int8(rng.Intn(256) - 128)
-				y[i] = uint8(rng.Intn(256))
-			}
-			b.SetBytes(int64(2 * k))
-			for i := 0; i < b.N; i++ {
-				_ = dotU8S8(x, y)
-			}
-		})
 	}
 }
 
