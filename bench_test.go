@@ -668,10 +668,8 @@ func servedAccuracyDelta(t *testing.T) float64 {
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 32, Iterations: 60,
 		Solver: opt.NewAdam(2e-3), Seed: 9, Overlap: true, Codec: "fp32",
 	})
-	eval := p.NewReplica()
-	core.InstallWeights(eval, res.FinalWeights)
 	path := filepath.Join(t.TempDir(), "acc.d15w")
-	if err := nn.SaveFile(path, hep.ReplicaParams(eval)); err != nil {
+	if err := nn.SaveFile(path, p.TrainedNet(res.FinalWeights).Params()); err != nil {
 		t.Fatal(err)
 	}
 	cfg := hep.ModelConfig{Name: "bench-acc", ImageSize: 16, Filters: 16, ConvUnits: 3, Classes: 2}
@@ -912,7 +910,7 @@ func measureCkptSide(t *testing.T, p core.Problem, async bool, iters, every int)
 // weightsHash is the shared FNV-1a digest over FinalWeights.
 func weightsHash(weights [][][]float32) uint64 { return ckpt.FingerprintWeights(weights) }
 
-func trainBenchProblem(seed uint64, n int) (*hep.Dataset, core.Problem) {
+func trainBenchProblem(seed uint64, n int) (*hep.Dataset, *hep.TrainingProblem) {
 	cfg := hep.ModelConfig{Name: "bench-train", ImageSize: 16, Filters: 16, ConvUnits: 3, Classes: 2}
 	rng := tensor.NewRNG(seed)
 	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(cfg.ImageSize), n, 0.5, rng)
@@ -982,9 +980,7 @@ func hepValAccuracy(codec string) float64 {
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 32, Iterations: 60,
 		Solver: opt.NewAdam(2e-3), Seed: 9, Overlap: true, Codec: codec,
 	})
-	eval := p.NewReplica()
-	core.InstallWeights(eval, res.FinalWeights)
-	scores := hep.ScoreDataset(eval, val, 64)
+	scores := hep.ScoreDataset(p.TrainedNet(res.FinalWeights), val, 64)
 	return hep.Accuracy(scores, val.Labels)
 }
 
@@ -1460,10 +1456,8 @@ func measureFinetuneBench(t *testing.T) finetuneBenchBlock {
 		Groups: 1, WorkersPerGroup: 1, GroupBatch: 64, Iterations: donorIters,
 		Solver: opt.NewAdamFull(2e-3, 0.9, 0.999, 1e-8), Seed: 42, Prefetch: 1,
 	})
-	drep := dp.NewReplica()
-	core.InstallWeights(drep, dres.FinalWeights)
 	dpath := filepath.Join(t.TempDir(), "donor.d15w")
-	if err := nn.SaveFile(dpath, hep.ReplicaParams(drep)); err != nil {
+	if err := nn.SaveFile(dpath, dp.TrainedNet(dres.FinalWeights).Params()); err != nil {
 		t.Fatal(err)
 	}
 	donor, err := nn.ReadWeightBlobsFile(dpath)
@@ -1493,15 +1487,11 @@ func measureFinetuneBench(t *testing.T) finetuneBenchBlock {
 			t.Fatal(err)
 		}
 		ftRes := core.TrainSync(ftp, trainCfg(budget))
-		ftRep := ftp.NewReplica()
-		core.InstallWeights(ftRep, ftRes.FinalWeights)
-		blk.FinetuneAccuracy = append(blk.FinetuneAccuracy, astro.EvalAccuracy(ftRep, test, 64))
+		blk.FinetuneAccuracy = append(blk.FinetuneAccuracy, astro.EvalAccuracy(ftp.TrainedNet(ftRes.FinalWeights), test, 64))
 
 		scp := astro.NewTrainingProblem(train, model, 43)
 		scRes := core.TrainSync(scp, trainCfg(budget))
-		scRep := scp.NewReplica()
-		core.InstallWeights(scRep, scRes.FinalWeights)
-		blk.ScratchAccuracy = append(blk.ScratchAccuracy, astro.EvalAccuracy(scRep, test, 64))
+		blk.ScratchAccuracy = append(blk.ScratchAccuracy, astro.EvalAccuracy(scp.TrainedNet(scRes.FinalWeights), test, 64))
 	}
 	// Wire cost per update, measured through the hybrid trainer's real
 	// parameter-server exchange (single-worker sync training has no wire).
@@ -1551,10 +1541,8 @@ func measurePseudoBench(t *testing.T) pseudoBenchBlock {
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 32, Iterations: 60,
 		Solver: opt.NewAdam(2e-3), Seed: 9, Overlap: true, Codec: "fp32",
 	}
-	valAcc := func(p core.Problem, res core.Result) float64 {
-		eval := p.NewReplica()
-		core.InstallWeights(eval, res.FinalWeights)
-		return hep.Accuracy(hep.ScoreDataset(eval, val, 64), val.Labels)
+	valAcc := func(p *hep.TrainingProblem, res core.Result) float64 {
+		return hep.Accuracy(hep.ScoreDataset(p.TrainedNet(res.FinalWeights), val, 64), val.Labels)
 	}
 
 	// v1: labeled split only.
@@ -1566,10 +1554,8 @@ func measurePseudoBench(t *testing.T) pseudoBenchBlock {
 	}
 
 	// Serve v1's weights and bulk-score the unlabeled pool.
-	eval := p1.NewReplica()
-	core.InstallWeights(eval, res1.FinalWeights)
 	wpath := filepath.Join(t.TempDir(), "pseudo.d15w")
-	if err := nn.SaveFile(wpath, hep.ReplicaParams(eval)); err != nil {
+	if err := nn.SaveFile(wpath, p1.TrainedNet(res1.FinalWeights).Params()); err != nil {
 		t.Fatal(err)
 	}
 	reg := serve.NewRegistry()

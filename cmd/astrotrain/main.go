@@ -24,52 +24,39 @@ import (
 
 	"deep15pf/internal/astro"
 	"deep15pf/internal/ckpt"
-	"deep15pf/internal/core"
 	"deep15pf/internal/nn"
-	"deep15pf/internal/obs"
 	"deep15pf/internal/opt"
 	"deep15pf/internal/tensor"
+	"deep15pf/internal/traincli"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "astrotrain: "+format+"\n", args...)
-	os.Exit(1)
-}
+func main() { traincli.Main("astrotrain", run) }
 
-func main() {
-	groups := flag.Int("groups", 1, "compute groups (1 = synchronous)")
-	workers := flag.Int("workers", 1, "workers per group")
-	iters := flag.Int("iters", 150, "iterations per group")
-	batch := flag.Int("batch", 64, "samples per group per iteration")
-	trainN := flag.Int("train", 1024, "training cutouts")
-	testN := flag.Int("test", 2048, "test cutouts")
-	size := flag.Int("size", 16, "cutout size (match the donor's -size when fine-tuning)")
-	filters := flag.Int("filters", 8, "conv filters (must match the donor when fine-tuning)")
-	units := flag.Int("units", 3, "conv+pool units (must match the donor when fine-tuning)")
-	lr := flag.Float64("lr", 2e-3, "ADAM learning rate")
-	beta1 := flag.Float64("beta1", 0.9, "ADAM beta1")
-	prefetch := flag.Int("prefetch", 1, "batches of ingest lookahead per worker")
-	initFrom := flag.String("init-from", "", "warm-start the conv backbone from this checkpoint store directory (or a .d15w file)")
-	noFreeze := flag.Bool("no-freeze", false, "with -init-from: leave the transferred backbone trainable instead of freezing it")
-	freezeUnits := flag.Int("freeze-units", -1, "with -init-from: freeze only the first N conv units (-1 = all of them); the rest fine-tune")
-	ckptDir := flag.String("ckpt-dir", "", "checkpoint store directory for this run's own snapshots")
-	ckptEvery := flag.Int("ckpt-every", 10, "snapshot every N iterations (needs -ckpt-dir)")
-	ckptAsync := flag.Bool("ckpt-async", true, "flush snapshots on a background writer")
-	ckptKeep := flag.Int("ckpt-keep", 5, "retain only the newest N versions (0 = keep all)")
-	resume := flag.Bool("resume", false, "resume from the newest snapshot in -ckpt-dir")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline to this file")
-	kernels := flag.String("kernels", "auto", "compute kernel ISA: auto|scalar|avx2|avx512")
-	seed := flag.Uint64("seed", 42, "seed")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("astrotrain", flag.ExitOnError)
+	tc := traincli.Flags(fs, "astrotrain", 64)
+	trainN := fs.Int("train", 1024, "training cutouts")
+	testN := fs.Int("test", 2048, "test cutouts")
+	size := fs.Int("size", 16, "cutout size (match the donor's -size when fine-tuning)")
+	filters := fs.Int("filters", 8, "conv filters (must match the donor when fine-tuning)")
+	units := fs.Int("units", 3, "conv+pool units (must match the donor when fine-tuning)")
+	lr := fs.Float64("lr", 2e-3, "ADAM learning rate")
+	beta1 := fs.Float64("beta1", 0.9, "ADAM beta1")
+	initFrom := fs.String("init-from", "", "warm-start the conv backbone from this checkpoint store directory (or a .d15w file)")
+	noFreeze := fs.Bool("no-freeze", false, "with -init-from: leave the transferred backbone trainable instead of freezing it")
+	freezeUnits := fs.Int("freeze-units", -1, "with -init-from: freeze only the first N conv units (-1 = all of them); the rest fine-tune")
+	fs.Parse(args)
 
-	if err := tensor.SetKernels(*kernels); err != nil {
-		fatalf("%v", err)
-	}
 	if *noFreeze && *initFrom == "" {
-		fatalf("-no-freeze needs -init-from")
+		return fmt.Errorf("-no-freeze needs -init-from")
 	}
+	stop, err := tc.Start()
+	if err != nil {
+		return err
+	}
+	defer stop()
 
-	rng := tensor.NewRNG(*seed)
+	rng := tensor.NewRNG(tc.Seed)
 	r := astro.NewRenderer(*size)
 	gen := astro.DefaultGenConfig()
 	fmt.Printf("generating %d train + %d test cutouts (%dx%dx3 bands, 3 morphology classes)...\n",
@@ -79,19 +66,23 @@ func main() {
 
 	model := astro.ModelConfig{Name: "astrotrain", ImageSize: *size, Filters: *filters, ConvUnits: *units, Classes: astro.NumClasses}
 
-	var problem *astro.TrainingProblem
+	problem := astro.NewTrainingProblem(train, model, tc.Seed+1)
+	var freeze []string
 	if *initFrom != "" {
-		donor, source := readDonor(*initFrom)
-		freeze := astro.BackboneLayerNames(*units)
+		donor, source, err := readDonor(*initFrom)
+		if err != nil {
+			return fmt.Errorf("-init-from: %w", err)
+		}
+		freeze = astro.BackboneLayerNames(*units)
 		if *freezeUnits >= 0 && *freezeUnits < len(freeze) {
 			freeze = freeze[:*freezeUnits]
 		}
 		if *noFreeze {
 			freeze = nil
 		}
-		p, mapped, err := astro.NewTransferProblem(train, model, *seed+1, donor, freeze)
+		p, mapped, err := astro.NewTransferProblem(train, model, tc.Seed+1, donor, freeze)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		problem = p
 		fmt.Printf("transfer from %s: %d tensors mapped (%s)\n",
@@ -108,76 +99,20 @@ func main() {
 		} else {
 			fmt.Println("  backbone left trainable (-no-freeze): warm start only")
 		}
-	} else {
-		problem = astro.NewTrainingProblem(train, model, *seed+1)
 	}
 
-	cfg := core.Config{
-		Groups: *groups, WorkersPerGroup: *workers, GroupBatch: *batch,
-		Iterations: *iters,
-		Solver:     opt.NewAdamFull(*lr, *beta1, 0.999, 1e-8),
-		Seed:       *seed,
-		Prefetch:   *prefetch,
+	res, err := tc.Train(problem, "astro", opt.NewAdamFull(*lr, *beta1, 0.999, 1e-8))
+	if err != nil {
+		return err
 	}
-	if *traceOut != "" {
-		cfg.Trace = obs.NewTracer(0)
+	if res.Wire.Pushes > 0 && len(freeze) > 0 {
+		fmt.Println("(the wire line above is the head's traffic only: frozen layers exchanged zero gradient bytes)")
 	}
-	if *ckptDir != "" {
-		cfg.Checkpoint = core.CheckpointConfig{
-			Dir: *ckptDir, Every: *ckptEvery, Async: *ckptAsync, Keep: *ckptKeep,
-			Arch: "astrotrain", Problem: "astro", SamplesPerEpoch: *trainN, Resume: *resume,
-		}
-	} else if *resume {
-		fatalf("-resume needs -ckpt-dir")
-	}
-
-	var res core.Result
-	if *groups == 1 {
-		fmt.Printf("training synchronously: %d workers, batch %d, %d iterations\n", *workers, *batch, *iters)
-		res = core.TrainSync(problem, cfg)
-	} else {
-		fmt.Printf("training hybrid: %d groups x %d workers, batch %d/group, %d iterations/group\n",
-			*groups, *workers, *batch, *iters)
-		res = core.TrainHybrid(problem, cfg)
-	}
-
-	every := len(res.Stats) / 10
-	if every < 1 {
-		every = 1
-	}
-	for i, s := range res.Stats {
-		if i%every == 0 || i == len(res.Stats)-1 {
-			fmt.Printf("  update %4d  group %d  loss %.4f  staleness %.1f\n", s.Seq, s.Group, s.Loss, s.Staleness)
-		}
-	}
-	fmt.Printf("final loss %.4f, mean staleness %.2f\n", res.FinalLoss, res.MeanStaleness)
-	if w := res.Wire; w.Pushes > 0 {
-		fmt.Printf("wire: %d pushes, %.2f MiB gradients, %.2f MiB weights",
-			w.Pushes, float64(w.GradBytes)/(1<<20), float64(w.WeightBytes)/(1<<20))
-		if *initFrom != "" && !*noFreeze && *freezeUnits != 0 {
-			fmt.Print("  (frozen layers exchanged zero gradient bytes)")
-		}
-		fmt.Println()
-	}
-	if ck := res.Ckpt; ck.Snapshots > 0 {
-		fmt.Printf("ckpt: %d snapshots (latest v%d), %.1f ms exposed to compute\n",
-			ck.Snapshots, ck.LastVersion, ck.ExposedSeconds*1e3)
-	}
-	fmt.Printf("final weight fingerprint %016x\n", ckpt.FingerprintWeights(res.FinalWeights))
-	if cfg.Trace != nil {
-		if err := cfg.Trace.WriteTraceFile(*traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "astrotrain: trace:", err)
-		} else {
-			fmt.Printf("trace written to %s\n", *traceOut)
-		}
-	}
-	fmt.Println()
 
 	// Science evaluation: overall and per-class accuracy on held-out cutouts.
-	rep := problem.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
+	net := problem.TrainedNet(res.FinalWeights)
 	start := time.Now()
-	pred := astro.PredictDataset(rep, test, 64)
+	pred := astro.PredictDataset(net, test, 64)
 	var hits int
 	var perClass, perClassN [astro.NumClasses]int
 	for i, p := range pred {
@@ -197,38 +132,36 @@ func main() {
 		}
 		fmt.Printf("  %-10s %5.1f%%  (%d cutouts)\n", astro.ClassNames[c], frac, perClassN[c])
 	}
+	return nil
 }
 
 // readDonor loads the warm-start weight blobs from a checkpoint store
 // directory (its newest version, with workload sanity from the manifest) or
 // from a bare .d15w file, returning the blobs and a human-readable source
 // description.
-func readDonor(path string) ([]nn.WeightBlob, string) {
+func readDonor(path string) ([]nn.WeightBlob, string, error) {
 	st, err := os.Stat(path)
 	if err != nil {
-		fatalf("-init-from: %v", err)
+		return nil, "", err
 	}
 	if !st.IsDir() {
 		blobs, err := nn.ReadWeightBlobsFile(path)
-		if err != nil {
-			fatalf("-init-from %s: %v", path, err)
-		}
-		return blobs, path
+		return blobs, path, err
 	}
 	store, err := ckpt.Open(path)
 	if err != nil {
-		fatalf("-init-from: %v", err)
+		return nil, "", err
 	}
 	m, ok, err := store.Latest()
 	if err != nil {
-		fatalf("-init-from: %v", err)
+		return nil, "", err
 	}
 	if !ok {
-		fatalf("-init-from: checkpoint store %s holds no complete version", path)
+		return nil, "", fmt.Errorf("checkpoint store %s holds no complete version", path)
 	}
 	blobs, err := nn.ReadWeightBlobsFile(store.WeightsPath(m.Version))
 	if err != nil {
-		fatalf("-init-from %s v%d: %v", path, m.Version, err)
+		return nil, "", fmt.Errorf("%s v%d: %w", path, m.Version, err)
 	}
 	desc := fmt.Sprintf("%s v%d (step %d", path, m.Version, m.Step)
 	if m.Arch != "" {
@@ -237,5 +170,5 @@ func readDonor(path string) ([]nn.WeightBlob, string) {
 	if m.Problem != "" {
 		desc += ", problem " + m.Problem
 	}
-	return blobs, desc + ")"
+	return blobs, desc + ")", nil
 }

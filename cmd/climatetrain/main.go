@@ -10,142 +10,61 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"time"
 
-	"deep15pf/internal/ckpt"
 	"deep15pf/internal/climate"
-	"deep15pf/internal/core"
-	"deep15pf/internal/obs"
 	"deep15pf/internal/opt"
 	"deep15pf/internal/tensor"
+	"deep15pf/internal/traincli"
 )
 
-func main() {
-	groups := flag.Int("groups", 1, "compute groups (1 = synchronous)")
-	workers := flag.Int("workers", 1, "workers per group")
-	iters := flag.Int("iters", 150, "iterations per group")
-	batch := flag.Int("batch", 8, "samples per group per iteration")
-	trainN := flag.Int("train", 96, "training snapshots")
-	testN := flag.Int("test", 24, "test snapshots")
-	size := flag.Int("size", 64, "field size (paper uses 768; must divide by 16)")
-	labeled := flag.Float64("labeled", 1.0, "labeled fraction (rest train the autoencoder only)")
-	lr := flag.Float64("lr", 1.5e-3, "learning rate")
-	conf := flag.Float64("conf", 0.8, "inference confidence threshold (paper uses 0.8)")
-	prefetch := flag.Int("prefetch", 1, "batches of ingest lookahead per worker (0 = legacy blocking staging)")
-	ckptDir := flag.String("ckpt-dir", "", "checkpoint store directory (versioned snapshots; enables -ckpt-every/-resume)")
-	ckptEvery := flag.Int("ckpt-every", 10, "snapshot every N iterations (the paper's 1-in-10 climate cadence; needs -ckpt-dir)")
-	ckptAsync := flag.Bool("ckpt-async", true, "flush snapshots on a background writer (staging only on the critical path)")
-	ckptKeep := flag.Int("ckpt-keep", 5, "retain only the newest N versions (0 = keep all)")
-	resume := flag.Bool("resume", false, "resume from the newest snapshot in -ckpt-dir (bit-exact; empty store = fresh start)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline (per-worker phase lanes) to this file")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
-	metricsEvery := flag.Int("metrics-every", 0, "print a one-line metrics dump every N seconds (0 = off)")
-	seed := flag.Uint64("seed", 42, "seed")
-	flag.Parse()
+func main() { traincli.Main("climatetrain", run) }
 
-	start := time.Now()
-	reg := obs.NewRegistry()
-	if *debugAddr != "" {
-		dbg, err := obs.StartDebugServer(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "climatetrain:", err)
-			os.Exit(1)
-		}
-		defer dbg.Close()
-		fmt.Printf("debug server on http://%s/debug/pprof (metrics at /metrics)\n", dbg.Addr())
+func run(args []string) error {
+	fs := flag.NewFlagSet("climatetrain", flag.ExitOnError)
+	tc := traincli.Flags(fs, "climatetrain", 8)
+	trainN := fs.Int("train", 96, "training snapshots")
+	testN := fs.Int("test", 24, "test snapshots")
+	size := fs.Int("size", 64, "field size (paper uses 768; must divide by 16)")
+	labeled := fs.Float64("labeled", 1.0, "labeled fraction (rest train the autoencoder only)")
+	lr := fs.Float64("lr", 1.5e-3, "learning rate")
+	conf := fs.Float64("conf", 0.8, "inference confidence threshold (paper uses 0.8)")
+	fs.Parse(args)
+
+	stop, err := tc.Start()
+	if err != nil {
+		return err
 	}
-	stopDump := obs.Periodic(time.Duration(*metricsEvery)*time.Second, func() {
-		fmt.Println("metrics:", obs.MetricsLine(start, reg))
-	})
-	defer stopDump()
+	defer stop()
 
-	rng := tensor.NewRNG(*seed)
+	rng := tensor.NewRNG(tc.Seed)
 	gen := climate.DefaultGenConfig(*size)
-	fmt.Printf("generating %d train + %d test snapshots (%dx%dx16)...\n", *trainN, *testN, *size, *size)
+	fmt.Printf("generating %d train + %d test snapshots (%dx%dx16), %.0f%% labeled...\n",
+		*trainN, *testN, *size, *size, 100**labeled)
 	train := climate.GenerateDataset(gen, *trainN, rng)
 	test := climate.GenerateDataset(gen, *testN, rng)
 
 	model := climate.SmallConfig()
 	model.Size = *size
-	problem := climate.NewTrainingProblem(train, model, *seed+1)
+	problem := climate.NewTrainingProblem(train, model, tc.Seed+1)
 	problem.LabeledFrac = *labeled
-
-	cfg := core.Config{
-		Groups: *groups, WorkersPerGroup: *workers, GroupBatch: *batch,
-		Iterations: *iters,
-		Solver:     opt.NewAdam(*lr),
-		Seed:       *seed,
-		Prefetch:   *prefetch,
-	}
-	if *traceOut != "" {
-		cfg.Trace = obs.NewTracer(0)
-	}
-	if *ckptDir != "" {
-		cfg.Checkpoint = core.CheckpointConfig{
-			Dir: *ckptDir, Every: *ckptEvery, Async: *ckptAsync, Keep: *ckptKeep,
-			Arch: "climatetrain", Problem: "climate", SamplesPerEpoch: *trainN, Resume: *resume,
-		}
-	} else if *resume {
-		fmt.Fprintln(os.Stderr, "climatetrain: -resume needs -ckpt-dir")
-		os.Exit(2)
-	}
-	var res core.Result
-	if *groups == 1 {
-		fmt.Printf("training synchronously: %d workers, batch %d, %d iterations, %.0f%% labeled\n",
-			*workers, *batch, *iters, 100**labeled)
-		res = core.TrainSync(problem, cfg)
-	} else {
-		fmt.Printf("training hybrid: %d groups x %d workers\n", *groups, *workers)
-		res = core.TrainHybrid(problem, cfg)
-	}
-	every := len(res.Stats) / 10
-	if every < 1 {
-		every = 1
-	}
-	for i, s := range res.Stats {
-		if i%every == 0 || i == len(res.Stats)-1 {
-			fmt.Printf("  update %4d  group %d  loss %.4f\n", s.Seq, s.Group, s.Loss)
-		}
-	}
-	if ing := res.Ingest; ing.Batches > 0 {
-		fmt.Printf("ingest: %d batches staged in %.1f ms, %.1f ms exposed to compute (%.0f%% overlapped, prefetch=%d)\n",
-			ing.Batches, ing.StageSeconds*1e3, ing.WaitSeconds*1e3, 100*ing.Overlap(), *prefetch)
-	}
-	if ck := res.Ckpt; ck.Snapshots > 0 {
-		fmt.Printf("ckpt: %d snapshots (latest v%d) — staged %.1f ms, written %.1f ms, %.1f ms exposed to compute (%.0f%% hidden)\n",
-			ck.Snapshots, ck.LastVersion, ck.StageSeconds*1e3, ck.WriteSeconds*1e3, ck.ExposedSeconds*1e3, 100*ck.Overlap())
-	}
-	fmt.Printf("final weight fingerprint %016x\n", ckpt.FingerprintWeights(res.FinalWeights))
-	res.PublishMetrics(reg)
-	if *metricsEvery > 0 {
-		fmt.Println("metrics:", obs.MetricsLine(start, reg))
-	}
-	if cfg.Trace != nil {
-		lanes := cfg.Trace.Snapshot()
-		if err := cfg.Trace.WriteTraceFile(*traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "climatetrain: trace:", err)
-		} else {
-			fmt.Printf("trace: %d lanes written to %s (open in chrome://tracing or ui.perfetto.dev)\n",
-				len(lanes), *traceOut)
-		}
-		fmt.Print(obs.Stragglers(lanes))
+	res, err := tc.Train(problem, "climate", opt.NewAdam(*lr))
+	if err != nil {
+		return err
 	}
 
 	// Evaluate the trained model.
-	rep := problem.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
-	net := problem.Net(rep)
+	net := problem.TrainedNet(res.FinalWeights)
 	var agg climate.MatchResult
 	for i, s := range test.Samples {
 		x, _ := test.Batch([]int{i})
 		dets := net.Detect(x, *conf, 0.4)[0]
 		agg = agg.Add(climate.Match(dets, s.Boxes, 0.35))
 	}
-	fmt.Printf("\ndetection at confidence > %.1f: precision %.2f, recall %.2f, mean IoU %.2f (TP %d FP %d FN %d)\n",
+	fmt.Printf("detection at confidence > %.1f: precision %.2f, recall %.2f, mean IoU %.2f (TP %d FP %d FN %d)\n",
 		*conf, agg.Precision(), agg.Recall(), agg.MeanIoU,
 		agg.TruePositives, agg.FalsePositives, agg.FalseNegatives)
 	x, _ := test.Batch([]int{0})
 	fmt.Println("\nFig 9 analogue (first test snapshot):")
 	fmt.Println(climate.RenderASCII(test.Samples[0], net.Detect(x, *conf, 0.4)[0], 72))
+	return nil
 }

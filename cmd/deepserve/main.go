@@ -362,9 +362,8 @@ func trainDemo(cfg hep.ModelConfig, events, iters int, lr float64, seed uint64) 
 	})
 	fmt.Printf("trained: loss %.4f -> %.4f\n", res.Stats[0].Loss, res.FinalLoss)
 
-	rep := problem.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
-	scores := hep.ScoreDataset(rep, test, 64)
+	net := problem.TrainedNet(res.FinalWeights)
+	scores := hep.ScoreDataset(net, test, 64)
 	correct := 0
 	for i, s := range scores {
 		if (s > 0.5) == (test.Labels[i] == 1) {
@@ -374,7 +373,7 @@ func trainDemo(cfg hep.ModelConfig, events, iters int, lr float64, seed uint64) 
 	fmt.Printf("held-out accuracy: %.1f%% over %d events\n", 100*float64(correct)/float64(len(scores)), len(scores))
 
 	path := filepath.Join(os.TempDir(), "deepserve-demo.d15w")
-	if err := nn.SaveFile(path, hep.ReplicaParams(rep)); err != nil {
+	if err := nn.SaveFile(path, net.Params()); err != nil {
 		fatalf("checkpoint: %v", err)
 	}
 	fmt.Printf("checkpointed to %s\n\n", path)

@@ -208,12 +208,11 @@ func finetuneAstroDemo(cfg astro.ModelConfig, donorPath string, iters int, seed 
 		Groups: 1, WorkersPerGroup: 1, GroupBatch: 32, Iterations: iters,
 		Solver: opt.NewAdamFull(1e-2, 0.9, 0.999, 1e-8), Seed: seed,
 	})
-	rep := problem.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
+	net := problem.TrainedNet(res.FinalWeights)
 	fmt.Printf("fine-tuned: loss %.4f, train accuracy %.1f%% (frozen layers exchanged zero gradient bytes)\n",
-		res.FinalLoss, 100*astro.EvalAccuracy(rep, train, 32))
+		res.FinalLoss, 100*astro.EvalAccuracy(net, train, 32))
 	path := filepath.Join(os.TempDir(), "deepserve-zoo-astro.d15w")
-	if err := nn.SaveFile(path, astro.ReplicaParams(rep)); err != nil {
+	if err := nn.SaveFile(path, net.Params()); err != nil {
 		fatalf("zoo: checkpoint astro: %v", err)
 	}
 	return path
@@ -231,10 +230,8 @@ func trainClimateDemo(cfg climate.ModelConfig, seed uint64) string {
 		Groups: 1, WorkersPerGroup: 1, GroupBatch: 8, Iterations: 6,
 		Solver: opt.NewAdam(1e-3), Seed: seed,
 	})
-	rep := problem.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
 	path := filepath.Join(os.TempDir(), "deepserve-zoo-climate.d15w")
-	if err := nn.SaveFile(path, problem.Net(rep).Params()); err != nil {
+	if err := nn.SaveFile(path, problem.TrainedNet(res.FinalWeights).Params()); err != nil {
 		fatalf("zoo: checkpoint climate: %v", err)
 	}
 	return path

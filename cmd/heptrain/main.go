@@ -13,68 +13,39 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
-	"deep15pf/internal/ckpt"
-	"deep15pf/internal/core"
 	"deep15pf/internal/hep"
-	"deep15pf/internal/obs"
 	"deep15pf/internal/opt"
 	"deep15pf/internal/tensor"
+	"deep15pf/internal/traincli"
 )
 
-func main() {
-	groups := flag.Int("groups", 1, "compute groups (1 = synchronous)")
-	workers := flag.Int("workers", 1, "workers per group")
-	iters := flag.Int("iters", 150, "iterations per group")
-	batch := flag.Int("batch", 64, "samples per group per iteration")
-	trainN := flag.Int("train", 1024, "training events")
-	testN := flag.Int("test", 2048, "test events")
-	size := flag.Int("size", 16, "image size (paper uses 224; small sizes train on a laptop)")
-	filters := flag.Int("filters", 8, "conv filters (paper uses 128)")
-	units := flag.Int("units", 3, "conv+pool units (paper uses 5)")
-	lr := flag.Float64("lr", 2e-3, "ADAM learning rate")
-	beta1 := flag.Float64("beta1", 0.9, "ADAM beta1 (tune down for many groups, §VI-B4)")
-	prefetch := flag.Int("prefetch", 1, "batches of ingest lookahead per worker (0 = legacy blocking staging)")
-	ckptDir := flag.String("ckpt-dir", "", "checkpoint store directory (versioned snapshots; enables -ckpt-every/-resume)")
-	ckptEvery := flag.Int("ckpt-every", 10, "snapshot every N iterations (paper's climate cadence is 10; needs -ckpt-dir)")
-	ckptAsync := flag.Bool("ckpt-async", true, "flush snapshots on a background writer (staging only on the critical path)")
-	ckptKeep := flag.Int("ckpt-keep", 5, "retain only the newest N versions (0 = keep all)")
-	resume := flag.Bool("resume", false, "resume from the newest snapshot in -ckpt-dir (bit-exact; empty store = fresh start)")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline (per-worker phase lanes) to this file")
-	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
-	metricsEvery := flag.Int("metrics-every", 0, "print a one-line metrics dump every N seconds (0 = off)")
-	kernels := flag.String("kernels", "auto", "compute kernel ISA: auto|scalar|avx2|avx512 (results are bitwise identical across choices)")
-	unlabeledDir := flag.String("unlabeled-dir", "", "directory of pseudo-labeled shards (from labelfactory) to append to the training set")
-	pseudoWeight := flag.Float64("pseudo-weight", 0.5, "loss weight for pseudo-labeled samples (human labels stay at 1)")
-	emitUnlabeled := flag.String("emit-unlabeled", "", "write the held-out -unlabeled-frac of training events to this directory as unlabeled shards, then train on the rest")
-	unlabeledFrac := flag.Float64("unlabeled-frac", 0, "fraction of training events to hold out as the unlabeled pool (with or without -emit-unlabeled)")
-	unlabeledShards := flag.Int("unlabeled-shards", 4, "shard count for -emit-unlabeled")
-	seed := flag.Uint64("seed", 42, "seed")
-	flag.Parse()
+func main() { traincli.Main("heptrain", run) }
 
-	if err := tensor.SetKernels(*kernels); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+func run(args []string) error {
+	fs := flag.NewFlagSet("heptrain", flag.ExitOnError)
+	tc := traincli.Flags(fs, "heptrain", 64)
+	trainN := fs.Int("train", 1024, "training events")
+	testN := fs.Int("test", 2048, "test events")
+	size := fs.Int("size", 16, "image size (paper uses 224; small sizes train on a laptop)")
+	filters := fs.Int("filters", 8, "conv filters (paper uses 128)")
+	units := fs.Int("units", 3, "conv+pool units (paper uses 5)")
+	lr := fs.Float64("lr", 2e-3, "ADAM learning rate")
+	beta1 := fs.Float64("beta1", 0.9, "ADAM beta1 (tune down for many groups, §VI-B4)")
+	unlabeledDir := fs.String("unlabeled-dir", "", "directory of pseudo-labeled shards (from labelfactory) to append to the training set")
+	pseudoWeight := fs.Float64("pseudo-weight", 0.5, "loss weight for pseudo-labeled samples (human labels stay at 1)")
+	emitUnlabeled := fs.String("emit-unlabeled", "", "write the held-out -unlabeled-frac of training events to this directory as unlabeled shards, then train on the rest")
+	unlabeledFrac := fs.Float64("unlabeled-frac", 0, "fraction of training events to hold out as the unlabeled pool (with or without -emit-unlabeled)")
+	unlabeledShards := fs.Int("unlabeled-shards", 4, "shard count for -emit-unlabeled")
+	fs.Parse(args)
+
+	stop, err := tc.Start()
+	if err != nil {
+		return err
 	}
+	defer stop()
 
-	start := time.Now()
-	reg := obs.NewRegistry()
-	if *debugAddr != "" {
-		dbg, err := obs.StartDebugServer(*debugAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "heptrain:", err)
-			os.Exit(1)
-		}
-		defer dbg.Close()
-		fmt.Printf("debug server on http://%s/debug/pprof (metrics at /metrics)\n", dbg.Addr())
-	}
-	stopDump := obs.Periodic(time.Duration(*metricsEvery)*time.Second, func() {
-		fmt.Println("metrics:", obs.MetricsLine(start, reg))
-	})
-	defer stopDump()
-
-	rng := tensor.NewRNG(*seed)
+	rng := tensor.NewRNG(tc.Seed)
 	gen := hep.DefaultGenConfig()
 	r := hep.NewRenderer(*size)
 	fmt.Printf("generating %d train + %d test events (%dx%dx3 images)...\n", *trainN, *testN, *size, *size)
@@ -88,14 +59,12 @@ func main() {
 	// -seed/-train/-size/-unlabeled-frac regenerates the identical split
 	// and pseudo shards scored in between line up sample-for-sample.
 	if *unlabeledFrac < 0 || *unlabeledFrac >= 1 {
-		fmt.Fprintln(os.Stderr, "heptrain: -unlabeled-frac must be in [0,1)")
-		os.Exit(2)
+		return traincli.Usagef("-unlabeled-frac must be in [0,1)")
 	}
 	if *unlabeledFrac > 0 {
 		cut := *trainN - int(float64(*trainN)**unlabeledFrac)
 		if cut < 1 {
-			fmt.Fprintln(os.Stderr, "heptrain: -unlabeled-frac leaves no labeled events")
-			os.Exit(2)
+			return traincli.Usagef("-unlabeled-frac leaves no labeled events")
 		}
 		pool := subsetDataset(train, cut, *trainN)
 		train = subsetDataset(train, 0, cut)
@@ -103,14 +72,12 @@ func main() {
 		if *emitUnlabeled != "" {
 			paths, err := pool.SaveShards(*emitUnlabeled, *unlabeledShards)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "heptrain: emit-unlabeled:", err)
-				os.Exit(1)
+				return fmt.Errorf("emit-unlabeled: %w", err)
 			}
 			fmt.Printf("unlabeled pool written to %d shards under %s\n", len(paths), *emitUnlabeled)
 		}
 	} else if *emitUnlabeled != "" {
-		fmt.Fprintln(os.Stderr, "heptrain: -emit-unlabeled needs -unlabeled-frac > 0")
-		os.Exit(2)
+		return traincli.Usagef("-emit-unlabeled needs -unlabeled-frac > 0")
 	}
 	var sampleWeights []float32
 	if *unlabeledDir != "" {
@@ -123,8 +90,7 @@ func main() {
 			pseudo, err = hep.LoadShardDataset(paths...)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "heptrain: unlabeled-dir:", err)
-			os.Exit(1)
+			return fmt.Errorf("unlabeled-dir: %w", err)
 		}
 		human := len(train.Labels)
 		train = train.Append(pseudo)
@@ -141,86 +107,21 @@ func main() {
 	}
 
 	model := hep.ModelConfig{Name: "heptrain", ImageSize: *size, Filters: *filters, ConvUnits: *units, Classes: 2}
-	problem := hep.NewTrainingProblem(train, model, *seed+1)
+	problem := hep.NewTrainingProblem(train, model, tc.Seed+1)
 	problem.SampleWeights = sampleWeights
-	cfg := core.Config{
-		Groups: *groups, WorkersPerGroup: *workers, GroupBatch: *batch,
-		Iterations: *iters,
-		Solver:     opt.NewAdamFull(*lr, *beta1, 0.999, 1e-8),
-		Seed:       *seed,
-		Prefetch:   *prefetch,
+	res, err := tc.Train(problem, "hep", opt.NewAdamFull(*lr, *beta1, 0.999, 1e-8))
+	if err != nil {
+		return err
 	}
-	if *traceOut != "" {
-		cfg.Trace = obs.NewTracer(0)
-	}
-	if *ckptDir != "" {
-		cfg.Checkpoint = core.CheckpointConfig{
-			Dir: *ckptDir, Every: *ckptEvery, Async: *ckptAsync, Keep: *ckptKeep,
-			Arch: "heptrain", Problem: "hep", SamplesPerEpoch: *trainN, Resume: *resume,
-		}
-	} else if *resume {
-		fmt.Fprintln(os.Stderr, "heptrain: -resume needs -ckpt-dir")
-		os.Exit(2)
-	}
-
-	var res core.Result
-	if *groups == 1 {
-		fmt.Printf("training synchronously: %d workers, batch %d, %d iterations\n", *workers, *batch, *iters)
-		res = core.TrainSync(problem, cfg)
-	} else {
-		fmt.Printf("training hybrid: %d groups x %d workers, batch %d/group, %d iterations/group\n",
-			*groups, *workers, *batch, *iters)
-		fmt.Printf("(implicit momentum from asynchrony ≈ %.2f; consider -beta1 %.2f)\n",
-			opt.ImplicitMomentum(*groups), opt.TuneMomentum(0.9, *groups))
-		res = core.TrainHybrid(problem, cfg)
-	}
-
-	every := len(res.Stats) / 10
-	if every < 1 {
-		every = 1
-	}
-	for i, s := range res.Stats {
-		if i%every == 0 || i == len(res.Stats)-1 {
-			fmt.Printf("  update %4d  group %d  loss %.4f  staleness %.1f\n", s.Seq, s.Group, s.Loss, s.Staleness)
-		}
-	}
-	fmt.Printf("final loss %.4f, mean staleness %.2f\n", res.FinalLoss, res.MeanStaleness)
-	if ing := res.Ingest; ing.Batches > 0 {
-		fmt.Printf("ingest: %d batches staged in %.1f ms, %.1f ms exposed to compute (%.0f%% overlapped, prefetch=%d)\n",
-			ing.Batches, ing.StageSeconds*1e3, ing.WaitSeconds*1e3, 100*ing.Overlap(), *prefetch)
-	}
-	if ck := res.Ckpt; ck.Snapshots > 0 {
-		fmt.Printf("ckpt: %d snapshots (latest v%d) — staged %.1f ms, written %.1f ms, %.1f ms exposed to compute (%.0f%% hidden)\n",
-			ck.Snapshots, ck.LastVersion, ck.StageSeconds*1e3, ck.WriteSeconds*1e3, ck.ExposedSeconds*1e3, 100*ck.Overlap())
-	}
-	// The fingerprint is FNV-1a over the final weights, comparable across
-	// processes and with store manifests — the CI resume smoke diffs it.
-	fmt.Printf("final weight fingerprint %016x\n", ckpt.FingerprintWeights(res.FinalWeights))
-	res.PublishMetrics(reg)
-	if *metricsEvery > 0 {
-		fmt.Println("metrics:", obs.MetricsLine(start, reg))
-	}
-	if cfg.Trace != nil {
-		lanes := cfg.Trace.Snapshot()
-		if err := cfg.Trace.WriteTraceFile(*traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "heptrain: trace:", err)
-		} else {
-			fmt.Printf("trace: %d lanes written to %s (open in chrome://tracing or ui.perfetto.dev)\n",
-				len(lanes), *traceOut)
-		}
-		fmt.Print(obs.Stragglers(lanes))
-	}
-	fmt.Println()
 
 	// Science evaluation of the trained model against the cut baseline.
-	scoreRep := problem.NewReplica()
-	core.InstallWeights(scoreRep, res.FinalWeights)
-	scores := hep.ScoreDataset(scoreRep, test, 64)
+	scores := hep.ScoreDataset(problem.TrainedNet(res.FinalWeights), test, 64)
 	sci := hep.CompareToBaseline(hep.DefaultBaseline(), test.Events, scores, test.Labels)
 	fmt.Println("science result (§VII-A):", sci)
 	if sci.Improvement < 1 {
 		fmt.Fprintln(os.Stderr, "warning: CNN did not beat the baseline at this scale; increase -iters/-train")
 	}
+	return nil
 }
 
 // subsetDataset copies events [lo, hi) of ds into a standalone dataset,

@@ -39,9 +39,7 @@ func main() {
 	})
 	fmt.Printf("trained %d iterations (50%% labeled), final loss %.3f\n", len(res.Stats), res.FinalLoss)
 
-	rep := problem.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
-	net := problem.Net(rep)
+	net := problem.TrainedNet(res.FinalWeights)
 
 	var agg climate.MatchResult
 	for i, s := range test.Samples {

@@ -35,9 +35,7 @@ func main() {
 	})
 	fmt.Printf("trained %d iterations, final loss %.4f\n", len(res.Stats), res.FinalLoss)
 
-	rep := problem.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
-	scores := hep.ScoreDataset(rep, test, 64)
+	scores := hep.ScoreDataset(problem.TrainedNet(res.FinalWeights), test, 64)
 	sci := hep.CompareToBaseline(cuts, test.Events, scores, test.Labels)
 	fmt.Println("comparison:", sci)
 	fmt.Println("(paper: baseline 42% @ 0.02% FPR; CNN 72% — a 1.7x improvement)")

@@ -33,10 +33,8 @@ func main() {
 		Groups: 1, WorkersPerGroup: 1, GroupBatch: 32, Iterations: 30,
 		Solver: opt.NewAdam(2e-3), Seed: 1,
 	})
-	rep := problem.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
 	path := filepath.Join(os.TempDir(), "serving-example.d15w")
-	if err := nn.SaveFile(path, hep.ReplicaParams(rep)); err != nil {
+	if err := nn.SaveFile(path, problem.TrainedNet(res.FinalWeights).Params()); err != nil {
 		panic(err)
 	}
 	fmt.Printf("trained to loss %.4f, checkpointed to %s\n", res.FinalLoss, path)

@@ -57,12 +57,12 @@ func TestHEPBackboneMapsIntoAstro(t *testing.T) {
 		t.Fatalf("extra %v, want the fresh astro head", res.Extra)
 	}
 
-	// The replica actually carries the donor weights, frozen.
-	rep := p.NewReplica()
-	net := ReplicaNet(rep)
-	if got := len(net.TrainableLayers()); got != 1 {
+	// Replicas and the problem's net actually carry the donor weights,
+	// frozen.
+	if got := len(p.NewReplica().TrainableLayers()); got != 1 {
 		t.Fatalf("frozen replica has %d trainable layers, want 1 (the head)", got)
 	}
+	net := p.buildNet()
 	donor := hepDonorBlobs(t)
 	for _, prm := range net.Params() {
 		for _, b := range donor {
@@ -118,11 +118,10 @@ func TestFrozenRunBitwiseReproducible(t *testing.T) {
 		c.Solver = opt.NewSGD(0.05, 0.9)
 		c.Prefetch = prefetch
 		res := core.TrainSync(p, c)
-		// Full-model weights via a fresh replica + InstallWeights.
-		rep := p.NewReplica()
-		core.InstallWeights(rep, res.FinalWeights)
+		// Full-model weights: the head from the run, the backbone from
+		// the donor.
 		var full []float32
-		for _, prm := range ReplicaParams(rep) {
+		for _, prm := range p.TrainedNet(res.FinalWeights).Params() {
 			full = append(full, prm.W.Data...)
 		}
 		return res, full
@@ -214,7 +213,7 @@ func TestFrozenTrainingIterationZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := p.NewReplica().(*replica)
+	rep := p.NewReplica()
 	idx := []int{1, 5, 9, 13}
 	iter := func() {
 		rep.ZeroGrad()
@@ -241,9 +240,7 @@ func TestFineTuneLearnsHead(t *testing.T) {
 	if !(last < first) {
 		t.Fatalf("frozen fine-tune did not learn: loss %.4f -> %.4f", first, last)
 	}
-	rep := p.NewReplica()
-	core.InstallWeights(rep, res.FinalWeights)
-	if acc := EvalAccuracy(rep, train, 32); acc <= 1.0/NumClasses+0.05 {
+	if acc := EvalAccuracy(p.TrainedNet(res.FinalWeights), train, 32); acc <= 1.0/NumClasses+0.05 {
 		t.Fatalf("fine-tuned train accuracy %.3f no better than chance", acc)
 	}
 }

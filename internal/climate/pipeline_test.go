@@ -60,7 +60,7 @@ func TestClimatePrefetchedIterationZeroAllocs(t *testing.T) {
 	ds := GenerateDataset(DefaultGenConfig(64), 8, rng)
 	p := NewTrainingProblem(ds, SmallConfig(), 11)
 	p.LabeledFrac = 0.5
-	rep := p.NewReplica().(*climReplica)
+	rep := p.NewReplica()
 
 	batches := make([][]int, 60)
 	for i := range batches {
@@ -71,11 +71,46 @@ func TestClimatePrefetchedIterationZeroAllocs(t *testing.T) {
 
 	iter := func() {
 		rep.ZeroGrad()
-		rep.ComputeStagedStream(nil)
+		rep.ComputeGradientsStream(batches[0], nil)
 	}
 	iter() // warm
 	iter()
 	if allocs := testing.AllocsPerRun(10, iter); allocs != 0 {
 		t.Fatalf("warmed prefetched climate iteration allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestWorkloadStagesFieldsBoxesAndFlags checks the one thing core's generic
+// replica tests cannot: that the climate hook's Stage puts the right bytes
+// in a slot — each sample's 16-channel field, its box list (shared, not
+// copied) and the semi-supervised labeled flag — in index order, and that
+// restaging a slot at a smaller batch leaves no tail behind.
+func TestWorkloadStagesFieldsBoxesAndFlags(t *testing.T) {
+	ds := GenerateDataset(DefaultGenConfig(32), 8, tensor.NewRNG(95))
+	w := &workload{ds: ds, labeledN: 4, arena: tensor.NewArena()}
+	w.Reserve(1, 4)
+	for _, idx := range [][]int{{6, 1, 3, 4}, {7, 0}} {
+		if err := w.Stage(1, idx); err != nil {
+			t.Fatal(err)
+		}
+		s := w.slots[1]
+		if s.x.Shape[0] != len(idx) || len(s.boxes) != len(idx) || len(s.labeled) != len(idx) {
+			t.Fatalf("staged %v: x %v, %d box lists, %d flags", idx, s.x.Shape, len(s.boxes), len(s.labeled))
+		}
+		per := s.x.Len() / len(idx)
+		for bi, i := range idx {
+			for j, v := range ds.Samples[i].Field.Data {
+				if s.x.Data[bi*per+j] != v {
+					t.Fatalf("staged %v: sample %d field element %d is %v, dataset has %v", idx, i, j, s.x.Data[bi*per+j], v)
+				}
+			}
+			if len(s.boxes[bi]) != len(ds.Samples[i].Boxes) ||
+				(len(s.boxes[bi]) > 0 && &s.boxes[bi][0] != &ds.Samples[i].Boxes[0]) {
+				t.Fatalf("staged %v: sample %d's boxes are not the dataset's own list", idx, i)
+			}
+			if s.labeled[bi] != (i < 4) {
+				t.Fatalf("staged %v: sample %d labeled=%v with the first 4 labeled", idx, i, s.labeled[bi])
+			}
+		}
 	}
 }

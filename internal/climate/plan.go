@@ -120,7 +120,7 @@ func (tp *TrainPlan) Step(x *tensor.Tensor, boxes [][]Box, labeled []bool, w Los
 }
 
 // StepStream is Step with per-layer gradient-completion notification
-// (core.StreamReplica semantics): gradDone(t) fires as trainable layer t —
+// (core.Workload.Step semantics): gradDone(t) fires as trainable layer t —
 // Net.TrainableLayers order across the encoder, the three heads and the
 // decoder — finishes its backward. The branching topology means the firing
 // order is heads first, then decoder (reverse), then encoder (reverse); a

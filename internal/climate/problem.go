@@ -1,10 +1,7 @@
 package climate
 
 import (
-	"time"
-
 	"deep15pf/internal/core"
-	"deep15pf/internal/data"
 	"deep15pf/internal/nn"
 	"deep15pf/internal/obs"
 	"deep15pf/internal/tensor"
@@ -31,216 +28,96 @@ func NewTrainingProblem(ds *Dataset, model ModelConfig, initSeed uint64) *Traini
 	}
 }
 
-// NewReplica implements core.Problem. The replica compiles one training
-// plan per distinct batch size on first use (shard sizes are stable across
-// a run, so in practice that is a single compile); iterations then run the
-// planned, allocation-free TrainPlan.Step path.
-func (p *TrainingProblem) NewReplica() core.Replica {
-	net := BuildNet(p.Model, tensor.NewRNG(p.InitSeed))
-	labeledN := int(p.LabeledFrac * float64(len(p.DS.Samples)))
-	arena := tensor.NewArena()
-	return &climReplica{
-		net: net, ds: p.DS, weights: p.Weights, labeledN: labeledN,
-		params: net.Params(),
-		arena:  arena,
-		plans:  make(map[int]*TrainPlan),
-		xStage: tensor.NewStaging(arena, NumChannels, p.DS.Size, p.DS.Size),
-	}
+// NewReplica implements core.Problem: core's replica over the climate
+// workload below.
+func (p *TrainingProblem) NewReplica() *core.Replica {
+	return core.NewReplica(&workload{
+		net: BuildNet(p.Model, tensor.NewRNG(p.InitSeed)), ds: p.DS, weights: p.Weights,
+		labeledN: int(p.LabeledFrac * float64(len(p.DS.Samples))),
+		arena:    tensor.NewArena(),
+		plans:    make(map[int]*TrainPlan),
+	})
 }
+
+// NumSamples is the training set's size: one epoch of the batch source.
+func (p *TrainingProblem) NumSamples() int { return len(p.DS.Samples) }
 
 // NewBatchSource implements core.Problem.
 func (p *TrainingProblem) NewBatchSource(seed uint64) core.BatchSource {
-	return &climBatchSource{n: len(p.DS.Samples), rng: tensor.NewRNG(seed)}
+	return core.NewBatchSource(p.NumSamples(), seed)
 }
 
-type climReplica struct {
+// TrainedNet materialises a trained model for evaluation or serving: the
+// problem's net with weights — a core.Result.FinalWeights, or
+// core.ExtractWeights of a replica's layers — installed.
+func (p *TrainingProblem) TrainedNet(weights [][][]float32) *Net {
+	net := BuildNet(p.Model, tensor.NewRNG(p.InitSeed))
+	core.InstallWeights(net.TrainableLayers(), weights)
+	return net
+}
+
+// workload is the climate core.Workload: the branching semi-supervised net
+// stepped through a composed TrainPlan (one per distinct batch size, in
+// practice a single compile), over staged tuples of fields, box targets and
+// labeled flags.
+type workload struct {
 	net      *Net
 	ds       *Dataset
 	weights  LossWeights
 	labeledN int
-	params   []*nn.Param // cached: per-iteration ZeroGrads must not rebuild the slice
 	arena    *tensor.Arena
 	plans    map[int]*TrainPlan
-
-	// Reusable per-iteration staging, grown to the largest batch seen.
-	xStage  *tensor.Staging
-	boxes   [][]Box
-	labeled []bool
-
-	// Streaming ingest (core.PipelineReplica): fields, box targets and
-	// labeled flags are staged per slot by the background prefetcher.
-	pipe   *data.Pipeline[*climSlot]
-	ingest data.IngestStats // blocking-path account (pipeline keeps its own)
-
-	// lane is this worker's trace lane (core.TracedReplica); nil when
-	// untraced. Fwd/Bwd spans are recorded inside the composed TrainPlan
-	// (the only place the step's two halves are separable).
-	lane *obs.Lane
+	slots    []*slot
 }
 
-// SetTraceLane implements core.TracedReplica, propagating to any plans
-// already compiled.
-func (r *climReplica) SetTraceLane(l *obs.Lane) {
-	r.lane = l
-	for _, tp := range r.plans {
-		tp.SetTraceLane(l)
-	}
-}
-
-// climSlot is one staged batch in the prefetch ring: the 16-channel field
-// tensor plus per-sample box targets and semi-supervised labeled flags —
-// everything the composed TrainPlan consumes.
-type climSlot struct {
+// slot is one staged batch: the 16-channel field tensor plus per-sample box
+// targets and semi-supervised labeled flags — everything the composed
+// TrainPlan consumes.
+type slot struct {
 	stage   *tensor.Staging
-	x       *tensor.Tensor // view for the staged batch size, set by the stager
+	x       *tensor.Tensor // view for the staged batch size, set by Stage
 	boxes   [][]Box
 	labeled []bool
-	n       int
 }
 
-func (r *climReplica) TrainableLayers() []nn.Layer { return r.net.TrainableLayers() }
-func (r *climReplica) ZeroGrad()                   { nn.ZeroGrads(r.params) }
+func (w *workload) TrainableLayers() []nn.Layer { return w.net.TrainableLayers() }
 
-// stageInto copies batch idx — fields, box lists (shared, not copied) and
-// labeled flags — into caller-owned staging. Both the blocking path and the
-// pipeline's prefetch goroutine run exactly this, so the two are bitwise
-// equal.
-func (r *climReplica) stageInto(x *tensor.Tensor, boxes [][]Box, labeled []bool, idx []int) {
-	r.ds.BatchInto(x, boxes, idx)
-	for i, sample := range idx {
-		labeled[i] = sample < r.labeledN
+func (w *workload) Reserve(i, n int) {
+	for len(w.slots) <= i {
+		w.slots = append(w.slots, &slot{stage: tensor.NewStaging(w.arena, NumChannels, w.ds.Size, w.ds.Size)})
+	}
+	s := w.slots[i]
+	s.stage.Batch(n)
+	if cap(s.boxes) < n {
+		s.boxes = make([][]Box, n)
+		s.labeled = make([]bool, n)
 	}
 }
 
-func (r *climReplica) ComputeGradients(idx []int) float64 {
-	return r.ComputeGradientsStream(idx, nil)
-}
-
-// ComputeGradientsStream implements core.StreamReplica over the composed
-// train plan: per-layer completion fires across the encoder, heads and
-// decoder in TrainPlan.StepStream's documented order. This is the blocking
-// ingest path; staging time is booked as exposed wait.
-func (r *climReplica) ComputeGradientsStream(idx []int, gradDone func(layer int)) float64 {
+// Stage copies fields, box lists (shared, not copied) and labeled flags.
+func (w *workload) Stage(i int, idx []int) error {
+	s := w.slots[i]
 	n := len(idx)
-	x := r.xStage.Batch(n)
-	if cap(r.boxes) < n {
-		r.boxes = make([][]Box, n)
-		r.labeled = make([]bool, n)
+	s.x, s.boxes, s.labeled = s.stage.Batch(n), s.boxes[:n], s.labeled[:n]
+	w.ds.BatchInto(s.x, s.boxes, idx)
+	for bi, sample := range idx {
+		s.labeled[bi] = sample < w.labeledN
 	}
-	boxes, labeled := r.boxes[:n], r.labeled[:n]
-	r.lane.Begin(obs.PhaseIngest)
-	t0 := time.Now()
-	r.stageInto(x, boxes, labeled, idx)
-	r.lane.End(obs.PhaseIngest)
-	dt := time.Since(t0).Seconds()
-	r.ingest.Batches++
-	r.ingest.Samples += int64(n)
-	r.ingest.StageSeconds += dt
-	r.ingest.WaitSeconds += dt // blocking: staging sits on the critical path
-	return r.computeOn(x, boxes, labeled, gradDone)
+	return nil
 }
 
-// computeOn is the shared planned step over an already-staged batch.
-func (r *climReplica) computeOn(x *tensor.Tensor, boxes [][]Box, labeled []bool, gradDone func(layer int)) float64 {
-	n := x.Shape[0]
-	tp := r.plans[n]
+// Step runs the planned step; per-layer completion fires across the
+// encoder, heads and decoder in TrainPlan.StepStream's documented order.
+// Fwd/Bwd spans are recorded inside the TrainPlan (the only place the
+// branching step's two halves are separable).
+func (w *workload) Step(i int, lane *obs.Lane, gradDone func(layer int)) float64 {
+	s := w.slots[i]
+	n := s.x.Shape[0]
+	tp := w.plans[n]
 	if tp == nil {
-		tp = r.net.NewTrainPlan(n, r.arena)
-		tp.SetTraceLane(r.lane)
-		r.plans[n] = tp
+		tp = w.net.NewTrainPlan(n, w.arena)
+		w.plans[n] = tp
 	}
-	parts := tp.StepStream(x, boxes, labeled, r.weights, gradDone)
-	return parts.Total()
-}
-
-// StartIngest implements core.PipelineReplica (see the hep replica for the
-// contract): pre-sized slots, background staging in blocking order.
-func (r *climReplica) StartIngest(batches [][]int, lookahead int) {
-	if lookahead < 1 {
-		lookahead = 1
-	}
-	maxN := 0
-	for _, b := range batches {
-		if len(b) > maxN {
-			maxN = len(b)
-		}
-	}
-	if maxN == 0 {
-		r.pipe = nil
-		return
-	}
-	slots := make([]*climSlot, lookahead+1)
-	for i := range slots {
-		st := tensor.NewStaging(r.arena, NumChannels, r.ds.Size, r.ds.Size)
-		st.Batch(maxN)
-		slots[i] = &climSlot{stage: st, boxes: make([][]Box, maxN), labeled: make([]bool, maxN)}
-	}
-	// The prefetcher's staging spans land on a sibling lane (see the hep
-	// replica): the timeline shows staging running beside compute.
-	ingLane := r.lane.Tracer().Lane(r.lane.Name() + ".ingest")
-	staged := 0
-	r.pipe = data.NewPipeline(slots, data.SliceSource(batches),
-		func(dst *climSlot, idx []int) error {
-			ingLane.SetIter(staged)
-			staged++
-			ingLane.Begin(obs.PhaseIngest)
-			dst.n = len(idx)
-			dst.x = dst.stage.Batch(dst.n)
-			r.stageInto(dst.x, dst.boxes[:dst.n], dst.labeled[:dst.n], idx)
-			ingLane.End(obs.PhaseIngest)
-			return nil
-		})
-	r.pipe.Start()
-}
-
-// ComputeStagedStream implements core.PipelineReplica.
-func (r *climReplica) ComputeStagedStream(gradDone func(layer int)) float64 {
-	r.lane.Begin(obs.PhaseIngest)
-	slot, ok := r.pipe.Next()
-	r.lane.End(obs.PhaseIngest)
-	if !ok {
-		if err := r.pipe.Err(); err != nil {
-			panic("climate: ingest pipeline: " + err.Error())
-		}
-		panic("climate: ingest pipeline exhausted before training finished")
-	}
-	return r.computeOn(slot.x, slot.boxes[:slot.n], slot.labeled[:slot.n], gradDone)
-}
-
-// StopIngest implements core.PipelineReplica.
-func (r *climReplica) StopIngest() {
-	if r.pipe != nil {
-		r.pipe.Stop()
-	}
-}
-
-// IngestStats implements core.IngestReporter over whichever path ran.
-func (r *climReplica) IngestStats() data.IngestStats {
-	if r.pipe != nil {
-		return r.ingest.Add(r.pipe.Stats())
-	}
-	return r.ingest
-}
-
-// Net exposes the underlying network of a replica created by this problem
-// (for evaluation after training).
-func (p *TrainingProblem) Net(rep core.Replica) *Net {
-	cr, ok := rep.(*climReplica)
-	if !ok {
-		panic("climate: replica was not created by this problem")
-	}
-	return cr.net
-}
-
-type climBatchSource struct {
-	n   int
-	rng *tensor.RNG
-	b   *data.Batcher
-}
-
-func (s *climBatchSource) Next(size int) []int {
-	if s.b == nil || s.b.BatchSize != size {
-		s.b = data.NewBatcher(s.n, size, s.rng)
-	}
-	return s.b.Next()
+	tp.SetTraceLane(lane)
+	return tp.StepStream(s.x, s.boxes, s.labeled, w.weights, gradDone).Total()
 }

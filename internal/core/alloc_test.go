@@ -36,7 +36,11 @@ func newAllocProblem(n int) *allocProblem {
 	return &allocProblem{data: data, labels: labels}
 }
 
-func (p *allocProblem) NewReplica() Replica {
+func (p *allocProblem) NewReplica() *Replica { return NewReplica(p.newWorkload()) }
+
+// newWorkload builds the problem's hook: the Classifier hep and astro train
+// through, so the gates below run the real replica over a real hook.
+func (p *allocProblem) newWorkload() *Classifier {
 	rng := tensor.NewRNG(7)
 	net := nn.NewNetwork("alloc", 1, 8, 8)
 	net.Add(
@@ -45,13 +49,7 @@ func (p *allocProblem) NewReplica() Replica {
 		nn.NewGlobalAvgPool("gap"),
 		nn.NewDense("fc", 4, 2, rng),
 	)
-	arena := tensor.NewArena()
-	return &allocReplica{
-		p: p, net: net, params: net.Params(),
-		plans:  nn.NewPlanCache(net, true, arena),
-		xStage: tensor.NewStaging(arena, 1, 8, 8),
-		gStage: tensor.NewStaging(arena, 2),
-	}
+	return NewClassifier(net, p.data, p.labels, nil, nil)
 }
 
 func (p *allocProblem) NewBatchSource(seed uint64) BatchSource { return &allocSource{n: len(p.labels)} }
@@ -65,42 +63,6 @@ func (s *allocSource) Next(size int) []int {
 	}
 	s.at += size
 	return idx
-}
-
-type allocReplica struct {
-	p      *allocProblem
-	net    *nn.Network
-	params []*nn.Param
-	plans  *nn.PlanCache
-	xStage *tensor.Staging
-	gStage *tensor.Staging
-	labels []int
-}
-
-func (r *allocReplica) TrainableLayers() []nn.Layer { return r.net.TrainableLayers() }
-func (r *allocReplica) ZeroGrad()                   { nn.ZeroGrads(r.params) }
-func (r *allocReplica) ComputeGradients(idx []int) float64 {
-	return r.ComputeGradientsStream(idx, nil)
-}
-
-func (r *allocReplica) ComputeGradientsStream(idx []int, gradDone func(int)) float64 {
-	n := len(idx)
-	x := r.xStage.Batch(n)
-	grad := r.gStage.Batch(n)
-	if cap(r.labels) < n {
-		r.labels = make([]int, n)
-	}
-	labels := r.labels[:n]
-	per := 64
-	for i, s := range idx {
-		copy(x.Data[i*per:(i+1)*per], r.p.data.Data[s*per:(s+1)*per])
-		labels[i] = r.p.labels[s]
-	}
-	plan := r.plans.Plan(n)
-	logits := plan.Forward(x)
-	loss := nn.SoftmaxCrossEntropyInto(logits, labels, grad)
-	plan.BackwardStream(grad, gradDone)
-	return loss
 }
 
 func TestOverlappedWorkerSteadyStateAllocFree(t *testing.T) {

@@ -31,84 +31,6 @@ import (
 	"deep15pf/internal/ps"
 )
 
-// Replica is one worker's complete training state: a model plus whatever
-// data access it needs to compute gradients on sample indices.
-//
-// Implementations compile per-batch-size execution plans (nn.Plan) on
-// first use, so after the first iteration ComputeGradients runs with zero
-// steady-state allocation. The trainers uphold the matching contract:
-// shard sizes are fixed for a whole run (batches split evenly over
-// workers), so a replica compiles exactly one plan and every subsequent
-// iteration reuses it.
-type Replica interface {
-	// TrainableLayers returns the parameterised layers in a fixed order
-	// (the per-layer PS pairing).
-	TrainableLayers() []nn.Layer
-	// ZeroGrad clears gradient accumulators.
-	ZeroGrad()
-	// ComputeGradients runs forward/backward over the dataset samples
-	// idx, accumulating *mean* gradients (normalised by len(idx)) into
-	// the layer parameters, and returns the mean loss.
-	ComputeGradients(idx []int) float64
-}
-
-// StreamReplica is a Replica whose backward pass reports per-layer gradient
-// completion: gradDone(t) fires on the computing goroutine the moment
-// trainable layer t's accumulated gradients are final (layers finish in
-// reverse topological order). The overlapped trainer uses the callback to
-// start layer t's all-reduce and parameter-server exchange while the rest
-// of the backward pass is still running — the paper's §III-E pipeline.
-// Replicas that do not implement it still train; core falls back to
-// notifying every layer after the whole backward pass.
-type StreamReplica interface {
-	Replica
-	// ComputeGradientsStream is ComputeGradients plus the per-layer
-	// completion callback. gradDone may be nil.
-	ComputeGradientsStream(idx []int, gradDone func(layer int)) float64
-}
-
-// PipelineReplica is a StreamReplica whose batch staging can run ahead of
-// compute through a data.Pipeline: StartIngest launches a background
-// prefetch goroutine that stages the given batch index sequence (in order,
-// skipping empty shards) into a bounded slot ring, and ComputeStagedStream
-// consumes the next staged batch instead of copying at iteration start —
-// the §VI-A input-pipeline overlap that takes ingest off the critical path
-// the way PR 3's streamed exchange took communication off it.
-//
-// Determinism contract: prefetched staging is the same copy in the same
-// order as the blocking path, so with identical batch sequences the weight
-// trajectories are bitwise identical either way.
-type PipelineReplica interface {
-	StreamReplica
-	// StartIngest begins background staging of batches with the given
-	// lookahead (staged batches ahead of the one training; ring size is
-	// lookahead+1). Index sets are consumed strictly in slice order; empty
-	// sets are skipped, and the consumer must skip them symmetrically.
-	StartIngest(batches [][]int, lookahead int)
-	// ComputeStagedStream is ComputeGradientsStream over the next staged
-	// batch. It panics if the pipeline is exhausted or staging failed —
-	// the trainers size the sequence to the run, so that is a bug or an
-	// I/O fault, never a steady state.
-	ComputeStagedStream(gradDone func(layer int)) float64
-	// StopIngest terminates the prefetcher (ingest stats stay readable).
-	StopIngest()
-}
-
-// IngestReporter exposes a replica's input staging account — real for both
-// paths: the blocking path books every staging second as exposed wait, the
-// pipeline books only the time the consumer actually sat blocked.
-type IngestReporter interface {
-	IngestStats() data.IngestStats
-}
-
-// TracedReplica is a Replica that records its own phase spans (Ingest,
-// Fwd, Bwd) on a per-worker trace lane. The trainers hand each replica
-// its rank's lane before training starts; replicas without the method
-// still train, they just leave those phases blank in the timeline.
-type TracedReplica interface {
-	SetTraceLane(l *obs.Lane)
-}
-
 // BatchSource yields batch index sets (typically epoch-shuffled).
 type BatchSource interface {
 	Next(size int) []int
@@ -118,7 +40,7 @@ type BatchSource interface {
 type Problem interface {
 	// NewReplica builds a model replica. Every call must produce an
 	// identically initialised model (replicas start in lockstep).
-	NewReplica() Replica
+	NewReplica() *Replica
 	// NewBatchSource returns an independent index stream; distinct seeds
 	// give distinct streams.
 	NewBatchSource(seed uint64) BatchSource
@@ -152,9 +74,8 @@ type Config struct {
 	// stages its upcoming shard batches on a background goroutine while the
 	// current batch trains, keeping Prefetch batches of lookahead (1 = the
 	// classic double buffer). 0 — the default — is the legacy blocking
-	// path: stage at iteration start, then compute. Replicas that do not
-	// implement PipelineReplica fall back to blocking regardless. The
-	// weight trajectory is bitwise identical either way.
+	// path: stage at iteration start, then compute. The weight trajectory
+	// is bitwise identical either way.
 	Prefetch int
 
 	// Checkpoint wires the run to a versioned snapshot store: periodic
@@ -210,8 +131,8 @@ type Result struct {
 	FinalLoss     float64 // mean loss over the last completed round of groups
 	// FinalWeights is the trained model: per trainable layer, per
 	// parameter blob (the PS master for hybrid runs, the lockstep replica
-	// state for sync runs). Install into a fresh replica with
-	// InstallWeights for evaluation.
+	// state for sync runs). Install into a freshly built net's trainable
+	// layers with InstallWeights for evaluation.
 	FinalWeights [][][]float32
 	// Wire accounts the parameter-server traffic a real interconnect would
 	// have moved: codec-encoded gradients in, fp32 weights out. Zero for
@@ -254,12 +175,6 @@ func ExtractWeights(layers []nn.Layer) [][][]float32 {
 	return out
 }
 
-// InstallWeights loads trained weights into a replica (e.g. a fresh one
-// built for evaluation).
-func InstallWeights(rep Replica, weights [][][]float32) {
-	installWeights(rep.TrainableLayers(), weights)
-}
-
 func finalize(stats []IterStat, groups int) Result {
 	res := Result{Stats: stats}
 	var staleSum float64
@@ -281,8 +196,10 @@ func finalize(stats []IterStat, groups int) Result {
 	return res
 }
 
-// installWeights copies parameter-server weight blobs into a replica.
-func installWeights(layers []nn.Layer, weights [][][]float32) {
+// InstallWeights copies a weight set (Result.FinalWeights, or a parameter
+// server fetch) into a trainable-layer list — a replica's, or a freshly
+// built net's for evaluation.
+func InstallWeights(layers []nn.Layer, weights [][][]float32) {
 	if len(weights) != len(layers) {
 		panic("core: weight set count mismatch")
 	}

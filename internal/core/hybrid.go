@@ -115,7 +115,7 @@ func runGroup(p Problem, cfg Config, g, start int, fleet *ps.Fleet, ck *checkpoi
 		batches[i] = append([]int(nil), src.Next(cfg.GroupBatch)...)
 	}
 
-	replicas := make([]Replica, w)
+	replicas := make([]*Replica, w)
 	for r := range replicas {
 		replicas[r] = p.NewReplica()
 	}
@@ -129,10 +129,8 @@ func runGroup(p Problem, cfg Config, g, start int, fleet *ps.Fleet, ck *checkpoi
 			rep := replicas[rank]
 			gw := newGroupWorker(rank, group, rep, nil, cfg.Overlap)
 			gw.setLane(cfg.Trace.Lane(fmt.Sprintf("g%d.w%d", g, rank)))
-			gw.pipe = startIngest(rep, batches[start:], rank, w, cfg.Prefetch)
-			if gw.pipe != nil {
-				defer gw.pipe.StopIngest()
-			}
+			startIngest(rep, batches[start:], rank, w, cfg.Prefetch)
+			defer rep.StopIngest()
 			if rank == 0 {
 				// The exchanger waits on the worker's own handle table: the
 				// worker fills row t, then the trigger send publishes it.
@@ -148,7 +146,7 @@ func runGroup(p Problem, cfg Config, g, start int, fleet *ps.Fleet, ck *checkpoi
 				for i, r := range resps {
 					weights[i] = r.Weights
 				}
-				installWeights(gw.layers, weights)
+				InstallWeights(gw.layers, weights)
 			}
 			group.Barrier()
 			gw.broadcastWeights()
@@ -200,7 +198,7 @@ func runGroup(p Problem, cfg Config, g, start int, fleet *ps.Fleet, ck *checkpoi
 	wg.Wait()
 	var ing data.IngestStats
 	for _, rep := range replicas {
-		ing = ing.Add(ingestOf(rep))
+		ing = ing.Add(rep.IngestStats())
 	}
 	return ing
 }

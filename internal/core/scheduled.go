@@ -74,9 +74,8 @@ func TrainScheduled(p Problem, cfg Config, schedule []ScheduledEvent) Result {
 	}
 	ck := newCheckpointer(cfg, tlayers, fleet)
 
-	replicas := make([]Replica, cfg.Groups)
-	batches := make([][][]int, cfg.Groups) // per group, per iteration
-	pipes := make([]PipelineReplica, cfg.Groups)
+	replicas := make([]*Replica, cfg.Groups)
+	batches := make([][][]int, cfg.Groups)         // per group, per iteration
 	xfers := make([][]*layerXfer, cfg.Groups)      // per group, per layer wire state
 	groupParams := make([][]*nn.Param, cfg.Groups) // per group flat replica params (snapshot staging)
 	lanes := make([]*obs.Lane, cfg.Groups)
@@ -85,9 +84,7 @@ func TrainScheduled(p Problem, cfg Config, schedule []ScheduledEvent) Result {
 	for g := range replicas {
 		replicas[g] = p.NewReplica()
 		lanes[g] = cfg.Trace.Lane(fmt.Sprintf("g%d", g))
-		if tr, ok := replicas[g].(TracedReplica); ok {
-			tr.SetTraceLane(lanes[g])
-		}
+		replicas[g].SetTraceLane(lanes[g])
 		// Pre-draw every iteration's batch from the group's own source —
 		// the same per-group RNG sequence the lazy draw consumed, so
 		// trajectories are unchanged — which is what lets the prefetcher
@@ -99,10 +96,8 @@ func TrainScheduled(p Problem, cfg Config, schedule []ScheduledEvent) Result {
 		}
 		iters[g] = resumeIters[g]
 		skip[g] = resumeIters[g]
-		pipes[g] = startIngest(replicas[g], batches[g][iters[g]:], 0, 1, cfg.Prefetch)
-		if pipes[g] != nil {
-			defer pipes[g].StopIngest()
-		}
+		startIngest(replicas[g], batches[g][iters[g]:], 0, 1, cfg.Prefetch)
+		defer replicas[g].StopIngest()
 		// Start every group from the master model.
 		resps := fleet.FetchAll(g)
 		weights := make([][][]float32, len(resps))
@@ -110,7 +105,7 @@ func TrainScheduled(p Problem, cfg Config, schedule []ScheduledEvent) Result {
 			weights[i] = r.Weights
 		}
 		layers := replicas[g].TrainableLayers()
-		installWeights(layers, weights)
+		InstallWeights(layers, weights)
 		groupParams[g] = flatParams(layers)
 		// A resumed group's replica holds the master as of its own last
 		// push — stale relative to the restored master by every later
@@ -153,10 +148,8 @@ func TrainScheduled(p Problem, cfg Config, schedule []ScheduledEvent) Result {
 		idx := batches[g][iters[g]]
 		rep.ZeroGrad()
 		var loss float64
-		if pipes[g] != nil && len(idx) > 0 {
-			loss = pipes[g].ComputeStagedStream(nil)
-		} else if len(idx) > 0 {
-			loss = rep.ComputeGradients(idx)
+		if len(idx) > 0 {
+			loss = rep.ComputeGradientsStream(idx, nil)
 		}
 		var stale float64
 		lanes[g].Begin(obs.PhaseCommWait)
@@ -190,13 +183,9 @@ func TrainScheduled(p Problem, cfg Config, schedule []ScheduledEvent) Result {
 	// Quiesce the prefetchers before reading their accounts (a short
 	// schedule can leave them mid-stage; StopIngest is idempotent, so the
 	// deferred stops become no-ops).
-	for _, pr := range pipes {
-		if pr != nil {
-			pr.StopIngest()
-		}
-	}
 	for _, rep := range replicas {
-		res.Ingest = res.Ingest.Add(ingestOf(rep))
+		rep.StopIngest()
+		res.Ingest = res.Ingest.Add(rep.IngestStats())
 	}
 	res.Ckpt = ck.close()
 	return res

@@ -137,12 +137,11 @@ func (e *exchanger) close() {
 type groupWorker struct {
 	rank    int
 	group   *comm.Group
-	rep     Replica
+	rep     *Replica
 	layers  []nn.Layer
 	lparams [][]*nn.Param
 	handles [][]comm.Handle
-	ex      *exchanger      // rank 0 only; nil for sync training
-	pipe    PipelineReplica // non-nil when this rank's ingest is prefetched
+	ex      *exchanger // rank 0 only; nil for sync training
 	overlap bool
 	notify  func(layer int) // prebuilt gradDone closure
 	lossBuf []float64       // rank 0 only
@@ -153,12 +152,10 @@ type groupWorker struct {
 // it can record its own Ingest/Fwd/Bwd spans. Called once at setup.
 func (gw *groupWorker) setLane(l *obs.Lane) {
 	gw.lane = l
-	if tr, ok := gw.rep.(TracedReplica); ok {
-		tr.SetTraceLane(l)
-	}
+	gw.rep.SetTraceLane(l)
 }
 
-func newGroupWorker(rank int, group *comm.Group, rep Replica, ex *exchanger, overlap bool) *groupWorker {
+func newGroupWorker(rank int, group *comm.Group, rep *Replica, ex *exchanger, overlap bool) *groupWorker {
 	gw := &groupWorker{
 		rank:    rank,
 		group:   group,
@@ -189,11 +186,10 @@ func newGroupWorker(rank int, group *comm.Group, rep Replica, ex *exchanger, ove
 // compute runs one forward/backward over idx with the group-mean reduction
 // of every layer's gradients in flight: overlapped with the backward pass
 // when cfg.Overlap is set, issued en bloc after it otherwise (the lockstep
-// schedule, same arithmetic). With a prefetched pipeline attached the batch
-// comes pre-staged (idx then only identifies the iteration's shard — the
-// pipeline staged the same indices in the same order). On return, the
-// root's layers are being exchanged by the pushers; non-root ranks have
-// fully reduced gradients.
+// schedule, same arithmetic). Whether the batch is staged now or comes
+// pre-staged from the replica's prefetcher is the replica's business. On
+// return, the root's layers are being exchanged by the pushers; non-root
+// ranks have fully reduced gradients.
 //
 // An empty idx is an epoch-tail shard with zero samples (data.Split with
 // more workers than samples): the rank skips staging and compute entirely —
@@ -206,17 +202,10 @@ func (gw *groupWorker) compute(idx []int) float64 {
 		for t := len(gw.layers) - 1; t >= 0; t-- {
 			gw.notify(t)
 		}
-	case gw.pipe != nil && gw.overlap:
-		loss = gw.pipe.ComputeStagedStream(gw.notify)
-	case gw.pipe != nil:
-		loss = gw.pipe.ComputeStagedStream(nil)
-		for t := len(gw.layers) - 1; t >= 0; t-- {
-			gw.notify(t)
-		}
 	case gw.overlap:
-		loss = computeStream(gw.rep, len(gw.layers), idx, gw.notify)
+		loss = gw.rep.ComputeGradientsStream(idx, gw.notify)
 	default:
-		loss = gw.rep.ComputeGradients(idx)
+		loss = gw.rep.ComputeGradientsStream(idx, nil)
 		for t := len(gw.layers) - 1; t >= 0; t-- {
 			gw.notify(t)
 		}
@@ -231,20 +220,6 @@ func (gw *groupWorker) compute(idx []int) float64 {
 			}
 		}
 		gw.lane.End(obs.PhaseCommWait)
-	}
-	return loss
-}
-
-// computeStream runs the streamed backward when the replica supports it and
-// degrades to whole-backward-then-notify otherwise (same notification
-// order, no overlap).
-func computeStream(rep Replica, nLayers int, idx []int, gradDone func(layer int)) float64 {
-	if sr, ok := rep.(StreamReplica); ok {
-		return sr.ComputeGradientsStream(idx, gradDone)
-	}
-	loss := rep.ComputeGradients(idx)
-	for t := nLayers - 1; t >= 0; t-- {
-		gradDone(t)
 	}
 	return loss
 }
@@ -270,15 +245,10 @@ func (s *shardCache) shard(n int) (lo, hi int) {
 // startIngest launches rank's prefetch pipeline over its per-iteration
 // shard shares of the pre-drawn group batches: the exact index sets the
 // blocking path would stage at each iteration start, in the exact order.
-// Returns nil when prefetch is off or the replica has no pipeline support
-// (the blocking fallback — older Replica implementations keep working).
-func startIngest(rep Replica, batches [][]int, rank, workers, lookahead int) PipelineReplica {
+// lookahead 0 leaves the replica on the blocking path.
+func startIngest(rep *Replica, batches [][]int, rank, workers, lookahead int) {
 	if lookahead <= 0 {
-		return nil
-	}
-	pr, ok := rep.(PipelineReplica)
-	if !ok {
-		return nil
+		return
 	}
 	seq := make([][]int, len(batches))
 	sc := shardCache{rank: rank, workers: workers}
@@ -286,16 +256,7 @@ func startIngest(rep Replica, batches [][]int, rank, workers, lookahead int) Pip
 		lo, hi := sc.shard(len(b))
 		seq[it] = b[lo:hi]
 	}
-	pr.StartIngest(seq, lookahead)
-	return pr
-}
-
-// ingestOf reads a replica's staging account (zero when not reported).
-func ingestOf(rep Replica) data.IngestStats {
-	if ir, ok := rep.(IngestReporter); ok {
-		return ir.IngestStats()
-	}
-	return data.IngestStats{}
+	rep.StartIngest(seq, lookahead)
 }
 
 // broadcastWeights fans the root's (freshly exchanged) model out to the

@@ -41,7 +41,7 @@ func TrainSync(p Problem, cfg Config) Result {
 		batches[i] = append([]int(nil), src.Next(cfg.GroupBatch)...)
 	}
 
-	replicas := make([]Replica, w)
+	replicas := make([]*Replica, w)
 	for r := range replicas {
 		replicas[r] = p.NewReplica()
 	}
@@ -56,7 +56,7 @@ func TrainSync(p Problem, cfg Config) Result {
 		checkResumeStep(start, cfg.Iterations)
 		weights := ExtractWeights(replicas[0].TrainableLayers())
 		for r := 1; r < w; r++ {
-			installWeights(replicas[r].TrainableLayers(), weights)
+			InstallWeights(replicas[r].TrainableLayers(), weights)
 		}
 	}
 	ck := newCheckpointer(cfg, replicas[0].TrainableLayers(), nil)
@@ -72,10 +72,8 @@ func TrainSync(p Problem, cfg Config) Result {
 			rep := replicas[rank]
 			gw := newGroupWorker(rank, group, rep, nil, cfg.Overlap)
 			gw.setLane(cfg.Trace.Lane(fmt.Sprintf("w%d", rank)))
-			gw.pipe = startIngest(rep, batches[start:], rank, w, cfg.Prefetch)
-			if gw.pipe != nil {
-				defer gw.pipe.StopIngest()
-			}
+			startIngest(rep, batches[start:], rank, w, cfg.Prefetch)
+			defer rep.StopIngest()
 			solver := cfg.Solver.Clone()
 			params := flatParams(gw.layers)
 			if restored != nil && restored.Solver != nil {
@@ -128,7 +126,7 @@ func TrainSync(p Problem, cfg Config) Result {
 	// Replicas are in lockstep; rank 0's weights are the trained model.
 	res.FinalWeights = ExtractWeights(replicas[0].TrainableLayers())
 	for _, rep := range replicas {
-		res.Ingest = res.Ingest.Add(ingestOf(rep))
+		res.Ingest = res.Ingest.Add(rep.IngestStats())
 	}
 	res.Ckpt = ck.close()
 	return res

@@ -134,19 +134,8 @@ func ablationSemiSup(opts Options) string {
 		problem := climate.NewTrainingProblem(train, model, opts.Seed+67)
 		problem.LabeledFrac = 0.25 // few labels, many unlabeled snapshots
 		problem.Weights.Recon = 0.5
-		rep := problem.NewReplica()
-		src := problem.NewBatchSource(opts.Seed + 71)
-		solver := opt.NewAdam(1.5e-3)
-		var lastLoss float64
-		for it := 0; it < iters; it++ {
-			idx := src.Next(8)
-			rep.ZeroGrad()
-			lastLoss = rep.ComputeGradients(idx)
-			for _, l := range rep.TrainableLayers() {
-				solver.Step(l.Params())
-			}
-		}
-		net := problem.Net(rep)
+		weights, lastLoss := trainOneReplica(problem, opts.Seed+71, iters, 8, opt.NewAdam(1.5e-3))
+		net := problem.TrainedNet(weights)
 		var agg climate.MatchResult
 		for i, s := range test.Samples {
 			x, _ := test.Batch([]int{i})

@@ -5,10 +5,30 @@ import (
 	"strings"
 
 	"deep15pf/internal/climate"
+	"deep15pf/internal/core"
 	"deep15pf/internal/hep"
 	"deep15pf/internal/opt"
 	"deep15pf/internal/tensor"
 )
+
+// trainOneReplica is the science reports' training loop: one replica, no
+// trainer around it, batches drawn from the problem's own source. It
+// returns the trained weights (Result.FinalWeights layout) and the last
+// batch's loss.
+func trainOneReplica(p core.Problem, sourceSeed uint64, iters, batch int, solver opt.Solver) ([][][]float32, float64) {
+	rep := p.NewReplica()
+	src := p.NewBatchSource(sourceSeed)
+	var lastLoss float64
+	for it := 0; it < iters; it++ {
+		idx := src.Next(batch)
+		rep.ZeroGrad()
+		lastLoss = rep.ComputeGradients(idx)
+		for _, l := range rep.TrainableLayers() {
+			solver.Step(l.Params())
+		}
+	}
+	return core.ExtractWeights(rep.TrainableLayers()), lastLoss
+}
 
 // HEPScience reproduces §VII-A: the CNN's signal efficiency at the
 // cut-based baseline's (very low) false-positive rate. Paper numbers:
@@ -31,20 +51,9 @@ func HEPScience(opts Options) Report {
 
 	model := hep.ModelConfig{Name: "hep-sci", ImageSize: imgSize, Filters: 8, ConvUnits: 3, Classes: 2}
 	problem := hep.NewTrainingProblem(train, model, opts.Seed+17)
-	rep := problem.NewReplica()
-	src := problem.NewBatchSource(opts.Seed + 23)
-	solver := opt.NewAdam(2e-3)
-	var lastLoss float64
-	for it := 0; it < iters; it++ {
-		idx := src.Next(batch)
-		rep.ZeroGrad()
-		lastLoss = rep.ComputeGradients(idx)
-		for _, l := range rep.TrainableLayers() {
-			solver.Step(l.Params())
-		}
-	}
+	weights, lastLoss := trainOneReplica(problem, opts.Seed+23, iters, batch, opt.NewAdam(2e-3))
 
-	scores := hep.ScoreDataset(rep, test, 64)
+	scores := hep.ScoreDataset(problem.TrainedNet(weights), test, 64)
 	res := hep.CompareToBaseline(hep.DefaultBaseline(), test.Events, scores, test.Labels)
 
 	t := newTable("selection", "TPR", "at FPR", "improvement")
@@ -86,19 +95,8 @@ func ClimateScience(opts Options) Report {
 		WithDecoder: true,
 	}
 	problem := climate.NewTrainingProblem(train, model, opts.Seed+37)
-	rep := problem.NewReplica()
-	src := problem.NewBatchSource(opts.Seed + 41)
-	solver := opt.NewAdam(1.5e-3)
-	var lastLoss float64
-	for it := 0; it < iters; it++ {
-		idx := src.Next(batch)
-		rep.ZeroGrad()
-		lastLoss = rep.ComputeGradients(idx)
-		for _, l := range rep.TrainableLayers() {
-			solver.Step(l.Params())
-		}
-	}
-	net := problem.Net(rep)
+	weights, lastLoss := trainOneReplica(problem, opts.Seed+41, iters, batch, opt.NewAdam(1.5e-3))
+	net := problem.TrainedNet(weights)
 
 	// Evaluate at the paper's inference threshold (>0.8) and a softer one.
 	var b strings.Builder

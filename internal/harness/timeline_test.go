@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -48,10 +47,14 @@ func TestSimStragglersPinned(t *testing.T) {
 }
 
 // TestSpanOverlapMatchesPipelineTimers: the span-derived ingest account
-// must agree with the pipeline's own timers — the spans wrap exactly the
-// staging and waiting regions the timers measure, so staged and exposed
-// seconds track each other and both overlap fractions land together.
-// This is the assertion that lets spans replace the hand-threaded timers.
+// brackets the pipeline's own timers, by construction of the one replica
+// (core.Replica) rather than by a timing tolerance. On the consumer, the
+// worker lane's Ingest span opens before Pipeline.Next starts its wait
+// timer and closes after it stops, so exposed-from-spans >= WaitSeconds. On
+// the stager, the pipeline's stage timer opens before the ".ingest" lane's
+// span and closes after it, so staged-from-spans <= StageSeconds. Each
+// staged and each consumed batch is exactly one span. All four hold on a
+// loaded host; a two-sided closeness bound does not.
 func TestSpanOverlapMatchesPipelineTimers(t *testing.T) {
 	rng := tensor.NewRNG(7)
 	cfg := hep.ModelConfig{Name: "overlap-x", ImageSize: 16, Filters: 8, ConvUnits: 2, Classes: 2}
@@ -62,29 +65,38 @@ func TestSpanOverlapMatchesPipelineTimers(t *testing.T) {
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 8, Iterations: 12,
 		Solver: opt.NewSGD(0.02, 0.9), Seed: 42, Prefetch: 1, Trace: tr,
 	})
-	o := IngestOverlapFromSpans(tr.Snapshot())
+	snap := tr.Snapshot()
+	o := IngestOverlapFromSpans(snap)
 	st := res.Ingest
 	if o.StagedSeconds <= 0 || st.StageSeconds <= 0 {
 		t.Fatalf("no staging recorded: spans %+v timers %+v", o, st)
 	}
-	// Loose relative tolerance: the span and the timer bracket the same
-	// code region but not the same instructions, and a scheduler
-	// preemption can land between them.
-	relClose := func(a, b float64) bool {
-		diff := math.Abs(a - b)
-		scale := math.Max(math.Max(a, b), 2e-3) // 2ms absolute floor
-		return diff <= 0.5*scale
+	// Summing per-span float seconds against a nanosecond counter's total
+	// rounds differently in the last bits; nothing more.
+	const eps = 1e-9
+	if o.ExposedSeconds < st.WaitSeconds-eps {
+		t.Errorf("consumer Ingest spans %.9f s do not bracket the pipeline's wait timer %.9f s", o.ExposedSeconds, st.WaitSeconds)
 	}
-	if !relClose(o.StagedSeconds, st.StageSeconds) {
-		t.Errorf("staged seconds diverge: spans %.4f vs timers %.4f", o.StagedSeconds, st.StageSeconds)
+	if o.StagedSeconds > st.StageSeconds+eps {
+		t.Errorf("pipeline stage timer %.9f s does not bracket the stager's Ingest spans %.9f s", st.StageSeconds, o.StagedSeconds)
 	}
-	if !relClose(o.ExposedSeconds, st.WaitSeconds) {
-		t.Errorf("exposed seconds diverge: spans %.4f vs timers %.4f", o.ExposedSeconds, st.WaitSeconds)
+	var stagerSpans, consumerSpans int64
+	for _, ls := range snap {
+		for _, sp := range ls.Spans {
+			if sp.Phase != obs.PhaseIngest {
+				continue
+			}
+			if strings.HasSuffix(ls.Name, ".ingest") {
+				stagerSpans++
+			} else {
+				consumerSpans++
+			}
+		}
 	}
-	if math.Abs(o.Overlap()-st.Overlap()) > 0.35 {
-		t.Errorf("overlap fractions diverge: spans %.2f vs timers %.2f", o.Overlap(), st.Overlap())
+	if stagerSpans != st.Batches || consumerSpans != st.Batches {
+		t.Errorf("%d stager and %d consumer Ingest spans for %d staged batches", stagerSpans, consumerSpans, st.Batches)
 	}
-	if o.HiddenSeconds < 0 || o.HiddenSeconds > o.StagedSeconds+1e-9 {
+	if o.HiddenSeconds < 0 || o.HiddenSeconds > o.StagedSeconds+eps {
 		t.Errorf("hidden %.4f outside [0, staged %.4f]", o.HiddenSeconds, o.StagedSeconds)
 	}
 }

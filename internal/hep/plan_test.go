@@ -20,7 +20,7 @@ func planTestProblem(t *testing.T, events int) *TrainingProblem {
 // and parameter gradients to the unplanned Forward/Backward sequence.
 func TestReplicaPlanMatchesLegacyPath(t *testing.T) {
 	p := planTestProblem(t, 12)
-	rep := p.NewReplica().(*replica)
+	rep := p.NewReplica()
 
 	legacyNet := BuildNet(p.Model, tensor.NewRNG(p.InitSeed))
 	idx := []int{0, 3, 7, 11, 4, 2}
@@ -34,7 +34,11 @@ func TestReplicaPlanMatchesLegacyPath(t *testing.T) {
 	if gotLoss != wantLoss {
 		t.Fatalf("planned loss %v, legacy loss %v", gotLoss, wantLoss)
 	}
-	lp, rp := legacyNet.Params(), rep.net.Params()
+	lp := legacyNet.Params()
+	var rp []*nn.Param
+	for _, l := range rep.TrainableLayers() {
+		rp = append(rp, l.Params()...)
+	}
 	for i := range lp {
 		for j := range lp[i].Grad.Data {
 			if rp[i].Grad.Data[j] != lp[i].Grad.Data[j] {
