@@ -116,7 +116,9 @@ func SoftmaxCrossEntropyWeightedInto(logits *tensor.Tensor, labels []int, weight
 			panic("nn: label out of range")
 		}
 		w := weights[s]
-		loss += float64(w) * (logZ - float64(row[lab]))
+		// The conversion rounds the product before the add, so no
+		// compiler fuses the two (tensor/axpy.go has the reason).
+		loss += float64(float64(w) * (logZ - float64(row[lab])))
 		scale := w * invW
 		for j := range grow {
 			p := float32(math.Exp(float64(row[j]) - logZ))
@@ -215,7 +217,7 @@ func Sigmoid(x float32) float32 {
 // max(x,0) − x·t + log(1+exp(−|x|)) is used.
 func BCEWithLogits(x, t float32) (float64, float32) {
 	ax := float64(x)
-	loss := math.Max(ax, 0) - ax*float64(t) + math.Log1p(math.Exp(-math.Abs(ax)))
+	loss := math.Max(ax, 0) - float64(ax*float64(t)) + math.Log1p(math.Exp(-math.Abs(ax)))
 	return loss, Sigmoid(x) - t
 }
 
@@ -241,7 +243,7 @@ func MSELossInto(pred, target, grad *tensor.Tensor) float64 {
 	invN := float32(1 / n)
 	for i := range pred.Data {
 		d := pred.Data[i] - target.Data[i]
-		loss += float64(d) * float64(d)
+		loss += float64(float64(d) * float64(d))
 		grad.Data[i] = d * invN
 	}
 	return loss / (2 * n)

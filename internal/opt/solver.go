@@ -79,8 +79,11 @@ func (s *SGD) Step(params []*nn.Param) {
 		}
 		w := p.W.Data
 		g := p.Grad.Data
+		// Every product is converted before it is added: the conversion
+		// rounds it, so the compiler may not fuse it into the add (arm64
+		// would), and the trajectory is the same bits on every machine.
 		for i := range w {
-			v[i] = mu*v[i] - lr*g[i]
+			v[i] = float32(mu*v[i]) - float32(lr*g[i])
 			w[i] += v[i]
 		}
 	}
@@ -152,9 +155,10 @@ func (a *Adam) Step(params []*nn.Param) {
 		v := a.v[p.W]
 		w := p.W.Data
 		g := p.Grad.Data
+		// Products rounded before their adds, as in Momentum.Step.
 		for i := range w {
-			m[i] = b1*m[i] + (1-b1)*g[i]
-			v[i] = b2*v[i] + (1-b2)*g[i]*g[i]
+			m[i] = float32(b1*m[i]) + float32((1-b1)*g[i])
+			v[i] = float32(b2*v[i]) + float32(float32((1-b2)*g[i])*g[i])
 			w[i] -= lr * m[i] / (float32(math.Sqrt(float64(v[i]))) + eps)
 		}
 	}

@@ -19,7 +19,7 @@ func ImplicitMomentum(groups int) float64 {
 // asynchrony momentum: the combined geometric memory of an update is
 // 1 − (1−μ_explicit)·(1−μ_implicit).
 func EffectiveMomentum(explicit float64, groups int) float64 {
-	return 1 - (1-explicit)*(1-ImplicitMomentum(groups))
+	return 1 - float64((1-explicit)*(1-ImplicitMomentum(groups)))
 }
 
 // TuneMomentum returns the explicit momentum that makes the effective

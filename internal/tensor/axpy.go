@@ -1,13 +1,14 @@
 package tensor
 
-// The GEMM kernels' innermost operation is a row update y += alpha*x (an
-// "axpy"). On amd64 with AVX2 it dispatches to an 8-lane vector kernel;
-// everywhere else (and for short tails) the 4-way unrolled scalar loop
-// runs. The vector kernel deliberately uses separate multiply and add
-// instructions — not FMA — so every element sees exactly the scalar
-// sequence round(round(alpha*x[i]) + y[i]) and results are bitwise
-// identical across dispatch choices; no test or checkpoint can tell which
-// machine produced a number.
+// A row update y += alpha*x (an "axpy"): tensor.Axpy, and one k step of one
+// row of the GEMM's scalar tile (gemm_tile.go). On amd64 with AVX2 it
+// dispatches to an 8-lane vector kernel; everywhere else (and for short
+// tails) the 4-way unrolled scalar loop runs. The vector kernel
+// deliberately uses separate multiply and add instructions — not FMA — so
+// every element sees exactly the scalar sequence
+// round(round(alpha*x[i]) + y[i]) and results are bitwise identical across
+// dispatch choices; no test or checkpoint can tell which machine produced a
+// number.
 
 // axpy is the active kernel: y[i] += alpha * x[i] for i < len(y).
 // len(x) must be >= len(y). Installed by SetKernels; see kernels.go.

@@ -1,25 +1,24 @@
 package tensor
 
-// Single-precision dot product kernel, the inner operation of the gemmNT
-// and gemmTT transpose cases (the axpy kernel covers gemmNN/gemmTN). On
-// amd64 with AVX2 it dispatches to a vector kernel; everywhere else the
-// generic loop below runs. As with axpy, the vector kernel uses separate
-// multiply and add instructions — never FMA — and the generic loop mirrors
-// the vector kernel's accumulator structure exactly: two groups of eight
-// independent lane accumulators (the kernel's two YMM registers), merged
-// and reduced by the same tree the assembly performs, then a sequential
-// scalar tail. Every dispatch choice therefore produces bitwise-identical
-// sums; no test or checkpoint can tell which machine computed a GEMM.
+// The single-precision dot product under the transpose-B GEMM cases (the
+// dotTile kernel, gemm_tile.go). Its accumulator structure is part of the
+// bitwise contract: sixteen independent lane accumulators in two groups of
+// eight (one 16-lane vector register, or two 8-lane ones), the second
+// group folded onto the first, at most one further 8-float block, the
+// reduction tree ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)), then a sequential
+// scalar tail. sdotGeneric is that structure written out; the vector tiles
+// keep it per dot — multiply and add separate, never FMA — and only run
+// several dots side by side. Every dispatch choice therefore produces
+// bitwise-identical sums; no test or checkpoint can tell which machine
+// computed a GEMM.
 
-// sdot is the active kernel: returns Σ x[i]*y[i] over i < len(x).
-// len(y) must be >= len(x). Installed by SetKernels; see kernels.go.
-var sdot = sdotGeneric
-
+// sdotGeneric returns Σ x[i]*y[i] over i < len(x). len(y) must be >= len(x).
 func sdotGeneric(x, y []float32) float32 {
-	// s0..s7 and r0..r7 are the lanes of the vector kernel's two YMM
-	// accumulators. The float32 conversions force each product to round
-	// before the add, preventing the compiler from fusing into FMA on
-	// platforms where it otherwise would (see axpyGeneric).
+	// s0..s7 and r0..r7 are the lanes of the AVX2 tile's two YMM
+	// accumulators, the two halves of the AVX-512 tile's one ZMM. The
+	// float32 conversions force each product to round before the add,
+	// preventing the compiler from fusing into FMA on platforms where it
+	// otherwise would (see axpyGeneric).
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	var r0, r1, r2, r3, r4, r5, r6, r7 float32
 	j := 0
@@ -62,9 +61,8 @@ func sdotGeneric(x, y []float32) float32 {
 		s7 += float32(x[j+7] * y[j+7])
 		j += 8
 	}
-	// Reduction tree in the vector kernel's order: upper half onto lower
-	// half (VEXTRACTF128+VADDPS), then lanes 2,3 onto 0,1, then the final
-	// pair.
+	// Reduction tree in the vector tiles' order: upper half onto lower
+	// half, then lanes 2,3 onto 0,1, then the final pair.
 	t0 := float32(s0 + s4)
 	t1 := float32(s1 + s5)
 	t2 := float32(s2 + s6)

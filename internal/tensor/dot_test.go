@@ -2,6 +2,14 @@ package tensor
 
 import "testing"
 
+// dot1 runs the active dotTile kernel over a single dot, which is all that
+// is left of a standalone dot kernel: 0 + 1·dot(x, y).
+func dot1(x, y []float32) float32 {
+	var c [1]float32
+	dotTile(1, 1, len(x), 1, x, len(x), y, len(x), c[:], 1)
+	return c[0]
+}
+
 // TestDotKernelsBitwiseEqual pins the dispatch contract the same way
 // axpy_test.go does for axpy: whatever kernel init selected must produce
 // bitwise-identical sums to the generic reference at every length
@@ -15,7 +23,7 @@ func TestDotKernelsBitwiseEqual(t *testing.T) {
 			x[i] = float32(rng.Norm())
 			y[i] = float32(rng.Norm())
 		}
-		got := sdot(x, y)
+		got := dot1(x, y)
 		want := sdotGeneric(x, y)
 		if got != want {
 			t.Fatalf("n=%d: active kernel diverges from generic: %v vs %v", n, got, want)
@@ -34,10 +42,10 @@ func TestDotAgainstFloat64Reference(t *testing.T) {
 			x[i] = float32(rng.Norm())
 			y[i] = float32(rng.Norm())
 		}
-		got := float64(sdot(x, y))
+		got := float64(dot1(x, y))
 		want := Dot(x, y)
 		if diff := got - want; diff > 1e-2 || diff < -1e-2 {
-			t.Fatalf("n=%d: sdot=%v float64 ref=%v", n, got, want)
+			t.Fatalf("n=%d: dot=%v float64 ref=%v", n, got, want)
 		}
 	}
 }
@@ -54,7 +62,7 @@ func BenchmarkDot1024(b *testing.B) {
 	var sink float32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sink += sdot(x, y)
+		sink += dot1(x, y)
 	}
 	_ = sink
 }

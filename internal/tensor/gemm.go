@@ -2,29 +2,27 @@ package tensor
 
 import "sync"
 
-// SGEMM kernels. Deep-learning convolutions lower (via im2col) to "tall
-// skinny" matrix multiplies whose shapes differ from classic HPC BLAS — the
-// paper's §II-A point. The implementation is cache-blocked and register-
-// blocked: C is parallelised over row tiles (ParallelFor), each tile runs a
-// 4-row micro-kernel (axpy4) over column blocks sized to keep the streamed
-// B row and the four C rows L1-resident, and the dot-product variants tile
-// B rows to stay L2-hot across the whole C panel. Every blocking choice
-// preserves the per-element accumulation order of the row-at-a-time
-// reference (k ascending for the axpy variants, one full-k sdot for the
-// transpose-B variants), so blocked and unblocked, scalar and vector, all
-// produce bitwise-identical C — the golden training fingerprints cannot
-// tell the difference.
+// SGEMM. Deep-learning convolutions lower (via im2col) to "tall skinny"
+// matrix multiplies whose shapes differ from classic HPC BLAS — the paper's
+// §II-A point. Both inner bodies keep C in registers for the whole k loop
+// (gemm_tile.go): gemmTile holds a gemmMR-row × 32-column tile of C in
+// accumulators for the NN and TN products, dotTile runs dotMR×4 whole-k
+// dot products at once for NT and TT. C is parallelised over row panels
+// (ParallelFor). Neither tile changes the per-element accumulation order
+// of the row-at-a-time reference (k ascending single-rounded multiply-adds
+// for the tile variants, one full-k dot with sdotGeneric's lane structure
+// for the transpose-B variants), so scalar and vector, serial and
+// parallel, all produce bitwise-identical C — the golden training
+// fingerprints cannot tell the difference.
 
 const (
-	// gemmMR is the register-blocked row count: the axpy4 micro-kernel
-	// updates four C rows per streamed B block.
-	gemmMR = 4
-	// gemmNC is the column tile (floats) for the axpy variants: four C row
-	// tiles plus the B row tile fit comfortably in a 32 KiB L1.
-	gemmNC = 512
-	// gemmJB is the B-row tile for the transpose-B (sdot) variants: a
-	// block of Bᵀ rows reused across every C row stays L2-resident.
-	gemmJB = 256
+	// gemmMR is the row count of one gemmTile panel.
+	gemmMR = 8
+	// dotMR is the row count of one dotTile panel.
+	dotMR = 4
+	// gemmKC is how many k steps of a row panel gemmABRowsScaled pre-scales
+	// by alpha at a time (a stack buffer of gemmMR×gemmKC floats).
+	gemmKC = 128
 )
 
 // Gemm computes C = alpha*op(A)*op(B) + beta*C where op is identity or
@@ -36,6 +34,11 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 	}
 	if len(c) < m*n {
 		panic("tensor: Gemm output too small")
+	}
+	// All three operands are checked before any kernel runs: an assembly
+	// tile reads what its strides say, not what the slice holds.
+	if len(a) < m*k || len(b) < k*n {
+		panic("tensor: Gemm operand too small")
 	}
 	// Pre-scaling goes through the dispatched kernels: clear() compiles to
 	// memclr, and scal is the vector scale body. Both write exactly what
@@ -52,9 +55,11 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 	}
 	switch {
 	case !transA && !transB:
-		gemmNN(m, n, k, alpha, a, b, c)
+		gemmAB(m, n, k, alpha, a, k, 1, b, c)
 	case transA && !transB:
-		gemmTN(m, n, k, alpha, a, b, c)
+		// A is stored k×m: a panel's rows are adjacent floats, its k steps
+		// m apart, so the transposed read needs no packing.
+		gemmAB(m, n, k, alpha, a, 1, m, b, c)
 	case !transA && transB:
 		gemmNT(m, n, k, alpha, a, k, b, k, c)
 	default:
@@ -69,13 +74,21 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 // of compiled plans forbids.
 
 // gemmParallelMin is the multiply-add count below which a GEMM runs on the
-// calling goroutine whatever the worker count. A fork-join costs 1–1.6 µs
-// and six allocations here (the benchmark's tensor.parallelfor_us); at
-// 25–30 GFLOP/s a product this size takes about 4 µs, so splitting it two
-// ways cannot pay the fork-join back. The products under it are a
-// batch-1 serving request's convolutions, dense heads, and the per-sample
-// weight gradient of a convolution over a 4×4 plane.
-const gemmParallelMin = 1 << 16
+// calling goroutine whatever the worker count. The rule is the one it has
+// always had — fork only where a two-way split was measured to beat the
+// inline product — re-measured over the register tiles (BenchmarkGemmSplit
+// at -cpu 2; EXPERIMENTS.md "PR 21"). One thread now does about 30
+// multiply-adds a nanosecond, and a forked half starts only once a parked
+// P has woken, which on the 2-vCPU benchmark host outlasts most products:
+// 16×256×144 (0.6M multiply-adds) takes 16 µs inline and 25 forked,
+// 16×768×144 (1.8M) 54 against 78, 64×256×288 (4.7M) 155 against 175;
+// 128×64×864 (7.1M) is the first to win, 237 against 186. An empty
+// fork-join still reads 1–1.6 µs (the benchmark's tensor.parallelfor_us);
+// the cost is the wake-up under real work, and a persistent worker pool
+// (ROADMAP item 1) is what brings this number back down. A batch-1 serving
+// request's products and every per-sample weight gradient are far below it.
+// (A variable so the tests can force the split on small shapes.)
+var gemmParallelMin = 6 << 20
 
 // gemmSerial reports whether an m×n×k product runs inline: nothing to
 // split, or too little work to split. The row partition never changes a C
@@ -84,144 +97,54 @@ func gemmSerial(m, n, k int) bool {
 	return SerialFor(m) || m*n*k < gemmParallelMin
 }
 
-// gemmNN: A m×k, B k×n. Row tiles of gemmMR C rows run the axpy4
-// micro-kernel over gemmNC-column blocks; within a block the k-loop
-// streams B rows while the four C row tiles stay hot. Per C element the
-// updates remain k-ascending — the same order, hence the same bits, as
-// the row-at-a-time reference that handles the remainder rows.
-func gemmNN(m, n, k int, alpha float32, a, b, c []float32) {
+// gemmAB is C += alpha·A·B for the two untransposed-B cases. Element (i,p)
+// of A is a[i*ars+p*aps]: (k, 1) for a row-major A, (1, m) for a stored
+// transpose. Per C element the updates are k-ascending single-rounded
+// multiply-adds with exact-zero alpha·a terms skipped — the row-at-a-time
+// reference, whatever the panel and column blocking.
+func gemmAB(m, n, k int, alpha float32, a []float32, ars, aps int, b, c []float32) {
 	if gemmSerial(m, n, k) {
-		gemmNNRows(0, m, n, k, alpha, a, b, c)
+		gemmABRows(0, m, n, k, alpha, a, ars, aps, b, c)
 		return
 	}
-	ParallelFor(m, func(lo, hi int) { gemmNNRows(lo, hi, n, k, alpha, a, b, c) })
+	ParallelFor(m, func(lo, hi int) { gemmABRows(lo, hi, n, k, alpha, a, ars, aps, b, c) })
 }
 
-func gemmNNRows(lo, hi, n, k int, alpha float32, a, b, c []float32) {
-	i := lo
-	for ; i+gemmMR <= hi; i += gemmMR {
-		a0 := a[(i+0)*k : (i+0)*k+k]
-		a1 := a[(i+1)*k : (i+1)*k+k]
-		a2 := a[(i+2)*k : (i+2)*k+k]
-		a3 := a[(i+3)*k : (i+3)*k+k]
-		c0 := c[(i+0)*n : (i+0)*n+n]
-		c1 := c[(i+1)*n : (i+1)*n+n]
-		c2 := c[(i+2)*n : (i+2)*n+n]
-		c3 := c[(i+3)*n : (i+3)*n+n]
-		for jc := 0; jc < n; jc += gemmNC {
-			jw := n - jc
-			if jw > gemmNC {
-				jw = gemmNC
-			}
-			for p := 0; p < k; p++ {
-				brow := b[p*n+jc : p*n+jc+jw]
-				av0 := alpha * a0[p]
-				av1 := alpha * a1[p]
-				av2 := alpha * a2[p]
-				av3 := alpha * a3[p]
-				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-					axpy4(av0, av1, av2, av3, brow,
-						c0[jc:jc+jw], c1[jc:jc+jw], c2[jc:jc+jw], c3[jc:jc+jw])
-					continue
-				}
-				// Zero alphas skip their row exactly as the reference
-				// body skips them (adding round(0·b) would be a bitwise
-				// no-op for finite inputs, but skipping is also faster).
-				if av0 != 0 {
-					axpy(av0, brow, c0[jc:jc+jw])
-				}
-				if av1 != 0 {
-					axpy(av1, brow, c1[jc:jc+jw])
-				}
-				if av2 != 0 {
-					axpy(av2, brow, c2[jc:jc+jw])
-				}
-				if av3 != 0 {
-					axpy(av3, brow, c3[jc:jc+jw])
-				}
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		arow := a[i*k : i*k+k]
-		crow := c[i*n : i*n+n]
-		for p := 0; p < k; p++ {
-			av := alpha * arow[p]
-			if av == 0 {
-				continue
-			}
-			axpy(av, b[p*n:p*n+n], crow)
-		}
-	}
-}
-
-// gemmTN: A is stored k×m (we need Aᵀ·B). The gemmMR row tile makes the
-// transposed access unit-stride — a[p*m+i .. p*m+i+3] are adjacent — so no
-// A-panel packing is needed; the blocked loop otherwise matches gemmNN.
-func gemmTN(m, n, k int, alpha float32, a, b, c []float32) {
-	if gemmSerial(m, n, k) {
-		gemmTNRows(0, m, m, n, k, alpha, a, b, c)
+func gemmABRows(lo, hi, n, k int, alpha float32, a []float32, ars, aps int, b, c []float32) {
+	if alpha != 1 {
+		gemmABRowsScaled(lo, hi, n, k, alpha, a, ars, aps, b, c)
 		return
 	}
-	ParallelFor(m, func(lo, hi int) { gemmTNRows(lo, hi, m, n, k, alpha, a, b, c) })
+	for i := lo; i < hi; i += gemmMR {
+		gemmTile(min(gemmMR, hi-i), n, k, a[i*ars:], ars, aps, b, n, c[i*n:], n)
+	}
 }
 
-func gemmTNRows(lo, hi, m, n, k int, alpha float32, a, b, c []float32) {
-	i := lo
-	for ; i+gemmMR <= hi; i += gemmMR {
-		c0 := c[(i+0)*n : (i+0)*n+n]
-		c1 := c[(i+1)*n : (i+1)*n+n]
-		c2 := c[(i+2)*n : (i+2)*n+n]
-		c3 := c[(i+3)*n : (i+3)*n+n]
-		for jc := 0; jc < n; jc += gemmNC {
-			jw := n - jc
-			if jw > gemmNC {
-				jw = gemmNC
-			}
-			for p := 0; p < k; p++ {
-				brow := b[p*n+jc : p*n+jc+jw]
-				base := p*m + i
-				av0 := alpha * a[base]
-				av1 := alpha * a[base+1]
-				av2 := alpha * a[base+2]
-				av3 := alpha * a[base+3]
-				if av0 != 0 && av1 != 0 && av2 != 0 && av3 != 0 {
-					axpy4(av0, av1, av2, av3, brow,
-						c0[jc:jc+jw], c1[jc:jc+jw], c2[jc:jc+jw], c3[jc:jc+jw])
-					continue
-				}
-				if av0 != 0 {
-					axpy(av0, brow, c0[jc:jc+jw])
-				}
-				if av1 != 0 {
-					axpy(av1, brow, c1[jc:jc+jw])
-				}
-				if av2 != 0 {
-					axpy(av2, brow, c2[jc:jc+jw])
-				}
-				if av3 != 0 {
-					axpy(av3, brow, c3[jc:jc+jw])
+// gemmABRowsScaled is gemmABRows for alpha != 1. The tile multiplies by
+// A's stored values, so round(alpha·a) is materialised first: gemmKC steps
+// of one panel at a time in a stack buffer, the tile then run over that
+// chunk of k. C passes through memory between chunks, which is exact, so
+// the per-element order is still k ascending. No caller in this repository
+// takes this path; it keeps Gemm's contract.
+func gemmABRowsScaled(lo, hi, n, k int, alpha float32, a []float32, ars, aps int, b, c []float32) {
+	var av [gemmMR * gemmKC]float32
+	for i := lo; i < hi; i += gemmMR {
+		mr := min(gemmMR, hi-i)
+		for p0 := 0; p0 < k; p0 += gemmKC {
+			kc := min(gemmKC, k-p0)
+			for r := 0; r < mr; r++ {
+				for p := 0; p < kc; p++ {
+					av[r*kc+p] = float32(alpha * a[(i+r)*ars+(p0+p)*aps])
 				}
 			}
-		}
-	}
-	for ; i < hi; i++ {
-		crow := c[i*n : i*n+n]
-		for p := 0; p < k; p++ {
-			av := alpha * a[p*m+i]
-			if av == 0 {
-				continue
-			}
-			axpy(av, b[p*n:p*n+n], crow)
+			gemmTile(mr, n, kc, av[:], kc, 1, b[p0*n:], n, c[i*n:], n)
 		}
 	}
 }
 
 // gemmNT: B is stored n×k (we need A·Bᵀ). Every C element is one
-// contiguous sdot; blocking tiles the Bᵀ rows so a gemmJB×k panel of B is
-// reused across the whole row range before the next panel streams in. The
-// k dimension is never split — the sdot accumulator structure is part of
-// the bitwise contract (see dot.go).
+// contiguous dot over the whole of k — the dot's accumulator structure is
+// part of the bitwise contract (see dot.go), so k is never split.
 // Rows of A and B are lda and ldb floats apart (k for Gemm's dense
 // operands; wider for GemmNTAcc's windows).
 func gemmNT(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32) {
@@ -233,25 +156,15 @@ func gemmNT(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb i
 }
 
 func gemmNTRows(lo, hi, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32) {
-	for jb := 0; jb < n; jb += gemmJB {
-		jhi := jb + gemmJB
-		if jhi > n {
-			jhi = n
-		}
-		for i := lo; i < hi; i++ {
-			arow := a[i*lda : i*lda+k]
-			crow := c[i*n : i*n+n]
-			for j := jb; j < jhi; j++ {
-				crow[j] += alpha * sdot(arow, b[j*ldb:j*ldb+k])
-			}
-		}
+	for i := lo; i < hi; i += dotMR {
+		dotTile(min(dotMR, hi-i), n, k, alpha, a[i*lda:], lda, b, ldb, c[i*n:], n)
 	}
 }
 
 // GemmNTAcc computes C += A·Bᵀ for an m×k A and an n×k B that are windows
 // of wider row-major matrices: row i of A is a[i*lda:i*lda+k], row j of B
 // is b[j*ldb:j*ldb+k]. C is dense m×n. It is Gemm(false, true, …, 1, …, 1,
-// c) — the same sdot per element, so the same bits — without first copying
+// c) — the same dot per element, so the same bits — without first copying
 // the windows out; the convolution weight gradient uses it to read one
 // sample's columns out of a lowering that holds the whole batch.
 func GemmNTAcc(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32) {
@@ -264,10 +177,9 @@ func GemmNTAcc(m, n, k int, a []float32, lda int, b []float32, ldb int, c []floa
 	gemmNT(m, n, k, 1, a, lda, b, ldb, c)
 }
 
-// gemmTT: each strided column of A is packed contiguous once per row tile
-// (k-panel packing into a recycled buffer — the pack-and-multiply trade),
-// after which every output element is a contiguous sdot over the same
-// gemmJB-tiled B panels as gemmNT.
+// gemmTT: each strided column of A is packed contiguous once per row panel
+// (into a recycled buffer), after which the panel is gemmNT's: dotMR×4
+// contiguous dots at a time. No caller outside the tests transposes both.
 func gemmTT(m, n, k int, alpha float32, a, b, c []float32) {
 	if gemmSerial(m, n, k) {
 		gemmTTRows(0, m, m, n, k, alpha, a, b, c)
@@ -277,38 +189,16 @@ func gemmTT(m, n, k int, alpha float32, a, b, c []float32) {
 }
 
 func gemmTTRows(lo, hi, m, n, k int, alpha float32, a, b, c []float32) {
-	pack := getPack(gemmMR * k)
-	i := lo
-	for ; i+gemmMR <= hi; i += gemmMR {
-		for r := 0; r < gemmMR; r++ {
+	pack := getPack(dotMR * k)
+	for i := lo; i < hi; i += dotMR {
+		mr := min(dotMR, hi-i)
+		for r := 0; r < mr; r++ {
 			dst := pack[r*k : (r+1)*k]
-			for p := 0; p < k; p++ {
+			for p := range dst {
 				dst[p] = a[p*m+i+r]
 			}
 		}
-		for jb := 0; jb < n; jb += gemmJB {
-			jhi := jb + gemmJB
-			if jhi > n {
-				jhi = n
-			}
-			for r := 0; r < gemmMR; r++ {
-				acol := pack[r*k : (r+1)*k]
-				crow := c[(i+r)*n : (i+r)*n+n]
-				for j := jb; j < jhi; j++ {
-					crow[j] += alpha * sdot(acol, b[j*k:j*k+k])
-				}
-			}
-		}
-	}
-	for ; i < hi; i++ {
-		acol := pack[:k]
-		for p := 0; p < k; p++ {
-			acol[p] = a[p*m+i]
-		}
-		crow := c[i*n : i*n+n]
-		for j := 0; j < n; j++ {
-			crow[j] += alpha * sdot(acol, b[j*k:j*k+k])
-		}
+		dotTile(mr, n, k, alpha, pack, k, b, k, c[i*n:], n)
 	}
 	putPack(pack)
 }

@@ -154,7 +154,9 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 	prev := SetWorkers(1)
 	Gemm(false, false, m, n, k, 1, a, b, 0, serial)
 	SetWorkers(4)
+	undo := forceSplit()
 	Gemm(false, false, m, n, k, 1, a, b, 0, parallel)
+	undo()
 	SetWorkers(prev)
 	for i := range serial {
 		if serial[i] != parallel[i] {

@@ -1,8 +1,8 @@
 package tensor
 
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
-// axpy, sdot, the 4-row axpy micro-kernel under the blocked GEMM, the
-// in-place scale, the conv unit's ReLU, 2×2 max-pool and col2im strip add
+// the fp32 GEMM's two register tiles (gemm_tile.go), axpy, the in-place
+// scale, the conv unit's ReLU, 2×2 max-pool and col2im strip add
 // (kernels_conv.go), and the int8 datapath's micro-kernel, epilogue,
 // quantizer and byte pool (gemm_s8.go) — is a package-level function
 // variable installed by SetKernels.
@@ -36,9 +36,9 @@ func KernelISAs() []string { return kernelISAs() }
 
 // installScalar routes every kernel to its portable Go body.
 func installScalar() {
+	gemmTile = gemmTileGeneric
+	dotTile = dotTileGeneric
 	axpy = axpyGeneric
-	sdot = sdotGeneric
-	axpy4 = axpy4Generic
 	scal = scalGeneric
 	relu = reluGeneric
 	reluGrad = reluGradGeneric
@@ -66,24 +66,6 @@ func scalGeneric(alpha float32, x []float32) {
 	}
 	for ; j < len(x); j++ {
 		x[j] = float32(alpha * x[j])
-	}
-}
-
-// axpy4 is the active 4-row micro-kernel: y_r[i] += a_r * x[i] for four C
-// rows sharing one streamed x row — the register-blocked inner body of the
-// tiled GEMM. Each row's arithmetic is element-for-element the axpy
-// sequence, so a 4-row call is bitwise-identical to four axpy calls.
-// All four alphas must be non-zero (the GEMM wrapper preserves the
-// zero-skip semantics of the row-at-a-time path before dispatching here).
-var axpy4 = axpy4Generic
-
-func axpy4Generic(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 []float32) {
-	for j := 0; j < len(y0); j++ {
-		xv := x[j]
-		y0[j] += float32(a0 * xv)
-		y1[j] += float32(a1 * xv)
-		y2[j] += float32(a2 * xv)
-		y3[j] += float32(a3 * xv)
 	}
 }
 

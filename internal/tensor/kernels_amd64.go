@@ -13,13 +13,14 @@ package tensor
 func axpyAVX512(alpha float32, x, y []float32)
 
 // Implemented in kernels_amd64.s.
-func sdotAVX512(x, y []float32) float32
-
-// Implemented in kernels_amd64.s.
 func scalAVX2(alpha float32, x []float32)
 
-// Implemented in kernels_amd64.s.
-func axpy4AVX2(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 []float32)
+// The fp32 GEMM's register tiles (gemm_tile.go), implemented in
+// gemm_amd64.s.
+func gemmTileAVX2(mr, n, k int, a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc int)
+func gemmTileAVX512(mr, n, k int, a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc int)
+func dotTileAVX2(mr, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)
+func dotTileAVX512(mr, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)
 
 // The conv-unit kernels (kernels_conv.go), implemented in
 // kernels_conv_amd64.s.
@@ -78,9 +79,9 @@ func kernelISAs() []string {
 }
 
 func installAVX2() {
+	gemmTile = gemmTileAVX2
+	dotTile = dotTileAVX2
 	axpy = axpyAVX2
-	sdot = sdotAVX2
-	axpy4 = axpy4AVX2
 	scal = scalAVX2
 	relu = reluAVX2
 	reluGrad = reluGradAVX2
@@ -97,8 +98,9 @@ func installAVX2() {
 
 func installAVX512() {
 	installAVX2()
+	gemmTile = gemmTileAVX512
+	dotTile = dotTileAVX512
 	axpy = axpyAVX512
-	sdot = sdotAVX512
 	relu = reluAVX512
 	reluGrad = reluGradAVX512
 	maxPool2x2 = maxPool2x2AVX512

@@ -4,7 +4,7 @@ import "math"
 
 // The non-GEMM kernels of a convolution unit: ReLU forward and backward,
 // 2×2/stride-2 max pooling with and without argmax, and the strip add under
-// the stride-1 col2im. They sit on the same dispatch table as axpy/sdot
+// the stride-1 col2im. They sit on the same dispatch table as the GEMM tiles
 // (kernels.go) and honour the same contract: every ISA body is bitwise
 // identical to the Go body here. That is cheap for this family — max,
 // select, copy and a same-order add are all exact — but the operand order

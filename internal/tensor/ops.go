@@ -37,14 +37,15 @@ func Sub(dst, a, b []float32) {
 	}
 }
 
-// Dot returns the inner product in float64 for accuracy.
+// Dot returns the inner product in float64 for accuracy. Each product is
+// rounded before it is added (no fused multiply-add; see axpy.go).
 func Dot(x, y []float32) float64 {
 	if len(x) != len(y) {
 		panic("tensor: Dot length mismatch")
 	}
 	var s float64
 	for i := range x {
-		s += float64(x[i]) * float64(y[i])
+		s += float64(float64(x[i]) * float64(y[i]))
 	}
 	return s
 }
@@ -68,7 +69,7 @@ func MeanSquaredError(a, b []float32) float64 {
 	var s float64
 	for i := range a {
 		d := float64(a[i]) - float64(b[i])
-		s += d * d
+		s += float64(d * d)
 	}
 	return s / float64(len(a))
 }

@@ -34,9 +34,12 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a uniform value in [0,1).
+// Float64 returns a uniform value in [0,1). Here and below a product that
+// feeds an add or subtract is converted first: the conversion rounds it, so
+// the compiler may not fuse the pair (see axpy.go), and a seed draws the
+// same values on every machine.
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
+	return float64(float64(r.Uint64()>>11) / float64(1<<53))
 }
 
 // Float32 returns a uniform value in [0,1).
@@ -70,7 +73,7 @@ func (r *RNG) Norm() float64 {
 // LogNormal returns exp(N(mu, sigma^2)); used by the cluster simulator for
 // compute and message-latency jitter multipliers.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
+	return math.Exp(mu + float64(sigma*r.Norm()))
 }
 
 // Exp returns an exponential draw with the given mean.
@@ -86,7 +89,7 @@ func (r *RNG) Poisson(mean float64) int {
 		return 0
 	}
 	if mean > 64 {
-		n := int(mean + math.Sqrt(mean)*r.Norm() + 0.5)
+		n := int(mean + float64(math.Sqrt(mean)*r.Norm()) + 0.5)
 		if n < 0 {
 			n = 0
 		}
@@ -120,13 +123,13 @@ func (r *RNG) Perm(n int) []int {
 // FillNorm fills t with N(mean, std^2) draws.
 func (r *RNG) FillNorm(t *Tensor, mean, std float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(mean + std*r.Norm())
+		t.Data[i] = float32(mean + float64(std*r.Norm()))
 	}
 }
 
 // FillUniform fills t with uniform draws in [lo,hi).
 func (r *RNG) FillUniform(t *Tensor, lo, hi float64) {
 	for i := range t.Data {
-		t.Data[i] = float32(lo + (hi-lo)*r.Float64())
+		t.Data[i] = float32(lo + float64((hi-lo)*r.Float64()))
 	}
 }

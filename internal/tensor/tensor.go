@@ -167,7 +167,7 @@ func (t *Tensor) AbsMax() float32 {
 func (t *Tensor) L2Norm() float64 {
 	var s float64
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
