@@ -4,30 +4,19 @@ package deep15pf_test
 // micro-benchmarks. Figure-level benchmarks wrap the harness generators in
 // quick mode (each iteration regenerates the full experiment); kernel
 // benchmarks measure the substrate the way DeepBench measures MKL/cuDNN.
+// These are for looking at one thing while working on it; the yardstick a
+// change is judged by is benchmark/ (go run ./benchmark).
 //
 // Regenerate everything textually with: go run ./cmd/repro
 
 import (
-	"encoding/json"
-	"math"
-	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
-	"deep15pf/internal/astro"
-	"deep15pf/internal/bulk"
-	"deep15pf/internal/ckpt"
 	"deep15pf/internal/cluster"
-	"deep15pf/internal/core"
-	"deep15pf/internal/data"
 	"deep15pf/internal/harness"
 	"deep15pf/internal/hep"
-	"deep15pf/internal/netserve"
 	"deep15pf/internal/nn"
-	"deep15pf/internal/obs"
-	"deep15pf/internal/opt"
 	"deep15pf/internal/serve"
 	"deep15pf/internal/tensor"
 )
@@ -149,12 +138,13 @@ func BenchmarkGemmTallSkinny(b *testing.B) {
 func BenchmarkHEPConvLayer(b *testing.B) {
 	rng := tensor.NewRNG(3)
 	conv := nn.NewConv2D("conv4", 128, 128, 3, 1, 1, rng)
+	plan := nn.Compile(nn.NewNetwork("conv4", 128, 28, 28).Add(conv), 1, false, nil)
 	x := tensor.New(1, 128, 28, 28)
 	rng.FillNorm(x, 0, 1)
 	flops := conv.FLOPs([]int{128, 28, 28})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		conv.Forward(x, false)
+		plan.Forward(x)
 	}
 	b.ReportMetric(float64(flops.Fwd)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
@@ -165,16 +155,17 @@ func BenchmarkHEPForwardBackward(b *testing.B) {
 	rng := tensor.NewRNG(4)
 	cfg := hep.ModelConfig{Name: "bench", ImageSize: 32, Filters: 16, ConvUnits: 4, Classes: 2}
 	net := hep.BuildNet(cfg, rng)
+	plan := nn.Compile(net, 4, true, nil)
 	x := tensor.New(4, 3, 32, 32)
 	rng.FillNorm(x, 0, 1)
 	labels := []int{0, 1, 0, 1}
+	grad := tensor.New(4, 2)
 	flops := net.FLOPsPerSample().Total() * 4
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-		net.Backward(grad)
+		nn.SoftmaxCrossEntropyInto(plan.Forward(x), labels, grad)
+		plan.Backward(grad)
 	}
 	b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
@@ -228,546 +219,6 @@ func BenchmarkServeThroughputBatch1(b *testing.B)  { benchServeThroughput(b, 1) 
 func BenchmarkServeThroughputBatch8(b *testing.B)  { benchServeThroughput(b, 8) }
 func BenchmarkServeThroughputBatch32(b *testing.B) { benchServeThroughput(b, 32) }
 
-// ---- Machine-readable serving perf trajectory (BENCH_serve.json) ----
-
-// serveBenchSide is one measured configuration of the serving A/B.
-type serveBenchSide struct {
-	ReqPerSec        float64 `json:"req_per_sec"`
-	P99Ms            float64 `json:"p99_ms"`
-	AllocsPerRequest float64 `json:"allocs_per_request"`
-	MeanBatch        float64 `json:"mean_batch"`
-}
-
-// serveBenchReport is the BENCH_serve.json schema: the same closed-loop
-// load through the compiled-plan serving path and the legacy per-pass
-// allocation path, so the perf trajectory records both the throughput and
-// the allocation deltas plans buy.
-type serveBenchReport struct {
-	Model            string         `json:"model"`
-	Requests         int            `json:"requests"`
-	Clients          int            `json:"clients"`
-	MaxBatch         int            `json:"max_batch"`
-	Planned          serveBenchSide `json:"planned"`
-	Unplanned        serveBenchSide `json:"unplanned"`
-	ThroughputGain   float64        `json:"throughput_gain"`
-	AllocReduction   float64        `json:"alloc_reduction"`
-	P99ImprovementMs float64        `json:"p99_improvement_ms"`
-
-	// Traced (PR 6) is the planned path with the phase tracer attached
-	// (per-worker Queue/Batch/Infer spans on every batch);
-	// TracedReqDeltaFrac is its throughput relative to the untraced planned
-	// run minus one. Recorded, not gated: it is wall-clock on a shared
-	// runner. The zero-alloc property that keeps this delta near zero IS
-	// gated, deterministically, in internal/obs and internal/serve.
-	Traced             serveBenchSide `json:"traced"`
-	TracedReqDeltaFrac float64        `json:"traced_req_s_delta_frac"`
-
-	// Int8 (PR 7) is the same load through the quantized datapath
-	// (u8·s8 integer GEMM, per-channel weight scales, calibrated
-	// activations); AccDelta is fp32 accuracy minus int8 accuracy on a
-	// held-out HEP eval set served through the same registry. The
-	// throughput gain is gated on multi-core hosts only — single-core
-	// wall-clock is recorded for the trajectory.
-	Int8               int8BenchSide `json:"int8"`
-	Int8ThroughputGain float64       `json:"int8_throughput_gain"`
-
-	// Fleet (PR 8) is the network tier: the same model served over real
-	// loopback TCP through internal/netserve's router. fleet_single vs
-	// fleet_pair is the scale-out A/B; hedge_off vs hedge_on is the tail
-	// A/B with the rendezvous-preferred member deliberately slowed, so
-	// every sticky dispatch takes the slow path and the hedge race is
-	// real; socket_allocs_per_request is whole-process mallocs per warm
-	// round trip over a socket with both endpoints in this process, so
-	// client and server costs are both counted.
-	Fleet fleetBenchBlock `json:"fleet"`
-
-	// Bulk (PR 9) is the offline tier: the same model scoring fixed shard
-	// sets through the throughput-first bulk engine vs. the same sample
-	// count pushed through the online Submit path, plus int8 and a
-	// two-backend work-stealing fleet over loopback TCP.
-	Bulk bulkBenchBlock `json:"bulk"`
-
-	// KernelDispatch names the ISA the runtime probe installed (the fp32
-	// result is bitwise identical across all of them; see
-	// internal/tensor/kernels.go). The gemm_blocked_* and int8_gemm_* rows
-	// are single-thread micro-benchmark rates on this host.
-	KernelDispatch              string  `json:"kernel_dispatch"`
-	GemmBlockedSquare256GFLOPs  float64 `json:"gemm_blocked_square256_gflops"`
-	GemmBlockedTallSkinnyGFLOPs float64 `json:"gemm_blocked_tallskinny_gflops"`
-	Int8GemmTallSkinnyGOPs      float64 `json:"int8_gemm_tallskinny_gops"`
-	HostCPUs                    int     `json:"host_cpus"`
-}
-
-// int8BenchSide is the quantized serving side plus its accuracy cost.
-type int8BenchSide struct {
-	serveBenchSide
-	AccDelta float64 `json:"acc_delta"`
-}
-
-// measureServeSide drives a fixed closed-loop load through a fresh server
-// and reports throughput, tail latency and whole-process allocations per
-// request (runtime mallocs delta — it counts the load generator too, which
-// is exactly the end-to-end number an operator sees). quantized serves the
-// int8 datapath, calibrated over the request pool.
-func measureServeSide(t *testing.T, planning, quantized bool, tr *obs.Tracer, requests, clients, maxBatch int) serveBenchSide {
-	t.Helper()
-	cfg := hep.ModelConfig{Name: "bench-serve-json", ImageSize: 4, Filters: 16, ConvUnits: 2, Classes: 2}
-	rng := tensor.NewRNG(7)
-	net := hep.BuildNet(cfg, rng)
-	path := filepath.Join(t.TempDir(), "bench.d15w")
-	if err := nn.SaveFile(path, net.Params()); err != nil {
-		t.Fatal(err)
-	}
-	reg := serve.NewRegistry()
-	serve.RegisterHEP(reg, "bench-serve-json", cfg)
-	lm, err := reg.Load("bench-serve-json", path, serve.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm.SetPlanning(planning)
-	inputs := make([]*serve.LoadInput, 64)
-	per := 3 * cfg.ImageSize * cfg.ImageSize
-	calib := tensor.New(len(inputs), 3, cfg.ImageSize, cfg.ImageSize)
-	for i := range inputs {
-		x := tensor.New(3, cfg.ImageSize, cfg.ImageSize)
-		rng.FillNorm(x, 0, 1)
-		inputs[i] = &serve.LoadInput{X: x}
-		copy(calib.Data[i*per:(i+1)*per], x.Data)
-	}
-	if quantized {
-		lm.SetQuantized(true)
-		if err := lm.Calibrate(calib); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := serve.NewServer(lm, serve.Config{MaxBatch: maxBatch, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	// Warm every per-batch-size plan bucket, then reset the stats so the
-	// measured quantiles cover only steady state (the warmup holds the
-	// first-request plan compiles).
-	if res := serve.RunClosedLoop(s, inputs, clients, requests/4); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	s.ResetStats()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	res := serve.RunClosedLoop(s, inputs, clients, requests)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	runtime.ReadMemStats(&after)
-	st := s.Stats()
-	return serveBenchSide{
-		ReqPerSec:        float64(requests) / res.Wall.Seconds(),
-		P99Ms:            float64(st.P99.Microseconds()) / 1000,
-		AllocsPerRequest: float64(after.Mallocs-before.Mallocs) / float64(requests),
-		MeanBatch:        float64(st.Requests) / float64(st.Batches),
-	}
-}
-
-// ---- Fleet tier (PR 8): routed serving over real loopback sockets ----
-
-// fleetBenchSide is one measured fleet configuration, client-observed
-// through a router over real TCP connections.
-type fleetBenchSide struct {
-	ReqPerSec float64 `json:"req_per_sec"`
-	P50Ms     float64 `json:"p50_ms"`
-	P95Ms     float64 `json:"p95_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	Dropped   int     `json:"dropped"`
-}
-
-// fleetBenchBlock is the fleet section of serveBenchReport; see the field
-// comment there for what each side measures.
-type fleetBenchBlock struct {
-	FleetSingle            fleetBenchSide `json:"fleet_single"`
-	FleetPair              fleetBenchSide `json:"fleet_pair"`
-	HedgeOff               fleetBenchSide `json:"hedge_off"`
-	HedgeOn                fleetBenchSide `json:"hedge_on"`
-	HedgeP99Cut            float64        `json:"hedge_p99_cut"`
-	SocketAllocsPerRequest float64        `json:"socket_allocs_per_request"`
-}
-
-func fleetSideOf(res serve.LoadResult) fleetBenchSide {
-	return fleetBenchSide{
-		ReqPerSec: res.Throughput,
-		P50Ms:     float64(res.P50.Microseconds()) / 1000,
-		P95Ms:     float64(res.P95.Microseconds()) / 1000,
-		P99Ms:     float64(res.P99.Microseconds()) / 1000,
-		Dropped:   res.Dropped,
-	}
-}
-
-// fleetBenchModel loads the bench model through the registry (checkpoint
-// round trip included) and renders a request pool, the fixture every fleet
-// side shares.
-func fleetBenchModel(t *testing.T) (*serve.LoadedModel, []*serve.LoadInput) {
-	t.Helper()
-	cfg := hep.ModelConfig{Name: "bench-fleet", ImageSize: 4, Filters: 16, ConvUnits: 2, Classes: 2}
-	rng := tensor.NewRNG(7)
-	net := hep.BuildNet(cfg, rng)
-	path := filepath.Join(t.TempDir(), "fleet.d15w")
-	if err := nn.SaveFile(path, net.Params()); err != nil {
-		t.Fatal(err)
-	}
-	reg := serve.NewRegistry()
-	serve.RegisterHEP(reg, "bench-fleet", cfg)
-	lm, err := reg.Load("bench-fleet", path, serve.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := make([]*serve.LoadInput, 64)
-	for i := range inputs {
-		x := tensor.New(3, cfg.ImageSize, cfg.ImageSize)
-		rng.FillNorm(x, 0, 1)
-		inputs[i] = &serve.LoadInput{X: x}
-	}
-	return lm, inputs
-}
-
-// startFleetBackends brings up n independent serving engines over the
-// loaded model, each behind its own network listener on a loopback port.
-func startFleetBackends(t *testing.T, lm *serve.LoadedModel, n int) ([]string, []*netserve.Server, []*serve.Server) {
-	t.Helper()
-	addrs := make([]string, n)
-	nss := make([]*netserve.Server, n)
-	engines := make([]*serve.Server, n)
-	for i := 0; i < n; i++ {
-		eng, err := serve.NewServer(lm, serve.Config{MaxBatch: 16, MaxLinger: time.Millisecond, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns, err := netserve.NewServer("127.0.0.1:0", map[string]*serve.Server{"bench-fleet": eng}, netserve.ServerConfig{})
-		if err != nil {
-			eng.Close()
-			t.Fatal(err)
-		}
-		engines[i], nss[i], addrs[i] = eng, ns, ns.Addr()
-		t.Cleanup(func() {
-			ns.Close()
-			eng.Close()
-		})
-	}
-	return addrs, nss, engines
-}
-
-// routedLoad stands up a router over the backends, warms the path, and
-// drives the closed-loop measurement load through it.
-func routedLoad(t *testing.T, addrs []string, rcfg netserve.RouterConfig, inputs []*serve.LoadInput, clients, requests int) serve.LoadResult {
-	t.Helper()
-	r, err := netserve.NewRouter("127.0.0.1:0", addrs, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	c, err := netserve.Dial(r.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	bound := c.Bind("bench-fleet")
-	if res := serve.RunClosedLoop(bound, inputs, clients, 2*clients); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	res := serve.RunClosedLoop(bound, inputs, clients, requests)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	return res
-}
-
-// socketAllocs measures whole-process mallocs per warm round trip over a
-// real socket — client request encode, server decode, inference, response
-// encode, client decode into a reused tensor. Both endpoints live in this
-// process, so the number is the sum of both sides.
-func socketAllocs(t *testing.T, addr string, inputs []*serve.LoadInput) float64 {
-	t.Helper()
-	c, err := netserve.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	y := tensor.New(2)
-	warm := func(n int) {
-		for i := 0; i < n; i++ {
-			if err := c.InferInto("bench-fleet", inputs[i%len(inputs)].X, y); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	warm(256)
-	const n = 512
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	warm(n)
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / n
-}
-
-// measureFleetBench runs the four fleet sides. requests sizes the
-// scale-out A/B; hedgeRequests sizes the tail A/B (smaller, because the
-// unhedged side deliberately serves most requests through a slowed
-// member).
-func measureFleetBench(t *testing.T, requests, hedgeRequests, clients int) fleetBenchBlock {
-	t.Helper()
-	lm, inputs := fleetBenchModel(t)
-	var blk fleetBenchBlock
-
-	single, _, _ := startFleetBackends(t, lm, 1)
-	blk.FleetSingle = fleetSideOf(routedLoad(t, single, netserve.RouterConfig{}, inputs, clients, requests))
-
-	pair, nss, engines := startFleetBackends(t, lm, 2)
-	blk.FleetPair = fleetSideOf(routedLoad(t, pair, netserve.RouterConfig{}, inputs, clients, requests))
-
-	// Tail A/B over the same pair: one probe reveals which member
-	// rendezvous hashing prefers for this model; slowing exactly that
-	// member means every sticky dispatch takes the slow path, so the
-	// hedged run has a real race to win.
-	r, err := netserve.NewRouter("127.0.0.1:0", pair, netserve.RouterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := netserve.Dial(r.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := engines[0].Stats().Requests
-	if _, err := c.Infer("bench-fleet", inputs[0].X); err != nil {
-		t.Fatal(err)
-	}
-	preferred := 0
-	if engines[0].Stats().Requests == before {
-		preferred = 1
-	}
-	c.Close()
-	r.Close()
-	nss[preferred].SetDelay(3 * time.Millisecond)
-	blk.HedgeOff = fleetSideOf(routedLoad(t, pair, netserve.RouterConfig{}, inputs, clients, hedgeRequests))
-	blk.HedgeOn = fleetSideOf(routedLoad(t, pair, netserve.RouterConfig{Hedge: true}, inputs, clients, hedgeRequests))
-	blk.HedgeP99Cut = blk.HedgeOff.P99Ms / blk.HedgeOn.P99Ms
-	nss[preferred].SetDelay(0)
-
-	blk.SocketAllocsPerRequest = socketAllocs(t, single[0], inputs)
-	return blk
-}
-
-// TestEmitServeBenchJSON measures the planned-vs-unplanned serving A/B and
-// writes BENCH_serve.json so the serving perf trajectory is machine-
-// readable across PRs. It also enforces the regression floor: the planned
-// path must not allocate more, or serve slower than, the legacy path by
-// more than harness noise allows.
-func TestEmitServeBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serving A/B takes a few seconds")
-	}
-	const requests, clients, maxBatch = 6000, 32, 16
-	rep := serveBenchReport{
-		Model:    "hep ConvUnits=2 Filters=16 ImageSize=4",
-		Requests: requests, Clients: clients, MaxBatch: maxBatch,
-		Planned:   measureServeSide(t, true, false, nil, requests, clients, maxBatch),
-		Unplanned: measureServeSide(t, false, false, nil, requests, clients, maxBatch),
-	}
-	rep.Traced = measureServeSide(t, true, false, obs.NewTracer(0), requests, clients, maxBatch)
-	rep.Int8.serveBenchSide = measureServeSide(t, true, true, nil, requests, clients, maxBatch)
-	rep.Int8.AccDelta = servedAccuracyDelta(t)
-	rep.Fleet = measureFleetBench(t, 2000, 800, 16)
-	rep.Bulk = measureBulkBench(t, 4096, 256)
-	rep.ThroughputGain = rep.Planned.ReqPerSec / rep.Unplanned.ReqPerSec
-	rep.AllocReduction = rep.Unplanned.AllocsPerRequest / rep.Planned.AllocsPerRequest
-	rep.P99ImprovementMs = rep.Unplanned.P99Ms - rep.Planned.P99Ms
-	rep.TracedReqDeltaFrac = rep.Traced.ReqPerSec/rep.Planned.ReqPerSec - 1
-	rep.Int8ThroughputGain = rep.Int8.ReqPerSec / rep.Planned.ReqPerSec
-	rep.KernelDispatch = tensor.KernelISA()
-	rep.GemmBlockedSquare256GFLOPs = gemmRate(256, 256, 256)
-	rep.GemmBlockedTallSkinnyGFLOPs = gemmRate(128, 784, 1152)
-	rep.Int8GemmTallSkinnyGOPs = gemmS8Rate(128, 784, 1152)
-	rep.HostCPUs = runtime.NumCPU()
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("planned: %.0f req/s, p99 %.2f ms, %.1f allocs/req", rep.Planned.ReqPerSec, rep.Planned.P99Ms, rep.Planned.AllocsPerRequest)
-	t.Logf("unplanned: %.0f req/s, p99 %.2f ms, %.1f allocs/req", rep.Unplanned.ReqPerSec, rep.Unplanned.P99Ms, rep.Unplanned.AllocsPerRequest)
-	t.Logf("traced: %.0f req/s (%+.1f%% vs planned; wall-clock, recorded not gated)",
-		rep.Traced.ReqPerSec, 100*rep.TracedReqDeltaFrac)
-	if rep.AllocReduction < 1 {
-		t.Errorf("plans must cut allocations per request: planned %.1f vs unplanned %.1f",
-			rep.Planned.AllocsPerRequest, rep.Unplanned.AllocsPerRequest)
-	}
-	// Throughput is wall-clock and shared-runner noise can swing it either
-	// way; it is recorded in the report, not gated, so CI stays
-	// deterministic. The allocation ratio above is the hard floor.
-	if rep.ThroughputGain < 1 {
-		t.Logf("note: planned throughput %.2fx of unplanned this run (timing noise expected on shared runners)", rep.ThroughputGain)
-	}
-
-	t.Logf("int8: %.0f req/s (%.2fx of fp32 planned), p99 %.2f ms, acc delta %.4f, kernels %s",
-		rep.Int8.ReqPerSec, rep.Int8ThroughputGain, rep.Int8.P99Ms, rep.Int8.AccDelta, rep.KernelDispatch)
-	t.Logf("gemm blocked: square256 %.1f GFLOP/s, tall-skinny %.1f GFLOP/s; int8 gemm %.1f GOP/s",
-		rep.GemmBlockedSquare256GFLOPs, rep.GemmBlockedTallSkinnyGFLOPs, rep.Int8GemmTallSkinnyGOPs)
-	// Accuracy cost of int8 serving is deterministic — gate it everywhere.
-	if rep.Int8.AccDelta > 0.01 {
-		t.Errorf("int8 serving loses %.4f accuracy vs fp32, budget is 0.01", rep.Int8.AccDelta)
-	}
-	// The int8 throughput gain is wall-clock and, on this 4×4 toy model,
-	// mostly a statement about how slow the fp32 side is: it read 5x while
-	// fp32 ran one axpy per 4-float row and reads below 1 now that it does
-	// not. Recorded (BENCH_serve.json int8_throughput_gain), not gated;
-	// benchmark/'s score_bulk workload is where the two are compared.
-	t.Logf("int8 throughput gain %.2fx recorded, not gated", rep.Int8ThroughputGain)
-
-	t.Logf("fleet: single %.0f req/s p99 %.2f ms; pair %.0f req/s p99 %.2f ms; %.2f allocs/req over the socket",
-		rep.Fleet.FleetSingle.ReqPerSec, rep.Fleet.FleetSingle.P99Ms,
-		rep.Fleet.FleetPair.ReqPerSec, rep.Fleet.FleetPair.P99Ms,
-		rep.Fleet.SocketAllocsPerRequest)
-	t.Logf("hedge (one member slowed): off p99 %.2f ms, on p99 %.2f ms (%.2fx cut)",
-		rep.Fleet.HedgeOff.P99Ms, rep.Fleet.HedgeOn.P99Ms, rep.Fleet.HedgeP99Cut)
-	// Zero drops through the routed tier is deterministic — gate it
-	// everywhere, every side.
-	if d := rep.Fleet.FleetSingle.Dropped + rep.Fleet.FleetPair.Dropped +
-		rep.Fleet.HedgeOff.Dropped + rep.Fleet.HedgeOn.Dropped; d != 0 {
-		t.Errorf("routed serving dropped %d requests across the fleet sides, want 0", d)
-	}
-	// The hedge tail cut is wall-clock: gated on multi-core hosts (the
-	// race needs a spare core to be real), recorded everywhere.
-	if runtime.NumCPU() >= 2 {
-		if rep.Fleet.HedgeP99Cut < 1.2 {
-			t.Errorf("hedging cut p99 by %.2fx with a slowed member, want >= 1.2x on multi-core hosts", rep.Fleet.HedgeP99Cut)
-		}
-	} else {
-		t.Logf("hedge p99 cut %.2fx recorded, not gated (host has %d CPU)", rep.Fleet.HedgeP99Cut, runtime.NumCPU())
-	}
-
-	t.Logf("bulk: fp32 %.0f samples/s, int8 %.0f (%.2fx), fleet pair %.0f; online Submit %.0f samples/s",
-		rep.Bulk.BulkFP32.SamplesPerSec, rep.Bulk.BulkInt8.SamplesPerSec, rep.Bulk.BulkInt8Gain,
-		rep.Bulk.BulkFleetPair.SamplesPerSec, rep.Bulk.OnlineSubmit.SamplesPerSec)
-	// The bulk-vs-online ratio is wall-clock and was never ≥3x on a host
-	// with two or more CPUs (0.6–1.2x: at this toy model's size both sides
-	// measure the batcher, not the kernels). Recorded (BENCH_serve.json
-	// bulk_vs_online_gain), not gated. The bulk warm path's 0-alloc contract
-	// is gated deterministically in internal/bulk
-	// (TestEngineWarmPathZeroAlloc).
-	t.Logf("bulk vs online gain %.2fx recorded, not gated", rep.Bulk.BulkVsOnlineGain)
-}
-
-// servedAccuracyDelta trains the deterministic bench model, serves the
-// checkpoint through the registry at fp32 and calibrated int8, and returns
-// fp32 accuracy minus int8 accuracy on a held-out eval set.
-func servedAccuracyDelta(t *testing.T) float64 {
-	t.Helper()
-	ds, p := trainBenchProblem(11, 256)
-	res := core.TrainHybrid(p, core.Config{
-		Groups: 1, WorkersPerGroup: 2, GroupBatch: 32, Iterations: 60,
-		Solver: opt.NewAdam(2e-3), Seed: 9, Overlap: true, Codec: "fp32",
-	})
-	path := filepath.Join(t.TempDir(), "acc.d15w")
-	if err := nn.SaveFile(path, p.TrainedNet(res.FinalWeights).Params()); err != nil {
-		t.Fatal(err)
-	}
-	cfg := hep.ModelConfig{Name: "bench-acc", ImageSize: 16, Filters: 16, ConvUnits: 3, Classes: 2}
-	reg := serve.NewRegistry()
-	serve.RegisterHEP(reg, "bench-acc", cfg)
-	lm, err := reg.Load("bench-acc", path, serve.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	val := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), 256, 0.5, tensor.NewRNG(1234))
-
-	accFP32 := servedAccuracy(t, lm, val)
-	lm.SetQuantized(true)
-	calIdx := make([]int, 64)
-	for i := range calIdx {
-		calIdx[i] = i % len(ds.Labels)
-	}
-	calX, _ := ds.Batch(calIdx)
-	if err := lm.Calibrate(calX); err != nil {
-		t.Fatal(err)
-	}
-	accInt8 := servedAccuracy(t, lm, val)
-	t.Logf("served accuracy: fp32 %.4f, int8 %.4f", accFP32, accInt8)
-	return accFP32 - accInt8
-}
-
-// servedAccuracy scores val through one replica minted from lm.
-func servedAccuracy(t *testing.T, lm *serve.LoadedModel, val *hep.Dataset) float64 {
-	t.Helper()
-	rep, err := lm.NewReplica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var scores []float64
-	idx := make([]int, 0, 64)
-	for lo := 0; lo < len(val.Labels); lo += 64 {
-		hi := lo + 64
-		if hi > len(val.Labels) {
-			hi = len(val.Labels)
-		}
-		idx = idx[:0]
-		for i := lo; i < hi; i++ {
-			idx = append(idx, i)
-		}
-		x, _ := val.Batch(idx)
-		scores = append(scores, hep.SignalScore(rep.Infer(x))...)
-	}
-	return hep.Accuracy(scores, val.Labels)
-}
-
-// gemmRate measures the blocked fp32 GEMM's single-run rate in GFLOP/s for
-// the BENCH_serve.json kernel rows (a short fixed-work sample, not a
-// statistically careful benchmark — the trajectory only needs the order of
-// magnitude and the blocked-vs-naive trend).
-func gemmRate(m, n, k int) float64 {
-	rng := tensor.NewRNG(3)
-	a := make([]float32, m*k)
-	b := make([]float32, k*n)
-	c := make([]float32, m*n)
-	for i := range a {
-		a[i] = float32(rng.Norm())
-	}
-	for i := range b {
-		b[i] = float32(rng.Norm())
-	}
-	tensor.Gemm(false, false, m, n, k, 1, a, b, 0, c) // warm (pack pools, caches)
-	iters := 0
-	start := time.Now()
-	for time.Since(start) < 200*time.Millisecond {
-		tensor.Gemm(false, false, m, n, k, 1, a, b, 0, c)
-		iters++
-	}
-	return float64(tensor.GemmFLOPs(m, n, k)) * float64(iters) / time.Since(start).Seconds() / 1e9
-}
-
-// gemmS8Rate is gemmRate for the integer GEMM, in G-int-ops/s (2 ops per
-// multiply-accumulate, same convention as GemmFLOPs).
-func gemmS8Rate(m, n, k int) float64 {
-	rng := tensor.NewRNG(5)
-	a := make([]int8, m*k)
-	b := make([]uint8, n*k)
-	c := make([]int32, m*n)
-	for i := range a {
-		a[i] = int8(rng.Intn(256) - 128)
-	}
-	for i := range b {
-		b[i] = uint8(rng.Intn(256))
-	}
-	tensor.GemmS8(m, n, k, a, b, c)
-	iters := 0
-	start := time.Now()
-	for time.Since(start) < 200*time.Millisecond {
-		tensor.GemmS8(m, n, k, a, b, c)
-		iters++
-	}
-	return float64(2*m) * float64(n) * float64(k) * float64(iters) / time.Since(start).Seconds() / 1e9
-}
-
 // BenchmarkClusterSimIteration measures the discrete-event simulator's own
 // cost per simulated training iteration at full machine scale.
 func BenchmarkClusterSimIteration(b *testing.B) {
@@ -779,855 +230,4 @@ func BenchmarkClusterSimIteration(b *testing.B) {
 			Nodes: 9594, Groups: 9, BatchPerGroup: 1066, Iterations: 10, Seed: uint64(i),
 		})
 	}
-}
-
-// ---- Machine-readable training perf trajectory (BENCH_train.json) ----
-
-// trainBenchSide is one measured configuration of the hybrid-training A/B.
-type trainBenchSide struct {
-	ItersPerSec     float64 `json:"iters_per_sec"`
-	GradKBPerIter   float64 `json:"grad_wire_kb_per_iter"`
-	WeightKBPerIter float64 `json:"weight_wire_kb_per_iter"`
-	FinalLoss       float64 `json:"final_loss"`
-	MeanStaleness   float64 `json:"mean_staleness"`
-}
-
-// trainBenchReport is the BENCH_train.json schema, mirroring
-// BENCH_serve.json: the same hybrid workload through the three exchange
-// configurations the refactor enables — serialized fp32 (the pre-refactor
-// behavior), overlapped fp32, and overlapped int8 — recording update
-// throughput and bytes-on-wire per update, plus the HEP validation-accuracy
-// cost of the quantised wire.
-type trainBenchReport struct {
-	Model             string         `json:"model"`
-	Groups            int            `json:"groups"`
-	WorkersPerGroup   int            `json:"workers_per_group"`
-	GroupBatch        int            `json:"group_batch"`
-	Updates           int            `json:"updates"`
-	LockstepFP32      trainBenchSide `json:"lockstep_fp32"`
-	Overlapped        trainBenchSide `json:"overlapped_fp32"`
-	OverlappedInt8    trainBenchSide `json:"overlapped_int8"`
-	OverlapSpeedup    float64        `json:"overlap_speedup"`
-	Int8WireReduction float64        `json:"int8_wire_reduction"`
-	HostCPUs          int            `json:"host_cpus"`
-
-	ValAccuracyFP32 float64 `json:"val_accuracy_fp32"`
-	ValAccuracyInt8 float64 `json:"val_accuracy_int8"`
-
-	// Streaming-ingest A/B (PR 4): the same shard-backed training run with
-	// the blocking reader and with the double-buffered prefetch pipeline.
-	// Trajectories are bitwise identical (gated); the exposed-I/O delta is
-	// the tentpole's figure of merit.
-	IngestBlocking         ingestBenchSide `json:"ingest_blocking"`
-	IngestPrefetched       ingestBenchSide `json:"ingest_prefetched"`
-	IngestExposedReduction float64         `json:"ingest_exposed_reduction"`
-
-	// Checkpoint A/B (PR 5): the same training run snapshotting every few
-	// iterations with the synchronous writer (whole flush on the critical
-	// path, as the paper ran) and the async double-buffered writer.
-	// Trajectories are bitwise identical to the no-checkpoint run (gated);
-	// the exposed-stall delta is PR 5's figure of merit.
-	CkptSync             ckptBenchSide `json:"ckpt_sync"`
-	CkptAsync            ckptBenchSide `json:"ckpt_async"`
-	CkptExposedReduction float64       `json:"ckpt_exposed_reduction"`
-
-	// Tracer overhead (PR 6): the same training run untraced and with the
-	// phase tracer recording every span. The wall-clock delta is recorded
-	// for the trajectory; the hard <1% gate is on EstOverheadFrac, the
-	// deterministic product spans/iter × ns/span ÷ ns/iter (per-span cost
-	// from a tight microbenchmark — stable where a 1% wall A/B on a shared
-	// runner is noise). Traced and untraced weight hashes must match.
-	TracerOverhead tracerBenchReport `json:"tracer_overhead"`
-
-	// Pseudo (PR 9) is the flywheel section: pseudo-label quality vs.
-	// confidence threshold against held-back truth, plus one full retrain on
-	// labeled + discounted pseudo labels.
-	Pseudo pseudoBenchBlock `json:"pseudo"`
-
-	// Finetune (PR 10) is the transfer-learning A/B: the astro classifier
-	// warm-started from a trained hep checkpoint (first conv frozen, rest
-	// fine-tuned) versus the identical model trained from scratch, both
-	// measured as updates-to-target-accuracy over a shared budget grid in
-	// the scarce-label regime where transfer earns its keep. The
-	// updates-to-target ordering is deterministic (seeded) and gated; the
-	// frozen conv's wire saving per update is recorded alongside.
-	Finetune finetuneBenchBlock `json:"finetune"`
-}
-
-// tracerBenchReport is the PR 6 tracer-overhead entry.
-type tracerBenchReport struct {
-	SpansPerIter        float64 `json:"spans_per_iter"`
-	NsPerSpan           float64 `json:"ns_per_span"`
-	UntracedItersPerSec float64 `json:"untraced_iters_per_sec"`
-	TracedItersPerSec   float64 `json:"traced_iters_per_sec"`
-	WallOverheadFrac    float64 `json:"wall_overhead_frac"` // recorded, noisy
-	EstOverheadFrac     float64 `json:"est_overhead_frac"`  // gated < 0.01
-}
-
-// ingestBenchSide is one measured ingest configuration of the shard-backed
-// training A/B.
-type ingestBenchSide struct {
-	ItersPerSec      float64 `json:"iters_per_sec"`
-	StageMsPerIter   float64 `json:"stage_ms_per_iter"`
-	ExposedMsPerIter float64 `json:"exposed_ms_per_iter"`
-	OverlapFrac      float64 `json:"overlap_frac"`
-}
-
-// ckptBenchSide is one measured checkpoint-writer configuration.
-type ckptBenchSide struct {
-	Snapshots        int64   `json:"snapshots"`
-	StageMsPerSnap   float64 `json:"stage_ms_per_snapshot"`
-	WriteMsPerSnap   float64 `json:"write_ms_per_snapshot"`
-	ExposedMsPerSnap float64 `json:"exposed_ms_per_snapshot"`
-	OverlapFrac      float64 `json:"overlap_frac"`
-}
-
-// measureCkptSide trains with the given checkpoint writer mode and reports
-// the per-snapshot staging/write/exposed split plus the final-weight hash
-// for the bitwise-identity gate.
-func measureCkptSide(t *testing.T, p core.Problem, async bool, iters, every int) (ckptBenchSide, uint64) {
-	t.Helper()
-	cfg := core.Config{
-		Groups: 1, WorkersPerGroup: 1, GroupBatch: 16, Iterations: iters,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 7, Prefetch: 1,
-		Checkpoint: core.CheckpointConfig{Dir: t.TempDir(), Every: every, Async: async, Keep: 3},
-	}
-	res := core.TrainSync(p, cfg)
-	n := float64(res.Ckpt.Snapshots)
-	if n == 0 {
-		n = 1
-	}
-	side := ckptBenchSide{
-		Snapshots:        res.Ckpt.Snapshots,
-		StageMsPerSnap:   res.Ckpt.StageSeconds / n * 1e3,
-		WriteMsPerSnap:   res.Ckpt.WriteSeconds / n * 1e3,
-		ExposedMsPerSnap: res.Ckpt.ExposedSeconds / n * 1e3,
-		OverlapFrac:      res.Ckpt.Overlap(),
-	}
-	return side, weightsHash(res.FinalWeights)
-}
-
-// weightsHash is the shared FNV-1a digest over FinalWeights.
-func weightsHash(weights [][][]float32) uint64 { return ckpt.FingerprintWeights(weights) }
-
-func trainBenchProblem(seed uint64, n int) (*hep.Dataset, *hep.TrainingProblem) {
-	cfg := hep.ModelConfig{Name: "bench-train", ImageSize: 16, Filters: 16, ConvUnits: 3, Classes: 2}
-	rng := tensor.NewRNG(seed)
-	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(cfg.ImageSize), n, 0.5, rng)
-	return ds, hep.NewTrainingProblem(ds, cfg, 77)
-}
-
-func measureTrainSide(p core.Problem, overlap bool, codec string, cfg core.Config) (trainBenchSide, core.Result) {
-	cfg.Overlap = overlap
-	cfg.Codec = codec
-	start := time.Now()
-	res := core.TrainHybrid(p, cfg)
-	wall := time.Since(start).Seconds()
-	updates := float64(len(res.Stats))
-	return trainBenchSide{
-		ItersPerSec:     updates / wall,
-		GradKBPerIter:   float64(res.Wire.GradBytes) / updates / 1024,
-		WeightKBPerIter: float64(res.Wire.WeightBytes) / updates / 1024,
-		FinalLoss:       res.FinalLoss,
-		MeanStaleness:   res.MeanStaleness,
-	}, res
-}
-
-// measureIngestSide trains the shard-backed HEP problem with the given
-// ingest lookahead and reports throughput plus the staging/exposed-wait
-// split, along with the final-weight hash for the bitwise-identity gate.
-func measureIngestSide(t *testing.T, p core.Problem, prefetch, iters int) (ingestBenchSide, uint64) {
-	t.Helper()
-	cfg := core.Config{
-		Groups: 1, WorkersPerGroup: 1, GroupBatch: 16, Iterations: iters,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 7, Prefetch: prefetch,
-	}
-	start := time.Now()
-	res := core.TrainSync(p, cfg)
-	wall := time.Since(start).Seconds()
-	n := float64(res.Ingest.Batches)
-	if n == 0 {
-		n = 1
-	}
-	side := ingestBenchSide{
-		ItersPerSec:      float64(iters) / wall,
-		StageMsPerIter:   res.Ingest.StageSeconds / n * 1e3,
-		ExposedMsPerIter: res.Ingest.WaitSeconds / n * 1e3,
-		OverlapFrac:      res.Ingest.Overlap(),
-	}
-	var h uint64 = 1469598103934665603
-	for _, layer := range res.FinalWeights {
-		for _, blob := range layer {
-			for _, v := range blob {
-				bits := uint64(math.Float32bits(v))
-				for s := 0; s < 32; s += 8 {
-					h ^= (bits >> s) & 0xff
-					h *= 1099511628211
-				}
-			}
-		}
-	}
-	return side, h
-}
-
-// hepValAccuracy trains the deterministic single-group configuration with
-// the given codec and scores a held-out dataset.
-func hepValAccuracy(codec string) float64 {
-	_, p := trainBenchProblem(11, 256)
-	rngVal := tensor.NewRNG(1234)
-	val := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), 256, 0.5, rngVal)
-	res := core.TrainHybrid(p, core.Config{
-		Groups: 1, WorkersPerGroup: 2, GroupBatch: 32, Iterations: 60,
-		Solver: opt.NewAdam(2e-3), Seed: 9, Overlap: true, Codec: codec,
-	})
-	scores := hep.ScoreDataset(p.TrainedNet(res.FinalWeights), val, 64)
-	return hep.Accuracy(scores, val.Labels)
-}
-
-// TestEmitTrainBenchJSON measures the lockstep-fp32 / overlapped /
-// overlapped-int8 training A/B and writes BENCH_train.json so the training
-// perf trajectory is machine-readable across PRs. The wire-compression
-// floor is gated hard (deterministic); throughput is recorded, and the
-// overlap speedup is only gated where the host has the cores for the
-// pipeline to use (G×W ≥ 4 concurrent workers need ≥4 ways of parallelism).
-func TestEmitTrainBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training A/B takes a few seconds")
-	}
-	const groups, workers, batch, iters = 2, 2, 32, 40
-	cfg := core.Config{
-		Groups: groups, WorkersPerGroup: workers, GroupBatch: batch, Iterations: iters,
-		Seed: 7, PSShardElems: 64 << 10,
-	}
-	_, p := trainBenchProblem(11, 256)
-	rep := trainBenchReport{
-		Model:  "hep ConvUnits=3 Filters=16 ImageSize=16",
-		Groups: groups, WorkersPerGroup: workers, GroupBatch: batch,
-		Updates:  groups * iters,
-		HostCPUs: runtime.NumCPU(),
-	}
-	// Each side builds its own replicas and fleet, so first-use setup
-	// (plan compiles, wire buffer growth) is paid symmetrically.
-	cfg.Solver = opt.NewAdam(2e-3)
-	rep.LockstepFP32, _ = measureTrainSide(p, false, "fp32", cfg)
-	cfg.Solver = opt.NewAdam(2e-3)
-	rep.Overlapped, _ = measureTrainSide(p, true, "fp32", cfg)
-	cfg.Solver = opt.NewAdam(2e-3)
-	rep.OverlappedInt8, _ = measureTrainSide(p, true, "int8", cfg)
-
-	rep.OverlapSpeedup = rep.Overlapped.ItersPerSec / rep.LockstepFP32.ItersPerSec
-	rep.Int8WireReduction = rep.LockstepFP32.GradKBPerIter / rep.OverlappedInt8.GradKBPerIter
-	rep.ValAccuracyFP32 = hepValAccuracy("fp32")
-	rep.ValAccuracyInt8 = hepValAccuracy("int8")
-
-	// Streaming-ingest A/B on a shard-backed dataset: real per-batch file
-	// reads, blocking vs prefetched, same trajectory bit for bit.
-	ingestDS, _ := trainBenchProblem(11, 256)
-	shardPaths, err := ingestDS.SaveShards(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := data.OpenShardSet(shardPaths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shards.Close()
-	shardProblem := hep.NewTrainingProblem(ingestDS,
-		hep.ModelConfig{Name: "bench-ingest", ImageSize: 16, Filters: 16, ConvUnits: 3, Classes: 2}, 77)
-	shardProblem.Backing = shards
-	const ingestIters = 60
-	var hashBlocking, hashPrefetched uint64
-	rep.IngestBlocking, hashBlocking = measureIngestSide(t, shardProblem, 0, ingestIters)
-	rep.IngestPrefetched, hashPrefetched = measureIngestSide(t, shardProblem, 2, ingestIters)
-	if rep.IngestPrefetched.ExposedMsPerIter > 0 {
-		rep.IngestExposedReduction = rep.IngestBlocking.ExposedMsPerIter / rep.IngestPrefetched.ExposedMsPerIter
-	}
-	if hashBlocking != hashPrefetched {
-		t.Errorf("prefetched ingest changed the weight trajectory: %#016x vs %#016x",
-			hashPrefetched, hashBlocking)
-	}
-
-	// Checkpoint A/B (PR 5): sync vs async snapshot writer at a 1-in-5
-	// cadence, plus a no-checkpoint baseline for the bitwise gate.
-	_, ckptProblem := trainBenchProblem(11, 256)
-	const ckptIters, ckptEvery = 40, 5
-	plain := core.TrainSync(ckptProblem, core.Config{
-		Groups: 1, WorkersPerGroup: 1, GroupBatch: 16, Iterations: ckptIters,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 7, Prefetch: 1,
-	})
-	hashPlain := weightsHash(plain.FinalWeights)
-	var hashCkptSync, hashCkptAsync uint64
-	rep.CkptSync, hashCkptSync = measureCkptSide(t, ckptProblem, false, ckptIters, ckptEvery)
-	rep.CkptAsync, hashCkptAsync = measureCkptSide(t, ckptProblem, true, ckptIters, ckptEvery)
-	if hashCkptSync != hashPlain || hashCkptAsync != hashPlain {
-		t.Errorf("checkpointing changed the weight trajectory: plain %#016x, sync %#016x, async %#016x",
-			hashPlain, hashCkptSync, hashCkptAsync)
-	}
-	if rep.CkptAsync.ExposedMsPerSnap > 0 {
-		rep.CkptExposedReduction = rep.CkptSync.ExposedMsPerSnap / rep.CkptAsync.ExposedMsPerSnap
-	}
-
-	// Tracer overhead A/B (PR 6): same problem, same seed, with and
-	// without span recording on every hot-path phase.
-	_, traceProblem := trainBenchProblem(11, 256)
-	traceCfg := core.Config{
-		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 40,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 7, Prefetch: 1,
-	}
-	start := time.Now()
-	untraced := core.TrainSync(traceProblem, traceCfg)
-	untracedWall := time.Since(start).Seconds()
-	tracer := obs.NewTracer(0)
-	traceCfg.Trace = tracer
-	start = time.Now()
-	traced := core.TrainSync(traceProblem, traceCfg)
-	tracedWall := time.Since(start).Seconds()
-	if hu, ht := weightsHash(untraced.FinalWeights), weightsHash(traced.FinalWeights); hu != ht {
-		t.Errorf("tracing changed the weight trajectory: %#016x vs %#016x", ht, hu)
-	}
-	spans := int64(0)
-	for _, ls := range tracer.Snapshot() {
-		spans += int64(len(ls.Spans)) + ls.Dropped
-	}
-	// Per-span cost from a tight loop: 1M Begin/End pairs on one lane.
-	lane := obs.NewTracer(0).Lane("overhead")
-	const spanN = 1 << 20
-	start = time.Now()
-	for i := 0; i < spanN; i++ {
-		lane.Begin(obs.PhaseFwd)
-		lane.End(obs.PhaseFwd)
-	}
-	nsPerSpan := float64(time.Since(start).Nanoseconds()) / spanN
-	trIters := float64(traceCfg.Iterations)
-	rep.TracerOverhead = tracerBenchReport{
-		SpansPerIter:        float64(spans) / trIters,
-		NsPerSpan:           nsPerSpan,
-		UntracedItersPerSec: trIters / untracedWall,
-		TracedItersPerSec:   trIters / tracedWall,
-		WallOverheadFrac:    tracedWall/untracedWall - 1,
-	}
-	rep.TracerOverhead.EstOverheadFrac = rep.TracerOverhead.SpansPerIter * nsPerSpan / (tracedWall / trIters * 1e9)
-	if rep.TracerOverhead.EstOverheadFrac >= 0.01 {
-		t.Errorf("tracer costs %.3f%% of iteration time (%.0f spans/iter at %.0f ns), over the 1%% budget",
-			100*rep.TracerOverhead.EstOverheadFrac, rep.TracerOverhead.SpansPerIter, nsPerSpan)
-	}
-
-	rep.Pseudo = measurePseudoBench(t)
-	rep.Finetune = measureFinetuneBench(t)
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_train.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("lockstep-fp32: %.1f updates/s, %.1f KB grads/update", rep.LockstepFP32.ItersPerSec, rep.LockstepFP32.GradKBPerIter)
-	t.Logf("overlapped:    %.1f updates/s (%.2fx)", rep.Overlapped.ItersPerSec, rep.OverlapSpeedup)
-	t.Logf("overlap+int8:  %.1f updates/s, %.1f KB grads/update (%.2fx fewer bytes)",
-		rep.OverlappedInt8.ItersPerSec, rep.OverlappedInt8.GradKBPerIter, rep.Int8WireReduction)
-	t.Logf("val accuracy: fp32 %.3f vs int8 %.3f", rep.ValAccuracyFP32, rep.ValAccuracyInt8)
-	t.Logf("ingest blocking:   %.1f iters/s, %.4f ms staged, %.4f ms exposed",
-		rep.IngestBlocking.ItersPerSec, rep.IngestBlocking.StageMsPerIter, rep.IngestBlocking.ExposedMsPerIter)
-	t.Logf("ingest prefetched: %.1f iters/s, %.4f ms staged, %.4f ms exposed (%.0f%% overlapped)",
-		rep.IngestPrefetched.ItersPerSec, rep.IngestPrefetched.StageMsPerIter,
-		rep.IngestPrefetched.ExposedMsPerIter, 100*rep.IngestPrefetched.OverlapFrac)
-	t.Logf("ckpt sync:  %d snaps, %.4f ms staged, %.4f ms written, %.4f ms exposed per snapshot",
-		rep.CkptSync.Snapshots, rep.CkptSync.StageMsPerSnap, rep.CkptSync.WriteMsPerSnap, rep.CkptSync.ExposedMsPerSnap)
-	t.Logf("ckpt async: %d snaps, %.4f ms staged, %.4f ms written, %.4f ms exposed per snapshot (%.0f%% hidden, %.2fx less exposed)",
-		rep.CkptAsync.Snapshots, rep.CkptAsync.StageMsPerSnap, rep.CkptAsync.WriteMsPerSnap,
-		rep.CkptAsync.ExposedMsPerSnap, 100*rep.CkptAsync.OverlapFrac, rep.CkptExposedReduction)
-	t.Logf("tracer: %.1f spans/iter at %.0f ns/span -> %.4f%% estimated overhead (wall delta %+.1f%%, recorded not gated)",
-		rep.TracerOverhead.SpansPerIter, rep.TracerOverhead.NsPerSpan,
-		100*rep.TracerOverhead.EstOverheadFrac, 100*rep.TracerOverhead.WallOverheadFrac)
-	for _, row := range rep.Pseudo.Thresholds {
-		t.Logf("pseudo threshold %.2f: coverage %.2f, label accuracy %.3f",
-			row.Threshold, row.PseudoCoverage, row.PseudoLabelAccuracy)
-	}
-	t.Logf("pseudo retrain at %.2f (kept %d): val %.3f -> %.3f (%+.3f, recorded not gated)",
-		rep.Pseudo.RetrainThreshold, rep.Pseudo.RetrainKept,
-		rep.Pseudo.BaseValAccuracy, rep.Pseudo.RetrainValAccuracy, rep.Pseudo.RetrainDelta)
-	// Label quality must fall off sensibly: coverage is monotone
-	// non-increasing in threshold — deterministic, gated everywhere.
-	for i := 1; i < len(rep.Pseudo.Thresholds); i++ {
-		lo, hi := rep.Pseudo.Thresholds[i-1], rep.Pseudo.Thresholds[i]
-		if hi.PseudoCoverage > lo.PseudoCoverage {
-			t.Errorf("pseudo coverage rose %.3f -> %.3f as threshold rose %.2f -> %.2f",
-				lo.PseudoCoverage, hi.PseudoCoverage, lo.Threshold, hi.Threshold)
-		}
-	}
-
-	for i, b := range rep.Finetune.BudgetGrid {
-		t.Logf("finetune A/B budget %2d: finetune %.3f vs scratch %.3f",
-			b, rep.Finetune.FinetuneAccuracy[i], rep.Finetune.ScratchAccuracy[i])
-	}
-	t.Logf("finetune updates-to-%.0f%%: %d vs scratch %d (%.1fx fewer); grads/update %.2f vs %.2f KB (%.2fx less wire)",
-		100*rep.Finetune.TargetAccuracy, rep.Finetune.FinetuneUpdatesToTarget, rep.Finetune.ScratchUpdatesToTarget,
-		rep.Finetune.UpdateAdvantage, rep.Finetune.FinetuneGradKBPerUpdate, rep.Finetune.ScratchGradKBPerUpdate,
-		rep.Finetune.FinetuneWireReduction)
-	// The PR 10 transfer gate, deterministic (seeded data, seeded init,
-	// single-worker synchronous training — no wall-clock anywhere): the
-	// fine-tuned model must reach the target accuracy in measurably fewer
-	// updates than from-scratch training, and the frozen conv must shrink
-	// per-update gradient traffic.
-	if ft := rep.Finetune.FinetuneUpdatesToTarget; ft < 0 {
-		t.Errorf("fine-tune arm never reached %.0f%% accuracy within the budget grid %v",
-			100*rep.Finetune.TargetAccuracy, rep.Finetune.BudgetGrid)
-	} else if sc := rep.Finetune.ScratchUpdatesToTarget; sc >= 0 && ft >= sc {
-		t.Errorf("fine-tuning took %d updates to target vs scratch %d — transfer must be measurably faster", ft, sc)
-	}
-	if rep.Finetune.FinetuneWireReduction <= 1 {
-		t.Errorf("frozen conv must cut per-update gradient bytes: finetune %.2f vs scratch %.2f KB/update",
-			rep.Finetune.FinetuneGradKBPerUpdate, rep.Finetune.ScratchGradKBPerUpdate)
-	}
-
-	if rep.Int8WireReduction < 3 {
-		t.Errorf("int8 wire must cut gradient bytes ≥3x, got %.2fx", rep.Int8WireReduction)
-	}
-	if d := rep.ValAccuracyFP32 - rep.ValAccuracyInt8; d > 0.01 {
-		t.Errorf("int8 exchange costs %.3f validation accuracy (>1%%)", d)
-	}
-	// Wall-clock policy (matches TestEmitServeBenchJSON): ratios are
-	// recorded in the JSON and the 1.2x overlap target is reported, but
-	// only a 1.0x regression floor is hard-gated, and only on hosts with
-	// enough CPUs for the pipeline to exist — shared-runner timing noise
-	// must not fail CI.
-	if runtime.NumCPU() >= 4 {
-		if rep.OverlapSpeedup < 1.0 {
-			t.Errorf("overlap slowed training to %.2fx on a %d-CPU host", rep.OverlapSpeedup, runtime.NumCPU())
-		}
-		if rep.OverlapSpeedup < 1.2 {
-			t.Logf("note: overlap speedup %.2fx below the 1.2x target this run (timing noise expected on shared runners)", rep.OverlapSpeedup)
-		}
-	} else {
-		t.Logf("note: %d-CPU host cannot exercise G×W=%d-way overlap; speedup %.2fx recorded, not gated",
-			runtime.NumCPU(), groups*workers, rep.OverlapSpeedup)
-	}
-	// Ingest exposure follows the same wall-clock policy: the prefetcher
-	// needs a spare core to hide shard reads behind compute, so the
-	// reduction is gated only where one exists and recorded everywhere
-	// (the bitwise-identity gate above is unconditional).
-	if runtime.NumCPU() >= 2 {
-		if rep.IngestPrefetched.ExposedMsPerIter >= rep.IngestBlocking.ExposedMsPerIter {
-			t.Errorf("prefetch left %.4f ms/iter of I/O exposed vs blocking %.4f on a %d-CPU host",
-				rep.IngestPrefetched.ExposedMsPerIter, rep.IngestBlocking.ExposedMsPerIter, runtime.NumCPU())
-		}
-	} else {
-		t.Logf("note: %d-CPU host cannot overlap ingest with compute; exposed I/O %.4f vs %.4f ms/iter recorded, not gated",
-			runtime.NumCPU(), rep.IngestPrefetched.ExposedMsPerIter, rep.IngestBlocking.ExposedMsPerIter)
-	}
-	// Checkpoint exposure follows the same policy: the background writer
-	// needs a spare core to flush behind compute, so the reduction is
-	// gated only where one exists (the bitwise gate above is
-	// unconditional; both writers always record).
-	if runtime.NumCPU() >= 2 {
-		if rep.CkptAsync.ExposedMsPerSnap >= rep.CkptSync.ExposedMsPerSnap {
-			t.Errorf("async checkpointing left %.4f ms/snapshot exposed vs sync %.4f on a %d-CPU host",
-				rep.CkptAsync.ExposedMsPerSnap, rep.CkptSync.ExposedMsPerSnap, runtime.NumCPU())
-		}
-	} else {
-		t.Logf("note: %d-CPU host cannot flush snapshots behind compute; exposed %.4f vs %.4f ms/snapshot recorded, not gated",
-			runtime.NumCPU(), rep.CkptAsync.ExposedMsPerSnap, rep.CkptSync.ExposedMsPerSnap)
-	}
-}
-
-// ---- Bulk offline scoring tier (PR 9) ----
-
-// bulkBenchSide is one measured bulk-scoring configuration over the fixed
-// unlabeled shard set.
-type bulkBenchSide struct {
-	SamplesPerSec float64 `json:"bulk_samples_per_sec"`
-	Seconds       float64 `json:"seconds"`
-}
-
-// bulkBenchBlock is the offline tier of serveBenchReport: the same trained
-// model scoring the same shard set through the throughput-first bulk
-// engine (fp32 and int8), through a two-backend work-stealing fleet over
-// loopback TCP, and — the baseline — one sample at a time through the
-// latency-tuned online Submit path. bulk_vs_online_gain is the headline
-// ratio; wall-clock, so gated only on multi-core hosts and recorded
-// everywhere. The warm bulk path's 0-alloc property is gated
-// deterministically in internal/bulk and internal/serve.
-type bulkBenchBlock struct {
-	Samples          int           `json:"samples"`
-	Batch            int           `json:"batch"`
-	BulkFP32         bulkBenchSide `json:"bulk_fp32"`
-	BulkInt8         bulkBenchSide `json:"bulk_int8"`
-	OnlineSubmit     bulkBenchSide `json:"online_submit"`
-	BulkFleetPair    bulkBenchSide `json:"bulk_fleet_pair"`
-	BulkVsOnlineGain float64       `json:"bulk_vs_online_gain"`
-	BulkInt8Gain     float64       `json:"bulk_int8_gain"`
-}
-
-func measureBulkBench(t *testing.T, samples, batch int) bulkBenchBlock {
-	t.Helper()
-	cfg := hep.ModelConfig{Name: "bench-bulk", ImageSize: 4, Filters: 16, ConvUnits: 2, Classes: 2}
-	rng := tensor.NewRNG(7)
-	net := hep.BuildNet(cfg, rng)
-	path := filepath.Join(t.TempDir(), "bulk.d15w")
-	if err := nn.SaveFile(path, net.Params()); err != nil {
-		t.Fatal(err)
-	}
-	reg := serve.NewRegistry()
-	serve.RegisterHEP(reg, "bench-bulk", cfg)
-	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(cfg.ImageSize), samples, 0.5, rng)
-	shardPaths, err := ds.SaveShards(t.TempDir(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := data.OpenShardSet(shardPaths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-
-	load := func(prec serve.Precision) *serve.LoadedModel {
-		lm, err := reg.Load("bench-bulk", path, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prec == serve.Int8 {
-			idx := make([]int, 64)
-			for i := range idx {
-				idx[i] = i
-			}
-			x, _ := ds.Batch(idx)
-			if err := lm.Calibrate(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return lm
-	}
-	score := func(lm *serve.LoadedModel) bulkBenchSide {
-		eng, err := bulk.NewEngine(lm, bulk.Config{Batch: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var p bulk.Predictions
-		if _, err := eng.Score(ss, &p); err != nil { // warm: plan compile
-			t.Fatal(err)
-		}
-		res, err := eng.Score(ss, &p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return bulkBenchSide{SamplesPerSec: res.SamplesPerSec, Seconds: res.Seconds}
-	}
-
-	blk := bulkBenchBlock{Samples: samples, Batch: batch}
-	lm32 := load(serve.Float32)
-	blk.BulkFP32 = score(lm32)
-	blk.BulkInt8 = score(load(serve.Int8))
-
-	// Baseline: the same sample count pushed one request at a time through
-	// the online dynamic batcher — linger, queue, per-request envelope and
-	// response copy all on the path.
-	srv, err := serve.NewServer(lm32, serve.Config{MaxBatch: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := 3 * cfg.ImageSize * cfg.ImageSize
-	inputs := make([]*serve.LoadInput, 64)
-	for i := range inputs {
-		inputs[i] = &serve.LoadInput{X: tensor.FromSlice(ds.Images.Data[i*per:(i+1)*per], 3, cfg.ImageSize, cfg.ImageSize)}
-	}
-	if res := serve.RunClosedLoop(srv, inputs, 16, samples/4); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	lr := serve.RunClosedLoop(srv, inputs, 16, samples)
-	srv.Close()
-	if lr.Err != nil {
-		t.Fatal(lr.Err)
-	}
-	blk.OnlineSubmit = bulkBenchSide{SamplesPerSec: lr.Throughput, Seconds: lr.Wall.Seconds()}
-
-	// Fleet: the same shards stolen off the shared queue by two loopback
-	// backends, whole batches on the wire.
-	var nss []*netserve.Server
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		eng, err := serve.NewServer(lm32, serve.Config{MaxBatch: batch, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns, err := netserve.NewServer("127.0.0.1:0", map[string]*serve.Server{"bench-bulk": eng}, netserve.ServerConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		nss = append(nss, ns)
-		addrs = append(addrs, ns.Addr())
-	}
-	defer func() {
-		for _, ns := range nss {
-			ns.Close()
-		}
-	}()
-	fcfg := bulk.Config{Batch: batch, InShape: []int{3, cfg.ImageSize, cfg.ImageSize}}
-	var pf bulk.Predictions
-	if _, err := bulk.ScoreFleet(addrs, "bench-bulk", ss, fcfg, &pf); err != nil { // warm
-		t.Fatal(err)
-	}
-	fres, err := bulk.ScoreFleet(addrs, "bench-bulk", ss, fcfg, &pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk.BulkFleetPair = bulkBenchSide{SamplesPerSec: fres.SamplesPerSec, Seconds: fres.Seconds}
-
-	blk.BulkVsOnlineGain = blk.BulkFP32.SamplesPerSec / blk.OnlineSubmit.SamplesPerSec
-	blk.BulkInt8Gain = blk.BulkInt8.SamplesPerSec / blk.BulkFP32.SamplesPerSec
-	return blk
-}
-
-// ---- Pseudo-label quality (PR 9) ----
-
-// pseudoThresholdRow is label quality at one confidence cut: what fraction
-// of the unlabeled pool survives and how often the surviving argmax labels
-// match held-back truth.
-type pseudoThresholdRow struct {
-	Threshold           float64 `json:"threshold"`
-	PseudoCoverage      float64 `json:"pseudo_coverage"`
-	PseudoLabelAccuracy float64 `json:"pseudo_label_accuracy"`
-}
-
-// pseudoBenchBlock is the flywheel section of trainBenchReport: a model
-// trained on the labeled split scores the unlabeled pool, label quality is
-// tabulated against threshold, and one full retrain on labeled +
-// discounted pseudo labels records the validation-accuracy delta.
-type pseudoBenchBlock struct {
-	LabeledSamples     int                  `json:"labeled_samples"`
-	UnlabeledSamples   int                  `json:"unlabeled_samples"`
-	Thresholds         []pseudoThresholdRow `json:"pseudo_thresholds"`
-	RetrainThreshold   float64              `json:"pseudo_retrain_threshold"`
-	RetrainKept        int                  `json:"pseudo_retrain_kept"`
-	BaseValAccuracy    float64              `json:"base_val_accuracy"`
-	RetrainValAccuracy float64              `json:"pseudo_retrain_val_accuracy"`
-	RetrainDelta       float64              `json:"pseudo_retrain_delta"`
-}
-
-// ---- Transfer learning A/B (PR 10) ----
-
-// finetuneBenchBlock is the fine-tune-vs-scratch section of
-// trainBenchReport. Both arms share the same 32-cutout astro training set,
-// the same solver and seeds, and the same budget grid; the only difference
-// is initialisation (hep-donor warm start with conv1 frozen vs. fresh
-// random weights). finetune_updates_to_target < scratch_updates_to_target
-// is the PR 10 gate.
-type finetuneBenchBlock struct {
-	DonorUpdates     int       `json:"donor_updates"`
-	LabeledCutouts   int       `json:"labeled_cutouts"`
-	TargetAccuracy   float64   `json:"finetune_target_accuracy"`
-	BudgetGrid       []int     `json:"finetune_budget_grid"`
-	FinetuneAccuracy []float64 `json:"finetune_accuracy_by_budget"`
-	ScratchAccuracy  []float64 `json:"scratch_accuracy_by_budget"`
-	// Updates-to-target: the smallest budget in the grid whose held-out
-	// accuracy reaches TargetAccuracy (-1 = never within the grid).
-	FinetuneUpdatesToTarget int     `json:"finetune_updates_to_target"`
-	ScratchUpdatesToTarget  int     `json:"scratch_updates_to_target"`
-	UpdateAdvantage         float64 `json:"finetune_update_advantage"`
-	// Wire cost per update: the frozen conv pushes zero gradient bytes, so
-	// the fine-tune arm's per-update gradient traffic is strictly smaller.
-	FinetuneGradKBPerUpdate float64 `json:"finetune_grad_kb_per_update"`
-	ScratchGradKBPerUpdate  float64 `json:"scratch_grad_kb_per_update"`
-	FinetuneWireReduction   float64 `json:"finetune_wire_reduction"`
-}
-
-// measureFinetuneBench trains the hep donor, then runs both arms of the
-// astro A/B over the budget grid. Everything is seeded; the numbers are
-// reproducible bit for bit on one host.
-func measureFinetuneBench(t *testing.T) finetuneBenchBlock {
-	t.Helper()
-	const donorIters, donorEvents = 40, 256
-	const trainCutouts, testCutouts = 32, 1024
-	blk := finetuneBenchBlock{
-		DonorUpdates:   donorIters,
-		LabeledCutouts: trainCutouts,
-		TargetAccuracy: 0.45,
-		BudgetGrid:     []int{4, 6, 8, 10, 14, 18, 24},
-	}
-
-	// Donor: a trained hep classifier with the astro backbone's geometry
-	// (16px, 8 filters, 3 conv units — the cmd/heptrain defaults).
-	dcfg := hep.ModelConfig{Name: "bench-donor", ImageSize: 16, Filters: 8, ConvUnits: 3, Classes: 2}
-	drng := tensor.NewRNG(42)
-	dds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), donorEvents, 0.5, drng)
-	dp := hep.NewTrainingProblem(dds, dcfg, 43)
-	dres := core.TrainSync(dp, core.Config{
-		Groups: 1, WorkersPerGroup: 1, GroupBatch: 64, Iterations: donorIters,
-		Solver: opt.NewAdamFull(2e-3, 0.9, 0.999, 1e-8), Seed: 42, Prefetch: 1,
-	})
-	dpath := filepath.Join(t.TempDir(), "donor.d15w")
-	if err := nn.SaveFile(dpath, dp.TrainedNet(dres.FinalWeights).Params()); err != nil {
-		t.Fatal(err)
-	}
-	donor, err := nn.ReadWeightBlobsFile(dpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Shared astro data: a scarce labeled set and a large held-out eval set.
-	arng := tensor.NewRNG(42)
-	ar := astro.NewRenderer(16)
-	gen := astro.DefaultGenConfig()
-	train := astro.GenerateDataset(gen, ar, trainCutouts, arng)
-	test := astro.GenerateDataset(gen, ar, testCutouts, arng)
-	model := astro.ModelConfig{Name: "bench-astro", ImageSize: 16, Filters: 8, ConvUnits: 3, Classes: astro.NumClasses}
-	trainCfg := func(budget int) core.Config {
-		return core.Config{
-			Groups: 1, WorkersPerGroup: 1, GroupBatch: 32, Iterations: budget,
-			Solver: opt.NewAdamFull(1e-2, 0.9, 0.999, 1e-8), Seed: 42, Prefetch: 1,
-		}
-	}
-	// Fine-tune arm: conv1 frozen (zero gradient bytes on the wire for that
-	// layer), conv2+ fine-tuned from the donor, fresh 3-class head.
-	freeze := astro.BackboneLayerNames(model.ConvUnits)[:1]
-	for _, budget := range blk.BudgetGrid {
-		ftp, _, err := astro.NewTransferProblem(train, model, 43, donor, freeze)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ftRes := core.TrainSync(ftp, trainCfg(budget))
-		blk.FinetuneAccuracy = append(blk.FinetuneAccuracy, astro.EvalAccuracy(ftp.TrainedNet(ftRes.FinalWeights), test, 64))
-
-		scp := astro.NewTrainingProblem(train, model, 43)
-		scRes := core.TrainSync(scp, trainCfg(budget))
-		blk.ScratchAccuracy = append(blk.ScratchAccuracy, astro.EvalAccuracy(scp.TrainedNet(scRes.FinalWeights), test, 64))
-	}
-	// Wire cost per update, measured through the hybrid trainer's real
-	// parameter-server exchange (single-worker sync training has no wire).
-	hybridCfg := core.Config{
-		Groups: 2, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewAdamFull(1e-2, 0.9, 0.999, 1e-8), Seed: 42, Prefetch: 1,
-	}
-	ftp, _, err := astro.NewTransferProblem(train, model, 43, donor, freeze)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ftWire := core.TrainHybrid(ftp, hybridCfg)
-	scWire := core.TrainHybrid(astro.NewTrainingProblem(train, model, 43), hybridCfg)
-	blk.FinetuneGradKBPerUpdate = float64(ftWire.Wire.GradBytes) / float64(len(ftWire.Stats)) / 1024
-	blk.ScratchGradKBPerUpdate = float64(scWire.Wire.GradBytes) / float64(len(scWire.Stats)) / 1024
-	if blk.FinetuneGradKBPerUpdate > 0 {
-		blk.FinetuneWireReduction = blk.ScratchGradKBPerUpdate / blk.FinetuneGradKBPerUpdate
-	}
-	blk.FinetuneUpdatesToTarget = updatesToTarget(blk.BudgetGrid, blk.FinetuneAccuracy, blk.TargetAccuracy)
-	blk.ScratchUpdatesToTarget = updatesToTarget(blk.BudgetGrid, blk.ScratchAccuracy, blk.TargetAccuracy)
-	if blk.FinetuneUpdatesToTarget > 0 && blk.ScratchUpdatesToTarget > 0 {
-		blk.UpdateAdvantage = float64(blk.ScratchUpdatesToTarget) / float64(blk.FinetuneUpdatesToTarget)
-	}
-	return blk
-}
-
-// updatesToTarget returns the smallest budget whose accuracy reaches the
-// target, or -1 if none in the grid does.
-func updatesToTarget(grid []int, accs []float64, target float64) int {
-	for i, b := range grid {
-		if accs[i] >= target {
-			return b
-		}
-	}
-	return -1
-}
-
-func measurePseudoBench(t *testing.T) pseudoBenchBlock {
-	t.Helper()
-	const labeledN, unlabeledN, valN = 256, 256, 256
-	mcfg := hep.ModelConfig{Name: "bench-pseudo", ImageSize: 16, Filters: 16, ConvUnits: 3, Classes: 2}
-	rng := tensor.NewRNG(11)
-	labeled := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), labeledN, 0.5, rng)
-	unlabeled := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), unlabeledN, 0.5, rng)
-	val := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), valN, 0.5, tensor.NewRNG(1234))
-	trainCfg := core.Config{
-		Groups: 1, WorkersPerGroup: 2, GroupBatch: 32, Iterations: 60,
-		Solver: opt.NewAdam(2e-3), Seed: 9, Overlap: true, Codec: "fp32",
-	}
-	valAcc := func(p *hep.TrainingProblem, res core.Result) float64 {
-		return hep.Accuracy(hep.ScoreDataset(p.TrainedNet(res.FinalWeights), val, 64), val.Labels)
-	}
-
-	// v1: labeled split only.
-	p1 := hep.NewTrainingProblem(labeled, mcfg, 77)
-	res1 := core.TrainHybrid(p1, trainCfg)
-	blk := pseudoBenchBlock{
-		LabeledSamples: labeledN, UnlabeledSamples: unlabeledN,
-		BaseValAccuracy: valAcc(p1, res1),
-	}
-
-	// Serve v1's weights and bulk-score the unlabeled pool.
-	wpath := filepath.Join(t.TempDir(), "pseudo.d15w")
-	if err := nn.SaveFile(wpath, p1.TrainedNet(res1.FinalWeights).Params()); err != nil {
-		t.Fatal(err)
-	}
-	reg := serve.NewRegistry()
-	serve.RegisterHEP(reg, "bench-pseudo", mcfg)
-	lm, err := reg.Load("bench-pseudo", wpath, serve.Float32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardPaths, err := unlabeled.SaveShards(t.TempDir(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := data.OpenShardSet(shardPaths...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	eng, err := bulk.NewEngine(lm, bulk.Config{Batch: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var preds bulk.Predictions
-	if _, err := eng.Score(ss, &preds); err != nil {
-		t.Fatal(err)
-	}
-
-	// Label quality vs threshold, graded against held-back truth.
-	for _, thr := range []float32{0.5, 0.8, 0.95} {
-		kept, correct := 0, 0
-		for i, c := range preds.Conf {
-			if c >= thr {
-				kept++
-				if int(preds.Label[i]) == unlabeled.Labels[i] {
-					correct++
-				}
-			}
-		}
-		row := pseudoThresholdRow{Threshold: float64(thr)}
-		if kept > 0 {
-			row.PseudoCoverage = float64(kept) / unlabeledN
-			row.PseudoLabelAccuracy = float64(correct) / float64(kept)
-		}
-		blk.Thresholds = append(blk.Thresholds, row)
-	}
-
-	// One full retrain at the paper's 0.8 cut: pseudo shards written and
-	// reloaded through the real factory path, machine labels at weight 0.5.
-	blk.RetrainThreshold = 0.8
-	pseudoPaths, st, err := bulk.WritePseudoShards(t.TempDir(), 2, ss, &preds, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk.RetrainKept = st.Kept
-	if len(pseudoPaths) > 0 {
-		pseudoDS, err := hep.LoadShardDataset(pseudoPaths...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		combined := labeled.Append(pseudoDS)
-		weights := make([]float32, len(combined.Labels))
-		for i := range weights {
-			if i < labeledN {
-				weights[i] = 1
-			} else {
-				weights[i] = 0.5
-			}
-		}
-		p2 := hep.NewTrainingProblem(combined, mcfg, 77)
-		p2.SampleWeights = weights
-		res2 := core.TrainHybrid(p2, trainCfg)
-		blk.RetrainValAccuracy = valAcc(p2, res2)
-		blk.RetrainDelta = blk.RetrainValAccuracy - blk.BaseValAccuracy
-	}
-	return blk
 }

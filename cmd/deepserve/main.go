@@ -68,7 +68,6 @@ func main() {
 	batch := flag.Int("batch", 32, "max dynamic batch size")
 	linger := flag.Duration("linger", 500*time.Microsecond, "max linger of a partial batch (negative = dispatch immediately)")
 	workers := flag.Int("workers", 0, "worker replicas (0 = GOMAXPROCS)")
-	noPlans := flag.Bool("noplans", false, "disable compiled execution plans (A/B the legacy per-pass allocation path)")
 	int8Mode := flag.Bool("int8", false, "serve the int8 weight/activation path")
 	compare := flag.Bool("compare", true, "also run the batch-size-1 baseline and report the speedup")
 	watch := flag.String("watch", "", "serve out of this checkpoint store, hot-reloading new versions (train→serve loop demo)")
@@ -168,11 +167,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if *noPlans {
-		lm.SetPlanning(false)
-	}
-	fmt.Printf("loaded %s (%s, plans %v): input %v -> output %v, %.2f MiB parameters, %s/sample forward\n\n",
-		lm.ModelArch, lm.Prec, !*noPlans, lm.InShape(), lm.OutShape(),
+	fmt.Printf("loaded %s (%s): input %v -> output %v, %.2f MiB parameters, %s/sample forward\n\n",
+		lm.ModelArch, lm.Prec, lm.InShape(), lm.OutShape(),
 		float64(lm.ParamBytes())/(1<<20), perf.FormatFlops(float64(lm.FwdFLOPsPerSample())))
 
 	if *int8Mode {

@@ -12,7 +12,7 @@
 // optional int8 low-precision path built on internal/quant.
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
-// paper-vs-measured record and the serving throughput study, and
-// bench_test.go for one benchmark per table and figure plus the serving
-// and kernel benchmarks.
+// paper-vs-measured record, benchmark/ for the workloads and metrics every
+// change is measured with, and bench_test.go for one go-test benchmark per
+// table and figure plus serving and kernel micro-benchmarks.
 package deep15pf

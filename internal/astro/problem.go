@@ -115,6 +115,7 @@ func (p *TrainingProblem) TrainedNet(weights [][][]float32) *nn.Network {
 func PredictDataset(net *nn.Network, ds *Dataset, batch int) []int {
 	n := ds.Images.Shape[0]
 	out := make([]int, 0, n)
+	plan := nn.Compile(net, batch, false, nil)
 	idx := make([]int, 0, batch)
 	for lo := 0; lo < n; lo += batch {
 		idx = idx[:0]
@@ -122,7 +123,7 @@ func PredictDataset(net *nn.Network, ds *Dataset, batch int) []int {
 			idx = append(idx, i)
 		}
 		x, _ := ds.Batch(idx)
-		out = append(out, Predict(net.Forward(x, false))...)
+		out = append(out, Predict(plan.Forward(x))...)
 	}
 	return out
 }

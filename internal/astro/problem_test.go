@@ -226,7 +226,7 @@ func TestFrozenTrainingIterationZeroAllocs(t *testing.T) {
 }
 
 // TestFineTuneLearnsHead: sanity that training only the head still learns
-// the astro task (the A/B against from-scratch lives in the bench gate).
+// the astro task (the A/B against from-scratch is the next test).
 func TestFineTuneLearnsHead(t *testing.T) {
 	train := testDataset(5, 96)
 	p, _, err := NewTransferProblem(train, testModel, 9, hepDonorBlobs(t), BackboneLayerNames(testModel.ConvUnits))
@@ -243,4 +243,55 @@ func TestFineTuneLearnsHead(t *testing.T) {
 	if acc := EvalAccuracy(p.TrainedNet(res.FinalWeights), train, 32); acc <= 1.0/NumClasses+0.05 {
 		t.Fatalf("fine-tuned train accuracy %.3f no better than chance", acc)
 	}
+}
+
+// TestFineTuneReachesTargetSooner is the transfer gate, deterministic
+// (seeded data, seeded init, single-worker synchronous training): warm-
+// started from a trained hep donor with conv1 frozen, the classifier
+// reaches 45% held-out accuracy on 32 labeled cutouts within the budget
+// grid, and the identical model trained from scratch does not get there in
+// as few updates.
+func TestFineTuneReachesTargetSooner(t *testing.T) {
+	const target = 0.45
+	dcfg := hep.ModelConfig{Name: "donor", ImageSize: 16, Filters: 8, ConvUnits: 3, Classes: 2}
+	dds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), 256, 0.5, tensor.NewRNG(42))
+	dp := hep.NewTrainingProblem(dds, dcfg, 43)
+	dres := core.TrainSync(dp, core.Config{
+		Groups: 1, WorkersPerGroup: 1, GroupBatch: 64, Iterations: 40,
+		Solver: opt.NewAdamFull(2e-3, 0.9, 0.999, 1e-8), Seed: 42, Prefetch: 1,
+	})
+	var buf bytes.Buffer
+	if err := nn.SaveWeights(&buf, dp.TrainedNet(dres.FinalWeights).Params()); err != nil {
+		t.Fatal(err)
+	}
+	donor, err := nn.ReadWeightBlobs(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rng := tensor.NewRNG(42)
+	train := GenerateDataset(DefaultGenConfig(), NewRenderer(16), 32, rng)
+	test := GenerateDataset(DefaultGenConfig(), NewRenderer(16), 1024, rng)
+	accuracy := func(p *TrainingProblem, budget int) float64 {
+		res := core.TrainSync(p, core.Config{
+			Groups: 1, WorkersPerGroup: 1, GroupBatch: 32, Iterations: budget,
+			Solver: opt.NewAdamFull(1e-2, 0.9, 0.999, 1e-8), Seed: 42, Prefetch: 1,
+		})
+		return EvalAccuracy(p.TrainedNet(res.FinalWeights), test, 64)
+	}
+	for _, budget := range []int{4, 6, 8, 10, 14, 18, 24} {
+		ftp, _, err := NewTransferProblem(train, testModel, 43, donor, BackboneLayerNames(testModel.ConvUnits)[:1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft, scratch := accuracy(ftp, budget), accuracy(NewTrainingProblem(train, testModel, 43), budget)
+		t.Logf("budget %2d: fine-tune %.3f, scratch %.3f", budget, ft, scratch)
+		if scratch >= target {
+			t.Fatalf("from scratch reached %.0f%% after %d updates, no later than fine-tuning", 100*target, budget)
+		}
+		if ft >= target {
+			return
+		}
+	}
+	t.Fatalf("fine-tuning never reached %.0f%% within the budget grid", 100*target)
 }

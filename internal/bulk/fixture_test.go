@@ -26,15 +26,15 @@ func trainTiny(t *testing.T, samples, steps int) (*nn.Network, *hep.Dataset) {
 	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(8), samples, 0.5, rng)
 	net := hep.BuildNet(tinyCfg(), rng)
 	idx := make([]int, 16)
+	plan := nn.Compile(net, len(idx), true, nil)
 	for step := 0; step < steps; step++ {
 		for i := range idx {
 			idx[i] = (step*len(idx) + i) % len(ds.Labels)
 		}
 		x, labels := ds.Batch(idx)
 		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-		net.Backward(grad)
+		_, grad := nn.SoftmaxCrossEntropy(plan.Forward(x), labels)
+		plan.Backward(grad)
 		for _, p := range net.Params() {
 			for j := range p.W.Data {
 				p.W.Data[j] -= 0.01 * p.Grad.Data[j] / float32(len(idx))

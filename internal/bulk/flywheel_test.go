@@ -93,13 +93,17 @@ func TestFlywheelFullIteration(t *testing.T) {
 	acc := float64(correct) / float64(st.Kept)
 	t.Logf("pseudo-labels: %d/%d kept (coverage %.2f), accuracy %.2f", st.Kept, st.Total, st.Coverage, acc)
 
-	// Raising the threshold can only shrink coverage.
-	_, stHi, err := WritePseudoShards(t.TempDir(), 2, ss, &p, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stHi.Coverage > st.Coverage {
-		t.Fatalf("coverage rose from %.2f to %.2f as threshold rose 0.6→0.95", st.Coverage, stHi.Coverage)
+	// Raising the threshold can only shrink coverage, at every step.
+	lo, loCov := float32(thr), st.Coverage
+	for _, hi := range []float32{0.8, 0.95} {
+		_, stHi, err := WritePseudoShards(t.TempDir(), 2, ss, &p, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stHi.Coverage > loCov {
+			t.Fatalf("coverage rose from %.2f to %.2f as threshold rose %.2f→%.2f", loCov, stHi.Coverage, lo, hi)
+		}
+		lo, loCov = hi, stHi.Coverage
 	}
 
 	// Retrain on labeled + pseudo, machine labels discounted to 0.5.

@@ -187,25 +187,3 @@ func softmaxCEInto(logits []float32, label int, grad []float32) float64 {
 	grad[label] -= 1
 	return logZ - float64(logits[label])
 }
-
-// TrainStep runs one full forward/backward pass and returns the loss parts.
-// Gradients accumulate into the network parameters; the caller applies a
-// solver step and zeroes gradients.
-func (n *Net) TrainStep(x *tensor.Tensor, boxes [][]Box, labeled []bool, w LossWeights) LossParts {
-	out := n.Forward(x, true)
-	parts, grads := n.Loss(out, x, boxes, labeled, w)
-	n.Backward(out, grads.Conf, grads.Class, grads.BoxP, grads.Recon)
-	return parts
-}
-
-// Detect runs inference and returns per-sample detections after NMS, using
-// the paper's confidence threshold (0.8) by default.
-func (n *Net) Detect(x *tensor.Tensor, confThresh, nmsIoU float64) [][]Detection {
-	out := n.Forward(x, false)
-	batch := x.Shape[0]
-	dets := make([][]Detection, batch)
-	for s := 0; s < batch; s++ {
-		dets[s] = NMS(n.Decode(out, s, confThresh), nmsIoU)
-	}
-	return dets
-}

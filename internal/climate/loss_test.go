@@ -23,7 +23,7 @@ func TestLossPartsAllActive(t *testing.T) {
 	x := tensor.New(1, NumChannels, 16, 16)
 	rng.FillNorm(x, 0, 1)
 	boxes := [][]Box{{{X: 2, Y: 2, W: 6, H: 6, Class: TropicalCyclone}}}
-	out := net.Forward(x, true)
+	out := newRef(net).Forward(x, true)
 	parts, grads := net.Loss(out, x, boxes, nil, DefaultLossWeights())
 	if parts.Obj <= 0 || parts.NoObj <= 0 || parts.Class <= 0 || parts.Recon <= 0 {
 		t.Fatalf("inactive loss terms: %+v", parts)
@@ -44,7 +44,7 @@ func TestUnlabeledSamplesOnlyReconstruct(t *testing.T) {
 		{{X: 2, Y: 2, W: 6, H: 6, Class: TropicalCyclone}},
 		nil, // unlabeled
 	}
-	out := net.Forward(x, true)
+	out := newRef(net).Forward(x, true)
 	_, grads := net.Loss(out, x, boxes, []bool{false, false}, DefaultLossWeights())
 	// No labeled samples: detection grads must be exactly zero.
 	if grads.Conf.AbsMax() != 0 || grads.Class.AbsMax() != 0 || grads.BoxP.AbsMax() != 0 {
@@ -64,7 +64,7 @@ func TestSemiSupervisedMixedBatch(t *testing.T) {
 		{{X: 2, Y: 2, W: 6, H: 6, Class: TropicalCyclone}},
 		nil,
 	}
-	out := net.Forward(x, true)
+	out := newRef(net).Forward(x, true)
 	_, grads := net.Loss(out, x, boxes, []bool{true, false}, DefaultLossWeights())
 	g := net.GridSize
 	cells := g * g
@@ -100,15 +100,13 @@ func TestLossGradientsNumerically(t *testing.T) {
 	boxes := [][]Box{{{X: 3, Y: 5, W: 7, H: 6, Class: ExtratropicalCyclone}}}
 	w := DefaultLossWeights()
 
+	ref := newRef(net)
 	lossAt := func() float64 {
-		out := net.Forward(x, true)
-		parts, _ := net.Loss(out, x, boxes, nil, w)
+		parts, _ := net.Loss(ref.Forward(x, true), x, boxes, nil, w)
 		return parts.Total()
 	}
 	net.ZeroGrad()
-	out := net.Forward(x, true)
-	_, grads := net.Loss(out, x, boxes, nil, w)
-	net.Backward(out, grads.Conf, grads.Class, grads.BoxP, grads.Recon)
+	ref.TrainStep(x, boxes, nil, w)
 
 	const eps = 2e-3
 	for _, p := range net.Params() {
@@ -156,9 +154,10 @@ func TestTrainingReducesDetectionLoss(t *testing.T) {
 	first := math.Inf(1)
 	var last float64
 	lr := float32(0.02)
+	tp := net.NewTrainPlan(16, nil)
 	for it := 0; it < 40; it++ {
 		net.ZeroGrad()
-		parts := net.TrainStep(x, boxes, nil, w)
+		parts := tp.Step(x, boxes, nil, w)
 		if it == 0 {
 			first = parts.Total()
 		}

@@ -122,51 +122,14 @@ func BuildNet(cfg ModelConfig, rng *tensor.RNG) *Net {
 	return n
 }
 
-// Output bundles one forward pass.
+// Output bundles one forward pass (TrainPlan's or Scorer's; the tensors are
+// plan-owned).
 type Output struct {
 	Feat  *tensor.Tensor // [N, C, G, G] shared encoder features
 	Conf  *tensor.Tensor // [N, 1, G, G] confidence logits
 	Class *tensor.Tensor // [N, K, G, G] class logits
 	BoxP  *tensor.Tensor // [N, 4, G, G] box geometry (tx, ty, log w, log h)
 	Recon *tensor.Tensor // [N, 16, S, S] reconstruction (nil without decoder)
-}
-
-// Forward runs the shared encoder once and all heads on its output.
-func (n *Net) Forward(x *tensor.Tensor, train bool) Output {
-	feat := n.Encoder.Forward(x, train)
-	out := Output{
-		Feat:  feat,
-		Conf:  n.ConfHead.Forward(feat, train),
-		Class: n.ClassHead.Forward(feat, train),
-		BoxP:  n.BoxHead.Forward(feat, train),
-	}
-	if n.Decoder != nil {
-		out.Recon = n.Decoder.Forward(feat, train)
-	}
-	return out
-}
-
-// Backward accumulates gradients. Head gradients may be nil (e.g. an
-// unlabeled-only batch trains just the autoencoder path); drecon must be
-// nil iff the net has no decoder or the reconstruction term is disabled.
-func (n *Net) Backward(out Output, dconf, dclass, dbox, drecon *tensor.Tensor) {
-	dfeat := tensor.New(out.Feat.Shape...)
-	if dconf != nil {
-		tensor.Axpy(1, n.ConfHead.Backward(dconf).Data, dfeat.Data)
-	}
-	if dclass != nil {
-		tensor.Axpy(1, n.ClassHead.Backward(dclass).Data, dfeat.Data)
-	}
-	if dbox != nil {
-		tensor.Axpy(1, n.BoxHead.Backward(dbox).Data, dfeat.Data)
-	}
-	if drecon != nil {
-		if n.Decoder == nil {
-			panic("climate: reconstruction gradient without decoder")
-		}
-		tensor.Axpy(1, n.Decoder.Backward(drecon).Data, dfeat.Data)
-	}
-	n.Encoder.Backward(dfeat)
 }
 
 // Params returns all trainable parameters.

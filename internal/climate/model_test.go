@@ -33,7 +33,7 @@ func TestSmallNetForwardShapes(t *testing.T) {
 	net := BuildNet(cfg, rng)
 	x := tensor.New(2, NumChannels, cfg.Size, cfg.Size)
 	rng.FillNorm(x, 0, 1)
-	out := net.Forward(x, false)
+	out := newRef(net).Forward(x, false)
 	g := net.GridSize
 	if out.Conf.Shape[0] != 2 || out.Conf.Shape[1] != 1 || out.Conf.Shape[2] != g {
 		t.Fatalf("conf shape %v", out.Conf.Shape)
@@ -47,6 +47,17 @@ func TestSmallNetForwardShapes(t *testing.T) {
 	if out.Recon.Shape[1] != NumChannels || out.Recon.Shape[2] != cfg.Size {
 		t.Fatalf("recon shape %v", out.Recon.Shape)
 	}
+	// The forward-only schedule gives the reference's heads bit for bit.
+	got := net.NewScorer().Forward(x)
+	for name, pair := range map[string][2]*tensor.Tensor{
+		"conf": {got.Conf, out.Conf}, "class": {got.Class, out.Class}, "box": {got.BoxP, out.BoxP},
+	} {
+		for i, v := range pair[1].Data {
+			if pair[0].Data[i] != v {
+				t.Fatalf("scorer %s[%d] = %v, reference %v", name, i, pair[0].Data[i], v)
+			}
+		}
+	}
 }
 
 func TestSupervisedOnlyAblationHasNoDecoder(t *testing.T) {
@@ -55,7 +66,7 @@ func TestSupervisedOnlyAblationHasNoDecoder(t *testing.T) {
 	cfg.WithDecoder = false
 	net := BuildNet(cfg, rng)
 	x := tensor.New(1, NumChannels, cfg.Size, cfg.Size)
-	out := net.Forward(x, false)
+	out := newRef(net).Forward(x, false)
 	if out.Recon != nil {
 		t.Fatal("decoder-less net must not reconstruct")
 	}
@@ -174,7 +185,7 @@ func TestNetGradientsFlowToAllComponents(t *testing.T) {
 		{{X: 8, Y: 8, W: 5, H: 5, Class: AtmosphericRiver}},
 	}
 	net.ZeroGrad()
-	parts := net.TrainStep(x, boxes, nil, DefaultLossWeights())
+	parts := net.NewTrainPlan(2, nil).Step(x, boxes, nil, DefaultLossWeights())
 	if parts.Total() <= 0 {
 		t.Fatalf("loss parts %+v", parts)
 	}

@@ -14,13 +14,13 @@ import (
 // feature-gradient accumulator, the head/reconstruction gradient tensors
 // and the loss workspace — all allocated from one arena at build time.
 // Step then performs a full forward/loss/backward iteration with zero
-// steady-state allocation and bitwise-identical results to the unplanned
-// Net.TrainStep.
+// steady-state allocation.
 //
 // The branching topology (encoder fan-out to three heads and the decoder,
 // gradients fanned back in) is exactly the structure nn.Plan's sequential
-// schedule cannot express, so this type composes plans the way Net.Forward
-// composes networks. Like its parts, a TrainPlan is single-goroutine.
+// schedule cannot express, so this type composes plans; it is the one
+// place the training topology is written (Scorer is the forward-only one).
+// Like its parts, a TrainPlan is single-goroutine.
 type TrainPlan struct {
 	net   *Net
 	batch int
@@ -65,15 +65,9 @@ func (n *Net) NewTrainPlan(batch int, arena *tensor.Arena) *TrainPlan {
 	}
 	tp := &TrainPlan{net: n, batch: batch, arena: arena}
 	tp.enc = nn.Compile(n.Encoder, batch, true, arena)
-	// Each head is a one-layer network over the shared feature grid; the
-	// wrapper owns no parameters — it reuses the head conv itself, whose
-	// plan state lives in the compiled plan, not the layer.
-	headNet := func(name string, l nn.Layer) *nn.Network {
-		return nn.NewNetwork(n.Cfg.Name+"-"+name+"-plan", n.featShape...).Add(l)
-	}
-	tp.conf = nn.Compile(headNet("conf", n.ConfHead), batch, true, arena)
-	tp.class = nn.Compile(headNet("class", n.ClassHead), batch, true, arena)
-	tp.box = nn.Compile(headNet("box", n.BoxHead), batch, true, arena)
+	tp.conf = nn.Compile(n.headNet("conf", n.ConfHead), batch, true, arena)
+	tp.class = nn.Compile(n.headNet("class", n.ClassHead), batch, true, arena)
+	tp.box = nn.Compile(n.headNet("box", n.BoxHead), batch, true, arena)
 	if n.Decoder != nil {
 		tp.dec = nn.Compile(n.Decoder, batch, true, arena)
 	}
@@ -109,10 +103,10 @@ func (n *Net) NewTrainPlan(batch int, arena *tensor.Arena) *TrainPlan {
 // Batch returns the plan's fixed batch size.
 func (tp *TrainPlan) Batch() int { return tp.batch }
 
-// Step runs one full forward/loss/backward iteration, mirroring
-// Net.TrainStep operation for operation: encoder and decoder through their
-// compiled plans, heads through theirs, the loss through the workspace
-// form, and the backward fan-in in the same axpy order. Gradients
+// Step runs one full forward/loss/backward iteration: encoder and decoder
+// through their compiled plans, heads through theirs, the loss through the
+// workspace form, and the backward fan-in in a fixed axpy order (heads,
+// decoder, encoder — part of the trajectory's fingerprint). Gradients
 // accumulate into the network parameters; the caller applies a solver step
 // and zeroes gradients.
 func (tp *TrainPlan) Step(x *tensor.Tensor, boxes [][]Box, labeled []bool, w LossWeights) LossParts {
@@ -145,7 +139,7 @@ func (tp *TrainPlan) StepStream(x *tensor.Tensor, boxes [][]Box, labeled []bool,
 	parts := tp.net.lossInto(out, x, boxes, labeled, w, &tp.grads, &tp.sc)
 	tp.lane.End(obs.PhaseFwd)
 
-	// Backward fan-in, in Net.Backward's order: heads, decoder, encoder.
+	// Backward fan-in: heads, decoder, encoder.
 	tp.lane.Begin(obs.PhaseBwd)
 	tp.dfeat.Zero()
 	tensor.Axpy(1, tp.conf.BackwardStream(tp.grads.Conf, tp.notifyConf).Data, tp.dfeat.Data)

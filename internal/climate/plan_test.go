@@ -7,9 +7,9 @@ import (
 )
 
 // TestTrainPlanMatchesTrainStep pins the acceptance criterion on the
-// climate side: a compiled TrainPlan.Step must reproduce the unplanned
-// Net.TrainStep bitwise — loss parts and every parameter gradient — across
-// the semi-supervised labeled/unlabeled split.
+// climate side: a compiled TrainPlan.Step must reproduce refNet's
+// layer-by-layer train step bitwise — loss parts and every parameter
+// gradient — across the semi-supervised labeled/unlabeled split.
 func TestTrainPlanMatchesTrainStep(t *testing.T) {
 	rng := tensor.NewRNG(81)
 	cfg := SmallConfig()
@@ -19,17 +19,17 @@ func TestTrainPlanMatchesTrainStep(t *testing.T) {
 	labeled := []bool{true, true, false, true} // mixed semi-supervised batch
 	w := DefaultLossWeights()
 
-	legacy := BuildNet(cfg, tensor.NewRNG(9))
+	unplanned := BuildNet(cfg, tensor.NewRNG(9))
 	planned := BuildNet(cfg, tensor.NewRNG(9))
 
-	wantParts := legacy.TrainStep(x, boxes, labeled, w)
+	wantParts := newRef(unplanned).TrainStep(x, boxes, labeled, w)
 	tp := planned.NewTrainPlan(len(idx), nil)
 	gotParts := tp.Step(x, boxes, labeled, w)
 
 	if gotParts != wantParts {
 		t.Fatalf("loss parts diverge: %+v vs %+v", gotParts, wantParts)
 	}
-	lp, pp := legacy.Params(), planned.Params()
+	lp, pp := unplanned.Params(), planned.Params()
 	for i := range lp {
 		for j := range lp[i].Grad.Data {
 			if pp[i].Grad.Data[j] != lp[i].Grad.Data[j] {

@@ -70,8 +70,7 @@ func TestClassifierStagesDatasetBytes(t *testing.T) {
 					t.Fatalf("%s %v: sample %d staged label %d weights %v", tc.name, idx, i, s.labels[bi], s.weights)
 				}
 			}
-			ref := newNet()
-			logits := ref.Forward(s.x, true)
+			logits := nn.Compile(newNet(), len(idx), true, nil).Forward(s.x)
 			want := nn.SoftmaxCrossEntropyWeightedInto(logits, s.labels, s.weights, tensor.New(len(idx), 2))
 			if got := c.Step(2, nil, nil); got != want {
 				t.Fatalf("%s %v: Step loss %v, reference %v", tc.name, idx, got, want)

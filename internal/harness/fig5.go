@@ -131,61 +131,59 @@ func fig5IngestAB(opts Options) string {
 	return b.String()
 }
 
-// layerRow is one measured layer.
+// layerRow is one measured component: a layer with its forward+backward
+// wall time and flops for the batch, or an extra (solver, I/O) without flops.
 type layerRow struct {
-	name          string
-	dur           time.Duration
-	flops         int64
-	gflopsPerSec  float64
-	shareOfTotals float64
+	name  string
+	dur   time.Duration
+	flops int64
 }
 
-func measureNet(fwd func() []nn.LayerTiming, rows []nn.LayerFlop, batch int) ([]layerRow, time.Duration) {
-	// One warmup pass (buffer allocation), then a measured pass.
-	fwd()
-	timings := fwd()
-	var total time.Duration
-	out := make([]layerRow, 0, len(timings))
-	for i, tm := range timings {
-		d := tm.Fwd + tm.Bwd
-		total += d
-		fl := rows[i].Count.Total() * int64(batch)
-		r := layerRow{name: tm.Name, dur: d, flops: fl}
-		if d > 0 {
-			r.gflopsPerSec = float64(fl) / d.Seconds() / 1e9
-		}
-		out = append(out, r)
+// timeLayers measures every layer of a stack as its own single-layer
+// training plan at the stack's shapes — the method benchmark/layer_nn.go
+// uses for its Fig. 5 rows: one warm-up step, then one timed forward and
+// backward over random activations and gradients.
+func timeLayers(layers []nn.Layer, in []int, batch int, rng *tensor.RNG) []layerRow {
+	rows := make([]layerRow, len(layers))
+	for i, l := range layers {
+		plan := nn.Compile(nn.NewNetwork(l.Name(), in...).Add(l), batch, true, nil)
+		x := tensor.New(append([]int{batch}, in...)...)
+		rng.FillNorm(x, 0, 1)
+		rows[i] = layerRow{name: l.Name(), flops: l.FLOPs(in).Total() * int64(batch)}
+		in = l.OutShape(in)
+		dout := tensor.New(append([]int{batch}, in...)...)
+		rng.FillNorm(dout, 0, 1)
+		plan.Forward(x)
+		plan.Backward(dout)
+		t0 := time.Now()
+		plan.Forward(x)
+		plan.Backward(dout)
+		rows[i].dur = time.Since(t0)
 	}
-	for i := range out {
-		out[i].shareOfTotals = float64(out[i].dur) / float64(total)
-	}
-	return out, total
+	return rows
 }
 
-func renderBreakdown(rows []layerRow, total time.Duration, extras []layerRow) string {
+func renderBreakdown(rows, extras []layerRow) string {
 	// Top time consumers first, as in the figure.
 	sorted := append([]layerRow(nil), rows...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].dur > sorted[j].dur })
-	grand := total
+	var grand time.Duration
+	var flops int64
+	for _, r := range rows {
+		grand += r.dur
+		flops += r.flops
+	}
 	for _, e := range extras {
 		grand += e.dur
 	}
 	t := newTable("component", "time", "share", "GFLOP/s")
-	limit := 8
-	if len(sorted) < limit {
-		limit = len(sorted)
-	}
-	for _, r := range sorted[:limit] {
+	for _, r := range sorted[:min(8, len(sorted))] {
 		t.addf("%s|%.1f ms|%.1f%%|%.2f", r.name, r.dur.Seconds()*1e3,
-			100*float64(r.dur)/float64(grand), r.gflopsPerSec)
+			100*float64(r.dur)/float64(grand), float64(r.flops)/max(r.dur.Seconds(), 1e-9)/1e9)
 	}
 	for _, e := range extras {
 		t.addf("%s|%.1f ms|%.1f%%|-", e.name, e.dur.Seconds()*1e3,
 			100*float64(e.dur)/float64(grand))
-	}
-	var flops int64
-	for _, r := range rows {
-		flops += r.flops
 	}
 	t.addf("TOTAL|%.1f ms|100%%|%.2f", grand.Seconds()*1e3,
 		float64(flops)/grand.Seconds()/1e9)
@@ -198,20 +196,7 @@ func fig5HEP(opts Options, size, batch int) string {
 	cfg.ImageSize = size
 	net := hep.BuildNet(cfg, rng)
 	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(size), batch, 0.5, rng)
-	idx := make([]int, batch)
-	for i := range idx {
-		idx[i] = i
-	}
-	x, labels := ds.Batch(idx)
-
-	pass := func() []nn.LayerTiming {
-		net.ZeroGrad()
-		logits, timings := net.ForwardTimed(x, true)
-		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-		net.BackwardTimed(grad, timings)
-		return timings
-	}
-	rows, total := measureNet(pass, net.FLOPBreakdown(), batch)
+	rows := timeLayers(net.Layers, net.InShape, batch, rng)
 
 	// Solver component: the ADAM update on the full 594k-parameter model
 	// ("about 12.5% of the runtime is spent in the solver update routine",
@@ -229,7 +214,7 @@ func fig5HEP(opts Options, size, batch int) string {
 		{name: "I/O (shard read)", dur: ioDur},
 	}
 	return fmt.Sprintf("(input %dx%dx3, batch %d)\n", size, size, batch) +
-		renderBreakdown(rows, total, extras)
+		renderBreakdown(rows, extras)
 }
 
 func fig5Climate(opts Options, size, batch int) string {
@@ -255,45 +240,23 @@ func fig5Climate(opts Options, size, batch int) string {
 	for i := range idx {
 		idx[i] = i
 	}
-	x, boxes := ds.Batch(idx)
-	w := climate.DefaultLossWeights()
+	x, _ := ds.Batch(idx)
 
-	// The climate net is not a single Sequential, so time it as one unit
-	// per component group via the encoder/decoder networks' own hooks.
-	pass := func() []nn.LayerTiming {
-		net.ZeroGrad()
-		feat, encT := net.Encoder.ForwardTimed(x, true)
-		headStart := time.Now()
-		out := climate.Output{
-			Feat:  feat,
-			Conf:  net.ConfHead.Forward(feat, true),
-			Class: net.ClassHead.Forward(feat, true),
-			BoxP:  net.BoxHead.Forward(feat, true),
-		}
-		var decT []nn.LayerTiming
-		if net.Decoder != nil {
-			out.Recon, decT = net.Decoder.ForwardTimed(feat, true)
-		}
-		headDur := time.Since(headStart)
-		parts, grads := net.Loss(out, x, boxes, nil, w)
-		_ = parts
-		dfeat := tensor.New(feat.Shape...)
-		t0 := time.Now()
-		tensor.Axpy(1, net.ConfHead.Backward(grads.Conf).Data, dfeat.Data)
-		tensor.Axpy(1, net.ClassHead.Backward(grads.Class).Data, dfeat.Data)
-		tensor.Axpy(1, net.BoxHead.Backward(grads.BoxP).Data, dfeat.Data)
-		headDur += time.Since(t0)
-		if grads.Recon != nil {
-			dFromDec := net.Decoder.BackwardTimed(grads.Recon, decT)
-			tensor.Axpy(1, dFromDec.Data, dfeat.Data)
-		}
-		net.Encoder.BackwardTimed(dfeat, encT)
-		timings := append(append([]nn.LayerTiming{}, encT...),
-			nn.LayerTiming{Name: "score_heads", Fwd: headDur})
-		timings = append(timings, decT...)
-		return timings
+	// The climate net is not a single Sequential: time the encoder's
+	// layers, the three score heads as one row over the feature grid, and
+	// the decoder's layers.
+	feat := net.Encoder.OutShape()
+	rows := timeLayers(net.Encoder.Layers, net.Encoder.InShape, batch, rng)
+	heads := layerRow{name: "score_heads"}
+	for _, l := range []nn.Layer{net.ConfHead, net.ClassHead, net.BoxHead} {
+		h := timeLayers([]nn.Layer{l}, feat, batch, rng)[0]
+		heads.dur += h.dur
+		heads.flops += h.flops
 	}
-	rows, total := measureNet(pass, climateFlopRows(net), batch)
+	rows = append(rows, heads)
+	if net.Decoder != nil {
+		rows = append(rows, timeLayers(net.Decoder.Layers, feat, batch, rng)...)
+	}
 
 	solver := opt.NewSGD(0.01, 0.9)
 	solver.Step(net.Params())
@@ -308,27 +271,7 @@ func fig5Climate(opts Options, size, batch int) string {
 		{name: "I/O (shard read)", dur: ioDur},
 	}
 	return fmt.Sprintf("(input %dx%dx16, batch %d, %s)\n", size, size, batch, cfg.Name) +
-		renderBreakdown(rows, total, extras)
-}
-
-// climateFlopRows aligns flop accounting with the timing rows produced by
-// the climate pass: encoder layers, one merged score-head row, decoder.
-func climateFlopRows(net *climate.Net) []nn.LayerFlop {
-	rows := net.Encoder.FLOPBreakdown()
-	all := net.FLOPBreakdown()
-	var heads nn.LayerFlop
-	heads.Name = "score_heads"
-	for _, r := range all {
-		if r.Name == "head_conf" || r.Name == "head_class" || r.Name == "head_box" {
-			heads.Count = heads.Count.Add(r.Count)
-			heads.Bytes += r.Bytes
-		}
-	}
-	rows = append(rows, heads)
-	if net.Decoder != nil {
-		rows = append(rows, net.Decoder.FLOPBreakdown()...)
-	}
-	return rows
+		renderBreakdown(rows, extras)
 }
 
 // measureShardIO writes the batch to a shard file and measures reading it

@@ -66,7 +66,7 @@ func TestSmallNetForwardShapes(t *testing.T) {
 	net := BuildNet(cfg, rng)
 	x := tensor.New(2, Channels, cfg.ImageSize, cfg.ImageSize)
 	rng.FillNorm(x, 0, 1)
-	y := net.Forward(x, false)
+	y := nn.Compile(net, 2, false, nil).Forward(x)
 	if y.Shape[0] != 2 || y.Shape[1] != 2 {
 		t.Fatalf("logits shape %v", y.Shape)
 	}
@@ -105,10 +105,10 @@ func TestSmallNetLearnsSyntheticHEP(t *testing.T) {
 	ds := GenerateDataset(cfg, r, 64, 0.5, rng)
 	net := BuildNet(ModelConfig{Name: "t", ImageSize: 16, Filters: 8, ConvUnits: 3, Classes: 2}, rng)
 
+	plan := nn.Compile(net, 64, true, nil)
 	lossAt := func() float64 {
 		x, labels := ds.Batch(seqIdx(64))
-		logits := net.Forward(x, false)
-		l, _ := lossOf(logits, labels)
+		l, _ := lossOf(plan.Forward(x), labels)
 		return l
 	}
 	first := lossAt()
@@ -116,9 +116,8 @@ func TestSmallNetLearnsSyntheticHEP(t *testing.T) {
 	for it := 0; it < 30; it++ {
 		x, labels := ds.Batch(seqIdx(64))
 		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		_, grad := lossOf(logits, labels)
-		net.Backward(grad)
+		_, grad := lossOf(plan.Forward(x), labels)
+		plan.Backward(grad)
 		for _, p := range net.Params() {
 			for i := range p.W.Data {
 				p.W.Data[i] -= float32(lr) * p.Grad.Data[i]

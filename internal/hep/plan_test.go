@@ -16,25 +16,28 @@ func planTestProblem(t *testing.T, events int) *TrainingProblem {
 }
 
 // TestReplicaPlanMatchesLegacyPath pins the acceptance criterion on the HEP
-// side: the planned ComputeGradients must produce bitwise-identical loss
-// and parameter gradients to the unplanned Forward/Backward sequence.
+// side: the replica's ComputeGradients (staging slots, cached plan, the
+// in-place loss, BackwardParams) must produce bitwise-identical loss and
+// parameter gradients to a plain forward, loss, backward sequence over an
+// independently compiled plan — which internal/nn in turn holds to the
+// layers run one by one into fresh tensors.
 func TestReplicaPlanMatchesLegacyPath(t *testing.T) {
 	p := planTestProblem(t, 12)
 	rep := p.NewReplica()
 
-	legacyNet := BuildNet(p.Model, tensor.NewRNG(p.InitSeed))
+	plainNet := BuildNet(p.Model, tensor.NewRNG(p.InitSeed))
 	idx := []int{0, 3, 7, 11, 4, 2}
 	x, labels := p.DS.Batch(idx)
-	logits := legacyNet.Forward(x, true)
-	wantLoss, grad := nn.SoftmaxCrossEntropy(logits, labels)
-	legacyNet.Backward(grad)
+	plain := nn.Compile(plainNet, len(idx), true, nil)
+	wantLoss, grad := nn.SoftmaxCrossEntropy(plain.Forward(x), labels)
+	plain.Backward(grad)
 
 	rep.ZeroGrad()
 	gotLoss := rep.ComputeGradients(idx)
 	if gotLoss != wantLoss {
-		t.Fatalf("planned loss %v, legacy loss %v", gotLoss, wantLoss)
+		t.Fatalf("replica loss %v, plain loss %v", gotLoss, wantLoss)
 	}
-	lp := legacyNet.Params()
+	lp := plainNet.Params()
 	var rp []*nn.Param
 	for _, l := range rep.TrainableLayers() {
 		rp = append(rp, l.Params()...)

@@ -69,6 +69,7 @@ func (p *TrainingProblem) TrainedNet(weights [][][]float32) *nn.Network {
 func ScoreDataset(net *nn.Network, ds *Dataset, batch int) []float64 {
 	n := ds.Images.Shape[0]
 	out := make([]float64, 0, n)
+	plan := nn.Compile(net, batch, false, nil)
 	idx := make([]int, 0, batch)
 	for lo := 0; lo < n; lo += batch {
 		idx = idx[:0]
@@ -76,7 +77,7 @@ func ScoreDataset(net *nn.Network, ds *Dataset, batch int) []float64 {
 			idx = append(idx, i)
 		}
 		x, _ := ds.Batch(idx)
-		out = append(out, SignalScore(net.Forward(x, false))...)
+		out = append(out, SignalScore(plan.Forward(x))...)
 	}
 	return out
 }

@@ -27,15 +27,15 @@ func trainAndSave(t *testing.T) (string, []*serve.LoadInput) {
 	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(8), 64, 0.5, rng)
 	net := hep.BuildNet(tinyHEPCfg(), rng)
 	idx := make([]int, 16)
+	plan := nn.Compile(net, len(idx), true, nil)
 	for step := 0; step < 4; step++ {
 		for i := range idx {
 			idx[i] = (step*len(idx) + i) % len(ds.Labels)
 		}
 		x, labels := ds.Batch(idx)
 		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-		net.Backward(grad)
+		_, grad := nn.SoftmaxCrossEntropy(plan.Forward(x), labels)
+		plan.Backward(grad)
 		for _, p := range net.Params() {
 			for j := range p.W.Data {
 				p.W.Data[j] -= 0.01 * p.Grad.Data[j] / float32(len(idx))

@@ -10,7 +10,7 @@ import (
 
 // frameBytes encodes one request frame for the corruption tables to
 // mutilate.
-func frameBytes(t *testing.T) []byte {
+func frameBytes(t testing.TB) []byte {
 	t.Helper()
 	data := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	buf, err := AppendRequest(nil, 42, "hep-small", []int{3, 2, 2}, data)
@@ -144,60 +144,63 @@ func TestRawSplicePreservesPayload(t *testing.T) {
 	}
 }
 
+// corruptFrameCases is the frame-level corruption table (also the fuzz
+// target's seed corpus): each mutates a well-formed request frame.
+var corruptFrameCases = []struct {
+	name    string
+	mutate  func([]byte) []byte
+	wantErr string
+}{
+	{
+		"bad magic",
+		func(b []byte) []byte { binary.LittleEndian.PutUint32(b[0:], 0xdeadbeef); return b },
+		"bad magic",
+	},
+	{
+		"bad version",
+		func(b []byte) []byte { b[4] = 9; return b },
+		"unsupported frame version",
+	},
+	{
+		"unknown frame type",
+		func(b []byte) []byte { b[5] = 0x7f; return b },
+		"unknown frame type",
+	},
+	{
+		"zero frame type",
+		func(b []byte) []byte { b[5] = 0; return b },
+		"unknown frame type",
+	},
+	{
+		"truncated header",
+		func(b []byte) []byte { return b[:headerLen-3] },
+		"short frame header",
+	},
+	{
+		"truncated payload",
+		func(b []byte) []byte { return b[:len(b)-5] },
+		"truncated",
+	},
+	{
+		"oversize payload length",
+		func(b []byte) []byte { binary.LittleEndian.PutUint32(b[16:], MaxPayload+1); return b },
+		"exceeds",
+	},
+	{
+		"payload length lies long",
+		func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[16:], uint32(len(b)-headerLen+64))
+			return b
+		},
+		"truncated",
+	},
+}
+
 // TestDecodeRejectsCorruptFrames is the hardened-decode table, mirroring
 // data.OpenShard's posture: every corruption mode is an explicit error
 // naming what went wrong, never a panic, hang, or silent misparse.
 func TestDecodeRejectsCorruptFrames(t *testing.T) {
-	cases := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantErr string
-	}{
-		{
-			"bad magic",
-			func(b []byte) []byte { binary.LittleEndian.PutUint32(b[0:], 0xdeadbeef); return b },
-			"bad magic",
-		},
-		{
-			"bad version",
-			func(b []byte) []byte { b[4] = 9; return b },
-			"unsupported frame version",
-		},
-		{
-			"unknown frame type",
-			func(b []byte) []byte { b[5] = 0x7f; return b },
-			"unknown frame type",
-		},
-		{
-			"zero frame type",
-			func(b []byte) []byte { b[5] = 0; return b },
-			"unknown frame type",
-		},
-		{
-			"truncated header",
-			func(b []byte) []byte { return b[:headerLen-3] },
-			"short frame header",
-		},
-		{
-			"truncated payload",
-			func(b []byte) []byte { return b[:len(b)-5] },
-			"truncated",
-		},
-		{
-			"oversize payload length",
-			func(b []byte) []byte { binary.LittleEndian.PutUint32(b[16:], MaxPayload+1); return b },
-			"exceeds",
-		},
-		{
-			"payload length lies long",
-			func(b []byte) []byte {
-				binary.LittleEndian.PutUint32(b[16:], uint32(len(b)-headerLen+64))
-				return b
-			},
-			"truncated",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptFrameCases {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := tc.mutate(frameBytes(t))
 			hdr := make([]byte, headerLen)
@@ -212,79 +215,82 @@ func TestDecodeRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsCorruptRequests covers the request-body layer: model
-// name and tensor-region corruption that a well-framed payload can still
-// carry.
+// corruptRequestCases is the request-body corruption table (and the rest of
+// the fuzz target's seed corpus): model-name and tensor-region corruption
+// that a well-framed payload can still carry. hdr rewrites the parsed
+// header, mutate the payload; either may be nil.
+var corruptRequestCases = []struct {
+	name    string
+	hdr     func(Header) Header
+	mutate  func([]byte) []byte
+	wantErr string
+}{
+	{
+		"zero model length",
+		func(h Header) Header { h.Aux = 0; return h },
+		nil,
+		"model-name length",
+	},
+	{
+		"model length beyond payload",
+		func(h Header) Header { h.Aux = uint16(h.N + 1); return h },
+		nil,
+		"model name",
+	},
+	{
+		"zero rank",
+		nil,
+		func(p []byte) []byte { p[9] = 0; return p }, // rank byte follows the 9-byte model name
+		"rank 0 out of bounds",
+	},
+	{
+		"rank beyond MaxDims",
+		nil,
+		func(p []byte) []byte { p[9] = MaxDims + 1; return p },
+		"rank",
+	},
+	{
+		"zero dim",
+		nil,
+		func(p []byte) []byte { binary.LittleEndian.PutUint32(p[10:], 0); return p },
+		"impossible dim",
+	},
+	{
+		"overflowing dim product",
+		nil,
+		func(p []byte) []byte {
+			// Each dim individually under the bound; product overflows it.
+			binary.LittleEndian.PutUint32(p[10:], 1<<23)
+			binary.LittleEndian.PutUint32(p[14:], 1<<23)
+			binary.LittleEndian.PutUint32(p[18:], 1<<23)
+			return p
+		},
+		"overflows",
+	},
+	{
+		"shape promises more than payload carries",
+		nil,
+		func(p []byte) []byte { binary.LittleEndian.PutUint32(p[10:], 100); return p },
+		"shape promises",
+	},
+	{
+		"payload truncated inside dims",
+		nil,
+		func(p []byte) []byte { return p[:11] },
+		"truncated inside",
+	},
+}
+
+// TestDecodeRejectsCorruptRequests covers the request-body layer.
 func TestDecodeRejectsCorruptRequests(t *testing.T) {
 	well := frameBytes(t)
 	h, err := ParseHeader(well)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := append([]byte(nil), well[headerLen:]...)
+	payload := well[headerLen:]
 
-	cases := []struct {
-		name    string
-		hdr     func(Header) Header
-		mutate  func([]byte) []byte
-		wantErr string
-	}{
-		{
-			"zero model length",
-			func(h Header) Header { h.Aux = 0; return h },
-			nil,
-			"model-name length",
-		},
-		{
-			"model length beyond payload",
-			func(h Header) Header { h.Aux = uint16(len(payload) + 1); return h },
-			nil,
-			"model name",
-		},
-		{
-			"zero rank",
-			nil,
-			func(p []byte) []byte { p[9] = 0; return p }, // rank byte follows the 9-byte model name
-			"rank 0 out of bounds",
-		},
-		{
-			"rank beyond MaxDims",
-			nil,
-			func(p []byte) []byte { p[9] = MaxDims + 1; return p },
-			"rank",
-		},
-		{
-			"zero dim",
-			nil,
-			func(p []byte) []byte { binary.LittleEndian.PutUint32(p[10:], 0); return p },
-			"impossible dim",
-		},
-		{
-			"overflowing dim product",
-			nil,
-			func(p []byte) []byte {
-				// Each dim individually under the bound; product overflows it.
-				binary.LittleEndian.PutUint32(p[10:], 1<<23)
-				binary.LittleEndian.PutUint32(p[14:], 1<<23)
-				binary.LittleEndian.PutUint32(p[18:], 1<<23)
-				return p
-			},
-			"overflows",
-		},
-		{
-			"shape promises more than payload carries",
-			nil,
-			func(p []byte) []byte { binary.LittleEndian.PutUint32(p[10:], 100); return p },
-			"shape promises",
-		},
-		{
-			"payload truncated inside dims",
-			nil,
-			func(p []byte) []byte { return p[:11] },
-			"truncated inside",
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range corruptRequestCases {
 		t.Run(tc.name, func(t *testing.T) {
 			hh := h
 			if tc.hdr != nil {

@@ -16,7 +16,6 @@ type Conv2D struct {
 	KH, KW       int
 	Stride, Pad  int
 	Weight, Bias *Param
-	state        PlanState // legacy-path state (direct Forward/Backward)
 	noBias       bool
 }
 
@@ -107,7 +106,7 @@ func (c *Conv2D) chunk(n, oh, ow int, train bool) int {
 	return chunk
 }
 
-// Reserve implements PlannedLayer.
+// Reserve implements Layer.
 func (c *Conv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {
 	out := c.OutShape(in)
 	oh, ow := out[1], out[2]
@@ -118,20 +117,7 @@ func (c *Conv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train 
 	st.Eval = scratch(a, st.Eval, c.OutC*chunk*cols)
 }
 
-// Forward implements Layer. x is [N, InC, H, W]. Train and eval mode run
-// the same arithmetic; eval mode retains no backward state.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Shape[1] != c.InC {
-		panic(fmt.Sprintf("nn: %s got input shape %v, want [N,%d,H,W]", c.LayerName, x.Shape, c.InC))
-	}
-	out := tensor.New(x.Shape[0], c.OutC,
-		tensor.ConvOut(x.Shape[2], c.KH, c.Stride, c.Pad),
-		tensor.ConvOut(x.Shape[3], c.KW, c.Stride, c.Pad))
-	c.ForwardInto(&c.state, out, x, train)
-	return out
-}
-
-// ForwardInto implements PlannedLayer. It lowers a chunk of samples into
+// ForwardInto implements Layer. It lowers a chunk of samples into
 // one wide K×(m·cols) matrix — sample i at column offset i·cols — multiplies
 // the chunk in a single GEMM, and scatters the channel-major product back
 // to NCHW with the bias folded into that copy. Each output element is the
@@ -222,19 +208,7 @@ func (c *Conv2D) scatter(y *tensor.Tensor, ge []float32, s0, m, cols, lo, hi int
 	}
 }
 
-// Backward implements Layer. dout is [N, OutC, OH, OW]; returns dx with the
-// input's shape.
-func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	x := c.state.X
-	if x == nil {
-		panic("nn: " + c.LayerName + " Backward before Forward")
-	}
-	dx := tensor.New(x.Shape...)
-	c.BackwardInto(&c.state, dx, dout)
-	return dx
-}
-
-// BackwardInto implements PlannedLayer. Per chunk of samples (the forward's
+// BackwardInto implements Layer. Per chunk of samples (the forward's
 // chunking): the weight gradient accumulates one sample at a time, in
 // sample order, each element one sdot over that sample's columns — that
 // order is the training trajectory's fingerprint, so it is kept even

@@ -12,7 +12,7 @@ func TestConvIdentityKernel(t *testing.T) {
 	c.Weight.W.Data[0] = 1
 	c.Bias.W.Data[0] = 0
 	x := tensor.FromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
-	out := c.Forward(x, false)
+	out := run(c).Forward(x, false)
 	for i := range x.Data {
 		if out.Data[i] != x.Data[i] {
 			t.Fatalf("identity conv changed data: %v", out.Data)
@@ -29,7 +29,7 @@ func TestConvKnownValues(t *testing.T) {
 	c.Bias.W.Data[0] = 0
 	x := tensor.New(1, 1, 3, 3)
 	x.Fill(1)
-	out := c.Forward(x, false)
+	out := run(c).Forward(x, false)
 	want := []float32{4, 6, 4, 6, 9, 6, 4, 6, 4}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -46,7 +46,7 @@ func TestConvBias(t *testing.T) {
 	c.Bias.W.Data[0] = 1.5
 	c.Bias.W.Data[1] = -2
 	x := tensor.New(1, 1, 2, 2)
-	out := c.Forward(x, false)
+	out := run(c).Forward(x, false)
 	if out.At(0, 0, 1, 1) != 1.5 || out.At(0, 1, 0, 0) != -2 {
 		t.Fatalf("bias broadcast wrong: %v", out.Data)
 	}
@@ -81,13 +81,14 @@ func TestConvGradientAccumulation(t *testing.T) {
 	c := NewConv2D("conv", 1, 1, 3, 1, 1, rng)
 	x := tensor.New(1, 1, 4, 4)
 	rng.FillNorm(x, 0, 1)
-	out := c.Forward(x, true)
+	r := run(c)
+	out := r.Forward(x, true)
 	dout := tensor.New(out.Shape...)
 	dout.Fill(1)
-	c.Backward(dout)
+	r.Backward(dout)
 	g1 := append([]float32(nil), c.Weight.Grad.Data...)
-	c.Forward(x, true)
-	c.Backward(dout)
+	r.Forward(x, true)
+	r.Backward(dout)
 	for i := range g1 {
 		if diff := c.Weight.Grad.Data[i] - 2*g1[i]; diff > 1e-4 || diff < -1e-4 {
 			t.Fatalf("gradient did not accumulate: %v vs 2*%v", c.Weight.Grad.Data[i], g1[i])
@@ -135,7 +136,7 @@ func TestConvBadInputPanics(t *testing.T) {
 			t.Fatal("expected panic on channel mismatch")
 		}
 	}()
-	c.Forward(tensor.New(1, 4, 8, 8), false)
+	run(c).Forward(tensor.New(1, 4, 8, 8), false)
 }
 
 func TestConvBackwardBeforeForwardPanics(t *testing.T) {
@@ -146,5 +147,5 @@ func TestConvBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.Backward(tensor.New(1, 1, 4, 4))
+	c.BackwardInto(&PlanState{}, tensor.New(1, 1, 4, 4), tensor.New(1, 1, 4, 4))
 }

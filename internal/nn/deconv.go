@@ -26,7 +26,6 @@ type Deconv2D struct {
 	KH, KW       int
 	Stride, Pad  int
 	Weight, Bias *Param
-	state        PlanState // legacy-path state (direct Forward/Backward)
 }
 
 // NewDeconv2D constructs a transposed-convolution layer.
@@ -74,7 +73,7 @@ func (d *Deconv2D) OutShape(in []int) []int {
 	return []int{d.OutC, oh, ow}
 }
 
-// Reserve implements PlannedLayer. The lowering scratch is shared by
+// Reserve implements Layer. The lowering scratch is shared by
 // forward (Wᵀ·x before col2im) and backward (im2col of dy), which have the
 // same (OutC·KH·KW)×(H·W) shape by the adjoint construction.
 func (d *Deconv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {
@@ -83,18 +82,8 @@ func (d *Deconv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, trai
 	st.Col = scratch(a, st.Col, k*cols)
 }
 
-// Forward implements Layer: y = col2im(Wᵀ·x) — the conv backward-data path.
-func (d *Deconv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Shape[1] != d.InC {
-		panic(fmt.Sprintf("nn: %s got input shape %v, want [N,%d,H,W]", d.LayerName, x.Shape, d.InC))
-	}
-	oh, ow := d.outHW(x.Shape[2], x.Shape[3])
-	out := tensor.New(x.Shape[0], d.OutC, oh, ow)
-	d.ForwardInto(&d.state, out, x, train)
-	return out
-}
-
-// ForwardInto implements PlannedLayer.
+// ForwardInto implements Layer: y = col2im(Wᵀ·x) — the conv backward-data
+// path.
 func (d *Deconv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	if x.Rank() != 4 || x.Shape[1] != d.InC {
 		panic(fmt.Sprintf("nn: %s got input shape %v, want [N,%d,H,W]", d.LayerName, x.Shape, d.InC))
@@ -132,19 +121,8 @@ func (d *Deconv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	}
 }
 
-// Backward implements Layer: dx = W·im2col(dy) — the conv forward path —
-// and dW = x·im2col(dy)ᵀ.
-func (d *Deconv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	x := d.state.X
-	if x == nil {
-		panic("nn: " + d.LayerName + " Backward before Forward")
-	}
-	dx := tensor.New(x.Shape...)
-	d.BackwardInto(&d.state, dx, dout)
-	return dx
-}
-
-// BackwardInto implements PlannedLayer.
+// BackwardInto implements Layer: dx = W·im2col(dy) — the conv forward path
+// — and dW = x·im2col(dy)ᵀ.
 func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	x := st.X
 	if x == nil {

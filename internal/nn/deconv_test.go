@@ -52,8 +52,8 @@ func TestDeconvIsConvTranspose(t *testing.T) {
 		y := tensor.New(1, yShape[0], yShape[1], yShape[2])
 		rng.FillNorm(y, 0, 1)
 
-		dx := dec.Forward(x, false)
-		cy := conv.Forward(y, false)
+		dx := run(dec).Forward(x, false)
+		cy := run(conv).Forward(y, false)
 		lhs := tensor.Dot(dx.Data, y.Data)
 		rhs := tensor.Dot(x.Data, cy.Data)
 		return math.Abs(lhs-rhs) <= 1e-2*(1+math.Abs(lhs))
@@ -81,7 +81,7 @@ func TestDeconvUpsamples(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	d := NewDeconv2D("dec", 4, 2, 3, 2, 1, rng)
 	x := tensor.New(1, 4, 8, 8)
-	out := d.Forward(x, false)
+	out := run(d).Forward(x, false)
 	if out.Shape[2] != 15 || out.Shape[3] != 15 {
 		t.Fatalf("deconv output %v, want 15x15", out.Shape)
 	}
@@ -110,5 +110,5 @@ func TestDeconvBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.Backward(tensor.New(1, 1, 4, 4))
+	d.BackwardInto(&PlanState{}, tensor.New(1, 1, 4, 4), tensor.New(1, 1, 4, 4))
 }

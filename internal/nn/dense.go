@@ -11,7 +11,6 @@ import (
 // networks.
 type ReLU struct {
 	LayerName string
-	state     PlanState // legacy-path state (direct Forward/Backward)
 }
 
 // NewReLU constructs a ReLU layer.
@@ -26,17 +25,10 @@ func (r *ReLU) Params() []*Param { return nil }
 // OutShape implements Layer.
 func (r *ReLU) OutShape(in []int) []int { return append([]int(nil), in...) }
 
-// Reserve implements PlannedLayer.
+// Reserve implements Layer.
 func (r *ReLU) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
 
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape...)
-	r.ForwardInto(&r.state, out, x, train)
-	return out
-}
-
-// ForwardInto implements PlannedLayer. Every element of y is written, so a
+// ForwardInto implements Layer. Every element of y is written, so a
 // recycled destination cannot leak stale activations. Train and eval mode
 // run the same kernel; a train-mode pass also remembers y, whose sign is
 // what backward gates on.
@@ -54,14 +46,7 @@ func (r *ReLU) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	tensor.ParallelFor(n, func(lo, hi int) { tensor.ReLU(yd[lo:hi], xd[lo:hi]) })
 }
 
-// Backward implements Layer.
-func (r *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dx := tensor.New(dout.Shape...)
-	r.BackwardInto(&r.state, dx, dout)
-	return dx
-}
-
-// BackwardInto implements PlannedLayer: the gradient passes where the saved
+// BackwardInto implements Layer: the gradient passes where the saved
 // output is positive, which is exactly where the input was.
 func (r *ReLU) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	if st.Y == nil || st.Y.Len() != dout.Len() {
@@ -92,7 +77,6 @@ type Dense struct {
 	LayerName    string
 	In, Out      int
 	Weight, Bias *Param
-	state        PlanState // legacy-path state (direct Forward/Backward)
 }
 
 // NewDense constructs a fully-connected layer with He-initialised weights.
@@ -126,17 +110,10 @@ func (d *Dense) OutShape(in []int) []int {
 	return []int{d.Out}
 }
 
-// Reserve implements PlannedLayer.
+// Reserve implements Layer.
 func (d *Dense) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
 
-// Forward implements Layer. x is [N, …] with per-sample size In.
-func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape[0], d.Out)
-	d.ForwardInto(&d.state, out, x, train)
-	return out
-}
-
-// ForwardInto implements PlannedLayer. The GEMM's beta=0 overwrites every
+// ForwardInto implements Layer. The GEMM's beta=0 overwrites every
 // element of y, so recycled destinations are safe.
 func (d *Dense) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	n := x.Shape[0]
@@ -159,18 +136,7 @@ func (d *Dense) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	}
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	x := d.state.X
-	if x == nil {
-		panic("nn: " + d.LayerName + " Backward before Forward")
-	}
-	dx := tensor.New(x.Shape[0], d.In)
-	d.BackwardInto(&d.state, dx, dout)
-	return dx
-}
-
-// BackwardInto implements PlannedLayer.
+// BackwardInto implements Layer.
 func (d *Dense) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	x := st.X
 	if x == nil {

@@ -13,7 +13,7 @@ func TestDenseKnownValues(t *testing.T) {
 	copy(d.Weight.W.Data, []float32{1, 2, 3, 4}) // W = [[1,2],[3,4]]
 	copy(d.Bias.W.Data, []float32{0.5, -0.5})
 	x := tensor.FromSlice([]float32{1, 1}, 1, 2)
-	out := d.Forward(x, false)
+	out := run(d).Forward(x, false)
 	if out.Data[0] != 3.5 || out.Data[1] != 6.5 {
 		t.Fatalf("dense = %v, want [3.5 6.5]", out.Data)
 	}
@@ -32,14 +32,14 @@ func TestDenseAcceptsSpatialInput(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	d := NewDense("fc", 12, 2, rng)
 	x := tensor.New(2, 3, 2, 2)
-	out := d.Forward(x, false)
+	out := run(d).Forward(x, false)
 	if out.Shape[0] != 2 || out.Shape[1] != 2 {
 		t.Fatalf("shape %v", out.Shape)
 	}
 }
 
 func TestReLUKnownValues(t *testing.T) {
-	r := NewReLU("relu")
+	r := run(NewReLU("relu"))
 	x := tensor.FromSlice([]float32{-1, 0, 2}, 1, 3)
 	out := r.Forward(x, true)
 	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 2 {

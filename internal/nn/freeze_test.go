@@ -82,17 +82,17 @@ func TestFrozenForwardBitwiseIdentity(t *testing.T) {
 
 	rng := tensor.NewRNG(99)
 	x := randBatch(rng, 4, ref.InShape)
-	want := ref.Forward(x, true)
+	want := newRef(ref).Forward(x, true)
 	requireBitwise(t, "frozen plan forward", plan.Forward(x), want)
 }
 
 // TestFrozenBackwardParity pins the backward contract from every angle:
-// trainable gradients match the unfrozen run bitwise (planned and
-// unplanned), frozen weights never move, and the planned and unplanned
-// frozen paths agree on the boundary gradient.
+// trainable gradients match the unfrozen run bitwise (through a plan and
+// through refNet), frozen weights never move, and the plan and refNet
+// agree on the boundary gradient of the frozen network.
 func TestFrozenBackwardParity(t *testing.T) {
-	ref := planTestNet(7)     // fully trainable, unplanned
-	direct := planTestNet(7)  // frozen, unplanned
+	ref := planTestNet(7)     // fully trainable, refNet
+	direct := planTestNet(7)  // frozen, refNet
 	planned := planTestNet(7) // frozen, planned
 	pristine := planTestNet(7)
 	direct.Freeze(freezeTestBackbone...)
@@ -103,11 +103,13 @@ func TestFrozenBackwardParity(t *testing.T) {
 	dout := tensor.New(append([]int{4}, ref.OutShape()...)...)
 	rng.FillNorm(dout, 0, 1)
 
-	ref.Forward(x, true)
-	ref.Backward(dout)
+	refRun := newRef(ref)
+	refRun.Forward(x, true)
+	refRun.Backward(dout)
 
-	direct.Forward(x, true)
-	directDx := direct.Backward(dout)
+	directRun := newRef(direct)
+	directRun.Forward(x, true)
+	directDx := directRun.Backward(dout)
 
 	plan := Compile(planned, 4, true, nil)
 	plan.Forward(x)
@@ -145,18 +147,13 @@ func TestFrozenGradDoneIndices(t *testing.T) {
 	dout := tensor.New(append([]int{2}, net.OutShape()...)...)
 	rng.FillNorm(dout, 0, 1)
 
-	check := func(tag string, run func(func(int))) {
-		var got []int
-		run(func(i int) { got = append(got, i) })
-		if len(got) != 2 || got[0] != 1 || got[1] != 0 {
-			t.Fatalf("%s gradDone order %v, want [1 0]", tag, got)
-		}
-	}
 	plan := Compile(net, 2, true, nil)
 	plan.Forward(x)
-	check("plan", func(f func(int)) { plan.BackwardStream(dout, f) })
-	net.Forward(x, true)
-	check("direct", func(f func(int)) { net.BackwardStream(dout, f) })
+	var got []int
+	plan.BackwardStream(dout, func(i int) { got = append(got, i) })
+	if len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Fatalf("gradDone order %v, want [1 0]", got)
+	}
 }
 
 // TestFrozenTrainingPlanZeroAllocs keeps the 0-alloc warm gate on the

@@ -83,18 +83,19 @@ func randWeights(rng *tensor.RNG, n int) []float32 {
 // given input.
 func checkLayerGradients(t *testing.T, l Layer, x *tensor.Tensor, rng *tensor.RNG) {
 	t.Helper()
-	out := l.Forward(x, true)
+	r := run(l)
+	out := r.Forward(x, true)
 	w := randWeights(rng, out.Len())
 	loss := func() float64 {
-		return weightedSumLoss(l.Forward(x, true), w)
+		return weightedSumLoss(r.Forward(x, true), w)
 	}
 	// Analytic gradients.
 	for _, p := range l.Params() {
 		p.Grad.Zero()
 	}
-	l.Forward(x, true)
+	r.Forward(x, true)
 	dout := tensor.FromSlice(append([]float32(nil), w...), out.Shape...)
-	dx := l.Backward(dout)
+	dx := r.Backward(dout)
 
 	// Probe a subset of input entries (stride keeps runtime sane).
 	stride := 1

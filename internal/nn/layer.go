@@ -60,31 +60,13 @@ func (f FlopCount) Scale(n int64) FlopCount {
 	return FlopCount{Fwd: f.Fwd * n, Bwd: f.Bwd * n, FwdExecuted: f.FwdExecuted * n, BwdExecuted: f.BwdExecuted * n}
 }
 
-// Layer is one differentiable stage. Forward must be called before Backward;
-// layers cache whatever they need from the forward pass. Backward returns
-// the gradient with respect to the layer input and accumulates parameter
-// gradients into Params().Grad.
-type Layer interface {
-	Name() string
-	// OutShape maps a per-sample input shape to the per-sample output shape.
-	OutShape(in []int) []int
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
-	Backward(dout *tensor.Tensor) *tensor.Tensor
-	// Params returns the trainable parameters; may be empty.
-	Params() []*Param
-	// FLOPs returns per-sample flop counts for the given per-sample input
-	// shape (multiply by batch for a full iteration).
-	FLOPs(in []int) FlopCount
-}
-
 // PlanState is one layer's mutable execution state: the input saved for
-// backward, pooling/activation bookkeeping, and kernel scratch. The
-// destination-passing layer methods (PlannedLayer) read and write only the
-// state they are handed, never hidden layer fields, so the same layer — the
-// same weights — can execute under several states at once: each compiled
-// Plan owns one PlanState per layer, and the legacy Forward/Backward
-// wrappers run over a layer-internal state. Plan-based and direct execution
-// therefore never clobber each other's backward bookkeeping.
+// backward, pooling/activation bookkeeping, and kernel scratch. Layer
+// methods read and write only the state they are handed, never hidden layer
+// fields, so the same layer — the same weights — can execute under several
+// states at once: each compiled Plan owns one PlanState per training step
+// and one shared by its eval steps, and two plans over one network never
+// clobber each other's backward bookkeeping.
 type PlanState struct {
 	// X is the input tensor saved by a train-mode forward; backward reads
 	// it for weight gradients. Inference passes leave it nil (and Backward
@@ -107,15 +89,22 @@ type PlanState struct {
 	Argmax []int32
 }
 
-// PlannedLayer is the destination-passing execution contract compiled plans
-// run on. ForwardInto and BackwardInto perform bitwise-identical arithmetic
-// to Forward and Backward — the legacy methods are now thin wrappers that
-// allocate the destination and delegate — but write into caller-owned
-// output tensors and keep all mutable state in the caller's PlanState.
-// Destinations may hold stale values: implementations fully overwrite (or
-// explicitly clear, for scatter-accumulate kernels) every element they own.
-type PlannedLayer interface {
-	Layer
+// Layer is one differentiable stage, executed destination-passing: the
+// caller — a compiled Plan, QuantPlan or climate.TrainPlan — owns the
+// output tensors and the PlanState, the layer owns only its parameters.
+// ForwardInto must run in train mode before BackwardInto; the state keeps
+// whatever backward needs. Destinations may hold stale values:
+// implementations fully overwrite (or explicitly clear, for
+// scatter-accumulate kernels) every element they own.
+type Layer interface {
+	Name() string
+	// OutShape maps a per-sample input shape to the per-sample output shape.
+	OutShape(in []int) []int
+	// Params returns the trainable parameters; may be empty.
+	Params() []*Param
+	// FLOPs returns per-sample flop counts for the given per-sample input
+	// shape (multiply by batch for a full iteration).
+	FLOPs(in []int) FlopCount
 	// Reserve pre-sizes st's scratch for batches of up to n samples with
 	// per-sample input shape in, drawing float32 slabs from a (nil = the
 	// Go allocator). After Reserve, passes at or below that batch size
@@ -126,10 +115,10 @@ type PlannedLayer interface {
 	// needs; with train=false, st keeps no reference to x.
 	ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool)
 	// BackwardInto computes dx from dout (shapes fixed by the preceding
-	// train-mode ForwardInto) and accumulates parameter gradients. A nil dx
-	// means the input gradient is not wanted: parameter gradients
-	// accumulate exactly as otherwise and the work that only feeds dx is
-	// skipped (see Plan.BackwardParams).
+	// train-mode ForwardInto) and accumulates parameter gradients into
+	// Params().Grad. A nil dx means the input gradient is not wanted:
+	// parameter gradients accumulate exactly as otherwise and the work
+	// that only feeds dx is skipped (see Plan.BackwardParams).
 	BackwardInto(st *PlanState, dx, dout *tensor.Tensor)
 }
 

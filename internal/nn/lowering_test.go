@@ -151,14 +151,15 @@ func TestConvLoweringBitwiseMatchesPerSampleReference(t *testing.T) {
 				prev := tensor.SetWorkers(workers)
 				withColBudget(budget, func() {
 					tag := fmt.Sprintf("%s budget %d workers %d", name, budget, workers)
-					requireSameBits(t, tag+" eval y", c.Forward(x, false).Data, wantY.Data)
+					rc := run(c)
+					requireSameBits(t, tag+" eval y", rc.Forward(x, false).Data, wantY.Data)
 					c.Weight.Grad.Zero()
 					c.Bias.Grad.Zero()
-					requireSameBits(t, tag+" train y", c.Forward(x, true).Data, wantY.Data)
-					if kept := c.state.Lowered; kept != (max(budget/perSample, 1) >= n) {
+					requireSameBits(t, tag+" train y", rc.Forward(x, true).Data, wantY.Data)
+					if kept := rc.st[0].Lowered; kept != (max(budget/perSample, 1) >= n) {
 						t.Fatalf("%s: lowering kept = %v", tag, kept)
 					}
-					requireSameBits(t, tag+" dx", c.Backward(dout).Data, wantDx.Data)
+					requireSameBits(t, tag+" dx", rc.Backward(dout).Data, wantDx.Data)
 					requireSameBits(t, tag+" dW", c.Weight.Grad.Data, wantDW)
 					requireSameBits(t, tag+" db", c.Bias.Grad.Data, wantDb)
 
@@ -167,13 +168,13 @@ func TestConvLoweringBitwiseMatchesPerSampleReference(t *testing.T) {
 					// second pass over the same forward.
 					c.Weight.Grad.Zero()
 					c.Bias.Grad.Zero()
-					c.Forward(x, true)
-					c.BackwardInto(&c.state, nil, dout)
+					rc.Forward(x, true)
+					c.BackwardInto(&rc.st[0], nil, dout)
 					requireSameBits(t, tag+" dW, no dx", c.Weight.Grad.Data, wantDW)
 					requireSameBits(t, tag+" db, no dx", c.Bias.Grad.Data, wantDb)
 					c.Weight.Grad.Zero()
 					c.Bias.Grad.Zero()
-					requireSameBits(t, tag+" dx, second backward", c.Backward(dout).Data, wantDx.Data)
+					requireSameBits(t, tag+" dx, second backward", rc.Backward(dout).Data, wantDx.Data)
 					requireSameBits(t, tag+" dW, second backward", c.Weight.Grad.Data, wantDW)
 				})
 				tensor.SetWorkers(prev)
@@ -206,7 +207,7 @@ func TestDeconvForwardBitwiseMatchesReference(t *testing.T) {
 			refCol2im(col, outC, oh, ow, k, stride, pad, ys)
 			refAddBias(ys, d.Bias.W.Data, oh*ow)
 		}
-		requireSameBits(t, fmt.Sprintf("deconv trial %d (k %d s %d p %d)", trial, k, stride, pad), d.Forward(x, false).Data, want.Data)
+		requireSameBits(t, fmt.Sprintf("deconv trial %d (k %d s %d p %d)", trial, k, stride, pad), run(d).Forward(x, false).Data, want.Data)
 	}
 }
 
@@ -265,13 +266,13 @@ func TestMaxPoolMatchesWindowScan(t *testing.T) {
 				}
 			}
 			tag := fmt.Sprintf("pool k%d s%d %dx%d workers %d", g.k, g.stride, g.h, g.w, workers)
-			p := NewMaxPool2D("p", g.k, g.stride)
+			p := run(NewMaxPool2D("p", g.k, g.stride))
 			wantY, wantAt := refMaxPool(x, g.k, g.stride)
 			requireSameBits(t, tag+" eval", p.Forward(x, false).Data, wantY.Data)
 			requireSameBits(t, tag+" train", p.Forward(x, true).Data, wantY.Data)
 			for i, at := range wantAt {
-				if p.state.Argmax[i] != at {
-					t.Fatalf("%s: winner %d at %d, reference %d", tag, i, p.state.Argmax[i], at)
+				if got := p.st[0].Argmax[i]; got != at {
+					t.Fatalf("%s: winner %d at %d, reference %d", tag, i, got, at)
 				}
 			}
 			tensor.SetWorkers(prev)
@@ -325,24 +326,24 @@ func TestLargePassesSplitAcrossWorkersBitwise(t *testing.T) {
 	const n = 70
 	c := NewConv2D("c", 3, 16, 3, 1, 1, rng)
 	rng.FillNorm(c.Bias.W, 0, 1)
-	r := NewReLU("r")
+	rc, rr := run(c), run(NewReLU("r"))
 	x := randBatch(rng, n, []int{3, 32, 32})
 	dout := randBatch(rng, n, []int{16, 32, 32})
 	if c.OutC*n*32*32 < parallelMin {
 		t.Fatal("batch too small to reach the parallel passes")
 	}
 	type result struct{ y, a, da, dx, dW []float32 }
-	run := func(workers int) result {
+	pass := func(workers int) result {
 		prev := tensor.SetWorkers(workers)
 		defer tensor.SetWorkers(prev)
 		c.Weight.Grad.Zero()
-		y := c.Forward(x, true)
-		a := r.Forward(y, true)
-		da := r.Backward(dout)
-		dx := c.Backward(da)
+		y := rc.Forward(x, true)
+		a := rr.Forward(y, true)
+		da := rr.Backward(dout)
+		dx := rc.Backward(da)
 		return result{y.Data, a.Data, da.Data, dx.Data, append([]float32(nil), c.Weight.Grad.Data...)}
 	}
-	want, got := run(1), run(3)
+	want, got := pass(1), pass(3)
 	requireSameBits(t, "conv y", got.y, want.y)
 	requireSameBits(t, "relu y", got.a, want.a)
 	requireSameBits(t, "relu dx", got.da, want.da)

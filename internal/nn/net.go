@@ -3,16 +3,16 @@ package nn
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"deep15pf/internal/tensor"
 )
 
 // Network is a sequential stack of layers with a fixed per-sample input
-// shape. It provides the accounting surface the rest of the system builds
-// on: parameter enumeration for solvers and parameter servers, per-layer
-// FLOP counts for the performance model, and timed passes for the Fig 5
-// single-node breakdown.
+// shape. It holds no execution state and runs nothing itself — Compile and
+// CompileQuantized turn it into a plan that does. What it provides is the
+// accounting surface the rest of the system builds on: parameter
+// enumeration for solvers and parameter servers, and per-layer FLOP counts
+// for the performance model.
 type Network struct {
 	NetName string
 	InShape []int // per-sample, e.g. [3,224,224]
@@ -50,28 +50,10 @@ func (n *Network) OutShape() []int {
 	return shape
 }
 
-// Forward runs all layers.
-func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range n.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
-}
-
-// Infer is the inference-only forward entry point: every layer runs with
-// train=false and nothing in the pass touches gradient accumulators, so it
-// works on networks whose gradients have been released with
-// ReleaseGradients. Layers still cache forward state in their private
-// buffers, which is why serving replicas are minted per worker rather than
-// shared across goroutines.
-func (n *Network) Infer(x *tensor.Tensor) *tensor.Tensor {
-	return n.Forward(x, false)
-}
-
 // ReleaseGradients frees every parameter's gradient accumulator, halving an
 // inference replica's parameter memory. The network can no longer be
-// trained: Backward will panic, while ZeroGrad and ScaleGrad become no-ops
-// for released parameters.
+// trained, while ZeroGrad and ScaleGrad become no-ops for released
+// parameters.
 //
 // Interaction with compiled plans: an inference plan (Compile with
 // train=false) holds no gradient or backward buffers, so it compiles and
@@ -164,9 +146,8 @@ func (n *Network) Frozen() []string {
 
 // backwardCut returns the index of the first layer the backward pass must
 // reach: the earliest non-frozen parameterised layer. With nothing frozen
-// it is 0 (the full legacy backward, including input gradients). A fully
-// frozen network has no backward to run and panics — inference uses
-// Forward/Infer.
+// it is 0 (the full backward, including input gradients). A fully frozen
+// network has no backward to run and panics — compile an inference plan.
 func (n *Network) backwardCut() int {
 	if len(n.frozen) == 0 {
 		return 0
@@ -177,70 +158,6 @@ func (n *Network) backwardCut() int {
 		}
 	}
 	panic(fmt.Sprintf("nn: Backward on fully frozen network %q", n.NetName))
-}
-
-// Backward runs all layers in reverse, accumulating parameter gradients,
-// and returns the gradient with respect to the network input.
-func (n *Network) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	return n.BackwardStream(dout, nil)
-}
-
-// BackwardStream is Backward with per-layer completion notification: after
-// the t-th trainable layer (TrainableLayers order) finishes its backward —
-// at which point its accumulated gradients are final — gradDone(t) fires on
-// the calling goroutine, in reverse topological order. It is the unplanned
-// counterpart of Plan.BackwardStream; gradDone == nil degrades to Backward.
-//
-// On a network with frozen layers (see Freeze) the pass stops at the first
-// trainable parameterised layer and returns the gradient with respect to
-// that layer's input — the frozen prefix never runs backward at all.
-func (n *Network) BackwardStream(dout *tensor.Tensor, gradDone func(layer int)) *tensor.Tensor {
-	cut := n.backwardCut()
-	trainIdx := -1
-	if gradDone != nil {
-		for _, l := range n.Layers {
-			if len(l.Params()) > 0 && !n.frozen[l] {
-				trainIdx++
-			}
-		}
-	}
-	for i := len(n.Layers) - 1; i >= cut; i-- {
-		l := n.Layers[i]
-		dout = l.Backward(dout)
-		if gradDone != nil && len(l.Params()) > 0 {
-			gradDone(trainIdx)
-			trainIdx--
-		}
-	}
-	return dout
-}
-
-// LayerTiming records one layer's measured wall time for a pass.
-type LayerTiming struct {
-	Name     string
-	Fwd, Bwd time.Duration
-}
-
-// ForwardTimed is Forward with per-layer wall-clock measurement.
-func (n *Network) ForwardTimed(x *tensor.Tensor, train bool) (*tensor.Tensor, []LayerTiming) {
-	timings := make([]LayerTiming, len(n.Layers))
-	for i, l := range n.Layers {
-		t0 := time.Now()
-		x = l.Forward(x, train)
-		timings[i] = LayerTiming{Name: l.Name(), Fwd: time.Since(t0)}
-	}
-	return x, timings
-}
-
-// BackwardTimed is Backward with per-layer wall-clock measurement merged
-// into timings (which must come from the matching ForwardTimed call).
-func (n *Network) BackwardTimed(dout *tensor.Tensor, timings []LayerTiming) *tensor.Tensor {
-	for i := len(n.Layers) - 1; i >= n.backwardCut(); i-- {
-		t0 := time.Now()
-		dout = n.Layers[i].Backward(dout)
-		timings[i].Bwd = time.Since(t0)
-	}
-	return dout
 }
 
 // Params returns all trainable parameters in layer order.

@@ -28,7 +28,7 @@ func TestNetworkShapePropagation(t *testing.T) {
 		t.Fatalf("OutShape = %v", out)
 	}
 	x := tensor.New(3, 2, 8, 8)
-	y := n.Forward(x, false)
+	y := Compile(n, 3, false, nil).Forward(x)
 	if y.Shape[0] != 3 || y.Shape[1] != 2 {
 		t.Fatalf("forward shape %v", y.Shape)
 	}
@@ -52,15 +52,14 @@ func TestNetworkEndToEndGradient(t *testing.T) {
 	rng.FillNorm(x, 0, 1)
 	labels := []int{0, 1}
 
+	plan := Compile(n, 2, true, nil)
 	loss := func() float64 {
-		logits := n.Forward(x, true)
-		l, _ := SoftmaxCrossEntropy(logits, labels)
+		l, _ := SoftmaxCrossEntropy(plan.Forward(x), labels)
 		return l
 	}
 	n.ZeroGrad()
-	logits := n.Forward(x, true)
-	_, dlogits := SoftmaxCrossEntropy(logits, labels)
-	dx := n.Backward(dlogits)
+	_, dlogits := SoftmaxCrossEntropy(plan.Forward(x), labels)
+	dx := plan.Backward(dlogits).Clone()
 
 	// The composition contains ReLU and maxpool kinks, so a small fraction
 	// of finite-difference probes may cross an argmax boundary; the smooth
@@ -80,9 +79,9 @@ func TestNetworkZeroGrad(t *testing.T) {
 	n := tinyNet(rng)
 	x := tensor.New(1, 2, 8, 8)
 	rng.FillNorm(x, 0, 1)
-	logits := n.Forward(x, true)
-	_, d := SoftmaxCrossEntropy(logits, []int{0})
-	n.Backward(d)
+	plan := Compile(n, 1, true, nil)
+	_, d := SoftmaxCrossEntropy(plan.Forward(x), []int{0})
+	plan.Backward(d)
 	n.ZeroGrad()
 	for _, p := range n.Params() {
 		if p.Grad.AbsMax() != 0 {
@@ -96,9 +95,9 @@ func TestNetworkScaleGrad(t *testing.T) {
 	n := tinyNet(rng)
 	x := tensor.New(1, 2, 8, 8)
 	rng.FillNorm(x, 0, 1)
-	logits := n.Forward(x, true)
-	_, d := SoftmaxCrossEntropy(logits, []int{0})
-	n.Backward(d)
+	plan := Compile(n, 1, true, nil)
+	_, d := SoftmaxCrossEntropy(plan.Forward(x), []int{0})
+	plan.Backward(d)
 	before := n.Params()[0].Grad.Clone()
 	n.ScaleGrad(0.5)
 	after := n.Params()[0].Grad
@@ -179,30 +178,6 @@ func TestCopyWeightsFrom(t *testing.T) {
 	}
 }
 
-func TestTimedPassesMatchUntimed(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	n := tinyNet(rng)
-	x := tensor.New(1, 2, 8, 8)
-	rng.FillNorm(x, 0, 1)
-	y1 := n.Forward(x, true)
-	y2, timings := n.ForwardTimed(x, true)
-	for i := range y1.Data {
-		if y1.Data[i] != y2.Data[i] {
-			t.Fatal("timed forward changed results")
-		}
-	}
-	if len(timings) != len(n.Layers) {
-		t.Fatalf("timings = %d entries", len(timings))
-	}
-	_, d := SoftmaxCrossEntropy(y2, []int{0})
-	n.BackwardTimed(d, timings)
-	for _, tm := range timings {
-		if tm.Fwd < 0 || tm.Bwd < 0 {
-			t.Fatal("negative timing")
-		}
-	}
-}
-
 func TestSummaryMentionsAllLayers(t *testing.T) {
 	n := tinyNet(tensor.NewRNG(12))
 	s := n.Summary()
@@ -218,11 +193,11 @@ func TestInferMatchesForwardEval(t *testing.T) {
 	n := tinyNet(rng)
 	x := tensor.New(2, 2, 8, 8)
 	rng.FillNorm(x, 0, 1)
-	want := n.Forward(x, false)
-	got := n.Infer(x)
+	want := Compile(n, 2, true, nil).Forward(x)
+	got := Compile(n, 2, false, nil).Forward(x)
 	for i := range want.Data {
 		if want.Data[i] != got.Data[i] {
-			t.Fatal("Infer diverges from Forward(train=false)")
+			t.Fatal("inference plan diverges from the training plan's forward")
 		}
 	}
 }
@@ -232,7 +207,7 @@ func TestReleaseGradients(t *testing.T) {
 	n := tinyNet(rng)
 	x := tensor.New(1, 2, 8, 8)
 	rng.FillNorm(x, 0, 1)
-	before := n.Infer(x)
+	before := Compile(n, 1, false, nil).Forward(x)
 
 	n.ReleaseGradients()
 	for _, p := range n.Params() {
@@ -244,7 +219,7 @@ func TestReleaseGradients(t *testing.T) {
 	// inference must be unaffected.
 	n.ZeroGrad()
 	n.ScaleGrad(0.5)
-	after := n.Infer(x)
+	after := Compile(n, 1, false, nil).Forward(x)
 	for i := range before.Data {
 		if before.Data[i] != after.Data[i] {
 			t.Fatal("ReleaseGradients changed inference results")

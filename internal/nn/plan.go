@@ -10,16 +10,17 @@ import (
 // batch size: every activation, every piece of kernel scratch and — for
 // training plans — every input-gradient buffer is allocated from an arena
 // once, at compile time. Steady-state Forward (and Backward) then run with
-// zero allocation, producing bitwise-identical results to the unplanned
-// Network.Forward/Backward path: the layers execute the very same
-// destination-passing kernels, only the destination ownership changes.
+// zero allocation. Plans are the only executor: a Network describes, a
+// plan (or QuantPlan, or a composition of plans such as climate.TrainPlan)
+// runs. Slab views, the capacity (a ceiling, not a pad) and arena sharing
+// never change a bit of the result — the tests hold every plan to the
+// layers' ForwardInto/BackwardInto run one by one into fresh tensors.
 //
 // This is the repository's version of the execution-plan/memory-plan stage
 // every production framework runs before its hot loop (the paper's
 // Intel-Caffe stack gets it from Caffe's preallocated blobs): serving
-// replicas and training replicas both pay shape-dependent setup once and
-// then never touch the allocator, which removes GC pressure from the two
-// paths the ROADMAP cares about most.
+// replicas, training replicas and one-shot scorers all pay shape-dependent
+// setup once and then never touch the allocator.
 //
 // A Plan is single-goroutine, like the replica that owns it. Tensors
 // returned by Forward/Backward are plan-owned views, valid only until the
@@ -42,7 +43,7 @@ type Plan struct {
 }
 
 type planStep struct {
-	layer    PlannedLayer
+	layer    Layer
 	st       PlanState
 	train    bool  // run the training datapath (false for the frozen prefix)
 	trainIdx int   // index into TrainableLayers order, -1 if parameter-free or frozen
@@ -91,13 +92,9 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 	p.steps = make([]planStep, len(net.Layers))
 	trainables := 0
 	for i, l := range net.Layers {
-		pl, ok := l.(PlannedLayer)
-		if !ok {
-			panic(fmt.Sprintf("nn: layer %s (%T) does not implement PlannedLayer; cannot compile a plan", l.Name(), l))
-		}
 		out := l.OutShape(in)
 		s := &p.steps[i]
-		s.layer = pl
+		s.layer = l
 		s.train = train && i >= p.cut
 		s.trainIdx = -1
 		if len(l.Params()) > 0 && !net.frozen[l] {
@@ -114,7 +111,7 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 			s.dxSlab = arena.Get(capacity * s.inPer)
 			s.dx = tensor.FromSlice(s.dxSlab, append([]int{capacity}, in...)...)
 		}
-		pl.Reserve(p.state(s), arena, capacity, s.inShape, s.train)
+		l.Reserve(p.state(s), arena, capacity, s.inShape, s.train)
 		in = out
 	}
 	return p

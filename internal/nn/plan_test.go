@@ -56,8 +56,9 @@ func requireBitwise(t *testing.T, name string, got, want *tensor.Tensor) {
 }
 
 // TestPlanInferenceBitwiseIdentity is the acceptance gate: a compiled
-// inference plan must produce bitwise-identical outputs to the unplanned
-// eval path, at every batch size one bucketed plan serves.
+// inference plan must produce bitwise-identical outputs to the layers run
+// one by one into fresh tensors (refNet), at every batch size one bucketed
+// plan serves.
 func TestPlanInferenceBitwiseIdentity(t *testing.T) {
 	for _, build := range []func(uint64) *Network{planTestNet, planTestDeconvNet} {
 		net := build(7)
@@ -65,7 +66,7 @@ func TestPlanInferenceBitwiseIdentity(t *testing.T) {
 		rng := tensor.NewRNG(99)
 		for _, n := range []int{1, 2, 3, 5, 8} {
 			x := randBatch(rng, n, net.InShape)
-			want := net.Forward(x, false)
+			want := newRef(net).Forward(x, false)
 			got := cache.Forward(x)
 			requireBitwise(t, net.NetName, got, want)
 		}
@@ -76,19 +77,19 @@ func TestPlanInferenceBitwiseIdentity(t *testing.T) {
 }
 
 // TestPlanTrainingBitwiseIdentity checks the training side: logits, every
-// parameter gradient and the input gradient must match the legacy
-// Forward/Backward path bitwise.
+// parameter gradient and the input gradient must match refNet bitwise.
 func TestPlanTrainingBitwiseIdentity(t *testing.T) {
 	for _, build := range []func(uint64) *Network{planTestNet, planTestDeconvNet} {
-		legacy := build(3)
+		unplanned := build(3)
 		planned := build(3)
 		rng := tensor.NewRNG(17)
-		x := randBatch(rng, 4, legacy.InShape)
-		dout := tensor.New(append([]int{4}, legacy.OutShape()...)...)
+		x := randBatch(rng, 4, unplanned.InShape)
+		dout := tensor.New(append([]int{4}, unplanned.OutShape()...)...)
 		rng.FillNorm(dout, 0, 1)
 
-		wantY := legacy.Forward(x, true)
-		wantDx := legacy.Backward(dout)
+		ref := newRef(unplanned)
+		wantY := ref.Forward(x, true)
+		wantDx := ref.Backward(dout)
 
 		plan := Compile(planned, 4, true, nil)
 		gotY := plan.Forward(x)
@@ -96,7 +97,7 @@ func TestPlanTrainingBitwiseIdentity(t *testing.T) {
 		gotDx := plan.Backward(dout)
 		requireBitwise(t, "input grad", gotDx, wantDx)
 
-		lp, pp := legacy.Params(), planned.Params()
+		lp, pp := unplanned.Params(), planned.Params()
 		for i := range lp {
 			requireBitwise(t, "grad "+lp[i].Name, pp[i].Grad, lp[i].Grad)
 		}
@@ -167,7 +168,7 @@ func TestInferencePlanRunsOnReleasedNetwork(t *testing.T) {
 	net := planTestNet(19)
 	rng := tensor.NewRNG(41)
 	x := randBatch(rng, 2, net.InShape)
-	want := net.Forward(x, false)
+	want := newRef(net).Forward(x, false)
 	net.ReleaseGradients()
 	plan := Compile(net, 2, false, nil)
 	requireBitwise(t, "released-net inference", plan.Forward(x), want)
@@ -214,24 +215,28 @@ func TestTrainingPlanPanicsOnMidFlightRelease(t *testing.T) {
 }
 
 // TestPlanStateIsolatedFromDirectCalls interleaves plan-based training with
-// direct eval calls on the same network: the eval pass must not clobber the
+// direct layer calls on the same network under other states — an eval pass,
+// and a train-mode pass over a different batch: neither may clobber the
 // plan's backward state (the property PlanState exists to provide).
 func TestPlanStateIsolatedFromDirectCalls(t *testing.T) {
-	ref := planTestNet(21)
+	alone := planTestNet(21)
 	mixed := planTestNet(21)
 	rng := tensor.NewRNG(47)
-	x := randBatch(rng, 2, ref.InShape)
+	x := randBatch(rng, 2, alone.InShape)
 	dout := tensor.New(2, 2)
 	rng.FillNorm(dout, 0, 1)
 
+	ref := newRef(alone)
 	ref.Forward(x, true)
 	wantDx := ref.Backward(dout)
 
 	plan := Compile(mixed, 2, true, nil)
 	plan.Forward(x)
-	mixed.Forward(x, false) // direct eval between plan forward and backward
+	direct := newRef(mixed) // between plan forward and backward
+	direct.Forward(x, false)
+	direct.Forward(randBatch(rng, 3, mixed.InShape), true)
 	requireBitwise(t, "isolated dx", plan.Backward(dout), wantDx)
-	lp, mp := ref.Params(), mixed.Params()
+	lp, mp := alone.Params(), mixed.Params()
 	for i := range lp {
 		requireBitwise(t, "isolated grad "+lp[i].Name, mp[i].Grad, lp[i].Grad)
 	}

@@ -12,7 +12,6 @@ import (
 type MaxPool2D struct {
 	LayerName string
 	K, Stride int
-	state     PlanState // legacy-path state (direct Forward/Backward)
 }
 
 // NewMaxPool2D constructs a max-pooling layer.
@@ -34,7 +33,7 @@ func (p *MaxPool2D) OutShape(in []int) []int {
 	return []int{in[0], tensor.ConvOut(in[1], p.K, p.Stride, 0), tensor.ConvOut(in[2], p.K, p.Stride, 0)}
 }
 
-// Reserve implements PlannedLayer.
+// Reserve implements Layer.
 func (p *MaxPool2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {
 	if train {
 		out := p.OutShape(in)
@@ -44,17 +43,7 @@ func (p *MaxPool2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, tra
 	}
 }
 
-// Forward implements Layer. Eval-mode passes skip the argmax bookkeeping
-// Backward routes gradients through.
-func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape[0], x.Shape[1],
-		tensor.ConvOut(x.Shape[2], p.K, p.Stride, 0),
-		tensor.ConvOut(x.Shape[3], p.K, p.Stride, 0))
-	p.ForwardInto(&p.state, out, x, train)
-	return out
-}
-
-// ForwardInto implements PlannedLayer. The winning value is the same in
+// ForwardInto implements Layer. The winning value is the same in
 // both modes (same comparison order); eval mode drops the argmax record,
 // and Backward panics until the next train-mode pass.
 func (p *MaxPool2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
@@ -138,18 +127,7 @@ func (p *MaxPool2D) poolPlanes(lo, hi int, xd, yd []float32, argmax []int32, h, 
 	}
 }
 
-// Backward implements Layer: routes gradients to the argmax positions.
-func (p *MaxPool2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if len(p.state.InShape) == 0 {
-		panic("nn: " + p.LayerName + " Backward before Forward")
-	}
-	s := p.state.InShape
-	dx := tensor.New(s[0], s[1], s[2], s[3])
-	p.BackwardInto(&p.state, dx, dout)
-	return dx
-}
-
-// BackwardInto implements PlannedLayer.
+// BackwardInto implements Layer: routes gradients to the argmax positions.
 func (p *MaxPool2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	if len(st.InShape) == 0 {
 		panic("nn: " + p.LayerName + " Backward before Forward")
@@ -185,7 +163,6 @@ func (p *MaxPool2D) FLOPs(in []int) FlopCount {
 // expensive to synchronise (§I contribution list).
 type GlobalAvgPool struct {
 	LayerName string
-	state     PlanState // legacy-path state (direct Forward/Backward)
 }
 
 // NewGlobalAvgPool constructs a global-average-pooling layer.
@@ -205,17 +182,10 @@ func (p *GlobalAvgPool) OutShape(in []int) []int {
 	return []int{in[0]}
 }
 
-// Reserve implements PlannedLayer.
+// Reserve implements Layer.
 func (p *GlobalAvgPool) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
 
-// Forward implements Layer.
-func (p *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := tensor.New(x.Shape[0], x.Shape[1])
-	p.ForwardInto(&p.state, out, x, train)
-	return out
-}
-
-// ForwardInto implements PlannedLayer.
+// ForwardInto implements Layer.
 func (p *GlobalAvgPool) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	inv := 1 / float32(h*w)
@@ -230,15 +200,8 @@ func (p *GlobalAvgPool) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bo
 	st.InShape = append(st.InShape[:0], n, c, h, w)
 }
 
-// Backward implements Layer: spreads each gradient uniformly over the plane.
-func (p *GlobalAvgPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	s := p.state.InShape
-	dx := tensor.New(s[0], s[1], s[2], s[3])
-	p.BackwardInto(&p.state, dx, dout)
-	return dx
-}
-
-// BackwardInto implements PlannedLayer.
+// BackwardInto implements Layer: spreads each gradient uniformly over the
+// plane.
 func (p *GlobalAvgPool) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	if dx == nil {
 		return

@@ -15,7 +15,7 @@ func TestMaxPoolKnownValues(t *testing.T) {
 		9, 10, 13, 14,
 		11, 12, 15, 16,
 	}, 1, 1, 4, 4)
-	out := p.Forward(x, false)
+	out := run(p).Forward(x, false)
 	want := []float32{4, 8, 12, 16}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -25,7 +25,7 @@ func TestMaxPoolKnownValues(t *testing.T) {
 }
 
 func TestMaxPoolBackwardRoutesToArgmax(t *testing.T) {
-	p := NewMaxPool2D("pool", 2, 2)
+	p := run(NewMaxPool2D("pool", 2, 2))
 	x := tensor.FromSlice([]float32{
 		1, 2,
 		3, 4,
@@ -58,14 +58,14 @@ func TestMaxPoolInvariants(t *testing.T) {
 		x := tensor.New(1, 2, h, h)
 		rng.FillNorm(x, 0, 1)
 		p1 := NewMaxPool2D("p1", 1, 1)
-		out := p1.Forward(x, false)
+		out := run(p1).Forward(x, false)
 		for i := range out.Data {
 			if out.Data[i] != x.Data[i] {
 				return false
 			}
 		}
 		p2 := NewMaxPool2D("p2", 2, 2)
-		out2 := p2.Forward(x, false)
+		out2 := run(p2).Forward(x, false)
 		return out2.AbsMax() <= x.AbsMax()+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -76,7 +76,7 @@ func TestMaxPoolInvariants(t *testing.T) {
 func TestGlobalAvgPoolKnownValues(t *testing.T) {
 	p := NewGlobalAvgPool("gap")
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 10, 10, 10, 10}, 1, 2, 2, 2)
-	out := p.Forward(x, false)
+	out := run(p).Forward(x, false)
 	if out.Shape[0] != 1 || out.Shape[1] != 2 {
 		t.Fatalf("gap shape %v", out.Shape)
 	}
@@ -94,7 +94,7 @@ func TestGlobalAvgPoolGradients(t *testing.T) {
 }
 
 func TestGlobalAvgPoolBackwardDistributes(t *testing.T) {
-	p := NewGlobalAvgPool("gap")
+	p := run(NewGlobalAvgPool("gap"))
 	x := tensor.New(1, 1, 2, 2)
 	p.Forward(x, true)
 	dout := tensor.FromSlice([]float32{8}, 1, 1)

@@ -58,7 +58,7 @@ type QuantPlan struct {
 // layer, or neither — a ReLU or max-pool folded into the preceding
 // kernel's epilogue.
 type qplanStep struct {
-	layer    PlannedLayer
+	layer    Layer
 	st       PlanState
 	q        *qkernel
 	outShape []int
@@ -115,16 +115,21 @@ type qscratch struct {
 // max input magnitude seen at each layer (indexed like net.Layers;
 // non-quantizable layers record 0). Merge several batches with
 // MergeCalibration, then hand the result to CompileQuantized to freeze
-// activation scales. Calibration is an offline pass and allocates freely.
+// activation scales. Calibration is an offline pass and allocates freely:
+// it runs the eval kernels over one state and per-layer destinations that
+// are garbage on return, so nothing it needed stays reachable from net.
 func CalibrateActivations(net *Network, x *tensor.Tensor) []float32 {
 	stats := make([]float32, len(net.Layers))
+	var st PlanState
 	cur := x
 	for i, l := range net.Layers {
 		switch l.(type) {
 		case *Conv2D, *Dense:
 			stats[i] = quant.MaxAbs(cur.Data)
 		}
-		cur = l.Forward(cur, false)
+		y := tensor.New(append([]int{cur.Shape[0]}, l.OutShape(cur.Shape[1:])...)...)
+		l.ForwardInto(&st, y, cur, false)
+		cur = y
 	}
 	return stats
 }
@@ -181,11 +186,7 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 			}
 			s.q = newQKernel(ll.Weight.W.Data, ll.Bias.W.Data, ll.Out, img, img[1], img[2], 1, 0, capacity, calibStat(calib, i))
 		default:
-			pl, ok := l.(PlannedLayer)
-			if !ok {
-				panic(fmt.Sprintf("nn: layer %s (%T) does not implement PlannedLayer; cannot compile a quantized plan", l.Name(), l))
-			}
-			s.layer = pl
+			s.layer = l
 		}
 		in = out
 	}

@@ -104,7 +104,7 @@ func refQuantForward(net *Network, x *tensor.Tensor, calib []float32) *tensor.Te
 			y := refQLayer(ll.Weight.W.Data, ll.Bias.W.Data, ll.Out, img.Shape[2], img.Shape[3], 1, 0, img, refScale(calib, i, cur.Data))
 			cur = tensor.FromSlice(y.Data, n, ll.Out)
 		default:
-			cur = l.Forward(cur, false)
+			cur = run(l).Forward(cur, false)
 		}
 	}
 	return cur

@@ -16,7 +16,7 @@ func TestQuantPlanMatchesFloat(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	x := randBatch(rng, 8, net.InShape)
 
-	ref := net.Infer(x)
+	ref := Compile(net, 8, false, nil).Forward(x)
 
 	check := func(name string, qp *QuantPlan) {
 		t.Helper()
@@ -32,7 +32,7 @@ func TestQuantPlanMatchesFloat(t *testing.T) {
 		}
 		// int8 conv stacks lose ~1% relative accuracy per layer; 10% of
 		// the output range is a loose sanity bound — the real gate is the
-		// end-to-end accuracy delta in the serving benchmark.
+		// end-to-end accuracy delta in serve.TestServedInt8AccuracyNearFP32.
 		tol := 0.1*maxAbs + 1e-3
 		for i := range ref.Data {
 			if d := math.Abs(float64(got.Data[i] - ref.Data[i])); d > tol {

@@ -24,49 +24,39 @@ func streamTestNet(seed uint64) *Network {
 // layer in reverse topological order, and at the instant a layer is
 // notified its gradients must already equal their final values.
 func TestBackwardStreamOrderAndFinality(t *testing.T) {
-	for _, planned := range []bool{false, true} {
-		net := streamTestNet(3)
-		layers := net.TrainableLayers()
-		rng := tensor.NewRNG(9)
-		x := tensor.New(2, 1, 8, 8)
-		rng.FillNorm(x, 0, 1)
+	net := streamTestNet(3)
+	layers := net.TrainableLayers()
+	rng := tensor.NewRNG(9)
+	x := tensor.New(2, 1, 8, 8)
+	rng.FillNorm(x, 0, 1)
 
-		net.ZeroGrad()
-		var order []int
-		snaps := make([][][]float32, len(layers))
-		record := func(l int) {
-			order = append(order, l)
-			for _, prm := range layers[l].Params() {
-				snaps[l] = append(snaps[l], append([]float32(nil), prm.Grad.Data...))
-			}
+	net.ZeroGrad()
+	var order []int
+	snaps := make([][][]float32, len(layers))
+	record := func(l int) {
+		order = append(order, l)
+		for _, prm := range layers[l].Params() {
+			snaps[l] = append(snaps[l], append([]float32(nil), prm.Grad.Data...))
 		}
-		if planned {
-			plan := Compile(net, 2, true, nil)
-			out := plan.Forward(x)
-			dout := out.Clone()
-			plan.BackwardStream(dout, record)
-		} else {
-			out := net.Forward(x, true)
-			dout := out.Clone()
-			net.BackwardStream(dout, record)
-		}
+	}
+	plan := Compile(net, 2, true, nil)
+	plan.BackwardStream(plan.Forward(x).Clone(), record)
 
-		if len(order) != len(layers) {
-			t.Fatalf("planned=%v: %d notifications for %d trainable layers", planned, len(order), len(layers))
+	if len(order) != len(layers) {
+		t.Fatalf("%d notifications for %d trainable layers", len(order), len(layers))
+	}
+	for i, l := range order {
+		if want := len(layers) - 1 - i; l != want {
+			t.Fatalf("notification %d was layer %d, want %d (reverse order)", i, l, want)
 		}
-		for i, l := range order {
-			if want := len(layers) - 1 - i; l != want {
-				t.Fatalf("planned=%v: notification %d was layer %d, want %d (reverse order)", planned, i, l, want)
-			}
-		}
-		// Finality: the snapshot taken at notification time must be the
-		// gradient the layer holds after the whole backward pass.
-		for l, layer := range layers {
-			for pi, prm := range layer.Params() {
-				for i, v := range prm.Grad.Data {
-					if snaps[l][pi][i] != v {
-						t.Fatalf("planned=%v: layer %d param %d grad changed after notification", planned, l, pi)
-					}
+	}
+	// Finality: the snapshot taken at notification time must be the
+	// gradient the layer holds after the whole backward pass.
+	for l, layer := range layers {
+		for pi, prm := range layer.Params() {
+			for i, v := range prm.Grad.Data {
+				if snaps[l][pi][i] != v {
+					t.Fatalf("layer %d param %d grad changed after notification", l, pi)
 				}
 			}
 		}
@@ -74,7 +64,7 @@ func TestBackwardStreamOrderAndFinality(t *testing.T) {
 }
 
 // TestBackwardStreamNilCallbackMatchesBackward: the wrapper contract — a
-// nil callback is exactly the legacy whole-backward entry point.
+// nil callback is exactly the whole-backward entry point.
 func TestBackwardStreamNilCallbackMatchesBackward(t *testing.T) {
 	netA := streamTestNet(5)
 	netB := streamTestNet(5)
@@ -82,10 +72,9 @@ func TestBackwardStreamNilCallbackMatchesBackward(t *testing.T) {
 	x := tensor.New(2, 1, 8, 8)
 	rng.FillNorm(x, 0, 1)
 
-	outA := netA.Forward(x, true)
-	dxA := netA.Backward(outA.Clone())
-	outB := netB.Forward(x, true)
-	dxB := netB.BackwardStream(outB.Clone(), nil)
+	planA, planB := Compile(netA, 2, true, nil), Compile(netB, 2, true, nil)
+	dxA := planA.Backward(planA.Forward(x).Clone())
+	dxB := planB.BackwardStream(planB.Forward(x).Clone(), nil)
 	for i := range dxA.Data {
 		if dxA.Data[i] != dxB.Data[i] {
 			t.Fatalf("input gradients diverge at %d", i)

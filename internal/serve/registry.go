@@ -182,10 +182,9 @@ type LoadedModel struct {
 	ModelArch string
 	Prec      Precision
 
-	build   Builder
-	ckpt    []byte
-	noPlans bool
-	calib   []float32 // frozen activation stats for int8 replicas (nil = dynamic)
+	build Builder
+	ckpt  []byte
+	calib []float32 // frozen activation stats for int8 replicas (nil = dynamic)
 
 	mu     sync.Mutex
 	cached Model // the validation replica from Load, handed to the first NewReplica
@@ -194,34 +193,6 @@ type LoadedModel struct {
 	flopsPerSample    int64
 	paramBytes        int64
 	weightScales      map[string][]float32 // per-channel int8 scales, captured at Load
-}
-
-// SetPlanning switches compiled-execution-plan use for replicas minted
-// after the call (the float32 path; the int8 datapath is always layer-by-
-// layer so it can round-trip activations between layers). Planning is on
-// by default; the off switch exists for A/B measurement — the serving
-// benchmark drives the same load through both settings to report the
-// allocation and throughput delta.
-func (m *LoadedModel) SetPlanning(enabled bool) {
-	m.mu.Lock()
-	m.noPlans = !enabled
-	m.cached = nil // the validation replica predates the setting
-	m.mu.Unlock()
-}
-
-// SetQuantized is the int8 A/B toggle: it switches the precision applied
-// to replicas minted after the call, so one LoadedModel can drive the same
-// load through both datapaths. Like SetPlanning it drops the cached
-// validation replica, which predates the setting.
-func (m *LoadedModel) SetQuantized(enabled bool) {
-	m.mu.Lock()
-	if enabled {
-		m.Prec = Int8
-	} else {
-		m.Prec = Float32
-	}
-	m.cached = nil
-	m.mu.Unlock()
 }
 
 // Calibrate runs fp32 calibration batches through one replica and freezes
@@ -263,10 +234,6 @@ func (m *LoadedModel) Calibrate(xs ...*tensor.Tensor) error {
 // the checkpoint at Load so the int8 grid is inspectable without minting
 // a replica. Nil for architectures without a native int8 datapath.
 func (m *LoadedModel) WeightScales() map[string][]float32 { return m.weightScales }
-
-// planControl is implemented by replica adapters whose inference path can
-// run compiled plans.
-type planControl interface{ setPlanning(bool) }
 
 // quantControl is implemented by replica adapters with a native int8
 // datapath (quantized plans). Adapters without it fall back to the
@@ -327,7 +294,6 @@ func (m *LoadedModel) NewReplica() (Model, error) {
 		m.mu.Unlock()
 		return c, nil
 	}
-	noPlans := m.noPlans
 	prec := m.Prec
 	calib := m.calib
 	m.mu.Unlock()
@@ -353,9 +319,6 @@ func (m *LoadedModel) NewReplica() (Model, error) {
 	// inference plans only, which by construction retain no gradient or
 	// backward buffers (see nn.Compile).
 	nn.ReleaseGradients(model.Params())
-	if pc, ok := model.(planControl); ok {
-		pc.setPlanning(!noPlans)
-	}
 	return model, nil
 }
 
@@ -372,23 +335,21 @@ func (m *LoadedModel) FwdFLOPsPerSample() int64 { return m.flopsPerSample }
 // int8 path models precision, not storage; see Precision).
 func (m *LoadedModel) ParamBytes() int64 { return m.paramBytes }
 
-// ---- nn.Network adapter (HEP classifier) ----
+// ---- nn.Network adapter (HEP and astro classifiers) ----
 
 type netModel struct {
-	arch     string
-	net      *nn.Network
-	prec     Precision
-	planning bool
-	plans    *nn.PlanCache      // lazily built; one plan per batch-size bucket
-	calib    []float32          // frozen activation ranges (nil = dynamic)
-	qplans   *nn.QuantPlanCache // int8 plans, lazily built per bucket
+	arch   string
+	net    *nn.Network
+	prec   Precision
+	plans  *nn.PlanCache      // lazily built; one plan per batch-size bucket
+	calib  []float32          // frozen activation ranges (nil = dynamic)
+	qplans *nn.QuantPlanCache // int8 plans, lazily built per bucket
 }
 
 func newNetModel(arch string, net *nn.Network, prec Precision) *netModel {
-	return &netModel{arch: arch, net: net, prec: prec, planning: true}
+	return &netModel{arch: arch, net: net, prec: prec}
 }
 
-func (m *netModel) setPlanning(on bool) { m.planning = on }
 func (m *netModel) Arch() string        { return m.arch }
 func (m *netModel) InShape() []int      { return append([]int(nil), m.net.InShape...) }
 func (m *netModel) OutShape() []int     { return m.net.OutShape() }
@@ -410,45 +371,24 @@ func (m *netModel) weightScales() map[string][]float32 {
 	return nn.WeightScales(m.net)
 }
 
+// Infer copies the plan-owned output out for the worker, which may slice
+// it into per-request views — the one allocation of a warmed call.
 func (m *netModel) Infer(x *tensor.Tensor) *tensor.Tensor {
-	if m.prec == Int8 {
-		// Real int8 datapath: conv and dense run on the u8·s8 integer GEMM
-		// through a quantized plan (per-channel weight scales, activation
-		// scales frozen by calibration or derived per batch), bucketed by
-		// batch size like the float plans. The plan owns its output, so it
-		// is copied out for the worker, same as the planned float path.
-		if m.qplans == nil {
-			m.qplans = nn.NewQuantPlanCache(m.net, m.calib, nil)
-		}
-		return m.qplans.Forward(x).Clone()
-	}
-	if !m.planning {
-		return m.net.Infer(x)
-	}
-	// Planned float32 path: the replica keeps one compiled plan per
-	// batch-size bucket the batcher produces; a warmed plan forward
-	// allocates nothing. The plan owns its output, so the response the
-	// worker may slice into per-request views is copied out — one
-	// allocation per batch, same as the legacy path's output tensor, with
-	// every per-layer allocation gone.
-	if m.plans == nil {
-		m.plans = nn.NewPlanCache(m.net, false, nil)
-	}
-	return m.plans.Forward(x).Clone()
+	return m.InferShared(x).Clone()
 }
 
-// InferShared implements SharedInferer: the planned forward without the
-// defensive output copy. Falls back to the layer-by-layer path (which
-// allocates its own output anyway) when planning is off.
+// InferShared implements SharedInferer: the forward without the defensive
+// output copy. The replica keeps one compiled plan per batch-size bucket
+// the batcher produces, and a warmed plan forward allocates nothing. Under
+// Int8 the plans are quantized: conv and dense run on the u8·s8 integer
+// kernels (per-channel weight scales, activation scales frozen by
+// calibration or derived per batch).
 func (m *netModel) InferShared(x *tensor.Tensor) *tensor.Tensor {
 	if m.prec == Int8 {
 		if m.qplans == nil {
 			m.qplans = nn.NewQuantPlanCache(m.net, m.calib, nil)
 		}
 		return m.qplans.Forward(x)
-	}
-	if !m.planning {
-		return m.net.Infer(x)
 	}
 	if m.plans == nil {
 		m.plans = nn.NewPlanCache(m.net, false, nil)
@@ -463,21 +403,17 @@ func (m *netModel) InferShared(x *tensor.Tensor) *tensor.Tensor {
 const climateOutChannels = 1 + int(climate.NumClasses) + 4
 
 type climateModel struct {
-	arch     string
-	net      *climate.Net
-	prec     Precision
-	rng      *tensor.RNG
-	planning bool
-	// Served inference is encoder + three heads; each gets a plan cache
-	// over one shared arena so the per-batch-size buckets recycle slabs.
-	encPlans, confPlans, classPlans, boxPlans *nn.PlanCache
+	arch   string
+	net    *climate.Net
+	prec   Precision
+	rng    *tensor.RNG
+	scorer *climate.Scorer // encoder + three heads, lazily built
 }
 
 func newClimateModel(arch string, net *climate.Net, prec Precision) *climateModel {
-	return &climateModel{arch: arch, net: net, prec: prec, rng: tensor.NewRNG(weightQuantSeed + 2), planning: true}
+	return &climateModel{arch: arch, net: net, prec: prec, rng: tensor.NewRNG(weightQuantSeed + 2)}
 }
 
-func (m *climateModel) setPlanning(on bool) { m.planning = on }
 func (m *climateModel) Arch() string        { return m.arch }
 func (m *climateModel) InShape() []int      { return append([]int(nil), m.net.Encoder.InShape...) }
 func (m *climateModel) Params() []*nn.Param { return m.net.Params() }
@@ -501,55 +437,42 @@ func (m *climateModel) FwdFLOPsPerSample() int64 {
 	return total
 }
 
+// roundTrip is the emulated int8 activation step: a no-op at Float32.
+func (m *climateModel) roundTrip(ts ...*tensor.Tensor) {
+	if m.prec != Int8 {
+		return
+	}
+	for _, t := range ts {
+		quant.RoundTripTensor(t, m.rng, true)
+	}
+}
+
+// Infer runs the forward-only plans and packs the heads; only the packed
+// response allocates. Under Int8 the activations round-trip through the
+// int8 grid in place between the planned stages — input, features, then
+// each head output, in that order, which fixes the rounding RNG's draws.
 func (m *climateModel) Infer(x *tensor.Tensor) *tensor.Tensor {
-	if m.prec == Int8 {
-		quant.RoundTripTensor(x, m.rng, true)
+	if m.scorer == nil {
+		m.scorer = m.net.NewScorer()
 	}
-	var feat, conf, class, box *tensor.Tensor
-	if m.planning && m.prec != Int8 {
-		// Planned path: encoder and heads each run a per-batch-size plan
-		// over a shared arena. Only the packed response below allocates.
-		if m.encPlans == nil {
-			m.encPlans = nn.NewPlanCache(m.net.Encoder, false, nil)
-			arena := m.encPlans.Arena()
-			featShape := m.net.Encoder.OutShape()
-			head := func(name string, l nn.Layer) *nn.PlanCache {
-				return nn.NewPlanCache(nn.NewNetwork(m.arch+"-"+name+"-plan", featShape...).Add(l), false, arena)
-			}
-			m.confPlans = head("conf", m.net.ConfHead)
-			m.classPlans = head("class", m.net.ClassHead)
-			m.boxPlans = head("box", m.net.BoxHead)
-		}
-		feat = m.encPlans.Forward(x)
-		conf = m.confPlans.Forward(feat)
-		class = m.classPlans.Forward(feat)
-		box = m.boxPlans.Forward(feat)
-	} else {
-		feat = m.net.Encoder.Forward(x, false)
-		if m.prec == Int8 {
-			quant.RoundTripTensor(feat, m.rng, true)
-		}
-		conf = m.net.ConfHead.Forward(feat, false)
-		class = m.net.ClassHead.Forward(feat, false)
-		box = m.net.BoxHead.Forward(feat, false)
-		if m.prec == Int8 {
-			quant.RoundTripTensor(conf, m.rng, true)
-			quant.RoundTripTensor(class, m.rng, true)
-			quant.RoundTripTensor(box, m.rng, true)
-		}
-	}
+	m.roundTrip(x)
+	feat := m.scorer.Encode(x)
+	m.roundTrip(feat)
+	out := m.scorer.Heads(feat)
+	conf, class, box := out.Conf, out.Class, out.BoxP
+	m.roundTrip(conf, class, box)
 
 	n := x.Shape[0]
 	g := m.net.GridSize
 	plane := g * g
 	k := int(climate.NumClasses)
-	out := tensor.New(n, climateOutChannels, g, g)
+	packed := tensor.New(n, climateOutChannels, g, g)
 	per := climateOutChannels * plane
 	for s := 0; s < n; s++ {
-		dst := out.Data[s*per : (s+1)*per]
+		dst := packed.Data[s*per : (s+1)*per]
 		copy(dst[:plane], conf.Data[s*plane:(s+1)*plane])
 		copy(dst[plane:(1+k)*plane], class.Data[s*k*plane:(s+1)*k*plane])
 		copy(dst[(1+k)*plane:], box.Data[s*4*plane:(s+1)*4*plane])
 	}
-	return out
+	return packed
 }

@@ -43,15 +43,15 @@ func trainTinyHEP(t *testing.T, steps int) (*nn.Network, *hep.Dataset) {
 	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(8), 64, 0.5, rng)
 	net := hep.BuildNet(tinyHEP(), rng)
 	idx := make([]int, 16)
+	plan := nn.Compile(net, len(idx), true, nil)
 	for step := 0; step < steps; step++ {
 		for i := range idx {
 			idx[i] = (step*len(idx) + i) % len(ds.Labels)
 		}
 		x, labels := ds.Batch(idx)
 		net.ZeroGrad()
-		logits := net.Forward(x, true)
-		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-		net.Backward(grad)
+		_, grad := nn.SoftmaxCrossEntropy(plan.Forward(x), labels)
+		plan.Backward(grad)
 		for _, p := range net.Params() {
 			for j := range p.W.Data {
 				p.W.Data[j] -= 0.01 * p.Grad.Data[j] / float32(len(idx))
@@ -91,7 +91,7 @@ func TestRegistryCheckpointRoundTrip(t *testing.T) {
 
 	idx := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	x, _ := ds.Batch(idx)
-	want := net.Forward(x.Clone(), false)
+	want := nn.Compile(net, len(idx), false, nil).Forward(x.Clone())
 	got := rep.Infer(x)
 	if !want.SameShape(got) {
 		t.Fatalf("logit shape %v, want %v", got.Shape, want.Shape)
@@ -164,7 +164,7 @@ func TestInt8ReplicaDeterminism(t *testing.T) {
 	// Quantised weights differ from the float checkpoint but stay close:
 	// the per-tensor scale bounds the rounding error by one step.
 	x, _ := ds.Batch([]int{0, 1, 2, 3})
-	f32 := net.Forward(x.Clone(), false)
+	f32 := nn.Compile(net, 4, false, nil).Forward(x.Clone())
 	i8 := a.Infer(x.Clone())
 	var maxAbs float64
 	for i := range f32.Data {

@@ -13,12 +13,12 @@
 //
 //   - Registry (registry.go) maps architecture names to builders and loads
 //     D15W checkpoints (internal/nn/checkpoint.go) into inference replicas
-//     of the HEP or climate networks, optionally through the int8
-//     stochastic-rounding path of internal/quant;
+//     of the HEP, astro or climate networks, at float32 or int8 (see
+//     Precision);
 //   - the batcher (batcher.go) owns the request queue and the
 //     latency/throughput trade-off;
 //   - the worker pool (worker.go) runs one model replica per goroutine —
-//     replicas are not shareable because layers cache forward state;
+//     replicas are not shareable because each owns its compiled plans;
 //   - metrics (metrics.go) tracks p50/p95/p99 end-to-end latency, batch
 //     occupancy, and served flop rates in the style of internal/perf.
 //
@@ -38,12 +38,16 @@ type Precision int
 const (
 	// Float32 serves with the checkpoint's native float32 weights.
 	Float32 Precision = iota
-	// Int8 round-trips weights (once, at load) and activations (at every
-	// parameterised-layer boundary) through internal/quant's int8
-	// stochastic-rounding codec, so the pipeline computes what an int8
-	// weight/activation datapath would: 4x smaller replica weights at a
-	// small, measurable accuracy cost (cmd/deepserve -int8 reports logit
-	// agreement against the float path).
+	// Int8 serves the HEP and astro classifiers through nn.QuantPlan: conv
+	// and dense layers run on the u8·s8 integer kernels with per-channel
+	// s8 weights derived at plan-compile time (the replica's fp32 weights
+	// stay exact) and u8 activations on scales frozen by
+	// LoadedModel.Calibrate, or taken per batch without it. The climate
+	// detector has no integer datapath and emulates one over the same
+	// fp32 plans: weights round-trip through internal/quant's
+	// stochastic-rounding codec once at load, activations at the input,
+	// the encoder features and each head output. cmd/deepserve -int8
+	// reports label and logit agreement against the float path.
 	Int8
 )
 
@@ -55,10 +59,10 @@ func (p Precision) String() string {
 	return "float32"
 }
 
-// Model is one servable inference replica. Implementations cache forward
-// state between calls (im2col buffers and the like), so a Model instance
-// must only ever be used by a single goroutine; the worker pool mints one
-// replica per worker through LoadedModel.NewReplica.
+// Model is one servable inference replica. Implementations own compiled
+// plans (activation slabs, lowering scratch) that every call reuses, so a
+// Model instance must only ever be used by a single goroutine; the worker
+// pool mints one replica per worker through LoadedModel.NewReplica.
 type Model interface {
 	// Arch names the architecture the replica instantiates.
 	Arch() string
