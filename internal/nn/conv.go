@@ -88,22 +88,95 @@ func (c *Conv2D) OutShape(in []int) []int {
 	return []int{c.OutC, oh, ow}
 }
 
-// chunk returns how many whole samples are lowered at once for an oh×ow
-// output on the train or eval datapath, clamped to the batch size.
-func (c *Conv2D) chunk(n, oh, ow int, train bool) int {
+// chunkSamples returns how many whole samples, of perSample lowered floats
+// each, are lowered at once on the train or eval datapath: as many as fit
+// the column budget, at least one, at most the batch.
+func chunkSamples(n, perSample int, train bool) int {
 	budget := colBudget
 	if train {
 		budget = trainColBudget
 	}
-	k := c.InC * c.KH * c.KW
-	chunk := budget / (k * oh * ow)
-	if chunk < 1 {
-		chunk = 1
+	return min(max(budget/perSample, 1), n)
+}
+
+// lowering is the geometry of one im2col: a c×h×w image under a kh×kw
+// kernel. A convolution lowers its input, a deconvolution its output
+// gradient (deconv.go); both build the same chunk-wide matrix.
+type lowering struct{ c, h, w, kh, kw, stride, pad int }
+
+func (c *Conv2D) lowering(h, w int) lowering {
+	return lowering{c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad}
+}
+
+// lower fills col with the K×(m·cols) lowering of samples [s0, s0+m) of the
+// n-sample NCHW batch x, cols columns each — sample i at column offset
+// i·cols — and returns it.
+func (g lowering) lower(col, x []float32, n, s0, m, cols int) []float32 {
+	k := g.c * g.kh * g.kw
+	col = col[:k*m*cols]
+	if serialPass(m, n*k*cols) {
+		g.lowerSamples(col, x, s0, m, cols, 0, m)
+	} else {
+		tensor.ParallelFor(m, func(lo, hi int) { g.lowerSamples(col, x, s0, m, cols, lo, hi) })
 	}
-	if chunk > n {
-		chunk = n
+	return col
+}
+
+// lowerSamples lowers samples [lo,hi) of the m-sample chunk starting at s0.
+func (g lowering) lowerSamples(col, x []float32, s0, m, cols, lo, hi int) {
+	inStride := g.c * g.h * g.w
+	for i := lo; i < hi; i++ {
+		img := x[(s0+i)*inStride : (s0+i+1)*inStride]
+		tensor.Im2colInto(img, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, col, m*cols, i*cols)
 	}
-	return chunk
+}
+
+// toChannelMajor gathers samples [s0, s0+m) of the NCHW batch src — ch
+// channels of cols floats per sample — into the ch×(m·cols) matrix dst,
+// sample i at column offset i·cols: the GEMM operand that lines up with a
+// chunk's lowering.
+func toChannelMajor(dst, src []float32, ch, cols, s0, m int) {
+	mcols := m * cols
+	for i := 0; i < m; i++ {
+		s := src[(s0+i)*ch*cols : (s0+i+1)*ch*cols]
+		for f := 0; f < ch; f++ {
+			copy(dst[f*mcols+i*cols:f*mcols+(i+1)*cols], s[f*cols:(f+1)*cols])
+		}
+	}
+}
+
+// fromChannelMajor scatters the ch×(m·cols) GEMM product ge back to samples
+// [s0, s0+m) of the NCHW batch y (n samples in all), adding bias[f] to
+// channel f on the way; a nil bias, or a zero one, makes it a copy.
+func fromChannelMajor(y, ge, bias []float32, ch, cols, n, s0, m int) {
+	if serialPass(m, n*ch*cols) {
+		scatterSamples(y, ge, bias, ch, cols, s0, m, 0, m)
+	} else {
+		tensor.ParallelFor(m, func(lo, hi int) { scatterSamples(y, ge, bias, ch, cols, s0, m, lo, hi) })
+	}
+}
+
+// scatterSamples is fromChannelMajor over samples [lo,hi) of the chunk.
+func scatterSamples(y, ge, bias []float32, ch, cols, s0, m, lo, hi int) {
+	mcols := m * cols
+	for i := lo; i < hi; i++ {
+		dst := y[(s0+i)*ch*cols : (s0+i+1)*ch*cols]
+		for f := 0; f < ch; f++ {
+			src := ge[f*mcols+i*cols : f*mcols+(i+1)*cols]
+			d := dst[f*cols : (f+1)*cols]
+			var b float32
+			if bias != nil {
+				b = bias[f]
+			}
+			if b == 0 {
+				copy(d, src)
+			} else {
+				for j, v := range src {
+					d[j] = v + b
+				}
+			}
+		}
+	}
 }
 
 // Reserve implements Layer.
@@ -112,7 +185,7 @@ func (c *Conv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train 
 	oh, ow := out[1], out[2]
 	k := c.InC * c.KH * c.KW
 	cols := oh * ow
-	chunk := c.chunk(n, oh, ow, train)
+	chunk := chunkSamples(n, k*cols, train)
 	st.Col = scratch(a, st.Col, k*chunk*cols)
 	st.Eval = scratch(a, st.Eval, c.OutC*chunk*cols)
 }
@@ -136,20 +209,17 @@ func (c *Conv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	ow := tensor.ConvOut(w, c.KW, c.Stride, c.Pad)
 	k := c.InC * c.KH * c.KW
 	cols := oh * ow
-	chunk := c.chunk(n, oh, ow, train)
+	chunk := chunkSamples(n, k*cols, train)
 	st.Col = scratch(nil, st.Col, k*chunk*cols)
 	st.Eval = scratch(nil, st.Eval, c.OutC*chunk*cols)
+	g := c.lowering(h, w)
 	for s0 := 0; s0 < n; s0 += chunk {
 		m := min(chunk, n-s0)
 		mcols := m * cols
-		col := c.lower(st, x, s0, m, cols)
+		col := g.lower(st.Col, x.Data, n, s0, m, cols)
 		ge := st.Eval[:c.OutC*mcols]
 		tensor.Gemm(false, false, c.OutC, mcols, k, 1, c.Weight.W.Data, col, 0, ge)
-		if serialPass(m, y.Len()) {
-			c.scatter(y, ge, s0, m, cols, 0, m)
-		} else {
-			tensor.ParallelFor(m, func(lo, hi int) { c.scatter(y, ge, s0, m, cols, lo, hi) })
-		}
+		fromChannelMajor(y.Data, ge, c.bias(), c.OutC, cols, n, s0, m)
 	}
 	if train {
 		st.X = x
@@ -160,52 +230,12 @@ func (c *Conv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	}
 }
 
-// lower fills st.Col with the K×(m·cols) lowering of samples [s0, s0+m) of
-// x, cols columns each, and returns it.
-func (c *Conv2D) lower(st *PlanState, x *tensor.Tensor, s0, m, cols int) []float32 {
-	k := c.InC * c.KH * c.KW
-	col := st.Col[:k*m*cols]
-	if serialPass(m, x.Shape[0]*k*cols) {
-		c.lowerSamples(col, x, s0, m, cols, 0, m)
-	} else {
-		tensor.ParallelFor(m, func(lo, hi int) { c.lowerSamples(col, x, s0, m, cols, lo, hi) })
+// bias returns the bias vector, nil for a layer without one.
+func (c *Conv2D) bias() []float32 {
+	if c.noBias {
+		return nil
 	}
-	return col
-}
-
-// lowerSamples lowers samples [lo,hi) of the m-sample chunk starting at s0.
-func (c *Conv2D) lowerSamples(col []float32, x *tensor.Tensor, s0, m, cols, lo, hi int) {
-	h, w := x.Shape[2], x.Shape[3]
-	inStride := c.InC * h * w
-	for i := lo; i < hi; i++ {
-		img := x.Data[(s0+i)*inStride : (s0+i+1)*inStride]
-		tensor.Im2colInto(img, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, col, m*cols, i*cols)
-	}
-}
-
-// scatter copies samples [lo,hi) of the m-sample channel-major GEMM product
-// ge into NCHW y, adding the bias on the way.
-func (c *Conv2D) scatter(y *tensor.Tensor, ge []float32, s0, m, cols, lo, hi int) {
-	mcols := m * cols
-	outStride := c.OutC * cols
-	for i := lo; i < hi; i++ {
-		dst := y.Data[(s0+i)*outStride : (s0+i+1)*outStride]
-		for f := 0; f < c.OutC; f++ {
-			src := ge[f*mcols+i*cols : f*mcols+(i+1)*cols]
-			d := dst[f*cols : (f+1)*cols]
-			var b float32
-			if !c.noBias {
-				b = c.Bias.W.Data[f]
-			}
-			if b == 0 {
-				copy(d, src)
-			} else {
-				for j, v := range src {
-					d[j] = v + b
-				}
-			}
-		}
-	}
+	return c.Bias.W.Data
 }
 
 // BackwardInto implements Layer. Per chunk of samples (the forward's
@@ -233,33 +263,27 @@ func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	cols := oh * ow
 	chunk := n // a kept lowering holds the whole batch
 	if !st.Lowered {
-		chunk = c.chunk(n, oh, ow, true)
+		chunk = chunkSamples(n, k*cols, true)
 	}
 	if dx != nil {
 		clear(dx.Data)
 	}
 	inStride := c.InC * h * w
 	outStride := c.OutC * cols
+	g := c.lowering(h, w)
 	for s0 := 0; s0 < n; s0 += chunk {
 		m := min(chunk, n-s0)
 		mcols := m * cols
 		col := st.Col[:k*mcols]
 		if !st.Lowered {
-			col = c.lower(st, x, s0, m, cols)
+			col = g.lower(st.Col, x.Data, n, s0, m, cols)
 		}
 		for i := 0; i < m; i++ {
 			dy := dout.Data[(s0+i)*outStride : (s0+i+1)*outStride]
 			// dW += dy · colᵀ over sample i's columns
 			tensor.GemmNTAcc(c.OutC, k, cols, dy, cols, col[i*cols:], mcols, c.Weight.Grad.Data)
-			// db += row sums of dy
 			if !c.noBias {
-				for f := 0; f < c.OutC; f++ {
-					var sum float32
-					for _, v := range dy[f*cols : (f+1)*cols] {
-						sum += v
-					}
-					c.Bias.Grad.Data[f] += sum
-				}
+				tensor.RowSums(c.Bias.Grad.Data, dy, c.OutC, cols)
 			}
 		}
 		if dx == nil {
@@ -267,12 +291,7 @@ func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		}
 		// dx = col2im(Wᵀ · dy), dy gathered channel-major to match col.
 		dyT := st.Eval[:c.OutC*mcols]
-		for i := 0; i < m; i++ {
-			dy := dout.Data[(s0+i)*outStride : (s0+i+1)*outStride]
-			for f := 0; f < c.OutC; f++ {
-				copy(dyT[f*mcols+i*cols:f*mcols+(i+1)*cols], dy[f*cols:(f+1)*cols])
-			}
-		}
+		toChannelMajor(dyT, dout.Data, c.OutC, cols, s0, m)
 		st.Lowered = false
 		tensor.Gemm(true, false, k, mcols, c.OutC, 1, c.Weight.W.Data, dyT, 0, col)
 		for i := 0; i < m; i++ {

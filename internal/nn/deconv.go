@@ -73,45 +73,54 @@ func (d *Deconv2D) OutShape(in []int) []int {
 	return []int{d.OutC, oh, ow}
 }
 
-// Reserve implements Layer. The lowering scratch is shared by
-// forward (Wᵀ·x before col2im) and backward (im2col of dy), which have the
-// same (OutC·KH·KW)×(H·W) shape by the adjoint construction.
+// lowering returns the adjoint convolution's im2col: the one that lowers
+// this layer's oh×ow output (gradient) to one column per input position.
+func (d *Deconv2D) lowering(oh, ow int) lowering {
+	return lowering{d.OutC, oh, ow, d.KH, d.KW, d.Stride, d.Pad}
+}
+
+// Reserve implements Layer. Like a convolution, both passes work on a chunk
+// of whole samples under the column budget (conv.go): Col is the chunk-wide
+// (OutC·KH·KW)×(m·H·W) matrix — Wᵀ·x before col2im in forward, im2col of dy
+// in backward, the same shape by the adjoint construction — and Eval the
+// InC×(m·H·W) channel-major operand on the other side of the GEMM, x in
+// forward and dx in backward.
 func (d *Deconv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {
 	k := d.OutC * d.KH * d.KW
 	cols := in[1] * in[2]
-	st.Col = scratch(a, st.Col, k*cols)
+	chunk := chunkSamples(n, k*cols, train)
+	st.Col = scratch(a, st.Col, k*chunk*cols)
+	st.Eval = scratch(a, st.Eval, d.InC*chunk*cols)
 }
 
-// ForwardInto implements Layer: y = col2im(Wᵀ·x) — the conv backward-data
-// path.
+// ForwardInto implements Layer: y = col2im(Wᵀ·x) + b — the conv
+// backward-data path. A chunk of samples is gathered channel-major and
+// multiplied in one GEMM (the decoder's planes are 16 to 256 positions, too
+// narrow to fill a GEMM tile one sample at a time); each sample's columns
+// then scatter out of the wide product. Every product element is the same
+// chain over InC whatever the chunk, and every output element collects its
+// taps in col2im's order from a cleared +0 and takes the bias last.
 func (d *Deconv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	if x.Rank() != 4 || x.Shape[1] != d.InC {
 		panic(fmt.Sprintf("nn: %s got input shape %v, want [N,%d,H,W]", d.LayerName, x.Shape, d.InC))
 	}
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh, ow := d.outHW(h, w)
 	k := d.OutC * d.KH * d.KW
 	cols := h * w // the adjoint conv's output positions = our input positions
-	st.Col = scratch(nil, st.Col, k*cols)
-	col := st.Col[:k*cols]
-	clear(y.Data) // col2im accumulates
-	inStride := d.InC * h * w
-	outStride := d.OutC * oh * ow
-	for s := 0; s < n; s++ {
-		xs := x.Data[s*inStride : (s+1)*inStride]
-		// col = Wᵀ (k×InC) · x_s (InC×cols)
-		tensor.Gemm(true, false, k, cols, d.InC, 1, d.Weight.W.Data, xs, 0, col)
-		ys := y.Data[s*outStride : (s+1)*outStride]
-		tensor.Col2im(col, d.OutC, oh, ow, d.KH, d.KW, d.Stride, d.Pad, ys)
-		for f := 0; f < d.OutC; f++ {
-			b := d.Bias.W.Data[f]
-			if b == 0 {
-				continue
-			}
-			row := ys[f*oh*ow : (f+1)*oh*ow]
-			for i := range row {
-				row[i] += b
-			}
+	chunk := chunkSamples(n, k*cols, train)
+	st.Col = scratch(nil, st.Col, k*chunk*cols)
+	st.Eval = scratch(nil, st.Eval, d.InC*chunk*cols)
+	for s0 := 0; s0 < n; s0 += chunk {
+		m := min(chunk, n-s0)
+		mcols := m * cols
+		xT := st.Eval[:d.InC*mcols]
+		toChannelMajor(xT, x.Data, d.InC, cols, s0, m)
+		col := st.Col[:k*mcols]
+		tensor.Gemm(true, false, k, mcols, d.InC, 1, d.Weight.W.Data, xT, 0, col)
+		if serialPass(m, y.Len()) {
+			d.scatter(y, col, h, w, s0, m, 0, m)
+		} else {
+			tensor.ParallelFor(m, func(lo, hi int) { d.scatter(y, col, h, w, s0, m, lo, hi) })
 		}
 	}
 	if train {
@@ -121,8 +130,33 @@ func (d *Deconv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	}
 }
 
+// scatter is the NCHW scatter of samples [lo,hi) of an m-sample chunk: the
+// sample's columns of the product col accumulate into its cleared planes of
+// y through col2im, and the bias goes on top.
+func (d *Deconv2D) scatter(y *tensor.Tensor, col []float32, h, w, s0, m, lo, hi int) {
+	oh, ow := d.outHW(h, w)
+	cols, plane := h*w, oh*ow
+	for i := lo; i < hi; i++ {
+		ys := y.Data[(s0+i)*d.OutC*plane : (s0+i+1)*d.OutC*plane]
+		clear(ys)
+		tensor.Col2imFrom(col, m*cols, i*cols, d.OutC, oh, ow, d.KH, d.KW, d.Stride, d.Pad, ys)
+		for f, b := range d.Bias.W.Data {
+			if b == 0 {
+				continue
+			}
+			row := ys[f*plane : (f+1)*plane]
+			for j := range row {
+				row[j] += b
+			}
+		}
+	}
+}
+
 // BackwardInto implements Layer: dx = W·im2col(dy) — the conv forward path
-// — and dW = x·im2col(dy)ᵀ.
+// — and dW = x·im2col(dy)ᵀ. Per chunk, dy is lowered into one wide matrix;
+// dW and db accumulate one sample at a time, in sample order, out of that
+// sample's columns (that order is the training trajectory's fingerprint);
+// dx is one GEMM over the chunk, scattered back to NCHW.
 func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	x := st.X
 	if x == nil {
@@ -132,28 +166,27 @@ func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	oh, ow := d.outHW(h, w)
 	k := d.OutC * d.KH * d.KW
 	cols := h * w
-	col := st.Col[:k*cols]
-	inStride := d.InC * h * w
+	chunk := chunkSamples(n, k*cols, true)
+	g := d.lowering(oh, ow)
+	inStride := d.InC * cols
 	outStride := d.OutC * oh * ow
-	for s := 0; s < n; s++ {
-		dy := dout.Data[s*outStride : (s+1)*outStride]
-		tensor.Im2col(dy, d.OutC, oh, ow, d.KH, d.KW, d.Stride, d.Pad, col)
-		// dx_s = W (InC×k) · col (k×cols)
-		if dx != nil {
-			tensor.Gemm(false, false, d.InC, cols, k, 1, d.Weight.W.Data, col, 0, dx.Data[s*inStride:(s+1)*inStride])
+	for s0 := 0; s0 < n; s0 += chunk {
+		m := min(chunk, n-s0)
+		mcols := m * cols
+		col := g.lower(st.Col, dout.Data, n, s0, m, cols)
+		for i := 0; i < m; i++ {
+			// dW += x_s (InC×cols) · colᵀ over sample i's columns
+			xs := x.Data[(s0+i)*inStride : (s0+i+1)*inStride]
+			tensor.GemmNTAcc(d.InC, k, cols, xs, cols, col[i*cols:], mcols, d.Weight.Grad.Data)
+			tensor.RowSums(d.Bias.Grad.Data, dout.Data[(s0+i)*outStride:(s0+i+1)*outStride], d.OutC, oh*ow)
 		}
-		// dW += x_s (InC×cols) · colᵀ (cols×k)
-		xs := x.Data[s*inStride : (s+1)*inStride]
-		tensor.Gemm(false, true, d.InC, k, cols, 1, xs, col, 1, d.Weight.Grad.Data)
-		// db += per-channel sums of dy
-		for f := 0; f < d.OutC; f++ {
-			row := dy[f*oh*ow : (f+1)*oh*ow]
-			var sum float32
-			for _, v := range row {
-				sum += v
-			}
-			d.Bias.Grad.Data[f] += sum
+		if dx == nil {
+			continue
 		}
+		// dx = W (InC×k) · col (k×m·cols), channel-major
+		ge := st.Eval[:d.InC*mcols]
+		tensor.Gemm(false, false, d.InC, mcols, k, 1, d.Weight.W.Data, col, 0, ge)
+		fromChannelMajor(dx.Data, ge, nil, d.InC, cols, n, s0, m)
 	}
 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -111,4 +112,30 @@ func TestDeconvBackwardBeforeForwardPanics(t *testing.T) {
 		}
 	}()
 	d.BackwardInto(&PlanState{}, tensor.New(1, 1, 4, 4), tensor.New(1, 1, 4, 4))
+}
+
+// BenchmarkDeconvStep times one training step — forward, then backward with
+// the input gradient — of each decoder layer of the climate benchmark net
+// (k4/s2/p1, 4×4 → 8×8 → 16×16 → 32×32) at batch 4 on one thread, and
+// reports the layer's algorithmic GFLOP/s next to ns/op.
+func BenchmarkDeconvStep(b *testing.B) {
+	prev := tensor.SetWorkers(1)
+	defer tensor.SetWorkers(prev)
+	rng := tensor.NewRNG(1)
+	const n = 4
+	for _, g := range []struct{ inC, outC, hw int }{{128, 64, 4}, {64, 32, 8}, {32, 16, 16}} {
+		d := NewDeconv2D("d", g.inC, g.outC, 4, 2, 1, rng)
+		rng.FillNorm(d.Bias.W, 0, 1)
+		in := []int{g.inC, g.hw, g.hw}
+		x, y := randBatch(rng, n, in), tensor.New(append([]int{n}, d.OutShape(in)...)...)
+		dout, dx := randBatch(rng, n, y.Shape[1:]), tensor.New(x.Shape...)
+		var st PlanState
+		b.Run(fmt.Sprintf("%dx%dx%d_to_%d", g.inC, g.hw, g.hw, g.outC), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d.ForwardInto(&st, y, x, true)
+				d.BackwardInto(&st, dx, dout)
+			}
+			b.ReportMetric(float64(n)*float64(d.FLOPs(in).Total())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
 }

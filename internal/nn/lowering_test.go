@@ -119,7 +119,7 @@ func withColBudget(floats int, f func()) {
 }
 
 // TestConvLoweringBitwiseMatchesPerSampleReference draws random conv
-// geometries — kernel 1/3/5, stride 1/2, pad 0/1/2, H≠W, channel counts on
+// geometries — kernel 1/3/5, stride 1/2/3, pad 0/1/2, H≠W, channel counts on
 // and off the GEMM's 4-row tile — and holds train forward, eval forward,
 // dx, dW and db bitwise to the per-sample reference, under a budget of one
 // sample (the beyond-budget path: re-lowered in backward), a budget whose
@@ -130,7 +130,7 @@ func TestConvLoweringBitwiseMatchesPerSampleReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		inC, outC := 1+rng.Intn(4), 1+rng.Intn(9)
 		k := []int{1, 3, 5}[rng.Intn(3)]
-		stride, pad := 1+rng.Intn(2), rng.Intn(3)
+		stride, pad := 1+rng.Intn(3), rng.Intn(3)
 		h, w := k+rng.Intn(7), k+1+rng.Intn(8)
 		if h == w {
 			h++
@@ -183,31 +183,121 @@ func TestConvLoweringBitwiseMatchesPerSampleReference(t *testing.T) {
 	}
 }
 
+// refDeconv runs the per-sample forward and backward of d over x and dout —
+// the adjoint convolution's reference lowerings, one GEMM per sample — and
+// returns y, dx, dW and db.
+func refDeconv(d *Deconv2D, x, dout *tensor.Tensor) (y, dx *tensor.Tensor, dW, db []float32) {
+	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	oh, ow := d.outHW(h, w)
+	k, cols, plane := d.OutC*d.KH*d.KW, h*w, oh*ow
+	y = tensor.New(n, d.OutC, oh, ow)
+	dx = tensor.New(x.Shape...)
+	dW, db = make([]float32, d.InC*k), make([]float32, d.OutC)
+	col := make([]float32, k*cols)
+	for s := 0; s < n; s++ {
+		xs := x.Data[s*d.InC*cols : (s+1)*d.InC*cols]
+		tensor.Gemm(true, false, k, cols, d.InC, 1, d.Weight.W.Data, xs, 0, col)
+		ys := y.Data[s*d.OutC*plane : (s+1)*d.OutC*plane]
+		refCol2im(col, d.OutC, oh, ow, d.KH, d.Stride, d.Pad, ys)
+		refAddBias(ys, d.Bias.W.Data, plane)
+
+		dy := dout.Data[s*d.OutC*plane : (s+1)*d.OutC*plane]
+		dcol := refIm2col(dy, d.OutC, oh, ow, d.KH, d.Stride, d.Pad)
+		tensor.Gemm(false, false, d.InC, cols, k, 1, d.Weight.W.Data, dcol, 0, dx.Data[s*d.InC*cols:(s+1)*d.InC*cols])
+		tensor.Gemm(false, true, d.InC, k, cols, 1, xs, dcol, 1, dW)
+		for f := 0; f < d.OutC; f++ {
+			var sum float32
+			for _, v := range dy[f*plane : (f+1)*plane] {
+				sum += v
+			}
+			db[f] += sum
+		}
+	}
+	return y, dx, dW, db
+}
+
+// randDeconv draws a deconvolution geometry — kernel 3/4/5, stride 1/2/3,
+// pad 0/1/2, H≠W with odd planes among them, 1 to 5 samples — and a batch
+// for it; some bias entries are zero (the skipped add).
+func randDeconv(rng *tensor.RNG) (d *Deconv2D, x, dout *tensor.Tensor, tag string) {
+	inC, outC := 1+rng.Intn(4), 1+rng.Intn(5)
+	k, stride, pad := 3+rng.Intn(3), 1+rng.Intn(3), rng.Intn(3)
+	h, w := 2+rng.Intn(6), 3+rng.Intn(6)
+	if h == w {
+		w++
+	}
+	for (h-1)*stride+k-2*pad < 1 {
+		pad--
+	}
+	n := 1 + rng.Intn(5)
+	d = NewDeconv2D("d", inC, outC, k, stride, pad, rng)
+	rng.FillNorm(d.Bias.W, 0, 1)
+	d.Bias.W.Data[rng.Intn(outC)] = 0
+	oh, ow := d.outHW(h, w)
+	x = randBatch(rng, n, []int{inC, h, w})
+	dout = randBatch(rng, n, []int{outC, oh, ow})
+	return d, x, dout, fmt.Sprintf("deconv in %d out %d k %d s %d p %d %dx%d n %d", inC, outC, k, stride, pad, h, w, n)
+}
+
+// deconvBudgets are the column budgets a deconvolution test runs under: one
+// sample at a time, chunks of two (so a batch of three or five splits
+// unevenly), and the whole batch in one matrix.
+func deconvBudgets(d *Deconv2D, x *tensor.Tensor) []int {
+	perSample := d.OutC * d.KH * d.KW * x.Shape[2] * x.Shape[3]
+	return []int{1, perSample*2 + 1, perSample * x.Shape[0]}
+}
+
 // TestDeconvForwardBitwiseMatchesReference covers col2im's other caller:
-// the deconvolution forward is Wᵀ·x scattered through col2im, at stride 1
-// (the strip-add kernel) and stride 2 (the generic scatter).
+// the deconvolution forward is Wᵀ·x scattered through col2im — the
+// strip-add kernel at stride 1, the strided add beyond — one GEMM per chunk
+// of samples, in both modes and whatever the chunk.
 func TestDeconvForwardBitwiseMatchesReference(t *testing.T) {
 	rng := tensor.NewRNG(4242)
-	for trial := 0; trial < 30; trial++ {
-		inC, outC := 1+rng.Intn(4), 1+rng.Intn(5)
-		stride := 1 + rng.Intn(2)
-		k, pad := []int{3, 4, 5}[rng.Intn(3)], rng.Intn(2)
-		h, w := 2+rng.Intn(6), 3+rng.Intn(6)
-		n := 1 + rng.Intn(4)
-		d := NewDeconv2D("d", inC, outC, k, stride, pad, rng)
-		rng.FillNorm(d.Bias.W, 0, 1)
-		x := randBatch(rng, n, []int{inC, h, w})
-		oh, ow := d.outHW(h, w)
-		kk, cols := outC*k*k, h*w
-		want := tensor.New(n, outC, oh, ow)
-		col := make([]float32, kk*cols)
-		for s := 0; s < n; s++ {
-			tensor.Gemm(true, false, kk, cols, inC, 1, d.Weight.W.Data, x.Data[s*inC*cols:(s+1)*inC*cols], 0, col)
-			ys := want.Data[s*outC*oh*ow : (s+1)*outC*oh*ow]
-			refCol2im(col, outC, oh, ow, k, stride, pad, ys)
-			refAddBias(ys, d.Bias.W.Data, oh*ow)
+	for trial := 0; trial < 40; trial++ {
+		d, x, dout, tag := randDeconv(rng)
+		want, _, _, _ := refDeconv(d, x, dout)
+		for _, budget := range deconvBudgets(d, x) {
+			withColBudget(budget, func() {
+				tag := fmt.Sprintf("trial %d (%s) budget %d", trial, tag, budget)
+				requireSameBits(t, tag+" eval y", run(d).Forward(x, false).Data, want.Data)
+				requireSameBits(t, tag+" train y", run(d).Forward(x, true).Data, want.Data)
+			})
 		}
-		requireSameBits(t, fmt.Sprintf("deconv trial %d (k %d s %d p %d)", trial, k, stride, pad), run(d).Forward(x, false).Data, want.Data)
+	}
+}
+
+// TestDeconvBackwardBitwiseMatchesReference holds the deconvolution's dx,
+// dW and db to the per-sample reference: dy lowered sample by sample into
+// one chunk-wide matrix, dx one GEMM over the chunk, dW and db accumulated
+// in sample order — inline and with the kernels split two ways, with and
+// without the input gradient.
+func TestDeconvBackwardBitwiseMatchesReference(t *testing.T) {
+	rng := tensor.NewRNG(2323)
+	for trial := 0; trial < 40; trial++ {
+		d, x, dout, tag := randDeconv(rng)
+		_, wantDx, wantDW, wantDb := refDeconv(d, x, dout)
+		for _, budget := range deconvBudgets(d, x) {
+			for _, workers := range []int{1, 2} {
+				prev := tensor.SetWorkers(workers)
+				withColBudget(budget, func() {
+					tag := fmt.Sprintf("trial %d (%s) budget %d workers %d", trial, tag, budget, workers)
+					rd := run(d)
+					d.Weight.Grad.Zero()
+					d.Bias.Grad.Zero()
+					rd.Forward(x, true)
+					requireSameBits(t, tag+" dx", rd.Backward(dout).Data, wantDx.Data)
+					requireSameBits(t, tag+" dW", d.Weight.Grad.Data, wantDW)
+					requireSameBits(t, tag+" db", d.Bias.Grad.Data, wantDb)
+
+					d.Weight.Grad.Zero()
+					d.Bias.Grad.Zero()
+					d.BackwardInto(&rd.st[0], nil, dout)
+					requireSameBits(t, tag+" dW, no dx", d.Weight.Grad.Data, wantDW)
+					requireSameBits(t, tag+" db, no dx", d.Bias.Grad.Data, wantDb)
+				})
+				tensor.SetWorkers(prev)
+			}
+		}
 	}
 }
 
@@ -320,7 +410,8 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 // TestLargePassesSplitAcrossWorkersBitwise reaches the ParallelFor side of
 // the memory-bound passes, which only engages from parallelMin floats: a
 // bulk-scoring-sized batch through conv (lowering and scatter), ReLU and
-// their backward, split three ways, against the same passes run inline.
+// their backward, split three ways, against the same passes run inline;
+// then through a deconvolution, against its per-sample reference.
 func TestLargePassesSplitAcrossWorkersBitwise(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	const n = 70
@@ -351,4 +442,21 @@ func TestLargePassesSplitAcrossWorkersBitwise(t *testing.T) {
 	requireSameBits(t, "conv dW", got.dW, want.dW)
 	wantY, _, _, _ := refConv(c, x, dout)
 	requireSameBits(t, "conv y vs per-sample reference", got.y, wantY.Data)
+
+	// The deconvolution's side of the same passes: the per-sample col2im
+	// scatter, the lowering of dy and the NCHW scatter of dx.
+	d := NewDeconv2D("d", 8, 16, 4, 2, 1, rng)
+	rng.FillNorm(d.Bias.W, 0, 1)
+	rd := run(d)
+	dxIn := randBatch(rng, n, []int{8, 16, 16})
+	if d.OutC*n*32*32 < parallelMin {
+		t.Fatal("batch too small to reach the deconvolution's parallel passes")
+	}
+	wantDY, wantDDx, wantDDW, _ := refDeconv(d, dxIn, dout)
+	prev := tensor.SetWorkers(3)
+	defer tensor.SetWorkers(prev)
+	d.Weight.Grad.Zero()
+	requireSameBits(t, "deconv y", rd.Forward(dxIn, true).Data, wantDY.Data)
+	requireSameBits(t, "deconv dx", rd.Backward(dout).Data, wantDDx.Data)
+	requireSameBits(t, "deconv dW", d.Weight.Grad.Data, wantDDW)
 }

@@ -172,11 +172,7 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 		s.outPer = shapeElems(out)
 		switch ll := l.(type) {
 		case *Conv2D:
-			var bias []float32
-			if !ll.noBias {
-				bias = ll.Bias.W.Data
-			}
-			s.q = newQKernel(ll.Weight.W.Data, bias, ll.OutC, in, ll.KH, ll.KW, ll.Stride, ll.Pad, capacity, calibStat(calib, i))
+			s.q = newQKernel(ll.Weight.W.Data, ll.bias(), ll.OutC, in, ll.KH, ll.KW, ll.Stride, ll.Pad, capacity, calibStat(calib, i))
 		case *Dense:
 			// A dense layer is a convolution whose kernel covers its whole
 			// input; a flat input is a 1×1 image of In channels.

@@ -2,10 +2,10 @@ package tensor
 
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
 // the fp32 GEMM's two register tiles (gemm_tile.go), axpy, the in-place
-// scale, the conv unit's ReLU, 2×2 max-pool and col2im strip add
-// (kernels_conv.go), and the int8 datapath's micro-kernel, epilogue,
-// quantizer and byte pool (gemm_s8.go) — is a package-level function
-// variable installed by SetKernels.
+// scale, the conv unit's ReLU, 2×2 max-pool and the lowerings' row gather
+// and row add (kernels_conv.go), and the int8 datapath's micro-kernel,
+// epilogue, quantizer and byte pool (gemm_s8.go) — is a package-level
+// function variable installed by SetKernels.
 // One probe (kernels_amd64.go) classifies the host at init and picks the
 // widest safe body; SetKernels("scalar"|"avx2"|"avx512"|"auto") re-routes
 // the whole table at runtime, which is what cmd/deepserve's -kernels flag
@@ -44,7 +44,8 @@ func installScalar() {
 	reluGrad = reluGradGeneric
 	maxPool2x2 = maxPool2x2Generic
 	maxPool2x2Argmax = maxPool2x2ArgmaxGeneric
-	addRows = addRowsGeneric
+	gatherRows = gatherRowsGeneric
+	scatterRows = scatterRowsGeneric
 	convS8 = convS8Generic
 	requantF32 = requantF32Generic
 	requantU8 = requantU8Generic

@@ -32,8 +32,10 @@ func maxPool2x2AVX2(dst, r0, r1 []float32)
 func maxPool2x2AVX512(dst, r0, r1 []float32)
 func maxPool2x2ArgmaxAVX2(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
 func maxPool2x2ArgmaxAVX512(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
-func addRowsAVX2(dst, src []float32, rows, dstPitch, srcPitch, n int)
-func addRowsAVX512(dst, src []float32, rows, dstPitch, srcPitch, n int)
+func gatherRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+func gatherRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+func scatterRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+func scatterRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 
 // The int8 datapath's kernels (gemm_s8.go), implemented in
 // kernels_s8_amd64.s.
@@ -87,7 +89,8 @@ func installAVX2() {
 	reluGrad = reluGradAVX2
 	maxPool2x2 = maxPool2x2AVX2
 	maxPool2x2Argmax = maxPool2x2ArgmaxAVX2
-	addRows = addRowsAVX2
+	gatherRows = gatherRowsAVX2
+	scatterRows = scatterRowsAVX2
 	convS8 = convS8AVX2
 	requantF32 = requantF32AVX2
 	requantU8 = requantU8AVX2
@@ -105,7 +108,8 @@ func installAVX512() {
 	reluGrad = reluGradAVX512
 	maxPool2x2 = maxPool2x2AVX512
 	maxPool2x2Argmax = maxPool2x2ArgmaxAVX512
-	addRows = addRowsAVX512
+	gatherRows = gatherRowsAVX512
+	scatterRows = scatterRowsAVX512
 	if hasVNNI() {
 		convS8 = convS8VNNI
 		requantF32 = requantF32AVX512

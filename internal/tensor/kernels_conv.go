@@ -3,12 +3,12 @@ package tensor
 import "math"
 
 // The non-GEMM kernels of a convolution unit: ReLU forward and backward,
-// 2×2/stride-2 max pooling with and without argmax, and the strip add under
-// the stride-1 col2im. They sit on the same dispatch table as the GEMM tiles
-// (kernels.go) and honour the same contract: every ISA body is bitwise
-// identical to the Go body here. That is cheap for this family — max,
-// select, copy and a same-order add are all exact — but the operand order
-// of each vector instruction still pins the special values, and the
+// 2×2/stride-2 max pooling with and without argmax, and the row gather and
+// row add under the lowerings. They sit on the same dispatch table as the
+// GEMM tiles (kernels.go) and honour the same contract: every ISA body is
+// bitwise identical to the Go body here. That is cheap for this family —
+// max, select, copy and a same-order add are all exact — but the operand
+// order of each vector instruction still pins the special values, and the
 // comments below say which ones.
 
 var negInf = float32(math.Inf(-1))
@@ -99,19 +99,77 @@ func maxPool2x2ArgmaxGeneric(dst []float32, idx []int32, r0, r1 []float32, base,
 	}
 }
 
-// addRows is the active strip-add kernel: for r < rows,
-// dst[r*dstPitch+i] += src[r*srcPitch+i] over i < n. One call covers a
-// whole (channel, tap) plane of a stride-1 col2im, whose rows are as short
-// as four floats; per-row calls would spend their time on call set-up.
-var addRows = addRowsGeneric
+// gatherRows is the active strided-gather kernel: for p < planes, r < rows,
+// dst[p*dstPlane+r*dstPitch+i] = src[p*srcPlane+r*srcPitch+i*step] over
+// i < n — one tap of a strided im2col over a group of channels, clipped to
+// the window that lands inside the image. A plane's rows are 4 to 16 floats
+// and the smallest planes 4 rows, so a call per row, or even per plane,
+// would spend its time on call set-up.
+var gatherRows = gatherRowsGeneric
 
-func addRowsGeneric(dst, src []float32, rows, dstPitch, srcPitch, n int) {
-	for r := 0; r < rows; r++ {
-		d := dst[r*dstPitch : r*dstPitch+n]
-		s := src[r*srcPitch : r*srcPitch+n]
-		for i, v := range s {
-			d[i] += v
+func gatherRowsGeneric(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int) {
+	for p := 0; p < planes; p++ {
+		for r := 0; r < rows; r++ {
+			d := dst[p*dstPlane+r*dstPitch:][:n]
+			s := src[p*srcPlane+r*srcPitch:]
+			for i := range d {
+				d[i] = s[i*step]
+			}
 		}
+	}
+}
+
+// scatterRows is gatherRows' mirror, the add under col2im:
+// dst[p*dstPlane+r*dstPitch+i*step] += src[p*srcPlane+r*srcPitch+i]. Step 1
+// is the stride-1 strip add. The elements of dst between the steps are
+// neither read nor written.
+var scatterRows = scatterRowsGeneric
+
+func scatterRowsGeneric(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int) {
+	for p := 0; p < planes; p++ {
+		for r := 0; r < rows; r++ {
+			d := dst[p*dstPlane+r*dstPitch:]
+			s := src[p*srcPlane+r*srcPitch:][:n]
+			for i, v := range s {
+				d[i*step] += v
+			}
+		}
+	}
+}
+
+// RowSums adds to acc[r] the sum of row r of the rows×n matrix src — the
+// per-channel bias gradient of one sample's output gradient. Each row is
+// summed left to right from +0 and added to acc once; that chain is one
+// dependent add per element, so four rows run side by side, which
+// interleaves the chains without reordering any of them. It has the one
+// body: eight chains in assembly measured 0.19 ns an element against this
+// loop's 0.22–0.29 and a single chain's 0.5–0.8 (EXPERIMENTS.md "PR 23").
+func RowSums(acc, src []float32, rows, n int) {
+	if len(acc) < rows || len(src) < rows*n {
+		panic("tensor: RowSums operand too small")
+	}
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		a := src[r*n : (r+1)*n]
+		b, c, d := src[(r+1)*n:][:len(a)], src[(r+2)*n:][:len(a)], src[(r+3)*n:][:len(a)]
+		var s0, s1, s2, s3 float32
+		for i, v := range a {
+			s0 += v
+			s1 += b[i]
+			s2 += c[i]
+			s3 += d[i]
+		}
+		acc[r] += s0
+		acc[r+1] += s1
+		acc[r+2] += s2
+		acc[r+3] += s3
+	}
+	for ; r < rows; r++ {
+		var s float32
+		for _, v := range src[r*n : (r+1)*n] {
+			s += v
+		}
+		acc[r] += s
 	}
 }
 

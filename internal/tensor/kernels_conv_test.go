@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -147,34 +148,90 @@ func TestPoolKernelTiesAndNaNWindows(t *testing.T) {
 	})
 }
 
-// TestAddRowsBitwiseAcrossISAs covers the strip add: row counts from none,
-// widths 0..67, pitches equal to and wider than the width on either side,
-// unaligned starts, and untouched elements between and after the rows.
-func TestAddRowsBitwiseAcrossISAs(t *testing.T) {
+// canonicalNaNs gives every NaN in s the same payload: when both addends
+// of an add are NaN, which payload survives is not part of the contract.
+func canonicalNaNs(s []float32) {
+	for i, v := range s {
+		if v != v {
+			s[i] = float32(math.NaN())
+		}
+	}
+}
+
+// TestRowKernelsBitwiseAcrossISAs covers the row gather and its mirror add:
+// steps 1 to 3 (the add has vector bodies for 1 and 2, the gather for 2;
+// the rest is the Go body reached through the assembly's tail jump), widths
+// 0..67 so every block count and every mask tail occurs, plane and row
+// counts from none, pitches at and above the minimum, unaligned starts.
+// Both slices end at the last element the kernel may touch, and everything
+// it may not touch — between the steps, the rows and the planes, before the
+// start — must come back bit for bit.
+func TestRowKernelsBitwiseAcrossISAs(t *testing.T) {
 	withISAs(t, func(isa string) {
-		rng := NewRNG(77)
-		for n := 0; n <= kernelMaxLen; n++ {
-			for _, rows := range []int{0, 1, 2, 5} {
-				dp, sp := n+rng.Intn(4), n+rng.Intn(4)
-				off := rng.Intn(4)
-				dst := make([]float32, off+rows*dp+n+3)
-				src := make([]float32, off+rows*sp+n+3)
-				fillSpecial(rng, dst)
-				fillSpecial(rng, src)
-				// One canonical NaN everywhere: when both addends are
-				// NaN, which payload survives is not part of the contract.
-				for _, s := range [][]float32{dst, src} {
-					for i, v := range s {
-						if v != v {
-							s[i] = float32(math.NaN())
-						}
-					}
+		rng := NewRNG(23)
+		for step := 1; step <= 3; step++ {
+			for n := 0; n <= kernelMaxLen; n++ {
+				for _, shape := range [][2]int{{1, 0}, {0, 2}, {1, 1}, {1, 5}, {2, 2}, {3, 4}} {
+					planes, rows := shape[0], shape[1]
+					span := max(n-1, 0)*step + 1 // floats one strided row covers
+					cp, sp := n+rng.Intn(4), span+rng.Intn(4)
+					cpl, spl := rows*cp+rng.Intn(4), rows*sp+rng.Intn(4)
+					off := rng.Intn(4)
+					lastP, lastR := max(planes-1, 0), max(rows-1, 0)
+					contig := make([]float32, off+lastP*cpl+lastR*cp+n)
+					strided := make([]float32, off+lastP*spl+lastR*sp+span)
+					fillSpecial(rng, contig)
+					fillSpecial(rng, strided)
+					tag := fmt.Sprintf("%s step %d n %d planes %d rows %d", isa, step, n, planes, rows)
+
+					want := append([]float32(nil), contig...)
+					got := append([]float32(nil), contig...)
+					gatherRows(got[off:], strided[off:], planes, cpl, spl, rows, cp, sp, n, step)
+					gatherRowsGeneric(want[off:], strided[off:], planes, cpl, spl, rows, cp, sp, n, step)
+					requireSameBits(t, tag+" gatherRows", got, want)
+
+					canonicalNaNs(contig)
+					canonicalNaNs(strided)
+					want = append(want[:0], strided...)
+					got = append(got[:0], strided...)
+					scatterRows(got[off:], contig[off:], planes, spl, cpl, rows, sp, cp, n, step)
+					scatterRowsGeneric(want[off:], contig[off:], planes, spl, cpl, rows, sp, cp, n, step)
+					requireSameBits(t, tag+" scatterRows", got, want)
 				}
-				want := append([]float32(nil), dst...)
-				addRows(dst[off:], src[off:], rows, dp, sp, n)
-				addRowsGeneric(want[off:], src[off:], rows, dp, sp, n)
-				requireSameBits(t, isa+" addRows", dst, want)
 			}
 		}
 	})
+}
+
+// TestRowSumsIsOneChainPerRow holds RowSums to one left-to-right chain per
+// row, however many rows it runs side by side.
+func TestRowSumsIsOneChainPerRow(t *testing.T) {
+	rng := NewRNG(5)
+	for rows := 0; rows <= 19; rows++ {
+		for _, n := range []int{0, 1, 2, 7, 16, 33} {
+			src := make([]float32, rows*n)
+			got := make([]float32, rows+1)
+			fillSpecial(rng, src)
+			fillSpecial(rng, got)
+			// No NaN goes in: ∞−∞ makes the default one mid-chain, and
+			// which of two different NaNs an add keeps is not pinned.
+			for _, s := range [][]float32{src, got} {
+				for i, v := range s {
+					if v != v {
+						s[i] = 1
+					}
+				}
+			}
+			want := append([]float32(nil), got...)
+			for r := 0; r < rows; r++ {
+				var sum float32
+				for _, v := range src[r*n : (r+1)*n] {
+					sum += v
+				}
+				want[r] += sum
+			}
+			RowSums(got, src, rows, n)
+			requireSameBits(t, fmt.Sprintf("RowSums %d×%d", rows, n), got, want)
+		}
+	}
 }
