@@ -11,7 +11,9 @@
 //     compute, same machinery as training ingest);
 //   - large fixed-size batches run straight into the compiled plans via
 //     serve.SharedInferer — no queue, no linger, no per-request envelope,
-//     and not even the online path's per-batch output copy;
+//     and not even the online path's per-batch output copy; the plan cuts
+//     a batch into tiles of 32 samples and runs them on one lane per
+//     kernel thread (nn/tile.go), which is where the host's cores come in;
 //   - batch tensors are pooled slot staging, so the warm loop touches the
 //     allocator exactly zero times (gated by test);
 //   - confidence extraction (nn.SoftmaxTop1) runs in place on the
@@ -39,9 +41,14 @@ import (
 
 // Config parameterises an Engine or a fleet run.
 type Config struct {
-	// Batch is the fixed inference batch size. Bigger batches amortise
-	// dispatch further but round the tail up; 256 (the default) is past
-	// the knee for every model in the repo.
+	// Batch is the fixed inference batch size: the unit of staging and of
+	// the plan's one fork-join, not of execution (the plan runs it as
+	// tiles of 32, so 32 or fewer is one tile on one core). Bigger batches
+	// amortise that join and the pipeline hand-off further but round the
+	// tail up and grow the staging ring. hep-small on two threads scores
+	// 8.2K samples/s at 32, 15.3K at 64, 16.6K at 128, 18.1K at 256 (the
+	// default), 18.5K at 512, 19.1K at 1024; int8 46K, 51K, 60K, 64K, 68K
+	// and, the ring now out of cache, 59K (EXPERIMENTS.md "PR 24").
 	Batch int
 	// Lookahead is how many staged batches the prefetcher may run ahead
 	// of compute (ring size Lookahead+1). Default 2.
@@ -84,6 +91,8 @@ type Predictions struct {
 func (p *Predictions) grow(n int) {
 	if cap(p.Conf) < n {
 		p.Conf = make([]float32, n)
+	}
+	if cap(p.Label) < n {
 		p.Label = make([]int32, n)
 	}
 	p.Conf = p.Conf[:n]
@@ -98,9 +107,11 @@ type Result struct {
 	SamplesPerSec float64
 }
 
-// Engine scores shard sets through one local replica. Single-goroutine,
-// like the replica under it; reuse across Score calls keeps the compiled
-// plans and staging warm.
+// Engine scores shard sets through one local replica. Single-goroutine for
+// its caller, like the replica under it — one Score at a time, one batch
+// in the plan at a time; the kernel threads come in inside the plan's
+// Forward, as lanes joined before it returns. Reuse across Score calls
+// keeps the compiled plans, their lanes and the staging warm.
 type Engine struct {
 	cfg     Config
 	rep     serve.Model

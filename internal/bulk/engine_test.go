@@ -98,6 +98,76 @@ func TestEngineWarmPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEngineWarmPathZeroAllocAboveTile is the same contract at a batch the
+// plans run as tiles (nn's inferTile is 32): on one worker the tiles run on
+// the caller, lane after lane reused, and the allocator stays untouched on
+// both precisions.
+func TestEngineWarmPathZeroAllocAboveTile(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	net, ds := trainTiny(t, 16, 1)
+	for _, prec := range []serve.Precision{serve.Float32, serve.Int8} {
+		eng, err := NewEngine(loadTiny(t, net, ds, prec), Config{Batch: 96})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.New(append([]int{83}, eng.inShape...)...)
+		tensor.NewRNG(7).FillNorm(x, 0, 1)
+		conf := make([]float32, 83)
+		label := make([]int32, 83)
+		if err := eng.consume(x, conf, label); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := eng.consume(x, conf, label); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%v: warm tiled bulk consume allocates %.1f times per batch, want 0", prec, allocs)
+		}
+	}
+}
+
+// TestEngineTiledScoreMatchesNaiveLoop holds the engine at a tiled batch
+// size to the naive loop at a batch no plan tiles, on both precisions and
+// one, two and four kernel workers. 203 samples at batch 80 is a multiple of
+// neither the batch nor the tile: the last batch is 43, its last tile 11.
+func TestEngineTiledScoreMatchesNaiveLoop(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	net, ds := trainTiny(t, 203, 6)
+	ss := unlabeledShards(t, ds, 3)
+	for _, prec := range []serve.Precision{serve.Float32, serve.Int8} {
+		lm := loadTiny(t, net, ds, prec)
+		tensor.SetWorkers(1)
+		rep, err := lm.NewReplica()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantConf, wantLabel := directTop1(t, rep, ss, 7)
+		for _, workers := range []int{1, 2, 4} {
+			tensor.SetWorkers(workers)
+			eng, err := NewEngine(lm, Config{Batch: 80})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A caller's Label shorter than its Conf must grow on its own.
+			p := Predictions{Conf: make([]float32, 203), Label: make([]int32, 5)}
+			res, err := eng.Score(ss, &p)
+			if err != nil {
+				t.Fatalf("%v workers=%d: Score: %v", prec, workers, err)
+			}
+			if res.Samples != 203 || res.Batches != 3 {
+				t.Fatalf("%v workers=%d: scored %d samples in %d batches, want 203 in 3", prec, workers, res.Samples, res.Batches)
+			}
+			for i := range wantConf {
+				if p.Conf[i] != wantConf[i] || p.Label[i] != wantLabel[i] {
+					t.Fatalf("%v workers=%d: sample %d: bulk (%v, %d) vs naive (%v, %d)",
+						prec, workers, i, p.Conf[i], p.Label[i], wantConf[i], wantLabel[i])
+				}
+			}
+		}
+	}
+}
+
 // TestEngineRejectsNaN: non-finite logits (here from a bit-rotted
 // checkpoint — NaN input pixels get flushed by ReLU, corrupt weights do
 // not) must fail the whole run loudly, never become pseudo-labels.

@@ -63,8 +63,10 @@ func TestFleetBackendDeathZeroLoss(t *testing.T) {
 	survivor := startBackend(t, lm, serve.Config{MaxBatch: 8, Workers: 2})
 
 	// Pace the victim so its first shard is still in flight when the plug
-	// is pulled; the survivor stays fast and drains the queue.
+	// is pulled; the survivor drains the queue, a few ms a shard so that it
+	// cannot empty all twelve before the victim's worker has taken one.
 	victim.SetDelay(200 * time.Millisecond)
+	survivor.SetDelay(5 * time.Millisecond)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		victim.Close()

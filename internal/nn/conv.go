@@ -23,15 +23,19 @@ type Conv2D struct {
 // builds at once. Both passes lower as many whole samples as fit it into one
 // wide matrix and multiply them in a single GEMM: a batch of small planes
 // (hep-small's conv4 is 16 columns per sample) otherwise pays the GEMM's
-// fixed costs once per sample. 256K floats (1 MiB, half of one core's L2
-// here) is where that stops paying: batch-256 inference runs as fast as
-// with a matrix eight times larger, and 15–20% slower with one half the
-// size, which doubles the fork-joins per pass. At paper scale — conv2
-// alone is 14.4M floats per sample — it degrades to per-sample lowering.
+// fixed costs once per sample. 256K floats is 1 MiB, half of one core's L2
+// here. Re-measured on tiled plans (a hep-small batch of 256 as tiles of
+// 32, PR 24): 64K, 128K and 256K read the same (12.7 / 11.7 / 12.6 ms on
+// two lanes, 19.7 / 20.4 / 21.7 on one), 512K and 2M are 25–30% slower
+// (16.0 / 16.3 and 26.3 / 28.6): the matrix leaves L2. A half-sized matrix
+// used to cost 15–20% because it doubled the fork-joins per pass; a lane
+// forks nothing, so only the ceiling is left. At paper scale — conv2 alone
+// is 14.4M floats per sample — it degrades to per-sample lowering.
 //
 // trainColBudget is the same cap on the training datapath, and half as
 // large: an inference plan holds one such matrix for all its convolutions
-// (Plan.evalSt), a training plan one per convolution per replica, because
+// (Plan.evalSt; one per lane when tiled), a training plan one per
+// convolution per replica, because
 // a lowering that fits is kept for backward. At 128K floats a hep-small
 // batch-16 plan's arena is 8.8 MB (7.5 MB before lowerings were batched,
 // 11.2 MB at 256K) for 5% of the step time.
@@ -108,13 +112,13 @@ func (c *Conv2D) lowering(h, w int) lowering {
 	return lowering{c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad}
 }
 
-// lower fills col with the K×(m·cols) lowering of samples [s0, s0+m) of the
-// n-sample NCHW batch x, cols columns each — sample i at column offset
+// lower fills st.Col with the K×(m·cols) lowering of samples [s0, s0+m) of
+// the n-sample NCHW batch x, cols columns each — sample i at column offset
 // i·cols — and returns it.
-func (g lowering) lower(col, x []float32, n, s0, m, cols int) []float32 {
+func (g lowering) lower(st *PlanState, x []float32, n, s0, m, cols int) []float32 {
 	k := g.c * g.kh * g.kw
-	col = col[:k*m*cols]
-	if serialPass(m, n*k*cols) {
+	col := st.Col[:k*m*cols]
+	if st.serialPass(m, n*k*cols) {
 		g.lowerSamples(col, x, s0, m, cols, 0, m)
 	} else {
 		tensor.ParallelFor(m, func(lo, hi int) { g.lowerSamples(col, x, s0, m, cols, lo, hi) })
@@ -148,8 +152,8 @@ func toChannelMajor(dst, src []float32, ch, cols, s0, m int) {
 // fromChannelMajor scatters the ch×(m·cols) GEMM product ge back to samples
 // [s0, s0+m) of the NCHW batch y (n samples in all), adding bias[f] to
 // channel f on the way; a nil bias, or a zero one, makes it a copy.
-func fromChannelMajor(y, ge, bias []float32, ch, cols, n, s0, m int) {
-	if serialPass(m, n*ch*cols) {
+func fromChannelMajor(st *PlanState, y, ge, bias []float32, ch, cols, n, s0, m int) {
+	if st.serialPass(m, n*ch*cols) {
 		scatterSamples(y, ge, bias, ch, cols, s0, m, 0, m)
 	} else {
 		tensor.ParallelFor(m, func(lo, hi int) { scatterSamples(y, ge, bias, ch, cols, s0, m, lo, hi) })
@@ -216,10 +220,10 @@ func (c *Conv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	for s0 := 0; s0 < n; s0 += chunk {
 		m := min(chunk, n-s0)
 		mcols := m * cols
-		col := g.lower(st.Col, x.Data, n, s0, m, cols)
+		col := g.lower(st, x.Data, n, s0, m, cols)
 		ge := st.Eval[:c.OutC*mcols]
 		tensor.Gemm(false, false, c.OutC, mcols, k, 1, c.Weight.W.Data, col, 0, ge)
-		fromChannelMajor(y.Data, ge, c.bias(), c.OutC, cols, n, s0, m)
+		fromChannelMajor(st, y.Data, ge, c.bias(), c.OutC, cols, n, s0, m)
 	}
 	if train {
 		st.X = x
@@ -276,7 +280,7 @@ func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		mcols := m * cols
 		col := st.Col[:k*mcols]
 		if !st.Lowered {
-			col = g.lower(st.Col, x.Data, n, s0, m, cols)
+			col = g.lower(st, x.Data, n, s0, m, cols)
 		}
 		for i := 0; i < m; i++ {
 			dy := dout.Data[(s0+i)*outStride : (s0+i+1)*outStride]

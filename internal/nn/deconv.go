@@ -117,7 +117,7 @@ func (d *Deconv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 		toChannelMajor(xT, x.Data, d.InC, cols, s0, m)
 		col := st.Col[:k*mcols]
 		tensor.Gemm(true, false, k, mcols, d.InC, 1, d.Weight.W.Data, xT, 0, col)
-		if serialPass(m, y.Len()) {
+		if st.serialPass(m, y.Len()) {
 			d.scatter(y, col, h, w, s0, m, 0, m)
 		} else {
 			tensor.ParallelFor(m, func(lo, hi int) { d.scatter(y, col, h, w, s0, m, lo, hi) })
@@ -173,7 +173,7 @@ func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	for s0 := 0; s0 < n; s0 += chunk {
 		m := min(chunk, n-s0)
 		mcols := m * cols
-		col := g.lower(st.Col, dout.Data, n, s0, m, cols)
+		col := g.lower(st, dout.Data, n, s0, m, cols)
 		for i := 0; i < m; i++ {
 			// dW += x_s (InC×cols) · colᵀ over sample i's columns
 			xs := x.Data[(s0+i)*inStride : (s0+i+1)*inStride]
@@ -186,7 +186,7 @@ func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		// dx = W (InC×k) · col (k×m·cols), channel-major
 		ge := st.Eval[:d.InC*mcols]
 		tensor.Gemm(false, false, d.InC, mcols, k, 1, d.Weight.W.Data, col, 0, ge)
-		fromChannelMajor(dx.Data, ge, nil, d.InC, cols, n, s0, m)
+		fromChannelMajor(st, dx.Data, ge, nil, d.InC, cols, n, s0, m)
 	}
 }
 

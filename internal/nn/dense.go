@@ -38,7 +38,7 @@ func (r *ReLU) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 		st.Y = y
 	}
 	n := x.Len()
-	if serialPass(n, n) {
+	if st.serialPass(n, n) {
 		tensor.ReLU(y.Data[:n], x.Data)
 		return
 	}
@@ -56,7 +56,7 @@ func (r *ReLU) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		return
 	}
 	n := dout.Len()
-	if serialPass(n, n) {
+	if st.serialPass(n, n) {
 		tensor.ReLUGrad(dx.Data[:n], st.Y.Data, dout.Data)
 		return
 	}

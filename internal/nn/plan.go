@@ -22,9 +22,12 @@ import (
 // replicas, training replicas and one-shot scorers all pay shape-dependent
 // setup once and then never touch the allocator.
 //
-// A Plan is single-goroutine, like the replica that owns it. Tensors
-// returned by Forward/Backward are plan-owned views, valid only until the
-// next call; callers that need to retain results must copy.
+// A Plan is single-goroutine for its caller, like the replica that owns it:
+// one Forward or Backward at a time. An inference plan compiled above
+// inferTile runs its batch as tiles on one lane per kernel thread (tile.go);
+// the lanes are forked and joined inside Forward. Tensors returned by
+// Forward/Backward are plan-owned views, valid only until the next call;
+// callers that need to retain results must copy.
 type Plan struct {
 	net      *Network
 	capacity int
@@ -40,6 +43,7 @@ type Plan struct {
 	// they share a single lowering scratch sized for the largest of them
 	// rather than each holding its own.
 	evalSt PlanState
+	tiles  *tiler // non-nil: an inference plan above inferTile; steps is empty
 }
 
 type planStep struct {
@@ -63,7 +67,9 @@ type planStep struct {
 // gradient accumulators were released panics — release gradients only on
 // inference replicas (see Network.ReleaseGradients). arena == nil gives the
 // plan a private arena; passing a shared arena lets several plans (e.g. a
-// serving replica's per-batch-size cache) recycle each other's slabs.
+// serving replica's per-batch-size cache) recycle each other's slabs. An
+// inference plan above inferTile costs lanes × tile slabs plus one output
+// slab, whatever its capacity.
 //
 // Networks with a frozen prefix (Network.Freeze) compile the prefix steps
 // on the inference datapath even in a training plan: no input-gradient
@@ -87,6 +93,14 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 				panic(fmt.Sprintf("nn: training plan for %s: parameter %s has released gradients (ReleaseGradients); compile an inference plan instead", net.NetName, prm.Name))
 			}
 		}
+	}
+	if !train && capacity > inferTile {
+		p.tiles = newTiler(arena, capacity, net.InShape, net.OutShape(), func() lanePlan {
+			lane := Compile(net, inferTile, false, arena)
+			lane.evalSt.Inline = true
+			return lane
+		})
+		return p
 	}
 	in := net.InShape
 	p.steps = make([]planStep, len(net.Layers))
@@ -132,12 +146,7 @@ func (p *Plan) Capacity() int { return p.capacity }
 func (p *Plan) Training() bool { return p.train }
 
 // OutShape returns the per-sample output shape.
-func (p *Plan) OutShape() []int {
-	if len(p.steps) == 0 {
-		return append([]int(nil), p.net.InShape...)
-	}
-	return append([]int(nil), p.steps[len(p.steps)-1].outShape...)
-}
+func (p *Plan) OutShape() []int { return append([]int(nil), p.net.OutShape()...) }
 
 // view repoints t at the first n samples of its slab. The in-place resize
 // is what keeps variable batch sizes allocation-free.
@@ -164,6 +173,9 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 		if x.Shape[i+1] != d {
 			panic(fmt.Sprintf("nn: plan Forward per-sample shape %v, want %v", x.Shape[1:], p.net.InShape))
 		}
+	}
+	if p.tiles != nil {
+		return p.tiles.forward(x)
 	}
 	p.n = n
 	cur := x
@@ -245,6 +257,10 @@ func (p *Plan) backward(dout *tensor.Tensor, gradDone func(layer int), inputGrad
 // arena. The plan must not be used afterwards; a plan cache calls this when
 // a bucket is evicted so a successor plan can reuse the memory.
 func (p *Plan) Release() {
+	if p.tiles != nil {
+		p.tiles.release()
+		p.tiles = nil
+	}
 	for i := range p.steps {
 		s := &p.steps[i]
 		if s.ySlab != nil {

@@ -60,7 +60,7 @@ func (p *MaxPool2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) 
 		st.InShape = append(st.InShape, n, c, h, w)
 	}
 	planes := n * c
-	if tensor.SerialFor(planes) {
+	if st.Inline || tensor.SerialFor(planes) {
 		p.poolPlanes(0, planes, x.Data, y.Data, st.Argmax, h, w, oh, ow)
 		return
 	}

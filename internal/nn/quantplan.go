@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"deep15pf/internal/quant"
 	"deep15pf/internal/tensor"
@@ -43,15 +44,19 @@ import (
 // pool in front of the HEP classifier — the step stores fp32 NCHW and the
 // ordinary eval kernels run, as they always did.
 //
-// Like Plan, a QuantPlan is single-goroutine, its Forward output is
-// plan-owned (valid until the next call), and the warm path allocates
-// nothing. Weights are captured at compile time: recompile after any
-// LoadWeights.
+// Like Plan, a QuantPlan is single-goroutine for its caller, its Forward
+// output is plan-owned (valid until the next call), and the warm path
+// allocates nothing. With frozen scales every sample's arithmetic is its
+// own, so above inferTile the plan runs tiled like Plan (tile.go): the host
+// keeps the packed weights, each lane its own images and scratch. A dynamic
+// scale is the whole batch's, so such a plan runs whole at any capacity.
+// Weights are captured at compile time: recompile after any LoadWeights.
 type QuantPlan struct {
 	net      *Network
 	capacity int
 	arena    *tensor.Arena
 	steps    []qplanStep
+	tiles    *tiler // non-nil: frozen scales above inferTile; steps hold the lanes' prototypes
 }
 
 // qplanStep is one layer of the schedule: a quantized kernel, an fp32
@@ -70,7 +75,9 @@ type qplanStep struct {
 // qParallelMin is the multiply-add count below which a quantized step runs
 // on the calling goroutine whatever the worker count — gemmParallelMin's
 // reasoning at the integer kernel's rate, some ten times the float one:
-// a batch-1 request's layers stay inline, a bulk batch's split.
+// a batch-1 request's layers stay inline; a plan that runs its batch whole
+// (up to inferTile samples, or any size under dynamic scales) splits its
+// larger steps. A tiled plan's lanes never split (qkernel.inline).
 const qParallelMin = 1 << 21
 
 // qRunPix is how many samples a step whose output is one pixel per sample
@@ -92,8 +99,9 @@ type qkernel struct {
 	blk      []tensor.S8Block // requantize constants, one per 16 output channels
 	actScale float32          // frozen activation scale; 0 = dynamic per batch
 
-	xq  []uint8 // [capacity] padded channel-last images
-	fed bool    // the preceding kernel's epilogue writes xq
+	xq     []uint8 // [capacity] padded channel-last images
+	fed    bool    // the preceding kernel's epilogue writes xq
+	inline bool    // a tiled plan's lane: forward never forks
 
 	// Where the output goes: next == nil stores fp32 NCHW. Otherwise the
 	// epilogue clamps at outLo (128 when a ReLU lies in between) and writes
@@ -172,7 +180,7 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 		s.outPer = shapeElems(out)
 		switch ll := l.(type) {
 		case *Conv2D:
-			s.q = newQKernel(ll.Weight.W.Data, ll.bias(), ll.OutC, in, ll.KH, ll.KW, ll.Stride, ll.Pad, capacity, calibStat(calib, i))
+			s.q = newQKernel(ll.Weight.W.Data, ll.bias(), ll.OutC, in, ll.KH, ll.KW, ll.Stride, ll.Pad, calibStat(calib, i))
 		case *Dense:
 			// A dense layer is a convolution whose kernel covers its whole
 			// input; a flat input is a 1×1 image of In channels.
@@ -180,29 +188,67 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 			if len(img) != 3 {
 				img = []int{ll.In, 1, 1}
 			}
-			s.q = newQKernel(ll.Weight.W.Data, ll.Bias.W.Data, ll.Out, img, img[1], img[2], 1, 0, capacity, calibStat(calib, i))
+			s.q = newQKernel(ll.Weight.W.Data, ll.Bias.W.Data, ll.Out, img, img[1], img[2], 1, 0, calibStat(calib, i))
 		default:
 			s.layer = l
 		}
 		in = out
 	}
+	if calib != nil && capacity > inferTile {
+		p.tiles = newTiler(arena, capacity, net.InShape, net.OutShape(), p.lane)
+		return p
+	}
+	p.provision(false)
+	return p
+}
+
+// lane returns a tile-capacity plan over copies of p's kernels, which share
+// the packed weights and requantize constants (read-only once the scales
+// are frozen) and get their own images, scratch and links.
+func (p *QuantPlan) lane() lanePlan {
+	l := &QuantPlan{net: p.net, capacity: inferTile, arena: p.arena, steps: slices.Clone(p.steps)}
+	for i := range l.steps {
+		if q := l.steps[i].q; q != nil {
+			c := *q
+			l.steps[i].q = &c
+		}
+	}
+	l.provision(true)
+	return l
+}
+
+// provision gives the quantized steps their buffers: images at the
+// zero-point, links, scratch and the fp32 slabs that survive linking.
+func (p *QuantPlan) provision(inline bool) {
+	for i := range p.steps {
+		if q := p.steps[i].q; q != nil {
+			q.inline = inline
+			q.xq = make([]uint8, p.capacity*q.sampleStride)
+			for j := range q.xq {
+				q.xq[j] = 128
+			}
+		}
+	}
 	p.link()
-	in = net.InShape
+	in, workers := p.net.InShape, tensor.Workers()
+	if inline {
+		workers = 1
+	}
 	for i := range p.steps {
 		s := &p.steps[i]
 		if s.layer != nil {
-			s.layer.Reserve(&s.st, arena, capacity, in, false)
+			s.st.Inline = inline
+			s.layer.Reserve(&s.st, p.arena, p.capacity, in, false)
 		}
 		if s.q != nil {
-			s.q.grow(tensor.Workers())
+			s.q.grow(workers)
 		}
 		if s.layer != nil || (s.q != nil && s.q.next == nil) {
-			s.ySlab = arena.Get(capacity * s.outPer)
-			s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, s.outShape...)...)
+			s.ySlab = p.arena.Get(p.capacity * s.outPer)
+			s.y = tensor.FromSlice(s.ySlab, append([]int{p.capacity}, s.outShape...)...)
 		}
 		in = s.outShape
 	}
-	return p
 }
 
 // link applies the one rule that decides where a kernel's output goes: if
@@ -258,7 +304,7 @@ func calibStat(calib []float32, i int) float32 {
 // newQKernel quantizes and packs one layer. weight is [outC][inC·kh·kw]
 // with taps in (c, ky, kx) order — a Conv2D's, or a Dense's over a
 // CHW-flattened input — and in the per-sample input shape [C, H, W].
-func newQKernel(weight, bias []float32, outC int, in []int, kh, kw, stride, pad, capacity int, actScale float32) *qkernel {
+func newQKernel(weight, bias []float32, outC int, in []int, kh, kw, stride, pad int, actScale float32) *qkernel {
 	q := &qkernel{inC: in[0], h: in[1], w: in[2], kh: kh, kw: kw, stride: stride, outC: outC, actScale: actScale}
 	q.c4 = (q.inC + 3) &^ 3
 	q.oh = tensor.ConvOut(q.h, kh, stride, pad)
@@ -298,11 +344,6 @@ func newQKernel(weight, bias []float32, outC int, in []int, kh, kw, stride, pad,
 	tensor.PackS8(q.wq, hwc, outC, taps)
 	if actScale != 0 {
 		q.setScale(actScale)
-	}
-
-	q.xq = make([]uint8, capacity*q.sampleStride)
-	for i := range q.xq {
-		q.xq[i] = 128
 	}
 	return q
 }
@@ -351,7 +392,7 @@ func (q *qkernel) forward(yt, xt *tensor.Tensor, n int) {
 		q.setScale(sA)
 	}
 	inv := 1 / float64(sA)
-	if tensor.SerialFor(n) || n*q.cols*q.outC*q.kh*q.kw*q.inC < qParallelMin {
+	if q.inline || tensor.SerialFor(n) || n*q.cols*q.outC*q.kh*q.kw*q.inC < qParallelMin {
 		q.samples(&q.ws[0], y, x, 0, n, inv)
 		return
 	}
@@ -479,12 +520,7 @@ func (q *qkernel) poolInto(dst, src []uint8) {
 func (p *QuantPlan) Capacity() int { return p.capacity }
 
 // OutShape returns the per-sample output shape.
-func (p *QuantPlan) OutShape() []int {
-	if len(p.steps) == 0 {
-		return append([]int(nil), p.net.InShape...)
-	}
-	return append([]int(nil), p.steps[len(p.steps)-1].outShape...)
-}
+func (p *QuantPlan) OutShape() []int { return append([]int(nil), p.net.OutShape()...) }
 
 // Forward runs the int8 datapath over x ([N, InShape...], N ≤ capacity)
 // and returns the plan-owned fp32 output, valid until the next call. Warm
@@ -496,6 +532,9 @@ func (p *QuantPlan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Shape[0]
 	if n < 1 || n > p.capacity {
 		panic(fmt.Sprintf("nn: quant plan Forward batch %d outside [1,%d]", n, p.capacity))
+	}
+	if p.tiles != nil {
+		return p.tiles.forward(x)
 	}
 	cur := x
 	for i := range p.steps {
@@ -520,6 +559,10 @@ func (p *QuantPlan) Forward(x *tensor.Tensor) *tensor.Tensor {
 // Release returns the fp32 slabs to the arena; integer buffers are
 // plan-private and simply dropped. The plan must not be used afterwards.
 func (p *QuantPlan) Release() {
+	if p.tiles != nil {
+		p.tiles.release()
+		p.tiles = nil
+	}
 	for i := range p.steps {
 		s := &p.steps[i]
 		if s.ySlab != nil {

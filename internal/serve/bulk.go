@@ -6,17 +6,22 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// MaxBulkBatch caps the leading dimension InferBatch accepts. Plans size
-// their arena slabs to the largest batch bucket they have compiled, so an
-// unbounded batch would let one oversized request pin an arbitrarily large
-// slab for the server's lifetime. 4096 comfortably covers a shard's worth
-// of samples per call while keeping the slab bounded.
+// MaxBulkBatch caps the leading dimension InferBatch accepts. A plan above
+// nn's inference tile (32 samples) no longer sizes its activations to its
+// batch bucket — it holds one tile's worth per kernel thread — so what an
+// oversized request would still pin for the server's lifetime is the
+// bucket's [N, out] output slab, and what it costs while it runs is its
+// own input and the response copy (48 MB of input for 4096 hep-small
+// events). 4096 comfortably covers a shard's worth of samples per call
+// while keeping those bounded.
 const MaxBulkBatch = 4096
 
 // InferBatch is the offline fast path: it runs a whole [N, InShape...]
 // batch through a dedicated bulk replica, bypassing the dynamic batcher
-// entirely — no queue, no linger timer, no per-request envelopes. The
-// returned [N, OutShape...] tensor is owned by the caller.
+// entirely — no queue, no linger timer, no per-request envelopes. Above 32
+// samples the replica's plan runs the batch as tiles on every kernel
+// thread (nn/tile.go), so one call uses the host, and concurrent calls
+// share it. The returned [N, OutShape...] tensor is owned by the caller.
 //
 // Bulk replicas live in their own lazily-minted pool (capped at
 // cfg.Workers), so concurrent InferBatch callers — the netserve backend

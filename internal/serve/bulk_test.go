@@ -80,6 +80,40 @@ func TestInferSharedZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestInferSharedZeroAllocAboveTile is the same contract at a batch the
+// plans run as tiles (nn's inferTile is 32), on both precisions: on one
+// worker the tiles run on the caller and nothing is allocated.
+func TestInferSharedZeroAllocAboveTile(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	net, ds := trainTinyHEP(t, 3)
+	path := saveTinyHEP(t, net)
+	r := NewRegistry()
+	RegisterHEP(r, "tiny", tinyHEP())
+	for _, prec := range []Precision{Float32, Int8} {
+		lm, err := r.Load("tiny", path, prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prec == Int8 {
+			x, _ := ds.Batch([]int{0, 1, 2, 3, 4, 5, 6, 7})
+			if err := lm.Calibrate(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := lm.NewReplica()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh := rep.(SharedInferer)
+		x := tensor.New(append([]int{83}, rep.InShape()...)...)
+		tensor.NewRNG(13).FillNorm(x, 0, 1)
+		sh.InferShared(x) // warm: compiles the bucket-128 plan and its lane
+		if allocs := testing.AllocsPerRun(20, func() { sh.InferShared(x) }); allocs != 0 {
+			t.Fatalf("%v: warmed tiled InferShared allocates %v/op, want 0", prec, allocs)
+		}
+	}
+}
+
 // TestInferBatchBypassesBatcher drives whole batches through the bulk
 // entry point and checks the answers equal per-sample Submit results —
 // the two paths share the checkpoint, so any divergence is a dispatch bug.

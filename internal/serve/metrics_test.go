@@ -81,6 +81,7 @@ func TestServerRegistryExposesCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s.Close() // the worker answers before it records the batch
 	snap := s.Metrics().Snapshot()
 	if got := snap.Counters["serve.requests"]; got != 8 {
 		t.Errorf("registry serve.requests = %d, want 8", got)

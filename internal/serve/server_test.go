@@ -88,6 +88,7 @@ func TestServerServesConcurrentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	s.Close() // the worker answers before it records the batch
 	st := s.Stats()
 	if st.Requests != rounds*int64(len(inputs)) {
 		t.Fatalf("stats counted %d requests, served %d", st.Requests, rounds*len(inputs))
@@ -128,6 +129,8 @@ func TestLingerFliesSolo(t *testing.T) {
 	if d := time.Since(start); d > 500*time.Millisecond {
 		t.Fatalf("lone request took %v", d)
 	}
+	// The worker answers before it records the batch: Close waits for it.
+	s.Close()
 	if st := s.Stats(); st.Requests != 1 || st.Batches != 1 {
 		t.Fatalf("unexpected stats %+v", st)
 	}
