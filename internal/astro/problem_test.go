@@ -206,8 +206,7 @@ func TestFrozenExchangeZeroGradBytes(t *testing.T) {
 // TestFrozenTrainingIterationZeroAllocs keeps the PR 2 allocation gate on
 // the fine-tune replica's warm path.
 func TestFrozenTrainingIterationZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	ds := testDataset(5, 16)
 	p, _, err := NewTransferProblem(ds, testModel, 9, hepDonorBlobs(t), BackboneLayerNames(testModel.ConvUnits))
 	if err != nil {
@@ -220,8 +219,11 @@ func TestFrozenTrainingIterationZeroAllocs(t *testing.T) {
 		rep.ComputeGradients(idx)
 	}
 	iter() // warm: plan compile, staging growth
-	if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
-		t.Fatalf("warmed frozen training iteration allocates %v objects/op, want 0", allocs)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
+			t.Fatalf("warmed frozen training iteration at %d workers allocates %v objects/op, want 0", workers, allocs)
+		}
 	}
 }
 

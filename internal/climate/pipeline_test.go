@@ -54,8 +54,7 @@ func TestClimatePrefetchMatchesBlocking(t *testing.T) {
 // streamed-ingest allocation gate — staged Pipeline.Next plus a composed
 // TrainPlan step at zero steady-state allocations.
 func TestClimatePrefetchedIterationZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	rng := tensor.NewRNG(95)
 	ds := GenerateDataset(DefaultGenConfig(64), 8, rng)
 	p := NewTrainingProblem(ds, SmallConfig(), 11)
@@ -75,8 +74,11 @@ func TestClimatePrefetchedIterationZeroAllocs(t *testing.T) {
 	}
 	iter() // warm
 	iter()
-	if allocs := testing.AllocsPerRun(10, iter); allocs != 0 {
-		t.Fatalf("warmed prefetched climate iteration allocates %v objects/op, want 0", allocs)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(10, iter); allocs != 0 {
+			t.Fatalf("warmed prefetched climate iteration at %d workers allocates %v objects/op, want 0", workers, allocs)
+		}
 	}
 }
 

@@ -78,8 +78,7 @@ func TestTrainPlanRepeatedStepsStayIdentical(t *testing.T) {
 // planned forward, multi-term loss, planned backward) plus ZeroGrad must
 // not allocate.
 func TestClimateTrainingIterationZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	rng := tensor.NewRNG(85)
 	ds := GenerateDataset(DefaultGenConfig(64), 8, rng)
 	p := NewTrainingProblem(ds, SmallConfig(), 11)
@@ -91,7 +90,10 @@ func TestClimateTrainingIterationZeroAllocs(t *testing.T) {
 		rep.ComputeGradients(idx)
 	}
 	iter() // warm
-	if allocs := testing.AllocsPerRun(10, iter); allocs != 0 {
-		t.Fatalf("warmed climate training iteration allocates %v objects/op, want 0", allocs)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(10, iter); allocs != 0 {
+			t.Fatalf("warmed climate training iteration at %d workers allocates %v objects/op, want 0", workers, allocs)
+		}
 	}
 }

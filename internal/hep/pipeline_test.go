@@ -76,8 +76,7 @@ func TestShardBackedPrefetchMatchesInMemoryBlocking(t *testing.T) {
 // batch — must not touch the allocator. AllocsPerRun counts process-wide
 // mallocs, so a pass certifies the prefetch side too.
 func TestPrefetchedTrainingIterationZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	p := planTestProblem(t, 16)
 	rep := p.NewReplica()
 
@@ -94,7 +93,10 @@ func TestPrefetchedTrainingIterationZeroAllocs(t *testing.T) {
 	}
 	iter() // warm: plan compile, grad staging, ring steady state
 	iter()
-	if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
-		t.Fatalf("warmed prefetched training iteration allocates %v objects/op, want 0", allocs)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
+			t.Fatalf("warmed prefetched training iteration at %d workers allocates %v objects/op, want 0", workers, allocs)
+		}
 	}
 }

@@ -55,12 +55,11 @@ func TestReplicaPlanMatchesLegacyPath(t *testing.T) {
 // TestReplicaTrainingIterationZeroAllocs is the hybrid-training side of the
 // allocation regression gate: after warmup, one training iteration's
 // gradient computation (batch staging, planned forward, loss, planned
-// backward, gradient zeroing) must not allocate. Kernel parallelism is
-// pinned to 1 — ParallelFor goroutine spawns are scheduler state, not
-// steady-state memory churn.
+// backward, gradient zeroing) must not allocate, at 1, 2 and 4 kernel
+// workers: below the tile nothing forks but a GEMM above tensor's
+// gemmParallelMin, and this model has none.
 func TestReplicaTrainingIterationZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	p := planTestProblem(t, 16)
 	rep := p.NewReplica()
 	idx := []int{1, 5, 9, 13}
@@ -69,7 +68,10 @@ func TestReplicaTrainingIterationZeroAllocs(t *testing.T) {
 		rep.ComputeGradients(idx)
 	}
 	iter() // warm: compiles the plan, sizes the staging
-	if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
-		t.Fatalf("warmed training iteration allocates %v objects/op, want 0", allocs)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
+			t.Fatalf("warmed training iteration at %d workers allocates %v objects/op, want 0", workers, allocs)
+		}
 	}
 }

@@ -28,9 +28,10 @@ type Conv2D struct {
 // 32, PR 24): 64K, 128K and 256K read the same (12.7 / 11.7 / 12.6 ms on
 // two lanes, 19.7 / 20.4 / 21.7 on one), 512K and 2M are 25–30% slower
 // (16.0 / 16.3 and 26.3 / 28.6): the matrix leaves L2. A half-sized matrix
-// used to cost 15–20% because it doubled the fork-joins per pass; a lane
-// forks nothing, so only the ceiling is left. At paper scale — conv2 alone
-// is 14.4M floats per sample — it degrades to per-sample lowering.
+// used to cost 15–20% because it doubled the fork-joins per pass; the
+// passes fork nothing now, so only the ceiling is left. At paper scale —
+// conv2 alone is 14.4M floats per sample — it degrades to per-sample
+// lowering.
 //
 // trainColBudget is the same cap on the training datapath, and half as
 // large: an inference plan holds one such matrix for all its convolutions
@@ -112,27 +113,17 @@ func (c *Conv2D) lowering(h, w int) lowering {
 	return lowering{c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad}
 }
 
-// lower fills st.Col with the K×(m·cols) lowering of samples [s0, s0+m) of
-// the n-sample NCHW batch x, cols columns each — sample i at column offset
-// i·cols — and returns it.
-func (g lowering) lower(st *PlanState, x []float32, n, s0, m, cols int) []float32 {
-	k := g.c * g.kh * g.kw
-	col := st.Col[:k*m*cols]
-	if st.serialPass(m, n*k*cols) {
-		g.lowerSamples(col, x, s0, m, cols, 0, m)
-	} else {
-		tensor.ParallelFor(m, func(lo, hi int) { g.lowerSamples(col, x, s0, m, cols, lo, hi) })
-	}
-	return col
-}
-
-// lowerSamples lowers samples [lo,hi) of the m-sample chunk starting at s0.
-func (g lowering) lowerSamples(col, x []float32, s0, m, cols, lo, hi int) {
+// lower fills col with the K×(m·cols) lowering of samples [s0, s0+m) of
+// the NCHW batch x, cols columns each — sample i at column offset i·cols —
+// and returns it.
+func (g lowering) lower(col, x []float32, s0, m, cols int) []float32 {
+	col = col[:g.c*g.kh*g.kw*m*cols]
 	inStride := g.c * g.h * g.w
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		img := x[(s0+i)*inStride : (s0+i+1)*inStride]
 		tensor.Im2colInto(img, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, col, m*cols, i*cols)
 	}
+	return col
 }
 
 // toChannelMajor gathers samples [s0, s0+m) of the NCHW batch src — ch
@@ -150,20 +141,11 @@ func toChannelMajor(dst, src []float32, ch, cols, s0, m int) {
 }
 
 // fromChannelMajor scatters the ch×(m·cols) GEMM product ge back to samples
-// [s0, s0+m) of the NCHW batch y (n samples in all), adding bias[f] to
-// channel f on the way; a nil bias, or a zero one, makes it a copy.
-func fromChannelMajor(st *PlanState, y, ge, bias []float32, ch, cols, n, s0, m int) {
-	if st.serialPass(m, n*ch*cols) {
-		scatterSamples(y, ge, bias, ch, cols, s0, m, 0, m)
-	} else {
-		tensor.ParallelFor(m, func(lo, hi int) { scatterSamples(y, ge, bias, ch, cols, s0, m, lo, hi) })
-	}
-}
-
-// scatterSamples is fromChannelMajor over samples [lo,hi) of the chunk.
-func scatterSamples(y, ge, bias []float32, ch, cols, s0, m, lo, hi int) {
+// [s0, s0+m) of the NCHW batch y, adding bias[f] to channel f on the way; a
+// nil bias, or a zero one, makes it a copy.
+func fromChannelMajor(y, ge, bias []float32, ch, cols, s0, m int) {
 	mcols := m * cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		dst := y[(s0+i)*ch*cols : (s0+i+1)*ch*cols]
 		for f := 0; f < ch; f++ {
 			src := ge[f*mcols+i*cols : f*mcols+(i+1)*cols]
@@ -220,10 +202,10 @@ func (c *Conv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	for s0 := 0; s0 < n; s0 += chunk {
 		m := min(chunk, n-s0)
 		mcols := m * cols
-		col := g.lower(st, x.Data, n, s0, m, cols)
+		col := g.lower(st.Col, x.Data, s0, m, cols)
 		ge := st.Eval[:c.OutC*mcols]
 		tensor.Gemm(false, false, c.OutC, mcols, k, 1, c.Weight.W.Data, col, 0, ge)
-		fromChannelMajor(st, y.Data, ge, c.bias(), c.OutC, cols, n, s0, m)
+		fromChannelMajor(y.Data, ge, c.bias(), c.OutC, cols, s0, m)
 	}
 	if train {
 		st.X = x
@@ -280,7 +262,7 @@ func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		mcols := m * cols
 		col := st.Col[:k*mcols]
 		if !st.Lowered {
-			col = g.lower(st, x.Data, n, s0, m, cols)
+			col = g.lower(st.Col, x.Data, s0, m, cols)
 		}
 		for i := 0; i < m; i++ {
 			dy := dout.Data[(s0+i)*outStride : (s0+i+1)*outStride]

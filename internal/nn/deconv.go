@@ -117,11 +117,7 @@ func (d *Deconv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 		toChannelMajor(xT, x.Data, d.InC, cols, s0, m)
 		col := st.Col[:k*mcols]
 		tensor.Gemm(true, false, k, mcols, d.InC, 1, d.Weight.W.Data, xT, 0, col)
-		if st.serialPass(m, y.Len()) {
-			d.scatter(y, col, h, w, s0, m, 0, m)
-		} else {
-			tensor.ParallelFor(m, func(lo, hi int) { d.scatter(y, col, h, w, s0, m, lo, hi) })
-		}
+		d.scatter(y, col, h, w, s0, m)
 	}
 	if train {
 		st.X = x
@@ -130,13 +126,13 @@ func (d *Deconv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	}
 }
 
-// scatter is the NCHW scatter of samples [lo,hi) of an m-sample chunk: the
+// scatter is the NCHW scatter of the m-sample chunk starting at s0: each
 // sample's columns of the product col accumulate into its cleared planes of
 // y through col2im, and the bias goes on top.
-func (d *Deconv2D) scatter(y *tensor.Tensor, col []float32, h, w, s0, m, lo, hi int) {
+func (d *Deconv2D) scatter(y *tensor.Tensor, col []float32, h, w, s0, m int) {
 	oh, ow := d.outHW(h, w)
 	cols, plane := h*w, oh*ow
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m; i++ {
 		ys := y.Data[(s0+i)*d.OutC*plane : (s0+i+1)*d.OutC*plane]
 		clear(ys)
 		tensor.Col2imFrom(col, m*cols, i*cols, d.OutC, oh, ow, d.KH, d.KW, d.Stride, d.Pad, ys)
@@ -173,7 +169,7 @@ func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	for s0 := 0; s0 < n; s0 += chunk {
 		m := min(chunk, n-s0)
 		mcols := m * cols
-		col := g.lower(st, dout.Data, n, s0, m, cols)
+		col := g.lower(st.Col, dout.Data, s0, m, cols)
 		for i := 0; i < m; i++ {
 			// dW += x_s (InC×cols) · colᵀ over sample i's columns
 			xs := x.Data[(s0+i)*inStride : (s0+i+1)*inStride]
@@ -186,7 +182,7 @@ func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		// dx = W (InC×k) · col (k×m·cols), channel-major
 		ge := st.Eval[:d.InC*mcols]
 		tensor.Gemm(false, false, d.InC, mcols, k, 1, d.Weight.W.Data, col, 0, ge)
-		fromChannelMajor(st, dx.Data, ge, nil, d.InC, cols, n, s0, m)
+		fromChannelMajor(dx.Data, ge, nil, d.InC, cols, s0, m)
 	}
 }
 

@@ -37,13 +37,7 @@ func (r *ReLU) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	if train {
 		st.Y = y
 	}
-	n := x.Len()
-	if st.serialPass(n, n) {
-		tensor.ReLU(y.Data[:n], x.Data)
-		return
-	}
-	yd, xd := y.Data, x.Data
-	tensor.ParallelFor(n, func(lo, hi int) { tensor.ReLU(yd[lo:hi], xd[lo:hi]) })
+	tensor.ReLU(y.Data[:x.Len()], x.Data)
 }
 
 // BackwardInto implements Layer: the gradient passes where the saved
@@ -55,13 +49,7 @@ func (r *ReLU) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	if dx == nil {
 		return
 	}
-	n := dout.Len()
-	if st.serialPass(n, n) {
-		tensor.ReLUGrad(dx.Data[:n], st.Y.Data, dout.Data)
-		return
-	}
-	dxd, yd, gd := dx.Data, st.Y.Data, dout.Data
-	tensor.ParallelFor(n, func(lo, hi int) { tensor.ReLUGrad(dxd[lo:hi], yd[lo:hi], gd[lo:hi]) })
+	tensor.ReLUGrad(dx.Data[:dout.Len()], st.Y.Data, dout.Data)
 }
 
 // FLOPs implements Layer.

@@ -159,8 +159,7 @@ func TestFrozenGradDoneIndices(t *testing.T) {
 // TestFrozenTrainingPlanZeroAllocs keeps the 0-alloc warm gate on the
 // fine-tune configuration.
 func TestFrozenTrainingPlanZeroAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net := planTestNet(13)
 	net.Freeze(freezeTestBackbone...)
 	plan := Compile(net, 4, true, nil)
@@ -174,8 +173,11 @@ func TestFrozenTrainingPlanZeroAllocs(t *testing.T) {
 		plan.Backward(grad)
 	}
 	iter() // warm
-	if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
-		t.Fatalf("warmed frozen training iteration allocates %v objects/op, want 0", allocs)
+	for _, workers := range gateWorkers {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
+			t.Fatalf("warmed frozen training iteration at %d workers allocates %v objects/op, want 0", workers, allocs)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"deep15pf/internal/tensor"
 )
@@ -87,9 +88,6 @@ type PlanState struct {
 	Lowered bool
 	// Argmax holds the max-pool winners.
 	Argmax []int32
-	// Inline marks the state of one lane of a tiled inference plan (tile.go):
-	// the lanes are the parallelism, so a layer's own fork sites run inline.
-	Inline bool
 }
 
 // Layer is one differentiable stage, executed destination-passing: the
@@ -139,27 +137,6 @@ func scratch(a *tensor.Arena, s []float32, n int) []float32 {
 	return make([]float32, n)
 }
 
-// parallelMin is the size, in floats, from which a memory-bound pass over a
-// batch (ReLU, a convolution's lowering and NCHW scatter) is split across
-// kernel workers: 4 MiB. Bulk scoring no longer reaches it (an inference
-// plan runs at most inferTile samples at a time, on an Inline lane); what
-// does is a plan that runs its batch whole: hep-small training from batch
-// 32 (conv2's lowering is 1.2M floats), a dynamic-scale int8 plan at a bulk
-// batch, any batch at paper scale. Below it — every tensor of a batch-16
-// training step — the pass is shorter than the fork-join it would pay for,
-// and stays free of the closure allocation. Above it the split is no sure
-// win: a whole hep-small batch of 256 with these passes and the max-pool
-// split read 41 ms a forward at two workers against 26 at one on the
-// 2-vCPU host (EXPERIMENTS.md "PR 24").
-const parallelMin = 1 << 20
-
-// serialPass reports whether one piece, splittable n ways, of a pass that
-// moves floats values over the whole batch should run inline: always on a
-// tiled plan's lane.
-func (st *PlanState) serialPass(n, floats int) bool {
-	return st.Inline || floats < parallelMin || tensor.SerialFor(n)
-}
-
 // lane is the AVX-512 single-precision vector width used for the executed
 // flop estimate.
 const lane = 16
@@ -179,14 +156,19 @@ func shapeElems(s []int) int {
 	return n
 }
 
-func checkBatchShape(name string, x *tensor.Tensor, perSample []int) int {
-	if x.Rank() != len(perSample)+1 {
-		panic(fmt.Sprintf("nn: %s expects rank %d input (batch + %v), got shape %v", name, len(perSample)+1, perSample, x.Shape))
+// checkInput is the one input check of Plan and QuantPlan (what names the
+// plan in the panic): rank, a batch in [1, capacity], and the per-sample
+// shape in. It returns the batch size.
+func checkInput(what string, x *tensor.Tensor, in []int, capacity int) int {
+	if x.Rank() != len(in)+1 {
+		panic(fmt.Sprintf("nn: %s Forward rank %d input, want batch + %v", what, x.Rank(), in))
 	}
-	for i, d := range perSample {
-		if x.Shape[i+1] != d {
-			panic(fmt.Sprintf("nn: %s expects per-sample shape %v, got %v", name, perSample, x.Shape[1:]))
-		}
+	n := x.Shape[0]
+	if n < 1 || n > capacity {
+		panic(fmt.Sprintf("nn: %s Forward batch %d outside [1,%d]", what, n, capacity))
 	}
-	return x.Shape[0]
+	if !slices.Equal(x.Shape[1:], in) {
+		panic(fmt.Sprintf("nn: %s Forward per-sample shape %v, want %v", what, x.Shape[1:], in))
+	}
+	return n
 }

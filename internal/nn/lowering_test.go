@@ -124,28 +124,15 @@ func withColBudget(floats int, f func()) {
 // dx, dW and db bitwise to the per-sample reference, under a budget of one
 // sample (the beyond-budget path: re-lowered in backward), a budget whose
 // chunk does not divide the batch (chunk tails), and one that keeps the
-// whole batch lowered; serial and with the kernels split three ways.
+// whole batch lowered; on one worker and on three. The last case is
+// hep-small's conv1 at a batch of 70, whose whole-batch GEMMs are above
+// gemmParallelMin and split their row panels.
 func TestConvLoweringBitwiseMatchesPerSampleReference(t *testing.T) {
 	rng := tensor.NewRNG(20260926)
-	for trial := 0; trial < 60; trial++ {
-		inC, outC := 1+rng.Intn(4), 1+rng.Intn(9)
-		k := []int{1, 3, 5}[rng.Intn(3)]
-		stride, pad := 1+rng.Intn(3), rng.Intn(3)
-		h, w := k+rng.Intn(7), k+1+rng.Intn(8)
-		if h == w {
-			h++
-		}
-		n := 1 + rng.Intn(7)
-		c := NewConv2D("c", inC, outC, k, stride, pad, rng)
-		rng.FillNorm(c.Bias.W, 0, 1)
-		c.Bias.W.Data[rng.Intn(outC)] = 0 // the copy-only scatter branch
-		x := randBatch(rng, n, []int{inC, h, w})
-		oh, ow := tensor.ConvOut(h, k, stride, pad), tensor.ConvOut(w, k, stride, pad)
-		dout := randBatch(rng, n, []int{outC, oh, ow})
+	check := func(c *Conv2D, x, dout *tensor.Tensor, name string) {
 		wantY, wantDx, wantDW, wantDb := refConv(c, x, dout)
-
-		perSample := inC * k * k * oh * ow
-		name := fmt.Sprintf("trial %d (in %d out %d k %d s %d p %d %dx%d n %d)", trial, inC, outC, k, stride, pad, h, w, n)
+		n, oh, ow := x.Shape[0], dout.Shape[2], dout.Shape[3]
+		perSample := c.InC * c.KH * c.KW * oh * ow
 		for _, budget := range []int{1, perSample*2 + 1, perSample * n} {
 			for _, workers := range []int{1, 3} {
 				prev := tensor.SetWorkers(workers)
@@ -181,6 +168,27 @@ func TestConvLoweringBitwiseMatchesPerSampleReference(t *testing.T) {
 			}
 		}
 	}
+	for trial := 0; trial < 60; trial++ {
+		inC, outC := 1+rng.Intn(4), 1+rng.Intn(9)
+		k := []int{1, 3, 5}[rng.Intn(3)]
+		stride, pad := 1+rng.Intn(3), rng.Intn(3)
+		h, w := k+rng.Intn(7), k+1+rng.Intn(8)
+		if h == w {
+			h++
+		}
+		n := 1 + rng.Intn(7)
+		c := NewConv2D("c", inC, outC, k, stride, pad, rng)
+		rng.FillNorm(c.Bias.W, 0, 1)
+		c.Bias.W.Data[rng.Intn(outC)] = 0 // the copy-only scatter branch
+		x := randBatch(rng, n, []int{inC, h, w})
+		oh, ow := tensor.ConvOut(h, k, stride, pad), tensor.ConvOut(w, k, stride, pad)
+		dout := randBatch(rng, n, []int{outC, oh, ow})
+		check(c, x, dout, fmt.Sprintf("trial %d (in %d out %d k %d s %d p %d %dx%d n %d)", trial, inC, outC, k, stride, pad, h, w, n))
+	}
+	c := NewConv2D("c", 3, 16, 3, 1, 1, rng)
+	rng.FillNorm(c.Bias.W, 0, 1)
+	const n = 70
+	check(c, randBatch(rng, n, []int{3, 32, 32}), randBatch(rng, n, []int{16, 32, 32}), "hep-small conv1 n 70")
 }
 
 // refDeconv runs the per-sample forward and backward of d over x and dout —
@@ -239,6 +247,20 @@ func randDeconv(rng *tensor.RNG) (d *Deconv2D, x, dout *tensor.Tensor, tag strin
 	return d, x, dout, fmt.Sprintf("deconv in %d out %d k %d s %d p %d %dx%d n %d", inC, outC, k, stride, pad, h, w, n)
 }
 
+// deconvTrials calls f on 40 random geometries (randDeconv), then on the
+// climate decoder's k4/s2/p1 shape (8→16 channels, 16×16 → 32×32) at a
+// batch of 70, whose whole-batch GEMMs are above gemmParallelMin.
+func deconvTrials(rng *tensor.RNG, f func(trial int, d *Deconv2D, x, dout *tensor.Tensor, tag string)) {
+	for trial := 0; trial < 40; trial++ {
+		d, x, dout, tag := randDeconv(rng)
+		f(trial, d, x, dout, tag)
+	}
+	const n = 70
+	d := NewDeconv2D("d", 8, 16, 4, 2, 1, rng)
+	rng.FillNorm(d.Bias.W, 0, 1)
+	f(40, d, randBatch(rng, n, []int{8, 16, 16}), randBatch(rng, n, []int{16, 32, 32}), "deconv in 8 out 16 k 4 s 2 p 1 16x16 n 70")
+}
+
 // deconvBudgets are the column budgets a deconvolution test runs under: one
 // sample at a time, chunks of two (so a batch of three or five splits
 // unevenly), and the whole batch in one matrix.
@@ -252,9 +274,7 @@ func deconvBudgets(d *Deconv2D, x *tensor.Tensor) []int {
 // strip-add kernel at stride 1, the strided add beyond — one GEMM per chunk
 // of samples, in both modes and whatever the chunk.
 func TestDeconvForwardBitwiseMatchesReference(t *testing.T) {
-	rng := tensor.NewRNG(4242)
-	for trial := 0; trial < 40; trial++ {
-		d, x, dout, tag := randDeconv(rng)
+	deconvTrials(tensor.NewRNG(4242), func(trial int, d *Deconv2D, x, dout *tensor.Tensor, tag string) {
 		want, _, _, _ := refDeconv(d, x, dout)
 		for _, budget := range deconvBudgets(d, x) {
 			withColBudget(budget, func() {
@@ -263,18 +283,16 @@ func TestDeconvForwardBitwiseMatchesReference(t *testing.T) {
 				requireSameBits(t, tag+" train y", run(d).Forward(x, true).Data, want.Data)
 			})
 		}
-	}
+	})
 }
 
 // TestDeconvBackwardBitwiseMatchesReference holds the deconvolution's dx,
 // dW and db to the per-sample reference: dy lowered sample by sample into
 // one chunk-wide matrix, dx one GEMM over the chunk, dW and db accumulated
-// in sample order — inline and with the kernels split two ways, with and
-// without the input gradient.
+// in sample order — on one worker and two (the batch-70 case's GEMMs
+// split), with and without the input gradient.
 func TestDeconvBackwardBitwiseMatchesReference(t *testing.T) {
-	rng := tensor.NewRNG(2323)
-	for trial := 0; trial < 40; trial++ {
-		d, x, dout, tag := randDeconv(rng)
+	deconvTrials(tensor.NewRNG(2323), func(trial int, d *Deconv2D, x, dout *tensor.Tensor, tag string) {
 		_, wantDx, wantDW, wantDb := refDeconv(d, x, dout)
 		for _, budget := range deconvBudgets(d, x) {
 			for _, workers := range []int{1, 2} {
@@ -298,7 +316,7 @@ func TestDeconvBackwardBitwiseMatchesReference(t *testing.T) {
 				tensor.SetWorkers(prev)
 			}
 		}
-	}
+	})
 }
 
 // refMaxPool is the window scan that defines max pooling here: from −Inf,
@@ -342,8 +360,7 @@ func TestMaxPoolMatchesWindowScan(t *testing.T) {
 		{3, 3, 9, 9}, {3, 2, 7, 9}, {2, 1, 5, 6}, {1, 1, 3, 4}, // other windows
 	}
 	for _, g := range geoms {
-		for _, workers := range []int{1, 3} {
-			prev := tensor.SetWorkers(workers)
+		for draw := 0; draw < 2; draw++ {
 			x := randBatch(rng, 3, []int{2, g.h, g.w})
 			for i := range x.Data {
 				switch rng.Intn(5) {
@@ -355,7 +372,7 @@ func TestMaxPoolMatchesWindowScan(t *testing.T) {
 					}
 				}
 			}
-			tag := fmt.Sprintf("pool k%d s%d %dx%d workers %d", g.k, g.stride, g.h, g.w, workers)
+			tag := fmt.Sprintf("pool k%d s%d %dx%d draw %d", g.k, g.stride, g.h, g.w, draw)
 			p := run(NewMaxPool2D("p", g.k, g.stride))
 			wantY, wantAt := refMaxPool(x, g.k, g.stride)
 			requireSameBits(t, tag+" eval", p.Forward(x, false).Data, wantY.Data)
@@ -365,7 +382,6 @@ func TestMaxPoolMatchesWindowScan(t *testing.T) {
 					t.Fatalf("%s: winner %d at %d, reference %d", tag, i, got, at)
 				}
 			}
-			tensor.SetWorkers(prev)
 		}
 	}
 }
@@ -405,58 +421,4 @@ func TestBackwardParamsMatchesBackward(t *testing.T) {
 			t.Fatalf("frozen %v: gradDone order %v, want %v", frozen, leanOrder, fullOrder)
 		}
 	}
-}
-
-// TestLargePassesSplitAcrossWorkersBitwise reaches the ParallelFor side of
-// the memory-bound passes, which only engages from parallelMin floats: a
-// bulk-scoring-sized batch through conv (lowering and scatter), ReLU and
-// their backward, split three ways, against the same passes run inline;
-// then through a deconvolution, against its per-sample reference.
-func TestLargePassesSplitAcrossWorkersBitwise(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	const n = 70
-	c := NewConv2D("c", 3, 16, 3, 1, 1, rng)
-	rng.FillNorm(c.Bias.W, 0, 1)
-	rc, rr := run(c), run(NewReLU("r"))
-	x := randBatch(rng, n, []int{3, 32, 32})
-	dout := randBatch(rng, n, []int{16, 32, 32})
-	if c.OutC*n*32*32 < parallelMin {
-		t.Fatal("batch too small to reach the parallel passes")
-	}
-	type result struct{ y, a, da, dx, dW []float32 }
-	pass := func(workers int) result {
-		prev := tensor.SetWorkers(workers)
-		defer tensor.SetWorkers(prev)
-		c.Weight.Grad.Zero()
-		y := rc.Forward(x, true)
-		a := rr.Forward(y, true)
-		da := rr.Backward(dout)
-		dx := rc.Backward(da)
-		return result{y.Data, a.Data, da.Data, dx.Data, append([]float32(nil), c.Weight.Grad.Data...)}
-	}
-	want, got := pass(1), pass(3)
-	requireSameBits(t, "conv y", got.y, want.y)
-	requireSameBits(t, "relu y", got.a, want.a)
-	requireSameBits(t, "relu dx", got.da, want.da)
-	requireSameBits(t, "conv dx", got.dx, want.dx)
-	requireSameBits(t, "conv dW", got.dW, want.dW)
-	wantY, _, _, _ := refConv(c, x, dout)
-	requireSameBits(t, "conv y vs per-sample reference", got.y, wantY.Data)
-
-	// The deconvolution's side of the same passes: the per-sample col2im
-	// scatter, the lowering of dy and the NCHW scatter of dx.
-	d := NewDeconv2D("d", 8, 16, 4, 2, 1, rng)
-	rng.FillNorm(d.Bias.W, 0, 1)
-	rd := run(d)
-	dxIn := randBatch(rng, n, []int{8, 16, 16})
-	if d.OutC*n*32*32 < parallelMin {
-		t.Fatal("batch too small to reach the deconvolution's parallel passes")
-	}
-	wantDY, wantDDx, wantDDW, _ := refDeconv(d, dxIn, dout)
-	prev := tensor.SetWorkers(3)
-	defer tensor.SetWorkers(prev)
-	d.Weight.Grad.Zero()
-	requireSameBits(t, "deconv y", rd.Forward(dxIn, true).Data, wantDY.Data)
-	requireSameBits(t, "deconv dx", rd.Backward(dout).Data, wantDDx.Data)
-	requireSameBits(t, "deconv dW", d.Weight.Grad.Data, wantDDW)
 }

@@ -96,9 +96,7 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 	}
 	if !train && capacity > inferTile {
 		p.tiles = newTiler(arena, capacity, net.InShape, net.OutShape(), func() lanePlan {
-			lane := Compile(net, inferTile, false, arena)
-			lane.evalSt.Inline = true
-			return lane
+			return Compile(net, inferTile, false, arena)
 		})
 		return p
 	}
@@ -162,18 +160,7 @@ func view(t *tensor.Tensor, slab []float32, n, per int) *tensor.Tensor {
 // the next call); an inference plan runs the eval datapath and retains
 // nothing.
 func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != len(p.net.InShape)+1 {
-		panic(fmt.Sprintf("nn: plan Forward rank %d input, want batch + %v", x.Rank(), p.net.InShape))
-	}
-	n := x.Shape[0]
-	if n < 1 || n > p.capacity {
-		panic(fmt.Sprintf("nn: plan Forward batch %d outside [1,%d]", n, p.capacity))
-	}
-	for i, d := range p.net.InShape {
-		if x.Shape[i+1] != d {
-			panic(fmt.Sprintf("nn: plan Forward per-sample shape %v, want %v", x.Shape[1:], p.net.InShape))
-		}
-	}
+	n := checkInput("plan", x, p.net.InShape, p.capacity)
 	if p.tiles != nil {
 		return p.tiles.forward(x)
 	}

@@ -120,29 +120,34 @@ func TestPlanRepeatedPassesStayIdentical(t *testing.T) {
 	requireBitwise(t, "repeat", plan.Forward(x), first)
 }
 
+// gateWorkers are the worker counts a warm-path allocation gate runs at.
+// Below the tile nn forks nothing, and tensor only a GEMM of at least
+// gemmParallelMin multiply-adds, which no gated shape reaches: the count
+// must not show.
+var gateWorkers = []int{1, 2, 4}
+
 // TestPlanZeroSteadyStateAllocs is the allocation regression gate for the
 // serving path: a warmed inference plan Forward must not allocate at all.
-// Kernel parallelism is pinned to 1 because ParallelFor's goroutine spawns
-// are scheduler state, not steady-state memory churn.
 func TestPlanZeroSteadyStateAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net := planTestNet(9)
 	net.ReleaseGradients() // the serving configuration
 	plan := Compile(net, 8, false, nil)
 	rng := tensor.NewRNG(31)
 	x := randBatch(rng, 8, net.InShape)
 	plan.Forward(x) // warm
-	if allocs := testing.AllocsPerRun(50, func() { plan.Forward(x) }); allocs != 0 {
-		t.Fatalf("warmed inference plan Forward allocates %v objects/op, want 0", allocs)
+	for _, workers := range gateWorkers {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(50, func() { plan.Forward(x) }); allocs != 0 {
+			t.Fatalf("warmed inference plan Forward at %d workers allocates %v objects/op, want 0", workers, allocs)
+		}
 	}
 }
 
 // TestTrainingPlanZeroSteadyStateAllocs extends the gate to the training
 // inner loop: forward + loss-gradient + backward with zero allocation.
 func TestTrainingPlanZeroSteadyStateAllocs(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net := planTestNet(13)
 	plan := Compile(net, 4, true, nil)
 	rng := tensor.NewRNG(37)
@@ -157,8 +162,41 @@ func TestTrainingPlanZeroSteadyStateAllocs(t *testing.T) {
 		plan.BackwardParams(grad, nil)
 	}
 	iter() // warm
-	if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
-		t.Fatalf("warmed training iteration allocates %v objects/op, want 0", allocs)
+	for _, workers := range gateWorkers {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(20, iter); allocs != 0 {
+			t.Fatalf("warmed training iteration at %d workers allocates %v objects/op, want 0", workers, allocs)
+		}
+	}
+}
+
+// TestHepSmallTrainingStepZeroAllocs gates the training step the benchmark
+// counts (nn.step_allocs): hep-small at batch 16, forward, loss gradient and
+// BackwardParams. Every GEMM of the step is under gemmParallelMin and every
+// other pass (max-pool among them) runs on the caller, so no worker count
+// may add a fork.
+func TestHepSmallTrainingStepZeroAllocs(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	const n = 16
+	net := hepSmallNet(tensor.NewRNG(71))
+	plan := Compile(net, n, true, nil)
+	rng := tensor.NewRNG(73)
+	x := randBatch(rng, n, net.InShape)
+	labels := make([]int, n)
+	for i := range labels {
+		labels[i] = i % 2
+	}
+	grad := tensor.New(n, 2)
+	iter := func() {
+		SoftmaxCrossEntropyInto(plan.Forward(x), labels, grad)
+		plan.BackwardParams(grad, nil)
+	}
+	iter() // warm
+	for _, workers := range gateWorkers {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(10, iter); allocs != 0 {
+			t.Fatalf("warm hep-small batch-%d training step at %d workers allocates %v objects/op, want 0", n, workers, allocs)
+		}
 	}
 }
 

@@ -59,24 +59,17 @@ func (p *MaxPool2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) 
 		st.Argmax = st.Argmax[:y.Len()]
 		st.InShape = append(st.InShape, n, c, h, w)
 	}
-	planes := n * c
-	if st.Inline || tensor.SerialFor(planes) {
-		p.poolPlanes(0, planes, x.Data, y.Data, st.Argmax, h, w, oh, ow)
-		return
-	}
-	xd, yd, amx := x.Data, y.Data, st.Argmax
-	tensor.ParallelFor(planes, func(lo, hi int) {
-		p.poolPlanes(lo, hi, xd, yd, amx, h, w, oh, ow)
-	})
+	p.poolPlanes(n*c, x.Data, y.Data, st.Argmax, h, w, oh, ow)
 }
 
-// poolPlanes pools planes [lo,hi), recording argmax winners unless argmax
-// is empty. The paper's geometry — 2×2 windows at stride 2 over even-sized
-// planes — runs the row-pair vector kernels; every other geometry runs the
-// generic window scan, which defines the result both must give.
-func (p *MaxPool2D) poolPlanes(lo, hi int, xd, yd []float32, argmax []int32, h, w, oh, ow int) {
+// poolPlanes pools the first planes planes, recording argmax winners unless
+// argmax is empty. The paper's geometry — 2×2 windows at stride 2 over
+// even-sized planes — runs the row-pair vector kernels; every other
+// geometry runs the generic window scan, which defines the result both must
+// give.
+func (p *MaxPool2D) poolPlanes(planes int, xd, yd []float32, argmax []int32, h, w, oh, ow int) {
 	fast := p.K == 2 && p.Stride == 2 && h%2 == 0 && w%2 == 0
-	for pl := lo; pl < hi; pl++ {
+	for pl := 0; pl < planes; pl++ {
 		src := xd[pl*h*w : (pl+1)*h*w]
 		dst := yd[pl*oh*ow : (pl+1)*oh*ow]
 		var amx []int32

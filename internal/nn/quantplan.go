@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"slices"
 
 	"deep15pf/internal/quant"
@@ -72,14 +71,6 @@ type qplanStep struct {
 	y        *tensor.Tensor
 }
 
-// qParallelMin is the multiply-add count below which a quantized step runs
-// on the calling goroutine whatever the worker count — gemmParallelMin's
-// reasoning at the integer kernel's rate, some ten times the float one:
-// a batch-1 request's layers stay inline; a plan that runs its batch whole
-// (up to inferTile samples, or any size under dynamic scales) splits its
-// larger steps. A tiled plan's lanes never split (qkernel.inline).
-const qParallelMin = 1 << 21
-
 // qRunPix is how many samples a step whose output is one pixel per sample
 // hands the micro-kernel at once.
 const qRunPix = 64
@@ -99,9 +90,8 @@ type qkernel struct {
 	blk      []tensor.S8Block // requantize constants, one per 16 output channels
 	actScale float32          // frozen activation scale; 0 = dynamic per batch
 
-	xq     []uint8 // [capacity] padded channel-last images
-	fed    bool    // the preceding kernel's epilogue writes xq
-	inline bool    // a tiled plan's lane: forward never forks
+	xq  []uint8 // [capacity] padded channel-last images
+	fed bool    // the preceding kernel's epilogue writes xq
 
 	// Where the output goes: next == nil stores fp32 NCHW. Otherwise the
 	// epilogue clamps at outLo (128 when a ReLU lies in between) and writes
@@ -110,11 +100,6 @@ type qkernel struct {
 	outInv, outLo float64 // 1/next.actScale, and the lower clamp
 	pool          *MaxPool2D
 
-	ws []qscratch // one per kernel worker
-}
-
-// qscratch is what one worker needs besides the shared buffers.
-type qscratch struct {
 	acc []int32 // one row of output pixels × 16 channels
 	pre []uint8 // one sample's pre-pool output, channel-last at next.c4
 }
@@ -198,7 +183,7 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 		p.tiles = newTiler(arena, capacity, net.InShape, net.OutShape(), p.lane)
 		return p
 	}
-	p.provision(false)
+	p.provision()
 	return p
 }
 
@@ -213,16 +198,15 @@ func (p *QuantPlan) lane() lanePlan {
 			l.steps[i].q = &c
 		}
 	}
-	l.provision(true)
+	l.provision()
 	return l
 }
 
 // provision gives the quantized steps their buffers: images at the
 // zero-point, links, scratch and the fp32 slabs that survive linking.
-func (p *QuantPlan) provision(inline bool) {
+func (p *QuantPlan) provision() {
 	for i := range p.steps {
 		if q := p.steps[i].q; q != nil {
-			q.inline = inline
 			q.xq = make([]uint8, p.capacity*q.sampleStride)
 			for j := range q.xq {
 				q.xq[j] = 128
@@ -230,18 +214,21 @@ func (p *QuantPlan) provision(inline bool) {
 		}
 	}
 	p.link()
-	in, workers := p.net.InShape, tensor.Workers()
-	if inline {
-		workers = 1
-	}
+	in := p.net.InShape
 	for i := range p.steps {
 		s := &p.steps[i]
 		if s.layer != nil {
-			s.st.Inline = inline
 			s.layer.Reserve(&s.st, p.arena, p.capacity, in, false)
 		}
-		if s.q != nil {
-			s.q.grow(workers)
+		if q := s.q; q != nil {
+			pix := q.ow
+			if q.cols == 1 {
+				pix = qRunPix
+			}
+			q.acc = make([]int32, pix*tensor.S8Lanes)
+			if q.pool != nil {
+				q.pre = make([]uint8, q.cols*q.next.c4)
+			}
 		}
 		if s.layer != nil || (s.q != nil && s.q.next == nil) {
 			s.ySlab = p.arena.Get(p.capacity * s.outPer)
@@ -355,29 +342,10 @@ func (q *qkernel) setScale(sA float32) {
 	}
 }
 
-// grow makes sure there is scratch for w workers: at compile time for the
-// worker count of the moment, again at run time if it has been raised.
-func (q *qkernel) grow(w int) {
-	for len(q.ws) < w {
-		pix := q.ow
-		if q.cols == 1 {
-			pix = qRunPix
-		}
-		q.ws = append(q.ws, qscratch{acc: make([]int32, pix*tensor.S8Lanes)})
-	}
-	if q.pool != nil {
-		for i := range q.ws {
-			if q.ws[i].pre == nil {
-				q.ws[i].pre = make([]uint8, q.cols*q.next.c4)
-			}
-		}
-	}
-}
-
-// forward runs the step over n samples: whole samples per worker, so one
-// sample's quantize, kernel and epilogue stay in one core's cache. xt is
-// the fp32 input (unread when the preceding epilogue already wrote xq), yt
-// the fp32 output (nil when the epilogue writes the next kernel's xq).
+// forward runs the step over n samples, one whole sample at a time, so a
+// sample's quantize, kernel and epilogue stay in cache. xt is the fp32
+// input (unread when the preceding epilogue already wrote xq), yt the fp32
+// output (nil when the epilogue writes the next kernel's xq).
 func (q *qkernel) forward(yt, xt *tensor.Tensor, n int) {
 	var y, x []float32
 	if yt != nil {
@@ -392,36 +360,13 @@ func (q *qkernel) forward(yt, xt *tensor.Tensor, n int) {
 		q.setScale(sA)
 	}
 	inv := 1 / float64(sA)
-	if q.inline || tensor.SerialFor(n) || n*q.cols*q.outC*q.kh*q.kw*q.inC < qParallelMin {
-		q.samples(&q.ws[0], y, x, 0, n, inv)
-		return
-	}
-	w := min(tensor.Workers(), n)
-	q.grow(w)
-	per := (n + w - 1) / w
-	tensor.ParallelFor(w, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if s0, s1 := i*per, min((i+1)*per, n); s0 < s1 {
-				q.samples(&q.ws[i], y, x, s0, s1, inv)
-			}
-		}
-	})
-}
-
-// image returns sample s's padded image from its first interior pixel on.
-func (q *qkernel) image(s int) []uint8 {
-	return q.xq[s*q.sampleStride+q.interior:]
-}
-
-// samples runs samples [lo,hi) on one worker's scratch.
-func (q *qkernel) samples(ws *qscratch, y, x []float32, lo, hi int, inv float64) {
 	if q.cols == 1 {
 		// One output pixel per sample: the samples are the row of pixels.
-		for s := lo; x != nil && s < hi; s++ {
+		for s := 0; x != nil && s < n; s++ {
 			q.quantize(s, x, inv)
 		}
-		for s0 := lo; s0 < hi; s0 += qRunPix {
-			acc := ws.acc[:min(qRunPix, hi-s0)*tensor.S8Lanes]
+		for s0 := 0; s0 < n; s0 += qRunPix {
+			acc := q.acc[:min(qRunPix, n-s0)*tensor.S8Lanes]
 			if q.next != nil {
 				q.row(acc, s0*q.sampleStride, q.sampleStride, nil, q.next.image(s0), 0, q.next.sampleStride)
 			} else {
@@ -430,18 +375,18 @@ func (q *qkernel) samples(ws *qscratch, y, x []float32, lo, hi int, inv float64)
 		}
 		return
 	}
-	acc := ws.acc[:q.ow*tensor.S8Lanes]
-	for s := lo; s < hi; s++ {
+	acc := q.acc[:q.ow*tensor.S8Lanes]
+	for s := 0; s < n; s++ {
 		if x != nil {
 			q.quantize(s, x, inv)
 		}
 		// Output rows go to the fp32 slab, to the consumer's padded image,
-		// or — with a pool in between — to this worker's pre-pool image.
+		// or — with a pool in between — to the pre-pool image.
 		var yq []uint8
 		yoff, yps, yrow := s*q.outC*q.cols, 1, q.ow
 		switch {
 		case q.pool != nil:
-			yq, yoff, yps, yrow = ws.pre, 0, q.next.c4, q.ow*q.next.c4
+			yq, yoff, yps, yrow = q.pre, 0, q.next.c4, q.ow*q.next.c4
 		case q.next != nil:
 			yq, yoff, yps, yrow = q.next.image(s), 0, q.next.c4, q.next.rowStride
 		}
@@ -449,9 +394,14 @@ func (q *qkernel) samples(ws *qscratch, y, x []float32, lo, hi int, inv float64)
 			q.row(acc, s*q.sampleStride+oy*q.stride*q.rowStride, q.stride*q.c4, y, yq, yoff+oy*yrow, yps)
 		}
 		if q.pool != nil {
-			q.poolInto(q.next.image(s), ws.pre)
+			q.poolInto(q.next.image(s), q.pre)
 		}
 	}
+}
+
+// image returns sample s's padded image from its first interior pixel on.
+func (q *qkernel) image(s int) []uint8 {
+	return q.xq[s*q.sampleStride+q.interior:]
 }
 
 // row computes len(acc)/16 output pixels whose patches start ps bytes
@@ -526,13 +476,7 @@ func (p *QuantPlan) OutShape() []int { return append([]int(nil), p.net.OutShape(
 // and returns the plan-owned fp32 output, valid until the next call. Warm
 // calls allocate nothing.
 func (p *QuantPlan) Forward(x *tensor.Tensor) *tensor.Tensor {
-	if x.Rank() != len(p.net.InShape)+1 {
-		panic(fmt.Sprintf("nn: quant plan Forward rank %d input, want batch + %v", x.Rank(), p.net.InShape))
-	}
-	n := x.Shape[0]
-	if n < 1 || n > p.capacity {
-		panic(fmt.Sprintf("nn: quant plan Forward batch %d outside [1,%d]", n, p.capacity))
-	}
+	n := checkInput("quant plan", x, p.net.InShape, p.capacity)
 	if p.tiles != nil {
 		return p.tiles.forward(x)
 	}

@@ -1,7 +1,9 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"deep15pf/internal/tensor"
@@ -53,14 +55,45 @@ func TestQuantPlanMatchesFloat(t *testing.T) {
 
 // TestQuantPlanWarmNoAlloc is the 0-alloc gate for the int8 serving path.
 func TestQuantPlanWarmNoAlloc(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net := planTestNet(11)
 	qp := CompileQuantized(net, 4, nil, nil)
 	x := randBatch(tensor.NewRNG(3), 4, net.InShape)
 	qp.Forward(x) // warm
-	if allocs := testing.AllocsPerRun(10, func() { qp.Forward(x) }); allocs > 0 {
-		t.Errorf("warm QuantPlan.Forward allocates %v/run, want 0", allocs)
+	for _, workers := range gateWorkers {
+		tensor.SetWorkers(workers)
+		if allocs := testing.AllocsPerRun(10, func() { qp.Forward(x) }); allocs > 0 {
+			t.Errorf("warm QuantPlan.Forward at %d workers allocates %v/run, want 0", workers, allocs)
+		}
+	}
+}
+
+// TestQuantPlanRejectsForeignSampleShape: a batch of the right rank and
+// size but another per-sample shape must panic in every plan, not run. The
+// int8 plans used to check only rank and batch: a [2,3,64,64] batch into a
+// [3,32,32] plan is eight samples' worth of floats, read as two, and came
+// back as two rows of garbage logits.
+func TestQuantPlanRejectsForeignSampleShape(t *testing.T) {
+	net := hepSmallNet(tensor.NewRNG(3))
+	calib := CalibrateActivations(net, randBatch(tensor.NewRNG(5), 2, net.InShape))
+	x := randBatch(tensor.NewRNG(7), 2, []int{3, 64, 64})
+	for _, tc := range []struct {
+		name string
+		p    lanePlan
+	}{
+		{"fp32", Compile(net, 2, false, nil)},
+		{"int8 dynamic", CompileQuantized(net, 2, nil, nil)},
+		{"int8 calibrated", CompileQuantized(net, 2, calib, nil)},
+		{"int8 tiled", CompileQuantized(net, 2*inferTile, calib, nil)},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "per-sample shape") {
+					t.Errorf("%s: Forward of %v into a %v plan recovered %v, want a per-sample shape panic", tc.name, x.Shape, net.InShape, r)
+				}
+			}()
+			tc.p.Forward(x)
+		}()
 	}
 }
 

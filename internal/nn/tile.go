@@ -30,10 +30,10 @@ type lanePlan interface {
 // tiler executes a plan whose capacity exceeds inferTile. It owns one lane
 // per kernel thread in use — min(tensor.Workers(), tiles), minted on the
 // first Forward that needs them — and the [capacity, out...] slab the lanes
-// write their tiles' outputs into. Lanes pull tile indices from a counter,
-// so one fork-join per Forward replaces the kernel-level ones, and a lane's
-// sub-plan runs with PlanState.Inline set: the lanes are the only
-// parallelism nn adds (a GEMM above tensor's own threshold still splits).
+// write their tiles' outputs into. Lanes pull tile indices from a counter.
+// Their one fork-join per Forward is the only fork in nn: every layer runs
+// on the goroutine that calls it, and below that only a GEMM of at least
+// tensor's gemmParallelMin multiply-adds splits (no hep-small tile's does).
 // The caller stays single-goroutine; lanes never outlive a Forward.
 type tiler struct {
 	arena         *tensor.Arena

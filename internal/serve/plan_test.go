@@ -106,10 +106,10 @@ func TestPlannedClimateInferBitwiseIdentical(t *testing.T) {
 
 // TestPlannedInferAllocsBounded pins the serving-path allocation floor: a
 // warmed replica's Infer allocates only the response tensor it hands the
-// worker (3 objects: tensor, shape, data), independent of model depth.
+// worker (3 objects: tensor, shape, data), independent of model depth and
+// of the kernel worker count.
 func TestPlannedInferAllocsBounded(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net, _ := trainTinyHEP(t, 3)
 	r := NewRegistry()
 	RegisterHEP(r, "tiny", tinyHEP())
@@ -119,7 +119,10 @@ func TestPlannedInferAllocsBounded(t *testing.T) {
 	x := tensor.New(append([]int{8}, rep.InShape()...)...)
 	rng.FillNorm(x, 0, 1)
 	rep.Infer(x) // warm: compiles the batch-8 plan
-	if got := testing.AllocsPerRun(50, func() { rep.Infer(x) }); got > 3 {
-		t.Fatalf("warmed Infer allocates %v objects/op, want <= 3 (the response tensor)", got)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		if got := testing.AllocsPerRun(50, func() { rep.Infer(x) }); got > 3 {
+			t.Fatalf("warmed Infer at %d workers allocates %v objects/op, want <= 3 (the response tensor)", workers, got)
+		}
 	}
 }

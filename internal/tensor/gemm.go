@@ -8,7 +8,7 @@ import "sync"
 // (gemm_tile.go): gemmTile holds a gemmMR-row × 32-column tile of C in
 // accumulators for the NN and TN products, dotTile runs dotMR×4 whole-k
 // dot products at once for NT and TT. C is parallelised over row panels
-// (ParallelFor). Neither tile changes the per-element accumulation order
+// (ParallelFor) from gemmParallelMin multiply-adds. Neither tile changes the per-element accumulation order
 // of the row-at-a-time reference (k ascending single-rounded multiply-adds
 // for the tile variants, one full-k dot with sdotGeneric's lane structure
 // for the transpose-B variants), so scalar and vector, serial and
@@ -74,7 +74,9 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 // of compiled plans forbids.
 
 // gemmParallelMin is the multiply-add count below which a GEMM runs on the
-// calling goroutine whatever the worker count. The rule is the one it has
+// calling goroutine whatever the worker count: the one size rule left for
+// forking inside a kernel (every memory-bound pass runs inline; the only
+// other fork is nn's tiler, one per Forward). The rule is the one it has
 // always had — fork only where a two-way split was measured to beat the
 // inline product — re-measured over the register tiles (BenchmarkGemmSplit
 // at -cpu 2; EXPERIMENTS.md "PR 21"). One thread now does about 30
@@ -90,11 +92,12 @@ func Gemm(transA, transB bool, m, n, k int, alpha float32, a []float32, b []floa
 // (A variable so the tests can force the split on small shapes.)
 var gemmParallelMin = 6 << 20
 
-// gemmSerial reports whether an m×n×k product runs inline: nothing to
-// split, or too little work to split. The row partition never changes a C
-// element's accumulation order, so the choice cannot change a bit.
+// gemmSerial reports whether an m×n×k product runs inline: one worker,
+// nothing to split, or too little work to split. The row partition never
+// changes a C element's accumulation order, so the choice cannot change a
+// bit.
 func gemmSerial(m, n, k int) bool {
-	return SerialFor(m) || m*n*k < gemmParallelMin
+	return m <= 1 || Workers() <= 1 || m*n*k < gemmParallelMin
 }
 
 // gemmAB is C += alpha·A·B for the two untransposed-B cases. Element (i,p)

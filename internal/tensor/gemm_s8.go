@@ -266,15 +266,7 @@ func GemmS8(m, n, k int, a []int8, b []uint8, c []int32) {
 	if vec > 0 {
 		buf := getS8Buf(S8PackedLen(m, k))
 		PackS8(buf.w, a, m, k)
-		if gemmSerial(m, n, k) {
-			gemmS8Pixels(0, vec, m, n, k, buf.w, buf.acc, b, c)
-		} else {
-			ParallelFor(vec, func(lo, hi int) {
-				mine := getS8Buf(0)
-				gemmS8Pixels(lo, hi, m, n, k, buf.w, mine.acc, b, c)
-				putS8Buf(mine)
-			})
-		}
+		gemmS8Pixels(vec, m, n, k, buf.w, buf.acc, b, c)
 		putS8Buf(buf)
 	}
 	for j := vec; j < n; j++ {
@@ -288,12 +280,12 @@ func GemmS8(m, n, k int, a []int8, b []uint8, c []int32) {
 	}
 }
 
-// gemmS8Pixels computes columns [lo,hi) of c from the packed weights w,
-// gemmS8Pix pixels at a time through acc.
-func gemmS8Pixels(lo, hi, m, n, k int, w []int8, acc []int32, b []uint8, c []int32) {
+// gemmS8Pixels computes the first pix columns of c from the packed weights
+// w, gemmS8Pix pixels at a time through acc.
+func gemmS8Pixels(pix, m, n, k int, w []int8, acc []int32, b []uint8, c []int32) {
 	k4 := (k + 3) / 4
-	for j0 := lo; j0 < hi; j0 += gemmS8Pix {
-		np := min(gemmS8Pix, hi-j0)
+	for j0 := 0; j0 < pix; j0 += gemmS8Pix {
+		np := min(gemmS8Pix, pix-j0)
 		blk := acc[:np*S8Lanes]
 		for i0 := 0; i0 < m; i0 += S8Lanes {
 			ConvS8(blk, b[j0*k:], w[i0/S8Lanes*k4*64:], 1, k4, 0, k)
@@ -307,7 +299,7 @@ func gemmS8Pixels(lo, hi, m, n, k int, w []int8, acc []int32, b []uint8, c []int
 	}
 }
 
-// s8Buf is GemmS8's scratch: the packed weights and one worker's block of
+// s8Buf is GemmS8's scratch: the packed weights and a block of
 // accumulators. Like the float GEMM's pack buffers (gemm.go) it comes from
 // a free list, not a sync.Pool, whose contents do not survive a GC: a
 // warmed call allocates nothing.

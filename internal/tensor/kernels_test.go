@@ -472,7 +472,7 @@ func bitsEqual(a, b []float32) bool {
 }
 
 // TestGemmS8MatchesScalar pins the int8 GEMM against a plain triple loop
-// over random shapes, serial and parallel.
+// over random shapes.
 func TestGemmS8MatchesScalar(t *testing.T) {
 	rng := NewRNG(23)
 	for trial := 0; trial < 10; trial++ {
@@ -495,22 +495,18 @@ func TestGemmS8MatchesScalar(t *testing.T) {
 				want[i*n+j] = s
 			}
 		}
-		for _, workers := range []int{1, 3} {
-			prev := SetWorkers(workers)
-			got := make([]int32, m*n)
-			withISAs(t, func(isa string) {
-				for i := range got {
-					got[i] = -1
+		got := make([]int32, m*n)
+		withISAs(t, func(isa string) {
+			for i := range got {
+				got[i] = -1
+			}
+			GemmS8(m, n, k, a, b, got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("isa=%s %dx%dx%d: c[%d]=%d want %d", isa, m, n, k, i, got[i], want[i])
 				}
-				GemmS8(m, n, k, a, b, got)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("isa=%s workers=%d %dx%dx%d: c[%d]=%d want %d", isa, workers, m, n, k, i, got[i], want[i])
-					}
-				}
-			})
-			SetWorkers(prev)
-		}
+			}
+		})
 	}
 }
 
@@ -550,12 +546,11 @@ func TestGemmWarmNoAlloc(t *testing.T) {
 			t.Errorf("GemmNTAcc window, %d workers: %v allocs per call, want 0", workers, allocs)
 		}
 	}
-	SetWorkers(1)
 	s8a := make([]int8, m*k)
 	s8b := make([]uint8, n*k)
 	s8c := make([]int32, m*n)
 	if allocs := testing.AllocsPerRun(20, func() { GemmS8(m, n, k, s8a, s8b, s8c) }); allocs > 0 {
-		t.Errorf("GemmS8: %v allocs per warmed serial call, want 0", allocs)
+		t.Errorf("GemmS8, %d workers: %v allocs per warmed call, want 0", Workers(), allocs)
 	}
 }
 

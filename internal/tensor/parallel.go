@@ -15,8 +15,12 @@ var workers atomic.Int32
 
 func init() { workers.Store(int32(runtime.GOMAXPROCS(0))) }
 
-// SetWorkers sets the number of goroutines kernel loops may use. n < 1 is
-// clamped to 1. Returns the previous value.
+// SetWorkers sets the thread budget of one model's kernels. n < 1 is
+// clamped to 1. Returns the previous value. The count governs two forks and
+// nothing else: the lanes a tiled inference plan runs its tiles on (nn's
+// tile.go, one per worker), and the row panels a GEMM of at least
+// gemmParallelMin multiply-adds splits into. Every other kernel, and every
+// smaller GEMM, runs on the calling goroutine whatever the count.
 func SetWorkers(n int) int {
 	if n < 1 {
 		n = 1
@@ -24,18 +28,9 @@ func SetWorkers(n int) int {
 	return int(workers.Swap(int32(n)))
 }
 
-// Workers returns the current kernel parallelism.
+// Workers returns the thread budget SetWorkers set: the lane count of a
+// tiled inference plan and the panel count of a large GEMM.
 func Workers() int { return int(workers.Load()) }
-
-// SerialFor reports whether a ParallelFor over n items would run inline
-// (one worker, or nothing to split). Hot kernels consult it to call their
-// range body directly in that case: constructing the ParallelFor closure
-// forces its captures onto the heap even when the loop never spawns, and
-// the compiled-plan execution path (nn.Plan) promises zero steady-state
-// allocation under single-worker kernels.
-func SerialFor(n int) bool {
-	return n <= 1 || Workers() <= 1
-}
 
 // ParallelFor runs fn(lo,hi) over a partition of [0,n) across the configured
 // worker count. Chunks are contiguous so memory access stays streaming. With
