@@ -1,8 +1,10 @@
 package data
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -283,6 +285,9 @@ func TestShardErrors(t *testing.T) {
 	if err := WriteShard(path, 2, 3, 0, make([]float32, 5), nil); err == nil {
 		t.Fatal("size mismatch must error")
 	}
+	if err := WriteShard(path, 2, 0, 1, nil, make([]int32, 2)); err == nil {
+		t.Fatal("a shard without features must not be written: OpenShard refuses it")
+	}
 	if _, err := OpenShard(filepath.Join(dir, "missing.shard")); err == nil {
 		t.Fatal("missing file must error")
 	}
@@ -300,6 +305,31 @@ func TestShardErrors(t *testing.T) {
 	}
 	if err := r.ReadSample(0, make([]float32, 2), nil); err == nil {
 		t.Fatal("short buffer must error")
+	}
+
+	// An empty shard's header may name any sample size, since no payload
+	// checks it: an out-of-range read must fail before sizing scratch by it.
+	hdr := make([]byte, headerBytes)
+	binary.LittleEndian.PutUint32(hdr[0:], shardMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], shardVersion)
+	binary.LittleEndian.PutUint32(hdr[12:], 1<<24)
+	empty := filepath.Join(dir, "empty.shard")
+	if err := writeFile(empty, hdr); err != nil {
+		t.Fatal(err)
+	}
+	e, err := OpenShard(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if e.ReadSample(0, nil, nil) == nil {
+		t.Fatal("read from an empty shard must error")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("out-of-range read of an empty shard allocated %d bytes", grew)
 	}
 }
 

@@ -27,8 +27,12 @@ const (
 )
 
 // WriteShard writes samples to path. features is count×featLen, labels is
-// count×labLen (labLen may be zero).
+// count×labLen (labLen may be zero, featLen may not: OpenShard refuses a
+// shard without features).
 func WriteShard(path string, count, featLen, labLen int, features []float32, labels []int32) error {
+	if featLen < 1 {
+		return fmt.Errorf("data: shard needs at least one feature per sample, got %d", featLen)
+	}
 	if len(features) != count*featLen {
 		return fmt.Errorf("data: feature payload %d != %d×%d", len(features), count, featLen)
 	}
@@ -96,6 +100,13 @@ func OpenShard(path string) (*ShardReader, error) {
 	count := int64(binary.LittleEndian.Uint32(hdr[8:]))
 	featLen := int64(binary.LittleEndian.Uint32(hdr[12:]))
 	labLen := int64(binary.LittleEndian.Uint32(hdr[16:]))
+	// A sample without features takes no payload bytes, so the size check
+	// below could not bound count: a 20-byte header would open as 2^32−1
+	// samples. WriteShard never writes one.
+	if featLen == 0 {
+		f.Close()
+		return nil, fmt.Errorf("data: %s: impossible shard header (no features per sample)", path)
+	}
 	// Impossible counts: the per-sample element total must not overflow the
 	// payload arithmetic (a corrupt header can promise ~2^64 bytes).
 	per := featLen + labLen
@@ -139,15 +150,25 @@ func (r *ShardReader) ScratchLen() int {
 // ReadSample reads sample i's features (and labels if labels is non-nil)
 // into the provided slices.
 func (r *ShardReader) ReadSample(i int, features []float32, labels []int32) error {
+	if err := r.checkIndex(i); err != nil {
+		return err // before sizing scratch: an empty shard's FeatLen is unbounded
+	}
 	return r.ReadSampleInto(i, features, labels, make([]byte, r.ScratchLen()))
+}
+
+func (r *ShardReader) checkIndex(i int) error {
+	if i < 0 || i >= r.Count {
+		return fmt.Errorf("data: sample %d out of range [0,%d)", i, r.Count)
+	}
+	return nil
 }
 
 // ReadSampleInto is ReadSample decoding through caller-owned scratch (at
 // least ScratchLen bytes) — the allocation-free form the ingest hot paths
 // run per sample, on every iteration, from prefetch goroutines.
 func (r *ShardReader) ReadSampleInto(i int, features []float32, labels []int32, scratch []byte) error {
-	if i < 0 || i >= r.Count {
-		return fmt.Errorf("data: sample %d out of range [0,%d)", i, r.Count)
+	if err := r.checkIndex(i); err != nil {
+		return err
 	}
 	if len(features) != r.FeatLen {
 		return fmt.Errorf("data: feature buffer %d != %d", len(features), r.FeatLen)

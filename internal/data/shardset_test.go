@@ -11,7 +11,7 @@ import (
 )
 
 // writeTestShard produces a valid shard and returns its raw bytes.
-func writeTestShard(t *testing.T, path string, count, featLen, labLen int) []byte {
+func writeTestShard(t testing.TB, path string, count, featLen, labLen int) []byte {
 	t.Helper()
 	feats := make([]float32, count*featLen)
 	for i := range feats {
@@ -31,19 +31,27 @@ func writeTestShard(t *testing.T, path string, count, featLen, labLen int) []byt
 	return raw
 }
 
-// TestOpenShardRejectsCorruptFiles is the table-driven error-path gate for
-// the hardened reader: bad magic, impossible counts, and payloads shorter
-// (or longer) than the header promises must all fail OpenShard with an
-// explicit error — never a panic or a short read later.
-func TestOpenShardRejectsCorruptFiles(t *testing.T) {
-	dir := t.TempDir()
-	valid := writeTestShard(t, filepath.Join(dir, "valid.shard"), 4, 3, 1)
+// corruptShard is one way a shard file goes bad: corrupt turns a valid
+// file's bytes into the bad ones, and OpenShard's error must mention
+// wantSub.
+type corruptShard struct {
+	name    string
+	corrupt func([]byte) []byte
+	wantSub string
+}
 
-	cases := []struct {
-		name    string
-		corrupt func([]byte) []byte
-		wantSub string
-	}{
+// corruptShards is the corrupt-file table: bad magic, impossible counts,
+// and payloads shorter (or longer) than the header promises. It drives
+// TestOpenShardRejectsCorruptFiles and seeds FuzzOpenShard.
+func corruptShards() []corruptShard {
+	header := func(b []byte, count, featLen, labLen uint32) []byte {
+		c := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(c[8:], count)
+		binary.LittleEndian.PutUint32(c[12:], featLen)
+		binary.LittleEndian.PutUint32(c[16:], labLen)
+		return c
+	}
+	return []corruptShard{
 		{"truncated header", func(b []byte) []byte { return b[:10] }, "short shard header"},
 		{"bad magic", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
@@ -55,22 +63,26 @@ func TestOpenShardRejectsCorruptFiles(t *testing.T) {
 			binary.LittleEndian.PutUint32(c[4:], 99)
 			return c
 		}, "unsupported shard version"},
-		{"count larger than payload", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			binary.LittleEndian.PutUint32(c[8:], 1000)
-			return c
-		}, "header promises"},
+		{"count larger than payload", func(b []byte) []byte { return header(b, 1000, 3, 1) }, "header promises"},
 		{"impossible count overflows", func(b []byte) []byte {
-			c := append([]byte(nil), b...)
-			binary.LittleEndian.PutUint32(c[8:], 0xFFFFFFFF)
-			binary.LittleEndian.PutUint32(c[12:], 0xFFFFFFFF)
-			binary.LittleEndian.PutUint32(c[16:], 0xFFFFFFFF)
-			return c
+			return header(b, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
 		}, "impossible shard header"},
+		// No payload bytes per sample, so the file size cannot bound the
+		// count: this used to open as a 4 294 967 295-sample shard.
+		{"no features, any count", func(b []byte) []byte { return header(b[:headerBytes], 0xFFFFFFFF, 0, 0) }, "impossible shard header"},
 		{"truncated payload", func(b []byte) []byte { return b[:len(b)-5] }, "truncated or corrupt"},
 		{"trailing garbage", func(b []byte) []byte { return append(append([]byte(nil), b...), 1, 2, 3) }, "header promises"},
 	}
-	for _, tc := range cases {
+}
+
+// TestOpenShardRejectsCorruptFiles is the table-driven error-path gate for
+// the hardened reader: every corruptShards case must fail OpenShard with an
+// explicit error — never a panic or a short read later.
+func TestOpenShardRejectsCorruptFiles(t *testing.T) {
+	dir := t.TempDir()
+	valid := writeTestShard(t, filepath.Join(dir, "valid.shard"), 4, 3, 1)
+
+	for _, tc := range corruptShards() {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".shard")
 			if err := os.WriteFile(path, tc.corrupt(valid), 0o644); err != nil {
@@ -93,6 +105,45 @@ func TestOpenShardRejectsCorruptFiles(t *testing.T) {
 		t.Fatalf("valid shard rejected: %v", err)
 	}
 	r.Close()
+}
+
+// FuzzOpenShard hands OpenShard arbitrary bytes, seeded from a valid shard
+// and every corruptShards case. Whatever the bytes, nothing may panic; a
+// shard it accepts must read every sample in range, features and labels,
+// without error, and refuse an index outside it — before sizing a buffer
+// by a header it has not checked against the file. Fuzz with
+// go test -run '^$' -fuzz FuzzOpenShard ./internal/data.
+func FuzzOpenShard(f *testing.F) {
+	valid := writeTestShard(f, filepath.Join(f.TempDir(), "valid.shard"), 4, 3, 1)
+	f.Add(valid)
+	for _, tc := range corruptShards() {
+		f.Add(tc.corrupt(valid))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.shard")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenShard(path)
+		if err != nil {
+			return
+		}
+		defer r.Close()
+		if r.Count > 0 {
+			feats, labs := make([]float32, r.FeatLen), make([]int32, r.LabLen)
+			scratch := make([]byte, r.ScratchLen())
+			for i := 0; i < r.Count; i++ {
+				if err := r.ReadSampleInto(i, feats, labs, scratch); err != nil {
+					t.Fatalf("accepted shard (count %d, %d/%d per sample) fails sample %d: %v", r.Count, r.FeatLen, r.LabLen, i, err)
+				}
+			}
+		}
+		for _, i := range []int{-1, r.Count} {
+			if r.ReadSample(i, nil, nil) == nil {
+				t.Fatalf("sample %d of a %d-sample shard read without error", i, r.Count)
+			}
+		}
+	})
 }
 
 // TestShardSetGlobalIndexing: a set of unevenly sized shards must behave as

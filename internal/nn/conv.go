@@ -6,10 +6,12 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution lowered to im2col + GEMM, the same strategy
-// as the MKL 2017 direct-convolution primitives the paper builds on. Weights
-// are stored [OutC, InC·KH·KW] so the forward pass of every output channel
-// is one row of a single GEMM.
+// Conv2D is a 2-D convolution, the same computation as the MKL 2017
+// direct-convolution primitives the paper builds on. Weights are stored
+// [OutC, InC·KH·KW] so the forward pass of every output channel is one row
+// of a single GEMM. ForwardInto and BackwardInto lower to im2col + GEMM;
+// an inference plan runs a stride-1 convolution as a halo step instead
+// (halo.go), which reads the same B rows out of a padded image in place.
 type Conv2D struct {
 	LayerName    string
 	InC, OutC    int
@@ -20,26 +22,26 @@ type Conv2D struct {
 }
 
 // colBudget caps (in float32s) the lowered column matrix a convolution
-// builds at once. Both passes lower as many whole samples as fit it into one
-// wide matrix and multiply them in a single GEMM: a batch of small planes
-// (hep-small's conv4 is 16 columns per sample) otherwise pays the GEMM's
-// fixed costs once per sample. 256K floats is 1 MiB, half of one core's L2
-// here. Re-measured on tiled plans (a hep-small batch of 256 as tiles of
-// 32, PR 24): 64K, 128K and 256K read the same (12.7 / 11.7 / 12.6 ms on
-// two lanes, 19.7 / 20.4 / 21.7 on one), 512K and 2M are 25–30% slower
-// (16.0 / 16.3 and 26.3 / 28.6): the matrix leaves L2. A half-sized matrix
-// used to cost 15–20% because it doubled the fork-joins per pass; the
-// passes fork nothing now, so only the ceiling is left. At paper scale —
-// conv2 alone is 14.4M floats per sample — it degrades to per-sample
-// lowering.
+// builds at once on the eval datapath. The eval steps that still lower are
+// those an inference plan does not fuse — strided convolutions (the climate
+// encoder's) and deconvolutions, whose forward multiplies a chunk of
+// samples the same way — and the frozen prefix of a training plan; every
+// stride-1 convolution of an inference plan is a halo step and holds no
+// lowering. Both passes lower as many whole samples as fit the budget into
+// one wide matrix and multiply them in a single GEMM: a batch of small
+// planes otherwise pays the GEMM's fixed costs once per sample. 256K floats
+// is 1 MiB, half of one core's L2 here. Measured on tiled plans of
+// hep-small while its convolutions still lowered: 64K, 128K and 256K
+// read the same, 512K and 2M 25–30% slower — the matrix leaves L2. At
+// paper scale — conv2 alone is 14.4M floats per sample — it degrades to
+// per-sample lowering.
 //
 // trainColBudget is the same cap on the training datapath, and half as
-// large: an inference plan holds one such matrix for all its convolutions
-// (Plan.evalSt; one per lane when tiled), a training plan one per
-// convolution per replica, because
-// a lowering that fits is kept for backward. At 128K floats a hep-small
-// batch-16 plan's arena is 8.8 MB (7.5 MB before lowerings were batched,
-// 11.2 MB at 256K) for 5% of the step time.
+// large: a plan's eval steps share one such matrix (Plan.evalSt; one per
+// lane when tiled), a training plan holds one per convolution per replica,
+// because a lowering that fits is kept for backward. At 128K floats a
+// hep-small batch-16 plan's arena is 8.8 MB (7.5 MB before lowerings were
+// batched, 11.2 MB at 256K) for 5% of the step time.
 //
 // Both are variables only so tests can force the chunked path.
 var (

@@ -1,4 +1,5 @@
-// Package nn is the neural-network layer library: convolution (im2col+GEMM),
+// Package nn is the neural-network layer library: convolution (im2col+GEMM;
+// halo steps that read a padded image in place in inference plans),
 // deconvolution implemented with the convolution-transpose trick the paper
 // describes in §III-C, pooling, dense layers, activations, losses, and a
 // sequential network container with exact per-layer FLOP and parameter-byte

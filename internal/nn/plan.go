@@ -37,13 +37,17 @@ type Plan struct {
 	cut      int      // first step the backward pass reaches (0 unless frozen)
 	params   []*Param // cached trainable params: Backward re-checks gradient presence
 	n        int      // batch size of the most recent Forward
-	// evalSt is the one state every eval-datapath step (all of an inference
-	// plan, the frozen prefix of a training plan) executes under: such a
-	// step keeps nothing between calls and the steps run one at a time, so
-	// they share a single lowering scratch sized for the largest of them
-	// rather than each holding its own.
+	// evalSt is the one state every eval-datapath step that is not a halo
+	// step executes under: the frozen prefix of a training plan, and in an
+	// inference plan the steps fuse leaves alone — strided convolutions,
+	// deconvolutions, dense and pooling layers. Such a step keeps nothing
+	// between calls and the steps run one at a time, so they share a single
+	// lowering scratch sized for the largest of them rather than each
+	// holding its own; a plan whose convolutions all fuse (hep-small's)
+	// reserves none.
 	evalSt PlanState
-	tiles  *tiler // non-nil: an inference plan above inferTile; steps is empty
+	cblk   []float32 // the halo steps' shared C block
+	tiles  *tiler    // non-nil: an inference plan above inferTile; steps is empty
 }
 
 type planStep struct {
@@ -59,6 +63,7 @@ type planStep struct {
 	y        *tensor.Tensor // batch view over ySlab
 	dxSlab   []float32      // training plans only, steps at/after the cut
 	dx       *tensor.Tensor
+	halo     *haloConv // non-nil: a fused convolution (inference plans only)
 }
 
 // Compile builds a plan for batches of up to capacity samples. A training
@@ -68,8 +73,9 @@ type planStep struct {
 // inference replicas (see Network.ReleaseGradients). arena == nil gives the
 // plan a private arena; passing a shared arena lets several plans (e.g. a
 // serving replica's per-batch-size cache) recycle each other's slabs. An
-// inference plan above inferTile costs lanes × tile slabs plus one output
-// slab, whatever its capacity.
+// inference plan runs each stride-1 convolution, with the ReLU and 2×2/2
+// max-pool after it, as one halo step (fuse), and above inferTile costs
+// lanes × tile slabs plus one output slab, whatever its capacity.
 //
 // Networks with a frozen prefix (Network.Freeze) compile the prefix steps
 // on the inference datapath even in a training plan: no input-gradient
@@ -117,16 +123,75 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 		s.outShape = append([]int(nil), out...)
 		s.inPer = shapeElems(in)
 		s.outPer = shapeElems(out)
-		s.ySlab = arena.Get(capacity * s.outPer)
-		s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, out...)...)
-		if s.train {
-			s.dxSlab = arena.Get(capacity * s.inPer)
-			s.dx = tensor.FromSlice(s.dxSlab, append([]int{capacity}, in...)...)
-		}
-		l.Reserve(p.state(s), arena, capacity, s.inShape, s.train)
 		in = out
 	}
+	if !train {
+		p.fuse()
+	}
+	blk := 0
+	for i := range p.steps {
+		s := &p.steps[i]
+		if h := s.halo; h != nil {
+			h.images = arena.Get(capacity * h.inC * h.plane)
+			blk = max(blk, h.blockLen())
+		}
+		if s.layer == nil || (s.halo != nil && s.halo.next != nil) {
+			continue // no output of its own: folded, or stored into the next image
+		}
+		s.ySlab = arena.Get(capacity * s.outPer)
+		s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, s.outShape...)...)
+		if s.train {
+			s.dxSlab = arena.Get(capacity * s.inPer)
+			s.dx = tensor.FromSlice(s.dxSlab, append([]int{capacity}, s.inShape...)...)
+		}
+		if s.halo == nil {
+			s.layer.Reserve(p.state(s), arena, capacity, s.inShape, s.train)
+		}
+	}
+	p.cblk = arena.Get(blk)
 	return p
+}
+
+// fuse is the link rule of inference plans: every stride-1 Conv2D becomes
+// a halo step (halo.go), which folds a ReLU that follows it, then a 2×2/2
+// max-pool, into its store — their steps drop out of the schedule and the
+// halo step takes over their output shape — and which stores straight
+// into the next step's halo image when that step is one too. Strided
+// convolutions, deconvolutions and every other layer keep their
+// ForwardInto; training plans, frozen prefixes included, are not fused.
+func (p *Plan) fuse() {
+	for i := range p.steps {
+		if c, ok := p.steps[i].layer.(*Conv2D); ok && c.Stride == 1 {
+			p.steps[i].halo = newHaloConv(c, p.steps[i].inShape)
+		}
+	}
+	at := func(j int) Layer {
+		if j < len(p.steps) {
+			return p.steps[j].layer
+		}
+		return nil
+	}
+	for i := range p.steps {
+		h := p.steps[i].halo
+		if h == nil {
+			continue
+		}
+		j := i + 1
+		if _, h.relu = at(j).(*ReLU); h.relu {
+			j++
+		}
+		if mp, _ := at(j).(*MaxPool2D); h.fold(mp) {
+			j++
+		}
+		for k := i + 1; k < j; k++ {
+			p.steps[k].layer = nil
+		}
+		p.steps[i].outShape, p.steps[i].outPer = p.steps[j-1].outShape, p.steps[j-1].outPer
+		if j < len(p.steps) && p.steps[j].halo != nil {
+			h.next = p.steps[j].halo
+			h.next.fed = true
+		}
+	}
 }
 
 // state returns the execution state step s runs under.
@@ -168,9 +233,19 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	cur := x
 	for i := range p.steps {
 		s := &p.steps[i]
-		y := view(s.y, s.ySlab, n, s.outPer)
-		s.layer.ForwardInto(p.state(s), y, cur, s.train)
-		cur = y
+		if s.layer == nil {
+			continue // folded into the halo step before it
+		}
+		var y *tensor.Tensor
+		if s.ySlab != nil {
+			y = view(s.y, s.ySlab, n, s.outPer)
+		}
+		if s.halo != nil {
+			s.halo.forward(y, cur, n, p.cblk)
+		} else {
+			s.layer.ForwardInto(p.state(s), y, cur, s.train)
+		}
+		cur = y // nil after a halo step that fed the next one
 	}
 	return cur
 }
@@ -258,10 +333,16 @@ func (p *Plan) Release() {
 			p.arena.Put(s.dxSlab)
 			s.dxSlab, s.dx = nil, nil
 		}
+		if s.halo != nil {
+			p.arena.Put(s.halo.images)
+			s.halo = nil
+		}
 		p.arena.Reclaim(s.st.Col)
 		p.arena.Reclaim(s.st.Eval)
 		s.st = PlanState{}
 	}
+	p.arena.Put(p.cblk)
+	p.cblk = nil
 	p.arena.Reclaim(p.evalSt.Col)
 	p.arena.Reclaim(p.evalSt.Eval)
 	p.evalSt = PlanState{}

@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// The fp32 GEMM's two register-tile micro-kernels (gemm_tile.go), AVX-512
-// and AVX2 bodies. Multiply and add are separate instructions everywhere
-// (never FMA) and every C element sees the operations of the scalar body in
-// the scalar body's order, so all three tables agree bit for bit.
+// The fp32 GEMM's two register-tile micro-kernels (gemm_tile.go) and the
+// direct convolution's tile (conv_tile.go), AVX-512 and AVX2 bodies.
+// Multiply and add are separate instructions everywhere (never FMA) and
+// every C element sees the operations of the scalar body in the scalar
+// body's order, so all three tables agree bit for bit.
 
 // TILEROW2 is one k step of one C row of a two-vector tile: acc += a·b for
 // the row's A element at aaddr and the step's B vectors b0, b1. An A element
@@ -76,6 +77,54 @@ skip:
 	KMOVW   AX, K2;            \
 	MOVQ    R14, SI;           \
 	LEAQ    (R14)(R8*4), R10;  \
+	MOVQ    k+16(FP), CX
+
+// ZCONVBLOCK is ZCOLBLOCK for convTileAVX512: DI is the block's first
+// column of the image, so that B row p is at DI + 4·off[p], and R12 walks
+// the offset table from its start. This and YCONVBLOCK name convTile's
+// arguments, so they are defined ahead of every TEXT block, where vet does
+// not tie them to another function's frame.
+#define ZCONVBLOCK \
+	MOVQ    n+8(FP), AX;         \
+	SUBQ    R15, AX;             \
+	MOVQ    b_base+56(FP), DI;   \
+	LEAQ    (DI)(AX*4), DI;      \
+	LEAQ    (R11)(AX*4), BX;     \
+	MOVQ    $32, CX;             \
+	CMPQ    R15, CX;             \
+	CMOVQLT R15, CX;             \
+	MOVL    $1, AX;              \
+	SHLQ    CX, AX;              \
+	DECQ    AX;                  \
+	KMOVW   AX, K1;              \
+	SHRQ    $16, AX;             \
+	KMOVW   AX, K2;              \
+	MOVQ    R14, SI;             \
+	LEAQ    (R14)(R8*4), R10;    \
+	MOVQ    off_base+80(FP), R12; \
+	MOVQ    k+16(FP), CX
+
+// YCONVBLOCK is YCOLBLOCK for convTileAVX2 (see ZCONVBLOCK).
+#define YCONVBLOCK \
+	MOVQ    n+8(FP), AX;          \
+	SUBQ    R15, AX;              \
+	MOVQ    b_base+56(FP), DI;    \
+	LEAQ    (DI)(AX*4), DI;       \
+	LEAQ    (R11)(AX*4), BX;      \
+	MOVQ    $16, CX;              \
+	CMPQ    R15, CX;              \
+	CMOVQLT R15, CX;              \
+	MOVQ    $8, AX;               \
+	CMPQ    CX, AX;               \
+	CMOVQLT CX, AX;               \
+	SUBQ    AX, CX;               \
+	NEGQ    AX;                   \
+	NEGQ    CX;                   \
+	LEAQ    tileMask<>(SB), R10;  \
+	VMOVDQU 32(R10)(AX*4), Y10;   \
+	VMOVDQU 32(R10)(CX*4), Y11;   \
+	MOVQ    R14, SI;              \
+	MOVQ    off_base+80(FP), R12; \
 	MOVQ    k+16(FP), CX
 
 // func gemmTileAVX512(mr, n, k int, a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc int)
@@ -839,5 +888,302 @@ next:
 	ADDQ AX, c_base+96(FP)
 	SUBQ $2, R14
 	JG   rowpair
+	VZEROUPPER
+	RET
+
+// func convTileAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
+//
+// gemmTileAVX512's tiles and registers with two changes: the accumulators
+// start at +0 instead of loading C, and step p loads its B vectors from
+// DI + 4·off[p] — the table entry goes through AX, which the first tile
+// row's zero test then reuses — instead of stepping DI by ldb. A's k steps
+// are one float apart (aps = 1), so DX is unused.
+TEXT ·convTileAVX512(SB), NOSPLIT, $0-136
+	MOVQ a_base+24(FP), R14
+	MOVQ lda+48(FP), R8
+	MOVQ c_base+104(FP), R11
+	MOVQ ldc+128(FP), R13
+	SHLQ $2, R8
+	SHLQ $2, R13
+	LEAQ (R8)(R8*2), R9
+
+	CMPQ mr+0(FP), $8
+	JEQ  panel8
+	CMPQ mr+0(FP), $4
+	JLT  panel1
+
+	// Four rows.
+	MOVQ n+8(FP), R15
+
+col4:
+	ZCONVBLOCK
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	TESTQ  CX, CX
+	JZ     store4
+
+k4:
+	MOVQ      (R12), AX
+	VMOVUPS.Z (DI)(AX*4), K1, Z30
+	VMOVUPS.Z 64(DI)(AX*4), K2, Z31
+	TILEROW2((SI), Z0, Z1, Z30, Z31, Z28, Z29, z4r0)
+	TILEROW2((SI)(R8*1), Z2, Z3, Z30, Z31, Z26, Z27, z4r1)
+	TILEROW2((SI)(R8*2), Z4, Z5, Z30, Z31, Z24, Z25, z4r2)
+	TILEROW2((SI)(R9*1), Z6, Z7, Z30, Z31, Z22, Z23, z4r3)
+	ADDQ $4, SI
+	ADDQ $8, R12
+	DECQ CX
+	JNZ  k4
+
+store4:
+	MOVQ BX, AX
+	ZSTOREC(Z0, Z1)
+	ZSTOREC(Z2, Z3)
+	ZSTOREC(Z4, Z5)
+	ZSTOREC(Z6, Z7)
+	SUBQ $32, R15
+	JG   col4
+
+	LEAQ (R14)(R8*4), R14
+	LEAQ (R11)(R13*4), R11
+	SUBQ $4, mr+0(FP)
+
+	// The rows left over, one at a time.
+panel1:
+	CMPQ mr+0(FP), $0
+	JLE  done
+	MOVQ n+8(FP), R15
+
+col1:
+	ZCONVBLOCK
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	TESTQ  CX, CX
+	JZ     store1
+
+k1:
+	MOVQ      (R12), AX
+	VMOVUPS.Z (DI)(AX*4), K1, Z30
+	VMOVUPS.Z 64(DI)(AX*4), K2, Z31
+	TILEROW2((SI), Z0, Z1, Z30, Z31, Z28, Z29, z1r0)
+	ADDQ $4, SI
+	ADDQ $8, R12
+	DECQ CX
+	JNZ  k1
+
+store1:
+	MOVQ BX, AX
+	ZSTOREC(Z0, Z1)
+	SUBQ $32, R15
+	JG   col1
+
+	ADDQ R8, R14
+	ADDQ R13, R11
+	DECQ mr+0(FP)
+	JMP  panel1
+
+	// Eight rows.
+panel8:
+	MOVQ n+8(FP), R15
+
+col8:
+	ZCONVBLOCK
+	CMPQ   R15, $16
+	JLE    col8x1
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	VPXORD Z8, Z8, Z8
+	VPXORD Z9, Z9, Z9
+	VPXORD Z10, Z10, Z10
+	VPXORD Z11, Z11, Z11
+	VPXORD Z12, Z12, Z12
+	VPXORD Z13, Z13, Z13
+	VPXORD Z14, Z14, Z14
+	VPXORD Z15, Z15, Z15
+	TESTQ  CX, CX
+	JZ     store8
+
+k8:
+	MOVQ      (R12), AX
+	VMOVUPS.Z (DI)(AX*4), K1, Z30
+	VMOVUPS.Z 64(DI)(AX*4), K2, Z31
+	TILEROW2((SI), Z0, Z1, Z30, Z31, Z28, Z29, z8r0)
+	TILEROW2((SI)(R8*1), Z2, Z3, Z30, Z31, Z26, Z27, z8r1)
+	TILEROW2((SI)(R8*2), Z4, Z5, Z30, Z31, Z24, Z25, z8r2)
+	TILEROW2((SI)(R9*1), Z6, Z7, Z30, Z31, Z22, Z23, z8r3)
+	TILEROW2((R10), Z8, Z9, Z30, Z31, Z20, Z21, z8r4)
+	TILEROW2((R10)(R8*1), Z10, Z11, Z30, Z31, Z18, Z19, z8r5)
+	TILEROW2((R10)(R8*2), Z12, Z13, Z30, Z31, Z16, Z17, z8r6)
+	TILEROW2((R10)(R9*1), Z14, Z15, Z30, Z31, Z28, Z29, z8r7)
+	ADDQ $4, SI
+	ADDQ $4, R10
+	ADDQ $8, R12
+	DECQ CX
+	JNZ  k8
+
+store8:
+	MOVQ BX, AX
+	ZSTOREC(Z0, Z1)
+	ZSTOREC(Z2, Z3)
+	ZSTOREC(Z4, Z5)
+	ZSTOREC(Z6, Z7)
+	ZSTOREC(Z8, Z9)
+	ZSTOREC(Z10, Z11)
+	ZSTOREC(Z12, Z13)
+	ZSTOREC(Z14, Z15)
+	JMP next8
+
+	// 16 or fewer columns left: one vector per row.
+col8x1:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	TESTQ  CX, CX
+	JZ     store8x1
+
+k8x1:
+	MOVQ      (R12), AX
+	VMOVUPS.Z (DI)(AX*4), K1, Z30
+	TILEROW1((SI), Z0, Z30, Z28, y8r0)
+	TILEROW1((SI)(R8*1), Z1, Z30, Z27, y8r1)
+	TILEROW1((SI)(R8*2), Z2, Z30, Z26, y8r2)
+	TILEROW1((SI)(R9*1), Z3, Z30, Z25, y8r3)
+	TILEROW1((R10), Z4, Z30, Z24, y8r4)
+	TILEROW1((R10)(R8*1), Z5, Z30, Z23, y8r5)
+	TILEROW1((R10)(R8*2), Z6, Z30, Z22, y8r6)
+	TILEROW1((R10)(R9*1), Z7, Z30, Z21, y8r7)
+	ADDQ $4, SI
+	ADDQ $4, R10
+	ADDQ $8, R12
+	DECQ CX
+	JNZ  k8x1
+
+store8x1:
+	MOVQ BX, AX
+	ZSTOREC1(Z0)
+	ZSTOREC1(Z1)
+	ZSTOREC1(Z2)
+	ZSTOREC1(Z3)
+	ZSTOREC1(Z4)
+	ZSTOREC1(Z5)
+	ZSTOREC1(Z6)
+	ZSTOREC1(Z7)
+
+next8:
+	SUBQ $32, R15
+	JG   col8
+
+done:
+	VZEROUPPER
+	RET
+
+// func convTileAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
+//
+// gemmTileAVX2 changed as convTileAVX512 changes gemmTileAVX512.
+TEXT ·convTileAVX2(SB), NOSPLIT, $0-136
+	MOVQ a_base+24(FP), R14
+	MOVQ lda+48(FP), R8
+	MOVQ c_base+104(FP), R11
+	MOVQ ldc+128(FP), R13
+	SHLQ $2, R8
+	SHLQ $2, R13
+	LEAQ (R8)(R8*2), R9
+
+panel4:
+	CMPQ mr+0(FP), $4
+	JLT  panel1
+	MOVQ n+8(FP), R15
+
+col4:
+	YCONVBLOCK
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ  CX, CX
+	JZ     store4
+
+k4:
+	MOVQ       (R12), AX
+	VMASKMOVPS (DI)(AX*4), Y10, Y8
+	VMASKMOVPS 32(DI)(AX*4), Y11, Y9
+	TILEROW2((SI), Y0, Y1, Y8, Y9, Y12, Y13, y4r0)
+	TILEROW2((SI)(R8*1), Y2, Y3, Y8, Y9, Y14, Y15, y4r1)
+	TILEROW2((SI)(R8*2), Y4, Y5, Y8, Y9, Y12, Y13, y4r2)
+	TILEROW2((SI)(R9*1), Y6, Y7, Y8, Y9, Y14, Y15, y4r3)
+	ADDQ $4, SI
+	ADDQ $8, R12
+	DECQ CX
+	JNZ  k4
+
+store4:
+	MOVQ BX, AX
+	YSTOREC(Y0, Y1)
+	YSTOREC(Y2, Y3)
+	YSTOREC(Y4, Y5)
+	YSTOREC(Y6, Y7)
+	SUBQ $16, R15
+	JG   col4
+
+	LEAQ (R14)(R8*4), R14
+	LEAQ (R11)(R13*4), R11
+	SUBQ $4, mr+0(FP)
+	JMP  panel4
+
+panel1:
+	CMPQ mr+0(FP), $0
+	JLE  done
+	MOVQ n+8(FP), R15
+
+col1:
+	YCONVBLOCK
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	TESTQ  CX, CX
+	JZ     store1
+
+k1:
+	MOVQ       (R12), AX
+	VMASKMOVPS (DI)(AX*4), Y10, Y8
+	VMASKMOVPS 32(DI)(AX*4), Y11, Y9
+	TILEROW2((SI), Y0, Y1, Y8, Y9, Y12, Y13, y1r0)
+	ADDQ $4, SI
+	ADDQ $8, R12
+	DECQ CX
+	JNZ  k1
+
+store1:
+	MOVQ BX, AX
+	YSTOREC(Y0, Y1)
+	SUBQ $16, R15
+	JG   col1
+
+	ADDQ R8, R14
+	ADDQ R13, R11
+	DECQ mr+0(FP)
+	JMP  panel1
+
+done:
 	VZEROUPPER
 	RET

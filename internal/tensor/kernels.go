@@ -1,7 +1,8 @@
 package tensor
 
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
-// the fp32 GEMM's two register tiles (gemm_tile.go), axpy, the in-place
+// the fp32 GEMM's two register tiles (gemm_tile.go), the direct
+// convolution's tile and epilogue (conv_tile.go), axpy, the in-place
 // scale, the conv unit's ReLU, 2×2 max-pool and the lowerings' row gather
 // and row add (kernels_conv.go), and the int8 datapath's micro-kernel,
 // epilogue, quantizer and byte pool (gemm_s8.go) — is a package-level
@@ -38,6 +39,8 @@ func KernelISAs() []string { return kernelISAs() }
 func installScalar() {
 	gemmTile = gemmTileGeneric
 	dotTile = dotTileGeneric
+	convTile = convTileGeneric
+	convStore = convStoreGeneric
 	axpy = axpyGeneric
 	scal = scalGeneric
 	relu = reluGeneric

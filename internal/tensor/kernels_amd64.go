@@ -15,15 +15,17 @@ func axpyAVX512(alpha float32, x, y []float32)
 // Implemented in kernels_amd64.s.
 func scalAVX2(alpha float32, x []float32)
 
-// The fp32 GEMM's register tiles (gemm_tile.go), implemented in
-// gemm_amd64.s.
+// The fp32 GEMM's register tiles (gemm_tile.go) and the direct
+// convolution's (conv_tile.go), implemented in gemm_amd64.s.
 func gemmTileAVX2(mr, n, k int, a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc int)
 func gemmTileAVX512(mr, n, k int, a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc int)
 func dotTileAVX2(mr, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)
 func dotTileAVX512(mr, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)
+func convTileAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
+func convTileAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
 
-// The conv-unit kernels (kernels_conv.go), implemented in
-// kernels_conv_amd64.s.
+// The conv-unit kernels (kernels_conv.go) and the direct convolution's
+// epilogue (conv_tile.go), implemented in kernels_conv_amd64.s.
 func reluAVX2(y, x []float32)
 func reluAVX512(y, x []float32)
 func reluGradAVX2(dx, y, g []float32)
@@ -36,6 +38,8 @@ func gatherRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPit
 func gatherRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 func scatterRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 func scatterRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+func convStoreAVX2(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n int, relu, pool bool)
+func convStoreAVX512(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n int, relu, pool bool)
 
 // The int8 datapath's kernels (gemm_s8.go), implemented in
 // kernels_s8_amd64.s.
@@ -83,6 +87,8 @@ func kernelISAs() []string {
 func installAVX2() {
 	gemmTile = gemmTileAVX2
 	dotTile = dotTileAVX2
+	convTile = convTileAVX2
+	convStore = convStoreAVX2
 	axpy = axpyAVX2
 	scal = scalAVX2
 	relu = reluAVX2
@@ -103,6 +109,8 @@ func installAVX512() {
 	installAVX2()
 	gemmTile = gemmTileAVX512
 	dotTile = dotTileAVX512
+	convTile = convTileAVX512
+	convStore = convStoreAVX512
 	axpy = axpyAVX512
 	relu = reluAVX512
 	reluGrad = reluGradAVX512

@@ -54,6 +54,126 @@ DATA poolQuads<>+48(SB)/8, $5
 DATA poolQuads<>+56(SB)/8, $7
 GLOBL poolQuads<>(SB), RODATA|NOPTR, $64
 
+// Macros of the direct convolution's epilogue (conv_tile.go; its bodies
+// are at the end of the file). They name its arguments, so they are
+// defined ahead of every TEXT block, where vet does not tie them to
+// another function's frame. DX holds the plane's bias bits doubled — zero
+// for ±0 and for a nil bias, where the scalar body copies instead of
+// adding — and the bias itself is broadcast in Z31/Y15. The add takes the
+// C value first, as the scalar v + b does; the ReLU is MAX(v, +0) as in
+// reluAVX2/reluAVX512; the pool folds the four taps from −Inf in scan
+// order as maxPool2x2AVX2/AVX512 do.
+
+// CBIAS loads the bias of the plane R8 points at (R8 = 0: no bias) and
+// steps R8 to the next one.
+#define CBIAS(reg, none) \
+	XORL         DX, DX; \
+	TESTQ        R8, R8; \
+	JZ           none;   \
+	MOVL         (R8), DX; \
+	VBROADCASTSS (R8), reg; \
+	ADDL         DX, DX; \
+	ADDQ         $4, R8; \
+none:
+
+// ZEPI / YEPI / XEPI are the epilogue on one vector or one float v.
+#define ZEPI(v, noadd, norelu) \
+	TESTL  DX, DX;           \
+	JZ     noadd;            \
+	VADDPS Z31, v, v;        \
+noadd:                       \
+	CMPB   relu+128(FP), $0; \
+	JEQ    norelu;           \
+	VMAXPS Z0, v, v;         \
+norelu:
+
+#define YEPI(v, noadd, norelu) \
+	TESTL  DX, DX;           \
+	JZ     noadd;            \
+	VADDPS Y15, v, v;        \
+noadd:                       \
+	CMPB   relu+128(FP), $0; \
+	JEQ    norelu;           \
+	VMAXPS Y0, v, v;         \
+norelu:
+
+#define XEPI(v, noadd, norelu) \
+	TESTL  DX, DX;           \
+	JZ     noadd;            \
+	VADDSS X15, v, v;        \
+noadd:                       \
+	CMPB   relu+128(FP), $0; \
+	JEQ    norelu;           \
+	VMAXSS X0, v, v;         \
+norelu:
+
+// ZEPI4 / YEPI4 / XEPI4 are the epilogue on the four runs of a pooled
+// step: registers 1-2 the upper row, 3-4 the lower.
+#define ZEPI4(noadd, norelu) \
+	TESTL  DX, DX;           \
+	JZ     noadd;            \
+	VADDPS Z31, Z1, Z1;      \
+	VADDPS Z31, Z2, Z2;      \
+	VADDPS Z31, Z3, Z3;      \
+	VADDPS Z31, Z4, Z4;      \
+noadd:                       \
+	CMPB   relu+128(FP), $0; \
+	JEQ    norelu;           \
+	VMAXPS Z0, Z1, Z1;       \
+	VMAXPS Z0, Z2, Z2;       \
+	VMAXPS Z0, Z3, Z3;       \
+	VMAXPS Z0, Z4, Z4;       \
+norelu:
+
+#define YEPI4(noadd, norelu) \
+	TESTL  DX, DX;           \
+	JZ     noadd;            \
+	VADDPS Y15, Y1, Y1;      \
+	VADDPS Y15, Y2, Y2;      \
+	VADDPS Y15, Y3, Y3;      \
+	VADDPS Y15, Y4, Y4;      \
+noadd:                       \
+	CMPB   relu+128(FP), $0; \
+	JEQ    norelu;           \
+	VMAXPS Y0, Y1, Y1;       \
+	VMAXPS Y0, Y2, Y2;       \
+	VMAXPS Y0, Y3, Y3;       \
+	VMAXPS Y0, Y4, Y4;       \
+norelu:
+
+#define XEPI4(noadd, norelu) \
+	TESTL  DX, DX;           \
+	JZ     noadd;            \
+	VADDSS X15, X1, X1;      \
+	VADDSS X15, X2, X2;      \
+	VADDSS X15, X3, X3;      \
+	VADDSS X15, X4, X4;      \
+noadd:                       \
+	CMPB   relu+128(FP), $0; \
+	JEQ    norelu;           \
+	VMAXSS X0, X1, X1;       \
+	VMAXSS X0, X2, X2;       \
+	VMAXSS X0, X3, X3;       \
+	VMAXSS X0, X4, X4;       \
+norelu:
+
+// CSTRIDES loads the pointers and byte strides both bodies share: DI/SI
+// the first plane of dst/src, R8 the bias, R10/R11 dstPlane/srcPlane,
+// R12/R13 dstPitch/srcPitch, CX = n.
+#define CSTRIDES \
+	MOVQ dst_base+0(FP), DI;   \
+	MOVQ src_base+24(FP), SI;  \
+	MOVQ bias_base+48(FP), R8; \
+	MOVQ dstPlane+80(FP), R10; \
+	MOVQ srcPlane+88(FP), R11; \
+	MOVQ dstPitch+104(FP), R12; \
+	MOVQ srcPitch+112(FP), R13; \
+	SHLQ $2, R10;              \
+	SHLQ $2, R11;              \
+	SHLQ $2, R12;              \
+	SHLQ $2, R13;              \
+	MOVQ n+120(FP), CX
+
 // func reluAVX2(y, x []float32)
 //
 // y = MAX(x, +0): x when x > 0, else the zero register — NaN and −0 too.
@@ -1049,4 +1169,255 @@ next1:
 	ROWS_NEXT(row1)
 
 done:
+	RET
+
+// func convStoreAVX512(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n int, relu, pool bool)
+//
+// Sixteen outputs per step, the row's tail under masks: unpooled, K1 is
+// the last n%16 lanes; pooled, K2/K3 the last 2·(n%16) input lanes of each
+// row and K1 their outputs (a masked-off input reads as zero and lands in
+// an output lane that is not stored). Per row AX/CX point at the source
+// and destination row, R14 is the byte offset into the destination row
+// (the source's is twice it when pooled) and R15 (pooled: R9) counts the
+// outputs left; the plane count is decremented in its argument slot.
+TEXT ·convStoreAVX512(SB), NOSPLIT, $0-130
+	CSTRIDES
+	VPXORD     Z0, Z0, Z0
+	VPTERNLOGD $0xFF, Z29, Z29, Z29
+	VPSLLD     $23, Z29, Z29 // −Inf
+	VMOVDQU64  poolQuads<>(SB), Z28
+	ANDQ       $15, CX
+	MOVL       $1, AX
+	SHLQ       CX, AX
+	DECQ       AX
+	KMOVW      AX, K1
+	CMPB       pool+129(FP), $0
+	JNE        pooled
+
+uplane:
+	CBIAS(Z31, ubias)
+	MOVQ SI, AX
+	MOVQ DI, CX
+	MOVQ rows+96(FP), BX
+
+urow:
+	XORQ R14, R14
+	MOVQ n+120(FP), R15
+
+ucol:
+	CMPQ    R15, $16
+	JLT     utail
+	VMOVUPS (AX)(R14*1), Z1
+	ZEPI(Z1, ua1, ur1)
+	VMOVUPS Z1, (CX)(R14*1)
+	ADDQ    $64, R14
+	SUBQ    $16, R15
+	JMP     ucol
+
+utail:
+	TESTQ     R15, R15
+	JZ        unext
+	VMOVUPS.Z (AX)(R14*1), K1, Z1
+	ZEPI(Z1, ua2, ur2)
+	VMOVUPS   Z1, K1, (CX)(R14*1)
+
+unext:
+	ADDQ R13, AX
+	ADDQ R12, CX
+	DECQ BX
+	JNZ  urow
+	ADDQ R11, SI
+	ADDQ R10, DI
+	DECQ planes+72(FP)
+	JNZ  uplane
+	VZEROUPPER
+	RET
+
+pooled:
+	ADDQ  CX, CX
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K2
+	SHRQ  $16, AX
+	KMOVW AX, K3
+
+pplane:
+	CBIAS(Z31, pbias)
+	MOVQ SI, AX
+	MOVQ DI, CX
+	MOVQ rows+96(FP), BX
+
+prow:
+	LEAQ (AX)(R13*1), R15
+	XORQ R14, R14
+	MOVQ n+120(FP), R9
+
+pcol:
+	CMPQ    R9, $16
+	JLT     ptail
+	VMOVUPS (AX)(R14*2), Z1
+	VMOVUPS 64(AX)(R14*2), Z2
+	VMOVUPS (R15)(R14*2), Z3
+	VMOVUPS 64(R15)(R14*2), Z4
+	ZEPI4(pa1, pr1)
+	VSHUFPS $0x88, Z2, Z1, Z5
+	VSHUFPS $0xDD, Z2, Z1, Z6
+	VSHUFPS $0x88, Z4, Z3, Z7
+	VSHUFPS $0xDD, Z4, Z3, Z8
+	VMAXPS  Z29, Z5, Z5
+	VMAXPS  Z5, Z6, Z5
+	VMAXPS  Z5, Z7, Z5
+	VMAXPS  Z5, Z8, Z5
+	VPERMPD Z5, Z28, Z5
+	VMOVUPS Z5, (CX)(R14*1)
+	ADDQ    $64, R14
+	SUBQ    $16, R9
+	JMP     pcol
+
+ptail:
+	TESTQ     R9, R9
+	JZ        pnext
+	VMOVUPS.Z (AX)(R14*2), K2, Z1
+	VMOVUPS.Z 64(AX)(R14*2), K3, Z2
+	VMOVUPS.Z (R15)(R14*2), K2, Z3
+	VMOVUPS.Z 64(R15)(R14*2), K3, Z4
+	ZEPI4(pa2, pr2)
+	VSHUFPS   $0x88, Z2, Z1, Z5
+	VSHUFPS   $0xDD, Z2, Z1, Z6
+	VSHUFPS   $0x88, Z4, Z3, Z7
+	VSHUFPS   $0xDD, Z4, Z3, Z8
+	VMAXPS    Z29, Z5, Z5
+	VMAXPS    Z5, Z6, Z5
+	VMAXPS    Z5, Z7, Z5
+	VMAXPS    Z5, Z8, Z5
+	VPERMPD   Z5, Z28, Z5
+	VMOVUPS   Z5, K1, (CX)(R14*1)
+
+pnext:
+	LEAQ (AX)(R13*2), AX
+	ADDQ R12, CX
+	DECQ BX
+	JNZ  prow
+	ADDQ R11, SI
+	ADDQ R10, DI
+	DECQ planes+72(FP)
+	JNZ  pplane
+	VZEROUPPER
+	RET
+
+// func convStoreAVX2(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n int, relu, pool bool)
+//
+// convStoreAVX512 at eight outputs per step, the row's tail one output at
+// a time; Y14 holds −Inf.
+TEXT ·convStoreAVX2(SB), NOSPLIT, $0-130
+	CSTRIDES
+	VXORPS   Y0, Y0, Y0
+	VPCMPEQD Y14, Y14, Y14
+	VPSLLD   $23, Y14, Y14 // −Inf
+	CMPB     pool+129(FP), $0
+	JNE      pplane
+
+uplane:
+	CBIAS(Y15, ubias)
+	MOVQ SI, AX
+	MOVQ DI, CX
+	MOVQ rows+96(FP), BX
+
+urow:
+	XORQ R14, R14
+	MOVQ n+120(FP), R15
+
+ucol:
+	CMPQ    R15, $8
+	JLT     utail
+	VMOVUPS (AX)(R14*1), Y1
+	YEPI(Y1, ua1, ur1)
+	VMOVUPS Y1, (CX)(R14*1)
+	ADDQ    $32, R14
+	SUBQ    $8, R15
+	JMP     ucol
+
+utail:
+	TESTQ  R15, R15
+	JZ     unext
+	VMOVSS (AX)(R14*1), X1
+	XEPI(X1, ua2, ur2)
+	VMOVSS X1, (CX)(R14*1)
+	ADDQ   $4, R14
+	DECQ   R15
+	JMP    utail
+
+unext:
+	ADDQ R13, AX
+	ADDQ R12, CX
+	DECQ BX
+	JNZ  urow
+	ADDQ R11, SI
+	ADDQ R10, DI
+	DECQ planes+72(FP)
+	JNZ  uplane
+	VZEROUPPER
+	RET
+
+pplane:
+	CBIAS(Y15, pbias)
+	MOVQ SI, AX
+	MOVQ DI, CX
+	MOVQ rows+96(FP), BX
+
+prow:
+	LEAQ (AX)(R13*1), R15
+	XORQ R14, R14
+	MOVQ n+120(FP), R9
+
+pcol:
+	CMPQ    R9, $8
+	JLT     ptail
+	VMOVUPS (AX)(R14*2), Y1
+	VMOVUPS 32(AX)(R14*2), Y2
+	VMOVUPS (R15)(R14*2), Y3
+	VMOVUPS 32(R15)(R14*2), Y4
+	YEPI4(pa1, pr1)
+	VSHUFPS $0x88, Y2, Y1, Y5
+	VSHUFPS $0xDD, Y2, Y1, Y6
+	VSHUFPS $0x88, Y4, Y3, Y7
+	VSHUFPS $0xDD, Y4, Y3, Y8
+	VMAXPS  Y14, Y5, Y5
+	VMAXPS  Y5, Y6, Y5
+	VMAXPS  Y5, Y7, Y5
+	VMAXPS  Y5, Y8, Y5
+	VPERMPD $0xD8, Y5, Y5
+	VMOVUPS Y5, (CX)(R14*1)
+	ADDQ    $32, R14
+	SUBQ    $8, R9
+	JMP     pcol
+
+ptail:
+	TESTQ  R9, R9
+	JZ     pnext
+	VMOVSS (AX)(R14*2), X1
+	VMOVSS 4(AX)(R14*2), X2
+	VMOVSS (R15)(R14*2), X3
+	VMOVSS 4(R15)(R14*2), X4
+	XEPI4(pa2, pr2)
+	VMAXSS X14, X1, X1
+	VMAXSS X1, X2, X1
+	VMAXSS X1, X3, X1
+	VMAXSS X1, X4, X1
+	VMOVSS X1, (CX)(R14*1)
+	ADDQ   $4, R14
+	DECQ   R9
+	JMP    ptail
+
+pnext:
+	LEAQ (AX)(R13*2), AX
+	ADDQ R12, CX
+	DECQ BX
+	JNZ  prow
+	ADDQ R11, SI
+	ADDQ R10, DI
+	DECQ planes+72(FP)
+	JNZ  pplane
+	VZEROUPPER
 	RET
