@@ -6,13 +6,23 @@
 // the demo is self-contained end to end: train → checkpoint → registry →
 // batched serving.
 //
-// The default run is the batching study: the same load once through a
-// batch-size-1 server (every request runs alone — the no-batching baseline)
-// and once through the dynamic batcher, printing both snapshots and the
-// speedup. Dynamic batching amortises the fixed per-request cost (queue
-// hops, scheduling, per-pass allocations) over the batch; the win is
-// largest for small models at high request rates and shrinks as per-sample
-// compute grows (try -size 16 -filters 8 -units 3).
+// It has three modes, one per job:
+//
+//   - the batching study (default): the same load once through a
+//     batch-size-1 server (every request runs alone — the no-batching
+//     baseline) and once through the dynamic batcher, printing both
+//     snapshots and the speedup. Dynamic batching amortises the fixed
+//     per-request cost (queue hops, scheduling, per-pass allocations) over
+//     the batch; the win is largest for small models at high request rates
+//     and shrinks as per-sample compute grows (try -size 16 -filters 8
+//     -units 3);
+//   - -listen: serve the model over TCP (D15R, internal/netserve) until
+//     SIGTERM, then drain every in-flight request and exit;
+//   - -connect: drive the same load generator against a remote backend or
+//     router.
+//
+// Fleets, routers, hedging and rolling restarts are internal/netserve's;
+// its tests run them across real processes.
 //
 // Usage:
 //
@@ -20,13 +30,9 @@
 //	deepserve -requests 50000 -batch 64    # bigger study
 //	deepserve -int8                        # serve the int8 weight/activation path
 //	deepserve -arch hep-small -checkpoint model.d15w
-//	deepserve -watch /tmp/ckpts            # hot-reload demo: train→publish→swap under load
-//	deepserve -watch /tmp/ckpts -canary .2 # stage new versions behind 20% canary traffic
 //	deepserve -listen :7015                # backend mode: serve over TCP, drain on SIGTERM
 //	deepserve -connect host:7015           # drive load against a remote endpoint
 //	deepserve -connect host:7015 -openloop 3000   # Poisson arrivals at 3000 req/s
-//	deepserve -fleet 2 -hedge              # 2 backend processes + hedging router + rolling restart
-//	deepserve -zoo                         # 3-science model zoo: hep + transfer-learned astro + climate
 package main
 
 import (
@@ -35,17 +41,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"deep15pf/internal/ckpt"
 	"deep15pf/internal/core"
 	"deep15pf/internal/hep"
 	"deep15pf/internal/nn"
 	"deep15pf/internal/obs"
 	"deep15pf/internal/opt"
-	"deep15pf/internal/perf"
 	"deep15pf/internal/serve"
 	"deep15pf/internal/tensor"
 )
@@ -70,19 +73,12 @@ func main() {
 	workers := flag.Int("workers", 0, "worker replicas (0 = GOMAXPROCS)")
 	int8Mode := flag.Bool("int8", false, "serve the int8 weight/activation path")
 	compare := flag.Bool("compare", true, "also run the batch-size-1 baseline and report the speedup")
-	watch := flag.String("watch", "", "serve out of this checkpoint store, hot-reloading new versions (train→serve loop demo)")
-	canary := flag.Float64("canary", 0, "with -watch: route this traffic fraction to an incoming version before cutover")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline (per-worker Queue/Batch/Infer lanes) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	metricsEvery := flag.Int("metrics-every", 0, "print a one-line metrics dump every N seconds (0 = off)")
-	windowed := flag.Bool("windowed-latency", false, "latency quantiles over the most recent 64k requests instead of a whole-lifetime uniform sample")
 	listen := flag.String("listen", "", "backend mode: serve the model over TCP on this address (prints the listen banner, drains on SIGTERM)")
 	connect := flag.String("connect", "", "client mode: drive load against this remote D15R endpoint instead of an in-process server")
-	fleetN := flag.Int("fleet", 0, "fleet mode: spawn N backend processes, route over them, and rolling-restart one mid-load")
-	zoo := flag.Bool("zoo", false, "model zoo mode: train hep, fine-tune astro from it, add climate; serve all three through one routed fleet with a rolling restart mid-load")
-	hedge := flag.Bool("hedge", false, "with -fleet: hedge tail requests at a second backend (one member is slowed to make the race real)")
 	openloop := flag.Float64("openloop", 0, "open-loop (Poisson) arrival rate in req/s; 0 = closed-loop clients")
-	netDelay := flag.Duration("net-delay", 0, "with -listen: inject this per-request delay (slow-backend fault injection)")
 	kernels := flag.String("kernels", "auto", "compute kernel ISA: auto|scalar|avx2|avx512 (float results are bitwise identical across choices)")
 	seed := flag.Uint64("seed", 42, "seed")
 	flag.Parse()
@@ -109,41 +105,12 @@ func main() {
 	demoCfg := hep.ModelConfig{Name: "hep-demo", ImageSize: *size, Filters: *filters, ConvUnits: *units, Classes: 2}
 	serve.RegisterHEP(registry, "hep-demo", demoCfg)
 
-	if *zoo {
-		runZoo(demoCfg, *trainEvents, *trainIters, *lr, *requests, *clients, *seed)
-		return
-	}
-	if *fleetN > 0 {
-		model := *arch
-		if model == "" {
-			model = "hep-demo"
-		}
-		path := *checkpoint
-		if path == "" {
-			path = trainDemo(demoCfg, *trainEvents, *trainIters, *lr, *seed)
-		}
-		runFleet(*fleetN, path, model, demoCfg, *hedge, *openloop, *requests, *clients, *seed)
-		return
-	}
 	if *connect != "" {
 		model := *arch
 		if model == "" {
 			model = "hep-demo"
 		}
 		runConnect(*connect, model, *size, *openloop, *requests, *clients, *seed)
-		return
-	}
-
-	if *watch != "" {
-		prec := serve.Float32
-		if *int8Mode {
-			prec = serve.Int8
-		}
-		runWatchDemo(registry, demoCfg, *watch, prec, serve.DeployConfig{
-			Server: serve.Config{MaxBatch: *batch, MaxLinger: *linger, Workers: *workers,
-				WindowedLatency: *windowed},
-			Canary: *canary,
-		}, *trainEvents, *trainIters, *lr, *requests, *clients, *seed)
 		return
 	}
 
@@ -169,7 +136,7 @@ func main() {
 	}
 	fmt.Printf("loaded %s (%s): input %v -> output %v, %.2f MiB parameters, %s/sample forward\n\n",
 		lm.ModelArch, lm.Prec, lm.InShape(), lm.OutShape(),
-		float64(lm.ParamBytes())/(1<<20), perf.FormatFlops(float64(lm.FwdFLOPsPerSample())))
+		float64(lm.ParamBytes())/(1<<20), serve.FormatFlops(float64(lm.FwdFLOPsPerSample())))
 
 	if *int8Mode {
 		// Freeze activation scales from a sample of the request
@@ -193,10 +160,9 @@ func main() {
 		reportInt8Agreement(registry, archName, path, lm, *seed)
 	}
 
-	cfg := serve.Config{MaxBatch: *batch, MaxLinger: *linger, Workers: *workers,
-		WindowedLatency: *windowed}
+	cfg := serve.Config{MaxBatch: *batch, MaxLinger: *linger, Workers: *workers}
 	if *listen != "" {
-		runListen(lm, archName, *listen, cfg, *netDelay)
+		runListen(lm, archName, *listen, cfg)
 		return
 	}
 
@@ -238,108 +204,6 @@ func main() {
 		}
 	}
 }
-
-// runWatchDemo is the continuous-deployment loop, self-contained: train a
-// demo model into a checkpoint store, serve it through a hot-reloading
-// Deployment, keep closed-loop traffic flowing while training publishes an
-// improved version, and report the swap — zero dropped requests — with
-// per-version serving metrics (and canary routing with -canary > 0).
-func runWatchDemo(registry *serve.Registry, cfg hep.ModelConfig, dir string, prec serve.Precision,
-	dcfg serve.DeployConfig, events, iters int, lr float64, requests, clients int, seed uint64) {
-	store, err := ckpt.Open(dir)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	rng := tensor.NewRNG(seed)
-	r := hep.NewRenderer(cfg.ImageSize)
-	train := hep.GenerateDataset(hep.DefaultGenConfig(), r, events, 0.5, rng)
-	problem := hep.NewTrainingProblem(train, cfg, seed+1)
-
-	// Version 1: a half-trained model, published through the trainer's own
-	// checkpoint hook (the store IS the train→serve interface).
-	half := iters / 2
-	if half < 1 {
-		half = 1
-	}
-	publish := func(totalIters int) {
-		res := core.TrainSync(problem, core.Config{
-			Groups: 1, WorkersPerGroup: 1, GroupBatch: 32, Iterations: totalIters,
-			Solver: opt.NewAdam(lr), Seed: seed,
-			Checkpoint: core.CheckpointConfig{Dir: dir, Every: totalIters, Async: true,
-				Arch: cfg.Name, Resume: true},
-		})
-		m, _, _ := store.Latest()
-		fmt.Printf("published v%d at step %d (loss %.4f, fingerprint %s)\n",
-			m.Version, m.Step, res.FinalLoss, m.Fingerprint)
-	}
-	if _, ok, _ := store.Latest(); !ok {
-		fmt.Printf("training %s to step %d for the initial version...\n", cfg.Name, half)
-		publish(half)
-	}
-
-	dcfg.Poll = 20 * time.Millisecond
-	d, err := serve.NewDeployment(registry, cfg.Name, prec, store, dcfg)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer d.Close()
-	d.Watch()
-	fmt.Printf("\nserving v%d from %s (canary fraction %.2f)\n", d.CurrentVersion(), dir, dcfg.Canary)
-
-	inputs := requestPool(loadedModelInputs(d), 256, seed+3)
-	var (
-		next, completed, failed atomic.Int64
-		wg                      sync.WaitGroup
-	)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= requests {
-					return
-				}
-				if _, err := d.Submit(inputs[i%len(inputs)].X); err != nil {
-					failed.Add(1)
-				} else {
-					completed.Add(1)
-				}
-			}
-		}()
-	}
-	// Mid-load: continue training to full depth and publish — the watcher
-	// picks the new version up while the clients keep hammering.
-	for next.Load() < int64(requests/3) {
-		time.Sleep(time.Millisecond)
-	}
-	fmt.Printf("resuming training to step %d while serving...\n", iters)
-	publish(iters)
-	swapDeadline := time.Now().Add(10 * time.Second)
-	for d.Swaps() == 0 && time.Now().Before(swapDeadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	wg.Wait()
-
-	fmt.Printf("\nhot reload: %d swap(s), %d rejected, final version v%d\n",
-		d.Swaps(), d.Rejected(), d.CurrentVersion())
-	fmt.Printf("traffic: %d/%d requests completed, %d failed across the swap\n",
-		completed.Load(), requests, failed.Load())
-	for _, vs := range d.Versions() {
-		role := "live"
-		if vs.Canary {
-			role = "canary"
-		}
-		fmt.Printf("  v%d (%s): %s\n", vs.Version, role, vs.Stats)
-	}
-	if failed.Load() > 0 {
-		fatalf("hot reload dropped %d requests", failed.Load())
-	}
-}
-
-// loadedModelInputs adapts the deployment's live model shape for the
-// request pool builder.
-func loadedModelInputs(d *serve.Deployment) *serve.LoadedModel { return d.Loaded() }
 
 // trainDemo trains the demo classifier synchronously (quickstart-style),
 // evaluates it on held-out events, and checkpoints it to a temp file.

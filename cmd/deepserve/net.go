@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"strconv"
 	"time"
 
 	"deep15pf/internal/hep"
@@ -15,22 +14,20 @@ import (
 // runListen is backend mode: put the loaded model on the network and
 // serve until SIGTERM, then drain (goaway handshake, every in-flight
 // request answered) and exit. The listen banner on stdout is the
-// handshake a fleet parent scans for the ephemeral port.
-func runListen(lm *serve.LoadedModel, model, addr string, cfg serve.Config, delay time.Duration) {
+// handshake a fleet parent (netserve.StartProc) scans for the ephemeral
+// port.
+func runListen(lm *serve.LoadedModel, model, addr string, cfg serve.Config) {
 	eng, err := serve.NewServer(lm, cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	engines := map[string]*serve.Server{model: eng}
-	ns, err := netserve.NewServer(addr, engines, netserve.ServerConfig{Delay: delay})
+	ns, err := netserve.NewServer(addr, engines, netserve.ServerConfig{})
 	if err != nil {
 		fatalf("%v", err)
 	}
 	liveMetrics.Store(eng.Metrics())
 	ns.PrintBanner(os.Stdout)
-	if delay > 0 {
-		fmt.Fprintf(os.Stderr, "deepserve: serving %q with %v injected per-request delay\n", model, delay)
-	}
 	ns.DrainOnSignal(engines, 15*time.Second)
 	fmt.Printf("drained: %s\n", eng.Stats())
 }
@@ -60,110 +57,6 @@ func runConnect(addr, model string, size int, rate float64, requests, clients in
 	}
 }
 
-// runFleet is the multi-process demo and smoke target: spawn n backend
-// processes over one checkpoint, route over them (hedged if asked, with
-// one member deliberately slowed so the hedge race is real), run the load
-// generator through the router, and rolling-restart a member mid-load.
-// Exits nonzero if a single request is dropped.
-func runFleet(n int, ckpt, model string, demo hep.ModelConfig, hedge bool, rate float64, requests, clients int, seed uint64) {
-	if n < 2 {
-		fatalf("-fleet needs at least 2 members (got %d)", n)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	spawn := func(delay time.Duration) (*netserve.Proc, error) {
-		args := []string{exe, "-listen", "127.0.0.1:0", "-checkpoint", ckpt, "-arch", model,
-			"-size", strconv.Itoa(demo.ImageSize), "-filters", strconv.Itoa(demo.Filters),
-			"-units", strconv.Itoa(demo.ConvUnits)}
-		if delay > 0 {
-			args = append(args, "-net-delay", delay.String())
-		}
-		return netserve.StartProc(args, nil, 60*time.Second)
-	}
-
-	procs := make([]*netserve.Proc, n)
-	addrs := make([]string, n)
-	for i := range procs {
-		var delay time.Duration
-		if hedge && i == 0 {
-			// One deliberately slow member makes the hedge demo honest:
-			// its requests hit the adaptive deadline and race a second
-			// attempt at a healthy member.
-			delay = 4 * time.Millisecond
-		}
-		p, err := spawn(delay)
-		if err != nil {
-			fatalf("fleet member %d: %v", i, err)
-		}
-		procs[i], addrs[i] = p, p.Addr
-	}
-	defer func() {
-		for _, p := range procs {
-			if p != nil {
-				p.Kill()
-			}
-		}
-	}()
-	fmt.Printf("fleet: %d members up (%v), hedge %v\n", n, addrs, hedge)
-
-	r, err := netserve.NewRouter("127.0.0.1:0", addrs, netserve.RouterConfig{Hedge: hedge})
-	if err != nil {
-		fatalf("router: %v", err)
-	}
-	defer r.Close()
-	c, err := netserve.Dial(r.Addr())
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer c.Close()
-	bound := c.Bind(model)
-	inputs := buildNetInputs(demo.ImageSize, 256, seed+3)
-
-	// Warm every member's pools and plans before measuring.
-	if res := serve.RunClosedLoop(bound, inputs, clients, 2*clients); res.Err != nil {
-		fatalf("fleet warmup: %v", res.Err)
-	}
-
-	mode := "closed-loop"
-	if rate > 0 {
-		mode = fmt.Sprintf("open-loop %.0f req/s", rate)
-	}
-	fmt.Printf("--- %s through the router: %d requests, %d clients, rolling restart mid-load ---\n",
-		mode, requests, clients)
-	var res serve.LoadResult
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		res = driveLoad(bound, inputs, clients, requests, rate, seed)
-	}()
-	time.Sleep(50 * time.Millisecond) // load is flowing
-	restarted, err := netserve.RollingRestart(r, procs[n-1], func() (*netserve.Proc, error) {
-		return spawn(0)
-	}, 20*time.Second)
-	if err != nil {
-		fatalf("rolling restart: %v", err)
-	}
-	procs[n-1] = restarted
-	<-done
-
-	printLoadResult(res)
-	snap := r.Metrics().Snapshot()
-	fmt.Printf("  router: %s\n", snap.Line())
-	for _, p := range procs {
-		p.Drain(15 * time.Second)
-	}
-	procs = nil
-	if res.Err != nil {
-		fatalf("fleet load: %v", res.Err)
-	}
-	if res.Dropped > 0 {
-		fatalf("rolling restart dropped %d requests", res.Dropped)
-	}
-	fmt.Println("rolling restart: zero dropped requests")
-}
-
 // driveLoad picks the arrival process: closed loop (each client submits
 // the moment its last request completes) or open loop (Poisson arrivals
 // at rate req/s — the honest tail-latency workload).
@@ -180,8 +73,8 @@ func printLoadResult(res serve.LoadResult) {
 		res.P50.Round(time.Microsecond), res.P95.Round(time.Microsecond), res.P99.Round(time.Microsecond))
 }
 
-// buildNetInputs renders HEP-shaped request tensors locally — client and
-// fleet modes have no loaded model to take shapes from, only the flags.
+// buildNetInputs renders HEP-shaped request tensors locally — client mode
+// has no loaded model to take shapes from, only the flags.
 func buildNetInputs(size, n int, seed uint64) []*serve.LoadInput {
 	rng := tensor.NewRNG(seed)
 	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(size), n, 0.5, rng)

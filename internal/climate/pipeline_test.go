@@ -3,50 +3,44 @@ package climate
 import (
 	"testing"
 
-	"deep15pf/internal/core"
-	"deep15pf/internal/opt"
 	"deep15pf/internal/tensor"
 )
 
 // TestClimatePrefetchMatchesBlocking pins the streaming-ingest identity on
 // the climate side, across the full staged tuple — fields, box targets and
-// the semi-supervised labeled flags: prefetched training must reproduce the
-// blocking trajectory bit for bit.
+// the semi-supervised labeled flags: batches the prefetcher staged must
+// give the losses and gradients of the blocking reference
+// (ComputeGradients) bit for bit.
 func TestClimatePrefetchMatchesBlocking(t *testing.T) {
 	rng := tensor.NewRNG(91)
 	ds := GenerateDataset(DefaultGenConfig(64), 10, rng)
-	mk := func() *TrainingProblem {
-		p := NewTrainingProblem(ds, SmallConfig(), 11)
-		p.LabeledFrac = 0.5 // unlabeled tail exercises the flag staging
-		return p
-	}
+	p := NewTrainingProblem(ds, SmallConfig(), 11)
+	p.LabeledFrac = 0.5 // unlabeled tail exercises the flag staging
 
-	base := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 4, Iterations: 5, Seed: 13}
-	base.Solver = opt.NewAdam(1.5e-3)
-	blocking := core.TrainSync(mk(), base)
-
-	pf := base
-	pf.Solver = opt.NewAdam(1.5e-3)
-	pf.Prefetch = 1
-	prefetched := core.TrainSync(mk(), pf)
-
-	for i := range blocking.FinalWeights {
-		for j := range blocking.FinalWeights[i] {
-			for k, v := range blocking.FinalWeights[i][j] {
-				if prefetched.FinalWeights[i][j][k] != v {
-					t.Fatalf("prefetched weights diverge at layer %d blob %d elem %d", i, j, k)
+	seq := [][]int{{9, 0, 4, 7}, {2, 5, 8, 1}, {6, 3}}
+	blocking, staged := p.NewReplica(), p.NewReplica()
+	staged.StartIngest(seq, 1)
+	defer staged.StopIngest()
+	for it, idx := range seq {
+		blocking.ZeroGrad()
+		staged.ZeroGrad()
+		want := blocking.ComputeGradients(idx)
+		if got := staged.ComputeGradientsStream(nil); got != want {
+			t.Fatalf("batch %d: prefetched loss %v, blocking %v", it, got, want)
+		}
+		bl, sl := blocking.TrainableLayers(), staged.TrainableLayers()
+		for i := range bl {
+			for j, prm := range bl[i].Params() {
+				for k, v := range prm.Grad.Data {
+					if sl[i].Params()[j].Grad.Data[k] != v {
+						t.Fatalf("batch %d: prefetched grads diverge at layer %d blob %d elem %d", it, i, j, k)
+					}
 				}
 			}
 		}
 	}
-	for i := range blocking.Stats {
-		if blocking.Stats[i].Loss != prefetched.Stats[i].Loss {
-			t.Fatalf("iteration %d loss diverges: %v vs %v",
-				i, blocking.Stats[i].Loss, prefetched.Stats[i].Loss)
-		}
-	}
-	if prefetched.Ingest.Batches == 0 || prefetched.Ingest.StageSeconds <= 0 {
-		t.Fatalf("pipeline ingest accounting missing: %+v", prefetched.Ingest)
+	if st := staged.IngestStats(); st.Batches != int64(len(seq)) || st.StageSeconds <= 0 {
+		t.Fatalf("pipeline ingest accounting missing: %+v", st)
 	}
 }
 
@@ -70,7 +64,7 @@ func TestClimatePrefetchedIterationZeroAllocs(t *testing.T) {
 
 	iter := func() {
 		rep.ZeroGrad()
-		rep.ComputeGradientsStream(batches[0], nil)
+		rep.ComputeGradientsStream(nil)
 	}
 	iter() // warm
 	iter()

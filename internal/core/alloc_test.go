@@ -65,6 +65,17 @@ func (s *allocSource) Next(size int) []int {
 	return idx
 }
 
+// stageRepeats starts rep's prefetcher the way the trainers do, over more
+// copies of idx than a gate below iterates; StopIngest runs at cleanup.
+func stageRepeats(t *testing.T, rep *Replica, idx []int) {
+	seq := make([][]int, 64)
+	for i := range seq {
+		seq[i] = idx
+	}
+	startIngest(rep, seq, 0, 1, 0)
+	t.Cleanup(rep.StopIngest)
+}
+
 func TestOverlappedWorkerSteadyStateAllocFree(t *testing.T) {
 	p := newAllocProblem(32)
 	rep := p.NewReplica()
@@ -76,6 +87,7 @@ func TestOverlappedWorkerSteadyStateAllocFree(t *testing.T) {
 
 	fleet.FetchAll(0)
 	idx := []int{0, 1, 2, 3}
+	stageRepeats(t, rep, idx)
 	iterate := func() {
 		rep.ZeroGrad()
 		loss := gw.compute(idx)
@@ -115,6 +127,7 @@ func TestTracedWorkerSteadyStateAllocFree(t *testing.T) {
 	fleet.FetchAll(0)
 	solver := opt.NewSGD(0.01, 0.9)
 	idx := []int{0, 1, 2, 3}
+	stageRepeats(t, rep, idx)
 	it := 0
 	iterate := func() {
 		gw.lane.SetIter(it)
@@ -154,6 +167,7 @@ func TestLockstepWorkerSteadyStateAllocFree(t *testing.T) {
 
 	fleet.FetchAll(0)
 	idx := []int{0, 1, 2, 3}
+	stageRepeats(t, rep, idx)
 	iterate := func() {
 		rep.ZeroGrad()
 		gw.compute(idx)

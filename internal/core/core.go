@@ -70,12 +70,11 @@ type Config struct {
 	// elements across flat-range solver shards (0 = unsharded).
 	PSShardElems int
 
-	// Prefetch enables the streaming input pipeline: each worker replica
+	// Prefetch is the input pipeline's lookahead: each worker replica
 	// stages its upcoming shard batches on a background goroutine while the
-	// current batch trains, keeping Prefetch batches of lookahead (1 = the
-	// classic double buffer). 0 — the default — is the legacy blocking
-	// path: stage at iteration start, then compute. The weight trajectory
-	// is bitwise identical either way.
+	// current batch trains, keeping max(Prefetch, 1) batches ahead (1 = the
+	// classic double buffer, also what 0 gets). The weight trajectory is
+	// bitwise identical at every depth, and to Replica.ComputeGradients'.
 	Prefetch int
 
 	// Checkpoint wires the run to a versioned snapshot store: periodic
@@ -104,9 +103,6 @@ func (c Config) validate() {
 	}
 	if c.Solver == nil {
 		panic("core: solver required")
-	}
-	if c.Prefetch < 0 {
-		panic("core: negative prefetch lookahead")
 	}
 	if _, err := comm.NewCodec(c.Codec, 0); err != nil {
 		panic("core: " + err.Error())
@@ -140,8 +136,8 @@ type Result struct {
 	Wire ps.WireStats
 	// Ingest accounts input staging across all replicas: total staging time
 	// versus the part the compute loop actually waited on (exposed I/O).
-	// With Config.Prefetch the wait collapses toward zero while the staging
-	// work stays put — the Fig 5 ingest A/B in one pair of numbers.
+	// The prefetcher collapses the wait toward zero while the staging work
+	// stays put.
 	Ingest data.IngestStats
 	// Ckpt accounts the run's snapshots: staging time versus background
 	// write time versus the stall the training loop actually saw — the

@@ -17,7 +17,7 @@ import (
 // ring, the ingest account, the trace lanes) is Replica's.
 //
 // Staging slots are numbered densely from 0 and owned by the workload.
-// Slot 0 is the blocking path's; the prefetch ring uses 1..lookahead+1.
+// Slot 0 is ComputeGradients'; the prefetch ring uses 1..lookahead+1.
 type Workload interface {
 	// TrainableLayers returns the parameterised layers in a fixed order
 	// (the per-layer PS pairing).
@@ -27,10 +27,10 @@ type Workload interface {
 	// the slot was reserved for, so Stage itself allocates nothing.
 	Reserve(slot, n int)
 	// Stage copies the samples idx (never empty) into slot. It runs on the
-	// replica's goroutine (blocking path) or on the prefetch goroutine,
+	// replica's goroutine (ComputeGradients) or on the prefetch goroutine,
 	// never both at once, and must be a pure copy of dataset contents: the
-	// same Stage on both paths is what keeps a prefetched trajectory
-	// bitwise equal to the blocking one.
+	// same Stage on both paths is what keeps a trainer's prefetched
+	// trajectory bitwise equal to the blocking reference.
 	Stage(slot int, idx []int) error
 	// Step runs forward, loss and backward over slot's staged batch,
 	// accumulating *mean* gradients into the layer parameters, and returns
@@ -76,27 +76,19 @@ func (r *Replica) ZeroGrad() { nn.ZeroGrads(r.params) }
 func (r *Replica) SetTraceLane(l *obs.Lane) { r.lane = l }
 
 // ComputeGradients is the blocking path — stage idx now, then compute —
-// and the reference the prefetched path is held to.
+// and the reference the trainers' prefetched path is held to.
 func (r *Replica) ComputeGradients(idx []int) float64 {
 	r.stageNow(idx)
 	return r.w.Step(0, r.lane, nil)
 }
 
-// ComputeGradientsStream computes the run's next batch with per-layer
-// completion callbacks: gradDone(t) fires on the computing goroutine the
-// moment layer t's gradients are final, which is what lets the overlapped
-// trainer exchange layer t while the backward pass is still running
-// (§III-E). With ingest started the batch comes pre-staged — idx then only
-// names the iteration's shard, the pipeline staged the same indices in the
-// same order — otherwise idx is staged now, as in ComputeGradients.
-func (r *Replica) ComputeGradientsStream(idx []int, gradDone func(layer int)) float64 {
-	slot := 0
-	if r.pipe != nil {
-		slot = r.nextStaged()
-	} else {
-		r.stageNow(idx)
-	}
-	return r.w.Step(slot, r.lane, gradDone)
+// ComputeGradientsStream computes the next batch StartIngest staged, with
+// per-layer completion callbacks: gradDone(t) fires on the computing
+// goroutine the moment layer t's gradients are final, which is what lets
+// the overlapped trainer exchange layer t while the backward pass is still
+// running (§III-E).
+func (r *Replica) ComputeGradientsStream(gradDone func(layer int)) float64 {
+	return r.w.Step(r.nextStaged(), r.lane, gradDone)
 }
 
 // stageNow stages idx into the blocking slot on the calling goroutine and
@@ -136,13 +128,12 @@ func (r *Replica) nextStaged() int {
 }
 
 // StartIngest launches a background prefetcher over batches — the index
-// sets the blocking path would stage at each iteration start, in the same
-// order — keeping lookahead (at least 1) staged batches ahead of the one
-// training, in a ring of lookahead+1 slots: the §VI-A input-pipeline
-// overlap. Empty
-// sets are skipped, never staged as a zero batch; the consumer must skip
-// them symmetrically. The ring is sized for the largest set up front, so
-// the prefetch goroutine never touches the workload's allocator.
+// sets of the run's iterations, in order — keeping lookahead (at least 1)
+// staged batches ahead of the one training, in a ring of lookahead+1
+// slots: the §VI-A input-pipeline overlap. Empty sets are skipped, never
+// staged as a zero batch; the consumer must skip them symmetrically. The
+// ring is sized for the largest set up front, so the prefetch goroutine
+// never touches the workload's allocator.
 func (r *Replica) StartIngest(batches [][]int, lookahead int) {
 	maxN := 0
 	for _, b := range batches {

@@ -149,7 +149,7 @@ func TrainScheduled(p Problem, cfg Config, schedule []ScheduledEvent) Result {
 		rep.ZeroGrad()
 		var loss float64
 		if len(idx) > 0 {
-			loss = rep.ComputeGradientsStream(idx, nil)
+			loss = rep.ComputeGradientsStream(nil)
 		}
 		var stale float64
 		lanes[g].Begin(obs.PhaseCommWait)

@@ -183,13 +183,12 @@ func newGroupWorker(rank int, group *comm.Group, rep *Replica, ex *exchanger, ov
 	return gw
 }
 
-// compute runs one forward/backward over idx with the group-mean reduction
-// of every layer's gradients in flight: overlapped with the backward pass
-// when cfg.Overlap is set, issued en bloc after it otherwise (the lockstep
-// schedule, same arithmetic). Whether the batch is staged now or comes
-// pre-staged from the replica's prefetcher is the replica's business. On
-// return, the root's layers are being exchanged by the pushers; non-root
-// ranks have fully reduced gradients.
+// compute runs one forward/backward over idx — which the replica's
+// prefetcher has already staged — with the group-mean reduction of every
+// layer's gradients in flight: overlapped with the backward pass when
+// cfg.Overlap is set, issued en bloc after it otherwise (the lockstep
+// schedule, same arithmetic). On return, the root's layers are being
+// exchanged by the pushers; non-root ranks have fully reduced gradients.
 //
 // An empty idx is an epoch-tail shard with zero samples (data.Split with
 // more workers than samples): the rank skips staging and compute entirely —
@@ -203,9 +202,9 @@ func (gw *groupWorker) compute(idx []int) float64 {
 			gw.notify(t)
 		}
 	case gw.overlap:
-		loss = gw.rep.ComputeGradientsStream(idx, gw.notify)
+		loss = gw.rep.ComputeGradientsStream(gw.notify)
 	default:
-		loss = gw.rep.ComputeGradientsStream(idx, nil)
+		loss = gw.rep.ComputeGradientsStream(nil)
 		for t := len(gw.layers) - 1; t >= 0; t-- {
 			gw.notify(t)
 		}
@@ -243,20 +242,17 @@ func (s *shardCache) shard(n int) (lo, hi int) {
 }
 
 // startIngest launches rank's prefetch pipeline over its per-iteration
-// shard shares of the pre-drawn group batches: the exact index sets the
-// blocking path would stage at each iteration start, in the exact order.
-// lookahead 0 leaves the replica on the blocking path.
+// shard shares of the pre-drawn group batches, in iteration order. Every
+// trainer stages this way: Config.Prefetch sets the lookahead, at least 1
+// (the double buffer).
 func startIngest(rep *Replica, batches [][]int, rank, workers, lookahead int) {
-	if lookahead <= 0 {
-		return
-	}
 	seq := make([][]int, len(batches))
 	sc := shardCache{rank: rank, workers: workers}
 	for it, b := range batches {
 		lo, hi := sc.shard(len(b))
 		seq[it] = b[lo:hi]
 	}
-	rep.StartIngest(seq, lookahead)
+	rep.StartIngest(seq, max(lookahead, 1))
 }
 
 // broadcastWeights fans the root's (freshly exchanged) model out to the

@@ -79,14 +79,14 @@ func Checkpoint(opts Options) Report {
 
 	straight := core.TrainSync(problem, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: total,
-		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true, Prefetch: 1})
+		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true})
 	core.TrainSync(problem, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: half,
-		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true, Prefetch: 1,
+		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true,
 		Checkpoint: core.CheckpointConfig{Dir: dir, Every: half, Async: true, Arch: cfg.Name}})
 	resumed := core.TrainSync(problem, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: total,
-		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true, Prefetch: 1,
+		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true,
 		Checkpoint: core.CheckpointConfig{Dir: dir, Resume: true, Arch: cfg.Name}})
 
 	fpStraight := ckpt.FingerprintWeights(straight.FinalWeights)

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"deep15pf/internal/climate"
 	"deep15pf/internal/cluster"
-	"deep15pf/internal/core"
 	"deep15pf/internal/data"
 	"deep15pf/internal/hep"
 	"deep15pf/internal/nn"
@@ -41,71 +38,16 @@ func Fig5(opts Options) Report {
 		"fat mid-network layers (the DeepBench small-operand effect — milder on this host's\n" +
 		"scalar GEMM than on KNL's 16-lane AVX-512 units); the climate I/O share exceeds the\n" +
 		"HEP I/O share (16-channel samples vs 3-channel), as in the paper's 13% vs 2%.\n"
-	body += "\nInput-pipeline A/B (blocking reader vs double-buffered prefetch)\n"
+	body += "\nInput-pipeline A/B (blocking reader vs double-buffered prefetch), modelled\n"
 	body += fig5IngestAB(opts)
 	return Report{ID: "fig5", Title: "Single-node runtime and flop-rate breakdown (Fig 5)", Body: body}
 }
 
-// fig5IngestAB runs the streaming-ingest A/B the tentpole exists for. The
-// measured half trains the same shard-backed HEP problem twice — once with
-// the blocking reader (stage at iteration start, §VI-A's non-threaded
-// path) and once with the background prefetch pipeline — and reports how
-// much staging time stayed exposed on the critical path. The simulated half
-// asks the calibrated cluster model the same question at paper scale for
-// both networks, where the blocking shares anchor to Fig 5's 2%/13%.
+// fig5IngestAB asks the calibrated cluster model how much input I/O a
+// blocking reader exposes at paper scale on both networks (the shares
+// anchor to Fig 5's 2%/13%) and how much the double buffer every trainer
+// runs leaves on the critical path.
 func fig5IngestAB(opts Options) string {
-	size, events, iters, batch := 32, 96, 24, 8
-	if opts.Quick {
-		size, events, iters = 16, 48, 16
-	}
-	rng := tensor.NewRNG(opts.Seed + 2)
-	cfg := hep.ModelConfig{Name: "fig5-ingest", ImageSize: size, Filters: 8, ConvUnits: 3, Classes: 2}
-	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(size), events, 0.5, rng)
-
-	var b strings.Builder
-	dir, err := os.MkdirTemp("", "d15p-ingest")
-	if err == nil {
-		defer os.RemoveAll(dir)
-		var set *data.ShardSet
-		if paths, serr := ds.SaveShards(dir, 4); serr == nil {
-			set, err = data.OpenShardSet(paths...)
-		} else {
-			err = serr
-		}
-		if err == nil {
-			defer set.Close()
-			problem := hep.NewTrainingProblem(ds, cfg, opts.Seed+3)
-			problem.Backing = set
-			run := func(prefetch int) (time.Duration, data.IngestStats) {
-				tc := core.Config{Groups: 1, WorkersPerGroup: 1, GroupBatch: batch,
-					Iterations: iters, Solver: opt.NewSGD(0.02, 0.9), Seed: opts.Seed,
-					Prefetch: prefetch}
-				t0 := time.Now()
-				res := core.TrainSync(problem, tc)
-				return time.Since(t0), res.Ingest
-			}
-			blockWall, blocking := run(0)
-			preWall, prefetched := run(1)
-			t := newTable("measured (shard-backed HEP)", "wall", "stage ms/iter", "exposed ms/iter", "overlap")
-			row := func(name string, wall time.Duration, st data.IngestStats) {
-				n := float64(st.Batches)
-				if n == 0 {
-					n = 1
-				}
-				t.addf("%s|%.0f ms|%.3f|%.3f|%.0f%%", name, wall.Seconds()*1e3,
-					st.StageSeconds/n*1e3, st.WaitSeconds/n*1e3, 100*st.Overlap())
-			}
-			row("blocking (prefetch=0)", blockWall, blocking)
-			row("prefetched (prefetch=1)", preWall, prefetched)
-			b.WriteString(t.String())
-			b.WriteString(fmt.Sprintf("(identical trajectories by construction; overlap needs a spare core — host has %d)\n",
-				runtime.NumCPU()))
-		}
-	}
-	if err != nil {
-		b.WriteString("(measured shard A/B unavailable: " + err.Error() + ")\n")
-	}
-
 	sim := newTable("modelled at paper scale", "io s/iter", "exposed s/iter", "share of iter")
 	m := cluster.CoriPhaseII()
 	for _, p := range []cluster.NetProfile{cluster.HEPProfile(), cluster.ClimateProfile()} {
@@ -123,12 +65,10 @@ func fig5IngestAB(opts Options) string {
 				100*r.ExposedIOSeconds/r.WallTime)
 		}
 	}
-	b.WriteString("\n")
-	b.WriteString(sim.String())
-	b.WriteString("(blocking shares calibrated to the paper's ≈2% HEP / ≈13% climate; the double buffer\n" +
+	return sim.String() +
+		"(blocking shares calibrated to the paper's ≈2% HEP / ≈13% climate; the double buffer\n" +
 		"hides every steady-state batch-8 read behind compute on both networks — only\n" +
-		"iteration 0's warmup stage stays exposed)\n")
-	return b.String()
+		"iteration 0's warmup stage stays exposed)\n"
 }
 
 // layerRow is one measured component: a layer with its forward+backward

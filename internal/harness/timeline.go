@@ -147,7 +147,7 @@ func traceHEPRun(opts Options) (string, error) {
 	tr := obs.NewTracer(0)
 	res := core.TrainSync(problem, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: batch, Iterations: iters,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: opts.Seed, Prefetch: 1, Trace: tr,
+		Solver: opt.NewSGD(0.02, 0.9), Seed: opts.Seed, Trace: tr,
 	})
 	snap := tr.Snapshot()
 

@@ -3,17 +3,17 @@ package hep
 import (
 	"testing"
 
-	"deep15pf/internal/core"
 	"deep15pf/internal/data"
-	"deep15pf/internal/opt"
 	"deep15pf/internal/tensor"
 )
 
-// TestShardBackedPrefetchMatchesInMemoryBlocking pins the tentpole's
-// acceptance contract end to end: training with real per-batch shard-file
-// reads staged by the background pipeline must reproduce the in-memory
-// blocking trajectory bit for bit (shards round-trip float bits exactly,
-// and the pipeline consumes the same batch order as the blocking path).
+// TestShardBackedPrefetchMatchesInMemoryBlocking pins the input pipeline on
+// real files: a replica whose batches the background prefetcher reads from
+// shard files must compute the same losses and gradients, bit for bit, as
+// the blocking in-memory reference (ComputeGradients) — shards round-trip
+// float bits exactly, and the pipeline stages the same indices in the same
+// order. The accounts reflect the paths taken: blocking books all staging
+// as exposed wait; the pipeline's wait is measured, not assumed.
 func TestShardBackedPrefetchMatchesInMemoryBlocking(t *testing.T) {
 	rng := tensor.NewRNG(71)
 	cfg := ModelConfig{Name: "pipe-test", ImageSize: 16, Filters: 8, ConvUnits: 3, Classes: 2}
@@ -32,40 +32,38 @@ func TestShardBackedPrefetchMatchesInMemoryBlocking(t *testing.T) {
 	defer set.Close()
 	shard.Backing = set
 
-	base := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 8, Iterations: 8, Seed: 3}
-	base.Solver = opt.NewSGD(0.02, 0.9)
-	resMem := core.TrainSync(mem, base)
-
-	pf := base
-	pf.Solver = opt.NewSGD(0.02, 0.9)
-	pf.Prefetch = 2
-	resShard := core.TrainSync(shard, pf)
-
-	for i := range resMem.FinalWeights {
-		for j := range resMem.FinalWeights[i] {
-			for k, v := range resMem.FinalWeights[i][j] {
-				if resShard.FinalWeights[i][j][k] != v {
-					t.Fatalf("shard-backed prefetched weights diverge at layer %d blob %d elem %d: %v vs %v",
-						i, j, k, resShard.FinalWeights[i][j][k], v)
+	// Batches cross shard boundaries, repeat an index and shrink at the end.
+	seq := [][]int{{3, 17, 5, 9}, {0, 23, 11, 2}, {8, 8, 20, 14}, {22, 7}}
+	blocking, staged := mem.NewReplica(), shard.NewReplica()
+	staged.StartIngest(seq, 2)
+	defer staged.StopIngest()
+	for it, idx := range seq {
+		blocking.ZeroGrad()
+		staged.ZeroGrad()
+		want := blocking.ComputeGradients(idx)
+		if got := staged.ComputeGradientsStream(nil); got != want {
+			t.Fatalf("batch %d: shard-backed prefetched loss %v, in-memory blocking %v", it, got, want)
+		}
+		bl, sl := blocking.TrainableLayers(), staged.TrainableLayers()
+		for i := range bl {
+			for j, prm := range bl[i].Params() {
+				for k, v := range prm.Grad.Data {
+					if got := sl[i].Params()[j].Grad.Data[k]; got != v {
+						t.Fatalf("batch %d: layer %d blob %d grad %d: %v vs %v", it, i, j, k, got, v)
+					}
 				}
 			}
 		}
 	}
-	for i := range resMem.Stats {
-		if resMem.Stats[i].Loss != resShard.Stats[i].Loss {
-			t.Fatalf("iteration %d loss diverges: %v vs %v", i, resMem.Stats[i].Loss, resShard.Stats[i].Loss)
-		}
-	}
 
-	// The accounts must reflect the paths taken: blocking books all staging
-	// as exposed wait; the pipeline's wait is measured, not assumed.
-	if resMem.Ingest.Batches == 0 || resShard.Ingest.Batches == 0 {
-		t.Fatalf("ingest accounting missing: mem %+v shard %+v", resMem.Ingest, resShard.Ingest)
+	bst, sst := blocking.IngestStats(), staged.IngestStats()
+	if bst.Batches != int64(len(seq)) || sst.Batches != int64(len(seq)) {
+		t.Fatalf("ingest accounting missing: blocking %+v prefetched %+v", bst, sst)
 	}
-	if resMem.Ingest.Overlap() != 0 {
-		t.Fatalf("blocking path reported %.2f overlap, want 0", resMem.Ingest.Overlap())
+	if bst.Overlap() != 0 {
+		t.Fatalf("blocking path reported %.2f overlap, want 0", bst.Overlap())
 	}
-	if ov := resShard.Ingest.Overlap(); ov < 0 || ov > 1 {
+	if ov := sst.Overlap(); ov < 0 || ov > 1 {
 		t.Fatalf("pipeline overlap %v out of range", ov)
 	}
 }
@@ -89,7 +87,7 @@ func TestPrefetchedTrainingIterationZeroAllocs(t *testing.T) {
 
 	iter := func() {
 		rep.ZeroGrad()
-		rep.ComputeGradientsStream(batches[0], nil)
+		rep.ComputeGradientsStream(nil)
 	}
 	iter() // warm: plan compile, grad staging, ring steady state
 	iter()

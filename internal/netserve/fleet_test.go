@@ -10,11 +10,11 @@ import (
 
 // TestNetserveBackendProcess is not a test in the usual sense: it is the
 // body of a backend *process*. The fleet tests re-exec this test binary
-// with -test.run pinned to this function and the checkpoint path in the
-// environment; without the environment it skips immediately. The process
-// loads the checkpoint, serves it on an ephemeral port, prints the listen
-// banner for the parent, and exits cleanly on SIGTERM via the drain
-// protocol.
+// with -test.run pinned to this function and the checkpoint path (and
+// optionally an injected per-request delay) in the environment; without
+// the environment it skips immediately. The process loads the checkpoint,
+// serves it on an ephemeral port, prints the listen banner for the parent,
+// and exits cleanly on SIGTERM via the drain protocol.
 func TestNetserveBackendProcess(t *testing.T) {
 	ckpt := os.Getenv("NETSERVE_BACKEND_CKPT")
 	if ckpt == "" {
@@ -35,19 +35,27 @@ func TestNetserveBackendProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("backend process: listen: %v", err)
 	}
+	if d, err := time.ParseDuration(os.Getenv("NETSERVE_BACKEND_DELAY")); err == nil {
+		ns.SetDelay(d)
+	}
 	ns.PrintBanner(os.Stdout)
 	ns.DrainOnSignal(engines, 10*time.Second)
 }
 
-// spawnBackend re-execs this test binary as a backend process serving the
-// checkpoint, returning once it is listening.
-func spawnBackend(t *testing.T, ckpt string) *Proc {
-	t.Helper()
-	p, err := StartProc(
+// startBackendProc re-execs this test binary as a backend process serving
+// the checkpoint with delay injected into every request, returning once it
+// is listening.
+func startBackendProc(ckpt string, delay time.Duration) (*Proc, error) {
+	return StartProc(
 		[]string{os.Args[0], "-test.run=^TestNetserveBackendProcess$"},
-		[]string{"NETSERVE_BACKEND_CKPT=" + ckpt},
+		[]string{"NETSERVE_BACKEND_CKPT=" + ckpt, "NETSERVE_BACKEND_DELAY=" + delay.String()},
 		30*time.Second,
 	)
+}
+
+func spawnBackend(t *testing.T, ckpt string, delay time.Duration) *Proc {
+	t.Helper()
+	p, err := startBackendProc(ckpt, delay)
 	if err != nil {
 		t.Fatalf("spawnBackend: %v", err)
 	}
@@ -57,13 +65,15 @@ func spawnBackend(t *testing.T, ckpt string) *Proc {
 // TestFleetRollingRestartZeroDrops is the acceptance gate for the drain
 // protocol across real process boundaries: a router over two backend
 // *processes*, live load, and a make-before-break rolling restart of a
-// member — under closed-loop and then open-loop (Poisson) load — with
-// zero dropped requests, every time.
+// member — under closed-loop, then open-loop (Poisson) load, then through
+// a hedging router with one member slowed — with zero dropped requests,
+// every time.
 func TestFleetRollingRestartZeroDrops(t *testing.T) {
 	ckpt, inputs := trainAndSave(t)
-	p1 := spawnBackend(t, ckpt)
-	p2 := spawnBackend(t, ckpt)
+	p1 := spawnBackend(t, ckpt, 0)
+	p2 := spawnBackend(t, ckpt, 0)
 	procs := []*Proc{p1, p2}
+	restart := func() (*Proc, error) { return startBackendProc(ckpt, 0) }
 	t.Cleanup(func() {
 		for _, p := range procs {
 			p.Kill()
@@ -89,13 +99,7 @@ func TestFleetRollingRestartZeroDrops(t *testing.T) {
 		res = serve.RunClosedLoop(c.Bind("tiny"), inputs, 8, 600)
 	}()
 	time.Sleep(20 * time.Millisecond) // load is flowing through the fleet
-	np, err := RollingRestart(r, p1, func() (*Proc, error) {
-		return StartProc(
-			[]string{os.Args[0], "-test.run=^TestNetserveBackendProcess$"},
-			[]string{"NETSERVE_BACKEND_CKPT=" + ckpt},
-			30*time.Second,
-		)
-	}, 15*time.Second)
+	np, err := RollingRestart(r, p1, restart, 15*time.Second)
 	if err != nil {
 		t.Fatalf("rolling restart (closed loop): %v", err)
 	}
@@ -120,13 +124,7 @@ func TestFleetRollingRestartZeroDrops(t *testing.T) {
 		ores = serve.RunOpenLoop(c.Bind("tiny"), inputs, 2000, 400, 13)
 	}()
 	time.Sleep(20 * time.Millisecond)
-	np2, err := RollingRestart(r, p2, func() (*Proc, error) {
-		return StartProc(
-			[]string{os.Args[0], "-test.run=^TestNetserveBackendProcess$"},
-			[]string{"NETSERVE_BACKEND_CKPT=" + ckpt},
-			30*time.Second,
-		)
-	}, 15*time.Second)
+	np2, err := RollingRestart(r, p2, restart, 15*time.Second)
 	if err != nil {
 		t.Fatalf("rolling restart (open loop): %v", err)
 	}
@@ -140,10 +138,46 @@ func TestFleetRollingRestartZeroDrops(t *testing.T) {
 			ores.Requests, ores.Dropped)
 	}
 
-	// Both replacement members drain cleanly on request.
+	// Phase 3: a hedging router over a member slowed 4ms a request and a
+	// healthy one, which is rolling-restarted under closed-loop load. The
+	// slow member's requests race a second attempt at a healthy member.
+	slow := spawnBackend(t, ckpt, 4*time.Millisecond)
+	procs = append(procs, slow)
+	hr, err := NewRouter("127.0.0.1:0", []string{slow.Addr, procs[0].Addr}, RouterConfig{Hedge: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(hr.Close)
+	hc, err := Dial(hr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hc.Close()
+	var hres serve.LoadResult
+	hdone := make(chan struct{})
+	go func() {
+		defer close(hdone)
+		hres = serve.RunClosedLoop(hc.Bind("tiny"), inputs, 8, 600)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	np3, err := RollingRestart(hr, procs[0], restart, 15*time.Second)
+	if err != nil {
+		t.Fatalf("rolling restart (hedged): %v", err)
+	}
+	procs[0] = np3
+	<-hdone
+	if hres.Err != nil || hres.Dropped != 0 {
+		t.Fatalf("hedged closed loop dropped %d requests across the rolling restart (err %v), want 0",
+			hres.Dropped, hres.Err)
+	}
+	if counterValue(hr, "router.hedged") == 0 {
+		t.Fatal("one member slowed 4ms a request, but the hedging router never hedged")
+	}
+
+	// Every member drains cleanly on request.
 	for _, p := range procs {
 		if err := p.Drain(15 * time.Second); err != nil {
-			t.Fatalf("replacement member did not drain cleanly: %v", err)
+			t.Fatalf("member did not drain cleanly: %v", err)
 		}
 	}
 	procs = nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,7 +32,8 @@ type RouterConfig struct {
 	// is over, requests are shed with a typed error instead of queueing
 	// into a collapsed fleet. Zero disables shedding.
 	AdmitP99 time.Duration
-	// Window is the per-backend latency reservoir size. Default 1024.
+	// Window is how many recent latencies each backend's admission and
+	// hedge quantiles cover. Default 1024.
 	Window int
 	// Trace attaches Route and NetWait spans to a tracer. nil records
 	// nothing.
@@ -105,12 +107,36 @@ type backend struct {
 
 	inflight atomic.Int64
 	lmu      sync.Mutex
-	lat      *obs.Reservoir
+	lat      latencyWindow
 
 	draining atomic.Bool
 	dead     atomic.Bool
 	lane     *obs.Lane
 	wg       sync.WaitGroup
+}
+
+// latencyWindow holds a backend's most recent response latencies
+// (seconds) in a ring: admission and the hedge deadline ask how a member
+// behaves now, not over its lifetime. Guarded by backend.lmu.
+type latencyWindow struct {
+	vals []float64
+	n    int64 // observations ever added
+}
+
+func (w *latencyWindow) add(v float64) {
+	if len(w.vals) < cap(w.vals) {
+		w.vals = append(w.vals, v)
+	} else {
+		w.vals[w.n%int64(cap(w.vals))] = v
+	}
+	w.n++
+}
+
+// quantile is the nearest-rank q-quantile of the window, 0 when empty.
+func (w *latencyWindow) quantile(q float64) float64 {
+	sorted := append([]float64(nil), w.vals...)
+	sort.Float64s(sorted)
+	return obs.QuantileSorted(sorted, q)
 }
 
 // fwd is one unit of backend writer work: a spliced request or a cancel.
@@ -251,7 +277,7 @@ func (r *Router) AddBackend(addr string) error {
 		conn: conn,
 		wch:  make(chan fwd, 1024),
 		gone: make(chan struct{}),
-		lat:  obs.NewWindowedReservoir(r.cfg.Window),
+		lat:  latencyWindow{vals: make([]float64, 0, r.cfg.Window)},
 		lane: r.cfg.Trace.Lane("router.b:" + addr),
 	}
 	r.bmu.Lock()
@@ -556,20 +582,19 @@ func (r *Router) admit(b *backend) bool {
 	}
 	b.lmu.Lock()
 	defer b.lmu.Unlock()
-	if b.lat.Count() < 32 {
+	if b.lat.n < 32 {
 		return true // too few observations to condemn it
 	}
-	return b.lat.Quantile(0.99) <= r.cfg.AdmitP99.Seconds()
+	return b.lat.quantile(0.99) <= r.cfg.AdmitP99.Seconds()
 }
 
 // hedgeDelay is the adaptive hedge deadline: the backend's recent
 // HedgeQuantile latency, floored at HedgeMin.
 func (r *Router) hedgeDelay(b *backend) time.Duration {
 	b.lmu.Lock()
-	n := b.lat.Count()
 	var q float64
-	if n >= 16 {
-		q = b.lat.Quantile(r.cfg.HedgeQuantile)
+	if b.lat.n >= 16 {
+		q = b.lat.quantile(r.cfg.HedgeQuantile)
 	}
 	b.lmu.Unlock()
 	d := time.Duration(q * float64(time.Second))
@@ -662,7 +687,7 @@ func (r *Router) backendReader(b *backend) {
 			lat := time.Since(at.sent)
 			if h.Type == FrameResponse {
 				b.lmu.Lock()
-				b.lat.Add(lat.Seconds())
+				b.lat.add(lat.Seconds())
 				b.lmu.Unlock()
 			}
 			if tracer != nil {

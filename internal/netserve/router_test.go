@@ -2,11 +2,16 @@ package netserve
 
 import (
 	"errors"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"deep15pf/internal/climate"
+	"deep15pf/internal/nn"
 	"deep15pf/internal/serve"
+	"deep15pf/internal/tensor"
 )
 
 // startFleet brings up len(delays) backends over one trained checkpoint
@@ -24,10 +29,11 @@ func startFleet(t *testing.T, delays []time.Duration, rcfg RouterConfig) (*Route
 		if err != nil {
 			t.Fatalf("serve.NewServer %d: %v", i, err)
 		}
-		ns, err := NewServer("127.0.0.1:0", map[string]*serve.Server{"tiny": eng}, ServerConfig{Delay: d})
+		ns, err := NewServer("127.0.0.1:0", map[string]*serve.Server{"tiny": eng}, ServerConfig{})
 		if err != nil {
 			t.Fatalf("netserve.NewServer %d: %v", i, err)
 		}
+		ns.SetDelay(d)
 		engines[i], nss[i], addrs[i] = eng, ns, ns.Addr()
 		t.Cleanup(func() {
 			ns.Close()
@@ -379,5 +385,160 @@ func TestRouterPerModelShed(t *testing.T) {
 	}
 	if got := counterValue(r, "router.shed"); got != 3 {
 		t.Fatalf("fleet-wide shed = %d, want 3", got)
+	}
+}
+
+// TestRouterMultiModelRollingSwapZeroDrops: two models with different input
+// shapes — the tiny hep classifier and an untrained tiny climate detector —
+// served side by side by two in-process backends behind one router, under
+// concurrent closed-loop load per model. Mid-load a third backend joins,
+// then the first drains (goaway; in-flight requests complete) and only
+// after that are its engines closed: make-before-break across models.
+// Nothing may drop, and both sets of books must balance per model: the
+// router's routed+hedged and the backends' serve.requests.model.<arch>
+// counters each equal the requests sent.
+func TestRouterMultiModelRollingSwapZeroDrops(t *testing.T) {
+	hepLM, hepIn := trainAndLoad(t)
+	ccfg := climate.ModelConfig{Name: "climate-tiny", Size: 16,
+		EncChannels: []int{4, 6}, EncStrides: []int{2, 2},
+		DecChannels: []int{4, climate.NumChannels}, WithDecoder: true}
+	path := filepath.Join(t.TempDir(), "climate-tiny.d15w")
+	if err := nn.SaveFile(path, climate.BuildNet(ccfg, tensor.NewRNG(5)).Params()); err != nil {
+		t.Fatal(err)
+	}
+	reg := serve.NewRegistry()
+	serve.RegisterClimate(reg, ccfg.Name, ccfg)
+	climLM, err := reg.Load(ccfg.Name, path, serve.Float32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(9)
+	climIn := make([]*serve.LoadInput, 16)
+	for i := range climIn {
+		x := tensor.New(climLM.InShape()...)
+		rng.FillNorm(x, 0, 1)
+		climIn[i] = &serve.LoadInput{X: x}
+	}
+	models := map[string]*serve.LoadedModel{"tiny": hepLM, ccfg.Name: climLM}
+	inputs := map[string][]*serve.LoadInput{"tiny": hepIn, ccfg.Name: climIn}
+
+	// A member is one listener in front of one engine per model.
+	type member struct {
+		ns   *Server
+		engs map[string]*serve.Server
+	}
+	start := func() member {
+		m := member{engs: map[string]*serve.Server{}}
+		for name, lm := range models {
+			eng, err := serve.NewServer(lm, serve.Config{MaxBatch: 8, MaxLinger: time.Millisecond, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.engs[name] = eng
+		}
+		ns, err := NewServer("127.0.0.1:0", m.engs, ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.ns = ns
+		t.Cleanup(func() {
+			ns.Close()
+			for _, e := range m.engs {
+				e.Close()
+			}
+		})
+		return m
+	}
+	// The member that drains is rendezvous' first choice for "tiny" among
+	// all three, so that model's traffic keeps reaching it until its goaway
+	// lands, and it is slowed 1ms a batch, so requests are in flight on it
+	// when it drains. The last member joins mid-load.
+	members := []member{start(), start(), start()}
+	sort.Slice(members, func(i, j int) bool {
+		return rendezvousScore([]byte("tiny"), members[i].ns.Addr()) > rendezvousScore([]byte("tiny"), members[j].ns.Addr())
+	})
+	members[0].ns.SetDelay(time.Millisecond)
+	r, err := NewRouter("127.0.0.1:0", []string{members[0].ns.Addr(), members[1].ns.Addr()}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	c, err := Dial(r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const perModel = 1200
+	results := make(map[string]serve.LoadResult)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for name := range models {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res := serve.RunClosedLoop(c.Bind(name), inputs[name], 4, perModel)
+			mu.Lock()
+			results[name] = res
+			mu.Unlock()
+		}()
+	}
+	// Swap once both models have traffic flowing.
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		a, _, _ := r.ModelCounts("tiny")
+		b, _, _ := r.ModelCounts(ccfg.Name)
+		if a >= perModel/8 && b >= perModel/8 {
+			break
+		}
+	}
+	if err := r.AddBackend(members[2].ns.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	members[0].ns.Drain(10 * time.Second)
+	for _, e := range members[0].engs {
+		e.Close()
+	}
+	wg.Wait()
+
+	for name := range models {
+		res := results[name]
+		if res.Err != nil || res.Dropped != 0 || res.Requests != perModel {
+			t.Fatalf("%s: %d/%d completed, %d dropped (err %v) across the rolling swap, want every one",
+				name, res.Requests, perModel, res.Dropped, res.Err)
+		}
+		if routed, hedged, shed := r.ModelCounts(name); routed+hedged != perModel || shed != 0 {
+			t.Errorf("%s: router counted routed %d + hedged %d, shed %d; want %d routed, 0 shed",
+				name, routed, hedged, shed, perModel)
+		}
+		var backend int64
+		for _, m := range members {
+			backend += m.engs[name].Metrics().Snapshot().Counters["serve.requests.model."+models[name].ModelArch]
+		}
+		if backend != perModel {
+			t.Errorf("%s: backends counted %d requests, want %d", name, backend, perModel)
+		}
+	}
+	if got := len(r.Backends()); got != 2 {
+		t.Fatalf("router lists %d live backends after the swap, want 2", got)
+	}
+}
+
+// TestLatencyWindowKeepsLastK: the router's per-backend window holds
+// exactly the most recent Window latencies, so admission and hedge
+// deadlines track a member's present, not its history.
+func TestLatencyWindowKeepsLastK(t *testing.T) {
+	const k = 8
+	w := latencyWindow{vals: make([]float64, 0, k)}
+	for i := 0; i < 20; i++ {
+		w.add(float64(i))
+	}
+	if w.n != 20 || len(w.vals) != k {
+		t.Fatalf("window holds %d of %d observations, want %d of 20", len(w.vals), w.n, k)
+	}
+	if lo, hi := w.quantile(0), w.quantile(1); lo != 12 || hi != 19 {
+		t.Fatalf("window spans [%v, %v], want exactly the last %d values [12, 19]", lo, hi, k)
+	}
+	if (&latencyWindow{}).quantile(0.5) != 0 {
+		t.Fatal("empty window quantile must be 0")
 	}
 }

@@ -15,10 +15,6 @@ import (
 
 // ServerConfig parameterises a backend listener.
 type ServerConfig struct {
-	// Delay, when positive, sleeps that long in every request's completion
-	// path — the slow-backend fault injection the hedging benchmarks and
-	// tests use. Zero in production.
-	Delay time.Duration
 	// Trace attaches frame-level phase spans to a tracer. nil records
 	// nothing.
 	Trace *obs.Tracer
@@ -120,15 +116,15 @@ func NewServer(addr string, models map[string]*serve.Server, cfg ServerConfig) (
 		me.pool.New = func() any { return tensor.New(shape...) }
 		s.models[name] = me
 	}
-	s.delay.Store(int64(cfg.Delay))
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
-// SetDelay adjusts the injected per-request slowness at runtime — the
-// knob the hedging tests and benchmarks turn to degrade one fleet member
-// mid-run.
+// SetDelay sleeps d in every later request's completion path — the
+// slow-backend fault injection the hedging and admission tests use to
+// degrade one fleet member, before or during a run. Zero (the default)
+// in production.
 func (s *Server) SetDelay(d time.Duration) { s.delay.Store(int64(d)) }
 
 // Addr is the bound listen address ("host:port"), resolved even when the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -214,6 +215,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	g.Add(1)
 	g.Max(1)
 	h.Observe(1)
+	h.Reset()
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instrument reads")
 	}
@@ -267,6 +269,10 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if len(s.Counts) != 4 {
 		t.Fatalf("Counts len = %d, want 4 (3 bounds + overflow)", len(s.Counts))
+	}
+	h.Reset()
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || slices.ContainsFunc(s.Counts, func(c int64) bool { return c != 0 }) {
+		t.Fatalf("after Reset: %+v, want every bucket, the count and the sum at 0", s)
 	}
 }
 
@@ -333,23 +339,6 @@ func TestReservoirUniformCoversWholeStream(t *testing.T) {
 	}
 }
 
-func TestReservoirWindowedKeepsLastK(t *testing.T) {
-	const k = 8
-	r := NewWindowedReservoir(k)
-	for i := 0; i < 20; i++ {
-		r.Add(float64(i))
-	}
-	vals := r.Sorted()
-	if len(vals) != k {
-		t.Fatalf("retained %d, want %d", len(vals), k)
-	}
-	for i, v := range vals {
-		if v != float64(12+i) {
-			t.Fatalf("windowed retained %v, want exactly the last %d values", vals, k)
-		}
-	}
-}
-
 func TestReservoirResetAndNil(t *testing.T) {
 	r := NewReservoir(4, 1)
 	r.Add(1)
@@ -367,15 +356,10 @@ func TestReservoirResetAndNil(t *testing.T) {
 
 func TestReservoirAddZeroAlloc(t *testing.T) {
 	r := NewReservoir(64, 7)
-	w := NewWindowedReservoir(64)
 	for i := 0; i < 128; i++ { // past capacity so Add hits the steady path
 		r.Add(float64(i))
-		w.Add(float64(i))
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		r.Add(1)
-		w.Add(1)
-	}); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { r.Add(1) }); n != 0 {
 		t.Fatalf("reservoir Add allocates %v/op, want 0", n)
 	}
 }

@@ -267,6 +267,19 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
+// Reset empties every bucket, the count and the sum (the histogram twin of
+// Counter.Reset). Observations racing a Reset may land on either side.
+func (h *Histogram) Reset() {
+	if h == nil {
+		return
+	}
+	for i := range h.counts {
+		h.counts[i].Store(0)
+	}
+	h.count.Store(0)
+	h.sum.Set(0)
+}
+
 // HistogramSnapshot is a stable copy of a histogram's state.
 type HistogramSnapshot struct {
 	Bounds []float64 // upper bounds; Counts has one extra +Inf slot

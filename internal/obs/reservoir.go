@@ -2,28 +2,22 @@ package obs
 
 import "sort"
 
-// Reservoir keeps a bounded sample of a float64 stream for quantile
-// estimation. Two modes:
-//
-//   - Uniform (default): Vitter's Algorithm R. After n observations every
-//     value has had probability k/n of being retained, so quantiles
-//     estimate the whole stream. This fixes the bias of the old serve
-//     latency ring, which — once wrapped — only ever reflected the most
-//     recent k completions.
-//   - Windowed: plain ring overwrite, quantiles over the last k values
-//     only. Useful when recent behaviour is the question (canary
-//     comparisons, post-warmup windows).
+// Reservoir keeps a bounded uniform sample of a float64 stream for
+// quantile estimation: Vitter's Algorithm R. After n observations every
+// value has had probability k/n of being retained, so quantiles estimate
+// the whole stream. This fixes the bias of the old serve latency ring,
+// which — once wrapped — only ever reflected the most recent k
+// completions.
 //
 // Not goroutine-safe; callers already serialise observations (the serve
 // metrics mutex). Add is allocation-free after construction.
 type Reservoir struct {
-	vals     []float64
-	n        int64 // observations ever offered
-	windowed bool
-	rng      uint64
+	vals []float64
+	n    int64 // observations ever offered
+	rng  uint64
 }
 
-// NewReservoir builds a uniform (Algorithm R) reservoir of capacity k.
+// NewReservoir builds a reservoir of capacity k.
 // The seed makes replacement decisions deterministic for tests; any
 // value is fine (splitmix64 scrambles it).
 func NewReservoir(k int, seed uint64) *Reservoir {
@@ -31,14 +25,6 @@ func NewReservoir(k int, seed uint64) *Reservoir {
 		k = 1
 	}
 	return &Reservoir{vals: make([]float64, 0, k), rng: seed}
-}
-
-// NewWindowedReservoir builds a last-k-values ring.
-func NewWindowedReservoir(k int) *Reservoir {
-	if k <= 0 {
-		k = 1
-	}
-	return &Reservoir{vals: make([]float64, 0, k), windowed: true}
 }
 
 // splitmix64 advances the internal RNG state and returns the next word.
@@ -58,10 +44,6 @@ func (r *Reservoir) Add(v float64) {
 	r.n++
 	if len(r.vals) < cap(r.vals) {
 		r.vals = append(r.vals, v)
-		return
-	}
-	if r.windowed {
-		r.vals[int((r.n-1)%int64(cap(r.vals)))] = v
 		return
 	}
 	// Algorithm R: keep v with probability k/n, evicting a uniform slot.

@@ -3,8 +3,6 @@ package perf
 import (
 	"math"
 	"testing"
-
-	"deep15pf/internal/obs"
 )
 
 // The §V rate functions divide by measured wall-clock sums; these tests
@@ -14,7 +12,7 @@ import (
 
 func TestSustainedWindowEqualsRunIsMean(t *testing.T) {
 	d := []float64{3, 1, 2, 4}
-	if got, want := SustainedRate(d, 5, len(d)), MeanRate(d, 5); got != want {
+	if got, want := SustainedRate(d, 5, len(d)), runMean(d, 5); got != want {
 		t.Fatalf("w==n sustained = %v, want mean %v", got, want)
 	}
 }
@@ -28,14 +26,14 @@ func TestSustainedWindowOneExact(t *testing.T) {
 
 func TestNegativeWindowClampsToRun(t *testing.T) {
 	d := []float64{1, 3}
-	if got, want := SustainedRate(d, 4, -2), MeanRate(d, 4); got != want {
+	if got, want := SustainedRate(d, 4, -2), runMean(d, 4); got != want {
 		t.Fatalf("negative window = %v, want mean %v", got, want)
 	}
 }
 
 func TestZeroDurationsNeverDivideByZero(t *testing.T) {
 	allZero := []float64{0, 0, 0}
-	if PeakRate(allZero, 5) != 0 || SustainedRate(allZero, 5, 2) != 0 || MeanRate(allZero, 5) != 0 {
+	if PeakRate(allZero, 5) != 0 || SustainedRate(allZero, 5, 2) != 0 {
 		t.Fatal("all-zero durations must report 0, not Inf")
 	}
 	// One zero iteration: the peak would divide by it; the guard returns 0
@@ -62,27 +60,8 @@ func TestNegativeDurationsReportZero(t *testing.T) {
 		if got != 0 {
 			t.Errorf("%s over negative duration = %v, want 0", name, got)
 		}
-	}
-	if got := MeanRate([]float64{1, -3}, 5); got != 0 {
-		t.Errorf("mean with negative total = %v, want 0", got)
-	}
-	for name, v := range map[string]float64{
-		"peak": PeakRate(neg, 5), "sustained": SustainedRate(neg, 5, 2), "mean": MeanRate(neg, 5),
-	} {
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			t.Errorf("%s = %v, must be finite", name, v)
+		if math.IsInf(got, 0) || math.IsNaN(got) {
+			t.Errorf("%s = %v, must be finite", name, got)
 		}
 	}
-}
-
-func TestSummaryPublish(t *testing.T) {
-	reg := obs.NewRegistry()
-	Summary{Peak: 3e12, Sustained: 2e12, Mean: 1e12}.Publish(reg, "train")
-	snap := reg.Snapshot()
-	if snap.Gauges["train.peak_flops"] != 3e12 ||
-		snap.Gauges["train.sustained_flops"] != 2e12 ||
-		snap.Gauges["train.mean_flops"] != 1e12 {
-		t.Fatalf("published gauges wrong: %+v", snap.Gauges)
-	}
-	Summary{Peak: 1}.Publish(nil, "x") // nil registry must be a no-op
 }

@@ -1,21 +1,19 @@
 // Package perf implements the paper's §V measurement methodology: flop
 // rates derived from per-iteration wall-clock times, where the *peak* rate
 // comes from the fastest single iteration and the *sustained* rate from the
-// best average over a contiguous window of iterations.
+// best average over a contiguous window of iterations. The cluster
+// simulator reports its Figs 6-8 rates with it.
 package perf
 
-import "fmt"
-
 // PeakRate returns the §V peak rate: work divided by the fastest iteration.
+// Non-positive durations (clock skew) report 0, never Inf.
 func PeakRate(durations []float64, workPerIter float64) float64 {
 	if len(durations) == 0 {
 		return 0
 	}
 	best := durations[0]
 	for _, d := range durations[1:] {
-		if d < best {
-			best = d
-		}
+		best = min(best, d)
 	}
 	if best <= 0 {
 		return 0
@@ -24,8 +22,8 @@ func PeakRate(durations []float64, workPerIter float64) float64 {
 }
 
 // SustainedRate returns the §V sustained rate: work·w divided by the
-// minimum sum over any contiguous window of w iterations. If fewer than w
-// iterations exist the whole run is the window.
+// minimum sum over any contiguous window of w iterations. A window outside
+// [1, len(durations)] is the whole run.
 func SustainedRate(durations []float64, workPerIter float64, w int) float64 {
 	n := len(durations)
 	if n == 0 {
@@ -41,53 +39,10 @@ func SustainedRate(durations []float64, workPerIter float64, w int) float64 {
 	best := sum
 	for i := w; i < n; i++ {
 		sum += durations[i] - durations[i-w]
-		if sum < best {
-			best = sum
-		}
+		best = min(best, sum)
 	}
 	if best <= 0 {
 		return 0
 	}
 	return workPerIter * float64(w) / best
-}
-
-// MeanRate returns total work over total time.
-func MeanRate(durations []float64, workPerIter float64) float64 {
-	var total float64
-	for _, d := range durations {
-		total += d
-	}
-	if total <= 0 {
-		return 0
-	}
-	return workPerIter * float64(len(durations)) / total
-}
-
-// FormatFlops renders a flop rate with a binary-free SI suffix (the paper
-// reports TFLOP/s and PFLOP/s).
-func FormatFlops(rate float64) string {
-	switch {
-	case rate >= 1e15:
-		return fmt.Sprintf("%.2f PFLOP/s", rate/1e15)
-	case rate >= 1e12:
-		return fmt.Sprintf("%.2f TFLOP/s", rate/1e12)
-	case rate >= 1e9:
-		return fmt.Sprintf("%.2f GFLOP/s", rate/1e9)
-	default:
-		return fmt.Sprintf("%.2f MFLOP/s", rate/1e6)
-	}
-}
-
-// Summary holds the §V trio for one run.
-type Summary struct {
-	Peak, Sustained, Mean float64
-}
-
-// Summarize computes all three rates with the given sustained window.
-func Summarize(durations []float64, workPerIter float64, window int) Summary {
-	return Summary{
-		Peak:      PeakRate(durations, workPerIter),
-		Sustained: SustainedRate(durations, workPerIter, window),
-		Mean:      MeanRate(durations, workPerIter),
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"deep15pf/internal/obs"
-	"deep15pf/internal/perf"
 )
 
 // latWindow bounds the latency reservoir: counters cover the server's
@@ -32,12 +31,8 @@ var latencyBuckets = []float64{
 // against an inference that is microseconds at minimum, per-batch records
 // amortise further, and the reservoir needs the serialisation anyway.
 //
-// The reservoir defaults to uniform (Algorithm R) sampling, so quantiles
-// estimate the server's whole lifetime. The previous ring overwrite only
-// ever reflected the most recent 64k completions once wrapped — a window
-// masquerading as a lifetime sample. Config.WindowedLatency restores the
-// windowed behaviour for callers who want exactly that (canary
-// comparisons read recent behaviour, not history).
+// The reservoir samples uniformly (Algorithm R), so quantiles estimate the
+// server's whole lifetime (or everything since the last ResetStats).
 type metrics struct {
 	mu    sync.Mutex
 	start time.Time
@@ -51,7 +46,6 @@ type metrics struct {
 	peakRate *obs.Gauge // best flops/sec over a single batch
 	latHist  *obs.Histogram
 	lat      *obs.Reservoir
-	windowed bool
 
 	// Per-model views of the same traffic, named with the architecture the
 	// server serves (serve.requests.model.<arch>, ...). In a one-model
@@ -65,7 +59,7 @@ type metrics struct {
 	mLatHist  *obs.Histogram
 }
 
-func newMetrics(windowed bool, model string) *metrics {
+func newMetrics(model string) *metrics {
 	reg := obs.NewRegistry()
 	m := &metrics{
 		start:    time.Now(),
@@ -77,7 +71,9 @@ func newMetrics(windowed bool, model string) *metrics {
 		flops:    reg.Gauge("serve.flops"),
 		peakRate: reg.Gauge("serve.peak_flop_rate"),
 		latHist:  reg.Histogram("serve.latency_s", latencyBuckets),
-		windowed: windowed,
+		// Fixed seed: replacement decisions are deterministic per process,
+		// and the seed carries no statistical weight (splitmix64 scrambles).
+		lat: obs.NewReservoir(latWindow, 0x15bf5eed),
 	}
 	if model != "" {
 		m.mRequests = reg.Counter("serve.requests.model." + model)
@@ -85,21 +81,12 @@ func newMetrics(windowed bool, model string) *metrics {
 		m.mInferSec = reg.Gauge("serve.infer_seconds.model." + model)
 		m.mLatHist = reg.Histogram("serve.latency_s.model."+model, latencyBuckets)
 	}
-	m.lat = newLatReservoir(windowed)
 	return m
 }
 
-func newLatReservoir(windowed bool) *obs.Reservoir {
-	if windowed {
-		return obs.NewWindowedReservoir(latWindow)
-	}
-	// Fixed seed: replacement decisions are deterministic per process,
-	// and the seed carries no statistical weight (splitmix64 scrambles).
-	return obs.NewReservoir(latWindow, 0x15bf5eed)
-}
-
-// reset clears every counter and the latency reservoir and restarts the
-// wall clock, so the next snapshot covers only what follows.
+// reset clears every counter, histogram and the latency reservoir and
+// restarts the wall clock, so the next snapshot — and the registry /metrics
+// serves — covers only what follows.
 func (m *metrics) reset() {
 	m.mu.Lock()
 	m.start = time.Now()
@@ -109,12 +96,14 @@ func (m *metrics) reset() {
 	m.inferSec.Set(0)
 	m.flops.Set(0)
 	m.peakRate.Set(0)
+	m.latHist.Reset()
 	if m.mRequests != nil {
 		m.mRequests.Reset()
 		m.mBatches.Reset()
 		m.mInferSec.Set(0)
+		m.mLatHist.Reset()
 	}
-	m.lat = newLatReservoir(m.windowed) // fresh sample AND fresh observation count
+	m.lat.Reset() // fresh sample AND fresh observation count
 	m.mu.Unlock()
 }
 
@@ -156,15 +145,14 @@ type Stats struct {
 	// Throughput is completed requests per wall-clock second.
 	Throughput float64
 	// P50/P95/P99 are end-to-end request latencies (queue wait + batch
-	// assembly + inference): a uniform whole-lifetime sample by default,
-	// the most recent latWindow completions with Config.WindowedLatency.
+	// assembly + inference) over a uniform whole-lifetime sample.
 	P50, P95, P99 time.Duration
 	// InferSeconds is summed worker compute time; over Wall×workers it
 	// gives the pool's duty cycle.
 	InferSeconds float64
 	// FLOPs is the total forward work served; MeanFlopRate divides it by
 	// InferSeconds and PeakFlopRate is the best single batch, mirroring
-	// the mean/peak split of internal/perf's §V methodology.
+	// the paper's §V mean/peak split.
 	FLOPs        float64
 	MeanFlopRate float64
 	PeakFlopRate float64
@@ -216,6 +204,21 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "latency  p50 %s  p95 %s  p99 %s\n",
 		s.P50.Round(time.Microsecond), s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond))
 	fmt.Fprintf(&b, "compute  %.2fs busy  %s mean  %s peak",
-		s.InferSeconds, perf.FormatFlops(s.MeanFlopRate), perf.FormatFlops(s.PeakFlopRate))
+		s.InferSeconds, FormatFlops(s.MeanFlopRate), FormatFlops(s.PeakFlopRate))
 	return b.String()
+}
+
+// FormatFlops renders a flop rate with an SI suffix (the paper reports
+// TFLOP/s and PFLOP/s).
+func FormatFlops(rate float64) string {
+	switch {
+	case rate >= 1e15:
+		return fmt.Sprintf("%.2f PFLOP/s", rate/1e15)
+	case rate >= 1e12:
+		return fmt.Sprintf("%.2f TFLOP/s", rate/1e12)
+	case rate >= 1e9:
+		return fmt.Sprintf("%.2f GFLOP/s", rate/1e9)
+	default:
+		return fmt.Sprintf("%.2f MFLOP/s", rate/1e6)
+	}
 }

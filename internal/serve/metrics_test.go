@@ -29,7 +29,7 @@ func TestUniformLatencySamplingIsUnbiased(t *testing.T) {
 		}
 	}
 
-	uni := newMetrics(false, "")
+	uni := newMetrics("")
 	feed(uni)
 	s := uni.snapshot()
 	if s.Requests != total {
@@ -45,21 +45,13 @@ func TestUniformLatencySamplingIsUnbiased(t *testing.T) {
 	if got := s.P95.Seconds(); got < 1e-2 {
 		t.Errorf("uniform p95 = %v — slow tail missing from sample", s.P95)
 	}
-
-	// Windowed mode keeps the old semantics on purpose: only the most
-	// recent latWindow completions (all slow) shape the quantiles.
-	win := newMetrics(true, "")
-	feed(win)
-	if got := win.snapshot().P50.Seconds(); got < 1e-2 {
-		t.Errorf("windowed p50 = %v, want the recent slow value", got)
-	}
 }
 
 // TestMetricsResetClearsEverything: counters, gauges and the reservoir
 // all restart (including the reservoir's observation count — a stale
 // count would skew Algorithm R's retention probability).
 func TestMetricsResetClearsEverything(t *testing.T) {
-	m := newMetrics(false, "")
+	m := newMetrics("")
 	m.recordBatch(4, time.Millisecond, 100, []float64{1e-3, 2e-3, 3e-3, 4e-3})
 	m.reset()
 	s := m.snapshot()
@@ -148,6 +140,7 @@ func TestServerRegistryCarriesPerModelLabels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s.Close() // the worker answers before it records the batch
 	snap := s.Metrics().Snapshot()
 	if got := snap.Counters["serve.requests.model.tiny"]; got != 8 {
 		t.Errorf("serve.requests.model.tiny = %d, want 8", got)
@@ -160,7 +153,29 @@ func TestServerRegistryCarriesPerModelLabels(t *testing.T) {
 		t.Errorf("per-model latency histogram count = %d, want 8", h.Count)
 	}
 	s.ResetStats()
-	if got := s.Metrics().Snapshot().Counters["serve.requests.model.tiny"]; got != 0 {
+	// /metrics must agree with Stats() after a reset: the latency
+	// histograms empty with the counters.
+	snap = s.Metrics().Snapshot()
+	if got := snap.Counters["serve.requests.model.tiny"]; got != 0 {
 		t.Errorf("per-model request counter %d after reset, want 0", got)
+	}
+	for _, name := range []string{"serve.latency_s", "serve.latency_s.model.tiny"} {
+		if h := snap.Histograms[name]; h.Count != 0 || h.Sum != 0 {
+			t.Errorf("%s holds %d observations (sum %g) after reset, want 0", name, h.Count, h.Sum)
+		}
+	}
+}
+
+func TestFormatFlops(t *testing.T) {
+	cases := map[float64]string{
+		15.07e15: "15.07 PFLOP/s",
+		1.9e12:   "1.90 TFLOP/s",
+		3.5e9:    "3.50 GFLOP/s",
+		2e6:      "2.00 MFLOP/s",
+	}
+	for rate, want := range cases {
+		if got := FormatFlops(rate); got != want {
+			t.Fatalf("FormatFlops(%v) = %q, want %q", rate, got, want)
+		}
 	}
 }

@@ -20,7 +20,7 @@
 //   - the worker pool (worker.go) runs one model replica per goroutine —
 //     replicas are not shareable because each owns its compiled plans;
 //   - metrics (metrics.go) tracks p50/p95/p99 end-to-end latency, batch
-//     occupancy, and served flop rates in the style of internal/perf.
+//     occupancy, and served flop rates (mean and peak, as in the paper's §V).
 //
 // cmd/deepserve wires a closed-loop load generator to all of it and
 // reproduces the batching throughput study; examples/serving is the

@@ -33,10 +33,6 @@ type Config struct {
 	// fills (closed-loop backpressure rather than load shedding).
 	// Default 4×MaxBatch×Workers.
 	QueueDepth int
-	// WindowedLatency switches the latency quantiles from the default
-	// uniform whole-lifetime reservoir to a most-recent-64k window —
-	// recent behaviour rather than history (canary comparisons).
-	WindowedLatency bool
 	// Trace attaches the server to a phase tracer: each worker records
 	// Queue (earliest enqueue → dispatch), Batch (assembly) and Infer
 	// spans on its own "serve.w<i>" lane. nil records nothing.
@@ -102,7 +98,7 @@ func NewServer(m *LoadedModel, cfg Config) (*Server, error) {
 		inShape:  m.InShape(),
 		queue:    make(chan *pending, cfg.QueueDepth),
 		dispatch: make(chan []*pending, cfg.Workers),
-		metrics:  newMetrics(cfg.WindowedLatency, m.ModelArch),
+		metrics:  newMetrics(m.ModelArch),
 		bulkPool: make(chan Model, cfg.Workers),
 	}
 	s.inLen = 1
@@ -195,8 +191,9 @@ func (s *Server) Stats() Stats { return s.metrics.snapshot() }
 // and the periodic dump read.
 func (s *Server) Metrics() *obs.Registry { return s.metrics.reg }
 
-// ResetStats clears the serving record — counters and the latency
-// reservoir — and restarts the stats wall clock. Benchmarks call it
+// ResetStats clears the serving record — counters, latency histograms
+// and the latency reservoir, so Metrics agrees with Stats — and restarts
+// the stats wall clock. Benchmarks call it
 // between warmup and measurement so quantiles cover only steady state
 // (warmup holds the first-request plan compiles, which would otherwise
 // pollute the tail).

@@ -127,9 +127,6 @@ func (r *Run) Train(p Problem, problem string, solver opt.Solver) (core.Result, 
 	cfg := core.Config{
 		Groups: r.groups, WorkersPerGroup: r.workers, GroupBatch: r.batch,
 		Iterations: r.iters, Solver: solver, Seed: r.Seed,
-		// PR 4 pinned prefetched == blocking bit for bit; the CLIs always
-		// take the double buffer.
-		Prefetch: 1,
 	}
 	if r.traceOut != "" {
 		cfg.Trace = obs.NewTracer(0)
