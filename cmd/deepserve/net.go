@@ -27,8 +27,7 @@ func runListen(lm *serve.LoadedModel, model, addr string, cfg serve.Config) {
 		fatalf("%v", err)
 	}
 	liveMetrics.Store(eng.Metrics())
-	ns.PrintBanner(os.Stdout)
-	ns.DrainOnSignal(engines, 15*time.Second)
+	ns.DrainOnSignal(os.Stdout, engines, 15*time.Second)
 	fmt.Printf("drained: %s\n", eng.Stats())
 }
 

@@ -113,10 +113,9 @@ func TestFrozenRunBitwiseReproducible(t *testing.T) {
 		return p
 	}
 	cfg := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 8, Iterations: 6, Seed: 3}
-	run := func(p *TrainingProblem, prefetch int) (core.Result, []float32) {
+	run := func(p *TrainingProblem) (core.Result, []float32) {
 		c := cfg
 		c.Solver = opt.NewSGD(0.05, 0.9)
-		c.Prefetch = prefetch
 		res := core.TrainSync(p, c)
 		// Full-model weights: the head from the run, the backbone from
 		// the donor.
@@ -127,8 +126,8 @@ func TestFrozenRunBitwiseReproducible(t *testing.T) {
 		return res, full
 	}
 
-	_, fullA := run(build(), 0)
-	_, fullB := run(build(), 0)
+	_, fullA := run(build())
+	_, fullB := run(build())
 	if len(fullA) == 0 || len(fullA) != len(fullB) {
 		t.Fatalf("weight sizes %d vs %d", len(fullA), len(fullB))
 	}
@@ -149,7 +148,7 @@ func TestFrozenRunBitwiseReproducible(t *testing.T) {
 	}
 	defer set.Close()
 	shard.Backing = set
-	_, fullC := run(shard, 2)
+	_, fullC := run(shard)
 	for i, v := range fullA {
 		if fullC[i] != v {
 			t.Fatalf("shard-backed prefetched frozen run diverges at element %d", i)
@@ -260,7 +259,7 @@ func TestFineTuneReachesTargetSooner(t *testing.T) {
 	dp := hep.NewTrainingProblem(dds, dcfg, 43)
 	dres := core.TrainSync(dp, core.Config{
 		Groups: 1, WorkersPerGroup: 1, GroupBatch: 64, Iterations: 40,
-		Solver: opt.NewAdamFull(2e-3, 0.9, 0.999, 1e-8), Seed: 42, Prefetch: 1,
+		Solver: opt.NewAdamFull(2e-3, 0.9, 0.999, 1e-8), Seed: 42,
 	})
 	var buf bytes.Buffer
 	if err := nn.SaveWeights(&buf, dp.TrainedNet(dres.FinalWeights).Params()); err != nil {
@@ -277,7 +276,7 @@ func TestFineTuneReachesTargetSooner(t *testing.T) {
 	accuracy := func(p *TrainingProblem, budget int) float64 {
 		res := core.TrainSync(p, core.Config{
 			Groups: 1, WorkersPerGroup: 1, GroupBatch: 32, Iterations: budget,
-			Solver: opt.NewAdamFull(1e-2, 0.9, 0.999, 1e-8), Seed: 42, Prefetch: 1,
+			Solver: opt.NewAdamFull(1e-2, 0.9, 0.999, 1e-8), Seed: 42,
 		})
 		return EvalAccuracy(p.TrainedNet(res.FinalWeights), test, 64)
 	}

@@ -54,8 +54,8 @@ type Snapshot struct {
 	// when the run keeps its state on the parameter servers instead.
 	Solver *opt.State
 
-	// Servers is the parameter-server solver state, [layer][shard];
-	// nil for synchronous runs.
+	// Servers is the parameter-server solver state, one list per layer
+	// holding the server's one state; nil for synchronous runs.
 	Servers [][]opt.State
 
 	// GroupIters is the scheduled trainer's per-group progress cursor;

@@ -11,16 +11,18 @@ import (
 )
 
 // state.bin carries everything beyond the weights: solver state (worker-
-// side and/or per-PS-shard) and the progress cursors. Format (little
-// endian):
+// side and/or per parameter server) and the progress cursors. Format
+// (little endian):
 //
 //	magic   uint32 'D15S'
 //	version uint32 (1)
 //	step, epoch        int64
 //	groupIters         count uint32, then count int64
-//	solver present     uint8; if 1, one encoded State
-//	server layer count uint32; per layer: shard count uint32, then one
-//	                   encoded State per shard
+//	solver present     uint32; if 1, one encoded State
+//	server layer count uint32; per layer: state count uint32, then that
+//	                   many encoded States (trainers write and restore one)
+//	group view count   uint32; per group: param count uint32; per param:
+//	                   numel uint32 + float32 data
 //
 // An encoded State: algoLen+algo, steps int64, slot count uint32; per
 // slot: nameLen+name, param count uint32; per param: numel uint32 +
@@ -170,60 +172,75 @@ func writeState(w io.Writer, s *Snapshot) error {
 	return e.w.Flush()
 }
 
+// stateDecoder walks a state.bin payload held in memory. Every count it
+// reads is checked against the bytes left before anything is sized by it:
+// an element costs at least minBytes on disk, so a header that declares
+// more elements than the rest of the file could encode is corrupt, and
+// the decoder allocates no more than the file's own size.
 type stateDecoder struct {
-	r   *bufio.Reader
-	buf []byte
+	raw []byte
+}
+
+func (d *stateDecoder) take(n int) ([]byte, error) {
+	if n > len(d.raw) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := d.raw[:n]
+	d.raw = d.raw[n:]
+	return b, nil
 }
 
 func (d *stateDecoder) u32() (uint32, error) {
-	if _, err := io.ReadFull(d.r, d.buf[:4]); err != nil {
+	b, err := d.take(4)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(d.buf[:4]), nil
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 func (d *stateDecoder) i64() (int64, error) {
-	if _, err := io.ReadFull(d.r, d.buf[:8]); err != nil {
+	b, err := d.take(8)
+	if err != nil {
 		return 0, err
 	}
-	return int64(binary.LittleEndian.Uint64(d.buf[:8])), nil
+	return int64(binary.LittleEndian.Uint64(b)), nil
+}
+
+// count reads a declared element count and rejects it when the bytes left
+// cannot hold that many elements of at least minBytes each.
+func (d *stateDecoder) count(what string, minBytes int) (int, error) {
+	n, err := d.u32()
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n)*uint64(minBytes) > uint64(len(d.raw)) {
+		return 0, fmt.Errorf("ckpt: %s count %d exceeds the %d bytes left", what, n, len(d.raw))
+	}
+	return int(n), nil
 }
 
 func (d *stateDecoder) str() (string, error) {
-	n, err := d.u32()
+	n, err := d.count("string byte", 1)
 	if err != nil {
 		return "", err
 	}
-	if n > 4096 {
-		return "", fmt.Errorf("ckpt: implausible string length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(d.r, b); err != nil {
-		return "", err
-	}
+	b, _ := d.take(n)
 	return string(b), nil
 }
 
-func (d *stateDecoder) floats(dst []float32) error {
-	per := len(d.buf) / 4
-	for off := 0; off < len(dst); off += per {
-		run := dst[off:]
-		if len(run) > per {
-			run = run[:per]
-		}
-		if _, err := io.ReadFull(d.r, d.buf[:len(run)*4]); err != nil {
-			return err
-		}
-		for i := range run {
-			run[i] = math.Float32frombits(binary.LittleEndian.Uint32(d.buf[i*4:]))
-		}
+// floats reads a counted float32 array.
+func (d *stateDecoder) floats(what string) ([]float32, error) {
+	n, err := d.count(what, 4)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	b, _ := d.take(4 * n)
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out, nil
 }
-
-// maxStateElems caps a single decoded array so a corrupt header cannot ask
-// for terabytes (2^28 float32s = 1 GiB — far above any real layer here).
-const maxStateElems = 1 << 28
 
 func (d *stateDecoder) state() (opt.State, error) {
 	var st opt.State
@@ -234,36 +251,22 @@ func (d *stateDecoder) state() (opt.State, error) {
 	if st.Steps, err = d.i64(); err != nil {
 		return st, err
 	}
-	nSlots, err := d.u32()
+	nSlots, err := d.count("slot", 8) // a name length and a param count
 	if err != nil {
 		return st, err
-	}
-	if nSlots > 16 {
-		return st, fmt.Errorf("ckpt: implausible slot count %d", nSlots)
 	}
 	st.Slots = make([]opt.StateSlot, nSlots)
 	for i := range st.Slots {
 		if st.Slots[i].Name, err = d.str(); err != nil {
 			return st, err
 		}
-		nParams, err := d.u32()
+		nParams, err := d.count("param", 4)
 		if err != nil {
 			return st, err
 		}
-		if nParams > maxStateElems {
-			return st, fmt.Errorf("ckpt: implausible param count %d", nParams)
-		}
 		st.Slots[i].Data = make([][]float32, nParams)
 		for j := range st.Slots[i].Data {
-			numel, err := d.u32()
-			if err != nil {
-				return st, err
-			}
-			if numel > maxStateElems {
-				return st, fmt.Errorf("ckpt: implausible element count %d", numel)
-			}
-			st.Slots[i].Data[j] = make([]float32, numel)
-			if err := d.floats(st.Slots[i].Data[j]); err != nil {
+			if st.Slots[i].Data[j], err = d.floats("element"); err != nil {
 				return st, err
 			}
 		}
@@ -272,8 +275,8 @@ func (d *stateDecoder) state() (opt.State, error) {
 }
 
 // readState parses a state.bin payload.
-func readState(r io.Reader) (*Restored, error) {
-	d := &stateDecoder{r: bufio.NewReader(r), buf: make([]byte, stateBufBytes)}
+func readState(raw []byte) (*Restored, error) {
+	d := &stateDecoder{raw: raw}
 	magic, err := d.u32()
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: short state header: %w", err)
@@ -289,26 +292,17 @@ func readState(r io.Reader) (*Restored, error) {
 		return nil, fmt.Errorf("ckpt: state format version %d, want %d", ver, stateVersion)
 	}
 	out := &Restored{}
-	if _, err := d.i64(); err != nil { // step (authoritative copy in manifest)
+	if _, err := d.take(16); err != nil { // step and epoch (authoritative copies in the manifest)
 		return nil, err
 	}
-	if _, err := d.i64(); err != nil { // epoch
-		return nil, err
-	}
-	nGroups, err := d.u32()
+	nGroups, err := d.count("group cursor", 8)
 	if err != nil {
 		return nil, err
-	}
-	if nGroups > 1<<20 {
-		return nil, fmt.Errorf("ckpt: implausible group count %d", nGroups)
 	}
 	if nGroups > 0 {
 		out.GroupIters = make([]int, nGroups)
 		for i := range out.GroupIters {
-			v, err := d.i64()
-			if err != nil {
-				return nil, err
-			}
+			v, _ := d.i64()
 			out.GroupIters[i] = int(v)
 		}
 	}
@@ -323,24 +317,18 @@ func readState(r io.Reader) (*Restored, error) {
 		}
 		out.Solver = &st
 	}
-	nLayers, err := d.u32()
+	nLayers, err := d.count("server layer", 4)
 	if err != nil {
 		return nil, err
-	}
-	if nLayers > 1<<20 {
-		return nil, fmt.Errorf("ckpt: implausible layer count %d", nLayers)
 	}
 	if nLayers > 0 {
 		out.Servers = make([][]opt.State, nLayers)
 		for l := range out.Servers {
-			nShards, err := d.u32()
+			nStates, err := d.count("server state", 16) // an algo length, steps, a slot count
 			if err != nil {
 				return nil, err
 			}
-			if nShards > 1<<20 {
-				return nil, fmt.Errorf("ckpt: implausible shard count %d", nShards)
-			}
-			out.Servers[l] = make([]opt.State, nShards)
+			out.Servers[l] = make([]opt.State, nStates)
 			for s := range out.Servers[l] {
 				if out.Servers[l][s], err = d.state(); err != nil {
 					return nil, err
@@ -348,34 +336,20 @@ func readState(r io.Reader) (*Restored, error) {
 			}
 		}
 	}
-	nGW, err := d.u32()
+	nGW, err := d.count("group view", 4)
 	if err != nil {
 		return nil, err
-	}
-	if nGW > 1<<20 {
-		return nil, fmt.Errorf("ckpt: implausible group-weight count %d", nGW)
 	}
 	if nGW > 0 {
 		out.GroupWeights = make([][][]float32, nGW)
 		for g := range out.GroupWeights {
-			nParams, err := d.u32()
+			nParams, err := d.count("group-view param", 4)
 			if err != nil {
 				return nil, err
 			}
-			if nParams > 1<<20 {
-				return nil, fmt.Errorf("ckpt: implausible group-weight param count %d", nParams)
-			}
 			out.GroupWeights[g] = make([][]float32, nParams)
 			for i := range out.GroupWeights[g] {
-				numel, err := d.u32()
-				if err != nil {
-					return nil, err
-				}
-				if numel > maxStateElems {
-					return nil, fmt.Errorf("ckpt: implausible group-weight element count %d", numel)
-				}
-				out.GroupWeights[g][i] = make([]float32, numel)
-				if err := d.floats(out.GroupWeights[g][i]); err != nil {
+				if out.GroupWeights[g][i], err = d.floats("group-view element"); err != nil {
 					return nil, err
 				}
 			}

@@ -301,12 +301,38 @@ func (st *Store) LoadInto(version int, params []*nn.Param) (*Restored, error) {
 	if err != nil {
 		return nil, err
 	}
-	restored, err := readState(bytes.NewReader(sraw))
+	restored, err := readState(sraw)
+	if err == nil {
+		err = checkGroupViews(restored, params)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: version %d: %w", version, err)
 	}
 	restored.Manifest = m
 	return restored, nil
+}
+
+// checkGroupViews holds the per-group replica views to the geometry the
+// weights were validated against: one view per group cursor, each shaped
+// like params.
+func checkGroupViews(r *Restored, params []*nn.Param) error {
+	if r.GroupWeights == nil {
+		return nil
+	}
+	if len(r.GroupWeights) != len(r.GroupIters) {
+		return fmt.Errorf("ckpt: %d group views for %d group cursors", len(r.GroupWeights), len(r.GroupIters))
+	}
+	for g, view := range r.GroupWeights {
+		if len(view) != len(params) {
+			return fmt.Errorf("ckpt: group %d view has %d blobs, model has %d", g, len(view), len(params))
+		}
+		for i, p := range params {
+			if len(view[i]) != p.W.Len() {
+				return fmt.Errorf("ckpt: group %d blob %d (%s) has %d elements, model has %d", g, i, p.Name, len(view[i]), p.W.Len())
+			}
+		}
+	}
+	return nil
 }
 
 // LoadLatest is LoadInto on the newest version. ok=false: empty store.

@@ -19,7 +19,7 @@ func TestClimatePrefetchMatchesBlocking(t *testing.T) {
 
 	seq := [][]int{{9, 0, 4, 7}, {2, 5, 8, 1}, {6, 3}}
 	blocking, staged := p.NewReplica(), p.NewReplica()
-	staged.StartIngest(seq, 1)
+	staged.StartIngest(seq)
 	defer staged.StopIngest()
 	for it, idx := range seq {
 		blocking.ZeroGrad()
@@ -59,7 +59,7 @@ func TestClimatePrefetchedIterationZeroAllocs(t *testing.T) {
 	for i := range batches {
 		batches[i] = []int{0, 6, 3, 7}
 	}
-	rep.StartIngest(batches, 1)
+	rep.StartIngest(batches)
 	defer rep.StopIngest()
 
 	iter := func() {

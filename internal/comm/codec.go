@@ -43,9 +43,6 @@ type Codec interface {
 	Encode(w *Wire, src []float32)
 	// Decode expands w into dst, which must hold exactly w.N elements.
 	Decode(w *Wire, dst []float32)
-	// DecodeRange expands elements [lo, lo+len(dst)) of w into dst — the
-	// entry point parameter-server shards use to decode only their slice.
-	DecodeRange(w *Wire, lo int, dst []float32)
 }
 
 // NewCodec builds a codec by name. "" and "fp32" give the identity codec;
@@ -85,13 +82,6 @@ func (fp32Codec) Decode(w *Wire, dst []float32) {
 	copy(dst, w.F32)
 }
 
-func (fp32Codec) DecodeRange(w *Wire, lo int, dst []float32) {
-	if lo < 0 || lo+len(dst) > w.N {
-		panic("comm: fp32 DecodeRange out of bounds")
-	}
-	copy(dst, w.F32[lo:lo+len(dst)])
-}
-
 // int8Codec quantises each ChunkElems chunk to int8 with its own scale and
 // stochastic rounding (quant package): 4x payload reduction with an
 // unbiased estimator, the §VIII-A configuration.
@@ -122,26 +112,13 @@ func (c *int8Codec) Encode(w *Wire, src []float32) {
 	}
 }
 
-func (c *int8Codec) Decode(w *Wire, dst []float32) {
+func (*int8Codec) Decode(w *Wire, dst []float32) {
 	if len(dst) != w.N {
 		panic("comm: int8 Decode length mismatch")
 	}
-	c.DecodeRange(w, 0, dst)
-}
-
-func (*int8Codec) DecodeRange(w *Wire, lo int, dst []float32) {
-	if lo < 0 || lo+len(dst) > w.N {
-		panic("comm: int8 DecodeRange out of bounds")
-	}
-	for off := 0; off < len(dst); {
-		e := lo + off
-		ci := e / ChunkElems
-		hi := (ci + 1) * ChunkElems
-		if hi > lo+len(dst) {
-			hi = lo + len(dst)
-		}
-		quant.DequantizeInto(dst[off:off+(hi-e)], w.I8[e:hi], w.Scales[ci])
-		off += hi - e
+	for ci, lo := 0, 0; lo < w.N; ci, lo = ci+1, lo+ChunkElems {
+		hi := min(lo+ChunkElems, w.N)
+		quant.DequantizeInto(dst[lo:hi], w.I8[lo:hi], w.Scales[ci])
 	}
 }
 

@@ -91,28 +91,6 @@ func TestInt8CodecWireBytes(t *testing.T) {
 	}
 }
 
-func TestDecodeRangeMatchesDecode(t *testing.T) {
-	for _, name := range []string{"fp32", "int8"} {
-		c, _ := NewCodec(name, 11)
-		n := 2*ChunkElems + 333
-		src := randVec(4, n)
-		var w Wire
-		c.Encode(&w, src)
-		full := make([]float32, n)
-		c.Decode(&w, full)
-		// Slices chosen to start/end mid-chunk and to cross chunk borders.
-		for _, r := range [][2]int{{0, n}, {5, 9}, {ChunkElems - 3, ChunkElems + 3}, {2 * ChunkElems, n}, {n - 1, n}} {
-			dst := make([]float32, r[1]-r[0])
-			c.DecodeRange(&w, r[0], dst)
-			for i := range dst {
-				if dst[i] != full[r[0]+i] {
-					t.Fatalf("%s DecodeRange[%d:%d] diverges at +%d", name, r[0], r[1], i)
-				}
-			}
-		}
-	}
-}
-
 func TestCodecSteadyStateDoesNotAllocate(t *testing.T) {
 	for _, name := range []string{"fp32", "int8"} {
 		c, _ := NewCodec(name, 3)

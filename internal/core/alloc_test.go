@@ -72,7 +72,7 @@ func stageRepeats(t *testing.T, rep *Replica, idx []int) {
 	for i := range seq {
 		seq[i] = idx
 	}
-	startIngest(rep, seq, 0, 1, 0)
+	startIngest(rep, seq, 0, 1)
 	t.Cleanup(rep.StopIngest)
 }
 
@@ -81,7 +81,7 @@ func TestOverlappedWorkerSteadyStateAllocFree(t *testing.T) {
 	rep := p.NewReplica()
 	fleet := ps.NewFleet(rep.TrainableLayers(), opt.NewSGD(0.01, 0.9))
 	group := comm.NewGroup(1)
-	gw := newGroupWorker(0, group, rep, nil, true)
+	gw := newGroupWorker(0, group, rep, nil)
 	gw.ex = newExchanger(fleet, 0, gw.layers, gw.handles, "int8", 1)
 	defer gw.ex.close()
 
@@ -119,8 +119,7 @@ func TestTracedWorkerSteadyStateAllocFree(t *testing.T) {
 	rep := p.NewReplica()
 	fleet := ps.NewFleet(rep.TrainableLayers(), opt.NewSGD(0.01, 0.9))
 	group := comm.NewGroup(1)
-	gw := newGroupWorker(0, group, rep, nil, true)
-	gw.setLane(obs.NewTracer(0).Lane("w0"))
+	gw := newGroupWorker(0, group, rep, obs.NewTracer(0).Lane("w0"))
 	gw.ex = newExchanger(fleet, 0, gw.layers, gw.handles, "int8", 1)
 	defer gw.ex.close()
 
@@ -151,35 +150,6 @@ func TestTracedWorkerSteadyStateAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(30, iterate); n != 0 {
 		t.Fatalf("traced worker steady state allocates %.1f per iteration; "+
 			"span recording must stay on preallocated lane storage", n)
-	}
-}
-
-// TestLockstepWorkerSteadyStateAllocFree: the same gate for the lockstep
-// schedule, which shares the streamed machinery.
-func TestLockstepWorkerSteadyStateAllocFree(t *testing.T) {
-	p := newAllocProblem(32)
-	rep := p.NewReplica()
-	fleet := ps.NewFleet(rep.TrainableLayers(), opt.NewSGD(0.01, 0.9))
-	group := comm.NewGroup(1)
-	gw := newGroupWorker(0, group, rep, nil, false)
-	gw.ex = newExchanger(fleet, 0, gw.layers, gw.handles, "fp32", 1)
-	defer gw.ex.close()
-
-	fleet.FetchAll(0)
-	idx := []int{0, 1, 2, 3}
-	stageRepeats(t, rep, idx)
-	iterate := func() {
-		rep.ZeroGrad()
-		gw.compute(idx)
-		group.GatherInto(0, 0, 0, gw.lossBuf)
-		gw.ex.await()
-		gw.broadcastWeights()
-	}
-	for i := 0; i < 3; i++ {
-		iterate()
-	}
-	if n := testing.AllocsPerRun(30, iterate); n != 0 {
-		t.Fatalf("lockstep worker steady state allocates %.1f per iteration", n)
 	}
 }
 
@@ -220,7 +190,7 @@ func TestCheckpointStagingAllocFree(t *testing.T) {
 }
 
 // TestFleetCheckpointStagingAllocFree is the same gate for the PS-backed
-// trainers: staging fleet masters, per-shard solver state, group cursors
+// trainers: staging fleet masters, per-layer solver state, group cursors
 // and per-group replica views all recycle.
 func TestFleetCheckpointStagingAllocFree(t *testing.T) {
 	p := newAllocProblem(32)

@@ -20,9 +20,10 @@ type CheckpointConfig struct {
 	// Dir is the checkpoint store directory. Required when Every > 0 or
 	// Resume is set.
 	Dir string
-	// Every snapshots after every Every-th completed iteration (group-0
-	// iterations for the concurrent trainers, schedule updates for the
-	// scheduled one). 0 disables checkpointing.
+	// Every snapshots after every Every-th completed iteration: a sync
+	// run's iterations, group 0's on a free-running hybrid run, and group
+	// updates across all groups on a scheduled one. 0 disables
+	// checkpointing.
 	Every int
 	// Async flushes snapshots on a background writer (double-buffered
 	// staging); off, the whole write sits on the critical path.
@@ -69,9 +70,8 @@ func (c CheckpointConfig) validate() {
 // from a worker replica's parameters plus its solver (sync mode) or from
 // the PS fleet (hybrid/scheduled mode).
 type checkpointer struct {
-	cfg    CheckpointConfig
-	groups int // concurrent groups (epoch arithmetic)
-	batch  int // samples per iteration per group
+	cfg   CheckpointConfig
+	batch int // samples per iteration per group
 
 	store  *ckpt.Store
 	writer *ckpt.Writer
@@ -117,12 +117,11 @@ func newCheckpointer(cfg Config, layers []nn.Layer, fleet *ps.Fleet) *checkpoint
 		panic("core: " + err.Error())
 	}
 	ck := &checkpointer{
-		cfg:    cc,
-		groups: cfg.Groups,
-		batch:  cfg.GroupBatch,
-		store:  store,
-		fleet:  fleet,
-		views:  make(map[*ckpt.Snapshot][][][]float32),
+		cfg:   cc,
+		batch: cfg.GroupBatch,
+		store: store,
+		fleet: fleet,
+		views: make(map[*ckpt.Snapshot][][][]float32),
 	}
 	params := flatParams(layers)
 	staging := []*ckpt.Snapshot{ckpt.NewStaging(params), ckpt.NewStaging(params)}
@@ -134,8 +133,8 @@ func newCheckpointer(cfg Config, layers []nn.Layer, fleet *ps.Fleet) *checkpoint
 			continue
 		}
 		// Fleet mode: prebuild the per-layer weight windows into the
-		// staging params and the per-shard state buffers, so a warm
-		// snapshot recycles everything.
+		// staging params and the per-layer state buffers (one solver
+		// state per server), so a warm snapshot recycles everything.
 		views := make([][][]float32, len(layers))
 		s.Servers = make([][]opt.State, len(layers))
 		flat := 0
@@ -146,7 +145,7 @@ func newCheckpointer(cfg Config, layers []nn.Layer, fleet *ps.Fleet) *checkpoint
 				views[i][j] = s.Params[flat].W.Data
 				flat++
 			}
-			s.Servers[i] = make([]opt.State, fleet.Servers[i].NumShards())
+			s.Servers[i] = make([]opt.State, 1)
 		}
 		ck.views[s] = views
 	}
@@ -159,11 +158,13 @@ func (ck *checkpointer) due(completed int) bool {
 	return ck != nil && completed%ck.cfg.Every == 0
 }
 
-func (ck *checkpointer) epochOf(step int) int {
+// epochOf converts completed group iterations, summed over every group,
+// into completed dataset passes.
+func (ck *checkpointer) epochOf(updates int) int {
 	if ck.cfg.SamplesPerEpoch <= 0 {
 		return 0
 	}
-	return step * ck.batch * ck.groups / ck.cfg.SamplesPerEpoch
+	return updates * ck.batch / ck.cfg.SamplesPerEpoch
 }
 
 // syncSnapshot checkpoints a lockstep run from rank 0's replica and
@@ -183,15 +184,16 @@ func (ck *checkpointer) syncSnapshot(step int, params []*nn.Param, solver opt.So
 	ck.check()
 }
 
-// fleetSnapshot checkpoints a PS-backed run from the fleet masters.
-// groupIters and groupParams, when non-nil, record the scheduled trainer's
-// per-group cursors and replica views (copied into recycled storage) —
-// each group's weights are the master as of its own last push, a
-// staleness realization resume must reproduce, not refetch.
-func (ck *checkpointer) fleetSnapshot(step int, groupIters []int, groupParams [][]*nn.Param) {
+// fleetSnapshot checkpoints a PS-backed run from the fleet masters at step,
+// after updates group iterations across all groups. groupIters and
+// groupParams, when non-nil, record the scheduled trainer's per-group
+// cursors and replica views (copied into recycled storage) — each group's
+// weights are the master as of its own last push, a staleness realization
+// resume must reproduce, not refetch.
+func (ck *checkpointer) fleetSnapshot(step, updates int, groupIters []int, groupParams [][]*nn.Param) {
 	s := ck.writer.Begin()
 	t0 := time.Now()
-	s.Step, s.Epoch = step, ck.epochOf(step)
+	s.Step, s.Epoch = step, ck.epochOf(updates)
 	ck.fleet.SnapshotInto(ck.views[s], s.Servers)
 	if groupIters != nil {
 		s.GroupIters = append(s.GroupIters[:0], groupIters...)
@@ -224,12 +226,6 @@ func (ck *checkpointer) close() ckpt.Stats {
 		panic("core: ckpt: " + err.Error())
 	}
 	return ck.writer.Stats()
-}
-
-// restoreSolver installs a snapshot's worker-side solver state into a
-// rank's cloned solver (state is positional over that rank's own params).
-func restoreSolver(solver opt.Solver, params []*nn.Param, r *ckpt.Restored) error {
-	return opt.RestoreState(solver, params, r.Solver)
 }
 
 // resumeInto loads the newest snapshot in the configured store into params
@@ -267,4 +263,24 @@ func checkResumeStep(step, iterations int) {
 	if step >= iterations {
 		panic(fmt.Sprintf("core: resume: checkpoint step %d is already ≥ %d iterations", step, iterations))
 	}
+}
+
+// groupCursors returns the iteration each group of a hybrid run resumes
+// at. A scheduled snapshot carries one cursor per group (and the store has
+// matched its group views to them); a free-running one only its step,
+// which every group resumes from.
+func groupCursors(r *ckpt.Restored, cfg Config) []int {
+	if r.GroupIters != nil {
+		if len(r.GroupIters) != cfg.Groups {
+			panic(fmt.Sprintf("core: resume: checkpoint has %d group cursors, run has %d groups",
+				len(r.GroupIters), cfg.Groups))
+		}
+		return append([]int(nil), r.GroupIters...)
+	}
+	checkResumeStep(r.Manifest.Step, cfg.Iterations)
+	starts := make([]int, cfg.Groups)
+	for g := range starts {
+		starts[g] = r.Manifest.Step
+	}
+	return starts
 }

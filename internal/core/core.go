@@ -7,16 +7,19 @@
 // (stragglers, small-batch throughput), tuned jointly with momentum per
 // Mitliagkas et al. (the paper's [31]).
 //
-// Three execution modes are provided:
+// There is one way to exchange gradients: every worker double-buffers its
+// input, and starts each layer's all-reduce — and, on a group root, its
+// push to that layer's one parameter server — the moment the backward
+// pass has finished the layer (§III-D/E). Two loops drive it:
 //
 //   - TrainSync: fully synchronous data parallelism (1 logical group, no
 //     parameter servers) — the paper's baseline configuration;
 //   - TrainHybrid: G groups × W workers as real goroutines against real
-//     ps.Fleet servers (asynchrony from actual concurrency);
-//   - TrainScheduled: the same group-level update sequence executed in an
-//     externally supplied completion order — used to couple real SGD
-//     dynamics to the cluster simulator's timeline for the Fig 8
-//     time-to-train study.
+//     ps.Fleet servers (asynchrony from actual concurrency).
+//
+// TrainScheduled is TrainHybrid with the groups taking turns in an
+// externally supplied completion order — used to couple real SGD dynamics
+// to the cluster simulator's timeline for the Fig 8 time-to-train study.
 package core
 
 import (
@@ -55,26 +58,23 @@ type Config struct {
 	Solver          opt.Solver
 	Seed            uint64
 
-	// Overlap pipelines the per-layer gradient exchange with the backward
-	// pass (§III-D/E): each layer's all-reduce and parameter-server push
-	// start the moment its gradients are final, while deeper layers are
-	// still computing. Off = the lockstep schedule (whole backward, then
-	// exchange), which with the fp32 codec is bitwise identical to the
-	// pre-overlap trainer.
-	Overlap bool
 	// Codec selects the PS wire format: "" or "fp32" for identity, "int8"
 	// for stochastic-rounding int8 with per-chunk scales (~4x less gradient
 	// traffic). Intra-group all-reduce always stays fp32.
 	Codec string
-	// PSShardElems splits parameter-server layers larger than this many
-	// elements across flat-range solver shards (0 = unsharded).
-	PSShardElems int
 
-	// Prefetch is the input pipeline's lookahead: each worker replica
-	// stages its upcoming shard batches on a background goroutine while the
-	// current batch trains, keeping max(Prefetch, 1) batches ahead (1 = the
-	// classic double buffer, also what 0 gets). The weight trajectory is
-	// bitwise identical at every depth, and to Replica.ComputeGradients'.
+	// Overlap is ignored: every trainer overlaps each layer's exchange with
+	// the backward pass.
+	//
+	// Deprecated: kept only because benchmark/ still sets it; it goes when
+	// the benchmark is next revised.
+	Overlap bool
+	// Prefetch is ignored: every worker replica double-buffers its input,
+	// staging the next batch on a background goroutine while the current
+	// one trains.
+	//
+	// Deprecated: kept only because benchmark/ still sets it; it goes when
+	// the benchmark is next revised.
 	Prefetch int
 
 	// Checkpoint wires the run to a versioned snapshot store: periodic
@@ -85,7 +85,7 @@ type Config struct {
 
 	// Trace attaches the run to a phase tracer: every worker records
 	// Ingest/Fwd/Bwd/CommWait/OptApply/CkptStage spans on its own lane
-	// (sync ranks "w<r>", hybrid "g<g>.w<r>", scheduled "g<g>"), exportable
+	// (sync ranks "w<r>", hybrid and scheduled "g<g>.w<r>"), exportable
 	// as a Chrome trace timeline. nil — the default — records nothing and
 	// costs one branch per span site; tracing never changes the trajectory.
 	Trace *obs.Tracer

@@ -212,7 +212,7 @@ func TestInt8CodecTrainsCloseToFp32(t *testing.T) {
 	// fp32 trajectory, and move ≥3x fewer gradient bytes.
 	p := tinyProblem(t, 64)
 	base := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16,
-		Iterations: 30, Seed: 7, Overlap: true}
+		Iterations: 30, Seed: 7}
 
 	base.Solver = opt.NewAdam(2e-3)
 	base.Codec = "fp32"
@@ -241,14 +241,14 @@ func TestInt8CodecTrainsCloseToFp32(t *testing.T) {
 }
 
 func TestHybridOverlapMultiGroupLearns(t *testing.T) {
-	// The overlapped trainer under real cross-group asynchrony (the
-	// production configuration): must learn and show staleness, like the
-	// lockstep multigroup test above.
+	// The overlapped exchange under real cross-group asynchrony with
+	// intra-group all-reduce and the int8 wire (the production
+	// configuration): must learn and show staleness, like the one-worker
+	// multigroup test above.
 	p := tinyProblem(t, 64)
 	res := core.TrainHybrid(p, core.Config{
 		Groups: 4, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 12,
-		Solver: opt.NewAdam(2e-3), Seed: 7, Overlap: true, Codec: "int8",
-		PSShardElems: 4096,
+		Solver: opt.NewAdam(2e-3), Seed: 7, Codec: "int8",
 	})
 	if len(res.Stats) != 4*12 {
 		t.Fatalf("stats = %d", len(res.Stats))

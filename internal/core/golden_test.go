@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"deep15pf/internal/core"
@@ -10,24 +11,28 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// The fingerprints below were captured from the pre-refactor trainer (the
-// serialized whole-backward / blocking-collective / ps.Fleet.UpdateAll
-// path) at commit dc2e4ee, on the deterministic configurations: sync runs
-// of any worker count, hybrid with a single group, and a fixed scheduled
-// rotation. The refactored streamed/overlapped machinery must reproduce
-// them bit for bit whenever Overlap is off and the codec is fp32 — the
-// acceptance contract that the multi-layer refactor changed the execution
-// schedule, not the arithmetic.
+// The first four fingerprints below were captured from the pre-refactor
+// trainer (the serialized whole-backward / blocking-collective /
+// ps.Fleet.UpdateAll path) at commit dc2e4ee, on the deterministic
+// configurations: sync runs of any worker count, hybrid with a single
+// group, and a fixed scheduled rotation. The overlapped exchange must
+// reproduce them bit for bit with the fp32 codec — the contract that
+// overlapping changed the execution schedule, not the arithmetic.
+// goldenSchedUneven was captured from the serialized scheduled trainer
+// (one group update after another, each pushing every layer after its
+// whole backward) at commit 2ddec40, over a non-rotating schedule with the
+// int8 wire; the scheduled runs now go through the overlapped hybrid loop.
 //
 // The hash is FNV-1a over the little-endian float32 bits of every final
 // weight, in layer/param/element order. All inputs are repo-deterministic
 // (own RNG, fixed-order reductions, bitwise-equal AVX/scalar kernels), so
 // these values are platform-stable.
 const (
-	goldenSyncW1     = uint64(0x46aaedfd588d1e54)
-	goldenSyncW4     = uint64(0x45b2eeaf89828e20)
-	goldenHybridG1W2 = uint64(0x63f276ece155e412)
-	goldenSchedG2    = uint64(0x9a12965b9b6ebfaa)
+	goldenSyncW1      = uint64(0x46aaedfd588d1e54)
+	goldenSyncW4      = uint64(0x45b2eeaf89828e20)
+	goldenHybridG1W2  = uint64(0x63f276ece155e412)
+	goldenSchedG2     = uint64(0x9a12965b9b6ebfaa)
+	goldenSchedUneven = uint64(0xd812ca7c84110e70)
 )
 
 func goldenProblem() core.Problem {
@@ -63,8 +68,22 @@ func goldenSchedule() []core.ScheduledEvent {
 	return sched
 }
 
-// TestGoldenTrajectoriesMatchPreRefactor pins the fp32/lockstep weight
-// trajectories to the pre-refactor trainer.
+// unevenSchedule merges three groups' iteration durations the way Fig 8
+// does (BuildSchedule): group 0 fastest, group 2 slowest, each with its
+// own jitter, so the order never settles into a rotation.
+func unevenSchedule() []core.ScheduledEvent {
+	durs := make([][]float64, 3)
+	for g := range durs {
+		for i := 0; i < 8; i++ {
+			durs[g] = append(durs[g], 0.05*float64(g+2)+0.013*float64((i*(g+2)+g)%5))
+		}
+	}
+	return core.BuildSchedule(durs)
+}
+
+// TestGoldenTrajectoriesMatchPreRefactor pins the fp32 weight trajectories
+// to the pre-refactor trainer, and the uneven int8 schedule to the
+// serialized scheduled trainer.
 func TestGoldenTrajectoriesMatchPreRefactor(t *testing.T) {
 	p := goldenProblem()
 	check := func(name string, want uint64, res core.Result) {
@@ -90,49 +109,57 @@ func TestGoldenTrajectoriesMatchPreRefactor(t *testing.T) {
 	check("sync-w1-fp32", goldenSyncW1, core.TrainSync(p, core.Config{
 		Groups: 1, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 10,
 		Solver: opt.NewSGD(0.02, 0.9), Seed: 5, Codec: "fp32"}))
+	// Three groups' staleness under a non-rotating order, and every
+	// (group, layer) int8 rounding stream: the turn must cover the whole
+	// exchange, not just the compute. On one P the goroutine a channel
+	// send readies runs next, so a root that passed its turn on before its
+	// pushes landed would be overtaken every time, not only when the
+	// scheduler happens to interleave that way.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	check("sched-uneven-g3-int8", goldenSchedUneven, core.TrainScheduled(p, core.Config{
+		Groups: 3, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 8,
+		Solver: opt.NewAdam(2e-3), Seed: 5, Codec: "int8"}, unevenSchedule()))
 }
 
-// TestPrefetchTrajectoriesMatchGolden extends the golden pins past the
-// double buffer every run gets by default: at deeper lookaheads (and with
-// prefetch composed with the PR 3 overlap) every deterministic
-// configuration must still reproduce the pre-refactor fingerprints bit for
-// bit — prefetch moved the staging copies off the critical path, not the
-// arithmetic.
+// TestPrefetchTrajectoriesMatchGolden holds every trainer's double-buffered
+// prefetcher to the goldens and to an exact staging account: each worker
+// stages its share of every group iteration once, through the pipeline,
+// and the trajectory is the blocking reference's bit for bit — prefetch
+// moved the staging copies off the critical path, not the arithmetic.
 func TestPrefetchTrajectoriesMatchGolden(t *testing.T) {
 	p := goldenProblem()
-	check := func(name string, want uint64, res core.Result) {
+	check := func(name string, want uint64, cfg core.Config, res core.Result) {
 		t.Helper()
 		if got := weightHash(res.FinalWeights); got != want {
 			t.Errorf("%s: prefetched weight trajectory diverged from golden: %#016x, want %#016x",
 				name, got, want)
 		}
-		if res.Ingest.Batches == 0 {
-			t.Errorf("%s: prefetched run recorded no staged batches", name)
+		iters := int64(len(res.Stats))
+		if iters == 0 {
+			t.Fatalf("%s: run recorded no iterations", name)
+		}
+		wantBatches, wantSamples := iters*int64(cfg.WorkersPerGroup), iters*int64(cfg.GroupBatch)
+		if res.Ingest.Batches != wantBatches || res.Ingest.Samples != wantSamples {
+			t.Errorf("%s: staged %d batches / %d samples over %d group iterations, want %d / %d",
+				name, res.Ingest.Batches, res.Ingest.Samples, iters, wantBatches, wantSamples)
 		}
 	}
-	check("sync-w1-prefetch", goldenSyncW1, core.TrainSync(p, core.Config{
-		Groups: 1, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 5, Prefetch: 2}))
-	check("sync-w4-prefetch", goldenSyncW4, core.TrainSync(p, core.Config{
-		Groups: 1, WorkersPerGroup: 4, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewAdam(2e-3), Seed: 5, Prefetch: 3}))
-	check("hybrid-g1w2-prefetch", goldenHybridG1W2, core.TrainHybrid(p, core.Config{
-		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewAdam(2e-3), Seed: 5, Prefetch: 2}))
-	check("hybrid-g1w2-prefetch-overlap", goldenHybridG1W2, core.TrainHybrid(p, core.Config{
-		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewAdam(2e-3), Seed: 5, Prefetch: 2, Overlap: true}))
-	check("sched-g2-prefetch", goldenSchedG2, core.TrainScheduled(p, core.Config{
-		Groups: 2, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 8,
-		Solver: opt.NewAdam(2e-3), Seed: 5, Prefetch: 2}, goldenSchedule()))
+	sync4 := core.Config{Groups: 1, WorkersPerGroup: 4, GroupBatch: 16, Iterations: 10,
+		Solver: opt.NewAdam(2e-3), Seed: 5}
+	check("sync-w4", goldenSyncW4, sync4, core.TrainSync(p, sync4))
+	hybrid := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
+		Solver: opt.NewAdam(2e-3), Seed: 5}
+	check("hybrid-g1w2", goldenHybridG1W2, hybrid, core.TrainHybrid(p, hybrid))
+	sched := core.Config{Groups: 2, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 8,
+		Solver: opt.NewAdam(2e-3), Seed: 5}
+	check("sched-g2", goldenSchedG2, sched, core.TrainScheduled(p, sched, goldenSchedule()))
 }
 
 // TestEmptyShardIsSkippedNotStaged is the Split(parts > n) regression: a
 // dataset whose epoch tail batch is smaller than the worker group leaves
 // some ranks with zero-sample shards. Those ranks must idle through the
 // iteration (still joining every collective) rather than staging a zero
-// batch or compiling a zero-sample plan — at every prefetch depth, with
-// identical trajectories.
+// batch or compiling a zero-sample plan.
 func TestEmptyShardIsSkippedNotStaged(t *testing.T) {
 	rng := tensor.NewRNG(17)
 	ds := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), 14, 0.5, rng)
@@ -141,81 +168,20 @@ func TestEmptyShardIsSkippedNotStaged(t *testing.T) {
 
 	// 14 samples, batch 12, 4 workers: iteration 2 draws the 2-sample epoch
 	// tail, splitting 1/1/0/0 — two workers idle.
-	base := core.Config{Groups: 1, WorkersPerGroup: 4, GroupBatch: 12, Iterations: 4, Seed: 5}
-	base.Solver = opt.NewSGD(0.02, 0.9)
-	double := core.TrainSync(p, base) // Prefetch 0: the double buffer
-
-	pf := base
-	pf.Solver = opt.NewSGD(0.02, 0.9)
-	pf.Prefetch = 2
-	prefetched := core.TrainSync(p, pf)
-
-	if weightHash(double.FinalWeights) != weightHash(prefetched.FinalWeights) {
-		t.Error("empty-shard run: lookahead 2 diverged from lookahead 1")
-	}
-	for _, res := range []core.Result{double, prefetched} {
-		for i, s := range res.Stats {
-			if math.IsNaN(s.Loss) || math.IsInf(s.Loss, 0) {
-				t.Fatalf("iteration %d produced loss %v", i, s.Loss)
-			}
+	res := core.TrainSync(p, core.Config{Groups: 1, WorkersPerGroup: 4, GroupBatch: 12, Iterations: 4,
+		Solver: opt.NewSGD(0.02, 0.9), Seed: 5})
+	for i, s := range res.Stats {
+		if math.IsNaN(s.Loss) || math.IsInf(s.Loss, 0) {
+			t.Fatalf("iteration %d produced loss %v", i, s.Loss)
 		}
 	}
 	// Only the non-empty shards were staged: the epoch alternates full
 	// 12-sample batches (4 shards of 3) with 2-sample tails (2 singleton
 	// shards, 2 workers idle) — 4+2+4+2 staged batches over 28 samples.
-	if got := prefetched.Ingest.Batches; got != 12 {
-		t.Errorf("prefetched run staged %d batches, want 12 (zero shards skipped)", got)
+	if got := res.Ingest.Batches; got != 12 {
+		t.Errorf("run staged %d batches, want 12 (zero shards skipped)", got)
 	}
-	if got := prefetched.Ingest.Samples; got != 28 {
-		t.Errorf("prefetched run staged %d samples, want 28", got)
-	}
-}
-
-// TestOverlapIsBitwiseNeutral: pipelining the exchange with the backward
-// pass reorders work, not arithmetic — on deterministic configurations the
-// overlapped trajectories must equal the lockstep ones bit for bit.
-func TestOverlapIsBitwiseNeutral(t *testing.T) {
-	p := goldenProblem()
-	base := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10, Seed: 5}
-
-	lock := base
-	lock.Solver = opt.NewAdam(2e-3)
-	over := base
-	over.Solver = opt.NewAdam(2e-3)
-	over.Overlap = true
-
-	a := core.TrainHybrid(p, lock)
-	b := core.TrainHybrid(p, over)
-	if weightHash(a.FinalWeights) != weightHash(b.FinalWeights) {
-		t.Error("hybrid: overlap changed the weight trajectory")
-	}
-	for i := range a.Stats {
-		if a.Stats[i].Loss != b.Stats[i].Loss {
-			t.Fatalf("hybrid iter %d: lockstep loss %v vs overlapped %v", i, a.Stats[i].Loss, b.Stats[i].Loss)
-		}
-	}
-
-	lock.Solver = opt.NewSGD(0.02, 0.9)
-	over.Solver = opt.NewSGD(0.02, 0.9)
-	as := core.TrainSync(p, lock)
-	bs := core.TrainSync(p, over)
-	if weightHash(as.FinalWeights) != weightHash(bs.FinalWeights) {
-		t.Error("sync: overlap changed the weight trajectory")
-	}
-}
-
-// TestShardedPSIsBitwiseNeutral: flat-range PS sharding must not change
-// the trajectory either (elementwise solvers).
-func TestShardedPSIsBitwiseNeutral(t *testing.T) {
-	p := goldenProblem()
-	cfg := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
-		Seed: 5, Overlap: true}
-	cfg.Solver = opt.NewAdam(2e-3)
-	plain := core.TrainHybrid(p, cfg)
-	cfg.Solver = opt.NewAdam(2e-3)
-	cfg.PSShardElems = 4096
-	sharded := core.TrainHybrid(p, cfg)
-	if weightHash(plain.FinalWeights) != weightHash(sharded.FinalWeights) {
-		t.Error("PS sharding changed the weight trajectory")
+	if got := res.Ingest.Samples; got != 28 {
+		t.Errorf("run staged %d samples, want 28", got)
 	}
 }

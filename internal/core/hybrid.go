@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"deep15pf/internal/comm"
 	"deep15pf/internal/data"
+	"deep15pf/internal/nn"
 	"deep15pf/internal/obs"
 	"deep15pf/internal/ps"
 )
@@ -20,144 +20,174 @@ import (
 // (§III-E, Figs 2–4). Groups never synchronise with each other — asynchrony
 // and staleness are real, produced by goroutine scheduling.
 //
-// With cfg.Overlap the per-layer exchange is pipelined with the backward
-// pass: layer L+1's reduction and PS push run while layer L's backward is
-// still executing, the §III-D/E overlap that keeps communication off the
-// critical path. With Overlap off and the fp32 codec the update arithmetic
-// is bitwise identical to the fully serialized original.
+// The per-layer exchange is pipelined with the backward pass: layer L+1's
+// reduction and PS push run while layer L's backward is still executing,
+// the §III-D/E overlap that keeps communication off the critical path.
 //
 // With cfg.Checkpoint, group 0's root snapshots the PS fleet (master
-// weights + per-shard solver state) at its iteration boundaries. On
+// weights + per-layer solver state) at its iteration boundaries. On
 // asynchronous (multi-group) runs the snapshot is per-layer consistent —
 // the same consistency the fleet itself ever has; on the deterministic
 // single-group configuration it is a clean point between updates, which
 // is what makes resume bit-exact there.
 func TrainHybrid(p Problem, cfg Config) Result {
-	cfg.validate()
+	return newHybridRun(p, cfg).run()
+}
 
-	// The PS fleet owns the master model: one server per trainable layer
-	// (sharded by flat-parameter range above cfg.PSShardElems), initialised
-	// from a template replica, solver state server-side. On resume the
-	// snapshot weights land in the template first (so the fleet masters
-	// start from them), then the per-shard solver state restores on top.
+// hybridRun is what a hybrid run's groups share: the fleet that owns the
+// master model, every group's replicas, the snapshot machinery, the
+// completion books and — on a scheduled run — the turn gate.
+type hybridRun struct {
+	p        Problem
+	cfg      Config
+	fleet    *ps.Fleet
+	ck       *checkpointer
+	gate     *turnGate     // nil: groups run free
+	replicas [][]*Replica  // [group][rank]
+	starts   []int         // per group: the iteration it resumes at
+	ends     []int         // per group: the iteration it stops before
+	iters    []int         // per group: completed iterations (scheduled snapshots)
+	views    [][]*nn.Param // per group: the root's flat params (scheduled snapshots)
+	resumed  int           // group iterations done before the snapshot resumed from
+	updates  atomic.Int64  // completed group iterations, resumed ones included
+	stats    []IterStat    // in completion order
+}
+
+// newHybridRun builds the fleet and every group's replicas, restores the
+// newest snapshot when resuming, and installs each group's starting model.
+func newHybridRun(p Problem, cfg Config) *hybridRun {
+	cfg.validate()
+	// The PS fleet owns the master model: one server per trainable layer,
+	// initialised from a template replica, solver state server-side. On
+	// resume the snapshot weights land in the template first (so the fleet
+	// masters start from them), then the solver state restores on top.
 	template := p.NewReplica()
 	layers := template.TrainableLayers()
-	start := 0
 	restored := resumeInto(cfg, flatParams(layers))
-	fleet := ps.NewShardedFleet(layers, cfg.Solver, cfg.PSShardElems)
+	h := &hybridRun{
+		p:        p,
+		cfg:      cfg,
+		fleet:    ps.NewFleet(layers, cfg.Solver),
+		replicas: make([][]*Replica, cfg.Groups),
+		starts:   make([]int, cfg.Groups),
+		ends:     make([]int, cfg.Groups),
+		views:    make([][]*nn.Param, cfg.Groups),
+	}
 	if restored != nil {
-		start = restored.Manifest.Step
-		checkResumeStep(start, cfg.Iterations)
 		if restored.Servers != nil {
-			weights := layerWeightViews(layers)
-			if err := fleet.RestoreSnapshot(weights, restored.Servers); err != nil {
+			if err := h.fleet.RestoreSnapshot(layerWeightViews(layers), restored.Servers); err != nil {
 				panic("core: resume: " + err.Error())
 			}
 		}
+		h.starts = groupCursors(restored, cfg)
 	}
-	ck := newCheckpointer(cfg, layers, fleet)
-
-	var seq atomic.Int64
-	type rec struct {
-		stat IterStat
+	h.iters = append([]int(nil), h.starts...)
+	for g, s := range h.starts {
+		h.ends[g] = cfg.Iterations
+		h.resumed += s
 	}
-	recCh := make(chan rec, cfg.Groups*(cfg.Iterations-start))
+	h.updates.Store(int64(h.resumed))
 
+	// Every group's root starts from the master. All the fetches come
+	// before any push, so every server's staleness books open together.
+	for g := range h.replicas {
+		h.replicas[g] = make([]*Replica, cfg.WorkersPerGroup)
+		for r := range h.replicas[g] {
+			h.replicas[g][r] = p.NewReplica()
+		}
+		root := h.replicas[g][0].TrainableLayers()
+		resps := h.fleet.FetchAll(g)
+		weights := make([][][]float32, len(resps))
+		for i, r := range resps {
+			weights[i] = r.Weights
+		}
+		InstallWeights(root, weights)
+		h.views[g] = flatParams(root)
+		// A resumed scheduled group's replica holds the master as of its
+		// own last push — stale relative to the restored master by every
+		// later push from other groups. The snapshot carried that view
+		// (shape-checked by the store); install it over the fresh fetch,
+		// which only served the staleness books.
+		if restored != nil && restored.GroupWeights != nil {
+			for i, p := range h.views[g] {
+				copy(p.W.Data, restored.GroupWeights[g][i])
+			}
+		}
+	}
+	h.ck = newCheckpointer(cfg, layers, h.fleet)
+	return h
+}
+
+// run trains every group to its end and collects the result.
+func (h *hybridRun) run() Result {
+	n := 0
+	for g := range h.replicas {
+		n += h.ends[g] - h.starts[g]
+	}
+	h.stats = make([]IterStat, n)
 	var wg sync.WaitGroup
-	ingests := make([]data.IngestStats, cfg.Groups)
-	for g := 0; g < cfg.Groups; g++ {
+	ingests := make([]data.IngestStats, h.cfg.Groups)
+	for g := range h.replicas {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ingests[g] = runGroup(p, cfg, g, start, fleet, ck, func(stat IterStat) {
-				stat.Seq = int(seq.Add(1)) - 1
-				recCh <- rec{stat}
-			})
+			ingests[g] = h.runGroup(g)
 		}(g)
 	}
 	wg.Wait()
-	close(recCh)
 
-	stats := make([]IterStat, 0, cfg.Groups*(cfg.Iterations-start))
-	for r := range recCh {
-		stats = append(stats, r.stat)
+	res := finalize(h.stats, h.cfg.Groups)
+	for _, s := range h.fleet.Servers {
+		res.FinalWeights = append(res.FinalWeights, s.Weights())
 	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i].Seq < stats[j].Seq })
-	res := finalize(stats, cfg.Groups)
-	res.FinalWeights = fleetWeights(fleet)
-	res.Wire = fleet.WireStats()
+	res.Wire = h.fleet.WireStats()
 	for _, ing := range ingests {
 		res.Ingest = res.Ingest.Add(ing)
 	}
-	res.Ckpt = ck.close()
+	res.Ckpt = h.ck.close()
 	return res
 }
 
-// fleetWeights snapshots the PS masters (the trained model).
-func fleetWeights(fleet *ps.Fleet) [][][]float32 {
-	out := make([][][]float32, len(fleet.Servers))
-	for i, s := range fleet.Servers {
-		out[i] = s.Weights()
-	}
-	return out
-}
-
 // runGroup executes one compute group's synchronous inner loop and its
-// asynchronous PS exchanges, starting at group-local iteration `start`
-// (non-zero when resuming). record is called once per completed iteration
-// with the group-batch mean loss and staleness; the return value is the
-// group's aggregated input-staging account.
-func runGroup(p Problem, cfg Config, g, start int, fleet *ps.Fleet, ck *checkpointer, record func(IterStat)) data.IngestStats {
+// asynchronous PS exchanges over its iterations [starts[g], ends[g]). The
+// return value is the group's aggregated input-staging account.
+func (h *hybridRun) runGroup(g int) data.IngestStats {
+	cfg := h.cfg
 	w := cfg.WorkersPerGroup
-	src := p.NewBatchSource(cfg.Seed + uint64(g)*0x9E37)
-	batches := make([][]int, cfg.Iterations)
+	start, end := h.starts[g], h.ends[g]
+	src := h.p.NewBatchSource(cfg.Seed + uint64(g)*0x9E37)
+	batches := make([][]int, end)
 	for i := range batches {
 		batches[i] = append([]int(nil), src.Next(cfg.GroupBatch)...)
 	}
 
-	replicas := make([]*Replica, w)
-	for r := range replicas {
-		replicas[r] = p.NewReplica()
-	}
+	replicas := h.replicas[g]
 	group := comm.NewGroup(w)
-
 	var wg sync.WaitGroup
 	for rank := 0; rank < w; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			rep := replicas[rank]
-			gw := newGroupWorker(rank, group, rep, nil, cfg.Overlap)
-			gw.setLane(cfg.Trace.Lane(fmt.Sprintf("g%d.w%d", g, rank)))
-			startIngest(rep, batches[start:], rank, w, cfg.Prefetch)
+			gw := newGroupWorker(rank, group, rep, cfg.Trace.Lane(fmt.Sprintf("g%d.w%d", g, rank)))
+			shares := startIngest(rep, batches[start:], rank, w)
 			defer rep.StopIngest()
 			if rank == 0 {
 				// The exchanger waits on the worker's own handle table: the
 				// worker fills row t, then the trigger send publishes it.
-				gw.ex = newExchanger(fleet, g, gw.layers, gw.handles, cfg.Codec, cfg.Seed)
+				gw.ex = newExchanger(h.fleet, g, gw.layers, gw.handles, cfg.Codec, cfg.Seed)
 				defer gw.ex.close()
 			}
-
-			// Initial model fetch: the root reads the master, everyone
-			// installs it so the group starts on the PS state.
-			if rank == 0 {
-				resps := fleet.FetchAll(g)
-				weights := make([][][]float32, len(resps))
-				for i, r := range resps {
-					weights[i] = r.Weights
-				}
-				InstallWeights(gw.layers, weights)
-			}
-			group.Barrier()
+			// The root holds the group's starting model; everyone installs it.
 			gw.broadcastWeights()
 
-			shards := shardCache{rank: rank, workers: w}
-			for it := start; it < cfg.Iterations; it++ {
+			for it := start; it < end; it++ {
 				gw.lane.SetIter(it)
-				lo, hi := shards.shard(len(batches[it]))
-				idx := batches[it][lo:hi]
+				if rank == 0 {
+					h.gate.acquire(g)
+				}
 				rep.ZeroGrad()
-				loss := gw.compute(idx)
+				loss := gw.compute(shares[it-start])
 				lossAll := group.GatherInto(rank, 0, loss, gw.lossBuf)
 
 				// Root ↔ per-layer parameter servers (asynchronous with
@@ -172,20 +202,7 @@ func runGroup(p Problem, cfg Config, g, start int, fleet *ps.Fleet, ck *checkpoi
 					for _, v := range lossAll {
 						lossSum += v
 					}
-					record(IterStat{
-						Group:     g,
-						Iter:      it,
-						Loss:      lossSum / float64(len(lossAll)),
-						Staleness: stale,
-					})
-					// Group 0's root paces the snapshots; with one group
-					// (the deterministic config) every push has completed,
-					// so the fleet is exactly the post-iteration state.
-					if g == 0 && ck.due(it+1) {
-						gw.lane.Begin(obs.PhaseCkptStage)
-						ck.fleetSnapshot(it+1, nil, nil)
-						gw.lane.End(obs.PhaseCkptStage)
-					}
+					h.complete(g, it, lossSum/float64(len(lossAll)), stale, gw.lane)
 				}
 				// Broadcast the fresh model to the group (an exposed
 				// collective wait on every rank).
@@ -201,4 +218,34 @@ func runGroup(p Problem, cfg Config, g, start int, fleet *ps.Fleet, ck *checkpoi
 		ing = ing.Add(rep.IngestStats())
 	}
 	return ing
+}
+
+// complete books group g's finished iteration it on the group's root: the
+// iteration's stat, the snapshot it may pace and, on a scheduled run, the
+// hand-off of the turn.
+//
+// Free-running, group 0's root paces the snapshots; with one group (the
+// deterministic configuration) every push has completed, so the fleet is
+// exactly the post-iteration state. Scheduled, the turn holder snapshots
+// after every Every-th update, with each group's cursor and replica view:
+// no other group is exchanging while it holds the turn.
+func (h *hybridRun) complete(g, it int, loss, stale float64, lane *obs.Lane) {
+	updates := int(h.updates.Add(1))
+	done := updates - 1 - h.resumed // this run's completion index
+	stat := IterStat{Seq: done, Group: g, Iter: it, Loss: loss, Staleness: stale}
+	step, due := it+1, g == 0 && h.ck.due(it+1)
+	var iters []int
+	var views [][]*nn.Param
+	if h.gate != nil {
+		stat.Seq, stat.Time = h.gate.event()
+		h.iters[g] = it + 1
+		step, due, iters, views = updates, h.ck.due(updates), h.iters, h.views
+	}
+	h.stats[done] = stat
+	if due {
+		lane.Begin(obs.PhaseCkptStage)
+		h.ck.fleetSnapshot(step, updates, iters, views)
+		lane.End(obs.PhaseCkptStage)
+	}
+	h.gate.release()
 }

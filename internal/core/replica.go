@@ -17,7 +17,7 @@ import (
 // ring, the ingest account, the trace lanes) is Replica's.
 //
 // Staging slots are numbered densely from 0 and owned by the workload.
-// Slot 0 is ComputeGradients'; the prefetch ring uses 1..lookahead+1.
+// Slot 0 is ComputeGradients'; the prefetch ring uses 1 and 2.
 type Workload interface {
 	// TrainableLayers returns the parameterised layers in a fixed order
 	// (the per-layer PS pairing).
@@ -128,13 +128,13 @@ func (r *Replica) nextStaged() int {
 }
 
 // StartIngest launches a background prefetcher over batches — the index
-// sets of the run's iterations, in order — keeping lookahead (at least 1)
-// staged batches ahead of the one training, in a ring of lookahead+1
-// slots: the §VI-A input-pipeline overlap. Empty sets are skipped, never
-// staged as a zero batch; the consumer must skip them symmetrically. The
-// ring is sized for the largest set up front, so the prefetch goroutine
-// never touches the workload's allocator.
-func (r *Replica) StartIngest(batches [][]int, lookahead int) {
+// sets of the run's iterations, in order — that double-buffers: one batch
+// staged ahead of the one training, in a ring of two slots (the §VI-A
+// input-pipeline overlap). Empty sets are skipped, never staged as a zero
+// batch; the consumer must skip them symmetrically. The ring is sized for
+// the largest set up front, so the prefetch goroutine never touches the
+// workload's allocator.
+func (r *Replica) StartIngest(batches [][]int) {
 	maxN := 0
 	for _, b := range batches {
 		maxN = max(maxN, len(b))
@@ -142,13 +142,12 @@ func (r *Replica) StartIngest(batches [][]int, lookahead int) {
 	if maxN == 0 {
 		return // nothing will ever be staged (all shards empty)
 	}
-	slots := make([]int, lookahead+1)
-	for i := range slots {
-		slots[i] = i + 1
-		r.w.Reserve(i+1, maxN)
+	slots := []int{1, 2}
+	for _, slot := range slots {
+		r.w.Reserve(slot, maxN)
 	}
-	// Iter tags on the stager's lane count staged batches (it runs ahead
-	// of the training iteration by up to the lookahead).
+	// Iter tags on the stager's lane count staged batches (it runs one
+	// ahead of the training iteration).
 	ingLane := r.lane.Tracer().Lane(r.lane.Name() + ".ingest")
 	staged := 0
 	r.pipe = data.NewPipeline(slots, data.SliceSource(batches), func(slot int, idx []int) error {

@@ -71,7 +71,7 @@ func TestReplica(t *testing.T) {
 	}{
 		{"staged equals blocking bit for bit, empty sets skipped on both sides", func(t *testing.T) {
 			blocking, staged := p.NewReplica(), p.NewReplica()
-			staged.StartIngest(seq, 1)
+			staged.StartIngest(seq)
 			defer staged.StopIngest()
 			nLayers := len(staged.TrainableLayers())
 			for it, idx := range seq {
@@ -109,7 +109,7 @@ func TestReplica(t *testing.T) {
 		}},
 		{"an all-empty sequence starts no pipeline", func(t *testing.T) {
 			r := p.NewReplica()
-			r.StartIngest([][]int{{}, {}}, 1)
+			r.StartIngest([][]int{{}, {}})
 			defer r.StopIngest()
 			if r.pipe != nil {
 				t.Fatal("an all-empty sequence started a prefetcher")
@@ -124,7 +124,7 @@ func TestReplica(t *testing.T) {
 		}},
 		{"staging failure panics naming the cause, prefetched", func(t *testing.T) {
 			r := NewReplica(faultyWorkload{p.newWorkload(), failOn9})
-			r.StartIngest(seq, 2)
+			r.StartIngest(seq)
 			defer r.StopIngest()
 			r.ComputeGradientsStream(nil) // seq[0], staged before the fault
 			msg := mustPanic(t, func() { r.ComputeGradientsStream(nil) })
@@ -141,7 +141,7 @@ func TestReplica(t *testing.T) {
 			if before.Batches != 2 || before.Samples != 6 || before.WaitSeconds != before.StageSeconds {
 				t.Fatalf("blocking account %+v, want 2 batches / 6 samples, every staged second exposed", before)
 			}
-			r.StartIngest(seq[:3], 1)
+			r.StartIngest(seq[:3])
 			r.ComputeGradientsStream(nil)
 			r.ComputeGradientsStream(nil)
 			r.StopIngest()

@@ -14,8 +14,8 @@ import (
 // The resume golden gate: training 2N iterations straight must equal
 // training N iterations, snapshotting, restoring into a FRESH set of
 // objects (a fresh process in the CI smoke step), and training N more —
-// bit for bit, for every deterministic trainer configuration, with
-// prefetch and overlap enabled. The uninterrupted fingerprints are the
+// bit for bit, for every deterministic trainer configuration. The
+// uninterrupted fingerprints are the
 // same constants golden_test.go pins, so this test also proves that
 // checkpointing itself (sync or async) never perturbs a trajectory.
 
@@ -50,45 +50,24 @@ func TestResumeMatchesGoldenSync(t *testing.T) {
 		t.Errorf("sync-w1 resumed trajectory diverged: %#016x, want %#016x", got, goldenSyncW1)
 	}
 
-	// Multi-worker ADAM with prefetch and overlap on both halves.
-	multi := core.Config{Groups: 1, WorkersPerGroup: 4, GroupBatch: 16, Seed: 5,
-		Prefetch: 2, Overlap: true}
+	// Multi-worker ADAM.
+	multi := core.Config{Groups: 1, WorkersPerGroup: 4, GroupBatch: 16, Seed: 5}
 	res = trainHalves(t, p, multi, func() opt.Solver { return opt.NewAdam(2e-3) }, 5, 10, func(c core.Config) core.Result {
 		return core.TrainSync(p, c)
 	})
 	if got := weightHash(res.FinalWeights); got != goldenSyncW4 {
-		t.Errorf("sync-w4-prefetch-overlap resumed trajectory diverged: %#016x, want %#016x", got, goldenSyncW4)
+		t.Errorf("sync-w4 resumed trajectory diverged: %#016x, want %#016x", got, goldenSyncW4)
 	}
 }
 
 func TestResumeMatchesGoldenHybrid(t *testing.T) {
 	p := goldenProblem()
-	base := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Seed: 5,
-		Prefetch: 2, Overlap: true}
+	base := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Seed: 5}
 	res := trainHalves(t, p, base, func() opt.Solver { return opt.NewAdam(2e-3) }, 5, 10, func(c core.Config) core.Result {
 		return core.TrainHybrid(p, c)
 	})
 	if got := weightHash(res.FinalWeights); got != goldenHybridG1W2 {
 		t.Errorf("hybrid-g1w2 resumed trajectory diverged: %#016x, want %#016x", got, goldenHybridG1W2)
-	}
-}
-
-func TestResumeMatchesGoldenHybridSharded(t *testing.T) {
-	// PS sharding splits solver state across flat-range shards; the
-	// snapshot must carry every shard for the resumed trajectory to hold.
-	p := goldenProblem()
-	cfg := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
-		Seed: 5, Overlap: true, PSShardElems: 4096}
-	cfg.Solver = opt.NewAdam(2e-3)
-	straight := core.TrainHybrid(p, cfg)
-
-	base := cfg
-	base.Solver = nil
-	res := trainHalves(t, p, base, func() opt.Solver { return opt.NewAdam(2e-3) }, 5, 10, func(c core.Config) core.Result {
-		return core.TrainHybrid(p, c)
-	})
-	if weightHash(res.FinalWeights) != weightHash(straight.FinalWeights) {
-		t.Error("sharded hybrid resume diverged from the uninterrupted run")
 	}
 }
 
@@ -100,8 +79,8 @@ func TestResumeMatchesGoldenScheduled(t *testing.T) {
 	// First half: the first 8 schedule events (4 per group), snapshotting
 	// every 4 updates — the paper's 1-in-10 cadence scaled to the run.
 	half := core.Config{Groups: 2, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 8,
-		Solver: opt.NewAdam(2e-3), Seed: 5, Prefetch: 2,
-		Checkpoint: core.CheckpointConfig{Dir: dir, Every: 4, Async: true}}
+		Solver: opt.NewAdam(2e-3), Seed: 5,
+		Checkpoint: core.CheckpointConfig{Dir: dir, Every: 4, Async: true, SamplesPerEpoch: 48}}
 	hres := core.TrainScheduled(p, half, sched[:8])
 	if hres.Ckpt.Snapshots != 2 {
 		t.Fatalf("first half wrote %d snapshots, want 2", hres.Ckpt.Snapshots)
@@ -110,7 +89,7 @@ func TestResumeMatchesGoldenScheduled(t *testing.T) {
 	// Resume with the SAME full schedule: the trainer replays past each
 	// group's checkpointed cursor and continues.
 	resumed := core.Config{Groups: 2, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 8,
-		Solver: opt.NewAdam(2e-3), Seed: 5, Prefetch: 2,
+		Solver: opt.NewAdam(2e-3), Seed: 5,
 		Checkpoint: core.CheckpointConfig{Dir: dir, Resume: true}}
 	res := core.TrainScheduled(p, resumed, sched)
 	if got := weightHash(res.FinalWeights); got != goldenSchedG2 {
@@ -120,6 +99,29 @@ func TestResumeMatchesGoldenScheduled(t *testing.T) {
 	if len(res.Stats) != 8 {
 		t.Errorf("resumed run recorded %d updates, want 8", len(res.Stats))
 	}
+
+	// A scheduled snapshot's step counts updates across both groups, so
+	// its epoch is step × batch ÷ samples per epoch — once, not once per
+	// group: 4×16/48 → 1 and 8×16/48 → 2.
+	store, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := store.Versions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 2 || vs[0].Step != 4 || vs[0].Epoch != 1 || vs[1].Step != 8 || vs[1].Epoch != 2 {
+		t.Errorf("scheduled snapshots recorded (step, epoch) %v, want (4, 1) and (8, 2)", stepEpochs(vs))
+	}
+}
+
+func stepEpochs(vs []ckpt.Manifest) [][2]int {
+	out := make([][2]int, len(vs))
+	for i, m := range vs {
+		out[i] = [2]int{m.Step, m.Epoch}
+	}
+	return out
 }
 
 // TestCheckpointingDoesNotPerturbTraining: a run that snapshots every 2
@@ -129,12 +131,12 @@ func TestCheckpointingDoesNotPerturbTraining(t *testing.T) {
 	p := goldenProblem()
 	dir := t.TempDir()
 	cfg := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 5, Overlap: true, Prefetch: 1,
+		Solver: opt.NewSGD(0.02, 0.9), Seed: 5,
 		Checkpoint: core.CheckpointConfig{Dir: dir, Every: 2, Async: true, Keep: 3, Arch: "golden", SamplesPerEpoch: 48}}
 	res := core.TrainSync(p, cfg)
 
 	plain := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 5, Overlap: true, Prefetch: 1}
+		Solver: opt.NewSGD(0.02, 0.9), Seed: 5}
 	want := core.TrainSync(p, plain)
 	if weightHash(res.FinalWeights) != weightHash(want.FinalWeights) {
 		t.Error("checkpointing changed the weight trajectory")

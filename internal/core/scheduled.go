@@ -3,10 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"deep15pf/internal/nn"
-	"deep15pf/internal/obs"
-	"deep15pf/internal/ps"
 )
 
 // ScheduledEvent places one group iteration at a simulated completion time.
@@ -34,169 +30,92 @@ func BuildSchedule(iterDurations [][]float64) []ScheduledEvent {
 	return events
 }
 
-// TrainScheduled executes group updates sequentially in the order given by
-// schedule. Each group holds one logical replica computing the group-mean
-// gradient on its full batch (statistically identical to W workers plus
-// all-reduce); the PS fleet applies updates in schedule order, so the
+// TrainScheduled runs the hybrid trainer with the groups taking turns in
+// the order given by schedule: a group root takes its turn before its
+// iteration's compute and passes it on once every layer's push has landed,
+// so the PS fleet applies whole group updates in schedule order and the
 // staleness process matches what the simulated cluster would produce. The
 // result's IterStat.Time carries the simulated clock.
 //
-// The exchange runs through cfg.Codec exactly like the concurrent trainer:
-// with "int8" every push suffers the quantised wire's distortion, so the
-// Fig 8 study couples real low-precision SGD dynamics to the simulated
-// timeline. cfg.Overlap does not change the math here (ordering is the
-// schedule's); its timing effect lives in the cluster model.
+// Everything else is TrainHybrid's: the exchange overlaps the backward
+// pass and runs through cfg.Codec — with "int8" every push suffers the
+// quantised wire's distortion, so the Fig 8 study couples real
+// low-precision SGD dynamics to the simulated timeline.
 //
 // With cfg.Checkpoint the run snapshots the fleet (plus each group's
-// progress cursor) after every cfg.Checkpoint.Every-th schedule update.
-// On resume the SAME schedule must be passed again: the trainer replays
-// past it — skipping each group's first GroupIters[g] events without
-// computing — and continues, bit-exact for the fp32 wire (the int8
-// codec's rounding streams restart at resume, a documented divergence).
+// progress cursor and replica view) after every cfg.Checkpoint.Every-th
+// schedule update. On resume the SAME schedule must be passed again: the
+// trainer replays past it — skipping each group's first GroupIters[g]
+// events without computing — and continues, bit-exact for the fp32 wire
+// (the int8 codec's rounding streams restart at resume, a documented
+// divergence).
 func TrainScheduled(p Problem, cfg Config, schedule []ScheduledEvent) Result {
-	cfg.validate()
-	template := p.NewReplica()
-	tlayers := template.TrainableLayers()
-	restored := resumeInto(cfg, flatParams(tlayers))
-	fleet := ps.NewShardedFleet(tlayers, cfg.Solver, cfg.PSShardElems)
-	resumeIters := make([]int, cfg.Groups)
-	if restored != nil {
-		if restored.Servers != nil {
-			if err := fleet.RestoreSnapshot(layerWeightViews(tlayers), restored.Servers); err != nil {
-				panic("core: resume: " + err.Error())
-			}
-		}
-		if len(restored.GroupIters) != cfg.Groups {
-			panic(fmt.Sprintf("core: resume: checkpoint has %d group cursors, run has %d groups",
-				len(restored.GroupIters), cfg.Groups))
-		}
-		copy(resumeIters, restored.GroupIters)
-	}
-	ck := newCheckpointer(cfg, tlayers, fleet)
-
-	replicas := make([]*Replica, cfg.Groups)
-	batches := make([][][]int, cfg.Groups)         // per group, per iteration
-	xfers := make([][]*layerXfer, cfg.Groups)      // per group, per layer wire state
-	groupParams := make([][]*nn.Param, cfg.Groups) // per group flat replica params (snapshot staging)
-	lanes := make([]*obs.Lane, cfg.Groups)
-	iters := make([]int, cfg.Groups)
-	skip := make([]int, cfg.Groups) // schedule events to replay past (resume)
-	for g := range replicas {
-		replicas[g] = p.NewReplica()
-		lanes[g] = cfg.Trace.Lane(fmt.Sprintf("g%d", g))
-		replicas[g].SetTraceLane(lanes[g])
-		// Pre-draw every iteration's batch from the group's own source —
-		// the same per-group RNG sequence the lazy draw consumed, so
-		// trajectories are unchanged — which is what lets the prefetcher
-		// stage ahead of the schedule (and the resumed run fast-forward).
-		src := p.NewBatchSource(cfg.Seed + uint64(g)*0x9E37)
-		batches[g] = make([][]int, cfg.Iterations)
-		for i := range batches[g] {
-			batches[g][i] = append([]int(nil), src.Next(cfg.GroupBatch)...)
-		}
-		iters[g] = resumeIters[g]
-		skip[g] = resumeIters[g]
-		startIngest(replicas[g], batches[g][iters[g]:], 0, 1, cfg.Prefetch)
-		defer replicas[g].StopIngest()
-		// Start every group from the master model.
-		resps := fleet.FetchAll(g)
-		weights := make([][][]float32, len(resps))
-		for i, r := range resps {
-			weights[i] = r.Weights
-		}
-		layers := replicas[g].TrainableLayers()
-		InstallWeights(layers, weights)
-		groupParams[g] = flatParams(layers)
-		// A resumed group's replica holds the master as of its own last
-		// push — stale relative to the restored master by every later
-		// push from other groups. The snapshot carried that view; install
-		// it over the fresh fetch (which only served the staleness books).
-		if restored != nil && restored.GroupWeights != nil {
-			if len(restored.GroupWeights[g]) != len(groupParams[g]) {
-				panic(fmt.Sprintf("core: resume: group %d has %d weight blobs, model has %d",
-					g, len(restored.GroupWeights[g]), len(groupParams[g])))
-			}
-			for i, p := range groupParams[g] {
-				if len(restored.GroupWeights[g][i]) != p.W.Len() {
-					panic(fmt.Sprintf("core: resume: group %d blob %d (%s) has %d elements, model has %d",
-						g, i, p.Name, len(restored.GroupWeights[g][i]), p.W.Len()))
-				}
-				copy(p.W.Data, restored.GroupWeights[g][i])
-			}
-		}
-		for t, l := range layers {
-			xfers[g] = append(xfers[g], newLayerXfer(l.Params(), cfg.Codec, cfg.Seed, g, t))
-		}
-	}
-
-	updates := sumInts(resumeIters) // completed updates, pacing the snapshots
-	stats := make([]IterStat, 0, len(schedule))
-	for seqNo, ev := range schedule {
-		if ev.Group < 0 || ev.Group >= cfg.Groups {
-			panic(fmt.Sprintf("core: schedule references group %d of %d", ev.Group, cfg.Groups))
-		}
-		g := ev.Group
-		if skip[g] > 0 {
-			skip[g]-- // already executed before the checkpoint: replay past it
-			continue
-		}
-		if iters[g] >= cfg.Iterations {
-			continue // schedule longer than requested training
-		}
-		rep := replicas[g]
-		lanes[g].SetIter(iters[g])
-		idx := batches[g][iters[g]]
-		rep.ZeroGrad()
-		var loss float64
-		if len(idx) > 0 {
-			loss = rep.ComputeGradientsStream(nil)
-		}
-		var stale float64
-		lanes[g].Begin(obs.PhaseCommWait)
-		for t, x := range xfers[g] {
-			for i, prm := range x.params {
-				x.codec.Encode(x.wires[i], prm.Grad.Data)
-			}
-			res := fleet.PushWires(g, t, x.codec, x.wires, x.weights)
-			stale += float64(res.Staleness)
-		}
-		lanes[g].End(obs.PhaseCommWait)
-		stats = append(stats, IterStat{
-			Seq:       seqNo,
-			Group:     g,
-			Iter:      iters[g],
-			Loss:      loss,
-			Staleness: stale / float64(len(xfers[g])),
-			Time:      ev.Time,
-		})
-		iters[g]++
-		updates++
-		if ck.due(updates) {
-			lanes[g].Begin(obs.PhaseCkptStage)
-			ck.fleetSnapshot(updates, iters, groupParams)
-			lanes[g].End(obs.PhaseCkptStage)
-		}
-	}
-	res := finalize(stats, cfg.Groups)
-	res.FinalWeights = fleetWeights(fleet)
-	res.Wire = fleet.WireStats()
-	// Quiesce the prefetchers before reading their accounts (a short
-	// schedule can leave them mid-stage; StopIngest is idempotent, so the
-	// deferred stops become no-ops).
-	for _, rep := range replicas {
-		rep.StopIngest()
-		res.Ingest = res.Ingest.Add(rep.IngestStats())
-	}
-	res.Ckpt = ck.close()
-	return res
+	h := newHybridRun(p, cfg)
+	h.gate = newTurnGate(schedule, h.starts, h.ends)
+	return h.run()
 }
 
-func sumInts(v []int) int {
-	s := 0
-	for _, x := range v {
-		s += x
+// turnGate serialises a scheduled run's group iterations. It holds the
+// schedule filtered to the events that execute: each group's first
+// starts[g] events are replayed past (they ran before the snapshot a
+// resumed run starts from), and events past a group's end are dropped.
+// Exactly one token circulates; whoever holds it is the only group
+// computing or exchanging.
+type turnGate struct {
+	events []ScheduledEvent
+	seqs   []int // each kept event's index in the full schedule
+	next   int   // the kept event whose turn it is
+	turns  []chan struct{}
+}
+
+// newTurnGate filters schedule and lowers each group's end to the
+// iteration after its last kept event.
+func newTurnGate(schedule []ScheduledEvent, starts, ends []int) *turnGate {
+	t := &turnGate{turns: make([]chan struct{}, len(starts))}
+	seen := make([]int, len(starts))
+	limit := append([]int(nil), ends...)
+	copy(ends, starts)
+	for i, ev := range schedule {
+		g := ev.Group
+		if g < 0 || g >= len(starts) {
+			panic(fmt.Sprintf("core: schedule references group %d of %d", g, len(starts)))
+		}
+		if seen[g]++; seen[g] <= starts[g] || ends[g] >= limit[g] {
+			continue
+		}
+		t.events = append(t.events, ev)
+		t.seqs = append(t.seqs, i)
+		ends[g]++
 	}
-	return s
+	for g := range t.turns {
+		t.turns[g] = make(chan struct{}, 1)
+	}
+	if len(t.events) > 0 {
+		t.turns[t.events[0].Group] <- struct{}{}
+	}
+	return t
+}
+
+// acquire blocks until it is group g's turn. A nil gate never blocks.
+func (t *turnGate) acquire(g int) {
+	if t != nil {
+		<-t.turns[g]
+	}
+}
+
+// event returns the turn holder's schedule index and simulated time.
+func (t *turnGate) event() (seq int, at float64) {
+	return t.seqs[t.next], t.events[t.next].Time
+}
+
+// release passes the turn to the next event's group.
+func (t *turnGate) release() {
+	if t == nil {
+		return
+	}
+	if t.next++; t.next < len(t.events) {
+		t.turns[t.events[t.next].Group] <- struct{}{}
+	}
 }
 
 // TimeToLoss scans a scheduled result for the first simulated time at

@@ -25,30 +25,6 @@ type layerXfer struct {
 	trigger chan struct{}
 }
 
-// newLayerXfer builds one layer's wire state: the per-layer codec (seeded
-// per group and layer so int8 rounding streams are independent), reusable
-// wire buffers, and weight views aliasing the owning replica's parameter
-// storage. Shared by the concurrent exchanger and the scheduled trainer so
-// the two cannot drift.
-func newLayerXfer(params []*nn.Param, codecName string, runSeed uint64, group, layer int) *layerXfer {
-	codec, err := comm.NewCodec(codecName, runSeed+uint64(group)*0xC0DEC+uint64(layer)*0x9E3779B9)
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	x := &layerXfer{
-		params:  params,
-		codec:   codec,
-		wires:   make([]*comm.Wire, len(params)),
-		weights: make([][]float32, len(params)),
-		trigger: make(chan struct{}, 1),
-	}
-	for i, prm := range params {
-		x.wires[i] = &comm.Wire{}
-		x.weights[i] = prm.W.Data
-	}
-	return x
-}
-
 // exchanger drives a group root's parameter-server traffic from one
 // dedicated pusher goroutine per trainable layer — the paper's Fig 4
 // arrangement made concurrent. The root's backward pass triggers layer t's
@@ -78,18 +54,28 @@ func newExchanger(fleet *ps.Fleet, groupID int, layers []nn.Layer, handles [][]c
 		done:    make(chan int, len(layers)),
 	}
 	for t, l := range layers {
-		e.xfers = append(e.xfers, newLayerXfer(l.Params(), codecName, runSeed, groupID, t))
-	}
-	e.start()
-	return e
-}
-
-func (e *exchanger) start() {
-	for t := range e.xfers {
+		// Codecs are seeded per group and layer, so int8 rounding streams
+		// are independent.
+		codec, err := comm.NewCodec(codecName, runSeed+uint64(groupID)*0xC0DEC+uint64(t)*0x9E3779B9)
+		if err != nil {
+			panic("core: " + err.Error())
+		}
+		params := l.Params()
+		x := &layerXfer{
+			params:  params,
+			codec:   codec,
+			wires:   make([]*comm.Wire, len(params)),
+			weights: make([][]float32, len(params)),
+			trigger: make(chan struct{}, 1),
+		}
+		for i, prm := range params {
+			x.wires[i] = &comm.Wire{}
+			x.weights[i] = prm.W.Data
+		}
+		e.xfers = append(e.xfers, x)
 		e.wg.Add(1)
 		go func(t int) {
 			defer e.wg.Done()
-			x := e.xfers[t]
 			for range x.trigger {
 				// The intra-group reduction must land before the encode
 				// reads the gradients.
@@ -105,6 +91,7 @@ func (e *exchanger) start() {
 			}
 		}(t)
 	}
+	return e
 }
 
 // push hands layer t to its pusher. Called from the root's compute
@@ -141,29 +128,24 @@ type groupWorker struct {
 	layers  []nn.Layer
 	lparams [][]*nn.Param
 	handles [][]comm.Handle
-	ex      *exchanger // rank 0 only; nil for sync training
-	overlap bool
+	ex      *exchanger      // rank 0 only; nil for sync training
 	notify  func(layer int) // prebuilt gradDone closure
 	lossBuf []float64       // rank 0 only
 	lane    *obs.Lane       // this rank's trace lane (nil = untraced)
 }
 
-// setLane attaches this rank's trace lane and hands it to the replica so
-// it can record its own Ingest/Fwd/Bwd spans. Called once at setup.
-func (gw *groupWorker) setLane(l *obs.Lane) {
-	gw.lane = l
-	gw.rep.SetTraceLane(l)
-}
-
-func newGroupWorker(rank int, group *comm.Group, rep *Replica, ex *exchanger, overlap bool) *groupWorker {
+// newGroupWorker builds rank's machinery around rep and hands the rank's
+// trace lane (nil = untraced) to the replica, so it records its own
+// Ingest/Fwd/Bwd spans.
+func newGroupWorker(rank int, group *comm.Group, rep *Replica, lane *obs.Lane) *groupWorker {
 	gw := &groupWorker{
-		rank:    rank,
-		group:   group,
-		rep:     rep,
-		layers:  rep.TrainableLayers(),
-		ex:      ex,
-		overlap: overlap,
+		rank:   rank,
+		group:  group,
+		rep:    rep,
+		layers: rep.TrainableLayers(),
+		lane:   lane,
 	}
+	rep.SetTraceLane(lane)
 	for _, l := range gw.layers {
 		params := l.Params()
 		gw.lparams = append(gw.lparams, params)
@@ -184,10 +166,9 @@ func newGroupWorker(rank int, group *comm.Group, rep *Replica, ex *exchanger, ov
 }
 
 // compute runs one forward/backward over idx — which the replica's
-// prefetcher has already staged — with the group-mean reduction of every
-// layer's gradients in flight: overlapped with the backward pass when
-// cfg.Overlap is set, issued en bloc after it otherwise (the lockstep
-// schedule, same arithmetic). On return, the root's layers are being
+// prefetcher has already staged — starting each layer's group-mean
+// reduction (and, on a root, its push) the moment the backward pass has
+// finished that layer (§III-D/E). On return, the root's layers are being
 // exchanged by the pushers; non-root ranks have fully reduced gradients.
 //
 // An empty idx is an epoch-tail shard with zero samples (data.Split with
@@ -196,18 +177,12 @@ func newGroupWorker(rank int, group *comm.Group, rep *Replica, ex *exchanger, ov
 // with its zeroed gradients so the group stays in lockstep.
 func (gw *groupWorker) compute(idx []int) float64 {
 	var loss float64
-	switch {
-	case len(idx) == 0:
+	if len(idx) == 0 {
 		for t := len(gw.layers) - 1; t >= 0; t-- {
 			gw.notify(t)
 		}
-	case gw.overlap:
+	} else {
 		loss = gw.rep.ComputeGradientsStream(gw.notify)
-	default:
-		loss = gw.rep.ComputeGradientsStream(nil)
-		for t := len(gw.layers) - 1; t >= 0; t-- {
-			gw.notify(t)
-		}
 	}
 	// Non-root ranks must not touch their gradient buffers (next ZeroGrad)
 	// until the reductions land; the root's pushers wait on its behalf.
@@ -223,36 +198,18 @@ func (gw *groupWorker) compute(idx []int) float64 {
 	return loss
 }
 
-// shardCache yields this rank's [lo,hi) share of an n-sample batch.
-// Batch sizes are fixed for a run except at epoch boundaries, where the
-// batcher emits a short tail batch as-is — the cache recomputes the split
-// only when n changes, keeping the steady state allocation-free while
-// still handling datasets that do not divide evenly into group batches.
-type shardCache struct {
-	rank, workers int
-	n, lo, hi     int
-}
-
-func (s *shardCache) shard(n int) (lo, hi int) {
-	if n != s.n {
-		sp := data.Split(n, s.workers)[s.rank]
-		s.n, s.lo, s.hi = n, sp[0], sp[1]
-	}
-	return s.lo, s.hi
-}
-
-// startIngest launches rank's prefetch pipeline over its per-iteration
-// shard shares of the pre-drawn group batches, in iteration order. Every
-// trainer stages this way: Config.Prefetch sets the lookahead, at least 1
-// (the double buffer).
-func startIngest(rep *Replica, batches [][]int, rank, workers, lookahead int) {
-	seq := make([][]int, len(batches))
-	sc := shardCache{rank: rank, workers: workers}
+// startIngest launches rank's prefetch pipeline over its shares of the
+// pre-drawn group batches, in iteration order, and returns those shares.
+// Every trainer stages this way. A batch that does not divide evenly (an
+// epoch's short tail) leaves some ranks a smaller or empty share.
+func startIngest(rep *Replica, batches [][]int, rank, workers int) [][]int {
+	shares := make([][]int, len(batches))
 	for it, b := range batches {
-		lo, hi := sc.shard(len(b))
-		seq[it] = b[lo:hi]
+		sp := data.Split(len(b), workers)[rank]
+		shares[it] = b[sp[0]:sp[1]]
 	}
-	rep.StartIngest(seq, max(lookahead, 1))
+	rep.StartIngest(shares)
+	return shares
 }
 
 // broadcastWeights fans the root's (freshly exchanged) model out to the

@@ -6,6 +6,7 @@ import (
 
 	"deep15pf/internal/comm"
 	"deep15pf/internal/obs"
+	"deep15pf/internal/opt"
 )
 
 // TrainSync runs fully synchronous data-parallel training (the paper's
@@ -13,11 +14,10 @@ import (
 // all-reduce mean gradients, and apply identical solver steps to their
 // replicas, which therefore stay in lockstep. cfg.Groups must be 1.
 //
-// With cfg.Overlap each layer's all-reduce starts the moment its backward
-// finishes, hiding the reduction behind the remaining backward compute; the
-// arithmetic — a fixed rank-order reduction per parameter — is bitwise
-// identical either way. There is no parameter server here, so cfg.Codec
-// does not apply (the intra-group wire is always fp32).
+// Each layer's all-reduce starts the moment its backward finishes, hiding
+// the reduction behind the remaining backward compute; the arithmetic is a
+// fixed rank-order reduction per parameter. There is no parameter server
+// here, so cfg.Codec does not apply (the intra-group wire is always fp32).
 //
 // With cfg.Checkpoint the run snapshots rank 0's replica and solver at
 // iteration boundaries (ranks are in lockstep, so rank 0 IS the model),
@@ -70,28 +70,24 @@ func TrainSync(p Problem, cfg Config) Result {
 		go func(rank int) {
 			defer wg.Done()
 			rep := replicas[rank]
-			gw := newGroupWorker(rank, group, rep, nil, cfg.Overlap)
-			gw.setLane(cfg.Trace.Lane(fmt.Sprintf("w%d", rank)))
-			startIngest(rep, batches[start:], rank, w, cfg.Prefetch)
+			gw := newGroupWorker(rank, group, rep, cfg.Trace.Lane(fmt.Sprintf("w%d", rank)))
+			shares := startIngest(rep, batches[start:], rank, w)
 			defer rep.StopIngest()
 			solver := cfg.Solver.Clone()
 			params := flatParams(gw.layers)
 			if restored != nil && restored.Solver != nil {
-				if err := restoreSolver(solver, params, restored); err != nil {
+				if err := opt.RestoreState(solver, params, restored.Solver); err != nil {
 					panic("core: resume: " + err.Error())
 				}
 			}
-			shards := shardCache{rank: rank, workers: w}
 			for it := start; it < cfg.Iterations; it++ {
 				gw.lane.SetIter(it)
-				lo, hi := shards.shard(len(batches[it]))
-				idx := batches[it][lo:hi]
 				rep.ZeroGrad()
 				// Mean over workers of per-shard means = batch mean
 				// (shards are equal-sized by construction). With no
 				// exchanger attached, compute waits out every reduction
 				// before returning.
-				loss := gw.compute(idx)
+				loss := gw.compute(shares[it-start])
 				if all := group.GatherInto(rank, 0, loss, gw.lossBuf); all != nil {
 					var sum float64
 					for _, v := range all {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,9 +12,8 @@ import (
 
 // TestTracedTrajectoriesMatchGolden: attaching the phase tracer must not
 // perturb the arithmetic — traced sync/hybrid/scheduled runs reproduce
-// the pre-refactor golden fingerprints bit for bit. This is the
-// observability analogue of the overlap/prefetch neutrality pins: the
-// tracer reads clocks and writes preallocated slots, nothing more.
+// the pre-refactor golden fingerprints bit for bit: the tracer reads
+// clocks and writes preallocated slots, nothing more.
 func TestTracedTrajectoriesMatchGolden(t *testing.T) {
 	p := goldenProblem()
 	check := func(name string, want uint64, res core.Result) {
@@ -28,11 +28,18 @@ func TestTracedTrajectoriesMatchGolden(t *testing.T) {
 		Solver: opt.NewAdam(2e-3), Seed: 5, Trace: obs.NewTracer(0)}))
 	check("hybrid-g1w2-traced", goldenHybridG1W2, core.TrainHybrid(p, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewAdam(2e-3), Seed: 5, Overlap: true, Prefetch: 2,
-		Trace: obs.NewTracer(0)}))
+		Solver: opt.NewAdam(2e-3), Seed: 5, Trace: obs.NewTracer(0)}))
+	tr := obs.NewTracer(0)
 	check("sched-g2-traced", goldenSchedG2, core.TrainScheduled(p, core.Config{
 		Groups: 2, WorkersPerGroup: 1, GroupBatch: 16, Iterations: 8,
-		Solver: opt.NewAdam(2e-3), Seed: 5, Trace: obs.NewTracer(0)}, goldenSchedule()))
+		Solver: opt.NewAdam(2e-3), Seed: 5, Trace: tr}, goldenSchedule()))
+	// A scheduled run is the hybrid loop: its roots record on hybrid lanes.
+	names := laneNames(tr.Snapshot())
+	for _, want := range []string{"g0.w0", "g1.w0"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("scheduled run has no lane %q: %v", want, names)
+		}
+	}
 }
 
 // TestTracedSyncRecordsPhases checks the wiring end to end: a traced
@@ -91,14 +98,14 @@ func TestTracedSyncRecordsPhases(t *testing.T) {
 	}
 }
 
-// TestTracedPrefetchShowsIngestLanes: with the pipeline on, each worker
-// gains a ".ingest" sibling lane carrying the prefetcher's staging spans,
-// while the worker lane's own Ingest spans shrink to the exposed wait.
+// TestTracedPrefetchShowsIngestLanes: each worker has a ".ingest" sibling
+// lane carrying the prefetcher's staging spans, while the worker lane's own
+// Ingest spans shrink to the exposed wait.
 func TestTracedPrefetchShowsIngestLanes(t *testing.T) {
 	tr := obs.NewTracer(0)
 	core.TrainSync(goldenProblem(), core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: 10,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 5, Prefetch: 2, Trace: tr})
+		Solver: opt.NewSGD(0.02, 0.9), Seed: 5, Trace: tr})
 	snap := tr.Snapshot()
 	names := map[string]bool{}
 	for _, ls := range snap {

@@ -79,14 +79,14 @@ func Checkpoint(opts Options) Report {
 
 	straight := core.TrainSync(problem, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: total,
-		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true})
+		Solver: opt.NewAdam(2e-3), Seed: opts.Seed})
 	core.TrainSync(problem, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: half,
-		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true,
+		Solver: opt.NewAdam(2e-3), Seed: opts.Seed,
 		Checkpoint: core.CheckpointConfig{Dir: dir, Every: half, Async: true, Arch: cfg.Name}})
 	resumed := core.TrainSync(problem, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 16, Iterations: total,
-		Solver: opt.NewAdam(2e-3), Seed: opts.Seed, Overlap: true,
+		Solver: opt.NewAdam(2e-3), Seed: opts.Seed,
 		Checkpoint: core.CheckpointConfig{Dir: dir, Resume: true, Arch: cfg.Name}})
 
 	fpStraight := ckpt.FingerprintWeights(straight.FinalWeights)

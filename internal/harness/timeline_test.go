@@ -63,7 +63,7 @@ func TestSpanOverlapMatchesPipelineTimers(t *testing.T) {
 	tr := obs.NewTracer(0)
 	res := core.TrainSync(problem, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 8, Iterations: 12,
-		Solver: opt.NewSGD(0.02, 0.9), Seed: 42, Prefetch: 1, Trace: tr,
+		Solver: opt.NewSGD(0.02, 0.9), Seed: 42, Trace: tr,
 	})
 	snap := tr.Snapshot()
 	o := IngestOverlapFromSpans(snap)

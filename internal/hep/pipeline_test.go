@@ -35,7 +35,7 @@ func TestShardBackedPrefetchMatchesInMemoryBlocking(t *testing.T) {
 	// Batches cross shard boundaries, repeat an index and shrink at the end.
 	seq := [][]int{{3, 17, 5, 9}, {0, 23, 11, 2}, {8, 8, 20, 14}, {22, 7}}
 	blocking, staged := mem.NewReplica(), shard.NewReplica()
-	staged.StartIngest(seq, 2)
+	staged.StartIngest(seq)
 	defer staged.StopIngest()
 	for it, idx := range seq {
 		blocking.ZeroGrad()
@@ -82,7 +82,7 @@ func TestPrefetchedTrainingIterationZeroAllocs(t *testing.T) {
 	for i := range batches {
 		batches[i] = []int{1, 5, 9, 13}
 	}
-	rep.StartIngest(batches, 1)
+	rep.StartIngest(batches)
 	defer rep.StopIngest()
 
 	iter := func() {

@@ -20,18 +20,17 @@ import (
 // address. Everything after the prefix is the address.
 const ListenBanner = "netserve listening on "
 
-// PrintBanner emits the handshake line for this server on w.
-func (s *Server) PrintBanner(w io.Writer) {
-	fmt.Fprintf(w, "%s%s\n", ListenBanner, s.Addr())
-}
-
-// DrainOnSignal blocks until SIGTERM or SIGINT, then runs the drain
-// protocol (goaway to every connection, in-flight requests complete) and
-// closes the serving engines — the orderly exit path a fleet member takes
-// during a rolling restart.
-func (s *Server) DrainOnSignal(engines map[string]*serve.Server, timeout time.Duration) {
+// DrainOnSignal prints the listen banner on banner, blocks until SIGTERM
+// or SIGINT, then runs the drain protocol (goaway to every connection,
+// in-flight requests complete) and closes the serving engines — the
+// orderly exit path a fleet member takes during a rolling restart. The
+// handler is installed before the banner goes out, so a parent that
+// signals the moment it reads the banner still gets a drain, not the
+// default SIGTERM death.
+func (s *Server) DrainOnSignal(banner io.Writer, engines map[string]*serve.Server, timeout time.Duration) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGTERM, os.Interrupt)
+	fmt.Fprintf(banner, "%s%s\n", ListenBanner, s.Addr())
 	<-ch
 	signal.Stop(ch)
 	s.Drain(timeout)
@@ -123,7 +122,8 @@ func (p *Proc) Kill() {
 // make-before-break: the replacement joins the dispatch set before the
 // old member is asked to drain, so capacity never dips and — with the
 // goaway protocol honouring every in-flight request — no request is
-// dropped. start launches the replacement; the router learns both edges.
+// dropped. start launches the replacement; the router learns both edges,
+// and RollingRestart returns once it has dropped the old member.
 func RollingRestart(r *Router, old *Proc, start func() (*Proc, error), timeout time.Duration) (*Proc, error) {
 	np, err := start()
 	if err != nil {
@@ -135,6 +135,9 @@ func RollingRestart(r *Router, old *Proc, start func() (*Proc, error), timeout t
 	}
 	if err := old.Drain(timeout); err != nil {
 		return np, fmt.Errorf("netserve: rolling restart: old member: %w", err)
+	}
+	if err := r.awaitReaped(old.Addr, timeout); err != nil {
+		return np, fmt.Errorf("netserve: rolling restart: %w", err)
 	}
 	return np, nil
 }

@@ -38,8 +38,7 @@ func TestNetserveBackendProcess(t *testing.T) {
 	if d, err := time.ParseDuration(os.Getenv("NETSERVE_BACKEND_DELAY")); err == nil {
 		ns.SetDelay(d)
 	}
-	ns.PrintBanner(os.Stdout)
-	ns.DrainOnSignal(engines, 10*time.Second)
+	ns.DrainOnSignal(os.Stdout, engines, 10*time.Second)
 }
 
 // startBackendProc re-execs this test binary as a backend process serving

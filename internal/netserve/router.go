@@ -316,6 +316,29 @@ func (r *Router) Backends() []string {
 	return out
 }
 
+// awaitReaped waits up to timeout for every connection to addr to be
+// reaped. A member's process can exit before its connection's reader sees
+// the EOF, so Backends may list it briefly after it is gone.
+func (r *Router) awaitReaped(addr string, timeout time.Duration) error {
+	r.bmu.Lock()
+	var gone []chan struct{}
+	for _, b := range r.backends {
+		if b.addr == addr {
+			gone = append(gone, b.gone)
+		}
+	}
+	r.bmu.Unlock()
+	deadline := time.After(timeout)
+	for _, g := range gone {
+		select {
+		case <-g:
+		case <-deadline:
+			return fmt.Errorf("netserve: backend %s still connected %v after it exited", addr, timeout)
+		}
+	}
+	return nil
+}
+
 // Close tears down the listener, client connections, and backend
 // connections.
 func (r *Router) Close() {

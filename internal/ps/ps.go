@@ -7,17 +7,11 @@
 // group's read and its write — the quantity that degrades statistical
 // efficiency as group count grows).
 //
-// Two refinements beyond the original Fig 4 arrangement:
-//
-//   - Large layers shard by flat-parameter range: a server splits its
-//     concatenated parameter vector into chunk-aligned pieces, each with
-//     its own solver-state shard, applied concurrently on push. Elementwise
-//     solvers (SGD momentum, ADAM) make the sharded update bitwise
-//     identical to the unsharded one.
-//   - The streamed push path (PushWires) accepts codec-encoded gradients —
-//     the overlapped trainer starts pushing layer L+1 while layer L's
-//     backward is still executing — and writes the fresh weights into
-//     caller-owned buffers, so a steady-state push allocates nothing.
+// Beyond the original Fig 4 arrangement, the streamed push path
+// (PushWires) accepts codec-encoded gradients — the trainer pushes layer
+// L+1 while layer L's backward is still executing — and writes the fresh
+// weights into caller-owned buffers, so a steady-state push allocates
+// nothing.
 package ps
 
 import (
@@ -27,7 +21,6 @@ import (
 	"deep15pf/internal/comm"
 	"deep15pf/internal/nn"
 	"deep15pf/internal/opt"
-	"deep15pf/internal/tensor"
 )
 
 // Response carries the post-update model state back to a group root.
@@ -53,33 +46,14 @@ type WireStats struct {
 	Pushes      int64
 }
 
-// piece is one chunk-aligned slice of one master parameter blob, the unit a
-// shard owns. w and g alias the master storage.
-type piece struct {
-	param int // index into the server's params
-	off   int // element offset within that parameter
-	w, g  []float32
-}
-
-// shard is one flat-parameter range of a layer with its own solver state.
-// Shards are disjoint, so their solver steps run concurrently.
-type shard struct {
-	pieces []piece
-	params []*nn.Param // synthetic per-piece params the solver steps over
-	solver opt.Solver
-	elems  int
-}
-
-// Server owns one layer's master parameters.
+// Server owns one layer's master parameters and the solver state for them.
 type Server struct {
 	LayerID int
 
 	mu         sync.Mutex
 	params     []*nn.Param // master storage (decoupled from any replica)
 	totalElems int
-	shards     []shard
-	stepFns    []func() // prebuilt per-shard step closures (no per-push allocs)
-	stepWG     sync.WaitGroup
+	solver     opt.Solver
 	clock      int64
 	staleness  map[int]int64 // histogram: staleness value → count
 	perGroup   map[int]int64 // groupID → clock at last read
@@ -88,20 +62,9 @@ type Server struct {
 	wire       WireStats
 }
 
-// NewServer builds a single-shard server for one layer, copying the initial
-// parameter values from template and cloning fresh solver state.
+// NewServer builds the server for one layer, copying the initial parameter
+// values from template and cloning fresh solver state.
 func NewServer(layerID int, template []*nn.Param, solver opt.Solver) *Server {
-	return NewServerSharded(layerID, template, solver, 0)
-}
-
-// NewServerSharded builds a server whose parameter vector is split into
-// shards of roughly maxShardElems elements (0 or ≥ the layer size gives a
-// single shard; the target is rounded up to the comm.ChunkElems grid, so
-// shards may hold up to that rounded size). Shard cuts fall on
-// comm.ChunkElems boundaries within each parameter blob, so a shard decodes
-// its slice of an encoded push without touching its neighbours' chunk
-// scales.
-func NewServerSharded(layerID int, template []*nn.Param, solver opt.Solver, maxShardElems int) *Server {
 	master := make([]*nn.Param, len(template))
 	total := 0
 	for i, p := range template {
@@ -113,74 +76,16 @@ func NewServerSharded(layerID int, template []*nn.Param, solver opt.Solver, maxS
 		master[i].Grad.Zero()
 		total += p.W.Len()
 	}
-	s := &Server{
+	return &Server{
 		LayerID:    layerID,
 		params:     master,
 		totalElems: total,
+		solver:     solver.Clone(),
 		staleness:  make(map[int]int64),
 		perGroup:   make(map[int]int64),
 		seen:       make(map[int]bool),
 	}
-	if maxShardElems <= 0 || maxShardElems >= total {
-		maxShardElems = total
-	}
-	// Round the target up to the chunk grid so cuts align with the wire.
-	if rem := maxShardElems % comm.ChunkElems; rem != 0 && maxShardElems < total {
-		maxShardElems += comm.ChunkElems - rem
-	}
-	cur := shard{solver: solver.Clone()}
-	flush := func() {
-		if len(cur.pieces) > 0 {
-			s.shards = append(s.shards, cur)
-			cur = shard{solver: solver.Clone()}
-		}
-	}
-	for pi, p := range master {
-		n := p.W.Len()
-		for off := 0; off < n; {
-			take := n - off
-			if room := maxShardElems - cur.elems; take > room {
-				take = room
-				// Keep cuts on the chunk grid of this parameter.
-				if end := off + take; end%comm.ChunkElems != 0 && end < n {
-					end -= end % comm.ChunkElems
-					take = end - off
-				}
-			}
-			if take <= 0 {
-				flush()
-				continue
-			}
-			pc := piece{param: pi, off: off, w: p.W.Data[off : off+take], g: p.Grad.Data[off : off+take]}
-			cur.pieces = append(cur.pieces, pc)
-			cur.params = append(cur.params, &nn.Param{
-				Name: fmt.Sprintf("%s[%d:%d]", p.Name, off, off+take),
-				W:    tensor.FromSlice(pc.w, take),
-				Grad: tensor.FromSlice(pc.g, take),
-			})
-			cur.elems += take
-			off += take
-			if cur.elems >= maxShardElems {
-				flush()
-			}
-		}
-	}
-	flush()
-	// Prebuild the shard step closures so a multi-shard push spawns its
-	// goroutines without allocating closures or WaitGroups per push.
-	s.stepFns = make([]func(), len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.stepFns[i] = func() {
-			defer s.stepWG.Done()
-			sh.solver.Step(sh.params)
-		}
-	}
-	return s
 }
-
-// NumShards returns the number of flat-parameter shards.
-func (s *Server) NumShards() int { return len(s.shards) }
 
 // Fetch returns the current model without updating (a group's initial
 // read). It records the read clock for staleness accounting.
@@ -214,23 +119,6 @@ func (s *Server) accountLocked(groupID int) (stale int, first bool) {
 	return stale, first
 }
 
-// stepShardsLocked applies the solver to every shard over the freshly
-// written master gradients. Multi-shard servers step concurrently — the
-// "multiple server goroutines by flat-parameter range" arrangement — which
-// is safe because shards are disjoint and bitwise-neutral because the
-// solvers are elementwise.
-func (s *Server) stepShardsLocked() {
-	if len(s.shards) == 1 {
-		s.shards[0].solver.Step(s.shards[0].params)
-		return
-	}
-	s.stepWG.Add(len(s.stepFns))
-	for _, fn := range s.stepFns {
-		go fn()
-	}
-	s.stepWG.Wait()
-}
-
 // Update applies the group's layer gradient to the master model ("the PS
 // applies the updates to the model in the order they are received, and
 // sends back the updated model", §II-B2). grads must be positioned like
@@ -248,7 +136,7 @@ func (s *Server) Update(groupID int, grads [][]float32) Response {
 		copy(s.params[i].Grad.Data, g)
 	}
 	stale, _ := s.accountLocked(groupID)
-	s.stepShardsLocked()
+	s.solver.Step(s.params)
 	s.wire.GradBytes += 4 * int64(s.totalElems)
 	s.wire.WeightBytes += 4 * int64(s.totalElems)
 	s.wire.Pushes++
@@ -278,21 +166,11 @@ func (s *Server) PushWires(groupID int, codec comm.Codec, wires []*comm.Wire, we
 		}
 		pushed += w.Bytes()
 	}
-	// Decode shard by shard so a multi-shard server only ever touches its
-	// own flat range of the wire.
-	if len(s.shards) == 1 {
-		for i, w := range wires {
-			codec.Decode(w, s.params[i].Grad.Data)
-		}
-	} else {
-		for si := range s.shards {
-			for _, pc := range s.shards[si].pieces {
-				codec.DecodeRange(wires[pc.param], pc.off, pc.g)
-			}
-		}
+	for i, w := range wires {
+		codec.Decode(w, s.params[i].Grad.Data)
 	}
 	stale, first := s.accountLocked(groupID)
-	s.stepShardsLocked()
+	s.solver.Step(s.params)
 	s.wire.GradBytes += pushed
 	s.wire.Pushes++
 	if weightsOut != nil {
@@ -342,14 +220,14 @@ func (s *Server) copyWeightsLocked() [][]float32 {
 }
 
 // SnapshotInto copies the master parameters into weightsOut (one
-// caller-owned, full-length slice per parameter) and captures each shard's
-// solver state into states (len NumShards) — the checkpointer's staging
-// read. The server lock is held for the duration, so the snapshot is a
-// consistent point between updates for this layer; warm staging touches no
-// allocator (the caller recycles weightsOut and states across snapshots).
-// A shard whose solver keeps no exportable state captures as an empty
-// State carrying only the algorithm name.
-func (s *Server) SnapshotInto(weightsOut [][]float32, states []opt.State) {
+// caller-owned, full-length slice per parameter) and captures the solver
+// state into state — the checkpointer's staging read. The server lock is
+// held for the duration, so the snapshot is a consistent point between
+// updates for this layer; warm staging touches no allocator (the caller
+// recycles weightsOut and state across snapshots). A solver that keeps no
+// exportable state captures as an empty State carrying only the algorithm
+// name.
+func (s *Server) SnapshotInto(weightsOut [][]float32, state *opt.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(weightsOut) != len(s.params) {
@@ -361,23 +239,15 @@ func (s *Server) SnapshotInto(weightsOut [][]float32, states []opt.State) {
 		}
 		copy(weightsOut[i], p.W.Data)
 	}
-	if len(states) != len(s.shards) {
-		panic(fmt.Sprintf("ps: layer %d snapshot got %d state buffers, want %d shards", s.LayerID, len(states), len(s.shards)))
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if !opt.CaptureState(sh.solver, &states[i], sh.params) {
-			states[i] = opt.State{Algo: sh.solver.Name()}
-		}
+	if !opt.CaptureState(s.solver, state, s.params) {
+		*state = opt.State{Algo: s.solver.Name()}
 	}
 }
 
-// RestoreSnapshot installs checkpointed master weights and per-shard solver
-// state — the inverse of SnapshotInto, for resuming a training run. The
-// fleet must have been built with the same template and shard split (the
-// split is deterministic in both). A state with no slots restores nothing
-// for its shard (the weights-only fallback for stateless solvers).
-func (s *Server) RestoreSnapshot(weights [][]float32, states []opt.State) error {
+// RestoreSnapshot installs checkpointed master weights and solver state —
+// the inverse of SnapshotInto, for resuming a training run. A state with no
+// slots restores only the weights (the fallback for stateless solvers).
+func (s *Server) RestoreSnapshot(weights [][]float32, state *opt.State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(weights) != len(s.params) {
@@ -389,20 +259,13 @@ func (s *Server) RestoreSnapshot(weights [][]float32, states []opt.State) error 
 				s.LayerID, i, p.Name, len(weights[i]), p.W.Len())
 		}
 	}
-	if len(states) != len(s.shards) {
-		return fmt.Errorf("ps: layer %d restore got %d solver states, want %d shards", s.LayerID, len(states), len(s.shards))
+	if len(state.Slots) > 0 {
+		if err := opt.RestoreState(s.solver, s.params, state); err != nil {
+			return fmt.Errorf("ps: layer %d: %w", s.LayerID, err)
+		}
 	}
 	for i, p := range s.params {
 		copy(p.W.Data, weights[i])
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		if len(states[i].Slots) == 0 {
-			continue // stateless capture: weights-only resume for this shard
-		}
-		if err := opt.RestoreState(sh.solver, sh.params, &states[i]); err != nil {
-			return fmt.Errorf("ps: layer %d shard %d: %w", s.LayerID, i, err)
-		}
 	}
 	return nil
 }
@@ -425,23 +288,17 @@ type Fleet struct {
 	Servers []*Server
 }
 
-// NewFleet creates one single-shard server per trainable layer. layers must
-// each own at least one parameter; solver is cloned per server so solver
-// state is layer-local, exactly as in the sharded design.
+// NewFleet creates one server per trainable layer. layers must each own at
+// least one parameter; solver is cloned per server so solver state is
+// layer-local.
 func NewFleet(layers []nn.Layer, solver opt.Solver) *Fleet {
-	return NewShardedFleet(layers, solver, 0)
-}
-
-// NewShardedFleet is NewFleet with large layers split into flat-range
-// shards of at most maxShardElems elements each (0 = unsharded).
-func NewShardedFleet(layers []nn.Layer, solver opt.Solver, maxShardElems int) *Fleet {
 	f := &Fleet{}
 	for i, l := range layers {
 		params := l.Params()
 		if len(params) == 0 {
 			panic(fmt.Sprintf("ps: layer %d (%s) has no parameters", i, l.Name()))
 		}
-		f.Servers = append(f.Servers, NewServerSharded(i, params, solver, maxShardElems))
+		f.Servers = append(f.Servers, NewServer(i, params, solver))
 	}
 	return f
 }
@@ -486,19 +343,9 @@ func (f *Fleet) PushWires(groupID, layer int, codec comm.Codec, wires []*comm.Wi
 	return f.Servers[layer].PushWires(groupID, codec, wires, weightsOut)
 }
 
-// ShardCounts returns the number of flat-range shards per server — the
-// geometry a checkpointer sizes its per-layer solver-state staging to.
-func (f *Fleet) ShardCounts() []int {
-	out := make([]int, len(f.Servers))
-	for i, s := range f.Servers {
-		out[i] = s.NumShards()
-	}
-	return out
-}
-
 // SnapshotInto stages every server's weights and solver state
-// (weights[layer][param], states[layer][shard]). Servers are locked one at
-// a time, so concurrent groups keep exchanging other layers while the
+// (weights[layer][param], states[layer] of length one — the checkpoint
+// format's per-layer state list). Servers are locked one at a time, so concurrent groups keep exchanging other layers while the
 // snapshot walks the fleet; on asynchronous runs the snapshot is therefore
 // per-layer consistent, not global — exactly the consistency an
 // asynchronous trainer has anyway. Deterministic (single-group) runs
@@ -509,18 +356,25 @@ func (f *Fleet) SnapshotInto(weights [][][]float32, states [][]opt.State) {
 		panic(fmt.Sprintf("ps: fleet snapshot got %d/%d buffers for %d servers", len(weights), len(states), len(f.Servers)))
 	}
 	for i, s := range f.Servers {
-		s.SnapshotInto(weights[i], states[i])
+		if len(states[i]) != 1 {
+			panic(fmt.Sprintf("ps: layer %d snapshot got %d state buffers, want 1", i, len(states[i])))
+		}
+		s.SnapshotInto(weights[i], &states[i][0])
 	}
 }
 
 // RestoreSnapshot installs a staged fleet snapshot (the inverse of
-// SnapshotInto) before any group starts training.
+// SnapshotInto) before any group starts training. Each layer must carry
+// exactly one solver state.
 func (f *Fleet) RestoreSnapshot(weights [][][]float32, states [][]opt.State) error {
 	if len(weights) != len(f.Servers) || len(states) != len(f.Servers) {
 		return fmt.Errorf("ps: fleet restore got %d/%d buffers for %d servers", len(weights), len(states), len(f.Servers))
 	}
 	for i, s := range f.Servers {
-		if err := s.RestoreSnapshot(weights[i], states[i]); err != nil {
+		if len(states[i]) != 1 {
+			return fmt.Errorf("ps: layer %d restore got %d solver states, want 1", i, len(states[i]))
+		}
+		if err := s.RestoreSnapshot(weights[i], &states[i][0]); err != nil {
 			return err
 		}
 	}

@@ -275,51 +275,13 @@ func randParams(seed uint64, sizes ...int) []*nn.Param {
 	return out
 }
 
-// TestShardedUpdateBitwiseMatchesUnsharded: flat-range sharding only changes
-// who applies the elementwise solver math, never the math itself.
-func TestShardedUpdateBitwiseMatchesUnsharded(t *testing.T) {
-	sizes := []int{3 * comm.ChunkElems, 700, 5} // split + straggler params
-	for _, solver := range []opt.Solver{opt.NewSGD(0.05, 0.9), opt.NewAdam(1e-3)} {
-		plain := NewServer(0, randParams(42, sizes...), solver)
-		sharded := NewServerSharded(0, randParams(42, sizes...), solver, comm.ChunkElems)
-		if plain.NumShards() != 1 {
-			t.Fatal("default server must be single-shard")
-		}
-		if sharded.NumShards() < 3 {
-			t.Fatalf("expected ≥3 shards, got %d", sharded.NumShards())
-		}
-		rng := tensor.NewRNG(7)
-		grads := make([][]float32, len(sizes))
-		for i, n := range sizes {
-			grads[i] = make([]float32, n)
-		}
-		for step := 0; step < 4; step++ {
-			for i := range grads {
-				for j := range grads[i] {
-					grads[i][j] = float32(rng.Norm())
-				}
-			}
-			a := plain.Update(0, grads)
-			b := sharded.Update(0, grads)
-			for i := range a.Weights {
-				for j := range a.Weights[i] {
-					if a.Weights[i][j] != b.Weights[i][j] {
-						t.Fatalf("%s step %d: sharded weight diverges at param %d elem %d",
-							solver.Name(), step, i, j)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPushWiresFp32MatchesUpdate: the streamed path through the identity
 // codec must be bit-for-bit the legacy Update, with the weights landing in
 // the caller's buffers.
 func TestPushWiresFp32MatchesUpdate(t *testing.T) {
 	sizes := []int{513, 17}
 	legacy := NewServer(0, randParams(9, sizes...), opt.NewAdam(1e-2))
-	streamed := NewServerSharded(0, randParams(9, sizes...), opt.NewAdam(1e-2), 256)
+	streamed := NewServer(0, randParams(9, sizes...), opt.NewAdam(1e-2))
 	codec, _ := comm.NewCodec("fp32", 0)
 	wires := []*comm.Wire{{}, {}}
 	weightsOut := [][]float32{make([]float32, sizes[0]), make([]float32, sizes[1])}
@@ -349,12 +311,12 @@ func TestPushWiresFp32MatchesUpdate(t *testing.T) {
 	}
 }
 
-// TestPushWiresInt8ShardedMatchesWholeDecode: a sharded server decoding its
-// ranges piecewise must reconstruct exactly what a whole-blob decode gives.
-func TestPushWiresInt8ShardedMatchesWholeDecode(t *testing.T) {
+// TestPushWiresInt8MatchesDecodedUpdate: an int8 push applies exactly the
+// gradients the codec decodes, ragged last chunk included.
+func TestPushWiresInt8MatchesDecodedUpdate(t *testing.T) {
 	sizes := []int{2*comm.ChunkElems + 100}
-	whole := NewServer(0, randParams(21, sizes...), opt.NewSGD(0.1, 0))
-	sharded := NewServerSharded(0, randParams(21, sizes...), opt.NewSGD(0.1, 0), comm.ChunkElems)
+	pushed := NewServer(0, randParams(21, sizes...), opt.NewSGD(0.1, 0))
+	updated := NewServer(0, randParams(21, sizes...), opt.NewSGD(0.1, 0))
 	codec, _ := comm.NewCodec("int8", 5)
 	src := make([]float32, sizes[0])
 	rng := tensor.NewRNG(6)
@@ -363,15 +325,17 @@ func TestPushWiresInt8ShardedMatchesWholeDecode(t *testing.T) {
 	}
 	w := &comm.Wire{}
 	codec.Encode(w, src)
-	a := whole.PushWires(0, codec, []*comm.Wire{w}, nil)
-	b := sharded.PushWires(0, codec, []*comm.Wire{w}, nil)
+	decoded := make([]float32, sizes[0])
+	codec.Decode(w, decoded)
+	a := pushed.PushWires(0, codec, []*comm.Wire{w}, nil)
+	b := updated.Update(0, [][]float32{decoded})
 	if a.Clock != b.Clock {
 		t.Fatal("clock mismatch")
 	}
-	wa, wb := whole.Weights(), sharded.Weights()
+	wa := pushed.Weights()
 	for j := range wa[0] {
-		if wa[0][j] != wb[0][j] {
-			t.Fatalf("sharded int8 decode diverges at %d", j)
+		if wa[0][j] != b.Weights[0][j] {
+			t.Fatalf("int8 push diverges from the decoded update at %d", j)
 		}
 	}
 }
@@ -406,100 +370,88 @@ func TestWireStatsAccounting(t *testing.T) {
 }
 
 // TestPushWiresSteadyStateDoesNotAllocate: the streamed exchange must be
-// allocation-free once wires and weight buffers exist — including on a
-// genuinely sharded server, whose per-shard solver goroutines run through
-// prebuilt closures.
+// allocation-free once wires and weight buffers exist.
 func TestPushWiresSteadyStateDoesNotAllocate(t *testing.T) {
-	for _, shardElems := range []int{0, comm.ChunkElems} {
-		n0, n1 := 3*comm.ChunkElems, 40
-		s := NewServerSharded(0, randParams(13, n0, n1), opt.NewSGD(0.01, 0.9), shardElems)
-		if shardElems > 0 && s.NumShards() < 3 {
-			t.Fatalf("gate must exercise sharding: %d shards", s.NumShards())
+	n0, n1 := 3*comm.ChunkElems, 40
+	s := NewServer(0, randParams(13, n0, n1), opt.NewSGD(0.01, 0.9))
+	codec, _ := comm.NewCodec("int8", 2)
+	wires := []*comm.Wire{{}, {}}
+	weightsOut := [][]float32{make([]float32, n0), make([]float32, n1)}
+	grads := [][]float32{make([]float32, n0), make([]float32, n1)}
+	rng := tensor.NewRNG(4)
+	for i := range grads {
+		for j := range grads[i] {
+			grads[i][j] = float32(rng.Norm())
 		}
-		codec, _ := comm.NewCodec("int8", 2)
-		wires := []*comm.Wire{{}, {}}
-		weightsOut := [][]float32{make([]float32, n0), make([]float32, n1)}
-		grads := [][]float32{make([]float32, n0), make([]float32, n1)}
-		rng := tensor.NewRNG(4)
+	}
+	s.Fetch(0)
+	// Warm solver state and wire buffers.
+	for k := 0; k < 3; k++ {
 		for i := range grads {
-			for j := range grads[i] {
-				grads[i][j] = float32(rng.Norm())
-			}
+			codec.Encode(wires[i], grads[i])
 		}
-		s.Fetch(0)
-		// Warm solver state, wire buffers and the runtime's goroutine pool.
-		for k := 0; k < 3; k++ {
-			for i := range grads {
-				codec.Encode(wires[i], grads[i])
-			}
-			s.PushWires(0, codec, wires, weightsOut)
+		s.PushWires(0, codec, wires, weightsOut)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for i := range grads {
+			codec.Encode(wires[i], grads[i])
 		}
-		if n := testing.AllocsPerRun(20, func() {
-			for i := range grads {
-				codec.Encode(wires[i], grads[i])
-			}
-			s.PushWires(0, codec, wires, weightsOut)
-		}); n != 0 {
-			t.Fatalf("shardElems=%d: streamed push steady state allocates %.1f per push", shardElems, n)
-		}
+		s.PushWires(0, codec, wires, weightsOut)
+	}); n != 0 {
+		t.Fatalf("streamed push steady state allocates %.1f per push", n)
 	}
 }
 
-// snapStaging allocates snapshot staging matched to a server's geometry.
-func snapStaging(sizes []int, shards int) ([][]float32, []opt.State) {
+// snapStaging allocates weight staging matched to a server's geometry.
+func snapStaging(sizes []int) [][]float32 {
 	weights := make([][]float32, len(sizes))
 	for i, n := range sizes {
 		weights[i] = make([]float32, n)
 	}
-	return weights, make([]opt.State, shards)
+	return weights
 }
 
 // TestServerSnapshotRestoreIsBitExact is the resume contract at the PS
 // level: run K updates, snapshot, restore into a FRESH server (same
-// template, same shard split), continue both — identical weights bit for
-// bit, sharded or not.
+// template), continue both — identical weights bit for bit.
 func TestServerSnapshotRestoreIsBitExact(t *testing.T) {
 	sizes := []int{3*comm.ChunkElems + 11, 64}
-	for _, shardElems := range []int{0, comm.ChunkElems} {
-		for _, solver := range []opt.Solver{opt.NewSGD(0.05, 0.9), opt.NewAdam(1e-3)} {
-			orig := NewServerSharded(0, randParams(42, sizes...), solver, shardElems)
-			grads := make([][]float32, len(sizes))
-			for i, n := range sizes {
-				grads[i] = make([]float32, n)
-			}
-			rng := tensor.NewRNG(7)
-			draw := func() {
-				for i := range grads {
-					for j := range grads[i] {
-						grads[i][j] = float32(rng.Norm())
-					}
+	for _, solver := range []opt.Solver{opt.NewSGD(0.05, 0.9), opt.NewAdam(1e-3)} {
+		orig := NewServer(0, randParams(42, sizes...), solver)
+		grads := make([][]float32, len(sizes))
+		for i, n := range sizes {
+			grads[i] = make([]float32, n)
+		}
+		rng := tensor.NewRNG(7)
+		draw := func() {
+			for i := range grads {
+				for j := range grads[i] {
+					grads[i][j] = float32(rng.Norm())
 				}
 			}
-			for k := 0; k < 4; k++ {
-				draw()
-				orig.Update(0, grads)
-			}
-			weights, states := snapStaging(sizes, orig.NumShards())
-			orig.SnapshotInto(weights, states)
+		}
+		for k := 0; k < 4; k++ {
+			draw()
+			orig.Update(0, grads)
+		}
+		weights := snapStaging(sizes)
+		var state opt.State
+		orig.SnapshotInto(weights, &state)
 
-			fresh := NewServerSharded(0, randParams(43, sizes...), solver.Clone(), shardElems)
-			if fresh.NumShards() != orig.NumShards() {
-				t.Fatal("shard split not deterministic")
-			}
-			if err := fresh.RestoreSnapshot(weights, states); err != nil {
-				t.Fatal(err)
-			}
-			for k := 0; k < 4; k++ {
-				draw()
-				a := orig.Update(0, grads)
-				// Replay the same draws on the restored server.
-				b := fresh.Update(0, grads)
-				for i := range a.Weights {
-					for j := range a.Weights[i] {
-						if a.Weights[i][j] != b.Weights[i][j] {
-							t.Fatalf("%s shardElems=%d step %d: restored server diverged at param %d elem %d",
-								solver.Name(), shardElems, k, i, j)
-						}
+		fresh := NewServer(0, randParams(43, sizes...), solver.Clone())
+		if err := fresh.RestoreSnapshot(weights, &state); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			draw()
+			a := orig.Update(0, grads)
+			// Replay the same draws on the restored server.
+			b := fresh.Update(0, grads)
+			for i := range a.Weights {
+				for j := range a.Weights[i] {
+					if a.Weights[i][j] != b.Weights[i][j] {
+						t.Fatalf("%s step %d: restored server diverged at param %d elem %d",
+							solver.Name(), k, i, j)
 					}
 				}
 			}
@@ -511,26 +463,33 @@ func TestServerSnapshotRestoreIsBitExact(t *testing.T) {
 // or panic (snapshot staging bug), never silently misload.
 func TestServerSnapshotRestoreValidation(t *testing.T) {
 	s := NewServer(0, randParams(1, 8, 4), opt.NewAdam(1e-3))
-	weights, states := snapStaging([]int{8, 4}, s.NumShards())
-	s.SnapshotInto(weights, states)
+	weights := snapStaging([]int{8, 4})
+	var state opt.State
+	s.SnapshotInto(weights, &state)
 
 	bad := NewServer(0, randParams(1, 8, 5), opt.NewAdam(1e-3))
-	if err := bad.RestoreSnapshot(weights, states); err == nil {
+	if err := bad.RestoreSnapshot(weights, &state); err == nil {
 		t.Fatal("size mismatch must error")
 	}
-	if err := s.RestoreSnapshot(weights[:1], states); err == nil {
+	if err := s.RestoreSnapshot(weights[:1], &state); err == nil {
 		t.Fatal("blob count mismatch must error")
 	}
 	wrongAlgo := NewServer(0, randParams(1, 8, 4), opt.NewSGD(0.1, 0.9))
-	if err := wrongAlgo.RestoreSnapshot(weights, states); err == nil {
+	if err := wrongAlgo.RestoreSnapshot(weights, &state); err == nil {
 		t.Fatal("solver algorithm mismatch must error")
+	}
+	// The fleet walk takes exactly one state per layer, the checkpoint
+	// format's per-layer list.
+	f := &Fleet{Servers: []*Server{s}}
+	if err := f.RestoreSnapshot([][][]float32{weights}, [][]opt.State{{state, state}}); err == nil {
+		t.Fatal("two states for one layer must error")
 	}
 }
 
 // TestFleetSnapshotRestore: the fleet-level walk restores every layer.
 func TestFleetSnapshotRestore(t *testing.T) {
 	net := buildTinyNet(5)
-	fleet := NewShardedFleet(net.TrainableLayers(), opt.NewAdam(1e-3), 0)
+	fleet := NewFleet(net.TrainableLayers(), opt.NewAdam(1e-3))
 	grads := [][][]float32{}
 	for _, s := range fleet.Servers {
 		var g [][]float32
@@ -557,12 +516,12 @@ func TestFleetSnapshotRestore(t *testing.T) {
 		for _, p := range s.params {
 			sizes = append(sizes, p.W.Len())
 		}
-		weights[i], states[i] = snapStaging(sizes, s.NumShards())
+		weights[i], states[i] = snapStaging(sizes), make([]opt.State, 1)
 	}
 	fleet.SnapshotInto(weights, states)
 
 	net2 := buildTinyNet(9) // different init: restore must overwrite it
-	fresh := NewShardedFleet(net2.TrainableLayers(), opt.NewAdam(1e-3), 0)
+	fresh := NewFleet(net2.TrainableLayers(), opt.NewAdam(1e-3))
 	if err := fresh.RestoreSnapshot(weights, states); err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestServedInt8AccuracyNearFP32(t *testing.T) {
 	p := hep.NewTrainingProblem(ds, cfg, 77)
 	res := core.TrainHybrid(p, core.Config{
 		Groups: 1, WorkersPerGroup: 2, GroupBatch: 32, Iterations: 60,
-		Solver: opt.NewAdam(2e-3), Seed: 9, Overlap: true, Codec: "fp32",
+		Solver: opt.NewAdam(2e-3), Seed: 9, Codec: "fp32",
 	})
 	path := saveTinyHEP(t, p.TrainedNet(res.FinalWeights))
 	val := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), 256, 0.5, tensor.NewRNG(1234))
