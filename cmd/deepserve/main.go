@@ -28,7 +28,7 @@
 //
 //	deepserve                              # train a demo model, compare batch=1 vs batched
 //	deepserve -requests 50000 -batch 64    # bigger study
-//	deepserve -int8                        # serve the int8 weight/activation path
+//	deepserve -int8                        # serve the calibrated int8 datapath (HEP and astro)
 //	deepserve -arch hep-small -checkpoint model.d15w
 //	deepserve -listen :7015                # backend mode: serve over TCP, drain on SIGTERM
 //	deepserve -connect host:7015           # drive load against a remote endpoint
@@ -71,7 +71,7 @@ func main() {
 	batch := flag.Int("batch", 32, "max dynamic batch size")
 	linger := flag.Duration("linger", 500*time.Microsecond, "max linger of a partial batch (negative = dispatch immediately)")
 	workers := flag.Int("workers", 0, "worker replicas (0 = GOMAXPROCS)")
-	int8Mode := flag.Bool("int8", false, "serve the int8 weight/activation path")
+	int8Mode := flag.Bool("int8", false, "serve the calibrated int8 datapath (HEP and astro architectures)")
 	compare := flag.Bool("compare", true, "also run the batch-size-1 baseline and report the speedup")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON timeline (per-worker Queue/Batch/Infer lanes) to this file")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
@@ -140,8 +140,7 @@ func main() {
 
 	if *int8Mode {
 		// Freeze activation scales from a sample of the request
-		// distribution before minting serving replicas; architectures on
-		// the emulated path have nothing to calibrate.
+		// distribution: an int8 model mints serving replicas only after.
 		calIn := requestPool(lm, 32, *seed+11)
 		in := lm.InShape()
 		per := 1
@@ -153,10 +152,9 @@ func main() {
 			copy(xb.Data[i*per:(i+1)*per], inp.X.Data)
 		}
 		if err := lm.Calibrate(xb); err != nil {
-			fmt.Printf("int8 calibration skipped: %v\n", err)
-		} else {
-			fmt.Printf("int8 activation scales calibrated over %d samples (%s kernels)\n", len(calIn), tensor.KernelISA())
+			fatalf("%v", err)
 		}
+		fmt.Printf("int8 activation scales calibrated over %d samples (%s kernels)\n", len(calIn), tensor.KernelISA())
 		reportInt8Agreement(registry, archName, path, lm, *seed)
 	}
 
@@ -335,7 +333,7 @@ func reportInt8Agreement(registry *serve.Registry, arch, path string, lm8 *serve
 	for _, inp := range inputs {
 		x := tensor.FromSlice(inp.X.Data, in...)
 		y32 := r32.Infer(x)
-		y8 := r8.Infer(x.Clone()) // int8 path round-trips its input in place
+		y8 := r8.Infer(x)
 		if argmax(y32.Data) == argmax(y8.Data) {
 			agree++
 		}

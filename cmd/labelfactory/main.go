@@ -34,35 +34,38 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "labelfactory: "+format+"\n", args...)
-	os.Exit(1)
+func main() {
+	if err := run(os.Args[1:]); err != nil {
+		fmt.Fprintf(os.Stderr, "labelfactory: %v\n", err)
+		os.Exit(1)
+	}
 }
 
-func main() {
-	in := flag.String("in", "", "directory of unlabeled *.shard files to score")
-	out := flag.String("out", "", "output directory for pseudo-labeled shards")
-	outShards := flag.Int("out-shards", 4, "shard count for the pseudo-labeled output")
-	ckptDir := flag.String("ckpt-dir", "", "checkpoint store; the newest version is scored with")
-	weightsPath := flag.String("weights", "", "explicit .d15w weights file (alternative to -ckpt-dir)")
-	size := flag.Int("size", 16, "model image size (must match the training run)")
-	filters := flag.Int("filters", 8, "model conv filters (must match the training run)")
-	units := flag.Int("units", 3, "model conv+pool units (must match the training run)")
-	threshold := flag.Float64("threshold", 0.8, "keep predictions at/above this top-1 confidence (paper's climate cut)")
-	batch := flag.Int("batch", 256, "inference batch size")
-	useInt8 := flag.Bool("int8", false, "score on the int8 quantized datapath (calibrated on the first batch)")
-	fleet := flag.Int("fleet", 0, "fan shards across N in-process netserve backends (0 = direct local engine)")
-	kernels := flag.String("kernels", "auto", "compute kernel ISA: auto|scalar|avx2|avx512")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("labelfactory", flag.ExitOnError)
+	in := fs.String("in", "", "directory of unlabeled *.shard files to score")
+	out := fs.String("out", "", "output directory for pseudo-labeled shards")
+	outShards := fs.Int("out-shards", 4, "shard count for the pseudo-labeled output")
+	ckptDir := fs.String("ckpt-dir", "", "checkpoint store; its newest version, CRC-verified, is scored with")
+	weightsPath := fs.String("weights", "", "explicit .d15w weights file (alternative to -ckpt-dir)")
+	size := fs.Int("size", 16, "model image size (must match the training run)")
+	filters := fs.Int("filters", 8, "model conv filters (must match the training run)")
+	units := fs.Int("units", 3, "model conv+pool units (must match the training run)")
+	threshold := fs.Float64("threshold", 0.8, "keep predictions at/above this top-1 confidence (paper's climate cut)")
+	batch := fs.Int("batch", 256, "inference batch size")
+	useInt8 := fs.Bool("int8", false, "score on the int8 quantized datapath (calibrated on the first batch)")
+	fleet := fs.Int("fleet", 0, "fan shards across N in-process netserve backends (0 = direct local engine)")
+	kernels := fs.String("kernels", "auto", "compute kernel ISA: auto|scalar|avx2|avx512")
+	fs.Parse(args)
 
 	if err := tensor.SetKernels(*kernels); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *in == "" || *out == "" {
-		fatalf("-in and -out are required")
+		return fmt.Errorf("-in and -out are required")
 	}
 	if (*ckptDir == "") == (*weightsPath == "") {
-		fatalf("exactly one of -ckpt-dir or -weights is required")
+		return fmt.Errorf("exactly one of -ckpt-dir or -weights is required")
 	}
 
 	paths, err := filepath.Glob(filepath.Join(*in, "*.shard"))
@@ -74,48 +77,45 @@ func main() {
 		ss, err = data.OpenShardSet(paths...)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer ss.Close()
-
-	wpath := *weightsPath
-	var manifest ckpt.Manifest
-	haveManifest := false
-	if *ckptDir != "" {
-		store, err := ckpt.Open(*ckptDir)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		m, ok, err := store.Latest()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if !ok {
-			fatalf("checkpoint store %s holds no complete version", *ckptDir)
-		}
-		wpath = store.WeightsPath(m.Version)
-		manifest, haveManifest = m, true
-		fmt.Printf("scoring with %s v%d (step %d)\n", m.Arch, m.Version, m.Step)
-	}
 
 	reg := serve.NewRegistry()
 	model := hep.ModelConfig{Name: "heptrain", ImageSize: *size, Filters: *filters, ConvUnits: *units, Classes: 2}
 	serve.RegisterHEP(reg, "heptrain", model)
-	if haveManifest {
+	wpath := *weightsPath
+	if *ckptDir != "" {
+		store, err := ckpt.Open(*ckptDir)
+		if err != nil {
+			return err
+		}
+		// Poll verifies the payload CRCs: the D15W loader checks names and
+		// sizes but not the bytes, so a bit-rotted version would score.
+		m, ok, err := store.Poll(0)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("checkpoint store %s holds no complete version", *ckptDir)
+		}
 		// The scorer only speaks HEP: a checkpoint stamped with a different
 		// workload (climate, astro) must be refused even if its weights would
 		// happen to stream into the architecture.
-		if err := reg.CheckManifest("heptrain", manifest.Arch, manifest.Problem); err != nil {
-			fatalf("%v", err)
+		if err := reg.CheckManifest("heptrain", m.Arch, m.Problem); err != nil {
+			return err
 		}
+		wpath = store.WeightsPath(m.Version)
+		fmt.Printf("scoring with %s v%d (step %d)\n", m.Arch, m.Version, m.Step)
 	}
+
 	prec := serve.Float32
 	if *useInt8 {
 		prec = serve.Int8
 	}
 	lm, err := reg.Load("heptrain", wpath, prec)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *useInt8 {
 		n := min(*batch, ss.Count)
@@ -125,33 +125,36 @@ func main() {
 		}
 		x := tensor.New(n, hep.Channels, *size, *size)
 		if err := ss.ReadBatchInto(idx, x.Data, nil, make([]byte, ss.ScratchLen())); err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		if err := lm.Calibrate(x); err != nil {
-			fatalf("calibrate: %v", err)
+			return fmt.Errorf("calibrate: %w", err)
 		}
 	}
 
 	cfg := bulk.Config{Batch: *batch}
 	var p bulk.Predictions
 	if *fleet > 0 {
-		addrs, cleanup := startFleet(lm, *fleet)
+		addrs, cleanup, err := startFleet(lm, *fleet)
+		if err != nil {
+			return err
+		}
 		defer cleanup()
 		cfg.InShape = []int{hep.Channels, *size, *size}
 		res, err := bulk.ScoreFleet(addrs, "heptrain", ss, cfg, &p)
 		if err != nil {
-			fatalf("fleet: %v", err)
+			return fmt.Errorf("fleet: %w", err)
 		}
 		fmt.Printf("fleet of %d backends: %d samples in %.2fs (%.0f samples/s, %d requeues)\n",
 			*fleet, res.Samples, res.Seconds, res.SamplesPerSec, res.Requeues)
 	} else {
 		eng, err := bulk.NewEngine(lm, cfg)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		res, err := eng.Score(ss, &p)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		fmt.Printf("scored %d samples in %d batches, %.2fs (%.0f samples/s)\n",
 			res.Samples, res.Batches, res.Seconds, res.SamplesPerSec)
@@ -163,15 +166,16 @@ func main() {
 
 	outPaths, st, err := bulk.WritePseudoShards(*out, *outShards, ss, &p, float32(*threshold))
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	fmt.Printf("threshold %.2f: kept %d of %d (coverage %.1f%%), dropped %d\n",
 		*threshold, st.Kept, st.Total, 100*st.Coverage, st.Total-st.Kept)
 	if len(outPaths) == 0 {
 		fmt.Println("nothing above threshold — no shards written")
-		return
+		return nil
 	}
 	fmt.Printf("wrote %d pseudo-labeled shards under %s\n", len(outPaths), *out)
+	return nil
 }
 
 // fingerprint is FNV-1a over every sample's label and confidence bits.
@@ -189,25 +193,29 @@ func fingerprint(p *bulk.Predictions) uint64 {
 // startFleet brings up n in-process scoring backends on loopback, each a
 // full serve engine behind a netserve face — the single-machine stand-in
 // for a real scoring fleet.
-func startFleet(lm *serve.LoadedModel, n int) ([]string, func()) {
+func startFleet(lm *serve.LoadedModel, n int) ([]string, func(), error) {
 	workers := max(1, runtime.NumCPU()/n)
 	addrs := make([]string, n)
 	closers := make([]func(), 0, 2*n)
-	for i := range addrs {
-		eng, err := serve.NewServer(lm, serve.Config{MaxBatch: 64, Workers: workers})
-		if err != nil {
-			fatalf("backend %d: %v", i, err)
-		}
-		ns, err := netserve.NewServer("127.0.0.1:0", map[string]*serve.Server{"heptrain": eng}, netserve.ServerConfig{})
-		if err != nil {
-			fatalf("backend %d: %v", i, err)
-		}
-		addrs[i] = ns.Addr()
-		closers = append(closers, ns.Close, eng.Close)
-	}
-	return addrs, func() {
+	cleanup := func() {
 		for _, c := range closers {
 			c()
 		}
 	}
+	for i := range addrs {
+		eng, err := serve.NewServer(lm, serve.Config{MaxBatch: 64, Workers: workers})
+		if err != nil {
+			cleanup()
+			return nil, nil, fmt.Errorf("backend %d: %w", i, err)
+		}
+		ns, err := netserve.NewServer("127.0.0.1:0", map[string]*serve.Server{"heptrain": eng}, netserve.ServerConfig{})
+		if err != nil {
+			eng.Close()
+			cleanup()
+			return nil, nil, fmt.Errorf("backend %d: %w", i, err)
+		}
+		addrs[i] = ns.Addr()
+		closers = append(closers, ns.Close, eng.Close)
+	}
+	return addrs, cleanup, nil
 }

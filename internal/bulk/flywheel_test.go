@@ -24,10 +24,10 @@ func subset(ds *hep.Dataset, lo, hi int) *hep.Dataset {
 // TestFlywheelFullIteration runs one complete pseudo-label cycle through
 // the real subsystems end to end:
 //
-//	train v1 → checkpoint store → Deployment serves v1 → bulk Engine
-//	scores unlabeled shards → WritePseudoShards thresholds → retrain on
-//	labeled + pseudo (discounted via SampleWeights) → store v2 →
-//	PollOnce hot-reloads the deployment.
+//	train v1 → checkpoint store → Poll verifies v1, the registry loads it →
+//	bulk Engine scores unlabeled shards → WritePseudoShards thresholds →
+//	retrain on labeled + pseudo (discounted via SampleWeights) → store v2
+//	→ Poll past v1 verifies v2, the registry loads it → rescore.
 //
 // Pseudo-label accuracy is measured against held-back truth, and coverage
 // must fall monotonically as the threshold rises.
@@ -52,20 +52,31 @@ func TestFlywheelFullIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := serve.NewDeployment(reg, "tiny", serve.Float32, store, serve.DeployConfig{
-		Server: serve.Config{MaxBatch: 8, Workers: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// load verifies the newest version after `after` (payload CRCs,
+	// workload label) and loads it at fp32, as labelfactory -ckpt-dir does.
+	load := func(after int) (int, *serve.LoadedModel) {
+		t.Helper()
+		m, ok, err := store.Poll(after)
+		if err != nil || !ok {
+			t.Fatalf("poll after version %d: ok=%v err=%v", after, ok, err)
+		}
+		if err := reg.CheckManifest("tiny", m.Arch, m.Problem); err != nil {
+			t.Fatal(err)
+		}
+		lm, err := reg.Load("tiny", store.WeightsPath(m.Version), serve.Float32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Version, lm
 	}
-	defer d.Close()
-	if v := d.CurrentVersion(); v != 1 {
-		t.Fatalf("deployment starts at version %d, want 1", v)
+	v1, lm1 := load(0)
+	if v1 != 1 {
+		t.Fatalf("store starts at version %d, want 1", v1)
 	}
 
 	// Score the unlabeled pool with the deployed weights.
 	ss := unlabeledShards(t, unlabeled, 4)
-	eng, err := NewEngine(d.Loaded(), Config{Batch: 16})
+	eng, err := NewEngine(lm1, Config{Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,19 +138,13 @@ func TestFlywheelFullIteration(t *testing.T) {
 	problem2.SampleWeights = weights
 	core.TrainSync(problem2, trainCfg)
 
-	// The deployment notices v2 on the next poll and hot-swaps.
-	swapped, err := d.PollOnce()
-	if err != nil {
-		t.Fatal(err)
+	// The next poll finds v2, and scoring the pool with the NEW weights
+	// must produce a different confidence surface.
+	v2, lm2 := load(v1)
+	if v2 != 2 {
+		t.Fatalf("after retrain the store's newest version is %d, want 2", v2)
 	}
-	if !swapped || d.CurrentVersion() != 2 || d.Swaps() != 1 {
-		t.Fatalf("after retrain: swapped=%v version=%d swaps=%d, want true/2/1",
-			swapped, d.CurrentVersion(), d.Swaps())
-	}
-
-	// The reloaded deployment scores the pool with the NEW weights —
-	// a second engine must produce a different confidence surface.
-	eng2, err := NewEngine(d.Loaded(), Config{Batch: 16})
+	eng2, err := NewEngine(lm2, Config{Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +160,6 @@ func TestFlywheelFullIteration(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("v2 scores are bitwise v1's — the hot reload served stale weights")
+		t.Fatal("v2 scores are bitwise v1's — the reload scored stale weights")
 	}
 }

@@ -1,19 +1,20 @@
-// Package ckpt is the checkpoint store and continuous-deployment substrate:
-// a directory of monotonically versioned, atomically written training
-// snapshots that closes the train→serve loop. The paper books
-// checkpointing directly into its sustained rate ("in some iterations, a
-// checkpointing is performed to save the current trained model", §V — one
-// snapshot per 10 iterations for climate); production descendants of the
-// pipeline (Khan et al. 2019's DES galaxy catalogs) continuously retrain
-// and redeploy. This package supplies both halves:
+// Package ckpt is the checkpoint store: a directory of monotonically
+// versioned, atomically written training snapshots that closes the
+// train→score loop. The paper books checkpointing directly into its
+// sustained rate ("in some iterations, a checkpointing is performed to
+// save the current trained model", §V — one snapshot per 10 iterations for
+// climate); production descendants of the pipeline (Khan et al. 2019's DES
+// galaxy catalogs) continuously retrain and rescore. This package supplies
+// both halves:
 //
 //   - the training side stages a Snapshot (weights + optimizer state +
 //     progress cursors — enough for bit-exact resume) into recycled
 //     buffers at an iteration boundary and a background Writer flushes it
 //     while compute continues, the PR 3/4 overlap idiom applied to output
 //     I/O;
-//   - the serving side polls the Store for new versions, verifies
-//     manifest CRCs, and hot-swaps replicas (internal/serve.Deployment).
+//   - the scoring side takes the newest version whose manifest CRCs pass
+//     (Store.Poll) and loads its weights through the serving registry
+//     (cmd/labelfactory -ckpt-dir).
 //
 // A snapshot on disk is one directory, vNNNNNNN/, holding manifest.json
 // (step, epoch, arch, FNV fingerprint, per-file CRCs), weights.d15w (the

@@ -34,13 +34,9 @@ func (n *Net) NewScorer() *Scorer {
 	return &Scorer{enc: enc, conf: head("conf", n.ConfHead), class: head("class", n.ClassHead), box: head("box", n.BoxHead)}
 }
 
-// Encode runs the encoder over x and returns the shared feature grid.
-func (s *Scorer) Encode(x *tensor.Tensor) *tensor.Tensor { return s.enc.Forward(x) }
-
-// Heads runs the three score heads over feat. It is split from Encode so
-// a caller can work on the features in place between the two stages, as
-// the served replica's emulated int8 round trip does.
-func (s *Scorer) Heads(feat *tensor.Tensor) Output {
+// Forward runs the encoder once and all heads on its output.
+func (s *Scorer) Forward(x *tensor.Tensor) Output {
+	feat := s.enc.Forward(x)
 	return Output{
 		Feat:  feat,
 		Conf:  s.conf.Forward(feat),
@@ -48,9 +44,6 @@ func (s *Scorer) Heads(feat *tensor.Tensor) Output {
 		BoxP:  s.box.Forward(feat),
 	}
 }
-
-// Forward runs the encoder once and all heads on its output.
-func (s *Scorer) Forward(x *tensor.Tensor) Output { return s.Heads(s.Encode(x)) }
 
 // Detect runs inference and returns per-sample detections after NMS, using
 // the paper's confidence threshold (0.8) by default.

@@ -212,8 +212,8 @@ func TestResumeRejectsWrongArch(t *testing.T) {
 // TestResumeSurvivesCorruptNewestVersion is deliberately absent: a corrupt
 // newest version fails the load loudly (CRC), which is the right call for
 // training — resuming silently from an older state would repeat work the
-// operator believes is done. The serving watcher, by contrast, just skips
-// unverifiable versions (serve.Deployment tests).
+// operator believes is done. Scoring refuses a corrupt newest version the
+// same way (store.Poll in cmd/labelfactory).
 
 // TestCheckpointEveryWithoutDirPanics pins the config validation.
 func TestCheckpointEveryWithoutDirPanics(t *testing.T) {

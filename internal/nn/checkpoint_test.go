@@ -85,54 +85,50 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// d15wCase is one malformed D15W file and a substring its error must
+// carry ("" for any error).
+type d15wCase struct {
+	name string
+	blob []byte
+	want string
+}
+
+// corruptCheckpoints encodes net and returns the file and one corruption
+// of it per malformed-checkpoint class.
+func corruptCheckpoints(tb testing.TB, net *Network) (good []byte, cases []d15wCase) {
+	var buf bytes.Buffer
+	if err := SaveWeights(&buf, net.Params()); err != nil {
+		tb.Fatal(err)
+	}
+	good = buf.Bytes()
+	// The first blob's layout inside the file: magic+count (8 bytes), then
+	// nameLen (4), name, numel (4), data.
+	numelOff := 8 + 4 + len(net.Params()[0].Name)
+	corrupt := func(mutate func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		mutate(b)
+		return b
+	}
+	return good, []d15wCase{
+		{"empty input", nil, "header"},
+		{"truncated header", good[:6], "header"},
+		{"bad magic", corrupt(func(b []byte) { b[0], b[1], b[2], b[3] = 'J', 'U', 'N', 'K' }), "not a checkpoint"},
+		{"blob count mismatch", corrupt(func(b []byte) { b[4]++ }), "blobs"}, // one more blob than the model has
+		{"name mismatch", corrupt(func(b []byte) { b[8+4] ^= 0xff }), "does not match parameter"},
+		{"size mismatch", corrupt(func(b []byte) { b[numelOff]++ }), "elements in checkpoint"}, // one extra element
+		{"truncated name", good[:8+4+1], ""},
+		{"truncated blob", good[:len(good)-5], "short weight blob"},
+	}
+}
+
 // TestLoadWeightsErrorPaths drives every malformed-checkpoint class through
 // LoadWeights and requires an explicit error naming the problem — the
 // OpenShard hardening contract applied to the weight format: corruption
 // surfaces at load time as a diagnosis, never as a silent misload or a
 // panic deeper in.
 func TestLoadWeightsErrorPaths(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	net := tinyNet(rng)
-	var buf bytes.Buffer
-	if err := SaveWeights(&buf, net.Params()); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	// The first blob's layout inside the file: magic+count (8 bytes), then
-	// nameLen (4), name, numel (4), data.
-	name0 := net.Params()[0].Name
-	numelOff := 8 + 4 + len(name0)
-
-	corrupt := func(mutate func(b []byte) []byte) []byte {
-		b := append([]byte(nil), good...)
-		return mutate(b)
-	}
-	cases := []struct {
-		name string
-		blob []byte
-		want string // substring the error must carry
-	}{
-		{"empty input", nil, "header"},
-		{"truncated header", good[:6], "header"},
-		{"bad magic", corrupt(func(b []byte) []byte {
-			b[0], b[1], b[2], b[3] = 'J', 'U', 'N', 'K'
-			return b
-		}), "not a checkpoint"},
-		{"blob count mismatch", corrupt(func(b []byte) []byte {
-			b[4]++ // one more blob than the model has
-			return b
-		}), "blobs"},
-		{"name mismatch", corrupt(func(b []byte) []byte {
-			b[8+4] ^= 0xff // flip the first byte of the first blob's name
-			return b
-		}), "does not match parameter"},
-		{"size mismatch", corrupt(func(b []byte) []byte {
-			b[numelOff]++ // first blob claims one extra element
-			return b
-		}), "elements in checkpoint"},
-		{"truncated name", good[:8+4+1], ""},
-		{"truncated blob", good[:len(good)-5], "short weight blob"},
-	}
+	net := tinyNet(tensor.NewRNG(8))
+	good, cases := corruptCheckpoints(t, net)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := LoadWeights(bytes.NewReader(tc.blob), net.Params())

@@ -12,8 +12,7 @@ import (
 // (tensor.ConvS8) instead of the float GEMM. Weights quantise once at
 // compile time to s8 with one symmetric scale per output channel
 // (quant.ScaleForChannels); activations quantise per layer to u8 with
-// zero-point 128, either with a frozen calibrated scale or dynamically
-// from the batch's max magnitude.
+// zero-point 128 on a scale frozen by calibration (CalibrateActivations).
 //
 // Layout. A quantized step reads its input as [N][H+2p][W+2p][C4] bytes:
 // channel-last, C rounded up to four, with the convolution's zero padding
@@ -33,29 +32,26 @@ import (
 // cancels them exactly.
 //
 // Between layers. When everything between a quantized step and the next
-// one is ReLU and at most one max-pool, and the next step's activation
-// scale is frozen, the epilogue quantizes y straight onto the consumer's
-// grid and writes the consumer's padded image; the fp32 activation never
-// exists. That is exact, not approximate: the quantizer is monotone, so it
-// commutes with max (the pool runs on bytes) and ReLU is a lower clamp at
-// the byte 0 lands on. Otherwise — dynamic scales, which need the batch's
-// max first, or any other layer in between, such as the global average
-// pool in front of the HEP classifier — the step stores fp32 NCHW and the
-// ordinary eval kernels run, as they always did.
+// one is ReLU and at most one max-pool, the epilogue quantizes y straight
+// onto the consumer's grid and writes the consumer's padded image; the
+// fp32 activation never exists. That is exact, not approximate: the
+// quantizer is monotone, so it commutes with max (the pool runs on bytes)
+// and ReLU is a lower clamp at the byte 0 lands on. With any other layer
+// in between, such as the global average pool in front of the HEP
+// classifier, the step stores fp32 NCHW and the ordinary eval kernels run.
 //
 // Like Plan, a QuantPlan is single-goroutine for its caller, its Forward
 // output is plan-owned (valid until the next call), and the warm path
-// allocates nothing. With frozen scales every sample's arithmetic is its
-// own, so above inferTile the plan runs tiled like Plan (tile.go): the host
-// keeps the packed weights, each lane its own images and scratch. A dynamic
-// scale is the whole batch's, so such a plan runs whole at any capacity.
-// Weights are captured at compile time: recompile after any LoadWeights.
+// allocates nothing. Every sample's arithmetic is its own, so above
+// inferTile the plan runs tiled like Plan (tile.go): the host keeps the
+// packed weights, each lane its own images and scratch. Weights are
+// captured at compile time: recompile after any LoadWeights.
 type QuantPlan struct {
 	net      *Network
 	capacity int
 	arena    *tensor.Arena
 	steps    []qplanStep
-	tiles    *tiler // non-nil: frozen scales above inferTile; steps hold the lanes' prototypes
+	tiles    *tiler // non-nil above inferTile; steps hold the lanes' prototypes
 }
 
 // qplanStep is one layer of the schedule: a quantized kernel, an fp32
@@ -88,7 +84,7 @@ type qkernel struct {
 	wq       []int8           // tensor.PackS8 panels, taps in (ky, kx, c) order
 	wscale   []float32        // per output channel
 	blk      []tensor.S8Block // requantize constants, one per 16 output channels
-	actScale float32          // frozen activation scale; 0 = dynamic per batch
+	actScale float32          // frozen activation scale
 
 	xq  []uint8 // [capacity] padded channel-last images
 	fed bool    // the preceding kernel's epilogue writes xq
@@ -107,8 +103,8 @@ type qkernel struct {
 // CalibrateActivations runs one fp32 forward pass over x and returns the
 // max input magnitude seen at each layer (indexed like net.Layers;
 // non-quantizable layers record 0). Merge several batches with
-// MergeCalibration, then hand the result to CompileQuantized to freeze
-// activation scales. Calibration is an offline pass and allocates freely:
+// MergeCalibration, then hand the result to CompileQuantized, which freezes
+// the activation scales. Calibration is an offline pass and allocates freely:
 // it runs the eval kernels over one state and per-layer destinations that
 // are garbage on return, so nothing it needed stays reachable from net.
 func CalibrateActivations(net *Network, x *tensor.Tensor) []float32 {
@@ -140,16 +136,20 @@ func MergeCalibration(a, b []float32) []float32 {
 	return a
 }
 
+const errNoCalibration = "nn: an int8 plan needs activation scales from CalibrateActivations"
+
 // CompileQuantized builds an int8 inference plan for batches of up to
-// capacity samples. calib, if non-nil, must come from CalibrateActivations
-// over this network (frozen activation scales); nil quantises activations
-// dynamically per batch. arena == nil creates a private arena for the fp32
-// interlayer slabs.
+// capacity samples. calib must come from CalibrateActivations over this
+// network; it fixes every layer's activation scale. arena == nil creates a
+// private arena for the fp32 interlayer slabs.
 func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor.Arena) *QuantPlan {
 	if capacity < 1 {
 		panic("nn: quant plan capacity must be positive")
 	}
-	if calib != nil && len(calib) != len(net.Layers) {
+	if calib == nil {
+		panic(errNoCalibration)
+	}
+	if len(calib) != len(net.Layers) {
 		panic("nn: calibration stats do not match network depth")
 	}
 	if arena == nil {
@@ -179,7 +179,7 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 		}
 		in = out
 	}
-	if calib != nil && capacity > inferTile {
+	if capacity > inferTile {
 		p.tiles = newTiler(arena, capacity, net.InShape, net.OutShape(), p.lane)
 		return p
 	}
@@ -188,8 +188,8 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 }
 
 // lane returns a tile-capacity plan over copies of p's kernels, which share
-// the packed weights and requantize constants (read-only once the scales
-// are frozen) and get their own images, scratch and links.
+// the packed weights and requantize constants (read-only after compile)
+// and get their own images, scratch and links.
 func (p *QuantPlan) lane() lanePlan {
 	l := &QuantPlan{net: p.net, capacity: inferTile, arena: p.arena, steps: slices.Clone(p.steps)}
 	for i := range l.steps {
@@ -239,9 +239,9 @@ func (p *QuantPlan) provision() {
 }
 
 // link applies the one rule that decides where a kernel's output goes: if
-// the layers up to the next kernel are ReLUs and at most one max-pool, and
-// that kernel's activation scale is frozen, the epilogue feeds it bytes
-// and the layers in between drop out of the schedule.
+// the layers up to the next kernel are ReLUs and at most one max-pool, the
+// epilogue feeds it bytes and the layers in between drop out of the
+// schedule.
 func (p *QuantPlan) link() {
 	for i := range p.steps {
 		q := p.steps[i].q
@@ -263,7 +263,7 @@ func (p *QuantPlan) link() {
 				break scan
 			}
 		}
-		if j == len(p.steps) || p.steps[j].q == nil || p.steps[j].q.actScale == 0 {
+		if j == len(p.steps) || p.steps[j].q == nil {
 			continue
 		}
 		q.next, q.outLo, q.pool = p.steps[j].q, lo, pool
@@ -275,14 +275,11 @@ func (p *QuantPlan) link() {
 	}
 }
 
-// calibStat returns (frozen scale, 0 meaning dynamic) for layer i.
+// calibStat returns layer i's frozen activation scale.
 func calibStat(calib []float32, i int) float32 {
-	if calib == nil {
-		return 0
-	}
 	if calib[i] == 0 {
-		// Calibrated but the layer never saw a nonzero input: any scale
-		// works; 1 matches quant.ScaleFor's fallback.
+		// The layer never saw a nonzero input: any scale works; 1 matches
+		// quant.ScaleFor's fallback.
 		return 1
 	}
 	return calib[i] / 127
@@ -323,23 +320,14 @@ func newQKernel(weight, bias []float32, outC int, in []int, kh, kw, stride, pad 
 		}
 		b := &q.blk[f/tensor.S8Lanes]
 		b.Corr[f%tensor.S8Lanes] = 128 * sum
+		b.Mult[f%tensor.S8Lanes] = actScale * q.wscale[f]
 		if bias != nil {
 			b.Bias[f%tensor.S8Lanes] = bias[f]
 		}
 	}
 	q.wq = make([]int8, tensor.S8PackedLen(outC, taps))
 	tensor.PackS8(q.wq, hwc, outC, taps)
-	if actScale != 0 {
-		q.setScale(actScale)
-	}
 	return q
-}
-
-// setScale folds the activation scale into the per-channel multipliers.
-func (q *qkernel) setScale(sA float32) {
-	for f, sW := range q.wscale {
-		q.blk[f/tensor.S8Lanes].Mult[f%tensor.S8Lanes] = sA * sW
-	}
 }
 
 // forward runs the step over n samples, one whole sample at a time, so a
@@ -354,12 +342,7 @@ func (q *qkernel) forward(yt, xt *tensor.Tensor, n int) {
 	if !q.fed {
 		x = xt.Data
 	}
-	sA := q.actScale
-	if sA == 0 {
-		sA = quant.ScaleFor(x[:n*q.inC*q.h*q.w])
-		q.setScale(sA)
-	}
-	inv := 1 / float64(sA)
+	inv := 1 / float64(q.actScale)
 	if q.cols == 1 {
 		// One output pixel per sample: the samples are the row of pixels.
 		for s := 0; x != nil && s < n; s++ {
@@ -531,6 +514,9 @@ type QuantPlanCache struct {
 
 // NewQuantPlanCache builds an empty cache; calib as in CompileQuantized.
 func NewQuantPlanCache(net *Network, calib []float32, arena *tensor.Arena) *QuantPlanCache {
+	if calib == nil {
+		panic(errNoCalibration)
+	}
 	if arena == nil {
 		arena = tensor.NewArena()
 	}

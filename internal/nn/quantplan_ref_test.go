@@ -26,11 +26,8 @@ func refQuantize(v float32, inv float64) uint8 {
 	return uint8(int32(t))
 }
 
-func refScale(calib []float32, i int, x []float32) float32 {
-	switch {
-	case calib == nil:
-		return quant.ScaleFor(x)
-	case calib[i] == 0:
+func refScale(calib []float32, i int) float32 {
+	if calib[i] == 0 {
 		return 1
 	}
 	return calib[i] / 127
@@ -94,14 +91,14 @@ func refQuantForward(net *Network, x *tensor.Tensor, calib []float32) *tensor.Te
 			if !ll.noBias {
 				bias = ll.Bias.W.Data
 			}
-			cur = refQLayer(ll.Weight.W.Data, bias, ll.OutC, ll.KH, ll.KW, ll.Stride, ll.Pad, cur, refScale(calib, i, cur.Data))
+			cur = refQLayer(ll.Weight.W.Data, bias, ll.OutC, ll.KH, ll.KW, ll.Stride, ll.Pad, cur, refScale(calib, i))
 		case *Dense:
 			n := cur.Shape[0]
 			img := tensor.FromSlice(cur.Data, n, ll.In, 1, 1)
 			if cur.Rank() == 4 {
 				img = cur
 			}
-			y := refQLayer(ll.Weight.W.Data, ll.Bias.W.Data, ll.Out, img.Shape[2], img.Shape[3], 1, 0, img, refScale(calib, i, cur.Data))
+			y := refQLayer(ll.Weight.W.Data, ll.Bias.W.Data, ll.Out, img.Shape[2], img.Shape[3], 1, 0, img, refScale(calib, i))
 			cur = tensor.FromSlice(y.Data, n, ll.Out)
 		default:
 			cur = run(l).Forward(cur, false)
@@ -115,11 +112,13 @@ func refQuantForward(net *Network, x *tensor.Tensor, calib []float32) *tensor.Te
 // both, or something the epilogue cannot fold), whether the head is dense
 // over a plane, over a pooled vector or over another dense layer, and
 // channel counts on both sides of every rounding (4 bytes, 16 lanes).
-func randQNet(rng *tensor.RNG) *Network {
-	pick := func(v ...int) int { return v[rng.Intn(len(v))] }
+// draw(n) makes each choice, a value in [0, n); rng initialises the
+// weights.
+func randQNet(draw func(n int) int, rng *tensor.RNG) *Network {
+	pick := func(v ...int) int { return v[draw(len(v))] }
 	for {
-		inC, h := pick(1, 3, 4, 5, 16), 4+rng.Intn(11)
-		w := h + 1 + rng.Intn(5)
+		inC, h := pick(1, 3, 4, 5, 16), 4+draw(11)
+		w := h + 1 + draw(5)
 		net := NewNetwork("qref", inC, h, w)
 		shape := []int{inC, h, w}
 		ok := true
@@ -144,16 +143,16 @@ func randQNet(rng *tensor.RNG) *Network {
 			add(NewConv2D(name, shape[0], pick(1, 2, 5, 8, 16, 17, 33), pick(1, 3, 5), pick(1, 1, 2), pick(0, 1, 2), rng))
 		}
 		between := func(tag string) {
-			if rng.Intn(4) > 0 {
+			if draw(4) > 0 {
 				add(NewReLU("relu" + tag))
 			}
-			switch rng.Intn(4) {
+			switch draw(4) {
 			case 0:
 				add(NewMaxPool2D("pool"+tag, 2, 2))
 			case 1:
 				add(NewMaxPool2D("pool"+tag, pick(2, 3), pick(1, 2, 3)))
 			}
-			if rng.Intn(6) == 0 {
+			if draw(6) == 0 {
 				add(NewReLU("relu'" + tag))
 			}
 		}
@@ -161,11 +160,11 @@ func randQNet(rng *tensor.RNG) *Network {
 		between("1")
 		conv("conv2")
 		between("2")
-		if rng.Intn(2) == 0 {
+		if draw(2) == 0 {
 			conv("conv3")
 			add(NewReLU("relu3"))
 		}
-		switch rng.Intn(3) {
+		switch draw(3) {
 		case 0:
 			add(NewGlobalAvgPool("gap"))
 		case 1:
@@ -180,10 +179,10 @@ func randQNet(rng *tensor.RNG) *Network {
 }
 
 // TestQuantPlanMatchesReference is the bitwise gate of the int8 datapath:
-// over random networks and batches, calibrated and dynamic, under every
-// kernel table and one, two and four kernel workers, QuantPlan.Forward
-// equals the plain reference bit for bit. The last case is the HEP
-// topology at a size whose layers cross the parallel threshold.
+// over random networks and batches, under every kernel table and one, two
+// and four kernel workers, QuantPlan.Forward equals the plain reference bit
+// for bit. The last case is the HEP topology at a size whose layers cross
+// the parallel threshold.
 func TestQuantPlanMatchesReference(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	type tcase struct {
@@ -192,7 +191,7 @@ func TestQuantPlanMatchesReference(t *testing.T) {
 	}
 	var cases []tcase
 	for i := 0; i < 24; i++ {
-		cases = append(cases, tcase{randQNet(rng), []int{1 + rng.Intn(6), 1}})
+		cases = append(cases, tcase{randQNet(rng.Intn, rng), []int{1 + rng.Intn(6), 1}})
 	}
 	hep := NewNetwork("hep-like", 3, 32, 32)
 	hep.Add(
@@ -206,38 +205,88 @@ func TestQuantPlanMatchesReference(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	defer tensor.SetKernels("auto")
 	for ci, tc := range cases {
-		calibX := randBatch(rng, 5, tc.net.InShape)
-		calib := CalibrateActivations(tc.net, calibX)
-		for _, mode := range []struct {
-			name  string
-			calib []float32
-		}{{"dynamic", nil}, {"calibrated", calib}} {
-			xs := make([]*tensor.Tensor, len(tc.batches))
-			wants := make([]*tensor.Tensor, len(tc.batches))
-			for bi, n := range tc.batches {
-				xs[bi] = randBatch(rng, n, tc.net.InShape)
-				if bi == 0 && mode.calib != nil {
-					// Values beyond the calibrated range saturate.
-					xs[bi].Data[0], xs[bi].Data[1] = 40, -40
-				}
-				wants[bi] = refQuantForward(tc.net, xs[bi], mode.calib)
+		calib := CalibrateActivations(tc.net, randBatch(rng, 5, tc.net.InShape))
+		xs := make([]*tensor.Tensor, len(tc.batches))
+		wants := make([]*tensor.Tensor, len(tc.batches))
+		for bi, n := range tc.batches {
+			xs[bi] = randBatch(rng, n, tc.net.InShape)
+			if bi == 0 {
+				// Values beyond the calibrated range saturate.
+				xs[bi].Data[0], xs[bi].Data[1] = 40, -40
 			}
-			for _, isa := range tensor.KernelISAs() {
-				if err := tensor.SetKernels(isa); err != nil {
-					t.Fatal(err)
+			wants[bi] = refQuantForward(tc.net, xs[bi], calib)
+		}
+		for _, isa := range tensor.KernelISAs() {
+			if err := tensor.SetKernels(isa); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				tensor.SetWorkers(workers)
+				// One plan serves the full batch and then a tail batch:
+				// the second call must not see the first one's bytes.
+				qp := CompileQuantized(tc.net, tc.batches[0], calib, nil)
+				for bi := range xs {
+					name := fmt.Sprintf("case %d (%s) isa=%s workers=%d batch=%d", ci, tc.net.Summary(), isa, workers, xs[bi].Shape[0])
+					requireBitwise(t, name, qp.Forward(xs[bi]), wants[bi])
 				}
-				for _, workers := range []int{1, 2, 4} {
-					tensor.SetWorkers(workers)
-					// One plan serves the full batch and then a tail batch:
-					// the second call must not see the first one's bytes.
-					qp := CompileQuantized(tc.net, tc.batches[0], mode.calib, nil)
-					for bi := range xs {
-						name := fmt.Sprintf("case %d (%s) %s isa=%s workers=%d batch=%d", ci, tc.net.Summary(), mode.name, isa, workers, xs[bi].Shape[0])
-						requireBitwise(t, name, qp.Forward(xs[bi]), wants[bi])
-					}
-					qp.Release()
-				}
+				qp.Release()
 			}
 		}
 	}
+}
+
+// fuzzQMACs caps the multiply-adds of one FuzzQuantPlanBitwise draw: the
+// batch shrinks until the network fits, so that the plain reference, a
+// scalar loop per multiply-add, stays short.
+const fuzzQMACs = 8 << 20
+
+// FuzzQuantPlanBitwise is TestQuantPlanMatchesReference over geometries the
+// fuzzer chooses: the fuzz bytes make randQNet's choices one byte each
+// (zeros once they run out), then pick a batch of 1–80 samples (tiled above
+// inferTile) and one or two workers. The calibrated plan must equal the
+// plain reference bit for bit under the scalar, AVX2 and probed kernel
+// tables. The seed corpus runs in go test. Fuzz with
+// go test -run '^$' -fuzz FuzzQuantPlanBitwise ./internal/nn.
+func FuzzQuantPlanBitwise(f *testing.F) {
+	for _, s := range []struct {
+		geometry       []byte
+		batch, workers uint8
+	}{
+		{nil, 69, 1},
+		{nil, 32, 2},
+		{[]byte{1, 9, 5, 2, 4, 2, 1, 3, 0, 1, 0, 2, 1, 1, 4, 0, 0, 1, 2}, 40, 1},
+		{[]byte{4, 0, 0, 6, 2, 2, 2, 1, 1, 2, 3, 0, 0, 3, 1, 1, 1, 5, 0}, 70, 2},
+		{[]byte{2, 3, 3, 3, 1, 1, 0, 3, 3, 1, 5, 2, 0, 1, 2, 1, 1, 2, 1}, 33, 2},
+	} {
+		f.Add(s.geometry, s.batch, s.workers, uint64(len(s.geometry))*7+uint64(s.batch))
+	}
+	f.Fuzz(func(t *testing.T, geometry []byte, batch, workers uint8, seed uint64) {
+		rng := tensor.NewRNG(seed)
+		draw := func(n int) int {
+			if len(geometry) == 0 {
+				return 0
+			}
+			b := geometry[0]
+			geometry = geometry[1:]
+			return int(b) % n
+		}
+		net := randQNet(draw, rng)
+		macs := int(net.FLOPsPerSample().Fwd/2) + 1
+		n := max(min(1+int(batch)%80, fuzzQMACs/macs), 1)
+		calib := CalibrateActivations(net, randBatch(rng, 4, net.InShape))
+		x := randBatch(rng, n, net.InShape)
+		x.Data[0] = 40 // beyond the calibrated range: saturates
+		want := refQuantForward(net, x, calib)
+
+		defer tensor.SetWorkers(tensor.SetWorkers(1 + int(workers)%2))
+		defer tensor.SetKernels("auto")
+		for _, isa := range []string{"scalar", "avx2", "auto"} {
+			if tensor.SetKernels(isa) != nil {
+				continue // not on this host
+			}
+			qp := CompileQuantized(net, n, calib, nil)
+			requireBitwise(t, fmt.Sprintf("%s batch %d workers %d kernels %s", net.Summary(), n, tensor.Workers(), isa), qp.Forward(x), want)
+			qp.Release()
+		}
+	})
 }

@@ -9,62 +9,73 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// TestQuantPlanMatchesFloat checks the int8 plan tracks the fp32 plan
-// within the quantisation error budget on a realistic little network,
-// with both dynamic and calibrated activation scales, and that argmax
-// decisions almost always agree.
+// TestQuantPlanMatchesFloat checks the calibrated int8 plan tracks the fp32
+// plan within the quantisation error budget on a realistic little network.
 func TestQuantPlanMatchesFloat(t *testing.T) {
 	net := planTestNet(7)
 	rng := tensor.NewRNG(13)
 	x := randBatch(rng, 8, net.InShape)
 
 	ref := Compile(net, 8, false, nil).Forward(x)
-
-	check := func(name string, qp *QuantPlan) {
-		t.Helper()
-		got := qp.Forward(x)
-		if got.Len() != ref.Len() {
-			t.Fatalf("%s: output size %d, want %d", name, got.Len(), ref.Len())
-		}
-		var maxAbs float64
-		for _, v := range ref.Data {
-			if a := math.Abs(float64(v)); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		// int8 conv stacks lose ~1% relative accuracy per layer; 10% of
-		// the output range is a loose sanity bound — the real gate is the
-		// end-to-end accuracy delta in serve.TestServedInt8AccuracyNearFP32.
-		tol := 0.1*maxAbs + 1e-3
-		for i := range ref.Data {
-			if d := math.Abs(float64(got.Data[i] - ref.Data[i])); d > tol {
-				t.Errorf("%s: out[%d] = %g vs fp32 %g (|Δ|=%g > %g)", name, i, got.Data[i], ref.Data[i], d, tol)
-			}
-		}
-	}
-
-	check("dynamic", CompileQuantized(net, 8, nil, nil))
-
 	calib := CalibrateActivations(net, x)
 	calib = MergeCalibration(calib, CalibrateActivations(net, randBatch(rng, 4, net.InShape)))
 	if calib[0] == 0 {
 		t.Fatal("calibration recorded nothing for the first conv")
 	}
-	check("calibrated", CompileQuantized(net, 8, calib, nil))
+	got := CompileQuantized(net, 8, calib, nil).Forward(x)
+	if got.Len() != ref.Len() {
+		t.Fatalf("output size %d, want %d", got.Len(), ref.Len())
+	}
+	var maxAbs float64
+	for _, v := range ref.Data {
+		if a := math.Abs(float64(v)); a > maxAbs {
+			maxAbs = a
+		}
+	}
+	// int8 conv stacks lose ~1% relative accuracy per layer; 10% of the
+	// output range is a loose sanity bound — the real gate is the end-to-end
+	// accuracy delta in serve.TestServedInt8AccuracyNearFP32.
+	tol := 0.1*maxAbs + 1e-3
+	for i := range ref.Data {
+		if d := math.Abs(float64(got.Data[i] - ref.Data[i])); d > tol {
+			t.Errorf("out[%d] = %g vs fp32 %g (|Δ|=%g > %g)", i, got.Data[i], ref.Data[i], d, tol)
+		}
+	}
 }
 
 // TestQuantPlanWarmNoAlloc is the 0-alloc gate for the int8 serving path.
 func TestQuantPlanWarmNoAlloc(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net := planTestNet(11)
-	qp := CompileQuantized(net, 4, nil, nil)
 	x := randBatch(tensor.NewRNG(3), 4, net.InShape)
+	qp := CompileQuantized(net, 4, CalibrateActivations(net, x), nil)
 	qp.Forward(x) // warm
 	for _, workers := range gateWorkers {
 		tensor.SetWorkers(workers)
 		if allocs := testing.AllocsPerRun(10, func() { qp.Forward(x) }); allocs > 0 {
 			t.Errorf("warm QuantPlan.Forward at %d workers allocates %v/run, want 0", workers, allocs)
 		}
+	}
+}
+
+// TestCompileQuantizedNeedsCalibration: there is one int8 datapath, the
+// calibrated one. A plan without activation scales must refuse to compile,
+// and say where the scales come from, in CompileQuantized and in the cache
+// that calls it.
+func TestCompileQuantizedNeedsCalibration(t *testing.T) {
+	net := planTestNet(5)
+	for name, compile := range map[string]func(){
+		"CompileQuantized":  func() { CompileQuantized(net, 4, nil, nil) },
+		"NewQuantPlanCache": func() { NewQuantPlanCache(net, nil, nil) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "CalibrateActivations") {
+					t.Errorf("%s without calibration recovered %v, want a panic naming CalibrateActivations", name, r)
+				}
+			}()
+			compile()
+		}()
 	}
 }
 
@@ -82,7 +93,6 @@ func TestQuantPlanRejectsForeignSampleShape(t *testing.T) {
 		p    lanePlan
 	}{
 		{"fp32", Compile(net, 2, false, nil)},
-		{"int8 dynamic", CompileQuantized(net, 2, nil, nil)},
 		{"int8 calibrated", CompileQuantized(net, 2, calib, nil)},
 		{"int8 tiled", CompileQuantized(net, 2*inferTile, calib, nil)},
 	} {
@@ -98,29 +108,27 @@ func TestQuantPlanRejectsForeignSampleShape(t *testing.T) {
 }
 
 // TestQuantPlanInfStaysInItsSample: the online batcher puts different
-// clients' requests in one batch, and a dynamic-scale plan derives one
-// activation scale from the whole batch. An infinity in one sample must
-// cost that sample its own precision and nothing else: the other sample's
-// logits are finite, and exactly what the largest finite float in the same
-// slot gives (both saturate the byte; the scale is clamped to be finite).
+// clients' requests in one batch. An infinity in one sample must cost that
+// sample its own precision and nothing else: every logit of the batch is
+// finite, and exactly what the largest finite float in the same slot gives
+// (both saturate the byte on the frozen scale).
 func TestQuantPlanInfStaysInItsSample(t *testing.T) {
 	net := planTestNet(17)
 	x := randBatch(tensor.NewRNG(23), 2, net.InShape)
-	neighbour := func(v float32) []float32 {
+	qp := CompileQuantized(net, 2, CalibrateActivations(net, x), nil)
+	defer qp.Release()
+	forward := func(v float32) []float32 {
 		x.Data[5] = v
-		qp := CompileQuantized(net, 2, nil, nil)
-		defer qp.Release()
-		out := qp.Forward(x)
-		return append([]float32(nil), out.Data[out.Len()/2:]...)
+		return append([]float32(nil), qp.Forward(x).Data...)
 	}
-	withInf := neighbour(float32(math.Inf(1)))
-	withMax := neighbour(math.MaxFloat32)
+	withInf := forward(float32(math.Inf(1)))
+	withMax := forward(math.MaxFloat32)
 	for i, v := range withInf {
 		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			t.Errorf("+Inf in sample 0 made sample 1's logit %d = %v", i, v)
+			t.Errorf("+Inf in sample 0 made logit %d = %v", i, v)
 		}
 		if math.Float32bits(v) != math.Float32bits(withMax[i]) {
-			t.Errorf("sample 1 logit %d = %v with +Inf next door, %v with MaxFloat32", i, v, withMax[i])
+			t.Errorf("logit %d = %v with +Inf in sample 0, %v with MaxFloat32", i, v, withMax[i])
 		}
 	}
 }
@@ -128,8 +136,8 @@ func TestQuantPlanInfStaysInItsSample(t *testing.T) {
 // TestQuantPlanCacheBuckets mirrors the fp32 plan-cache policy.
 func TestQuantPlanCacheBuckets(t *testing.T) {
 	net := planTestNet(5)
-	pc := NewQuantPlanCache(net, nil, nil)
 	rng := tensor.NewRNG(9)
+	pc := NewQuantPlanCache(net, CalibrateActivations(net, randBatch(rng, 4, net.InShape)), nil)
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		out := pc.Forward(randBatch(rng, n, net.InShape))
 		if out.Shape[0] != n {

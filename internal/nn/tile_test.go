@@ -93,9 +93,8 @@ func TestTiledForwardMatchesOneByOne(t *testing.T) {
 }
 
 // TestTiledPlansAreTheOnesAboveTheTile pins which plans tile: inference
-// plans and frozen-scale int8 plans above inferTile, and nothing else — a
-// training plan, a plan at the tile, and a dynamic-scale int8 plan (one
-// activation scale for the whole batch) execute whole.
+// plans, fp32 and int8, above inferTile, and nothing else — a training plan
+// and a plan at the tile execute whole.
 func TestTiledPlansAreTheOnesAboveTheTile(t *testing.T) {
 	net := planTestNet(3)
 	calib := CalibrateActivations(net, randBatch(tensor.NewRNG(5), 8, net.InShape))
@@ -107,35 +106,12 @@ func TestTiledPlansAreTheOnesAboveTheTile(t *testing.T) {
 		{"inference above", Compile(net, inferTile+1, false, nil).tiles != nil, true},
 		{"inference at", Compile(net, inferTile, false, nil).tiles != nil, false},
 		{"training above", Compile(net, inferTile+1, true, nil).tiles != nil, false},
-		{"int8 frozen above", CompileQuantized(net, inferTile+1, calib, nil).tiles != nil, true},
-		{"int8 frozen at", CompileQuantized(net, inferTile, calib, nil).tiles != nil, false},
-		{"int8 dynamic above", CompileQuantized(net, 256, nil, nil).tiles != nil, false},
+		{"int8 above", CompileQuantized(net, inferTile+1, calib, nil).tiles != nil, true},
+		{"int8 at", CompileQuantized(net, inferTile, calib, nil).tiles != nil, false},
 	} {
 		if tc.tiled != tc.want {
 			t.Errorf("%s the tile: tiled = %v, want %v", tc.name, tc.tiled, tc.want)
 		}
-	}
-}
-
-// TestDynamicQuantPlanAboveTileMatchesReference: a dynamic-scale plan
-// derives each layer's activation scale from the whole batch, so cutting
-// the batch would change the answer. At n > inferTile it must still return
-// the whole-batch reference's bits, at every worker count.
-func TestDynamicQuantPlanAboveTileMatchesReference(t *testing.T) {
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
-	net := hepSmallNet(tensor.NewRNG(29))
-	x := randBatch(tensor.NewRNG(31), 2*inferTile+3, net.InShape)
-	// One sample far outside the others' range: its tile's scale would
-	// differ from the batch's.
-	for i := range x.Data[:net.InShape[0]*32*32] {
-		x.Data[i] *= 50
-	}
-	want := refQuantForward(net, x, nil)
-	for _, workers := range []int{1, 2, 4} {
-		tensor.SetWorkers(workers)
-		qp := CompileQuantized(net, 256, nil, nil)
-		requireBitwise(t, fmt.Sprintf("dynamic workers=%d", workers), qp.Forward(x), want)
-		qp.Release()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -26,7 +27,9 @@ type WeightBlob struct {
 
 // ReadWeightBlobs parses a D15W stream into its named blobs without
 // requiring the reader to know the donor architecture. It is the
-// arch-agnostic counterpart of LoadWeights.
+// arch-agnostic counterpart of LoadWeights. Nothing is sized from a header
+// alone: blobs and their data grow as their bytes arrive, so a corrupt
+// count costs the reader what the file holds, not what it declares.
 func ReadWeightBlobs(r io.Reader) ([]WeightBlob, error) {
 	br := bufio.NewReader(r)
 	buf := make([]byte, codecBufBytes)
@@ -40,7 +43,7 @@ func ReadWeightBlobs(r io.Reader) ([]WeightBlob, error) {
 	if count > 1<<20 {
 		return nil, fmt.Errorf("nn: implausible blob count %d", count)
 	}
-	blobs := make([]WeightBlob, 0, count)
+	var blobs []WeightBlob
 	for i := 0; i < int(count); i++ {
 		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, fmt.Errorf("nn: blob %d: %w", i, err)
@@ -56,10 +59,15 @@ func ReadWeightBlobs(r io.Reader) ([]WeightBlob, error) {
 		if _, err := io.ReadFull(br, buf[:4]); err != nil {
 			return nil, fmt.Errorf("nn: %s: %w", name, err)
 		}
-		numel := binary.LittleEndian.Uint32(buf[:4])
-		data := make([]float32, numel)
-		if err := getFloats(br, buf, data); err != nil {
-			return nil, fmt.Errorf("nn: %s: short weight blob: %w", name, err)
+		var data []float32
+		for left := int(binary.LittleEndian.Uint32(buf[:4])); left > 0; {
+			run := min(left, len(buf)/4)
+			data = slices.Grow(data, run)
+			if err := getFloats(br, buf, data[len(data):len(data)+run]); err != nil {
+				return nil, fmt.Errorf("nn: %s: short weight blob: %w", name, err)
+			}
+			data = data[:len(data)+run]
+			left -= run
 		}
 		blobs = append(blobs, WeightBlob{Name: string(name), Data: data})
 	}

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -44,10 +46,79 @@ func TestReadWeightBlobsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadWeightBlobsRejectsGarbage(t *testing.T) {
-	if _, err := ReadWeightBlobs(bytes.NewReader([]byte("not a checkpoint"))); err == nil {
-		t.Fatal("garbage stream must be rejected")
+// weightBlobGarbage is what ReadWeightBlobs must refuse beyond
+// corruptCheckpoints: streams that are no checkpoint at all, and headers
+// that declare far more than the file holds.
+func weightBlobGarbage() []d15wCase {
+	d15w := func(words ...uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, checkpointMagic)
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		return b
 	}
+	blob := func(numel uint32, payload int) []byte {
+		b := append(d15w(1, 1), 'w')
+		return append(binary.LittleEndian.AppendUint32(b, numel), make([]byte, payload)...)
+	}
+	return []d15wCase{
+		{"not a checkpoint", []byte("not a checkpoint"), "not a checkpoint"},
+		{"2^28 floats declared, none sent", blob(1<<28, 0), "short weight blob"},
+		{"2^32-1 floats declared, 1 KiB sent", blob(1<<32-1, 1<<10), "short weight blob"},
+		{"2^20 blobs declared, none sent", d15w(1 << 20), "blob 0"},
+		{"blob count beyond the cap", d15w(1<<20 + 1), "implausible blob count"},
+		{"name longer than the cap", d15w(1, 4097), "implausible name length"},
+	}
+}
+
+// TestReadWeightBlobsRejectsGarbage: a stream that is not a D15W file, or
+// whose header declares more than it holds, is an error, and one that
+// costs what the file holds rather than what it declares. The 17-byte file
+// declaring one blob of 2^28 floats used to allocate 1 GiB before failing
+// at EOF; astrotrain -init-from reads any file it is pointed at.
+func TestReadWeightBlobsRejectsGarbage(t *testing.T) {
+	for _, tc := range weightBlobGarbage() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadWeightBlobs(bytes.NewReader(tc.blob))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: %d-byte file allocated %d bytes before failing, want < 1 MiB", tc.name, len(tc.blob), grew)
+		}
+	}
+}
+
+// FuzzReadWeightBlobs: ReadWeightBlobs never panics, and a file it accepts
+// is one SaveWeights writes — re-encoding the blobs gives back the bytes
+// they were read from. Seeded with corruptCheckpoints' and
+// weightBlobGarbage's files. Fuzz with
+// go test -run '^$' -fuzz FuzzReadWeightBlobs ./internal/nn.
+func FuzzReadWeightBlobs(f *testing.F) {
+	good, cases := corruptCheckpoints(f, tinyNet(tensor.NewRNG(8)))
+	f.Add(good)
+	for _, tc := range append(cases, weightBlobGarbage()...) {
+		f.Add(tc.blob)
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		blobs, err := ReadWeightBlobs(bytes.NewReader(file))
+		if err != nil {
+			return
+		}
+		params := make([]*Param, len(blobs))
+		for i, b := range blobs {
+			params[i] = &Param{Name: b.Name, W: tensor.FromSlice(b.Data, len(b.Data))}
+		}
+		var again bytes.Buffer
+		if err := SaveWeights(&again, params); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(file, again.Bytes()) {
+			t.Fatalf("accepted %d bytes holding %d blobs, which re-encode to %d other bytes", len(file), len(blobs), again.Len())
+		}
+	})
 }
 
 // TestMapWeightsEdgeCases is the satellite table: every way a donor

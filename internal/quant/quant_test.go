@@ -8,6 +8,21 @@ import (
 	"deep15pf/internal/tensor"
 )
 
+// throughInt8 sends data through the int8 wire in place — quantise on
+// ScaleFor's grid with stochastic or nearest rounding, dequantise — and
+// returns the grid's step: the distortion a gradient suffers crossing it.
+func throughInt8(data []float32, rng *tensor.RNG, stochastic bool) float32 {
+	scale := ScaleFor(data)
+	q := make([]int8, len(data))
+	if stochastic {
+		StochasticInto(q, data, scale, rng)
+	} else {
+		NearestInto(q, data, scale)
+	}
+	DequantizeInto(data, q, scale)
+	return scale
+}
+
 func TestRoundTripErrorBounded(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	src := make([]float32, 1000)
@@ -16,11 +31,10 @@ func TestRoundTripErrorBounded(t *testing.T) {
 	}
 	for _, stochastic := range []bool{true, false} {
 		data := append([]float32(nil), src...)
-		RoundTrip(data, rng, stochastic)
-		q := ScaleFor(src)
+		step := throughInt8(data, rng, stochastic)
 		for i := range data {
-			if err := math.Abs(float64(data[i] - src[i])); err > float64(q)*1.01 {
-				t.Fatalf("stochastic=%v: error %v exceeds one step %v", stochastic, err, q)
+			if err := math.Abs(float64(data[i] - src[i])); err > float64(step)*1.01 {
+				t.Fatalf("stochastic=%v: error %v exceeds one step %v", stochastic, err, step)
 			}
 		}
 	}
@@ -35,7 +49,7 @@ func TestStochasticRoundingUnbiased(t *testing.T) {
 	sums := make([]float64, len(src))
 	for k := 0; k < trials; k++ {
 		data := append([]float32(nil), src...)
-		RoundTrip(data, rng, true)
+		throughInt8(data, rng, true)
 		for i, v := range data {
 			sums[i] += float64(v)
 		}
@@ -51,10 +65,8 @@ func TestStochasticRoundingUnbiased(t *testing.T) {
 func TestNearestRoundingKillsSmallGradients(t *testing.T) {
 	// The failure mode stochastic rounding exists to fix: gradients below
 	// half a quantisation step vanish deterministically.
-	src := []float32{0.3, 100} // step ≈ 0.79, so 0.3 < step/2
-	q := Nearest(src)
-	out := make([]float32, 2)
-	Dequantize(q, out)
+	out := []float32{0.3, 100} // step ≈ 0.79, so 0.3 < step/2
+	throughInt8(out, nil, false)
 	if out[0] != 0 {
 		t.Fatalf("nearest should zero the small gradient, got %v", out[0])
 	}
@@ -73,7 +85,7 @@ func TestQuantizedSGDConvergesOnlyWithStochasticRounding(t *testing.T) {
 		w := []float32{0, 0} // w[1]'s large constant gradient pins the scale
 		for i := 0; i < 4000; i++ {
 			g := []float32{w[0] - 3, 50}
-			RoundTrip(g, rng, stochastic)
+			throughInt8(g, rng, stochastic)
 			w[0] -= 0.01 * g[0]
 		}
 		return math.Abs(float64(w[0]) - 3)
@@ -94,26 +106,14 @@ func TestQuantizedSGDConvergesOnlyWithStochasticRounding(t *testing.T) {
 }
 
 func TestZeroTensor(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	src := make([]float32, 5)
-	q := Stochastic(src, rng)
-	if q.Scale != 1 {
-		t.Fatalf("zero tensor scale = %v", q.Scale)
-	}
 	out := make([]float32, 5)
-	Dequantize(q, out)
+	if scale := throughInt8(out, tensor.NewRNG(4), true); scale != 1 {
+		t.Fatalf("zero tensor scale = %v", scale)
+	}
 	for _, v := range out {
 		if v != 0 {
 			t.Fatal("zero tensor must stay zero")
 		}
-	}
-}
-
-func TestBytesSaving(t *testing.T) {
-	src := make([]float32, 1024)
-	q := Nearest(src)
-	if q.Bytes() >= 4*len(src) {
-		t.Fatalf("quantisation must compress: %d vs %d", q.Bytes(), 4*len(src))
 	}
 }
 
@@ -123,7 +123,7 @@ func TestDequantizeValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Dequantize(Quantized{Data: make([]int8, 3), Scale: 1}, make([]float32, 2))
+	DequantizeInto(make([]float32, 2), make([]int8, 3), 1)
 }
 
 // Property: quantisation never increases the max magnitude by more than
@@ -136,10 +136,8 @@ func TestQuantizePropertyBounds(t *testing.T) {
 		for i := range src {
 			src[i] = float32(rng.Norm() * 10)
 		}
-		q := Stochastic(src, rng)
-		out := make([]float32, n)
-		Dequantize(q, out)
-		step := float64(q.Scale)
+		out := append([]float32(nil), src...)
+		step := float64(throughInt8(out, rng, true))
 		for i := range src {
 			if math.Abs(float64(out[i]-src[i])) > step*1.01 {
 				return false
@@ -152,59 +150,6 @@ func TestQuantizePropertyBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRoundTripTensorMatchesSlice(t *testing.T) {
-	a := tensor.New(4, 8)
-	tensor.NewRNG(21).FillNorm(a, 0, 1)
-	b := a.Clone()
-	RoundTripTensor(a, tensor.NewRNG(99), true)
-	RoundTrip(b.Data, tensor.NewRNG(99), true)
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatal("RoundTripTensor disagrees with RoundTrip on the same RNG stream")
-		}
-	}
-}
-
-func TestIntoVariantsMatchAllocatingForms(t *testing.T) {
-	// The non-allocating Into forms are what the comm wire codec runs in
-	// its steady state; they must be bit-for-bit the allocating forms.
-	rng := tensor.NewRNG(9)
-	src := make([]float32, 513)
-	for i := range src {
-		src[i] = float32(rng.Norm())
-	}
-	scale := ScaleFor(src)
-
-	qn := Nearest(src)
-	dn := make([]int8, len(src))
-	NearestInto(dn, src, scale)
-	for i := range dn {
-		if dn[i] != qn.Data[i] {
-			t.Fatalf("NearestInto diverges at %d: %d vs %d", i, dn[i], qn.Data[i])
-		}
-	}
-
-	// Stochastic rounding consumes the RNG identically in both forms.
-	qs := Stochastic(src, tensor.NewRNG(33))
-	ds := make([]int8, len(src))
-	StochasticInto(ds, src, scale, tensor.NewRNG(33))
-	for i := range ds {
-		if ds[i] != qs.Data[i] {
-			t.Fatalf("StochasticInto diverges at %d: %d vs %d", i, ds[i], qs.Data[i])
-		}
-	}
-
-	back := make([]float32, len(src))
-	DequantizeInto(back, qs.Data, qs.Scale)
-	back2 := make([]float32, len(src))
-	Dequantize(qs, back2)
-	for i := range back {
-		if back[i] != back2[i] {
-			t.Fatalf("DequantizeInto diverges at %d", i)
-		}
 	}
 }
 
@@ -234,5 +179,4 @@ func TestIntoVariantsValidate(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	mustPanic(func() { StochasticInto(make([]int8, 2), make([]float32, 3), 1, rng) })
 	mustPanic(func() { NearestInto(make([]int8, 2), make([]float32, 3), 1) })
-	mustPanic(func() { DequantizeInto(make([]float32, 2), make([]int8, 3), 1) })
 }

@@ -19,10 +19,10 @@ type LoadInput struct {
 	Check func(y *tensor.Tensor) error
 }
 
-// Submitter is anything the load generators can drive: a local Server, a
-// hot-reloading Deployment, or a network-tier handle (netserve's client
-// and router frontends adapt to it), so the same load harness measures
-// in-process and over-the-wire serving with identical arrival processes.
+// Submitter is anything the load generators can drive: a local Server or
+// a network-tier handle (netserve's client and router frontends adapt to
+// it), so the same load harness measures in-process and over-the-wire
+// serving with identical arrival processes.
 type Submitter interface {
 	Submit(x *tensor.Tensor) (*tensor.Tensor, error)
 }

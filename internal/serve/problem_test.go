@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"deep15pf/internal/astro"
-	"deep15pf/internal/ckpt"
 )
 
 // TestRegistryModelsAndProblems pins the zoo inventory: every stock
@@ -71,46 +70,5 @@ func TestRegistryCheckManifest(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
-	}
-}
-
-// TestDeploymentRefusesCrossProblemCheckpoint is the regression test for the
-// mismatch path end-to-end: a published version stamped with the wrong
-// workload must be rejected by the watcher and never served, while the live
-// version keeps serving.
-func TestDeploymentRefusesCrossProblemCheckpoint(t *testing.T) {
-	d, store := newTinyDeployment(t, DeployConfig{Server: Config{MaxBatch: 4, Workers: 1}})
-	defer d.Close()
-
-	// An astro-stamped checkpoint lands in the hep deployment's store. The
-	// weights would stream into the architecture (same net geometry) — only
-	// the problem label can catch it.
-	net, _ := trainTinyHEP(t, 2)
-	if _, err := store.Save(&ckpt.Snapshot{Step: 2, Arch: "tiny", Problem: "astro", Params: net.Params()}); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := d.PollOnce()
-	if ok || err == nil || !strings.Contains(err.Error(), "cross-workload") {
-		t.Fatalf("poll accepted a cross-workload checkpoint: ok=%v err=%v", ok, err)
-	}
-	if got := d.Rejected(); got != 1 {
-		t.Fatalf("rejected count %d, want 1", got)
-	}
-	if v := d.CurrentVersion(); v != 1 {
-		t.Fatalf("live version %d after refusal, want 1", v)
-	}
-	if _, err := d.Submit(deployInput(1)); err != nil {
-		t.Fatalf("live version stopped serving after refusal: %v", err)
-	}
-
-	// A correctly stamped successor still cuts over.
-	if _, err := store.Save(&ckpt.Snapshot{Step: 3, Arch: "tiny", Problem: "hep", Params: net.Params()}); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := d.PollOnce(); err != nil || !ok {
-		t.Fatalf("correctly labelled version refused: ok=%v err=%v", ok, err)
-	}
-	if v := d.CurrentVersion(); v != 3 {
-		t.Fatalf("live version %d, want 3", v)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"deep15pf/internal/core"
@@ -13,10 +14,10 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// TestQuantizedServingPath covers the native int8 datapath end to end:
-// loading at Int8 beside Float32, calibration freezing, per-channel weight
-// scales stored at Load, and int8 logits tracking fp32 within the
-// quantisation budget.
+// TestQuantizedServingPath covers the int8 datapath end to end: loading at
+// Int8 beside Float32, per-channel weight scales stored at Load,
+// calibration freezing the activation scales, and int8 logits tracking fp32
+// within the quantisation budget.
 func TestQuantizedServingPath(t *testing.T) {
 	net, ds := trainTinyHEP(t, 4)
 	path := saveTinyHEP(t, net)
@@ -48,31 +49,13 @@ func TestQuantizedServingPath(t *testing.T) {
 	}
 	want := f32Rep.Infer(x.Clone())
 
-	// The same checkpoint at Int8 serves the integer datapath.
+	// The same checkpoint at Int8 serves the integer datapath once
+	// calibration has frozen its activation scales; served outputs stay in
+	// budget and two replicas agree exactly.
 	lm8, err := r.Load("tiny", path, Int8)
 	if err != nil {
 		t.Fatalf("Load int8: %v", err)
 	}
-	i8Rep, err := lm8.NewReplica()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := i8Rep.Infer(x.Clone())
-	requireClose(t, "dynamic-scale int8", got, want)
-
-	// fp32 weights must survive untouched on the native path (the plan
-	// holds the s8 copies).
-	p8, p32 := i8Rep.Params(), f32Rep.Params()
-	for i := range p32 {
-		for j := range p32[i].W.Data {
-			if p8[i].W.Data[j] != p32[i].W.Data[j] {
-				t.Fatalf("int8 replica mutated fp32 weight %s[%d]", p32[i].Name, j)
-			}
-		}
-	}
-
-	// Calibration freezes activation scales; served outputs stay in budget
-	// and two post-calibration replicas agree exactly (deterministic grid).
 	xa, _ := ds.Batch([]int{8, 9, 10, 11})
 	if err := lm8.Calibrate(xa, x.Clone()); err != nil {
 		t.Fatalf("Calibrate: %v", err)
@@ -91,6 +74,49 @@ func TestQuantizedServingPath(t *testing.T) {
 		if ga.Data[i] != gb.Data[i] {
 			t.Fatalf("calibrated int8 replicas disagree at logit %d", i)
 		}
+	}
+
+	// fp32 weights must survive untouched on the int8 path (the plan holds
+	// the s8 copies).
+	p8, p32 := ca.Params(), f32Rep.Params()
+	for i := range p32 {
+		for j := range p32[i].W.Data {
+			if p8[i].W.Data[j] != p32[i].W.Data[j] {
+				t.Fatalf("int8 replica mutated fp32 weight %s[%d]", p32[i].Name, j)
+			}
+		}
+	}
+}
+
+// TestInt8ServesOnlyCalibrated: an Int8 model has one datapath, the
+// calibrated plan, so until Calibrate has run it mints no serving replica —
+// and a server over it does not start — with an error that says what to
+// call. Afterwards both work.
+func TestInt8ServesOnlyCalibrated(t *testing.T) {
+	net, ds := trainTinyHEP(t, 2)
+	r := NewRegistry()
+	RegisterHEP(r, "tiny", tinyHEP())
+	lm, err := r.Load("tiny", saveTinyHEP(t, net), Int8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lm.NewReplica(); err == nil || !strings.Contains(err.Error(), "Calibrate") {
+		t.Fatalf("NewReplica on an uncalibrated int8 model: %v, want an error naming Calibrate", err)
+	}
+	if _, err := NewServer(lm, Config{MaxBatch: 4, Workers: 1}); err == nil || !strings.Contains(err.Error(), "Calibrate") {
+		t.Fatalf("NewServer on an uncalibrated int8 model: %v, want an error naming Calibrate", err)
+	}
+	x, _ := ds.Batch([]int{0, 1, 2, 3})
+	if err := lm.Calibrate(x); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(lm, Config{MaxBatch: 4, Workers: 1})
+	if err != nil {
+		t.Fatalf("NewServer after Calibrate: %v", err)
+	}
+	defer srv.Close()
+	if _, err := srv.InferBatch(x); err != nil {
+		t.Fatalf("InferBatch after Calibrate: %v", err)
 	}
 }
 
@@ -116,9 +142,11 @@ func requireClose(t *testing.T, name string, got, want *tensor.Tensor) {
 	}
 }
 
-// TestCalibrateRejectsEmulatedArch: architectures without a native int8
-// datapath cannot calibrate.
-func TestCalibrateRejectsEmulatedArch(t *testing.T) {
+// TestLoadRefusesInt8WithoutIntegerDatapath: the climate detector has no
+// int8 datapath, so Load refuses it at Int8 and names the architecture; at
+// Float32 it loads and serves, and Calibrate, having nothing to calibrate,
+// refuses it too.
+func TestLoadRefusesInt8WithoutIntegerDatapath(t *testing.T) {
 	cn := buildClimate(t, climateTestConfig(16), tensor.NewRNG(3))
 	path := filepath.Join(t.TempDir(), "climate.d15w")
 	if err := nn.SaveFile(path, cn.Params()); err != nil {
@@ -126,13 +154,16 @@ func TestCalibrateRejectsEmulatedArch(t *testing.T) {
 	}
 	r := NewRegistry()
 	RegisterClimate(r, "ctiny", climateTestConfig(16))
-	lm, err := r.Load("ctiny", path, Int8)
+	if _, err := r.Load("ctiny", path, Int8); err == nil || !strings.Contains(err.Error(), `"ctiny"`) {
+		t.Fatalf("Load of a climate checkpoint at Int8: %v, want an error naming the architecture", err)
+	}
+	lm, err := r.Load("ctiny", path, Float32)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("Load at Float32: %v", err)
 	}
 	x := tensor.New(append([]int{1}, lm.InShape()...)...)
 	if err := lm.Calibrate(x); err == nil {
-		t.Fatal("Calibrate succeeded on an emulated-int8 architecture")
+		t.Fatal("Calibrate succeeded on an architecture without an int8 datapath")
 	}
 }
 

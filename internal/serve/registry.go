@@ -11,16 +11,8 @@ import (
 	"deep15pf/internal/climate"
 	"deep15pf/internal/hep"
 	"deep15pf/internal/nn"
-	"deep15pf/internal/quant"
 	"deep15pf/internal/tensor"
 )
-
-// weightQuantSeed seeds the stochastic weight rounding at checkpoint load
-// for adapters still on the emulated int8 path (climate). It is fixed so
-// every replica of an int8 model quantises identically — which worker
-// serves a request must not change the answer. The HEP adapter's int8 path
-// is real (nn.QuantPlan) and uses deterministic round-to-nearest instead.
-const weightQuantSeed = 0x8b1d
 
 // Builder constructs a fresh, randomly initialised replica of a named
 // architecture at the requested precision. The initial weights are
@@ -155,9 +147,10 @@ func RegisterAstro(r *Registry, name string, cfg astro.ModelConfig) {
 // three score heads only — the reconstruction decoder exists to regularise
 // training and is dead weight at serving time — but the replica still
 // carries the decoder parameters so checkpoints from training load intact.
+// The detector serves at Float32 only: it has no integer datapath.
 func RegisterClimate(r *Registry, name string, cfg climate.ModelConfig) {
-	r.RegisterProblemArch(name, "climate", func(prec Precision) Model {
-		return newClimateModel(name, climate.BuildNet(cfg, tensor.NewRNG(0)), prec)
+	r.RegisterProblemArch(name, "climate", func(Precision) Model {
+		return &climateModel{arch: name, net: climate.BuildNet(cfg, tensor.NewRNG(0))}
 	})
 }
 
@@ -184,10 +177,10 @@ type LoadedModel struct {
 
 	build Builder
 	ckpt  []byte
-	calib []float32 // frozen activation stats for int8 replicas (nil = dynamic)
+	calib []float32 // frozen activation stats for int8 replicas; nil until Calibrate
 
 	mu     sync.Mutex
-	cached Model // the validation replica from Load, handed to the first NewReplica
+	cached Model // a replica already minted (Load's probe, Calibrate's), handed out next
 
 	inShape, outShape []int
 	flopsPerSample    int64
@@ -197,31 +190,31 @@ type LoadedModel struct {
 
 // Calibrate runs fp32 calibration batches through one replica and freezes
 // the observed per-layer activation ranges into every int8 replica minted
-// afterwards (nil-calibration replicas fall back to dynamic per-batch
-// scales). The replica used for calibration is cached for the next
-// NewReplica, already carrying the frozen scales.
+// afterwards. An Int8 model serves only once calibrated. The replica used
+// for calibration is cached for the next NewReplica, already carrying the
+// frozen scales.
 func (m *LoadedModel) Calibrate(xs ...*tensor.Tensor) error {
 	if len(xs) == 0 {
 		return fmt.Errorf("serve: Calibrate needs at least one batch")
 	}
-	rep, err := m.NewReplica()
+	rep, err := m.mint()
 	if err != nil {
 		return err
 	}
-	qc, ok := rep.(quantControl)
+	nm, ok := rep.(*netModel)
 	if !ok {
-		return fmt.Errorf("serve: architecture %q has no native int8 datapath to calibrate", m.ModelArch)
+		return fmt.Errorf("serve: architecture %q has no int8 datapath to calibrate", m.ModelArch)
 	}
 	var calib []float32
 	for _, x := range xs {
-		s := qc.calibrate(x)
+		s := nn.CalibrateActivations(nm.net, x)
 		if calib == nil {
 			calib = s
 		} else {
 			nn.MergeCalibration(calib, s)
 		}
 	}
-	qc.setCalibration(calib)
+	nm.calib = calib
 	m.mu.Lock()
 	m.calib = calib
 	m.cached = rep
@@ -232,26 +225,14 @@ func (m *LoadedModel) Calibrate(xs ...*tensor.Tensor) error {
 // WeightScales returns the per-output-channel int8 scales of every
 // quantizable weight tensor, keyed by parameter name — stored alongside
 // the checkpoint at Load so the int8 grid is inspectable without minting
-// a replica. Nil for architectures without a native int8 datapath.
+// a replica. Nil for architectures without an int8 datapath.
 func (m *LoadedModel) WeightScales() map[string][]float32 { return m.weightScales }
-
-// quantControl is implemented by replica adapters with a native int8
-// datapath (quantized plans). Adapters without it fall back to the
-// emulated weight-round-trip path under Precision Int8.
-type quantControl interface {
-	calibrate(x *tensor.Tensor) []float32
-	setCalibration([]float32)
-}
-
-// weightScaler exposes the per-channel int8 weight scales an adapter's
-// native datapath would use; Load snapshots them into the LoadedModel.
-type weightScaler interface {
-	weightScales() map[string][]float32
-}
 
 // Load reads a D15W checkpoint from path and binds it to the named
 // architecture, validating the fit by instantiating one replica. The
-// returned LoadedModel mints additional replicas on demand.
+// returned LoadedModel mints additional replicas on demand. At Int8 the
+// architecture must have an integer datapath (the HEP and astro
+// classifiers do, the climate detector does not).
 func (r *Registry) Load(arch, path string, prec Precision) (*LoadedModel, error) {
 	r.mu.RLock()
 	entry, ok := r.archs[arch]
@@ -259,13 +240,12 @@ func (r *Registry) Load(arch, path string, prec Precision) (*LoadedModel, error)
 	if !ok {
 		return nil, fmt.Errorf("serve: unknown architecture %q (have %v)", arch, r.Archs())
 	}
-	build := entry.build
 	ckpt, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading checkpoint: %w", err)
 	}
-	m := &LoadedModel{ModelArch: arch, Prec: prec, build: build, ckpt: ckpt}
-	probe, err := m.NewReplica()
+	m := &LoadedModel{ModelArch: arch, Prec: prec, build: entry.build, ckpt: ckpt}
+	probe, err := m.mint()
 	if err != nil {
 		return nil, err
 	}
@@ -275,8 +255,8 @@ func (r *Registry) Load(arch, path string, prec Precision) (*LoadedModel, error)
 	for _, p := range probe.Params() {
 		m.paramBytes += p.Bytes()
 	}
-	if ws, ok := probe.(weightScaler); ok {
-		m.weightScales = ws.weightScales()
+	if nm, ok := probe.(*netModel); ok {
+		m.weightScales = nn.WeightScales(nm.net)
 	}
 	m.mu.Lock()
 	m.cached = probe
@@ -284,36 +264,44 @@ func (r *Registry) Load(arch, path string, prec Precision) (*LoadedModel, error)
 	return m, nil
 }
 
-// NewReplica instantiates the architecture, installs the checkpoint, applies
-// the precision policy, and releases gradient accumulators. Each replica is
-// single-goroutine; the server creates one per worker.
+// NewReplica mints a serving replica: the architecture with the checkpoint
+// installed at the model's precision and its gradient accumulators
+// released. Each replica is single-goroutine; the server creates one per
+// worker. An Int8 model mints replicas only after Calibrate.
 func (m *LoadedModel) NewReplica() (Model, error) {
+	m.mu.Lock()
+	uncalibrated := m.Prec == Int8 && m.calib == nil
+	m.mu.Unlock()
+	if uncalibrated {
+		return nil, fmt.Errorf("serve: %q at int8 has no activation scales yet: call Calibrate before minting replicas", m.ModelArch)
+	}
+	return m.mint()
+}
+
+// mint is NewReplica without the calibration check: the cached replica if
+// there is one, else a fresh one carrying the current calibration.
+func (m *LoadedModel) mint() (Model, error) {
 	m.mu.Lock()
 	if c := m.cached; c != nil {
 		m.cached = nil
 		m.mu.Unlock()
 		return c, nil
 	}
-	prec := m.Prec
 	calib := m.calib
 	m.mu.Unlock()
 
-	model := m.build(prec)
+	model := m.build(m.Prec)
+	nm, native := model.(*netModel)
+	if m.Prec == Int8 && !native {
+		return nil, fmt.Errorf("serve: architecture %q has no int8 datapath; serve it at float32", m.ModelArch)
+	}
 	if err := nn.LoadWeights(bytes.NewReader(m.ckpt), model.Params()); err != nil {
 		return nil, fmt.Errorf("serve: checkpoint does not fit architecture %q: %w", m.ModelArch, err)
 	}
-	if prec == Int8 {
-		if qc, ok := model.(quantControl); ok {
-			// Native int8 datapath: fp32 weights stay exact; the quantized
-			// plan derives its s8 copies (and per-channel scales) from them
-			// at compile time, frozen to the loaded calibration if any.
-			qc.setCalibration(calib)
-		} else {
-			rng := tensor.NewRNG(weightQuantSeed)
-			for _, p := range model.Params() {
-				quant.RoundTripTensor(p.W, rng, true)
-			}
-		}
+	if native {
+		// The fp32 weights stay exact; an int8 plan derives its s8 copies
+		// and per-channel scales from them at compile time.
+		nm.calib = calib
 	}
 	// Gradients are dropped before any plan compiles: replicas hold
 	// inference plans only, which by construction retain no gradient or
@@ -331,8 +319,8 @@ func (m *LoadedModel) OutShape() []int { return m.outShape }
 // FwdFLOPsPerSample returns the forward flop cost of one sample.
 func (m *LoadedModel) FwdFLOPsPerSample() int64 { return m.flopsPerSample }
 
-// ParamBytes returns the float32 parameter footprint of one replica (the
-// int8 path models precision, not storage; see Precision).
+// ParamBytes returns the float32 parameter footprint of one replica (an
+// int8 replica keeps its fp32 weights beside the plans' s8 copies).
 func (m *LoadedModel) ParamBytes() int64 { return m.paramBytes }
 
 // ---- nn.Network adapter (HEP and astro classifiers) ----
@@ -342,7 +330,7 @@ type netModel struct {
 	net    *nn.Network
 	prec   Precision
 	plans  *nn.PlanCache      // lazily built; one plan per batch-size bucket
-	calib  []float32          // frozen activation ranges (nil = dynamic)
+	calib  []float32          // frozen activation ranges (Int8 only)
 	qplans *nn.QuantPlanCache // int8 plans, lazily built per bucket
 }
 
@@ -358,19 +346,6 @@ func (m *netModel) FwdFLOPsPerSample() int64 {
 	return m.net.FLOPsPerSample().Fwd
 }
 
-func (m *netModel) calibrate(x *tensor.Tensor) []float32 {
-	return nn.CalibrateActivations(m.net, x)
-}
-
-func (m *netModel) setCalibration(c []float32) {
-	m.calib = c
-	m.qplans = nil // compiled plans predate the new scales
-}
-
-func (m *netModel) weightScales() map[string][]float32 {
-	return nn.WeightScales(m.net)
-}
-
 // Infer copies the plan-owned output out for the worker, which may slice
 // it into per-request views — the one allocation of a warmed call.
 func (m *netModel) Infer(x *tensor.Tensor) *tensor.Tensor {
@@ -382,7 +357,7 @@ func (m *netModel) Infer(x *tensor.Tensor) *tensor.Tensor {
 // the batcher produces, and a warmed plan forward allocates nothing. Under
 // Int8 the plans are quantized: conv and dense run on the u8·s8 integer
 // kernels (per-channel weight scales, activation scales frozen by
-// calibration or derived per batch).
+// calibration).
 func (m *netModel) InferShared(x *tensor.Tensor) *tensor.Tensor {
 	if m.prec == Int8 {
 		if m.qplans == nil {
@@ -405,13 +380,7 @@ const climateOutChannels = 1 + int(climate.NumClasses) + 4
 type climateModel struct {
 	arch   string
 	net    *climate.Net
-	prec   Precision
-	rng    *tensor.RNG
 	scorer *climate.Scorer // encoder + three heads, lazily built
-}
-
-func newClimateModel(arch string, net *climate.Net, prec Precision) *climateModel {
-	return &climateModel{arch: arch, net: net, prec: prec, rng: tensor.NewRNG(weightQuantSeed + 2)}
 }
 
 func (m *climateModel) Arch() string        { return m.arch }
@@ -437,30 +406,14 @@ func (m *climateModel) FwdFLOPsPerSample() int64 {
 	return total
 }
 
-// roundTrip is the emulated int8 activation step: a no-op at Float32.
-func (m *climateModel) roundTrip(ts ...*tensor.Tensor) {
-	if m.prec != Int8 {
-		return
-	}
-	for _, t := range ts {
-		quant.RoundTripTensor(t, m.rng, true)
-	}
-}
-
 // Infer runs the forward-only plans and packs the heads; only the packed
-// response allocates. Under Int8 the activations round-trip through the
-// int8 grid in place between the planned stages — input, features, then
-// each head output, in that order, which fixes the rounding RNG's draws.
+// response allocates.
 func (m *climateModel) Infer(x *tensor.Tensor) *tensor.Tensor {
 	if m.scorer == nil {
 		m.scorer = m.net.NewScorer()
 	}
-	m.roundTrip(x)
-	feat := m.scorer.Encode(x)
-	m.roundTrip(feat)
-	out := m.scorer.Heads(feat)
+	out := m.scorer.Forward(x)
 	conf, class, box := out.Conf, out.Class, out.BoxP
-	m.roundTrip(conf, class, box)
 
 	n := x.Shape[0]
 	g := m.net.GridSize

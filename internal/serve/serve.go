@@ -13,8 +13,8 @@
 //
 //   - Registry (registry.go) maps architecture names to builders and loads
 //     D15W checkpoints (internal/nn/checkpoint.go) into inference replicas
-//     of the HEP, astro or climate networks, at float32 or int8 (see
-//     Precision);
+//     of the HEP, astro or climate networks, at float32 or, for the two
+//     classifiers, calibrated int8 (see Precision);
 //   - the batcher (batcher.go) owns the request queue and the
 //     latency/throughput trade-off;
 //   - the worker pool (worker.go) runs one model replica per goroutine —
@@ -38,16 +38,14 @@ type Precision int
 const (
 	// Float32 serves with the checkpoint's native float32 weights.
 	Float32 Precision = iota
-	// Int8 serves the HEP and astro classifiers through nn.QuantPlan: conv
-	// and dense layers run on the u8·s8 integer kernels with per-channel
-	// s8 weights derived at plan-compile time (the replica's fp32 weights
-	// stay exact) and u8 activations on scales frozen by
-	// LoadedModel.Calibrate, or taken per batch without it. The climate
-	// detector has no integer datapath and emulates one over the same
-	// fp32 plans: weights round-trip through internal/quant's
-	// stochastic-rounding codec once at load, activations at the input,
-	// the encoder features and each head output. cmd/deepserve -int8
-	// reports label and logit agreement against the float path.
+	// Int8 serves the HEP and astro classifiers through the calibrated
+	// nn.QuantPlan: conv and dense layers run on the u8·s8 integer kernels
+	// with per-channel s8 weights derived at plan-compile time (the
+	// replica's fp32 weights stay exact) and u8 activations on the scales
+	// LoadedModel.Calibrate freezes. An Int8 model mints serving replicas
+	// only once calibrated. The climate detector has no integer datapath,
+	// so Registry.Load refuses it at Int8. cmd/deepserve -int8 reports
+	// label and logit agreement against the float path.
 	Int8
 )
 
