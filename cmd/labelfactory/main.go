@@ -124,7 +124,7 @@ func run(args []string) error {
 			idx[i] = i
 		}
 		x := tensor.New(n, hep.Channels, *size, *size)
-		if err := ss.ReadBatchInto(idx, x.Data, nil, make([]byte, ss.ScratchLen())); err != nil {
+		if err := ss.ReadBatchInto(idx, x.Data, nil, nil); err != nil {
 			return err
 		}
 		if err := lm.Calibrate(x); err != nil {

@@ -45,10 +45,12 @@ type Config struct {
 	// the plan's one fork-join, not of execution (the plan runs it as
 	// tiles of 32, so 32 or fewer is one tile on one core). Bigger batches
 	// amortise that join and the pipeline hand-off further but round the
-	// tail up and grow the staging ring. hep-small on two threads scores
-	// 8.2K samples/s at 32, 15.3K at 64, 16.6K at 128, 18.1K at 256 (the
-	// default), 18.5K at 512, 19.1K at 1024; int8 46K, 51K, 60K, 64K, 68K
-	// and, the ring now out of cache, 59K (EXPERIMENTS.md "PR 24").
+	// tail up and grow the staging ring. An untrained hep-small on two
+	// threads scores 15K samples/s at 32, 22K at 64 and 128, 24K at 256
+	// (the default), 27K at 512 and 1024; int8 51K, 68K, 79K, 74K, 90K and
+	// 93K (EXPERIMENTS.md, the batch sweep after the pooled epilogue). The
+	// faster the pass, the more the per-batch join costs (ROADMAP item 1),
+	// so int8's knee sits past 256.
 	Batch int
 	// Lookahead is how many staged batches the prefetcher may run ahead
 	// of compute (ring size Lookahead+1). Default 2.
@@ -127,10 +129,9 @@ type Engine struct {
 
 // slot is one staged batch in the prefetch ring.
 type slot struct {
-	stage   *tensor.Staging
-	scratch []byte
-	x       *tensor.Tensor // view for the staged size, set by the stager
-	lo, n   int            // global sample range [lo, lo+n)
+	stage *tensor.Staging
+	x     *tensor.Tensor // view for the staged size, set by the stager
+	lo, n int            // global sample range [lo, lo+n)
 }
 
 // NewEngine mints one dedicated replica from m and wraps it for bulk
@@ -162,19 +163,19 @@ func NewEngine(m *serve.LoadedModel, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// ensureSlots (re)builds the staging ring for the configured batch size.
-// Pre-sizing at build time means the stager never touches the arena again —
-// the same trick training ingest uses — so steady-state staging is
-// allocation-free.
-func (e *Engine) ensureSlots(scratchLen int) {
-	if e.slots != nil && len(e.slots[0].scratch) >= scratchLen {
+// ensureSlots builds the staging ring for the configured batch size on
+// first use. Pre-sizing at build time means the stager never touches the
+// arena again — the same trick training ingest uses — so steady-state
+// staging is allocation-free.
+func (e *Engine) ensureSlots() {
+	if e.slots != nil {
 		return
 	}
 	e.slots = make([]*slot, e.cfg.Lookahead+1)
 	for i := range e.slots {
 		st := tensor.NewStaging(e.arena, e.inShape...)
 		st.Batch(e.cfg.Batch)
-		e.slots[i] = &slot{stage: st, scratch: make([]byte, scratchLen)}
+		e.slots[i] = &slot{stage: st}
 	}
 }
 
@@ -190,7 +191,7 @@ func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 		return Result{}, fmt.Errorf("bulk: empty shard set")
 	}
 	p.grow(ss.Count)
-	e.ensureSlots(ss.ScratchLen())
+	e.ensureSlots()
 
 	// Sequential fixed-size ranges; one reusable index buffer — source and
 	// stage both run on the pipeline's single prefetch goroutine, and idx
@@ -217,7 +218,7 @@ func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 		ingLane.Begin(obs.PhaseIngest)
 		dst.lo, dst.n = idx[0], len(idx)
 		dst.x = dst.stage.Batch(dst.n)
-		err := ss.ReadBatchInto(idx, dst.x.Data, nil, dst.scratch)
+		err := ss.ReadBatchInto(idx, dst.x.Data, nil, nil)
 		ingLane.End(obs.PhaseIngest)
 		return err
 	})

@@ -262,17 +262,15 @@ func TestWritePseudoShardsThreshold(t *testing.T) {
 	feat := make([]float32, out.FeatLen)
 	src := make([]float32, out.FeatLen)
 	lab := make([]int32, 1)
-	scratch := make([]byte, out.ScratchLen())
-	srcScratch := make([]byte, ss.ScratchLen())
 	bi := 0
 	for i, c := range p.Conf {
 		if c < thr {
 			continue
 		}
-		if err := out.ReadSampleInto(bi, feat, lab, scratch); err != nil {
+		if err := out.ReadSample(bi, feat, lab); err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.ReadSampleInto(i, src, nil, srcScratch); err != nil {
+		if err := ss.ReadSample(i, src, nil); err != nil {
 			t.Fatal(err)
 		}
 		if lab[0] != p.Label[i] {

@@ -154,7 +154,7 @@ func ScoreFleet(addrs []string, model string, ss *data.ShardSet, cfg Config, p *
 }
 
 // fleetWorker is one backend's scoring loop: its own connection, staging
-// tensor, scratch and index buffer, so workers share nothing but the
+// tensor and index buffer, so workers share nothing but the
 // shard queue and disjoint prediction ranges.
 type fleetWorker struct {
 	c       *netserve.Client
@@ -165,7 +165,6 @@ type fleetWorker struct {
 	p       *Predictions
 	x       *tensor.Tensor
 	idx     []int
-	scratch []byte
 	lane    *obs.Lane
 }
 
@@ -176,9 +175,8 @@ func newFleetWorker(addr, model string, ss *data.ShardSet, cfg Config, inShape [
 	}
 	return &fleetWorker{
 		c: c, model: model, ss: ss, batch: cfg.Batch, inShape: inShape, p: p,
-		idx:     make([]int, cfg.Batch),
-		scratch: make([]byte, ss.ScratchLen()),
-		lane:    lane,
+		idx:  make([]int, cfg.Batch),
+		lane: lane,
 	}, nil
 }
 
@@ -199,7 +197,7 @@ func (w *fleetWorker) scoreShard(k int) error {
 			w.x = tensor.New(append([]int{n}, w.inShape...)...)
 		}
 		w.lane.Begin(obs.PhaseIngest)
-		err := w.ss.ReadBatchInto(idx, w.x.Data, nil, w.scratch)
+		err := w.ss.ReadBatchInto(idx, w.x.Data, nil, nil)
 		w.lane.End(obs.PhaseIngest)
 		if err != nil {
 			return err

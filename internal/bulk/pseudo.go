@@ -41,11 +41,10 @@ func WritePseudoShards(dir string, numShards int, ss *data.ShardSet, p *Predicti
 
 	feats := make([]float32, len(kept)*ss.FeatLen)
 	labels := make([]int32, len(kept))
-	scratch := make([]byte, ss.ScratchLen())
+	if err := ss.ReadBatchInto(kept, feats, nil, nil); err != nil {
+		return nil, st, err
+	}
 	for bi, i := range kept {
-		if err := ss.ReadSampleInto(i, feats[bi*ss.FeatLen:(bi+1)*ss.FeatLen], nil, scratch); err != nil {
-			return nil, st, err
-		}
 		labels[bi] = p.Label[i]
 	}
 	paths, err := data.WriteShards(dir, numShards, len(kept), ss.FeatLen, 1, feats, labels)

@@ -22,9 +22,6 @@ type Classifier struct {
 	// memory — they are a handful of ints). Shards round-trip float bits
 	// exactly, so a shard-backed trajectory equals the in-memory one.
 	backing *data.ShardSet
-	// ioScratch decodes shard reads without allocating. Exactly one stager
-	// runs at a time per replica (see Workload.Stage), so one suffices.
-	ioScratch []byte
 
 	// sampleW, when non-nil, weights each sample's loss contribution (one
 	// entry per dataset sample); nil keeps the unweighted loss, bit for bit.
@@ -56,9 +53,6 @@ func NewClassifier(net *nn.Network, images *tensor.Tensor, labels []int, backing
 		arena:     arena,
 		plans:     nn.NewPlanCache(net, true, arena),
 		gradStage: tensor.NewStaging(arena, net.OutShape()...),
-	}
-	if backing != nil {
-		c.ioScratch = make([]byte, backing.ScratchLen())
 	}
 	return c
 }
@@ -94,7 +88,7 @@ func (c *Classifier) Stage(slot int, idx []int) error {
 		}
 	}
 	if c.backing != nil {
-		return c.backing.ReadBatchInto(idx, s.x.Data, nil, c.ioScratch)
+		return c.backing.ReadBatchInto(idx, s.x.Data, nil, nil)
 	}
 	per := s.x.Len() / n
 	for bi, i := range idx {

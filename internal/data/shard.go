@@ -55,7 +55,7 @@ func WriteShard(path string, count, featLen, labLen int, features []float32, lab
 	}
 	buf := make([]byte, 4*len(features))
 	for i, v := range features {
-		binary.LittleEndian.PutUint32(buf[4*i:], floatBits(v))
+		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
 	}
 	if _, err := f.Write(buf); err != nil {
 		return err
@@ -137,23 +137,19 @@ func OpenShard(path string) (*ShardReader, error) {
 // Close releases the underlying file.
 func (r *ShardReader) Close() error { return r.f.Close() }
 
-// ScratchLen returns the byte-scratch size the *Into read paths need (one
-// sample's worth of raw encoding, feature or label, whichever is larger).
-func (r *ShardReader) ScratchLen() int {
-	n := r.FeatLen
-	if r.LabLen > n {
-		n = r.LabLen
-	}
-	return 4 * n
-}
-
 // ReadSample reads sample i's features (and labels if labels is non-nil)
-// into the provided slices.
+// into the provided slices, straight from the file into their bytes.
 func (r *ShardReader) ReadSample(i int, features []float32, labels []int32) error {
 	if err := r.checkIndex(i); err != nil {
-		return err // before sizing scratch: an empty shard's FeatLen is unbounded
+		return err
 	}
-	return r.ReadSampleInto(i, features, labels, make([]byte, r.ScratchLen()))
+	if len(features) != r.FeatLen {
+		return fmt.Errorf("data: feature buffer %d != %d", len(features), r.FeatLen)
+	}
+	if labels != nil && r.LabLen > 0 && len(labels) != r.LabLen {
+		return fmt.Errorf("data: label buffer %d != %d", len(labels), r.LabLen)
+	}
+	return r.readRun(i, features, labels)
 }
 
 func (r *ShardReader) checkIndex(i int) error {
@@ -163,53 +159,31 @@ func (r *ShardReader) checkIndex(i int) error {
 	return nil
 }
 
-// ReadSampleInto is ReadSample decoding through caller-owned scratch (at
-// least ScratchLen bytes) — the allocation-free form the ingest hot paths
-// run per sample, on every iteration, from prefetch goroutines.
-func (r *ShardReader) ReadSampleInto(i int, features []float32, labels []int32, scratch []byte) error {
-	if err := r.checkIndex(i); err != nil {
+// readRun reads the len(features)/FeatLen consecutive samples from i on
+// into features and, when labels is non-nil, their labels: one ReadAt per
+// region — features, then labels, each contiguous in the file — into the
+// caller's memory, with no decode pass on a little-endian host. This is
+// the allocation-free form the ingest hot paths run from prefetch
+// goroutines.
+func (r *ShardReader) readRun(i int, features []float32, labels []int32) error {
+	if err := readWords(r.f, features, int64(headerBytes)+int64(i)*int64(4*r.FeatLen)); err != nil {
 		return err
 	}
-	if len(features) != r.FeatLen {
-		return fmt.Errorf("data: feature buffer %d != %d", len(features), r.FeatLen)
+	if labels == nil || r.LabLen == 0 {
+		return nil
 	}
-	if len(scratch) < r.ScratchLen() {
-		return fmt.Errorf("data: scratch buffer %d < %d", len(scratch), r.ScratchLen())
-	}
-	buf := scratch[:4*r.FeatLen]
-	off := int64(headerBytes) + int64(i)*int64(4*r.FeatLen)
-	if _, err := r.f.ReadAt(buf, off); err != nil {
-		return err
-	}
-	for j := range features {
-		features[j] = bitsFloat(binary.LittleEndian.Uint32(buf[4*j:]))
-	}
-	if labels != nil && r.LabLen > 0 {
-		if len(labels) != r.LabLen {
-			return fmt.Errorf("data: label buffer %d != %d", len(labels), r.LabLen)
-		}
-		lbuf := scratch[:4*r.LabLen]
-		loff := int64(headerBytes) + int64(r.Count)*int64(4*r.FeatLen) + int64(i)*int64(4*r.LabLen)
-		if _, err := r.f.ReadAt(lbuf, loff); err != nil {
-			return err
-		}
-		for j := range labels {
-			labels[j] = int32(binary.LittleEndian.Uint32(lbuf[4*j:]))
-		}
-	}
-	return nil
+	return readWords(r.f, labels, int64(headerBytes)+int64(r.Count)*int64(4*r.FeatLen)+int64(i)*int64(4*r.LabLen))
 }
 
 // ReadBatch reads the indexed samples into a contiguous feature buffer of
 // len(idx)·FeatLen floats and, if labels is non-nil, len(idx)·LabLen labels.
 func (r *ShardReader) ReadBatch(idx []int, features []float32, labels []int32) error {
-	scratch := make([]byte, r.ScratchLen())
 	for bi, i := range idx {
 		var lab []int32
 		if labels != nil {
 			lab = labels[bi*r.LabLen : (bi+1)*r.LabLen]
 		}
-		if err := r.ReadSampleInto(i, features[bi*r.FeatLen:(bi+1)*r.FeatLen], lab, scratch); err != nil {
+		if err := r.ReadSample(i, features[bi*r.FeatLen:(bi+1)*r.FeatLen], lab); err != nil {
 			return err
 		}
 	}

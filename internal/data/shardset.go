@@ -95,38 +95,27 @@ func (s *ShardSet) ShardRange(k int) (lo, hi int) {
 	return s.starts[k], s.starts[k+1]
 }
 
-// ScratchLen returns the byte-scratch size ReadBatchInto needs per caller
-// (one sample's raw encoding; see ShardReader.ScratchLen).
-func (s *ShardSet) ScratchLen() int {
-	n := s.FeatLen
-	if s.LabLen > n {
-		n = s.LabLen
-	}
-	return 4 * n
-}
+// ScratchLen returns 0: reads go straight into the caller's slices and
+// need no scratch. It stays for callers that size ReadBatchInto's scratch
+// by it.
+func (s *ShardSet) ScratchLen() int { return 0 }
 
 // ReadSample reads global sample i's features (and labels when labels is
-// non-nil) into the provided slices.
+// non-nil) into the provided slices. The set itself holds no mutable
+// state, so distinct callers may read concurrently.
 func (s *ShardSet) ReadSample(i int, features []float32, labels []int32) error {
-	return s.ReadSampleInto(i, features, labels, make([]byte, s.ScratchLen()))
-}
-
-// ReadSampleInto is ReadSample decoding through caller-owned scratch (at
-// least ScratchLen bytes). The set itself holds no mutable state, so
-// distinct callers with distinct scratch may read concurrently.
-func (s *ShardSet) ReadSampleInto(i int, features []float32, labels []int32, scratch []byte) error {
 	if i < 0 || i >= s.Count {
 		return fmt.Errorf("data: sample %d out of range [0,%d)", i, s.Count)
 	}
 	k, local := s.locate(i)
-	return s.readers[k].ReadSampleInto(local, features, labels, scratch)
+	return s.readers[k].ReadSample(local, features, labels)
 }
 
 // ReadBatchInto gathers the indexed samples into a contiguous feature
 // buffer of len(idx)·FeatLen floats (and len(idx)·LabLen labels when labels
-// is non-nil), decoding through caller-owned scratch of at least ScratchLen
-// bytes — the pipeline staging form, allocation-free. A nil scratch is
-// allocated per call (convenience for cold paths).
+// is non-nil) — the pipeline staging form, allocation-free. Each run of
+// consecutive indices inside one shard is one read per region, straight
+// into the destination (see ShardReader.readRun). scratch is unused.
 func (s *ShardSet) ReadBatchInto(idx []int, features []float32, labels []int32, scratch []byte) error {
 	if len(features) != len(idx)*s.FeatLen {
 		return fmt.Errorf("data: feature buffer %d != %d×%d", len(features), len(idx), s.FeatLen)
@@ -134,17 +123,24 @@ func (s *ShardSet) ReadBatchInto(idx []int, features []float32, labels []int32, 
 	if labels != nil && len(labels) != len(idx)*s.LabLen {
 		return fmt.Errorf("data: label buffer %d != %d×%d", len(labels), len(idx), s.LabLen)
 	}
-	if scratch == nil {
-		scratch = make([]byte, s.ScratchLen())
-	}
-	for bi, i := range idx {
+	for b := 0; b < len(idx); {
+		i := idx[b]
+		if i < 0 || i >= s.Count {
+			return fmt.Errorf("data: sample %d out of range [0,%d)", i, s.Count)
+		}
+		k, local := s.locate(i)
+		n := 1
+		for b+n < len(idx) && idx[b+n] == i+n && i+n < s.starts[k+1] {
+			n++
+		}
 		var lab []int32
 		if labels != nil {
-			lab = labels[bi*s.LabLen : (bi+1)*s.LabLen]
+			lab = labels[b*s.LabLen : (b+n)*s.LabLen]
 		}
-		if err := s.ReadSampleInto(i, features[bi*s.FeatLen:(bi+1)*s.FeatLen], lab, scratch); err != nil {
+		if err := s.readers[k].readRun(local, features[b*s.FeatLen:(b+n)*s.FeatLen], lab); err != nil {
 			return err
 		}
+		b += n
 	}
 	return nil
 }

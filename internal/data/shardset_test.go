@@ -2,6 +2,7 @@ package data
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,9 +132,8 @@ func FuzzOpenShard(f *testing.F) {
 		defer r.Close()
 		if r.Count > 0 {
 			feats, labs := make([]float32, r.FeatLen), make([]int32, r.LabLen)
-			scratch := make([]byte, r.ScratchLen())
 			for i := 0; i < r.Count; i++ {
-				if err := r.ReadSampleInto(i, feats, labs, scratch); err != nil {
+				if err := r.ReadSample(i, feats, labs); err != nil {
 					t.Fatalf("accepted shard (count %d, %d/%d per sample) fails sample %d: %v", r.Count, r.FeatLen, r.LabLen, i, err)
 				}
 			}
@@ -216,9 +216,6 @@ func TestShardSetGlobalIndexing(t *testing.T) {
 	}
 	if err := set.ReadBatchInto(idx, bf, bl[:1], nil); err == nil {
 		t.Fatal("short label buffer must error")
-	}
-	if err := set.ReadBatchInto(idx, bf, bl, make([]byte, 1)); err == nil {
-		t.Fatal("undersized scratch must error")
 	}
 }
 
@@ -329,7 +326,7 @@ func TestPseudoLabeledShardsRoundTrip(t *testing.T) {
 		f := make([]float32, featLen)
 		l := make([]int32, 1)
 		for i := 0; i < r.Count; i++ {
-			if err := r.ReadSampleInto(i, f, l, make([]byte, r.ScratchLen())); err != nil {
+			if err := r.ReadSample(i, f, l); err != nil {
 				t.Fatal(err)
 			}
 			if l[0] != labels[next] {
@@ -404,5 +401,106 @@ func TestShardSetShardRange(t *testing.T) {
 			}()
 			set.ShardRange(bad)
 		}()
+	}
+}
+
+// TestReadBatchIntoMatchesPerSample: ReadBatchInto reads each run of
+// consecutive indices inside one shard with one read per region; whatever
+// the index set, it must give what ReadSample gives sample by sample, bit
+// for bit, with and without labels — and refuse an out-of-range index even
+// when it continues a run.
+func TestReadBatchIntoMatchesPerSample(t *testing.T) {
+	dir := t.TempDir()
+	const featLen, labLen = 5, 2
+	rng := tensor.NewRNG(71)
+	var paths []string
+	for k, count := range []int{4, 1, 6} {
+		feats := make([]float32, count*featLen)
+		for i := range feats {
+			feats[i] = float32(rng.Norm())
+		}
+		labs := make([]int32, count*labLen)
+		for i := range labs {
+			labs[i] = int32(rng.Intn(1 << 30))
+		}
+		path := filepath.Join(dir, strings.Repeat("s", k+1)+".shard")
+		if err := WriteShard(path, count, featLen, labLen, feats, labs); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	set, err := OpenShardSet(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+
+	for _, tc := range []struct {
+		name string
+		idx  []int
+	}{
+		{"everything in order", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+		{"runs crossing shard boundaries", []int{2, 3, 4, 5, 6}},
+		{"run ending on the last sample", []int{7, 8, 9, 10}},
+		{"repeated indices", []int{6, 6, 7, 7, 3, 3}},
+		{"descending indices", []int{10, 9, 8, 4, 3, 0}},
+		{"single samples", []int{5}},
+	} {
+		for _, withLabels := range []bool{false, true} {
+			want := make([]float32, len(tc.idx)*featLen)
+			wantLab := make([]int32, len(tc.idx)*labLen)
+			for bi, i := range tc.idx {
+				if err := set.ReadSample(i, want[bi*featLen:(bi+1)*featLen], wantLab[bi*labLen:(bi+1)*labLen]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := make([]float32, len(want))
+			var gotLab []int32
+			if withLabels {
+				gotLab = make([]int32, len(wantLab))
+			}
+			if err := set.ReadBatchInto(tc.idx, got, gotLab, nil); err != nil {
+				t.Fatalf("%s (labels %v): %v", tc.name, withLabels, err)
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s (labels %v): float %d = %v, per-sample %v", tc.name, withLabels, i, got[i], want[i])
+				}
+			}
+			for i := range gotLab {
+				if gotLab[i] != wantLab[i] {
+					t.Fatalf("%s: label %d = %d, per-sample %d", tc.name, i, gotLab[i], wantLab[i])
+				}
+			}
+		}
+	}
+
+	for _, idx := range [][]int{{9, 10, 11}, {-1, 0}, {3, 4, 5, 6, 7, 8, 9, 10, 11, 12}} {
+		if err := set.ReadBatchInto(idx, make([]float32, len(idx)*featLen), make([]int32, len(idx)*labLen), nil); err == nil {
+			t.Errorf("ReadBatchInto(%v) over %d samples read without error", idx, set.Count)
+		}
+	}
+}
+
+// TestReadBatchIntoAllocFree is the staging path's allocation gate: a warm
+// ReadBatchInto with no scratch allocates nothing, features and labels.
+func TestReadBatchIntoAllocFree(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.shard"), filepath.Join(dir, "b.shard")
+	writeTestShard(t, a, 6, 8, 1)
+	writeTestShard(t, b, 6, 8, 1)
+	set, err := OpenShardSet(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	idx := []int{4, 5, 6, 7, 1, 11}
+	feats, labs := make([]float32, len(idx)*8), make([]int32, len(idx))
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := set.ReadBatchInto(idx, feats, labs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm ReadBatchInto allocates %v/run, want 0", allocs)
 	}
 }

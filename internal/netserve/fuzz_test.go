@@ -2,6 +2,7 @@ package netserve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -56,6 +57,60 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded frame does not re-encode: %v", err)
 		}
+		if !bytes.Equal(again, frame) {
+			t.Fatalf("re-encoded frame differs:\n got %x\nwant %x", again, frame)
+		}
+	})
+}
+
+// FuzzDecodeResponse is FuzzDecodeRequest for the path a client runs on
+// every response frame — ParseHeader, DecodeResponse, TensorWire.DecodeInto
+// — the parser bulk.ScoreFleet trusts with a backend's bytes. Seeds: a
+// well-formed response, the frame-level corruptions applied to it, and the
+// request table's tensor-region corruptions with the model name cut off.
+// Whatever the bytes: no panic; a decoded tensor never claims more
+// elements than the payload carries; and a response that decodes
+// re-encodes to the same bytes (Aux, unused by a response, carried over).
+// Fuzz with go test -run '^$' -fuzz FuzzDecodeResponse ./internal/netserve.
+func FuzzDecodeResponse(f *testing.F) {
+	response := func() []byte {
+		return AppendResponse(nil, 42, []int{3, 2, 2}, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	}
+	f.Add(response())
+	for _, tc := range corruptFrameCases {
+		f.Add(tc.mutate(response()))
+	}
+	well := frameBytes(f)
+	h, err := ParseHeader(well)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tc := range corruptRequestCases {
+		if tc.mutate == nil {
+			continue // model-name cases: a response has none
+		}
+		p := tc.mutate(append([]byte(nil), well[headerLen:]...))[h.Aux:]
+		f.Add(AppendResponseRaw(nil, h.ID, p))
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		h, err := ParseHeader(frame)
+		if err != nil || h.Type != FrameResponse || len(frame)-headerLen < h.N {
+			return // rejected at the frame boundary (ReadFrame reports the truncation)
+		}
+		frame = frame[:headerLen+h.N]
+		var tw TensorWire
+		if err := DecodeResponse(frame[headerLen:], &tw); err != nil {
+			return
+		}
+		if 1+4*tw.NDims+4*tw.Elems != h.N {
+			t.Fatalf("decoded rank %d, %d elements out of a %d-byte payload", tw.NDims, tw.Elems, h.N)
+		}
+		data := make([]float32, tw.Elems)
+		if err := tw.DecodeInto(data); err != nil {
+			t.Fatal(err)
+		}
+		again := AppendResponse(nil, h.ID, tw.Shape(), data)
+		binary.LittleEndian.PutUint16(again[6:], h.Aux)
 		if !bytes.Equal(again, frame) {
 			t.Fatalf("re-encoded frame differs:\n got %x\nwant %x", again, frame)
 		}

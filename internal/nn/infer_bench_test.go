@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"deep15pf/internal/tensor"
@@ -44,5 +45,84 @@ func BenchmarkInferForward(b *testing.B) {
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 		})
 		p.Release()
+	}
+}
+
+// BenchmarkQuantForward is BenchmarkInferForward's int8 twin: a warm
+// calibrated QuantPlan.Forward of 256 hep-small samples — score_bulk's int8
+// pass — and, as the per-unit table of that pass, each unit's steps on
+// their own: conv1–3 with the pooled epilogue that writes the next conv's
+// bytes, conv4 with its fp32 store, ReLU and global average pool, and the
+// classifier. A unit runs on the plan's own lanes over the batch's tiles as
+// Forward runs it, reading the inputs a warm pass left resident, so the
+// units sum to the whole. The lane count follows -cpu: go test -run '^$'
+// -bench QuantForward -cpu 1,2 ./internal/nn.
+func BenchmarkQuantForward(b *testing.B) {
+	defer tensor.SetWorkers(tensor.SetWorkers(runtime.GOMAXPROCS(0)))
+	const n = 256
+	rng := tensor.NewRNG(1)
+	net := hepSmallNet(rng)
+	net.ReleaseGradients()
+	x := randBatch(rng, n, net.InShape)
+	p := CompileQuantized(net, n, CalibrateActivations(net, x), nil)
+	defer p.Release()
+	p.Forward(x) // mints the lanes
+	b.Run(net.NetName, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p.Forward(x)
+		}
+		b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+	})
+	var starts []int
+	for i, l := range net.Layers {
+		switch l.(type) {
+		case *Conv2D, *Dense:
+			starts = append(starts, i)
+		}
+	}
+	starts = append(starts, len(net.Layers))
+	tile := view(x, x.Data, inferTile, shapeElems(net.InShape))
+	lanes := p.tiles.lanes
+	for u := 0; u+1 < len(starts); u++ {
+		lo, hi := starts[u], starts[u+1]
+		b.Run(net.Layers[lo].Name(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var next atomic.Int32
+				tensor.ParallelFor(len(lanes), func(l0, l1 int) {
+					for _, l := range lanes[l0:l1] {
+						for int(next.Add(1)) <= n/inferTile {
+							quantSteps(l.plan.(*QuantPlan), tile, lo, hi)
+						}
+					}
+				})
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
+		})
+	}
+}
+
+// quantSteps runs steps [lo, hi) of a tile-capacity QuantPlan the way
+// Forward does, x being the plan's input: the steps before lo are skipped,
+// their outputs taken as they are.
+func quantSteps(p *QuantPlan, x *tensor.Tensor, lo, hi int) {
+	n := x.Shape[0]
+	cur := x
+	for i := range p.steps[:hi] {
+		s := &p.steps[i]
+		if s.q == nil && s.layer == nil {
+			continue
+		}
+		var y *tensor.Tensor
+		if s.ySlab != nil {
+			y = view(s.y, s.ySlab, n, s.outPer)
+		}
+		switch {
+		case i < lo:
+		case s.q != nil:
+			s.q.forward(y, cur, n)
+		default:
+			s.layer.ForwardInto(&s.st, y, cur, false)
+		}
+		cur = y
 	}
 }

@@ -32,13 +32,16 @@ import (
 // cancels them exactly.
 //
 // Between layers. When everything between a quantized step and the next
-// one is ReLU and at most one max-pool, the epilogue quantizes y straight
-// onto the consumer's grid and writes the consumer's padded image; the
-// fp32 activation never exists. That is exact, not approximate: the
-// quantizer is monotone, so it commutes with max (the pool runs on bytes)
-// and ReLU is a lower clamp at the byte 0 lands on. With any other layer
-// in between, such as the global average pool in front of the HEP
-// classifier, the step stores fp32 NCHW and the ordinary eval kernels run.
+// one is ReLU and at most one 2×2/2 max-pool over an even plane, the
+// epilogue quantizes y straight onto the consumer's grid and writes the
+// consumer's padded image; the fp32 activation never exists. With the pool,
+// the step computes its output rows in pairs and requantizes only each
+// window's largest int32 accumulator (tensor.RequantPoolU8). That is exact,
+// not approximate: acc ↦ byte is non-decreasing (the multiplier sA·sW is
+// never negative), so it commutes with max, and ReLU is a lower clamp at
+// the byte 0 lands on. With any other layer in between — another pool
+// geometry, or the global average pool in front of the HEP classifier —
+// the step stores fp32 NCHW and the ordinary eval kernels run.
 //
 // Like Plan, a QuantPlan is single-goroutine for its caller, its Forward
 // output is plan-owned (valid until the next call), and the warm path
@@ -91,13 +94,12 @@ type qkernel struct {
 
 	// Where the output goes: next == nil stores fp32 NCHW. Otherwise the
 	// epilogue clamps at outLo (128 when a ReLU lies in between) and writes
-	// next.xq, through the byte pool when a max-pool lies in between.
+	// next.xq, pooling 2×2 windows of accumulators first when pool is set.
 	next          *qkernel
 	outInv, outLo float64 // 1/next.actScale, and the lower clamp
-	pool          *MaxPool2D
+	pool          bool
 
-	acc []int32 // one row of output pixels × 16 channels
-	pre []uint8 // one sample's pre-pool output, channel-last at next.c4
+	acc []int32 // one row (two when pooling) of output pixels × 16 channels
 }
 
 // CalibrateActivations runs one fp32 forward pass over x and returns the
@@ -222,13 +224,13 @@ func (p *QuantPlan) provision() {
 		}
 		if q := s.q; q != nil {
 			pix := q.ow
-			if q.cols == 1 {
+			switch {
+			case q.cols == 1:
 				pix = qRunPix
+			case q.pool:
+				pix = 2 * q.ow
 			}
 			q.acc = make([]int32, pix*tensor.S8Lanes)
-			if q.pool != nil {
-				q.pre = make([]uint8, q.cols*q.next.c4)
-			}
 		}
 		if s.layer != nil || (s.q != nil && s.q.next == nil) {
 			s.ySlab = p.arena.Get(p.capacity * s.outPer)
@@ -239,26 +241,26 @@ func (p *QuantPlan) provision() {
 }
 
 // link applies the one rule that decides where a kernel's output goes: if
-// the layers up to the next kernel are ReLUs and at most one max-pool, the
-// epilogue feeds it bytes and the layers in between drop out of the
-// schedule.
+// the layers up to the next kernel are ReLUs and at most one 2×2/2
+// max-pool over an even plane, the epilogue feeds it bytes and the layers
+// in between drop out of the schedule.
 func (p *QuantPlan) link() {
 	for i := range p.steps {
 		q := p.steps[i].q
 		if q == nil {
 			continue
 		}
-		lo, pool, j := 0.0, (*MaxPool2D)(nil), i+1
+		lo, pool, j := 0.0, false, i+1
 	scan:
 		for ; j < len(p.steps); j++ {
 			switch l := p.steps[j].layer.(type) {
 			case *ReLU:
 				lo = 128
 			case *MaxPool2D:
-				if pool != nil || q.cols == 1 {
+				if pool || l.K != 2 || l.Stride != 2 || q.oh%2 != 0 || q.ow%2 != 0 {
 					break scan
 				}
-				pool = l
+				pool = true
 			default:
 				break scan
 			}
@@ -363,21 +365,20 @@ func (q *qkernel) forward(yt, xt *tensor.Tensor, n int) {
 		if x != nil {
 			q.quantize(s, x, inv)
 		}
-		// Output rows go to the fp32 slab, to the consumer's padded image,
-		// or — with a pool in between — to the pre-pool image.
+		if q.pool {
+			for py := 0; py < q.oh/2; py++ {
+				q.rowPair(s*q.sampleStride+2*py*q.stride*q.rowStride, q.next.image(s)[py*q.next.rowStride:])
+			}
+			continue
+		}
+		// Output rows go to the fp32 slab or to the consumer's padded image.
 		var yq []uint8
 		yoff, yps, yrow := s*q.outC*q.cols, 1, q.ow
-		switch {
-		case q.pool != nil:
-			yq, yoff, yps, yrow = q.pre, 0, q.next.c4, q.ow*q.next.c4
-		case q.next != nil:
+		if q.next != nil {
 			yq, yoff, yps, yrow = q.next.image(s), 0, q.next.c4, q.next.rowStride
 		}
 		for oy := 0; oy < q.oh; oy++ {
 			q.row(acc, s*q.sampleStride+oy*q.stride*q.rowStride, q.stride*q.c4, y, yq, yoff+oy*yrow, yps)
-		}
-		if q.pool != nil {
-			q.poolInto(q.next.image(s), q.pre)
 		}
 	}
 }
@@ -404,49 +405,35 @@ func (q *qkernel) row(acc []int32, xoff, ps int, yf []float32, yq []uint8, yoff,
 	}
 }
 
+// rowPair computes two adjacent output rows, the first's patches starting
+// at xq[xoff], one block of 16 channels at a time while both rows'
+// accumulators sit in L1, and requantizes the maxima of their 2×2 windows
+// into yq, one row of the consumer's padded image.
+func (q *qkernel) rowPair(xoff int, yq []uint8) {
+	n := q.ow * tensor.S8Lanes
+	r0, r1 := q.acc[:n], q.acc[n:2*n]
+	panel := q.kh * q.k4 * 64
+	for b := range q.blk {
+		w := q.wq[b*panel : (b+1)*panel]
+		tensor.ConvS8(r0, q.xq[xoff:], w, q.kh, q.k4, q.rowStride, q.stride*q.c4)
+		tensor.ConvS8(r1, q.xq[xoff+q.stride*q.rowStride:], w, q.kh, q.k4, q.rowStride, q.stride*q.c4)
+		c0 := b * tensor.S8Lanes
+		tensor.RequantPoolU8(yq[c0:], r0, r1, &q.blk[b], q.outInv, q.outLo, min(tensor.S8Lanes, q.next.c4-c0), q.next.c4)
+	}
+}
+
 // quantize writes sample s of the fp32 NCHW batch x into its padded
-// channel-last image: one strided pass per channel plane. Border and pad
-// channels keep their zero-point bytes.
+// channel-last image, whole pixels at a time. Border bytes keep the
+// zero-point; pad channels are written with it.
 func (q *qkernel) quantize(s int, x []float32, inv float64) {
 	plane := q.h * q.w
 	src := x[s*q.inC*plane : (s+1)*q.inC*plane]
 	dst := q.image(s)
 	if plane == 1 {
-		tensor.QuantizeU8(dst, src, 1, q.inC, 0, 1, inv)
+		tensor.QuantizeU8(dst, src, inv)
 		return
 	}
-	for c := 0; c < q.inC; c++ {
-		tensor.QuantizeU8(dst[c:], src[c*plane:(c+1)*plane], q.h, q.w, q.rowStride, q.c4, inv)
-	}
-}
-
-// poolInto max-pools one sample's channel-last bytes into the consumer's
-// padded image. The window scan is MaxPool2D's: windows are clipped at the
-// bottom and right edges; 2×2 windows at stride 2 over an even plane run
-// the row-pair kernel.
-func (q *qkernel) poolInto(dst, src []uint8) {
-	c, k, st := q.next.c4, q.pool.K, q.pool.Stride
-	oh, ow := q.next.h, q.next.w
-	fast := k == 2 && st == 2 && q.oh%2 == 0 && q.ow%2 == 0
-	for oy := 0; oy < oh; oy++ {
-		d := dst[oy*q.next.rowStride : oy*q.next.rowStride+ow*c]
-		if fast {
-			r := src[2*oy*q.ow*c:]
-			tensor.MaxPool2x2U8(d, r[:q.ow*c], r[q.ow*c:2*q.ow*c], c)
-			continue
-		}
-		for ox := 0; ox < ow; ox++ {
-			px := d[ox*c : (ox+1)*c]
-			clear(px)
-			for iy := oy * st; iy < min(oy*st+k, q.oh); iy++ {
-				for ix := ox * st; ix < min(ox*st+k, q.ow); ix++ {
-					for j, v := range src[(iy*q.ow+ix)*c : (iy*q.ow+ix+1)*c] {
-						px[j] = max(px[j], v)
-					}
-				}
-			}
-		}
-	}
+	tensor.QuantizePlanesU8(dst, src, q.inC, q.h, q.w, q.rowStride, q.c4, inv)
 }
 
 // Capacity returns the largest batch the plan can run.

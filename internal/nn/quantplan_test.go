@@ -172,3 +172,67 @@ func TestWeightScales(t *testing.T) {
 		}
 	}
 }
+
+// requantThenPool is the epilogue the pooled one replaced, written out:
+// requantize every pre-pool pixel of sample s to the consumer's bytes,
+// then max-pool the bytes 2×2 at stride 2. It returns the pooled plane,
+// channel-last at the consumer's pixel size.
+func requantThenPool(q *qkernel, s int) []uint8 {
+	c, ow, panel := q.next.c4, q.next.w, q.kh*q.k4*64
+	pre, acc := make([]uint8, q.cols*c), make([]int32, q.ow*tensor.S8Lanes)
+	for oy := 0; oy < q.oh; oy++ {
+		for b := range q.blk {
+			tensor.ConvS8(acc, q.xq[s*q.sampleStride+oy*q.stride*q.rowStride:], q.wq[b*panel:(b+1)*panel], q.kh, q.k4, q.rowStride, q.stride*q.c4)
+			tensor.RequantU8(pre[oy*q.ow*c+b*tensor.S8Lanes:], acc, &q.blk[b], q.outInv, q.outLo, min(tensor.S8Lanes, c-b*tensor.S8Lanes), c)
+		}
+	}
+	out := make([]uint8, q.next.h*ow*c)
+	for i := range out {
+		y, x, j := i/c/ow, i/c%ow, i%c
+		at := func(dy, dx int) uint8 { return pre[((2*y+dy)*q.ow+2*x+dx)*c+j] }
+		out[i] = max(at(0, 0), at(0, 1), at(1, 0), at(1, 1))
+	}
+	return out
+}
+
+// TestPooledEpilogueMatchesRequantThenPool holds each pooled link of the
+// hep-small plan — conv1–3, each pooling into the next conv's bytes — to
+// requantThenPool under every kernel table: the bytes the consumer reads
+// must be the ones the deleted byte pool wrote, saturated inputs included.
+func TestPooledEpilogueMatchesRequantThenPool(t *testing.T) {
+	rng := tensor.NewRNG(61)
+	net := hepSmallNet(rng)
+	calib := CalibrateActivations(net, randBatch(rng, 4, net.InShape))
+	x := randBatch(rng, 3, net.InShape)
+	x.Data[0], x.Data[1] = 40, -40
+	defer tensor.SetKernels("auto")
+	for _, isa := range tensor.KernelISAs() {
+		if err := tensor.SetKernels(isa); err != nil {
+			t.Fatal(err)
+		}
+		qp := CompileQuantized(net, 3, calib, nil)
+		qp.Forward(x)
+		pooled := 0
+		for i := range qp.steps {
+			q := qp.steps[i].q
+			if q == nil || !q.pool {
+				continue
+			}
+			pooled++
+			c := q.next.c4
+			for s := 0; s < 3; s++ {
+				want, img := requantThenPool(q, s), q.next.image(s)
+				for k, v := range want {
+					y, x := k/c/q.next.w, k/c%q.next.w
+					if got := img[y*q.next.rowStride+x*c+k%c]; got != v {
+						t.Fatalf("isa=%s step %d sample %d pixel (%d,%d) channel %d: byte %d, requantize-then-pool %d", isa, i, s, y, x, k%c, got, v)
+					}
+				}
+			}
+		}
+		if pooled != 3 {
+			t.Fatalf("isa=%s: %d pooled links in hep-small, want 3", isa, pooled)
+		}
+		qp.Release()
+	}
+}

@@ -56,7 +56,7 @@ func QuantizeU8Into(dst []uint8, src []float32, scale float32) {
 	if len(dst) != len(src) {
 		panic("quant: QuantizeU8Into length mismatch")
 	}
-	tensor.QuantizeU8(dst, src, 1, len(src), 0, 1, 1/float64(scale))
+	tensor.QuantizeU8(dst, src, 1/float64(scale))
 }
 
 // DequantizeU8Into expands zero-point-128 bytes back to floats.

@@ -5,18 +5,18 @@ import "sync"
 // The int8 datapath of the quantized serving plan (internal/nn's
 // QuantPlan). Activations are unsigned bytes with zero-point 128, stored
 // channel-last; weights are signed bytes with one symmetric scale per
-// output channel. Five kernels sit on the dispatch table (kernels.go):
+// output channel. Six kernels sit on the dispatch table (kernels.go):
 //
 //   - convS8, the micro-kernel: a run of output pixels × 16 output channels,
 //     accumulated in exact int32 straight from the channel-last image. The
 //     vector lanes are the output channels, so the vector is as long at a
 //     4-pixel row as at a 224-pixel one, and nothing is lowered first.
-//   - requantF32 and requantU8, the epilogue: zero-point correction, scale
-//     and bias in fp32, then either an fp32 store or a re-quantize to the
-//     consumer's grid.
-//   - quantizeU8, fp32 to bytes with a byte stride (NCHW planes into
-//     channel-last pixels).
-//   - maxPool2x2U8, the 2×2 max-pool on channel-last bytes.
+//   - requantF32, requantU8 and requantPoolU8, the epilogue: zero-point
+//     correction, scale and bias in fp32, then either an fp32 store or a
+//     re-quantize to the consumer's grid — the last after a 2×2 max over
+//     the accumulators of two output rows.
+//   - quantizeU8, fp32 to contiguous bytes, and quantizePlanesU8, NCHW
+//     planes into channel-last pixels.
 //
 // Integer sums are exact in every body. The float steps are a fixed
 // sequence of IEEE operations (no FMA), so scalar, AVX2 and AVX-512 agree
@@ -165,6 +165,41 @@ func RequantU8(dst []uint8, acc []int32, b *S8Block, inv, lo float64, nbytes, pi
 	requantU8(dst, acc, b, inv, lo, nbytes, pixStride)
 }
 
+// requantPoolU8 is the active pooled u8 epilogue: for output pixel p and
+// lane l < nbytes, dst[p·pixStride + l] is requantU8's byte of the largest
+// of r0 and r1 at accumulator pixels 2p and 2p+1, lane l.
+var requantPoolU8 = requantPoolU8Generic
+
+func requantPoolU8Generic(dst []uint8, r0, r1 []int32, b *S8Block, inv, lo float64, nbytes, pixStride int) {
+	for p := 0; p*2*S8Lanes < len(r0); p++ {
+		a0, a1 := r0[2*p*S8Lanes:], r1[2*p*S8Lanes:]
+		d := dst[p*pixStride : p*pixStride+nbytes]
+		for l := range d {
+			acc := max(a0[l], a0[S8Lanes+l], a1[l], a1[S8Lanes+l])
+			d[l] = quantizeByte(requant(acc, b, l), inv, lo)
+		}
+	}
+}
+
+// RequantPoolU8 is RequantU8 behind a 2×2/2 max-pool: r0 and r1 hold the
+// accumulators of two adjacent output rows, 2·npix pixels each, and the
+// npix pooled pixels go to the consumer's bytes. Pooling before the
+// requantize is exact: acc ↦ byte is non-decreasing (Mult ≥ 0, and with
+// Mult = +Inf the NaN at acc = Corr lands on 128, between the two
+// saturated ends), so the byte of the largest accumulator is the largest
+// byte — and three quarters of the float work is never done.
+func RequantPoolU8(dst []uint8, r0, r1 []int32, b *S8Block, inv, lo float64, nbytes, pixStride int) {
+	npix := len(r0) / (2 * S8Lanes)
+	if npix == 0 {
+		return
+	}
+	if len(r0)%(2*S8Lanes) != 0 || len(r1) != len(r0) || nbytes < 4 || nbytes > S8Lanes || nbytes%4 != 0 ||
+		len(dst) < (npix-1)*pixStride+nbytes {
+		panic("tensor: RequantPoolU8 operand size")
+	}
+	requantPoolU8(dst, r0, r1, b, inv, lo, nbytes, pixStride)
+}
+
 // quantizeByte maps v to the zero-point-128 byte grid: round-half-up of
 // v·inv + 128 clamped to [lo, 255], in float64 (adding 0.5 and truncating
 // is exact because the clamp leaves nothing negative). NaN maps to the
@@ -182,59 +217,64 @@ func quantizeByte(v float32, inv, lo float64) uint8 {
 	return uint8(int32(t))
 }
 
-// quantizeU8 is the active quantizer: for r < rows and i < n,
-// dst[r·dstPitch + i·stride] = quantizeByte(src[r·n+i], inv, 0).
+// quantizeU8 is the active flat quantizer:
+// dst[i] = quantizeByte(src[i], inv, 0).
 var quantizeU8 = quantizeU8Generic
 
-func quantizeU8Generic(dst []uint8, src []float32, rows, n, dstPitch, stride int, inv float64) {
-	for r := 0; r < rows; r++ {
-		d := dst[r*dstPitch:]
-		for i, v := range src[r*n : r*n+n] {
-			d[i*stride] = quantizeByte(v, inv, 0)
-		}
+func quantizeU8Generic(dst []uint8, src []float32, inv float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = quantizeByte(v, inv, 0)
 	}
 }
 
-// QuantizeU8 quantizes rows×n contiguous floats to bytes stride apart
-// within a row and dstPitch apart between rows: with stride 1 a flat
-// array, with stride C4 one NCHW channel plane into channel-last pixels.
-// inv is the reciprocal of the activation scale.
-func QuantizeU8(dst []uint8, src []float32, rows, n, dstPitch, stride int, inv float64) {
-	if rows < 1 || n < 1 {
-		return
-	}
-	if len(src) < rows*n || len(dst) <= (rows-1)*dstPitch+(n-1)*stride {
+// QuantizeU8 quantizes len(src) floats into the first bytes of dst. inv is
+// the reciprocal of the activation scale.
+func QuantizeU8(dst []uint8, src []float32, inv float64) {
+	if len(dst) < len(src) {
 		panic("tensor: QuantizeU8 operand size")
 	}
-	quantizeU8(dst, src, rows, n, dstPitch, stride, inv)
+	quantizeU8(dst, src, inv)
 }
 
-// maxPool2x2U8 is the active byte pool over channel-last rows of c-byte
-// pixels, c a multiple of 16: output pixel i, channel j is the largest of
-// r0 and r1 at pixels 2i and 2i+1, channel j.
-var maxPool2x2U8 = maxPool2x2U8Generic
+// quantizePlanesU8 is the active interleaving quantizer: for y < h, x < w
+// and j < c4,
+//
+//	dst[y·dstPitch + x·c4 + j] = quantizeByte(src[(j·h + y)·w + x], inv, 0)
+//
+// for j < c, and the zero-point 128 for the pad channels c ≤ j < c4.
+var quantizePlanesU8 = quantizePlanesU8Generic
 
-func maxPool2x2U8Generic(dst, r0, r1 []uint8, c int) {
-	r0, r1 = r0[:2*len(dst)], r1[:2*len(dst)]
-	for i := 0; i < len(dst); i += c {
-		for j := i; j < i+c; j++ {
-			dst[j] = max(r0[i+j], r0[i+j+c], r1[i+j], r1[i+j+c])
+func quantizePlanesU8Generic(dst []uint8, src []float32, c, h, w, dstPitch, c4 int, inv float64) {
+	for y := 0; y < h; y++ {
+		d := dst[y*dstPitch : y*dstPitch+w*c4]
+		for j := 0; j < c4; j++ {
+			if j >= c {
+				for x := 0; x < w; x++ {
+					d[x*c4+j] = 128
+				}
+				continue
+			}
+			for x, v := range src[(j*h+y)*w : (j*h+y+1)*w] {
+				d[x*c4+j] = quantizeByte(v, inv, 0)
+			}
 		}
 	}
 }
 
-// MaxPool2x2U8 max-pools the channel-last row pair r0, r1 (2·len(dst)
-// bytes each, c bytes per pixel) into dst with a 2×2 window at stride 2.
-// Bytes order like the values they quantize, so this is the fp32 pool.
-func MaxPool2x2U8(dst, r0, r1 []uint8, c int) {
-	if c < 1 || len(dst)%c != 0 || len(r0) != 2*len(dst) || len(r1) != 2*len(dst) {
-		panic("tensor: MaxPool2x2U8 row length mismatch")
-	}
-	if c%16 != 0 {
-		maxPool2x2U8Generic(dst, r0, r1, c)
+// QuantizePlanesU8 quantizes c NCHW planes of h×w floats into channel-last
+// pixels of c4 = c rounded up to four bytes, w pixels per row and rows
+// dstPitch bytes apart: the padded image an int8 convolution reads. The
+// vector bodies build a pixel's four bytes from four planes in registers
+// and store whole pixels; pad channels are written at the zero-point.
+func QuantizePlanesU8(dst []uint8, src []float32, c, h, w, dstPitch, c4 int, inv float64) {
+	if c < 1 || h < 1 || w < 1 {
 		return
 	}
-	maxPool2x2U8(dst, r0, r1, c)
+	if c4 != (c+3)&^3 || len(src) < c*h*w || len(dst) < (h-1)*dstPitch+w*c4 {
+		panic("tensor: QuantizePlanesU8 operand size")
+	}
+	quantizePlanesU8(dst, src, c, h, w, dstPitch, c4, inv)
 }
 
 // gemmS8Pix is how many pixels GemmS8 hands the micro-kernel at once: the

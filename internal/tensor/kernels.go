@@ -5,7 +5,7 @@ package tensor
 // convolution's tile and epilogue (conv_tile.go), axpy, the in-place
 // scale, the conv unit's ReLU, 2×2 max-pool and the lowerings' row gather
 // and row add (kernels_conv.go), and the int8 datapath's micro-kernel,
-// epilogue, quantizer and byte pool (gemm_s8.go) — is a package-level
+// epilogues and quantizers (gemm_s8.go) — is a package-level
 // function variable installed by SetKernels.
 // One probe (kernels_amd64.go) classifies the host at init and picks the
 // widest safe body; SetKernels("scalar"|"avx2"|"avx512"|"auto") re-routes
@@ -52,8 +52,9 @@ func installScalar() {
 	convS8 = convS8Generic
 	requantF32 = requantF32Generic
 	requantU8 = requantU8Generic
+	requantPoolU8 = requantPoolU8Generic
 	quantizeU8 = quantizeU8Generic
-	maxPool2x2U8 = maxPool2x2U8Generic
+	quantizePlanesU8 = quantizePlanesU8Generic
 	kernelISA = "scalar"
 }
 

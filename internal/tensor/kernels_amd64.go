@@ -49,9 +49,12 @@ func requantF32AVX2(dst []float32, acc []int32, b *S8Block, nch, pixStride, chan
 func requantF32AVX512(dst []float32, acc []int32, b *S8Block, nch, pixStride, chanStride int)
 func requantU8AVX2(dst []uint8, acc []int32, b *S8Block, inv, lo float64, nbytes, pixStride int)
 func requantU8AVX512(dst []uint8, acc []int32, b *S8Block, inv, lo float64, nbytes, pixStride int)
-func quantizeU8AVX2(dst []uint8, src []float32, rows, n, dstPitch, stride int, inv float64)
-func quantizeU8AVX512(dst []uint8, src []float32, rows, n, dstPitch, stride int, inv float64)
-func maxPool2x2U8AVX2(dst, r0, r1 []uint8, c int)
+func requantPoolU8AVX2(dst []uint8, r0, r1 []int32, b *S8Block, inv, lo float64, nbytes, pixStride int)
+func requantPoolU8AVX512(dst []uint8, r0, r1 []int32, b *S8Block, inv, lo float64, nbytes, pixStride int)
+func quantizeU8AVX2(dst []uint8, src []float32, inv float64)
+func quantizeU8AVX512(dst []uint8, src []float32, inv float64)
+func quantizePlanesU8AVX2(dst []uint8, src []float32, c, h, w, dstPitch, c4 int, inv float64)
+func quantizePlanesU8AVX512(dst []uint8, src []float32, c, h, w, dstPitch, c4 int, inv float64)
 
 func hasAVX512() bool {
 	if !hasAVX2() {
@@ -100,8 +103,9 @@ func installAVX2() {
 	convS8 = convS8AVX2
 	requantF32 = requantF32AVX2
 	requantU8 = requantU8AVX2
+	requantPoolU8 = requantPoolU8AVX2
 	quantizeU8 = quantizeU8AVX2
-	maxPool2x2U8 = maxPool2x2U8AVX2
+	quantizePlanesU8 = quantizePlanesU8AVX2
 	kernelISA = "avx2"
 }
 
@@ -122,7 +126,9 @@ func installAVX512() {
 		convS8 = convS8VNNI
 		requantF32 = requantF32AVX512
 		requantU8 = requantU8AVX512
+		requantPoolU8 = requantPoolU8AVX512
 		quantizeU8 = quantizeU8AVX512
+		quantizePlanesU8 = quantizePlanesU8AVX512
 	}
 	kernelISA = "avx512"
 }

@@ -624,6 +624,112 @@ next:
 	VZEROUPPER
 	RET
 
+// func requantPoolU8AVX512(dst []uint8, r0, r1 []int32, b *S8Block, inv, lo float64, nbytes, pixStride int)
+//
+// requantU8AVX512 behind a 2×2 max: the window's four accumulator pixels
+// (two adjacent pixels of each row, 64 bytes apart) meet in three VPMAXSD
+// before the one scale-and-quantize.
+TEXT ·requantPoolU8AVX512(SB), NOSPLIT, $0-112
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         r0_base+24(FP), SI
+	MOVQ         r0_len+32(FP), R9
+	SHRQ         $5, R9
+	MOVQ         r1_base+48(FP), DX
+	MOVQ         b+72(FP), BX
+	VMOVUPS      (BX), Z1
+	VMOVUPS      64(BX), Z2
+	VMOVDQU32    128(BX), Z3
+	VBROADCASTSD inv+80(FP), Z4
+	VBROADCASTSD lo+88(FP), Z5
+	VBROADCASTSD s8Half<>(SB), Z6
+	VBROADCASTSD s8Top<>(SB), Z7
+	MOVQ         nbytes+96(FP), CX
+	MOVQ         $1, AX
+	SHLQ         CX, AX
+	DECQ         AX
+	KMOVW        AX, K1
+	MOVQ         pixStride+104(FP), R8
+
+loop:
+	VMOVDQU32 (SI), Z0
+	VPMAXSD   64(SI), Z0, Z0
+	VPMAXSD   (DX), Z0, Z0
+	VPMAXSD   64(DX), Z0, Z0
+	S8_SCALE(Z0, Z3, Z1, Z2)
+	S8_QUANT16
+	VPMOVDB   Z8, K1, (DI)
+	ADDQ      $128, SI
+	ADDQ      $128, DX
+	ADDQ      R8, DI
+	DECQ      R9
+	JNZ       loop
+	VZEROUPPER
+	RET
+
+// func requantPoolU8AVX2(dst []uint8, r0, r1 []int32, b *S8Block, inv, lo float64, nbytes, pixStride int)
+TEXT ·requantPoolU8AVX2(SB), NOSPLIT, $0-112
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         r0_base+24(FP), SI
+	MOVQ         r0_len+32(FP), R9
+	SHRQ         $5, R9
+	MOVQ         r1_base+48(FP), DX
+	MOVQ         b+72(FP), BX
+	VMOVUPS      (BX), Y1
+	VMOVUPS      32(BX), Y2
+	VMOVUPS      64(BX), Y3
+	VMOVUPS      96(BX), Y4
+	VMOVDQU      128(BX), Y5
+	VMOVDQU      160(BX), Y6
+	VBROADCASTSD inv+80(FP), Y7
+	VBROADCASTSD lo+88(FP), Y8
+	VBROADCASTSD s8Half<>(SB), Y9
+	VBROADCASTSD s8Top<>(SB), Y10
+	MOVQ         nbytes+96(FP), CX
+	MOVQ         pixStride+104(FP), R8
+
+loop:
+	VMOVDQU   (SI), Y0
+	VPMAXSD   64(SI), Y0, Y0
+	VPMAXSD   (DX), Y0, Y0
+	VPMAXSD   64(DX), Y0, Y0
+	S8_SCALE(Y0, Y5, Y1, Y3)
+	S8_QUANT8(X13)
+	VMOVDQU   32(SI), Y0
+	VPMAXSD   96(SI), Y0, Y0
+	VPMAXSD   32(DX), Y0, Y0
+	VPMAXSD   96(DX), Y0, Y0
+	S8_SCALE(Y0, Y6, Y2, Y4)
+	S8_QUANT8(X14)
+	VPACKUSWB X14, X13, X13
+	CMPQ      CX, $16
+	JEQ       store16
+	CMPQ      CX, $8
+	JEQ       store8
+	JLT       store4
+	VMOVQ     X13, (DI)
+	VPEXTRD   $2, X13, 8(DI)
+	JMP       next
+
+store16:
+	VMOVDQU X13, (DI)
+	JMP     next
+
+store8:
+	VMOVQ X13, (DI)
+	JMP   next
+
+store4:
+	VMOVD X13, (DI)
+
+next:
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ R8, DI
+	DECQ R9
+	JNZ  loop
+	VZEROUPPER
+	RET
+
 // The quantizer's one-value form, for the ends of rows: X0 holds the
 // float, the constants sit in lane 0 of the registers named, AX gets the
 // byte.
@@ -638,28 +744,15 @@ next:
 	VMINSD     top, X0, X0;      \
 	VCVTTSD2SI X0, AX
 
-#define S8_EXTRACT(i, x) \
-	VPEXTRB $i, x, (DI); \
-	ADDQ    R8, DI
-
-// func quantizeU8AVX512(dst []uint8, src []float32, rows, n, dstPitch, stride int, inv float64)
-//
-// Sixteen floats become sixteen bytes; with stride 1 they are stored at
-// once, otherwise byte by byte, stride apart (a channel plane going into
-// channel-last pixels).
-TEXT ·quantizeU8AVX512(SB), NOSPLIT, $0-88
-	MOVQ         dst_base+0(FP), DX
+// func quantizeU8AVX512(dst []uint8, src []float32, inv float64)
+TEXT ·quantizeU8AVX512(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
 	MOVQ         src_base+24(FP), SI
-	MOVQ         rows+48(FP), R9
-	MOVQ         stride+72(FP), R8
-	VBROADCASTSD inv+80(FP), Z4
+	MOVQ         src_len+32(FP), CX
+	VBROADCASTSD inv+48(FP), Z4
 	VPXORQ       Z5, Z5, Z5
 	VBROADCASTSD s8Half<>(SB), Z6
 	VBROADCASTSD s8Top<>(SB), Z7
-
-row:
-	MOVQ DX, DI
-	MOVQ n+56(FP), CX
 
 blk16:
 	CMPQ    CX, $16
@@ -667,67 +760,38 @@ blk16:
 	VMOVUPS (SI), Z0
 	S8_QUANT16
 	VPMOVDB Z8, X8
-	ADDQ    $64, SI
-	SUBQ    $16, CX
-	CMPQ    R8, $1
-	JNE     strided
 	VMOVDQU X8, (DI)
+	ADDQ    $64, SI
 	ADDQ    $16, DI
+	SUBQ    $16, CX
 	JMP     blk16
-
-strided:
-	S8_EXTRACT(0, X8)
-	S8_EXTRACT(1, X8)
-	S8_EXTRACT(2, X8)
-	S8_EXTRACT(3, X8)
-	S8_EXTRACT(4, X8)
-	S8_EXTRACT(5, X8)
-	S8_EXTRACT(6, X8)
-	S8_EXTRACT(7, X8)
-	S8_EXTRACT(8, X8)
-	S8_EXTRACT(9, X8)
-	S8_EXTRACT(10, X8)
-	S8_EXTRACT(11, X8)
-	S8_EXTRACT(12, X8)
-	S8_EXTRACT(13, X8)
-	S8_EXTRACT(14, X8)
-	S8_EXTRACT(15, X8)
-	JMP blk16
 
 tail:
 	TESTQ CX, CX
-	JZ    nextrow
+	JZ    done
 
 loop1:
 	VMOVSS (SI), X0
 	S8_QUANT1(X4, X5, X6, X7)
 	MOVB   AL, (DI)
 	ADDQ   $4, SI
-	ADDQ   R8, DI
+	INCQ   DI
 	DECQ   CX
 	JNZ    loop1
 
-nextrow:
-	ADDQ dstPitch+64(FP), DX
-	DECQ R9
-	JNZ  row
+done:
 	VZEROUPPER
 	RET
 
-// func quantizeU8AVX2(dst []uint8, src []float32, rows, n, dstPitch, stride int, inv float64)
-TEXT ·quantizeU8AVX2(SB), NOSPLIT, $0-88
-	MOVQ         dst_base+0(FP), DX
+// func quantizeU8AVX2(dst []uint8, src []float32, inv float64)
+TEXT ·quantizeU8AVX2(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
 	MOVQ         src_base+24(FP), SI
-	MOVQ         rows+48(FP), R9
-	MOVQ         stride+72(FP), R8
-	VBROADCASTSD inv+80(FP), Y7
+	MOVQ         src_len+32(FP), CX
+	VBROADCASTSD inv+48(FP), Y7
 	VXORPD       Y8, Y8, Y8
 	VBROADCASTSD s8Half<>(SB), Y9
 	VBROADCASTSD s8Top<>(SB), Y10
-
-row:
-	MOVQ DX, DI
-	MOVQ n+56(FP), CX
 
 blk8:
 	CMPQ      CX, $8
@@ -735,76 +799,235 @@ blk8:
 	VMOVUPS   (SI), Y0
 	S8_QUANT8(X13)
 	VPACKUSWB X13, X13, X13
-	ADDQ      $32, SI
-	SUBQ      $8, CX
-	CMPQ      R8, $1
-	JNE       strided
 	VMOVQ     X13, (DI)
+	ADDQ      $32, SI
 	ADDQ      $8, DI
+	SUBQ      $8, CX
 	JMP       blk8
-
-strided:
-	S8_EXTRACT(0, X13)
-	S8_EXTRACT(1, X13)
-	S8_EXTRACT(2, X13)
-	S8_EXTRACT(3, X13)
-	S8_EXTRACT(4, X13)
-	S8_EXTRACT(5, X13)
-	S8_EXTRACT(6, X13)
-	S8_EXTRACT(7, X13)
-	JMP blk8
 
 tail:
 	TESTQ CX, CX
-	JZ    nextrow
+	JZ    done
 
 loop1:
 	VMOVSS (SI), X0
 	S8_QUANT1(X7, X8, X9, X10)
 	MOVB   AL, (DI)
 	ADDQ   $4, SI
-	ADDQ   R8, DI
+	INCQ   DI
 	DECQ   CX
 	JNZ    loop1
 
-nextrow:
-	ADDQ dstPitch+64(FP), DX
+done:
+	VZEROUPPER
+	RET
+
+// The interleaving quantizer builds each pixel's group of four channel
+// bytes in one dword lane, top channel first: acc = acc<<8 | q_j for
+// j = cg−1 … 0, starting from s8Pad[cg], whose bytes end up as the
+// zero-point in the cg..3 pad channels after the cg shifts.
+DATA s8Pad<>+0(SB)/4, $0
+DATA s8Pad<>+4(SB)/4, $0x808080
+DATA s8Pad<>+8(SB)/4, $0x8080
+DATA s8Pad<>+12(SB)/4, $0x80
+DATA s8Pad<>+16(SB)/4, $0
+GLOBL s8Pad<>(SB), RODATA|NOPTR, $20
+
+// S8_PLANE_TOP starts a group of cg = min(R12, 4) planes (plane 0 of the
+// group at BX, planes R10 bytes apart): R14 = cg, acc = s8Pad[cg], and R8
+// at the group's top plane.
+#define S8_PLANE_TOP(acc) \
+	MOVQ         R12, R14;          \
+	CMPQ         R14, $4;           \
+	JLE          2(PC);             \
+	MOVQ         $4, R14;           \
+	LEAQ         s8Pad<>(SB), R8;   \
+	VPBROADCASTD (R8)(R14*4), acc;  \
+	LEAQ         -1(R14), R8;       \
+	IMULQ        R10, R8;           \
+	ADDQ         BX, R8
+
+// func quantizePlanesU8AVX512(dst []uint8, src []float32, c, h, w, dstPitch, c4 int, inv float64)
+//
+// Sixteen pixels at a time, the last block of a row masked (K1): per group
+// of four channels, four plane loads, four quantizer passes, and one store
+// of sixteen whole groups — contiguous when a pixel is four bytes, a
+// scatter c4 bytes apart otherwise.
+TEXT ·quantizePlanesU8AVX512(SB), NOSPLIT, $0-96
+	MOVQ         dst_base+0(FP), DX
+	MOVQ         src_base+24(FP), SI
+	MOVQ         h+56(FP), R9
+	MOVQ         w+64(FP), R10
+	IMULQ        R9, R10
+	SHLQ         $2, R10               // plane bytes
+	MOVQ         c4+80(FP), R11
+	VBROADCASTSD inv+88(FP), Z4
+	VPXORQ       Z5, Z5, Z5
+	VBROADCASTSD s8Half<>(SB), Z6
+	VBROADCASTSD s8Top<>(SB), Z7
+	VMOVDQU32    s8Iota<>(SB), Z11
+	MOVQ         R11, X12
+	VPBROADCASTD X12, Z12
+	VPMULLD      Z12, Z11, Z11         // pixel i of a block is i·c4 bytes on
+
+row:
+	MOVQ DX, DI
+	MOVQ SI, AX
+	MOVQ w+64(FP), CX
+
+blk:
+	MOVQ  $0xFFFF, R8
+	CMPQ  CX, $16
+	JGE   full
+	MOVQ  $1, R8
+	SHLQ  CX, R8
+	DECQ  R8
+
+full:
+	KMOVW R8, K1
+	MOVQ  AX, BX
+	MOVQ  DI, R13
+	MOVQ  c+48(FP), R12
+
+group:
+	S8_PLANE_TOP(Z10)
+
+plane:
+	VPSLLD  $8, Z10, Z10
+	VMOVUPS (R8), K1, Z0
+	S8_QUANT16
+	VPORD   Z8, Z10, Z10
+	SUBQ    R10, R8
+	DECQ    R14
+	JNZ     plane
+	KMOVW K1, K2
+	CMPQ  R11, $4
+	JNE   scatter
+	VMOVDQU32 Z10, K2, (R13)
+	JMP   nextgroup
+
+scatter:
+	VPSCATTERDD Z10, K2, (R13)(Z11*1)
+
+nextgroup:
+	ADDQ $4, R13
+	LEAQ (BX)(R10*4), BX
+	SUBQ $4, R12
+	JG   group
+	ADDQ $64, AX
+	MOVQ R11, R8
+	SHLQ $4, R8
+	ADDQ R8, DI
+	SUBQ $16, CX
+	JG   blk
+	ADDQ dstPitch+72(FP), DX
+	MOVQ w+64(FP), R8
+	LEAQ (SI)(R8*4), SI
 	DECQ R9
 	JNZ  row
 	VZEROUPPER
 	RET
 
-// func maxPool2x2U8AVX2(dst, r0, r1 []uint8, c int)
+// S8_QUANT8D quantizes the 8 floats of Y0 into the 8 dwords of out.
+#define S8_QUANT8D(out) \
+	VCVTPS2PD    X0, Y11;        \
+	VEXTRACTF128 $1, Y0, X12;    \
+	VCVTPS2PD    X12, Y12;       \
+	S8_QUANT256(Y11, X11);       \
+	S8_QUANT256(Y12, X12);       \
+	VINSERTI128  $1, X12, Y11, out
+
+// func quantizePlanesU8AVX2(dst []uint8, src []float32, c, h, w, dstPitch, c4 int, inv float64)
 //
-// c is a multiple of 16: per 16 channels, the byte maximum of the four
-// pixels of the window, which sit c bytes apart in each row.
-TEXT ·maxPool2x2U8AVX2(SB), NOSPLIT, $0-80
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ r0_base+24(FP), SI
-	MOVQ r1_base+48(FP), DX
-	MOVQ c+72(FP), R8
+// Eight pixels at a time, the last block of a row loaded under a lane mask
+// (Y13). A full block of four-byte pixels is one store; otherwise the
+// groups go out one dword at a time from a spill slot, so nothing past the
+// row's last pixel is written.
+TEXT ·quantizePlanesU8AVX2(SB), NOSPLIT, $48-96
+	MOVQ         dst_base+0(FP), DX
+	MOVQ         src_base+24(FP), SI
+	MOVQ         h+56(FP), R9
+	MOVQ         w+64(FP), R10
+	IMULQ        R9, R10
+	SHLQ         $2, R10
+	MOVQ         c4+80(FP), R11
+	VBROADCASTSD inv+88(FP), Y7
+	VXORPD       Y8, Y8, Y8
+	VBROADCASTSD s8Half<>(SB), Y9
+	VBROADCASTSD s8Top<>(SB), Y10
+	VMOVDQU      s8Iota<>(SB), Y14
 
-pixel:
-	TESTQ CX, CX
-	JZ    done
-	MOVQ  R8, AX
+row:
+	MOVQ DX, DI
+	MOVQ SI, AX
+	MOVQ w+64(FP), CX
 
-chunk:
-	VMOVDQU (SI), X0
-	VPMAXUB (SI)(R8*1), X0, X0
-	VPMAXUB (DX), X0, X0
-	VPMAXUB (DX)(R8*1), X0, X0
-	VMOVDQU X0, (DI)
-	ADDQ    $16, SI
-	ADDQ    $16, DX
-	ADDQ    $16, DI
-	SUBQ    $16, AX
-	JNZ     chunk
-	ADDQ    R8, SI
-	ADDQ    R8, DX
-	SUBQ    R8, CX
-	JMP     pixel
+blk:
+	MOVQ         CX, R8
+	CMPQ         R8, $8
+	JLE          2(PC)
+	MOVQ         $8, R8
+	MOVQ         R8, X13
+	VPBROADCASTD X13, Y13
+	VPCMPGTD     Y14, Y13, Y13         // lanes below the block's pixel count
+	MOVQ         AX, BX
+	MOVQ         DI, R13
+	MOVQ         c+48(FP), R12
 
-done:
+group:
+	S8_PLANE_TOP(Y6)
+
+plane:
+	VPSLLD     $8, Y6, Y6
+	VMASKMOVPS (R8), Y13, Y0
+	S8_QUANT8D(Y1)
+	VPOR       Y1, Y6, Y6
+	SUBQ       R10, R8
+	DECQ       R14
+	JNZ        plane
+	CMPQ    R11, $4
+	JNE     lanes
+	CMPQ    CX, $8
+	JLT     lanes
+	VMOVDQU Y6, (R13)
+	JMP     nextgroup
+
+lanes:
+	VMOVDQU Y6, (SP)
+	MOVQ    R12, 32(SP)
+	MOVQ    BX, 40(SP)
+	MOVQ    CX, R14
+	CMPQ    R14, $8
+	JLE     2(PC)
+	MOVQ    $8, R14
+	MOVQ    R13, R8
+	XORQ    R12, R12
+
+lane:
+	MOVL (SP)(R12*4), BX
+	MOVL BX, (R8)
+	ADDQ R11, R8
+	INCQ R12
+	CMPQ R12, R14
+	JLT  lane
+	MOVQ 32(SP), R12
+	MOVQ 40(SP), BX
+
+nextgroup:
+	ADDQ $4, R13
+	LEAQ (BX)(R10*4), BX
+	SUBQ $4, R12
+	JG   group
+	ADDQ $32, AX
+	MOVQ R11, R8
+	SHLQ $3, R8
+	ADDQ R8, DI
+	SUBQ $8, CX
+	JG   blk
+	ADDQ dstPitch+72(FP), DX
+	MOVQ w+64(FP), R8
+	LEAQ (SI)(R8*4), SI
+	DECQ R9
+	JNZ  row
+	VZEROUPPER
 	RET

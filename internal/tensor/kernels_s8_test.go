@@ -197,35 +197,65 @@ func TestRequantU8RoundingBoundaries(t *testing.T) {
 	}
 }
 
-// TestQuantizeU8AcrossISAs pins the quantizer's vector bodies to the
-// scalar one over every row length up to 40 (vector blocks and tails),
-// flat and strided destinations, and values on and beside the rounding
-// boundaries, past both clamps, and non-finite.
-func TestQuantizeU8AcrossISAs(t *testing.T) {
-	rng := NewRNG(37)
-	special := []float32{0, float32(math.Copysign(0, -1)), 0.5, -0.5, math.Nextafter32(0.5, 0), 1.5, 126.5, 127, 127.5, -128.5, -129, 1e30, -1e30,
-		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32}
-	for n := 1; n <= 40; n++ {
-		for _, rows := range []int{1, 3} {
-			for _, stride := range []int{1, 3, 4, 16} {
-				src := make([]float32, rows*n)
-				for i := range src {
-					src[i] = float32(100 * rng.Norm())
-					if rng.Intn(3) == 0 {
-						src[i] = special[rng.Intn(len(special))]
-					}
+// TestRequantPoolU8AcrossISAs pins the pooled epilogue's vector bodies to
+// the scalar one, and the scalar one to "max of the window, then
+// RequantU8": ties, accumulators at MinInt32 and MaxInt32 (where acc − Corr
+// wraps, identically everywhere), multipliers of 0, tiny, normal and +Inf
+// (the NaN at acc = Corr included), every byte count and both lower
+// bounds, pixel runs with vector tails, and bytes nothing may touch left
+// alone.
+func TestRequantPoolU8AcrossISAs(t *testing.T) {
+	rng := NewRNG(31)
+	mults := []float32{0, 1e-30, 0.004, float32(math.Inf(1))}
+	for _, npix := range []int{1, 2, 3, 5, 8, 9, 16} {
+		r0, r1 := make([]int32, 2*npix*S8Lanes), make([]int32, 2*npix*S8Lanes)
+		for i := range r0 {
+			switch rng.Intn(8) {
+			case 0:
+				r0[i], r1[i] = math.MinInt32, math.MaxInt32
+			case 1:
+				r0[i], r1[i] = 0, 0 // ties at acc = Corr when Corr is 0
+			case 2:
+				r0[i], r1[i] = 7, 7
+			default:
+				r0[i], r1[i] = int32(rng.Intn(200001)-100000), int32(rng.Intn(200001)-100000)
+			}
+		}
+		for mi, mult := range mults {
+			b := s8TestBlock(rng)
+			for l := range b.Mult {
+				b.Mult[l] = mult
+				if l%3 == 0 {
+					b.Corr[l] = 0
 				}
-				pitch := n*stride + 5
-				size := (rows-1)*pitch + (n-1)*stride + 1
-				for _, inv := range []float64{1, 1 / 0.37} {
-					want := make([]uint8, size+2)
-					quantizeU8Generic(want, src, rows, n, pitch, stride, inv)
+			}
+			for _, nbytes := range []int{4, 8, 12, 16} {
+				for _, lo := range []float64{0, 128} {
+					pixStride := nbytes + 4*(npix%3)
+					inv := 1 / (0.02 + 0.05*rng.Float64())
+					size := (npix-1)*pixStride + nbytes
+					want := make([]uint8, size+3)
+					requantPoolU8Generic(want, r0, r1, b, inv, lo, nbytes, pixStride)
+					pooled := make([]int32, npix*S8Lanes)
+					for p := 0; p < npix; p++ {
+						for l := 0; l < S8Lanes; l++ {
+							a, c := r0[2*p*S8Lanes+l:], r1[2*p*S8Lanes+l:]
+							pooled[p*S8Lanes+l] = max(a[0], a[S8Lanes], c[0], c[S8Lanes])
+						}
+					}
+					ref := make([]uint8, len(want))
+					requantU8Generic(ref, pooled, b, inv, lo, nbytes, pixStride)
+					for i := range ref {
+						if ref[i] != want[i] {
+							t.Fatalf("scalar pooled epilogue npix=%d mult=%g nbytes=%d lo=%v: dst[%d] = %d, max-then-requantize %d", npix, mult, nbytes, lo, i, want[i], ref[i])
+						}
+					}
 					withISAs(t, func(isa string) {
 						got := make([]uint8, len(want))
-						QuantizeU8(got[:size], src, rows, n, pitch, stride, inv)
+						RequantPoolU8(got[:size], r0, r1, b, inv, lo, nbytes, pixStride)
 						for i := range want {
 							if got[i] != want[i] {
-								t.Fatalf("isa=%s n=%d rows=%d stride=%d: dst[%d] = %d, want %d", isa, n, rows, stride, i, got[i], want[i])
+								t.Fatalf("RequantPoolU8 isa=%s npix=%d mult#%d nbytes=%d lo=%v: dst[%d] = %d, want %d", isa, npix, mi, nbytes, lo, i, got[i], want[i])
 							}
 						}
 					})
@@ -235,28 +265,72 @@ func TestQuantizeU8AcrossISAs(t *testing.T) {
 	}
 }
 
-// TestMaxPool2x2U8AcrossISAs checks the byte pool against the window
-// maximum, at pixel sizes that take the vector body and ones that do not.
-func TestMaxPool2x2U8AcrossISAs(t *testing.T) {
-	rng := NewRNG(43)
-	for _, c := range []int{4, 12, 16, 32, 48, 128} {
-		for ow := 1; ow <= 5; ow++ {
-			r0, r1 := make([]uint8, 2*ow*c), make([]uint8, 2*ow*c)
-			for i := range r0 {
-				r0[i], r1[i] = uint8(rng.Intn(256)), uint8(rng.Intn(256))
-			}
-			want := make([]uint8, ow*c)
-			for i := 0; i < ow; i++ {
-				for j := 0; j < c; j++ {
-					want[i*c+j] = max(r0[2*i*c+j], r0[(2*i+1)*c+j], r1[2*i*c+j], r1[(2*i+1)*c+j])
-				}
-			}
+// quantizeSpecials are values on and beside the quantizer's rounding
+// boundaries, past both clamps, and non-finite.
+var quantizeSpecials = []float32{0, float32(math.Copysign(0, -1)), 0.5, -0.5, math.Nextafter32(0.5, 0), 1.5, 126.5, 127, 127.5, -128.5, -129, 1e30, -1e30,
+	float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32}
+
+func quantizeTestData(rng *RNG, n int) []float32 {
+	src := make([]float32, n)
+	for i := range src {
+		src[i] = float32(100 * rng.Norm())
+		if rng.Intn(3) == 0 {
+			src[i] = quantizeSpecials[rng.Intn(len(quantizeSpecials))]
+		}
+	}
+	return src
+}
+
+// TestQuantizeU8AcrossISAs pins the flat quantizer's vector bodies to the
+// scalar one over every length up to 40 (vector blocks and tails).
+func TestQuantizeU8AcrossISAs(t *testing.T) {
+	rng := NewRNG(37)
+	for n := 1; n <= 40; n++ {
+		src := quantizeTestData(rng, n)
+		for _, inv := range []float64{1, 1 / 0.37} {
+			want := make([]uint8, n+2)
+			quantizeU8Generic(want, src, inv)
 			withISAs(t, func(isa string) {
-				got := make([]uint8, ow*c)
-				MaxPool2x2U8(got, r0, r1, c)
+				got := make([]uint8, len(want))
+				QuantizeU8(got[:n], src, inv)
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("isa=%s c=%d ow=%d: dst[%d] = %d, want %d", isa, c, ow, i, got[i], want[i])
+						t.Fatalf("isa=%s n=%d: dst[%d] = %d, want %d", isa, n, i, got[i], want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestQuantizePlanesU8AcrossISAs pins the interleaving quantizer's vector
+// bodies to the scalar one: one to nine planes (four-byte pixels and wider
+// ones, whole and part-filled groups), row lengths covering vector blocks
+// and masked tails, a row pitch with bytes between rows that nothing may
+// touch, and pad channels written at the zero-point.
+func TestQuantizePlanesU8AcrossISAs(t *testing.T) {
+	rng := NewRNG(53)
+	for c := 1; c <= 9; c++ {
+		c4 := (c + 3) &^ 3
+		for _, w := range []int{1, 3, 7, 8, 9, 15, 16, 17, 33} {
+			h := 1 + w%3
+			src := quantizeTestData(rng, c*h*w)
+			pitch := w*c4 + 5
+			size := (h-1)*pitch + w*c4
+			want := make([]uint8, size+3)
+			for i := range want {
+				want[i] = 7
+			}
+			quantizePlanesU8Generic(want, src, c, h, w, pitch, c4, 1/0.37)
+			withISAs(t, func(isa string) {
+				got := make([]uint8, len(want))
+				for i := range got {
+					got[i] = 7
+				}
+				QuantizePlanesU8(got[:size], src, c, h, w, pitch, c4, 1/0.37)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("isa=%s c=%d h=%d w=%d: dst[%d] = %d, want %d", isa, c, h, w, i, got[i], want[i])
 					}
 				}
 			})
