@@ -14,8 +14,7 @@ import (
 // runListen is backend mode: put the loaded model on the network and
 // serve until SIGTERM, then drain (goaway handshake, every in-flight
 // request answered) and exit. The listen banner on stdout is the
-// handshake a fleet parent (netserve.StartProc) scans for the ephemeral
-// port.
+// handshake a parent process scans for the ephemeral port.
 func runListen(lm *serve.LoadedModel, model, addr string, cfg serve.Config) {
 	eng, err := serve.NewServer(lm, cfg)
 	if err != nil {

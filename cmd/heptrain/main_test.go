@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"deep15pf/internal/ckpt"
+	"deep15pf/internal/data"
 	"deep15pf/internal/hep"
 	"deep15pf/internal/tensor"
 )
@@ -16,7 +17,12 @@ import (
 func TestManifestEpochCountsTheSetTrainedOn(t *testing.T) {
 	pseudo := hep.GenerateDataset(hep.DefaultGenConfig(), hep.NewRenderer(16), 128, 0.5, tensor.NewRNG(9))
 	pseudoDir := t.TempDir()
-	if _, err := pseudo.SaveLabeledShards(pseudoDir, 2); err != nil {
+	labels := make([]int32, len(pseudo.Labels))
+	for i, l := range pseudo.Labels {
+		labels[i] = int32(l)
+	}
+	s := pseudo.Images.Shape
+	if _, err := data.WriteShards(pseudoDir, 2, s[0], s[1]*s[2]*s[3], 1, pseudo.Images.Data, labels); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {

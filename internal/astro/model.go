@@ -72,12 +72,6 @@ func BackboneLayerNames(units int) []string {
 	return names
 }
 
-// ClassProbs returns per-class probabilities from logits as an [N,Classes]
-// tensor.
-func ClassProbs(logits *tensor.Tensor) *tensor.Tensor {
-	return nn.SoftmaxProbs(logits)
-}
-
 // Predict returns the argmax class per sample from logits.
 func Predict(logits *tensor.Tensor) []int {
 	n, c := logits.Shape[0], logits.Shape[1]
@@ -92,21 +86,4 @@ func Predict(logits *tensor.Tensor) []int {
 		out[i] = best
 	}
 	return out
-}
-
-// Accuracy returns the fraction of predictions matching labels.
-func Accuracy(pred, labels []int) float64 {
-	if len(pred) != len(labels) {
-		panic("astro: Accuracy length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0
-	}
-	hits := 0
-	for i := range pred {
-		if pred[i] == labels[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(pred))
 }

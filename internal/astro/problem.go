@@ -127,8 +127,3 @@ func PredictDataset(net *nn.Network, ds *Dataset, batch int) []int {
 	}
 	return out
 }
-
-// EvalAccuracy evaluates a trained net's accuracy on a dataset.
-func EvalAccuracy(net *nn.Network, ds *Dataset, batch int) float64 {
-	return Accuracy(PredictDataset(net, ds, batch), ds.Labels)
-}

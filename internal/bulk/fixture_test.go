@@ -33,7 +33,9 @@ func trainTiny(t *testing.T, samples, steps int) (*nn.Network, *hep.Dataset) {
 		}
 		x, labels := ds.Batch(idx)
 		net.ZeroGrad()
-		_, grad := nn.SoftmaxCrossEntropy(plan.Forward(x), labels)
+		logits := plan.Forward(x)
+		grad := tensor.New(logits.Shape...)
+		nn.SoftmaxCrossEntropyInto(logits, labels, grad)
 		plan.Backward(grad)
 		for _, p := range net.Params() {
 			for j := range p.W.Data {

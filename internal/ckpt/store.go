@@ -75,13 +75,13 @@ func (st *Store) Dir() string { return st.dir }
 
 func versionName(v int) string { return fmt.Sprintf("v%07d", v) }
 
-// parseVersion extracts N from "vNNNNNNN"; ok=false for anything else.
+// parseVersion extracts N from a directory named versionName(N);
+// ok=false for anything else. Only the canonical spelling counts: an alias
+// such as "v2", "v+2" or "v00000002" would otherwise list version 2 a
+// second time, and Prune would delete the real directory for it.
 func parseVersion(name string) (int, bool) {
-	if !strings.HasPrefix(name, "v") || len(name) < 2 {
-		return 0, false
-	}
-	n, err := strconv.Atoi(name[1:])
-	if err != nil || n < 0 {
+	n, err := strconv.Atoi(strings.TrimPrefix(name, "v"))
+	if err != nil || n < 0 || name != versionName(n) {
 		return 0, false
 	}
 	return n, true

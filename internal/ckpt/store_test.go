@@ -154,9 +154,9 @@ func TestStoreIgnoresIncompleteAndForeignDirs(t *testing.T) {
 	if _, err := st.Save(testSnapshot(1, 1)); err != nil {
 		t.Fatal(err)
 	}
-	// A crashed writer's temporary, a foreign dir, and a version dir with
-	// no manifest must all be invisible.
-	for _, d := range []string{tmpPrefix + "v0000009", "notes", "v0000005"} {
+	// A crashed writer's temporary, a foreign dir, a version dir with no
+	// manifest, and other spellings of version 1 must all be invisible.
+	for _, d := range []string{tmpPrefix + "v0000009", "notes", "v0000005", "v1", "v+1", "v00000001", "v-0000001"} {
 		if err := os.MkdirAll(filepath.Join(st.Dir(), d), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -164,6 +164,9 @@ func TestStoreIgnoresIncompleteAndForeignDirs(t *testing.T) {
 	m, ok, err := st.Latest()
 	if err != nil || !ok || m.Version != 1 {
 		t.Fatalf("latest = %+v ok=%v err=%v", m, ok, err)
+	}
+	if vs, err := st.Versions(); err != nil || len(vs) != 1 {
+		t.Fatalf("versions = %+v err=%v, want version 1 once", vs, err)
 	}
 	// The next save must skip past the junk v0000005 dir? No: v0000005 has
 	// no manifest, so it is not a version; Save targets 2 and must succeed.
@@ -179,6 +182,14 @@ func TestStorePruneKeepsNewest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Stray directories that spell the newest version another way must not
+	// count as versions, or the walk would list version 5 several times and
+	// prune the real one.
+	for _, d := range []string{"v5", "v+5", "v00000005"} {
+		if err := os.Mkdir(filepath.Join(st.Dir(), d), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
 	removed, err := st.Prune(2)
 	if err != nil {
 		t.Fatal(err)
@@ -189,6 +200,9 @@ func TestStorePruneKeepsNewest(t *testing.T) {
 	vs, _ := st.Versions()
 	if len(vs) != 2 || vs[0].Version != 4 || vs[1].Version != 5 {
 		t.Fatalf("after prune: %v", vs)
+	}
+	if m, ok, err := st.Latest(); err != nil || !ok || m.Version != 5 {
+		t.Fatalf("after prune: latest = %+v ok=%v err=%v, want version 5", m, ok, err)
 	}
 	// keep<=0 is "keep all".
 	if n, _ := st.Prune(0); n != 0 {

@@ -36,9 +36,9 @@ const (
 	ChPRECT            // precipitation rate
 	ChTS               // surface temperature
 	ChTREF             // reference-height temperature
-	ChZ100             // geopotential height, 100 hPa
-	ChZ200             // geopotential height, 200 hPa
-	ChZBOT             // geopotential height, surface
+	_                  // geopotential height, 100 hPa
+	_                  // geopotential height, 200 hPa
+	_                  // geopotential height, surface
 	ChQREF             // reference-height humidity
 	ChPS               // surface pressure anomaly
 	NumChannels        // 16

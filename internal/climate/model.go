@@ -241,18 +241,11 @@ func (t *targetScratch) resize(cells int) {
 	}
 }
 
-// EncodeTarget maps ground-truth boxes onto the detection grid. Returned
-// slices are G×G: hasBox marks cells owning a box (by box center); class,
-// tx, ty, tw, th hold that box's targets. When two boxes share a cell the
-// larger-area box wins.
-func (n *Net) EncodeTarget(boxes []Box) (hasBox []bool, class []int, tx, ty, tw, th []float32) {
-	var t targetScratch
-	n.encodeTargetInto(boxes, &t)
-	return t.hasBox, t.class, t.tx, t.ty, t.tw, t.th
-}
-
-// encodeTargetInto is EncodeTarget writing into reusable scratch — the
-// allocation-free form the training-plan loss runs per sample.
+// encodeTargetInto maps ground-truth boxes onto the detection grid, into
+// reusable scratch (the training-plan loss runs it per sample without
+// allocating). The scratch slices are G×G: hasBox marks cells owning a box
+// (by box center); class, tx, ty, tw, th hold that box's targets. When two
+// boxes share a cell the larger-area box wins.
 func (n *Net) encodeTargetInto(boxes []Box, t *targetScratch) {
 	g := n.GridSize
 	cell := float64(n.CellSize)

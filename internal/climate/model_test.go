@@ -80,7 +80,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	net := BuildNet(SmallConfig(), rng)
 	truth := Box{X: 10, Y: 20, W: 24, H: 18, Class: ExtratropicalCyclone}
-	hasBox, cls, tx, ty, tw, th := net.EncodeTarget([]Box{truth})
+	var tg targetScratch
+	net.encodeTargetInto([]Box{truth}, &tg)
+	hasBox, cls, tx, ty, tw, th := tg.hasBox, tg.class, tg.tx, tg.ty, tg.tw, tg.th
 	// Find the owning cell and hand-decode through the same transform the
 	// network output uses.
 	g := net.GridSize
@@ -117,7 +119,9 @@ func TestEncodeTargetLargerBoxWins(t *testing.T) {
 	// Two boxes with centers in the same cell.
 	small := Box{X: 2, Y: 2, W: 8, H: 8, Class: TropicalCyclone}
 	big := Box{X: 0, Y: 0, W: 14, H: 14, Class: AtmosphericRiver}
-	hasBox, cls, _, _, _, _ := net.EncodeTarget([]Box{small, big})
+	var tg targetScratch
+	net.encodeTargetInto([]Box{small, big}, &tg)
+	hasBox, cls := tg.hasBox, tg.class
 	n := 0
 	for i, hb := range hasBox {
 		if hb {
@@ -190,7 +194,7 @@ func TestNetGradientsFlowToAllComponents(t *testing.T) {
 		t.Fatalf("loss parts %+v", parts)
 	}
 	for _, p := range net.Params() {
-		if p.Grad.AbsMax() == 0 {
+		if !nonzero(p.Grad) {
 			t.Fatalf("no gradient reached %s", p.Name)
 		}
 	}

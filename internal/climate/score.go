@@ -9,8 +9,8 @@ import (
 // three score heads, each a per-batch-size inference plan cache, over one
 // arena. The decoder exists to regularise training and never runs here. It
 // is TrainPlan's counterpart for scoring — between the two the branch
-// topology is written once per direction — and what Detect, the served
-// replica and the examples run. Like its plans a Scorer is
+// topology is written once per direction — and what Detect and the served
+// replica run. Like its plans a Scorer is
 // single-goroutine, reads the net's current weights on every call, and
 // owns its outputs, which stay valid until the next call.
 type Scorer struct {

@@ -172,18 +172,14 @@ func (m MachineSpec) PSLatency(rng *tensor.RNG) float64 {
 	return m.PSHopLatency * rng.LogNormal(0, 0.6)
 }
 
-// PSServiceTime returns the parameter server's service time for one layer
-// update: fixed software overhead, receive the gradient, apply the solver,
-// send the fresh model. A PS serving every layer of every group accumulates
-// these serially — the saturation §III-E's per-layer sharding avoids.
-func (m MachineSpec) PSServiceTime(layerBytes int64) float64 {
-	return m.PSServiceTimeAsym(layerBytes, layerBytes)
-}
-
-// PSServiceTimeAsym is PSServiceTime with distinct inbound and outbound
-// payload sizes — the codec-compressed wire pushes a small gradient up but
-// still pulls the full fp32 model down. The solver-apply term follows the
-// model size (the update is memory-bound on the master copy).
+// PSServiceTimeAsym returns the parameter server's service time for one
+// layer update: fixed software overhead, receive the gradient (inBytes),
+// apply the solver, send the fresh model (outBytes). A PS serving every
+// layer of every group accumulates these serially — the saturation
+// §III-E's per-layer sharding avoids. The sizes differ when the
+// codec-compressed wire pushes a small gradient up but still pulls the full
+// fp32 model down. The solver-apply term follows the model size (the
+// update is memory-bound on the master copy).
 func (m MachineSpec) PSServiceTimeAsym(inBytes, outBytes int64) float64 {
 	transfer := float64(inBytes+outBytes) / (m.PSBandwidth * m.EndpointFactor)
 	apply := float64(outBytes) / (m.PSBandwidth * 2) // memory-bound update

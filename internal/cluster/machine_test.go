@@ -181,8 +181,8 @@ func TestAllReduceTimeBehaviour(t *testing.T) {
 
 func TestPSServiceTime(t *testing.T) {
 	m := CoriPhaseII()
-	small := m.PSServiceTime(1 << 10)
-	big := m.PSServiceTime(300 << 20)
+	small := m.PSServiceTimeAsym(1<<10, 1<<10)
+	big := m.PSServiceTimeAsym(300<<20, 300<<20)
 	if small >= big {
 		t.Fatal("service must grow with payload")
 	}

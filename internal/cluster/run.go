@@ -6,7 +6,6 @@ import (
 
 	"deep15pf/internal/comm"
 	"deep15pf/internal/obs"
-	"deep15pf/internal/perf"
 	"deep15pf/internal/sim"
 	"deep15pf/internal/tensor"
 )
@@ -415,16 +414,16 @@ func Simulate(m MachineSpec, p NetProfile, cfg RunConfig) RunResult {
 			window = len(d)
 		}
 		g := float64(cfg.Groups)
-		if v := perf.PeakRate(d, iterFlops) * g; v > res.PeakFlopRate {
+		if v := peakRate(d, iterFlops) * g; v > res.PeakFlopRate {
 			res.PeakFlopRate = v
 		}
-		if v := perf.SustainedRate(d, iterFlops, window) * g; v > res.SustainedFlopRate {
+		if v := sustainedRate(d, iterFlops, window) * g; v > res.SustainedFlopRate {
 			res.SustainedFlopRate = v
 		}
-		if v := perf.PeakRate(d, iterExec) * g; v > res.ExecPeak {
+		if v := peakRate(d, iterExec) * g; v > res.ExecPeak {
 			res.ExecPeak = v
 		}
-		if v := perf.SustainedRate(d, iterExec, window) * g; v > res.ExecSustained {
+		if v := sustainedRate(d, iterExec, window) * g; v > res.ExecSustained {
 			res.ExecSustained = v
 		}
 	}

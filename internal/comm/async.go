@@ -17,9 +17,9 @@ const ChunkElems = 4096
 // It is a small value (store it in a preallocated slice; no heap traffic).
 // Wait blocks until the collective completes; it must be called exactly once
 // per handle, and the rank's buffer must not be read, written or reused
-// until Wait returns. For AllReduceMeanAsync the division by the group size
-// happens inside Wait, on the waiting rank's own buffer — bitwise identical
-// to the blocking AllReduceMean.
+// until Wait returns. The division by the group size happens inside Wait,
+// on the waiting rank's own buffer — bitwise identical to the blocking
+// AllReduceMean.
 type Handle struct {
 	c    *collective
 	g    *Group
@@ -35,7 +35,6 @@ type collective struct {
 	bufs     [][]float32
 	arrived  int
 	waited   int
-	mean     bool
 	complete bool
 }
 
@@ -57,21 +56,12 @@ type asyncState struct {
 	free     []*collective
 }
 
-// AllReduceSumAsync starts an asynchronous in-place sum over data and
-// returns immediately. The reduction itself is executed by the last rank to
-// contribute, in fixed rank order chunk by chunk, so the result is bitwise
-// identical to the blocking AllReduceSum regardless of arrival order.
-func (g *Group) AllReduceSumAsync(rank int, data []float32) Handle {
-	return g.allReduceAsync(rank, data, false)
-}
-
-// AllReduceMeanAsync is AllReduceSumAsync followed by an in-place division
-// by the group size at Wait time.
+// AllReduceMeanAsync starts an asynchronous in-place mean over data and
+// returns immediately. The sum is executed by the last rank to contribute,
+// in fixed rank order chunk by chunk, and each rank divides its own buffer
+// by the group size in Wait, so the result is bitwise identical to the
+// blocking AllReduceMean regardless of arrival order.
 func (g *Group) AllReduceMeanAsync(rank int, data []float32) Handle {
-	return g.allReduceAsync(rank, data, true)
-}
-
-func (g *Group) allReduceAsync(rank int, data []float32, mean bool) Handle {
 	g.checkRank(rank)
 	a := &g.async
 	a.mu.Lock()
@@ -85,16 +75,11 @@ func (g *Group) allReduceAsync(rank int, data []float32, mean bool) Handle {
 		} else {
 			c = newCollective(g.size)
 		}
-		c.mean = mean
 		a.inflight[s] = c
 	}
 	a.mu.Unlock()
 
 	c.mu.Lock()
-	if c.mean != mean {
-		c.mu.Unlock()
-		panic("comm: async collective kind mismatch across ranks (sum vs mean)")
-	}
 	c.bufs[rank] = data
 	c.arrived++
 	last := c.arrived == g.size
@@ -140,8 +125,8 @@ func reduceChunks(bufs [][]float32) {
 }
 
 // Wait blocks until the collective completes, applies the mean scaling to
-// this rank's buffer if requested, and recycles the collective once every
-// rank has waited.
+// this rank's buffer, and recycles the collective once every rank has
+// waited.
 func (h Handle) Wait() {
 	c := h.c
 	c.mu.Lock()
@@ -150,7 +135,6 @@ func (h Handle) Wait() {
 	}
 	buf := c.bufs[h.rank]
 	size := len(c.bufs)
-	scale := c.mean && size > 1
 	c.waited++
 	recycle := c.waited == size
 	if recycle {
@@ -160,7 +144,7 @@ func (h Handle) Wait() {
 		c.arrived, c.waited, c.complete = 0, 0, false
 	}
 	c.mu.Unlock()
-	if scale {
+	if size > 1 {
 		tensor.Scale(1/float32(size), buf)
 	}
 	if recycle {

@@ -1,5 +1,5 @@
 // Package comm is the in-process counterpart of the paper's MLSL layer
-// (§III-D): collective operations — all-reduce, broadcast, barrier — over a
+// (§III-D): collective operations — all-reduce, broadcast, gather — over a
 // fixed group of workers, implemented with channels so real multi-worker
 // training runs inside one process. Reductions use a deterministic binary
 // tree, so results are bit-identical across runs regardless of goroutine
@@ -7,8 +7,8 @@
 // makes the reduction order part of the contract).
 //
 // The paper extended MLSL with disjoint communication groups and dedicated
-// parameter-server endpoints; here NewGroups carves a worker set into
-// disjoint groups, and internal/ps provides the PS endpoints.
+// parameter-server endpoints; here each disjoint group is its own Group,
+// and internal/ps provides the PS endpoints.
 package comm
 
 import (
@@ -26,7 +26,7 @@ type Group struct {
 	barrier *barrier
 	// slots[i] carries rank i's contribution for the current collective.
 	slots [][]float32
-	// gatherVals is the dedicated Gather staging area (slots holds whatever
+	// gatherVals is the dedicated GatherInto staging area (slots holds whatever
 	// buffer the last all-reduce pinned, so reusing it would realloc).
 	gatherVals []float32
 	mu         sync.Mutex
@@ -52,25 +52,6 @@ func NewGroup(size int) *Group {
 
 // Size returns the number of ranks.
 func (g *Group) Size() int { return g.size }
-
-// NewGroups partitions n workers into k disjoint groups of n/k ranks each
-// (n must divide evenly), mirroring the paper's MLSL extension for
-// "node placement into disjoint communication groups".
-func NewGroups(n, k int) []*Group {
-	if k < 1 || n%k != 0 {
-		panic(fmt.Sprintf("comm: cannot split %d workers into %d equal groups", n, k))
-	}
-	out := make([]*Group, k)
-	for i := range out {
-		out[i] = NewGroup(n / k)
-	}
-	return out
-}
-
-// Barrier blocks until every rank has entered.
-func (g *Group) Barrier() {
-	g.barrier.wait()
-}
 
 // AllReduceSum sums data across ranks in place: after the call every
 // rank's slice holds the elementwise sum. The reduction is a fixed
@@ -124,19 +105,9 @@ func (g *Group) Broadcast(rank, root int, data []float32) {
 	g.barrier.wait()
 }
 
-// Gather collects every rank's value at the root; other ranks receive nil.
-// Values are positioned by rank.
-func (g *Group) Gather(rank, root int, value float64) []float64 {
-	var out []float64
-	if rank == root {
-		out = make([]float64, g.size)
-	}
-	return g.GatherInto(rank, root, value, out)
-}
-
-// GatherInto is Gather with a caller-provided result buffer: the root passes
-// a slice of group-size length and gets it back filled; other ranks pass nil
-// and receive nil. The allocation-free form the training hot loop uses.
+// GatherInto collects every rank's value at the root, positioned by rank:
+// the root passes a slice of group-size length and gets it back filled;
+// other ranks pass nil and receive nil.
 func (g *Group) GatherInto(rank, root int, value float64, out []float64) []float64 {
 	g.checkRank(rank)
 	g.checkRank(root)

@@ -120,7 +120,11 @@ func TestGather(t *testing.T) {
 	g := NewGroup(n)
 	var got []float64
 	runRanks(n, func(rank int) {
-		res := g.Gather(rank, 0, float64(rank*10))
+		var out []float64
+		if rank == 0 {
+			out = make([]float64, n)
+		}
+		res := g.GatherInto(rank, 0, float64(rank*10), out)
 		if rank == 0 {
 			got = res
 		} else if res != nil {
@@ -152,24 +156,6 @@ func TestRepeatedCollectives(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestNewGroupsPartition(t *testing.T) {
-	gs := NewGroups(12, 3)
-	if len(gs) != 3 {
-		t.Fatal("group count")
-	}
-	for _, g := range gs {
-		if g.Size() != 4 {
-			t.Fatalf("group size = %d", g.Size())
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("uneven split must panic")
-		}
-	}()
-	NewGroups(10, 3)
 }
 
 func TestRankValidation(t *testing.T) {
@@ -252,13 +238,8 @@ func TestTreeReductionOddAndOneRankGroups(t *testing.T) {
 			}
 		}
 	}
-	// 1-rank group partition via NewGroups.
-	gs := NewGroups(3, 3)
-	if len(gs) != 3 || gs[0].Size() != 1 {
-		t.Fatalf("NewGroups(3,3) = %d groups of %d", len(gs), gs[0].Size())
-	}
 	buf := []float32{42}
-	gs[1].AllReduceMean(0, buf)
+	NewGroup(1).AllReduceMean(0, buf)
 	if buf[0] != 42 {
 		t.Fatal("1-rank mean must be identity")
 	}

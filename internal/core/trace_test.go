@@ -117,14 +117,13 @@ func TestTracedPrefetchShowsIngestLanes(t *testing.T) {
 		}
 	}
 	// The staging work happened on the ingest lanes.
-	isIngest := func(p obs.Phase) bool { return p == obs.PhaseIngest }
 	var stagingLanes []obs.LaneSpans
 	for _, ls := range snap {
 		if strings.HasSuffix(ls.Name, ".ingest") {
 			stagingLanes = append(stagingLanes, ls)
 		}
 	}
-	if got := obs.CoveredSeconds(stagingLanes, isIngest); got <= 0 {
+	if got := obs.PhaseSeconds(stagingLanes)[obs.PhaseIngest]; got <= 0 {
 		t.Errorf("no staging time recorded on ingest lanes")
 	}
 }

@@ -20,12 +20,6 @@ type Options struct {
 	Seed  uint64
 }
 
-// DefaultOptions returns the quick configuration used by tests and the
-// default cmd/repro run.
-func DefaultOptions() Options {
-	return Options{Quick: true, Seed: 42}
-}
-
 // Report is one experiment's rendered result.
 type Report struct {
 	ID    string // e.g. "fig6a"

@@ -89,24 +89,6 @@ func AUC(scores []float64, labels []int) float64 {
 	return area
 }
 
-// Accuracy returns the fraction of correct argmax predictions.
-func Accuracy(scores []float64, labels []int) float64 {
-	if len(scores) == 0 {
-		return 0
-	}
-	correct := 0
-	for i, s := range scores {
-		pred := 0
-		if s >= 0.5 {
-			pred = 1
-		}
-		if pred == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(scores))
-}
-
 // ScienceResult packages the §VII-A comparison.
 type ScienceResult struct {
 	BaselineTPR, BaselineFPR float64

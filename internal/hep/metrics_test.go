@@ -150,15 +150,6 @@ func TestROCPanicsOnDegenerateInput(t *testing.T) {
 	mustPanic(func() { ROC([]float64{0.5, 0.6}, []int{1, 1}) })
 }
 
-func TestAccuracy(t *testing.T) {
-	if a := Accuracy([]float64{0.9, 0.1, 0.6}, []int{1, 0, 0}); math.Abs(a-2.0/3) > 1e-9 {
-		t.Fatalf("accuracy = %v", a)
-	}
-	if Accuracy(nil, nil) != 0 {
-		t.Fatal("empty accuracy must be 0")
-	}
-}
-
 func TestCompareToBaselineImprovementRatio(t *testing.T) {
 	cfg := DefaultGenConfig()
 	rng := tensor.NewRNG(4)

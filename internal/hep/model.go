@@ -9,7 +9,7 @@ import (
 
 // ModelConfig selects the network scale. PaperConfig reproduces Table II's
 // supervised HEP architecture exactly; SmallConfig is the same topology
-// shrunk for single-core training in tests and examples.
+// shrunk for single-core training in tests and the CLIs.
 type ModelConfig struct {
 	Name      string
 	ImageSize int

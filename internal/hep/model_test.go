@@ -139,5 +139,6 @@ func seqIdx(n int) []int {
 }
 
 func lossOf(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	return nn.SoftmaxCrossEntropy(logits, labels)
+	grad := tensor.New(logits.Shape...)
+	return nn.SoftmaxCrossEntropyInto(logits, labels, grad), grad
 }

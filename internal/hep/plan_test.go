@@ -29,7 +29,9 @@ func TestReplicaPlanMatchesLegacyPath(t *testing.T) {
 	idx := []int{0, 3, 7, 11, 4, 2}
 	x, labels := p.DS.Batch(idx)
 	plain := nn.Compile(plainNet, len(idx), true, nil)
-	wantLoss, grad := nn.SoftmaxCrossEntropy(plain.Forward(x), labels)
+	logits := plain.Forward(x)
+	grad := tensor.New(logits.Shape...)
+	wantLoss := nn.SoftmaxCrossEntropyInto(logits, labels, grad)
 	plain.Backward(grad)
 
 	rep.ZeroGrad()

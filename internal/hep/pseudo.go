@@ -2,8 +2,8 @@ package hep
 
 // This file is the pseudo-label flywheel's dataset support: the
 // train → serve → label → retrain loop moves (features, label) pairs
-// through the D15P shard format bit-exactly via SaveLabeledShards and
-// LoadShardDataset, and Append merges the human-labeled set with a
+// through the D15P shard format bit-exactly (data.WriteShards writes them,
+// LoadShardDataset reads them back), and Append merges the human-labeled set with a
 // machine-labeled one so TrainingProblem.SampleWeights can discount the
 // latter.
 
@@ -15,22 +15,8 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// SaveLabeledShards persists the dataset's images AND labels to numShards
-// shard files (labLen 1) under dir — the layout the pseudo-label factory
-// emits and LoadShardDataset reads back. Float bits and labels round-trip
-// exactly.
-func (d *Dataset) SaveLabeledShards(dir string, numShards int) ([]string, error) {
-	s := d.Images.Shape
-	per := s[1] * s[2] * s[3]
-	labels := make([]int32, s[0])
-	for i, l := range d.Labels {
-		labels[i] = int32(l)
-	}
-	return data.WriteShards(dir, numShards, s[0], per, 1, d.Images.Data, labels)
-}
-
-// LoadShardDataset opens labeled shard files (labLen 1, as written by
-// SaveLabeledShards or the pseudo-label factory) as an in-memory Dataset.
+// LoadShardDataset opens labeled shard files (labLen 1, as the
+// pseudo-label factory writes them) as an in-memory Dataset.
 // The image side length is recovered from the feature length, which must
 // be Channels·S·S for integer S. Events is nil — generated pseudo-labels
 // carry no truth-level event record.

@@ -34,7 +34,6 @@ type Client struct {
 
 	inflight atomic.Int64
 	draining atomic.Bool
-	onGoaway func()
 
 	readerDone chan struct{}
 }
@@ -63,13 +62,6 @@ func Dial(addr string) (*Client, error) {
 	go c.reader()
 	return c, nil
 }
-
-// OnGoaway installs a hook invoked (from the reader goroutine) when the
-// peer announces it is draining. Set before issuing requests.
-func (c *Client) OnGoaway(fn func()) { c.onGoaway = fn }
-
-// Draining reports whether the peer has sent goaway.
-func (c *Client) Draining() bool { return c.draining.Load() }
 
 // Infer sends x to the named model and returns a freshly allocated
 // response tensor.
@@ -183,9 +175,6 @@ func (c *Client) reader() {
 			cl.done <- struct{}{}
 		case FrameGoaway:
 			c.draining.Store(true)
-			if c.onGoaway != nil {
-				c.onGoaway()
-			}
 			if c.inflight.Load() == 0 {
 				c.conn.Close() // handshake complete: nothing in flight
 			}

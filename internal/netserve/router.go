@@ -253,18 +253,6 @@ func (r *Router) forModel(model []byte) *modelCounters {
 	return mc
 }
 
-// ModelCounts reports one model's routing outcomes — primaries routed,
-// hedges fired, requests shed. Zeroes for a model that never sent traffic.
-func (r *Router) ModelCounts(model string) (routed, hedged, shed int64) {
-	r.pcmu.Lock()
-	mc := r.perModel[model]
-	r.pcmu.Unlock()
-	if mc == nil {
-		return 0, 0, 0
-	}
-	return mc.routed.Value(), mc.hedged.Value(), mc.shed.Value()
-}
-
 // AddBackend dials addr and adds it to the dispatch set — the second half
 // of a make-before-break rolling restart.
 func (r *Router) AddBackend(addr string) error {
@@ -286,56 +274,6 @@ func (r *Router) AddBackend(addr string) error {
 	b.wg.Add(2)
 	go r.backendWriter(b)
 	go r.backendReader(b)
-	return nil
-}
-
-// DrainBackend stops dispatching new requests to addr; in-flight requests
-// complete normally. Reports whether the backend was found.
-func (r *Router) DrainBackend(addr string) bool {
-	r.bmu.Lock()
-	defer r.bmu.Unlock()
-	for _, b := range r.backends {
-		if b.addr == addr && !b.dead.Load() {
-			b.draining.Store(true)
-			return true
-		}
-	}
-	return false
-}
-
-// Backends lists the live (non-dead) backend addresses.
-func (r *Router) Backends() []string {
-	r.bmu.Lock()
-	defer r.bmu.Unlock()
-	out := make([]string, 0, len(r.backends))
-	for _, b := range r.backends {
-		if !b.dead.Load() {
-			out = append(out, b.addr)
-		}
-	}
-	return out
-}
-
-// awaitReaped waits up to timeout for every connection to addr to be
-// reaped. A member's process can exit before its connection's reader sees
-// the EOF, so Backends may list it briefly after it is gone.
-func (r *Router) awaitReaped(addr string, timeout time.Duration) error {
-	r.bmu.Lock()
-	var gone []chan struct{}
-	for _, b := range r.backends {
-		if b.addr == addr {
-			gone = append(gone, b.gone)
-		}
-	}
-	r.bmu.Unlock()
-	deadline := time.After(timeout)
-	for _, g := range gone {
-		select {
-		case <-g:
-		case <-deadline:
-			return fmt.Errorf("netserve: backend %s still connected %v after it exited", addr, timeout)
-		}
-	}
 	return nil
 }
 

@@ -145,13 +145,3 @@ func SaveFile(path string, params []*Param) error {
 	}
 	return f.Close()
 }
-
-// LoadFile restores params from path.
-func LoadFile(path string, params []*Param) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadWeights(f, params)
-}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -39,7 +40,12 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := tinyNet(tensor.NewRNG(4))
-	if err := LoadFile(path, other.Params()); err != nil {
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := LoadWeights(f, other.Params()); err != nil {
 		t.Fatal(err)
 	}
 	if net.Params()[0].W.Data[0] != other.Params()[0].W.Data[0] {

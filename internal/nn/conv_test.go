@@ -25,10 +25,9 @@ func TestConvKnownValues(t *testing.T) {
 	// taps, corners 4, edges 6.
 	rng := tensor.NewRNG(2)
 	c := NewConv2D("conv", 1, 1, 3, 1, 1, rng)
-	c.Weight.W.Fill(1)
+	copy(c.Weight.W.Data, []float32{1, 1, 1, 1, 1, 1, 1, 1, 1})
 	c.Bias.W.Data[0] = 0
-	x := tensor.New(1, 1, 3, 3)
-	x.Fill(1)
+	x := tensor.FromSlice([]float32{1, 1, 1, 1, 1, 1, 1, 1, 1}, 1, 1, 3, 3)
 	out := run(c).Forward(x, false)
 	want := []float32{4, 6, 4, 6, 9, 6, 4, 6, 4}
 	for i := range want {
@@ -84,7 +83,9 @@ func TestConvGradientAccumulation(t *testing.T) {
 	r := run(c)
 	out := r.Forward(x, true)
 	dout := tensor.New(out.Shape...)
-	dout.Fill(1)
+	for i := range dout.Data {
+		dout.Data[i] = 1
+	}
 	r.Backward(dout)
 	g1 := append([]float32(nil), c.Weight.Grad.Data...)
 	r.Forward(x, true)

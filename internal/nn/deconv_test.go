@@ -45,7 +45,7 @@ func TestDeconvIsConvTranspose(t *testing.T) {
 		// The adjoint conv maps outC→inC with the same weights.
 		conv := NewConv2D("conv", outC, inC, k, stride, pad, rng)
 		conv.Bias.W.Zero()
-		conv.Weight.W.CopyFrom(dec.Weight.W)
+		copy(conv.Weight.W.Data, dec.Weight.W.Data)
 
 		x := tensor.New(1, inC, h, h)
 		rng.FillNorm(x, 0, 1)
@@ -55,8 +55,13 @@ func TestDeconvIsConvTranspose(t *testing.T) {
 
 		dx := run(dec).Forward(x, false)
 		cy := run(conv).Forward(y, false)
-		lhs := tensor.Dot(dx.Data, y.Data)
-		rhs := tensor.Dot(x.Data, cy.Data)
+		var lhs, rhs float64
+		for i := range y.Data {
+			lhs += float64(dx.Data[i]) * float64(y.Data[i])
+		}
+		for i := range x.Data {
+			rhs += float64(x.Data[i]) * float64(cy.Data[i])
+		}
 		return math.Abs(lhs-rhs) <= 1e-2*(1+math.Abs(lhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

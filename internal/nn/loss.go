@@ -7,19 +7,12 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// SoftmaxCrossEntropy computes the paper's HEP loss: softmax over class
-// logits followed by cross-entropy against integer labels. It returns the
-// mean loss over the batch and the gradient with respect to the logits
-// (softmax(x) − onehot(label), divided by batch size).
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
-	grad := tensor.New(logits.Shape[0], logits.Shape[1])
-	loss := SoftmaxCrossEntropyInto(logits, labels, grad)
-	return loss, grad
-}
-
-// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient into
-// a caller-owned tensor of the logits' shape — the allocation-free form
-// training plans use. Every gradient element is overwritten.
+// SoftmaxCrossEntropyInto computes the paper's HEP loss: softmax over
+// class logits followed by cross-entropy against integer labels. It
+// returns the mean loss over the batch and writes the gradient with
+// respect to the logits (softmax(x) − onehot(label), divided by batch
+// size) into grad, a caller-owned tensor of the logits' shape. Every
+// gradient element is overwritten.
 func SoftmaxCrossEntropyInto(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) float64 {
 	n, k := logits.Shape[0], logits.Shape[1]
 	if len(labels) != n {
@@ -221,16 +214,10 @@ func BCEWithLogits(x, t float32) (float64, float32) {
 	return loss, Sigmoid(x) - t
 }
 
-// MSELoss returns mean((pred−target)²)/2 and the gradient (pred−target)/n.
-// Used for the climate decoder's reconstruction objective.
-func MSELoss(pred, target *tensor.Tensor) (float64, *tensor.Tensor) {
-	grad := tensor.New(pred.Shape...)
-	return MSELossInto(pred, target, grad), grad
-}
-
-// MSELossInto is MSELoss writing the gradient into a caller-owned tensor —
-// the allocation-free form training plans use. Every gradient element is
-// overwritten.
+// MSELossInto returns mean((pred−target)²)/2 and writes the gradient
+// (pred−target)/n into grad, a caller-owned tensor of pred's size. Every
+// gradient element is overwritten. Used for the climate decoder's
+// reconstruction objective.
 func MSELossInto(pred, target, grad *tensor.Tensor) float64 {
 	if pred.Len() != target.Len() {
 		panic("nn: MSELoss size mismatch")

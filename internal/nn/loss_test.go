@@ -11,7 +11,8 @@ import (
 func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 	// Uniform logits over 2 classes → loss = ln 2.
 	logits := tensor.New(1, 2)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
+	grad := tensor.New(1, 2)
+	loss := SoftmaxCrossEntropyInto(logits, []int{0}, grad)
 	if math.Abs(loss-math.Ln2) > 1e-6 {
 		t.Fatalf("loss = %v, want ln2", loss)
 	}
@@ -26,18 +27,17 @@ func TestSoftmaxCrossEntropyGradientNumerical(t *testing.T) {
 	logits := tensor.New(3, 4)
 	rng.FillNorm(logits, 0, 2)
 	labels := []int{1, 3, 0}
-	_, grad := SoftmaxCrossEntropy(logits, labels)
-	loss := func() float64 {
-		l, _ := SoftmaxCrossEntropy(logits, labels)
-		return l
-	}
+	grad := tensor.New(3, 4)
+	SoftmaxCrossEntropyInto(logits, labels, grad)
+	loss := func() float64 { return SoftmaxCrossEntropyInto(logits, labels, tensor.New(3, 4)) }
 	gradCheck(t, "softmaxCE", logits.Data, grad.Data, loss, 1)
 }
 
 func TestSoftmaxCrossEntropyStability(t *testing.T) {
 	// Huge logits must not overflow.
 	logits := tensor.FromSlice([]float32{1000, -1000}, 1, 2)
-	loss, grad := SoftmaxCrossEntropy(logits, []int{0})
+	grad := tensor.New(1, 2)
+	loss := SoftmaxCrossEntropyInto(logits, []int{0}, grad)
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("unstable loss %v", loss)
 	}
@@ -114,7 +114,8 @@ func TestBCEGradientNumerical(t *testing.T) {
 func TestMSELoss(t *testing.T) {
 	pred := tensor.FromSlice([]float32{1, 2}, 2)
 	target := tensor.FromSlice([]float32{0, 0}, 2)
-	loss, grad := MSELoss(pred, target)
+	grad := tensor.New(2)
+	loss := MSELossInto(pred, target, grad)
 	if math.Abs(loss-1.25) > 1e-6 { // (1+4)/(2*2)
 		t.Fatalf("mse = %v", loss)
 	}
@@ -129,11 +130,9 @@ func TestMSELossGradientNumerical(t *testing.T) {
 	target := tensor.New(6)
 	rng.FillNorm(pred, 0, 1)
 	rng.FillNorm(target, 0, 1)
-	_, grad := MSELoss(pred, target)
-	loss := func() float64 {
-		l, _ := MSELoss(pred, target)
-		return l
-	}
+	grad := tensor.New(6)
+	MSELossInto(pred, target, grad)
+	loss := func() float64 { return MSELossInto(pred, target, tensor.New(6)) }
 	gradCheck(t, "mse", pred.Data, grad.Data, loss, 1)
 }
 

@@ -1,11 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"strings"
-
-	"deep15pf/internal/tensor"
-)
+import "fmt"
 
 // Network is a sequential stack of layers with a fixed per-sample input
 // shape. It holds no execution state and runs nothing itself — Compile and
@@ -52,8 +47,7 @@ func (n *Network) OutShape() []int {
 
 // ReleaseGradients frees every parameter's gradient accumulator, halving an
 // inference replica's parameter memory. The network can no longer be
-// trained, while ZeroGrad and ScaleGrad become no-ops for released
-// parameters.
+// trained, while ZeroGrad becomes a no-op for released parameters.
 //
 // Interaction with compiled plans: an inference plan (Compile with
 // train=false) holds no gradient or backward buffers, so it compiles and
@@ -129,21 +123,6 @@ func (n *Network) Freeze(names ...string) {
 	}
 }
 
-// Frozen returns the names of frozen layers in layer order (empty when
-// nothing is frozen).
-func (n *Network) Frozen() []string {
-	if len(n.frozen) == 0 {
-		return nil
-	}
-	var names []string
-	for _, l := range n.Layers {
-		if n.frozen[l] {
-			names = append(names, l.Name())
-		}
-	}
-	return names
-}
-
 // backwardCut returns the index of the first layer the backward pass must
 // reach: the earliest non-frozen parameterised layer. With nothing frozen
 // it is 0 (the full backward, including input gradients). A fully frozen
@@ -217,16 +196,6 @@ func ZeroGrads(params []*Param) {
 	}
 }
 
-// ScaleGrad multiplies every gradient by alpha (used to average
-// sample-summed gradients into per-example means).
-func (n *Network) ScaleGrad(alpha float32) {
-	for _, p := range n.Params() {
-		if p.Grad != nil {
-			tensor.Scale(alpha, p.Grad.Data)
-		}
-	}
-}
-
 // NumParams returns the total trainable element count.
 func (n *Network) NumParams() int {
 	total := 0
@@ -275,36 +244,4 @@ func (n *Network) FLOPsPerSample() FlopCount {
 		total = total.Add(row.Count)
 	}
 	return total
-}
-
-// CopyWeightsFrom copies parameter values (not gradients) from src, which
-// must have an identical architecture. Used to fan a master model out to
-// worker replicas and to install parameter-server responses.
-func (n *Network) CopyWeightsFrom(src *Network) {
-	dst := n.Params()
-	sp := src.Params()
-	if len(dst) != len(sp) {
-		panic("nn: CopyWeightsFrom architecture mismatch")
-	}
-	for i := range dst {
-		dst[i].W.CopyFrom(sp[i].W)
-	}
-}
-
-// Summary renders a human-readable architecture table.
-func (n *Network) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (input %v)\n", n.NetName, n.InShape)
-	shape := n.InShape
-	for _, l := range n.Layers {
-		out := l.OutShape(shape)
-		var params int
-		for _, p := range l.Params() {
-			params += p.NumEl()
-		}
-		fmt.Fprintf(&b, "  %-18s %v -> %v  params=%d\n", l.Name(), shape, out, params)
-		shape = out
-	}
-	fmt.Fprintf(&b, "  total params %d (%.1f MiB)\n", n.NumParams(), float64(n.ParamBytes())/(1<<20))
-	return b.String()
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"strings"
 	"testing"
 
 	"deep15pf/internal/tensor"
@@ -53,12 +52,10 @@ func TestNetworkEndToEndGradient(t *testing.T) {
 	labels := []int{0, 1}
 
 	plan := Compile(n, 2, true, nil)
-	loss := func() float64 {
-		l, _ := SoftmaxCrossEntropy(plan.Forward(x), labels)
-		return l
-	}
+	loss := func() float64 { return SoftmaxCrossEntropyInto(plan.Forward(x), labels, tensor.New(2, 2)) }
 	n.ZeroGrad()
-	_, dlogits := SoftmaxCrossEntropy(plan.Forward(x), labels)
+	dlogits := tensor.New(2, 2)
+	SoftmaxCrossEntropyInto(plan.Forward(x), labels, dlogits)
 	dx := plan.Backward(dlogits).Clone()
 
 	// The composition contains ReLU and maxpool kinks, so a small fraction
@@ -80,30 +77,15 @@ func TestNetworkZeroGrad(t *testing.T) {
 	x := tensor.New(1, 2, 8, 8)
 	rng.FillNorm(x, 0, 1)
 	plan := Compile(n, 1, true, nil)
-	_, d := SoftmaxCrossEntropy(plan.Forward(x), []int{0})
+	d := tensor.New(1, 2)
+	SoftmaxCrossEntropyInto(plan.Forward(x), []int{0}, d)
 	plan.Backward(d)
 	n.ZeroGrad()
 	for _, p := range n.Params() {
-		if p.Grad.AbsMax() != 0 {
-			t.Fatalf("%s grad not zeroed", p.Name)
-		}
-	}
-}
-
-func TestNetworkScaleGrad(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	n := tinyNet(rng)
-	x := tensor.New(1, 2, 8, 8)
-	rng.FillNorm(x, 0, 1)
-	plan := Compile(n, 1, true, nil)
-	_, d := SoftmaxCrossEntropy(plan.Forward(x), []int{0})
-	plan.Backward(d)
-	before := n.Params()[0].Grad.Clone()
-	n.ScaleGrad(0.5)
-	after := n.Params()[0].Grad
-	for i := range before.Data {
-		if after.Data[i] != before.Data[i]*0.5 {
-			t.Fatal("ScaleGrad wrong")
+		for _, g := range p.Grad.Data {
+			if g != 0 {
+				t.Fatalf("%s grad not zeroed", p.Name)
+			}
 		}
 	}
 }
@@ -157,37 +139,6 @@ func TestFlopCountArithmetic(t *testing.T) {
 	}
 }
 
-func TestCopyWeightsFrom(t *testing.T) {
-	rngA := tensor.NewRNG(9)
-	rngB := tensor.NewRNG(10)
-	a := tinyNet(rngA)
-	b := tinyNet(rngB)
-	b.CopyWeightsFrom(a)
-	pa, pb := a.Params(), b.Params()
-	for i := range pa {
-		for j := range pa[i].W.Data {
-			if pa[i].W.Data[j] != pb[i].W.Data[j] {
-				t.Fatal("weights not copied")
-			}
-		}
-	}
-	// Must be a copy, not an alias.
-	pb[0].W.Data[0] += 1
-	if pa[0].W.Data[0] == pb[0].W.Data[0] {
-		t.Fatal("CopyWeightsFrom aliased storage")
-	}
-}
-
-func TestSummaryMentionsAllLayers(t *testing.T) {
-	n := tinyNet(tensor.NewRNG(12))
-	s := n.Summary()
-	for _, name := range []string{"conv1", "pool1", "gap", "fc", "total params"} {
-		if !strings.Contains(s, name) {
-			t.Fatalf("summary missing %q:\n%s", name, s)
-		}
-	}
-}
-
 func TestInferMatchesForwardEval(t *testing.T) {
 	rng := tensor.NewRNG(13)
 	n := tinyNet(rng)
@@ -215,10 +166,9 @@ func TestReleaseGradients(t *testing.T) {
 			t.Fatalf("%s still holds a gradient accumulator", p.Name)
 		}
 	}
-	// ZeroGrad/ScaleGrad must be safe no-ops on a released network, and
-	// inference must be unaffected.
+	// ZeroGrad must be a safe no-op on a released network, and inference
+	// must be unaffected.
 	n.ZeroGrad()
-	n.ScaleGrad(0.5)
 	after := Compile(n, 1, false, nil).Forward(x)
 	for i := range before.Data {
 		if before.Data[i] != after.Data[i] {

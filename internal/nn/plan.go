@@ -202,12 +202,6 @@ func (p *Plan) state(s *planStep) *PlanState {
 	return &p.evalSt
 }
 
-// Capacity returns the largest batch the plan can run.
-func (p *Plan) Capacity() int { return p.capacity }
-
-// Training reports whether the plan retains backward state.
-func (p *Plan) Training() bool { return p.train }
-
 // OutShape returns the per-sample output shape.
 func (p *Plan) OutShape() []int { return append([]int(nil), p.net.OutShape()...) }
 

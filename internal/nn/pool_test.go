@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -66,7 +67,7 @@ func TestMaxPoolInvariants(t *testing.T) {
 		}
 		p2 := NewMaxPool2D("p2", 2, 2)
 		out2 := run(p2).Forward(x, false)
-		return out2.AbsMax() <= x.AbsMax()+1e-6
+		return slices.Max(out2.Data) <= slices.Max(x.Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -436,9 +436,6 @@ func (q *qkernel) quantize(s int, x []float32, inv float64) {
 	tensor.QuantizePlanesU8(dst, src, q.inC, q.h, q.w, q.rowStride, q.c4, inv)
 }
 
-// Capacity returns the largest batch the plan can run.
-func (p *QuantPlan) Capacity() int { return p.capacity }
-
 // OutShape returns the per-sample output shape.
 func (p *QuantPlan) OutShape() []int { return append([]int(nil), p.net.OutShape()...) }
 

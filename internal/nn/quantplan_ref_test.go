@@ -226,7 +226,7 @@ func TestQuantPlanMatchesReference(t *testing.T) {
 				// the second call must not see the first one's bytes.
 				qp := CompileQuantized(tc.net, tc.batches[0], calib, nil)
 				for bi := range xs {
-					name := fmt.Sprintf("case %d (%s) isa=%s workers=%d batch=%d", ci, tc.net.Summary(), isa, workers, xs[bi].Shape[0])
+					name := fmt.Sprintf("case %d isa=%s workers=%d batch=%d", ci, isa, workers, xs[bi].Shape[0])
 					requireBitwise(t, name, qp.Forward(xs[bi]), wants[bi])
 				}
 				qp.Release()
@@ -285,7 +285,7 @@ func FuzzQuantPlanBitwise(f *testing.F) {
 				continue // not on this host
 			}
 			qp := CompileQuantized(net, n, calib, nil)
-			requireBitwise(t, fmt.Sprintf("%s batch %d workers %d kernels %s", net.Summary(), n, tensor.Workers(), isa), qp.Forward(x), want)
+			requireBitwise(t, fmt.Sprintf("batch %d workers %d kernels %s", n, tensor.Workers(), isa), qp.Forward(x), want)
 			qp.Release()
 		}
 	})

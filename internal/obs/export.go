@@ -145,13 +145,3 @@ func OverlapSeconds(lanes []LaneSpans, a, b func(Phase) bool) float64 {
 	}
 	return float64(ns) / 1e9
 }
-
-// CoveredSeconds measures the merged wall time covered by spans matching
-// want — the denominator for overlap fractions.
-func CoveredSeconds(lanes []LaneSpans, want func(Phase) bool) float64 {
-	var ns int64
-	for _, x := range mergeIntervals(collect(lanes, want)) {
-		ns += x.end - x.start
-	}
-	return float64(ns) / 1e9
-}

@@ -109,12 +109,6 @@ func TestOverlapSeconds(t *testing.T) {
 	if got := OverlapSeconds(snap, isComm, isCompute); got != 5 { // 4 + 1
 		t.Errorf("overlap = %g, want 5", got)
 	}
-	if got := CoveredSeconds(snap, isComm); got != 7 {
-		t.Errorf("comm covered = %g, want 7", got)
-	}
-	if got := CoveredSeconds(snap, isCompute); got != 10 {
-		t.Errorf("compute covered = %g, want 10", got)
-	}
 	// Self-overlapping spans on one side must merge, not double count.
 	tr2 := NewTracer(8)
 	tr2.Lane("x").Record(PhaseIngest, 0, 6e9)

@@ -285,27 +285,6 @@ func TestHistogramBoundsValidation(t *testing.T) {
 	NewHistogram([]float64{1, 1})
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{10, 20, 30})
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i % 40))
-	}
-	s := h.Snapshot()
-	// 0..9 land <=10 bucket (plus 10 itself): uniform over 0..39 means
-	// the median is ~20; interpolation should put it in [10, 30].
-	q50 := s.Quantile(0.5)
-	if q50 < 10 || q50 > 30 {
-		t.Errorf("q50 = %g, want within [10, 30]", q50)
-	}
-	if q := s.Quantile(1.0); q < 30 {
-		t.Errorf("q100 = %g, want >= 30 (overflow bucket lower bound)", q)
-	}
-	var empty HistogramSnapshot
-	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 {
-		t.Error("empty snapshot quantile/mean should be 0")
-	}
-}
-
 func TestReservoirUniformCoversWholeStream(t *testing.T) {
 	const k, n = 256, 100000
 	r := NewReservoir(k, 42)
@@ -333,7 +312,7 @@ func TestReservoirUniformCoversWholeStream(t *testing.T) {
 	if vals[0] > n/10 {
 		t.Errorf("min retained %g — early stream lost, sampling is biased", vals[0])
 	}
-	med := r.Quantile(0.5)
+	med := QuantileSorted(vals, 0.5)
 	if med < 0.35*n || med > 0.65*n {
 		t.Errorf("median %g, want ~%d", med, n/2)
 	}
@@ -343,7 +322,7 @@ func TestReservoirResetAndNil(t *testing.T) {
 	r := NewReservoir(4, 1)
 	r.Add(1)
 	r.Reset()
-	if r.Count() != 0 || len(r.Sorted()) != 0 || r.Quantile(0.5) != 0 {
+	if r.Count() != 0 || len(r.Sorted()) != 0 || QuantileSorted(r.Sorted(), 0.5) != 0 {
 		t.Fatal("reset did not clear")
 	}
 	var nr *Reservoir

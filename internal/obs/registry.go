@@ -312,41 +312,3 @@ func (s HistogramSnapshot) Mean() float64 {
 	}
 	return s.Sum / float64(s.Count)
 }
-
-// Quantile estimates the q-quantile (0..1) by linear interpolation
-// within the bucket holding the target rank, the standard
-// fixed-bucket estimate. The overflow bucket reports its lower bound
-// (no upper edge to interpolate toward).
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Counts) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum int64
-	for i, c := range s.Counts {
-		if float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		if i >= len(s.Bounds) { // overflow bucket
-			return lo
-		}
-		hi := s.Bounds[i]
-		if c == 0 {
-			return hi
-		}
-		frac := (rank - float64(cum)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}

@@ -80,12 +80,6 @@ func (r *Reservoir) Sorted() []float64 {
 	return out
 }
 
-// Quantile returns the nearest-rank q-quantile (0..1) of the retained
-// sample, 0 when empty.
-func (r *Reservoir) Quantile(q float64) float64 {
-	return QuantileSorted(r.Sorted(), q)
-}
-
 // QuantileSorted returns the nearest-rank q-quantile of an
 // already-sorted slice (0 when empty).
 func QuantileSorted(sorted []float64, q float64) float64 {

@@ -23,10 +23,6 @@ import (
 type Solver interface {
 	// Name identifies the algorithm ("sgd" or "adam").
 	Name() string
-	// LR returns the current learning rate.
-	LR() float64
-	// SetLR changes the learning rate (used by schedules and tuning scans).
-	SetLR(lr float64)
 	// Step applies params[i].Grad to params[i].W. It does not zero
 	// gradients; callers own gradient lifecycle.
 	Step(params []*nn.Param)
@@ -57,12 +53,6 @@ func NewSGD(lr, momentum float64) *SGD {
 
 // Name implements Solver.
 func (s *SGD) Name() string { return "sgd" }
-
-// LR implements Solver.
-func (s *SGD) LR() float64 { return s.Rate }
-
-// SetLR implements Solver.
-func (s *SGD) SetLR(lr float64) { s.Rate = lr }
 
 // Clone implements Solver.
 func (s *SGD) Clone() Solver { return NewSGD(s.Rate, s.Momentum) }
@@ -124,12 +114,6 @@ func NewAdamFull(lr, beta1, beta2, eps float64) *Adam {
 // Name implements Solver.
 func (a *Adam) Name() string { return "adam" }
 
-// LR implements Solver.
-func (a *Adam) LR() float64 { return a.Rate }
-
-// SetLR implements Solver.
-func (a *Adam) SetLR(lr float64) { a.Rate = lr }
-
 // Clone implements Solver.
 func (a *Adam) Clone() Solver { return NewAdamFull(a.Rate, a.Beta1, a.Beta2, a.Eps) }
 
@@ -161,17 +145,5 @@ func (a *Adam) Step(params []*nn.Param) {
 			v[i] = float32(b2*v[i]) + float32(float32((1-b2)*g[i])*g[i])
 			w[i] -= lr * m[i] / (float32(math.Sqrt(float64(v[i]))) + eps)
 		}
-	}
-}
-
-// New constructs a solver by name ("sgd" needs momentum; "adam" ignores it).
-func New(name string, lr, momentum float64) (Solver, error) {
-	switch name {
-	case "sgd":
-		return NewSGD(lr, momentum), nil
-	case "adam":
-		return NewAdam(lr), nil
-	default:
-		return nil, fmt.Errorf("opt: unknown solver %q", name)
 	}
 }

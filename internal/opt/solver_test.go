@@ -136,26 +136,6 @@ func TestCloneHasFreshState(t *testing.T) {
 	}
 }
 
-func TestSetLR(t *testing.T) {
-	s := NewSGD(0.1, 0)
-	s.SetLR(0.5)
-	if s.LR() != 0.5 {
-		t.Fatal("SetLR broken")
-	}
-}
-
-func TestNewByName(t *testing.T) {
-	if s, err := New("sgd", 0.1, 0.5); err != nil || s.Name() != "sgd" {
-		t.Fatalf("sgd: %v", err)
-	}
-	if s, err := New("adam", 0.1, 0); err != nil || s.Name() != "adam" {
-		t.Fatalf("adam: %v", err)
-	}
-	if _, err := New("bogus", 0.1, 0); err == nil {
-		t.Fatal("unknown solver must error")
-	}
-}
-
 func TestConstructorValidation(t *testing.T) {
 	mustPanic := func(f func()) {
 		defer func() { _ = recover() }()

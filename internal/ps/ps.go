@@ -58,7 +58,6 @@ type Server struct {
 	staleness  map[int]int64 // histogram: staleness value → count
 	perGroup   map[int]int64 // groupID → clock at last read
 	seen       map[int]bool  // groups with at least one read (first-push accounting)
-	firstPush  int64
 	wire       WireStats
 }
 
@@ -101,15 +100,15 @@ func (s *Server) Fetch(groupID int) Response {
 
 // accountLocked advances the clock and staleness books for one update from
 // groupID and returns the staleness metadata. A group's first-ever push
-// with no prior read has no read-to-write window to measure: it is counted
-// in the FirstPushes tally, not the staleness histogram, so the histogram
-// only ever aggregates genuine read→write intervals (previously such pushes
-// landed in whatever low bucket the zero-value read clock implied).
+// with no prior read has no read-to-write window to measure: it is
+// reported as first (PushResult.FirstPush), not counted in the staleness
+// histogram, so the histogram only ever aggregates genuine read→write
+// intervals (previously such pushes landed in whatever low bucket the
+// zero-value read clock implied).
 func (s *Server) accountLocked(groupID int) (stale int, first bool) {
 	stale = int(s.clock - s.perGroup[groupID])
 	first = !s.seen[groupID]
 	if first {
-		s.firstPush++
 		s.seen[groupID] = true
 	} else {
 		s.staleness[stale]++
@@ -186,22 +185,6 @@ func (s *Server) PushWires(groupID int, codec comm.Codec, wires []*comm.Wire, we
 		s.wire.WeightBytes += 4 * int64(s.totalElems)
 	}
 	return PushResult{Clock: s.clock, Staleness: stale, FirstPush: first}
-}
-
-// Clock returns the number of updates applied.
-func (s *Server) Clock() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clock
-}
-
-// FirstPushes returns how many updates arrived from groups that had never
-// read this server — pushes with no staleness window, tallied here instead
-// of polluting the histogram.
-func (s *Server) FirstPushes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.firstPush
 }
 
 // Weights returns a copy of the current master parameters.

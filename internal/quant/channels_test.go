@@ -153,26 +153,26 @@ func TestQuantizeU8Into(t *testing.T) {
 		}
 		clear(dst)
 		if allocs := testing.AllocsPerRun(10, func() {
-			QuantizeU8Into(dst, src, scale)
+			tensor.QuantizeU8(dst, src, 1/float64(scale))
 		}); allocs > 0 {
-			t.Errorf("%s: QuantizeU8Into allocates (%v/run)", isa, allocs)
+			t.Errorf("%s: QuantizeU8 allocates (%v/run)", isa, allocs)
 		}
 		for i, got := range dst {
 			if tc := cases[i%len(cases)]; got != tc.want {
-				t.Errorf("%s: QuantizeU8Into(%g) at %d = %d, want %d", isa, tc.v, i, got, tc.want)
+				t.Errorf("%s: QuantizeU8(%g) at %d = %d, want %d", isa, tc.v, i, got, tc.want)
 			}
 		}
 	}
 
-	// Round-trip error bounded by half a step for in-range values.
-	back := make([]float32, len(src))
-	DequantizeU8Into(back, dst, scale)
+	// Round-trip error, dequantizing as (q-128)·scale, is bounded by half a
+	// step for in-range values.
 	for i, tc := range cases {
 		if !(tc.v <= 2 && tc.v >= -2) {
 			continue // saturated, or NaN
 		}
-		if math.Abs(float64(back[i]-tc.v)) > float64(scale)/2+1e-7 {
-			t.Errorf("u8 round-trip %g -> %g exceeds half-step", tc.v, back[i])
+		back := float32(int32(dst[i])-128) * scale
+		if math.Abs(float64(back-tc.v)) > float64(scale)/2+1e-7 {
+			t.Errorf("u8 round-trip %g -> %g exceeds half-step", tc.v, back)
 		}
 	}
 }

@@ -11,21 +11,21 @@ import (
 // architecture is listed, sorted, and carries its workload label.
 func TestRegistryModelsAndProblems(t *testing.T) {
 	r := DefaultRegistry()
-	models := r.Models()
+	archs := r.Archs()
 	want := map[string]string{
 		"astro-paper": "astro", "astro-small": "astro",
 		"climate-paper": "climate", "climate-small": "climate",
 		"hep-paper": "hep", "hep-small": "hep",
 	}
-	if len(models) != len(want) {
-		t.Fatalf("Models() returned %d entries, want %d: %v", len(models), len(want), models)
+	if len(archs) != len(want) {
+		t.Fatalf("Archs() returned %d entries, want %d: %v", len(archs), len(want), archs)
 	}
-	for i, m := range models {
-		if i > 0 && models[i-1].Arch >= m.Arch {
-			t.Fatalf("Models() not sorted: %q before %q", models[i-1].Arch, m.Arch)
+	for i, a := range archs {
+		if i > 0 && archs[i-1] >= a {
+			t.Fatalf("Archs() not sorted: %q before %q", archs[i-1], a)
 		}
-		if want[m.Arch] != m.Problem {
-			t.Fatalf("arch %q labelled problem %q, want %q", m.Arch, m.Problem, want[m.Arch])
+		if p := r.ProblemOf(a); want[a] != p {
+			t.Fatalf("arch %q labelled problem %q, want %q", a, p, want[a])
 		}
 	}
 	if p := r.ProblemOf("astro-small"); p != "astro" {
@@ -44,7 +44,7 @@ func TestRegistryCheckManifest(t *testing.T) {
 	r := NewRegistry()
 	RegisterHEP(r, "tiny", tinyHEP())
 	RegisterAstro(r, "atiny", astro.ModelConfig{Name: "atiny", ImageSize: 8, Filters: 4, ConvUnits: 2, Classes: 3})
-	r.RegisterArch("plain", func(prec Precision) Model { return nil })
+	r.RegisterProblemArch("plain", "", func(prec Precision) Model { return nil })
 
 	cases := []struct {
 		name                  string

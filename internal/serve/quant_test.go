@@ -203,7 +203,13 @@ func TestServedInt8AccuracyNearFP32(t *testing.T) {
 			x, _ := val.Batch(seq(lo, lo+64))
 			scores = append(scores, hep.SignalScore(rep.Infer(x))...)
 		}
-		return hep.Accuracy(scores, val.Labels)
+		correct := 0
+		for i, s := range scores {
+			if (s >= 0.5) == (val.Labels[i] == 1) {
+				correct++
+			}
+		}
+		return float64(correct) / float64(len(scores))
 	}
 	fp32, int8 := accuracy(Float32), accuracy(Int8)
 	t.Logf("served accuracy: fp32 %.4f, int8 %.4f", fp32, int8)

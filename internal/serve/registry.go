@@ -41,29 +41,16 @@ type archEntry struct {
 	problem string
 }
 
-// ModelInfo is one Models() row: an architecture and its workload label.
-type ModelInfo struct {
-	Arch    string
-	Problem string // "" when registered without a workload label
-}
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{archs: make(map[string]archEntry)}
-}
-
-// RegisterArch adds a named architecture with no workload label. Registering
-// a duplicate name panics: two builders disagreeing about one name is a
-// configuration bug.
-func (r *Registry) RegisterArch(name string, b Builder) {
-	r.RegisterProblemArch(name, "", b)
 }
 
 // RegisterProblemArch adds a named architecture labelled with the workload
 // it solves. CheckManifest enforces the label against checkpoint manifests.
 func (r *Registry) RegisterProblemArch(name, problem string, b Builder) {
 	if name == "" || b == nil {
-		panic("serve: RegisterArch needs a name and a builder")
+		panic("serve: RegisterProblemArch needs a name and a builder")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -83,20 +70,6 @@ func (r *Registry) Archs() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Models lists the registered architectures with their workload labels,
-// sorted by architecture name — the zoo inventory a multi-model server
-// prints at startup.
-func (r *Registry) Models() []ModelInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]ModelInfo, 0, len(r.archs))
-	for n, e := range r.archs {
-		out = append(out, ModelInfo{Arch: n, Problem: e.problem})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Arch < out[j].Arch })
-	return out
 }
 
 // ProblemOf returns the workload label arch was registered with ("" for an

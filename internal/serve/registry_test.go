@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,7 +52,9 @@ func trainTinyHEP(t *testing.T, steps int) (*nn.Network, *hep.Dataset) {
 		}
 		x, labels := ds.Batch(idx)
 		net.ZeroGrad()
-		_, grad := nn.SoftmaxCrossEntropy(plan.Forward(x), labels)
+		logits := plan.Forward(x)
+		grad := tensor.New(logits.Shape...)
+		nn.SoftmaxCrossEntropyInto(logits, labels, grad)
 		plan.Backward(grad)
 		for _, p := range net.Params() {
 			for j := range p.W.Data {
@@ -94,7 +97,7 @@ func TestRegistryCheckpointRoundTrip(t *testing.T) {
 	x, _ := ds.Batch(idx)
 	want := nn.Compile(net, len(idx), false, nil).Forward(x.Clone())
 	got := rep.Infer(x)
-	if !want.SameShape(got) {
+	if !slices.Equal(want.Shape, got.Shape) {
 		t.Fatalf("logit shape %v, want %v", got.Shape, want.Shape)
 	}
 	for i := range want.Data {

@@ -23,8 +23,7 @@
 //     occupancy, and served flop rates (mean and peak, as in the paper's §V).
 //
 // cmd/deepserve wires a closed-loop load generator to all of it and
-// reproduces the batching throughput study; examples/serving is the
-// smallest end-to-end tour.
+// reproduces the batching throughput study.
 package serve
 
 import (

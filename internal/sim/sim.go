@@ -44,9 +44,6 @@ func (s *Sim) ScheduleAt(t float64, fn func()) {
 	heap.Push(&s.events, &event{time: t, seq: s.seq, fn: fn})
 }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }
-
 // Step runs the next event; returns false when the queue is empty.
 func (s *Sim) Step() bool {
 	if len(s.events) == 0 {
@@ -61,17 +58,6 @@ func (s *Sim) Step() bool {
 // Run processes events until the queue drains.
 func (s *Sim) Run() {
 	for s.Step() {
-	}
-}
-
-// RunUntil processes events with time ≤ t, then advances the clock to t.
-// Events scheduled later stay queued.
-func (s *Sim) RunUntil(t float64) {
-	for len(s.events) > 0 && s.events[0].time <= t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
 	}
 }
 
@@ -110,7 +96,6 @@ type Resource struct {
 	sim    *Sim
 	freeAt float64
 	busy   float64
-	served int
 }
 
 // NewResource attaches a fresh FIFO resource to the simulator.
@@ -132,15 +117,8 @@ func (r *Resource) Request(service float64) float64 {
 	done := start + service
 	r.freeAt = done
 	r.busy += service
-	r.served++
 	return done
 }
-
-// BusyTime returns cumulative service time (for utilisation accounting).
-func (r *Resource) BusyTime() float64 { return r.busy }
-
-// Served returns the number of completed requests.
-func (r *Resource) Served() int { return r.served }
 
 // Utilization returns busy time over the given horizon.
 func (r *Resource) Utilization(horizon float64) float64 {

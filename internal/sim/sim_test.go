@@ -51,24 +51,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	s := New()
-	ran := 0
-	s.Schedule(1, func() { ran++ })
-	s.Schedule(5, func() { ran++ })
-	s.RunUntil(2)
-	if ran != 1 || s.Pending() != 1 {
-		t.Fatalf("ran=%d pending=%d", ran, s.Pending())
-	}
-	if s.Now() != 2 {
-		t.Fatalf("clock should advance to horizon, got %v", s.Now())
-	}
-	s.Run()
-	if ran != 2 {
-		t.Fatal("remaining event lost")
-	}
-}
-
 func TestScheduleValidation(t *testing.T) {
 	s := New()
 	mustPanic := func(f func()) {
@@ -98,8 +80,8 @@ func TestResourceFIFOQueueing(t *testing.T) {
 	if d1 != 2 || d2 != 4 || d3 != 12 {
 		t.Fatalf("completions = %v %v %v", d1, d2, d3)
 	}
-	if r.Served() != 3 || r.BusyTime() != 6 {
-		t.Fatalf("served=%d busy=%v", r.Served(), r.BusyTime())
+	if u := r.Utilization(12); u != 0.5 {
+		t.Fatalf("6s of service over a 12s horizon: utilization %v, want 0.5", u)
 	}
 }
 

@@ -50,7 +50,9 @@ func TestArenaTensorRoundTrip(t *testing.T) {
 	if x.Len() != 24 || x.Rank() != 3 {
 		t.Fatalf("GetTensor shape: %v", x.Shape)
 	}
-	x.Fill(7)
+	for i := range x.Data {
+		x.Data[i] = 7
+	}
 	a.PutTensor(x)
 	if x.Data != nil {
 		t.Fatal("PutTensor must clear Data")

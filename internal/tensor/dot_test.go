@@ -43,7 +43,7 @@ func TestDotAgainstFloat64Reference(t *testing.T) {
 			y[i] = float32(rng.Norm())
 		}
 		got := float64(dot1(x, y))
-		want := Dot(x, y)
+		want := dot64(x, y)
 		if diff := got - want; diff > 1e-2 || diff < -1e-2 {
 			t.Fatalf("n=%d: dot=%v float64 ref=%v", n, got, want)
 		}
@@ -65,4 +65,14 @@ func BenchmarkDot1024(b *testing.B) {
 		sink += dot1(x, y)
 	}
 	_ = sink
+}
+
+// dot64 is the inner product accumulated in float64, the reference the
+// float32 kernels are checked against.
+func dot64(x, y []float32) float64 {
+	var s float64
+	for i := range x {
+		s += float64(x[i]) * float64(y[i])
+	}
+	return s
 }

@@ -97,7 +97,9 @@ func TestGemmLinearityProperty(t *testing.T) {
 		a2 := randMat(r, m*k)
 		b := randMat(r, k*n)
 		sum := make([]float32, m*k)
-		Add(sum, a1, a2)
+		for i := range sum {
+			sum[i] = a1[i] + a2[i]
+		}
 		c1 := make([]float32, m*n)
 		c2 := make([]float32, m*n)
 		cs := make([]float32, m*n)

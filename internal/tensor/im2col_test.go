@@ -111,8 +111,8 @@ func TestCol2imAdjointProperty(t *testing.T) {
 		im2col(x, c, h, w, k, k, stride, pad, cx)
 		xy := make([]float32, len(x))
 		col2im(y, c, h, w, k, k, stride, pad, xy)
-		lhs := Dot(cx, y)
-		rhs := Dot(x, xy)
+		lhs := dot64(cx, y)
+		rhs := dot64(x, xy)
 		return math.Abs(lhs-rhs) <= 1e-3*(1+math.Abs(lhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

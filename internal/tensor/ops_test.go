@@ -1,9 +1,7 @@
 package tensor
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestAxpy(t *testing.T) {
@@ -16,42 +14,9 @@ func TestAxpy(t *testing.T) {
 	if y[0] != 8 || y[1] != 10 {
 		t.Fatalf("Axpy alpha=1 = %v", y)
 	}
-}
-
-func TestScaleAddSub(t *testing.T) {
-	x := []float32{2, 4}
-	Scale(0.5, x)
-	if x[0] != 1 || x[1] != 2 {
-		t.Fatalf("Scale = %v", x)
-	}
-	dst := make([]float32, 2)
-	Add(dst, []float32{1, 2}, []float32{3, 4})
-	if dst[0] != 4 || dst[1] != 6 {
-		t.Fatalf("Add = %v", dst)
-	}
-	Sub(dst, []float32{1, 2}, []float32{3, 4})
-	if dst[0] != -2 || dst[1] != -2 {
-		t.Fatalf("Sub = %v", dst)
-	}
-}
-
-func TestDotAndMSE(t *testing.T) {
-	if Dot([]float32{1, 2}, []float32{3, 4}) != 11 {
-		t.Fatal("Dot wrong")
-	}
-	if MeanSquaredError([]float32{0, 0}, []float32{3, 4}) != 12.5 {
-		t.Fatal("MSE wrong")
-	}
-	if MeanSquaredError(nil, nil) != 0 {
-		t.Fatal("empty MSE should be 0")
-	}
-}
-
-func TestAccumulateInto(t *testing.T) {
-	dst := make([]float32, 2)
-	AccumulateInto(dst, []float32{1, 2}, []float32{3, 4}, []float32{5, 6})
-	if dst[0] != 9 || dst[1] != 12 {
-		t.Fatalf("AccumulateInto = %v", dst)
+	Scale(0.5, y)
+	if y[0] != 4 || y[1] != 5 {
+		t.Fatalf("Scale = %v", y)
 	}
 }
 
@@ -65,38 +30,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		f()
 	}
 	mustPanic("Axpy", func() { Axpy(1, []float32{1}, []float32{1, 2}) })
-	mustPanic("Dot", func() { Dot([]float32{1}, []float32{1, 2}) })
-	mustPanic("Add", func() { Add(make([]float32, 2), []float32{1}, []float32{1, 2}) })
-	mustPanic("MSE", func() { MeanSquaredError([]float32{1}, []float32{1, 2}) })
-}
-
-// Property: accumulation order does not change the result beyond float
-// tolerance, and AccumulateInto equals elementwise sum.
-func TestAccumulatePermutationProperty(t *testing.T) {
-	f := func(seed uint32) bool {
-		r := NewRNG(uint64(seed) + 99)
-		n := 1 + r.Intn(32)
-		parts := make([][]float32, 3)
-		for i := range parts {
-			parts[i] = make([]float32, n)
-			for j := range parts[i] {
-				parts[i][j] = float32(r.Norm())
-			}
-		}
-		a := make([]float32, n)
-		AccumulateInto(a, parts[0], parts[1], parts[2])
-		b := make([]float32, n)
-		AccumulateInto(b, parts[2], parts[0], parts[1])
-		for i := range a {
-			if math.Abs(float64(a[i]-b[i])) > 1e-4 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestParallelForCoversRangeOnce(t *testing.T) {

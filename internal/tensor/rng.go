@@ -126,10 +126,3 @@ func (r *RNG) FillNorm(t *Tensor, mean, std float64) {
 		t.Data[i] = float32(mean + float64(std*r.Norm()))
 	}
 }
-
-// FillUniform fills t with uniform draws in [lo,hi).
-func (r *RNG) FillUniform(t *Tensor, lo, hi float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(lo + float64((hi-lo)*r.Float64()))
-	}
-}

@@ -127,14 +127,3 @@ func TestFillNorm(t *testing.T) {
 		t.Fatalf("FillNorm mean = %v, want ~5", mean)
 	}
 }
-
-func TestFillUniform(t *testing.T) {
-	r := NewRNG(37)
-	x := New(1000)
-	r.FillUniform(x, -1, 1)
-	for _, v := range x.Data {
-		if v < -1 || v >= 1 {
-			t.Fatalf("FillUniform out of range: %v", v)
-		}
-	}
-}

@@ -10,7 +10,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // Tensor is a dense, row-major float32 tensor. Shape is the list of
@@ -53,9 +52,6 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 // Len returns the total number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
@@ -66,39 +62,11 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// CopyFrom copies src's data into t. Shapes must have equal element counts.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.Data) != len(src.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(src.Data)))
-	}
-	copy(t.Data, src.Data)
-}
-
 // Zero sets all elements to zero.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
-}
-
-// Fill sets all elements to v.
-func (t *Tensor) Fill(v float32) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
-// Reshape returns a view of t with a new shape (same backing data). The new
-// shape must preserve the element count.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: reshape %v -> %v changes element count", t.Shape, shape))
-	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // At returns the element at the given multi-index. Intended for tests and
@@ -126,19 +94,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.Shape) != len(o.Shape) {
-		return false
-	}
-	for i := range t.Shape {
-		if t.Shape[i] != o.Shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Sum returns the sum of all elements in float64 for accuracy.
 func (t *Tensor) Sum() float64 {
 	var s float64
@@ -146,30 +101,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// AbsMax returns the largest absolute element value.
-func (t *Tensor) AbsMax() float32 {
-	var m float32
-	for _, v := range t.Data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.Data {
-		s += float64(float64(v) * float64(v))
-	}
-	return math.Sqrt(s)
 }
 
 // String renders a compact description (shape and a data prefix).
