@@ -1,6 +1,7 @@
 package netserve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -15,22 +16,20 @@ import (
 var ErrDraining = errors.New("netserve: connection draining (goaway received)")
 
 // Client is one multiplexed connection to a backend or router: requests
-// are pipelined under climbing ids from any number of goroutines,
-// responses come back in completion order, and a single reader goroutine
-// matches them up. The hot path reuses the write buffer, the read
-// buffers, and pooled call envelopes — framing allocates nothing warm
-// (InferInto also skips the response allocation by decoding into a
-// caller tensor).
+// are pipelined under climbing ids from any number of goroutines and
+// written by group commit (concurrent callers share a write), responses
+// come back in completion order, and a single reader goroutine matches
+// them up. The hot path reuses the write buffers, the read buffers, and
+// pooled call envelopes — framing allocates nothing warm (InferInto also
+// skips the response allocation by decoding into a caller tensor).
 type Client struct {
 	conn   net.Conn
+	w      frameWriter
 	nextID atomic.Uint64
 
 	cmu       sync.Mutex
 	calls     map[uint64]*call
 	readerErr error
-
-	wmu  sync.Mutex
-	wbuf []byte
 
 	inflight atomic.Int64
 	draining atomic.Bool
@@ -54,13 +53,18 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:       conn,
+		w:          frameWriter{conn: conn},
 		calls:      make(map[uint64]*call),
 		readerDone: make(chan struct{}),
 	}
 	go c.reader()
-	return c, nil
+	return c
 }
 
 // Infer sends x to the named model and returns a freshly allocated
@@ -94,13 +98,10 @@ func (c *Client) do(model string, x, y *tensor.Tensor, into bool) (*tensor.Tenso
 	c.cmu.Unlock()
 	c.inflight.Add(1)
 
-	c.wmu.Lock()
+	c.w.mu.Lock()
 	var err error
-	c.wbuf, err = AppendRequest(c.wbuf[:0], id, model, x.Shape, x.Data)
-	if err == nil {
-		_, err = c.conn.Write(c.wbuf)
-	}
-	c.wmu.Unlock()
+	c.w.buf, err = AppendRequest(c.w.buf, id, model, x.Shape, x.Data)
+	c.w.mu.Unlock()
 	if err != nil {
 		c.cmu.Lock()
 		_, mine := c.calls[id]
@@ -114,6 +115,9 @@ func (c *Client) do(model string, x, y *tensor.Tensor, into bool) (*tensor.Tenso
 		callPool.Put(cl)
 		return nil, err
 	}
+	// A write error closes the connection, and the reader then fails this
+	// call with the rest.
+	c.w.flush()
 
 	<-cl.done
 	res, rerr := cl.y, cl.err
@@ -134,10 +138,12 @@ func (c *Client) finish() {
 
 // reader is the demux loop: match ids, decode responses, surface error
 // frames, run the goaway handshake, and on exit fail everything still
-// outstanding with the transport error.
+// outstanding with the transport error (the write error, if the write side
+// broke first).
 func (c *Client) reader() {
 	defer close(c.readerDone)
 	var (
+		br  = bufio.NewReaderSize(c.conn, readBufSize)
 		hdr = make([]byte, headerLen)
 		buf []byte
 		tw  TensorWire
@@ -145,7 +151,7 @@ func (c *Client) reader() {
 		err error
 	)
 	for {
-		h, buf, err = ReadFrame(c.conn, hdr, buf)
+		h, buf, err = ReadFrame(br, hdr, buf)
 		if err != nil {
 			break
 		}
@@ -181,6 +187,9 @@ func (c *Client) reader() {
 		default:
 			// Requests/cancels are meaningless inbound on a client; drop.
 		}
+	}
+	if werr := c.w.failed(); werr != nil {
+		err = werr
 	}
 	if err == nil {
 		err = errors.New("netserve: connection closed")

@@ -35,10 +35,13 @@
 package netserve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"sync"
 )
 
 const (
@@ -192,6 +195,97 @@ func ReadFrame(r io.Reader, hdr, buf []byte) (Header, []byte, error) {
 		return Header{}, buf, fmt.Errorf("netserve: frame %d truncated at %d payload bytes: %w", h.ID, h.N, err)
 	}
 	return h, buf, nil
+}
+
+// readBufSize is every connection reader's buffer: one read syscall brings
+// in all the frames the peer has sent so far, up to this many bytes, and
+// ReadFrame parses them from memory. A frame larger than the buffer is read
+// straight through it.
+const readBufSize = 8 << 10
+
+// frameBuffered reports whether br already holds the whole next frame, so
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < headerLen {
+		return false
+	}
+	hdr, _ := br.Peek(headerLen)
+	return n >= headerLen+int(binary.LittleEndian.Uint32(hdr[16:]))
+}
+
+// frameWriter is a connection's group-commit writer. Producers append
+// encoded frames to buf under mu and then call flush. A flush that finds
+// another flush writing returns at once: that writer takes the new frames
+// on its next pass. So concurrent producers share one write syscall
+// instead of paying one each, and no goroutine hand-off sits between a
+// producer and the socket. A write error is final: the writer drops what is
+// queued, now and later, and closes the connection so that its reader runs
+// the connection's failure path.
+type frameWriter struct {
+	conn  net.Conn
+	mu    sync.Mutex
+	buf   []byte // frames queued since the last write began
+	spare []byte // the previous write's buffer, reused
+	busy  bool   // a flush is writing
+	err   error  // the write error that killed the writer
+}
+
+// flush writes everything queued, looping until nothing is, unless another
+// flush is already doing so.
+func (w *frameWriter) flush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.busy {
+		return
+	}
+	w.busy = true
+	for len(w.buf) > 0 && w.err == nil {
+		out := w.buf
+		w.buf = w.spare[:0]
+		w.mu.Unlock()
+		_, err := w.conn.Write(out)
+		w.mu.Lock()
+		w.spare = out
+		if err != nil {
+			w.err = err
+			w.conn.Close()
+		}
+	}
+	if w.err != nil {
+		w.buf = w.buf[:0]
+	}
+	w.busy = false
+}
+
+// failed returns the write error that killed the writer, nil while it
+// lives.
+func (w *frameWriter) failed() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
+}
+
+// touched collects the writers a reader goroutine has queued frames on
+// since it last flushed. The router's readers flush them only before a read
+// that could block, so every frame one read brought in leaves in one write
+// per peer.
+type touched []*frameWriter
+
+func (t *touched) add(w *frameWriter) {
+	for _, x := range *t {
+		if x == w {
+			return
+		}
+	}
+	*t = append(*t, w)
+}
+
+func (t *touched) flush() {
+	for _, w := range *t {
+		w.flush()
+	}
+	*t = (*t)[:0]
 }
 
 // ---- encoders (append-style; reuse the destination buffer to stay 0-alloc) ----

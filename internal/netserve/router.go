@@ -1,10 +1,11 @@
 package netserve
 
 import (
+	"bufio"
 	"fmt"
 	"hash/fnv"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,10 +101,7 @@ type Router struct {
 type backend struct {
 	addr string
 	conn net.Conn
-	wch  chan fwd
-	// gone closes when the backend dies; wch is never closed, so senders
-	// select against gone instead of risking a closed-channel panic.
-	gone chan struct{}
+	w    frameWriter // spliced requests and cancels
 
 	inflight atomic.Int64
 	lmu      sync.Mutex
@@ -117,11 +115,18 @@ type backend struct {
 
 // latencyWindow holds a backend's most recent response latencies
 // (seconds) in a ring: admission and the hedge deadline ask how a member
-// behaves now, not over its lifetime. Guarded by backend.lmu.
+// behaves now, not over its lifetime. Quantiles read a sorted copy rebuilt
+// at most once per resortEvery observations, so asking is a lookup, not a
+// sort of the window per request. Guarded by backend.lmu.
 type latencyWindow struct {
-	vals []float64
-	n    int64 // observations ever added
+	vals     []float64
+	n        int64     // observations ever added
+	sorted   []float64 // vals sorted as of observation sortedAt, reused
+	sortedAt int64
 }
+
+// resortEvery bounds how many observations a window's sorted copy may lag.
+const resortEvery = 32
 
 func (w *latencyWindow) add(v float64) {
 	if len(w.vals) < cap(w.vals) {
@@ -134,16 +139,12 @@ func (w *latencyWindow) add(v float64) {
 
 // quantile is the nearest-rank q-quantile of the window, 0 when empty.
 func (w *latencyWindow) quantile(q float64) float64 {
-	sorted := append([]float64(nil), w.vals...)
-	sort.Float64s(sorted)
-	return obs.QuantileSorted(sorted, q)
-}
-
-// fwd is one unit of backend writer work: a spliced request or a cancel.
-type fwd struct {
-	bid    uint64
-	call   *routerCall
-	cancel bool
+	if w.sorted == nil || w.n-w.sortedAt >= resortEvery {
+		w.sorted = append(w.sorted[:0], w.vals...)
+		slices.Sort(w.sorted)
+		w.sortedAt = w.n
+	}
+	return obs.QuantileSorted(w.sorted, q)
 }
 
 // routerCall is one client request in flight through the router.
@@ -156,10 +157,6 @@ type routerCall struct {
 	// state: 0 open, 1 answered/terminal. Every terminal transition CASes
 	// so exactly one response reaches the client writer.
 	state atomic.Int32
-
-	respType FrameType
-	respAux  uint16
-	respBuf  []byte
 
 	timer *time.Timer
 	// attempt bookkeeping under Router.pmu: ids and backends of the
@@ -181,7 +178,7 @@ type attempt struct {
 type rconn struct {
 	r        *Router
 	conn     net.Conn
-	wch      chan *routerCall
+	w        frameWriter // responses and error frames
 	inflight sync.WaitGroup
 	lane     *obs.Lane
 }
@@ -263,16 +260,14 @@ func (r *Router) AddBackend(addr string) error {
 	b := &backend{
 		addr: addr,
 		conn: conn,
-		wch:  make(chan fwd, 1024),
-		gone: make(chan struct{}),
+		w:    frameWriter{conn: conn},
 		lat:  latencyWindow{vals: make([]float64, 0, r.cfg.Window)},
 		lane: r.cfg.Trace.Lane("router.b:" + addr),
 	}
 	r.bmu.Lock()
 	r.backends = append(r.backends, b)
 	r.bmu.Unlock()
-	b.wg.Add(2)
-	go r.backendWriter(b)
+	b.wg.Add(1)
 	go r.backendReader(b)
 	return nil
 }
@@ -320,7 +315,7 @@ func (r *Router) acceptLoop() {
 		c := &rconn{
 			r:    r,
 			conn: conn,
-			wch:  make(chan *routerCall, 1024),
+			w:    frameWriter{conn: conn},
 			lane: r.cfg.Trace.Lane(fmt.Sprintf("router.c%d", r.laneSeq)),
 		}
 		r.laneSeq++
@@ -333,33 +328,36 @@ func (r *Router) acceptLoop() {
 
 func (c *rconn) run() {
 	defer c.r.connWG.Done()
-	var writerWG sync.WaitGroup
-	writerWG.Add(1)
-	go func() {
-		defer writerWG.Done()
-		c.writer()
-	}()
 	c.reader()
 	c.inflight.Wait()
-	close(c.wch)
-	writerWG.Wait()
+	c.w.flush() // the last answers go out before the close
 	c.conn.Close()
 	c.r.mu.Lock()
 	delete(c.r.conns, c)
 	c.r.mu.Unlock()
 }
 
-// reader parses client frames and dispatches them. The Route phase span
+// reader parses client frames and queues each request's forward on its
+// backend's writer. It flushes the writers it touched only before a read
+// that could block, so the forwards of every frame one read brought in go
+// out together, and once more on exit, so a closing client's last requests
+// still reach a backend (run waits for their answers). The Route phase span
 // covers receive→forward-enqueue for each request: frame parse, backend
 // pick, splice enqueue.
 func (c *rconn) reader() {
 	var (
+		br     = bufio.NewReaderSize(c.conn, readBufSize)
 		hdr    = make([]byte, headerLen)
 		buf    []byte
+		out    touched
 		tracer = c.lane.Tracer()
 	)
+	defer out.flush()
 	for {
-		h, payload, err := ReadFrame(c.conn, hdr, buf)
+		if !frameBuffered(br) {
+			out.flush()
+		}
+		h, payload, err := ReadFrame(br, hdr, buf)
 		buf = payload
 		if err != nil {
 			return
@@ -373,7 +371,13 @@ func (c *rconn) reader() {
 		}
 		model, merr := RequestModel(h, payload)
 		if merr != nil {
-			continue // header lies about its own payload: drop the frame
+			// The header lies about its own payload: refuse it on the
+			// client's id, as a backend would.
+			c.w.mu.Lock()
+			c.w.buf = AppendError(c.w.buf, h.ID, CodeBadShape, merr.Error())
+			c.w.mu.Unlock()
+			out.add(&c.w)
+			continue
 		}
 		call := &routerCall{
 			rc:       c,
@@ -383,73 +387,40 @@ func (c *rconn) reader() {
 		}
 		call.model = call.reqBuf[:len(model)]
 		c.inflight.Add(1)
-		c.r.dispatch(call, nil, false)
+		c.r.dispatch(call, nil, false, &out)
 		if tracer != nil {
 			c.lane.Record(obs.PhaseRoute, t0, tracer.Now())
 		}
 	}
 }
 
-// writer sends terminal frames (spliced responses, error frames) back to
-// the client, coalescing whatever is queued into single writes.
-func (c *rconn) writer() {
-	var buf []byte
-	dead := false
-	flush := func() {
-		if len(buf) > 0 && !dead {
-			if _, err := c.conn.Write(buf); err != nil {
-				dead = true
-			}
-		}
-		buf = buf[:0]
-	}
-	encode := func(call *routerCall) {
-		switch call.respType {
-		case FrameError:
-			buf = grow(buf, headerLen+len(call.respBuf))
-			putHeader(buf[len(buf)-headerLen-len(call.respBuf):], FrameError, call.respAux, call.clientID, len(call.respBuf))
-			copy(buf[len(buf)-len(call.respBuf):], call.respBuf)
-		default:
-			buf = AppendResponseRaw(buf, call.clientID, call.respBuf)
-		}
-		c.inflight.Done()
-	}
-	for call := range c.wch {
-		encode(call)
-	coalesce:
-		for len(buf) < 256<<10 {
-			select {
-			case more, ok := <-c.wch:
-				if !ok {
-					break coalesce
-				}
-				encode(more)
-			default:
-				break coalesce
-			}
-		}
-		flush()
-	}
-	flush()
-}
-
-// finish CASes the call terminal and enqueues its response; exactly one
-// caller wins.
-func (call *routerCall) finish(t FrameType, aux uint16, payload []byte) bool {
+// finish CASes the call terminal and queues its answer, spliced under the
+// client's id, on the client connection's writer; out collects the writer
+// for the caller to flush. Exactly one caller wins.
+func (call *routerCall) finish(t FrameType, aux uint16, payload []byte, out *touched) bool {
 	if !call.state.CompareAndSwap(0, 1) {
 		return false
 	}
-	call.respType, call.respAux = t, aux
-	call.respBuf = append(call.respBuf[:0], payload...)
-	call.rc.wch <- call
+	w := &call.rc.w
+	w.mu.Lock()
+	if t == FrameError {
+		w.buf = AppendError(w.buf, call.clientID, ErrCode(aux), string(payload))
+	} else {
+		w.buf = AppendResponseRaw(w.buf, call.clientID, payload)
+	}
+	w.mu.Unlock()
+	call.rc.inflight.Done()
+	out.add(w)
 	return true
 }
 
-// dispatch forwards call to the best eligible backend, hedging and
-// shedding per config. exclude removes one backend from consideration (a
-// hedge's primary, a retry's corpse); hedge marks this attempt as the
-// hedge so counters and cancellation bookkeeping see it.
-func (r *Router) dispatch(call *routerCall, exclude *backend, hedge bool) {
+// dispatch queues call's forward on the best eligible backend's writer,
+// hedging and shedding per config; out collects the writers it queued on
+// (the backend's, or the client's for a shed) for the caller to flush.
+// exclude removes one backend from consideration (a hedge's primary, a
+// retry's corpse); hedge marks this attempt as the hedge so counters and
+// cancellation bookkeeping see it.
+func (r *Router) dispatch(call *routerCall, exclude *backend, hedge bool, out *touched) {
 	b := r.pick(call.model, exclude)
 	if b == nil {
 		if hedge {
@@ -457,7 +428,7 @@ func (r *Router) dispatch(call *routerCall, exclude *backend, hedge bool) {
 		}
 		r.shed.Inc()
 		r.forModel(call.model).shed.Inc()
-		call.finish(FrameError, uint16(CodeShed), []byte("no eligible backend"))
+		call.finish(FrameError, uint16(CodeShed), []byte("no eligible backend"), out)
 		return
 	}
 	bid := r.nextBID.Add(1)
@@ -469,7 +440,7 @@ func (r *Router) dispatch(call *routerCall, exclude *backend, hedge bool) {
 		// before the scan (reap re-dispatches it) or this check sees dead
 		// and re-picks — never a silently stranded entry.
 		r.pmu.Unlock()
-		r.dispatch(call, b, hedge)
+		r.dispatch(call, b, hedge, out)
 		return
 	}
 	if call.natt < len(call.bids) {
@@ -489,19 +460,21 @@ func (r *Router) dispatch(call *routerCall, exclude *backend, hedge bool) {
 				}
 				r.hedged.Inc()
 				r.forModel(call.model).hedged.Inc()
-				r.dispatch(call, b, true)
+				var now touched // no reader loop to flush for us
+				r.dispatch(call, b, true, &now)
+				now.flush()
 			})
 			r.pmu.Lock()
 			call.timer = t
 			r.pmu.Unlock()
 		}
 	}
-	select {
-	case b.wch <- fwd{bid: bid, call: call}:
-	case <-b.gone:
-		// Died mid-send; reapBackend owns (or owned) the pend entry and
-		// re-dispatches any open call.
-	}
+	// If the backend dies before this goes out, the write is dropped and
+	// reapBackend re-dispatches the pend entry.
+	b.w.mu.Lock()
+	b.w.buf = AppendRequestRaw(b.w.buf, bid, call.modelLen, call.reqBuf)
+	b.w.mu.Unlock()
+	out.add(&b.w)
 }
 
 // pick chooses a backend for model: rendezvous (highest-random-weight)
@@ -577,58 +550,24 @@ func rendezvousScore(model []byte, addr string) uint64 {
 	return h.Sum64()
 }
 
-// backendWriter splices queued requests (and cancels) onto the backend
-// connection.
-func (r *Router) backendWriter(b *backend) {
-	defer b.wg.Done()
-	var buf []byte
-	dead := false
-	flush := func() {
-		if len(buf) > 0 && !dead {
-			if _, err := b.conn.Write(buf); err != nil {
-				dead = true
-			}
-		}
-		buf = buf[:0]
-	}
-	encode := func(f fwd) {
-		if f.cancel {
-			buf = AppendControl(buf, FrameCancel, f.bid)
-			return
-		}
-		buf = AppendRequestRaw(buf, f.bid, f.call.modelLen, f.call.reqBuf)
-	}
-	for {
-		select {
-		case f := <-b.wch:
-			encode(f)
-		coalesce:
-			for len(buf) < 256<<10 {
-				select {
-				case more := <-b.wch:
-					encode(more)
-				default:
-					break coalesce
-				}
-			}
-			flush()
-		case <-b.gone:
-			return
-		}
-	}
-}
-
-// backendReader demultiplexes backend responses back to their calls: the
-// NetWait span (forward→first-response) is what hedging exists to cut.
+// backendReader demultiplexes backend responses back to their calls,
+// queueing each on its client connection's writer and flushing the ones it
+// touched before a read that could block, as rconn.reader does: the NetWait
+// span (forward→first-response) is what hedging exists to cut.
 func (r *Router) backendReader(b *backend) {
 	defer b.wg.Done()
 	var (
+		br     = bufio.NewReaderSize(b.conn, readBufSize)
 		hdr    = make([]byte, headerLen)
 		buf    []byte
+		out    touched
 		tracer = b.lane.Tracer()
 	)
 	for {
-		h, payload, err := ReadFrame(b.conn, hdr, buf)
+		if !frameBuffered(br) {
+			out.flush()
+		}
+		h, payload, err := ReadFrame(br, hdr, buf)
 		buf = payload
 		if err != nil {
 			break
@@ -655,7 +594,7 @@ func (r *Router) backendReader(b *backend) {
 				b.lane.Record(obs.PhaseNetWait, tracer.At(at.sent), tracer.Now())
 			}
 			call := at.call
-			if call.finish(h.Type, h.Aux, payload) {
+			if call.finish(h.Type, h.Aux, payload, &out) {
 				r.afterWin(call, h.ID)
 			}
 		case FrameGoaway:
@@ -672,6 +611,7 @@ func (r *Router) backendReader(b *backend) {
 			b.conn.Close()
 		}
 	}
+	out.flush()
 	r.reapBackend(b)
 }
 
@@ -707,10 +647,10 @@ func (r *Router) afterWin(call *routerCall, winnerBID uint64) {
 	}
 	loser.inflight.Add(-1)
 	if !loser.dead.Load() {
-		select {
-		case loser.wch <- fwd{bid: loserBID, cancel: true}:
-		default: // writer backlogged; the late response is dropped anyway
-		}
+		loser.w.mu.Lock()
+		loser.w.buf = AppendControl(loser.w.buf, FrameCancel, loserBID)
+		loser.w.mu.Unlock()
+		loser.w.flush()
 	}
 }
 
@@ -722,7 +662,6 @@ func (r *Router) reapBackend(b *backend) {
 		return
 	}
 	b.conn.Close()
-	close(b.gone)
 
 	r.bmu.Lock()
 	for i, x := range r.backends {
@@ -742,12 +681,14 @@ func (r *Router) reapBackend(b *backend) {
 		}
 	}
 	r.pmu.Unlock()
+	var out touched
 	for _, at := range stranded {
 		b.inflight.Add(-1)
 		if at.call.state.Load() != 0 {
 			continue // already answered by the other attempt
 		}
 		r.retries.Inc()
-		r.dispatch(at.call, b, false)
+		r.dispatch(at.call, b, false, &out)
 	}
+	out.flush()
 }

@@ -1,7 +1,9 @@
 package netserve
 
 import (
+	"encoding/binary"
 	"errors"
+	"net"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -549,5 +551,92 @@ func TestLatencyWindowKeepsLastK(t *testing.T) {
 	}
 	if (&latencyWindow{}).quantile(0.5) != 0 {
 		t.Fatal("empty window quantile must be 0")
+	}
+}
+
+// TestRouterRefusesLyingModelLength: a request whose model-name length
+// lies about its payload (zero, or longer than the payload) is answered
+// with a bad-shape error on the client's id, as a backend answers it,
+// instead of being dropped with the client left waiting; the connection
+// then serves a good request.
+func TestRouterRefusesLyingModelLength(t *testing.T) {
+	r, _, _, inputs := startFleet(t, []time.Duration{0, 0}, RouterConfig{})
+	conn, err := net.Dial("tcp", r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	good := mustRequest(t, "tiny", inputs[0].X)
+	var stream []byte
+	for id, aux := range []int{0, len(good) - headerLen + 1} {
+		f := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint16(f[6:], uint16(aux))
+		binary.LittleEndian.PutUint64(f[8:], uint64(id+1))
+		stream = append(stream, f...)
+	}
+	f := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint64(f[8:], 3)
+	if _, err := conn.Write(append(stream, f...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	hdr := make([]byte, headerLen)
+	seen := map[uint64]bool{}
+	for len(seen) < 3 {
+		h, payload, err := ReadFrame(conn, hdr, nil)
+		if err != nil {
+			t.Fatalf("after answers to %v: %v", seen, err)
+		}
+		seen[h.ID] = true
+		switch h.ID {
+		case 1, 2:
+			re := &RemoteError{Code: ErrCode(h.Aux), Msg: string(payload)}
+			if h.Type != FrameError || re.Code != CodeBadShape {
+				t.Fatalf("request %d answered with a type-%d frame (%v), want a bad-shape error", h.ID, h.Type, re)
+			}
+		case 3:
+			var tw TensorWire
+			if h.Type != FrameResponse || DecodeResponse(payload, &tw) != nil || tw.Elems != 2 {
+				t.Fatalf("good request answered with a type-%d frame, want 2 logits", h.Type)
+			}
+		default:
+			t.Fatalf("answer for unknown id %d", h.ID)
+		}
+	}
+}
+
+// TestLatencyQuantileWarmZeroAlloc: the hedge deadline and the admission
+// check cost no allocation once a window is warm, its sorted copy included,
+// and the copy is rebuilt once per resortEvery observations, not per ask.
+func TestLatencyQuantileWarmZeroAlloc(t *testing.T) {
+	r := &Router{cfg: RouterConfig{Hedge: true, AdmitP99: time.Second}.withDefaults()}
+	b := &backend{lat: latencyWindow{vals: make([]float64, 0, r.cfg.Window)}}
+	for i := 0; i < r.cfg.Window; i++ {
+		b.lat.add(1e-4)
+	}
+	r.hedgeDelay(b)
+	r.admit(b)
+	v := 0.0
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < resortEvery; i++ {
+			v += 1e-5
+			b.lat.add(v)
+		}
+		r.hedgeDelay(b)
+		r.admit(b)
+	}); n != 0 {
+		t.Fatalf("warm hedgeDelay+admit allocate %.1f/op, want 0", n)
+	}
+	at := b.lat.sortedAt
+	b.lat.add(1)
+	if b.lat.quantile(1); b.lat.sortedAt != at {
+		t.Fatal("window re-sorted after one new observation")
+	}
+	for i := 1; i < resortEvery; i++ {
+		b.lat.add(1)
+	}
+	if q := b.lat.quantile(1); b.lat.sortedAt != b.lat.n || q != 1 {
+		t.Fatalf("after %d new observations the window max is %v as of observation %d, want 1 as of %d",
+			resortEvery, q, b.lat.sortedAt, b.lat.n)
 	}
 }

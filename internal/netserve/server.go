@@ -1,6 +1,7 @@
 package netserve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -187,6 +188,7 @@ func (c *srvConn) run() {
 // reader exits and teardown closes the connection.
 func (c *srvConn) reader() {
 	var (
+		br  = bufio.NewReaderSize(c.conn, readBufSize)
 		hdr = make([]byte, headerLen)
 		buf []byte
 		tw  TensorWire
@@ -194,7 +196,7 @@ func (c *srvConn) reader() {
 		err error
 	)
 	for {
-		h, buf, err = ReadFrame(c.conn, hdr, buf)
+		h, buf, err = ReadFrame(br, hdr, buf)
 		if err != nil {
 			return // io.EOF on clean close; anything else poisons the stream
 		}
@@ -363,7 +365,9 @@ func (c *srvConn) reject(id uint64, code ErrCode, msg string) {
 // writer drains the response queue, encoding into one reused buffer and
 // coalescing everything immediately available into a single Write — the
 // syscall amortisation that keeps a pipelined connection off the
-// per-frame write cliff.
+// per-frame write cliff. The client and router write by group commit
+// instead (frameWriter); a backend keeps this goroutine because its
+// producers are batcher workers, which must never block in a socket write.
 func (c *srvConn) writer() {
 	var buf []byte
 	dead := false

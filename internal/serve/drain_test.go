@@ -182,3 +182,27 @@ func TestOpenLoopLoadgen(t *testing.T) {
 		t.Fatalf("open-loop run finished in %v — arrivals are not being paced", res.Wall)
 	}
 }
+
+// TestStatsCountAnsweredRequests: a request is in Stats by the time its
+// caller holds the response — inside the completion callback already, on
+// the async path the network tier uses.
+func TestStatsCountAnsweredRequests(t *testing.T) {
+	s, inputs := loadTinyServer(t, Config{MaxBatch: 8, Workers: 2})
+	defer s.Close()
+	counted := make(chan int64, 1)
+	cb := func(*tensor.Tensor, any) { counted <- s.Stats().Requests }
+	for i := int64(0); i < 100; i += 2 {
+		if _, err := s.Submit(inputs[i%int64(len(inputs))].X); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats().Requests; got != i+1 {
+			t.Fatalf("after %d answered requests Stats counts %d", i+1, got)
+		}
+		if err := s.SubmitAsync(inputs[0].X, cb, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-counted; got != i+2 {
+			t.Fatalf("callback for request %d saw Stats count %d", i+2, got)
+		}
+	}
+}

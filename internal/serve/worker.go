@@ -60,15 +60,21 @@ func (s *Server) worker(rep Model, lane *obs.Lane) {
 		infer := time.Since(t0)
 		lane.End(obs.PhaseInfer)
 
+		// The batch is recorded before any member is answered, so a caller
+		// holding its response finds it counted in Stats.
+		done := time.Now()
+		lats = lats[:0]
+		for _, p := range batch {
+			lats = append(lats, done.Sub(p.enq).Seconds())
+		}
+		s.metrics.recordBatch(n, infer, flopsPerSample*float64(n), lats)
+
 		// Responses are views into the batch output (one allocation per
 		// batch, not per request); the worker never touches y again. The
 		// three-index slice caps capacity at the request's own segment so
 		// no caller can reslice into a neighbour's result.
-		done := time.Now()
-		lats = lats[:0]
 		for i, p := range batch {
 			out := tensor.FromSlice(y.Data[i*outLen:(i+1)*outLen:(i+1)*outLen], outShape...)
-			lats = append(lats, done.Sub(p.enq).Seconds())
 			if p.cb != nil {
 				// Async request: complete via callback and recycle the
 				// envelope here — there is no submitter goroutine to do it.
@@ -81,7 +87,6 @@ func (s *Server) worker(rep Model, lane *obs.Lane) {
 			}
 			p.done <- result{y: out}
 		}
-		s.metrics.recordBatch(n, infer, flopsPerSample*float64(n), lats)
 		s.idleWorkers.Add(1)
 	}
 }
