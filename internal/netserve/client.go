@@ -24,7 +24,7 @@ var ErrDraining = errors.New("netserve: connection draining (goaway received)")
 // skips the response allocation by decoding into a caller tensor).
 type Client struct {
 	conn   net.Conn
-	w      frameWriter
+	w      *frameWriter
 	nextID atomic.Uint64
 
 	cmu       sync.Mutex
@@ -59,7 +59,7 @@ func Dial(addr string) (*Client, error) {
 func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:       conn,
-		w:          frameWriter{conn: conn},
+		w:          newFrameWriter(conn),
 		calls:      make(map[uint64]*call),
 		readerDone: make(chan struct{}),
 	}
@@ -98,10 +98,11 @@ func (c *Client) do(model string, x, y *tensor.Tensor, into bool) (*tensor.Tenso
 	c.cmu.Unlock()
 	c.inflight.Add(1)
 
-	c.w.mu.Lock()
 	var err error
-	c.w.buf, err = AppendRequest(c.w.buf, id, model, x.Shape, x.Data)
-	c.w.mu.Unlock()
+	c.w.queue(true, func(b []byte) []byte {
+		b, err = AppendRequest(b, id, model, x.Shape, x.Data)
+		return b
+	})
 	if err != nil {
 		c.cmu.Lock()
 		_, mine := c.calls[id]

@@ -214,38 +214,97 @@ func frameBuffered(br *bufio.Reader) bool {
 	return n >= headerLen+int(binary.LittleEndian.Uint32(hdr[16:]))
 }
 
-// frameWriter is a connection's group-commit writer. Producers append
-// encoded frames to buf under mu and then call flush. A flush that finds
-// another flush writing returns at once: that writer takes the new frames
-// on its next pass. So concurrent producers share one write syscall
-// instead of paying one each, and no goroutine hand-off sits between a
-// producer and the socket. A write error is final: the writer drops what is
-// queued, now and later, and closes the connection so that its reader runs
-// the connection's failure path.
+// frameWriter is a connection's group-commit writer. Producers queue
+// encoded frames and then call flush. A flush that finds another flush
+// writing returns at once: that writer takes the new frames on its next
+// pass. So concurrent producers share one write syscall instead of paying
+// one each, and no goroutine hand-off sits between a producer and the
+// socket. The queue is bounded: while a write is in progress and
+// maxQueued bytes already wait, a producer blocks, so a peer that stops
+// reading slows the producers instead of growing the queue. A write error
+// is final: the writer drops what is queued, now and later, and closes the
+// connection so that its reader runs the connection's failure path.
 type frameWriter struct {
 	conn  net.Conn
 	mu    sync.Mutex
-	buf   []byte // frames queued since the last write began
-	spare []byte // the previous write's buffer, reused
-	busy  bool   // a flush is writing
-	err   error  // the write error that killed the writer
+	taken sync.Cond // broadcast when a write takes the queue or a flush ends; L is &mu
+	buf   []byte    // frames queued since the last write began
+	spare []byte    // the previous write's buffer, reused
+	busy  bool      // a flush is writing
+	err   error     // the write error that killed the writer
+}
+
+// maxQueued bounds the bytes a writer queues behind a write in progress,
+// and the bytes one flush writes before it hands the rest on.
+const maxQueued = 256 << 10
+
+func newFrameWriter(conn net.Conn) *frameWriter {
+	w := &frameWriter{conn: conn}
+	w.taken.L = &w.mu
+	return w
+}
+
+// queue appends one frame with app. When a write is in progress and
+// maxQueued bytes already wait, it blocks until that write takes them, or,
+// with wait unset, drops the frame. It reports whether the frame was
+// queued; a dead writer queues nothing.
+func (w *frameWriter) queue(wait bool, app func([]byte) []byte) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.busy && len(w.buf) >= maxQueued && w.err == nil {
+		if !wait {
+			return false
+		}
+		w.taken.Wait()
+	}
+	if w.err != nil {
+		return false
+	}
+	w.buf = app(w.buf)
+	return true
 }
 
 // flush writes everything queued, looping until nothing is, unless another
-// flush is already doing so.
+// flush is already doing so. After maxQueued bytes it hands what others
+// keep queueing to a new goroutine, so a caller with work of its own is not
+// kept writing for everyone.
 func (w *frameWriter) flush() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.busy {
-		return
+	if !w.busy {
+		w.write()
 	}
+}
+
+// flushWait is flush for a caller that needs the queue on the wire: it
+// waits out any write in progress and writes until nothing is queued.
+func (w *frameWriter) flushWait() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.busy || len(w.buf) > 0 && w.err == nil {
+		if w.busy {
+			w.taken.Wait()
+		} else {
+			w.write()
+		}
+	}
+}
+
+// write runs one flush with mu held and busy clear.
+func (w *frameWriter) write() {
 	w.busy = true
-	for len(w.buf) > 0 && w.err == nil {
+	for n := 0; len(w.buf) > 0 && w.err == nil; {
+		if n >= maxQueued {
+			go w.flush()
+			break
+		}
 		out := w.buf
 		w.buf = w.spare[:0]
+		w.taken.Broadcast()
 		w.mu.Unlock()
 		_, err := w.conn.Write(out)
 		w.mu.Lock()
+		n += len(out)
 		w.spare = out
 		if err != nil {
 			w.err = err
@@ -256,6 +315,7 @@ func (w *frameWriter) flush() {
 		w.buf = w.buf[:0]
 	}
 	w.busy = false
+	w.taken.Broadcast()
 }
 
 // failed returns the write error that killed the writer, nil while it

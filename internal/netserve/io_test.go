@@ -121,7 +121,7 @@ func TestFrameBuffered(t *testing.T) {
 func TestFrameWriterGroupCommitOrder(t *testing.T) {
 	const producers, frames = 8, 300
 	src, dst := net.Pipe()
-	w := &frameWriter{conn: src}
+	w := newFrameWriter(src)
 	type result struct {
 		got []frameCopy
 		err error
@@ -138,9 +138,9 @@ func TestFrameWriterGroupCommitOrder(t *testing.T) {
 			defer wg.Done()
 			for seq := 0; seq < frames; seq++ {
 				msg := bytes.Repeat([]byte{byte(p)}, seq%40)
-				w.mu.Lock()
-				w.buf = AppendError(w.buf, uint64(p)<<32|uint64(seq), CodeInternal, string(msg))
-				w.mu.Unlock()
+				w.queue(true, func(b []byte) []byte {
+					return AppendError(b, uint64(p)<<32|uint64(seq), CodeInternal, string(msg))
+				})
 				w.flush()
 			}
 		}(p)
@@ -240,39 +240,50 @@ func mustRequest(t *testing.T, model string, x *tensor.Tensor) []byte {
 }
 
 // TestRouterReaderExitFlushesForwards: a client that pipelines requests
-// and then hangs up, or poisons its stream, makes the router's reader exit
-// with forwards still queued. They must still reach a backend — its answers
-// are what the connection's teardown waits for — so Router.Close returns and
-// the fleet has served every one.
+// and then half-closes, or poisons its stream, makes the router's reader
+// exit with forwards still queued. They must still reach a backend, and
+// their answers must reach the client before the router closes the
+// connection; then Router.Close returns and the fleet has served every one.
 func TestRouterReaderExitFlushesForwards(t *testing.T) {
 	const k = 8
 	garbage := make([]byte, headerLen)
 	binary.LittleEndian.PutUint32(garbage, 0xdeadbeef)
-	for name, tail := range map[string][]byte{"close": nil, "corrupt frame": garbage} {
+	for name, tail := range map[string][]byte{"half-close": nil, "corrupt frame": garbage} {
 		t.Run(name, func(t *testing.T) {
 			r, nss, engines, inputs := startFleet(t, []time.Duration{0, 0}, RouterConfig{})
 			conn, err := net.Dial("tcp", r.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer conn.Close()
 			var stream []byte
 			for i := 0; i < k; i++ {
-				stream = append(stream, mustRequest(t, "tiny", inputs[i].X)...)
+				if stream, err = AppendRequest(stream, uint64(i+1), "tiny", inputs[i].X.Shape, inputs[i].X.Data); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if _, err := conn.Write(append(stream, tail...)); err != nil {
 				t.Fatal(err)
 			}
 			if tail == nil {
-				conn.Close()
-			} else {
-				defer conn.Close()
+				conn.(*net.TCPConn).CloseWrite()
+			}
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			answered := map[uint64]bool{}
+			hdr := make([]byte, headerLen)
+			for len(answered) < k {
+				h, _, err := ReadFrame(conn, hdr, nil)
+				if err != nil {
+					t.Fatalf("the client got %d of %d answers, then %v", len(answered), k, err)
+				}
+				if h.Type != FrameResponse || h.ID < 1 || h.ID > k || answered[h.ID] {
+					t.Fatalf("unexpected answer: %+v", h)
+				}
+				answered[h.ID] = true
 			}
 			closed := make(chan struct{})
 			go func() {
 				defer close(closed)
-				for deadline := time.Now().Add(10 * time.Second); counterValue(r, "router.routed") < k && time.Now().Before(deadline); {
-					time.Sleep(time.Millisecond)
-				}
 				r.Close()
 			}()
 			select {
@@ -289,4 +300,131 @@ func TestRouterReaderExitFlushesForwards(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFrameWriterFlushWaitOutwaitsAWrite: while another goroutine is
+// writing, flush returns at once but flushWait returns only when that
+// write and everything queued behind it are on the wire, which is what a
+// connection's teardown needs before it closes the socket.
+func TestFrameWriterFlushWaitOutwaitsAWrite(t *testing.T) {
+	src, dst := net.Pipe() // a write blocks until the other end reads it
+	defer dst.Close()
+	w := newFrameWriter(src)
+	frame := func(id uint64) func([]byte) []byte {
+		return func(b []byte) []byte { return AppendControl(b, FrameCancel, id) }
+	}
+	w.queue(true, frame(1))
+	go w.flush()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		w.mu.Lock()
+		busy := w.busy
+		w.mu.Unlock()
+		if busy {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first flush never started writing")
+		}
+	}
+	w.queue(true, frame(2))
+	w.flush()
+	waited := make(chan struct{})
+	go func() {
+		w.flushWait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("flushWait returned while another flush was still writing")
+	case <-time.After(20 * time.Millisecond):
+	}
+	got := make(chan []frameCopy, 1)
+	go func() {
+		frames, _ := readAll(dst)
+		got <- frames
+	}()
+	<-waited
+	src.Close()
+	if frames := <-got; len(frames) != 2 || frames[0].h.ID != 1 || frames[1].h.ID != 2 {
+		t.Fatalf("on the wire before the close: %+v, want frames 1 and 2", frames)
+	}
+}
+
+// TestRouterQueueBoundedByStalledBackend: a member that stops reading
+// slows the router's clients instead of growing the router's queue. Two
+// connections pipeline far more than maxQueued bytes at one stalled
+// backend; its writer never holds more than maxQueued bytes plus one frame,
+// and a best-effort frame (a hedge cancel) offered to the full queue is
+// dropped at once instead of waiting.
+func TestRouterQueueBoundedByStalledBackend(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			c.(*net.TCPConn).SetReadBuffer(4 << 10)
+			accepted <- c
+		}
+	}()
+	r, err := NewRouter("127.0.0.1:0", []string{ln.Addr().String()}, RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := <-accepted
+	b := r.backends[0]
+	b.conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
+
+	x := tensor.New(16 << 10) // a 64 KiB payload
+	frame := mustRequest(t, "tiny", x)
+	var clients sync.WaitGroup
+	conns := make([]net.Conn, 2)
+	for i := range conns {
+		if conns[i], err = net.Dial("tcp", r.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		clients.Add(1)
+		go func(c net.Conn) {
+			defer clients.Done()
+			for j := 0; j < 64; j++ { // 4 MiB per connection
+				if _, err := c.Write(frame); err != nil {
+					return
+				}
+			}
+		}(conns[i])
+	}
+	queued := func() int {
+		b.w.mu.Lock()
+		defer b.w.mu.Unlock()
+		return len(b.w.buf)
+	}
+	most, full := 0, time.Time{}
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		n := queued()
+		most = max(most, n)
+		if n >= maxQueued && full.IsZero() {
+			full = time.Now()
+		}
+		if !full.IsZero() && time.Since(full) > 300*time.Millisecond {
+			break
+		}
+	}
+	if full.IsZero() {
+		t.Fatalf("the stalled backend's queue peaked at %d bytes and never filled to %d", most, maxQueued)
+	}
+	if most >= maxQueued+len(frame) {
+		t.Fatalf("%d bytes queued for a stalled backend, bound is %d plus one %d-byte frame", most, maxQueued, len(frame))
+	}
+	if b.w.queue(false, func(buf []byte) []byte { return AppendControl(buf, FrameCancel, 1) }) {
+		t.Fatal("a best-effort frame was queued past the bound")
+	}
+
+	stalled.Close() // the member dies: the blocked write fails and the router sheds the rest
+	for _, c := range conns {
+		c.Close()
+	}
+	clients.Wait()
+	r.Close()
 }

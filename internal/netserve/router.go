@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +101,7 @@ type Router struct {
 type backend struct {
 	addr string
 	conn net.Conn
-	w    frameWriter // spliced requests and cancels
+	w    *frameWriter // spliced requests and cancels
 
 	inflight atomic.Int64
 	lmu      sync.Mutex
@@ -115,18 +115,11 @@ type backend struct {
 
 // latencyWindow holds a backend's most recent response latencies
 // (seconds) in a ring: admission and the hedge deadline ask how a member
-// behaves now, not over its lifetime. Quantiles read a sorted copy rebuilt
-// at most once per resortEvery observations, so asking is a lookup, not a
-// sort of the window per request. Guarded by backend.lmu.
+// behaves now, not over its lifetime. Guarded by backend.lmu.
 type latencyWindow struct {
-	vals     []float64
-	n        int64     // observations ever added
-	sorted   []float64 // vals sorted as of observation sortedAt, reused
-	sortedAt int64
+	vals []float64
+	n    int64 // observations ever added
 }
-
-// resortEvery bounds how many observations a window's sorted copy may lag.
-const resortEvery = 32
 
 func (w *latencyWindow) add(v float64) {
 	if len(w.vals) < cap(w.vals) {
@@ -139,12 +132,9 @@ func (w *latencyWindow) add(v float64) {
 
 // quantile is the nearest-rank q-quantile of the window, 0 when empty.
 func (w *latencyWindow) quantile(q float64) float64 {
-	if w.sorted == nil || w.n-w.sortedAt >= resortEvery {
-		w.sorted = append(w.sorted[:0], w.vals...)
-		slices.Sort(w.sorted)
-		w.sortedAt = w.n
-	}
-	return obs.QuantileSorted(w.sorted, q)
+	sorted := append([]float64(nil), w.vals...)
+	sort.Float64s(sorted)
+	return obs.QuantileSorted(sorted, q)
 }
 
 // routerCall is one client request in flight through the router.
@@ -178,7 +168,7 @@ type attempt struct {
 type rconn struct {
 	r        *Router
 	conn     net.Conn
-	w        frameWriter // responses and error frames
+	w        *frameWriter // responses and error frames
 	inflight sync.WaitGroup
 	lane     *obs.Lane
 }
@@ -260,7 +250,7 @@ func (r *Router) AddBackend(addr string) error {
 	b := &backend{
 		addr: addr,
 		conn: conn,
-		w:    frameWriter{conn: conn},
+		w:    newFrameWriter(conn),
 		lat:  latencyWindow{vals: make([]float64, 0, r.cfg.Window)},
 		lane: r.cfg.Trace.Lane("router.b:" + addr),
 	}
@@ -315,7 +305,7 @@ func (r *Router) acceptLoop() {
 		c := &rconn{
 			r:    r,
 			conn: conn,
-			w:    frameWriter{conn: conn},
+			w:    newFrameWriter(conn),
 			lane: r.cfg.Trace.Lane(fmt.Sprintf("router.c%d", r.laneSeq)),
 		}
 		r.laneSeq++
@@ -330,7 +320,7 @@ func (c *rconn) run() {
 	defer c.r.connWG.Done()
 	c.reader()
 	c.inflight.Wait()
-	c.w.flush() // the last answers go out before the close
+	c.w.flushWait() // the last answers go out before the close
 	c.conn.Close()
 	c.r.mu.Lock()
 	delete(c.r.conns, c)
@@ -373,10 +363,10 @@ func (c *rconn) reader() {
 		if merr != nil {
 			// The header lies about its own payload: refuse it on the
 			// client's id, as a backend would.
-			c.w.mu.Lock()
-			c.w.buf = AppendError(c.w.buf, h.ID, CodeBadShape, merr.Error())
-			c.w.mu.Unlock()
-			out.add(&c.w)
+			c.w.queue(true, func(b []byte) []byte {
+				return AppendError(b, h.ID, CodeBadShape, merr.Error())
+			})
+			out.add(c.w)
 			continue
 		}
 		call := &routerCall{
@@ -401,14 +391,13 @@ func (call *routerCall) finish(t FrameType, aux uint16, payload []byte, out *tou
 	if !call.state.CompareAndSwap(0, 1) {
 		return false
 	}
-	w := &call.rc.w
-	w.mu.Lock()
-	if t == FrameError {
-		w.buf = AppendError(w.buf, call.clientID, ErrCode(aux), string(payload))
-	} else {
-		w.buf = AppendResponseRaw(w.buf, call.clientID, payload)
-	}
-	w.mu.Unlock()
+	w := call.rc.w
+	w.queue(true, func(b []byte) []byte {
+		if t == FrameError {
+			return AppendError(b, call.clientID, ErrCode(aux), string(payload))
+		}
+		return AppendResponseRaw(b, call.clientID, payload)
+	})
 	call.rc.inflight.Done()
 	out.add(w)
 	return true
@@ -471,10 +460,10 @@ func (r *Router) dispatch(call *routerCall, exclude *backend, hedge bool, out *t
 	}
 	// If the backend dies before this goes out, the write is dropped and
 	// reapBackend re-dispatches the pend entry.
-	b.w.mu.Lock()
-	b.w.buf = AppendRequestRaw(b.w.buf, bid, call.modelLen, call.reqBuf)
-	b.w.mu.Unlock()
-	out.add(&b.w)
+	b.w.queue(true, func(buf []byte) []byte {
+		return AppendRequestRaw(buf, bid, call.modelLen, call.reqBuf)
+	})
+	out.add(b.w)
 }
 
 // pick chooses a backend for model: rendezvous (highest-random-weight)
@@ -646,11 +635,15 @@ func (r *Router) afterWin(call *routerCall, winnerBID uint64) {
 		return
 	}
 	loser.inflight.Add(-1)
-	if !loser.dead.Load() {
-		loser.w.mu.Lock()
-		loser.w.buf = AppendControl(loser.w.buf, FrameCancel, loserBID)
-		loser.w.mu.Unlock()
-		loser.w.flush()
+	// The cancel is best-effort (a late response is discarded anyway), and
+	// never waits on the loser: this may run on another backend's reader,
+	// and two readers each stuck writing to the other's full member would
+	// never read again. So it is dropped when the loser's queue is full and
+	// written from a goroutine of its own.
+	if !loser.dead.Load() && loser.w.queue(false, func(b []byte) []byte {
+		return AppendControl(b, FrameCancel, loserBID)
+	}) {
+		go loser.w.flush()
 	}
 }
 

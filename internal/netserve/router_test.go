@@ -604,39 +604,3 @@ func TestRouterRefusesLyingModelLength(t *testing.T) {
 		}
 	}
 }
-
-// TestLatencyQuantileWarmZeroAlloc: the hedge deadline and the admission
-// check cost no allocation once a window is warm, its sorted copy included,
-// and the copy is rebuilt once per resortEvery observations, not per ask.
-func TestLatencyQuantileWarmZeroAlloc(t *testing.T) {
-	r := &Router{cfg: RouterConfig{Hedge: true, AdmitP99: time.Second}.withDefaults()}
-	b := &backend{lat: latencyWindow{vals: make([]float64, 0, r.cfg.Window)}}
-	for i := 0; i < r.cfg.Window; i++ {
-		b.lat.add(1e-4)
-	}
-	r.hedgeDelay(b)
-	r.admit(b)
-	v := 0.0
-	if n := testing.AllocsPerRun(100, func() {
-		for i := 0; i < resortEvery; i++ {
-			v += 1e-5
-			b.lat.add(v)
-		}
-		r.hedgeDelay(b)
-		r.admit(b)
-	}); n != 0 {
-		t.Fatalf("warm hedgeDelay+admit allocate %.1f/op, want 0", n)
-	}
-	at := b.lat.sortedAt
-	b.lat.add(1)
-	if b.lat.quantile(1); b.lat.sortedAt != at {
-		t.Fatal("window re-sorted after one new observation")
-	}
-	for i := 1; i < resortEvery; i++ {
-		b.lat.add(1)
-	}
-	if q := b.lat.quantile(1); b.lat.sortedAt != b.lat.n || q != 1 {
-		t.Fatalf("after %d new observations the window max is %v as of observation %d, want 1 as of %d",
-			resortEvery, q, b.lat.sortedAt, b.lat.n)
-	}
-}
