@@ -24,6 +24,7 @@ import (
 
 	"deep15pf/internal/astro"
 	"deep15pf/internal/ckpt"
+	"deep15pf/internal/hep"
 	"deep15pf/internal/nn"
 	"deep15pf/internal/opt"
 	"deep15pf/internal/tensor"
@@ -47,8 +48,15 @@ func run(args []string) error {
 	freezeUnits := fs.Int("freeze-units", -1, "with -init-from: freeze only the first N conv units (-1 = all of them); the rest fine-tune")
 	fs.Parse(args)
 
-	if *noFreeze && *initFrom == "" {
-		return fmt.Errorf("-no-freeze needs -init-from")
+	switch {
+	case *noFreeze && *initFrom == "":
+		return traincli.Usagef("-no-freeze needs -init-from")
+	case *freezeUnits != -1 && *initFrom == "":
+		return traincli.Usagef("-freeze-units needs -init-from")
+	case *freezeUnits < -1 || *freezeUnits > *units:
+		return traincli.Usagef("-freeze-units %d is out of range: want 0..%d (-units), or -1 for all", *freezeUnits, *units)
+	case *noFreeze && *freezeUnits != -1:
+		return traincli.Usagef("-no-freeze and -freeze-units exclude each other")
 	}
 	stop, err := tc.Start()
 	if err != nil {
@@ -64,23 +72,23 @@ func run(args []string) error {
 	train := astro.GenerateDataset(gen, r, *trainN, rng)
 	test := astro.GenerateDataset(gen, r, *testN, rng)
 
-	model := astro.ModelConfig{Name: "astrotrain", ImageSize: *size, Filters: *filters, ConvUnits: *units, Classes: astro.NumClasses}
+	model := hep.ModelConfig{Name: "astrotrain", ImageSize: *size, Filters: *filters, ConvUnits: *units, Classes: astro.NumClasses, Head: astro.Head}
 
-	problem := astro.NewTrainingProblem(train, model, tc.Seed+1)
+	problem := hep.NewTrainingProblem(train, model, tc.Seed+1)
 	var freeze []string
 	if *initFrom != "" {
 		donor, source, err := readDonor(*initFrom)
 		if err != nil {
 			return fmt.Errorf("-init-from: %w", err)
 		}
-		freeze = astro.BackboneLayerNames(*units)
-		if *freezeUnits >= 0 && *freezeUnits < len(freeze) {
+		freeze = hep.BackboneLayerNames(*units)
+		if *freezeUnits >= 0 {
 			freeze = freeze[:*freezeUnits]
 		}
 		if *noFreeze {
 			freeze = nil
 		}
-		p, mapped, err := astro.NewTransferProblem(train, model, tc.Seed+1, donor, freeze)
+		p, mapped, err := hep.NewTransferProblem(train, model, tc.Seed+1, donor, freeze)
 		if err != nil {
 			return err
 		}
@@ -93,11 +101,14 @@ func run(args []string) error {
 		if len(mapped.Extra) > 0 {
 			fmt.Printf("  fresh in this model:  %s\n", strings.Join(mapped.Extra, ", "))
 		}
-		if len(freeze) > 0 {
+		switch {
+		case len(freeze) > 0:
 			fmt.Printf("  frozen backbone: %s — gradients, backward compute and PS traffic skip these layers\n",
 				strings.Join(freeze, ", "))
-		} else {
+		case *noFreeze:
 			fmt.Println("  backbone left trainable (-no-freeze): warm start only")
+		default:
+			fmt.Println("  backbone left trainable (-freeze-units 0): warm start only")
 		}
 	}
 
@@ -112,7 +123,7 @@ func run(args []string) error {
 	// Science evaluation: overall and per-class accuracy on held-out cutouts.
 	net := problem.TrainedNet(res.FinalWeights)
 	start := time.Now()
-	pred := astro.PredictDataset(net, test, 64)
+	pred := hep.PredictDataset(net, test, 64)
 	var hits int
 	var perClass, perClassN [astro.NumClasses]int
 	for i, p := range pred {

@@ -3,7 +3,7 @@ package astro
 import (
 	"math"
 
-	"deep15pf/internal/data"
+	"deep15pf/internal/hep"
 	"deep15pf/internal/tensor"
 )
 
@@ -143,54 +143,15 @@ func logCompress(v float32) float32 {
 	return float32(math.Log1p(float64(v)) * 0.5)
 }
 
-// Dataset is an in-memory labelled cutout set.
-type Dataset struct {
-	Images  *tensor.Tensor // [N, 3, S, S]
-	Labels  []int
-	Objects []Object // kept for morphology-cut baselines on the same sample
-}
-
 // GenerateDataset draws n preselected objects, renders them, and returns
-// the packaged dataset.
-func GenerateDataset(cfg GenConfig, r *Renderer, n int, rng *tensor.RNG) *Dataset {
+// the packaged dataset: labels are the objects' classes, and the images
+// train on the one image classifier (hep.TrainingProblem).
+func GenerateDataset(cfg GenConfig, r *Renderer, n int, rng *tensor.RNG) *hep.Dataset {
 	objects, labels := cfg.GenerateObjects(n, rng)
 	images := tensor.New(n, Channels, r.Size, r.Size)
 	per := r.SampleFloats()
 	for i := range objects {
 		r.Render(&objects[i], rng, images.Data[i*per:(i+1)*per])
 	}
-	return &Dataset{Images: images, Labels: labels, Objects: objects}
-}
-
-// Batch gathers the indexed samples into x ([len(idx),3,S,S]) and labels.
-func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
-	s := d.Images.Shape
-	x := tensor.New(len(idx), s[1], s[2], s[3])
-	labels := make([]int, len(idx))
-	d.BatchInto(x, labels, idx)
-	return x, labels
-}
-
-// BatchInto is Batch writing into caller-owned staging — the
-// allocation-free form planned training replicas reuse every iteration.
-func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, idx []int) {
-	s := d.Images.Shape
-	per := s[1] * s[2] * s[3]
-	if x.Len() != len(idx)*per || len(labels) != len(idx) {
-		panic("astro: BatchInto staging size mismatch")
-	}
-	for bi, i := range idx {
-		copy(x.Data[bi*per:(bi+1)*per], d.Images.Data[i*per:(i+1)*per])
-		labels[bi] = d.Labels[i]
-	}
-}
-
-// SaveShards persists the dataset's images to numShards shard files under
-// dir and returns their paths — the on-disk layout a shard-backed
-// TrainingProblem (and its prefetch pipeline) reads from. Shards store the
-// exact float bits, so file-backed training is bitwise-equal to in-memory.
-func (d *Dataset) SaveShards(dir string, numShards int) ([]string, error) {
-	s := d.Images.Shape
-	per := s[1] * s[2] * s[3]
-	return data.WriteShards(dir, numShards, s[0], per, 0, d.Images.Data, nil)
+	return &hep.Dataset{Images: images, Labels: labels}
 }

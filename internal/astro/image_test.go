@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"deep15pf/internal/data"
+	"deep15pf/internal/hep"
 	"deep15pf/internal/tensor"
 )
 
 // TestGeneratorDeterminism pins the seeded-generator contract the golden
 // machinery stands on: identical seeds produce bitwise-identical datasets.
 func TestGeneratorDeterminism(t *testing.T) {
-	gen := func(seed uint64) *Dataset {
+	gen := func(seed uint64) *hep.Dataset {
 		return GenerateDataset(DefaultGenConfig(), NewRenderer(16), 24, tensor.NewRNG(seed))
 	}
 	a, b := gen(11), gen(11)
@@ -45,13 +46,16 @@ func TestDatasetShapeAndClasses(t *testing.T) {
 	if s[0] != 60 || s[1] != Channels || s[2] != 16 || s[3] != 16 {
 		t.Fatalf("image shape %v", s)
 	}
+	// The objects behind the cutouts: GenerateDataset draws them first from
+	// the same stream.
+	objects, _ := DefaultGenConfig().GenerateObjects(60, tensor.NewRNG(3))
 	var seen [NumClasses]int
 	for i, l := range ds.Labels {
 		if l < 0 || l >= NumClasses {
 			t.Fatalf("label %d out of range", l)
 		}
-		if ds.Objects[i].Class != l {
-			t.Fatalf("object %d class %d, label %d", i, ds.Objects[i].Class, l)
+		if objects[i].Class != l {
+			t.Fatalf("object %d class %d, label %d", i, objects[i].Class, l)
 		}
 		seen[l]++
 	}

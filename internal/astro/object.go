@@ -3,12 +3,18 @@
 // counterpart of the PHANGS-HST star-cluster and DES galaxy-morphology
 // pipelines in the paper's related work. Three classes — elliptical
 // galaxies, spiral galaxies and star clusters — are drawn as parameterised
-// sources, rasterised to 3-band (g/r/i) survey cutouts in the hep/climate
-// generator style (deterministic, seeded, shard-backed), and classified by
-// the same CNN topology as the HEP workload so a trained HEP backbone
-// transfers layer-for-layer: `astrotrain -init-from` maps the early conv
-// weights by name and shape, freezes them (nn.Network.Freeze) and trains
-// only the astro head.
+// sources and rasterised to 3-band (g/r/i) survey cutouts in the
+// hep/climate generator style (deterministic, seeded, shard-backed).
+//
+// The package holds only what is astronomical: the object generator, the
+// renderer, the class names and the model scales. Like those pipelines,
+// which fine-tune one pretrained backbone under a new head, astro differs
+// from hep in its data and its head, not in its network: the classifier,
+// the training problem, the dataset and the scorers are hep's
+// (hep.BuildNet with Head, hep.NewTransferProblem, hep.Dataset,
+// hep.PredictDataset). So a trained HEP backbone transfers layer for
+// layer: `astrotrain -init-from` maps the early conv weights by name and
+// shape, freezes them (nn.Network.Freeze) and trains only the astro head.
 //
 // The substitution preserves what makes the astronomy task hard: all three
 // classes have overlapping total flux and extent, so scalar photometry

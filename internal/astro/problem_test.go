@@ -14,7 +14,7 @@ import (
 
 // testModel is the tiny geometry shared with the donor HEP model below: 16
 // px, 8 filters, 3 conv units — small enough for single-core test runs.
-var testModel = ModelConfig{Name: "astro-test", ImageSize: 16, Filters: 8, ConvUnits: 3, Classes: NumClasses}
+var testModel = hep.ModelConfig{Name: "astro-test", ImageSize: 16, Filters: 8, ConvUnits: 3, Classes: NumClasses, Head: Head}
 
 // hepDonorBlobs trains nothing — it just builds the matching HEP net and
 // serialises its (initialised) weights, which is all the mapping layer
@@ -34,7 +34,7 @@ func hepDonorBlobs(t *testing.T) []nn.WeightBlob {
 	return blobs
 }
 
-func testDataset(seed uint64, n int) *Dataset {
+func testDataset(seed uint64, n int) *hep.Dataset {
 	return GenerateDataset(DefaultGenConfig(), NewRenderer(16), n, tensor.NewRNG(seed))
 }
 
@@ -43,7 +43,7 @@ func testDataset(seed uint64, n int) *Dataset {
 // donor's head is reported unused, and the astro head is reported fresh.
 func TestHEPBackboneMapsIntoAstro(t *testing.T) {
 	ds := testDataset(5, 12)
-	p, res, err := NewTransferProblem(ds, testModel, 9, hepDonorBlobs(t), BackboneLayerNames(testModel.ConvUnits))
+	p, res, err := hep.NewTransferProblem(ds, testModel, 9, hepDonorBlobs(t), hep.BackboneLayerNames(testModel.ConvUnits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +59,11 @@ func TestHEPBackboneMapsIntoAstro(t *testing.T) {
 
 	// Replicas and the problem's net actually carry the donor weights,
 	// frozen.
-	if got := len(p.NewReplica().TrainableLayers()); got != 1 {
+	rep := p.NewReplica()
+	if got := len(rep.TrainableLayers()); got != 1 {
 		t.Fatalf("frozen replica has %d trainable layers, want 1 (the head)", got)
 	}
-	net := p.buildNet()
+	net := p.TrainedNet(core.ExtractWeights(rep.TrainableLayers()))
 	donor := hepDonorBlobs(t)
 	for _, prm := range net.Params() {
 		for _, b := range donor {
@@ -91,7 +92,7 @@ func TestTransferProblemRejectsBadDonor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = NewTransferProblem(testDataset(5, 12), testModel, 9, blobs, BackboneLayerNames(3))
+	_, _, err = hep.NewTransferProblem(testDataset(5, 12), testModel, 9, blobs, hep.BackboneLayerNames(3))
 	if err == nil {
 		t.Fatal("16-filter donor must not map into an 8-filter target")
 	}
@@ -104,16 +105,16 @@ func TestTransferProblemRejectsBadDonor(t *testing.T) {
 func TestFrozenRunBitwiseReproducible(t *testing.T) {
 	ds := testDataset(5, 24)
 	donor := hepDonorBlobs(t)
-	freeze := BackboneLayerNames(testModel.ConvUnits)
-	build := func() *TrainingProblem {
-		p, _, err := NewTransferProblem(ds, testModel, 9, donor, freeze)
+	freeze := hep.BackboneLayerNames(testModel.ConvUnits)
+	build := func() *hep.TrainingProblem {
+		p, _, err := hep.NewTransferProblem(ds, testModel, 9, donor, freeze)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 	cfg := core.Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 8, Iterations: 6, Seed: 3}
-	run := func(p *TrainingProblem) (core.Result, []float32) {
+	run := func(p *hep.TrainingProblem) (core.Result, []float32) {
 		c := cfg
 		c.Solver = opt.NewSGD(0.05, 0.9)
 		res := core.TrainSync(p, c)
@@ -165,22 +166,22 @@ func TestFrozenExchangeZeroGradBytes(t *testing.T) {
 	donor := hepDonorBlobs(t)
 	cfg := core.Config{Groups: 2, WorkersPerGroup: 1, GroupBatch: 8, Iterations: 4, Seed: 3}
 	run := func(freeze []string) core.Result {
-		var p *TrainingProblem
+		var p *hep.TrainingProblem
 		if freeze != nil {
 			var err error
-			p, _, err = NewTransferProblem(ds, testModel, 9, donor, freeze)
+			p, _, err = hep.NewTransferProblem(ds, testModel, 9, donor, freeze)
 			if err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			p = NewTrainingProblem(ds, testModel, 9)
+			p = hep.NewTrainingProblem(ds, testModel, 9)
 		}
 		c := cfg
 		c.Solver = opt.NewSGD(0.05, 0.9)
 		return core.TrainHybrid(p, c)
 	}
 
-	frozen := run(BackboneLayerNames(testModel.ConvUnits))
+	frozen := run(hep.BackboneLayerNames(testModel.ConvUnits))
 	full := run(nil)
 
 	headElems := int64(testModel.Filters*testModel.Classes + testModel.Classes)
@@ -207,7 +208,7 @@ func TestFrozenExchangeZeroGradBytes(t *testing.T) {
 func TestFrozenTrainingIterationZeroAllocs(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	ds := testDataset(5, 16)
-	p, _, err := NewTransferProblem(ds, testModel, 9, hepDonorBlobs(t), BackboneLayerNames(testModel.ConvUnits))
+	p, _, err := hep.NewTransferProblem(ds, testModel, 9, hepDonorBlobs(t), hep.BackboneLayerNames(testModel.ConvUnits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestFrozenTrainingIterationZeroAllocs(t *testing.T) {
 // the astro task (the A/B against from-scratch is the next test).
 func TestFineTuneLearnsHead(t *testing.T) {
 	train := testDataset(5, 96)
-	p, _, err := NewTransferProblem(train, testModel, 9, hepDonorBlobs(t), BackboneLayerNames(testModel.ConvUnits))
+	p, _, err := hep.NewTransferProblem(train, testModel, 9, hepDonorBlobs(t), hep.BackboneLayerNames(testModel.ConvUnits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +274,7 @@ func TestFineTuneReachesTargetSooner(t *testing.T) {
 	rng := tensor.NewRNG(42)
 	train := GenerateDataset(DefaultGenConfig(), NewRenderer(16), 32, rng)
 	test := GenerateDataset(DefaultGenConfig(), NewRenderer(16), 1024, rng)
-	accuracy := func(p *TrainingProblem, budget int) float64 {
+	accuracy := func(p *hep.TrainingProblem, budget int) float64 {
 		res := core.TrainSync(p, core.Config{
 			Groups: 1, WorkersPerGroup: 1, GroupBatch: 32, Iterations: budget,
 			Solver: opt.NewAdamFull(1e-2, 0.9, 0.999, 1e-8), Seed: 42,
@@ -281,11 +282,11 @@ func TestFineTuneReachesTargetSooner(t *testing.T) {
 		return accuracyOn(p.TrainedNet(res.FinalWeights), test, 64)
 	}
 	for _, budget := range []int{4, 6, 8, 10, 14, 18, 24} {
-		ftp, _, err := NewTransferProblem(train, testModel, 43, donor, BackboneLayerNames(testModel.ConvUnits)[:1])
+		ftp, _, err := hep.NewTransferProblem(train, testModel, 43, donor, hep.BackboneLayerNames(testModel.ConvUnits)[:1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ft, scratch := accuracy(ftp, budget), accuracy(NewTrainingProblem(train, testModel, 43), budget)
+		ft, scratch := accuracy(ftp, budget), accuracy(hep.NewTrainingProblem(train, testModel, 43), budget)
 		t.Logf("budget %2d: fine-tune %.3f, scratch %.3f", budget, ft, scratch)
 		if scratch >= target {
 			t.Fatalf("from scratch reached %.0f%% after %d updates, no later than fine-tuning", 100*target, budget)
@@ -298,9 +299,9 @@ func TestFineTuneReachesTargetSooner(t *testing.T) {
 }
 
 // accuracyOn is the fraction of ds a trained net classifies correctly.
-func accuracyOn(net *nn.Network, ds *Dataset, batch int) float64 {
+func accuracyOn(net *nn.Network, ds *hep.Dataset, batch int) float64 {
 	hits := 0
-	for i, p := range PredictDataset(net, ds, batch) {
+	for i, p := range hep.PredictDataset(net, ds, batch) {
 		if p == ds.Labels[i] {
 			hits++
 		}

@@ -95,7 +95,8 @@ func logCompress(v float32) float32 {
 	return float32(math.Log1p(float64(v)) * 0.5)
 }
 
-// Dataset is an in-memory labelled image set.
+// Dataset is an in-memory labelled image set — HEP's events, or astro's
+// survey cutouts (astro.GenerateDataset), which leave Events nil.
 type Dataset struct {
 	Images *tensor.Tensor // [N, 3, S, S]
 	Labels []int
@@ -117,9 +118,13 @@ func GenerateDataset(cfg GenConfig, r *Renderer, n int, signalFrac float64, rng 
 // Batch gathers the indexed samples into x ([len(idx),3,S,S]) and labels.
 func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
 	s := d.Images.Shape
+	per := s[1] * s[2] * s[3]
 	x := tensor.New(len(idx), s[1], s[2], s[3])
 	labels := make([]int, len(idx))
-	d.BatchInto(x, labels, idx)
+	for bi, i := range idx {
+		copy(x.Data[bi*per:(bi+1)*per], d.Images.Data[i*per:(i+1)*per])
+		labels[bi] = d.Labels[i]
+	}
 	return x, labels
 }
 
@@ -131,19 +136,4 @@ func (d *Dataset) SaveShards(dir string, numShards int) ([]string, error) {
 	s := d.Images.Shape
 	per := s[1] * s[2] * s[3]
 	return data.WriteShards(dir, numShards, s[0], per, 0, d.Images.Data, nil)
-}
-
-// BatchInto is Batch writing into caller-owned staging — the
-// allocation-free form planned training replicas reuse every iteration.
-// x must hold len(idx) samples and labels must have length len(idx).
-func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, idx []int) {
-	s := d.Images.Shape
-	per := s[1] * s[2] * s[3]
-	if x.Len() != len(idx)*per || len(labels) != len(idx) {
-		panic("hep: BatchInto staging size mismatch")
-	}
-	for bi, i := range idx {
-		copy(x.Data[bi*per:(bi+1)*per], d.Images.Data[i*per:(i+1)*per])
-		labels[bi] = d.Labels[i]
-	}
 }

@@ -9,13 +9,19 @@ import (
 
 // ModelConfig selects the network scale. PaperConfig reproduces Table II's
 // supervised HEP architecture exactly; SmallConfig is the same topology
-// shrunk for single-core training in tests and the CLIs.
+// shrunk for single-core training in tests and the CLIs. astro's nets are
+// this classifier too, under their own class count and head.
 type ModelConfig struct {
 	Name      string
 	ImageSize int
 	Filters   int
 	ConvUnits int // conv(+pool) units; the last uses global average pooling
 	Classes   int
+	// Head names the classifier layer ("" means "fc"). The backbone's
+	// layer names are fixed, so a donor checkpoint's backbone maps into
+	// any net of its geometry (nn.MapWeights); a head under another name
+	// stays fresh.
+	Head string
 }
 
 // PaperConfig is the §III-A architecture: 5 convolution(3×3, 128 filters,
@@ -57,8 +63,24 @@ func BuildNet(cfg ModelConfig, rng *tensor.RNG) *nn.Network {
 		}
 		inC = cfg.Filters
 	}
-	net.Add(nn.NewDense("fc", cfg.Filters, cfg.Classes, rng))
+	head := cfg.Head
+	if head == "" {
+		head = "fc"
+	}
+	net.Add(nn.NewDense(head, cfg.Filters, cfg.Classes, rng))
 	return net
+}
+
+// BackboneLayerNames returns the conv layer names of the first units conv
+// blocks — the freeze list a fine-tune run hands to nn.Network.Freeze.
+// Only the parameterised conv layers are named; activations and pools own
+// no parameters, so freezing them is implicit in the backward cut.
+func BackboneLayerNames(units int) []string {
+	names := make([]string, units)
+	for u := 1; u <= units; u++ {
+		names[u-1] = fmt.Sprintf("conv%d", u)
+	}
+	return names
 }
 
 // SignalScore returns P(signal) per sample from class logits.
@@ -68,6 +90,22 @@ func SignalScore(logits *tensor.Tensor) []float64 {
 	out := make([]float64, n)
 	for i := 0; i < n; i++ {
 		out[i] = float64(probs.At(i, 1))
+	}
+	return out
+}
+
+// Predict returns the argmax class per sample from logits.
+func Predict(logits *tensor.Tensor) []int {
+	n, c := logits.Shape[0], logits.Shape[1]
+	out := make([]int, n)
+	for i := 0; i < n; i++ {
+		best := 0
+		for j := 1; j < c; j++ {
+			if logits.At(i, j) > logits.At(i, best) {
+				best = j
+			}
+		}
+		out[i] = best
 	}
 	return out
 }

@@ -19,11 +19,12 @@ type ServerConfig struct {
 	// Trace attaches frame-level phase spans to a tracer. nil records
 	// nothing.
 	Trace *obs.Tracer
-	// WriterDepth is the per-connection response-queue depth; a worker
-	// callback blocks once it fills (backpressure toward the batcher
-	// rather than unbounded buffering). Default 256.
-	WriterDepth int
 }
+
+// writerDepth is the per-connection response-queue depth; a worker
+// callback blocks once it fills (backpressure toward the batcher rather
+// than unbounded buffering).
+const writerDepth = 256
 
 // Server is the network face of one or more serve.Servers: a TCP listener
 // whose every connection multiplexes many in-flight requests (pipelined
@@ -94,9 +95,6 @@ func NewServer(addr string, models map[string]*serve.Server, cfg ServerConfig) (
 	if len(models) == 0 {
 		return nil, fmt.Errorf("netserve: no models to serve")
 	}
-	if cfg.WriterDepth <= 0 {
-		cfg.WriterDepth = 256
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -142,7 +140,7 @@ func (s *Server) acceptLoop() {
 		c := &srvConn{
 			s:    s,
 			conn: conn,
-			wch:  make(chan *netReq, s.cfg.WriterDepth),
+			wch:  make(chan *netReq, writerDepth),
 			pend: make(map[uint64]*netReq),
 		}
 		s.mu.Lock()

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -150,6 +152,37 @@ func TestLoadWeightsErrorPaths(t *testing.T) {
 	if err := LoadWeights(bytes.NewReader(good), net.Params()); err != nil {
 		t.Fatalf("pristine checkpoint no longer loads: %v", err)
 	}
+}
+
+// FuzzLoadWeights: LoadWeights — the strict loader every served replica
+// and every resumed run reads through — never panics, and an input it
+// accepts leaves every parameter equal, bit for bit, to the values its
+// blob holds in the file. Seeded with corruptCheckpoints' files. Fuzz with
+// go test -run '^$' -fuzz FuzzLoadWeights ./internal/nn.
+func FuzzLoadWeights(f *testing.F) {
+	good, cases := corruptCheckpoints(f, tinyNet(tensor.NewRNG(8)))
+	f.Add(good)
+	for _, tc := range cases {
+		f.Add(tc.blob)
+	}
+	f.Fuzz(func(t *testing.T, file []byte) {
+		params := tinyNet(tensor.NewRNG(9)).Params() // not the seeds' init, so a load that writes nothing fails
+		if err := LoadWeights(bytes.NewReader(file), params); err != nil {
+			return
+		}
+		// Walk the accepted file's layout: magic and count, then per blob
+		// nameLen, name, numel and the float32 data.
+		off := 8
+		for _, p := range params {
+			off += 4 + int(binary.LittleEndian.Uint32(file[off:])) + 4
+			for j, v := range p.W.Data {
+				if bits := binary.LittleEndian.Uint32(file[off+4*j:]); math.Float32bits(v) != bits {
+					t.Fatalf("%s[%d] holds %08x after the load, the file %08x", p.Name, j, math.Float32bits(v), bits)
+				}
+			}
+			off += 4 * p.W.Len()
+		}
+	})
 }
 
 func TestCheckpointTruncated(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"deep15pf/internal/astro"
+	"deep15pf/internal/hep"
 )
 
 // TestRegistryModelsAndProblems pins the zoo inventory: every stock
@@ -43,7 +43,7 @@ func TestRegistryModelsAndProblems(t *testing.T) {
 func TestRegistryCheckManifest(t *testing.T) {
 	r := NewRegistry()
 	RegisterHEP(r, "tiny", tinyHEP())
-	RegisterAstro(r, "atiny", astro.ModelConfig{Name: "atiny", ImageSize: 8, Filters: 4, ConvUnits: 2, Classes: 3})
+	RegisterAstro(r, "atiny", hep.ModelConfig{Name: "atiny", ImageSize: 8, Filters: 4, ConvUnits: 2, Classes: 3, Head: "astro_fc"})
 	r.RegisterProblemArch("plain", "", func(prec Precision) Model { return nil })
 
 	cases := []struct {

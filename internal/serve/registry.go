@@ -105,13 +105,13 @@ func RegisterHEP(r *Registry, name string, cfg hep.ModelConfig) {
 	})
 }
 
-// RegisterAstro registers the transfer-learned astronomy classifier (the
-// PR 10 workload) at the given scale under name. The astro net is a plain
-// nn.Network like the HEP classifier, so it serves through the same planned
-// (and int8-capable) adapter.
-func RegisterAstro(r *Registry, name string, cfg astro.ModelConfig) {
+// RegisterAstro registers the transfer-learned astronomy classifier at the
+// given scale under name. The astro net is the HEP classifier under its
+// own head (astro.PaperConfig/SmallConfig), so it serves through the same
+// planned (and int8-capable) adapter.
+func RegisterAstro(r *Registry, name string, cfg hep.ModelConfig) {
 	r.RegisterProblemArch(name, "astro", func(prec Precision) Model {
-		return newNetModel(name, astro.BuildNet(cfg, tensor.NewRNG(0)), prec)
+		return newNetModel(name, hep.BuildNet(cfg, tensor.NewRNG(0)), prec)
 	})
 }
 
