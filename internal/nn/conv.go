@@ -10,8 +10,10 @@ import (
 // direct-convolution primitives the paper builds on. Weights are stored
 // [OutC, InC·KH·KW] so the forward pass of every output channel is one row
 // of a single GEMM. ForwardInto and BackwardInto lower to im2col + GEMM;
-// an inference plan runs a stride-1 convolution as a halo step instead
-// (halo.go), which reads the same B rows out of a padded image in place.
+// every plan, training plans included, runs a stride-1 convolution as a
+// halo step instead (halo.go), which reads the same B rows out of a padded
+// image in place, forward and for the weight gradient. What still lowers
+// in a plan is a strided convolution.
 type Conv2D struct {
 	LayerName    string
 	InC, OutC    int
@@ -23,25 +25,27 @@ type Conv2D struct {
 
 // colBudget caps (in float32s) the lowered column matrix a convolution
 // builds at once on the eval datapath. The eval steps that still lower are
-// those an inference plan does not fuse — strided convolutions (the climate
+// the ones fuse leaves alone — strided convolutions (the climate
 // encoder's) and deconvolutions, whose forward multiplies a chunk of
-// samples the same way — and the frozen prefix of a training plan; every
-// stride-1 convolution of an inference plan is a halo step and holds no
-// lowering. Both passes lower as many whole samples as fit the budget into
-// one wide matrix and multiply them in a single GEMM: a batch of small
-// planes otherwise pays the GEMM's fixed costs once per sample. 256K floats
-// is 1 MiB, half of one core's L2 here. Measured on tiled plans of
-// hep-small while its convolutions still lowered: 64K, 128K and 256K
-// read the same, 512K and 2M 25–30% slower — the matrix leaves L2. At
+// samples the same way; every stride-1 convolution is a halo step and
+// holds no lowering. Both passes lower as many whole samples as fit the
+// budget into one wide matrix and multiply them in a single GEMM: a batch
+// of small planes otherwise pays the GEMM's fixed costs once per sample.
+// 256K floats is 1 MiB, half of one core's L2 here. Measured on tiled
+// plans of hep-small while its convolutions still lowered: 64K, 128K and
+// 256K read the same, 512K and 2M 25–30% slower — the matrix leaves L2. At
 // paper scale — conv2 alone is 14.4M floats per sample — it degrades to
 // per-sample lowering.
 //
 // trainColBudget is the same cap on the training datapath, and half as
 // large: a plan's eval steps share one such matrix (Plan.evalSt; one per
-// lane when tiled), a training plan holds one per convolution per replica,
-// because a lowering that fits is kept for backward. At 128K floats a
-// hep-small batch-16 plan's arena is 8.8 MB (7.5 MB before lowerings were
-// batched, 11.2 MB at 256K) for 5% of the step time.
+// lane when tiled), a training plan holds one per convolution per replica.
+// A strided convolution keeps a lowering that fits for backward; a halo
+// step's matrix is only the input gradient's Wᵀ·dy, chunked by the same
+// budget, and a first layer under BackwardParams holds none. At 128K
+// floats a hep-small batch-16 plan's arena was 8.8 MB while its
+// convolutions still lowered (7.5 MB before lowerings were batched,
+// 11.2 MB at 256K).
 //
 // Both are variables only so tests can force the chunked path.
 var (
@@ -231,7 +235,7 @@ func (c *Conv2D) bias() []float32 {
 // sample order, each element one sdot over that sample's columns — that
 // order is the training trajectory's fingerprint, so it is kept even
 // though the columns now sit side by side in one matrix. The data gradient
-// is one Wᵀ·dy GEMM over the whole chunk followed by a col2im per sample.
+// is inputGrad over the chunk.
 //
 // The lowering comes from the forward pass when the batch fit the column
 // budget and is rebuilt chunk by chunk otherwise (caching it for a whole
@@ -256,7 +260,6 @@ func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	if dx != nil {
 		clear(dx.Data)
 	}
-	inStride := c.InC * h * w
 	outStride := c.OutC * cols
 	g := c.lowering(h, w)
 	for s0 := 0; s0 < n; s0 += chunk {
@@ -274,17 +277,23 @@ func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 				tensor.RowSums(c.Bias.Grad.Data, dy, c.OutC, cols)
 			}
 		}
-		if dx == nil {
-			continue
+		if dx != nil {
+			st.Lowered = false
+			c.inputGrad(st, dx.Data, dout.Data, s0, m, h, w, cols)
 		}
-		// dx = col2im(Wᵀ · dy), dy gathered channel-major to match col.
-		dyT := st.Eval[:c.OutC*mcols]
-		toChannelMajor(dyT, dout.Data, c.OutC, cols, s0, m)
-		st.Lowered = false
-		tensor.Gemm(true, false, k, mcols, c.OutC, 1, c.Weight.W.Data, dyT, 0, col)
-		for i := 0; i < m; i++ {
-			tensor.Col2imFrom(col, mcols, i*cols, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, dx.Data[(s0+i)*inStride:(s0+i+1)*inStride])
-		}
+	}
+}
+
+// inputGrad adds to dx, the NCHW input gradient of an h×w input, samples
+// [s0, s0+m)'s share: dy gathered channel-major into st.Eval, one Wᵀ·dy
+// GEMM into st.Col, and a col2im per sample out of it.
+func (c *Conv2D) inputGrad(st *PlanState, dx, dout []float32, s0, m, h, w, cols int) {
+	k, mcols, inStride := c.InC*c.KH*c.KW, m*cols, c.InC*h*w
+	dyT, col := st.Eval[:c.OutC*mcols], st.Col[:k*mcols]
+	toChannelMajor(dyT, dout, c.OutC, cols, s0, m)
+	tensor.Gemm(true, false, k, mcols, c.OutC, 1, c.Weight.W.Data, dyT, 0, col)
+	for i := 0; i < m; i++ {
+		tensor.Col2imFrom(col, mcols, i*cols, c.InC, h, w, c.KH, c.KW, c.Stride, c.Pad, dx[(s0+i)*inStride:(s0+i+1)*inStride])
 	}
 }
 

@@ -2,18 +2,24 @@ package nn
 
 import "deep15pf/internal/tensor"
 
-// haloConv is a stride-1 Conv2D of an inference plan run without lowering,
-// with the ReLU and the 2×2/2 max-pool that follow it folded into its
-// store (Plan.fuse decides which). Its input is a halo image per sample:
-// each channel plane stored with its zero padding around it, pitch =
-// w+2·pad floats a row, the border written once (the arena's zeroed slab)
-// and never again. Computing the output at that pitch makes the row of B
-// the lowering would build for tap (c, ky, kx) one run of the image at
-// off = c·plane + ky·pitch + kx, so the convolution is tensor.ConvTile — a
-// GEMM tile reading B through that table — over C blocks of a few output
-// rows, each stored by tensor.ConvStore with the bias, ReLU and pool
-// applied while it is still in L1: straight into the next halo step's
-// image when that is the consumer, as NCHW otherwise.
+// haloConv is a stride-1 Conv2D run without lowering, in every plan. Its
+// input is a halo image per sample: each channel plane stored with its zero
+// padding around it, pitch = w+2·pad floats a row, the border written once
+// (the arena's zeroed slab) and never again. Computing the output at that
+// pitch makes the row of B the lowering would build for tap (c, ky, kx)
+// one run of the image at off = c·plane + ky·pitch + kx, so the convolution
+// is tensor.ConvTile — a GEMM tile reading B through that table — over C
+// blocks of a few output rows, each stored by tensor.ConvStore with the
+// bias and a folded ReLU (and, on the eval datapath, the 2×2/2 max-pool)
+// applied while it is still in L1: straight into the next halo step's image
+// when Plan.fuse links the two, as NCHW otherwise.
+//
+// A training step keeps its images until backward. The weight gradient
+// reads them through tensor.ConvDot, whose B row for tap j at compact
+// output index p is the image at off[j] + (p/ow)·pitch + p%ow — the
+// lowering's column p — and the input gradient is the lowered path's Wᵀ·dy
+// and col2im (Conv2D.inputGrad). No stride-1 convolution builds an im2col
+// matrix.
 //
 // Why the bits cannot move: lanes are output columns, so every output
 // element is the lowered GEMM's chain — from +0, k ascending, zero weights
@@ -21,6 +27,8 @@ import "deep15pf/internal/tensor"
 // as the lowering writes it), and the 2·pad columns computed past each
 // row's end are never stored. The epilogue is fromChannelMajor's bias rule,
 // the ReLU kernel's select and the pool kernel's scan, element for element.
+// Each weight-gradient element is GemmNTAcc's dot over the same values,
+// added sample by sample in order.
 type haloConv struct {
 	conv       *Conv2D
 	relu, pool bool
@@ -120,4 +128,41 @@ func (hc *haloConv) fill(dst, x []float32) {
 			copy(dst[ch*hc.plane+(r+hc.pad)*hc.pitch+hc.pad:][:hc.w], x[(ch*hc.h+r)*hc.w:][:hc.w])
 		}
 	}
+}
+
+// backward is BackwardInto for a training halo step over the n samples of
+// the last forward; dout is the gradient at the convolution's output (a
+// folded ReLU's gate step has already masked it). Weight and bias gradients
+// accumulate one sample at a time, in sample order, as the lowered path's
+// do. dx == nil skips the input gradient, and with it the only scratch the
+// step uses (reserveGrad).
+func (hc *haloConv) backward(st *PlanState, dx, dout *tensor.Tensor, n int) {
+	c := hc.conv
+	cols, k, img := hc.rows*hc.ow, len(hc.off), hc.inC*hc.plane
+	for s := 0; s < n; s++ {
+		dy := dout.Data[s*c.OutC*cols:][:c.OutC*cols]
+		tensor.ConvDot(c.OutC, cols, dy, cols, hc.images[s*img:][:img], hc.off, hc.ow, hc.pitch, c.Weight.Grad.Data, k)
+		if !c.noBias {
+			tensor.RowSums(c.Bias.Grad.Data, dy, c.OutC, cols)
+		}
+	}
+	if dx == nil {
+		return
+	}
+	clear(dx.Data)
+	chunk := chunkSamples(n, k*cols, true)
+	for s0 := 0; s0 < n; s0 += chunk {
+		c.inputGrad(st, dx.Data, dout.Data, s0, min(chunk, n-s0), hc.h, hc.w, cols)
+	}
+}
+
+// reserveGrad sizes st for the input gradient of up to n samples: the
+// chunk's Wᵀ·dy matrix and its channel-major dy, drawn from a. A plan
+// reserves on the first backward that wants dx, so the first step under
+// BackwardParams never holds either.
+func (hc *haloConv) reserveGrad(st *PlanState, a *tensor.Arena, n int) {
+	cols, k := hc.rows*hc.ow, len(hc.off)
+	chunk := chunkSamples(n, k*cols, true)
+	st.Col = scratch(a, st.Col, k*chunk*cols)
+	st.Eval = scratch(a, st.Eval, hc.conv.OutC*chunk*cols)
 }

@@ -119,31 +119,39 @@ func (g fuzzConvNet) build(rng *tensor.RNG) (*Network, *tensor.Tensor) {
 	return net, x
 }
 
-// checkInferenceBitwise compiles g's network as an inference plan and as a
-// training plan and requires the two Forwards to agree bit for bit, under
-// the scalar, AVX2 and probed kernel tables (the ones the host runs) and
-// at one and two workers. The training forward lowers every convolution
-// and runs ReLU and pool as their own passes, so it is an independent
-// reference for the halo steps, whichever of them the link rule formed.
+// fuzzISAs are the kernel tables the plan fuzzers run under (those the
+// host has), and fuzzWorkers the worker counts.
+var (
+	fuzzISAs    = []string{"scalar", "avx2", "auto"}
+	fuzzWorkers = []int{1, 2}
+)
+
+// checkInferenceBitwise compiles g's network as an inference plan and
+// requires its Forward to agree bit for bit with refNet's, under the
+// scalar, AVX2 and probed kernel tables (the ones the host runs) and at one
+// and two workers. refNet runs each layer's ForwardInto in turn — every
+// convolution lowered, ReLU and pool as their own passes — so it is an
+// independent reference for the halo steps, whichever of them the link rule
+// formed.
 func checkInferenceBitwise(t *testing.T, g fuzzConvNet, seed uint64) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	defer tensor.SetKernels("auto")
 	net, x := g.build(tensor.NewRNG(seed))
-	for _, isa := range []string{"scalar", "avx2", "auto"} {
+	for _, isa := range fuzzISAs {
 		if tensor.SetKernels(isa) != nil {
 			continue // not on this host
 		}
-		for _, workers := range []int{1, 2} {
+		want := newRef(net).Forward(x, false)
+		for _, workers := range fuzzWorkers {
 			tensor.SetWorkers(workers)
-			want := Compile(net, g.batch, true, nil).Forward(x)
 			got := Compile(net, g.batch, false, nil).Forward(x)
 			requireSameBits(t, fmt.Sprintf("%v seed %d kernels %s workers %d", g, seed, isa, workers), got.Data, want.Data)
 		}
 	}
 }
 
-// FuzzInferencePlanBitwise is the property behind the halo steps: an
-// inference plan's Forward is bit for bit the training plan's over the same
+// FuzzInferencePlanBitwise is the property behind the inference halo steps:
+// an inference plan's Forward is bit for bit refNet's over the same
 // network, for any convolution geometry and the layers the link rule folds
 // (see checkInferenceBitwise and decodeFuzzNet). The seed corpus runs in
 // go test: hep-small's first two units (at batch 70: two tiles and a tail),
@@ -181,40 +189,149 @@ func FuzzInferencePlanBitwise(f *testing.F) {
 	})
 }
 
-// TestHaloPlanHoldsNoLowering: a hep-small inference plan fuses all four
-// convolutions, so its arena holds the activations that still exist, the
-// four halo images and the one C block — and no lowering scratch.
+// checkTrainBitwise compiles g's network as a training plan — with its
+// first unit frozen when frozen is set and there is a second to train —
+// and holds it to refNet bit for bit: the train-mode Forward, the input
+// gradient BackwardStream returns, and every trainable parameter's
+// gradient after BackwardStream and after BackwardParams, under the
+// fuzzers' kernel tables and worker counts. refNet lowers every
+// convolution and runs each ReLU and pool as its own pass, forward and
+// backward.
+func checkTrainBitwise(t *testing.T, g fuzzConvNet, frozen bool, seed uint64) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	defer tensor.SetKernels("auto")
+	rng := tensor.NewRNG(seed)
+	net, x := g.build(rng)
+	if frozen = frozen && g.second; frozen {
+		net.Freeze("c1")
+	}
+	dout := randBatch(rng, g.batch, net.OutShape())
+	params := net.TrainableParams()
+	for _, isa := range fuzzISAs {
+		if tensor.SetKernels(isa) != nil {
+			continue // not on this host
+		}
+		ref := newRef(net)
+		wantY := ref.Forward(x, true)
+		net.ZeroGrad()
+		wantDx := ref.Backward(dout)
+		var wantGrads [][]float32
+		for _, prm := range params {
+			wantGrads = append(wantGrads, append([]float32(nil), prm.Grad.Data...))
+		}
+		for _, workers := range fuzzWorkers {
+			tensor.SetWorkers(workers)
+			what := fmt.Sprintf("%v frozen %v seed %d kernels %s workers %d", g, frozen, seed, isa, workers)
+			requireGrads := func(after string) {
+				for i, prm := range params {
+					requireSameBits(t, fmt.Sprintf("%s: %s gradient after %s", what, prm.Name, after), prm.Grad.Data, wantGrads[i])
+				}
+			}
+			p := Compile(net, g.batch, true, nil)
+			requireSameBits(t, what+": forward", p.Forward(x).Data, wantY.Data)
+			net.ZeroGrad()
+			requireSameBits(t, what+": input gradient", p.BackwardStream(dout, nil).Data, wantDx.Data)
+			requireGrads("BackwardStream")
+			net.ZeroGrad()
+			p.BackwardParams(dout, nil)
+			requireGrads("BackwardParams")
+		}
+	}
+}
+
+// FuzzTrainPlanBitwise is the property behind the training halo steps: a
+// training plan — stride-1 convolutions run from halo images, their ReLU
+// folded into the store, weight gradients read back out of the images — is
+// bit for bit refNet over the same network (see checkTrainBitwise), forward
+// and backward, for any convolution geometry. The seed corpus runs in go
+// test: hep-small's four units at batch 16, the climate encoder's stride-1
+// geometry — its last conv and the three heads at 4×4, batch 4 — odd
+// widths, kernels 1 and 5, pads 0 and 2, NaN, ±Inf and −0 in inputs,
+// weights and biases, and a frozen first unit. Fuzz with
+// go test -run '^$' -fuzz FuzzTrainPlanBitwise ./internal/nn.
+func FuzzTrainPlanBitwise(f *testing.F) {
+	const relu, pool2, pool3, drawn, mixed, specW, specX, second = 1, 1 << 1, 2 << 1, 2 << 3, 3 << 3, 32, 64, 128
+	for _, s := range []struct {
+		inC, outC, h, w, k, pad, stride, opts, batch uint8
+		frozen                                       bool
+	}{
+		{3, 16, 32, 32, 3, 1, 1, relu | pool2 | drawn | second, 16, false},               // hep-small conv1, conv2
+		{16, 16, 8, 8, 3, 1, 1, relu | pool2 | drawn | second, 16, false},                // hep-small conv3, conv4
+		{20, 40, 4, 4, 3, 1, 1, relu | drawn, 4, false},                                  // climate enc_conv4 geometry
+		{20, 1, 4, 4, 3, 1, 1, drawn, 4, false},                                          // climate confidence head
+		{20, 4, 4, 4, 3, 1, 1, drawn | specX, 4, false},                                  // box head
+		{20, 8, 4, 4, 3, 1, 1, mixed | specW, 4, false},                                  // class head, −0 biases and specials
+		{16, 12, 32, 32, 3, 1, 2, relu | mixed | second, 6, false},                       // stride-2 encoder conv, then a halo one
+		{4, 9, 7, 12, 5, 2, 1, relu | pool3 | mixed | specW | specX, 5, false},           // k5 pad 2, widths 12 and 8
+		{2, 5, 9, 5, 1, 2, 1, relu | pool2 | 1<<3 | specX | second, 3, false},            // k1 pad 2, width 9, −0 bias
+		{3, 7, 11, 7, 3, 0, 1, pool2 | drawn | specW | specX, 3, false},                  // pad 0, width 5
+		{2, 10, 5, 17, 3, 1, 1, relu | mixed | specW | specX | second, 7, false},         // width 17, specials through both units
+		{1, 33, 17, 17, 5, 0, 1, relu | pool2 | drawn | specX | second, 2, false},        // k5 pad 0, width 13
+		{3, 16, 32, 32, 3, 1, 1, relu | pool2 | drawn | specW | specX | second, 4, true}, // hep-small conv1 frozen, conv2 trained
+	} {
+		f.Add(s.inC-1, s.outC-1, s.h-1, s.w-1, s.k-1, s.pad, s.stride-1, s.opts, s.batch-1, s.frozen, uint64(s.inC)*131+uint64(s.h))
+	}
+	f.Fuzz(func(t *testing.T, inC, outC, h, w, k, pad, stride, opts, batch uint8, frozen bool, seed uint64) {
+		checkTrainBitwise(t, decodeFuzzNet(inC, outC, h, w, k, pad, stride, opts, batch), frozen, seed)
+	})
+}
+
+// TestHaloPlanHoldsNoLowering: a hep-small plan runs all four
+// convolutions as halo steps, so its arena holds the activations that
+// still exist, the four halo images and the one C block — and no lowering.
+// An inference plan (one tile) folds every ReLU and the first three pools.
+// A training plan at batch 16 folds the ReLUs as gates without an output
+// slab and keeps the pools; after a step under BackwardParams, conv1 —
+// whose input gradient nobody asks for — holds no Wᵀ·dy matrix either.
 func TestHaloPlanHoldsNoLowering(t *testing.T) {
-	net := hepSmallNet(tensor.NewRNG(3))
-	arena := tensor.NewArena()
-	p := Compile(net, inferTile, false, arena)
-	p.Forward(randBatch(tensor.NewRNG(4), inferTile, net.InShape))
-	held, halos := int64(cap(p.cblk)), 0
-	for _, s := range p.steps {
-		held += int64(cap(s.ySlab))
-		if s.halo != nil {
-			held += int64(cap(s.halo.images))
-			halos++
+	for _, c := range []struct {
+		train    bool
+		n, gates int
+		schedule string
+	}{
+		{false, inferTile, 0, "[conv1 conv2 conv3 conv4 gap fc]"},
+		{true, 16, 4, "[conv1 relu1 pool1 conv2 relu2 pool2 conv3 relu3 pool3 conv4 relu4 gap fc]"},
+	} {
+		net := hepSmallNet(tensor.NewRNG(3))
+		arena := tensor.NewArena()
+		p := Compile(net, c.n, c.train, arena)
+		y := p.Forward(randBatch(tensor.NewRNG(4), c.n, net.InShape))
+		if c.train {
+			grad := tensor.New(c.n, 2)
+			SoftmaxCrossEntropyInto(y, make([]int, c.n), grad)
+			p.BackwardParams(grad, nil)
 		}
-	}
-	if halos != 4 || p.evalSt.Col != nil || p.evalSt.Eval != nil {
-		t.Fatalf("%d halo steps, lowering scratch %d + %d floats; want 4 and none", halos, len(p.evalSt.Col), len(p.evalSt.Eval))
-	}
-	if st := arena.Stats(); st.TotalFloats != held {
-		t.Fatalf("arena handed out %d floats, the plan's slabs are %d", st.TotalFloats, held)
-	}
-	// conv1..conv4 each fold their ReLU, the first three their pool too.
-	var kept []string
-	for _, s := range p.steps {
-		if s.layer != nil {
-			kept = append(kept, s.layer.Name())
+		held, halos, gates := int64(cap(p.cblk)), 0, 0
+		var kept []string
+		for i := range p.steps {
+			s := &p.steps[i]
+			held += int64(cap(s.ySlab) + cap(s.dxSlab) + cap(s.st.Col) + cap(s.st.Eval))
+			if s.halo != nil {
+				held += int64(cap(s.halo.images))
+				halos++
+			}
+			if s.gate && s.ySlab == nil {
+				gates++
+			}
+			if s.layer != nil {
+				kept = append(kept, s.layer.Name())
+			}
+			if s.st.Lowered {
+				t.Fatalf("train %v: %s kept a lowering", c.train, s.layer.Name())
+			}
 		}
-	}
-	if got := fmt.Sprint(kept); got != "[conv1 conv2 conv3 conv4 gap fc]" {
-		t.Fatalf("schedule %s", got)
-	}
-	p.Release()
-	if st := arena.Stats(); st.HeldFloats != st.TotalFloats {
-		t.Fatalf("after Release the arena holds %d of %d floats", st.HeldFloats, st.TotalFloats)
+		if got := fmt.Sprint(kept); halos != 4 || gates != c.gates || got != c.schedule {
+			t.Fatalf("train %v: %d halo steps, %d slab-free ReLU gates, schedule %s; want 4, %d, %s", c.train, halos, gates, got, c.gates, c.schedule)
+		}
+		if c1 := p.steps[0].st; c1.Col != nil || c1.Eval != nil || p.evalSt.Col != nil || p.evalSt.Eval != nil {
+			t.Fatalf("train %v: conv1 scratch %d + %d floats, eval scratch %d + %d; want none", c.train, len(c1.Col), len(c1.Eval), len(p.evalSt.Col), len(p.evalSt.Eval))
+		}
+		if st := arena.Stats(); st.TotalFloats != held {
+			t.Fatalf("train %v: arena handed out %d floats, the plan's slabs are %d", c.train, st.TotalFloats, held)
+		}
+		p.Release()
+		if st := arena.Stats(); st.HeldFloats != st.TotalFloats {
+			t.Fatalf("train %v: after Release the arena holds %d of %d floats", c.train, st.HeldFloats, st.TotalFloats)
+		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package nn is the neural-network layer library: convolution (im2col+GEMM;
-// halo steps that read a padded image in place in inference plans),
+// in compiled plans, halo steps that read a padded image in place),
 // deconvolution implemented with the convolution-transpose trick the paper
 // describes in §III-C, pooling, dense layers, activations, losses, and a
 // sequential network container with exact per-layer FLOP and parameter-byte
@@ -81,11 +81,14 @@ type PlanState struct {
 	// InShape is the input batch shape recorded by pooling layers.
 	InShape []int
 	// Col is the lowered column matrix (and, in a convolution's backward,
-	// the data-gradient matrix that overwrites it); Eval the channel-major
-	// GEMM operand on the other side of the NCHW scatter/gather.
+	// the data-gradient matrix that overwrites it; a halo step's only use
+	// of it); Eval the channel-major GEMM operand on the other side of the
+	// NCHW scatter/gather.
 	Col, Eval []float32
 	// Lowered reports that Col still holds the lowering of all of X, left
 	// by a train-mode convolution forward whose batch fit the column budget.
+	// In a plan only a strided convolution lowers: a halo step keeps its
+	// input as halo images instead (halo.go).
 	Lowered bool
 	// Argmax holds the max-pool winners.
 	Argmax []int32

@@ -38,8 +38,8 @@ type Plan struct {
 	params   []*Param // cached trainable params: Backward re-checks gradient presence
 	n        int      // batch size of the most recent Forward
 	// evalSt is the one state every eval-datapath step that is not a halo
-	// step executes under: the frozen prefix of a training plan, and in an
-	// inference plan the steps fuse leaves alone — strided convolutions,
+	// step executes under — in an inference plan or a training plan's
+	// frozen prefix, the steps fuse leaves alone: strided convolutions,
 	// deconvolutions, dense and pooling layers. Such a step keeps nothing
 	// between calls and the steps run one at a time, so they share a single
 	// lowering scratch sized for the largest of them rather than each
@@ -63,7 +63,11 @@ type planStep struct {
 	y        *tensor.Tensor // batch view over ySlab
 	dxSlab   []float32      // training plans only, steps at/after the cut
 	dx       *tensor.Tensor
-	halo     *haloConv // non-nil: a fused convolution (inference plans only)
+	halo     *haloConv // non-nil: a stride-1 convolution run as a halo step
+	// gate marks a training ReLU folded into the halo step before it: its
+	// forward only records that step's output as st.Y, and it has no output
+	// slab; its backward is the ReLU's own.
+	gate bool
 }
 
 // Compile builds a plan for batches of up to capacity samples. A training
@@ -72,18 +76,18 @@ type planStep struct {
 // gradient accumulators were released panics — release gradients only on
 // inference replicas (see Network.ReleaseGradients). arena == nil gives the
 // plan a private arena; passing a shared arena lets several plans (e.g. a
-// serving replica's per-batch-size cache) recycle each other's slabs. An
-// inference plan runs each stride-1 convolution, with the ReLU and 2×2/2
-// max-pool after it, as one halo step (fuse), and above inferTile costs
-// lanes × tile slabs plus one output slab, whatever its capacity.
+// serving replica's per-batch-size cache) recycle each other's slabs. Every
+// plan runs each stride-1 convolution as a halo step (fuse, halo.go), which
+// never lowers its input; an inference plan above inferTile costs lanes ×
+// tile slabs plus one output slab, whatever its capacity.
 //
 // Networks with a frozen prefix (Network.Freeze) compile the prefix steps
 // on the inference datapath even in a training plan: no input-gradient
-// slabs, no retained backward state, no argmax buffers. The eval forward
-// performs the identical floating-point operations in the same order as
-// the train forward (see Conv2D.ForwardInto), so the trajectory is
-// bitwise-unchanged — the frozen prefix just stops paying training memory
-// and backward compute.
+// slabs, no retained backward state, no argmax buffers, and the inference
+// plan's link rule. The eval forward performs the identical floating-point
+// operations in the same order as the train forward (see
+// Conv2D.ForwardInto), so the trajectory is bitwise-unchanged — the frozen
+// prefix just stops paying training memory and backward compute.
 func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan {
 	if capacity < 1 {
 		panic("nn: plan capacity must be positive")
@@ -125,9 +129,7 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 		s.outPer = shapeElems(out)
 		in = out
 	}
-	if !train {
-		p.fuse()
-	}
+	p.fuse()
 	blk := 0
 	for i := range p.steps {
 		s := &p.steps[i]
@@ -138,8 +140,10 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 		if s.layer == nil || (s.halo != nil && s.halo.next != nil) {
 			continue // no output of its own: folded, or stored into the next image
 		}
-		s.ySlab = arena.Get(capacity * s.outPer)
-		s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, s.outShape...)...)
+		if !s.gate {
+			s.ySlab = arena.Get(capacity * s.outPer)
+			s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, s.outShape...)...)
+		}
 		if s.train {
 			s.dxSlab = arena.Get(capacity * s.inPer)
 			s.dx = tensor.FromSlice(s.dxSlab, append([]int{capacity}, s.inShape...)...)
@@ -152,13 +156,17 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 	return p
 }
 
-// fuse is the link rule of inference plans: every stride-1 Conv2D becomes
-// a halo step (halo.go), which folds a ReLU that follows it, then a 2×2/2
-// max-pool, into its store — their steps drop out of the schedule and the
-// halo step takes over their output shape — and which stores straight
-// into the next step's halo image when that step is one too. Strided
-// convolutions, deconvolutions and every other layer keep their
-// ForwardInto; training plans, frozen prefixes included, are not fused.
+// fuse is the link rule: every stride-1 Conv2D becomes a halo step
+// (halo.go). On the eval datapath — an inference plan, or the frozen prefix
+// of a training plan — the step folds a ReLU that follows it, then a 2×2/2
+// max-pool, into its store: their steps drop out of the schedule and the
+// halo step takes over their output shape; and it stores straight into the
+// next step's halo image when that step is an eval halo step too. A
+// training step folds only the ReLU, whose backward reads nothing but the
+// output: the ReLU's step stays, as a gate without an output slab. A
+// max-pool after it stays its own step for the argmax its backward needs.
+// Strided convolutions, deconvolutions and every other layer keep their
+// ForwardInto.
 func (p *Plan) fuse() {
 	for i := range p.steps {
 		if c, ok := p.steps[i].layer.(*Conv2D); ok && c.Stride == 1 {
@@ -172,7 +180,8 @@ func (p *Plan) fuse() {
 		return nil
 	}
 	for i := range p.steps {
-		h := p.steps[i].halo
+		s := &p.steps[i]
+		h := s.halo
 		if h == nil {
 			continue
 		}
@@ -180,14 +189,21 @@ func (p *Plan) fuse() {
 		if _, h.relu = at(j).(*ReLU); h.relu {
 			j++
 		}
+		if s.train {
+			h.fold(nil)
+			if h.relu {
+				p.steps[i+1].gate = true
+			}
+			continue
+		}
 		if mp, _ := at(j).(*MaxPool2D); h.fold(mp) {
 			j++
 		}
 		for k := i + 1; k < j; k++ {
 			p.steps[k].layer = nil
 		}
-		p.steps[i].outShape, p.steps[i].outPer = p.steps[j-1].outShape, p.steps[j-1].outPer
-		if j < len(p.steps) && p.steps[j].halo != nil {
+		s.outShape, s.outPer = p.steps[j-1].outShape, p.steps[j-1].outPer
+		if j < len(p.steps) && p.steps[j].halo != nil && !p.steps[j].train {
 			h.next = p.steps[j].halo
 			h.next.fed = true
 		}
@@ -229,6 +245,10 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 		s := &p.steps[i]
 		if s.layer == nil {
 			continue // folded into the halo step before it
+		}
+		if s.gate {
+			s.st.Y = cur // the halo step stored the ReLU's output
+			continue
 		}
 		var y *tensor.Tensor
 		if s.ySlab != nil {
@@ -300,7 +320,14 @@ func (p *Plan) backward(dout *tensor.Tensor, gradDone func(layer int), inputGrad
 		if i > p.cut || inputGrad {
 			dx = view(s.dx, s.dxSlab, p.n, s.inPer)
 		}
-		s.layer.BackwardInto(&s.st, dx, cur)
+		if h := s.halo; h != nil {
+			if dx != nil {
+				h.reserveGrad(&s.st, p.arena, p.capacity)
+			}
+			h.backward(&s.st, dx, cur, p.n)
+		} else {
+			s.layer.BackwardInto(&s.st, dx, cur)
+		}
 		cur = dx
 		if gradDone != nil && s.trainIdx >= 0 {
 			gradDone(s.trainIdx)

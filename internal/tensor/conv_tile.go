@@ -1,9 +1,10 @@
 package tensor
 
-// The direct convolution's two kernels: a GEMM register tile whose B rows
-// are read through an offset table, and the epilogue that stores its C
-// block with the bias, ReLU and 2×2 max-pool folded in. nn's inference
-// plans run every stride-1 convolution through them without lowering.
+// The direct convolution's three kernels: a GEMM register tile whose B rows
+// are read through an offset table, the epilogue that stores its C block
+// with the bias, ReLU and 2×2 max-pool folded in, and the weight gradient's
+// dot tile, which reads the same image back. nn's plans run every stride-1
+// convolution through them without lowering.
 //
 // The input is a "halo" image: each channel plane stored with its zero
 // padding written around it, rows pitch = w+2·pad floats apart. An output
@@ -143,4 +144,63 @@ func ConvStore(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPi
 		panic("tensor: ConvStore operand too small")
 	}
 	convStore(dst, src, bias, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, relu, pool)
+}
+
+// convDot is the active direct-convolution weight-gradient tile: to dotTile
+// what convTile is to gemmTile. B is not stored: tap j = (c, ky, kx) reads
+// its output-indexed row straight out of the halo image,
+//
+//	B_j[p] = b[off[j] + (p/ow)*pitch + p%ow]
+//
+// for compact output index p (the lowering's column; pitch ≥ ow). For one
+// panel of mr ≤ dotMR rows it computes, for every r < mr and j < n,
+//
+//	c[r*ldc+j] += dot(a[r*lda:r*lda+k], B_j[0:k])
+//
+// where dot has exactly sdotGeneric's structure, so each element is
+// dotTile's over the lowering with alpha = 1. The vector bodies fill a
+// B vector's lanes with one masked load per image row it spans — a block
+// of sixteen compact indices reaches across rows whenever ow is not a
+// multiple of sixteen — and otherwise run dotTile's blocks and reduction.
+var convDot = convDotGeneric
+
+// convDotGeneric gathers each B row into a packing buffer and takes
+// sdotGeneric against it: the definition written out.
+func convDotGeneric(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int) {
+	row := getPack(k)
+	for j := 0; j < n; j++ {
+		for p := range row {
+			row[p] = b[off[j]+p/ow*pitch+p%ow]
+		}
+		for r := 0; r < mr; r++ {
+			c[r*ldc+j] += sdotGeneric(a[r*lda:r*lda+k], row)
+		}
+	}
+	putPack(row)
+}
+
+// ConvDot accumulates into c (m rows, ldc apart) the product a·Bᵀ, where a
+// is m×k (rows lda apart), B has n = len(off) rows and B_j is the
+// halo-image row
+// b[off[j] + (p/ow)·pitch + p%ow], p < k: one sample's weight gradient of a
+// direct convolution, each element the dot GemmNTAcc would take over that
+// sample's lowering, so the same bits. It panics on an offset that reads
+// outside b, as ConvTile does.
+func ConvDot(m, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int) {
+	n := len(off)
+	if m <= 0 || n <= 0 || k <= 0 {
+		return
+	}
+	if ow <= 0 || pitch < ow || lda < k || ldc < n || len(a) < (m-1)*lda+k || len(c) < (m-1)*ldc+n {
+		panic("tensor: ConvDot operand too small")
+	}
+	span := (k-1)/ow*pitch + (k-1)%ow + 1 // b elements one row of B reaches over
+	for _, o := range off {
+		if o < 0 || o > len(b)-span {
+			panic("tensor: ConvDot offset outside the image")
+		}
+	}
+	for i := 0; i < m; i += dotMR {
+		convDot(min(dotMR, m-i), n, k, a[i*lda:], lda, b, off, ow, pitch, c[i*ldc:], ldc)
+	}
 }

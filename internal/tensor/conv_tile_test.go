@@ -198,6 +198,55 @@ func TestConvStoreIsTheSeparatePasses(t *testing.T) {
 	}
 }
 
+// TestConvDotIsGatherThenDot holds ConvDot, under every kernel table, to
+// its definition: each B row gathered out of the image by hand, then one
+// sdotGeneric per C element, accumulated onto what C held. Output widths
+// 1 to 33 at pitches ow to ow+4 make blocks of sixteen compact indices
+// start anywhere in a row and reach across up to sixteen rows; k runs
+// through lengths with and without the 8-block and the scalar tail, and
+// m and n through the panel and tap-group tails. The last tap's run ends
+// exactly at the end of the image.
+func TestConvDotIsGatherThenDot(t *testing.T) {
+	rng := NewRNG(35)
+	row := make([]float32, 0, 64)
+	for ow := 1; ow <= 33; ow++ {
+		for pitch := ow; pitch <= ow+4; pitch++ {
+			for _, k := range []int{1, 5, 8, 9, 15, 16, 17, 23, 24, 31, 33, 40, 57, 64} {
+				m, n := 1+rng.Intn(9), 1+rng.Intn(9)
+				span := (k-1)/ow*pitch + (k-1)%ow + 1
+				b := make([]float32, span+rng.Intn(3*pitch+1))
+				off := make([]int, n)
+				for j := range off {
+					off[j] = rng.Intn(len(b) - span + 1)
+				}
+				off[n-1] = len(b) - span
+				lda, ldc := k+rng.Intn(3), n+rng.Intn(3)
+				a := make([]float32, (m-1)*lda+k)
+				fillFinite(rng, a)
+				fillSparse(rng, a[:len(a)/3], 4)
+				fillFinite(rng, b)
+				c := make([]float32, (m-1)*ldc+n)
+				fillFinite(rng, c)
+				want := append([]float32(nil), c...)
+				for j, o := range off {
+					row = row[:k]
+					for p := range row {
+						row[p] = b[o+p/ow*pitch+p%ow]
+					}
+					for r := 0; r < m; r++ {
+						want[r*ldc+j] += sdotGeneric(a[r*lda:r*lda+k], row)
+					}
+				}
+				withISAs(t, func(isa string) {
+					got := append([]float32(nil), c...)
+					ConvDot(m, k, a, lda, b, off, ow, pitch, got, ldc)
+					requireSameBits(t, fmt.Sprintf("ConvDot[%s] m=%d n=%d k=%d ow=%d pitch=%d", isa, m, n, k, ow, pitch), got, want)
+				})
+			}
+		}
+	}
+}
+
 // TestConvKernelsValidateOperands: the assembly bodies read and write what
 // the geometry says, so every operand is checked before one runs.
 func TestConvKernelsValidateOperands(t *testing.T) {
@@ -206,12 +255,20 @@ func TestConvKernelsValidateOperands(t *testing.T) {
 	ConvTile(2, 16, a, 9, b, off, c, 16) // in bounds
 	src, dst := make([]float32, 2*4*8), make([]float32, 2*2*4)
 	ConvStore(dst, src, nil, 2, 8, 32, 2, 4, 8, 4, true, true) // both exactly long enough
+	dw := make([]float32, 2*9)
+	taps := []int{0, 1, 2, 10, 11, 12, 16, 17, 18}
+	ConvDot(2, 16, c, 16, b, taps, 4, 6, dw, 9) // tap 18's rows end at 18+3·6+4 = 40
 	for name, f := range map[string]func(){
 		"tile offset past the image": func() { ConvTile(2, 16, a, 9, b, []int{0, 25}, c, 16) },
 		"tile negative offset":       func() { ConvTile(2, 16, a, 9, b, []int{-1}, c, 16) },
 		"tile short a":               func() { ConvTile(3, 16, a, 9, b, off, make([]float32, 48), 16) },
 		"tile short c":               func() { ConvTile(2, 16, a, 9, b, off, c[:31], 16) },
 		"tile lda under k":           func() { ConvTile(1, 16, a, 8, b, off, c, 16) },
+		"dot offset past the image":  func() { ConvDot(2, 16, c, 16, b, []int{0, 19}, 4, 6, dw, 9) },
+		"dot negative offset":        func() { ConvDot(2, 16, c, 16, b, []int{-1}, 4, 6, dw, 9) },
+		"dot pitch under width":      func() { ConvDot(2, 16, c, 16, b, taps, 4, 3, dw, 9) },
+		"dot short a":                func() { ConvDot(3, 16, c, 16, b, taps, 4, 6, dw, 9) },
+		"dot short c":                func() { ConvDot(2, 16, c, 16, b, taps, 4, 6, dw[:17], 9) },
 		"store short src":            func() { ConvStore(dst, src[:63], nil, 2, 8, 32, 2, 4, 8, 4, true, true) },
 		"store short dst":            func() { ConvStore(dst[:15], src, nil, 2, 8, 32, 2, 4, 8, 4, true, true) },
 		"store short bias":           func() { ConvStore(dst, src, []float32{1}, 2, 8, 32, 2, 4, 8, 4, true, true) },

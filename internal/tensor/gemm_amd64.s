@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // The fp32 GEMM's two register-tile micro-kernels (gemm_tile.go) and the
-// direct convolution's tile (conv_tile.go), AVX-512 and AVX2 bodies.
+// direct convolution's two tiles (conv_tile.go), AVX-512 and AVX2 bodies.
 // Multiply and add are separate instructions everywhere (never FMA) and
 // every C element sees the operations of the scalar body in the scalar
 // body's order, so all three tables agree bit for bit.
@@ -126,6 +126,104 @@ skip:
 	MOVQ    R14, SI;              \
 	MOVQ    off_base+80(FP), R12; \
 	MOVQ    k+16(FP), CX
+
+// ZHALOB fills lanes [0, cap) of b0..b3, one block's B vectors in
+// convDotAVX512, from the four taps' halo images at R12..R15. SI is the
+// byte offset, from each tap's base, that lane 0 would read were the
+// block's lanes to run on along the current image row, and CX counts the
+// elements left in that row; both move on to the next block. Each image
+// row the block reaches is one masked load per tap, merged into the lanes
+// it owns: K1 = lanes [BX, DX), from the laneMask table at DI. When a row
+// runs out, SI skips the row's 2·pad halo columns (pitch−ow floats, in
+// bytes, kept in the argument slot pitch) so lane 0's offset follows the
+// next row. capmask is the address of laneMask's entry for cap, and bytes
+// is 4·cap. This and YHALOB name convDot's arguments, so they are defined
+// ahead of every TEXT block (see ZCONVBLOCK).
+#define ZHALOB(cap, bytes, capmask, b0, b1, b2, b3, piece, last, done) \
+	XORQ    BX, BX;              \
+piece:                           \
+	LEAQ    (BX)(CX*1), DX;      \
+	CMPQ    DX, $cap;            \
+	JGE     last;                \
+	KMOVW   (DI)(DX*2), K1;      \
+	KMOVW   (DI)(BX*2), K2;      \
+	KANDNW  K1, K2, K1;          \
+	VMOVUPS (R12)(SI*1), K1, b0; \
+	VMOVUPS (R13)(SI*1), K1, b1; \
+	VMOVUPS (R14)(SI*1), K1, b2; \
+	VMOVUPS (R15)(SI*1), K1, b3; \
+	MOVQ    DX, BX;              \
+	ADDQ    pitch+112(FP), SI;            \
+	MOVQ    ow+104(FP), CX;              \
+	JMP     piece;               \
+last:                            \
+	KMOVW   capmask, K1;         \
+	KMOVW   (DI)(BX*2), K2;      \
+	KANDNW  K1, K2, K1;          \
+	VMOVUPS (R12)(SI*1), K1, b0; \
+	VMOVUPS (R13)(SI*1), K1, b1; \
+	VMOVUPS (R14)(SI*1), K1, b2; \
+	VMOVUPS (R15)(SI*1), K1, b3; \
+	ADDQ    $bytes, SI;          \
+	ADDQ    BX, CX;              \
+	SUBQ    $cap, CX;            \
+	JNZ     done;                \
+	MOVQ    ow+104(FP), CX;              \
+	ADDQ    pitch+112(FP), SI;            \
+done:
+
+// YPIECE copies lanes [BX, DX) of one block's B vectors for the two taps
+// at R12/R13 into the frame buffer at R15 (16 floats a tap): Y10/Y11 hold
+// the mask of lanes below DX, Y8/Y9 that of lanes below BX, and become it.
+// VMASKMOVPS loads a lane it does not own as +0 and stores only the lanes
+// it owns.
+#define YPIECE \
+	VANDNPS    Y10, Y8, Y12;         \
+	VANDNPS    Y11, Y9, Y13;         \
+	VMASKMOVPS (R12)(SI*1), Y12, Y14; \
+	VMASKMOVPS Y14, Y12, (R15);       \
+	VMASKMOVPS 32(R12)(SI*1), Y13, Y14; \
+	VMASKMOVPS Y14, Y13, 32(R15);     \
+	VMASKMOVPS (R13)(SI*1), Y12, Y14; \
+	VMASKMOVPS Y14, Y12, 64(R15);     \
+	VMASKMOVPS 32(R13)(SI*1), Y13, Y14; \
+	VMASKMOVPS Y14, Y13, 96(R15);     \
+	VMOVAPS    Y10, Y8;              \
+	VMOVAPS    Y11, Y9
+
+// YHALOB is ZHALOB for convDotAVX2: the block's lanes [0, cap) of the taps
+// at R12/R13 are assembled in the frame buffer at R15, one YPIECE per image
+// row, with lane masks from the haloMask table at DI (the sixteen floats
+// at byte offset 64−4e are the mask of lanes below e). capmask is the
+// table offset for cap.
+#define YHALOB(cap, bytes, capmask, piece, last, done) \
+	XORQ    BX, BX;            \
+	VXORPS  Y8, Y8, Y8;        \
+	VXORPS  Y9, Y9, Y9;        \
+piece:                         \
+	LEAQ    (BX)(CX*1), DX;    \
+	CMPQ    DX, $cap;          \
+	JGE     last;              \
+	NEGQ    DX;                \
+	VMOVUPS 64(DI)(DX*4), Y10; \
+	VMOVUPS 96(DI)(DX*4), Y11; \
+	NEGQ    DX;                \
+	YPIECE;                    \
+	MOVQ    DX, BX;            \
+	ADDQ    pitch+112(FP), SI;          \
+	MOVQ    ow+104(FP), CX;            \
+	JMP     piece;             \
+last:                          \
+	VMOVUPS capmask(DI), Y10;  \
+	VMOVUPS capmask+32(DI), Y11; \
+	YPIECE;                    \
+	ADDQ    $bytes, SI;        \
+	ADDQ    BX, CX;            \
+	SUBQ    $cap, CX;          \
+	JNZ     done;              \
+	MOVQ    ow+104(FP), CX;            \
+	ADDQ    pitch+112(FP), SI;          \
+done:
 
 // func gemmTileAVX512(mr, n, k int, a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc int)
 //
@@ -1185,5 +1283,534 @@ store1:
 	JMP  panel1
 
 done:
+	VZEROUPPER
+	RET
+
+// laneMask holds (1<<i)−1 for i = 0..16: the KMOVW mask of the lanes below i.
+DATA laneMask<>+0(SB)/2, $0x0000
+DATA laneMask<>+2(SB)/2, $0x0001
+DATA laneMask<>+4(SB)/2, $0x0003
+DATA laneMask<>+6(SB)/2, $0x0007
+DATA laneMask<>+8(SB)/2, $0x000f
+DATA laneMask<>+10(SB)/2, $0x001f
+DATA laneMask<>+12(SB)/2, $0x003f
+DATA laneMask<>+14(SB)/2, $0x007f
+DATA laneMask<>+16(SB)/2, $0x00ff
+DATA laneMask<>+18(SB)/2, $0x01ff
+DATA laneMask<>+20(SB)/2, $0x03ff
+DATA laneMask<>+22(SB)/2, $0x07ff
+DATA laneMask<>+24(SB)/2, $0x0fff
+DATA laneMask<>+26(SB)/2, $0x1fff
+DATA laneMask<>+28(SB)/2, $0x3fff
+DATA laneMask<>+30(SB)/2, $0x7fff
+DATA laneMask<>+32(SB)/2, $0xffff
+GLOBL laneMask<>(SB), RODATA|NOPTR, $34
+
+// func convDotAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int)
+//
+// dotTileAVX512 with B read out of the halo image: four rows of A against
+// four taps, sixteen ZMM accumulators, the same fold, 8-block, tree and
+// scalar tail. A 16-float block of compact indices that stays inside one
+// image row loads each tap's vector with one plain load; any other block
+// is put together by ZHALOB, one masked load per row it reaches. The
+// 8-block does the same at half width and copies its half into both.
+//
+// R8-R11 A rows, R12-R15 tap bases of the current group, AX byte offset
+// into k, SI/CX the image position (see ZHALOB), DI the laneMask table,
+// kend the end of the whole 16-float blocks. The group's taps left, C
+// element and offset-table entry, and the row skip, live in the argument
+// slots n, c_base, off_base and pitch.
+TEXT ·convDotAVX512(SB), NOSPLIT, $8-152
+	MOVQ a_base+24(FP), R8
+	MOVQ lda+48(FP), SI
+	SHLQ $2, SI
+	MOVQ mr+0(FP), CX
+	ROWS4(CX, SI, R8, R9, R10, R11, arows)
+	MOVQ k+16(FP), AX
+	ANDQ $~15, AX
+	SHLQ $2, AX
+	MOVQ AX, kend-8(SP)
+	MOVQ pitch+112(FP), AX
+	SUBQ ow+104(FP), AX
+	SHLQ $2, AX
+	MOVQ AX, pitch+112(FP)
+	SHLQ $2, ldc+144(FP)
+	LEAQ laneMask<>(SB), DI
+
+group:
+	MOVQ off_base+80(FP), DX
+	MOVQ n+8(FP), BX
+	MOVQ b_base+56(FP), SI
+	MOVQ (DX), R12
+	LEAQ (SI)(R12*4), R12
+	MOVQ R12, R13
+	MOVQ R12, R14
+	MOVQ R12, R15
+	CMPQ BX, $2
+	JLT  taps
+	MOVQ 8(DX), R13
+	LEAQ (SI)(R13*4), R13
+	MOVQ R13, R14
+	MOVQ R13, R15
+	CMPQ BX, $3
+	JLT  taps
+	MOVQ 16(DX), R14
+	LEAQ (SI)(R14*4), R14
+	MOVQ R14, R15
+	CMPQ BX, $4
+	JLT  taps
+	MOVQ 24(DX), R15
+	LEAQ (SI)(R15*4), R15
+
+taps:
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+	VXORPS X8, X8, X8
+	VXORPS X9, X9, X9
+	VXORPS X10, X10, X10
+	VXORPS X11, X11, X11
+	VXORPS X12, X12, X12
+	VXORPS X13, X13, X13
+	VXORPS X14, X14, X14
+	VXORPS X15, X15, X15
+	XORQ   AX, AX
+	XORQ   SI, SI
+	MOVQ   ow+104(FP), CX
+	CMPQ   AX, kend-8(SP)
+	JGE    fold
+
+blk:
+	VMOVUPS (R8)(AX*1), Z16
+	VMOVUPS (R9)(AX*1), Z17
+	VMOVUPS (R10)(AX*1), Z18
+	VMOVUPS (R11)(AX*1), Z19
+	CMPQ    CX, $16
+	JLT     split
+	VMOVUPS (R12)(SI*1), Z20
+	VMOVUPS (R13)(SI*1), Z21
+	VMOVUPS (R14)(SI*1), Z22
+	VMOVUPS (R15)(SI*1), Z23
+	ADDQ    $64, SI
+	SUBQ    $16, CX
+	JNZ     dots
+	MOVQ    ow+104(FP), CX
+	ADDQ    pitch+112(FP), SI
+	JMP     dots
+
+split:
+	ZHALOB(16, 64, 32(DI), Z20, Z21, Z22, Z23, piece16, last16, done16)
+
+dots:
+	ZDOT(Z16, Z20, Z0, Z24)
+	ZDOT(Z16, Z21, Z1, Z25)
+	ZDOT(Z16, Z22, Z2, Z26)
+	ZDOT(Z16, Z23, Z3, Z27)
+	ZDOT(Z17, Z20, Z4, Z28)
+	ZDOT(Z17, Z21, Z5, Z29)
+	ZDOT(Z17, Z22, Z6, Z30)
+	ZDOT(Z17, Z23, Z7, Z24)
+	ZDOT(Z18, Z20, Z8, Z25)
+	ZDOT(Z18, Z21, Z9, Z26)
+	ZDOT(Z18, Z22, Z10, Z27)
+	ZDOT(Z18, Z23, Z11, Z28)
+	ZDOT(Z19, Z20, Z12, Z29)
+	ZDOT(Z19, Z21, Z13, Z30)
+	ZDOT(Z19, Z22, Z14, Z24)
+	ZDOT(Z19, Z23, Z15, Z25)
+	ADDQ $64, AX
+	CMPQ AX, kend-8(SP)
+	JLT  blk
+
+fold:
+	ZFOLD(Z0, Z4, Z16)
+	ZFOLD(Z1, Z5, Z17)
+	ZFOLD(Z2, Z6, Z18)
+	ZFOLD(Z3, Z7, Z19)
+	ZFOLD(Z8, Z12, Z20)
+	ZFOLD(Z9, Z13, Z21)
+	ZFOLD(Z10, Z14, Z22)
+	ZFOLD(Z11, Z15, Z23)
+	TESTQ $8, k+16(FP)
+	JZ    tree
+
+	VMOVUPS      (R8)(AX*1), Y0
+	VINSERTF64X4 $1, (R9)(AX*1), Z0, Z0
+	VMOVUPS      (R10)(AX*1), Y1
+	VINSERTF64X4 $1, (R11)(AX*1), Z1, Z1
+	CMPQ         CX, $8
+	JLT          split8
+	VBROADCASTF64X4 (R12)(SI*1), Z2
+	VBROADCASTF64X4 (R13)(SI*1), Z3
+	VBROADCASTF64X4 (R14)(SI*1), Z4
+	VBROADCASTF64X4 (R15)(SI*1), Z5
+	ADDQ            $32, SI
+	SUBQ            $8, CX
+	JNZ             dots8
+	MOVQ            ow+104(FP), CX
+	ADDQ            pitch+112(FP), SI
+	JMP             dots8
+
+split8:
+	ZHALOB(8, 32, 16(DI), Z2, Z3, Z4, Z5, piece8, last8, done8)
+	VSHUFF64X2 $0x44, Z2, Z2, Z2
+	VSHUFF64X2 $0x44, Z3, Z3, Z3
+	VSHUFF64X2 $0x44, Z4, Z4, Z4
+	VSHUFF64X2 $0x44, Z5, Z5, Z5
+
+dots8:
+	ZDOT(Z0, Z2, Z16, Z24)
+	ZDOT(Z0, Z3, Z17, Z25)
+	ZDOT(Z0, Z4, Z18, Z26)
+	ZDOT(Z0, Z5, Z19, Z27)
+	ZDOT(Z1, Z2, Z20, Z28)
+	ZDOT(Z1, Z3, Z21, Z29)
+	ZDOT(Z1, Z4, Z22, Z30)
+	ZDOT(Z1, Z5, Z23, Z24)
+	ADDQ $32, AX
+
+tree:
+	VSHUFF64X2 $0x88, Z20, Z16, Z24
+	VSHUFF64X2 $0xDD, Z20, Z16, Z25
+	VADDPS     Z25, Z24, Z0
+	VSHUFF64X2 $0x88, Z21, Z17, Z24
+	VSHUFF64X2 $0xDD, Z21, Z17, Z25
+	VADDPS     Z25, Z24, Z1
+	VSHUFF64X2 $0x88, Z22, Z18, Z24
+	VSHUFF64X2 $0xDD, Z22, Z18, Z25
+	VADDPS     Z25, Z24, Z2
+	VSHUFF64X2 $0x88, Z23, Z19, Z24
+	VSHUFF64X2 $0xDD, Z23, Z19, Z25
+	VADDPS     Z25, Z24, Z3
+	VSHUFPS    $0x44, Z1, Z0, Z24
+	VSHUFPS    $0xEE, Z1, Z0, Z25
+	VADDPS     Z25, Z24, Z4
+	VSHUFPS    $0x44, Z3, Z2, Z24
+	VSHUFPS    $0xEE, Z3, Z2, Z25
+	VADDPS     Z25, Z24, Z5
+	VSHUFPS    $0x88, Z5, Z4, Z24
+	VSHUFPS    $0xDD, Z5, Z4, Z25
+	VADDPS     Z25, Z24, Z0
+
+	MOVQ k+16(FP), DX
+	ANDQ $7, DX
+	JZ   store
+
+tail:
+	VBROADCASTSS (R8)(AX*1), X1
+	VBROADCASTSS (R9)(AX*1), X2
+	VBROADCASTSS (R10)(AX*1), X3
+	VBROADCASTSS (R11)(AX*1), X4
+	VINSERTF32X4 $1, X2, Z1, Z1
+	VINSERTF32X4 $2, X3, Z1, Z1
+	VINSERTF32X4 $3, X4, Z1, Z1
+	VMOVSS       (R12)(SI*1), X5
+	VINSERTPS    $0x10, (R13)(SI*1), X5, X5
+	VINSERTPS    $0x20, (R14)(SI*1), X5, X5
+	VINSERTPS    $0x30, (R15)(SI*1), X5, X5
+	VSHUFF32X4   $0, Z5, Z5, Z5
+	VMULPS       Z5, Z1, Z1
+	VADDPS       Z1, Z0, Z0
+	ADDQ         $4, AX
+	ADDQ         $4, SI
+	DECQ         CX
+	JNZ          tnext
+	MOVQ         ow+104(FP), CX
+	ADDQ         pitch+112(FP), SI
+
+tnext:
+	DECQ DX
+	JNZ  tail
+
+store:
+	// c += dot, the live rows and columns only.
+	MOVQ    n+8(FP), DX
+	MOVQ    $4, CX
+	CMPQ    DX, CX
+	CMOVQLT DX, CX
+	MOVL    $1, SI
+	SHLQ    CX, SI
+	DECQ    SI
+	KMOVW   SI, K1
+	MOVQ    ldc+144(FP), SI
+	MOVQ    mr+0(FP), CX
+	MOVQ    c_base+120(FP), AX
+	VMOVUPS.Z (AX), K1, Z1
+	VADDPS    X1, X0, X1
+	VMOVUPS   Z1, K1, (AX)
+	CMPQ      CX, $2
+	JLT       next
+	ADDQ          SI, AX
+	VEXTRACTF32X4 $1, Z0, X2
+	VMOVUPS.Z     (AX), K1, Z1
+	VADDPS        X1, X2, X1
+	VMOVUPS       Z1, K1, (AX)
+	CMPQ          CX, $3
+	JLT           next
+	ADDQ          SI, AX
+	VEXTRACTF32X4 $2, Z0, X2
+	VMOVUPS.Z     (AX), K1, Z1
+	VADDPS        X1, X2, X1
+	VMOVUPS       Z1, K1, (AX)
+	CMPQ          CX, $4
+	JLT           next
+	ADDQ          SI, AX
+	VEXTRACTF32X4 $3, Z0, X2
+	VMOVUPS.Z     (AX), K1, Z1
+	VADDPS        X1, X2, X1
+	VMOVUPS       Z1, K1, (AX)
+
+next:
+	ADDQ $32, off_base+80(FP)
+	ADDQ $16, c_base+120(FP)
+	SUBQ $4, n+8(FP)
+	JG   group
+	VZEROUPPER
+	RET
+
+// haloMask holds sixteen live lanes then sixteen dead ones: the sixteen
+// floats at byte offset 64−4e are the VMASKMOVPS masks of the lanes below
+// e, two YMM at a time.
+DATA haloMask<>+0(SB)/8, $0xffffffffffffffff
+DATA haloMask<>+8(SB)/8, $0xffffffffffffffff
+DATA haloMask<>+16(SB)/8, $0xffffffffffffffff
+DATA haloMask<>+24(SB)/8, $0xffffffffffffffff
+DATA haloMask<>+32(SB)/8, $0xffffffffffffffff
+DATA haloMask<>+40(SB)/8, $0xffffffffffffffff
+DATA haloMask<>+48(SB)/8, $0xffffffffffffffff
+DATA haloMask<>+56(SB)/8, $0xffffffffffffffff
+DATA haloMask<>+64(SB)/8, $0
+DATA haloMask<>+72(SB)/8, $0
+DATA haloMask<>+80(SB)/8, $0
+DATA haloMask<>+88(SB)/8, $0
+DATA haloMask<>+96(SB)/8, $0
+DATA haloMask<>+104(SB)/8, $0
+DATA haloMask<>+112(SB)/8, $0
+DATA haloMask<>+120(SB)/8, $0
+GLOBL haloMask<>(SB), RODATA|NOPTR, $128
+
+// func convDotAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int)
+//
+// dotTileAVX2 with B read out of the halo image: two rows of A against two
+// taps, the same merge, 8-block, tree and tail. BX/DX point at the block's
+// B vectors for the two taps: the image itself when the block stays inside
+// one image row, else the frame buffer YHALOB assembled them in.
+//
+// R8/R9 A rows, R12/R13 tap bases, AX byte offset into k, SI/CX the image
+// position (see ZHALOB), DI the haloMask table, R10 end of the whole
+// 16-float blocks, R11 = ldc in bytes, R14 rows left, R15 the buffer; the
+// tap pair's offset-table entry, C element and taps left live in the
+// frame, the row skip in the argument slot pitch.
+TEXT ·convDotAVX2(SB), NOSPLIT, $152-152
+	MOVQ a_base+24(FP), R8
+	MOVQ mr+0(FP), R14
+	MOVQ k+16(FP), R10
+	ANDQ $~15, R10
+	SHLQ $2, R10
+	MOVQ ldc+144(FP), R11
+	SHLQ $2, R11
+	SHLQ $2, lda+48(FP)
+	MOVQ pitch+112(FP), AX
+	SUBQ ow+104(FP), AX
+	SHLQ $2, AX
+	MOVQ AX, pitch+112(FP)
+	LEAQ haloMask<>(SB), DI
+	LEAQ buf-128(SP), R15
+
+rowpair:
+	MOVQ R8, R9
+	CMPQ R14, $2
+	JLT  arows
+	ADDQ lda+48(FP), R9
+
+arows:
+	MOVQ off_base+80(FP), AX
+	MOVQ AX, offp-136(SP)
+	MOVQ c_base+120(FP), AX
+	MOVQ AX, cptr-144(SP)
+	MOVQ n+8(FP), AX
+	MOVQ AX, left-152(SP)
+
+group:
+	MOVQ offp-136(SP), DX
+	MOVQ b_base+56(FP), SI
+	MOVQ (DX), R12
+	LEAQ (SI)(R12*4), R12
+	MOVQ R12, R13
+	CMPQ left-152(SP), $2
+	JLT  brows
+	MOVQ 8(DX), R13
+	LEAQ (SI)(R13*4), R13
+
+brows:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	XORQ   AX, AX
+	XORQ   SI, SI
+	MOVQ   ow+104(FP), CX
+	CMPQ   AX, R10
+	JGE    merge
+
+blk:
+	CMPQ CX, $16
+	JLT  ysplit
+	LEAQ (R12)(SI*1), BX
+	LEAQ (R13)(SI*1), DX
+	ADDQ $64, SI
+	SUBQ $16, CX
+	JNZ  ydots
+	MOVQ ow+104(FP), CX
+	ADDQ pitch+112(FP), SI
+	JMP  ydots
+
+ysplit:
+	YHALOB(16, 64, 0, ypiece16, ylast16, ydone16)
+	MOVQ R15, BX
+	LEAQ 64(R15), DX
+
+ydots:
+	VMOVUPS (R8)(AX*1), Y8
+	VMOVUPS 32(R8)(AX*1), Y9
+	VMOVUPS (R9)(AX*1), Y10
+	VMOVUPS 32(R9)(AX*1), Y11
+	YDOT(Y8, Y9, (BX), 32(BX), Y0, Y1)
+	YDOT(Y8, Y9, (DX), 32(DX), Y2, Y3)
+	YDOT(Y10, Y11, (BX), 32(BX), Y4, Y5)
+	YDOT(Y10, Y11, (DX), 32(DX), Y6, Y7)
+	ADDQ $64, AX
+	CMPQ AX, R10
+	JLT  blk
+
+merge:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	TESTQ  $8, k+16(FP)
+	JZ     tree
+
+	CMPQ CX, $8
+	JLT  ysplit8
+	LEAQ (R12)(SI*1), BX
+	LEAQ (R13)(SI*1), DX
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JNZ  ydots8
+	MOVQ ow+104(FP), CX
+	ADDQ pitch+112(FP), SI
+	JMP  ydots8
+
+ysplit8:
+	YHALOB(8, 32, 32, ypiece8, ylast8, ydone8)
+	MOVQ R15, BX
+	LEAQ 64(R15), DX
+
+ydots8:
+	VMOVUPS (R8)(AX*1), Y8
+	VMOVUPS (R9)(AX*1), Y10
+	VMULPS  (BX), Y8, Y12
+	VMULPS  (DX), Y8, Y13
+	VMULPS  (BX), Y10, Y14
+	VMULPS  (DX), Y10, Y15
+	VADDPS  Y12, Y0, Y0
+	VADDPS  Y13, Y2, Y2
+	VADDPS  Y14, Y4, Y4
+	VADDPS  Y15, Y6, Y6
+	ADDQ    $32, AX
+
+tree:
+	VEXTRACTF128 $1, Y0, X1
+	VEXTRACTF128 $1, Y2, X3
+	VEXTRACTF128 $1, Y4, X5
+	VEXTRACTF128 $1, Y6, X7
+	VADDPS       X1, X0, X0
+	VADDPS       X3, X2, X2
+	VADDPS       X5, X4, X4
+	VADDPS       X7, X6, X6
+	VSHUFPS      $0x44, X2, X0, X8
+	VSHUFPS      $0xEE, X2, X0, X9
+	VADDPS       X9, X8, X1
+	VSHUFPS      $0x44, X6, X4, X8
+	VSHUFPS      $0xEE, X6, X4, X9
+	VADDPS       X9, X8, X3
+	VSHUFPS      $0x88, X3, X1, X8
+	VSHUFPS      $0xDD, X3, X1, X9
+	VADDPS       X9, X8, X0
+
+	MOVQ k+16(FP), BX
+	ANDQ $7, BX
+	JZ   store
+
+tail:
+	// [a0, a0, a1, a1] · [b0, b1, b0, b1]
+	VBROADCASTSS (R8)(AX*1), X1
+	VBROADCASTSS (R9)(AX*1), X2
+	VBLENDPS     $0xC, X2, X1, X1
+	VMOVSS       (R12)(SI*1), X3
+	VINSERTPS    $0x10, (R13)(SI*1), X3, X3
+	VMOVLHPS     X3, X3, X3
+	VMULPS       X3, X1, X1
+	VADDPS       X1, X0, X0
+	ADDQ         $4, AX
+	ADDQ         $4, SI
+	DECQ         CX
+	JNZ          tnext
+	MOVQ         ow+104(FP), CX
+	ADDQ         pitch+112(FP), SI
+
+tnext:
+	DECQ BX
+	JNZ  tail
+
+store:
+	// c += dot, the live rows and columns only.
+	MOVQ     cptr-144(SP), BX
+	VMOVHLPS X0, X0, X2
+	CMPQ     left-152(SP), $2
+	JLT      onecol
+	VMOVSD   (BX), X1
+	VADDPS   X1, X0, X1
+	VMOVLPS  X1, (BX)
+	CMPQ     R14, $2
+	JLT      next
+	VMOVSD   (BX)(R11*1), X1
+	VADDPS   X1, X2, X1
+	VMOVLPS  X1, (BX)(R11*1)
+	JMP      next
+
+onecol:
+	VMOVSS (BX), X1
+	VADDSS X1, X0, X1
+	VMOVSS X1, (BX)
+	CMPQ   R14, $2
+	JLT    next
+	VMOVSS (BX)(R11*1), X1
+	VADDSS X1, X2, X1
+	VMOVSS X1, (BX)(R11*1)
+
+next:
+	ADDQ $16, offp-136(SP)
+	ADDQ $8, cptr-144(SP)
+	SUBQ $2, left-152(SP)
+	JG   group
+
+	// Next two rows of the panel.
+	MOVQ lda+48(FP), AX
+	LEAQ (R8)(AX*2), R8
+	LEAQ (R11)(R11*1), AX
+	ADDQ AX, c_base+120(FP)
+	SUBQ $2, R14
+	JG   rowpair
 	VZEROUPPER
 	RET

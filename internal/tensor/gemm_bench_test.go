@@ -5,29 +5,36 @@ import (
 	"testing"
 )
 
-// BenchmarkGemmShapes times one-threaded Gemm / GemmNTAcc at the shapes the
-// two training workloads really run (EXPERIMENTS.md "PR 21" table b) and
-// reports GFLOP/s next to ns/op. ldb > k marks a GemmNTAcc window into a
-// lowering that holds the whole batch.
+// BenchmarkGemmShapes times one-threaded Gemm / GemmNTAcc / ConvDot at the
+// shapes the two training workloads really run (EXPERIMENTS.md "PR 21"
+// table b) and reports GFLOP/s next to ns/op. ldb > k marks a GemmNTAcc
+// window into a lowering that holds the whole batch. A CD row is the
+// ConvDot that replaces the NT row above it: the same weight gradient read
+// from a 3×3, pad-1 halo image whose output rows are ow wide.
 func BenchmarkGemmShapes(b *testing.B) {
 	shapes := []struct {
 		op      string
 		m, n, k int
-		ldb     int
+		ldb     int // NT: B's row stride; CD: ow
 	}{
 		{"NN", 16, 256, 144, 0},    // the benchmark's probe
 		{"NN", 16, 4096, 27, 0},    // hep conv1 forward
 		{"NN", 16, 768, 144, 0},    // hep conv2 forward
 		{"TN", 144, 768, 16, 0},    // hep conv2 data gradient
 		{"NT", 16, 27, 1024, 4096}, // hep conv1 weight gradient
+		{"CD", 16, 27, 1024, 32},
 		{"NT", 16, 144, 256, 768},
+		{"CD", 16, 144, 256, 16},
 		{"NT", 16, 144, 64, 896},
+		{"CD", 16, 144, 64, 8},
 		{"NT", 16, 144, 16, 256},
+		{"CD", 16, 144, 16, 4},
 		{"NN", 128, 64, 864, 0}, // climate encoder forward
 		{"NN", 64, 256, 288, 0},
 		{"TN", 864, 64, 128, 0}, // climate encoder data gradient
 		{"TN", 288, 256, 64, 0},
 		{"NT", 128, 864, 16, 64}, // climate weight gradients, k = OH·OW = 16
+		{"CD", 128, 864, 16, 4},
 		{"NT", 96, 576, 16, 64},
 		{"NT", 128, 1024, 16, 0},
 		{"NT", 64, 288, 64, 256}, // k = 64
@@ -47,17 +54,31 @@ func BenchmarkGemmShapes(b *testing.B) {
 	for _, s := range shapes {
 		ldb := max(s.ldb, s.k)
 		bn := s.k * s.n
-		if s.op == "NT" {
+		var off []int
+		switch s.op {
+		case "NT":
 			bn = (s.n-1)*ldb + s.k
+		case "CD":
+			ow, pitch := s.ldb, s.ldb+2
+			plane := (s.k/ow + 2) * pitch
+			for j := 0; j < s.n; j++ {
+				off = append(off, j/9*plane+j%9/3*pitch+j%3)
+			}
+			bn = (s.n+8)/9*plane + 2
 		}
 		a, bm, c := randMat(rng, s.m*s.k), randMat(rng, bn), make([]float32, s.m*s.n)
 		name := fmt.Sprintf("%s_%dx%dx%d", s.op, s.m, s.n, s.k)
-		if s.ldb != 0 {
+		switch {
+		case s.op == "CD":
+			name += fmt.Sprintf("_ow%d", s.ldb)
+		case s.ldb != 0:
 			name += fmt.Sprintf("_ldb%d", s.ldb)
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				switch {
+				case s.op == "CD":
+					ConvDot(s.m, s.k, a, s.k, bm, off, s.ldb, s.ldb+2, c, s.n)
 				case s.ldb != 0:
 					GemmNTAcc(s.m, s.n, s.k, a, s.k, bm, ldb, c)
 				default:

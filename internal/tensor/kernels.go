@@ -2,11 +2,11 @@ package tensor
 
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
 // the fp32 GEMM's two register tiles (gemm_tile.go), the direct
-// convolution's tile and epilogue (conv_tile.go), axpy, the in-place
-// scale, the conv unit's ReLU, 2×2 max-pool and the lowerings' row gather
-// and row add (kernels_conv.go), and the int8 datapath's micro-kernel,
-// epilogues and quantizers (gemm_s8.go) — is a package-level
-// function variable installed by SetKernels.
+// convolution's tile, epilogue and weight-gradient tile (conv_tile.go),
+// axpy, the in-place scale, the conv unit's ReLU, 2×2 max-pool and the
+// lowerings' row gather and row add (kernels_conv.go), and the int8
+// datapath's micro-kernel, epilogues and quantizers (gemm_s8.go) — is a
+// package-level function variable installed by SetKernels.
 // One probe (kernels_amd64.go) classifies the host at init and picks the
 // widest safe body; SetKernels("scalar"|"avx2"|"avx512"|"auto") re-routes
 // the whole table at runtime, which is what cmd/deepserve's -kernels flag
@@ -40,6 +40,7 @@ func installScalar() {
 	gemmTile = gemmTileGeneric
 	dotTile = dotTileGeneric
 	convTile = convTileGeneric
+	convDot = convDotGeneric
 	convStore = convStoreGeneric
 	axpy = axpyGeneric
 	scal = scalGeneric

@@ -23,6 +23,8 @@ func dotTileAVX2(mr, n, k int, alpha float32, a []float32, lda int, b []float32,
 func dotTileAVX512(mr, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)
 func convTileAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
 func convTileAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
+func convDotAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int)
+func convDotAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int)
 
 // The conv-unit kernels (kernels_conv.go) and the direct convolution's
 // epilogue (conv_tile.go), implemented in kernels_conv_amd64.s.
@@ -91,6 +93,7 @@ func installAVX2() {
 	gemmTile = gemmTileAVX2
 	dotTile = dotTileAVX2
 	convTile = convTileAVX2
+	convDot = convDotAVX2
 	convStore = convStoreAVX2
 	axpy = axpyAVX2
 	scal = scalAVX2
@@ -114,6 +117,7 @@ func installAVX512() {
 	gemmTile = gemmTileAVX512
 	dotTile = dotTileAVX512
 	convTile = convTileAVX512
+	convDot = convDotAVX512
 	convStore = convStoreAVX512
 	axpy = axpyAVX512
 	relu = reluAVX512
