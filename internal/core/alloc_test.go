@@ -8,6 +8,7 @@ package core
 // the comm free list, activations and gradients in the replica's arena.
 
 import (
+	"runtime"
 	"testing"
 
 	"deep15pf/internal/comm"
@@ -54,15 +55,24 @@ func (p *allocProblem) newWorkload() *Classifier {
 
 func (p *allocProblem) NewBatchSource(seed uint64) BatchSource { return &allocSource{n: len(p.labels)} }
 
-type allocSource struct{ n, at int }
+// allocSource walks the samples in order. Like a data.BatchIter it hands
+// out one reused slice (the trainers copy what they keep), so a run's
+// allocation count is the trainer's own.
+type allocSource struct {
+	n, at int
+	idx   []int
+}
 
 func (s *allocSource) Next(size int) []int {
-	idx := make([]int, size)
-	for i := range idx {
-		idx[i] = (s.at + i) % s.n
+	if cap(s.idx) < size {
+		s.idx = make([]int, size)
+	}
+	s.idx = s.idx[:size]
+	for i := range s.idx {
+		s.idx[i] = (s.at + i) % s.n
 	}
 	s.at += size
-	return idx
+	return s.idx
 }
 
 // stageRepeats starts rep's prefetcher the way the trainers do, over more
@@ -228,5 +238,33 @@ func TestFleetCheckpointStagingAllocFree(t *testing.T) {
 	ck.writer.Commit(s, 0)
 	if st := ck.close(); st.Snapshots != 1 {
 		t.Fatalf("staged snapshot was not written: %+v", st)
+	}
+}
+
+// TestSyncIterationAllocFree gates TrainSync's iteration at W = 2 without
+// checkpoints: the solver steps through each rank's parameter lists bound
+// once (Layer.Params builds a new slice per call), the ranks' shares are
+// cut without a Split slice per batch, and compute, the collectives and
+// the loss gather run on warm storage. What iterations cost beyond a
+// run's setup is the difference between a run of 2n iterations and one of
+// n; the one allocation an iteration may make is its pre-drawn batch, and
+// the runtime's own bookkeeping may add a handful per run.
+func TestSyncIterationAllocFree(t *testing.T) {
+	p := newAllocProblem(32)
+	run := func(iters int) uint64 {
+		cfg := Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 8, Iterations: iters,
+			Solver: opt.NewSGD(0.01, 0.9), Seed: 1}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		TrainSync(p, cfg)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	run(4) // warm: packing buffers, the collective free list
+	const n, slack = 200, 8
+	short, long := run(n), run(2*n)
+	if long > short+n+slack {
+		t.Fatalf("a warm W=2 TrainSync iteration allocates %.2f times (%d over %d iterations, %d over %d), want at most 1",
+			float64(long-short)/n, long, 2*n, short, n)
 	}
 }

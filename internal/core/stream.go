@@ -205,8 +205,8 @@ func (gw *groupWorker) compute(idx []int) float64 {
 func startIngest(rep *Replica, batches [][]int, rank, workers int) [][]int {
 	shares := make([][]int, len(batches))
 	for it, b := range batches {
-		sp := data.Split(len(b), workers)[rank]
-		shares[it] = b[sp[0]:sp[1]]
+		lo, hi := data.Part(len(b), workers, rank)
+		shares[it] = b[lo:hi]
 	}
 	rep.StartIngest(shares)
 	return shares

@@ -98,8 +98,8 @@ func TrainSync(p Problem, cfg Config) Result {
 				// Identical state + identical gradients → identical
 				// steps: replicas remain bitwise synchronised.
 				gw.lane.Begin(obs.PhaseOptApply)
-				for _, l := range gw.layers {
-					solver.Step(l.Params())
+				for _, lp := range gw.lparams {
+					solver.Step(lp)
 				}
 				gw.lane.End(obs.PhaseOptApply)
 				// Rank 0 checkpoints the lockstep state at the boundary

@@ -66,25 +66,30 @@ func (b *Batcher) Next() []int {
 // a zero-sample batch to stage or compile a plan for (the trainers and
 // Pipeline sources uphold this; see SliceSource).
 func Split(n, parts int) [][2]int {
+	Part(n, parts, 0) // validates
+	out := make([][2]int, parts)
+	for i := range out {
+		out[i][0], out[i][1] = Part(n, parts, i)
+	}
+	return out
+}
+
+// Part is Split(n, parts)[i] without building the slice: the half-open
+// range of part i, the first n%parts parts one longer than the rest.
+func Part(n, parts, i int) (lo, hi int) {
 	if parts <= 0 {
 		panic("data: Split with non-positive parts")
 	}
 	if n < 0 {
 		panic("data: Split with negative n")
 	}
-	out := make([][2]int, parts)
-	base := n / parts
-	rem := n % parts
-	lo := 0
-	for i := 0; i < parts; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = [2]int{lo, lo + size}
-		lo += size
+	base, rem := n/parts, n%parts
+	lo = i*base + min(i, rem)
+	hi = lo + base
+	if i < rem {
+		hi++
 	}
-	return out
+	return lo, hi
 }
 
 // VolumeBytes returns the raw float32 volume of a dataset with the given

@@ -12,8 +12,9 @@ import (
 // of a single GEMM. ForwardInto and BackwardInto lower to im2col + GEMM;
 // every plan, training plans included, runs a stride-1 convolution as a
 // halo step instead (halo.go), which reads the same B rows out of a padded
-// image in place, forward and for the weight gradient. What still lowers
-// in a plan is a strided convolution.
+// image in place, forward and for the weight gradient, and takes the input
+// gradient as the forward's adjoint. What still lowers in a plan is a
+// strided convolution.
 type Conv2D struct {
 	LayerName    string
 	InC, OutC    int
@@ -39,13 +40,12 @@ type Conv2D struct {
 //
 // trainColBudget is the same cap on the training datapath, and half as
 // large: a plan's eval steps share one such matrix (Plan.evalSt; one per
-// lane when tiled), a training plan holds one per convolution per replica.
-// A strided convolution keeps a lowering that fits for backward; a halo
-// step's matrix is only the input gradient's Wᵀ·dy, chunked by the same
-// budget, and a first layer under BackwardParams holds none. At 128K
-// floats a hep-small batch-16 plan's arena was 8.8 MB while its
-// convolutions still lowered (7.5 MB before lowerings were batched,
-// 11.2 MB at 256K).
+// lane when tiled), a training plan holds one per strided convolution per
+// replica, which keeps a lowering that fits for backward and reuses it for
+// the input gradient's Wᵀ·dy. A halo step holds no matrix in either
+// direction: its input gradient is tensor.ConvAdjoint. At 128K floats a
+// hep-small batch-16 plan's arena was 8.8 MB while its convolutions still
+// lowered (7.5 MB before lowerings were batched, 11.2 MB at 256K).
 //
 // Both are variables only so tests can force the chunked path.
 var (

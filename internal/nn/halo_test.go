@@ -81,6 +81,12 @@ func (g fuzzConvNet) build(rng *tensor.RNG) (*Network, *tensor.Tensor) {
 				w[i] = []float32{float32(math.Inf(1)), float32(math.Inf(-1)), madeNaN}[rng.Intn(3)]
 			}
 		}
+		if g.specialW {
+			// The first filter's top-left tap reaches the padding (when
+			// there is any) for the first output row and column: read
+			// there as a +0 border, ∞ would make NaN.
+			w[0] = float32(math.Inf(1))
+		}
 		b := c.Bias.W.Data
 		for i := range b {
 			switch {
@@ -241,13 +247,17 @@ func checkTrainBitwise(t *testing.T, g fuzzConvNet, frozen bool, seed uint64) {
 
 // FuzzTrainPlanBitwise is the property behind the training halo steps: a
 // training plan — stride-1 convolutions run from halo images, their ReLU
-// folded into the store, weight gradients read back out of the images — is
+// and pool folded into the store, which records the winners, backward
+// unpooled through them, weight gradients read back out of the images and
+// input gradients taken as the forward's adjoint — is
 // bit for bit refNet over the same network (see checkTrainBitwise), forward
 // and backward, for any convolution geometry. The seed corpus runs in go
 // test: hep-small's four units at batch 16, the climate encoder's stride-1
 // geometry — its last conv and the three heads at 4×4, batch 4 — odd
 // widths, kernels 1 and 5, pads 0 and 2, NaN, ±Inf and −0 in inputs,
-// weights and biases, and a frozen first unit. Fuzz with
+// weights and biases, ∞ on a border tap, pools over odd planes (their
+// dropped row and column get +0) and at widths 2 and 3, pools without a
+// ReLU, and a frozen first unit. Fuzz with
 // go test -run '^$' -fuzz FuzzTrainPlanBitwise ./internal/nn.
 func FuzzTrainPlanBitwise(f *testing.F) {
 	const relu, pool2, pool3, drawn, mixed, specW, specX, second = 1, 1 << 1, 2 << 1, 2 << 3, 3 << 3, 32, 64, 128
@@ -268,6 +278,11 @@ func FuzzTrainPlanBitwise(f *testing.F) {
 		{2, 10, 5, 17, 3, 1, 1, relu | mixed | specW | specX | second, 7, false},         // width 17, specials through both units
 		{1, 33, 17, 17, 5, 0, 1, relu | pool2 | drawn | specX | second, 2, false},        // k5 pad 0, width 13
 		{3, 16, 32, 32, 3, 1, 1, relu | pool2 | drawn | specW | specX | second, 4, true}, // hep-small conv1 frozen, conv2 trained
+		{3, 6, 9, 11, 3, 1, 1, relu | pool2 | drawn | specX | second, 4, false},          // odd plane: the dropped row and column get +0
+		{2, 5, 7, 9, 3, 1, 1, pool2 | mixed | specW | specX, 3, false},                   // odd plane, no ReLU: windows nothing wins
+		{4, 8, 2, 2, 3, 1, 1, relu | pool2 | drawn | second, 6, false},                   // a pool at width 2, then a 1×1 halo step
+		{3, 5, 3, 3, 3, 1, 1, relu | pool2 | drawn | specW | second, 5, false},           // a pool at width 3
+		{2, 4, 5, 6, 3, 1, 1, relu | pool2 | specW | second, 3, false},                   // ∞ on the border taps of both units
 	} {
 		f.Add(s.inC-1, s.outC-1, s.h-1, s.w-1, s.k-1, s.pad, s.stride-1, s.opts, s.batch-1, s.frozen, uint64(s.inC)*131+uint64(s.h))
 	}
@@ -279,52 +294,58 @@ func FuzzTrainPlanBitwise(f *testing.F) {
 // TestHaloPlanHoldsNoLowering: a hep-small plan runs all four
 // convolutions as halo steps, so its arena holds the activations that
 // still exist, the four halo images and the one C block — and no lowering.
-// An inference plan (one tile) folds every ReLU and the first three pools.
-// A training plan at batch 16 folds the ReLUs as gates without an output
-// slab and keeps the pools; after a step under BackwardParams, conv1 —
-// whose input gradient nobody asks for — holds no Wᵀ·dy matrix either.
+// Inference and training plans share the link rule: every ReLU and the
+// first three pools fold into the store, and conv1–3 store into the next
+// image, with no output slab. A training plan at batch 16 adds the input
+// gradients and one sample's output gradient per step; after a step under
+// BackwardStream no halo step holds a lowering, a Wᵀ·dy matrix or any
+// other scratch.
 func TestHaloPlanHoldsNoLowering(t *testing.T) {
 	for _, c := range []struct {
-		train    bool
-		n, gates int
-		schedule string
+		train bool
+		n     int
 	}{
-		{false, inferTile, 0, "[conv1 conv2 conv3 conv4 gap fc]"},
-		{true, 16, 4, "[conv1 relu1 pool1 conv2 relu2 pool2 conv3 relu3 pool3 conv4 relu4 gap fc]"},
+		{false, inferTile},
+		{true, 16},
 	} {
 		net := hepSmallNet(tensor.NewRNG(3))
 		arena := tensor.NewArena()
 		p := Compile(net, c.n, c.train, arena)
-		y := p.Forward(randBatch(tensor.NewRNG(4), c.n, net.InShape))
+		x := randBatch(tensor.NewRNG(4), c.n, net.InShape)
+		y := p.Forward(x)
 		if c.train {
 			grad := tensor.New(c.n, 2)
 			SoftmaxCrossEntropyInto(y, make([]int, c.n), grad)
+			p.BackwardStream(grad, nil)
 			p.BackwardParams(grad, nil)
 		}
-		held, halos, gates := int64(cap(p.cblk)), 0, 0
+		held, halos := int64(cap(p.cblk)), 0
 		var kept []string
 		for i := range p.steps {
 			s := &p.steps[i]
-			held += int64(cap(s.ySlab) + cap(s.dxSlab) + cap(s.st.Col) + cap(s.st.Eval))
-			if s.halo != nil {
-				held += int64(cap(s.halo.images))
-				halos++
+			held += int64(cap(s.ySlab) + cap(s.dxSlab))
+			if s.st.Col != nil || s.st.Eval != nil || s.st.Lowered {
+				t.Fatalf("train %v: step %d holds lowering scratch (%d + %d floats)", c.train, i, len(s.st.Col), len(s.st.Eval))
 			}
-			if s.gate && s.ySlab == nil {
-				gates++
+			if h := s.halo; h != nil {
+				held += int64(cap(h.images) + cap(h.dy) + cap(h.dyG) + cap(h.dxG))
+				halos++
+				if s.train != c.train || !h.relu || (i < 9) != (h.pool && h.next != nil && s.ySlab == nil) {
+					t.Fatalf("train %v: %s folds relu %v pool %v, linked %v, slab %d; want a ReLU, and the pool and link for conv1–3", c.train, s.layer.Name(), h.relu, h.pool, h.next != nil, len(s.ySlab))
+				}
+				if wantIdx := c.n * h.outPer(); c.train && h.pool && len(h.argmax) != wantIdx {
+					t.Fatalf("%s records %d winners, want %d", s.layer.Name(), len(h.argmax), wantIdx)
+				}
 			}
 			if s.layer != nil {
 				kept = append(kept, s.layer.Name())
 			}
-			if s.st.Lowered {
-				t.Fatalf("train %v: %s kept a lowering", c.train, s.layer.Name())
-			}
 		}
-		if got := fmt.Sprint(kept); halos != 4 || gates != c.gates || got != c.schedule {
-			t.Fatalf("train %v: %d halo steps, %d slab-free ReLU gates, schedule %s; want 4, %d, %s", c.train, halos, gates, got, c.gates, c.schedule)
+		if got := fmt.Sprint(kept); halos != 4 || got != "[conv1 conv2 conv3 conv4 gap fc]" {
+			t.Fatalf("train %v: %d halo steps, schedule %s; want 4, [conv1 conv2 conv3 conv4 gap fc]", c.train, halos, got)
 		}
-		if c1 := p.steps[0].st; c1.Col != nil || c1.Eval != nil || p.evalSt.Col != nil || p.evalSt.Eval != nil {
-			t.Fatalf("train %v: conv1 scratch %d + %d floats, eval scratch %d + %d; want none", c.train, len(c1.Col), len(c1.Eval), len(p.evalSt.Col), len(p.evalSt.Eval))
+		if p.evalSt.Col != nil || p.evalSt.Eval != nil {
+			t.Fatalf("train %v: eval scratch %d + %d floats; want none", c.train, len(p.evalSt.Col), len(p.evalSt.Eval))
 		}
 		if st := arena.Stats(); st.TotalFloats != held {
 			t.Fatalf("train %v: arena handed out %d floats, the plan's slabs are %d", c.train, st.TotalFloats, held)

@@ -81,9 +81,9 @@ type PlanState struct {
 	// InShape is the input batch shape recorded by pooling layers.
 	InShape []int
 	// Col is the lowered column matrix (and, in a convolution's backward,
-	// the data-gradient matrix that overwrites it; a halo step's only use
-	// of it); Eval the channel-major GEMM operand on the other side of the
-	// NCHW scatter/gather.
+	// the data-gradient matrix that overwrites it); Eval the channel-major
+	// GEMM operand on the other side of the NCHW scatter/gather. A halo
+	// step uses neither.
 	Col, Eval []float32
 	// Lowered reports that Col still holds the lowering of all of X, left
 	// by a train-mode convolution forward whose batch fit the column budget.

@@ -64,10 +64,6 @@ type planStep struct {
 	dxSlab   []float32      // training plans only, steps at/after the cut
 	dx       *tensor.Tensor
 	halo     *haloConv // non-nil: a stride-1 convolution run as a halo step
-	// gate marks a training ReLU folded into the halo step before it: its
-	// forward only records that step's output as st.Y, and it has no output
-	// slab; its backward is the ReLU's own.
-	gate bool
 }
 
 // Compile builds a plan for batches of up to capacity samples. A training
@@ -133,14 +129,17 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 	blk := 0
 	for i := range p.steps {
 		s := &p.steps[i]
+		if s.layer == nil {
+			continue // folded into the halo step before it
+		}
 		if h := s.halo; h != nil {
 			h.images = arena.Get(capacity * h.inC * h.plane)
 			blk = max(blk, h.blockLen())
+			if s.train {
+				h.reserve(arena, capacity)
+			}
 		}
-		if s.layer == nil || (s.halo != nil && s.halo.next != nil) {
-			continue // no output of its own: folded, or stored into the next image
-		}
-		if !s.gate {
+		if s.halo == nil || s.halo.next == nil { // else stored into the next image
 			s.ySlab = arena.Get(capacity * s.outPer)
 			s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, s.outShape...)...)
 		}
@@ -156,16 +155,15 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 	return p
 }
 
-// fuse is the link rule: every stride-1 Conv2D becomes a halo step
-// (halo.go). On the eval datapath — an inference plan, or the frozen prefix
-// of a training plan — the step folds a ReLU that follows it, then a 2×2/2
-// max-pool, into its store: their steps drop out of the schedule and the
-// halo step takes over their output shape; and it stores straight into the
-// next step's halo image when that step is an eval halo step too. A
-// training step folds only the ReLU, whose backward reads nothing but the
-// output: the ReLU's step stays, as a gate without an output slab. A
-// max-pool after it stays its own step for the argmax its backward needs.
-// Strided convolutions, deconvolutions and every other layer keep their
+// fuse is the link rule, one for training and eval steps: every stride-1
+// Conv2D becomes a halo step (halo.go); the step folds a ReLU that follows
+// it, then a 2×2/2 max-pool, into its store — their steps drop out of the
+// schedule and the halo step takes over their output shape — and it
+// stores straight into the next step's halo image when that step is a halo
+// step too. A training step's store also records the pool's winners, and
+// its backward unpools through them and the ReLU's gate (the stored
+// values), so the folded layers need no state of their own. Strided
+// convolutions, deconvolutions and every other layer keep their
 // ForwardInto.
 func (p *Plan) fuse() {
 	for i := range p.steps {
@@ -189,13 +187,6 @@ func (p *Plan) fuse() {
 		if _, h.relu = at(j).(*ReLU); h.relu {
 			j++
 		}
-		if s.train {
-			h.fold(nil)
-			if h.relu {
-				p.steps[i+1].gate = true
-			}
-			continue
-		}
 		if mp, _ := at(j).(*MaxPool2D); h.fold(mp) {
 			j++
 		}
@@ -203,7 +194,7 @@ func (p *Plan) fuse() {
 			p.steps[k].layer = nil
 		}
 		s.outShape, s.outPer = p.steps[j-1].outShape, p.steps[j-1].outPer
-		if j < len(p.steps) && p.steps[j].halo != nil && !p.steps[j].train {
+		if j < len(p.steps) && p.steps[j].halo != nil {
 			h.next = p.steps[j].halo
 			h.next.fed = true
 		}
@@ -246,10 +237,6 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 		if s.layer == nil {
 			continue // folded into the halo step before it
 		}
-		if s.gate {
-			s.st.Y = cur // the halo step stored the ReLU's output
-			continue
-		}
 		var y *tensor.Tensor
 		if s.ySlab != nil {
 			y = view(s.y, s.ySlab, n, s.outPer)
@@ -290,8 +277,8 @@ func (p *Plan) BackwardStream(dout *tensor.Tensor, gradDone func(layer int)) *te
 // gradients, which is every trainer whose network input is data rather than
 // another network's output. The first layer the pass reaches is told not to
 // compute its input gradient (BackwardInto with a nil dx), so a leading
-// convolution skips its Wᵀ·dy GEMM and col2im — the widest plane of the
-// network, feeding a result nobody reads. Parameter gradients and gradDone
+// convolution skips its adjoint — the widest plane of the network, feeding
+// a result nobody reads. Parameter gradients and gradDone
 // notifications are exactly those of BackwardStream.
 func (p *Plan) BackwardParams(dout *tensor.Tensor, gradDone func(layer int)) {
 	p.backward(dout, gradDone, false)
@@ -316,15 +303,19 @@ func (p *Plan) backward(dout *tensor.Tensor, gradDone func(layer int), inputGrad
 	cur := dout
 	for i := len(p.steps) - 1; i >= p.cut; i-- {
 		s := &p.steps[i]
+		if s.layer == nil {
+			continue // folded: the halo step before it unpools through it
+		}
 		var dx *tensor.Tensor
 		if i > p.cut || inputGrad {
 			dx = view(s.dx, s.dxSlab, p.n, s.inPer)
 		}
 		if h := s.halo; h != nil {
-			if dx != nil {
-				h.reserveGrad(&s.st, p.arena, p.capacity)
+			var y *tensor.Tensor
+			if s.ySlab != nil {
+				y = view(s.y, s.ySlab, p.n, s.outPer)
 			}
-			h.backward(&s.st, dx, cur, p.n)
+			h.backward(dx, cur, y, p.n)
 		} else {
 			s.layer.BackwardInto(&s.st, dx, cur)
 		}
@@ -354,8 +345,10 @@ func (p *Plan) Release() {
 			p.arena.Put(s.dxSlab)
 			s.dxSlab, s.dx = nil, nil
 		}
-		if s.halo != nil {
-			p.arena.Put(s.halo.images)
+		if h := s.halo; h != nil {
+			for _, slab := range [][]float32{h.images, h.dy, h.dyG, h.dxG} {
+				p.arena.Put(slab) // a nil slab is a no-op
+			}
 			s.halo = nil
 		}
 		p.arena.Reclaim(s.st.Col)

@@ -225,6 +225,223 @@ last:                          \
 	ADDQ    pitch+112(FP), SI;          \
 done:
 
+// ZADJBLOCK is ZCOLBLOCK for convAdjAVX512 over its span of columns: it
+// also loads the block's window lanes from the keep mask — one word per
+// 32-column block — into K3/K4, ANDed with the live lanes K1/K2, for
+// ZADDC. This and the following macros name the
+// adjoint's arguments, so they are defined ahead of every TEXT block (see
+// ZCONVBLOCK).
+#define ZADJBLOCK \
+	MOVQ    span+88(FP), AX;        \
+	SUBQ    R15, AX;                \
+	MOVQ    b_base+56(FP), DI;      \
+	LEAQ    (DI)(AX*4), DI;         \
+	LEAQ    (R11)(AX*4), BX;        \
+	SHRQ    $3, AX;                 \
+	ADDQ    keep_base+128(FP), AX;  \
+	KMOVW   (AX), K3;               \
+	KMOVW   2(AX), K4;              \
+	MOVQ    $32, CX;                \
+	CMPQ    R15, CX;                \
+	CMOVQLT R15, CX;                \
+	MOVL    $1, AX;                 \
+	SHLQ    CX, AX;                 \
+	DECQ    AX;                     \
+	KMOVW   AX, K1;                 \
+	SHRQ    $16, AX;                \
+	KMOVW   AX, K2;                 \
+	KANDW   K1, K3, K3;             \
+	KANDW   K2, K4, K4;             \
+	MOVQ    R14, SI;                \
+	LEAQ    (R14)(R8*4), R10;       \
+	MOVQ    k+8(FP), CX
+
+// ZADDC / ZADDC1 add a two- or one-vector tile row into C at AX under the
+// window masks, C first (as the scalar c += acc), and step AX to the next
+// row.
+#define ZADDC(acc0, acc1) \
+	VMOVUPS.Z (AX), K3, Z30;   \
+	VMOVUPS.Z 64(AX), K4, Z31; \
+	VADDPS    acc0, Z30, Z30;  \
+	VADDPS    acc1, Z31, Z31;  \
+	VMOVUPS   Z30, K3, (AX);   \
+	VMOVUPS   Z31, K4, 64(AX); \
+	ADDQ      R13, AX
+
+#define ZADDC1(acc0) \
+	VMOVUPS.Z (AX), K3, Z30;  \
+	VADDPS    acc0, Z30, Z30; \
+	VMOVUPS   Z30, K3, (AX);  \
+	ADDQ      R13, AX
+
+// ZZERO8 clears eight accumulators.
+#define ZZERO8(r0, r1, r2, r3, r4, r5, r6, r7) \
+	VPXORD r0, r0, r0; \
+	VPXORD r1, r1, r1; \
+	VPXORD r2, r2, r2; \
+	VPXORD r3, r3, r3; \
+	VPXORD r4, r4, r4; \
+	VPXORD r5, r5, r5; \
+	VPXORD r6, r6, r6; \
+	VPXORD r7, r7, r7
+
+// YADJMASK turns the keep bits of the 16-column block the panel is at into
+// the store masks Y12/Y13 (lanes 0-7, 8-15), ANDed with the live lanes
+// Y10/Y11: the block's 16 bits are broadcast to every lane, and a lane is
+// kept where its own bit (adjBits) is set.
+#define YADJMASK \
+	MOVQ      span+88(FP), AX;       \
+	SUBQ      R15, AX;               \
+	SHRQ      $3, AX;                \
+	ADDQ      keep_base+128(FP), AX; \
+	MOVWLZX   (AX), AX;              \
+	VMOVD     AX, X12;               \
+	VPBROADCASTD X12, Y12;           \
+	VMOVDQA   Y12, Y13;              \
+	LEAQ      adjBits<>(SB), AX;     \
+	VPAND     (AX), Y12, Y12;        \
+	VPCMPEQD  (AX), Y12, Y12;        \
+	VPAND     32(AX), Y13, Y13;      \
+	VPCMPEQD  32(AX), Y13, Y13;      \
+	VPAND     Y10, Y12, Y12;         \
+	VPAND     Y11, Y13, Y13
+
+// YADDC adds a two-vector tile row into C at AX under the store masks, C
+// first, and steps AX to the next row.
+#define YADDC(acc0, acc1) \
+	VMASKMOVPS (AX), Y12, Y14;    \
+	VADDPS     acc0, Y14, Y14;    \
+	VMASKMOVPS Y14, Y12, (AX);    \
+	VMASKMOVPS 32(AX), Y13, Y15;  \
+	VADDPS     acc1, Y15, Y15;    \
+	VMASKMOVPS Y15, Y13, 32(AX);  \
+	ADDQ       R13, AX
+
+// YADJBLOCK is YCOLBLOCK for convAdjAVX2's span.
+#define YADJBLOCK \
+	MOVQ    span+88(FP), AX;      \
+	SUBQ    R15, AX;              \
+	MOVQ    b_base+56(FP), DI;    \
+	LEAQ    (DI)(AX*4), DI;       \
+	LEAQ    (R11)(AX*4), BX;      \
+	MOVQ    $16, CX;              \
+	CMPQ    R15, CX;              \
+	CMOVQLT R15, CX;              \
+	MOVQ    $8, AX;               \
+	CMPQ    CX, AX;               \
+	CMOVQLT CX, AX;               \
+	SUBQ    AX, CX;               \
+	NEGQ    AX;                   \
+	NEGQ    CX;                   \
+	LEAQ    tileMask<>(SB), R10;  \
+	VMOVDQU 32(R10)(AX*4), Y10;   \
+	VMOVDQU 32(R10)(CX*4), Y11;   \
+	MOVQ    R14, SI;              \
+	MOVQ    k+8(FP), CX
+
+// TILEROW4 is TILEROW2 for a four-vector tile row.
+#define TILEROW4(aaddr, acc0, acc1, acc2, acc3, b0, b1, b2, b3, t0, t1, t2, t3, skip) \
+	MOVL         aaddr, AX;      \
+	ADDL         AX, AX;         \
+	JZ           skip;           \
+	VBROADCASTSS aaddr, t0;      \
+	VMULPS       t0, b0, t1;     \
+	VMULPS       t0, b1, t2;     \
+	VMULPS       t0, b2, t3;     \
+	VMULPS       t0, b3, t0;     \
+	VADDPS       acc0, t1, acc0; \
+	VADDPS       acc1, t2, acc1; \
+	VADDPS       acc2, t3, acc2; \
+	VADDPS       acc3, t0, acc3; \
+skip:
+
+// ZADJBLOCK64 is ZADJBLOCK for a block of up to 64 columns: the live
+// lanes go to K1, K2, K5, K6; the window mask is applied at the store
+// (ZADJKEEP64).
+#define ZADJBLOCK64 \
+	MOVQ    span+88(FP), AX;   \
+	SUBQ    R15, AX;           \
+	MOVQ    b_base+56(FP), DI; \
+	LEAQ    (DI)(AX*4), DI;    \
+	LEAQ    (R11)(AX*4), BX;   \
+	MOVQ    $64, CX;           \
+	CMPQ    R15, CX;           \
+	CMOVQLT R15, CX;           \
+	MOVL    $1, AX;            \
+	SHLQ    CX, AX;            \
+	DECQ    AX;                \
+	MOVQ    $-1, R10;          \
+	CMPQ    CX, $64;           \
+	CMOVQEQ R10, AX;           \
+	KMOVW   AX, K1;            \
+	SHRQ    $16, AX;           \
+	KMOVW   AX, K2;            \
+	SHRQ    $16, AX;           \
+	KMOVW   AX, K5;            \
+	SHRQ    $16, AX;           \
+	KMOVW   AX, K6;            \
+	MOVQ    R14, SI;           \
+	MOVQ    k+8(FP), CX
+
+// ZADJKEEP64 ANDs the four live masks of a 64-column block with its two
+// keep words.
+#define ZADJKEEP64 \
+	MOVQ  span+88(FP), AX;       \
+	SUBQ  R15, AX;               \
+	SHRQ  $3, AX;                \
+	ADDQ  keep_base+128(FP), AX; \
+	KMOVW (AX), K3;              \
+	KANDW K1, K3, K1;            \
+	KMOVW 2(AX), K3;             \
+	KANDW K2, K3, K2;            \
+	KMOVW 4(AX), K3;             \
+	KANDW K5, K3, K5;            \
+	KMOVW 6(AX), K3;             \
+	KANDW K6, K3, K6
+
+// YADJBLOCK32 is YADJBLOCK for a block of up to 32 columns: the live
+// lanes of its four vectors go to Y8-Y11, from adjLive; the window mask
+// is applied at the store (YADJKEEP32).
+#define YADJBLOCK32 \
+	MOVQ    span+88(FP), AX;      \
+	SUBQ    R15, AX;              \
+	MOVQ    b_base+56(FP), DI;    \
+	LEAQ    (DI)(AX*4), DI;       \
+	LEAQ    (R11)(AX*4), BX;      \
+	MOVQ    $32, CX;              \
+	CMPQ    R15, CX;              \
+	CMOVQLT R15, CX;              \
+	NEGQ    CX;                   \
+	LEAQ    adjLive<>(SB), AX;    \
+	VMOVDQU 128(AX)(CX*4), Y8;    \
+	VMOVDQU 160(AX)(CX*4), Y9;    \
+	VMOVDQU 192(AX)(CX*4), Y10;   \
+	VMOVDQU 224(AX)(CX*4), Y11;   \
+	MOVQ    R14, SI;              \
+	MOVQ    k+8(FP), CX
+
+// YADJKEEP32 ANDs the four live masks of a 32-column block with its keep
+// word, spread a bit per lane as YADJMASK does.
+#define YADJKEEP32 \
+	MOVQ         span+88(FP), AX;       \
+	SUBQ         R15, AX;               \
+	SHRQ         $3, AX;                \
+	ADDQ         keep_base+128(FP), AX; \
+	VPBROADCASTD (AX), Y12;             \
+	LEAQ         adjBits<>(SB), AX;     \
+	VPAND        (AX), Y12, Y13;        \
+	VPCMPEQD     (AX), Y13, Y13;        \
+	VPAND        Y13, Y8, Y8;           \
+	VPAND        32(AX), Y12, Y13;      \
+	VPCMPEQD     32(AX), Y13, Y13;      \
+	VPAND        Y13, Y9, Y9;           \
+	VPAND        64(AX), Y12, Y13;      \
+	VPCMPEQD     64(AX), Y13, Y13;      \
+	VPAND        Y13, Y10, Y10;         \
+	VPAND        96(AX), Y12, Y13;      \
+	VPCMPEQD     96(AX), Y13, Y13;      \
+	VPAND        Y13, Y11, Y11
+
 // func gemmTileAVX512(mr, n, k int, a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc int)
 //
 // A panel of 8 rows runs as 8×32 tiles (16 ZMM accumulators, two B vectors
@@ -1812,5 +2029,386 @@ next:
 	ADDQ AX, c_base+120(FP)
 	SUBQ $2, R14
 	JG   rowpair
+	VZEROUPPER
+	RET
+
+// func convAdjAVX512(mr, k int, a []float32, ars, aps int, b []float32, ldb, span int, c []float32, ldc int, keep []uint32, t []float32)
+//
+// gemmTileAVX512 over the span's columns with two changes: the
+// accumulators start at +0 instead of loading C, and each tile row is
+// added into C under the block's window mask instead of stored. The lanes
+// between the window's rows and samples are computed and never stored. t
+// is not used.
+TEXT ·convAdjAVX512(SB), NOSPLIT, $0-176
+	MOVQ a_base+16(FP), R14
+	MOVQ ars+40(FP), R8
+	MOVQ aps+48(FP), DX
+	MOVQ ldb+80(FP), R12
+	MOVQ c_base+96(FP), R11
+	MOVQ ldc+120(FP), R13
+	SHLQ $2, R8
+	SHLQ $2, DX
+	SHLQ $2, R12
+	SHLQ $2, R13
+	LEAQ (R8)(R8*2), R9
+
+	CMPQ mr+0(FP), $8
+	JEQ  panel8
+	CMPQ mr+0(FP), $4
+	JLT  panel1
+
+	// Four rows.
+	MOVQ span+88(FP), R15
+
+col4:
+	ZADJBLOCK
+	ZZERO8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	TESTQ CX, CX
+	JZ    store4
+
+k4:
+	VMOVUPS.Z (DI), K1, Z30
+	VMOVUPS.Z 64(DI), K2, Z31
+	TILEROW2((SI), Z0, Z1, Z30, Z31, Z28, Z29, z4r0)
+	TILEROW2((SI)(R8*1), Z2, Z3, Z30, Z31, Z26, Z27, z4r1)
+	TILEROW2((SI)(R8*2), Z4, Z5, Z30, Z31, Z24, Z25, z4r2)
+	TILEROW2((SI)(R9*1), Z6, Z7, Z30, Z31, Z22, Z23, z4r3)
+	ADDQ DX, SI
+	ADDQ R12, DI
+	DECQ CX
+	JNZ  k4
+
+store4:
+	MOVQ BX, AX
+	ZADDC(Z0, Z1)
+	ZADDC(Z2, Z3)
+	ZADDC(Z4, Z5)
+	ZADDC(Z6, Z7)
+	SUBQ $32, R15
+	JG   col4
+
+	LEAQ (R14)(R8*4), R14
+	LEAQ (R11)(R13*4), R11
+	SUBQ $4, mr+0(FP)
+
+	// The rows left over, one at a time, 64 columns a block: four
+	// independent chains per row instead of two.
+panel1:
+	CMPQ mr+0(FP), $0
+	JLE  done
+	MOVQ span+88(FP), R15
+
+col1:
+	ZADJBLOCK64
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	TESTQ  CX, CX
+	JZ     store1
+
+k1:
+	VMOVUPS.Z (DI), K1, Z28
+	VMOVUPS.Z 64(DI), K2, Z29
+	VMOVUPS.Z 128(DI), K5, Z30
+	VMOVUPS.Z 192(DI), K6, Z31
+	TILEROW4((SI), Z0, Z1, Z2, Z3, Z28, Z29, Z30, Z31, Z24, Z25, Z26, Z27, z1r0)
+	ADDQ DX, SI
+	ADDQ R12, DI
+	DECQ CX
+	JNZ  k1
+
+store1:
+	ZADJKEEP64
+	MOVQ      BX, AX
+	VMOVUPS.Z (AX), K1, Z24
+	VMOVUPS.Z 64(AX), K2, Z25
+	VMOVUPS.Z 128(AX), K5, Z26
+	VMOVUPS.Z 192(AX), K6, Z27
+	VADDPS    Z0, Z24, Z24
+	VADDPS    Z1, Z25, Z25
+	VADDPS    Z2, Z26, Z26
+	VADDPS    Z3, Z27, Z27
+	VMOVUPS   Z24, K1, (AX)
+	VMOVUPS   Z25, K2, 64(AX)
+	VMOVUPS   Z26, K5, 128(AX)
+	VMOVUPS   Z27, K6, 192(AX)
+	SUBQ      $64, R15
+	JG        col1
+
+	ADDQ R8, R14
+	ADDQ R13, R11
+	DECQ mr+0(FP)
+	JMP  panel1
+
+	// Eight rows.
+panel8:
+	MOVQ span+88(FP), R15
+
+col8:
+	ZADJBLOCK
+	CMPQ R15, $16
+	JLE  col8x1
+	ZZERO8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	ZZERO8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	TESTQ CX, CX
+	JZ    store8
+
+k8:
+	VMOVUPS.Z (DI), K1, Z30
+	VMOVUPS.Z 64(DI), K2, Z31
+	TILEROW2((SI), Z0, Z1, Z30, Z31, Z28, Z29, z8r0)
+	TILEROW2((SI)(R8*1), Z2, Z3, Z30, Z31, Z26, Z27, z8r1)
+	TILEROW2((SI)(R8*2), Z4, Z5, Z30, Z31, Z24, Z25, z8r2)
+	TILEROW2((SI)(R9*1), Z6, Z7, Z30, Z31, Z22, Z23, z8r3)
+	TILEROW2((R10), Z8, Z9, Z30, Z31, Z20, Z21, z8r4)
+	TILEROW2((R10)(R8*1), Z10, Z11, Z30, Z31, Z18, Z19, z8r5)
+	TILEROW2((R10)(R8*2), Z12, Z13, Z30, Z31, Z16, Z17, z8r6)
+	TILEROW2((R10)(R9*1), Z14, Z15, Z30, Z31, Z28, Z29, z8r7)
+	ADDQ DX, SI
+	ADDQ DX, R10
+	ADDQ R12, DI
+	DECQ CX
+	JNZ  k8
+
+store8:
+	MOVQ BX, AX
+	ZADDC(Z0, Z1)
+	ZADDC(Z2, Z3)
+	ZADDC(Z4, Z5)
+	ZADDC(Z6, Z7)
+	ZADDC(Z8, Z9)
+	ZADDC(Z10, Z11)
+	ZADDC(Z12, Z13)
+	ZADDC(Z14, Z15)
+	JMP next8
+
+	// 16 or fewer columns left: one vector per row.
+col8x1:
+	ZZERO8(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	TESTQ CX, CX
+	JZ    store8x1
+
+k8x1:
+	VMOVUPS.Z (DI), K1, Z30
+	TILEROW1((SI), Z0, Z30, Z28, y8r0)
+	TILEROW1((SI)(R8*1), Z1, Z30, Z27, y8r1)
+	TILEROW1((SI)(R8*2), Z2, Z30, Z26, y8r2)
+	TILEROW1((SI)(R9*1), Z3, Z30, Z25, y8r3)
+	TILEROW1((R10), Z4, Z30, Z24, y8r4)
+	TILEROW1((R10)(R8*1), Z5, Z30, Z23, y8r5)
+	TILEROW1((R10)(R8*2), Z6, Z30, Z22, y8r6)
+	TILEROW1((R10)(R9*1), Z7, Z30, Z21, y8r7)
+	ADDQ DX, SI
+	ADDQ DX, R10
+	ADDQ R12, DI
+	DECQ CX
+	JNZ  k8x1
+
+store8x1:
+	MOVQ BX, AX
+	ZADDC1(Z0)
+	ZADDC1(Z1)
+	ZADDC1(Z2)
+	ZADDC1(Z3)
+	ZADDC1(Z4)
+	ZADDC1(Z5)
+	ZADDC1(Z6)
+	ZADDC1(Z7)
+
+next8:
+	SUBQ $32, R15
+	JG   col8
+
+done:
+	VZEROUPPER
+	RET
+
+// adjBits holds 1<<i in lane i: the keep bit of each lane of a 16- or
+// 32-column block.
+DATA adjBits<>+0(SB)/4, $1
+DATA adjBits<>+4(SB)/4, $2
+DATA adjBits<>+8(SB)/4, $4
+DATA adjBits<>+12(SB)/4, $8
+DATA adjBits<>+16(SB)/4, $16
+DATA adjBits<>+20(SB)/4, $32
+DATA adjBits<>+24(SB)/4, $64
+DATA adjBits<>+28(SB)/4, $128
+DATA adjBits<>+32(SB)/4, $256
+DATA adjBits<>+36(SB)/4, $512
+DATA adjBits<>+40(SB)/4, $1024
+DATA adjBits<>+44(SB)/4, $2048
+DATA adjBits<>+48(SB)/4, $4096
+DATA adjBits<>+52(SB)/4, $8192
+DATA adjBits<>+56(SB)/4, $16384
+DATA adjBits<>+60(SB)/4, $32768
+DATA adjBits<>+64(SB)/4, $65536
+DATA adjBits<>+68(SB)/4, $131072
+DATA adjBits<>+72(SB)/4, $262144
+DATA adjBits<>+76(SB)/4, $524288
+DATA adjBits<>+80(SB)/4, $1048576
+DATA adjBits<>+84(SB)/4, $2097152
+DATA adjBits<>+88(SB)/4, $4194304
+DATA adjBits<>+92(SB)/4, $8388608
+DATA adjBits<>+96(SB)/4, $16777216
+DATA adjBits<>+100(SB)/4, $33554432
+DATA adjBits<>+104(SB)/4, $67108864
+DATA adjBits<>+108(SB)/4, $134217728
+DATA adjBits<>+112(SB)/4, $268435456
+DATA adjBits<>+116(SB)/4, $536870912
+DATA adjBits<>+120(SB)/4, $1073741824
+DATA adjBits<>+124(SB)/4, $2147483648
+GLOBL adjBits<>(SB), RODATA|NOPTR, $128
+
+// adjLive holds 32 live lanes then 32 dead ones: the eight dwords at byte
+// offset 128−4c+32v are the live lanes of vector v of a c-column block.
+DATA adjLive<>+0(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+8(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+16(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+24(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+32(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+40(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+48(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+56(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+64(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+72(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+80(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+88(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+96(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+104(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+112(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+120(SB)/8, $0xffffffffffffffff
+DATA adjLive<>+128(SB)/8, $0
+DATA adjLive<>+136(SB)/8, $0
+DATA adjLive<>+144(SB)/8, $0
+DATA adjLive<>+152(SB)/8, $0
+DATA adjLive<>+160(SB)/8, $0
+DATA adjLive<>+168(SB)/8, $0
+DATA adjLive<>+176(SB)/8, $0
+DATA adjLive<>+184(SB)/8, $0
+DATA adjLive<>+192(SB)/8, $0
+DATA adjLive<>+200(SB)/8, $0
+DATA adjLive<>+208(SB)/8, $0
+DATA adjLive<>+216(SB)/8, $0
+DATA adjLive<>+224(SB)/8, $0
+DATA adjLive<>+232(SB)/8, $0
+DATA adjLive<>+240(SB)/8, $0
+DATA adjLive<>+248(SB)/8, $0
+GLOBL adjLive<>(SB), RODATA|NOPTR, $256
+
+// func convAdjAVX2(mr, k int, a []float32, ars, aps int, b []float32, ldb, span int, c []float32, ldc int, keep []uint32, t []float32)
+//
+// gemmTileAVX2 changed as convAdjAVX512 changes gemmTileAVX512: the
+// accumulators start at +0, and each tile row is added into C under the
+// block's live and window lanes (YADJMASK) instead of stored.
+TEXT ·convAdjAVX2(SB), NOSPLIT, $0-176
+	MOVQ a_base+16(FP), R14
+	MOVQ ars+40(FP), R8
+	MOVQ aps+48(FP), DX
+	MOVQ ldb+80(FP), R12
+	MOVQ c_base+96(FP), R11
+	MOVQ ldc+120(FP), R13
+	SHLQ $2, R8
+	SHLQ $2, DX
+	SHLQ $2, R12
+	SHLQ $2, R13
+	LEAQ (R8)(R8*2), R9
+
+panel4:
+	CMPQ mr+0(FP), $4
+	JLT  panel1
+	MOVQ span+88(FP), R15
+
+col4:
+	YADJBLOCK
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ  CX, CX
+	JZ     store4
+
+k4:
+	VMASKMOVPS (DI), Y10, Y8
+	VMASKMOVPS 32(DI), Y11, Y9
+	TILEROW2((SI), Y0, Y1, Y8, Y9, Y12, Y13, y4r0)
+	TILEROW2((SI)(R8*1), Y2, Y3, Y8, Y9, Y14, Y15, y4r1)
+	TILEROW2((SI)(R8*2), Y4, Y5, Y8, Y9, Y12, Y13, y4r2)
+	TILEROW2((SI)(R9*1), Y6, Y7, Y8, Y9, Y14, Y15, y4r3)
+	ADDQ DX, SI
+	ADDQ R12, DI
+	DECQ CX
+	JNZ  k4
+
+store4:
+	YADJMASK
+	MOVQ BX, AX
+	YADDC(Y0, Y1)
+	YADDC(Y2, Y3)
+	YADDC(Y4, Y5)
+	YADDC(Y6, Y7)
+	SUBQ $16, R15
+	JG   col4
+
+	LEAQ (R14)(R8*4), R14
+	LEAQ (R11)(R13*4), R11
+	SUBQ $4, mr+0(FP)
+	JMP  panel4
+
+	// The rows left over, one at a time, 32 columns a block: four
+	// independent chains per row instead of two.
+panel1:
+	CMPQ mr+0(FP), $0
+	JLE  done
+	MOVQ span+88(FP), R15
+
+col1:
+	YADJBLOCK32
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	TESTQ  CX, CX
+	JZ     store1
+
+k1:
+	VMASKMOVPS (DI), Y8, Y4
+	VMASKMOVPS 32(DI), Y9, Y5
+	VMASKMOVPS 64(DI), Y10, Y6
+	VMASKMOVPS 96(DI), Y11, Y7
+	TILEROW4((SI), Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y12, Y13, Y14, Y15, y1r0)
+	ADDQ DX, SI
+	ADDQ R12, DI
+	DECQ CX
+	JNZ  k1
+
+store1:
+	YADJKEEP32
+	MOVQ       BX, AX
+	VMASKMOVPS (AX), Y8, Y12
+	VADDPS     Y0, Y12, Y12
+	VMASKMOVPS Y12, Y8, (AX)
+	VMASKMOVPS 32(AX), Y9, Y12
+	VADDPS     Y1, Y12, Y12
+	VMASKMOVPS Y12, Y9, 32(AX)
+	VMASKMOVPS 64(AX), Y10, Y12
+	VADDPS     Y2, Y12, Y12
+	VMASKMOVPS Y12, Y10, 64(AX)
+	VMASKMOVPS 96(AX), Y11, Y12
+	VADDPS     Y3, Y12, Y12
+	VMASKMOVPS Y12, Y11, 96(AX)
+	SUBQ       $32, R15
+	JG         col1
+
+	ADDQ R8, R14
+	ADDQ R13, R11
+	DECQ mr+0(FP)
+	JMP  panel1
+
+done:
 	VZEROUPPER
 	RET

@@ -5,22 +5,32 @@ import (
 	"testing"
 )
 
-// BenchmarkGemmShapes times one-threaded Gemm / GemmNTAcc / ConvDot at the
-// shapes the two training workloads really run (EXPERIMENTS.md "PR 21"
-// table b) and reports GFLOP/s next to ns/op. ldb > k marks a GemmNTAcc
-// window into a lowering that holds the whole batch. A CD row is the
-// ConvDot that replaces the NT row above it: the same weight gradient read
-// from a 3×3, pad-1 halo image whose output rows are ow wide.
+// BenchmarkGemmShapes times one-threaded Gemm / GemmNTAcc / ConvDot /
+// ConvAdjoint at the shapes the two training workloads really run and
+// reports GFLOP/s next to ns/op.
+// ldb > k marks a GemmNTAcc window into a lowering that holds the whole
+// batch. A CD row is the ConvDot that replaces the NT row above it: the
+// same weight gradient read from a 3×3, pad-1 halo image whose output rows
+// are ow wide. A TC row is a stride-1 3×3, pad-1 data gradient the lowered
+// way — the TN GEMM into a cleared Wᵀ·dy matrix, then Col2imFrom per
+// sample into a cleared dx — and the AJ row under it is the same gradient
+// as ConvAdjoint into a cleared dx, from the same channel-major dy, with
+// the samples side by side in each channel of dx too.
 func BenchmarkGemmShapes(b *testing.B) {
 	shapes := []struct {
 		op      string
 		m, n, k int
-		ldb     int // NT: B's row stride; CD: ow
+		ldb     int // NT: B's row stride; CD: ow; TC, AJ: the plane's width
 	}{
-		{"NN", 16, 256, 144, 0},    // the benchmark's probe
-		{"NN", 16, 4096, 27, 0},    // hep conv1 forward
-		{"NN", 16, 768, 144, 0},    // hep conv2 forward
-		{"TN", 144, 768, 16, 0},    // hep conv2 data gradient
+		{"NN", 16, 256, 144, 0},  // the benchmark's probe
+		{"NN", 16, 4096, 27, 0},  // hep conv1 forward
+		{"NN", 16, 768, 144, 0},  // hep conv2 forward
+		{"TC", 144, 768, 16, 16}, // hep conv2 data gradient: 3 samples of 16×16
+		{"AJ", 144, 768, 16, 16},
+		{"TC", 144, 896, 16, 8}, // hep conv3: 14 samples of 8×8
+		{"AJ", 144, 896, 16, 8},
+		{"TC", 144, 256, 16, 4}, // hep conv4: 16 samples of 4×4
+		{"AJ", 144, 256, 16, 4},
 		{"NT", 16, 27, 1024, 4096}, // hep conv1 weight gradient
 		{"CD", 16, 27, 1024, 32},
 		{"NT", 16, 144, 256, 768},
@@ -31,7 +41,8 @@ func BenchmarkGemmShapes(b *testing.B) {
 		{"CD", 16, 144, 16, 4},
 		{"NN", 128, 64, 864, 0}, // climate encoder forward
 		{"NN", 64, 256, 288, 0},
-		{"TN", 864, 64, 128, 0}, // climate encoder data gradient
+		{"TC", 864, 64, 128, 4}, // climate encoder data gradient: enc_conv4, 4 samples of 4×4
+		{"AJ", 864, 64, 128, 4},
 		{"TN", 288, 256, 64, 0},
 		{"NT", 128, 864, 16, 64}, // climate weight gradients, k = OH·OW = 16
 		{"CD", 128, 864, 16, 4},
@@ -68,15 +79,34 @@ func BenchmarkGemmShapes(b *testing.B) {
 		}
 		a, bm, c := randMat(rng, s.m*s.k), randMat(rng, bn), make([]float32, s.m*s.n)
 		name := fmt.Sprintf("%s_%dx%dx%d", s.op, s.m, s.n, s.k)
-		switch {
-		case s.op == "CD":
+		// TC, AJ: K = m = inC·9 rows of Wᵀ, n = samples·w², k = outC.
+		w, inC := s.ldb, s.m/9
+		cols := w * w
+		var dx []float32
+		switch s.op {
+		case "CD":
 			name += fmt.Sprintf("_ow%d", s.ldb)
-		case s.ldb != 0:
-			name += fmt.Sprintf("_ldb%d", s.ldb)
+		case "TC", "AJ":
+			name += fmt.Sprintf("_%dx%d", w, w)
+			a = randMat(rng, s.k*s.m) // the weights, outC × K
+			dx = make([]float32, s.n/cols*inC*cols)
+		default:
+			if s.ldb != 0 {
+				name += fmt.Sprintf("_ldb%d", s.ldb)
+			}
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				switch {
+				case s.op == "TC":
+					clear(dx)
+					Gemm(true, false, s.m, s.n, s.k, 1, a, bm, 0, c)
+					for j := 0; j < s.n/cols; j++ {
+						Col2imFrom(c, s.n, j*cols, inC, w, w, 3, 3, 1, 1, dx[j*inC*cols:])
+					}
+				case s.op == "AJ":
+					clear(dx)
+					ConvAdjoint(dx, inC, w, w, a, s.k, 3, 3, 1, bm, s.n/cols)
 				case s.op == "CD":
 					ConvDot(s.m, s.k, a, s.k, bm, off, s.ldb, s.ldb+2, c, s.n)
 				case s.ldb != 0:

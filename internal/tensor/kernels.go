@@ -2,8 +2,8 @@ package tensor
 
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
 // the fp32 GEMM's two register tiles (gemm_tile.go), the direct
-// convolution's tile, epilogue and weight-gradient tile (conv_tile.go),
-// axpy, the in-place scale, the conv unit's ReLU, 2×2 max-pool and the
+// convolution's tile, epilogues, unpool, weight-gradient and adjoint tiles
+// (conv_tile.go), axpy, the in-place scale, the conv unit's ReLU, 2×2 max-pool and the
 // lowerings' row gather and row add (kernels_conv.go), and the int8
 // datapath's micro-kernel, epilogues and quantizers (gemm_s8.go) — is a
 // package-level function variable installed by SetKernels.
@@ -42,6 +42,9 @@ func installScalar() {
 	convTile = convTileGeneric
 	convDot = convDotGeneric
 	convStore = convStoreGeneric
+	convStoreArgmax = convStoreArgmaxGeneric
+	convAdj = convAdjGeneric
+	unpool = unpoolGeneric
 	axpy = axpyGeneric
 	scal = scalGeneric
 	relu = reluGeneric

@@ -25,6 +25,8 @@ func convTileAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, c 
 func convTileAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
 func convDotAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int)
 func convDotAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int)
+func convAdjAVX2(mr, k int, a []float32, ars, aps int, b []float32, ldb, span int, c []float32, ldc int, keep []uint32, t []float32)
+func convAdjAVX512(mr, k int, a []float32, ars, aps int, b []float32, ldb, span int, c []float32, ldc int, keep []uint32, t []float32)
 
 // The conv-unit kernels (kernels_conv.go) and the direct convolution's
 // epilogue (conv_tile.go), implemented in kernels_conv_amd64.s.
@@ -42,6 +44,10 @@ func scatterRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPi
 func scatterRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 func convStoreAVX2(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n int, relu, pool bool)
 func convStoreAVX512(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n int, relu, pool bool)
+func convStoreArgmaxAVX2(dst []float32, idx []int32, src, bias []float32, planes, dstPlane, idxPlane, srcPlane, rows, dstPitch, srcPitch, n, base, w int, relu bool)
+func convStoreArgmaxAVX512(dst []float32, idx []int32, src, bias []float32, planes, dstPlane, idxPlane, srcPlane, rows, dstPitch, srcPitch, n, base, w int, relu bool)
+func unpoolAVX2(dy, g []float32, idx []int32, v []float32, planes, dyPlane, gPlane, vPlane, rows, vPitch, n, w int, relu bool)
+func unpoolAVX512(dy, g []float32, idx []int32, v []float32, planes, dyPlane, gPlane, vPlane, rows, vPitch, n, w int, relu bool)
 
 // The int8 datapath's kernels (gemm_s8.go), implemented in
 // kernels_s8_amd64.s.
@@ -95,6 +101,9 @@ func installAVX2() {
 	convTile = convTileAVX2
 	convDot = convDotAVX2
 	convStore = convStoreAVX2
+	convStoreArgmax = convStoreArgmaxAVX2
+	convAdj = convAdjAVX2
+	unpool = unpoolAVX2
 	axpy = axpyAVX2
 	scal = scalAVX2
 	relu = reluAVX2
@@ -118,7 +127,10 @@ func installAVX512() {
 	dotTile = dotTileAVX512
 	convTile = convTileAVX512
 	convDot = convDotAVX512
+	convAdj = convAdjAVX512
 	convStore = convStoreAVX512
+	convStoreArgmax = convStoreArgmaxAVX512
+	unpool = unpoolAVX512
 	axpy = axpyAVX512
 	relu = reluAVX512
 	reluGrad = reluGradAVX512

@@ -174,6 +174,93 @@ norelu:
 	SHLQ $2, R13;              \
 	MOVQ n+120(FP), CX
 
+// ZEPI4A is ZEPI4 for convStoreArgmaxAVX512's frame.
+#define ZEPI4A(noadd, norelu) \
+	TESTL  DX, DX;           \
+	JZ     noadd;            \
+	VADDPS Z31, Z1, Z1;      \
+	VADDPS Z31, Z2, Z2;      \
+	VADDPS Z31, Z3, Z3;      \
+	VADDPS Z31, Z4, Z4;      \
+noadd:                       \
+	CMPB   relu+176(FP), $0; \
+	JEQ    norelu;           \
+	VMAXPS Z0, Z1, Z1;       \
+	VMAXPS Z0, Z2, Z2;       \
+	VMAXPS Z0, Z3, Z3;       \
+	VMAXPS Z0, Z4, Z4;       \
+norelu:
+
+// UNPOOL16 is one step of unpoolAVX512: g, the winners and v in Z1-Z3,
+// the offsets of the step's first sixteen columns in Z9; dy row 2r's 32
+// columns come out in Z4/Z5, row 2r+1's in Z6/Z7.
+#define UNPOOL16(norelu) \
+	VADDPS    Z1, Z0, Z1;         \
+	CMPB      relu+160(FP), $0;   \
+	JEQ       norelu;             \
+	VCMPPS    $0x1E, Z0, Z3, K4;  \
+	VMOVAPS.Z Z1, K4, Z1;         \
+norelu:                           \
+	VPERMPS   Z1, Z20, Z22;       \
+	VPERMPS   Z1, Z21, Z23;       \
+	VPERMD    Z2, Z20, Z24;       \
+	VPERMD    Z2, Z21, Z25;       \
+	VPADDD    Z12, Z9, Z26;       \
+	VPCMPEQD  Z9, Z24, K4;        \
+	VMOVAPS.Z Z22, K4, Z4;        \
+	VPCMPEQD  Z26, Z25, K4;       \
+	VMOVAPS.Z Z23, K4, Z5;        \
+	VPADDD    Z10, Z9, Z27;       \
+	VPADDD    Z10, Z26, Z28;      \
+	VPCMPEQD  Z27, Z24, K4;       \
+	VMOVAPS.Z Z22, K4, Z6;        \
+	VPCMPEQD  Z28, Z25, K4;       \
+	VMOVAPS.Z Z23, K4, Z7
+
+// YEPI4A is YEPI4 for convStoreArgmaxAVX2's frame.
+#define YEPI4A(noadd, norelu) \
+	TESTL  DX, DX;           \
+	JZ     noadd;            \
+	VADDPS Y15, Y1, Y1;      \
+	VADDPS Y15, Y2, Y2;      \
+	VADDPS Y15, Y3, Y3;      \
+	VADDPS Y15, Y4, Y4;      \
+noadd:                       \
+	CMPB   relu+176(FP), $0; \
+	JEQ    norelu;           \
+	VMAXPS Y0, Y1, Y1;       \
+	VMAXPS Y0, Y2, Y2;       \
+	VMAXPS Y0, Y3, Y3;       \
+	VMAXPS Y0, Y4, Y4;       \
+norelu:
+
+// UNPOOL8 is one step of unpoolAVX2: g, the winners and v in Y1-Y3, the
+// offsets of the step's first eight columns in Y9; dy row 2r's sixteen
+// columns come out in Y1/Y2, row 2r+1's in Y3/Y4. A kept lane is the
+// gated value ANDed with an all-ones compare, a dropped one +0.
+#define UNPOOL8(norelu) \
+	VADDPS    Y1, Y0, Y1;         \
+	CMPB      relu+160(FP), $0;   \
+	JEQ       norelu;             \
+	VCMPPS    $0x1E, Y0, Y3, Y4;  \
+	VANDPS    Y4, Y1, Y1;         \
+norelu:                           \
+	VPERMPS   Y1, Y13, Y5;        \
+	VPERMPS   Y1, Y14, Y6;        \
+	VPERMD    Y2, Y13, Y7;        \
+	VPERMD    Y2, Y14, Y8;        \
+	VPADDD    Y11, Y9, Y4;        \
+	VPCMPEQD  Y9, Y7, Y1;         \
+	VANDPS    Y5, Y1, Y1;         \
+	VPCMPEQD  Y4, Y8, Y2;         \
+	VANDPS    Y6, Y2, Y2;         \
+	VPADDD    Y10, Y9, Y3;        \
+	VPCMPEQD  Y3, Y7, Y3;         \
+	VANDPS    Y5, Y3, Y3;         \
+	VPADDD    Y10, Y4, Y4;        \
+	VPCMPEQD  Y4, Y8, Y4;         \
+	VANDPS    Y6, Y4, Y4
+
 // func reluAVX2(y, x []float32)
 //
 // y = MAX(x, +0): x when x > 0, else the zero register — NaN and −0 too.
@@ -1419,5 +1506,592 @@ pnext:
 	ADDQ R10, DI
 	DECQ planes+72(FP)
 	JNZ  pplane
+	VZEROUPPER
+	RET
+
+// The training store and its backward (conv_tile.go): convStoreArgmax is
+// convStoreAVX512's pooled path that also keeps each window's winner, and
+// unpool writes the gradient a window's four outputs get from it.
+
+// unpoolDup{Lo,Hi} repeat each of lanes 0-7 (8-15) twice: a pooled
+// output's value and winner spread over the two columns of its window.
+// unpoolIota is the lanes' own index.
+DATA unpoolDupLo<>+0(SB)/4, $0
+DATA unpoolDupLo<>+4(SB)/4, $0
+DATA unpoolDupLo<>+8(SB)/4, $1
+DATA unpoolDupLo<>+12(SB)/4, $1
+DATA unpoolDupLo<>+16(SB)/4, $2
+DATA unpoolDupLo<>+20(SB)/4, $2
+DATA unpoolDupLo<>+24(SB)/4, $3
+DATA unpoolDupLo<>+28(SB)/4, $3
+DATA unpoolDupLo<>+32(SB)/4, $4
+DATA unpoolDupLo<>+36(SB)/4, $4
+DATA unpoolDupLo<>+40(SB)/4, $5
+DATA unpoolDupLo<>+44(SB)/4, $5
+DATA unpoolDupLo<>+48(SB)/4, $6
+DATA unpoolDupLo<>+52(SB)/4, $6
+DATA unpoolDupLo<>+56(SB)/4, $7
+DATA unpoolDupLo<>+60(SB)/4, $7
+GLOBL unpoolDupLo<>(SB), RODATA|NOPTR, $64
+
+DATA unpoolDupHi<>+0(SB)/4, $8
+DATA unpoolDupHi<>+4(SB)/4, $8
+DATA unpoolDupHi<>+8(SB)/4, $9
+DATA unpoolDupHi<>+12(SB)/4, $9
+DATA unpoolDupHi<>+16(SB)/4, $10
+DATA unpoolDupHi<>+20(SB)/4, $10
+DATA unpoolDupHi<>+24(SB)/4, $11
+DATA unpoolDupHi<>+28(SB)/4, $11
+DATA unpoolDupHi<>+32(SB)/4, $12
+DATA unpoolDupHi<>+36(SB)/4, $12
+DATA unpoolDupHi<>+40(SB)/4, $13
+DATA unpoolDupHi<>+44(SB)/4, $13
+DATA unpoolDupHi<>+48(SB)/4, $14
+DATA unpoolDupHi<>+52(SB)/4, $14
+DATA unpoolDupHi<>+56(SB)/4, $15
+DATA unpoolDupHi<>+60(SB)/4, $15
+GLOBL unpoolDupHi<>(SB), RODATA|NOPTR, $64
+
+DATA unpoolIota<>+0(SB)/4, $0
+DATA unpoolIota<>+4(SB)/4, $1
+DATA unpoolIota<>+8(SB)/4, $2
+DATA unpoolIota<>+12(SB)/4, $3
+DATA unpoolIota<>+16(SB)/4, $4
+DATA unpoolIota<>+20(SB)/4, $5
+DATA unpoolIota<>+24(SB)/4, $6
+DATA unpoolIota<>+28(SB)/4, $7
+DATA unpoolIota<>+32(SB)/4, $8
+DATA unpoolIota<>+36(SB)/4, $9
+DATA unpoolIota<>+40(SB)/4, $10
+DATA unpoolIota<>+44(SB)/4, $11
+DATA unpoolIota<>+48(SB)/4, $12
+DATA unpoolIota<>+52(SB)/4, $13
+DATA unpoolIota<>+56(SB)/4, $14
+DATA unpoolIota<>+60(SB)/4, $15
+GLOBL unpoolIota<>(SB), RODATA|NOPTR, $64
+
+
+// ARGMAX16 is POOL_ARGMAX_STEP16 with −Inf in Z29, leaving Z0 (+0) to the
+// ReLU: it folds the four taps in Z1..Z4 into best values Z14 and plane
+// offsets Z15, in output order. Z9 holds the r0-even offsets, Z10 w, Z11 1,
+// Z16 the quad order.
+#define ARGMAX16 \
+	VSHUFPS   $0x88, Z2, Z1, Z5;  \
+	VSHUFPS   $0xDD, Z2, Z1, Z6;  \
+	VSHUFPS   $0x88, Z4, Z3, Z7;  \
+	VSHUFPS   $0xDD, Z4, Z3, Z8;  \
+	VMOVAPS   Z29, Z14;           \
+	VPXORD    Z15, Z15, Z15;      \
+	VCMPPS    $0x1E, Z14, Z5, K4; \
+	VMOVAPS   Z5, K4, Z14;        \
+	VMOVDQA32 Z9, K4, Z15;        \
+	VPADDD    Z11, Z9, Z1;        \
+	VCMPPS    $0x1E, Z14, Z6, K4; \
+	VMOVAPS   Z6, K4, Z14;        \
+	VMOVDQA32 Z1, K4, Z15;        \
+	VPADDD    Z10, Z9, Z2;        \
+	VCMPPS    $0x1E, Z14, Z7, K4; \
+	VMOVAPS   Z7, K4, Z14;        \
+	VMOVDQA32 Z2, K4, Z15;        \
+	VPADDD    Z11, Z2, Z2;        \
+	VCMPPS    $0x1E, Z14, Z8, K4; \
+	VMOVAPS   Z8, K4, Z14;        \
+	VMOVDQA32 Z2, K4, Z15;        \
+	VPERMPD   Z14, Z16, Z14;      \
+	VPERMQ    Z15, Z16, Z15
+
+// func convStoreArgmaxAVX512(dst []float32, idx []int32, src, bias []float32, planes, dstPlane, idxPlane, srcPlane, rows, dstPitch, srcPitch, n, base, w int, relu bool)
+//
+// convStoreAVX512's pooled loop with ARGMAX16 for its max folds: the values
+// are the same maxima, and the offsets come out beside them. The plane
+// strides are scaled to bytes in their argument slots. Per plane DI/SI/R10
+// point at dst/src/idx, per row AX/R15 at the two source rows, CX/R11 at
+// the dst and idx rows; R14 is the byte offset into those rows, R9 counts
+// the outputs left. Z17 holds the row's first offsets, Z18 2·w, Z19 the
+// first row's.
+TEXT ·convStoreArgmaxAVX512(SB), NOSPLIT, $0-177
+	MOVQ dst_base+0(FP), DI
+	MOVQ idx_base+24(FP), R10
+	MOVQ src_base+48(FP), SI
+	MOVQ bias_base+72(FP), R8
+	SHLQ $2, dstPlane+104(FP)
+	SHLQ $2, idxPlane+112(FP)
+	SHLQ $2, srcPlane+120(FP)
+	MOVQ dstPitch+136(FP), R12
+	MOVQ srcPitch+144(FP), R13
+	SHLQ $2, R12
+	SHLQ $2, R13
+
+	VPXORD       Z0, Z0, Z0
+	VPTERNLOGD   $0xFF, Z29, Z29, Z29
+	VPSRLD       $31, Z29, Z11 // 1
+	VPSLLD       $5, Z11, Z12  // 32: input floats per step
+	VPSLLD       $23, Z29, Z29 // −Inf
+	VMOVDQU64    poolQuads<>(SB), Z16
+	MOVQ         w+168(FP), AX
+	VPBROADCASTD AX, Z10
+	VPADDD       Z10, Z10, Z18
+	MOVQ         base+160(FP), AX
+	VPBROADCASTD AX, Z19
+	VPADDD       poolIdx16<>(SB), Z19, Z19
+
+	MOVQ  n+152(FP), CX
+	ANDQ  $15, CX
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	ADDQ  CX, CX
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K2
+	SHRQ  $16, AX
+	KMOVW AX, K3
+
+aplane:
+	CBIAS(Z31, abias)
+	MOVQ      SI, AX
+	MOVQ      DI, CX
+	MOVQ      R10, R11
+	VMOVDQA64 Z19, Z17
+	MOVQ      rows+128(FP), BX
+
+arow:
+	LEAQ      (AX)(R13*1), R15
+	XORQ      R14, R14
+	MOVQ      n+152(FP), R9
+	VMOVDQA64 Z17, Z9
+
+acol:
+	CMPQ      R9, $16
+	JLT       atail
+	VMOVUPS   (AX)(R14*2), Z1
+	VMOVUPS   64(AX)(R14*2), Z2
+	VMOVUPS   (R15)(R14*2), Z3
+	VMOVUPS   64(R15)(R14*2), Z4
+	ZEPI4A(aa1, ar1)
+	ARGMAX16
+	VMOVUPS   Z14, (CX)(R14*1)
+	VMOVDQU32 Z15, (R11)(R14*1)
+	VPADDD    Z12, Z9, Z9
+	ADDQ      $64, R14
+	SUBQ      $16, R9
+	JMP       acol
+
+atail:
+	TESTQ     R9, R9
+	JZ        anext
+	VMOVUPS.Z (AX)(R14*2), K2, Z1
+	VMOVUPS.Z 64(AX)(R14*2), K3, Z2
+	VMOVUPS.Z (R15)(R14*2), K2, Z3
+	VMOVUPS.Z 64(R15)(R14*2), K3, Z4
+	ZEPI4A(aa2, ar2)
+	ARGMAX16
+	VMOVUPS   Z14, K1, (CX)(R14*1)
+	VMOVDQU32 Z15, K1, (R11)(R14*1)
+
+anext:
+	LEAQ   (AX)(R13*2), AX
+	ADDQ   R12, CX
+	MOVQ   n+152(FP), R9
+	LEAQ   (R11)(R9*4), R11
+	VPADDD Z18, Z17, Z17
+	DECQ   BX
+	JNZ    arow
+	ADDQ   srcPlane+120(FP), SI
+	ADDQ   dstPlane+104(FP), DI
+	ADDQ   idxPlane+112(FP), R10
+	DECQ   planes+96(FP)
+	JNZ    aplane
+	VZEROUPPER
+	RET
+
+// func unpoolAVX512(dy, g []float32, idx []int32, v []float32, planes, dyPlane, gPlane, vPlane, rows, vPitch, n, w int, relu bool)
+//
+// Sixteen pooled outputs per step, spread over the 32 columns of their
+// windows: g's gated value and the winner offset are each duplicated into
+// two vectors (lane m of a pair takes output m/2), and lane m of dy row 2r
+// (2r+1) gets the value where the winner is its own offset (plus w), +0
+// elsewhere. The gate is +0 + g, zeroed where v > +0 fails under relu. The
+// tail loads its outputs under K1 and stores their columns under K2/K3.
+// Per plane DI/SI/R8/DX point at dy/g/idx/v, per row CX at dy row 2r,
+// R12/R13/R15 at the g, idx and v rows; R10 is w in bytes, R14 the byte
+// offset into the pooled rows (twice it into dy's), R9 the outputs left.
+// Z17 holds the offsets of the row's first sixteen columns.
+TEXT ·unpoolAVX512(SB), NOSPLIT, $0-161
+	MOVQ dy_base+0(FP), DI
+	MOVQ g_base+24(FP), SI
+	MOVQ idx_base+48(FP), R8
+	MOVQ v_base+72(FP), DX
+	SHLQ $2, dyPlane+104(FP)
+	SHLQ $2, gPlane+112(FP)
+	SHLQ $2, vPlane+120(FP)
+	SHLQ $2, vPitch+136(FP)
+	MOVQ w+152(FP), R10
+	SHLQ $2, R10
+
+	VPXORD       Z0, Z0, Z0
+	VMOVDQU32    unpoolDupLo<>(SB), Z20
+	VMOVDQU32    unpoolDupHi<>(SB), Z21
+	VPTERNLOGD   $0xFF, Z11, Z11, Z11
+	VPSRLD       $31, Z11, Z11 // 1
+	VPSLLD       $4, Z11, Z12  // 16
+	VPSLLD       $5, Z11, Z13  // 32
+	MOVQ         w+152(FP), AX
+	VPBROADCASTD AX, Z10
+	VPADDD       Z10, Z10, Z18 // 2w
+
+	MOVQ  n+144(FP), CX
+	ANDQ  $15, CX
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K1
+	ADDQ  CX, CX
+	MOVL  $1, AX
+	SHLQ  CX, AX
+	DECQ  AX
+	KMOVW AX, K2
+	SHRQ  $16, AX
+	KMOVW AX, K3
+
+uplane:
+	MOVQ      DI, CX
+	MOVQ      SI, R12
+	MOVQ      R8, R13
+	MOVQ      DX, R15
+	VMOVDQU32 unpoolIota<>(SB), Z17
+	MOVQ      rows+128(FP), BX
+
+urow:
+	XORQ      R14, R14
+	MOVQ      n+144(FP), R9
+	VMOVDQA64 Z17, Z9
+
+ucol:
+	CMPQ      R9, $16
+	JLT       utail
+	VMOVUPS   (R12)(R14*1), Z1
+	VMOVDQU32 (R13)(R14*1), Z2
+	VMOVUPS   (R15)(R14*1), Z3
+	UNPOOL16(ur1)
+	VMOVUPS   Z4, (CX)(R14*2)
+	VMOVUPS   Z5, 64(CX)(R14*2)
+	ADDQ      R10, CX
+	VMOVUPS   Z6, (CX)(R14*2)
+	VMOVUPS   Z7, 64(CX)(R14*2)
+	SUBQ      R10, CX
+	VPADDD    Z13, Z9, Z9
+	ADDQ      $64, R14
+	SUBQ      $16, R9
+	JMP       ucol
+
+utail:
+	TESTQ     R9, R9
+	JZ        unext
+	VMOVUPS.Z   (R12)(R14*1), K1, Z1
+	VMOVDQU32.Z (R13)(R14*1), K1, Z2
+	VMOVUPS.Z   (R15)(R14*1), K1, Z3
+	UNPOOL16(ur2)
+	VMOVUPS     Z4, K2, (CX)(R14*2)
+	VMOVUPS     Z5, K3, 64(CX)(R14*2)
+	ADDQ        R10, CX
+	VMOVUPS     Z6, K2, (CX)(R14*2)
+	VMOVUPS     Z7, K3, 64(CX)(R14*2)
+	SUBQ        R10, CX
+
+unext:
+	LEAQ   (CX)(R10*2), CX
+	MOVQ   n+144(FP), R9
+	LEAQ   (R12)(R9*4), R12
+	LEAQ   (R13)(R9*4), R13
+	ADDQ   vPitch+136(FP), R15
+	VPADDD Z18, Z17, Z17
+	DECQ   BX
+	JNZ    urow
+	ADDQ   dyPlane+104(FP), DI
+	ADDQ   gPlane+112(FP), SI
+	ADDQ   gPlane+112(FP), R8
+	ADDQ   vPlane+120(FP), DX
+	DECQ   planes+96(FP)
+	JNZ    uplane
+	VZEROUPPER
+	RET
+
+// laneTail holds eight live lanes then eight dead ones: the eight dwords
+// at byte offset 32−4c are the mask of lanes below c.
+DATA laneTail<>+0(SB)/8, $0xffffffffffffffff
+DATA laneTail<>+8(SB)/8, $0xffffffffffffffff
+DATA laneTail<>+16(SB)/8, $0xffffffffffffffff
+DATA laneTail<>+24(SB)/8, $0xffffffffffffffff
+DATA laneTail<>+32(SB)/8, $0
+DATA laneTail<>+40(SB)/8, $0
+DATA laneTail<>+48(SB)/8, $0
+DATA laneTail<>+56(SB)/8, $0
+GLOBL laneTail<>(SB), RODATA|NOPTR, $64
+
+// unpoolDup8{Lo,Hi} repeat each of lanes 0-3 (4-7) twice.
+DATA unpoolDup8Lo<>+0(SB)/4, $0
+DATA unpoolDup8Lo<>+4(SB)/4, $0
+DATA unpoolDup8Lo<>+8(SB)/4, $1
+DATA unpoolDup8Lo<>+12(SB)/4, $1
+DATA unpoolDup8Lo<>+16(SB)/4, $2
+DATA unpoolDup8Lo<>+20(SB)/4, $2
+DATA unpoolDup8Lo<>+24(SB)/4, $3
+DATA unpoolDup8Lo<>+28(SB)/4, $3
+GLOBL unpoolDup8Lo<>(SB), RODATA|NOPTR, $32
+
+DATA unpoolDup8Hi<>+0(SB)/4, $4
+DATA unpoolDup8Hi<>+4(SB)/4, $4
+DATA unpoolDup8Hi<>+8(SB)/4, $5
+DATA unpoolDup8Hi<>+12(SB)/4, $5
+DATA unpoolDup8Hi<>+16(SB)/4, $6
+DATA unpoolDup8Hi<>+20(SB)/4, $6
+DATA unpoolDup8Hi<>+24(SB)/4, $7
+DATA unpoolDup8Hi<>+28(SB)/4, $7
+GLOBL unpoolDup8Hi<>(SB), RODATA|NOPTR, $32
+
+// TAILMASKS stores, for c = cnt%8 (cnt in CX, which it clobbers with AX
+// and BX), the mask of c lanes at one and those of the first and second
+// eight of 2c lanes at lo and hi, from laneTail.
+#define TAILMASKS(one, lo, hi) \
+	ANDQ    $7, CX;              \
+	LEAQ    laneTail<>(SB), AX;  \
+	MOVQ    CX, BX;              \
+	NEGQ    BX;                  \
+	VMOVDQU 32(AX)(BX*4), Y1;    \
+	VMOVDQU Y1, one;             \
+	ADDQ    CX, CX;              \
+	MOVQ    $8, BX;              \
+	CMPQ    CX, BX;              \
+	CMOVQLT CX, BX;              \
+	SUBQ    BX, CX;              \
+	NEGQ    BX;                  \
+	NEGQ    CX;                  \
+	VMOVDQU 32(AX)(BX*4), Y1;    \
+	VMOVDQU Y1, lo;              \
+	VMOVDQU 32(AX)(CX*4), Y1;    \
+	VMOVDQU Y1, hi
+
+// YARGMAX8 is maxPool2x2ArgmaxAVX2's step on the four taps in Y1..Y4:
+// best values come out in Y3, plane offsets in Y4, in output order. Y14
+// is −Inf, Y9 the r0-even offsets, Y10 w, Y11 1.
+#define YARGMAX8 \
+	VSHUFPS   $0x88, Y2, Y1, Y5;  \
+	VSHUFPS   $0xDD, Y2, Y1, Y6;  \
+	VSHUFPS   $0x88, Y4, Y3, Y7;  \
+	VSHUFPS   $0xDD, Y4, Y3, Y8;  \
+	VCMPPS    $0x1E, Y14, Y5, Y2; \
+	VBLENDVPS Y2, Y5, Y14, Y3;    \
+	VPAND     Y2, Y9, Y4;         \
+	VPADDD    Y11, Y9, Y1;        \
+	VCMPPS    $0x1E, Y3, Y6, Y2;  \
+	VBLENDVPS Y2, Y6, Y3, Y3;     \
+	VBLENDVPS Y2, Y1, Y4, Y4;     \
+	VPADDD    Y10, Y9, Y1;        \
+	VCMPPS    $0x1E, Y3, Y7, Y2;  \
+	VBLENDVPS Y2, Y7, Y3, Y3;     \
+	VBLENDVPS Y2, Y1, Y4, Y4;     \
+	VPADDD    Y11, Y1, Y1;        \
+	VCMPPS    $0x1E, Y3, Y8, Y2;  \
+	VBLENDVPS Y2, Y8, Y3, Y3;     \
+	VBLENDVPS Y2, Y1, Y4, Y4;     \
+	VPERMPD   $0xD8, Y3, Y3;      \
+	VPERMQ    $0xD8, Y4, Y4
+
+// func convStoreArgmaxAVX2(dst []float32, idx []int32, src, bias []float32, planes, dstPlane, idxPlane, srcPlane, rows, dstPitch, srcPitch, n, base, w int, relu bool)
+//
+// convStoreArgmaxAVX512 at eight outputs per step. A row's last n%8
+// outputs run the same step under masks kept in the frame (outputs at
+// out, their source lanes at lo/hi); base holds the first row's offsets.
+TEXT ·convStoreArgmaxAVX2(SB), NOSPLIT, $128-177
+	MOVQ n+152(FP), CX
+	TAILMASKS(out-32(SP), lo-64(SP), hi-96(SP))
+	MOVQ dst_base+0(FP), DI
+	MOVQ idx_base+24(FP), R10
+	MOVQ src_base+48(FP), SI
+	MOVQ bias_base+72(FP), R8
+	SHLQ $2, dstPlane+104(FP)
+	SHLQ $2, idxPlane+112(FP)
+	SHLQ $2, srcPlane+120(FP)
+	MOVQ dstPitch+136(FP), R12
+	MOVQ srcPitch+144(FP), R13
+	SHLQ $2, R12
+	SHLQ $2, R13
+
+	VXORPS       Y0, Y0, Y0
+	VPCMPEQD     Y14, Y14, Y14
+	VPSLLD       $23, Y14, Y14 // −Inf
+	VPCMPEQD     Y11, Y11, Y11
+	VPSRLD       $31, Y11, Y11 // 1
+	VPSLLD       $4, Y11, Y12  // 16: input floats per step
+	MOVQ         w+168(FP), AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, Y10
+	MOVQ         base+160(FP), AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13
+	VPADDD       poolIdx8<>(SB), Y13, Y13
+	VMOVDQU      Y13, base-128(SP)
+
+xplane:
+	CBIAS(Y15, xbias)
+	MOVQ    SI, AX
+	MOVQ    DI, CX
+	MOVQ    R10, R11
+	VMOVDQU base-128(SP), Y13
+	MOVQ    rows+128(FP), BX
+
+xrow:
+	LEAQ    (AX)(R13*1), R15
+	XORQ    R14, R14
+	MOVQ    n+152(FP), R9
+	VMOVDQA Y13, Y9
+
+xcol:
+	CMPQ    R9, $8
+	JLT     xtail
+	VMOVUPS (AX)(R14*2), Y1
+	VMOVUPS 32(AX)(R14*2), Y2
+	VMOVUPS (R15)(R14*2), Y3
+	VMOVUPS 32(R15)(R14*2), Y4
+	YEPI4A(xa1, xr1)
+	YARGMAX8
+	VMOVUPS Y3, (CX)(R14*1)
+	VMOVDQU Y4, (R11)(R14*1)
+	VPADDD  Y12, Y9, Y9
+	ADDQ    $32, R14
+	SUBQ    $8, R9
+	JMP     xcol
+
+xtail:
+	TESTQ      R9, R9
+	JZ         xnext
+	VMOVDQU    lo-64(SP), Y5
+	VMOVDQU    hi-96(SP), Y6
+	VMASKMOVPS (AX)(R14*2), Y5, Y1
+	VMASKMOVPS 32(AX)(R14*2), Y6, Y2
+	VMASKMOVPS (R15)(R14*2), Y5, Y3
+	VMASKMOVPS 32(R15)(R14*2), Y6, Y4
+	YEPI4A(xa2, xr2)
+	YARGMAX8
+	VMOVDQU    out-32(SP), Y2
+	VMASKMOVPS Y3, Y2, (CX)(R14*1)
+	VPMASKMOVD Y4, Y2, (R11)(R14*1)
+
+xnext:
+	LEAQ   (AX)(R13*2), AX
+	ADDQ   R12, CX
+	MOVQ   n+152(FP), R9
+	LEAQ   (R11)(R9*4), R11
+	VPADDD Y10, Y13, Y13
+	VPADDD Y10, Y13, Y13
+	DECQ   BX
+	JNZ    xrow
+	ADDQ   srcPlane+120(FP), SI
+	ADDQ   dstPlane+104(FP), DI
+	ADDQ   idxPlane+112(FP), R10
+	DECQ   planes+96(FP)
+	JNZ    xplane
+	VZEROUPPER
+	RET
+
+// func unpoolAVX2(dy, g []float32, idx []int32, v []float32, planes, dyPlane, gPlane, vPlane, rows, vPitch, n, w int, relu bool)
+//
+// unpoolAVX512 at eight pooled outputs per step (UNPOOL8). A row's last
+// n%8 outputs load under the mask at in and store their columns under
+// those at lo/hi, kept in the frame. Registers as in unpoolAVX512; Y15
+// holds the offsets of the row's first eight columns, Y13/Y14 the
+// duplication tables, Y11 8, Y12 16.
+TEXT ·unpoolAVX2(SB), NOSPLIT, $96-161
+	MOVQ n+144(FP), CX
+	TAILMASKS(in-32(SP), lo-64(SP), hi-96(SP))
+	MOVQ dy_base+0(FP), DI
+	MOVQ g_base+24(FP), SI
+	MOVQ idx_base+48(FP), R8
+	MOVQ v_base+72(FP), DX
+	SHLQ $2, dyPlane+104(FP)
+	SHLQ $2, gPlane+112(FP)
+	SHLQ $2, vPlane+120(FP)
+	SHLQ $2, vPitch+136(FP)
+	MOVQ w+152(FP), R10
+	SHLQ $2, R10
+
+	VXORPS       Y0, Y0, Y0
+	VMOVDQU      unpoolDup8Lo<>(SB), Y13
+	VMOVDQU      unpoolDup8Hi<>(SB), Y14
+	VPCMPEQD     Y11, Y11, Y11
+	VPSRLD       $31, Y11, Y11
+	VPSLLD       $3, Y11, Y11 // 8
+	VPADDD       Y11, Y11, Y12 // 16
+	MOVQ         w+152(FP), AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, Y10
+
+vplane:
+	MOVQ    DI, CX
+	MOVQ    SI, R12
+	MOVQ    R8, R13
+	MOVQ    DX, R15
+	VMOVDQU unpoolIota<>(SB), Y15
+	MOVQ    rows+128(FP), BX
+
+vrow:
+	XORQ    R14, R14
+	MOVQ    n+144(FP), R9
+	VMOVDQA Y15, Y9
+
+vcol:
+	CMPQ    R9, $8
+	JLT     vtail
+	VMOVUPS (R12)(R14*1), Y1
+	VMOVDQU (R13)(R14*1), Y2
+	VMOVUPS (R15)(R14*1), Y3
+	UNPOOL8(vr1)
+	VMOVUPS Y1, (CX)(R14*2)
+	VMOVUPS Y2, 32(CX)(R14*2)
+	ADDQ    R10, CX
+	VMOVUPS Y3, (CX)(R14*2)
+	VMOVUPS Y4, 32(CX)(R14*2)
+	SUBQ    R10, CX
+	VPADDD  Y12, Y9, Y9
+	ADDQ    $32, R14
+	SUBQ    $8, R9
+	JMP     vcol
+
+vtail:
+	TESTQ      R9, R9
+	JZ         vnext
+	VMOVDQU    in-32(SP), Y4
+	VMASKMOVPS (R12)(R14*1), Y4, Y1
+	VPMASKMOVD (R13)(R14*1), Y4, Y2
+	VMASKMOVPS (R15)(R14*1), Y4, Y3
+	UNPOOL8(vr2)
+	VMOVDQU    lo-64(SP), Y5
+	VMOVDQU    hi-96(SP), Y6
+	VMASKMOVPS Y1, Y5, (CX)(R14*2)
+	VMASKMOVPS Y2, Y6, 32(CX)(R14*2)
+	ADDQ       R10, CX
+	VMASKMOVPS Y3, Y5, (CX)(R14*2)
+	VMASKMOVPS Y4, Y6, 32(CX)(R14*2)
+	SUBQ       R10, CX
+
+vnext:
+	LEAQ   (CX)(R10*2), CX
+	MOVQ   n+144(FP), R9
+	LEAQ   (R12)(R9*4), R12
+	LEAQ   (R13)(R9*4), R13
+	ADDQ   vPitch+136(FP), R15
+	VPADDD Y10, Y15, Y15
+	VPADDD Y10, Y15, Y15
+	DECQ   BX
+	JNZ    vrow
+	ADDQ   dyPlane+104(FP), DI
+	ADDQ   gPlane+112(FP), SI
+	ADDQ   gPlane+112(FP), R8
+	ADDQ   vPlane+120(FP), DX
+	DECQ   planes+96(FP)
+	JNZ    vplane
 	VZEROUPPER
 	RET
