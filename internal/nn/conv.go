@@ -231,11 +231,11 @@ func (c *Conv2D) bias() []float32 {
 }
 
 // BackwardInto implements Layer. Per chunk of samples (the forward's
-// chunking): the weight gradient accumulates one sample at a time, in
-// sample order, each element one sdot over that sample's columns — that
-// order is the training trajectory's fingerprint, so it is kept even
-// though the columns now sit side by side in one matrix. The data gradient
-// is inputGrad over the chunk.
+// chunking): the weight gradient is one tensor.WeightGrad over the chunk,
+// which adds each sample's dot over that sample's columns in sample order
+// — that order is the training trajectory's fingerprint, so it is kept
+// even though the columns sit side by side in one matrix. The data
+// gradient is inputGrad over the chunk.
 //
 // The lowering comes from the forward pass when the batch fit the column
 // budget and is rebuilt chunk by chunk otherwise (caching it for a whole
@@ -269,12 +269,11 @@ func (c *Conv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		if !st.Lowered {
 			col = g.lower(st.Col, x.Data, s0, m, cols)
 		}
-		for i := 0; i < m; i++ {
-			dy := dout.Data[(s0+i)*outStride : (s0+i+1)*outStride]
-			// dW += dy · colᵀ over sample i's columns
-			tensor.GemmNTAcc(c.OutC, k, cols, dy, cols, col[i*cols:], mcols, c.Weight.Grad.Data)
-			if !c.noBias {
-				tensor.RowSums(c.Bias.Grad.Data, dy, c.OutC, cols)
+		// dW += dy_i · col_iᵀ for each sample i of the chunk, in order
+		tensor.WeightGrad(c.OutC, k, cols, m, dout.Data[s0*outStride:], cols, outStride, col, mcols, cols, nil, 0, 0, c.Weight.Grad.Data, k)
+		if !c.noBias {
+			for i := 0; i < m; i++ {
+				tensor.RowSums(c.Bias.Grad.Data, dout.Data[(s0+i)*outStride:][:outStride], c.OutC, cols)
 			}
 		}
 		if dx != nil {

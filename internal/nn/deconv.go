@@ -150,9 +150,10 @@ func (d *Deconv2D) scatter(y *tensor.Tensor, col []float32, h, w, s0, m int) {
 
 // BackwardInto implements Layer: dx = W·im2col(dy) — the conv forward path
 // — and dW = x·im2col(dy)ᵀ. Per chunk, dy is lowered into one wide matrix;
-// dW and db accumulate one sample at a time, in sample order, out of that
-// sample's columns (that order is the training trajectory's fingerprint);
-// dx is one GEMM over the chunk, scattered back to NCHW.
+// dW (one tensor.WeightGrad over the chunk) and db accumulate one sample
+// at a time, in sample order, out of that sample's columns (that order is
+// the training trajectory's fingerprint); dx is one GEMM over the chunk,
+// scattered back to NCHW.
 func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 	x := st.X
 	if x == nil {
@@ -170,10 +171,9 @@ func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
 		m := min(chunk, n-s0)
 		mcols := m * cols
 		col := g.lower(st.Col, dout.Data, s0, m, cols)
+		// dW += x_i (InC×cols) · col_iᵀ for each sample i of the chunk, in order
+		tensor.WeightGrad(d.InC, k, cols, m, x.Data[s0*inStride:], cols, inStride, col, mcols, cols, nil, 0, 0, d.Weight.Grad.Data, k)
 		for i := 0; i < m; i++ {
-			// dW += x_s (InC×cols) · colᵀ over sample i's columns
-			xs := x.Data[(s0+i)*inStride : (s0+i+1)*inStride]
-			tensor.GemmNTAcc(d.InC, k, cols, xs, cols, col[i*cols:], mcols, d.Weight.Grad.Data)
 			tensor.RowSums(d.Bias.Grad.Data, dout.Data[(s0+i)*outStride:(s0+i+1)*outStride], d.OutC, oh*ow)
 		}
 		if dx == nil {

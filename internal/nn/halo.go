@@ -19,9 +19,10 @@ import "deep15pf/internal/tensor"
 // turns the gradient at what the store wrote into the gradient at the
 // convolution's output, through the recorded winners and the ReLU's gate
 // (the stored values themselves), writing every element. The weight
-// gradient reads the kept images through tensor.ConvDot, whose B row for
-// tap j at compact output index p is the image at off[j] + (p/ow)·pitch +
-// p%ow — the lowering's column p — and the input gradient is
+// gradient reads the kept images through tensor.WeightGrad, whose B row
+// for tap j at compact output index p is the image at off[j] +
+// (p/ow)·pitch + p%ow — the lowering's column p — a group of samples a
+// call, and the input gradient is
 // tensor.ConvAdjoint, the forward's adjoint: per tap, the chain over the
 // output channels added into the tap's window of the input gradient. No
 // stride-1 convolution builds an im2col matrix, a Wᵀ·dy matrix or a
@@ -34,8 +35,8 @@ import "deep15pf/internal/tensor"
 // row's end are never stored. The epilogue is fromChannelMajor's bias rule,
 // the ReLU kernel's select and the pool kernel's scan, element for element.
 // The unpool writes what the pool's backward and then the ReLU's write.
-// Each weight-gradient element is GemmNTAcc's dot over the same values,
-// added sample by sample in order — over the full output plane, so a
+// Each weight-gradient element is the lowered path's dot over the same
+// values, added sample by sample in order — over the full output plane, so a
 // dropped odd row or column still meets its +0 — and each input-gradient
 // element the Wᵀ·dy chains col2im adds, in col2im's tap order.
 type haloConv struct {
@@ -111,7 +112,8 @@ func (hc *haloConv) outPer() int { return hc.conv.OutC * hc.outH * hc.outW }
 // gradients of a group of samples laid side by side, AdjointRun/plane of
 // them: the adjoint runs their windows as one run, which fills its
 // vectors (a 4×4 plane alone fills a sixteenth of one) and reads each
-// weight once per group.
+// weight once per group, and the weight gradient keeps its C in registers
+// across the group.
 func (hc *haloConv) reserve(a *tensor.Arena, n int) {
 	c := hc.conv
 	if hc.pool {
@@ -187,16 +189,19 @@ func (hc *haloConv) fill(dst, x []float32) {
 // backward is BackwardInto for a training halo step over the n samples of
 // the last forward: g is the gradient at what the store wrote, y the NCHW
 // output of that forward (nil when it went into the next step's images).
-// Per sample it unpools g and accumulates the weight and bias gradients in
-// sample order, as the lowered path does; the input gradient follows per
-// sample, or per group of samples copied side by side. dx == nil skips
-// the input gradient.
+// Per sample it unpools g and accumulates the bias gradient in sample
+// order, as the lowered path does. The weight and input gradients are one
+// tensor.WeightGrad and one tensor.ConvAdjoint per group of samples, whose
+// gradients are copied side by side, channel-major; a group of one is
+// already in that layout and is read and written in place. dx == nil
+// skips the input gradient.
 func (hc *haloConv) backward(dx, g, y *tensor.Tensor, n int) {
 	c := hc.conv
 	cols, k, img, hw, per := hc.oh*hc.ow, len(hc.off), hc.inC*hc.plane, hc.h*hc.w, hc.outPer()
 	in := hc.inC * hw
 	for s0 := 0; s0 < n; s0 += hc.group {
 		m := min(hc.group, n-s0)
+		dyG := hc.dyG
 		for i := 0; i < m; i++ {
 			s := s0 + i
 			dy := g.Data[s*per:][:per]
@@ -209,28 +214,31 @@ func (hc *haloConv) backward(dx, g, y *tensor.Tensor, n int) {
 				tensor.ConvUnpool(hc.dy, dy, idx, v, c.OutC, hc.oh, hc.ow, vPlane, vPitch, hc.relu)
 				dy = hc.dy
 			}
-			tensor.ConvDot(c.OutC, cols, dy, cols, hc.images[s*img:][:img], hc.off, hc.ow, hc.pitch, c.Weight.Grad.Data, k)
 			if !c.noBias {
 				tensor.RowSums(c.Bias.Grad.Data, dy, c.OutC, cols)
 			}
-			switch {
-			case dx == nil:
-			case hc.group == 1:
-				d := dx.Data[s*in:][:in]
-				clear(d)
-				tensor.ConvAdjoint(d, hc.inC, hc.h, hc.w, c.Weight.W.Data, c.OutC, c.KH, c.KW, c.Pad, dy, 1)
-			default:
-				for f := 0; f < c.OutC; f++ {
-					copy(hc.dyG[(f*m+i)*cols:][:cols], dy[f*cols:][:cols])
-				}
+			if m == 1 {
+				dyG = dy
+				continue
+			}
+			for f := 0; f < c.OutC; f++ {
+				copy(dyG[(f*m+i)*cols:][:cols], dy[f*cols:][:cols])
 			}
 		}
-		if dx == nil || hc.group == 1 {
+		dyG = dyG[:c.OutC*m*cols]
+		tensor.WeightGrad(c.OutC, 0, cols, m, dyG, m*cols, cols, hc.images[s0*img:][:m*img], 0, img, hc.off, hc.ow, hc.pitch, c.Weight.Grad.Data, k)
+		if dx == nil {
 			continue
 		}
-		dxg := hc.dxG[:hc.inC*m*hw]
+		dxg := dx.Data[s0*in:][:in]
+		if m > 1 {
+			dxg = hc.dxG[:hc.inC*m*hw]
+		}
 		clear(dxg)
-		tensor.ConvAdjoint(dxg, hc.inC, hc.h, hc.w, c.Weight.W.Data, c.OutC, c.KH, c.KW, c.Pad, hc.dyG[:c.OutC*m*cols], m)
+		tensor.ConvAdjoint(dxg, hc.inC, hc.h, hc.w, c.Weight.W.Data, c.OutC, c.KH, c.KW, c.Pad, dyG, m)
+		if m == 1 {
+			continue
+		}
 		for i := 0; i < m; i++ {
 			for ch := 0; ch < hc.inC; ch++ {
 				copy(dx.Data[(s0+i)*in+ch*hw:][:hw], dxg[(ch*m+i)*hw:][:hw])

@@ -136,14 +136,8 @@ func (a *Adam) Step(params []*nn.Param) {
 			a.m[p.W] = m
 			a.v[p.W] = make([]float32, p.W.Len())
 		}
-		v := a.v[p.W]
-		w := p.W.Data
-		g := p.Grad.Data
-		// Products rounded before their adds, as in Momentum.Step.
-		for i := range w {
-			m[i] = float32(b1*m[i]) + float32((1-b1)*g[i])
-			v[i] = float32(b2*v[i]) + float32(float32((1-b2)*g[i])*g[i])
-			w[i] -= lr * m[i] / (float32(math.Sqrt(float64(v[i]))) + eps)
-		}
+		// One vector pass per parameter, every product rounded before its
+		// add, so the same bits on every ISA (tensor.AdamStep).
+		tensor.AdamStep(p.W.Data, p.Grad.Data, m, a.v[p.W], b1, b2, lr, eps)
 	}
 }

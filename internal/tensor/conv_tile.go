@@ -151,8 +151,9 @@ func ConvStore(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPi
 	convStore(dst, src, bias, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, relu, pool)
 }
 
-// convDot is the active direct-convolution weight-gradient tile: to dotTile
-// what convTile is to gemmTile. B is not stored: tap j = (c, ky, kx) reads
+// convDot is the active direct-convolution weight-gradient tile for long
+// reductions (WeightGrad's row-wise layout): to dotTile what convTile is
+// to gemmTile. B is not stored: tap j = (c, ky, kx) reads
 // its output-indexed row straight out of the halo image,
 //
 //	B_j[p] = b[off[j] + (p/ow)*pitch + p%ow]
@@ -182,32 +183,6 @@ func convDotGeneric(mr, n, k int, a []float32, lda int, b []float32, off []int, 
 		}
 	}
 	putPack(row)
-}
-
-// ConvDot accumulates into c (m rows, ldc apart) the product a·Bᵀ, where a
-// is m×k (rows lda apart), B has n = len(off) rows and B_j is the
-// halo-image row
-// b[off[j] + (p/ow)·pitch + p%ow], p < k: one sample's weight gradient of a
-// direct convolution, each element the dot GemmNTAcc would take over that
-// sample's lowering, so the same bits. It panics on an offset that reads
-// outside b, as ConvTile does.
-func ConvDot(m, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int) {
-	n := len(off)
-	if m <= 0 || n <= 0 || k <= 0 {
-		return
-	}
-	if ow <= 0 || pitch < ow || lda < k || ldc < n || len(a) < (m-1)*lda+k || len(c) < (m-1)*ldc+n {
-		panic("tensor: ConvDot operand too small")
-	}
-	span := (k-1)/ow*pitch + (k-1)%ow + 1 // b elements one row of B reaches over
-	for _, o := range off {
-		if o < 0 || o > len(b)-span {
-			panic("tensor: ConvDot offset outside the image")
-		}
-	}
-	for i := 0; i < m; i += dotMR {
-		convDot(min(dotMR, m-i), n, k, a[i*lda:], lda, b, off, ow, pitch, c[i*ldc:], ldc)
-	}
 }
 
 // convStoreArgmax is convStore under pool that also records each window's
@@ -421,12 +396,38 @@ func addKept(d, v []float32, keep []uint32) {
 // one run cover AdjointRun/plane of them.
 const AdjointRun = 256
 
+// adjMasks bounds the window masks one ConvAdjoint call keeps: a 3×3
+// "same" kernel's taps have four window shapes, each in a whole group
+// and in the last partial one.
+const adjMasks = 8
+
 // adjScratch is one ConvAdjoint call's scratch: the tile's block and the
-// window's lane mask. They recycle through a free list, as the GEMM's
-// packing buffers do, so a warm call allocates nothing.
+// windows' lane masks, each built once per call. They recycle through a
+// free list, as the GEMM's packing buffers do, so a warm call allocates
+// nothing.
 type adjScratch struct {
-	t    [gemmMR * AdjointRun]float32
-	keep [AdjointRun / 32]uint32
+	t     [gemmMR * AdjointRun]float32
+	keep  [adjMasks][AdjointRun / 32]uint32
+	shape [adjMasks][4]int // groups, rows, n, pitch of each mask
+	masks int              // masks built in this call
+}
+
+// mask returns the lane mask of a window shape (see laneMask), building it
+// on the shape's first use in the call; past adjMasks shapes the oldest
+// slot is rebuilt.
+func (sc *adjScratch) mask(groups, rows, n, pitch, period int) []uint32 {
+	key := [4]int{groups, rows, n, pitch}
+	live := min(sc.masks, adjMasks)
+	for i := 0; i < live; i++ {
+		if sc.shape[i] == key {
+			return sc.keep[i][:]
+		}
+	}
+	i := sc.masks % adjMasks
+	sc.masks++
+	sc.shape[i] = key
+	laneMask(sc.keep[i][:], groups, rows, n, pitch, period)
+	return sc.keep[i][:]
 }
 
 var (
@@ -505,18 +506,15 @@ func ConvAdjoint(dx []float32, c, h, w int, wgt []float32, outC, kh, kw, pad int
 	}
 	sc := getAdj()
 	defer putAdj(sc)
-	var mask [4]int // groups, rows, n of the mask in sc.keep
+	sc.masks = 0
 	conv := func(ky, kx, s0, y0, x0, groups, rows, n, pitch int) {
-		if mask != [4]int{groups, rows, n, pitch} {
-			laneMask(sc.keep[:], groups, rows, n, pitch, cols)
-			mask = [4]int{groups, rows, n, pitch}
-		}
+		keep := sc.mask(groups, rows, n, pitch, cols)
 		span := (groups-1)*cols + (rows-1)*pitch + n
 		b := dy[s0*cols+y0*ow+x0:]
 		d := dx[s0*hw+(y0-pad+ky)*w+x0-pad+kx:]
 		a := wgt[ky*kw+kx:]
 		for c0 := 0; c0 < c; c0 += gemmMR {
-			convAdj(min(gemmMR, c-c0), outC, a[c0*kh*kw:], kh*kw, k, b, m*cols, span, d[c0*m*hw:], m*hw, sc.keep[:], sc.t[:])
+			convAdj(min(gemmMR, c-c0), outC, a[c0*kh*kw:], kh*kw, k, b, m*cols, span, d[c0*m*hw:], m*hw, keep, sc.t[:])
 		}
 	}
 	for ky := 0; ky < kh; ky++ {

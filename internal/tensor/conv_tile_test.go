@@ -198,49 +198,47 @@ func TestConvStoreIsTheSeparatePasses(t *testing.T) {
 	}
 }
 
-// TestConvDotIsGatherThenDot holds ConvDot, under every kernel table, to
-// its definition: each B row gathered out of the image by hand, then one
-// sdotGeneric per C element, accumulated onto what C held. Output widths
-// 1 to 33 at pitches ow to ow+4 make blocks of sixteen compact indices
-// start anywhere in a row and reach across up to sixteen rows; k runs
-// through lengths with and without the 8-block and the scalar tail, and
-// m and n through the panel and tap-group tails. The last tap's run ends
-// exactly at the end of the image.
+// TestConvDotIsGatherThenDot holds WeightGrad over a halo image, under
+// every kernel table, to its definition: each B row gathered out of the
+// image by hand, then one sdotGeneric per C element, accumulated onto
+// what C held, sample after sample. Output widths 1 to 33 at pitches ow to
+// ow+4 make rows of compact indices start anywhere in a vector and reach
+// across up to sixteen rows; k runs through lengths with and without the
+// 8-block and the scalar tail, and on both sides of the packed kernel's
+// limit; m and n through the panel, tap-group and column-block tails. The
+// last tap's run ends exactly at the end of the last image. Each case runs
+// on one to three workers, every product forced through the split.
 func TestConvDotIsGatherThenDot(t *testing.T) {
 	rng := NewRNG(35)
-	row := make([]float32, 0, 64)
+	defer SetWorkers(SetWorkers(1))
+	defer forceSplit()()
 	for ow := 1; ow <= 33; ow++ {
 		for pitch := ow; pitch <= ow+4; pitch++ {
-			for _, k := range []int{1, 5, 8, 9, 15, 16, 17, 23, 24, 31, 33, 40, 57, 64} {
-				m, n := 1+rng.Intn(9), 1+rng.Intn(9)
+			for _, k := range []int{1, 5, 8, 9, 15, 16, 17, 23, 24, 31, 33, 40, 57, 64, 144} {
+				m, n, samples := 1+rng.Intn(9), 1+rng.Intn(20), 1+rng.Intn(4)
+				SetWorkers(1 + rng.Intn(3))
 				span := (k-1)/ow*pitch + (k-1)%ow + 1
-				b := make([]float32, span+rng.Intn(3*pitch+1))
+				img := span + rng.Intn(3*pitch+1)
+				b := make([]float32, (samples-1)*img+img)
 				off := make([]int, n)
 				for j := range off {
-					off[j] = rng.Intn(len(b) - span + 1)
+					off[j] = rng.Intn(img - span + 1)
 				}
-				off[n-1] = len(b) - span
+				off[n-1] = img - span
 				lda, ldc := k+rng.Intn(3), n+rng.Intn(3)
-				a := make([]float32, (m-1)*lda+k)
+				aStep := (m-1)*lda + k
+				a := make([]float32, (samples-1)*aStep+(m-1)*lda+k)
 				fillFinite(rng, a)
 				fillSparse(rng, a[:len(a)/3], 4)
 				fillFinite(rng, b)
 				c := make([]float32, (m-1)*ldc+n)
 				fillFinite(rng, c)
 				want := append([]float32(nil), c...)
-				for j, o := range off {
-					row = row[:k]
-					for p := range row {
-						row[p] = b[o+p/ow*pitch+p%ow]
-					}
-					for r := 0; r < m; r++ {
-						want[r*ldc+j] += sdotGeneric(a[r*lda:r*lda+k], row)
-					}
-				}
+				weightGradRef(m, n, k, samples, a, lda, aStep, b, 0, img, off, ow, pitch, want, ldc)
 				withISAs(t, func(isa string) {
 					got := append([]float32(nil), c...)
-					ConvDot(m, k, a, lda, b, off, ow, pitch, got, ldc)
-					requireSameBits(t, fmt.Sprintf("ConvDot[%s] m=%d n=%d k=%d ow=%d pitch=%d", isa, m, n, k, ow, pitch), got, want)
+					WeightGrad(m, 0, k, samples, a, lda, aStep, b, 0, img, off, ow, pitch, got, ldc)
+					requireSameBits(t, fmt.Sprintf("WeightGrad[%s] m=%d n=%d k=%d samples=%d ow=%d pitch=%d", isa, m, n, k, samples, ow, pitch), got, want)
 				})
 			}
 		}
@@ -495,12 +493,12 @@ func TestConvAdjKernelsBitwiseAcrossISAs(t *testing.T) {
 				ldc := span + rng.Intn(5)
 				c := make([]float32, (mr-1)*ldc+span+1)
 				fillFinite(rng, c)
-				laneMask(sc.keep[:], groups, rows, n, pitch, period)
+				laneMask(sc.keep[0][:], groups, rows, n, pitch, period)
 				want := append([]float32(nil), c...)
-				convAdjGeneric(mr, k, a, ars, aps, b, ldb, span, want, ldc, sc.keep[:], sc.t[:])
+				convAdjGeneric(mr, k, a, ars, aps, b, ldb, span, want, ldc, sc.keep[0][:], sc.t[:])
 				withISAs(t, func(isa string) {
 					got := append([]float32(nil), c...)
-					convAdj(mr, k, a, ars, aps, b, ldb, span, got, ldc, sc.keep[:], sc.t[:])
+					convAdj(mr, k, a, ars, aps, b, ldb, span, got, ldc, sc.keep[0][:], sc.t[:])
 					requireSameBits(t, fmt.Sprintf("convAdj[%s] mr %d n %d k %d rows %d groups %d", isa, mr, n, k, rows, groups), got, want)
 				})
 			}
@@ -518,7 +516,9 @@ func TestConvKernelsValidateOperands(t *testing.T) {
 	ConvStore(dst, src, nil, 2, 8, 32, 2, 4, 8, 4, true, true) // both exactly long enough
 	dw := make([]float32, 2*9)
 	taps := []int{0, 1, 2, 10, 11, 12, 16, 17, 18}
-	ConvDot(2, 16, c, 16, b, taps, 4, 6, dw, 9) // tap 18's rows end at 18+3·6+4 = 40
+	WeightGrad(2, 0, 16, 1, c, 16, 0, b, 0, 0, taps, 4, 6, dw, 9)         // tap 18's rows end at 18+3·6+4 = 40
+	WeightGrad(2, 0, 4, 2, c, 4, 16, b, 0, 20, []int{0, 16}, 4, 6, dw, 9) // the second image's tap 16 ends at 20+16+4
+	WeightGrad(2, 2, 16, 2, c, 16, 0, b, 20, 4, nil, 0, 0, dw, 9)         // the second sample's window ends at 4+20+16
 	idx := make([]int32, 2*2*4)
 	ConvStoreArgmax(dst, idx, src, nil, 2, 8, 8, 32, 2, 4, 8, 4, 0, 8, true) // the same store, winners exactly long enough
 	ConvUnpool(src, dst, idx, dst, 2, 4, 8, 8, 4, true)                      // its backward: dy is the 2×4×8 src
@@ -530,11 +530,15 @@ func TestConvKernelsValidateOperands(t *testing.T) {
 		"tile short a":               func() { ConvTile(3, 16, a, 9, b, off, make([]float32, 48), 16) },
 		"tile short c":               func() { ConvTile(2, 16, a, 9, b, off, c[:31], 16) },
 		"tile lda under k":           func() { ConvTile(1, 16, a, 8, b, off, c, 16) },
-		"dot offset past the image":  func() { ConvDot(2, 16, c, 16, b, []int{0, 19}, 4, 6, dw, 9) },
-		"dot negative offset":        func() { ConvDot(2, 16, c, 16, b, []int{-1}, 4, 6, dw, 9) },
-		"dot pitch under width":      func() { ConvDot(2, 16, c, 16, b, taps, 4, 3, dw, 9) },
-		"dot short a":                func() { ConvDot(3, 16, c, 16, b, taps, 4, 6, dw, 9) },
-		"dot short c":                func() { ConvDot(2, 16, c, 16, b, taps, 4, 6, dw[:17], 9) },
+		"dot offset past the image":  func() { WeightGrad(2, 0, 16, 1, c, 16, 0, b, 0, 0, []int{0, 19}, 4, 6, dw, 9) },
+		"dot negative offset":        func() { WeightGrad(2, 0, 16, 1, c, 16, 0, b, 0, 0, []int{-1}, 4, 6, dw, 9) },
+		"dot pitch under width":      func() { WeightGrad(2, 0, 16, 1, c, 16, 0, b, 0, 0, taps, 4, 3, dw, 9) },
+		"dot short a":                func() { WeightGrad(3, 0, 16, 1, c, 16, 0, b, 0, 0, taps, 4, 6, dw, 9) },
+		"dot short c":                func() { WeightGrad(2, 0, 16, 1, c, 16, 0, b, 0, 0, taps, 4, 6, dw[:17], 9) },
+		"dot second image short":     func() { WeightGrad(2, 0, 4, 2, c, 4, 16, b, 0, 21, []int{0, 16}, 4, 6, dw, 9) },
+		"dot second sample short a":  func() { WeightGrad(2, 0, 4, 2, c, 4, 25, b, 0, 20, []int{0, 16}, 4, 6, dw, 9) },
+		"dot window past the end":    func() { WeightGrad(2, 2, 16, 2, c, 16, 0, b, 20, 5, nil, 0, 0, dw, 9) },
+		"dot window rows under k":    func() { WeightGrad(2, 2, 16, 1, c, 16, 0, b, 15, 0, nil, 0, 0, dw, 9) },
 		"store short src":            func() { ConvStore(dst, src[:63], nil, 2, 8, 32, 2, 4, 8, 4, true, true) },
 		"store short dst":            func() { ConvStore(dst[:15], src, nil, 2, 8, 32, 2, 4, 8, 4, true, true) },
 		"store short bias":           func() { ConvStore(dst, src, []float32{1}, 2, 8, 32, 2, 4, 8, 4, true, true) },

@@ -1,16 +1,28 @@
 package tensor
 
-// The single-precision dot product under the transpose-B GEMM cases (the
-// dotTile kernel, gemm_tile.go). Its accumulator structure is part of the
-// bitwise contract: sixteen independent lane accumulators in two groups of
-// eight (one 16-lane vector register, or two 8-lane ones), the second
-// group folded onto the first, at most one further 8-float block, the
+// The single-precision dot product under the transpose-B GEMM cases and
+// the weight gradient. Its accumulator structure is part of the bitwise
+// contract: sixteen independent lane accumulators in two groups of eight,
+// s0..s7 and r0..r7, each starting from +0; the second group folded onto
+// the first (s += r), at most one further 8-float block onto s, the
 // reduction tree ((s0+s4)+(s2+s6))+((s1+s5)+(s3+s7)), then a sequential
-// scalar tail. sdotGeneric is that structure written out; the vector tiles
-// keep it per dot — multiply and add separate, never FMA — and only run
-// several dots side by side. Every dispatch choice therefore produces
-// bitwise-identical sums; no test or checkpoint can tell which machine
-// computed a GEMM.
+// scalar tail. Multiply and add are separate, never FMA. sdotGeneric is
+// that structure written out, and the vector bodies hold it in one of two
+// forms:
+//
+//   - lanes over the dot (dotTile, convDot): the sixteen lane sums are
+//     the lanes of one 16-lane vector register, or of two 8-lane ones,
+//     and several dots run side by side, reduced together by shuffles
+//     that pair like lanes of different registers;
+//   - lanes over C's columns (wgTile, the packed weight gradient): each
+//     lane sum is a whole vector register, one lane per C column, so
+//     every step of the fold, the 8-block, the tree and the tail is one
+//     vertical add. Its lane sums start from their first product and one
+//     +0 is added to the finished dot instead, which gives the same bits
+//     (see wgTile).
+//
+// Every dispatch choice therefore produces bitwise-identical sums; no
+// test or checkpoint can tell which machine computed a GEMM.
 
 // sdotGeneric returns Σ x[i]*y[i] over i < len(x). len(y) must be >= len(x).
 func sdotGeneric(x, y []float32) float32 {

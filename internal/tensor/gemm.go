@@ -148,8 +148,7 @@ func gemmABRowsScaled(lo, hi, n, k int, alpha float32, a []float32, ars, aps int
 // gemmNT: B is stored n×k (we need A·Bᵀ). Every C element is one
 // contiguous dot over the whole of k — the dot's accumulator structure is
 // part of the bitwise contract (see dot.go), so k is never split.
-// Rows of A and B are lda and ldb floats apart (k for Gemm's dense
-// operands; wider for GemmNTAcc's windows).
+// Rows of A and B are lda and ldb floats apart.
 func gemmNT(m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32) {
 	if gemmSerial(m, n, k) {
 		gemmNTRows(0, m, n, k, alpha, a, lda, b, ldb, c)
@@ -162,22 +161,6 @@ func gemmNTRows(lo, hi, n, k int, alpha float32, a []float32, lda int, b []float
 	for i := lo; i < hi; i += dotMR {
 		dotTile(min(dotMR, hi-i), n, k, alpha, a[i*lda:], lda, b, ldb, c[i*n:], n)
 	}
-}
-
-// GemmNTAcc computes C += A·Bᵀ for an m×k A and an n×k B that are windows
-// of wider row-major matrices: row i of A is a[i*lda:i*lda+k], row j of B
-// is b[j*ldb:j*ldb+k]. C is dense m×n. It is Gemm(false, true, …, 1, …, 1,
-// c) — the same dot per element, so the same bits — without first copying
-// the windows out; the convolution weight gradient uses it to read one
-// sample's columns out of a lowering that holds the whole batch.
-func GemmNTAcc(m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32) {
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	if lda < k || ldb < k || len(a) < (m-1)*lda+k || len(b) < (n-1)*ldb+k || len(c) < m*n {
-		panic("tensor: GemmNTAcc operand too small")
-	}
-	gemmNT(m, n, k, 1, a, lda, b, ldb, c)
 }
 
 // gemmTT: each strided column of A is packed contiguous once per row panel

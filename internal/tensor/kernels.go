@@ -3,8 +3,10 @@ package tensor
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
 // the fp32 GEMM's two register tiles (gemm_tile.go), the direct
 // convolution's tile, epilogues, unpool, weight-gradient and adjoint tiles
-// (conv_tile.go), axpy, the in-place scale, the conv unit's ReLU, 2×2 max-pool and the
-// lowerings' row gather and row add (kernels_conv.go), and the int8
+// (conv_tile.go), the packed weight gradient's gather and tile (wgrad.go),
+// the ADAM update (adam.go), axpy, the in-place scale, the conv unit's
+// ReLU, 2×2 max-pool and the lowerings' row gather and row add
+// (kernels_conv.go), and the int8
 // datapath's micro-kernel, epilogues and quantizers (gemm_s8.go) — is a
 // package-level function variable installed by SetKernels.
 // One probe (kernels_amd64.go) classifies the host at init and picks the
@@ -41,6 +43,9 @@ func installScalar() {
 	dotTile = dotTileGeneric
 	convTile = convTileGeneric
 	convDot = convDotGeneric
+	wgPack = wgPackGeneric
+	wgTile = wgTileGeneric
+	adam = adamGeneric
 	convStore = convStoreGeneric
 	convStoreArgmax = convStoreArgmaxGeneric
 	convAdj = convAdjGeneric

@@ -28,6 +28,14 @@ func convDotAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, o
 func convAdjAVX2(mr, k int, a []float32, ars, aps int, b []float32, ldb, span int, c []float32, ldc int, keep []uint32, t []float32)
 func convAdjAVX512(mr, k int, a []float32, ars, aps int, b []float32, ldb, span int, c []float32, ldc int, keep []uint32, t []float32)
 
+// The packed weight-gradient kernels (wgrad.go), implemented in
+// wgrad_amd64.s, and the ADAM update (adam.go), in adam_amd64.s.
+func wgPackAVX2(dst, b []float32, idx *[wgCols]int32, k, ow, pitch, ns, bs int)
+func wgPackAVX512(dst, b []float32, idx *[wgCols]int32, k, ow, pitch, ns, bs int)
+func wgTileAVX2(m, w, k, ns int, a []float32, lda, as int, pk []float32, c []float32, ldc int)
+func wgTileAVX512(m, w, k, ns int, a []float32, lda, as int, pk []float32, c []float32, ldc int)
+func adamAVX2(w, g, m, v []float32, b1, c1, b2, c2, lr, eps float32)
+
 // The conv-unit kernels (kernels_conv.go) and the direct convolution's
 // epilogue (conv_tile.go), implemented in kernels_conv_amd64.s.
 func reluAVX2(y, x []float32)
@@ -100,6 +108,9 @@ func installAVX2() {
 	dotTile = dotTileAVX2
 	convTile = convTileAVX2
 	convDot = convDotAVX2
+	wgPack = wgPackAVX2
+	wgTile = wgTileAVX2
+	adam = adamAVX2
 	convStore = convStoreAVX2
 	convStoreArgmax = convStoreArgmaxAVX2
 	convAdj = convAdjAVX2
@@ -127,6 +138,8 @@ func installAVX512() {
 	dotTile = dotTileAVX512
 	convTile = convTileAVX512
 	convDot = convDotAVX512
+	wgPack = wgPackAVX512
+	wgTile = wgTileAVX512
 	convAdj = convAdjAVX512
 	convStore = convStoreAVX512
 	convStoreArgmax = convStoreArgmaxAVX512

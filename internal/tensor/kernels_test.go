@@ -196,46 +196,54 @@ func TestGemmBlockedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGemmNTAccMatchesReference holds the windowed weight-gradient product
-// to the reference on the copied-out windows: the hep convolutions' four
-// per-sample products, read out of a lowering that holds m samples (ldb =
-// m·cols), the climate shapes, and every row, column and k tail.
+// TestGemmNTAccMatchesReference holds WeightGrad over a lowering's
+// windows to the reference NT product on the copied-out windows, sample
+// by sample in order: the hep convolutions' products, read out of a
+// lowering that holds the chunk (ldb = samples·cols, each sample's columns
+// cols further on), the climate shapes, k on both sides of the packed
+// kernel's limit, and every row, column and k tail — on one to three
+// workers, every product forced through the split.
 func TestGemmNTAccMatchesReference(t *testing.T) {
 	rng := NewRNG(101)
-	type window struct{ m, n, k, lda, ldb int }
+	type window struct{ m, n, k, lda, ldb, samples int }
 	cases := []window{
-		{16, 27, 1024, 1024, 4096}, {16, 144, 256, 256, 768}, {16, 144, 64, 64, 896}, {16, 144, 16, 16, 256},
-		{128, 864, 16, 16, 64}, {96, 576, 16, 16, 64}, {64, 288, 64, 64, 256}, {32, 144, 256, 256, 768},
-		{1, 1152, 16, 16, 64}, {3, 1152, 16, 16, 64},
+		{16, 27, 1024, 1024, 4096, 4}, {16, 144, 256, 256, 768, 3}, {16, 144, 64, 64, 896, 14}, {16, 144, 16, 16, 256, 16},
+		{128, 864, 16, 16, 64, 4}, {96, 576, 16, 16, 64, 4}, {64, 288, 64, 64, 256, 4}, {32, 144, 256, 256, 768, 3},
+		{1, 1152, 16, 16, 64, 4}, {3, 1152, 16, 16, 64, 1}, {5, 40, 128, 128, 256, 2}, {5, 40, 129, 129, 258, 2},
 	}
 	for m := 1; m <= 9; m++ {
 		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9} {
 			k := 1 + rng.Intn(70)
-			cases = append(cases, window{m, n, k, k + rng.Intn(5), k + rng.Intn(9)})
+			samples := 1 + rng.Intn(4)
+			cases = append(cases, window{m, n, k, k + rng.Intn(5), samples*k + rng.Intn(9), samples})
 		}
 	}
 	defer SetWorkers(SetWorkers(1))
 	defer forceSplit()()
 	for _, w := range cases {
-		a := randMat(rng, (w.m-1)*w.lda+w.k)
-		b := randMat(rng, (w.n-1)*w.ldb+w.k)
+		cols := w.ldb / w.samples // one sample's columns
+		aStep := (w.m-1)*w.lda + w.k
+		a := randMat(rng, (w.samples-1)*aStep+(w.m-1)*w.lda+w.k)
+		b := randMat(rng, (w.n-1)*w.ldb+(w.samples-1)*cols+w.k)
 		cInit := randMat(rng, w.m*w.n)
+		want := append([]float32(nil), cInit...)
 		ad := make([]float32, w.m*w.k)
 		bd := make([]float32, w.n*w.k)
-		for i := 0; i < w.m; i++ {
-			copy(ad[i*w.k:(i+1)*w.k], a[i*w.lda:])
+		for s := 0; s < w.samples; s++ {
+			for i := 0; i < w.m; i++ {
+				copy(ad[i*w.k:(i+1)*w.k], a[s*aStep+i*w.lda:])
+			}
+			for j := 0; j < w.n; j++ {
+				copy(bd[j*w.k:(j+1)*w.k], b[s*cols+j*w.ldb:])
+			}
+			gemmBitRef(false, true, w.m, w.n, w.k, 1, ad, bd, 1, want)
 		}
-		for j := 0; j < w.n; j++ {
-			copy(bd[j*w.k:(j+1)*w.k], b[j*w.ldb:])
-		}
-		want := append([]float32(nil), cInit...)
-		gemmBitRef(false, true, w.m, w.n, w.k, 1, ad, bd, 1, want)
 		got := make([]float32, len(want))
 		for workers := 1; workers <= 3; workers++ {
 			SetWorkers(workers)
 			withISAs(t, func(isa string) {
 				copy(got, cInit)
-				GemmNTAcc(w.m, w.n, w.k, a, w.lda, b, w.ldb, got)
+				WeightGrad(w.m, w.n, w.k, w.samples, a, w.lda, aStep, b, w.ldb, cols, nil, 0, 0, got, w.n)
 				if !bitsEqual(got, want) {
 					t.Fatalf("isa=%s workers=%d window %+v diverges from the reference", isa, workers, w)
 				}
@@ -353,7 +361,7 @@ func TestGemmRejectsShortOperands(t *testing.T) {
 // GEMM tiles across every installed ISA to the scalar body's bits: the
 // vector kernels over lengths covering every vector-width tail, the tiles
 // over every panel height, column tail and k tail, strided like NN, like
-// TN and like GemmNTAcc's windows, with exact zeros in A.
+// TN and like a lowering's windows, with exact zeros in A.
 func TestKernelsBitwiseAcrossISAs(t *testing.T) {
 	rng := NewRNG(3)
 	lengths := []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 200, 1031}
@@ -537,13 +545,17 @@ func TestGemmWarmNoAlloc(t *testing.T) {
 			t.Errorf("trans=%v/%v: %v allocs per warmed serial Gemm, want 0", tt.ta, tt.tb, allocs)
 		}
 	}
-	// hep conv4's per-sample dW: 16×144 over a 4×4 plane, out of a
-	// 16-sample lowering.
-	wa, wb, wc := make([]float32, 16*16), make([]float32, 144*256), make([]float32, 16*144)
+	// hep conv4's dW: 16×144 over a 4×4 plane, out of a 16-sample
+	// lowering, one sample and the whole chunk; and conv2's, past the
+	// packed kernel's k.
+	wa, wb, wc := make([]float32, 16*256), make([]float32, 144*4096), make([]float32, 16*144)
 	for _, workers := range []int{1, 2} {
 		SetWorkers(workers)
-		if allocs := testing.AllocsPerRun(20, func() { GemmNTAcc(16, 144, 16, wa, 16, wb, 256, wc) }); allocs > 0 {
-			t.Errorf("GemmNTAcc window, %d workers: %v allocs per call, want 0", workers, allocs)
+		for _, wg := range [][2]int{{16, 1}, {16, 16}, {256, 1}} {
+			k, samples := wg[0], wg[1]
+			if allocs := testing.AllocsPerRun(20, func() { WeightGrad(16, 144, k, samples, wa, k, 16*k, wb, samples*k, k, nil, 0, 0, wc, 144) }); allocs > 0 {
+				t.Errorf("WeightGrad k=%d samples=%d, %d workers: %v allocs per call, want 0", k, samples, workers, allocs)
+			}
 		}
 	}
 	s8a := make([]int8, m*k)
