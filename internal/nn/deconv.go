@@ -9,12 +9,17 @@ import (
 // Deconv2D is a transposed convolution ("deconvolution"). The paper's §III-C
 // notes that MKL 2017 had no optimized deconvolution, so they implemented it
 // with the observation that *the convolution backward pass computes the
-// deconvolution forward pass and vice versa*. We do exactly that:
+// deconvolution forward pass and vice versa*. We do exactly that, with the
+// convolution's direct step (halo.go) standing for MKL's primitives:
 //
-//   - deconv forward(x)  = conv backward-data applied to x  (GEMM + col2im)
-//   - deconv backward(dy) = conv forward applied to dy       (im2col + GEMM)
+//   - deconv forward(x)  = conv backward-data applied to x: the strided
+//     adjoint, tensor.ConvAdjoint, with the bias (and a following ReLU)
+//     applied by the pass that writes y out of its phase planes;
+//   - deconv backward(dy) = conv forward applied to dy: tensor.ConvTile over
+//     dy split into phase planes;
 //   - deconv weight grad  = conv weight grad with the roles of input and
-//     output swapped.
+//     output swapped: tensor.WeightGrad with A = x and B read out of dy's
+//     phase planes.
 //
 // Weights are stored [InC, OutC·KH·KW] — i.e. as the weights of the adjoint
 // convolution that maps the deconvolution's *output* back to its *input*.
@@ -73,117 +78,154 @@ func (d *Deconv2D) OutShape(in []int) []int {
 	return []int{d.OutC, oh, ow}
 }
 
-// lowering returns the adjoint convolution's im2col: the one that lowers
-// this layer's oh×ow output (gradient) to one column per input position.
-func (d *Deconv2D) lowering(oh, ow int) lowering {
-	return lowering{d.OutC, oh, ow, d.KH, d.KW, d.Stride, d.Pad}
+// deconvStep is a Deconv2D run as the adjoint of its own convolution:
+// adj is that convolution's direct step — OutC input channels of the
+// output plane, InC output channels of the input plane, our weights, no
+// bias — whose adjoint is our forward and whose forward is our input
+// gradient. Every output element collects its taps in col2im's order from
+// a cleared +0 and takes the bias last, and every input-gradient and
+// weight-gradient element is the lowered path's chain or dot, so the step
+// is bitwise col2im(Wᵀ·x) + b and its lowered backward.
+type deconvStep struct {
+	d        *Deconv2D
+	adj      *haloConv
+	relu     bool      // the following ReLU, folded into the pass that writes y
+	h, w     int       // input plane
+	capacity int       // samples reserved for
+	group    int       // samples a forward call takes side by side
+	xG       []float32 // group > 1: the group's inputs, channel-major
+	dy       []float32 // training under relu: one sample's gated output gradient
+	x        []float32 // training: the last forward's input, read by the weight gradient
 }
 
-// Reserve implements Layer. Like a convolution, both passes work on a chunk
-// of whole samples under the column budget (conv.go): Col is the chunk-wide
-// (OutC·KH·KW)×(m·H·W) matrix — Wᵀ·x before col2im in forward, im2col of dy
-// in backward, the same shape by the adjoint construction — and Eval the
-// InC×(m·H·W) channel-major operand on the other side of the GEMM, x in
-// forward and dx in backward.
-func (d *Deconv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {
-	k := d.OutC * d.KH * d.KW
-	cols := in[1] * in[2]
-	chunk := chunkSamples(n, k*cols, train)
-	st.Col = scratch(a, st.Col, k*chunk*cols)
-	st.Eval = scratch(a, st.Eval, d.InC*chunk*cols)
+// deconvGroupFloats bounds the samples one forward call takes side by side
+// when their windows are whole: as many as the lowered path's chunk, whose
+// Wᵀ·x matrix it held to 128K floats and whose GEMM split across the
+// workers from gemmParallelMin multiply-adds, as the adjoint now does.
+const deconvGroupFloats = 1 << 17
+
+func newDeconvStep(d *Deconv2D, in []int) *deconvStep {
+	oh, ow := d.outHW(in[1], in[2])
+	c := &Conv2D{LayerName: d.LayerName, InC: d.OutC, OutC: d.InC, KH: d.KH, KW: d.KW,
+		Stride: d.Stride, Pad: d.Pad, Weight: d.Weight, noBias: true}
+	return &deconvStep{d: d, adj: newHaloConv(c, []int{d.OutC, oh, ow}), h: in[1], w: in[2]}
 }
 
-// ForwardInto implements Layer: y = col2im(Wᵀ·x) + b — the conv
-// backward-data path. A chunk of samples is gathered channel-major and
-// multiplied in one GEMM (the decoder's planes are 16 to 256 positions, too
-// narrow to fill a GEMM tile one sample at a time); each sample's columns
-// then scatter out of the wide product. Every product element is the same
-// chain over InC whatever the chunk, and every output element collects its
-// taps in col2im's order from a cleared +0 and takes the bias last.
+// reserve draws the step's state for up to n samples from a: the
+// forward's group buffers and, for training, dy's images.
+func (ds *deconvStep) reserve(a *tensor.Arena, n int, train bool) {
+	d, adj := ds.d, ds.adj
+	adj.limit(n)
+	ds.capacity = n
+	ds.group = 1
+	if s := d.Stride; ds.h == (adj.h+s-1)/s && ds.w == (adj.w+s-1)/s { // whole windows
+		ds.group = min(n, max(deconvGroupFloats/(len(adj.off)*ds.h*ds.w), 1))
+	}
+	if ds.group > 1 {
+		ds.xG = a.Get(d.InC * ds.group * ds.h * ds.w)
+	}
+	adj.dxG = a.Get(ds.group * adj.phaseLen())
+	if train {
+		adj.images = a.Get(n * adj.img)
+		if ds.relu {
+			ds.dy = a.Get(d.OutC * adj.h * adj.w)
+		}
+	}
+}
+
+// forward runs n samples of the NCHW input x into the NCHW output y.
+func (ds *deconvStep) forward(y, x *tensor.Tensor, n int, train bool) {
+	d := ds.d
+	cols := ds.h * ds.w
+	inPer, outPer := d.InC*cols, d.OutC*ds.adj.h*ds.adj.w
+	for s0 := 0; s0 < n; s0 += ds.group {
+		m := min(ds.group, n-s0)
+		xg := x.Data[s0*inPer:][:inPer]
+		if m > 1 {
+			xg = ds.xG[:d.InC*m*cols]
+			for i := 0; i < m; i++ {
+				for ch := 0; ch < d.InC; ch++ {
+					copy(xg[(ch*m+i)*cols:][:cols], x.Data[(s0+i)*inPer+ch*cols:][:cols])
+				}
+			}
+		}
+		ds.adj.adjoint(y.Data[s0*outPer:][:m*outPer], d.Weight.W.Data, d.InC, xg, m, d.Bias.W.Data, ds.relu)
+	}
+	ds.x = nil
+	if train {
+		ds.x = x.Data[:n*inPer]
+	}
+}
+
+// backward is BackwardInto over the m samples of the last forward: g is
+// the gradient at y, the output that forward wrote. Per sample it gates g
+// through a folded ReLU, accumulates the bias gradient in sample order
+// and splits the result into dy's image; then one tensor.WeightGrad over
+// all m takes dW, and the adjoint convolution's forward over the images —
+// into dx, through the C block cb — the input gradient (dx == nil skips
+// it).
+func (ds *deconvStep) backward(dx, g, y *tensor.Tensor, m int, cb []float32) {
+	d, adj := ds.d, ds.adj
+	plane, cols := adj.h*adj.w, ds.h*ds.w
+	outPer := d.OutC * plane
+	for s := 0; s < m; s++ {
+		dy := g.Data[s*outPer:][:outPer]
+		if ds.relu {
+			tensor.ConvUnpool(ds.dy, dy, nil, y.Data[s*outPer:][:outPer], d.OutC, adj.h, adj.w, plane, adj.w, true)
+			dy = ds.dy
+		}
+		tensor.RowSums(d.Bias.Grad.Data, dy, d.OutC, plane)
+		adj.fill(adj.images[s*adj.img:][:adj.img], dy)
+	}
+	k := len(adj.off)
+	tensor.WeightGrad(d.InC, 0, cols, m, ds.x, cols, d.InC*cols, adj.images[:m*adj.img], 0, adj.img, adj.off, ds.w, adj.pitch, d.Weight.Grad.Data, k)
+	if dx == nil {
+		return
+	}
+	step := max(adj.group, 1)
+	for s0 := 0; s0 < m; s0 += step {
+		adj.tile(dx, s0, min(step, m-s0), cb)
+	}
+}
+
+// Reserve implements Layer. A plan runs a deconvolution as its own direct
+// step; ForwardInto builds one into st on first use.
+func (d *Deconv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
+
+// step returns st's step for d over n samples of shape in, building it
+// unless st already holds one that fits.
+func (d *Deconv2D) step(st *PlanState, n int, in []int, train bool) *deconvStep {
+	ds := st.deconv
+	if ds == nil || ds.d != d || ds.h != in[1] || ds.w != in[2] || ds.capacity < n || (train && ds.adj.images == nil) {
+		ds = newDeconvStep(d, in)
+		ds.reserve(tensor.NewArena(), n, train)
+		st.deconv, st.cb = ds, make([]float32, ds.adj.blockLen())
+	}
+	return ds
+}
+
+// ForwardInto implements Layer: y = col2im(Wᵀ·x) + b, the conv
+// backward-data path, as the strided adjoint (deconvStep).
 func (d *Deconv2D) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {
 	if x.Rank() != 4 || x.Shape[1] != d.InC {
 		panic(fmt.Sprintf("nn: %s got input shape %v, want [N,%d,H,W]", d.LayerName, x.Shape, d.InC))
 	}
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	k := d.OutC * d.KH * d.KW
-	cols := h * w // the adjoint conv's output positions = our input positions
-	chunk := chunkSamples(n, k*cols, train)
-	st.Col = scratch(nil, st.Col, k*chunk*cols)
-	st.Eval = scratch(nil, st.Eval, d.InC*chunk*cols)
-	for s0 := 0; s0 < n; s0 += chunk {
-		m := min(chunk, n-s0)
-		mcols := m * cols
-		xT := st.Eval[:d.InC*mcols]
-		toChannelMajor(xT, x.Data, d.InC, cols, s0, m)
-		col := st.Col[:k*mcols]
-		tensor.Gemm(true, false, k, mcols, d.InC, 1, d.Weight.W.Data, xT, 0, col)
-		d.scatter(y, col, h, w, s0, m)
-	}
+	n := x.Shape[0]
+	d.step(st, n, x.Shape[1:], train).forward(y, x, n, train)
+	st.X = nil
 	if train {
 		st.X = x
-	} else {
-		st.X = nil
-	}
-}
-
-// scatter is the NCHW scatter of the m-sample chunk starting at s0: each
-// sample's columns of the product col accumulate into its cleared planes of
-// y through col2im, and the bias goes on top.
-func (d *Deconv2D) scatter(y *tensor.Tensor, col []float32, h, w, s0, m int) {
-	oh, ow := d.outHW(h, w)
-	cols, plane := h*w, oh*ow
-	for i := 0; i < m; i++ {
-		ys := y.Data[(s0+i)*d.OutC*plane : (s0+i+1)*d.OutC*plane]
-		clear(ys)
-		tensor.Col2imFrom(col, m*cols, i*cols, d.OutC, oh, ow, d.KH, d.KW, d.Stride, d.Pad, ys)
-		for f, b := range d.Bias.W.Data {
-			if b == 0 {
-				continue
-			}
-			row := ys[f*plane : (f+1)*plane]
-			for j := range row {
-				row[j] += b
-			}
-		}
 	}
 }
 
 // BackwardInto implements Layer: dx = W·im2col(dy) — the conv forward path
-// — and dW = x·im2col(dy)ᵀ. Per chunk, dy is lowered into one wide matrix;
-// dW (one tensor.WeightGrad over the chunk) and db accumulate one sample
-// at a time, in sample order, out of that sample's columns (that order is
-// the training trajectory's fingerprint); dx is one GEMM over the chunk,
-// scattered back to NCHW.
+// — and dW = x·im2col(dy)ᵀ, both read out of dy's phase planes
+// (deconvStep).
 func (d *Deconv2D) BackwardInto(st *PlanState, dx, dout *tensor.Tensor) {
-	x := st.X
-	if x == nil {
+	if st.X == nil {
 		panic("nn: " + d.LayerName + " Backward before Forward")
 	}
-	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	oh, ow := d.outHW(h, w)
-	k := d.OutC * d.KH * d.KW
-	cols := h * w
-	chunk := chunkSamples(n, k*cols, true)
-	g := d.lowering(oh, ow)
-	inStride := d.InC * cols
-	outStride := d.OutC * oh * ow
-	for s0 := 0; s0 < n; s0 += chunk {
-		m := min(chunk, n-s0)
-		mcols := m * cols
-		col := g.lower(st.Col, dout.Data, s0, m, cols)
-		// dW += x_i (InC×cols) · col_iᵀ for each sample i of the chunk, in order
-		tensor.WeightGrad(d.InC, k, cols, m, x.Data[s0*inStride:], cols, inStride, col, mcols, cols, nil, 0, 0, d.Weight.Grad.Data, k)
-		for i := 0; i < m; i++ {
-			tensor.RowSums(d.Bias.Grad.Data, dout.Data[(s0+i)*outStride:(s0+i+1)*outStride], d.OutC, oh*ow)
-		}
-		if dx == nil {
-			continue
-		}
-		// dx = W (InC×k) · col (k×m·cols), channel-major
-		ge := st.Eval[:d.InC*mcols]
-		tensor.Gemm(false, false, d.InC, mcols, k, 1, d.Weight.W.Data, col, 0, ge)
-		fromChannelMajor(dx.Data, ge, nil, d.InC, cols, s0, m)
-	}
+	st.deconv.backward(dx, dout, nil, st.X.Shape[0], st.cb)
 }
 
 // FLOPs implements Layer. The paper observes these layers "perform very

@@ -8,12 +8,14 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// fuzzConvNet is one network FuzzInferencePlanBitwise draws: a convolution
-// of any geometry, optionally followed by a ReLU, by a 2×2/2 or 3×3/2
-// max-pool and by a second unit (3×3/1/1 convolution and ReLU) that reads
-// the first one's output — from its halo image when both fuse.
+// fuzzConvNet is one network the plan fuzzers draw: a convolution — or a
+// deconvolution — of any geometry, optionally followed by a ReLU, by a
+// 2×2/2 or 3×3/2 max-pool and by a second unit (3×3/1/1 convolution and
+// ReLU) that reads the first one's output — from its image when both
+// fuse.
 type fuzzConvNet struct {
 	inC, outC, h, w, k, pad, stride int
+	deconv                          bool // the first unit is a Deconv2D
 	relu                            bool
 	pool                            int // 0 none, else the window (stride 2)
 	bias                            int // 0 +0, 1 −0, 2 drawn, 3 drawn with ±0 among them
@@ -27,22 +29,33 @@ const fuzzMACs = 48 << 20
 
 // decodeFuzzNet maps raw fuzz bytes onto the ranges the property covers:
 // 1–20 input and 1–40 output channels, 1–40 rows and columns, kernel 1–5,
-// pad 0–2, stride 1–2, batch 1–70 (tiled above inferTile).
+// pad 0–2, stride 1–2 (the stride byte's second bit makes the first unit
+// a deconvolution), batch 1–70 (tiled above inferTile).
 func decodeFuzzNet(inC, outC, h, w, k, pad, stride, opts, batch uint8) fuzzConvNet {
 	g := fuzzConvNet{
 		inC: 1 + int(inC)%20, outC: 1 + int(outC)%40,
 		h: 1 + int(h)%40, w: 1 + int(w)%40,
-		k: 1 + int(k)%5, pad: int(pad) % 3, stride: 1 + int(stride)%2,
+		k: 1 + int(k)%5, pad: int(pad) % 3, stride: 1 + int(stride)%2, deconv: stride&2 != 0,
 		relu: opts&1 != 0, pool: []int{0, 2, 3, 0}[opts>>1&3], bias: int(opts >> 3 & 3),
 		specialW: opts&32 != 0, specialX: opts&64 != 0, second: opts&128 != 0,
 		batch: 1 + int(batch)%70,
 	}
 	g.h, g.w = max(g.h, g.k-2*g.pad), max(g.w, g.k-2*g.pad)
 	oh, ow := tensor.ConvOut(g.h, g.k, g.stride, g.pad), tensor.ConvOut(g.w, g.k, g.stride, g.pad)
+	if g.deconv {
+		g.h, g.w = min(g.h, 20), min(g.w, 20)
+		for (min(g.h, g.w)-1)*g.stride+g.k-2*g.pad < 1 {
+			g.pad--
+		}
+		oh, ow = (g.h-1)*g.stride+g.k-2*g.pad, (g.w-1)*g.stride+g.k-2*g.pad
+	}
 	if g.pool != 0 && (tensor.ConvOut(oh, g.pool, 2, 0) < 1 || tensor.ConvOut(ow, g.pool, 2, 0) < 1) {
 		g.pool = 0
 	}
 	macs := g.outC * g.inC * g.k * g.k * oh * ow
+	if g.deconv {
+		macs = g.outC * g.inC * g.k * g.k * g.h * g.w
+	}
 	if g.second {
 		if g.pool != 0 {
 			oh, ow = tensor.ConvOut(oh, g.pool, 2, 0), tensor.ConvOut(ow, g.pool, 2, 0)
@@ -54,8 +67,8 @@ func decodeFuzzNet(inC, outC, h, w, k, pad, stride, opts, batch uint8) fuzzConvN
 }
 
 func (g fuzzConvNet) String() string {
-	return fmt.Sprintf("in %d out %d %dx%d k %d pad %d stride %d relu %v pool %d bias %d specials %v/%v second %v batch %d",
-		g.inC, g.outC, g.h, g.w, g.k, g.pad, g.stride, g.relu, g.pool, g.bias, g.specialW, g.specialX, g.second, g.batch)
+	return fmt.Sprintf("in %d out %d %dx%d k %d pad %d stride %d deconv %v relu %v pool %d bias %d specials %v/%v second %v batch %d",
+		g.inC, g.outC, g.h, g.w, g.k, g.pad, g.stride, g.deconv, g.relu, g.pool, g.bias, g.specialW, g.specialX, g.second, g.batch)
 }
 
 // fuzzZero is a zero the compiler cannot fold into madeNaN's product.
@@ -71,8 +84,8 @@ var madeNaN = float32(math.Inf(1)) * fuzzZero
 // build draws the network's parameters and an input batch from rng.
 func (g fuzzConvNet) build(rng *tensor.RNG) (*Network, *tensor.Tensor) {
 	negZero := float32(math.Copysign(0, -1))
-	params := func(c *Conv2D) {
-		w := c.Weight.W.Data
+	params := func(wt, b []float32) {
+		w := wt
 		for i := range w {
 			switch r := rng.Intn(16); {
 			case r < 2:
@@ -87,7 +100,6 @@ func (g fuzzConvNet) build(rng *tensor.RNG) (*Network, *tensor.Tensor) {
 			// there as a +0 border, ∞ would make NaN.
 			w[0] = float32(math.Inf(1))
 		}
-		b := c.Bias.W.Data
 		for i := range b {
 			switch {
 			case g.bias == 1:
@@ -100,9 +112,15 @@ func (g fuzzConvNet) build(rng *tensor.RNG) (*Network, *tensor.Tensor) {
 		}
 	}
 	net := NewNetwork("fuzz", g.inC, g.h, g.w)
-	c1 := NewConv2D("c1", g.inC, g.outC, g.k, g.stride, g.pad, rng)
-	params(c1)
-	net.Add(c1)
+	if g.deconv {
+		d1 := NewDeconv2D("c1", g.inC, g.outC, g.k, g.stride, g.pad, rng)
+		params(d1.Weight.W.Data, d1.Bias.W.Data)
+		net.Add(d1)
+	} else {
+		c1 := NewConv2D("c1", g.inC, g.outC, g.k, g.stride, g.pad, rng)
+		params(c1.Weight.W.Data, c1.Bias.W.Data)
+		net.Add(c1)
+	}
 	if g.relu {
 		net.Add(NewReLU("r1"))
 	}
@@ -111,7 +129,7 @@ func (g fuzzConvNet) build(rng *tensor.RNG) (*Network, *tensor.Tensor) {
 	}
 	if g.second {
 		c2 := NewConv2D("c2", g.outC, g.outC, 3, 1, 1, rng)
-		params(c2)
+		params(c2.Weight.W.Data, c2.Bias.W.Data)
 		net.Add(c2, NewReLU("r2"))
 	}
 	x := randBatch(rng, g.batch, net.InShape)
@@ -135,10 +153,10 @@ var (
 // checkInferenceBitwise compiles g's network as an inference plan and
 // requires its Forward to agree bit for bit with refNet's, under the
 // scalar, AVX2 and probed kernel tables (the ones the host runs) and at one
-// and two workers. refNet runs each layer's ForwardInto in turn — every
-// convolution lowered, ReLU and pool as their own passes — so it is an
-// independent reference for the halo steps, whichever of them the link rule
-// formed.
+// and two workers. refNet runs each layer in turn — every convolution and
+// deconvolution as the per-sample lowering, ReLU and pool as their own
+// passes — so it is an independent reference for the direct steps,
+// whichever of them the link rule formed.
 func checkInferenceBitwise(t *testing.T, g fuzzConvNet, seed uint64) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	defer tensor.SetKernels("auto")
@@ -156,19 +174,22 @@ func checkInferenceBitwise(t *testing.T, g fuzzConvNet, seed uint64) {
 	}
 }
 
-// FuzzInferencePlanBitwise is the property behind the inference halo steps:
-// an inference plan's Forward is bit for bit refNet's over the same
-// network, for any convolution geometry and the layers the link rule folds
-// (see checkInferenceBitwise and decodeFuzzNet). The seed corpus runs in
-// go test: hep-small's first two units (at batch 70: two tiles and a tail),
-// hep-tiny's (the benchmark's serving model), the climate encoder's
-// stride-1 geometry — its last conv and the three heads at 4×4, channels
-// at the fuzzer's ceiling — behind a stride-2 conv, and shapes from the
+// FuzzInferencePlanBitwise is the property behind the inference direct
+// steps: an inference plan's Forward is bit for bit refNet's over the same
+// network, for any convolution or deconvolution geometry and the layers
+// the link rule folds (see checkInferenceBitwise and decodeFuzzNet). The
+// seed corpus runs in go test: hep-small's first two units (at batch 70:
+// two tiles and a tail), hep-tiny's (the benchmark's serving model), the
+// climate encoder's stride-1 geometry — its last conv and the three heads
+// at 4×4, channels at the fuzzer's ceiling — behind a stride-2 conv, the
+// climate benchmark's stride-2 encoder planes and its decoder's 4×4/2
+// pad-1 deconvolutions, odd planes at stride 2, and shapes from the
 // lowering reference tests: kernels 1 and 5, pads 0–2, odd and unequal
 // planes, pool windows clipped at the edge. Fuzz with
 // go test -run '^$' -fuzz FuzzInferencePlanBitwise ./internal/nn.
 func FuzzInferencePlanBitwise(f *testing.F) {
 	const relu, pool2, pool3, drawn, mixed, specW, specX, second = 1, 1 << 1, 2 << 1, 2 << 3, 3 << 3, 32, 64, 128
+	const deconv = 2 // added to a stride: s.stride−1 then carries the deconvolution bit
 	for _, s := range []struct {
 		inC, outC, h, w, k, pad, stride, opts, batch uint8
 	}{
@@ -187,6 +208,16 @@ func FuzzInferencePlanBitwise(f *testing.F) {
 		{2, 10, 5, 17, 3, 1, 1, pool2 | mixed | specW | specX, 70},          // pool without ReLU, specials through it
 		{1, 33, 40, 40, 2, 0, 1, relu | pool2 | drawn | specX | second, 12}, // even kernel, odd output
 		{1, 16, 12, 20, 3, 1, 1, mixed | specW | specX, 9},                  // specials straight to the output
+		{16, 32, 32, 32, 3, 1, 2, relu | drawn, 4},                          // climate enc_conv1
+		{20, 40, 16, 16, 3, 1, 2, relu | drawn | second, 4},                 // enc_conv2's planes, channels at the ceiling
+		{20, 40, 8, 8, 3, 1, 2, relu | mixed | specW | specX, 4},            // enc_conv3's
+		{20, 40, 4, 4, 4, 1, 2 + deconv, relu | drawn, 4},                   // climate dec_deconv1's planes
+		{20, 32, 8, 8, 4, 1, 2 + deconv, relu | drawn | second, 4},          // dec_deconv2, then a halo step
+		{16, 16, 16, 16, 4, 1, 2 + deconv, mixed | specW | specX, 4},        // dec_deconv3, specials
+		{5, 7, 9, 13, 3, 1, 2, relu | pool2 | drawn | specX | second, 3},    // odd planes at stride 2
+		{3, 4, 7, 5, 4, 1, 2 + deconv, relu | pool2 | mixed | specW, 5},     // an odd deconvolution, pooled
+		{2, 3, 11, 5, 3, 0, 2, relu | drawn | specW | specX, 70},            // stride 2, pad 0, odd, tiled
+		{4, 6, 5, 9, 3, 2, 1 + deconv, relu | drawn | second, 6},            // a stride-1 deconvolution
 	} {
 		f.Add(s.inC-1, s.outC-1, s.h-1, s.w-1, s.k-1, s.pad, s.stride-1, s.opts, s.batch-1, uint64(s.inC)*131+uint64(s.h))
 	}
@@ -201,8 +232,8 @@ func FuzzInferencePlanBitwise(f *testing.F) {
 // gradient BackwardStream returns, and every trainable parameter's
 // gradient after BackwardStream and after BackwardParams, under the
 // fuzzers' kernel tables and worker counts. refNet lowers every
-// convolution and runs each ReLU and pool as its own pass, forward and
-// backward.
+// convolution and deconvolution and runs each ReLU and pool as its own
+// pass, forward and backward.
 func checkTrainBitwise(t *testing.T, g fuzzConvNet, frozen bool, seed uint64) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	defer tensor.SetKernels("auto")
@@ -245,22 +276,26 @@ func checkTrainBitwise(t *testing.T, g fuzzConvNet, frozen bool, seed uint64) {
 	}
 }
 
-// FuzzTrainPlanBitwise is the property behind the training halo steps: a
-// training plan — stride-1 convolutions run from halo images, their ReLU
-// and pool folded into the store, which records the winners, backward
-// unpooled through them, weight gradients read back out of the images and
-// input gradients taken as the forward's adjoint — is
-// bit for bit refNet over the same network (see checkTrainBitwise), forward
-// and backward, for any convolution geometry. The seed corpus runs in go
-// test: hep-small's four units at batch 16, the climate encoder's stride-1
-// geometry — its last conv and the three heads at 4×4, batch 4 — odd
-// widths, kernels 1 and 5, pads 0 and 2, NaN, ±Inf and −0 in inputs,
-// weights and biases, ∞ on a border tap, pools over odd planes (their
-// dropped row and column get +0) and at widths 2 and 3, pools without a
-// ReLU, and a frozen first unit. Fuzz with
+// FuzzTrainPlanBitwise is the property behind the training direct steps:
+// a training plan — convolutions run from their (phase-split) images,
+// their ReLU and pool folded into the store, which records the winners,
+// backward unpooled through them, weight gradients read back out of the
+// images and input gradients taken as the forward's adjoint; a
+// deconvolution as its adjoint convolution's step — is bit for bit
+// refNet over the same network (see checkTrainBitwise), forward and
+// backward, for any convolution or deconvolution geometry. The seed
+// corpus runs in go test: hep-small's four units at batch 16, the climate
+// encoder's stride-1 geometry — its last conv and the three heads at 4×4,
+// batch 4 — the climate benchmark's stride-2 encoder planes and its
+// decoder's 4×4/2 pad-1 deconvolutions (one of them frozen), odd planes
+// at stride 2, odd widths, kernels 1 and 5, pads 0 and 2, NaN, ±Inf and
+// −0 in inputs, weights and biases, ∞ on a border tap, pools over odd
+// planes (their dropped row and column get +0) and at widths 2 and 3,
+// pools without a ReLU, and a frozen first unit. Fuzz with
 // go test -run '^$' -fuzz FuzzTrainPlanBitwise ./internal/nn.
 func FuzzTrainPlanBitwise(f *testing.F) {
 	const relu, pool2, pool3, drawn, mixed, specW, specX, second = 1, 1 << 1, 2 << 1, 2 << 3, 3 << 3, 32, 64, 128
+	const deconv = 2 // added to a stride: s.stride−1 then carries the deconvolution bit
 	for _, s := range []struct {
 		inC, outC, h, w, k, pad, stride, opts, batch uint8
 		frozen                                       bool
@@ -283,6 +318,17 @@ func FuzzTrainPlanBitwise(f *testing.F) {
 		{4, 8, 2, 2, 3, 1, 1, relu | pool2 | drawn | second, 6, false},                   // a pool at width 2, then a 1×1 halo step
 		{3, 5, 3, 3, 3, 1, 1, relu | pool2 | drawn | specW | second, 5, false},           // a pool at width 3
 		{2, 4, 5, 6, 3, 1, 1, relu | pool2 | specW | second, 3, false},                   // ∞ on the border taps of both units
+		{16, 32, 32, 32, 3, 1, 2, relu | drawn, 4, false},                                // climate enc_conv1
+		{20, 40, 16, 16, 3, 1, 2, relu | drawn | second, 4, false},                       // enc_conv2's planes, then a halo step
+		{20, 40, 8, 8, 3, 1, 2, relu | mixed | specW | specX, 4, false},                  // enc_conv3's, specials
+		{20, 40, 4, 4, 4, 1, 2 + deconv, relu | drawn, 4, false},                         // climate dec_deconv1's planes
+		{20, 32, 8, 8, 4, 1, 2 + deconv, relu | drawn | second, 4, false},                // dec_deconv2, then a halo step
+		{16, 16, 16, 16, 4, 1, 2 + deconv, mixed | specW | specX, 4, false},              // dec_deconv3, specials
+		{20, 16, 8, 8, 4, 1, 2 + deconv, relu | drawn | second, 4, true},                 // a frozen deconvolution
+		{5, 7, 9, 13, 3, 1, 2, relu | pool2 | drawn | specX | second, 3, false},          // odd planes at stride 2
+		{3, 4, 7, 5, 4, 1, 2 + deconv, relu | pool2 | mixed | specW, 5, false},           // an odd deconvolution, pooled
+		{2, 3, 11, 5, 3, 0, 2, relu | drawn | specW | specX, 5, false},                   // stride 2, pad 0, odd
+		{4, 6, 5, 9, 3, 2, 1 + deconv, relu | drawn | second, 3, false},                  // a stride-1 deconvolution
 	} {
 		f.Add(s.inC-1, s.outC-1, s.h-1, s.w-1, s.k-1, s.pad, s.stride-1, s.opts, s.batch-1, s.frozen, uint64(s.inC)*131+uint64(s.h))
 	}
@@ -324,8 +370,8 @@ func TestHaloPlanHoldsNoLowering(t *testing.T) {
 		for i := range p.steps {
 			s := &p.steps[i]
 			held += int64(cap(s.ySlab) + cap(s.dxSlab))
-			if s.st.Col != nil || s.st.Eval != nil || s.st.Lowered {
-				t.Fatalf("train %v: step %d holds lowering scratch (%d + %d floats)", c.train, i, len(s.st.Col), len(s.st.Eval))
+			if s.st.conv != nil || s.st.deconv != nil || s.st.cb != nil {
+				t.Fatalf("train %v: step %d holds a layer's own step", c.train, i)
 			}
 			if h := s.halo; h != nil {
 				held += int64(cap(h.images) + cap(h.dy) + cap(h.dyG) + cap(h.dxG))
@@ -343,9 +389,6 @@ func TestHaloPlanHoldsNoLowering(t *testing.T) {
 		}
 		if got := fmt.Sprint(kept); halos != 4 || got != "[conv1 conv2 conv3 conv4 gap fc]" {
 			t.Fatalf("train %v: %d halo steps, schedule %s; want 4, [conv1 conv2 conv3 conv4 gap fc]", c.train, halos, got)
-		}
-		if p.evalSt.Col != nil || p.evalSt.Eval != nil {
-			t.Fatalf("train %v: eval scratch %d + %d floats; want none", c.train, len(p.evalSt.Col), len(p.evalSt.Eval))
 		}
 		if st := arena.Stats(); st.TotalFloats != held {
 			t.Fatalf("train %v: arena handed out %d floats, the plan's slabs are %d", c.train, st.TotalFloats, held)

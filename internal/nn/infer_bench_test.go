@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"deep15pf/internal/tensor"
@@ -53,9 +52,9 @@ func BenchmarkInferForward(b *testing.B) {
 // pass — and, as the per-unit table of that pass, each unit's steps on
 // their own: conv1–3 with the pooled epilogue that writes the next conv's
 // bytes, conv4 with its fp32 store, ReLU and global average pool, and the
-// classifier. A unit runs on the plan's own lanes over the batch's tiles as
-// Forward runs it, reading the inputs a warm pass left resident, so the
-// units sum to the whole. The lane count follows -cpu: go test -run '^$'
+// classifier. A unit runs through the plan's own tiler — its lanes, its
+// one fork — over the batch's tiles as Forward runs it, reading the inputs
+// a warm pass left resident, so the units sum to the whole. The lane count follows -cpu: go test -run '^$'
 // -bench QuantForward -cpu 1,2 ./internal/nn.
 func BenchmarkQuantForward(b *testing.B) {
 	defer tensor.SetWorkers(tensor.SetWorkers(runtime.GOMAXPROCS(0)))
@@ -81,25 +80,45 @@ func BenchmarkQuantForward(b *testing.B) {
 		}
 	}
 	starts = append(starts, len(net.Layers))
-	tile := view(x, x.Data, inferTile, shapeElems(net.InShape))
 	lanes := p.tiles.lanes
+	plans := make([]lanePlan, len(lanes))
+	for i, l := range lanes {
+		plans[i] = l.plan
+	}
+	out := tensor.New(inferTile, shapeElems(net.OutShape()))
 	for u := 0; u+1 < len(starts); u++ {
 		lo, hi := starts[u], starts[u+1]
+		for i, l := range lanes {
+			l.plan = unitPlan{plans[i].(*QuantPlan), lo, hi, out}
+		}
 		b.Run(net.Layers[lo].Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var next atomic.Int32
-				tensor.ParallelFor(len(lanes), func(l0, l1 int) {
-					for _, l := range lanes[l0:l1] {
-						for int(next.Add(1)) <= n/inferTile {
-							quantSteps(l.plan.(*QuantPlan), tile, lo, hi)
-						}
-					}
-				})
+				p.Forward(x)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 		})
 	}
+	for i, l := range lanes {
+		l.plan = plans[i]
+	}
 }
+
+// unitPlan is a lane's plan cut down to steps [lo, hi): the tiler runs it
+// over the batch's tiles on its own lanes, as it runs the whole plan. The
+// steps before lo are skipped, their outputs taken as a warm pass left
+// them, and the tiler copies out, whatever it is, a tile's worth of out.
+type unitPlan struct {
+	p      *QuantPlan
+	lo, hi int
+	out    *tensor.Tensor
+}
+
+func (u unitPlan) Forward(x *tensor.Tensor) *tensor.Tensor {
+	quantSteps(u.p, x, u.lo, u.hi)
+	return u.out
+}
+
+func (u unitPlan) Release() {}
 
 // quantSteps runs steps [lo, hi) of a tile-capacity QuantPlan the way
 // Forward does, x being the plan's input: the steps before lo are skipped,

@@ -80,16 +80,12 @@ type PlanState struct {
 	Y *tensor.Tensor
 	// InShape is the input batch shape recorded by pooling layers.
 	InShape []int
-	// Col is the lowered column matrix (and, in a convolution's backward,
-	// the data-gradient matrix that overwrites it); Eval the channel-major
-	// GEMM operand on the other side of the NCHW scatter/gather. A halo
-	// step uses neither.
-	Col, Eval []float32
-	// Lowered reports that Col still holds the lowering of all of X, left
-	// by a train-mode convolution forward whose batch fit the column budget.
-	// In a plan only a strided convolution lowers: a halo step keeps its
-	// input as halo images instead (halo.go).
-	Lowered bool
+	// conv and deconv are the direct step a Conv2D or Deconv2D runs under
+	// its own ForwardInto (a plan holds its steps itself), and cb that
+	// step's C block.
+	conv   *haloConv
+	deconv *deconvStep
+	cb     []float32
 	// Argmax holds the max-pool winners.
 	Argmax []int32
 }
@@ -125,20 +121,6 @@ type Layer interface {
 	// parameter gradients accumulate exactly as otherwise and the work
 	// that only feeds dx is skipped (see Plan.BackwardParams).
 	BackwardInto(st *PlanState, dx, dout *tensor.Tensor)
-}
-
-// scratch grows s to n floats, preferring an arena slab (the outgrown one
-// goes back to the arena). The contents are unspecified; callers treat
-// scratch as write-before-read.
-func scratch(a *tensor.Arena, s []float32, n int) []float32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	if a != nil {
-		a.Reclaim(s)
-		return a.Get(n)
-	}
-	return make([]float32, n)
 }
 
 // lane is the AVX-512 single-precision vector width used for the executed

@@ -8,10 +8,11 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// The references below are the lowering the layers used before samples were
-// batched into one matrix: one sample at a time, index-by-index im2col and
-// col2im, one GEMM per sample, bias added in place afterwards. They are the
-// definition the batched, kernel-backed paths must reproduce bit for bit.
+// The references below are the lowering the layers ran before every
+// convolution and deconvolution became a direct step: one sample at a
+// time, index-by-index im2col and col2im, one GEMM per sample, bias added
+// in place afterwards. They are the definition the direct steps must
+// reproduce bit for bit, and what refNet runs those layers as.
 
 func refIm2col(img []float32, c, h, w, k, stride, pad int) []float32 {
 	oh, ow := tensor.ConvOut(h, k, stride, pad), tensor.ConvOut(w, k, stride, pad)
@@ -66,34 +67,68 @@ func refAddBias(ys, bias []float32, cols int) {
 	}
 }
 
-// refConv runs the per-sample forward and backward of c over x and dout and
-// returns y, dx, dW and db.
-func refConv(c *Conv2D, x, dout *tensor.Tensor) (y, dx *tensor.Tensor, dW, db []float32) {
+// refConvForward is the lowered forward of c: per sample, im2col, one
+// GEMM and the bias added in place.
+func refConvForward(c *Conv2D, y, x *tensor.Tensor) {
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := tensor.ConvOut(h, c.KH, c.Stride, c.Pad), tensor.ConvOut(w, c.KW, c.Stride, c.Pad)
 	k, cols := c.InC*c.KH*c.KW, oh*ow
-	y = tensor.New(n, c.OutC, oh, ow)
-	dx = tensor.New(x.Shape...)
-	dW, db = make([]float32, c.OutC*k), make([]float32, c.OutC)
-	dcol := make([]float32, k*cols)
 	inStride, outStride := c.InC*h*w, c.OutC*cols
 	for s := 0; s < n; s++ {
 		col := refIm2col(x.Data[s*inStride:(s+1)*inStride], c.InC, h, w, c.KH, c.Stride, c.Pad)
 		ys := y.Data[s*outStride : (s+1)*outStride]
 		tensor.Gemm(false, false, c.OutC, cols, k, 1, c.Weight.W.Data, col, 0, ys)
-		refAddBias(ys, c.Bias.W.Data, cols)
+		if !c.noBias {
+			refAddBias(ys, c.Bias.W.Data, cols)
+		}
+	}
+}
+
+// refConvBackward is the lowered backward of c over its input x: per
+// sample, dW += dy·colᵀ (one NT GEMM), db += each row's left-to-right sum,
+// and — when dx is not nil — dx = col2im(Wᵀ·dy).
+func refConvBackward(c *Conv2D, dx, x, dout *tensor.Tensor, dW, db []float32) {
+	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	oh, ow := tensor.ConvOut(h, c.KH, c.Stride, c.Pad), tensor.ConvOut(w, c.KW, c.Stride, c.Pad)
+	k, cols := c.InC*c.KH*c.KW, oh*ow
+	inStride, outStride := c.InC*h*w, c.OutC*cols
+	dcol := make([]float32, k*cols)
+	if dx != nil {
+		clear(dx.Data)
+	}
+	for s := 0; s < n; s++ {
+		col := refIm2col(x.Data[s*inStride:(s+1)*inStride], c.InC, h, w, c.KH, c.Stride, c.Pad)
 		dy := dout.Data[s*outStride : (s+1)*outStride]
 		tensor.Gemm(false, true, c.OutC, k, cols, 1, dy, col, 1, dW)
-		for f := 0; f < c.OutC; f++ {
-			var sum float32
-			for _, v := range dy[f*cols : (f+1)*cols] {
-				sum += v
-			}
-			db[f] += sum
+		if db != nil {
+			refRowSums(db, dy, cols)
 		}
-		tensor.Gemm(true, false, k, cols, c.OutC, 1, c.Weight.W.Data, dy, 0, dcol)
-		refCol2im(dcol, c.InC, h, w, c.KH, c.Stride, c.Pad, dx.Data[s*inStride:(s+1)*inStride])
+		if dx != nil {
+			tensor.Gemm(true, false, k, cols, c.OutC, 1, c.Weight.W.Data, dy, 0, dcol)
+			refCol2im(dcol, c.InC, h, w, c.KH, c.Stride, c.Pad, dx.Data[s*inStride:(s+1)*inStride])
+		}
 	}
+}
+
+// refRowSums adds to db[f] the left-to-right sum of row f of dy.
+func refRowSums(db, dy []float32, cols int) {
+	for f := range db {
+		var sum float32
+		for _, v := range dy[f*cols : (f+1)*cols] {
+			sum += v
+		}
+		db[f] += sum
+	}
+}
+
+// refConv runs the per-sample forward and backward of c over x and dout and
+// returns y, dx, dW and db.
+func refConv(c *Conv2D, x, dout *tensor.Tensor) (y, dx *tensor.Tensor, dW, db []float32) {
+	y = tensor.New(dout.Shape...)
+	dx = tensor.New(x.Shape...)
+	dW, db = make([]float32, c.Weight.W.Len()), make([]float32, c.OutC)
+	refConvForward(c, y, x)
+	refConvBackward(c, dx, x, dout, dW, db)
 	return y, dx, dW, db
 }
 
@@ -110,62 +145,42 @@ func requireSameBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
-// withColBudget runs f with both convolution column budgets set to floats.
-func withColBudget(floats int, f func()) {
-	oldEval, oldTrain := colBudget, trainColBudget
-	colBudget, trainColBudget = floats, floats
-	defer func() { colBudget, trainColBudget = oldEval, oldTrain }()
-	f()
-}
-
-// TestConvLoweringBitwiseMatchesPerSampleReference draws random conv
-// geometries — kernel 1/3/5, stride 1/2/3, pad 0/1/2, H≠W, channel counts on
-// and off the GEMM's 4-row tile — and holds train forward, eval forward,
-// dx, dW and db bitwise to the per-sample reference, under a budget of one
-// sample (the beyond-budget path: re-lowered in backward), a budget whose
-// chunk does not divide the batch (chunk tails), and one that keeps the
-// whole batch lowered; on one worker and on three. The last case is
-// hep-small's conv1 at a batch of 70, whose whole-batch GEMMs are above
-// gemmParallelMin and split their row panels.
-func TestConvLoweringBitwiseMatchesPerSampleReference(t *testing.T) {
+// TestConvStepBitwiseMatchesLowering draws random conv geometries — kernel
+// 1/3/5, stride 1/2/3, pad 0/1/2, H≠W, channel counts on and off the
+// GEMM's 4-row tile — and holds Conv2D's direct step, train forward, eval
+// forward, dx, dW and db, bitwise to the per-sample lowering, on one
+// worker and on three. The last case is hep-small's conv1 at a batch of
+// 70, whose weight-gradient product is above gemmParallelMin and splits.
+func TestConvStepBitwiseMatchesLowering(t *testing.T) {
 	rng := tensor.NewRNG(20260926)
 	check := func(c *Conv2D, x, dout *tensor.Tensor, name string) {
 		wantY, wantDx, wantDW, wantDb := refConv(c, x, dout)
-		n, oh, ow := x.Shape[0], dout.Shape[2], dout.Shape[3]
-		perSample := c.InC * c.KH * c.KW * oh * ow
-		for _, budget := range []int{1, perSample*2 + 1, perSample * n} {
-			for _, workers := range []int{1, 3} {
-				prev := tensor.SetWorkers(workers)
-				withColBudget(budget, func() {
-					tag := fmt.Sprintf("%s budget %d workers %d", name, budget, workers)
-					rc := run(c)
-					requireSameBits(t, tag+" eval y", rc.Forward(x, false).Data, wantY.Data)
-					c.Weight.Grad.Zero()
-					c.Bias.Grad.Zero()
-					requireSameBits(t, tag+" train y", rc.Forward(x, true).Data, wantY.Data)
-					if kept := rc.st[0].Lowered; kept != (max(budget/perSample, 1) >= n) {
-						t.Fatalf("%s: lowering kept = %v", tag, kept)
-					}
-					requireSameBits(t, tag+" dx", rc.Backward(dout).Data, wantDx.Data)
-					requireSameBits(t, tag+" dW", c.Weight.Grad.Data, wantDW)
-					requireSameBits(t, tag+" db", c.Bias.Grad.Data, wantDb)
+		for _, workers := range []int{1, 3} {
+			prev := tensor.SetWorkers(workers)
+			tag := fmt.Sprintf("%s workers %d", name, workers)
+			rc := run(c)
+			requireSameBits(t, tag+" eval y", rc.Forward(x, false).Data, wantY.Data)
+			c.Weight.Grad.Zero()
+			c.Bias.Grad.Zero()
+			requireSameBits(t, tag+" train y", rc.Forward(x, true).Data, wantY.Data)
+			requireSameBits(t, tag+" dx", rc.Backward(dout).Data, wantDx.Data)
+			requireSameBits(t, tag+" dW", c.Weight.Grad.Data, wantDW)
+			requireSameBits(t, tag+" db", c.Bias.Grad.Data, wantDb)
 
-					// Without the input gradient the parameter gradients
-					// are the same, and a kept lowering survives for a
-					// second pass over the same forward.
-					c.Weight.Grad.Zero()
-					c.Bias.Grad.Zero()
-					rc.Forward(x, true)
-					c.BackwardInto(&rc.st[0], nil, dout)
-					requireSameBits(t, tag+" dW, no dx", c.Weight.Grad.Data, wantDW)
-					requireSameBits(t, tag+" db, no dx", c.Bias.Grad.Data, wantDb)
-					c.Weight.Grad.Zero()
-					c.Bias.Grad.Zero()
-					requireSameBits(t, tag+" dx, second backward", rc.Backward(dout).Data, wantDx.Data)
-					requireSameBits(t, tag+" dW, second backward", c.Weight.Grad.Data, wantDW)
-				})
-				tensor.SetWorkers(prev)
-			}
+			// Without the input gradient the parameter gradients are the
+			// same, and the kept images serve a second pass over the same
+			// forward.
+			c.Weight.Grad.Zero()
+			c.Bias.Grad.Zero()
+			rc.Forward(x, true)
+			c.BackwardInto(&rc.st[0], nil, dout)
+			requireSameBits(t, tag+" dW, no dx", c.Weight.Grad.Data, wantDW)
+			requireSameBits(t, tag+" db, no dx", c.Bias.Grad.Data, wantDb)
+			c.Weight.Grad.Zero()
+			c.Bias.Grad.Zero()
+			requireSameBits(t, tag+" dx, second backward", rc.Backward(dout).Data, wantDx.Data)
+			requireSameBits(t, tag+" dW, second backward", c.Weight.Grad.Data, wantDW)
+			tensor.SetWorkers(prev)
 		}
 	}
 	for trial := 0; trial < 60; trial++ {
@@ -191,36 +206,51 @@ func TestConvLoweringBitwiseMatchesPerSampleReference(t *testing.T) {
 	check(c, randBatch(rng, n, []int{3, 32, 32}), randBatch(rng, n, []int{16, 32, 32}), "hep-small conv1 n 70")
 }
 
-// refDeconv runs the per-sample forward and backward of d over x and dout —
-// the adjoint convolution's reference lowerings, one GEMM per sample — and
-// returns y, dx, dW and db.
-func refDeconv(d *Deconv2D, x, dout *tensor.Tensor) (y, dx *tensor.Tensor, dW, db []float32) {
+// refDeconvForward is the lowered forward of d, the adjoint
+// convolution's backward-data path: per sample, one Wᵀ·x GEMM, col2im and
+// the bias added in place.
+func refDeconvForward(d *Deconv2D, y, x *tensor.Tensor) {
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := d.outHW(h, w)
 	k, cols, plane := d.OutC*d.KH*d.KW, h*w, oh*ow
-	y = tensor.New(n, d.OutC, oh, ow)
-	dx = tensor.New(x.Shape...)
-	dW, db = make([]float32, d.InC*k), make([]float32, d.OutC)
 	col := make([]float32, k*cols)
 	for s := 0; s < n; s++ {
 		xs := x.Data[s*d.InC*cols : (s+1)*d.InC*cols]
 		tensor.Gemm(true, false, k, cols, d.InC, 1, d.Weight.W.Data, xs, 0, col)
 		ys := y.Data[s*d.OutC*plane : (s+1)*d.OutC*plane]
+		clear(ys)
 		refCol2im(col, d.OutC, oh, ow, d.KH, d.Stride, d.Pad, ys)
 		refAddBias(ys, d.Bias.W.Data, plane)
+	}
+}
 
+// refDeconvBackward is the lowered backward of d over its input x, the
+// adjoint convolution's forward path: per sample, dy lowered, dx = W·col
+// (when dx is not nil), dW += x·colᵀ and db += each row's sum.
+func refDeconvBackward(d *Deconv2D, dx, x, dout *tensor.Tensor, dW, db []float32) {
+	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	oh, ow := d.outHW(h, w)
+	k, cols, plane := d.OutC*d.KH*d.KW, h*w, oh*ow
+	for s := 0; s < n; s++ {
+		xs := x.Data[s*d.InC*cols : (s+1)*d.InC*cols]
 		dy := dout.Data[s*d.OutC*plane : (s+1)*d.OutC*plane]
 		dcol := refIm2col(dy, d.OutC, oh, ow, d.KH, d.Stride, d.Pad)
-		tensor.Gemm(false, false, d.InC, cols, k, 1, d.Weight.W.Data, dcol, 0, dx.Data[s*d.InC*cols:(s+1)*d.InC*cols])
-		tensor.Gemm(false, true, d.InC, k, cols, 1, xs, dcol, 1, dW)
-		for f := 0; f < d.OutC; f++ {
-			var sum float32
-			for _, v := range dy[f*plane : (f+1)*plane] {
-				sum += v
-			}
-			db[f] += sum
+		if dx != nil {
+			tensor.Gemm(false, false, d.InC, cols, k, 1, d.Weight.W.Data, dcol, 0, dx.Data[s*d.InC*cols:(s+1)*d.InC*cols])
 		}
+		tensor.Gemm(false, true, d.InC, k, cols, 1, xs, dcol, 1, dW)
+		refRowSums(db, dy, plane)
 	}
+}
+
+// refDeconv runs the per-sample forward and backward of d over x and dout
+// and returns y, dx, dW and db.
+func refDeconv(d *Deconv2D, x, dout *tensor.Tensor) (y, dx *tensor.Tensor, dW, db []float32) {
+	y = tensor.New(dout.Shape...)
+	dx = tensor.New(x.Shape...)
+	dW, db = make([]float32, d.Weight.W.Len()), make([]float32, d.OutC)
+	refDeconvForward(d, y, x)
+	refDeconvBackward(d, dx, x, dout, dW, db)
 	return y, dx, dW, db
 }
 
@@ -261,60 +291,43 @@ func deconvTrials(rng *tensor.RNG, f func(trial int, d *Deconv2D, x, dout *tenso
 	f(40, d, randBatch(rng, n, []int{8, 16, 16}), randBatch(rng, n, []int{16, 32, 32}), "deconv in 8 out 16 k 4 s 2 p 1 16x16 n 70")
 }
 
-// deconvBudgets are the column budgets a deconvolution test runs under: one
-// sample at a time, chunks of two (so a batch of three or five splits
-// unevenly), and the whole batch in one matrix.
-func deconvBudgets(d *Deconv2D, x *tensor.Tensor) []int {
-	perSample := d.OutC * d.KH * d.KW * x.Shape[2] * x.Shape[3]
-	return []int{1, perSample*2 + 1, perSample * x.Shape[0]}
-}
-
-// TestDeconvForwardBitwiseMatchesReference covers col2im's other caller:
-// the deconvolution forward is Wᵀ·x scattered through col2im — the
-// strip-add kernel at stride 1, the strided add beyond — one GEMM per chunk
-// of samples, in both modes and whatever the chunk.
+// TestDeconvForwardBitwiseMatchesReference: the deconvolution forward,
+// the strided adjoint written out of its phase planes with the bias last,
+// is bitwise the per-sample Wᵀ·x and col2im, in both modes.
 func TestDeconvForwardBitwiseMatchesReference(t *testing.T) {
 	deconvTrials(tensor.NewRNG(4242), func(trial int, d *Deconv2D, x, dout *tensor.Tensor, tag string) {
 		want, _, _, _ := refDeconv(d, x, dout)
-		for _, budget := range deconvBudgets(d, x) {
-			withColBudget(budget, func() {
-				tag := fmt.Sprintf("trial %d (%s) budget %d", trial, tag, budget)
-				requireSameBits(t, tag+" eval y", run(d).Forward(x, false).Data, want.Data)
-				requireSameBits(t, tag+" train y", run(d).Forward(x, true).Data, want.Data)
-			})
-		}
+		tag = fmt.Sprintf("trial %d (%s)", trial, tag)
+		requireSameBits(t, tag+" eval y", run(d).Forward(x, false).Data, want.Data)
+		requireSameBits(t, tag+" train y", run(d).Forward(x, true).Data, want.Data)
 	})
 }
 
 // TestDeconvBackwardBitwiseMatchesReference holds the deconvolution's dx,
-// dW and db to the per-sample reference: dy lowered sample by sample into
-// one chunk-wide matrix, dx one GEMM over the chunk, dW and db accumulated
-// in sample order — on one worker and two (the batch-70 case's GEMMs
-// split), with and without the input gradient.
+// dW and db to the per-sample reference — dy lowered sample by sample,
+// dx one GEMM, dW and db accumulated in sample order — on one worker and
+// two (the batch-70 case's weight gradient splits), with and without the
+// input gradient.
 func TestDeconvBackwardBitwiseMatchesReference(t *testing.T) {
 	deconvTrials(tensor.NewRNG(2323), func(trial int, d *Deconv2D, x, dout *tensor.Tensor, tag string) {
 		_, wantDx, wantDW, wantDb := refDeconv(d, x, dout)
-		for _, budget := range deconvBudgets(d, x) {
-			for _, workers := range []int{1, 2} {
-				prev := tensor.SetWorkers(workers)
-				withColBudget(budget, func() {
-					tag := fmt.Sprintf("trial %d (%s) budget %d workers %d", trial, tag, budget, workers)
-					rd := run(d)
-					d.Weight.Grad.Zero()
-					d.Bias.Grad.Zero()
-					rd.Forward(x, true)
-					requireSameBits(t, tag+" dx", rd.Backward(dout).Data, wantDx.Data)
-					requireSameBits(t, tag+" dW", d.Weight.Grad.Data, wantDW)
-					requireSameBits(t, tag+" db", d.Bias.Grad.Data, wantDb)
+		for _, workers := range []int{1, 2} {
+			prev := tensor.SetWorkers(workers)
+			tag := fmt.Sprintf("trial %d (%s) workers %d", trial, tag, workers)
+			rd := run(d)
+			d.Weight.Grad.Zero()
+			d.Bias.Grad.Zero()
+			rd.Forward(x, true)
+			requireSameBits(t, tag+" dx", rd.Backward(dout).Data, wantDx.Data)
+			requireSameBits(t, tag+" dW", d.Weight.Grad.Data, wantDW)
+			requireSameBits(t, tag+" db", d.Bias.Grad.Data, wantDb)
 
-					d.Weight.Grad.Zero()
-					d.Bias.Grad.Zero()
-					d.BackwardInto(&rd.st[0], nil, dout)
-					requireSameBits(t, tag+" dW, no dx", d.Weight.Grad.Data, wantDW)
-					requireSameBits(t, tag+" db, no dx", d.Bias.Grad.Data, wantDb)
-				})
-				tensor.SetWorkers(prev)
-			}
+			d.Weight.Grad.Zero()
+			d.Bias.Grad.Zero()
+			d.BackwardInto(&rd.st[0], nil, dout)
+			requireSameBits(t, tag+" dW, no dx", d.Weight.Grad.Data, wantDW)
+			requireSameBits(t, tag+" db, no dx", d.Bias.Grad.Data, wantDb)
+			tensor.SetWorkers(prev)
 		}
 	})
 }

@@ -34,20 +34,11 @@ type Plan struct {
 	train    bool
 	arena    *tensor.Arena
 	steps    []planStep
-	cut      int      // first step the backward pass reaches (0 unless frozen)
-	params   []*Param // cached trainable params: Backward re-checks gradient presence
-	n        int      // batch size of the most recent Forward
-	// evalSt is the one state every eval-datapath step that is not a halo
-	// step executes under — in an inference plan or a training plan's
-	// frozen prefix, the steps fuse leaves alone: strided convolutions,
-	// deconvolutions, dense and pooling layers. Such a step keeps nothing
-	// between calls and the steps run one at a time, so they share a single
-	// lowering scratch sized for the largest of them rather than each
-	// holding its own; a plan whose convolutions all fuse (hep-small's)
-	// reserves none.
-	evalSt PlanState
-	cblk   []float32 // the halo steps' shared C block
-	tiles  *tiler    // non-nil: an inference plan above inferTile; steps is empty
+	cut      int       // first step the backward pass reaches (0 unless frozen)
+	params   []*Param  // cached trainable params: Backward re-checks gradient presence
+	n        int       // batch size of the most recent Forward
+	cblk     []float32 // the direct steps' shared C block
+	tiles    *tiler    // non-nil: an inference plan above inferTile; steps is empty
 }
 
 type planStep struct {
@@ -63,7 +54,8 @@ type planStep struct {
 	y        *tensor.Tensor // batch view over ySlab
 	dxSlab   []float32      // training plans only, steps at/after the cut
 	dx       *tensor.Tensor
-	halo     *haloConv // non-nil: a stride-1 convolution run as a halo step
+	halo     *haloConv   // non-nil: a convolution run as a direct step
+	deconv   *deconvStep // non-nil: a deconvolution run as a direct step
 }
 
 // Compile builds a plan for batches of up to capacity samples. A training
@@ -73,9 +65,10 @@ type planStep struct {
 // inference replicas (see Network.ReleaseGradients). arena == nil gives the
 // plan a private arena; passing a shared arena lets several plans (e.g. a
 // serving replica's per-batch-size cache) recycle each other's slabs. Every
-// plan runs each stride-1 convolution as a halo step (fuse, halo.go), which
-// never lowers its input; an inference plan above inferTile costs lanes ×
-// tile slabs plus one output slab, whatever its capacity.
+// plan runs each convolution and deconvolution as a direct step (fuse,
+// halo.go, deconv.go), which never lowers; an inference plan above
+// inferTile costs lanes × tile slabs plus one output slab, whatever its
+// capacity.
 //
 // Networks with a frozen prefix (Network.Freeze) compile the prefix steps
 // on the inference datapath even in a training plan: no input-gradient
@@ -133,10 +126,17 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 			continue // folded into the halo step before it
 		}
 		if h := s.halo; h != nil {
-			h.images = arena.Get(capacity * h.inC * h.plane)
+			h.limit(capacity)
+			h.images = arena.Get(capacity * h.img)
 			blk = max(blk, h.blockLen())
 			if s.train {
 				h.reserve(arena, capacity)
+			}
+		}
+		if ds := s.deconv; ds != nil {
+			ds.reserve(arena, capacity, s.train)
+			if s.train {
+				blk = max(blk, ds.adj.blockLen())
 			}
 		}
 		if s.halo == nil || s.halo.next == nil { // else stored into the next image
@@ -147,28 +147,32 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 			s.dxSlab = arena.Get(capacity * s.inPer)
 			s.dx = tensor.FromSlice(s.dxSlab, append([]int{capacity}, s.inShape...)...)
 		}
-		if s.halo == nil {
-			s.layer.Reserve(p.state(s), arena, capacity, s.inShape, s.train)
+		if s.halo == nil && s.deconv == nil {
+			s.layer.Reserve(&s.st, arena, capacity, s.inShape, s.train)
 		}
 	}
 	p.cblk = arena.Get(blk)
 	return p
 }
 
-// fuse is the link rule, one for training and eval steps: every stride-1
-// Conv2D becomes a halo step (halo.go); the step folds a ReLU that follows
-// it, then a 2×2/2 max-pool, into its store — their steps drop out of the
-// schedule and the halo step takes over their output shape — and it
-// stores straight into the next step's halo image when that step is a halo
-// step too. A training step's store also records the pool's winners, and
-// its backward unpools through them and the ReLU's gate (the stored
-// values), so the folded layers need no state of their own. Strided
-// convolutions, deconvolutions and every other layer keep their
+// fuse is the link rule, one for training and eval steps: every Conv2D
+// becomes a direct step (halo.go); the step folds a ReLU that follows it,
+// then a 2×2/2 max-pool, into its store — their steps drop out of the
+// schedule and the direct step takes over their output shape — and it
+// stores straight into the next step's image when that step is a stride-1
+// convolution. A training step's store also records the pool's winners,
+// and its backward unpools through them and the ReLU's gate (the stored
+// values), so the folded layers need no state of their own. Every
+// Deconv2D becomes a direct step too (deconv.go), which folds a following
+// ReLU into the pass that writes its output. Every other layer keeps its
 // ForwardInto.
 func (p *Plan) fuse() {
 	for i := range p.steps {
-		if c, ok := p.steps[i].layer.(*Conv2D); ok && c.Stride == 1 {
-			p.steps[i].halo = newHaloConv(c, p.steps[i].inShape)
+		switch l := p.steps[i].layer.(type) {
+		case *Conv2D:
+			p.steps[i].halo = newHaloConv(l, p.steps[i].inShape)
+		case *Deconv2D:
+			p.steps[i].deconv = newDeconvStep(l, p.steps[i].inShape)
 		}
 	}
 	at := func(j int) Layer {
@@ -179,6 +183,13 @@ func (p *Plan) fuse() {
 	}
 	for i := range p.steps {
 		s := &p.steps[i]
+		if ds := s.deconv; ds != nil {
+			if _, ds.relu = at(i + 1).(*ReLU); ds.relu {
+				p.steps[i+1].layer = nil
+				s.outShape, s.outPer = p.steps[i+1].outShape, p.steps[i+1].outPer
+			}
+			continue
+		}
 		h := s.halo
 		if h == nil {
 			continue
@@ -194,19 +205,11 @@ func (p *Plan) fuse() {
 			p.steps[k].layer = nil
 		}
 		s.outShape, s.outPer = p.steps[j-1].outShape, p.steps[j-1].outPer
-		if j < len(p.steps) && p.steps[j].halo != nil {
+		if j < len(p.steps) && p.steps[j].halo != nil && p.steps[j].halo.stride == 1 {
 			h.next = p.steps[j].halo
 			h.next.fed = true
 		}
 	}
-}
-
-// state returns the execution state step s runs under.
-func (p *Plan) state(s *planStep) *PlanState {
-	if s.train {
-		return &s.st
-	}
-	return &p.evalSt
 }
 
 // OutShape returns the per-sample output shape.
@@ -241,10 +244,13 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 		if s.ySlab != nil {
 			y = view(s.y, s.ySlab, n, s.outPer)
 		}
-		if s.halo != nil {
+		switch {
+		case s.halo != nil:
 			s.halo.forward(y, cur, n, p.cblk)
-		} else {
-			s.layer.ForwardInto(p.state(s), y, cur, s.train)
+		case s.deconv != nil:
+			s.deconv.forward(y, cur, n, s.train)
+		default:
+			s.layer.ForwardInto(&s.st, y, cur, s.train)
 		}
 		cur = y // nil after a halo step that fed the next one
 	}
@@ -310,13 +316,16 @@ func (p *Plan) backward(dout *tensor.Tensor, gradDone func(layer int), inputGrad
 		if i > p.cut || inputGrad {
 			dx = view(s.dx, s.dxSlab, p.n, s.inPer)
 		}
-		if h := s.halo; h != nil {
-			var y *tensor.Tensor
-			if s.ySlab != nil {
-				y = view(s.y, s.ySlab, p.n, s.outPer)
-			}
-			h.backward(dx, cur, y, p.n)
-		} else {
+		var y *tensor.Tensor
+		if s.ySlab != nil {
+			y = view(s.y, s.ySlab, p.n, s.outPer)
+		}
+		switch {
+		case s.halo != nil:
+			s.halo.backward(dx, cur, y, p.n)
+		case s.deconv != nil:
+			s.deconv.backward(dx, cur, y, p.n, p.cblk)
+		default:
 			s.layer.BackwardInto(&s.st, dx, cur)
 		}
 		cur = dx
@@ -351,15 +360,16 @@ func (p *Plan) Release() {
 			}
 			s.halo = nil
 		}
-		p.arena.Reclaim(s.st.Col)
-		p.arena.Reclaim(s.st.Eval)
+		if ds := s.deconv; ds != nil {
+			for _, slab := range [][]float32{ds.xG, ds.dy, ds.adj.images, ds.adj.dxG} {
+				p.arena.Put(slab)
+			}
+			s.deconv = nil
+		}
 		s.st = PlanState{}
 	}
 	p.arena.Put(p.cblk)
 	p.cblk = nil
-	p.arena.Reclaim(p.evalSt.Col)
-	p.arena.Reclaim(p.evalSt.Eval)
-	p.evalSt = PlanState{}
 	p.n = 0
 }
 

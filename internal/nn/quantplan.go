@@ -480,8 +480,6 @@ func (p *QuantPlan) Release() {
 			p.arena.Put(s.ySlab)
 			s.ySlab, s.y = nil, nil
 		}
-		p.arena.Reclaim(s.st.Col)
-		p.arena.Reclaim(s.st.Eval)
 		s.st = PlanState{}
 		s.q = nil
 	}

@@ -85,20 +85,6 @@ func (a *Arena) Put(s []float32) {
 	a.held += int64(c)
 }
 
-// Reclaim is Put for slabs of uncertain origin: it returns false instead
-// of panicking when s was not allocated by Get (wrong capacity class).
-// Plans use it to hand back kernel scratch that layers may have grown
-// through the plain allocator.
-func (a *Arena) Reclaim(s []float32) bool {
-	c := cap(s)
-	if c == 0 || c != bucketCap(c) {
-		return false
-	}
-	a.buckets[c] = append(a.buckets[c], s[:c])
-	a.held += int64(c)
-	return true
-}
-
 // PutTensor releases t's backing slab (see Put) and clears t's Data so
 // accidental reuse fails fast instead of aliasing recycled memory.
 func (a *Arena) PutTensor(t *Tensor) {

@@ -8,16 +8,44 @@ import "sync"
 // pool window's winner), and three for backward — the unpool through
 // those winners and the ReLU, the weight gradient's dot tile, which reads
 // the same image back, and the input gradient's adjoint tile, the GEMM
-// tile again, adding into the tap's window. nn's plans run every stride-1
-// convolution through them without lowering, either way.
+// tile again, adding into the tap's window. nn runs every convolution and
+// deconvolution through them without lowering, either way.
 //
 // The input is a "halo" image: each channel plane stored with its zero
-// padding written around it, rows pitch = w+2·pad floats apart. An output
-// computed at pitch-strided column j = oy·pitch + ox then reads tap
-// (c, ky, kx) at c·plane + ky·pitch + kx + j: for every tap, the row of B
+// padding written around it, rows pitch = w+2·pad floats apart — split,
+// for a stride-s convolution, into its s² phase planes (PhaseSplit), so
+// that the taps of a strided output are again runs. An output computed at
+// pitch-strided column j = oy·pitch + ox then reads tap (c, ky, kx) at
+// c·plane + ky·pitch + kx + j (at stride 1): for every tap, the row of B
 // the lowering would have built is one contiguous run of the image at a
 // fixed offset, and the off table names it. The 2·pad columns per output
-// row past ow are computed and never stored.
+// row past ow are computed and never stored — or, with a column table
+// (compact columns), not computed at all.
+
+// ConvOut returns the output spatial size for input size in, kernel k,
+// stride s and symmetric padding p.
+func ConvOut(in, k, s, p int) int {
+	return (in+2*p-k)/s + 1
+}
+
+// tapRange returns the output positions [lo,hi) along one axis whose input
+// position o*stride-pad+k lies inside [0,in), for kernel offset k; hi <= lo
+// when there are none. Beyond stride 1 the bounds are walked in rather than
+// divided out — the clipped positions are within a kernel's width of either
+// end, and one integer division costs more than gathering a 4-float row.
+func tapRange(pad, k, in, out, stride int) (lo, hi int) {
+	if stride == 1 {
+		return max(pad-k, 0), min(in+pad-k, out)
+	}
+	for lo*stride-pad+k < 0 {
+		lo++
+	}
+	hi = out
+	for hi > lo && (hi-1)*stride-pad+k >= in {
+		hi--
+	}
+	return lo, hi
+}
 
 // convTile is the active direct-convolution tile. For one panel of
 // mr ≤ gemmMR rows it computes, for every r < mr and j < n,
@@ -45,26 +73,111 @@ func convTileGeneric(mr, n, k int, a []float32, lda int, b []float32, off []int,
 	}
 }
 
+// convPack is the active packing kernel of a compact C block: for tap
+// p < len(off) and lane l < w it writes
+//
+//	dst[p*packCols + l] = b[off[p] + idx[l]]
+//
+// and +0 to the lanes from w to packCols — B rows whose columns are any
+// output elements (the compact output indices of a small plane across its
+// rows and across a group of samples, with no column computed past a
+// row's end), laid out for convTile. The vector bodies gather each row,
+// one load per lane.
+var convPack = convPackGeneric
+
+// packCols is the width of one packed block of B: one convTile block.
+const packCols = 32
+
+func convPackGeneric(dst, b []float32, off []int, idx []int32, w int) {
+	for p, o := range off {
+		d := dst[p*packCols:][:packCols]
+		for l, j := range idx[:w] {
+			d[l] = b[o+int(j)]
+		}
+		clear(d[w:])
+	}
+}
+
+// packOffsets returns the offset table of k packed rows, p·packCols for
+// row p, which convTile reads a packed block through. The table only
+// grows, and an entry never changes, so a slice handed out stays valid.
+func packOffsets(k int) []int {
+	packOffMu.Lock()
+	defer packOffMu.Unlock()
+	for p := len(packOff); p < k; p++ {
+		packOff = append(packOff, p*packCols)
+	}
+	return packOff[:k]
+}
+
+var (
+	packOffMu sync.Mutex
+	packOff   []int
+)
+
 // ConvTile overwrites c (m rows, ldc apart) with a·B, where a is m×k (rows
-// lda apart), k = len(off) and row p of B is b[off[p]:off[p]+n]: one C
-// block of a direct convolution, each element the k-ascending chain of
-// single-rounded multiply-adds Gemm(false, false, …, 0, c) gives it.
-func ConvTile(m, n int, a []float32, lda int, b []float32, off []int, c []float32, ldc int) {
+// lda apart), k = len(off) and row p of B is b[off[p]:off[p]+n] — or, with
+// a table idx of n column offsets, b[off[p]+idx[j]] for column j, packed
+// a block of columns at a time (convPack): one C block of a direct
+// convolution, each element the k-ascending chain of single-rounded
+// multiply-adds Gemm(false, false, …, 0, c) gives it.
+func ConvTile(m, n int, a []float32, lda int, b []float32, off []int, idx []int32, c []float32, ldc int) {
 	k := len(off)
 	if m <= 0 || n <= 0 {
 		return
 	}
-	if lda < k || ldc < n || len(a) < (m-1)*lda+k || len(c) < (m-1)*ldc+n {
+	if lda < k || ldc < n || len(a) < (m-1)*lda+k || len(c) < (m-1)*ldc+n || (idx != nil && len(idx) < n) {
 		panic("tensor: ConvTile operand too small")
 	}
+	reach := n - 1 // the furthest column offset
+	if idx != nil {
+		reach = 0
+		for _, o := range idx[:n] {
+			if o < 0 {
+				panic("tensor: ConvTile offset outside the image")
+			}
+			reach = max(reach, int(o))
+		}
+	}
 	for _, o := range off {
-		if o < 0 || o > len(b)-n {
+		if o < 0 || o > len(b)-1-reach || o > 1<<31-1-reach {
 			panic("tensor: ConvTile offset outside the image")
 		}
 	}
-	for i := 0; i < m; i += gemmMR {
-		convTile(min(gemmMR, m-i), n, k, a[i*lda:], lda, b, off, c[i*ldc:], ldc)
+	parts := (m + gemmMR - 1) / gemmMR // row panels, or packed column blocks
+	if idx != nil {
+		parts = (n + packCols - 1) / packCols
 	}
+	if gemmSerial(m, n, k) {
+		convTileParts(0, parts, m, n, a, lda, b, off, idx, c, ldc)
+		return
+	}
+	ParallelFor(parts, func(lo, hi int) { convTileParts(lo, hi, m, n, a, lda, b, off, idx, c, ldc) })
+}
+
+// convTileParts runs parts [lo, hi) of a ConvTile: row panels when the
+// columns are contiguous; with a column table, blocks of packCols
+// columns, each gathered once (convPack) and then run through every row
+// panel. A product of gemmParallelMin multiply-adds splits its parts
+// across the workers, as the GEMM splits its rows; each element is one
+// worker's whole chain, so the split cannot change a bit.
+func convTileParts(lo, hi, m, n int, a []float32, lda int, b []float32, off []int, idx []int32, c []float32, ldc int) {
+	k := len(off)
+	if idx == nil {
+		for i := lo * gemmMR; i < min(hi*gemmMR, m); i += gemmMR {
+			convTile(min(gemmMR, m-i), n, k, a[i*lda:], lda, b, off, c[i*ldc:], ldc)
+		}
+		return
+	}
+	pb, poff := getPack(k*packCols), packOffsets(k)
+	for j0 := lo * packCols; j0 < min(hi*packCols, n); j0 += packCols {
+		w := min(packCols, n-j0)
+		convPack(pb, b, off, idx[j0:j0+w], w)
+		for i := 0; i < m; i += gemmMR {
+			convTile(min(gemmMR, m-i), w, k, a[i*lda:], lda, pb, poff, c[i*ldc+j0:], ldc)
+		}
+	}
+	putPack(pb)
 }
 
 // convStore is the active direct-convolution epilogue. For plane
@@ -72,7 +185,7 @@ func ConvTile(m, n int, a []float32, lda int, b []float32, off []int, c []float3
 //
 //	v(y, x) = act(src[p*srcPlane + y*srcPitch + x] + bias[p])
 //
-// — no add where bias is nil or bias[p] is ±0 (fromChannelMajor's rule: a
+// — no add where bias is nil or bias[p] is ±0 (the lowered path's rule: a
 // zero bias is a copy, so a −0 survives), act the ReLU kernel's select
 // (x > 0 ? x : +0, NaN and −0 to +0) when relu is set and nothing
 // otherwise — it writes, for r < rows and i < n,
@@ -318,6 +431,10 @@ func ConvUnpool(dy, g []float32, idx []int32, v []float32, planes, h, w, vPlane,
 		panic("tensor: ConvUnpool operand too small")
 	}
 	if idx == nil {
+		if vPitch == w && vPlane == h*w { // v is compact too: one pass
+			reluGrad(dy[:planes*h*w], v[:planes*h*w], g[:planes*h*w])
+			return
+		}
 		for p := 0; p < planes; p++ {
 			for r := 0; r < h; r++ {
 				reluGrad(dy[(p*h+r)*w:][:w], v[p*vPlane+r*vPitch:][:w], g[(p*h+r)*w:][:w])
@@ -366,7 +483,7 @@ func ConvUnpool(dy, g []float32, idx []int32, v []float32, planes, h, w, vPlane,
 var convAdj = convAdjGeneric
 
 // convAdjGeneric runs each chain as gemmTileGeneric runs a row of C, and
-// adds the kept lanes as scatterRowsGeneric adds a row, so that where two
+// adds the kept lanes as a scalar `+=` does, so that where two
 // NaNs meet the payload is theirs too.
 func convAdjGeneric(mr, k int, a []float32, ars, aps int, b []float32, ldb, span int, c []float32, ldc int, keep []uint32, t []float32) {
 	row := t[:span]
@@ -472,34 +589,62 @@ func laneMask(keep []uint32, groups, rows, n, pitch, period int) {
 	}
 }
 
-// ConvAdjoint adds to dx the data gradient of a stride-1 kh×kw
-// convolution with padding pad whose weights are wgt (outC rows of
+// ConvAdjoint adds to dx the data gradient of a kh×kw convolution with
+// the given stride and padding whose weights are wgt (outC rows of
 // c·kh·kw) and whose output gradient is dy, for m samples laid side by
-// side in each channel: dx is c channels of m h×w planes, dy outC channels
-// of m oh×ow planes (one sample is plain NCHW). It is
-// Gemm(true, false, …, 0, col) followed by Col2imFrom for each sample, bit
-// for bit, with no matrix in between: each tap, in col2im's (ky, kx) order,
-// runs its chains over the output channels and adds them into its clipped
-// window of dx, the fixed shift col2im adds that tap's row of the matrix
-// at. When the output plane is the input's ("same" padding) a window's
-// rows, and its samples' windows after them, are one run at that shift on
-// both sides, and a call takes as much of it as fits AdjointRun; otherwise a
-// call takes one row. A tap that falls in the padding is skipped, never
-// read as a +0 border: an infinite or NaN weight there would turn the +0
-// into NaN.
-func ConvAdjoint(dx []float32, c, h, w int, wgt []float32, outC, kh, kw, pad int, dy []float32, m int) {
-	if c < 1 || h < 1 || w < 1 || kh < 1 || kw < 1 || pad < 0 || kh > h+2*pad || kw > w+2*pad || outC < 0 || m < 1 {
+// side in each channel: dy is outC channels of m oh×ow planes (one sample
+// is plain NCHW), and dx holds the h×w input gradient split into its
+// stride² phase planes — element (Y, X) of sample i, channel ch lives in
+// phase (Y mod stride)·stride + X mod stride at
+//
+//	dx[((ch·stride² + phase)·m + i)·ph·pw + (Y/stride)·pw + X/stride]
+//
+// with ph×pw = ⌈h/stride⌉×⌈w/stride⌉; at stride 1 that is c channels of m
+// h×w planes. It is Gemm(true, false, …, 0, col) followed by col2im for
+// each sample, bit for bit, with no matrix in between: each tap, in
+// col2im's (ky, kx) order, runs its chains over the output channels and
+// adds them into its clipped window of dx — one phase plane, at the fixed
+// shift col2im adds that tap's row of the matrix at. When the output
+// plane is the phase plane (stride-1 "same" padding, or a stride-s
+// convolution whose output is ⌈h/s⌉×⌈w/s⌉) a window's rows, and its
+// samples' windows after them, are one run at that shift on both sides,
+// and a call takes as much of it as fits AdjointRun; otherwise a call
+// takes one row. A tap that falls in the padding is skipped, never read
+// as a +0 border: an infinite or NaN weight there would turn the +0 into
+// NaN.
+func ConvAdjoint(dx []float32, c, h, w int, wgt []float32, outC, kh, kw, stride, pad int, dy []float32, m int) {
+	if c < 1 || h < 1 || w < 1 || kh < 1 || kw < 1 || stride < 1 || pad < 0 || kh > h+2*pad || kw > w+2*pad || outC < 0 || m < 1 {
 		panic("tensor: ConvAdjoint geometry invalid")
 	}
-	oh, ow := ConvOut(h, kh, 1, pad), ConvOut(w, kw, 1, pad)
-	k, cols, hw := c*kh*kw, oh*ow, h*w
-	if len(dx) < c*m*hw || len(wgt) < outC*k || len(dy) < outC*m*cols {
+	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
+	ph, pw := (h+stride-1)/stride, (w+stride-1)/stride
+	k, cols, phw, ss := c*kh*kw, oh*ow, ph*pw, stride*stride
+	if len(dx) < c*ss*m*phw || len(wgt) < outC*k || len(dy) < outC*m*cols {
 		panic("tensor: ConvAdjoint operand too small")
 	}
 	if outC == 0 {
 		return
 	}
-	same := oh == h && ow == w
+	panels := (c + gemmMR - 1) / gemmMR
+	if gemmSerial(k, m*cols, outC) {
+		adjointPanels(0, panels, dx, c, h, w, wgt, outC, kh, kw, stride, pad, dy, m)
+		return
+	}
+	ParallelFor(panels, func(lo, hi int) {
+		adjointPanels(lo, hi, dx, c, h, w, wgt, outC, kh, kw, stride, pad, dy, m)
+	})
+}
+
+// adjointPanels is ConvAdjoint for the input channels of panels [lo, hi),
+// gemmMR channels a panel. A product of gemmParallelMin multiply-adds —
+// the Wᵀ·dy GEMM's — splits its panels across the workers, as the GEMM
+// splits its rows; every element is one worker's, its taps added in
+// order, so the split cannot change a bit.
+func adjointPanels(lo, hi int, dx []float32, c, h, w int, wgt []float32, outC, kh, kw, stride, pad int, dy []float32, m int) {
+	oh, ow := ConvOut(h, kh, stride, pad), ConvOut(w, kw, stride, pad)
+	ph, pw := (h+stride-1)/stride, (w+stride-1)/stride
+	k, cols, phw, ss := c*kh*kw, oh*ow, ph*pw, stride*stride
+	same := oh == ph && ow == pw
 	group := 1 // samples a call covers
 	if same {
 		group = max(AdjointRun/cols, 1)
@@ -507,20 +652,23 @@ func ConvAdjoint(dx []float32, c, h, w int, wgt []float32, outC, kh, kw, pad int
 	sc := getAdj()
 	defer putAdj(sc)
 	sc.masks = 0
-	conv := func(ky, kx, s0, y0, x0, groups, rows, n, pitch int) {
-		keep := sc.mask(groups, rows, n, pitch, cols)
-		span := (groups-1)*cols + (rows-1)*pitch + n
+	ldc := ss * m * phw // one input channel to the next
+	conv := func(ky, kx, s0, y0, x0, groups, rows, n int) {
+		keep := sc.mask(groups, rows, n, ow, cols)
+		span := (groups-1)*cols + (rows-1)*ow + n
 		b := dy[s0*cols+y0*ow+x0:]
-		d := dx[s0*hw+(y0-pad+ky)*w+x0-pad+kx:]
+		iy, ix := y0*stride-pad+ky, x0*stride-pad+kx // the window's first input element
+		phase := iy%stride*stride + ix%stride
+		d := dx[(phase*m+s0)*phw+iy/stride*pw+ix/stride:]
 		a := wgt[ky*kw+kx:]
-		for c0 := 0; c0 < c; c0 += gemmMR {
-			convAdj(min(gemmMR, c-c0), outC, a[c0*kh*kw:], kh*kw, k, b, m*cols, span, d[c0*m*hw:], m*hw, keep, sc.t[:])
+		for c0 := lo * gemmMR; c0 < min(hi*gemmMR, c); c0 += gemmMR {
+			convAdj(min(gemmMR, c-c0), outC, a[c0*kh*kw:], kh*kw, k, b, m*cols, span, d[c0*ldc:], ldc, keep, sc.t[:])
 		}
 	}
 	for ky := 0; ky < kh; ky++ {
-		oyLo, oyHi := tapRange(pad, ky, h, oh, 1)
+		oyLo, oyHi := tapRange(pad, ky, h, oh, stride)
 		for kx := 0; kx < kw; kx++ {
-			oxLo, oxHi := tapRange(pad, kx, w, ow, 1)
+			oxLo, oxHi := tapRange(pad, kx, w, ow, stride)
 			if oyLo >= oyHi || oxLo >= oxHi {
 				continue
 			}
@@ -528,23 +676,100 @@ func ConvAdjoint(dx []float32, c, h, w int, wgt []float32, outC, kh, kw, pad int
 			switch {
 			case group > 1: // whole windows of several samples
 				for s0 := 0; s0 < m; s0 += group {
-					conv(ky, kx, s0, oyLo, oxLo, min(group, m-s0), wy, wx, ow)
+					conv(ky, kx, s0, oyLo, oxLo, min(group, m-s0), wy, wx)
 				}
 			case same && wx <= AdjointRun: // rows of one sample's window
 				rows := (AdjointRun-wx)/ow + 1
 				for s := 0; s < m; s++ {
 					for y0 := oyLo; y0 < oyHi; y0 += rows {
-						conv(ky, kx, s, y0, oxLo, 1, min(rows, oyHi-y0), wx, ow)
+						conv(ky, kx, s, y0, oxLo, 1, min(rows, oyHi-y0), wx)
 					}
 				}
 			default: // one row, in pieces of AdjointRun
 				for s := 0; s < m; s++ {
 					for y := oyLo; y < oyHi; y++ {
 						for x0 := oxLo; x0 < oxHi; x0 += AdjointRun {
-							conv(ky, kx, s, y, x0, 1, 1, min(AdjointRun, oxHi-x0), ow)
+							conv(ky, kx, s, y, x0, 1, 1, min(AdjointRun, oxHi-x0))
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// PhaseSplit writes the c×h×w image x into the interior of its padded
+// phase image dst, the layout a strided direct convolution reads: each
+// channel's plane, padded by pad on every side, split into its stride²
+// phase planes — phase (a, b) holds padded element (a + stride·i,
+// b + stride·j) at dst[(ch·stride² + a·stride + b)·plane + i·pitch + j].
+// pitch is at least ⌈(w+2·pad)/stride⌉ and plane at least
+// ⌈(h+2·pad)/stride⌉·pitch; the padding is not written. At stride 1 that
+// is the padded image itself.
+func PhaseSplit(dst, x []float32, c, h, w, stride, pad, plane, pitch int) {
+	if c < 1 || h < 1 || w < 1 || stride < 1 || pad < 0 || pitch < (w+2*pad+stride-1)/stride ||
+		plane < (h+2*pad+stride-1)/stride*pitch {
+		panic("tensor: PhaseSplit geometry invalid")
+	}
+	ss, hw := stride*stride, h*w
+	if len(x) < c*hw || len(dst) < c*ss*plane {
+		panic("tensor: PhaseSplit operand too small")
+	}
+	if stride == 1 {
+		for ch := 0; ch < c; ch++ {
+			for r := 0; r < h; r++ {
+				copy(dst[ch*plane+(r+pad)*pitch+pad:][:w], x[ch*hw+r*w:][:w])
+			}
+		}
+		return
+	}
+	for a := 0; a < stride; a++ {
+		r0 := ((a-pad)%stride + stride) % stride // the first input row in phase row a
+		if r0 >= h {
+			continue
+		}
+		for b := 0; b < stride; b++ {
+			x0 := ((b-pad)%stride + stride) % stride
+			if x0 >= w {
+				continue
+			}
+			d := dst[(a*stride+b)*plane+(r0+pad)/stride*pitch+(x0+pad)/stride:]
+			splitRows(d, x[r0*w+x0:], c, ss*plane, hw, (h-r0+stride-1)/stride, pitch, stride*w, (w-x0+stride-1)/stride, stride)
+		}
+	}
+}
+
+// PhaseMerge writes m samples of c channels of h×w planes, held in the
+// stride² phase planes of ConvAdjoint's layout, to the NCHW batch dst as
+// act(v + bias[ch]) — ConvStore's epilogue: no add where bias is nil or
+// bias[ch] is ±0, the ReLU kernel's select when relu is set. Element
+// (Y, X) of sample i, channel ch comes from phase (Y mod stride)·stride +
+// X mod stride at row Y/stride, column X/stride. Beyond stride 1 the
+// epilogue runs in place over src, which is then interleaved.
+func PhaseMerge(dst, src []float32, c, h, w, stride, m int, bias []float32, relu bool) {
+	if c < 1 || h < 1 || w < 1 || stride < 1 || m < 1 {
+		panic("tensor: PhaseMerge geometry invalid")
+	}
+	ss, hw := stride*stride, h*w
+	pw := (w + stride - 1) / stride
+	phw := (h + stride - 1) / stride * pw
+	if len(src) < c*ss*m*phw || len(dst) < m*c*hw {
+		panic("tensor: PhaseMerge operand too small")
+	}
+	if stride == 1 {
+		for i := 0; i < m; i++ {
+			ConvStore(dst[i*c*hw:], src[i*hw:], bias, c, hw, m*hw, h, w, w, w, relu, false)
+		}
+		return
+	}
+	if bias != nil || relu {
+		per := ss * m * phw // a channel's phase planes, as one row
+		ConvStore(src, src, bias, c, per, per, 1, per, per, per, relu, false)
+	}
+	for i := 0; i < m; i++ {
+		for a := 0; a < stride && a < h; a++ {
+			for b := 0; b < stride && b < w; b++ {
+				mergeRows(dst[i*c*hw+a*w+b:], src[((a*stride+b)*m+i)*phw:], c, hw, ss*m*phw, (h-a+stride-1)/stride, stride*w, pw, (w-b+stride-1)/stride, stride)
 			}
 		}
 	}

@@ -100,7 +100,7 @@ func TestConvTileIsTheLoweredGemm(t *testing.T) {
 		n := (oh-1)*pitch + ow
 		withISAs(t, func(isa string) {
 			got := make([]float32, m*n)
-			ConvTile(m, n, wt, k, halo, off, got, n)
+			ConvTile(m, n, wt, k, halo, off, nil, got, n)
 			for r := 0; r < m; r++ {
 				for oy := 0; oy < oh; oy++ {
 					tag := fmt.Sprintf("%s trial %d (c %d m %d k %d pad %d %dx%d) row %d oy %d", isa, trial, c, m, kk, pad, h, w, r, oy)
@@ -198,7 +198,7 @@ func TestConvStoreIsTheSeparatePasses(t *testing.T) {
 	}
 }
 
-// TestConvDotIsGatherThenDot holds WeightGrad over a halo image, under
+// TestWeightGradHaloIsGatherThenDot holds WeightGrad over a halo image, under
 // every kernel table, to its definition: each B row gathered out of the
 // image by hand, then one sdotGeneric per C element, accumulated onto
 // what C held, sample after sample. Output widths 1 to 33 at pitches ow to
@@ -208,7 +208,7 @@ func TestConvStoreIsTheSeparatePasses(t *testing.T) {
 // limit; m and n through the panel, tap-group and column-block tails. The
 // last tap's run ends exactly at the end of the last image. Each case runs
 // on one to three workers, every product forced through the split.
-func TestConvDotIsGatherThenDot(t *testing.T) {
+func TestWeightGradHaloIsGatherThenDot(t *testing.T) {
 	rng := NewRNG(35)
 	defer SetWorkers(SetWorkers(1))
 	defer forceSplit()()
@@ -450,7 +450,7 @@ func TestConvAdjointIsGemmThenCol2im(t *testing.T) {
 				}
 				withISAs(t, func(isa string) {
 					got := append([]float32(nil), base...)
-					ConvAdjoint(got, c, h, w, wt, f, kk, kk, pad, dy, m)
+					ConvAdjoint(got, c, h, w, wt, f, kk, kk, 1, pad, dy, m)
 					requireSameBits(t, fmt.Sprintf("%s c %d f %d k %d pad %d %dx%d m %d", isa, c, f, kk, pad, h, w, m), got, want)
 				})
 			}
@@ -511,7 +511,7 @@ func TestConvAdjKernelsBitwiseAcrossISAs(t *testing.T) {
 func TestConvKernelsValidateOperands(t *testing.T) {
 	a, b, c := make([]float32, 2*9), make([]float32, 40), make([]float32, 2*16)
 	off := []int{0, 1, 2, 10, 11, 12, 20, 21, 22}
-	ConvTile(2, 16, a, 9, b, off, c, 16) // in bounds
+	ConvTile(2, 16, a, 9, b, off, nil, c, 16) // in bounds
 	src, dst := make([]float32, 2*4*8), make([]float32, 2*2*4)
 	ConvStore(dst, src, nil, 2, 8, 32, 2, 4, 8, 4, true, true) // both exactly long enough
 	dw := make([]float32, 2*9)
@@ -523,13 +523,13 @@ func TestConvKernelsValidateOperands(t *testing.T) {
 	ConvStoreArgmax(dst, idx, src, nil, 2, 8, 8, 32, 2, 4, 8, 4, 0, 8, true) // the same store, winners exactly long enough
 	ConvUnpool(src, dst, idx, dst, 2, 4, 8, 8, 4, true)                      // its backward: dy is the 2×4×8 src
 	wt, dyA := make([]float32, 2*18), make([]float32, 2*9)
-	ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, dyA, 1) // 2×3×3 in, 2 filters of 3×3 at pad 1
+	ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, 1, dyA, 1) // 2×3×3 in, 2 filters of 3×3 at pad 1
 	for name, f := range map[string]func(){
-		"tile offset past the image": func() { ConvTile(2, 16, a, 9, b, []int{0, 25}, c, 16) },
-		"tile negative offset":       func() { ConvTile(2, 16, a, 9, b, []int{-1}, c, 16) },
-		"tile short a":               func() { ConvTile(3, 16, a, 9, b, off, make([]float32, 48), 16) },
-		"tile short c":               func() { ConvTile(2, 16, a, 9, b, off, c[:31], 16) },
-		"tile lda under k":           func() { ConvTile(1, 16, a, 8, b, off, c, 16) },
+		"tile offset past the image": func() { ConvTile(2, 16, a, 9, b, []int{0, 25}, nil, c, 16) },
+		"tile negative offset":       func() { ConvTile(2, 16, a, 9, b, []int{-1}, nil, c, 16) },
+		"tile short a":               func() { ConvTile(3, 16, a, 9, b, off, nil, make([]float32, 48), 16) },
+		"tile short c":               func() { ConvTile(2, 16, a, 9, b, off, nil, c[:31], 16) },
+		"tile lda under k":           func() { ConvTile(1, 16, a, 8, b, off, nil, c, 16) },
 		"dot offset past the image":  func() { WeightGrad(2, 0, 16, 1, c, 16, 0, b, 0, 0, []int{0, 19}, 4, 6, dw, 9) },
 		"dot negative offset":        func() { WeightGrad(2, 0, 16, 1, c, 16, 0, b, 0, 0, []int{-1}, 4, 6, dw, 9) },
 		"dot pitch under width":      func() { WeightGrad(2, 0, 16, 1, c, 16, 0, b, 0, 0, taps, 4, 3, dw, 9) },
@@ -554,13 +554,13 @@ func TestConvKernelsValidateOperands(t *testing.T) {
 		"unpool pitch under width":   func() { ConvUnpool(src, dst, idx, dst, 2, 4, 8, 8, 3, true) },
 		"unpool plane under 2×2":     func() { ConvUnpool(src, dst, idx, dst, 2, 1, 8, 8, 4, true) },
 		"unpool nothing folded":      func() { ConvUnpool(src, dst, nil, dst, 2, 4, 8, 32, 8, false) },
-		"adjoint short dx":           func() { ConvAdjoint(dw[:17], 2, 3, 3, wt, 2, 3, 3, 1, dyA, 1) },
-		"adjoint short weights":      func() { ConvAdjoint(dw, 2, 3, 3, wt[:35], 2, 3, 3, 1, dyA, 1) },
-		"adjoint short dy":           func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, dyA[:17], 1) },
-		"adjoint kernel past padded": func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 5, 5, 0, dyA, 1) },
-		"adjoint negative pad":       func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, -1, dyA, 1) },
-		"adjoint two samples short":  func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, dyA, 2) },
-		"adjoint no samples":         func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, dyA, 0) },
+		"adjoint short dx":           func() { ConvAdjoint(dw[:17], 2, 3, 3, wt, 2, 3, 3, 1, 1, dyA, 1) },
+		"adjoint short weights":      func() { ConvAdjoint(dw, 2, 3, 3, wt[:35], 2, 3, 3, 1, 1, dyA, 1) },
+		"adjoint short dy":           func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, 1, dyA[:17], 1) },
+		"adjoint kernel past padded": func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 5, 5, 1, 0, dyA, 1) },
+		"adjoint negative pad":       func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, -1, dyA, 1) },
+		"adjoint two samples short":  func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, 1, dyA, 2) },
+		"adjoint no samples":         func() { ConvAdjoint(dw, 2, 3, 3, wt, 2, 3, 3, 1, 1, dyA, 0) },
 	} {
 		func() {
 			defer func() {
@@ -571,4 +571,119 @@ func TestConvKernelsValidateOperands(t *testing.T) {
 			f()
 		}()
 	}
+}
+
+// FuzzConvTileBitwise holds every ISA body of the compact-column tile
+// (ConvTile with a column table) and of the strided adjoint to the
+// definition. The tile runs 1 to 20 rows over k taps at random image
+// offsets, its columns the compact output indices of 1 to 5 samples of
+// oh×ow planes, ow from 1 to 33, read at a pitch of ow or more: against
+// the scalar table. The adjoint runs a stride-1 or stride-2 convolution
+// whose output is about ow wide, over 1 to 5 samples side by side: against
+// the Wᵀ·dy GEMM and col2im, split into the phase planes ConvAdjoint
+// writes, onto a gradient that already holds values. Weights, images and
+// gradients carry ±0, ±Inf and NaN.
+func FuzzConvTileBitwise(f *testing.F) {
+	for _, s := range [][7]uint8{
+		{7, 143, 3, 1, 3, 1, 1},  // enc_conv3: 4×4 compact, pitch 5, four samples, stride 2
+		{7, 39, 7, 1, 1, 1, 2},   // enc_conv2: 8×8, pitch 9
+		{3, 39, 15, 1, 0, 1, 3},  // enc_conv1: 16×16, pitch 17
+		{7, 63, 3, 2, 3, 0, 4},   // enc_conv4 and the heads: 4×4 at pitch 6, stride 1
+		{0, 0, 0, 0, 0, 0, 5},    // one of everything
+		{19, 17, 32, 4, 4, 1, 6}, // ow 33, five samples
+		{5, 9, 4, 3, 2, 1, 7},    // odd widths at stride 2
+	} {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6])
+	}
+	f.Fuzz(func(t *testing.T, mb, kb, owb, padb, sb, strideb, seed uint8) {
+		rng := NewRNG(uint64(seed) + 1)
+		m, k, ow, samples, stride := 1+int(mb)%20, 1+int(kb)%40, 1+int(owb)%33, 1+int(sb)%5, 1+int(strideb)%2
+		defer SetKernels("auto")
+
+		// The tile.
+		oh := 1 + rng.Intn(4)
+		pitch := ow + int(padb)%5
+		span := (oh-1)*pitch + ow
+		img := span + rng.Intn(3*pitch+1)
+		b := make([]float32, (samples-1)*img+img)
+		idx := make([]int32, 0, samples*oh*ow)
+		for s := 0; s < samples; s++ {
+			for p := 0; p < oh*ow; p++ {
+				idx = append(idx, int32(s*img+p/ow*pitch+p%ow))
+			}
+		}
+		off := make([]int, k)
+		for p := range off {
+			off[p] = rng.Intn(img - span + 1)
+		}
+		n := len(idx)
+		lda, ldc := k+rng.Intn(3), n+rng.Intn(3)
+		a := make([]float32, (m-1)*lda+k)
+		fillMadeNaN(rng, a)
+		fillSparse(rng, a, 3)
+		fillMadeNaN(rng, b)
+		start := make([]float32, (m-1)*ldc+n) // what the tile overwrites, and the gaps it leaves
+		fillMadeNaN(rng, start)
+		SetKernels("scalar")
+		want := append([]float32(nil), start...)
+		ConvTile(m, n, a, lda, b, off, idx, want, ldc)
+		withISAs(t, func(isa string) {
+			got := append([]float32(nil), start...)
+			ConvTile(m, n, a, lda, b, off, idx, got, ldc)
+			requireSameBits(t, fmt.Sprintf("ConvTile[%s] m=%d k=%d ow=%d pitch=%d samples=%d", isa, m, k, ow, pitch, samples), got, want)
+		})
+
+		// The adjoint.
+		kk := []int{1, 3, 4, 5}[rng.Intn(4)]
+		pad := int(padb) % 3
+		w := max(ow*stride-rng.Intn(stride), kk-2*pad, 1)
+		h := max(1+rng.Intn(9), kk-2*pad)
+		c, outC := 1+rng.Intn(9), 1+rng.Intn(9)
+		oh, oww := ConvOut(h, kk, stride, pad), ConvOut(w, kk, stride, pad)
+		if oh < 1 || oww < 1 {
+			return
+		}
+		kc, cols, hw := c*kk*kk, oh*oww, h*w
+		ph, pw := (h+stride-1)/stride, (w+stride-1)/stride
+		wt := make([]float32, outC*kc)
+		fillMadeNaN(rng, wt)
+		fillSparse(rng, wt, 3)
+		dy := make([]float32, outC*samples*cols) // channel-major, samples side by side
+		fillMadeNaN(rng, dy)
+		nchw := make([]float32, samples*c*hw)
+		fillMadeNaN(rng, nchw)
+		phase := func(i, ch, y, x int) int {
+			return ((ch*stride*stride+y%stride*stride+x%stride)*samples+i)*ph*pw + y/stride*pw + x/stride
+		}
+		base := make([]float32, c*stride*stride*samples*ph*pw)
+		for i := 0; i < samples; i++ {
+			for ch := 0; ch < c; ch++ {
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						base[phase(i, ch, y, x)] = nchw[(i*c+ch)*hw+y*w+x]
+					}
+				}
+			}
+		}
+		col := make([]float32, kc*samples*cols)
+		Gemm(true, false, kc, samples*cols, outC, 1, wt, dy, 0, col)
+		for i := 0; i < samples; i++ {
+			refCol2imFrom(col, samples*cols, i*cols, c, h, w, kk, kk, stride, pad, nchw[i*c*hw:][:c*hw])
+		}
+		wantAdj := append([]float32(nil), base...)
+		for i := 0; i < samples; i++ {
+			for ch := 0; ch < c; ch++ {
+				for y := 0; y < h; y++ {
+					for x := 0; x < w; x++ {
+						wantAdj[phase(i, ch, y, x)] = nchw[(i*c+ch)*hw+y*w+x]
+					}
+				}
+			}
+		}
+		withISAs(t, func(isa string) {
+			got := append([]float32(nil), base...)
+			ConvAdjoint(got, c, h, w, wt, outC, kk, kk, stride, pad, dy, samples)
+			requireSameBits(t, fmt.Sprintf("ConvAdjoint[%s] c=%d outC=%d k=%d s=%d p=%d %dx%d m=%d", isa, c, outC, kk, stride, pad, h, w, samples), got, wantAdj)
+		})
+	})
 }

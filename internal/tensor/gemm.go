@@ -2,9 +2,10 @@ package tensor
 
 import "sync"
 
-// SGEMM. Deep-learning convolutions lower (via im2col) to "tall skinny"
-// matrix multiplies whose shapes differ from classic HPC BLAS — the paper's
-// §II-A point. Both inner bodies keep C in registers for the whole k loop
+// SGEMM. Deep-learning convolutions are "tall skinny" matrix multiplies
+// (im2col's, when they are lowered) whose shapes differ from classic HPC
+// BLAS — the paper's §II-A point; the direct convolution (conv_tile.go)
+// runs the same register tile over operands it reads in place. Both inner bodies keep C in registers for the whole k loop
 // (gemm_tile.go): gemmTile holds a gemmMR-row × 32-column tile of C in
 // accumulators for the NN and TN products, dotTile runs dotMR×4 whole-k
 // dot products at once for NT and TT. C is parallelised over row panels

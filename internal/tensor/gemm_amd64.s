@@ -1503,6 +1503,110 @@ done:
 	VZEROUPPER
 	RET
 
+// func convPackAVX512(dst, b []float32, off []int, idx []int32, w int)
+//
+// Two gathers per tap: lanes 0-15 and 16-31 of B row p, from
+// b + 4·off[p] at the column offsets in Z1/Z2, under the masks of the w
+// live lanes (K1/K2; a dead lane stores +0). Each destination is cleared
+// before its gather, which merges into it and would otherwise wait on the
+// tap before.
+TEXT ·convPackAVX512(SB), NOSPLIT, $0-104
+	MOVQ        dst_base+0(FP), DI
+	MOVQ        b_base+24(FP), SI
+	MOVQ        off_base+48(FP), R8
+	MOVQ        idx_base+72(FP), R9
+	MOVQ        w+96(FP), CX
+	MOVL        $1, AX
+	SHLQ        CX, AX
+	DECQ        AX
+	KMOVW       AX, K1
+	SHRQ        $16, AX
+	KMOVW       AX, K2
+	VMOVDQU32.Z (R9), K1, Z1
+	VMOVDQU32.Z 64(R9), K2, Z2
+	MOVQ        off_len+56(FP), CX
+	TESTQ       CX, CX
+	JZ          zdone
+
+ztap:
+	MOVQ       (R8), AX
+	LEAQ       (SI)(AX*4), AX
+	KMOVW      K1, K3
+	VPXORD     Z3, Z3, Z3
+	VGATHERDPS (AX)(Z1*4), K3, Z3
+	KMOVW      K2, K4
+	VPXORD     Z4, Z4, Z4
+	VGATHERDPS (AX)(Z2*4), K4, Z4
+	VMOVUPS    Z3, (DI)
+	VMOVUPS    Z4, 64(DI)
+	ADDQ       $128, DI
+	ADDQ       $8, R8
+	DECQ       CX
+	JNZ        ztap
+
+zdone:
+	VZEROUPPER
+	RET
+
+// YPACKMASK sets mask to tileMask's mask for the live lanes of the
+// eight-lane segment that starts at lane lo, of w = DX live lanes, and
+// loads that segment's column offsets from R9 into offs under it.
+#define YPACKMASK(lo, mask, offs) \
+	MOVQ       DX, AX;             \
+	SUBQ       $lo, AX;            \
+	XORQ       BX, BX;             \
+	CMPQ       AX, BX;             \
+	CMOVQLT    BX, AX;             \
+	MOVQ       $8, BX;             \
+	CMPQ       AX, BX;             \
+	CMOVQGT    BX, AX;             \
+	NEGQ       AX;                 \
+	VMOVDQU    32(R10)(AX*4), mask; \
+	VPMASKMOVD lo*4(R9), mask, offs
+
+// YPACKSEG gathers one eight-lane segment of a tap's B row from AX under
+// a copy of its mask and stores it at byte offset at of DI.
+#define YPACKSEG(mask, offs, at) \
+	VMOVDQU    mask, Y0;            \
+	VXORPS     Y1, Y1, Y1;          \
+	VGATHERDPS Y0, (AX)(offs*4), Y1; \
+	VMOVUPS    Y1, at(DI)
+
+// func convPackAVX2(dst, b []float32, off []int, idx []int32, w int)
+//
+// convPackAVX512 in four eight-lane gathers per tap, the segment masks in
+// Y8-Y11 and the column offsets in Y12-Y15.
+TEXT ·convPackAVX2(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ b_base+24(FP), SI
+	MOVQ off_base+48(FP), R8
+	MOVQ idx_base+72(FP), R9
+	MOVQ w+96(FP), DX
+	LEAQ tileMask<>(SB), R10
+	YPACKMASK(0, Y8, Y12)
+	YPACKMASK(8, Y9, Y13)
+	YPACKMASK(16, Y10, Y14)
+	YPACKMASK(24, Y11, Y15)
+	MOVQ  off_len+56(FP), CX
+	TESTQ CX, CX
+	JZ    ydone
+
+ytap:
+	MOVQ (R8), AX
+	LEAQ (SI)(AX*4), AX
+	YPACKSEG(Y8, Y12, 0)
+	YPACKSEG(Y9, Y13, 32)
+	YPACKSEG(Y10, Y14, 64)
+	YPACKSEG(Y11, Y15, 96)
+	ADDQ $128, DI
+	ADDQ $8, R8
+	DECQ CX
+	JNZ  ytap
+
+ydone:
+	VZEROUPPER
+	RET
+
 // laneMask holds (1<<i)−1 for i = 0..16: the KMOVW mask of the lanes below i.
 DATA laneMask<>+0(SB)/2, $0x0000
 DATA laneMask<>+2(SB)/2, $0x0001

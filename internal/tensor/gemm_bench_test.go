@@ -133,7 +133,7 @@ func BenchmarkGemmShapes(b *testing.B) {
 					}
 				case s.op == "AJ":
 					clear(dx)
-					ConvAdjoint(dx, inC, w, w, a, s.k, 3, 3, 1, bm, s.n/cols)
+					ConvAdjoint(dx, inC, w, w, a, s.k, 3, 3, 1, 1, bm, s.n/cols)
 				case s.op == "WG":
 					WeightGrad(s.m, s.n, s.k, samples, a, s.k, s.m*s.k, bm, ldb, bStep, off, ow, pitch, c, s.n)
 				case s.op == "CD":
@@ -145,6 +145,130 @@ func BenchmarkGemmShapes(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(samples)*float64(GemmFLOPs(s.m, s.n, s.k))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+	benchConvSteps(b, rng)
+}
+
+// benchConvSteps adds BenchmarkGemmShapes' rows for the strided direct
+// steps at the climate benchmark's shapes (4 samples), each beside the
+// lowered step it replaced. A convolution's forward: LF, im2col of each
+// sample into one chunk-wide matrix and the NN GEMM, against DF, ConvTile
+// over the stride² phase planes of the padded input — with compact
+// columns (_cc, a column table across the samples) or pitch-strided ones
+// (_pitch, one call per sample). Its data gradient: LX, the TN GEMM into a
+// cleared Wᵀ·dy matrix and col2im per sample into a cleared dx, against
+// DX, ConvAdjoint into cleared phase planes. A deconvolution's forward is
+// the data gradient of the convolution it is the adjoint of, and its
+// data gradient that convolution's forward, so the decoder's rows are the
+// same four ops over its adjoint convolutions. The data movement on
+// either side of a direct step (splitting the input into phase planes,
+// interleaving them back) is nn's, and not in these rows. The lowered
+// rows run the tests' lowering (lowering_test.go), whose row copies and
+// adds are Go loops; EXPERIMENTS.md has them with the assembly
+// the program's lowering had.
+func benchConvSteps(b *testing.B, rng *RNG) {
+	const n = 4
+	for _, g := range []struct {
+		name             string
+		c, f, hw, k, s   int // in channels, out channels, input plane, kernel, stride
+		pad              int
+		fwd, dx, compact bool
+	}{
+		{"enc_conv1", 16, 32, 32, 3, 2, 1, true, true, false},
+		{"enc_conv1", 16, 32, 32, 3, 2, 1, true, false, true},
+		{"enc_conv2", 32, 64, 16, 3, 2, 1, true, true, true},
+		{"enc_conv3", 64, 96, 8, 3, 2, 1, true, true, true},
+		{"enc_conv4", 96, 128, 4, 3, 1, 1, true, false, true},
+		{"enc_conv4", 96, 128, 4, 3, 1, 1, true, false, false},
+		// the decoder: each deconvolution's adjoint convolution, c = its
+		// output channels, f = its input channels, over its output plane
+		{"dec_deconv1", 64, 128, 8, 4, 2, 1, true, true, true},
+		{"dec_deconv2", 32, 64, 16, 4, 2, 1, true, true, true},
+		{"dec_deconv3", 16, 32, 32, 4, 2, 1, true, true, false},
+		{"dec_deconv3", 16, 32, 32, 4, 2, 1, true, false, true},
+	} {
+		oh := ConvOut(g.hw, g.k, g.s, g.pad)
+		kc, cols := g.c*g.k*g.k, oh*oh
+		wt := randMat(rng, g.f*kc)
+		x := randMat(rng, n*g.c*g.hw*g.hw)
+		dy := randMat(rng, g.f*n*cols) // channel-major, as both data gradients read it
+		col := make([]float32, kc*n*cols)
+		out := make([]float32, g.f*n*cols)
+		pitch := (g.hw + 2*g.pad + g.s - 1) / g.s
+		plane := (g.hw + 2*g.pad + g.s - 1) / g.s * pitch
+		img := g.c * g.s * g.s * plane
+		images := randMat(rng, n*img)
+		var off []int
+		for ch := 0; ch < g.c; ch++ {
+			for ky := 0; ky < g.k; ky++ {
+				for kx := 0; kx < g.k; kx++ {
+					off = append(off, (ch*g.s*g.s+ky%g.s*g.s+kx%g.s)*plane+ky/g.s*pitch+kx/g.s)
+				}
+			}
+		}
+		var idx []int32
+		for i := 0; i < n; i++ {
+			for p := 0; p < cols; p++ {
+				idx = append(idx, int32(i*img+p/oh*pitch+p%oh))
+			}
+		}
+		ph := (g.hw + g.s - 1) / g.s
+		dx := make([]float32, n*g.c*g.hw*g.hw)
+		flops := float64(n) * float64(GemmFLOPs(g.f, cols, kc))
+		rate := func(b *testing.B) {
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		}
+		tag := fmt.Sprintf("%s_%dx%dx%d_s%d", g.name, g.f, n*cols, kc, n)
+		if g.fwd && (g.dx || !g.compact) { // once per shape
+			b.Run("LF_"+tag, func(b *testing.B) {
+				for it := 0; it < b.N; it++ {
+					for i := 0; i < n; i++ {
+						Im2colInto(x[i*g.c*g.hw*g.hw:], g.c, g.hw, g.hw, g.k, g.k, g.s, g.pad, col, n*cols, i*cols)
+					}
+					Gemm(false, false, g.f, n*cols, kc, 1, wt, col, 0, out)
+				}
+				rate(b)
+			})
+		}
+		if g.fwd {
+			name := "DF_" + tag + "_pitch"
+			if g.compact {
+				name = "DF_" + tag + "_cc"
+			}
+			b.Run(name, func(b *testing.B) {
+				for it := 0; it < b.N; it++ {
+					if g.compact {
+						ConvTile(g.f, n*cols, wt, kc, images, off, idx, out, n*cols)
+						continue
+					}
+					ldc := (oh-1)*pitch + oh
+					for i := 0; i < n; i++ {
+						ConvTile(g.f, ldc, wt, kc, images[i*img:], off, nil, out, ldc)
+					}
+				}
+				rate(b)
+			})
+		}
+		if !g.dx {
+			continue
+		}
+		b.Run("LX_"+tag, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				clear(dx)
+				Gemm(true, false, kc, n*cols, g.f, 1, wt, dy, 0, col)
+				for i := 0; i < n; i++ {
+					Col2imFrom(col, n*cols, i*cols, g.c, g.hw, g.hw, g.k, g.k, g.s, g.pad, dx[i*g.c*g.hw*g.hw:])
+				}
+			}
+			rate(b)
+		})
+		b.Run("DX_"+tag, func(b *testing.B) {
+			for it := 0; it < b.N; it++ {
+				clear(dx[:g.c*g.s*g.s*n*ph*ph])
+				ConvAdjoint(dx, g.c, g.hw, g.hw, wt, g.f, g.k, g.k, g.s, g.pad, dy, n)
+			}
+			rate(b)
 		})
 	}
 }

@@ -2,10 +2,10 @@ package tensor
 
 // Runtime kernel dispatch. Every hot arithmetic body in this package —
 // the fp32 GEMM's two register tiles (gemm_tile.go), the direct
-// convolution's tile, epilogues, unpool, weight-gradient and adjoint tiles
-// (conv_tile.go), the packed weight gradient's gather and tile (wgrad.go),
+// convolution's tile, column packing, epilogues, unpool, weight-gradient
+// and adjoint tiles (conv_tile.go), the packed weight gradient's gather and tile (wgrad.go),
 // the ADAM update (adam.go), axpy, the in-place scale, the conv unit's
-// ReLU, 2×2 max-pool and the lowerings' row gather and row add
+// ReLU, 2×2 max-pool and the phase split's and merge's strided row copies
 // (kernels_conv.go), and the int8
 // datapath's micro-kernel, epilogues and quantizers (gemm_s8.go) — is a
 // package-level function variable installed by SetKernels.
@@ -42,6 +42,7 @@ func installScalar() {
 	gemmTile = gemmTileGeneric
 	dotTile = dotTileGeneric
 	convTile = convTileGeneric
+	convPack = convPackGeneric
 	convDot = convDotGeneric
 	wgPack = wgPackGeneric
 	wgTile = wgTileGeneric
@@ -56,8 +57,8 @@ func installScalar() {
 	reluGrad = reluGradGeneric
 	maxPool2x2 = maxPool2x2Generic
 	maxPool2x2Argmax = maxPool2x2ArgmaxGeneric
-	gatherRows = gatherRowsGeneric
-	scatterRows = scatterRowsGeneric
+	splitRows = splitRowsGeneric
+	mergeRows = mergeRowsGeneric
 	convS8 = convS8Generic
 	requantF32 = requantF32Generic
 	requantU8 = requantU8Generic

@@ -23,6 +23,8 @@ func dotTileAVX2(mr, n, k int, alpha float32, a []float32, lda int, b []float32,
 func dotTileAVX512(mr, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, c []float32, ldc int)
 func convTileAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
 func convTileAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, c []float32, ldc int)
+func convPackAVX2(dst, b []float32, off []int, idx []int32, w int)
+func convPackAVX512(dst, b []float32, off []int, idx []int32, w int)
 func convDotAVX2(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int)
 func convDotAVX512(mr, n, k int, a []float32, lda int, b []float32, off []int, ow, pitch int, c []float32, ldc int)
 func convAdjAVX2(mr, k int, a []float32, ars, aps int, b []float32, ldb, span int, c []float32, ldc int, keep []uint32, t []float32)
@@ -46,10 +48,10 @@ func maxPool2x2AVX2(dst, r0, r1 []float32)
 func maxPool2x2AVX512(dst, r0, r1 []float32)
 func maxPool2x2ArgmaxAVX2(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
 func maxPool2x2ArgmaxAVX512(dst []float32, idx []int32, r0, r1 []float32, base, w int32)
-func gatherRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
-func gatherRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
-func scatterRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
-func scatterRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+func splitRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+func splitRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+func mergeRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+func mergeRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 func convStoreAVX2(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n int, relu, pool bool)
 func convStoreAVX512(dst, src, bias []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n int, relu, pool bool)
 func convStoreArgmaxAVX2(dst []float32, idx []int32, src, bias []float32, planes, dstPlane, idxPlane, srcPlane, rows, dstPitch, srcPitch, n, base, w int, relu bool)
@@ -107,6 +109,7 @@ func installAVX2() {
 	gemmTile = gemmTileAVX2
 	dotTile = dotTileAVX2
 	convTile = convTileAVX2
+	convPack = convPackAVX2
 	convDot = convDotAVX2
 	wgPack = wgPackAVX2
 	wgTile = wgTileAVX2
@@ -121,8 +124,8 @@ func installAVX2() {
 	reluGrad = reluGradAVX2
 	maxPool2x2 = maxPool2x2AVX2
 	maxPool2x2Argmax = maxPool2x2ArgmaxAVX2
-	gatherRows = gatherRowsAVX2
-	scatterRows = scatterRowsAVX2
+	splitRows = splitRowsAVX2
+	mergeRows = mergeRowsAVX2
 	convS8 = convS8AVX2
 	requantF32 = requantF32AVX2
 	requantU8 = requantU8AVX2
@@ -137,6 +140,7 @@ func installAVX512() {
 	gemmTile = gemmTileAVX512
 	dotTile = dotTileAVX512
 	convTile = convTileAVX512
+	convPack = convPackAVX512
 	convDot = convDotAVX512
 	wgPack = wgPackAVX512
 	wgTile = wgTileAVX512
@@ -149,8 +153,8 @@ func installAVX512() {
 	reluGrad = reluGradAVX512
 	maxPool2x2 = maxPool2x2AVX512
 	maxPool2x2Argmax = maxPool2x2ArgmaxAVX512
-	gatherRows = gatherRowsAVX512
-	scatterRows = scatterRowsAVX512
+	splitRows = splitRowsAVX512
+	mergeRows = mergeRowsAVX512
 	if hasVNNI() {
 		convS8 = convS8VNNI
 		requantF32 = requantF32AVX512

@@ -3,8 +3,8 @@ package tensor
 import "math"
 
 // The non-GEMM kernels of a convolution unit: ReLU forward and backward,
-// 2×2/stride-2 max pooling with and without argmax, and the row gather and
-// row add under the lowerings. They sit on the same dispatch table as the
+// 2×2/stride-2 max pooling with and without argmax, and the strided row
+// copies that split an image into phase planes and merge it back. They sit on the same dispatch table as the
 // GEMM tiles (kernels.go) and honour the same contract: every ISA body is
 // bitwise identical to the Go body here. That is cheap for this family —
 // max, select, copy and a same-order add are all exact — but the operand
@@ -99,15 +99,15 @@ func maxPool2x2ArgmaxGeneric(dst []float32, idx []int32, r0, r1 []float32, base,
 	}
 }
 
-// gatherRows is the active strided-gather kernel: for p < planes, r < rows,
-// dst[p*dstPlane+r*dstPitch+i] = src[p*srcPlane+r*srcPitch+i*step] over
-// i < n — one tap of a strided im2col over a group of channels, clipped to
-// the window that lands inside the image. A plane's rows are 4 to 16 floats
-// and the smallest planes 4 rows, so a call per row, or even per plane,
-// would spend its time on call set-up.
-var gatherRows = gatherRowsGeneric
+// splitRows is the active strided-copy kernel behind PhaseSplit: for
+// p < planes, r < rows, dst[p*dstPlane+r*dstPitch+i] =
+// src[p*srcPlane+r*srcPitch+i*step] over i < n — one phase of a group of
+// channel planes' rows. A plane's rows are 2 to 16 floats and the smallest
+// planes 2 rows, so a call per row, or even per plane, would spend its
+// time on call set-up.
+var splitRows = splitRowsGeneric
 
-func gatherRowsGeneric(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int) {
+func splitRowsGeneric(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int) {
 	for p := 0; p < planes; p++ {
 		for r := 0; r < rows; r++ {
 			d := dst[p*dstPlane+r*dstPitch:][:n]
@@ -119,19 +119,17 @@ func gatherRowsGeneric(dst, src []float32, planes, dstPlane, srcPlane, rows, dst
 	}
 }
 
-// scatterRows is gatherRows' mirror, the add under col2im:
-// dst[p*dstPlane+r*dstPitch+i*step] += src[p*srcPlane+r*srcPitch+i]. Step 1
-// is the stride-1 strip add. The elements of dst between the steps are
-// neither read nor written.
-var scatterRows = scatterRowsGeneric
+// mergeRows is splitRows' mirror, behind PhaseMerge:
+// dst[p*dstPlane+r*dstPitch+i*step] = src[p*srcPlane+r*srcPitch+i]. The
+// elements of dst between the steps are neither read nor written.
+var mergeRows = mergeRowsGeneric
 
-func scatterRowsGeneric(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int) {
+func mergeRowsGeneric(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int) {
 	for p := 0; p < planes; p++ {
 		for r := 0; r < rows; r++ {
 			d := dst[p*dstPlane+r*dstPitch:]
-			s := src[p*srcPlane+r*srcPitch:][:n]
-			for i, v := range s {
-				d[i*step] += v
+			for i, v := range src[p*srcPlane+r*srcPitch:][:n] {
+				d[i*step] = v
 			}
 		}
 	}

@@ -850,17 +850,16 @@ done:
 	VZEROUPPER
 	RET
 
-// The row kernels below serve im2col and col2im: a tap's clipped window of
-// one plane, for a group of channel planes a call. On the strided side of
-// the copy or add the floats are step apart. Step 2 — every strided layer
-// of the climate network — has vector bodies built on the fact that a float
-// at an even lane is the low half of a quadword: narrowing quadwords to
-// doublewords (VPMOVQD) gathers the even lanes, and zero-extending
-// doublewords to quadwords (VPMOVZXDQ) spreads a contiguous run back onto
-// them. The add also has step 1, the stride-1 col2im's strip add. Any other
-// step is the Go body's. No body touches a strided-side element off the
-// step grid or past the last one: the callers clip the window to the plane,
-// not to a vector width.
+// The row kernels below split an image into its stride² phase planes and
+// merge phase planes back into an image: copies between a row whose floats
+// are step apart and a contiguous one, for a group of channel planes a
+// call. Step 2 — every strided layer of the climate network — has vector
+// bodies built on the fact that a float at an even lane is the low half of
+// a quadword: narrowing quadwords to doublewords (VPMOVQD) gathers the
+// even lanes, and zero-extending doublewords to quadwords (VPMOVZXDQ)
+// spreads a contiguous run back onto them. Any other step is the Go body's.
+// No body touches a strided-side element off the step grid or past the
+// last one.
 //
 // All share one loop nest: planes, then rows, then blocks of a row.
 // ROWS_SETUP leaves when there is nothing to do and scales the pitches to
@@ -920,16 +919,16 @@ done:
 	KMOVW AX, K3;     \
 	SHRQ $3, R11
 
-// func gatherRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+// func splitRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 //
 // Eight outputs come from two overlapping loads, src[0:8] and src[7:15], so
 // the last float read is the last one gathered; VSHUFPS picks the even
 // floats of the first and the odd floats of the second within each 128-bit
 // half and VPERMPD puts the halves in order.
-TEXT ·gatherRowsAVX2(SB), NOSPLIT, $0-112
+TEXT ·splitRowsAVX2(SB), NOSPLIT, $0-112
 	CMPQ step+104(FP), $2
 	JEQ  step2
-	JMP  ·gatherRowsGeneric(SB)
+	JMP  ·splitRowsGeneric(SB)
 
 step2:
 	MOVQ dst_base+0(FP), DI
@@ -990,16 +989,16 @@ next:
 done:
 	RET
 
-// func gatherRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+// func splitRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 //
 // Eight outputs per block: a masked load of the sixteen floats they span
 // (even lanes only), narrowed to eight. Rows of up to eight outputs — the
 // 8×8 and 4×4 planes — are one masked block each, the masks the same for
 // every row.
-TEXT ·gatherRowsAVX512(SB), NOSPLIT, $0-112
+TEXT ·splitRowsAVX512(SB), NOSPLIT, $0-112
 	CMPQ step+104(FP), $2
 	JEQ  step2
-	JMP  ·gatherRowsGeneric(SB)
+	JMP  ·splitRowsGeneric(SB)
 
 step2:
 	MOVQ dst_base+0(FP), DI
@@ -1043,21 +1042,17 @@ next:
 done:
 	RET
 
-// func scatterRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+// func mergeRowsAVX2(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 //
-// dst + src with dst as the first source, the order of the scalar `+=`. At
-// step 2 four source floats spread onto the even lanes of a YMM; dst is
-// loaded and stored under the even-lane mask, so the floats between the
-// steps are not touched.
-TEXT ·scatterRowsAVX2(SB), NOSPLIT, $0-112
-	MOVQ step+104(FP), BX
-	CMPQ BX, $1
-	JEQ  vector
-	CMPQ BX, $2
-	JEQ  vector
-	JMP  ·scatterRowsGeneric(SB)
+// splitRowsAVX2's mirror: at step 2 four source floats spread onto the
+// even lanes of a YMM, stored under the even-lane mask, so the floats
+// between the steps are not touched.
+TEXT ·mergeRowsAVX2(SB), NOSPLIT, $0-112
+	CMPQ step+104(FP), $2
+	JEQ  step2
+	JMP  ·mergeRowsGeneric(SB)
 
-vector:
+step2:
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ planes+48(FP), R15
@@ -1068,114 +1063,53 @@ vector:
 	MOVQ srcPitch+88(FP), R10
 	MOVQ n+96(FP), R11
 	ROWS_SETUP
-	CMPQ BX, $1
-	JEQ  row1
 	VPCMPEQD Y7, Y7, Y7
 	VPSRLQ   $32, Y7, Y7 // all ones in every even lane
 
-row2:
+row:
 	MOVQ DI, AX
 	MOVQ SI, DX
 	MOVQ R11, CX
 	MOVQ CX, BX
 	SHRQ $2, BX
-	JZ   tail2
+	JZ   tail
 
 loop4:
 	VPMOVZXDQ  (DX), Y1
-	VMASKMOVPS (AX), Y7, Y0
-	VADDPS     Y1, Y0, Y0
-	VMASKMOVPS Y0, Y7, (AX)
+	VMASKMOVPS Y1, Y7, (AX)
 	ADDQ       $32, AX
 	ADDQ       $16, DX
 	DECQ       BX
 	JNZ        loop4
 
-tail2:
+tail:
 	ANDQ $3, CX
-	JZ   next2
+	JZ   next
 
 loop1:
-	VMOVSS (AX), X0
-	VADDSS (DX), X0, X0
-	VMOVSS X0, (AX)
-	ADDQ   $8, AX
-	ADDQ   $4, DX
-	DECQ   CX
-	JNZ    loop1
+	MOVL (DX), BX
+	MOVL BX, (AX)
+	ADDQ $8, AX
+	ADDQ $4, DX
+	DECQ CX
+	JNZ  loop1
 
-next2:
-	ROWS_NEXT(row2)
-
-row1:
-	MOVQ DI, AX
-	MOVQ SI, DX
-	MOVQ R11, CX
-	MOVQ CX, BX
-	SHRQ $3, BX
-	JZ   unit4
-
-unit8:
-	VMOVUPS (AX), Y0
-	VADDPS  (DX), Y0, Y0
-	VMOVUPS Y0, (AX)
-	ADDQ    $32, AX
-	ADDQ    $32, DX
-	DECQ    BX
-	JNZ     unit8
-
-unit4:
-	TESTQ $4, CX
-	JZ    tail1
-	VMOVUPS (AX), X0
-	VADDPS  (DX), X0, X0
-	VMOVUPS X0, (AX)
-	ADDQ    $16, AX
-	ADDQ    $16, DX
-
-tail1:
-	ANDQ $3, CX
-	JZ   next1
-
-unit1:
-	VMOVSS (AX), X0
-	VADDSS (DX), X0, X0
-	VMOVSS X0, (AX)
-	ADDQ   $4, AX
-	ADDQ   $4, DX
-	DECQ   CX
-	JNZ    unit1
-
-next1:
-	ROWS_NEXT(row1)
+next:
+	ROWS_NEXT(row)
 
 done:
 	RET
 
-// func scatterRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
+// func mergeRowsAVX512(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int)
 //
-// Step 2 is gatherRowsAVX512's mirror: eight source floats spread onto the
-// even lanes of a ZMM and added into dst under the even-lane mask. Step 1
-// is ZMM blocks and a masked tail. Both want dst's rows 16 floats apart or
-// more; closer rows are the AVX2 body's. A masked ZMM store blocks a later
-// load as if it were 64 bytes wide, and with rows closer than that the next
-// row's load falls inside it, so every row waited for the one before it to
-// retire: 2.05 ns an element on stride-1 4×4 planes against the AVX2
-// body's 0.60.
-TEXT ·scatterRowsAVX512(SB), NOSPLIT, $0-112
-	MOVQ step+104(FP), BX
-	CMPQ BX, $1
-	JEQ  step12
-	CMPQ BX, $2
-	JEQ  step12
-	JMP  ·scatterRowsGeneric(SB)
+// splitRowsAVX512's mirror: eight source floats spread onto the even lanes
+// of a ZMM and stored under the even-lane mask.
+TEXT ·mergeRowsAVX512(SB), NOSPLIT, $0-112
+	CMPQ step+104(FP), $2
+	JEQ  step2
+	JMP  ·mergeRowsGeneric(SB)
 
-step12:
-	CMPQ dstPitch+80(FP), $16
-	JGE  vector
-	JMP  ·scatterRowsAVX2(SB)
-
-vector:
+step2:
 	MOVQ dst_base+0(FP), DI
 	MOVQ src_base+24(FP), SI
 	MOVQ planes+48(FP), R15
@@ -1186,74 +1120,32 @@ vector:
 	MOVQ srcPitch+88(FP), R10
 	MOVQ n+96(FP), R11
 	ROWS_SETUP
-	CMPQ BX, $1
-	JEQ  unit
 	STEP2_MASKS512
 
-row2:
+row:
 	MOVQ DI, AX
 	MOVQ SI, DX
 	MOVQ R11, BX
 	TESTQ BX, BX
-	JZ   tail2
+	JZ   tail
 
 loop8:
 	VPMOVZXDQ (DX), Z1
-	VMOVUPS.Z (AX), K3, Z0
-	VADDPS    Z1, Z0, Z0
-	VMOVUPS   Z0, K3, (AX)
+	VMOVUPS   Z1, K3, (AX)
 	ADDQ      $64, AX
 	ADDQ      $32, DX
 	DECQ      BX
 	JNZ       loop8
 
-tail2:
+tail:
 	TESTQ CX, CX
-	JZ    next2
+	JZ    next
 	VMOVUPS.Z (DX), K2, Z1
 	VPMOVZXDQ Y1, Z1
-	VMOVUPS.Z (AX), K1, Z0
-	VADDPS    Z1, Z0, Z0
-	VMOVUPS   Z0, K1, (AX)
+	VMOVUPS   Z1, K1, (AX)
 
-next2:
-	ROWS_NEXT(row2)
-
-unit:
-	MOVQ R11, CX
-	ANDQ $15, CX
-	MOVQ $1, AX
-	SHLQ CX, AX
-	DECQ AX
-	KMOVW AX, K1  // tail lanes, empty when n is a multiple of 16
-	SHRQ $4, R11  // 16-float blocks per row
-
-row1:
-	MOVQ DI, AX
-	MOVQ SI, DX
-	MOVQ R11, BX
-	TESTQ BX, BX
-	JZ   tail1
-
-loop16:
-	VMOVUPS (AX), Z0
-	VADDPS  (DX), Z0, Z0
-	VMOVUPS Z0, (AX)
-	ADDQ    $64, AX
-	ADDQ    $64, DX
-	DECQ    BX
-	JNZ     loop16
-
-tail1:
-	TESTQ CX, CX
-	JZ    next1
-	VMOVUPS.Z (AX), K1, Z0
-	VMOVUPS.Z (DX), K1, Z1
-	VADDPS  Z1, Z0, Z0
-	VMOVUPS Z0, K1, (AX)
-
-next1:
-	ROWS_NEXT(row1)
+next:
+	ROWS_NEXT(row)
 
 done:
 	RET

@@ -158,8 +158,8 @@ func canonicalNaNs(s []float32) {
 	}
 }
 
-// TestRowKernelsBitwiseAcrossISAs covers the row gather and its mirror add:
-// steps 1 to 3 (the add has vector bodies for 1 and 2, the gather for 2;
+// TestRowKernelsBitwiseAcrossISAs covers the phase split's strided row copy
+// and its mirror, the merge: steps 1 to 3 (both have vector bodies for 2;
 // the rest is the Go body reached through the assembly's tail jump), widths
 // 0..67 so every block count and every mask tail occurs, plane and row
 // counts from none, pitches at and above the minimum, unaligned starts.
@@ -186,17 +186,15 @@ func TestRowKernelsBitwiseAcrossISAs(t *testing.T) {
 
 					want := append([]float32(nil), contig...)
 					got := append([]float32(nil), contig...)
-					gatherRows(got[off:], strided[off:], planes, cpl, spl, rows, cp, sp, n, step)
-					gatherRowsGeneric(want[off:], strided[off:], planes, cpl, spl, rows, cp, sp, n, step)
-					requireSameBits(t, tag+" gatherRows", got, want)
+					splitRows(got[off:], strided[off:], planes, cpl, spl, rows, cp, sp, n, step)
+					splitRowsGeneric(want[off:], strided[off:], planes, cpl, spl, rows, cp, sp, n, step)
+					requireSameBits(t, tag+" splitRows", got, want)
 
-					canonicalNaNs(contig)
-					canonicalNaNs(strided)
 					want = append(want[:0], strided...)
 					got = append(got[:0], strided...)
-					scatterRows(got[off:], contig[off:], planes, spl, cpl, rows, sp, cp, n, step)
-					scatterRowsGeneric(want[off:], contig[off:], planes, spl, cpl, rows, sp, cp, n, step)
-					requireSameBits(t, tag+" scatterRows", got, want)
+					mergeRows(got[off:], contig[off:], planes, spl, cpl, rows, sp, cp, n, step)
+					mergeRowsGeneric(want[off:], contig[off:], planes, spl, cpl, rows, sp, cp, n, step)
+					requireSameBits(t, tag+" mergeRows", got, want)
 				}
 			}
 		}

@@ -196,14 +196,14 @@ func TestGemmBlockedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGemmNTAccMatchesReference holds WeightGrad over a lowering's
+// TestWeightGradLoweredMatchesReference holds WeightGrad over a lowering's
 // windows to the reference NT product on the copied-out windows, sample
 // by sample in order: the hep convolutions' products, read out of a
 // lowering that holds the chunk (ldb = samples·cols, each sample's columns
 // cols further on), the climate shapes, k on both sides of the packed
 // kernel's limit, and every row, column and k tail — on one to three
 // workers, every product forced through the split.
-func TestGemmNTAccMatchesReference(t *testing.T) {
+func TestWeightGradLoweredMatchesReference(t *testing.T) {
 	rng := NewRNG(101)
 	type window struct{ m, n, k, lda, ldb, samples int }
 	cases := []window{

@@ -1,33 +1,22 @@
 package tensor
 
-// im2col / col2im lowering. A convolution over a C×H×W image with F filters
-// of size KH×KW becomes a (F)×(C·KH·KW) by (C·KH·KW)×(OH·OW) GEMM. col2im is
-// the adjoint scatter used for the data gradient — and, per the paper's
-// §III-C deconvolution trick, for the *forward* pass of deconvolution.
+// The lowering the direct convolutions replaced, kept as the tests'
+// reference and the benchmarks' baseline: im2col, whose patch matrix
+// turns a convolution into a GEMM, and col2im, its adjoint scatter. Their
+// strided row copies and adds run the Go loops here; the assembly bodies
+// they had are gone with them.
 
-// ConvOut returns the output spatial size for input size in, kernel k,
-// stride s and symmetric padding p.
-func ConvOut(in, k, s, p int) int {
-	return (in+2*p-k)/s + 1
-}
-
-// tapRange returns the output positions [lo,hi) along one axis whose input
-// position o*stride-pad+k lies inside [0,in), for kernel offset k; hi <= lo
-// when there are none. Beyond stride 1 the bounds are walked in rather than
-// divided out — the clipped positions are within a kernel's width of either
-// end, and one integer division costs more than gathering a 4-float row.
-func tapRange(pad, k, in, out, stride int) (lo, hi int) {
-	if stride == 1 {
-		return max(pad-k, 0), min(in+pad-k, out)
+// scatterAddRows is col2im's row add: dst[p*dstPlane+r*dstPitch+i*step]
+// += src[p*srcPlane+r*srcPitch+i].
+func scatterAddRows(dst, src []float32, planes, dstPlane, srcPlane, rows, dstPitch, srcPitch, n, step int) {
+	for p := 0; p < planes; p++ {
+		for r := 0; r < rows; r++ {
+			d := dst[p*dstPlane+r*dstPitch:]
+			for i, v := range src[p*srcPlane+r*srcPitch:][:n] {
+				d[i*step] += v
+			}
+		}
 	}
-	for lo*stride-pad+k < 0 {
-		lo++
-	}
-	hi = out
-	for hi > lo && (hi-1)*stride-pad+k >= in {
-		hi--
-	}
-	return lo, hi
 }
 
 // lowering validates the operands of one im2col or col2im — op names the
@@ -108,7 +97,7 @@ func Im2colInto(img []float32, c, h, w, kh, kw, stride, pad int, col []float32, 
 					}
 				}
 				if rows*n != 0 {
-					gatherRows(col[at+oyLo*ow+oxLo:], img[off+(oyLo*w+oxLo)*stride:], planes, chRows, h*w, rows, ow, stride*w, n, stride)
+					splitRowsGeneric(col[at+oyLo*ow+oxLo:], img[off+(oyLo*w+oxLo)*stride:], planes, chRows, h*w, rows, ow, stride*w, n, stride)
 				}
 			}
 		}
@@ -176,7 +165,7 @@ func Col2imFrom(col []float32, rowStride, colOff, c, h, w, kh, kw, stride, pad i
 				}
 				src := col[ch0*chRows+(ky*kw+kx)*rowStride+colOff+oyLo*ow+oxLo:]
 				dst := img[ch0*h*w+(oyLo*stride-pad+ky)*w+oxLo*stride-pad+kx:]
-				scatterRows(dst, src, planes, h*w, chRows, oyHi-oyLo, stride*w, ow, oxHi-oxLo, stride)
+				scatterAddRows(dst, src, planes, h*w, chRows, oyHi-oyLo, stride*w, ow, oxHi-oxLo, stride)
 			}
 		}
 	}

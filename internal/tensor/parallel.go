@@ -33,8 +33,9 @@ func SetWorkers(n int) int {
 func Workers() int { return int(workers.Load()) }
 
 // ParallelFor runs fn(lo,hi) over a partition of [0,n) across the configured
-// worker count. Chunks are contiguous so memory access stays streaming. With
-// one worker (or tiny n) it runs inline, avoiding goroutine overhead.
+// worker count. Chunks are contiguous so memory access stays streaming; the
+// caller runs the last one itself. With one worker (or tiny n) it runs
+// inline, avoiding goroutine overhead.
 func ParallelFor(n int, fn func(lo, hi int)) {
 	w := Workers()
 	if w > n {
@@ -48,16 +49,14 @@ func ParallelFor(n int, fn func(lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (n + w - 1) / w
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	lo := 0
+	for ; lo+chunk < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, lo+chunk)
 	}
+	fn(lo, n) // the last chunk runs on the caller
 	wg.Wait()
 }

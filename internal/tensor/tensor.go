@@ -1,6 +1,7 @@
 // Package tensor provides the dense float32 tensor substrate used by the
 // neural-network library: row-major N-dimensional tensors, a blocked and
-// goroutine-parallel SGEMM, im2col/col2im lowering for convolutions, and a
+// goroutine-parallel SGEMM, the direct convolution's kernels (which read a
+// convolution's GEMM operands out of its padded image in place), and a
 // deterministic random number generator.
 //
 // It plays the role Intel MKL 2017's DNN primitives play in the paper's
