@@ -9,15 +9,18 @@
 //
 //   - shards stream through data.Pipeline prefetch (I/O hidden behind
 //     compute, same machinery as training ingest);
-//   - large fixed-size batches run straight into the compiled plans via
-//     serve.SharedInferer — no queue, no linger, no per-request envelope,
-//     and not even the online path's per-batch output copy; the plan cuts
-//     a batch into tiles of 32 samples and runs them on one lane per
-//     kernel thread (nn/tile.go), which is where the host's cores come in;
-//   - batch tensors are pooled slot staging, so the warm loop touches the
-//     allocator exactly zero times (gated by test);
+//   - one lane per kernel thread lives for the whole run, each with its
+//     own replica, and pulls 32-sample tiles (nn.InferTile) off the staged
+//     batches in sample order, so there is no fork or join per batch and
+//     no lane idles at a batch boundary; the tiles run straight into
+//     tile-sized compiled plans via serve.SharedInferer — no queue, no
+//     linger, no per-request envelope, and not even the online path's
+//     output copy;
+//   - batch tensors are pooled slot staging, returned to the stager by
+//     the lane that finishes a batch's last tile, so the warm loop's
+//     allocations do not grow with the set (gated by test);
 //   - confidence extraction (nn.SoftmaxTop1) runs in place on the
-//     plan-owned logits.
+//     plan-owned logits, straight into the tile's prediction range.
 //
 // ScoreFleet (fleet.go) is the scale-out form: shards fan out across
 // netserve backends through a work-stealing queue, whole [N, …] batches on
@@ -30,6 +33,8 @@ package bulk
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"deep15pf/internal/data"
@@ -41,22 +46,21 @@ import (
 
 // Config parameterises an Engine or a fleet run.
 type Config struct {
-	// Batch is the fixed inference batch size: the unit of staging and of
-	// the plan's one fork-join, not of execution (the plan runs it as
-	// tiles of 32, so 32 or fewer is one tile on one core). Bigger batches
-	// amortise that join and the pipeline hand-off further but round the
-	// tail up and grow the staging ring. An untrained hep-small on two
-	// threads scores 15K samples/s at 32, 22K at 64 and 128, 24K at 256
-	// (the default), 27K at 512 and 1024; int8 51K, 68K, 79K, 74K, 90K and
-	// 93K (EXPERIMENTS.md, the batch sweep after the pooled epilogue). The
-	// faster the pass, the more the per-batch join costs (ROADMAP item 1),
-	// so int8's knee sits past 256.
+	// Batch is the unit of staging: how many samples one shard read
+	// stages into one slot of the prefetch ring (and, for ScoreFleet, one
+	// wire request). It is not the unit of execution: the Engine's lanes
+	// run tiles of 32 samples across batch boundaries, so on two threads
+	// a batch of 256 scores within 2% of 1024 (EXPERIMENTS.md, "batch 256
+	// against 1024" under the bulk lanes). A bigger batch means fewer,
+	// longer reads and a bigger staging ring. Default 256.
 	Batch int
 	// Lookahead is how many staged batches the prefetcher may run ahead
-	// of compute (ring size Lookahead+1). Default 2.
+	// of the batches the lanes hold (ring size Lookahead + lanes).
+	// Default 2.
 	Lookahead int
-	// Trace attaches phase spans (Ingest on the stager lane, Infer on the
-	// compute lane, per-shard iter tags on fleet worker lanes). nil
+	// Trace attaches phase spans (Ingest on the stager lane; Infer per tile
+	// and Ingest while taking the next batch on each scoring lane, "bulk"
+	// and "bulk.1" up; per-shard iter tags on fleet worker lanes). nil
 	// records nothing.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives bulk_samples (counter),
@@ -109,22 +113,22 @@ type Result struct {
 	SamplesPerSec float64
 }
 
-// Engine scores shard sets through one local replica. Single-goroutine for
-// its caller, like the replica under it — one Score at a time, one batch
-// in the plan at a time; the kernel threads come in inside the plan's
-// Forward, as lanes joined before it returns. Reuse across Score calls
-// keeps the compiled plans, their lanes and the staging warm.
+// Engine scores shard sets on lanes that live for a whole Score call: one
+// per kernel thread in use, each with its own replica (lane 0 runs the
+// engine's replica on the caller). The lanes pull 32-sample tiles off the
+// staged batches in sample order, so no lane waits at a batch boundary
+// for another to finish. One Score at a time; reuse across Score calls
+// keeps the lanes' replicas, their compiled plans and the staging warm.
 type Engine struct {
 	cfg     Config
-	rep     serve.Model
-	shared  serve.SharedInferer // non-nil: the copy-free datapath
+	model   *serve.LoadedModel // mints the replicas of lanes 1 and up
 	inShape []int
 	inLen   int
-	classes int
 
-	arena *tensor.Arena
-	slots []*slot
-	lane  *obs.Lane
+	arena  *tensor.Arena
+	slots  []*slot
+	lanes  []*lane
+	ingest *obs.Lane // the stager's trace lane
 }
 
 // slot is one staged batch in the prefetch ring.
@@ -132,11 +136,22 @@ type slot struct {
 	stage *tensor.Staging
 	x     *tensor.Tensor // view for the staged size, set by the stager
 	lo, n int            // global sample range [lo, lo+n)
+	batch int            // the batch's index in the run
+	left  atomic.Int32   // tiles not yet finished; the last one releases the slot
+}
+
+// lane is one scoring thread's replica, its view of the tile it is
+// running, and its trace lane.
+type lane struct {
+	rep   serve.SharedInferer
+	x     tensor.Tensor
+	trace *obs.Lane
 }
 
 // NewEngine mints one dedicated replica from m and wraps it for bulk
-// scoring. The model must be a classifier — a rank-1 [classes] output —
-// because the factory's product is an argmax label per sample.
+// scoring; Score mints one more per further lane it runs. The model must
+// be a classifier — a rank-1 [classes] output — because the factory's
+// product is an argmax label per sample.
 func NewEngine(m *serve.LoadedModel, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	rep, err := m.NewReplica()
@@ -149,40 +164,56 @@ func NewEngine(m *serve.LoadedModel, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:     cfg,
-		rep:     rep,
+		model:   m,
 		inShape: rep.InShape(),
-		classes: out[0],
 		arena:   tensor.NewArena(),
-		lane:    cfg.Trace.Lane("bulk"),
+		ingest:  cfg.Trace.Lane("bulk.ingest"),
 	}
-	e.shared, _ = rep.(serve.SharedInferer)
-	e.inLen = 1
-	for _, d := range e.inShape {
-		e.inLen *= d
+	e.inLen = prod(e.inShape)
+	if err := e.addLane(rep); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
-// ensureSlots builds the staging ring for the configured batch size on
-// first use. Pre-sizing at build time means the stager never touches the
-// arena again — the same trick training ingest uses — so steady-state
-// staging is allocation-free.
-func (e *Engine) ensureSlots() {
-	if e.slots != nil {
-		return
+// addLane appends a lane running rep, with its trace lane: "bulk" for the
+// caller's, "bulk.<i>" for the others.
+func (e *Engine) addLane(rep serve.Model) error {
+	shared, ok := rep.(serve.SharedInferer)
+	if !ok {
+		return fmt.Errorf("bulk: model %q has no copy-free datapath", rep.Arch())
 	}
-	e.slots = make([]*slot, e.cfg.Lookahead+1)
-	for i := range e.slots {
+	name := "bulk"
+	if i := len(e.lanes); i > 0 {
+		name = fmt.Sprintf("bulk.%d", i)
+	}
+	e.lanes = append(e.lanes, &lane{
+		rep:   shared,
+		x:     tensor.Tensor{Shape: append([]int{0}, e.inShape...)},
+		trace: e.cfg.Trace.Lane(name),
+	})
+	return nil
+}
+
+// ensureRing builds the staging ring on first use and grows it with the
+// lane count. The lanes hold at most one slot each, so Lookahead+lanes
+// slots keep Lookahead batches staged ahead of them. Pre-sizing every slot
+// at the configured batch means the stager never touches the arena in the
+// steady state — the same trick training ingest uses.
+func (e *Engine) ensureRing(lanes int) {
+	for len(e.slots) < e.cfg.Lookahead+lanes {
 		st := tensor.NewStaging(e.arena, e.inShape...)
 		st.Batch(e.cfg.Batch)
-		e.slots[i] = &slot{stage: st}
+		e.slots = append(e.slots, &slot{stage: st})
 	}
 }
 
 // Score runs every sample of ss through the model, filling p (grown to
 // ss.Count) with per-sample argmax labels and confidences. Shard reads are
-// prefetched on a background goroutine; inference consumes staged batches
-// on the calling goroutine. The warm loop is allocation-free on both sides.
+// prefetched on a background goroutine; min(tensor.Workers(), tiles)
+// lanes, the caller among them, score the staged batches tile by tile
+// until the set is done. The warm loop is allocation-free on every side:
+// what a call allocates does not grow with the set.
 func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 	if ss.FeatLen != e.inLen {
 		return Result{}, fmt.Errorf("bulk: shard features %d floats/sample, model wants %d", ss.FeatLen, e.inLen)
@@ -191,18 +222,30 @@ func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 		return Result{}, fmt.Errorf("bulk: empty shard set")
 	}
 	p.grow(ss.Count)
-	e.ensureSlots()
+	b := e.cfg.Batch
+	tiles := ss.Count/b*tilesOf(b) + tilesOf(ss.Count%b)
+	w := min(tensor.Workers(), tiles)
+	for len(e.lanes) < w {
+		rep, err := e.model.NewReplica()
+		if err != nil {
+			return Result{}, err
+		}
+		if err := e.addLane(rep); err != nil {
+			return Result{}, err
+		}
+	}
+	e.ensureRing(w)
 
 	// Sequential fixed-size ranges; one reusable index buffer — source and
 	// stage both run on the pipeline's single prefetch goroutine, and idx
 	// is dead once the stage copy completes.
-	idxBuf := make([]int, e.cfg.Batch)
-	next := 0
+	idxBuf := make([]int, b)
+	next, staged := 0, 0
 	source := func() []int {
 		if next >= ss.Count {
 			return nil
 		}
-		n := min(e.cfg.Batch, ss.Count-next)
+		n := min(b, ss.Count-next)
 		idx := idxBuf[:n]
 		for i := range idx {
 			idx[i] = next + i
@@ -210,43 +253,35 @@ func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 		next += n
 		return idx
 	}
-	ingLane := e.cfg.Trace.Lane("bulk.ingest")
-	staged := 0
 	pipe := data.NewPipeline(e.slots, source, func(dst *slot, idx []int) error {
-		ingLane.SetIter(staged)
+		e.ingest.SetIter(staged)
+		dst.batch = staged
 		staged++
-		ingLane.Begin(obs.PhaseIngest)
+		e.ingest.Begin(obs.PhaseIngest)
 		dst.lo, dst.n = idx[0], len(idx)
 		dst.x = dst.stage.Batch(dst.n)
 		err := ss.ReadBatchInto(idx, dst.x.Data, nil, nil)
-		ingLane.End(obs.PhaseIngest)
+		e.ingest.End(obs.PhaseIngest)
 		return err
 	})
-	pipe.Start()
-	defer pipe.Stop()
-
-	var res Result
+	st := &stream{pipe: pipe, inLen: e.inLen, p: p}
 	t0 := time.Now()
-	for batch := 0; ; batch++ {
-		e.lane.Begin(obs.PhaseIngest)
-		s, ok := pipe.Next()
-		e.lane.End(obs.PhaseIngest)
-		if !ok {
-			if err := pipe.Err(); err != nil {
-				return Result{}, err
-			}
-			break
-		}
-		e.lane.SetIter(batch)
-		e.lane.Begin(obs.PhaseInfer)
-		err := e.consume(s.x, p.Conf[s.lo:s.lo+s.n], p.Label[s.lo:s.lo+s.n])
-		e.lane.End(obs.PhaseInfer)
-		if err != nil {
-			return Result{}, fmt.Errorf("bulk: samples [%d,%d): %w", s.lo, s.lo+s.n, err)
-		}
-		res.Samples += s.n
-		res.Batches++
+	pipe.Start()
+	var wg sync.WaitGroup
+	for _, l := range e.lanes[1:w] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.run(l)
+		}()
 	}
+	st.run(e.lanes[0])
+	wg.Wait()
+	pipe.Stop()
+	if st.err != nil {
+		return Result{}, st.err
+	}
+	res := Result{Samples: st.samples, Batches: st.batches}
 	if res.Samples != ss.Count {
 		return Result{}, fmt.Errorf("bulk: scored %d of %d samples", res.Samples, ss.Count)
 	}
@@ -262,15 +297,99 @@ func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 	return res, nil
 }
 
-// consume is the per-batch hot path: one forward pass plus in-place
-// confidence extraction. Zero allocations once the plan bucket is warm
-// (gated by TestEngineWarmPathZeroAlloc).
-func (e *Engine) consume(x *tensor.Tensor, conf []float32, label []int32) error {
-	var y *tensor.Tensor
-	if e.shared != nil {
-		y = e.shared.InferShared(x)
-	} else {
-		y = e.rep.Infer(x)
+// tilesOf is how many tiles a batch of n samples is cut into.
+func tilesOf(n int) int { return (n + nn.InferTile - 1) / nn.InferTile }
+
+// stream hands the staged batches' tiles to the lanes in sample order.
+// Whichever lane finds the current batch used up takes the next one from
+// the pipeline; the lane that finishes a batch's last tile releases it.
+type stream struct {
+	pipe  *data.Pipeline[*slot]
+	inLen int
+	p     *Predictions
+
+	mu               sync.Mutex
+	cur              *slot // the batch tiles are being cut from; nil when used up
+	at               int   // its next tile's first sample
+	samples, batches int
+	err              error // the failure with the lowest sample range
+	errLo            int   // its first sample
+}
+
+// take returns lane l's next tile, the samples [lo, hi) of batch s, or
+// ok == false once the set is done or a lane has failed.
+func (st *stream) take(l *lane) (s *slot, lo, hi int, ok bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.err != nil {
+		return nil, 0, 0, false
 	}
-	return nn.SoftmaxTop1(y, conf, label)
+	if st.cur == nil {
+		// mu stays held across Next on purpose: it keeps Next calls from
+		// overlapping and batches in order, and a lane blocked on mu
+		// needs this batch next anyway. The wait always ends: every slot
+		// the lanes hold has a tile in flight, whose lane finishes it and
+		// releases the slot without taking mu, and the stager never
+		// takes mu either.
+		l.trace.Begin(obs.PhaseIngest)
+		next, more := st.pipe.Next()
+		l.trace.End(obs.PhaseIngest)
+		if !more { // and again for every lane that asks after the end
+			st.err = st.pipe.Err()
+			return nil, 0, 0, false
+		}
+		next.left.Store(int32(tilesOf(next.n)))
+		st.cur, st.at = next, 0
+		st.samples += next.n
+		st.batches++
+	}
+	s, lo = st.cur, st.at
+	hi = min(lo+nn.InferTile, s.n)
+	st.at = hi
+	if hi == s.n {
+		// Its last tile is out: once that finishes, s may be restaged.
+		st.cur = nil
+	}
+	return s, lo, hi, true
+}
+
+// fail records err for the tile starting at global sample lo, keeping the
+// lowest-ranged failure so the report does not depend on lane timing.
+func (st *stream) fail(lo int, err error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.err == nil || lo < st.errLo {
+		st.err, st.errLo = err, lo
+	}
+}
+
+// run scores tiles on lane l until none are left, each straight into its
+// prediction range.
+func (st *stream) run(l *lane) {
+	for {
+		s, lo, hi, ok := st.take(l)
+		if !ok {
+			return
+		}
+		l.trace.SetIter(s.batch)
+		l.trace.Begin(obs.PhaseInfer)
+		g0, g1 := s.lo+lo, s.lo+hi
+		err := l.score(s.x.Data[lo*st.inLen:hi*st.inLen], st.p.Conf[g0:g1], st.p.Label[g0:g1])
+		l.trace.End(obs.PhaseInfer)
+		if s.left.Add(-1) == 0 {
+			st.pipe.Release(s)
+		}
+		if err != nil {
+			st.fail(g0, fmt.Errorf("bulk: samples [%d,%d): %w", g0, g1, err))
+			return
+		}
+	}
+}
+
+// score runs one tile on lane l, x its len(conf) packed samples: one
+// forward pass on the lane's replica, then confidence extraction in place
+// on the plan-owned logits, straight into conf and label.
+func (l *lane) score(x []float32, conf []float32, label []int32) error {
+	l.x.Shape[0], l.x.Data = len(conf), x
+	return nn.SoftmaxTop1(l.rep.InferShared(&l.x), conf, label)
 }

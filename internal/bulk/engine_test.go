@@ -3,10 +3,13 @@ package bulk
 import (
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"deep15pf/internal/data"
+	"deep15pf/internal/nn"
 	"deep15pf/internal/obs"
 	"deep15pf/internal/serve"
 	"deep15pf/internal/tensor"
@@ -24,9 +27,6 @@ func TestEngineScoreMatchesDirect(t *testing.T) {
 		eng, err := NewEngine(lm, Config{Batch: 24, Metrics: reg})
 		if err != nil {
 			t.Fatalf("%v: NewEngine: %v", prec, err)
-		}
-		if eng.shared == nil {
-			t.Fatalf("%v: HEP replica did not offer the copy-free datapath", prec)
 		}
 		var p Predictions
 		res, err := eng.Score(ss, &p)
@@ -63,17 +63,14 @@ func TestEngineScoreMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestEngineWarmPathZeroAlloc is the hot-path contract the headline
-// numbers depend on: once plans and staging are warm, the per-batch
-// consume step (forward + in-place top-1) never touches the allocator.
+// TestEngineWarmPathZeroAlloc is the per-tile contract under the whole-Score
+// one: once a Score has warmed the engine, a lane's tile step (forward +
+// in-place top-1) never touches the allocator.
 func TestEngineWarmPathZeroAlloc(t *testing.T) {
-	prev := tensor.SetWorkers(1)
-	defer tensor.SetWorkers(prev)
-
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net, ds := trainTiny(t, 64, 3)
 	ss := unlabeledShards(t, ds, 2)
-	lm := loadTiny(t, net, ds, serve.Float32)
-	eng, err := NewEngine(lm, Config{Batch: 32})
+	eng, err := NewEngine(loadTiny(t, net, ds, serve.Float32), Config{Batch: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,26 +79,24 @@ func TestEngineWarmPathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	x := tensor.New(append([]int{32}, eng.inShape...)...)
+	x := tensor.New(append([]int{nn.InferTile}, eng.inShape...)...)
 	tensor.NewRNG(7).FillNorm(x, 0, 1)
-	conf := make([]float32, 32)
-	label := make([]int32, 32)
-	if err := eng.consume(x, conf, label); err != nil {
-		t.Fatal(err)
-	}
+	conf := make([]float32, nn.InferTile)
+	label := make([]int32, nn.InferTile)
+	l := eng.lanes[0]
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := eng.consume(x, conf, label); err != nil {
+		if err := l.score(x.Data, conf, label); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Fatalf("warm bulk consume allocates %.1f times per batch, want 0", allocs)
+		t.Fatalf("warm lane tile step allocates %.1f times per tile, want 0", allocs)
 	}
 }
 
-// TestEngineWarmPathZeroAllocAboveTile is the same contract at a batch the
-// plans run as tiles (nn's inferTile is 32): on one worker the tiles run on
-// the caller, lane after lane reused, and the allocator stays untouched on
-// both precisions.
+// TestEngineWarmPathZeroAllocAboveTile is the same contract at a batch
+// above one tile: an 83-sample batch at Config.Batch 96 runs as tiles of
+// 32, 32 and 19 on the lane, and once each has run, scoring the whole
+// batch tile by tile leaves the allocator untouched on both precisions.
 func TestEngineWarmPathZeroAllocAboveTile(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net, ds := trainTiny(t, 16, 1)
@@ -110,27 +105,94 @@ func TestEngineWarmPathZeroAllocAboveTile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := tensor.New(append([]int{83}, eng.inShape...)...)
+		const n = 83
+		x := tensor.New(append([]int{n}, eng.inShape...)...)
 		tensor.NewRNG(7).FillNorm(x, 0, 1)
-		conf := make([]float32, 83)
-		label := make([]int32, 83)
-		if err := eng.consume(x, conf, label); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(20, func() {
-			if err := eng.consume(x, conf, label); err != nil {
-				t.Fatal(err)
+		conf := make([]float32, n)
+		label := make([]int32, n)
+		l := eng.lanes[0]
+		batch := func() {
+			for lo := 0; lo < n; lo += nn.InferTile {
+				hi := min(lo+nn.InferTile, n)
+				if err := l.score(x.Data[lo*eng.inLen:hi*eng.inLen], conf[lo:hi], label[lo:hi]); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}); allocs != 0 {
-			t.Fatalf("%v: warm tiled bulk consume allocates %.1f times per batch, want 0", prec, allocs)
+		}
+		batch()
+		if allocs := testing.AllocsPerRun(20, batch); allocs != 0 {
+			t.Fatalf("%v: warm tiled batch allocates %.1f times, want 0", prec, allocs)
 		}
 	}
 }
 
-// TestEngineTiledScoreMatchesNaiveLoop holds the engine at a tiled batch
-// size to the naive loop at a batch no plan tiles, on both precisions and
-// one, two and four kernel workers. 203 samples at batch 80 is a multiple of
-// neither the batch nor the tile: the last batch is 43, its last tile 11.
+// TestEngineScoreAllocsFlatInSetSize is the hot-path contract the headline
+// numbers depend on, over a whole Score call: once the lanes' plans and the
+// staging ring are warm, scoring a set of 16 batches allocates no more than
+// scoring 2, on both precisions and at one, two and four workers. What a
+// call allocates (the lanes, the pipeline) is paid once per call; nothing
+// is paid per batch or per tile.
+func TestEngineScoreAllocsFlatInSetSize(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	const batch = 64
+	net, ds := trainTiny(t, 16*batch, 1)
+	paths, err := ds.SaveShards(t.TempDir(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, err := data.OpenShardSet(paths...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer large.Close()
+	small, err := data.OpenShardSet(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer small.Close()
+	if small.Count != 2*batch {
+		t.Fatalf("first shard holds %d samples, want %d", small.Count, 2*batch)
+	}
+	for _, prec := range []serve.Precision{serve.Float32, serve.Int8} {
+		lm := loadTiny(t, net, ds, prec)
+		for _, workers := range []int{1, 2, 4} {
+			tensor.SetWorkers(workers)
+			eng, err := NewEngine(lm, Config{Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p Predictions
+			score := func(ss *data.ShardSet) func() {
+				return func() {
+					if _, err := eng.Score(ss, &p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// The first call mints the lanes and fills the ring. Which lane
+			// runs which tile is up to the scheduler, so a lane may not have
+			// run one yet: compile every lane's tile plan here, or its first
+			// tile would compile it inside a measured call.
+			score(large)()
+			tile := tensor.New(append([]int{nn.InferTile}, eng.inShape...)...)
+			for _, l := range eng.lanes {
+				l.rep.InferShared(tile)
+			}
+			a2 := testing.AllocsPerRun(20, score(small))
+			a16 := testing.AllocsPerRun(20, score(large))
+			if a16 > a2 {
+				t.Fatalf("%v workers=%d: a warm Score allocates %.0f objects over 16 batches, %.0f over 2", prec, workers, a16, a2)
+			}
+		}
+	}
+}
+
+// TestEngineTiledScoreMatchesNaiveLoop holds the engine's lanes to the
+// naive loop at a batch of one tile, on both precisions and one, two and
+// four kernel workers. 203 samples at batch 80 is a multiple of neither the
+// batch nor the tile: the last batch is 43, its last tile 11. At batch 20,
+// below one tile, every batch is one tile, so the lanes hold several
+// batches at once and release them out of order.
 func TestEngineTiledScoreMatchesNaiveLoop(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
 	net, ds := trainTiny(t, 203, 6)
@@ -143,25 +205,27 @@ func TestEngineTiledScoreMatchesNaiveLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantConf, wantLabel := directTop1(t, rep, ss, 7)
-		for _, workers := range []int{1, 2, 4} {
-			tensor.SetWorkers(workers)
-			eng, err := NewEngine(lm, Config{Batch: 80})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A caller's Label shorter than its Conf must grow on its own.
-			p := Predictions{Conf: make([]float32, 203), Label: make([]int32, 5)}
-			res, err := eng.Score(ss, &p)
-			if err != nil {
-				t.Fatalf("%v workers=%d: Score: %v", prec, workers, err)
-			}
-			if res.Samples != 203 || res.Batches != 3 {
-				t.Fatalf("%v workers=%d: scored %d samples in %d batches, want 203 in 3", prec, workers, res.Samples, res.Batches)
-			}
-			for i := range wantConf {
-				if p.Conf[i] != wantConf[i] || p.Label[i] != wantLabel[i] {
-					t.Fatalf("%v workers=%d: sample %d: bulk (%v, %d) vs naive (%v, %d)",
-						prec, workers, i, p.Conf[i], p.Label[i], wantConf[i], wantLabel[i])
+		for _, batch := range []int{80, 20} {
+			for _, workers := range []int{1, 2, 4} {
+				tensor.SetWorkers(workers)
+				eng, err := NewEngine(lm, Config{Batch: batch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A caller's Label shorter than its Conf must grow on its own.
+				p := Predictions{Conf: make([]float32, 203), Label: make([]int32, 5)}
+				res, err := eng.Score(ss, &p)
+				if err != nil {
+					t.Fatalf("%v batch=%d workers=%d: Score: %v", prec, batch, workers, err)
+				}
+				if want := (203 + batch - 1) / batch; res.Samples != 203 || res.Batches != want {
+					t.Fatalf("%v batch=%d workers=%d: scored %d samples in %d batches, want 203 in %d", prec, batch, workers, res.Samples, res.Batches, want)
+				}
+				for i := range wantConf {
+					if p.Conf[i] != wantConf[i] || p.Label[i] != wantLabel[i] {
+						t.Fatalf("%v batch=%d workers=%d: sample %d: bulk (%v, %d) vs naive (%v, %d)",
+							prec, batch, workers, i, p.Conf[i], p.Label[i], wantConf[i], wantLabel[i])
+					}
 				}
 			}
 		}
@@ -170,9 +234,13 @@ func TestEngineTiledScoreMatchesNaiveLoop(t *testing.T) {
 
 // TestEngineRejectsNaN: non-finite logits (here from a bit-rotted
 // checkpoint — NaN input pixels get flushed by ReLU, corrupt weights do
-// not) must fail the whole run loudly, never become pseudo-labels.
+// not) must fail the whole run loudly, never become pseudo-labels. Every
+// tile fails, on as many lanes as there are workers; the error names the
+// first tile's sample range whichever lane failed first, and no lane or
+// stager outlives the call.
 func TestEngineRejectsNaN(t *testing.T) {
-	net, ds := trainTiny(t, 16, 1)
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	net, ds := trainTiny(t, 64, 1)
 	params := net.Params()
 	last := params[len(params)-1].W.Data
 	for j := range last {
@@ -181,13 +249,27 @@ func TestEngineRejectsNaN(t *testing.T) {
 	ss := unlabeledShards(t, ds, 2)
 
 	lm := loadTiny(t, net, ds, serve.Float32)
-	eng, err := NewEngine(lm, Config{Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p Predictions
-	if _, err := eng.Score(ss, &p); err == nil || !strings.Contains(err.Error(), "non-finite") {
-		t.Fatalf("NaN logits scored without complaint: %v", err)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		eng, err := NewEngine(lm, Config{Batch: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		var p Predictions
+		_, err = eng.Score(ss, &p)
+		if err == nil || !strings.Contains(err.Error(), "non-finite") || !strings.Contains(err.Error(), "samples [0,8)") {
+			t.Fatalf("workers=%d: NaN logits scored without naming the first bad range: %v", workers, err)
+		}
+		// A goroutine that has called wg.Done or closed its channels may
+		// take a moment to be gone.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("workers=%d: %d goroutines after the failed Score, %d before", workers, n, before)
+		}
 	}
 }
 

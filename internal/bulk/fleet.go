@@ -154,18 +154,18 @@ func ScoreFleet(addrs []string, model string, ss *data.ShardSet, cfg Config, p *
 }
 
 // fleetWorker is one backend's scoring loop: its own connection, staging
-// tensor and index buffer, so workers share nothing but the
-// shard queue and disjoint prediction ranges.
+// buffer and index buffer, so workers share nothing but the shard queue and
+// disjoint prediction ranges.
 type fleetWorker struct {
-	c       *netserve.Client
-	model   string
-	ss      *data.ShardSet
-	batch   int
-	inShape []int
-	p       *Predictions
-	x       *tensor.Tensor
-	idx     []int
-	lane    *obs.Lane
+	c     *netserve.Client
+	model string
+	ss    *data.ShardSet
+	batch int
+	p     *Predictions
+	buf   []float32     // staging for a whole batch, allocated once
+	x     tensor.Tensor // [n, InShape...] view of buf for the batch in hand
+	idx   []int
+	lane  *obs.Lane
 }
 
 func newFleetWorker(addr, model string, ss *data.ShardSet, cfg Config, inShape []int, p *Predictions, lane *obs.Lane) (*fleetWorker, error) {
@@ -174,7 +174,9 @@ func newFleetWorker(addr, model string, ss *data.ShardSet, cfg Config, inShape [
 		return nil, err
 	}
 	return &fleetWorker{
-		c: c, model: model, ss: ss, batch: cfg.Batch, inShape: inShape, p: p,
+		c: c, model: model, ss: ss, batch: cfg.Batch, p: p,
+		buf:  make([]float32, cfg.Batch*ss.FeatLen),
+		x:    tensor.Tensor{Shape: append([]int{0}, inShape...)},
 		idx:  make([]int, cfg.Batch),
 		lane: lane,
 	}, nil
@@ -193,9 +195,7 @@ func (w *fleetWorker) scoreShard(k int) error {
 		for i := range idx {
 			idx[i] = at + i
 		}
-		if w.x == nil || w.x.Shape[0] != n {
-			w.x = tensor.New(append([]int{n}, w.inShape...)...)
-		}
+		w.x.Shape[0], w.x.Data = n, w.buf[:n*w.ss.FeatLen]
 		w.lane.Begin(obs.PhaseIngest)
 		err := w.ss.ReadBatchInto(idx, w.x.Data, nil, nil)
 		w.lane.End(obs.PhaseIngest)
@@ -203,7 +203,7 @@ func (w *fleetWorker) scoreShard(k int) error {
 			return err
 		}
 		w.lane.Begin(obs.PhaseNetWait)
-		y, err := w.c.Infer(w.model, w.x)
+		y, err := w.c.Infer(w.model, &w.x)
 		w.lane.End(obs.PhaseNetWait)
 		if err != nil {
 			return err

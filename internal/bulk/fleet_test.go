@@ -51,6 +51,43 @@ func TestFleetMatchesSingleEngine(t *testing.T) {
 	}
 }
 
+// TestFleetOddShardSizesMatchSingleEngine: shards whose sizes are not a
+// multiple of the batch end in a short batch, which a worker sends as a
+// view of its one batch-sized staging buffer. 77 samples in 5 shards at
+// batch 6 gives every shard a short last batch; the predictions must still
+// be bitwise the single engine's.
+func TestFleetOddShardSizesMatchSingleEngine(t *testing.T) {
+	net, ds := trainTiny(t, 77, 6)
+	ss := unlabeledShards(t, ds, 5)
+	for k := 0; k < ss.Shards(); k++ {
+		if lo, hi := ss.ShardRange(k); (hi-lo)%6 == 0 {
+			t.Fatalf("shard %d holds %d samples, a multiple of the batch", k, hi-lo)
+		}
+	}
+	lm := loadTiny(t, net, ds, serve.Float32)
+	b0 := startBackend(t, lm, serve.Config{MaxBatch: 8, Workers: 2})
+	b1 := startBackend(t, lm, serve.Config{MaxBatch: 8, Workers: 2})
+
+	var got Predictions
+	if _, err := ScoreFleet([]string{b0.Addr(), b1.Addr()}, "tiny", ss, fleetCfg(6), &got); err != nil {
+		t.Fatalf("ScoreFleet: %v", err)
+	}
+	eng, err := NewEngine(lm, Config{Batch: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want Predictions
+	if _, err := eng.Score(ss, &want); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Conf {
+		if got.Conf[i] != want.Conf[i] || got.Label[i] != want.Label[i] {
+			t.Fatalf("sample %d: fleet (%v, %d) vs local (%v, %d)",
+				i, got.Conf[i], got.Label[i], want.Conf[i], want.Label[i])
+		}
+	}
+}
+
 // TestFleetBackendDeathZeroLoss is the acceptance gate: a backend killed
 // mid-run loses zero shards — its in-flight shard is requeued and finished
 // by the survivor, and every sample still scores bitwise-correct.

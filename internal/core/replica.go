@@ -51,6 +51,7 @@ type Replica struct {
 	params []*nn.Param // cached: per-iteration ZeroGrads must not rebuild the slice
 
 	pipe   *data.Pipeline[int] // non-nil once StartIngest staged a non-empty sequence
+	held   int                 // prefetched slot the last Step read, 0 when none
 	ingest data.IngestStats    // blocking-path account (the pipeline keeps its own)
 
 	// lane is this worker's trace lane; nil when untraced. Blocking
@@ -109,10 +110,15 @@ func (r *Replica) stageNow(idx []int) {
 	r.ingest.WaitSeconds += dt // blocking: staging sits on the critical path
 }
 
-// nextStaged takes the next prefetched slot. It panics if the pipeline is
-// exhausted or staging failed: the trainers size the sequence to the run,
-// so that is a bug or an I/O fault, never a steady state.
+// nextStaged releases the slot the previous Step read and takes the next
+// prefetched one. It panics if the pipeline is exhausted or staging failed:
+// the trainers size the sequence to the run, so that is a bug or an I/O
+// fault, never a steady state.
 func (r *Replica) nextStaged() int {
+	if r.held != 0 {
+		r.pipe.Release(r.held)
+		r.held = 0
+	}
 	// The Next wait is the exposed part of ingest — near zero when the
 	// prefetcher keeps up, the whole staging cost when it does not.
 	r.lane.Begin(obs.PhaseIngest)
@@ -124,6 +130,7 @@ func (r *Replica) nextStaged() int {
 		}
 		panic("core: ingest pipeline exhausted before training finished")
 	}
+	r.held = slot
 	return slot
 }
 
@@ -150,6 +157,7 @@ func (r *Replica) StartIngest(batches [][]int) {
 	// ahead of the training iteration).
 	ingLane := r.lane.Tracer().Lane(r.lane.Name() + ".ingest")
 	staged := 0
+	r.held = 0
 	r.pipe = data.NewPipeline(slots, data.SliceSource(batches), func(slot int, idx []int) error {
 		ingLane.SetIter(staged)
 		staged++

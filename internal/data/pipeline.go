@@ -61,12 +61,15 @@ func (s IngestStats) Overlap() float64 {
 // so with prefetch on, a training trajectory is bitwise identical to the
 // staged path; only the timing changes.
 //
-// Backpressure is the free ring: once every slot is staged (or held by the
-// consumer), the prefetcher blocks until Next recycles one. The consumer
-// owns at most one slot at a time — the batch returned by the latest Next —
-// and that slot is recycled by the following Next call, so a returned batch
-// is valid exactly until the next batch is requested.
-type Pipeline[B any] struct {
+// Release contract: a consumer returns every slot it took with Next through
+// Release, in any order and from any goroutine, once it is done reading
+// it; Next never recycles a slot on its own. A slot is restaged only after
+// its release, so a held batch stays intact however many Next calls
+// follow. Backpressure is the free ring: once every slot is staged or held,
+// the prefetcher blocks until one is released. A consumer that holds h
+// slots at once therefore needs a ring of at least h+1 to keep one batch
+// staged ahead.
+type Pipeline[B comparable] struct {
 	slots  []B
 	source func() []int         // next batch's sample indices; nil = end of stream
 	stage  func(B, []int) error // fill a slot from indices (prefetch goroutine only)
@@ -76,7 +79,7 @@ type Pipeline[B any] struct {
 	quit  chan struct{}
 	done  chan struct{} // closed when the prefetch goroutine exits
 	stop  sync.Once
-	cur   int // slot held by the consumer, -1 when none
+	held  []atomic.Bool // slot taken by Next and not yet released
 	err   error
 
 	batches atomic.Int64
@@ -91,7 +94,7 @@ type Pipeline[B any] struct {
 // goroutine. At least two slots are required — one staging while one trains
 // is the double buffer; more slots deepen the ring so jittery reads smooth
 // out. Call Start to launch the prefetcher.
-func NewPipeline[B any](slots []B, source func() []int, stage func(dst B, idx []int) error) *Pipeline[B] {
+func NewPipeline[B comparable](slots []B, source func() []int, stage func(dst B, idx []int) error) *Pipeline[B] {
 	if len(slots) < 2 {
 		panic("data: Pipeline needs at least 2 slots (one staging, one training)")
 	}
@@ -106,7 +109,7 @@ func NewPipeline[B any](slots []B, source func() []int, stage func(dst B, idx []
 		ready:  make(chan int, len(slots)),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
-		cur:    -1,
+		held:   make([]atomic.Bool, len(slots)),
 	}
 	for i := range slots {
 		p.free <- i
@@ -148,14 +151,10 @@ func (p *Pipeline[B]) run() {
 }
 
 // Next returns the next staged batch, blocking until the prefetcher has one
-// (that blocked time is the exposed ingest WaitSeconds). It recycles the
-// previously returned slot, so the prior batch must no longer be in use.
-// ok == false means the source is exhausted or staging failed — check Err.
+// (that blocked time is the exposed ingest WaitSeconds). The batch is the
+// caller's until it passes it to Release. ok == false means the source is
+// exhausted or staging failed — check Err. Calls to Next must not overlap.
 func (p *Pipeline[B]) Next() (batch B, ok bool) {
-	if p.cur >= 0 {
-		p.free <- p.cur
-		p.cur = -1
-	}
 	t0 := time.Now()
 	s, open := <-p.ready
 	p.waitNs.Add(time.Since(t0).Nanoseconds())
@@ -163,8 +162,25 @@ func (p *Pipeline[B]) Next() (batch B, ok bool) {
 		var zero B
 		return zero, false
 	}
-	p.cur = s
+	p.held[s].Store(true)
 	return p.slots[s], true
+}
+
+// Release hands a batch returned by Next back to the prefetcher for
+// restaging. It may be called from any goroutine, and batches may be
+// released in any order. Releasing a batch that is not held panics.
+func (p *Pipeline[B]) Release(batch B) {
+	for s, b := range p.slots {
+		if b == batch {
+			if !p.held[s].CompareAndSwap(true, false) {
+				panic("data: Pipeline.Release of a batch not held")
+			}
+			// Token conservation: free has room for every slot.
+			p.free <- s
+			return
+		}
+	}
+	panic("data: Pipeline.Release of a batch from another pipeline")
 }
 
 // Err reports a staging failure. Valid once Next has returned ok == false

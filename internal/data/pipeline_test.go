@@ -48,6 +48,7 @@ func TestPipelineDeliversBatchesInOrder(t *testing.T) {
 		if slot.n != 3 || slot.idx[0] != i*3 {
 			t.Fatalf("batch %d staged as %v (n=%d)", i, slot.idx[:slot.n], slot.n)
 		}
+		p.Release(slot)
 	}
 	if _, ok := p.Next(); ok {
 		t.Fatal("pipeline must end after the source is exhausted")
@@ -78,6 +79,7 @@ func TestPipelineSkipsEmptyBatches(t *testing.T) {
 			t.Fatal("pipeline staged a zero batch")
 		}
 		got = append(got, slot.idx[:slot.n]...)
+		p.Release(slot)
 	}
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("staged samples = %v, want [1 2 3]", got)
@@ -110,6 +112,82 @@ func TestPipelineBackpressure(t *testing.T) {
 			t.Fatalf("prefetcher staged %d batches while consumer held one (ring of 3)", staged.Load())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestPipelineReleaseOutOfOrder holds the release contract: a consumer
+// holding up to three slots of a four-slot ring releases them in shuffled
+// order, some from other goroutines, and no slot is restaged while it is
+// held — every held batch still reads what Next returned when it is
+// released. A Next that recycled the previous slot on its own would hand a
+// held slot to the stager and fail both checks.
+func TestPipelineReleaseOutOfOrder(t *testing.T) {
+	const depth, hold, batches = 4, 3, 400
+	slots := make([]*pipeSlot, depth)
+	held := make([]atomic.Bool, depth)
+	slotOf := map[*pipeSlot]int{}
+	for i := range slots {
+		slots[i] = &pipeSlot{idx: make([]int, 1)}
+		slotOf[slots[i]] = i
+	}
+	var overwritten atomic.Int64
+	seq := make([][]int, batches)
+	for i := range seq {
+		seq[i] = []int{i}
+	}
+	p := NewPipeline(slots, SliceSource(seq), func(dst *pipeSlot, idx []int) error {
+		if held[slotOf[dst]].Load() {
+			overwritten.Add(1)
+		}
+		dst.n = copy(dst.idx, idx)
+		return nil
+	})
+	p.Start()
+	defer p.Stop()
+
+	type taken struct {
+		slot  *pipeSlot
+		batch int
+	}
+	var mine []taken
+	rng := tensor.NewRNG(5)
+	release := func(k int) {
+		tk := mine[k]
+		mine = append(mine[:k], mine[k+1:]...)
+		if tk.slot.idx[0] != tk.batch {
+			t.Fatalf("batch %d was overwritten with %d while held", tk.batch, tk.slot.idx[0])
+		}
+		held[slotOf[tk.slot]].Store(false)
+		if k%2 == 0 {
+			p.Release(tk.slot)
+			return
+		}
+		done := make(chan struct{})
+		go func() { p.Release(tk.slot); close(done) }()
+		<-done
+	}
+	next := 0
+	for next < batches || len(mine) > 0 {
+		if next < batches && (len(mine) < hold && rng.Float32() < 0.6 || len(mine) == 0) {
+			slot, ok := p.Next()
+			if !ok {
+				t.Fatalf("pipeline ended at batch %d: %v", next, p.Err())
+			}
+			held[slotOf[slot]].Store(true)
+			if slot.idx[0] != next {
+				t.Fatalf("Next returned batch %d, want %d", slot.idx[0], next)
+			}
+			mine = append(mine, taken{slot, next})
+			next++
+			continue
+		}
+		release(rng.Intn(len(mine)))
+	}
+	if _, ok := p.Next(); ok {
+		t.Fatal("pipeline must end after the source is exhausted")
+	}
+	if n := overwritten.Load(); n != 0 {
+		t.Fatalf("%d batches were staged into a slot the consumer held", n)
 	}
 }
 
@@ -161,10 +239,10 @@ func TestPipelineStageError(t *testing.T) {
 	}
 }
 
-// TestPipelineNextZeroAllocs: the steady-state consumer side — recycle the
-// held slot, wait for the staged one — must not touch the allocator, the
-// same AllocsPerRun discipline as nn.Plan. The producer runs concurrently,
-// so a pass here also certifies staging itself is allocation-free.
+// TestPipelineNextZeroAllocs: the steady-state consumer side — wait for the
+// staged slot, release it — must not touch the allocator, the same
+// AllocsPerRun discipline as nn.Plan. The producer runs concurrently, so a
+// pass here also certifies staging itself is allocation-free.
 func TestPipelineNextZeroAllocs(t *testing.T) {
 	var batches [][]int
 	for i := 0; i < 4096; i++ {
@@ -173,13 +251,14 @@ func TestPipelineNextZeroAllocs(t *testing.T) {
 	p := testPipeline(2, batches, nil)
 	p.Start()
 	defer p.Stop()
-	p.Next() // warm both sides
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := p.Next(); !ok {
+		slot, ok := p.Next()
+		if !ok {
 			t.Fatal("pipeline ended mid-measurement")
 		}
+		p.Release(slot)
 	}); allocs != 0 {
-		t.Fatalf("warmed Pipeline.Next allocates %v objects/op, want 0", allocs)
+		t.Fatalf("warmed Pipeline.Next and Release allocate %v objects/op, want 0", allocs)
 	}
 }
 
@@ -200,10 +279,12 @@ func TestPipelineStatsAccountExposure(t *testing.T) {
 		p.Start()
 		defer p.Stop()
 		for {
-			if _, ok := p.Next(); !ok {
+			slot, ok := p.Next()
+			if !ok {
 				break
 			}
 			time.Sleep(consumeDelay)
+			p.Release(slot)
 		}
 		return p.Stats()
 	}
@@ -280,5 +361,6 @@ func TestPipelineMatchesBlockingOrderUnderBatcher(t *testing.T) {
 				t.Fatalf("prefetched order diverged from blocking order at %v vs %v", slot.idx[:slot.n], w)
 			}
 		}
+		p.Release(slot)
 	}
 }

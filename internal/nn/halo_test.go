@@ -30,7 +30,7 @@ const fuzzMACs = 48 << 20
 // decodeFuzzNet maps raw fuzz bytes onto the ranges the property covers:
 // 1–20 input and 1–40 output channels, 1–40 rows and columns, kernel 1–5,
 // pad 0–2, stride 1–2 (the stride byte's second bit makes the first unit
-// a deconvolution), batch 1–70 (tiled above inferTile).
+// a deconvolution), batch 1–70 (tiled above InferTile).
 func decodeFuzzNet(inC, outC, h, w, k, pad, stride, opts, batch uint8) fuzzConvNet {
 	g := fuzzConvNet{
 		inC: 1 + int(inC)%20, outC: 1 + int(outC)%40,
@@ -351,7 +351,7 @@ func TestHaloPlanHoldsNoLowering(t *testing.T) {
 		train bool
 		n     int
 	}{
-		{false, inferTile},
+		{false, InferTile},
 		{true, 16},
 	} {
 		net := hepSmallNet(tensor.NewRNG(3))

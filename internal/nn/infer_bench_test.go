@@ -85,7 +85,7 @@ func BenchmarkQuantForward(b *testing.B) {
 	for i, l := range lanes {
 		plans[i] = l.plan
 	}
-	out := tensor.New(inferTile, shapeElems(net.OutShape()))
+	out := tensor.New(InferTile, shapeElems(net.OutShape()))
 	for u := 0; u+1 < len(starts); u++ {
 		lo, hi := starts[u], starts[u+1]
 		for i, l := range lanes {

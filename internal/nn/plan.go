@@ -24,7 +24,7 @@ import (
 //
 // A Plan is single-goroutine for its caller, like the replica that owns it:
 // one Forward or Backward at a time. An inference plan compiled above
-// inferTile runs its batch as tiles on one lane per kernel thread (tile.go);
+// InferTile runs its batch as tiles on one lane per kernel thread (tile.go);
 // the lanes are forked and joined inside Forward. Tensors returned by
 // Forward/Backward are plan-owned views, valid only until the next call;
 // callers that need to retain results must copy.
@@ -38,7 +38,7 @@ type Plan struct {
 	params   []*Param  // cached trainable params: Backward re-checks gradient presence
 	n        int       // batch size of the most recent Forward
 	cblk     []float32 // the direct steps' shared C block
-	tiles    *tiler    // non-nil: an inference plan above inferTile; steps is empty
+	tiles    *tiler    // non-nil: an inference plan above InferTile; steps is empty
 }
 
 type planStep struct {
@@ -67,7 +67,7 @@ type planStep struct {
 // serving replica's per-batch-size cache) recycle each other's slabs. Every
 // plan runs each convolution and deconvolution as a direct step (fuse,
 // halo.go, deconv.go), which never lowers; an inference plan above
-// inferTile costs lanes × tile slabs plus one output slab, whatever its
+// InferTile costs lanes × tile slabs plus one output slab, whatever its
 // capacity.
 //
 // Networks with a frozen prefix (Network.Freeze) compile the prefix steps
@@ -93,9 +93,9 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 			}
 		}
 	}
-	if !train && capacity > inferTile {
+	if !train && capacity > InferTile {
 		p.tiles = newTiler(arena, capacity, net.InShape, net.OutShape(), func() lanePlan {
-			return Compile(net, inferTile, false, arena)
+			return Compile(net, InferTile, false, arena)
 		})
 		return p
 	}

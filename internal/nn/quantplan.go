@@ -46,7 +46,7 @@ import (
 // Like Plan, a QuantPlan is single-goroutine for its caller, its Forward
 // output is plan-owned (valid until the next call), and the warm path
 // allocates nothing. Every sample's arithmetic is its own, so above
-// inferTile the plan runs tiled like Plan (tile.go): the host keeps the
+// InferTile the plan runs tiled like Plan (tile.go): the host keeps the
 // packed weights, each lane its own images and scratch. Weights are
 // captured at compile time: recompile after any LoadWeights.
 type QuantPlan struct {
@@ -54,7 +54,7 @@ type QuantPlan struct {
 	capacity int
 	arena    *tensor.Arena
 	steps    []qplanStep
-	tiles    *tiler // non-nil above inferTile; steps hold the lanes' prototypes
+	tiles    *tiler // non-nil above InferTile; steps hold the lanes' prototypes
 }
 
 // qplanStep is one layer of the schedule: a quantized kernel, an fp32
@@ -181,7 +181,7 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 		}
 		in = out
 	}
-	if capacity > inferTile {
+	if capacity > InferTile {
 		p.tiles = newTiler(arena, capacity, net.InShape, net.OutShape(), p.lane)
 		return p
 	}
@@ -193,7 +193,7 @@ func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor
 // the packed weights and requantize constants (read-only after compile)
 // and get their own images, scratch and links.
 func (p *QuantPlan) lane() lanePlan {
-	l := &QuantPlan{net: p.net, capacity: inferTile, arena: p.arena, steps: slices.Clone(p.steps)}
+	l := &QuantPlan{net: p.net, capacity: InferTile, arena: p.arena, steps: slices.Clone(p.steps)}
 	for i := range l.steps {
 		if q := l.steps[i].q; q != nil {
 			c := *q

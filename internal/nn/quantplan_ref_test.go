@@ -243,7 +243,7 @@ const fuzzQMACs = 8 << 20
 // FuzzQuantPlanBitwise is TestQuantPlanMatchesReference over geometries the
 // fuzzer chooses: the fuzz bytes make randQNet's choices one byte each
 // (zeros once they run out), then pick a batch of 1–80 samples (tiled above
-// inferTile) and one or two workers. The calibrated plan must equal the
+// InferTile) and one or two workers. The calibrated plan must equal the
 // plain reference bit for bit under the scalar, AVX2 and probed kernel
 // tables. The seed corpus runs in go test. Fuzz with
 // go test -run '^$' -fuzz FuzzQuantPlanBitwise ./internal/nn.

@@ -94,7 +94,7 @@ func TestQuantPlanRejectsForeignSampleShape(t *testing.T) {
 	}{
 		{"fp32", Compile(net, 2, false, nil)},
 		{"int8 calibrated", CompileQuantized(net, 2, calib, nil)},
-		{"int8 tiled", CompileQuantized(net, 2*inferTile, calib, nil)},
+		{"int8 tiled", CompileQuantized(net, 2*InferTile, calib, nil)},
 	} {
 		func() {
 			defer func() {

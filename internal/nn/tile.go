@@ -6,7 +6,7 @@ import (
 	"deep15pf/internal/tensor"
 )
 
-// inferTile is the largest batch an inference plan materialises whole. A
+// InferTile is the largest batch an inference plan materialises whole. A
 // plan compiled above it (Compile with train=false, CompileQuantized with
 // frozen scales) holds no activations of its own: Forward cuts the batch
 // into tiles of this many samples and runs each depth-first through the
@@ -18,16 +18,22 @@ import (
 // spread (EXPERIMENTS.md "PR 24"): what pays is one lane per thread with
 // no fork underneath, not the tile's size. 32 keeps a lane's memory at a
 // batcher-sized plan's and gives two lanes work from a batch of 33.
-const inferTile = 32
+//
+// The tiler's clients are the plans the serving side compiles above the
+// tile: serve.InferBatch and the batcher's larger buckets. bulk.Engine is
+// not one: it cuts its staged batches into tiles of this size itself and
+// runs them on lanes that live for a whole scoring run, one replica each,
+// so it never compiles a plan above the tile.
+const InferTile = 32
 
 // lanePlan is what a tiler runs tiles through: a Plan or a QuantPlan of
-// capacity inferTile.
+// capacity InferTile.
 type lanePlan interface {
 	Forward(x *tensor.Tensor) *tensor.Tensor
 	Release()
 }
 
-// tiler executes a plan whose capacity exceeds inferTile. It owns one lane
+// tiler executes a plan whose capacity exceeds InferTile. It owns one lane
 // per kernel thread in use — min(tensor.Workers(), tiles), minted on the
 // first Forward that needs them — and the [capacity, out...] slab the lanes
 // write their tiles' outputs into. Lanes pull tile indices from a counter.
@@ -65,7 +71,7 @@ func newTiler(arena *tensor.Arena, capacity int, in, out []int, mint func() lane
 // caller and nothing is allocated.
 func (t *tiler) forward(x *tensor.Tensor) *tensor.Tensor {
 	t.x, t.n = x.Data, x.Shape[0]
-	w := min(tensor.Workers(), (t.n+inferTile-1)/inferTile)
+	w := min(tensor.Workers(), (t.n+InferTile-1)/InferTile)
 	for len(t.lanes) < w {
 		t.lanes = append(t.lanes, &tileLane{t.mint(), tensor.Tensor{Shape: append([]int(nil), x.Shape...)}})
 	}
@@ -86,11 +92,11 @@ func (t *tiler) forward(x *tensor.Tensor) *tensor.Tensor {
 // runLane runs tiles on lane l until none are left.
 func (t *tiler) runLane(l *tileLane) {
 	for {
-		lo := (int(t.next.Add(1)) - 1) * inferTile
+		lo := (int(t.next.Add(1)) - 1) * InferTile
 		if lo >= t.n {
 			return
 		}
-		hi := min(lo+inferTile, t.n)
+		hi := min(lo+InferTile, t.n)
 		l.in.Shape[0], l.in.Data = hi-lo, t.x[lo*t.inPer:hi*t.inPer]
 		copy(t.out[lo*t.outPer:], l.plan.Forward(&l.in).Data)
 	}

@@ -25,7 +25,7 @@ func hepSmallNet(rng *tensor.RNG) *Network {
 }
 
 // oneByOne runs x's samples one at a time through p, a plan of at most
-// inferTile capacity, and returns the outputs side by side: what a tiled
+// InferTile capacity, and returns the outputs side by side: what a tiled
 // Forward must equal bit for bit.
 func oneByOne(p lanePlan, x *tensor.Tensor, outPer int) *tensor.Tensor {
 	n := x.Shape[0]
@@ -60,7 +60,7 @@ func tilingCases() (cases []tilingCase) {
 }
 
 // TestTiledForwardMatchesOneByOne is the tiling contract: an inference plan
-// compiled above inferTile returns, at every batch size around the tile
+// compiled above InferTile returns, at every batch size around the tile
 // boundary and every worker count, exactly what the same samples give one
 // at a time through a tile-capacity plan — tail tiles shorter than the
 // tile, more tiles than lanes, fewer tiles than workers.
@@ -70,8 +70,8 @@ func TestTiledForwardMatchesOneByOne(t *testing.T) {
 	for _, tc := range tilingCases() {
 		net, name := tc.net, tc.name
 		outPer := shapeElems(net.OutShape())
-		ref := tc.compile(inferTile, nil)
-		for _, n := range []int{inferTile - 1, inferTile, inferTile + 1, 2*inferTile + 3, 256} {
+		ref := tc.compile(InferTile, nil)
+		for _, n := range []int{InferTile - 1, InferTile, InferTile + 1, 2*InferTile + 3, 256} {
 			x := randBatch(rng, n, net.InShape)
 			tensor.SetWorkers(1)
 			want := oneByOne(ref, x, outPer)
@@ -93,7 +93,7 @@ func TestTiledForwardMatchesOneByOne(t *testing.T) {
 }
 
 // TestTiledPlansAreTheOnesAboveTheTile pins which plans tile: inference
-// plans, fp32 and int8, above inferTile, and nothing else — a training plan
+// plans, fp32 and int8, above InferTile, and nothing else — a training plan
 // and a plan at the tile execute whole.
 func TestTiledPlansAreTheOnesAboveTheTile(t *testing.T) {
 	net := planTestNet(3)
@@ -103,11 +103,11 @@ func TestTiledPlansAreTheOnesAboveTheTile(t *testing.T) {
 		tiled bool
 		want  bool
 	}{
-		{"inference above", Compile(net, inferTile+1, false, nil).tiles != nil, true},
-		{"inference at", Compile(net, inferTile, false, nil).tiles != nil, false},
-		{"training above", Compile(net, inferTile+1, true, nil).tiles != nil, false},
-		{"int8 above", CompileQuantized(net, inferTile+1, calib, nil).tiles != nil, true},
-		{"int8 at", CompileQuantized(net, inferTile, calib, nil).tiles != nil, false},
+		{"inference above", Compile(net, InferTile+1, false, nil).tiles != nil, true},
+		{"inference at", Compile(net, InferTile, false, nil).tiles != nil, false},
+		{"training above", Compile(net, InferTile+1, true, nil).tiles != nil, false},
+		{"int8 above", CompileQuantized(net, InferTile+1, calib, nil).tiles != nil, true},
+		{"int8 at", CompileQuantized(net, InferTile, calib, nil).tiles != nil, false},
 	} {
 		if tc.tiled != tc.want {
 			t.Errorf("%s the tile: tiled = %v, want %v", tc.name, tc.tiled, tc.want)
@@ -130,7 +130,7 @@ func TestTiledOutputLifetimeAndRelease(t *testing.T) {
 		keep := got.Clone()
 		// Unrelated work on the same arena and the same network must not
 		// reach into the plan's output.
-		other := tc.compile(inferTile, arena)
+		other := tc.compile(InferTile, arena)
 		other.Forward(randBatch(rng, 5, net.InShape))
 		other.Release()
 		requireBitwise(t, name+" output after unrelated work", got, keep)

@@ -13,7 +13,9 @@ import (
 // bucket's [N, out] output slab, and what it costs while it runs is its
 // own input and the response copy (48 MB of input for 4096 hep-small
 // events). 4096 comfortably covers a shard's worth of samples per call
-// while keeping those bounded.
+// while keeping those bounded. bulk.Config.Batch is clamped to it because
+// bulk.ScoreFleet sends each staged batch as one InferBatch; bulk.Engine
+// runs tile-sized plans on its own lanes and compiles nothing this large.
 const MaxBulkBatch = 4096
 
 // InferBatch is the offline fast path: it runs a whole [N, InShape...]

@@ -81,7 +81,7 @@ func TestInferSharedZeroAlloc(t *testing.T) {
 }
 
 // TestInferSharedZeroAllocAboveTile is the same contract at a batch the
-// plans run as tiles (nn's inferTile is 32), on both precisions: on one
+// plans run as tiles (nn's InferTile is 32), on both precisions: on one
 // worker the tiles run on the caller and nothing is allocated.
 func TestInferSharedZeroAllocAboveTile(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(1))
