@@ -65,9 +65,9 @@ func donorFile(t *testing.T) string {
 }
 
 // TestFingerprintsPinned holds astrotrain's trajectories to pinned final
-// weights: from scratch (the value CI also sweeps across kernel tables)
-// and the three fine-tunes of one donor — backbone frozen, left
-// trainable, and frozen to its first unit only.
+// weights under every kernel table the host has: from scratch and the
+// three fine-tunes of one donor — backbone frozen, left trainable, and
+// frozen to its first unit only.
 func TestFingerprintsPinned(t *testing.T) {
 	donor := donorFile(t)
 	for _, tc := range []struct {
@@ -80,16 +80,18 @@ func TestFingerprintsPinned(t *testing.T) {
 		{"fine-tune, -no-freeze", []string{"-init-from", donor, "-no-freeze"}, "6861b83a7cec9ee4"},
 		{"fine-tune, -freeze-units 1", []string{"-init-from", donor, "-freeze-units", "1"}, "73e65cfe2d6b1c18"},
 	} {
-		out, stderr, code := astrotrain(t, append(append([]string{}, smoke...), tc.extra...)...)
-		if code != 0 {
-			t.Fatalf("%s: exit %d: %s", tc.name, code, stderr)
-		}
-		m := fingerprintLine.FindStringSubmatch(out)
-		if m == nil {
-			t.Fatalf("%s: no fingerprint line in:\n%s", tc.name, out)
-		}
-		if m[1] != tc.want {
-			t.Errorf("%s: final weight fingerprint %s, want %s", tc.name, m[1], tc.want)
+		for _, isa := range tensor.KernelISAs() {
+			out, stderr, code := astrotrain(t, append(append([]string{"-kernels", isa}, smoke...), tc.extra...)...)
+			if code != 0 {
+				t.Fatalf("%s, -kernels=%s: exit %d: %s", tc.name, isa, code, stderr)
+			}
+			m := fingerprintLine.FindStringSubmatch(out)
+			if m == nil {
+				t.Fatalf("%s, -kernels=%s: no fingerprint line in:\n%s", tc.name, isa, out)
+			}
+			if m[1] != tc.want {
+				t.Errorf("%s, -kernels=%s: final weight fingerprint %s, want %s", tc.name, isa, m[1], tc.want)
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"io"
+	"os"
+	"regexp"
 	"testing"
 
 	"deep15pf/internal/ckpt"
@@ -52,6 +55,51 @@ func TestManifestEpochCountsTheSetTrainedOn(t *testing.T) {
 		}
 		if m.Step != 10 || m.Epoch != tc.wantEpoch {
 			t.Errorf("%s: manifest step %d epoch %d, want step 10 epoch %d", tc.name, m.Step, m.Epoch, tc.wantEpoch)
+		}
+	}
+}
+
+var fingerprintLine = regexp.MustCompile(`final weight fingerprint ([0-9a-f]{16})`)
+
+// fingerprintOf runs heptrain in process over args and returns the final
+// weight fingerprint it prints.
+func fingerprintOf(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run(args)
+	os.Stdout = stdout
+	w.Close()
+	text := <-out
+	if err != nil {
+		t.Fatalf("heptrain %v: %v", args, err)
+	}
+	m := fingerprintLine.FindSubmatch(text)
+	if m == nil {
+		t.Fatalf("heptrain %v: no fingerprint line in:\n%s", args, text)
+	}
+	return string(m[1])
+}
+
+// TestFingerprintsPinned holds heptrain's smoke run to its pinned final
+// weights under every kernel table the host has: a one-bit change to the
+// generated events, the trajectory or any ISA's kernels fails it.
+func TestFingerprintsPinned(t *testing.T) {
+	const want = "2ea419fc80d483cb"
+	defer tensor.SetKernels("auto")
+	for _, isa := range tensor.KernelISAs() {
+		if got := fingerprintOf(t, "-iters", "6", "-train", "96", "-test", "64", "-batch", "16", "-kernels", isa); got != want {
+			t.Errorf("-kernels=%s: final weight fingerprint %s, want %s", isa, got, want)
 		}
 	}
 }

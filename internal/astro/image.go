@@ -38,6 +38,17 @@ func bandWeights(color float64) (g, rr, i float64) {
 	return 1.25 - 0.85*color, 1.0, 0.5 + 0.85*color
 }
 
+// norms is how many Gaussians Render draws per cutout: sky noise in each
+// band at every pixel, none without noise. GenerateDataset starts each
+// range of cutouts at its place in the stream by it, so it changes with
+// Render's noise loop.
+func (r *Renderer) norms() int {
+	if r.Noise > 0 {
+		return Channels * r.Size * r.Size
+	}
+	return 0
+}
+
 // Render rasterises one object into dst (length SampleFloats, CHW layout).
 func (r *Renderer) Render(o *Object, rng *tensor.RNG, dst []float32) {
 	if len(dst) != r.SampleFloats() {
@@ -145,13 +156,20 @@ func logCompress(v float32) float32 {
 
 // GenerateDataset draws n preselected objects, renders them, and returns
 // the packaged dataset: labels are the objects' classes, and the images
-// train on the one image classifier (hep.TrainingProblem).
+// train on the one image classifier (hep.TrainingProblem). As in
+// hep.GenerateDataset, the objects are drawn in order and the cutouts
+// render on all workers, each range from its exact place in rng's stream.
 func GenerateDataset(cfg GenConfig, r *Renderer, n int, rng *tensor.RNG) *hep.Dataset {
 	objects, labels := cfg.GenerateObjects(n, rng)
 	images := tensor.New(n, Channels, r.Size, r.Size)
-	per := r.SampleFloats()
-	for i := range objects {
-		r.Render(&objects[i], rng, images.Data[i*per:(i+1)*per])
-	}
+	per, norms := r.SampleFloats(), r.norms()
+	tensor.ParallelFor(n, func(lo, hi int) {
+		at := *rng
+		at.SkipNorms(lo * norms)
+		for i := lo; i < hi; i++ {
+			r.Render(&objects[i], &at, images.Data[i*per:(i+1)*per])
+		}
+	})
+	rng.SkipNorms(n * norms)
 	return &hep.Dataset{Images: images, Labels: labels}
 }

@@ -84,9 +84,18 @@ type Sample struct {
 
 // Generate draws one snapshot.
 func (c GenConfig) Generate(rng *tensor.RNG) *Sample {
+	field := tensor.New(NumChannels, c.Size, c.Size)
+	return &Sample{Field: field, Boxes: c.draw(field, rng, false)}
+}
+
+// draw makes one snapshot in the zeroed field and returns its boxes. A dry
+// draw takes the same draws but does not render the background: its
+// per-pixel loop, nearly all of a snapshot's cost, is one SkipNorms. The
+// storms still render, into whatever field is given; they are a small
+// share of the cost and their boxes come out of the same loops.
+func (c GenConfig) draw(field *tensor.Tensor, rng *tensor.RNG, dry bool) []Box {
 	s := c.Size
-	field := tensor.New(NumChannels, s, s)
-	c.background(field, rng)
+	c.background(field, rng, dry)
 
 	var boxes []Box
 	var centers [][2]float64
@@ -127,13 +136,13 @@ func (c GenConfig) Generate(rng *tensor.RNG) *Sample {
 			boxes = append(boxes, c.addRiver(field, rng, x, y))
 		}
 	}
-	return &Sample{Field: field, Boxes: boxes}
+	return boxes
 }
 
 // background synthesises smooth large-scale structure: a meridional
 // temperature gradient, zonal jets, and a few random long-wavelength modes,
-// plus white noise.
-func (c GenConfig) background(field *tensor.Tensor, rng *tensor.RNG) {
+// plus white noise. A dry call draws the modes and skips the noise.
+func (c GenConfig) background(field *tensor.Tensor, rng *tensor.RNG, dry bool) {
 	s := c.Size
 	fs := float64(s)
 	type mode struct{ kx, ky, phase, amp float64 }
@@ -149,6 +158,10 @@ func (c GenConfig) background(field *tensor.Tensor, rng *tensor.RNG) {
 			}
 		}
 		chModes[ch] = ms
+	}
+	if dry {
+		rng.SkipNorms(NumChannels * s * s)
+		return
 	}
 	for ch := 0; ch < NumChannels; ch++ {
 		plane := field.Data[ch*s*s : (ch+1)*s*s]
@@ -308,12 +321,24 @@ type Dataset struct {
 	Size    int
 }
 
-// GenerateDataset draws n snapshots.
+// GenerateDataset draws n snapshots. A snapshot's draw count varies with
+// its storms, so a dry pass first walks rng through all n in order and
+// records where each starts; then the snapshots render on all workers,
+// each from its recorded state. Every bit, and where rng is left, is what
+// n Generate calls in a row give.
 func GenerateDataset(cfg GenConfig, n int, rng *tensor.RNG) *Dataset {
-	ds := &Dataset{Size: cfg.Size, Samples: make([]*Sample, n)}
-	for i := range ds.Samples {
-		ds.Samples[i] = cfg.Generate(rng)
+	starts := make([]tensor.RNG, n)
+	scratch := tensor.New(NumChannels, cfg.Size, cfg.Size)
+	for i := range starts {
+		starts[i] = *rng
+		cfg.draw(scratch, rng, true)
 	}
+	ds := &Dataset{Size: cfg.Size, Samples: make([]*Sample, n)}
+	tensor.ParallelFor(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ds.Samples[i] = cfg.Generate(&starts[i])
+		}
+	})
 	return ds
 }
 

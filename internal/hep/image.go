@@ -30,6 +30,17 @@ func NewRenderer(size int) *Renderer {
 // SampleFloats returns the per-image float count.
 func (r *Renderer) SampleFloats() int { return Channels * r.Size * r.Size }
 
+// norms is how many Gaussians Render draws per image: ECAL and HCAL noise
+// at every pixel, none without noise. GenerateDataset starts each range of
+// images at its place in the stream by it, so it changes with Render's
+// noise loop.
+func (r *Renderer) norms() int {
+	if r.Noise > 0 {
+		return 2 * r.Size * r.Size
+	}
+	return 0
+}
+
 // Render rasterises one event into dst (length SampleFloats, CHW layout).
 // Deposits are Gaussian blobs around each jet axis; the φ axis wraps; the
 // track channel is confined to the inner-detector acceptance. Intensities
@@ -91,7 +102,13 @@ func (r *Renderer) Render(e *Event, rng *tensor.RNG, dst []float32) {
 	}
 }
 
+// logCompress is log1p(v)/2. Most track pixels are exact zeros (tracks
+// are deposited only near central jets), and log1p(±0)/2 is the same ±0,
+// so those skip the call.
 func logCompress(v float32) float32 {
+	if v == 0 {
+		return v
+	}
 	return float32(math.Log1p(float64(v)) * 0.5)
 }
 
@@ -104,14 +121,21 @@ type Dataset struct {
 }
 
 // GenerateDataset draws n preselected events, renders them, and returns the
-// packaged dataset.
+// packaged dataset. The events are drawn in order; the images render on
+// all workers, each range from a copy of rng moved to its first image, so
+// every bit — and where rng is left — is what one goroutine would draw.
 func GenerateDataset(cfg GenConfig, r *Renderer, n int, signalFrac float64, rng *tensor.RNG) *Dataset {
 	events, labels := cfg.GenerateEvents(n, signalFrac, rng)
 	images := tensor.New(n, Channels, r.Size, r.Size)
-	per := r.SampleFloats()
-	for i := range events {
-		r.Render(&events[i], rng, images.Data[i*per:(i+1)*per])
-	}
+	per, norms := r.SampleFloats(), r.norms()
+	tensor.ParallelFor(n, func(lo, hi int) {
+		at := *rng
+		at.SkipNorms(lo * norms)
+		for i := lo; i < hi; i++ {
+			r.Render(&events[i], &at, images.Data[i*per:(i+1)*per])
+		}
+	})
+	rng.SkipNorms(n * norms)
 	return &Dataset{Images: images, Labels: labels, Events: events}
 }
 

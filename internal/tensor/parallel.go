@@ -16,11 +16,14 @@ var workers atomic.Int32
 func init() { workers.Store(int32(runtime.GOMAXPROCS(0))) }
 
 // SetWorkers sets the thread budget of one model's kernels. n < 1 is
-// clamped to 1. Returns the previous value. The count governs two forks and
-// nothing else: the lanes a tiled inference plan runs its tiles on (nn's
-// tile.go, one per worker), and the row panels a GEMM of at least
-// gemmParallelMin multiply-adds splits into. Every other kernel, and every
-// smaller GEMM, runs on the calling goroutine whatever the count.
+// clamped to 1. Returns the previous value. Among the kernels the count
+// governs two forks and nothing else: the lanes a tiled inference plan runs
+// its tiles on (nn's tile.go, one per worker), and the row panels a GEMM of
+// at least gemmParallelMin multiply-adds splits into. Every other kernel,
+// and every smaller GEMM, runs on the calling goroutine whatever the count.
+// Outside the kernels, the synthetic-data generators render their samples
+// over it (hep, astro and climate GenerateDataset), bit for bit what one
+// worker draws.
 func SetWorkers(n int) int {
 	if n < 1 {
 		n = 1

@@ -13,6 +13,9 @@ type RNG struct {
 	gauss     float64
 }
 
+// gamma is SplitMix64's state increment: one step per Uint64.
+const gamma = 0x9e3779b97f4a7c15
+
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
@@ -22,12 +25,12 @@ func NewRNG(seed uint64) *RNG {
 // child's sequence does not overlap the parent's for practical purposes
 // (distinct SplitMix64 gamma-mixed seeds).
 func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0x9e3779b97f4a7c15)
+	return NewRNG(r.Uint64() ^ gamma)
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -68,6 +71,26 @@ func (r *RNG) Norm() float64 {
 	r.gauss = m * math.Sin(2*math.Pi*u2)
 	r.haveGauss = true
 	return m * math.Cos(2*math.Pi*u2)
+}
+
+// SkipNorms leaves the generator exactly where n Norm calls would, in O(1):
+// the state is a counter, and each fresh Box–Muller pair takes two steps of
+// it. A cached half is spent first; an odd remainder draws one real pair so
+// its other half is cached as Norm would have cached it. A data generator
+// whose samples each take a fixed number of Norms uses this to start any
+// range of samples at its exact place in the serial stream.
+func (r *RNG) SkipNorms(n int) {
+	if n <= 0 {
+		return
+	}
+	if r.haveGauss {
+		r.haveGauss = false
+		n--
+	}
+	r.state += uint64(n/2) * 2 * gamma
+	if n%2 == 1 {
+		r.Norm()
+	}
 }
 
 // LogNormal returns exp(N(mu, sigma^2)); used by the cluster simulator for

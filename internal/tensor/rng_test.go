@@ -127,3 +127,61 @@ func TestFillNorm(t *testing.T) {
 		t.Fatalf("FillNorm mean = %v, want ~5", mean)
 	}
 }
+
+// nextDraws returns r's next four draws as bits: a Norm, a Uint64, then two
+// Norms, so a cached Gaussian half left behind is spent and checked too.
+func nextDraws(r *RNG) [4]uint64 {
+	return [4]uint64{math.Float64bits(r.Norm()), r.Uint64(), math.Float64bits(r.Norm()), math.Float64bits(r.Norm())}
+}
+
+// TestSkipNormsMatchesNorms: SkipNorms(n) leaves the generator where n
+// Norm calls do, for even and odd n, from a state with and without a
+// cached Gaussian half.
+func TestSkipNormsMatchesNorms(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		for _, n := range []int{0, 1, 2, 3, 4, 7, 8, 255, 1024} {
+			want := NewRNG(99)
+			got := NewRNG(99)
+			if cached {
+				want.Norm()
+				got.Norm()
+			}
+			for i := 0; i < n; i++ {
+				want.Norm()
+			}
+			got.SkipNorms(n)
+			if w, g := nextDraws(want), nextDraws(got); w != g {
+				t.Errorf("cached %v, n %d: next draws %x, want %x", cached, n, g, w)
+			}
+		}
+	}
+}
+
+// FuzzSkipNorms: after any prefix of Uint64 and Norm draws, SkipNorms(n)
+// and n Norm calls leave the same next four draws.
+func FuzzSkipNorms(f *testing.F) {
+	f.Add(uint64(1), []byte{}, uint16(0))
+	f.Add(uint64(2), []byte{1}, uint16(1))
+	f.Add(uint64(3), []byte{1, 0, 1}, uint16(2))
+	f.Add(uint64(4), []byte{0, 1, 1, 1}, uint16(675))
+	f.Add(uint64(5), []byte{1, 1, 0}, uint16(4096))
+	f.Fuzz(func(t *testing.T, seed uint64, prefix []byte, n uint16) {
+		want, got := NewRNG(seed), NewRNG(seed)
+		for _, b := range prefix {
+			if b%2 == 0 {
+				want.Uint64()
+				got.Uint64()
+			} else {
+				want.Norm()
+				got.Norm()
+			}
+		}
+		for i := 0; i < int(n); i++ {
+			want.Norm()
+		}
+		got.SkipNorms(int(n))
+		if w, g := nextDraws(want), nextDraws(got); w != g {
+			t.Fatalf("prefix %v, n %d: next draws %x, want %x", prefix, n, g, w)
+		}
+	})
+}

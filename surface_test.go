@@ -17,7 +17,7 @@ import (
 // "pkg.Name", or "pkg.Type.Method" for a method.
 var surfaceAllowlist = map[string]string{
 	"netserve.Server.SetDelay": "the slow-member hook of the netserve and bulk hedging and death tests",
-	"tensor.KernelISAs":        "the ISA list the cross-ISA bitwise tests in tensor, nn, quant and climate loop over",
+	"tensor.KernelISAs":        "the ISA list the cross-ISA bitwise tests in tensor, nn, quant, climate and the three trainer commands loop over",
 }
 
 // stdlibMethods are method names the standard library calls through its own
