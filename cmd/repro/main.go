@@ -5,12 +5,9 @@
 // Usage:
 //
 //	repro                 # every experiment, quick scale
-//	repro -exp fig6       # one experiment
+//	repro -exp fig6       # one experiment (-h lists the ids)
 //	repro -full           # larger configurations (slower)
-//	repro -o EXPERIMENTS.md
-//
-// Experiments: table1 table2 fig5 fig6 fig7 fullsystem fig8 hepscience
-// climscience resilience ablations all
+//	repro -o report.md    # also write the report to a file
 package main
 
 import (
@@ -24,41 +21,20 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1 table2 fig5 fig6 fig7 fullsystem fig8 hepscience climscience resilience ablations checkpoint timeline all)")
+	exp := flag.String("exp", "all", "experiment id ("+knownIDs()+")")
 	full := flag.Bool("full", false, "use larger (slower) configurations")
 	seed := flag.Uint64("seed", 42, "experiment seed")
 	out := flag.String("o", "", "also write the report to this file")
 	flag.Parse()
 
 	opts := harness.Options{Quick: !*full, Seed: *seed}
-
-	gens := map[string]func(harness.Options) harness.Report{
-		"table1":      harness.Table1,
-		"table2":      harness.Table2,
-		"fig5":        harness.Fig5,
-		"fig6":        harness.Fig6,
-		"fig7":        harness.Fig7,
-		"fullsystem":  harness.FullSystem,
-		"fig8":        harness.Fig8,
-		"hepscience":  harness.HEPScience,
-		"climscience": harness.ClimateScience,
-		"resilience":  harness.Resilience,
-		"ablations":   harness.Ablations,
-		"checkpoint":  harness.Checkpoint,
-		"timeline":    harness.Timeline,
-	}
-
-	var body string
-	start := time.Now()
-	if *exp == "all" {
-		body = harness.All(opts)
-	} else if gen, ok := gens[*exp]; ok {
-		body = gen(opts).String()
-	} else {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s all\n",
-			*exp, strings.Join(keys(gens), " "))
+	gen, ok := experiment(*exp)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", *exp, knownIDs())
 		os.Exit(2)
 	}
+	start := time.Now()
+	body := gen(opts)
 
 	header := fmt.Sprintf("# Reproduction report — Deep Learning at 15PF (SC'17)\n\n"+
 		"Mode: quick=%v seed=%d host=single-node Go implementation; generated in %.0f s.\n\n",
@@ -75,10 +51,25 @@ func main() {
 	}
 }
 
-func keys(m map[string]func(harness.Options) harness.Report) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// experiment returns what -exp id generates: one entry of
+// harness.Experiments, or every report for "all".
+func experiment(id string) (func(harness.Options) string, bool) {
+	if id == "all" {
+		return harness.All, true
 	}
-	return out
+	for _, e := range harness.Experiments {
+		if e.ID == id {
+			return func(o harness.Options) string { return e.Gen(o).String() }, true
+		}
+	}
+	return nil, false
+}
+
+// knownIDs lists the ids -exp accepts, in table order.
+func knownIDs() string {
+	ids := make([]string, 0, len(harness.Experiments)+1)
+	for _, e := range harness.Experiments {
+		ids = append(ids, e.ID)
+	}
+	return strings.Join(append(ids, "all"), " ")
 }

@@ -52,7 +52,8 @@ type MachineSpec struct {
 
 	// ReadBandwidth is the per-node input-read bandwidth from the parallel
 	// filesystem (the paper's non-threaded HDF5 path, §VI-A). Used only
-	// when a run models ingest (RunConfig.IngestBytesPerSample > 0).
+	// when a run models ingest (RunConfig.IngestIO), which reads
+	// NetProfile.SampleBytes per sample.
 	ReadBandwidth float64 // bytes/second per node
 }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sync"
+
 	"deep15pf/internal/climate"
 	"deep15pf/internal/hep"
 	"deep15pf/internal/nn"
@@ -49,34 +51,42 @@ type NetProfile struct {
 func (p NetProfile) NumTrainableLayers() int { return len(p.LayerBytes) }
 
 // HEPProfile derives the profile of the paper's supervised HEP network
-// from the real model definition (224×224×3, Table II).
+// from the real model definition (224×224×3, Table II). The network is
+// built once per process; every call returns that profile, whose slices
+// callers share and must not modify.
 //
 // Efficiency calibration anchors: 1.90 TF/s at batch 8 on one node
 // (Fig 5a) and the strong-scaling saturation of the synchronous
 // configuration between 256 and 1024 nodes (Fig 6a), which requires the
 // sharp small-batch knee DeepBench reports for minibatches below ~8.
-func HEPProfile() NetProfile {
+func HEPProfile() NetProfile { return hepProfile() }
+
+var hepProfile = sync.OnceValue(func() NetProfile {
 	rng := tensor.NewRNG(0xEC)
 	net := hep.BuildNet(hep.PaperConfig(), rng)
 	p := profileFromBreakdown("hep", net.FLOPBreakdown(), EffCurve{Max: 0.43, Knee: 3.71, Pow: 2.4})
 	p.SampleBytes = 4 * 3 * 224 * 224 // Table I: 3-channel 224×224 fp32
 	p.ReadEff = 0.88                  // anchors the blocking I/O share at Fig 5a's ≈2%
 	return p
-}
+})
 
 // ClimateProfile derives the profile of the semi-supervised climate
-// network (768×768×16, Table II). Anchors: 2.09 TF/s at batch 8 (Fig 5b)
+// network (768×768×16, Table II), once per process as HEPProfile does:
+// its ~900 MB of initialised tensors are drawn only for the shape-derived
+// counts read here. Anchors: 2.09 TF/s at batch 8 (Fig 5b)
 // and synchronous strong-scaling saturation past 512 nodes (Fig 6b) — a
 // slightly gentler knee than HEP because the huge spatial extent keeps
 // GEMMs fat even at small batch.
-func ClimateProfile() NetProfile {
+func ClimateProfile() NetProfile { return climateProfile() }
+
+var climateProfile = sync.OnceValue(func() NetProfile {
 	rng := tensor.NewRNG(0xC1)
 	net := climate.BuildNet(climate.PaperConfig(), rng)
 	p := profileFromBreakdown("climate", net.FLOPBreakdown(), EffCurve{Max: 0.43, Knee: 2.91, Pow: 3.1})
 	p.SampleBytes = 4 * 16 * 768 * 768 // Table I: 16-channel 768×768 fp32
 	p.ReadEff = 0.17                   // anchors the blocking I/O share at Fig 5b's ≈13%
 	return p
-}
+})
 
 func profileFromBreakdown(name string, rows []nn.LayerFlop, eff EffCurve) NetProfile {
 	p := NetProfile{Name: name, Eff: eff}

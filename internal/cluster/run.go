@@ -41,8 +41,9 @@ type RunConfig struct {
 	// PrefetchIngest double-buffers the modelled reads: iteration k+1's
 	// batch is staged while iteration k computes, so only the part of the
 	// read that outlasts the compute phase stays on the critical path —
-	// the timing-model analogue of core.Config.Prefetch, and the knob the
-	// Fig 5 ingest A/B flips.
+	// the timing-model analogue of the double-buffered data.Pipeline
+	// every trainer reads through, and the knob the Fig 5 ingest A/B
+	// flips.
 	PrefetchIngest bool
 
 	// SinglePS shares one parameter server across all layers (the

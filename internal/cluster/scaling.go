@@ -1,7 +1,5 @@
 package cluster
 
-import "fmt"
-
 // ScalePoint is one point of a scaling curve.
 type ScalePoint struct {
 	Nodes      int
@@ -17,36 +15,24 @@ type ScalePoint struct {
 // (§VI-B1). Speedups are relative to a single node processing one full
 // batch, matching the figure's normalisation.
 func StrongScaling(m MachineSpec, p NetProfile, nodesList []int, groups, batchPerGroup, iterations int, seed uint64) []ScalePoint {
-	base := Simulate(m, p, RunConfig{
-		Nodes: 1, Groups: 1, BatchPerGroup: batchPerGroup,
-		Iterations: iterations, Seed: seed,
-	})
-	points := make([]ScalePoint, 0, len(nodesList))
-	for _, n := range nodesList {
-		g := groups
-		if n < g {
-			g = 1
-		}
-		r := Simulate(m, p, RunConfig{
-			Nodes: n, Groups: g, BatchPerGroup: batchPerGroup,
-			Iterations: iterations, Seed: seed + uint64(n),
-		})
-		points = append(points, ScalePoint{
-			Nodes: n, Groups: g,
-			Throughput: r.Throughput,
-			Speedup:    r.Throughput / base.Throughput,
-			IterTime:   r.MeanIterTime(),
-		})
-	}
-	return points
+	return sweep(m, p, nodesList, groups, batchPerGroup, iterations, seed,
+		func(nodes, groups int) int { return batchPerGroup })
 }
 
 // WeakScaling reproduces the Fig 7 experiment: batch fixed at 8 per node
 // for every configuration; speedup is throughput relative to one node
 // processing batch 8.
 func WeakScaling(m MachineSpec, p NetProfile, nodesList []int, groups, batchPerNode, iterations int, seed uint64) []ScalePoint {
+	return sweep(m, p, nodesList, groups, batchPerNode, iterations, seed,
+		func(nodes, groups int) int { return batchPerNode * (nodes / groups) })
+}
+
+// sweep simulates one run per node count, with groups (1 below that many
+// nodes) sharing batchPerGroup(nodes, groups) each, against one node at
+// baseBatch.
+func sweep(m MachineSpec, p NetProfile, nodesList []int, groups, baseBatch, iterations int, seed uint64, batchPerGroup func(nodes, groups int) int) []ScalePoint {
 	base := Simulate(m, p, RunConfig{
-		Nodes: 1, Groups: 1, BatchPerGroup: batchPerNode,
+		Nodes: 1, Groups: 1, BatchPerGroup: baseBatch,
 		Iterations: iterations, Seed: seed,
 	})
 	points := make([]ScalePoint, 0, len(nodesList))
@@ -56,7 +42,7 @@ func WeakScaling(m MachineSpec, p NetProfile, nodesList []int, groups, batchPerN
 			g = 1
 		}
 		r := Simulate(m, p, RunConfig{
-			Nodes: n, Groups: g, BatchPerGroup: batchPerNode * (n / g),
+			Nodes: n, Groups: g, BatchPerGroup: batchPerGroup(n, g),
 			Iterations: iterations, Seed: seed + uint64(n),
 		})
 		points = append(points, ScalePoint{
@@ -77,13 +63,6 @@ type FullSystemResult struct {
 	ExecPeak, ExecSustained       float64 // lane-padded ("executed")
 	Speedup                       float64 // vs single node at the same per-node batch
 	MeanIterTime                  float64
-}
-
-func (r FullSystemResult) String() string {
-	return fmt.Sprintf("%d+%d nodes, %d groups, batch %d/group: peak %.2f PF sustained %.2f PF (exec %.2f/%.2f PF), speedup %.0fx, %.0f ms/iter",
-		r.ComputeNodes, r.PSNodes, r.Groups, r.BatchPerGroup,
-		r.PeakFlops/1e15, r.SustainedFlops/1e15, r.ExecPeak/1e15, r.ExecSustained/1e15,
-		r.Speedup, r.MeanIterTime*1e3)
 }
 
 // FullSystem reproduces the full-machine configurations of §VI-B3:

@@ -8,6 +8,7 @@ package core
 // the comm free list, activations and gradients in the replica's arena.
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -248,17 +249,24 @@ func TestFleetCheckpointStagingAllocFree(t *testing.T) {
 // the loss gather run on warm storage. What iterations cost beyond a
 // run's setup is the difference between a run of 2n iterations and one of
 // n; the one allocation an iteration may make is its pre-drawn batch, and
-// the runtime's own bookkeeping may add a handful per run.
+// the runtime's own bookkeeping may add a handful per run. That
+// bookkeeping (goroutine and M structs, timers, semaphores in run setup)
+// varies with scheduling when other processes share the CPUs, and only
+// ever adds, so each length counts its fewest allocations over three runs.
 func TestSyncIterationAllocFree(t *testing.T) {
 	p := newAllocProblem(32)
 	run := func(iters int) uint64 {
-		cfg := Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 8, Iterations: iters,
-			Solver: opt.NewSGD(0.01, 0.9), Seed: 1}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		TrainSync(p, cfg)
-		runtime.ReadMemStats(&after)
-		return after.Mallocs - before.Mallocs
+		fewest := uint64(math.MaxUint64)
+		for range 3 {
+			cfg := Config{Groups: 1, WorkersPerGroup: 2, GroupBatch: 8, Iterations: iters,
+				Solver: opt.NewSGD(0.01, 0.9), Seed: 1}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			TrainSync(p, cfg)
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
 	}
 	run(4) // warm: packing buffers, the collective free list
 	const n, slack = 200, 8

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"deep15pf/internal/climate"
 	"deep15pf/internal/cluster"
@@ -154,21 +153,4 @@ func ablationSemiSup(opts Options) string {
 		"At this scaled-down setting the detection-metric difference is within run-to-run noise;\n" +
 		"the architecture's role in the paper is enabling unlabeled data (and novel-pattern\n" +
 		"discovery) at all, which the supervised-only variant simply cannot consume.\n"
-}
-
-// All runs every experiment and concatenates the reports in paper order.
-func All(opts Options) string {
-	reports := []Report{
-		Table1(opts), Table2(opts), Fig5(opts),
-		Fig6(opts), Fig7(opts), FullSystem(opts),
-		Fig8(opts), HEPScience(opts), ClimateScience(opts),
-		Resilience(opts), Ablations(opts), Checkpoint(opts),
-		Timeline(opts),
-	}
-	var b strings.Builder
-	for _, r := range reports {
-		b.WriteString(r.String())
-		b.WriteString("\n")
-	}
-	return b.String()
 }

@@ -40,6 +40,14 @@ func Fig5(opts Options) Report {
 		"HEP I/O share (16-channel samples vs 3-channel), as in the paper's 13% vs 2%.\n"
 	body += "\nInput-pipeline A/B (blocking reader vs double-buffered prefetch), modelled\n"
 	body += fig5IngestAB(opts)
+	body += "\nSingle-node efficiency curve, modelled: the per-node rate the scaling figures run on\n"
+	m, hepP, climP := cluster.CoriPhaseII(), cluster.HEPProfile(), cluster.ClimateProfile()
+	curve := newTable("batch per node", "hep eff", "hep TF/s", "climate eff", "climate TF/s")
+	for _, b := range []float64{1, 2, 4, 8, 16, 2048} {
+		curve.addf("%g|%.4f|%.2f|%.4f|%.2f", b, hepP.Eff.At(b), hepP.NodeFlopRate(m, b)/1e12,
+			climP.Eff.At(b), climP.NodeFlopRate(m, b)/1e12)
+	}
+	body += curve.String()
 	return Report{ID: "fig5", Title: "Single-node runtime and flop-rate breakdown (Fig 5)", Body: body}
 }
 

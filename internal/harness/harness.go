@@ -4,7 +4,8 @@
 // full-system runs, the §VII science results, the §VIII-A resilience
 // observations, and the design-choice ablations. Each generator returns a
 // text report pairing the paper's published value with our measured or
-// simulated value; cmd/repro writes the collection to EXPERIMENTS.md.
+// simulated value. Experiments lists them; cmd/repro prints one or all,
+// and with -o also writes the report to a file.
 package harness
 
 import (
@@ -30,6 +31,33 @@ type Report struct {
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s — %s\n\n%s\n", r.ID, r.Title, r.Body)
+	return b.String()
+}
+
+// Experiment is one reproducible result: the id cmd/repro's -exp selects
+// and the generator behind it.
+type Experiment struct {
+	ID  string
+	Gen func(Options) Report
+}
+
+// Experiments lists every experiment in paper order, the order All
+// reports them in.
+var Experiments = []Experiment{
+	{"table1", Table1}, {"table2", Table2}, {"fig5", Fig5},
+	{"fig6", Fig6}, {"fig7", Fig7}, {"fullsystem", FullSystem},
+	{"fig8", Fig8}, {"hepscience", HEPScience}, {"climscience", ClimateScience},
+	{"resilience", Resilience}, {"ablations", Ablations}, {"checkpoint", Checkpoint},
+	{"timeline", Timeline},
+}
+
+// All runs every experiment and concatenates the reports.
+func All(opts Options) string {
+	var b strings.Builder
+	for _, e := range Experiments {
+		b.WriteString(e.Gen(opts).String())
+		b.WriteString("\n")
+	}
 	return b.String()
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,17 @@ import (
 
 func testOpts() Options { return Options{Quick: true, Seed: 42} }
 
+// checkPinned holds a modelled report's text to the FNV-64a of its body
+// as first pinned, so a one-digit change to any simulated number fails.
+func checkPinned(t *testing.T, r Report, want uint64) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(r.Body))
+	if got := h.Sum64(); got != want {
+		t.Errorf("%s body hashes to %016x, pinned %016x:\n%s", r.ID, got, want, r.Body)
+	}
+}
+
 func TestTable1(t *testing.T) {
 	r := Table1(testOpts())
 	for _, want := range []string{"HEP", "Climate", "7.4 TB", "15 TB", "228x228", "768x768"} {
@@ -18,6 +30,7 @@ func TestTable1(t *testing.T) {
 			t.Fatalf("table1 missing %q:\n%s", want, r.Body)
 		}
 	}
+	checkPinned(t, r, 0x5e031c262be4cee7)
 }
 
 func TestTable2(t *testing.T) {
@@ -27,6 +40,7 @@ func TestTable2(t *testing.T) {
 			t.Fatalf("table2 missing %q:\n%s", want, r.Body)
 		}
 	}
+	checkPinned(t, r, 0xbd420f58676c734c)
 }
 
 func TestFig5(t *testing.T) {
@@ -54,6 +68,8 @@ func TestFig6AndFig7(t *testing.T) {
 			t.Fatalf("fig7 missing %q", want)
 		}
 	}
+	checkPinned(t, r6, 0x1b042df55ead5d17)
+	checkPinned(t, r7, 0xdfae10084b8ea1c6)
 }
 
 func TestFullSystemReport(t *testing.T) {
@@ -66,6 +82,7 @@ func TestFullSystemReport(t *testing.T) {
 			t.Fatalf("fullsystem missing %q:\n%s", want, r.Body)
 		}
 	}
+	checkPinned(t, r, 0xc94d7dfc6f48cbcd)
 }
 
 func TestFig8Report(t *testing.T) {
@@ -118,6 +135,7 @@ func TestResilienceReport(t *testing.T) {
 			t.Fatalf("resilience missing %q:\n%s", want, r.Body)
 		}
 	}
+	checkPinned(t, r, 0x4798aa0cb73c7811)
 }
 
 func TestTableRendering(t *testing.T) {

@@ -18,24 +18,14 @@ func scalingIters(opts Options) int {
 // update step (per group for hybrid configurations), 1–1024 nodes, on the
 // simulated Cori Phase II machine.
 func Fig6(opts Options) Report {
-	m := cluster.CoriPhaseII()
-	iters := scalingIters(opts)
 	nodes := []int{1, 64, 128, 256, 512, 1024}
-
-	var b strings.Builder
-	render := func(name string, p cluster.NetProfile, paperNote string) {
-		fmt.Fprintf(&b, "%s (batch 2048 per group)\n", name)
-		t := newTable(append([]string{"config"}, nodeHeaders(nodes)...)...)
-		for _, g := range []int{1, 2, 4} {
-			pts := cluster.StrongScaling(m, p, nodes, g, 2048, iters, opts.Seed)
-			t.add(append([]string{groupLabel(g)}, speedupCells(pts)...)...)
-		}
-		b.WriteString(t.String())
-		fmt.Fprintf(&b, "Paper: %s\n\n", paperNote)
+	strong := func(p cluster.NetProfile, g int) []cluster.ScalePoint {
+		return cluster.StrongScaling(cluster.CoriPhaseII(), p, nodes, g, 2048, scalingIters(opts), opts.Seed)
 	}
-	render("HEP (Fig 6a)", cluster.HEPProfile(),
+	var b strings.Builder
+	scalingTable(&b, "HEP (Fig 6a) (batch 2048 per group)", cluster.HEPProfile(), nodes, []int{1, 2, 4}, strong,
 		"sync does not scale past 256 (1024 worse than 256); hybrid-2 saturates ~280x beyond 512; hybrid-4 ~580x at 1024")
-	render("Climate (Fig 6b)", cluster.ClimateProfile(),
+	scalingTable(&b, "Climate (Fig 6b) (batch 2048 per group)", cluster.ClimateProfile(), nodes, []int{1, 2, 4}, strong,
 		"sync peaks at 320x @512 and stops scaling; hybrid-2 580x and hybrid-4 780x at 1024")
 	return Report{ID: "fig6", Title: "Strong scaling, sync vs hybrid (Fig 6)", Body: b.String()}
 }
@@ -43,26 +33,29 @@ func Fig6(opts Options) Report {
 // Fig7 reproduces the weak-scaling study (Figs 7a/7b): batch 8 per node,
 // 1–2048 nodes.
 func Fig7(opts Options) Report {
-	m := cluster.CoriPhaseII()
-	iters := scalingIters(opts)
 	nodes := []int{1, 256, 512, 1024, 2048}
-
-	var b strings.Builder
-	render := func(name string, p cluster.NetProfile, groups []int, paperNote string) {
-		fmt.Fprintf(&b, "%s (batch 8 per node)\n", name)
-		t := newTable(append([]string{"config"}, nodeHeaders(nodes)...)...)
-		for _, g := range groups {
-			pts := cluster.WeakScaling(m, p, nodes, g, 8, iters, opts.Seed)
-			t.add(append([]string{groupLabel(g)}, speedupCells(pts)...)...)
-		}
-		b.WriteString(t.String())
-		fmt.Fprintf(&b, "Paper: %s\n\n", paperNote)
+	weak := func(p cluster.NetProfile, g int) []cluster.ScalePoint {
+		return cluster.WeakScaling(cluster.CoriPhaseII(), p, nodes, g, 8, scalingIters(opts), opts.Seed)
 	}
-	render("HEP (Fig 7a)", cluster.HEPProfile(), []int{1, 2, 4, 8},
+	var b strings.Builder
+	scalingTable(&b, "HEP (Fig 7a) (batch 8 per node)", cluster.HEPProfile(), nodes, []int{1, 2, 4, 8}, weak,
 		"sublinear: 575-750x @1024; sync ~1500x and hybrid 1150-1250x @2048 (12 ms layers feel the message jitter; PS round-trips cost extra)")
-	render("Climate (Fig 7b)", cluster.ClimateProfile(), []int{1, 4, 8},
+	scalingTable(&b, "Climate (Fig 7b) (batch 8 per node)", cluster.ClimateProfile(), nodes, []int{1, 4, 8}, weak,
 		"near-linear: sync 1750x, hybrid ~1850x @2048 (300 ms layers hide jitter; hybrid's smaller sync domains reduce stragglers)")
 	return Report{ID: "fig7", Title: "Weak scaling, sync vs hybrid (Fig 7)", Body: b.String()}
+}
+
+// scalingTable renders one network's sweep as a row of speedups per group
+// count, followed by the paper's reading of the same figure.
+func scalingTable(b *strings.Builder, title string, p cluster.NetProfile, nodes, groups []int,
+	sweep func(cluster.NetProfile, int) []cluster.ScalePoint, paperNote string) {
+	b.WriteString(title + "\n")
+	t := newTable(append([]string{"config"}, nodeHeaders(nodes)...)...)
+	for _, g := range groups {
+		t.add(append([]string{groupLabel(g)}, speedupCells(sweep(p, g))...)...)
+	}
+	b.WriteString(t.String())
+	fmt.Fprintf(b, "Paper: %s\n\n", paperNote)
 }
 
 // FullSystem reproduces §VI-B3: the ~9600-node runs.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"deep15pf/internal/climate"
+	"deep15pf/internal/cluster"
 	"deep15pf/internal/data"
 	"deep15pf/internal/hep"
 	"deep15pf/internal/tensor"
@@ -34,24 +35,23 @@ func Table1(opts Options) Report {
 }
 
 // Table2 reproduces Table II: DNN architecture specifications, with the
-// parameter sizes measured from the real model definitions.
+// parameter sizes read from the cluster model's profiles, which measure
+// the real model definitions.
 func Table2(opts Options) Report {
-	rng := tensor.NewRNG(opts.Seed)
-	hepNet := hep.BuildNet(hep.PaperConfig(), rng)
-	climNet := climate.BuildNet(climate.PaperConfig(), rng)
+	hepP, climP := cluster.HEPProfile(), cluster.ClimateProfile()
 
 	t := newTable("architecture", "input", "layers", "output", "params (paper)", "params (ours)")
 	t.addf("Supervised HEP|224x224x3|5xconv-pool, 1xFC|class probability|2.3 MiB|%.2f MiB",
-		mib(hepNet.ParamBytes()))
+		mib(hepP.TotalModelBytes))
 	t.addf("Semi-sup climate|768x768x16|9xconv, 5xdeconv|boxes, class, confidence|302.1 MiB|%.2f MiB",
-		mib(climNet.ParamBytes()))
+		mib(climP.TotalModelBytes))
 
 	body := t.String() + fmt.Sprintf(
 		"\nTrainable layers: HEP %d (paper used 6 parameter servers), climate %d (paper used 14).\n"+
 			"HEP parameter count %d; climate %d. Mid-network HEP conv layer model ≈ %.0f KB\n"+
 			"(§VI-B2 cites ~590 KB as the per-layer allreduce payload).\n",
-		len(hepNet.TrainableLayers()), len(climNet.TrainableLayers()),
-		hepNet.NumParams(), climNet.NumParams(),
-		float64(hepNet.FLOPBreakdown()[3].Bytes)/1000)
+		hepP.NumTrainableLayers(), climP.NumTrainableLayers(),
+		hepP.TotalModelBytes/4, climP.TotalModelBytes/4,
+		float64(hepP.LayerBytes[1])/1000)
 	return Report{ID: "table2", Title: "DNN architectures (Table II)", Body: body}
 }
