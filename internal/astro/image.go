@@ -144,14 +144,10 @@ func (r *Renderer) Render(o *Object, rng *tensor.RNG, dst []float32) {
 			rb[i] += float32(math.Abs(rng.Norm()) * r.Noise)
 			ib[i] += float32(math.Abs(rng.Norm()) * r.Noise)
 		}
-		g[i] = logCompress(g[i])
-		rb[i] = logCompress(rb[i])
-		ib[i] = logCompress(ib[i])
+		g[i] = tensor.LogCompress(g[i])
+		rb[i] = tensor.LogCompress(rb[i])
+		ib[i] = tensor.LogCompress(ib[i])
 	}
-}
-
-func logCompress(v float32) float32 {
-	return float32(math.Log1p(float64(v)) * 0.5)
 }
 
 // GenerateDataset draws n preselected objects, renders them, and returns

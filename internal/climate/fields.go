@@ -166,17 +166,18 @@ func (c GenConfig) background(field *tensor.Tensor, rng *tensor.RNG, dry bool) {
 	for ch := 0; ch < NumChannels; ch++ {
 		plane := field.Data[ch*s*s : (ch+1)*s*s]
 		for y := 0; y < s; y++ {
-			lat := float64(y)/fs - 0.5 // −0.5 south … +0.5 north
+			lat := float64(y)/fs - 0.5           // −0.5 south … +0.5 north
+			jet := 0.8 * math.Sin(lat*4*math.Pi) // zonal jets
 			for x := 0; x < s; x++ {
 				v := 0.0
 				for _, m := range chModes[ch] {
-					v += m.amp * math.Sin(m.kx*float64(x)+m.ky*float64(y)+m.phase)
+					v += m.amp * tensor.Sin(m.kx*float64(x)+m.ky*float64(y)+m.phase)
 				}
 				switch ch {
 				case ChTS, ChTREF, ChT500, ChT200:
 					v -= 1.5 * math.Abs(lat) * 2 // warm equator, cold poles
 				case ChU850, ChUBOT:
-					v += 0.8 * math.Sin(lat*4*math.Pi) // zonal jets
+					v += jet
 				case ChTMQ, ChQREF:
 					v += 0.8 * (0.5 - math.Abs(lat)) * 2 // moist tropics
 				}

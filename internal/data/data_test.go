@@ -1,7 +1,9 @@
 package data
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -250,6 +252,46 @@ func TestShardRoundTrip(t *testing.T) {
 				t.Fatalf("sample %d label %d mismatch", i, j)
 			}
 		}
+	}
+}
+
+// TestWriteShardBytes holds the file to the format byte for byte: the
+// header, then every feature's and every label's little-endian word, for a
+// payload larger than the big-endian path's 64 KiB buffer and with the
+// awkward values (-0, NaN, ±Inf, negative labels) whose bits must survive
+// as they are.
+func TestWriteShardBytes(t *testing.T) {
+	count, featLen, labLen := 700, 37, 2
+	feats := make([]float32, count*featLen)
+	labs := make([]int32, count*labLen)
+	rng := tensor.NewRNG(8)
+	for i := range feats {
+		feats[i] = float32(rng.Norm())
+	}
+	copy(feats, []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))})
+	for i := range labs {
+		labs[i] = int32(rng.Uint64())
+	}
+	want := binary.LittleEndian.AppendUint32(nil, shardMagic)
+	for _, v := range []int{shardVersion, count, featLen, labLen} {
+		want = binary.LittleEndian.AppendUint32(want, uint32(v))
+	}
+	for _, v := range feats {
+		want = binary.LittleEndian.AppendUint32(want, math.Float32bits(v))
+	}
+	for _, v := range labs {
+		want = binary.LittleEndian.AppendUint32(want, uint32(v))
+	}
+	path := filepath.Join(t.TempDir(), "bytes.shard")
+	if err := WriteShard(path, count, featLen, labLen, feats, labs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("shard file is %d bytes, differs from the %d-byte encoding", len(got), len(want))
 	}
 }
 

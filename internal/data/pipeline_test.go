@@ -292,8 +292,11 @@ func TestPipelineStatsAccountExposure(t *testing.T) {
 	if exposed.WaitSeconds <= 0 || exposed.StageSeconds <= 0 {
 		t.Fatalf("I/O-bound pipeline recorded stage=%.4fs wait=%.4fs", exposed.StageSeconds, exposed.WaitSeconds)
 	}
-	hidden := mk(0, 2*time.Millisecond, 10)
-	if hidden.Overlap() < exposed.Overlap() {
+	// Staging that takes real time, less than the consumer's: only the
+	// first batch's is exposed, so both overlaps are ratios of
+	// milliseconds, not of scheduling jitter.
+	hidden := mk(time.Millisecond, 3*time.Millisecond, 10)
+	if hidden.Overlap() <= exposed.Overlap() {
 		t.Fatalf("compute-bound overlap %.2f should exceed I/O-bound overlap %.2f",
 			hidden.Overlap(), exposed.Overlap())
 	}

@@ -53,18 +53,10 @@ func WriteShard(path string, count, featLen, labLen int, features []float32, lab
 	if _, err := f.Write(hdr); err != nil {
 		return err
 	}
-	buf := make([]byte, 4*len(features))
-	for i, v := range features {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	if _, err := f.Write(buf); err != nil {
+	if err := writeWords(f, features); err != nil {
 		return err
 	}
-	lbuf := make([]byte, 4*len(labels))
-	for i, v := range labels {
-		binary.LittleEndian.PutUint32(lbuf[4*i:], uint32(v))
-	}
-	if _, err := f.Write(lbuf); err != nil {
+	if err := writeWords(f, labels); err != nil {
 		return err
 	}
 	return f.Sync()

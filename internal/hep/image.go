@@ -96,20 +96,10 @@ func (r *Renderer) Render(e *Event, rng *tensor.RNG, dst []float32) {
 			ecal[i] += float32(math.Abs(rng.Norm()) * r.Noise)
 			hcal[i] += float32(math.Abs(rng.Norm()) * r.Noise)
 		}
-		ecal[i] = logCompress(ecal[i])
-		hcal[i] = logCompress(hcal[i])
-		trk[i] = logCompress(trk[i])
+		ecal[i] = tensor.LogCompress(ecal[i])
+		hcal[i] = tensor.LogCompress(hcal[i])
+		trk[i] = tensor.LogCompress(trk[i])
 	}
-}
-
-// logCompress is log1p(v)/2. Most track pixels are exact zeros (tracks
-// are deposited only near central jets), and log1p(±0)/2 is the same ±0,
-// so those skip the call.
-func logCompress(v float32) float32 {
-	if v == 0 {
-		return v
-	}
-	return float32(math.Log1p(float64(v)) * 0.5)
 }
 
 // Dataset is an in-memory labelled image set — HEP's events, or astro's

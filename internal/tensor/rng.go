@@ -68,9 +68,10 @@ func (r *RNG) Norm() float64 {
 	u1 := 1.0 - r.Float64()
 	u2 := r.Float64()
 	m := math.Sqrt(-2 * math.Log(u1))
-	r.gauss = m * math.Sin(2*math.Pi*u2)
+	sin, cos := Sincos(2 * math.Pi * u2)
+	r.gauss = m * sin
 	r.haveGauss = true
-	return m * math.Cos(2*math.Pi*u2)
+	return m * cos
 }
 
 // SkipNorms leaves the generator exactly where n Norm calls would, in O(1):
