@@ -52,7 +52,7 @@ func run(args []string) error {
 	filters := fs.Int("filters", 8, "model conv filters (must match the training run)")
 	units := fs.Int("units", 3, "model conv+pool units (must match the training run)")
 	threshold := fs.Float64("threshold", 0.8, "keep predictions at/above this top-1 confidence (paper's climate cut)")
-	batch := fs.Int("batch", 256, "samples staged per shard read, and per wire request with -fleet (the local engine scores 32-sample tiles across batches)")
+	batch := fs.Int("batch", 256, "samples per batch: the local engine stages and scores 32-sample tiles cut within each batch, -fleet sends one batch per wire request, and -int8 calibrates on the first batch")
 	useInt8 := fs.Bool("int8", false, "score on the int8 quantized datapath (calibrated on the first batch)")
 	fleet := fs.Int("fleet", 0, "fan shards across N in-process netserve backends (0 = direct local engine)")
 	kernels := fs.String("kernels", "auto", "compute kernel ISA: auto|scalar|avx2|avx512")

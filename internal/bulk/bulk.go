@@ -10,15 +10,16 @@
 //   - shards stream through data.Pipeline prefetch (I/O hidden behind
 //     compute, same machinery as training ingest);
 //   - one lane per kernel thread lives for the whole run, each with its
-//     own replica, and pulls 32-sample tiles (nn.InferTile) off the staged
-//     batches in sample order, so there is no fork or join per batch and
-//     no lane idles at a batch boundary; the tiles run straight into
-//     tile-sized compiled plans via serve.SharedInferer — no queue, no
-//     linger, no per-request envelope, and not even the online path's
-//     output copy;
-//   - batch tensors are pooled slot staging, returned to the stager by
-//     the lane that finishes a batch's last tile, so the warm loop's
-//     allocations do not grow with the set (gated by test);
+//     own replica, and takes the staged 32-sample tiles (nn.InferTile) in
+//     sample order, so there is no fork or join per batch and no lane
+//     idles at a batch boundary; the tiles run straight into tile-sized
+//     compiled plans via serve.SharedInferer — no queue, no linger, no
+//     per-request envelope, and not even the online path's output copy;
+//   - the tile is also the unit of staging: the prefetch ring is lanes + 2
+//     slots of one tile each, allocated once, and the lane that scores a
+//     tile releases its slot, so staging memory does not grow with
+//     Config.Batch and the warm loop's allocations do not grow with the
+//     set (gated by tests);
 //   - confidence extraction (nn.SoftmaxTop1) runs in place on the
 //     plan-owned logits, straight into the tile's prediction range.
 //
@@ -34,7 +35,6 @@ package bulk
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"deep15pf/internal/data"
@@ -46,22 +46,16 @@ import (
 
 // Config parameterises an Engine or a fleet run.
 type Config struct {
-	// Batch is the unit of staging: how many samples one shard read
-	// stages into one slot of the prefetch ring (and, for ScoreFleet, one
-	// wire request). It is not the unit of execution: the Engine's lanes
-	// run tiles of 32 samples across batch boundaries, so on two threads
-	// a batch of 256 scores within 2% of 1024 (EXPERIMENTS.md, "batch 256
-	// against 1024" under the bulk lanes). A bigger batch means fewer,
-	// longer reads and a bigger staging ring. Default 256.
+	// Batch is the range tiles are cut within, and for ScoreFleet one wire
+	// request. The Engine stages and scores tiles of 32 samples
+	// (nn.InferTile) cut from the start of each Batch-sized range of the
+	// set, so a batch of 80 is tiles of 32, 32 and 16; a ring slot holds
+	// one tile whatever Batch is. Default 256.
 	Batch int
-	// Lookahead is how many staged batches the prefetcher may run ahead
-	// of the batches the lanes hold (ring size Lookahead + lanes).
-	// Default 2.
-	Lookahead int
-	// Trace attaches phase spans (Ingest on the stager lane; Infer per tile
-	// and Ingest while taking the next batch on each scoring lane, "bulk"
-	// and "bulk.1" up; per-shard iter tags on fleet worker lanes). nil
-	// records nothing.
+	// Trace attaches phase spans (Ingest per tile on the stager lane; Infer
+	// per tile and Ingest while taking the next tile on each scoring lane,
+	// "bulk" and "bulk.1" up; per-shard iter tags on fleet worker lanes).
+	// nil records nothing.
 	Trace *obs.Tracer
 	// Metrics, when non-nil, receives bulk_samples (counter),
 	// bulk_batches (counter) and bulk_samples_per_sec (gauge).
@@ -80,9 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Batch > serve.MaxBulkBatch {
 		c.Batch = serve.MaxBulkBatch
-	}
-	if c.Lookahead < 1 {
-		c.Lookahead = 2
 	}
 	return c
 }
@@ -115,29 +106,27 @@ type Result struct {
 
 // Engine scores shard sets on lanes that live for a whole Score call: one
 // per kernel thread in use, each with its own replica (lane 0 runs the
-// engine's replica on the caller). The lanes pull 32-sample tiles off the
-// staged batches in sample order, so no lane waits at a batch boundary
-// for another to finish. One Score at a time; reuse across Score calls
-// keeps the lanes' replicas, their compiled plans and the staging warm.
+// engine's replica on the caller). Each lane takes the next staged tile
+// in sample order, scores it and releases its slot, so no lane waits at a
+// batch boundary for another to finish. One Score at a time; reuse across
+// Score calls keeps the lanes' replicas, their compiled plans and the
+// staging ring warm.
 type Engine struct {
 	cfg     Config
 	model   *serve.LoadedModel // mints the replicas of lanes 1 and up
 	inShape []int
 	inLen   int
 
-	arena  *tensor.Arena
 	slots  []*slot
 	lanes  []*lane
 	ingest *obs.Lane // the stager's trace lane
 }
 
-// slot is one staged batch in the prefetch ring.
+// slot is one staged tile in the prefetch ring.
 type slot struct {
-	stage *tensor.Staging
-	x     *tensor.Tensor // view for the staged size, set by the stager
-	lo, n int            // global sample range [lo, lo+n)
-	batch int            // the batch's index in the run
-	left  atomic.Int32   // tiles not yet finished; the last one releases the slot
+	x     []float32 // room for one tile; the staged samples are x[:n*inLen]
+	lo, n int       // global sample range [lo, lo+n)
+	batch int       // the index of the batch range the tile was cut from
 }
 
 // lane is one scoring thread's replica, its view of the tile it is
@@ -166,7 +155,6 @@ func NewEngine(m *serve.LoadedModel, cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		model:   m,
 		inShape: rep.InShape(),
-		arena:   tensor.NewArena(),
 		ingest:  cfg.Trace.Lane("bulk.ingest"),
 	}
 	e.inLen = prod(e.inShape)
@@ -196,24 +184,21 @@ func (e *Engine) addLane(rep serve.Model) error {
 }
 
 // ensureRing builds the staging ring on first use and grows it with the
-// lane count. The lanes hold at most one slot each, so Lookahead+lanes
-// slots keep Lookahead batches staged ahead of them. Pre-sizing every slot
-// at the configured batch means the stager never touches the arena in the
-// steady state — the same trick training ingest uses.
+// lane count. The lanes hold at most one slot each, so lanes + 2 slots
+// keep two tiles staged ahead of them. Each slot is one tile, allocated
+// once, so the stager never allocates in the steady state.
 func (e *Engine) ensureRing(lanes int) {
-	for len(e.slots) < e.cfg.Lookahead+lanes {
-		st := tensor.NewStaging(e.arena, e.inShape...)
-		st.Batch(e.cfg.Batch)
-		e.slots = append(e.slots, &slot{stage: st})
+	for len(e.slots) < lanes+2 {
+		e.slots = append(e.slots, &slot{x: make([]float32, nn.InferTile*e.inLen)})
 	}
 }
 
 // Score runs every sample of ss through the model, filling p (grown to
 // ss.Count) with per-sample argmax labels and confidences. Shard reads are
-// prefetched on a background goroutine; min(tensor.Workers(), tiles)
-// lanes, the caller among them, score the staged batches tile by tile
-// until the set is done. The warm loop is allocation-free on every side:
-// what a call allocates does not grow with the set.
+// prefetched a tile at a time on a background goroutine;
+// min(tensor.Workers(), tiles) lanes, the caller among them, score the
+// staged tiles until the set is done. The warm loop is allocation-free on
+// every side: what a call allocates does not grow with the set.
 func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 	if ss.FeatLen != e.inLen {
 		return Result{}, fmt.Errorf("bulk: shard features %d floats/sample, model wants %d", ss.FeatLen, e.inLen)
@@ -236,31 +221,29 @@ func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 	}
 	e.ensureRing(w)
 
-	// Sequential fixed-size ranges; one reusable index buffer — source and
-	// stage both run on the pipeline's single prefetch goroutine, and idx
-	// is dead once the stage copy completes.
-	idxBuf := make([]int, b)
-	next, staged := 0, 0
+	// Sequential tiles, cut from the start of each batch range; one
+	// reusable index buffer — source and stage both run on the pipeline's
+	// single prefetch goroutine, and idx is dead once the stage copy
+	// completes.
+	idxBuf := make([]int, nn.InferTile)
+	next := 0
 	source := func() []int {
 		if next >= ss.Count {
 			return nil
 		}
-		n := min(b, ss.Count-next)
-		idx := idxBuf[:n]
+		end := min(next-next%b+b, ss.Count) // the end of next's batch range
+		idx := idxBuf[:min(nn.InferTile, end-next)]
 		for i := range idx {
 			idx[i] = next + i
 		}
-		next += n
+		next += len(idx)
 		return idx
 	}
 	pipe := data.NewPipeline(e.slots, source, func(dst *slot, idx []int) error {
-		e.ingest.SetIter(staged)
-		dst.batch = staged
-		staged++
+		dst.lo, dst.n, dst.batch = idx[0], len(idx), idx[0]/b
+		e.ingest.SetIter(dst.batch)
 		e.ingest.Begin(obs.PhaseIngest)
-		dst.lo, dst.n = idx[0], len(idx)
-		dst.x = dst.stage.Batch(dst.n)
-		err := ss.ReadBatchInto(idx, dst.x.Data, nil, nil)
+		err := ss.ReadBatchInto(idx, dst.x[:dst.n*e.inLen], nil, nil)
 		e.ingest.End(obs.PhaseIngest)
 		return err
 	})
@@ -281,7 +264,7 @@ func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 	if st.err != nil {
 		return Result{}, st.err
 	}
-	res := Result{Samples: st.samples, Batches: st.batches}
+	res := Result{Samples: st.samples, Batches: (ss.Count + b - 1) / b}
 	if res.Samples != ss.Count {
 		return Result{}, fmt.Errorf("bulk: scored %d of %d samples", res.Samples, ss.Count)
 	}
@@ -300,57 +283,40 @@ func (e *Engine) Score(ss *data.ShardSet, p *Predictions) (Result, error) {
 // tilesOf is how many tiles a batch of n samples is cut into.
 func tilesOf(n int) int { return (n + nn.InferTile - 1) / nn.InferTile }
 
-// stream hands the staged batches' tiles to the lanes in sample order.
-// Whichever lane finds the current batch used up takes the next one from
-// the pipeline; the lane that finishes a batch's last tile releases it.
+// stream hands the staged tiles to the lanes in sample order; each lane
+// releases the tile it took once it has scored it.
 type stream struct {
 	pipe  *data.Pipeline[*slot]
 	inLen int
 	p     *Predictions
 
-	mu               sync.Mutex
-	cur              *slot // the batch tiles are being cut from; nil when used up
-	at               int   // its next tile's first sample
-	samples, batches int
-	err              error // the failure with the lowest sample range
-	errLo            int   // its first sample
+	mu      sync.Mutex
+	samples int
+	err     error // the failure with the lowest sample range
+	errLo   int   // its first sample
 }
 
-// take returns lane l's next tile, the samples [lo, hi) of batch s, or
-// ok == false once the set is done or a lane has failed.
-func (st *stream) take(l *lane) (s *slot, lo, hi int, ok bool) {
+// take returns lane l's next tile, or ok == false once the set is done or
+// a lane has failed.
+func (st *stream) take(l *lane) (s *slot, ok bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.err != nil {
-		return nil, 0, 0, false
+		return nil, false
 	}
-	if st.cur == nil {
-		// mu stays held across Next on purpose: it keeps Next calls from
-		// overlapping and batches in order, and a lane blocked on mu
-		// needs this batch next anyway. The wait always ends: every slot
-		// the lanes hold has a tile in flight, whose lane finishes it and
-		// releases the slot without taking mu, and the stager never
-		// takes mu either.
-		l.trace.Begin(obs.PhaseIngest)
-		next, more := st.pipe.Next()
-		l.trace.End(obs.PhaseIngest)
-		if !more { // and again for every lane that asks after the end
-			st.err = st.pipe.Err()
-			return nil, 0, 0, false
-		}
-		next.left.Store(int32(tilesOf(next.n)))
-		st.cur, st.at = next, 0
-		st.samples += next.n
-		st.batches++
+	// mu stays held across Next on purpose: it keeps Next calls from
+	// overlapping, and a lane blocked on mu needs the next tile anyway.
+	// The wait always ends: a lane releases its tile without taking mu,
+	// and the stager never takes mu either.
+	l.trace.Begin(obs.PhaseIngest)
+	s, ok = st.pipe.Next()
+	l.trace.End(obs.PhaseIngest)
+	if !ok { // and again for every lane that asks after the end
+		st.err = st.pipe.Err()
+		return nil, false
 	}
-	s, lo = st.cur, st.at
-	hi = min(lo+nn.InferTile, s.n)
-	st.at = hi
-	if hi == s.n {
-		// Its last tile is out: once that finishes, s may be restaged.
-		st.cur = nil
-	}
-	return s, lo, hi, true
+	st.samples += s.n
+	return s, true
 }
 
 // fail records err for the tile starting at global sample lo, keeping the
@@ -367,20 +333,18 @@ func (st *stream) fail(lo int, err error) {
 // prediction range.
 func (st *stream) run(l *lane) {
 	for {
-		s, lo, hi, ok := st.take(l)
+		s, ok := st.take(l)
 		if !ok {
 			return
 		}
+		lo, hi := s.lo, s.lo+s.n // s may be restaged once released
 		l.trace.SetIter(s.batch)
 		l.trace.Begin(obs.PhaseInfer)
-		g0, g1 := s.lo+lo, s.lo+hi
-		err := l.score(s.x.Data[lo*st.inLen:hi*st.inLen], st.p.Conf[g0:g1], st.p.Label[g0:g1])
+		err := l.score(s.x[:s.n*st.inLen], st.p.Conf[lo:hi], st.p.Label[lo:hi])
 		l.trace.End(obs.PhaseInfer)
-		if s.left.Add(-1) == 0 {
-			st.pipe.Release(s)
-		}
+		st.pipe.Release(s)
 		if err != nil {
-			st.fail(g0, fmt.Errorf("bulk: samples [%d,%d): %w", g0, g1, err))
+			st.fail(lo, fmt.Errorf("bulk: samples [%d,%d): %w", lo, hi, err))
 			return
 		}
 	}

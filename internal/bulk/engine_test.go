@@ -187,6 +187,40 @@ func TestEngineScoreAllocsFlatInSetSize(t *testing.T) {
 	}
 }
 
+// TestEngineStagesTiles: the prefetch ring stages what a lane runs. After
+// a warm Score at any worker count and at batches below, at and above the
+// tile, the ring is lanes + 2 slots of exactly one tile each: staging does
+// not grow with Config.Batch.
+func TestEngineStagesTiles(t *testing.T) {
+	defer tensor.SetWorkers(tensor.SetWorkers(1))
+	net, ds := trainTiny(t, 203, 1)
+	ss := unlabeledShards(t, ds, 3)
+	lm := loadTiny(t, net, ds, serve.Float32)
+	for _, workers := range []int{1, 2, 4} {
+		tensor.SetWorkers(workers)
+		for _, batch := range []int{20, 80, 256, 1024} {
+			eng, err := NewEngine(lm, Config{Batch: batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var p Predictions
+			for range 2 {
+				if _, err := eng.Score(ss, &p); err != nil {
+					t.Fatalf("workers=%d batch=%d: Score: %v", workers, batch, err)
+				}
+			}
+			staged := 0
+			for _, s := range eng.slots {
+				staged += cap(s.x)
+			}
+			if want := (workers + 2) * nn.InferTile * eng.inLen; len(eng.lanes) != workers || staged != want {
+				t.Fatalf("workers=%d batch=%d: %d lanes stage %d floats in %d slots, want %d lanes and %d floats",
+					workers, batch, len(eng.lanes), staged, len(eng.slots), workers, want)
+			}
+		}
+	}
+}
+
 // TestEngineTiledScoreMatchesNaiveLoop holds the engine's lanes to the
 // naive loop at a batch of one tile, on both precisions and one, two and
 // four kernel workers. 203 samples at batch 80 is a multiple of neither the

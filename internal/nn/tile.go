@@ -21,9 +21,9 @@ import (
 //
 // The tiler's clients are the plans the serving side compiles above the
 // tile: serve.InferBatch and the batcher's larger buckets. bulk.Engine is
-// not one: it cuts its staged batches into tiles of this size itself and
-// runs them on lanes that live for a whole scoring run, one replica each,
-// so it never compiles a plan above the tile.
+// not one: it stages tiles of this size itself and runs them on lanes
+// that live for a whole scoring run, one replica each, so it never
+// compiles a plan above the tile.
 const InferTile = 32
 
 // lanePlan is what a tiler runs tiles through: a Plan or a QuantPlan of

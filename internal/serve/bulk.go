@@ -14,7 +14,7 @@ import (
 // own input and the response copy (48 MB of input for 4096 hep-small
 // events). 4096 comfortably covers a shard's worth of samples per call
 // while keeping those bounded. bulk.Config.Batch is clamped to it because
-// bulk.ScoreFleet sends each staged batch as one InferBatch; bulk.Engine
+// bulk.ScoreFleet sends each batch as one InferBatch; bulk.Engine
 // runs tile-sized plans on its own lanes and compiles nothing this large.
 const MaxBulkBatch = 4096
 
