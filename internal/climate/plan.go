@@ -24,7 +24,6 @@ import (
 type TrainPlan struct {
 	net   *Net
 	batch int
-	arena *tensor.Arena
 
 	enc, conf, class, box *nn.Plan
 	dec                   *nn.Plan // nil without decoder
@@ -54,8 +53,9 @@ type TrainPlan struct {
 func (tp *TrainPlan) SetTraceLane(l *obs.Lane) { tp.lane = l }
 
 // NewTrainPlan compiles a training plan for batches of exactly batch
-// samples. arena == nil creates a private arena; replicas with several
-// batch sizes pass a shared one so plans recycle slabs.
+// samples, each part's buffers laid out in one exact slab (nn.Compile).
+// arena == nil creates a private arena; a replica passes its own, which
+// then counts every slab its plans and staging hold.
 func (n *Net) NewTrainPlan(batch int, arena *tensor.Arena) *TrainPlan {
 	if batch < 1 {
 		panic("climate: train plan batch must be positive")
@@ -63,7 +63,7 @@ func (n *Net) NewTrainPlan(batch int, arena *tensor.Arena) *TrainPlan {
 	if arena == nil {
 		arena = tensor.NewArena()
 	}
-	tp := &TrainPlan{net: n, batch: batch, arena: arena}
+	tp := &TrainPlan{net: n, batch: batch}
 	tp.enc = nn.Compile(n.Encoder, batch, true, arena)
 	tp.conf = nn.Compile(n.headNet("conf", n.ConfHead), batch, true, arena)
 	tp.class = nn.Compile(n.headNet("class", n.ClassHead), batch, true, arena)
@@ -158,21 +158,4 @@ func (tp *TrainPlan) StepStream(x *tensor.Tensor, boxes [][]Box, labeled []bool,
 	tp.lane.End(obs.PhaseBwd)
 	tp.gradDone = nil
 	return parts
-}
-
-// Release returns every plan slab to the arena. The TrainPlan must not be
-// used afterwards.
-func (tp *TrainPlan) Release() {
-	for _, p := range []*nn.Plan{tp.enc, tp.conf, tp.class, tp.box, tp.dec} {
-		if p != nil {
-			p.Release()
-		}
-	}
-	tp.arena.PutTensor(tp.dfeat)
-	tp.arena.PutTensor(tp.grads.Conf)
-	tp.arena.PutTensor(tp.grads.Class)
-	tp.arena.PutTensor(tp.grads.BoxP)
-	if tp.grads.Recon != nil {
-		tp.arena.PutTensor(tp.grads.Recon)
-	}
 }

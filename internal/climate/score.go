@@ -6,13 +6,13 @@ import (
 )
 
 // Scorer is the compiled forward-only schedule: the shared encoder and the
-// three score heads, each a per-batch-size inference plan cache, over one
-// arena. The decoder exists to regularise training and never runs here. It
-// is TrainPlan's counterpart for scoring — between the two the branch
+// three score heads, each a per-batch-size inference plan cache. The
+// decoder exists to regularise training and never runs here. It is
+// TrainPlan's counterpart for scoring — between the two the branch
 // topology is written once per direction — and what Detect and the served
-// replica run. Like its plans a Scorer is
-// single-goroutine, reads the net's current weights on every call, and
-// owns its outputs, which stay valid until the next call.
+// replica run. Like its plans a Scorer is single-goroutine, reads the
+// net's current weights on every call, and owns its outputs, which stay
+// valid until the next call.
 type Scorer struct {
 	enc, conf, class, box *nn.PlanCache
 }
@@ -29,7 +29,7 @@ func (n *Net) headNet(name string, l nn.Layer) *nn.Network {
 func (n *Net) NewScorer() *Scorer {
 	enc := nn.NewPlanCache(n.Encoder, false, nil)
 	head := func(name string, l nn.Layer) *nn.PlanCache {
-		return nn.NewPlanCache(n.headNet(name, l), false, enc.Arena())
+		return nn.NewPlanCache(n.headNet(name, l), false, nil)
 	}
 	return &Scorer{enc: enc, conf: head("conf", n.ConfHead), class: head("class", n.ClassHead), box: head("box", n.BoxHead)}
 }

@@ -74,7 +74,7 @@ func (c *Conv2D) OutShape(in []int) []int {
 
 // Reserve implements Layer. A plan runs a convolution as its own direct
 // step; ForwardInto builds one into st on first use.
-func (c *Conv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
+func (c *Conv2D) Reserve(st *PlanState, n int, in []int, train bool) {}
 
 // step returns st's direct step for c over n samples of shape in, building
 // it unless st already holds one that fits.
@@ -84,11 +84,14 @@ func (c *Conv2D) step(st *PlanState, n int, in []int, train bool) *haloConv {
 		len(hc.images) < n*hc.img || (train && hc.adjGroup == 0) {
 		hc = newHaloConv(c, in)
 		hc.limit(n)
-		hc.images = make([]float32, n*hc.img)
+		var l layout
+		l.pin(&hc.images, n*hc.img)
+		l.pin(&st.cb, hc.blockLen())
 		if train {
-			hc.reserve(tensor.NewArena(), n)
+			hc.reserve(&l, n, 1)
 		}
-		st.conv, st.cb = hc, make([]float32, hc.blockLen())
+		l.place(tensor.NewArena())
+		st.conv = hc
 	}
 	return hc
 }

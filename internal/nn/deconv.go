@@ -111,9 +111,11 @@ func newDeconvStep(d *Deconv2D, in []int) *deconvStep {
 	return &deconvStep{d: d, adj: newHaloConv(c, []int{d.OutC, oh, ow}), h: in[1], w: in[2]}
 }
 
-// reserve draws the step's state for up to n samples from a: the
-// forward's group buffers and, for training, dy's images.
-func (ds *deconvStep) reserve(a *tensor.Arena, n int, train bool) {
+// reserve lays out the step's state for up to n samples in l: the
+// forward's group buffers, live at fwd on the plan's clock, and, for
+// training, dy's images (pinned: their padding is read as zeros) and the
+// gated output gradient, live at bwd.
+func (ds *deconvStep) reserve(l *layout, n int, train bool, fwd, bwd int) {
 	d, adj := ds.d, ds.adj
 	adj.limit(n)
 	ds.capacity = n
@@ -122,13 +124,13 @@ func (ds *deconvStep) reserve(a *tensor.Arena, n int, train bool) {
 		ds.group = min(n, max(deconvGroupFloats/(len(adj.off)*ds.h*ds.w), 1))
 	}
 	if ds.group > 1 {
-		ds.xG = a.Get(d.InC * ds.group * ds.h * ds.w)
+		l.add(&ds.xG, d.InC*ds.group*ds.h*ds.w, fwd, fwd)
 	}
-	adj.dxG = a.Get(ds.group * adj.phaseLen())
+	l.add(&adj.dxG, ds.group*adj.phaseLen(), fwd, fwd)
 	if train {
-		adj.images = a.Get(n * adj.img)
+		l.pin(&adj.images, n*adj.img)
 		if ds.relu {
-			ds.dy = a.Get(d.OutC * adj.h * adj.w)
+			l.add(&ds.dy, d.OutC*adj.h*adj.w, bwd, bwd)
 		}
 	}
 }
@@ -190,7 +192,7 @@ func (ds *deconvStep) backward(dx, g, y *tensor.Tensor, m int, cb []float32) {
 
 // Reserve implements Layer. A plan runs a deconvolution as its own direct
 // step; ForwardInto builds one into st on first use.
-func (d *Deconv2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
+func (d *Deconv2D) Reserve(st *PlanState, n int, in []int, train bool) {}
 
 // step returns st's step for d over n samples of shape in, building it
 // unless st already holds one that fits.
@@ -198,8 +200,11 @@ func (d *Deconv2D) step(st *PlanState, n int, in []int, train bool) *deconvStep 
 	ds := st.deconv
 	if ds == nil || ds.d != d || ds.h != in[1] || ds.w != in[2] || ds.capacity < n || (train && ds.adj.images == nil) {
 		ds = newDeconvStep(d, in)
-		ds.reserve(tensor.NewArena(), n, train)
-		st.deconv, st.cb = ds, make([]float32, ds.adj.blockLen())
+		var l layout
+		ds.reserve(&l, n, train, 0, 1)
+		l.pin(&st.cb, ds.adj.blockLen())
+		l.place(tensor.NewArena())
+		st.deconv = ds
 	}
 	return ds
 }

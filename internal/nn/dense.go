@@ -26,7 +26,7 @@ func (r *ReLU) Params() []*Param { return nil }
 func (r *ReLU) OutShape(in []int) []int { return append([]int(nil), in...) }
 
 // Reserve implements Layer.
-func (r *ReLU) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
+func (r *ReLU) Reserve(st *PlanState, n int, in []int, train bool) {}
 
 // ForwardInto implements Layer. Every element of y is written, so a
 // recycled destination cannot leak stale activations. Train and eval mode
@@ -99,7 +99,7 @@ func (d *Dense) OutShape(in []int) []int {
 }
 
 // Reserve implements Layer.
-func (d *Dense) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
+func (d *Dense) Reserve(st *PlanState, n int, in []int, train bool) {}
 
 // ForwardInto implements Layer. The GEMM's beta=0 overwrites every
 // element of y, so recycled destinations are safe.

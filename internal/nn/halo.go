@@ -7,8 +7,8 @@ import "deep15pf/internal/tensor"
 // plane stored with its zero padding around it and split into its stride²
 // phase planes — phase (a, b) holds padded element (a + stride·i,
 // b + stride·j) at row i, column j, rows pitch = ⌈(w+2·pad)/stride⌉ floats
-// apart — the border written once (the arena's zeroed slab) and never
-// again. At stride 1 there is one phase, the padded plane itself. Tap
+// apart — the border the zeros of a fresh slab (the layout pins images),
+// never written. At stride 1 there is one phase, the padded plane itself. Tap
 // (c, ky, kx) of output (oy, ox) is then phase (ky mod s, kx mod s) at row
 // oy + ⌊ky/s⌋, column ox + ⌊kx/s⌋, so computing the output at that pitch
 // makes the row of B the lowering would build for the tap one run of the
@@ -190,25 +190,26 @@ func adjointGroup(n, h, w, oh, ow, stride int) int {
 	return 1
 }
 
-// reserve draws a training step's backward state for up to n samples: the
-// winners, one sample's gradient at the convolution's output, which the
-// unpool writes and the two gradients read while it is in cache, and the
-// gradients of a group of samples (adjointGroup) laid side by side, the
-// input gradient's in phase planes.
-func (hc *haloConv) reserve(a *tensor.Arena, n int) {
+// reserve lays out a training step's backward state for up to n samples
+// in l, live at bwd, the step's backward on the plan's clock: one sample's
+// gradient at the convolution's output, which the unpool writes and the
+// two gradients read while it is in cache, and the gradients of a group of
+// samples (adjointGroup) laid side by side, the input gradient's in phase
+// planes. The pool's winners are the step's own.
+func (hc *haloConv) reserve(l *layout, n, bwd int) {
 	c := hc.conv
 	if hc.pool {
 		hc.argmax = make([]int32, n*hc.outPer())
 	}
 	if hc.pool || hc.relu {
-		hc.dy = a.Get(c.OutC * hc.oh * hc.ow)
+		l.add(&hc.dy, c.OutC*hc.oh*hc.ow, bwd, bwd)
 	}
 	hc.adjGroup = adjointGroup(n, hc.h, hc.w, hc.oh, hc.ow, hc.stride)
 	if hc.adjGroup > 1 {
-		hc.dyG = a.Get(c.OutC * hc.adjGroup * hc.oh * hc.ow)
+		l.add(&hc.dyG, c.OutC*hc.adjGroup*hc.oh*hc.ow, bwd, bwd)
 	}
 	if hc.adjGroup > 1 || hc.stride > 1 {
-		hc.dxG = a.Get(hc.adjGroup * hc.phaseLen())
+		l.add(&hc.dxG, hc.adjGroup*hc.phaseLen(), bwd, bwd)
 	}
 }
 

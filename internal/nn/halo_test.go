@@ -153,7 +153,8 @@ var (
 // checkInferenceBitwise compiles g's network as an inference plan and
 // requires its Forward to agree bit for bit with refNet's, under the
 // scalar, AVX2 and probed kernel tables (the ones the host runs) and at one
-// and two workers. refNet runs each layer in turn — every convolution and
+// and two workers, with every byte its buffers share poisoned with NaN
+// before each pass (poisonShared). refNet runs each layer in turn — every convolution and
 // deconvolution as the per-sample lowering, ReLU and pool as their own
 // passes — so it is an independent reference for the direct steps,
 // whichever of them the link rule formed.
@@ -168,8 +169,11 @@ func checkInferenceBitwise(t *testing.T, g fuzzConvNet, seed uint64) {
 		want := newRef(net).Forward(x, false)
 		for _, workers := range fuzzWorkers {
 			tensor.SetWorkers(workers)
-			got := Compile(net, g.batch, false, nil).Forward(x)
-			requireSameBits(t, fmt.Sprintf("%v seed %d kernels %s workers %d", g, seed, isa, workers), got.Data, want.Data)
+			p := Compile(net, g.batch, false, nil)
+			for pass := 1; pass <= 2; pass++ { // the second sees a tiled plan's lanes poisoned too
+				poisonShared(p)
+				requireSameBits(t, fmt.Sprintf("%v seed %d kernels %s workers %d pass %d", g, seed, isa, workers, pass), p.Forward(x).Data, want.Data)
+			}
 		}
 	}
 }
@@ -230,8 +234,10 @@ func FuzzInferencePlanBitwise(f *testing.F) {
 // first unit frozen when frozen is set and there is a second to train —
 // and holds it to refNet bit for bit: the train-mode Forward, the input
 // gradient BackwardStream returns, and every trainable parameter's
-// gradient after BackwardStream and after BackwardParams, under the
-// fuzzers' kernel tables and worker counts. refNet lowers every
+// gradient after BackwardStream and after BackwardParams (each after its
+// own Forward), under the fuzzers' kernel tables and worker counts, with
+// every byte the plan's buffers share poisoned with NaN after compile and
+// again before the second Forward (poisonShared). refNet lowers every
 // convolution and deconvolution and runs each ReLU and pool as its own
 // pass, forward and backward.
 func checkTrainBitwise(t *testing.T, g fuzzConvNet, frozen bool, seed uint64) {
@@ -265,10 +271,15 @@ func checkTrainBitwise(t *testing.T, g fuzzConvNet, frozen bool, seed uint64) {
 				}
 			}
 			p := Compile(net, g.batch, true, nil)
+			poisonShared(p)
 			requireSameBits(t, what+": forward", p.Forward(x).Data, wantY.Data)
 			net.ZeroGrad()
 			requireSameBits(t, what+": input gradient", p.BackwardStream(dout, nil).Data, wantDx.Data)
 			requireGrads("BackwardStream")
+			// A backward may take the bytes of activations whose gradient
+			// steps it has passed: each backward needs its own forward.
+			poisonShared(p)
+			p.Forward(x)
 			net.ZeroGrad()
 			p.BackwardParams(dout, nil)
 			requireGrads("BackwardParams")
@@ -338,14 +349,14 @@ func FuzzTrainPlanBitwise(f *testing.F) {
 }
 
 // TestHaloPlanHoldsNoLowering: a hep-small plan runs all four
-// convolutions as halo steps, so its arena holds the activations that
+// convolutions as halo steps, so its one slab holds the activations that
 // still exist, the four halo images and the one C block — and no lowering.
 // Inference and training plans share the link rule: every ReLU and the
 // first three pools fold into the store, and conv1–3 store into the next
 // image, with no output slab. A training plan at batch 16 adds the input
-// gradients and one sample's output gradient per step; after a step under
-// BackwardStream no halo step holds a lowering, a Wᵀ·dy matrix or any
-// other scratch.
+// gradients and one sample's output gradient per step, which share bytes;
+// after a step under BackwardStream no halo step holds a lowering, a Wᵀ·dy
+// matrix or any other scratch.
 func TestHaloPlanHoldsNoLowering(t *testing.T) {
 	for _, c := range []struct {
 		train bool
@@ -390,12 +401,12 @@ func TestHaloPlanHoldsNoLowering(t *testing.T) {
 		if got := fmt.Sprint(kept); halos != 4 || got != "[conv1 conv2 conv3 conv4 gap fc]" {
 			t.Fatalf("train %v: %d halo steps, schedule %s; want 4, [conv1 conv2 conv3 conv4 gap fc]", c.train, halos, got)
 		}
-		if st := arena.Stats(); st.TotalFloats != held {
-			t.Fatalf("train %v: arena handed out %d floats, the plan's slabs are %d", c.train, st.TotalFloats, held)
+		if st := arena.Stats(); st.TotalFloats != int64(len(p.slab)) || int64(len(p.slab)) > held || c.train && int64(len(p.slab)) == held {
+			t.Fatalf("train %v: arena handed out %d floats, the plan's slab is %d for buffers of %d", c.train, st.TotalFloats, len(p.slab), held)
 		}
 		p.Release()
-		if st := arena.Stats(); st.HeldFloats != st.TotalFloats {
-			t.Fatalf("train %v: after Release the arena holds %d of %d floats", c.train, st.HeldFloats, st.TotalFloats)
+		if p.slab != nil || p.steps != nil {
+			t.Fatalf("train %v: the plan keeps its slab after Release", c.train)
 		}
 	}
 }

@@ -107,10 +107,9 @@ type Layer interface {
 	// shape (multiply by batch for a full iteration).
 	FLOPs(in []int) FlopCount
 	// Reserve pre-sizes st's scratch for batches of up to n samples with
-	// per-sample input shape in, drawing float32 slabs from a (nil = the
-	// Go allocator). After Reserve, passes at or below that batch size
-	// perform no steady-state allocation.
-	Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool)
+	// per-sample input shape in. After Reserve, passes at or below that
+	// batch size perform no steady-state allocation.
+	Reserve(st *PlanState, n int, in []int, train bool)
 	// ForwardInto computes y = layer(x). y must have the layer's output
 	// shape for x's batch size. With train=true, st retains what backward
 	// needs; with train=false, st keeps no reference to x.

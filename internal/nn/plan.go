@@ -3,18 +3,21 @@ package nn
 import (
 	"fmt"
 
+	"deep15pf/internal/quant"
 	"deep15pf/internal/tensor"
 )
 
 // Plan is a compiled execution schedule for a Network at a fixed maximum
 // batch size: every activation, every piece of kernel scratch and — for
-// training plans — every input-gradient buffer is allocated from an arena
-// once, at compile time. Steady-state Forward (and Backward) then run with
-// zero allocation. Plans are the only executor: a Network describes, a
-// plan (or QuantPlan, or a composition of plans such as climate.TrainPlan)
-// runs. Slab views, the capacity (a ceiling, not a pad) and arena sharing
-// never change a bit of the result — the tests hold every plan to the
-// layers' ForwardInto/BackwardInto run one by one into fresh tensors.
+// training plans — every input-gradient buffer is laid out at compile time
+// in one slab of exactly the bytes their live ranges need (lay, layout.go),
+// drawn from an arena once. Steady-state Forward (and Backward) then run
+// with zero allocation. Plans are the only executor: a Network describes,
+// a plan (or QuantPlan, or a composition of plans such as
+// climate.TrainPlan) runs. Slab views, the capacity (a ceiling, not a pad)
+// and the bytes buffers share never change a bit of the result — the tests
+// hold every plan to the layers' ForwardInto/BackwardInto run one by one
+// into fresh tensors, with the shared bytes poisoned.
 //
 // This is the repository's version of the execution-plan/memory-plan stage
 // every production framework runs before its hot loop (the paper's
@@ -27,17 +30,20 @@ import (
 // InferTile runs its batch as tiles on one lane per kernel thread (tile.go);
 // the lanes are forked and joined inside Forward. Tensors returned by
 // Forward/Backward are plan-owned views, valid only until the next call;
-// callers that need to retain results must copy.
+// callers that need to retain results must copy. Each Backward needs its
+// own Forward: the backward pass reuses the bytes of activations whose
+// gradient steps it has passed.
 type Plan struct {
 	net      *Network
 	capacity int
 	train    bool
-	arena    *tensor.Arena
 	steps    []planStep
 	cut      int       // first step the backward pass reaches (0 unless frozen)
 	params   []*Param  // cached trainable params: Backward re-checks gradient presence
 	n        int       // batch size of the most recent Forward
 	cblk     []float32 // the direct steps' shared C block
+	slab     []float32 // every buffer of the plan, laid out (layout.go)
+	regions  []region  // where each buffer lies in slab, and when it is live
 	tiles    *tiler    // non-nil: an inference plan above InferTile; steps is empty
 }
 
@@ -62,9 +68,8 @@ type planStep struct {
 // plan (train=true) additionally preallocates input-gradient buffers and
 // retains per-layer backward state; compiling one over a network whose
 // gradient accumulators were released panics — release gradients only on
-// inference replicas (see Network.ReleaseGradients). arena == nil gives the
-// plan a private arena; passing a shared arena lets several plans (e.g. a
-// serving replica's per-batch-size cache) recycle each other's slabs. Every
+// inference replicas (see Network.ReleaseGradients). The plan draws its
+// slab from arena, which counts it (nil: a private arena). Every
 // plan runs each convolution and deconvolution as a direct step (fuse,
 // halo.go, deconv.go), which never lowers; an inference plan above
 // InferTile costs lanes × tile slabs plus one output slab, whatever its
@@ -84,7 +89,7 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 	if arena == nil {
 		arena = tensor.NewArena()
 	}
-	p := &Plan{net: net, capacity: capacity, train: train, arena: arena, params: net.TrainableParams()}
+	p := &Plan{net: net, capacity: capacity, train: train, params: net.TrainableParams()}
 	if train {
 		p.cut = net.backwardCut() // panics on a fully frozen network
 		for _, prm := range p.params {
@@ -119,40 +124,88 @@ func Compile(net *Network, capacity int, train bool, arena *tensor.Arena) *Plan 
 		in = out
 	}
 	p.fuse()
-	blk := 0
+	p.lay(arena)
+	return p
+}
+
+// lay lays the plan's buffers out on its clock (layout) and draws them as
+// one slab from arena. An activation lives from its step's forward to the
+// last step that reads it: the next step's forward, or — in a training
+// plan — the backward of its own step (which gates through it) and of the
+// next (which keeps it as its input). An input gradient lives from its
+// step's backward to the next backward that reads it. A step's backward
+// scratch lives during that backward, a deconvolution's group buffers
+// during its forward. The plan's output and returned input gradient stay
+// until the next call.
+func (p *Plan) lay(arena *tensor.Arena) {
+	L := len(p.steps)
+	bwd := func(i int) int { return 2*L - 1 - i }
+	var l layout
+	blk, prev := 0, -1 // prev: the last active step before i
 	for i := range p.steps {
 		s := &p.steps[i]
 		if s.layer == nil {
 			continue // folded into the halo step before it
 		}
 		if h := s.halo; h != nil {
-			h.limit(capacity)
-			h.images = arena.Get(capacity * h.img)
+			h.limit(p.capacity)
+			l.pin(&h.images, p.capacity*h.img)
 			blk = max(blk, h.blockLen())
 			if s.train {
-				h.reserve(arena, capacity)
+				h.reserve(&l, p.capacity, bwd(i))
 			}
 		}
 		if ds := s.deconv; ds != nil {
-			ds.reserve(arena, capacity, s.train)
+			ds.reserve(&l, p.capacity, s.train, i, bwd(i))
 			if s.train {
 				blk = max(blk, ds.adj.blockLen())
 			}
 		}
 		if s.halo == nil || s.halo.next == nil { // else stored into the next image
-			s.ySlab = arena.Get(capacity * s.outPer)
-			s.y = tensor.FromSlice(s.ySlab, append([]int{capacity}, s.outShape...)...)
+			last := always
+			if j := p.nextStep(i); j < L {
+				last = j
+				if s.train {
+					last = bwd(i)
+				}
+				if p.steps[j].train {
+					last = max(last, bwd(j))
+				}
+			}
+			l.add(&s.ySlab, p.capacity*s.outPer, i, last)
 		}
 		if s.train {
-			s.dxSlab = arena.Get(capacity * s.inPer)
-			s.dx = tensor.FromSlice(s.dxSlab, append([]int{capacity}, s.inShape...)...)
+			if prev >= p.cut {
+				l.add(&s.dxSlab, p.capacity*s.inPer, bwd(i), bwd(prev))
+			} else {
+				l.pin(&s.dxSlab, p.capacity*s.inPer) // what Backward returns
+			}
 		}
 		if s.halo == nil && s.deconv == nil {
-			s.layer.Reserve(&s.st, arena, capacity, s.inShape, s.train)
+			s.layer.Reserve(&s.st, p.capacity, s.inShape, s.train)
+		}
+		prev = i
+	}
+	l.pin(&p.cblk, blk)
+	p.slab = l.place(arena)
+	p.regions = l.bufs
+	for i := range p.steps {
+		s := &p.steps[i]
+		if s.ySlab != nil {
+			s.y = tensor.FromSlice(s.ySlab, append([]int{p.capacity}, s.outShape...)...)
+		}
+		if s.dxSlab != nil {
+			s.dx = tensor.FromSlice(s.dxSlab, append([]int{p.capacity}, s.inShape...)...)
 		}
 	}
-	p.cblk = arena.Get(blk)
-	return p
+}
+
+// nextStep returns the index of the first step after i that runs, or
+// len(p.steps).
+func (p *Plan) nextStep(i int) int {
+	for i++; i < len(p.steps) && p.steps[i].layer == nil; i++ {
+	}
+	return i
 }
 
 // fuse is the link rule, one for training and eval steps: every Conv2D
@@ -233,6 +286,14 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if p.tiles != nil {
 		return p.tiles.forward(x)
 	}
+	return p.forward(x, n, nil)
+}
+
+// forward runs the steps over the n samples of x. With stats non-nil it
+// also max-merges into stats[i] the largest magnitude Conv2D or Dense step
+// i reads (CalibrateActivations): a direct step's images hold its input
+// and, besides, only the zeros of their padding.
+func (p *Plan) forward(x *tensor.Tensor, n int, stats []float32) *tensor.Tensor {
 	p.n = n
 	cur := x
 	for i := range p.steps {
@@ -247,9 +308,15 @@ func (p *Plan) Forward(x *tensor.Tensor) *tensor.Tensor {
 		switch {
 		case s.halo != nil:
 			s.halo.forward(y, cur, n, p.cblk)
+			if stats != nil {
+				stats[i] = max(stats[i], quant.MaxAbs(s.halo.images[:n*s.halo.img]))
+			}
 		case s.deconv != nil:
 			s.deconv.forward(y, cur, n, s.train)
 		default:
+			if _, ok := s.layer.(*Dense); ok && stats != nil {
+				stats[i] = max(stats[i], quant.MaxAbs(cur.Data))
+			}
 			s.layer.ForwardInto(&s.st, y, cur, s.train)
 		}
 		cur = y // nil after a halo step that fed the next one
@@ -336,41 +403,14 @@ func (p *Plan) backward(dout *tensor.Tensor, gradDone func(layer int), inputGrad
 	return cur
 }
 
-// Release returns the plan's activation, gradient and scratch slabs to its
-// arena. The plan must not be used afterwards; a plan cache calls this when
-// a bucket is evicted so a successor plan can reuse the memory.
+// Release drops the plan's slab and its lanes' slabs. The plan must not
+// be used afterwards.
 func (p *Plan) Release() {
 	if p.tiles != nil {
 		p.tiles.release()
 		p.tiles = nil
 	}
-	for i := range p.steps {
-		s := &p.steps[i]
-		if s.ySlab != nil {
-			p.arena.Put(s.ySlab)
-			s.ySlab, s.y = nil, nil
-		}
-		if s.dxSlab != nil {
-			p.arena.Put(s.dxSlab)
-			s.dxSlab, s.dx = nil, nil
-		}
-		if h := s.halo; h != nil {
-			for _, slab := range [][]float32{h.images, h.dy, h.dyG, h.dxG} {
-				p.arena.Put(slab) // a nil slab is a no-op
-			}
-			s.halo = nil
-		}
-		if ds := s.deconv; ds != nil {
-			for _, slab := range [][]float32{ds.xG, ds.dy, ds.adj.images, ds.adj.dxG} {
-				p.arena.Put(slab)
-			}
-			s.deconv = nil
-		}
-		s.st = PlanState{}
-	}
-	p.arena.Put(p.cblk)
-	p.cblk = nil
-	p.n = 0
+	p.steps, p.regions, p.slab, p.cblk, p.n = nil, nil, nil, nil, 0
 }
 
 // batchBucket rounds a batch size up to the plan-cache bucket: the next
@@ -386,7 +426,8 @@ func batchBucket(n int) int {
 	return b
 }
 
-// PlanCache lazily compiles and reuses plans over one shared arena. It is
+// PlanCache lazily compiles and reuses plans, each drawing its slab from
+// the cache's arena. It is
 // the shape adapters sit on, with a keying policy per side of the
 // train/serve divide: inference caches bucket batch sizes to the next
 // power of two (the batcher produces variable sizes; log2(maxBatch) plans
@@ -432,10 +473,6 @@ func (pc *PlanCache) Plan(batch int) *Plan {
 func (pc *PlanCache) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return pc.Plan(x.Shape[0]).Forward(x)
 }
-
-// Arena exposes the cache's arena so sibling plans (e.g. a model's head
-// layers) can share slabs.
-func (pc *PlanCache) Arena() *tensor.Arena { return pc.arena }
 
 // Release releases every cached plan and empties the cache.
 func (pc *PlanCache) Release() {

@@ -279,18 +279,3 @@ func TestPlanStateIsolatedFromDirectCalls(t *testing.T) {
 		requireBitwise(t, "isolated grad "+lp[i].Name, mp[i].Grad, lp[i].Grad)
 	}
 }
-
-// TestPlanArenaSharing verifies released plan slabs are recycled by the
-// next compile on the same arena rather than re-allocated.
-func TestPlanArenaSharing(t *testing.T) {
-	net := planTestNet(25)
-	arena := tensor.NewArena()
-	p1 := Compile(net, 4, false, arena)
-	total1 := arena.Stats().TotalFloats
-	p1.Release()
-	p2 := Compile(net, 4, false, arena)
-	if total2 := arena.Stats().TotalFloats; total2 != total1 {
-		t.Fatalf("recompile on shared arena grew footprint %d -> %d", total1, total2)
-	}
-	p2.Release()
-}

@@ -34,7 +34,7 @@ func (p *MaxPool2D) OutShape(in []int) []int {
 }
 
 // Reserve implements Layer.
-func (p *MaxPool2D) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {
+func (p *MaxPool2D) Reserve(st *PlanState, n int, in []int, train bool) {
 	if train {
 		out := p.OutShape(in)
 		if need := n * out[0] * out[1] * out[2]; cap(st.Argmax) < need {
@@ -176,7 +176,7 @@ func (p *GlobalAvgPool) OutShape(in []int) []int {
 }
 
 // Reserve implements Layer.
-func (p *GlobalAvgPool) Reserve(st *PlanState, a *tensor.Arena, n int, in []int, train bool) {}
+func (p *GlobalAvgPool) Reserve(st *PlanState, n int, in []int, train bool) {}
 
 // ForwardInto implements Layer.
 func (p *GlobalAvgPool) ForwardInto(st *PlanState, y, x *tensor.Tensor, train bool) {

@@ -54,6 +54,8 @@ type QuantPlan struct {
 	capacity int
 	arena    *tensor.Arena
 	steps    []qplanStep
+	slab     []float32 // the fp32 buffers, laid out (layout.go)
+	regions  []region
 	tiles    *tiler // non-nil above InferTile; steps hold the lanes' prototypes
 }
 
@@ -102,48 +104,41 @@ type qkernel struct {
 	acc []int32 // one row (two when pooling) of output pixels × 16 channels
 }
 
-// CalibrateActivations runs one fp32 forward pass over x and returns the
-// max input magnitude seen at each layer (indexed like net.Layers;
-// non-quantizable layers record 0). Merge several batches with
-// MergeCalibration, then hand the result to CompileQuantized, which freezes
-// the activation scales. Calibration is an offline pass and allocates freely:
-// it runs the eval kernels over one state and per-layer destinations that
-// are garbage on return, so nothing it needed stays reachable from net.
-func CalibrateActivations(net *Network, x *tensor.Tensor) []float32 {
+// CalibrateActivations runs the batches xs through one fp32 inference
+// plan, a tile of at most InferTile samples at a time, and returns the max
+// input magnitude seen at each layer (indexed like net.Layers;
+// non-quantizable layers record 0), max-merged over tiles and batches —
+// exact, whatever the cut. Hand the result to CompileQuantized, which
+// freezes the activation scales. The plan is garbage on return, so nothing
+// calibration needed stays reachable from net.
+func CalibrateActivations(net *Network, xs ...*tensor.Tensor) []float32 {
 	stats := make([]float32, len(net.Layers))
-	var st PlanState
-	cur := x
-	for i, l := range net.Layers {
-		switch l.(type) {
-		case *Conv2D, *Dense:
-			stats[i] = quant.MaxAbs(cur.Data)
+	tile := 0
+	for _, x := range xs {
+		tile = max(tile, min(checkInput("calibration", x, net.InShape, x.Shape[0]), InferTile))
+	}
+	if tile == 0 {
+		return stats
+	}
+	p := Compile(net, tile, false, nil)
+	in := tensor.Tensor{Shape: append([]int{0}, net.InShape...)}
+	per := shapeElems(net.InShape)
+	for _, x := range xs {
+		for lo := 0; lo < x.Shape[0]; lo += tile {
+			n := min(tile, x.Shape[0]-lo)
+			in.Shape[0], in.Data = n, x.Data[lo*per:][:n*per]
+			p.forward(&in, n, stats)
 		}
-		y := tensor.New(append([]int{cur.Shape[0]}, l.OutShape(cur.Shape[1:])...)...)
-		l.ForwardInto(&st, y, cur, false)
-		cur = y
 	}
 	return stats
-}
-
-// MergeCalibration folds b into a elementwise-max and returns a.
-func MergeCalibration(a, b []float32) []float32 {
-	if len(a) != len(b) {
-		panic("nn: MergeCalibration length mismatch")
-	}
-	for i, v := range b {
-		if v > a[i] {
-			a[i] = v
-		}
-	}
-	return a
 }
 
 const errNoCalibration = "nn: an int8 plan needs activation scales from CalibrateActivations"
 
 // CompileQuantized builds an int8 inference plan for batches of up to
 // capacity samples. calib must come from CalibrateActivations over this
-// network; it fixes every layer's activation scale. arena == nil creates a
-// private arena for the fp32 interlayer slabs.
+// network; it fixes every layer's activation scale. The fp32 interlayer
+// buffers are laid out in one slab from arena (nil: a private arena).
 func CompileQuantized(net *Network, capacity int, calib []float32, arena *tensor.Arena) *QuantPlan {
 	if capacity < 1 {
 		panic("nn: quant plan capacity must be positive")
@@ -205,22 +200,33 @@ func (p *QuantPlan) lane() lanePlan {
 }
 
 // provision gives the quantized steps their buffers: images at the
-// zero-point, links, scratch and the fp32 slabs that survive linking.
+// zero-point, links, scratch and the fp32 slabs that survive linking, laid
+// out in one slab (layout.go) — each lives from its step to the next step
+// that runs, the output until the next call.
 func (p *QuantPlan) provision() {
+	bytes := 0
 	for i := range p.steps {
 		if q := p.steps[i].q; q != nil {
-			q.xq = make([]uint8, p.capacity*q.sampleStride)
-			for j := range q.xq {
-				q.xq[j] = 128
-			}
+			bytes += p.capacity * q.sampleStride
+		}
+	}
+	images := make([]uint8, bytes) // one slab for all images, pinned like a Plan's
+	for j := range images {
+		images[j] = 128
+	}
+	for i := range p.steps {
+		if q := p.steps[i].q; q != nil {
+			n := p.capacity * q.sampleStride
+			q.xq, images = images[:n:n], images[n:]
 		}
 	}
 	p.link()
+	var l layout
 	in := p.net.InShape
 	for i := range p.steps {
 		s := &p.steps[i]
 		if s.layer != nil {
-			s.layer.Reserve(&s.st, p.arena, p.capacity, in, false)
+			s.layer.Reserve(&s.st, p.capacity, in, false)
 		}
 		if q := s.q; q != nil {
 			pix := q.ow
@@ -233,11 +239,29 @@ func (p *QuantPlan) provision() {
 			q.acc = make([]int32, pix*tensor.S8Lanes)
 		}
 		if s.layer != nil || (s.q != nil && s.q.next == nil) {
-			s.ySlab = p.arena.Get(p.capacity * s.outPer)
-			s.y = tensor.FromSlice(s.ySlab, append([]int{p.capacity}, s.outShape...)...)
+			last := always
+			if j := p.nextStep(i); j < len(p.steps) {
+				last = j
+			}
+			l.add(&s.ySlab, p.capacity*s.outPer, i, last)
 		}
 		in = s.outShape
 	}
+	p.slab = l.place(p.arena)
+	p.regions = l.bufs
+	for i := range p.steps {
+		if s := &p.steps[i]; s.ySlab != nil {
+			s.y = tensor.FromSlice(s.ySlab, append([]int{p.capacity}, s.outShape...)...)
+		}
+	}
+}
+
+// nextStep returns the index of the first step after i that runs, or
+// len(p.steps).
+func (p *QuantPlan) nextStep(i int) int {
+	for i++; i < len(p.steps) && p.steps[i].q == nil && p.steps[i].layer == nil; i++ {
+	}
+	return i
 }
 
 // link applies the one rule that decides where a kernel's output goes: if
@@ -467,26 +491,18 @@ func (p *QuantPlan) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return cur
 }
 
-// Release returns the fp32 slabs to the arena; integer buffers are
-// plan-private and simply dropped. The plan must not be used afterwards.
+// Release drops the plan's buffers and its lanes'. The plan must not be
+// used afterwards.
 func (p *QuantPlan) Release() {
 	if p.tiles != nil {
 		p.tiles.release()
 		p.tiles = nil
 	}
-	for i := range p.steps {
-		s := &p.steps[i]
-		if s.ySlab != nil {
-			p.arena.Put(s.ySlab)
-			s.ySlab, s.y = nil, nil
-		}
-		s.st = PlanState{}
-		s.q = nil
-	}
+	p.steps, p.regions, p.slab = nil, nil, nil
 }
 
 // QuantPlanCache mirrors PlanCache for the int8 datapath: plans bucket to
-// the next power-of-two batch over one shared arena. Single-goroutine.
+// the next power-of-two batch, each with its own slab. Single-goroutine.
 type QuantPlanCache struct {
 	net   *Network
 	calib []float32

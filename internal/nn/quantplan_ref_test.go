@@ -245,7 +245,8 @@ const fuzzQMACs = 8 << 20
 // (zeros once they run out), then pick a batch of 1–80 samples (tiled above
 // InferTile) and one or two workers. The calibrated plan must equal the
 // plain reference bit for bit under the scalar, AVX2 and probed kernel
-// tables. The seed corpus runs in go test. Fuzz with
+// tables, with every byte its fp32 buffers share poisoned with NaN before
+// each of two passes (poisonShared). The seed corpus runs in go test. Fuzz with
 // go test -run '^$' -fuzz FuzzQuantPlanBitwise ./internal/nn.
 func FuzzQuantPlanBitwise(f *testing.F) {
 	for _, s := range []struct {
@@ -285,7 +286,10 @@ func FuzzQuantPlanBitwise(f *testing.F) {
 				continue // not on this host
 			}
 			qp := CompileQuantized(net, n, calib, nil)
-			requireBitwise(t, fmt.Sprintf("batch %d workers %d kernels %s", n, tensor.Workers(), isa), qp.Forward(x), want)
+			for pass := 1; pass <= 2; pass++ { // the second sees a tiled plan's lanes poisoned too
+				poisonShared(qp)
+				requireBitwise(t, fmt.Sprintf("batch %d workers %d kernels %s pass %d", n, tensor.Workers(), isa, pass), qp.Forward(x), want)
+			}
 			qp.Release()
 		}
 	})

@@ -3,9 +3,11 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"deep15pf/internal/quant"
 	"deep15pf/internal/tensor"
 )
 
@@ -17,8 +19,7 @@ func TestQuantPlanMatchesFloat(t *testing.T) {
 	x := randBatch(rng, 8, net.InShape)
 
 	ref := Compile(net, 8, false, nil).Forward(x)
-	calib := CalibrateActivations(net, x)
-	calib = MergeCalibration(calib, CalibrateActivations(net, randBatch(rng, 4, net.InShape)))
+	calib := CalibrateActivations(net, x, randBatch(rng, 4, net.InShape))
 	if calib[0] == 0 {
 		t.Fatal("calibration recorded nothing for the first conv")
 	}
@@ -234,5 +235,78 @@ func TestPooledEpilogueMatchesRequantThenPool(t *testing.T) {
 			t.Fatalf("isa=%s: %d pooled links in hep-small, want 3", isa, pooled)
 		}
 		qp.Release()
+	}
+}
+
+// refCalibrate is the per-layer loop CalibrateActivations replaced: every
+// layer run in turn by its own ForwardInto over the whole batch into a
+// fresh tensor, each Conv2D's and Dense's input's largest magnitude
+// recorded, batches merged by max.
+func refCalibrate(net *Network, xs ...*tensor.Tensor) []float32 {
+	stats := make([]float32, len(net.Layers))
+	for _, x := range xs {
+		var st PlanState
+		cur := x
+		for i, l := range net.Layers {
+			switch l.(type) {
+			case *Conv2D, *Dense:
+				stats[i] = max(stats[i], quant.MaxAbs(cur.Data))
+			}
+			y := tensor.New(append([]int{cur.Shape[0]}, l.OutShape(cur.Shape[1:])...)...)
+			l.ForwardInto(&st, y, cur, false)
+			cur = y
+		}
+	}
+	return stats
+}
+
+// TestCalibrateActivationsThroughAPlan: calibration runs its batches a
+// tile at a time through one inference plan and reads each Conv2D's input
+// out of its halo image, yet records what the per-layer loop records, bit
+// for bit, under every kernel table — for hep-small over a 64-sample batch
+// and a 20-sample one, a strided convolution, and specials in the input.
+// Over 64 hep-small samples it allocates at most 1.5 MB (the per-layer
+// loop: 15.4 MB), the plan's one slab and little more.
+func TestCalibrateActivationsThroughAPlan(t *testing.T) {
+	rng := tensor.NewRNG(41)
+	hep := hepSmallNet(rng)
+	strided := NewNetwork("strided", 3, 9, 11).Add(
+		NewConv2D("c1", 3, 5, 3, 2, 1, rng), NewReLU("r1"),
+		NewConv2D("c2", 5, 4, 3, 1, 1, rng), NewReLU("r2"), NewMaxPool2D("p2", 2, 2),
+		NewDense("fc", 4*2*3, 3, rng))
+	special := randBatch(rng, 40, strided.InShape)
+	special.Data[3], special.Data[70], special.Data[500] = float32(math.Inf(-1)), float32(math.NaN()), -1e30
+	cases := []struct {
+		name string
+		net  *Network
+		xs   []*tensor.Tensor
+	}{
+		{"hep-small 64+20", hep, []*tensor.Tensor{randBatch(rng, 64, hep.InShape), randBatch(rng, 20, hep.InShape)}},
+		{"strided 7", strided, []*tensor.Tensor{randBatch(rng, 7, strided.InShape)}},
+		{"strided specials 40", strided, []*tensor.Tensor{special}},
+	}
+	defer tensor.SetKernels("auto")
+	for _, isa := range tensor.KernelISAs() {
+		if err := tensor.SetKernels(isa); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			want := refCalibrate(c.net, c.xs...)
+			requireSameBits(t, c.name+" under "+isa, CalibrateActivations(c.net, c.xs...), want)
+		}
+	}
+	x := cases[0].xs[0]
+	got := uint64(math.MaxUint64)
+	for range 3 { // the least: another goroutine's allocation only adds
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		CalibrateActivations(hep, x)
+		runtime.ReadMemStats(&after)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("calibrating hep-small over 64 samples allocated %d bytes", got)
+	if got > 1_500_000 {
+		t.Fatalf("calibrating hep-small over 64 samples allocated %d bytes, want at most 1.5 MB", got)
 	}
 }

@@ -42,7 +42,6 @@ type lanePlan interface {
 // tensor's gemmParallelMin multiply-adds splits (no hep-small tile's does).
 // The caller stays single-goroutine; lanes never outlive a Forward.
 type tiler struct {
-	arena         *tensor.Arena
 	mint          func() lanePlan // compiles one lane's sub-plan; caller's goroutine only
 	lanes         []*tileLane
 	inPer, outPer int
@@ -60,7 +59,7 @@ type tileLane struct {
 }
 
 func newTiler(arena *tensor.Arena, capacity int, in, out []int, mint func() lanePlan) *tiler {
-	t := &tiler{arena: arena, mint: mint, inPer: shapeElems(in), outPer: shapeElems(out)}
+	t := &tiler{mint: mint, inPer: shapeElems(in), outPer: shapeElems(out)}
 	t.out = arena.Get(capacity * t.outPer)
 	t.y = tensor.FromSlice(t.out, append([]int{capacity}, out...)...)
 	return t
@@ -106,5 +105,5 @@ func (t *tiler) release() {
 	for _, l := range t.lanes {
 		l.plan.Release()
 	}
-	t.arena.Put(t.out)
+	t.lanes, t.out, t.y = nil, nil, nil
 }

@@ -117,7 +117,7 @@ func TestTiledPlansAreTheOnesAboveTheTile(t *testing.T) {
 
 // TestTiledOutputLifetimeAndRelease: the output of a tiled Forward is one
 // plan-owned slab that stays intact until the next Forward, and Release
-// hands every lane's slabs and the output slab back to the arena.
+// drops every lane with its slab.
 func TestTiledOutputLifetimeAndRelease(t *testing.T) {
 	defer tensor.SetWorkers(tensor.SetWorkers(2))
 	rng := tensor.NewRNG(67)
@@ -135,9 +135,19 @@ func TestTiledOutputLifetimeAndRelease(t *testing.T) {
 		other.Release()
 		requireBitwise(t, name+" output after unrelated work", got, keep)
 		requireBitwise(t, name+" repeat", p.Forward(x), keep)
+		if arena.Stats().TotalFloats == 0 {
+			t.Fatalf("%s: the plans drew nothing from their arena", name)
+		}
 		p.Release()
-		if st := arena.Stats(); st.HeldFloats != st.TotalFloats || st.TotalFloats == 0 {
-			t.Fatalf("%s: arena after Release holds %d of %d floats", name, st.HeldFloats, st.TotalFloats)
+		var tiles *tiler
+		switch pl := p.(type) {
+		case *Plan:
+			tiles = pl.tiles
+		case *QuantPlan:
+			tiles = pl.tiles
+		}
+		if tiles != nil {
+			t.Fatalf("%s: the plan keeps its lanes after Release", name)
 		}
 	}
 }

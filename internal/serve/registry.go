@@ -178,15 +178,7 @@ func (m *LoadedModel) Calibrate(xs ...*tensor.Tensor) error {
 	if !ok {
 		return fmt.Errorf("serve: architecture %q has no int8 datapath to calibrate", m.ModelArch)
 	}
-	var calib []float32
-	for _, x := range xs {
-		s := nn.CalibrateActivations(nm.net, x)
-		if calib == nil {
-			calib = s
-		} else {
-			nn.MergeCalibration(calib, s)
-		}
-	}
+	calib := nn.CalibrateActivations(nm.net, xs...)
 	nm.calib = calib
 	m.mu.Lock()
 	m.calib = calib
