@@ -21,8 +21,8 @@
 //   - -connect: drive the same load generator against a remote backend or
 //     router.
 //
-// Fleets, routers, hedging and rolling restarts are internal/netserve's;
-// its tests run them across real processes.
+// Fleets, routers, re-dispatch on a member's death and rolling restarts
+// are internal/netserve's; its tests run them across real processes.
 //
 // Usage:
 //

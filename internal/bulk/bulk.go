@@ -2,8 +2,8 @@
 // inference over unlabeled shard sets, feeding the pseudo-label flywheel.
 //
 // The online stack (internal/serve, internal/netserve) is tuned for tail
-// latency — small dynamic batches, linger timers, per-request envelopes,
-// hedging. Scoring millions of unlabeled samples is the opposite problem:
+// latency — small dynamic batches, linger timers, per-request envelopes.
+// Scoring millions of unlabeled samples is the opposite problem:
 // nobody is waiting on any single answer, so every latency mechanism is
 // pure overhead. The Engine here strips all of it out:
 //

@@ -99,7 +99,7 @@ func (c *Client) do(model string, x, y *tensor.Tensor, into bool) (*tensor.Tenso
 	c.inflight.Add(1)
 
 	var err error
-	c.w.queue(true, func(b []byte) []byte {
+	c.w.queue(func(b []byte) []byte {
 		b, err = AppendRequest(b, id, model, x.Shape, x.Data)
 		return b
 	})
@@ -163,7 +163,7 @@ func (c *Client) reader() {
 			delete(c.calls, h.ID)
 			c.cmu.Unlock()
 			if cl == nil {
-				continue // stale id (cancelled or already failed); drop
+				continue // stale id (already failed); drop
 			}
 			if h.Type == FrameError {
 				cl.err = &RemoteError{Code: ErrCode(h.Aux), Msg: string(buf)}
@@ -186,7 +186,7 @@ func (c *Client) reader() {
 				c.conn.Close() // handshake complete: nothing in flight
 			}
 		default:
-			// Requests/cancels are meaningless inbound on a client; drop.
+			// Requests are meaningless inbound on a client; drop.
 		}
 	}
 	if werr := c.w.failed(); werr != nil {

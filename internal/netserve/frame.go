@@ -1,8 +1,8 @@
 // Package netserve puts the serving engine on the network: a compact
 // binary wire protocol over TCP, a backend listener that multiplexes many
 // in-flight requests per connection into internal/serve's dynamic batcher,
-// and a router tier (consistent-hash dispatch, admission control, hedged
-// requests) that turns N backend processes into one fleet.
+// and a router tier (consistent-hash dispatch, re-dispatch when a member
+// dies, drain on goaway) that turns N backend processes into one fleet.
 //
 // The protocol is deliberately in the D15W/shard family: little-endian,
 // magic-prefixed, length-prefixed frames, hardened decode (bad magic, bad
@@ -12,7 +12,7 @@
 //
 //	magic   uint32  'D15R' on the wire
 //	version uint8   1
-//	type    uint8   request | response | error | goaway | cancel
+//	type    uint8   request | response | error | goaway | (5, retired)
 //	aux     uint16  model-name length (requests) / error code (errors)
 //	id      uint64  request id, chosen by the sender, echoed in replies
 //	n       uint32  payload bytes that follow (bounds-checked)
@@ -20,13 +20,12 @@
 //
 // Request payload:  model name (aux bytes), ndims uint8, ndims×uint32
 // dims, then the row-major float32 tensor. Response payload: ndims, dims,
-// floats. Error payload: UTF-8 message. Goaway and cancel carry none.
+// floats. Error payload: UTF-8 message. Goaway carries none.
 //
 // Request ids make the connection a pipe, not a lockstep RPC: a client
 // writes requests as fast as it likes, responses come back in completion
 // order (the batcher reorders), and the id matches them up. Goaway is the
-// drain handshake (see Server.Drain); cancel kills a hedged request's
-// losing attempt by id.
+// drain handshake (see Server.Drain).
 //
 // Hot-path contract: encode appends into caller-reused buffers and decode
 // reads into caller-owned scratch and tensors, so a warm connection's
@@ -61,7 +60,7 @@ const (
 	MaxModelName = 255
 )
 
-// FrameType discriminates the five frame kinds.
+// FrameType discriminates the frame kinds.
 type FrameType uint8
 
 const (
@@ -72,10 +71,11 @@ const (
 	// requests on this connection; in-flight ones will complete; close
 	// the connection when the last response lands.
 	FrameGoaway
-	// FrameCancel withdraws interest in the identified request (hedging's
-	// losing attempt): the receiver drops the pending entry so no
-	// response frame is written for it.
-	FrameCancel
+	// frameCancelRetired is type 5, the cancel a hedging router once sent
+	// for its losing attempt. It still parses, so an older peer's frame is
+	// read whole, and every reader drops it: the request it names is
+	// answered as usual.
+	frameCancelRetired
 	frameTypeEnd
 )
 
@@ -85,8 +85,8 @@ type ErrCode uint16
 const (
 	CodeUnknownModel ErrCode = 1 + iota
 	CodeBadShape
-	// CodeShed is the router's admission-control refusal: every eligible
-	// backend's sliding p99 has degraded past the configured ceiling.
+	// CodeShed is the router's refusal when no live backend is left to
+	// take the request.
 	CodeShed
 	// CodeDraining refuses a request that arrived on a draining
 	// connection after goaway.
@@ -245,23 +245,17 @@ func newFrameWriter(conn net.Conn) *frameWriter {
 }
 
 // queue appends one frame with app. When a write is in progress and
-// maxQueued bytes already wait, it blocks until that write takes them, or,
-// with wait unset, drops the frame. It reports whether the frame was
-// queued; a dead writer queues nothing.
-func (w *frameWriter) queue(wait bool, app func([]byte) []byte) bool {
+// maxQueued bytes already wait, it blocks until that write takes them. A
+// dead writer queues nothing.
+func (w *frameWriter) queue(app func([]byte) []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.busy && len(w.buf) >= maxQueued && w.err == nil {
-		if !wait {
-			return false
-		}
 		w.taken.Wait()
 	}
-	if w.err != nil {
-		return false
+	if w.err == nil {
+		w.buf = app(w.buf)
 	}
-	w.buf = app(w.buf)
-	return true
 }
 
 // flush writes everything queued, looping until nothing is, unless another
@@ -425,7 +419,7 @@ func AppendError(dst []byte, id uint64, code ErrCode, msg string) []byte {
 	return dst
 }
 
-// AppendControl appends a payload-free frame (goaway, cancel).
+// AppendControl appends a payload-free frame (goaway).
 func AppendControl(dst []byte, t FrameType, id uint64) []byte {
 	dst = grow(dst, headerLen)
 	putHeader(dst[len(dst)-headerLen:], t, 0, id, 0)

@@ -66,7 +66,7 @@ func TestResponseAndControlRoundTrip(t *testing.T) {
 	buf := AppendResponse(nil, 11, []int{2, 2}, data)
 	buf = AppendError(buf, 12, CodeUnknownModel, "no model by that name")
 	buf = AppendControl(buf, FrameGoaway, 0)
-	buf = AppendControl(buf, FrameCancel, 13)
+	buf = AppendControl(buf, frameCancelRetired, 13)
 
 	r := bytes.NewReader(buf)
 	hdr := make([]byte, headerLen)
@@ -103,8 +103,8 @@ func TestResponseAndControlRoundTrip(t *testing.T) {
 		t.Fatalf("goaway frame: %+v, %v", h, err)
 	}
 	h, _, err = ReadFrame(r, hdr, payload)
-	if err != nil || h.Type != FrameCancel || h.ID != 13 {
-		t.Fatalf("cancel frame: %+v, %v", h, err)
+	if err != nil || h.Type != frameCancelRetired || h.ID != 13 {
+		t.Fatalf("retired cancel frame: %+v, %v", h, err)
 	}
 	if _, _, err = ReadFrame(r, hdr, payload); err != io.EOF {
 		t.Fatalf("clean end of stream: %v", err)

@@ -33,7 +33,7 @@ func frameStream(t *testing.T) []byte {
 	}
 	buf = AppendResponse(buf, 3, []int{2}, []float32{0.25, -4})
 	buf = AppendError(buf, 4, CodeShed, "no eligible backend")
-	buf = AppendControl(buf, FrameCancel, 5)
+	buf = AppendControl(buf, frameCancelRetired, 5)
 	return AppendControl(buf, FrameGoaway, 0)
 }
 
@@ -138,7 +138,7 @@ func TestFrameWriterGroupCommitOrder(t *testing.T) {
 			defer wg.Done()
 			for seq := 0; seq < frames; seq++ {
 				msg := bytes.Repeat([]byte{byte(p)}, seq%40)
-				w.queue(true, func(b []byte) []byte {
+				w.queue(func(b []byte) []byte {
 					return AppendError(b, uint64(p)<<32|uint64(seq), CodeInternal, string(msg))
 				})
 				w.flush()
@@ -250,7 +250,7 @@ func TestRouterReaderExitFlushesForwards(t *testing.T) {
 	binary.LittleEndian.PutUint32(garbage, 0xdeadbeef)
 	for name, tail := range map[string][]byte{"half-close": nil, "corrupt frame": garbage} {
 		t.Run(name, func(t *testing.T) {
-			r, nss, engines, inputs := startFleet(t, []time.Duration{0, 0}, RouterConfig{})
+			r, nss, engines, inputs := startFleet(t, []time.Duration{0, 0})
 			conn, err := net.Dial("tcp", r.Addr())
 			if err != nil {
 				t.Fatal(err)
@@ -311,9 +311,9 @@ func TestFrameWriterFlushWaitOutwaitsAWrite(t *testing.T) {
 	defer dst.Close()
 	w := newFrameWriter(src)
 	frame := func(id uint64) func([]byte) []byte {
-		return func(b []byte) []byte { return AppendControl(b, FrameCancel, id) }
+		return func(b []byte) []byte { return AppendControl(b, FrameGoaway, id) }
 	}
-	w.queue(true, frame(1))
+	w.queue(frame(1))
 	go w.flush()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		w.mu.Lock()
@@ -326,7 +326,7 @@ func TestFrameWriterFlushWaitOutwaitsAWrite(t *testing.T) {
 			t.Fatal("the first flush never started writing")
 		}
 	}
-	w.queue(true, frame(2))
+	w.queue(frame(2))
 	w.flush()
 	waited := make(chan struct{})
 	go func() {
@@ -353,9 +353,8 @@ func TestFrameWriterFlushWaitOutwaitsAWrite(t *testing.T) {
 // TestRouterQueueBoundedByStalledBackend: a member that stops reading
 // slows the router's clients instead of growing the router's queue. Two
 // connections pipeline far more than maxQueued bytes at one stalled
-// backend; its writer never holds more than maxQueued bytes plus one frame,
-// and a best-effort frame (a hedge cancel) offered to the full queue is
-// dropped at once instead of waiting.
+// backend; its writer never holds more than maxQueued bytes plus one
+// frame.
 func TestRouterQueueBoundedByStalledBackend(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -416,9 +415,6 @@ func TestRouterQueueBoundedByStalledBackend(t *testing.T) {
 	}
 	if most >= maxQueued+len(frame) {
 		t.Fatalf("%d bytes queued for a stalled backend, bound is %d plus one %d-byte frame", most, maxQueued, len(frame))
-	}
-	if b.w.queue(false, func(buf []byte) []byte { return AppendControl(buf, FrameCancel, 1) }) {
-		t.Fatal("a best-effort frame was queued past the bound")
 	}
 
 	stalled.Close() // the member dies: the blocked write fails and the router sheds the rest

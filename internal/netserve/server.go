@@ -56,18 +56,11 @@ type modelEntry struct {
 }
 
 // srvConn is one accepted connection: a reader goroutine that parses and
-// submits, a writer goroutine that encodes and coalesces responses, and
-// the id table cancel frames consult.
+// submits, and a writer goroutine that encodes and coalesces responses.
 type srvConn struct {
 	s    *Server
 	conn net.Conn
 	wch  chan *netReq
-
-	// pend tracks requests submitted but not yet written back, so a
-	// cancel frame can mark its target. Entries are removed when the
-	// response (or its cancellation) is handled by the writer.
-	pmu  sync.Mutex
-	pend map[uint64]*netReq
 
 	inflight sync.WaitGroup // one per submitted request, Done in writer
 }
@@ -75,15 +68,14 @@ type srvConn struct {
 // netReq is one in-flight request's envelope, pooled: zero allocations
 // per request once the connection is warm.
 type netReq struct {
-	c         *srvConn
-	me        *modelEntry
-	id        uint64
-	x         *tensor.Tensor // pooled input, returned after batch copy
-	y         *tensor.Tensor // response view, set by the completion callback
-	errCode   ErrCode        // non-zero: write an error frame instead of y
-	errMsg    string
-	goaway    bool // sentinel: writer emits a goaway frame
-	cancelled atomic.Bool
+	c       *srvConn
+	me      *modelEntry
+	id      uint64
+	x       *tensor.Tensor // pooled input, returned after batch copy
+	y       *tensor.Tensor // response view, set by the completion callback
+	errCode ErrCode        // non-zero: write an error frame instead of y
+	errMsg  string
+	goaway  bool // sentinel: writer emits a goaway frame
 }
 
 var netReqPool = sync.Pool{New: func() any { return new(netReq) }}
@@ -121,9 +113,9 @@ func NewServer(addr string, models map[string]*serve.Server, cfg ServerConfig) (
 }
 
 // SetDelay sleeps d in every later request's completion path — the
-// slow-backend fault injection the hedging and admission tests use to
-// degrade one fleet member, before or during a run. Zero (the default)
-// in production.
+// slow-member fault injection the backend-death and drain tests use to
+// keep requests in flight on a member when it dies or drains. Zero (the
+// default) in production.
 func (s *Server) SetDelay(d time.Duration) { s.delay.Store(int64(d)) }
 
 // Addr is the bound listen address ("host:port"), resolved even when the
@@ -141,7 +133,6 @@ func (s *Server) acceptLoop() {
 			s:    s,
 			conn: conn,
 			wch:  make(chan *netReq, writerDepth),
-			pend: make(map[uint64]*netReq),
 		}
 		s.mu.Lock()
 		if s.draining {
@@ -201,17 +192,12 @@ func (c *srvConn) reader() {
 		switch h.Type {
 		case FrameRequest:
 			c.handleRequest(h, buf, &tw)
-		case FrameCancel:
-			c.pmu.Lock()
-			if nr, ok := c.pend[h.ID]; ok {
-				nr.cancelled.Store(true)
-			}
-			c.pmu.Unlock()
 		case FrameGoaway:
 			// A client-initiated goaway: it will send nothing more; the
 			// reader simply runs to EOF.
 		default:
-			// Responses/errors are meaningless inbound on a server; drop.
+			// Responses, errors and retired cancels are meaningless inbound
+			// on a server; drop.
 		}
 	}
 }
@@ -248,15 +234,8 @@ func (c *srvConn) handleRequest(h Header, payload []byte, tw *TensorWire) {
 	nr := netReqPool.Get().(*netReq)
 	nr.c, nr.me, nr.id, nr.x = c, me, h.ID, x
 	nr.y, nr.errCode, nr.errMsg, nr.goaway = nil, 0, "", false
-	nr.cancelled.Store(false)
-	c.pmu.Lock()
-	c.pend[h.ID] = nr
-	c.pmu.Unlock()
 	c.inflight.Add(1)
 	if err := me.srv.SubmitAsync(x, onInfer, nr); err != nil {
-		c.pmu.Lock()
-		delete(c.pend, h.ID)
-		c.pmu.Unlock()
 		c.inflight.Done()
 		me.pool.Put(x)
 		code, msg := CodeInternal, err.Error()
@@ -287,10 +266,6 @@ func (c *srvConn) handleBulk(id uint64, n int, me *modelEntry, tw *TensorWire) {
 	nr := netReqPool.Get().(*netReq)
 	nr.c, nr.me, nr.id, nr.x = c, me, id, nil
 	nr.y, nr.errCode, nr.errMsg, nr.goaway = nil, 0, "", false
-	nr.cancelled.Store(false)
-	c.pmu.Lock()
-	c.pend[id] = nr
-	c.pmu.Unlock()
 	c.inflight.Add(1)
 	go func() {
 		y, err := me.srv.InferBatch(x)
@@ -355,7 +330,6 @@ func (c *srvConn) reject(id uint64, code ErrCode, msg string) {
 	nr := netReqPool.Get().(*netReq)
 	nr.c, nr.me, nr.id, nr.x, nr.y = c, nil, id, nil, nil
 	nr.errCode, nr.errMsg, nr.goaway = code, msg, false
-	nr.cancelled.Store(false)
 	c.inflight.Add(1)
 	c.wch <- nr
 }
@@ -404,16 +378,11 @@ func (c *srvConn) encode(buf []byte, nr *netReq) []byte {
 	case nr.goaway:
 		buf = AppendControl(buf, FrameGoaway, 0)
 		return buf // sentinel is not pooled and not inflight-counted
-	case nr.cancelled.Load():
-		// Hedging's losing attempt: the requester withdrew; write nothing.
 	case nr.errCode != 0:
 		buf = AppendError(buf, nr.id, nr.errCode, nr.errMsg)
 	default:
 		buf = AppendResponse(buf, nr.id, nr.y.Shape, nr.y.Data)
 	}
-	c.pmu.Lock()
-	delete(c.pend, nr.id)
-	c.pmu.Unlock()
 	c.inflight.Done()
 	nr.c, nr.me, nr.x, nr.y, nr.errMsg = nil, nil, nil, nil, ""
 	netReqPool.Put(nr)

@@ -42,9 +42,8 @@ const (
 	// PhaseRoute and PhaseNetWait belong to the network serving tier
 	// (internal/netserve): Route is the router's receive→dispatch interval
 	// for one request (frame parse, backend pick, forward enqueue);
-	// NetWait is the forward→first-response interval — what the request
-	// spent on the wire and inside the backend, the span hedging exists to
-	// cut the tail of.
+	// NetWait is the forward→response interval — what the request spent
+	// on the wire and inside the backend.
 	PhaseRoute
 	PhaseNetWait
 	// NumPhases bounds per-phase tables (open-span slots, aggregations).
